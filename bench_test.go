@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"maybms/internal/algebra"
 )
 
 const figure1SQL = `
@@ -464,11 +462,10 @@ func BenchmarkScalingConfWSD(b *testing.B) {
 }
 
 // componentwiseDB builds a compact database with n two-alternative repair
-// components (2^n worlds) and the componentwise path toggled.
-func componentwiseDB(b *testing.B, n int, componentwise bool) *CompactDB {
+// components (2^n worlds).
+func componentwiseDB(b *testing.B, n int) *CompactDB {
 	b.Helper()
 	cdb := OpenCompact()
-	cdb.SetComponentwise(componentwise)
 	if err := cdb.Register("Dirty", []string{"K", "V", "W"}, dirtyRows(n)); err != nil {
 		b.Fatal(err)
 	}
@@ -478,10 +475,10 @@ func componentwiseDB(b *testing.B, n int, componentwise bool) *CompactDB {
 	return cdb
 }
 
-func benchComponentwiseSelect(b *testing.B, query string, sizes []int, componentwise bool) {
+func benchComponentwiseSelect(b *testing.B, query string, sizes []int) {
 	for _, n := range sizes {
 		b.Run(fmt.Sprintf("groups=%d/worlds=2^%d", n, n), func(b *testing.B) {
-			cdb := componentwiseDB(b, n, componentwise)
+			cdb := componentwiseDB(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rel, err := cdb.Select(query)
@@ -493,7 +490,7 @@ func benchComponentwiseSelect(b *testing.B, query string, sizes []int, component
 				}
 			}
 			b.StopTimer()
-			if componentwise && cdb.MergeCount() != 0 {
+			if cdb.MergeCount() != 0 {
 				b.Fatal("componentwise bench merged")
 			}
 		})
@@ -503,26 +500,16 @@ func benchComponentwiseSelect(b *testing.B, query string, sizes []int, component
 // BenchmarkComponentwiseConf closes a CONF query over n independent
 // components with Σ alternatives evaluations and zero merges; cost scales
 // with the sum of alternatives. groups=64 represents 2^64 worlds — far
-// beyond what any merge could multiply out.
+// beyond what any merge could multiply out. (The merge-path halves of this
+// pair, BenchmarkMergePath{Conf,Possible}, needed a switch to force the
+// route; their numbers stay in BENCH_2026-07-30.json.)
 func BenchmarkComponentwiseConf(b *testing.B) {
-	benchComponentwiseSelect(b, `select conf, K, V from Clean`, []int{4, 8, 12, 64}, true)
+	benchComponentwiseSelect(b, `select conf, K, V from Clean`, []int{4, 8, 12, 64})
 }
 
-// BenchmarkMergePathConf is the same query forced onto the classic merge
-// path: the involved components multiply into one 2^n-alternative
-// component (bounded by the merge limit, so sizes stop at 12).
-func BenchmarkMergePathConf(b *testing.B) {
-	benchComponentwiseSelect(b, `select conf, K, V from Clean`, []int{4, 8, 12}, false)
-}
-
-// BenchmarkComponentwisePossible / BenchmarkMergePathPossible: the same
-// pair for the POSSIBLE closure.
+// BenchmarkComponentwisePossible: the same for the POSSIBLE closure.
 func BenchmarkComponentwisePossible(b *testing.B) {
-	benchComponentwiseSelect(b, `select possible K, V from Clean`, []int{4, 8, 12, 64}, true)
-}
-
-func BenchmarkMergePathPossible(b *testing.B) {
-	benchComponentwiseSelect(b, `select possible K, V from Clean`, []int{4, 8, 12}, false)
+	benchComponentwiseSelect(b, `select possible K, V from Clean`, []int{4, 8, 12, 64})
 }
 
 // naiveDirtyDB enumerates the n-component repair explicitly (2^n worlds)
@@ -703,7 +690,7 @@ func BenchmarkCompactRepairUncertain(b *testing.B) {
 		b.Run(fmt.Sprintf("groups=%d/worlds=2^%d", n, n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cdb := componentwiseDB(b, n, true)
+				cdb := componentwiseDB(b, n)
 				b.StartTimer()
 				if err := cdb.RepairByKey("Clean", "Cleaner", []string{"K", "V"}, ""); err != nil {
 					b.Fatal(err)
@@ -733,7 +720,7 @@ func BenchmarkCompactRepairUncertain(b *testing.B) {
 // the degenerate one-level tree the *Flat legs below query.
 func conditionalCleanerDB(b *testing.B, n int) *CompactDB {
 	b.Helper()
-	cdb := componentwiseDB(b, n, true)
+	cdb := componentwiseDB(b, n)
 	if err := cdb.RepairByKey("Clean", "Cleaner", []string{"K", "V"}, ""); err != nil {
 		b.Fatal(err)
 	}
@@ -761,7 +748,7 @@ func BenchmarkConditionalRepair(b *testing.B) {
 		b.Run(fmt.Sprintf("groups=%d/worlds=2^%d", n, n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cdb := componentwiseDB(b, n, true)
+				cdb := componentwiseDB(b, n)
 				b.StartTimer()
 				if err := cdb.RepairByKey("Clean", "Cleaner", []string{"K", "V"}, ""); err != nil {
 					b.Fatal(err)
@@ -816,7 +803,7 @@ func benchConditionalSelect(b *testing.B, confQuery bool) {
 				if leg.nested {
 					cdb = conditionalCleanerDB(b, n)
 				} else {
-					cdb = componentwiseDB(b, n, true)
+					cdb = componentwiseDB(b, n)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -865,16 +852,15 @@ func BenchmarkConditionalSelect(b *testing.B) { benchConditionalSelect(b, false)
 // componentwise fold and the naive 2^n-world sum.
 func BenchmarkConditionalConf(b *testing.B) { benchConditionalSelect(b, true) }
 
-// ---- batch-native closure pipeline: row vs batch past the Collect seam ----
+// ---- batch-native closure pipeline past the Collect seam ----
 
 // bulkChoiceDB builds one choice component with alts alternatives of rows
 // tuples each — per-alternative parts far above the vectorization floor, the
 // regime the batch-native closure pipeline targets — plus a tiny independent
-// choice table P for the grouped closure. The Row/Batch benchmark pairs
-// below run identical queries over it: the Row leg is the classic row
-// pipeline (row-at-a-time evaluation, closures over row-backed views), the
-// Batch leg keeps answers columnar end to end — vectorized evaluation plus
-// the batch-native Collect seam (SetBatchClosure).
+// choice table P for the grouped closure. Answers stay columnar end to end:
+// vectorized evaluation, closures over batch keys, rows materialized once.
+// (The BenchmarkRowClosure* halves ran the same queries with vectorization
+// and the seam switched off; their numbers stay in BENCH_2026-08-08.json.)
 func bulkChoiceDB(b *testing.B, alts, rows int) *CompactDB {
 	b.Helper()
 	cdb := OpenCompact()
@@ -899,10 +885,7 @@ func bulkChoiceDB(b *testing.B, alts, rows int) *CompactDB {
 	return cdb
 }
 
-func benchClosureSeam(b *testing.B, batch bool, query string, wantRows int) {
-	prevSeam := SetBatchClosure(batch)
-	defer SetBatchClosure(prevSeam)
-	defer algebra.SetVectorized(algebra.SetVectorized(batch))
+func benchBatchClosure(b *testing.B, query string, wantRows int) {
 	cdb := bulkChoiceDB(b, 8, 2048)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -920,30 +903,21 @@ func benchClosureSeam(b *testing.B, batch bool, query string, wantRows int) {
 	}
 }
 
-// BenchmarkBatchClosurePossible / BenchmarkRowClosurePossible: the POSSIBLE
-// union-with-dedup over 8 alternatives × 2048 tuples, columnar vs row-backed.
+// BenchmarkBatchClosurePossible: the POSSIBLE union-with-dedup over 8
+// alternatives × 2048 tuples.
 func BenchmarkBatchClosurePossible(b *testing.B) {
-	benchClosureSeam(b, true, `select possible V from U where V < 1536`, 1536)
+	benchBatchClosure(b, `select possible V from U where V < 1536`, 1536)
 }
 
-func BenchmarkRowClosurePossible(b *testing.B) {
-	benchClosureSeam(b, false, `select possible V from U where V < 1536`, 1536)
-}
-
-// BenchmarkBatchClosureConf / BenchmarkRowClosureConf: the CONF closure —
-// dedup plus per-alternative probability accumulation — on the same pair.
+// BenchmarkBatchClosureConf: the CONF closure — dedup plus per-alternative
+// probability accumulation.
 func BenchmarkBatchClosureConf(b *testing.B) {
-	benchClosureSeam(b, true, `select conf, V from U where V < 1536`, 1536)
+	benchBatchClosure(b, `select conf, V from U where V < 1536`, 1536)
 }
 
-func BenchmarkRowClosureConf(b *testing.B) {
-	benchClosureSeam(b, false, `select conf, V from U where V < 1536`, 1536)
-}
-
-func benchGroupWorldsSeam(b *testing.B, batch bool) {
-	prevSeam := SetBatchClosure(batch)
-	defer SetBatchClosure(prevSeam)
-	defer algebra.SetVectorized(algebra.SetVectorized(batch))
+// BenchmarkBatchClosureGroupWorlds: the grouped closure — fingerprint fold
+// plus a per-group POSSIBLE run.
+func BenchmarkBatchClosureGroupWorlds(b *testing.B) {
 	cdb := bulkChoiceDB(b, 8, 2048)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -960,12 +934,6 @@ func benchGroupWorldsSeam(b *testing.B, batch bool) {
 		b.Fatal("group worlds benchmark merged")
 	}
 }
-
-// BenchmarkBatchClosureGroupWorlds / BenchmarkRowClosureGroupWorlds: the
-// grouped closure — fingerprint fold plus a per-group POSSIBLE run.
-func BenchmarkBatchClosureGroupWorlds(b *testing.B) { benchGroupWorldsSeam(b, true) }
-
-func BenchmarkRowClosureGroupWorlds(b *testing.B) { benchGroupWorldsSeam(b, false) }
 
 // BenchmarkNaiveRepairUncertain is the naive baseline for the chained
 // repair: the enumerating engine re-splits every world (2^n per-world

@@ -34,6 +34,14 @@ var errNotPlainSelect = errors.New("maybms: MaterializeQuery takes a plain SQL S
 // read uncertain data merge exactly the involved components (partial
 // expansion). For full I-SQL over small world-sets, use DB; Expand
 // bridges the two.
+//
+// How a statement executes is the engine's decision, taken once per
+// statement from the query's shape and the decomposition (EXPLAIN prints
+// it; MergeCount, ComponentwiseCount and ConditionalCount count it), and
+// per evaluation from the scanned input size: trees scanning fewer than 32
+// rows, trees with no batch mirror and bare scans run the row operators;
+// everything else runs batches; nothing sets this. To cross-check an answer,
+// Expand and ask the naive engine.
 type CompactDB struct {
 	w *wsd.WSD
 }
@@ -381,22 +389,6 @@ func (db *CompactDB) ComponentwiseCount() uint64 { return db.w.ComponentwiseCoun
 // closures and conditional-relation answers — plus repair/choice splits
 // that nested components under feeding alternatives.
 func (db *CompactDB) ConditionalCount() uint64 { return db.w.ConditionalCount() }
-
-// SetComponentwise toggles the merge-free componentwise execution path
-// (enabled by default). Disabling it forces every multi-component query
-// onto the classic bounded-merge path; results are identical either way —
-// the toggle exists for benchmarks and crosschecks.
-func (db *CompactDB) SetComponentwise(enabled bool) { db.w.DisableComponentwise = !enabled }
-
-// SetBatchClosure toggles the batch-native closure seam of the compact
-// engine, process-wide, returning the previous setting (enabled by
-// default). With the seam on, vectorized per-alternative evaluations stay
-// columnar past the Collect seam and the possible/certain/conf and GROUP
-// WORLDS BY closures run over batch keys; with it off, rows materialize at
-// the seam as before the batch-native pipeline. Results are identical
-// either way — the toggle exists for ablation benchmarks and equivalence
-// tests.
-func SetBatchClosure(enabled bool) bool { return wsd.SetBatchClosure(enabled) }
 
 // Expand enumerates the world-set into a naive DB supporting full I-SQL.
 // It fails if more than limit worlds are represented (0 = default limit).

@@ -291,14 +291,14 @@ func TestCompactSelectComponentwise(t *testing.T) {
 	if _, err := cdb.Select("select sum(V) from I"); err == nil {
 		t.Error("plain aggregate over uncertain data must fail")
 	}
-	// Forcing the merge path gives the same possible set, restructured.
-	cdb.SetComponentwise(false)
-	rel, err = cdb.Select("select possible K, V from I")
+	// A grouped core correlates the components, so the same possible set
+	// comes back from the merge path, restructured.
+	rel, err = cdb.Select("select possible K, V from I group by K, V")
 	if err != nil || rel.Len() != 5 {
 		t.Fatalf("merge-path possible = %v, %v", rel, err)
 	}
 	if cdb.MergeCount() == 0 || cdb.ComponentCount() != 1 {
-		t.Error("disabled componentwise path must merge")
+		t.Error("a query correlating the components must merge them")
 	}
 }
 
@@ -359,9 +359,10 @@ func TestCompactAssertDerivesTouching(t *testing.T) {
 }
 
 // TestCompactApproxConf: APPROX CONF on the public compact surface. While
-// the exact routing fits it is byte-identical to CONF; when the forced
-// merge path exceeds the merge limit (where CONF errors), the seeded
-// Monte-Carlo estimator answers instead, deterministically per seed.
+// the exact routing fits it is byte-identical to CONF; when the merge a
+// component-correlating query needs exceeds the merge limit (where CONF
+// errors), the seeded Monte-Carlo estimator answers instead,
+// deterministically per seed.
 func TestCompactApproxConf(t *testing.T) {
 	cdb := OpenCompact()
 	if err := cdb.Register("R", []string{"K", "V"}, [][]any{
@@ -389,15 +390,14 @@ func TestCompactApproxConf(t *testing.T) {
 		}
 	}
 
-	// Force the classic merge path past its limit: plain CONF refuses,
-	// APPROX CONF estimates.
-	cdb.SetComponentwise(false)
+	// A grouped core needs the merge path; past its limit plain CONF
+	// refuses and APPROX CONF estimates.
 	cdb.SetMergeLimit(2)
-	if _, err := cdb.Select("select conf, K, V from I"); err == nil {
+	if _, err := cdb.Select("select conf, K, V from I group by K, V"); err == nil {
 		t.Fatal("conf over the merge limit must fail")
 	}
 	cdb.SetApproxConf(4000, 1)
-	est, err := cdb.Select("select approx conf, K, V from I")
+	est, err := cdb.Select("select approx conf, K, V from I group by K, V")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestCompactApproxConf(t *testing.T) {
 		}
 	}
 	// Same seed, same estimates.
-	again, err := cdb.Select("select approx conf, K, V from I")
+	again, err := cdb.Select("select approx conf, K, V from I group by K, V")
 	if err != nil {
 		t.Fatal(err)
 	}

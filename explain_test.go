@@ -4,8 +4,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	"maybms/internal/algebra"
 )
 
 // explainCompactDB builds the two-component repair fixture the EXPLAIN
@@ -49,19 +47,19 @@ func explainText(t *testing.T, db *CompactDB, query string) string {
 	return res.Msg
 }
 
-// TestExplainCompactGolden pins the EXPLAIN output of every compact
-// routing class: world-independent single evaluation, merge-free
-// componentwise closure, classic bounded merge, Monte-Carlo approximation,
-// and both refusal forms.
-func TestExplainCompactGolden(t *testing.T) {
-	db := explainCompactDB(t)
-	cases := []struct {
-		name, query, want string
-	}{
-		{
-			name:  "single_world_independent",
-			query: "EXPLAIN SELECT POSSIBLE X FROM C",
-			want: `engine: compact (world-set decomposition)
+// explainGoldens pins the EXPLAIN output of every compact routing class
+// over explainCompactDB: world-independent single evaluation, merge-free
+// componentwise closure, classic bounded merge, conditional relation,
+// Monte-Carlo approximation, and both refusal forms. tinyLimit cases run
+// with MergeLimit 1 and a fixed APPROX CONF configuration.
+var explainGoldens = []struct {
+	name, query, want string
+	tinyLimit         bool
+}{
+	{
+		name:  "single_world_independent",
+		query: "EXPLAIN SELECT POSSIBLE X FROM C",
+		want: `engine: compact (world-set decomposition)
 worlds: 2
 route: single (world-independent)
 closure: possible
@@ -69,11 +67,11 @@ eval: row
 plan:
   Project [X]
     Scan C [certain]`,
-		},
-		{
-			name:  "componentwise",
-			query: "EXPLAIN SELECT POSSIBLE A FROM Rp",
-			want: `engine: compact (world-set decomposition)
+	},
+	{
+		name:  "componentwise",
+		query: "EXPLAIN SELECT POSSIBLE A FROM Rp",
+		want: `engine: compact (world-set decomposition)
 worlds: 2
 route: componentwise (merge-free, 2 components, 2+1 alternatives)
 closure: possible
@@ -81,11 +79,11 @@ eval: row
 plan:
   Project [A]
     Scan Rp [components: 0 1]`,
-		},
-		{
-			name:  "merge",
-			query: "EXPLAIN SELECT A, CONF FROM Rp GROUP BY A",
-			want: `engine: compact (world-set decomposition)
+	},
+	{
+		name:  "merge",
+		query: "EXPLAIN SELECT A, CONF FROM Rp GROUP BY A",
+		want: `engine: compact (world-set decomposition)
 worlds: 2
 route: merge (partial expansion, 2 components, 2 alternatives, limit 65536)
 closure: conf
@@ -94,11 +92,11 @@ plan:
   Project [A]
     Aggregate [] group=[1]
       Scan Rp [components: 0 1]`,
-		},
-		{
-			name:  "conditional_relation",
-			query: "EXPLAIN SELECT A FROM Rp",
-			want: `engine: compact (world-set decomposition)
+	},
+	{
+		name:  "conditional_relation",
+		query: "EXPLAIN SELECT A FROM Rp",
+		want: `engine: compact (world-set decomposition)
 worlds: 2
 route: conditional (relation with cond column, 2 components, 0 nested)
 closure: none
@@ -106,11 +104,11 @@ eval: row
 plan:
   Project [A]
     Scan Rp [components: 0 1]`,
-		},
-		{
-			name:  "refused_per_world",
-			query: "EXPLAIN SELECT SUM(A) FROM Rp",
-			want: `engine: compact (world-set decomposition)
+	},
+	{
+		name:  "refused_per_world",
+		query: "EXPLAIN SELECT SUM(A) FROM Rp",
+		want: `engine: compact (world-set decomposition)
 worlds: 2
 route: refused (per-world answers over uncertain relations; uncertain: Rp)
 closure: none
@@ -119,25 +117,12 @@ plan:
   Project [sum(A)]
     Aggregate [sum(A)]
       Scan Rp [components: 0 1]`,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := explainText(t, db, tc.query); got != tc.want {
-				t.Errorf("EXPLAIN mismatch\n--- got ---\n%s\n--- want ---\n%s", got, tc.want)
-			}
-		})
-	}
-
-	// The remaining classes need a tiny merge limit; EXPLAIN must predict
-	// them without executing (the decomposition stays unmerged).
-	db.SetMergeLimit(1)
-	db.SetApproxConf(1000, 42)
-	for _, tc := range []struct{ name, query, want string }{
-		{
-			name:  "approx_mc",
-			query: "EXPLAIN SELECT A, APPROX CONF FROM Rp GROUP BY A",
-			want: `engine: compact (world-set decomposition)
+	},
+	{
+		tinyLimit: true,
+		name:      "approx_mc",
+		query:     "EXPLAIN SELECT A, APPROX CONF FROM Rp GROUP BY A",
+		want: `engine: compact (world-set decomposition)
 worlds: 2
 route: approx_mc (merge of 2 components exceeds limit 1; 1000 samples, seed 42, stderr <= 0.0158)
 closure: approx conf
@@ -146,11 +131,12 @@ plan:
   Project [A]
     Aggregate [] group=[1]
       Scan Rp [components: 0 1]`,
-		},
-		{
-			name:  "refused_merge_too_big",
-			query: "EXPLAIN SELECT A, CONF FROM Rp GROUP BY A",
-			want: `engine: compact (world-set decomposition)
+	},
+	{
+		tinyLimit: true,
+		name:      "refused_merge_too_big",
+		query:     "EXPLAIN SELECT A, CONF FROM Rp GROUP BY A",
+		want: `engine: compact (world-set decomposition)
 worlds: 2
 route: refused (merge of 2 components exceeds limit 1 alternatives)
 closure: conf
@@ -159,28 +145,93 @@ plan:
   Project [A]
     Aggregate [] group=[1]
       Scan Rp [components: 0 1]`,
-		},
-	} {
+	},
+}
+
+// explainGoldenDB is the fixture of one explainGoldens case.
+func explainGoldenDB(t *testing.T, tinyLimit bool) *CompactDB {
+	t.Helper()
+	db := explainCompactDB(t)
+	if tinyLimit {
+		db.SetMergeLimit(1)
+		db.SetApproxConf(1000, 42)
+	}
+	return db
+}
+
+// TestExplainCompactGolden checks every golden, and that EXPLAIN decides
+// without executing (the decomposition stays unmerged).
+func TestExplainCompactGolden(t *testing.T) {
+	for _, tc := range explainGoldens {
 		t.Run(tc.name, func(t *testing.T) {
+			db := explainGoldenDB(t, tc.tinyLimit)
 			if got := explainText(t, db, tc.query); got != tc.want {
 				t.Errorf("EXPLAIN mismatch\n--- got ---\n%s\n--- want ---\n%s", got, tc.want)
 			}
+			if db.ComponentCount() != 2 {
+				t.Errorf("EXPLAIN must not merge: components = %d, want 2", db.ComponentCount())
+			}
 		})
-	}
-	if db.ComponentCount() != 2 {
-		t.Errorf("EXPLAIN must not merge: components = %d, want 2", db.ComponentCount())
 	}
 }
 
-// TestExplainVectorized pins the batch-path prediction: with the
-// vectorization floor lowered the same componentwise plan reports the
-// vectorized evaluator, including whether results stay columnar past the
-// Collect seam (the batch-native closure pipeline) or materialize rows
-// there (the ablation baseline).
+// explainedRoute extracts the first word of EXPLAIN's route: line.
+func explainedRoute(t *testing.T, text string) string {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^route: (\w+)`).FindStringSubmatch(text)
+	if m == nil {
+		t.Fatalf("no route line in:\n%s", text)
+	}
+	return m[1]
+}
+
+// tracedRoute is the route attribute a trace ends up with.
+func tracedRoute(tr *Trace) string {
+	route := ""
+	for _, a := range tr.JSON().Attrs {
+		if a.Key == "route" {
+			route = a.Value
+		}
+	}
+	return route
+}
+
+// TestExplainNamesExecutedRoute: EXPLAIN renders the decision the executor
+// switches on, so for every golden statement the route EXPLAIN names is the
+// route attribute of the trace from actually executing it — including the
+// Monte-Carlo escape past MergeLimit and both refusals.
+func TestExplainNamesExecutedRoute(t *testing.T) {
+	for _, tc := range explainGoldens {
+		t.Run(tc.name, func(t *testing.T) {
+			db := explainGoldenDB(t, tc.tinyLimit)
+			want := explainedRoute(t, explainText(t, db, tc.query))
+			_, tr, err := db.ExecTraced(strings.TrimPrefix(tc.query, "EXPLAIN "))
+			if (err != nil) != (want == "refused") {
+				t.Errorf("EXPLAIN says %s, execution returned error %v", want, err)
+			}
+			if got := tracedRoute(tr); got != want {
+				t.Errorf("EXPLAIN says route %s, execution took %q", want, got)
+			}
+			if want == "refused" && db.ComponentCount() != 2 {
+				t.Errorf("a refused statement restructured the decomposition: components = %d, want 2", db.ComponentCount())
+			}
+		})
+	}
+}
+
+// TestExplainVectorized pins the batch-path prediction: the same
+// componentwise route over inputs past the vectorization floor (a join
+// against a 40-row certain relation) reports the vectorized evaluator, and
+// a traced run of the statement counts batch collects only.
 func TestExplainVectorized(t *testing.T) {
-	prev := algebra.SetVectorizeMinRows(0)
-	defer algebra.SetVectorizeMinRows(prev)
 	db := explainCompactDB(t)
+	wide := make([][]any, 40)
+	for i := range wide {
+		wide[i] = []any{i}
+	}
+	if err := db.Register("Wide", []string{"X"}, wide); err != nil {
+		t.Fatal(err)
+	}
 	want := `engine: compact (world-set decomposition)
 worlds: 2
 route: componentwise (merge-free, 2 components, 2+1 alternatives)
@@ -188,16 +239,20 @@ closure: possible
 eval: batch (vectorized, batch-native collect)
 plan:
   Project [A]
-    Scan Rp [components: 0 1]`
-	if got := explainText(t, db, "EXPLAIN SELECT POSSIBLE A FROM Rp"); got != want {
+    Filter (K = X)
+      CrossJoin
+        Scan Rp [components: 0 1]
+        Scan Wide [certain]`
+	query := "SELECT POSSIBLE A FROM Rp, Wide WHERE K = X"
+	if got := explainText(t, db, "EXPLAIN "+query); got != want {
 		t.Errorf("EXPLAIN mismatch\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-
-	prevSeam := SetBatchClosure(false)
-	defer SetBatchClosure(prevSeam)
-	want = strings.Replace(want, "batch-native collect", "rows at collect", 1)
-	if got := explainText(t, db, "EXPLAIN SELECT POSSIBLE A FROM Rp"); got != want {
-		t.Errorf("EXPLAIN mismatch with seam off\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	_, tr, err := db.ExecTraced(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := tr.JSON().Exec; ex.BatchCollects == 0 || ex.RowCollects != 0 {
+		t.Errorf("collects batch=%d row=%d, want batch only", ex.BatchCollects, ex.RowCollects)
 	}
 }
 
@@ -321,13 +376,7 @@ func TestExecTraced(t *testing.T) {
 	if js.Statement != "SELECT POSSIBLE A FROM Rp" {
 		t.Errorf("trace statement = %q", js.Statement)
 	}
-	route := ""
-	for _, a := range js.Attrs {
-		if a.Key == "route" {
-			route = a.Value
-		}
-	}
-	if route != "componentwise" {
+	if route := tracedRoute(tr); route != "componentwise" {
 		t.Errorf("route attr = %q, want componentwise", route)
 	}
 	if len(js.Spans) == 0 {

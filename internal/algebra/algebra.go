@@ -46,32 +46,45 @@ type Operator interface {
 	Close() error
 }
 
-// Collect drains op into a materialized relation. When the vectorized path
-// is enabled (the default) and the tree has a batch mirror that benefits
-// from it, execution runs batch-at-a-time with identical results; see
-// batch.go.
-func Collect(op Operator, outer *expr.Context) (*relation.Relation, error) {
+// drain runs op to completion on the operator set Vectorize selects — the
+// one path choice in the engine — and ticks the per-path and row counters
+// once per call: one maybms_collects_total{path=batch|row} tick by the path
+// actually taken, rows counted once. fromBatches finishes a batch pipeline;
+// fromRows wraps the tuples the row iterators produced.
+func drain[T interface{ Len() int }](op Operator, outer *expr.Context,
+	fromBatches func(BatchOperator, *expr.Context) (T, error),
+	fromRows func(*schema.Schema, []tuple.Tuple) T) (T, error) {
+	var out T
 	stats := outer.FindStats()
-	if vectorizedOn.Load() {
-		if b, ok := Vectorize(op); ok {
-			batchCollects.Inc()
-			if stats != nil {
-				stats.BatchCollects.Add(1)
-			}
-			out, err := collectBatches(b, outer)
-			if out != nil {
-				collectRows.Add(uint64(out.Len()))
-				if stats != nil {
-					stats.Rows.Add(uint64(out.Len()))
-				}
-			}
+	if b, ok := Vectorize(op); ok {
+		batchCollects.Inc()
+		if stats != nil {
+			stats.BatchCollects.Add(1)
+		}
+		var err error
+		if out, err = fromBatches(b, outer); err != nil {
 			return out, err
 		}
+	} else {
+		rowCollects.Inc()
+		if stats != nil {
+			stats.RowCollects.Add(1)
+		}
+		rows, err := drainRows(op, outer)
+		if err != nil {
+			return out, err
+		}
+		out = fromRows(op.Schema(), rows)
 	}
-	rowCollects.Inc()
+	collectRows.Add(uint64(out.Len()))
 	if stats != nil {
-		stats.RowCollects.Add(1)
+		stats.Rows.Add(uint64(out.Len()))
 	}
+	return out, nil
+}
+
+// drainRows runs the row iterators of op to completion.
+func drainRows(op Operator, outer *expr.Context) ([]tuple.Tuple, error) {
 	if err := op.Open(outer); err != nil {
 		return nil, err
 	}
@@ -83,67 +96,28 @@ func Collect(op Operator, outer *expr.Context) (*relation.Relation, error) {
 			return nil, err
 		}
 		if !ok {
-			collectRows.Add(uint64(len(rows)))
-			if stats != nil {
-				stats.Rows.Add(uint64(len(rows)))
-			}
-			return relation.FromRowsShared(op.Schema(), rows), nil
+			return rows, nil
 		}
 		rows = append(rows, t)
 	}
 }
 
+// Collect drains op into a materialized relation. Trees that Vectorize
+// accepts run batch-at-a-time with identical results (see batch.go);
+// everything else runs the row iterators.
+func Collect(op Operator, outer *expr.Context) (*relation.Relation, error) {
+	return drain(op, outer, collectBatches, relation.FromRowsShared)
+}
+
 // CollectBatch drains op into one combined columnar batch — the
 // batch-native Collect variant behind the wsd closure builders. On the
-// vectorized path the pipeline's batches append column-wise into the result
-// and no row tuples are materialized at all; on the row path the collected
+// batch path the pipeline's batches append column-wise into the result and
+// no row tuples are materialized at all; on the row path the collected
 // tuples are wrapped as a row-backed batch (FromRowsShared) with zero
 // copying, so callers always receive a batch and decide themselves when (if
-// ever) to materialize rows. Counter attribution matches Collect: one
-// maybms_collects_total{path=batch|row} tick per call by the path actually
-// taken, rows counted once per call.
+// ever) to materialize rows.
 func CollectBatch(op Operator, outer *expr.Context) (*colbatch.Batch, error) {
-	stats := outer.FindStats()
-	if vectorizedOn.Load() {
-		if b, ok := Vectorize(op); ok {
-			batchCollects.Inc()
-			if stats != nil {
-				stats.BatchCollects.Add(1)
-			}
-			out, err := drainToBatch(b, outer)
-			if err != nil {
-				return nil, err
-			}
-			collectRows.Add(uint64(out.Len()))
-			if stats != nil {
-				stats.Rows.Add(uint64(out.Len()))
-			}
-			return out, nil
-		}
-	}
-	rowCollects.Inc()
-	if stats != nil {
-		stats.RowCollects.Add(1)
-	}
-	if err := op.Open(outer); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	var rows []tuple.Tuple
-	for {
-		t, ok, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			collectRows.Add(uint64(len(rows)))
-			if stats != nil {
-				stats.Rows.Add(uint64(len(rows)))
-			}
-			return colbatch.FromRowsShared(op.Schema(), rows), nil
-		}
-		rows = append(rows, t)
-	}
+	return drain(op, outer, drainToBatch, colbatch.FromRowsShared)
 }
 
 // interruptEvery is how many rows a long-running iterator produces between

@@ -16,15 +16,32 @@
 // per-world engine, the WSD componentwise loop, compiled subqueries —
 // vectorizes through the one choke point. Expressions outside the
 // vectorizable subset fall back to row-at-a-time evaluation inside the
-// batch pipeline; trees containing an operator with no batch form (or a
-// LIMIT that could observe laziness) stay entirely on the row path.
+// batch pipeline.
+//
+// The one rule, applied by Vectorize on every drain: trees scanning fewer
+// than 32 rows, trees with no batch mirror (or a LIMIT that could observe
+// laziness) and bare scans run the row operators; everything else runs
+// batches; nothing sets this. Both operator sets stay because each wins on a
+// benchmark workload. Forcing batches everywhere (floor 0, every mirrored
+// tree) against the rule above, `bench/run.sh --workload <w> --seed {1,2,3}
+// --seconds 10 --trace 0` on a 2-core box measured:
+//
+//	workload      metric       rule (seeds 1/2/3)     batches everywhere    change
+//	point.short   stmts_per_s  11377 / 11394 / 11654  8565 / 8457 / 8954    -23 … -26 %
+//	point.short   setup_s      0.554 / 0.557 / 0.537  0.731 / 0.704 / 0.685 +26 … +32 %
+//	point.short   p50_ms       0.123 / 0.122 / 0.120  0.142 / 0.147 / 0.139 +15 … +20 %
+//	worlds.naive  stmts_per_s  107.1 / 109.8 / 109.5  86.8 / 95.3 / 88.8    -13 … -19 %
+//	worlds.naive  p50_ms       8.64 / 8.11 / 7.27     11.89 / 9.81 / 9.86   +21 … +38 %
+//
+// while closure.compact and wide.encode sit over the floor and run batches.
+// Deleting the row operators needs a small-input fast path in the batch
+// operators that beats the left column first.
 package algebra
 
 import (
 	"bytes"
 	"fmt"
 	"hash/maphash"
-	"sync/atomic"
 
 	"maybms/internal/colbatch"
 	"maybms/internal/expr"
@@ -37,42 +54,22 @@ import (
 // batchSize is the number of rows per batch on the vectorized path.
 const batchSize = 1024
 
-// vectorizedOn gates the vectorized path in Collect; on by default. Tests
-// and benchmarks force the row path through SetVectorized.
-var vectorizedOn atomic.Bool
-
-func init() { vectorizedOn.Store(true) }
-
-// SetVectorized enables or disables the vectorized path in Collect,
-// returning the previous setting. The row and batch paths produce identical
-// results; this switch exists for ablation benchmarks and equivalence tests.
-func SetVectorized(on bool) bool { return vectorizedOn.Swap(on) }
-
-// Vectorized reports whether the vectorized path is enabled.
-func Vectorized() bool { return vectorizedOn.Load() }
-
-// vectorizeMinRows is the floor on total scanned rows below which Vectorize
+// batchFloor is the floor on total scanned rows below which Vectorize
 // declines even when the tree would otherwise benefit: building columns and
 // batch operator state costs more than the per-tuple savings on relations
 // this small (per-world evaluation over figure-sized examples sits well
 // under it, bulk per-alternative work well over it).
-var vectorizeMinRows atomic.Int64
+const batchFloor = 32
 
-func init() { vectorizeMinRows.Store(32) }
-
-// SetVectorizeMinRows sets the scanned-rows floor for the vectorized path,
-// returning the previous value. Equivalence tests set it to 0 so small
-// random relations still exercise the batch operators.
-func SetVectorizeMinRows(n int64) int64 { return vectorizeMinRows.Swap(n) }
-
-// VectorizeMinRows reports the current scanned-rows floor. Catalog builders
-// (wsd's componentwise path) consult it to skip assembling columnar input
-// views for evaluations Vectorize would decline anyway.
-func VectorizeMinRows() int64 { return vectorizeMinRows.Load() }
+// ClearsBatchFloor reports whether a tree scanning rows rows is large enough
+// for the batch operators. Catalog builders (wsd's componentwise path)
+// consult it to skip assembling columnar input views for evaluations
+// Vectorize would decline anyway.
+func ClearsBatchFloor(rows int) bool { return rows >= batchFloor }
 
 // scanRows sums the leaf relation sizes of op's subtree — the static
-// input-cardinality estimate behind vectorizeMinRows.
-func scanRows(op Operator) int64 {
+// input-cardinality estimate compared against batchFloor.
+func scanRows(op Operator) int {
 	switch n := op.(type) {
 	case *Filter:
 		return scanRows(n.Child)
@@ -93,7 +90,7 @@ func scanRows(op Operator) int64 {
 	case *Limit:
 		return scanRows(n.Child)
 	case scanSource:
-		return int64(n.ScanSource().Len())
+		return n.ScanSource().Len()
 	default:
 		return 0
 	}
@@ -117,10 +114,12 @@ func (s *Scan) ScanSource() *relation.Relation { return s.Rel }
 type scanSource interface{ ScanSource() *relation.Relation }
 
 // Vectorize builds the batch pipeline mirroring op, or reports ok=false
-// when the tree has no batch form or nothing in it benefits (a bare scan is
-// faster row-at-a-time: row scans return stored tuples by reference).
+// when the tree scans fewer than batchFloor rows, has no batch form, or
+// nothing in it benefits (a bare scan is faster row-at-a-time: row scans
+// return stored tuples by reference). This is the engine's one choice
+// between the two operator sets; it reads only the tree it is given.
 func Vectorize(op Operator) (BatchOperator, bool) {
-	if scanRows(op) < vectorizeMinRows.Load() {
+	if !ClearsBatchFloor(scanRows(op)) {
 		return nil, false
 	}
 	b, benefit := vectorize(op)

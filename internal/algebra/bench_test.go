@@ -91,18 +91,24 @@ func BenchmarkAblationAggregate(b *testing.B) {
 
 // ---- row vs batch: the vectorized-executor ablation ----
 //
-// Each pair below runs the same operator tree through Collect with the
-// vectorized path forced off (Row…) and on (…Batch). scripts/bench.sh
+// Each pair below runs the same operator tree on the row iterators (Row…,
+// the drain Collect uses under the size floor) and through Collect, which
+// picks the batch operators at these sizes (…Batch). scripts/bench.sh
 // records both, so BENCH_<date>.json carries the row-vs-batch trajectory;
 // scripts/check_batch_allocs.sh gates the batch variants' allocs/op in CI.
 
-func benchCollect(b *testing.B, vec bool, build func() Operator) {
+func benchCollect(b *testing.B, batch bool, build func() Operator) {
 	b.Helper()
-	defer SetVectorized(SetVectorized(vec))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Collect(build(), nil); err != nil {
+		var err error
+		if batch {
+			_, err = Collect(build(), nil)
+		} else {
+			_, err = drainRows(build(), nil)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -181,13 +181,34 @@ func renderResult(rel *relation.Relation, err error) string {
 	return out
 }
 
+// collectRowPath and collectBatchPath drain op the way Collect would on each
+// side of Vectorize's choice. The batch side takes the mirror from
+// vectorize, so trees under the size floor or with nothing to gain — which
+// Collect would run on the row operators — exercise the batch operators too.
+func collectRowPath(op Operator) (*relation.Relation, error) {
+	rows, err := drainRows(op, nil)
+	if err != nil {
+		return nil, err
+	}
+	return relation.FromRowsShared(op.Schema(), rows), nil
+}
+
+func collectBatchPath(op Operator) (rel *relation.Relation, mirrored bool, err error) {
+	b, _ := vectorize(op)
+	if b == nil {
+		return nil, false, nil
+	}
+	rel, err = collectBatches(b, nil)
+	return rel, true, err
+}
+
 // TestRowBatchEquivalenceFuzz is the row-vs-batch contract check: 300
-// random trees, each collected on both paths, must agree byte for byte —
-// including which error (if any) surfaces.
+// random trees, each drained on both paths, must agree byte for byte —
+// including which error (if any) surfaces. Trees with no batch mirror (a
+// LIMIT over a lazily erroring child) only ever run the row operators.
 func TestRowBatchEquivalenceFuzz(t *testing.T) {
-	defer SetVectorized(SetVectorized(true))
-	defer SetVectorizeMinRows(SetVectorizeMinRows(0))
-	errs := 0
+	t.Parallel()
+	errs, mirrored := 0, 0
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := randRelation(rng), randRelation(rng)
@@ -196,10 +217,13 @@ func TestRowBatchEquivalenceFuzz(t *testing.T) {
 			return randTree(rand.New(rand.NewSource(treeSeed)), a, b, depth)
 		}
 
-		SetVectorized(false)
-		rowRes := renderResult(Collect(build(), nil))
-		SetVectorized(true)
-		batchRes := renderResult(Collect(build(), nil))
+		rowRes := renderResult(collectRowPath(build()))
+		batchRel, ok, batchErr := collectBatchPath(build())
+		if !ok {
+			continue
+		}
+		mirrored++
+		batchRes := renderResult(batchRel, batchErr)
 		if rowRes != batchRes {
 			t.Fatalf("seed %d: paths diverged\nrow:\n%s\nbatch:\n%s", seed, rowRes, batchRes)
 		}
@@ -209,5 +233,8 @@ func TestRowBatchEquivalenceFuzz(t *testing.T) {
 	}
 	if errs == 0 {
 		t.Fatal("fuzz never produced an evaluation error; error-path equivalence untested")
+	}
+	if mirrored < 250 {
+		t.Fatalf("only %d of 300 trees had a batch mirror", mirrored)
 	}
 }

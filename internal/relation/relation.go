@@ -114,17 +114,6 @@ func (r *Relation) Batch() *colbatch.Batch {
 	return b
 }
 
-// SetBatch installs a pre-built columnar view for a row-backed relation
-// (builders that assemble the batch first and the relation second use it to
-// avoid a re-encode). On a columnar-backed relation it is a no-op: the
-// store already is the batch.
-func (r *Relation) SetBatch(b *colbatch.Batch) {
-	if r.store != nil && !r.store.RowBacked() {
-		return
-	}
-	r.col.Store(b)
-}
-
 // BatchView returns a batch over the relation's contents without ever
 // columnarizing: the store itself when columnar, the cached columnar view
 // when one is valid, else the row-backed store as-is. Key-encoding
@@ -162,15 +151,6 @@ func (r *Relation) Rows() []tuple.Tuple {
 	rows := r.store.Rows()
 	r.rows.Store(&rowsView{n: n, rows: rows})
 	return rows
-}
-
-// SetRows replaces the relation's contents with the given rows, which the
-// relation takes ownership of (the wholesale-rebuild form of Append).
-func (r *Relation) SetRows(rows []tuple.Tuple) {
-	r.store = colbatch.FromRowsShared(r.Schema, rows)
-	r.rows.Store(nil)
-	r.col.Store(nil)
-	r.keys.Store(nil)
 }
 
 // Append adds a tuple, checking its width against the schema.

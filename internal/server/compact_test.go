@@ -128,16 +128,14 @@ func TestCompactComponentwiseBeyondMergeLimit(t *testing.T) {
 	mustExec("insert into R values " + strings.Join(rows, ", "))
 	mustExec("create table I as select * from R repair by key K")
 
-	// The merge path cannot answer this: 2^17 alternatives exceed the
-	// expansion limit.
-	b.d.DisableComponentwise = true
-	if _, err := b.exec("select conf, K, V from I"); err == nil {
+	// The merge path cannot answer this: a grouped core correlates the
+	// components, and 2^17 alternatives exceed the expansion limit.
+	if _, err := b.exec("select conf, K, V from I group by K, V"); err == nil {
 		t.Fatal("merge path must refuse a 2^17-alternative expansion")
 	}
 
-	// The componentwise path answers it exactly, with no merge and the
-	// decomposition untouched.
-	b.d.DisableComponentwise = false
+	// The componentwise path answers the ungrouped query exactly, with no
+	// merge and the decomposition untouched.
 	res, err := b.exec("select conf, K, V from I")
 	if err != nil {
 		t.Fatal(err)

@@ -31,6 +31,14 @@ const DefaultApproxSamples = 1000
 
 func cerrSchema() *schema.Schema { return schema.New("cerr") }
 
+// sampleCount is the number of worlds APPROX CONF samples.
+func (d *WSD) sampleCount() int {
+	if d.ApproxSamples <= 0 {
+		return DefaultApproxSamples
+	}
+	return d.ApproxSamples
+}
+
 // confMonteCarlo estimates the CONF closure over the worlds spanned by the
 // involved components compIdx without merging them: each sample draws one
 // alternative per component, evaluates the query in that world, and counts
@@ -39,10 +47,7 @@ func cerrSchema() *schema.Schema { return schema.New("cerr") }
 // ±1/(2√samples) standard-error bound; the estimate is deterministic for a
 // fixed (ApproxSeed, ApproxSamples) pair.
 func (d *WSD) confMonteCarlo(compIdx []int, eval func(cat plan.Catalog) (*colbatch.Batch, error)) (*relation.Relation, error) {
-	samples := d.ApproxSamples
-	if samples <= 0 {
-		samples = DefaultApproxSamples
-	}
+	samples := d.sampleCount()
 	approxSamples.Add(uint64(samples))
 	bound := 1 / (2 * math.Sqrt(float64(samples)))
 	sp := d.Trace.Begin("approx_mc")

@@ -10,8 +10,9 @@ import (
 )
 
 // approxWSD builds k independent components of m uniform alternatives each
-// (merged: m^k alternatives) with the componentwise path disabled, so CONF
-// must go through the classic merge.
+// (merged: m^k alternatives). The tests close a grouped core over it — an
+// aggregate correlates the components, so CONF must go through the classic
+// merge.
 func approxWSD(t *testing.T, k, m, mergeLimit int) *WSD {
 	t.Helper()
 	d := New(true)
@@ -27,7 +28,6 @@ func approxWSD(t *testing.T, k, m, mergeLimit int) *WSD {
 	if err := d.RepairByKey("R", "I", []string{"A"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	d.DisableComponentwise = true
 	d.MergeLimit = mergeLimit
 	return d
 }
@@ -37,8 +37,8 @@ func approxWSD(t *testing.T, k, m, mergeLimit int) *WSD {
 // answers, order included.
 func TestApproxConfMatchesExactWhenMergeFits(t *testing.T) {
 	d := approxWSD(t, 4, 3, DefaultMergeLimit)
-	exact := renderRel(selectOn(t, d, "select conf, A, B from I"))
-	approx := renderRel(selectOn(t, d, "select approx conf, A, B from I"))
+	exact := renderRel(selectOn(t, d, "select conf, A, B from I group by A, B"))
+	approx := renderRel(selectOn(t, d, "select approx conf, A, B from I group by A, B"))
 	if approx != exact {
 		t.Fatalf("approx conf diverged from exact within the merge limit:\n%s\nwant:\n%s", approx, exact)
 	}
@@ -57,12 +57,12 @@ func TestApproxConfFallsBackToMonteCarlo(t *testing.T) {
 	}
 	d := build()
 
-	core, cl := parseCore(t, "select conf, A, B from I")
+	core, cl := parseCore(t, "select conf, A, B from I group by A, B")
 	if _, err := d.SelectClosure(core, cl); !errors.Is(err, ErrMergeTooBig) {
 		t.Fatalf("exact conf past the limit: err = %v, want ErrMergeTooBig", err)
 	}
 
-	est := selectOn(t, d, "select approx conf, A, B from I")
+	est := selectOn(t, d, "select approx conf, A, B from I group by A, B")
 	if want := k * m; len(est.Rows()) != want {
 		t.Fatalf("estimated %d possible tuples, want %d", len(est.Rows()), want)
 	}
@@ -86,7 +86,7 @@ func TestApproxConfFallsBackToMonteCarlo(t *testing.T) {
 
 	// Same seed and sample count → byte-identical estimate (fresh WSD: the
 	// failed exact attempt above must not have consumed randomness either).
-	again := selectOn(t, build(), "select approx conf, A, B from I")
+	again := selectOn(t, build(), "select approx conf, A, B from I group by A, B")
 	if renderRel(again) != renderRel(est) {
 		t.Fatalf("seeded estimate not deterministic:\n%s\nvs:\n%s", renderRel(again), renderRel(est))
 	}
@@ -95,7 +95,7 @@ func TestApproxConfFallsBackToMonteCarlo(t *testing.T) {
 	other := build()
 	other.ApproxSeed = 8
 	moved := false
-	for i, tp := range selectOn(t, other, "select approx conf, A, B from I").Rows() {
+	for i, tp := range selectOn(t, other, "select approx conf, A, B from I group by A, B").Rows() {
 		if tp[len(tp)-2].AsFloat() != est.Rows()[i][len(tp)-2].AsFloat() {
 			moved = true
 			break

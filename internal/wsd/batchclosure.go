@@ -10,12 +10,16 @@ package wsd
 // batch is the truth; rows are a lazy view), so the componentwise catalog
 // hands stored batches to the evaluations directly — there is no
 // per-evaluation re-columnarize and no contribution cache to keep coherent.
-// This file holds the seam's switch and the output builder the closures
-// share.
+//
+// Whether an evaluation's batch is columnar or row-backed follows from the
+// one rule in internal/algebra: trees scanning fewer than 32 rows, trees
+// with no batch mirror and bare scans run the row operators (and come back
+// as zero-copy row-backed batches); everything else runs batches; nothing
+// sets this. The closure code is the same either way — AppendKey delegates
+// to the tuple encoding on row-backed batches — and this file holds the
+// output builder that follows the evaluations' representation.
 
 import (
-	"sync/atomic"
-
 	"maybms/internal/colbatch"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
@@ -23,28 +27,12 @@ import (
 	"maybms/internal/value"
 )
 
-// batchClosureOn gates the batch-native closure seam; on by default. With
-// the seam off, per-alternative evaluations materialize rows at the Collect
-// seam and the closures run over zero-copy row-backed batches — the ablation
-// baseline for benchmarks and equivalence tests.
-var batchClosureOn atomic.Bool
-
-func init() { batchClosureOn.Store(true) }
-
-// SetBatchClosure enables or disables the batch-native closure seam,
-// returning the previous setting. Results are identical either way; the
-// switch exists for ablation benchmarks and equivalence tests.
-func SetBatchClosure(on bool) bool { return batchClosureOn.Swap(on) }
-
-// BatchClosure reports whether the batch-native closure seam is enabled.
-func BatchClosure() bool { return batchClosureOn.Load() }
-
 // unionBuilder accumulates closure output rows in emission order. The mode
 // follows the first evaluation's batch: columnar results gather column-wise
 // into one output batch whose rows materialize once at finish (and the
 // finished relation carries the batch as its columnar view); row-backed
-// results — the lazy row view of the seam — append tuple references exactly
-// like the classic closures did.
+// results — evaluations that ran the row operators — append tuple
+// references exactly like the classic closures did.
 type unionBuilder struct {
 	colMode bool
 	rows    []tuple.Tuple

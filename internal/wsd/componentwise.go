@@ -78,8 +78,9 @@ func newPartsCatalog(d *WSD, sel map[int]int) partsCatalog {
 // single-source lookups pass the stored batch through zero-copy — the
 // vectorized scan reads stored columns directly, with no per-evaluation
 // re-encode — and multi-source lookups assemble one combined batch from
-// the stored parts (columnar on the batch-native closure path, a shared
-// row slice otherwise).
+// the stored parts (columnar when the table alone clears algebra's batch
+// floor, a shared row slice for evaluations that will run the row operators
+// anyway).
 func (pc partsCatalog) Lookup(name string) (*relation.Relation, error) {
 	k := key(name)
 	sch, ok := pc.d.schemas[k]
@@ -122,7 +123,7 @@ func (pc partsCatalog) Lookup(name string) (*relation.Relation, error) {
 		}
 		return first.WithSchema(sch), nil
 	}
-	if batchClosureOn.Load() && algebra.Vectorized() && int64(total) >= algebra.VectorizeMinRows() {
+	if algebra.ClearsBatchFloor(total) {
 		combined := colbatch.New(sch)
 		if cert.Len() > 0 {
 			combined.AppendBatch(cert.Batch())
@@ -275,6 +276,18 @@ func (p *componentParts) keySets() (*keySetIndex, error) {
 		}
 	}
 	return ix, nil
+}
+
+// close computes the closure cl from the parts.
+func (p *componentParts) close(cl Closure) (*relation.Relation, error) {
+	switch cl {
+	case ClosurePossible:
+		return possibleFromParts(p)
+	case ClosureCertain:
+		return certainFromParts(p)
+	default:
+		return confFromParts(p)
+	}
 }
 
 // possibleFromParts computes the POSSIBLE closure: every tuple in some

@@ -16,6 +16,8 @@ import (
 	"testing"
 
 	"maybms/internal/core"
+	"maybms/internal/obs"
+	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
@@ -60,14 +62,67 @@ func renderRelTol(t *testing.T, r *relation.Relation) string {
 	return b.String()
 }
 
-// figure2Pair builds two identical decompositions over Figure 1's data —
-// one with the componentwise path enabled, one forced onto the merge path.
-func figure2Pair(t *testing.T) (*WSD, *WSD) {
+// analyzed compiles core against d and runs the component-touch analysis:
+// the inputs route decides on, for tests that call a run function directly.
+func analyzed(t *testing.T, d *WSD, core *sqlparse.SelectStmt) (*plan.ComponentAnalysis, evaluator) {
 	t.Helper()
-	fast := newFigure2WSD(t)
-	slow := newFigure2WSD(t)
-	slow.DisableComponentwise = true
-	return fast, slow
+	prep, ev, err := d.prepared(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := d.analyze(prep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return an, ev
+}
+
+// selectMerged answers sql on the merge route whatever route would pick —
+// the run function the router calls for plans that correlate components —
+// as the reference for the merge-free routes.
+func selectMerged(t *testing.T, d *WSD, sql string) *relation.Relation {
+	t.Helper()
+	core, cl := parseCore(t, sql)
+	an, ev := analyzed(t, d, core)
+	rel, err := d.runMerge(an.Comps, ev, cl)
+	if err != nil {
+		t.Fatalf("%q on the merge route: %v", sql, err)
+	}
+	return rel
+}
+
+// selectExplained is SelectClosure plus the check that EXPLAIN names the
+// route that runs: the first word of EXPLAIN's route line must be the route
+// attribute the trace of the actual execution ends up with.
+func selectExplained(t *testing.T, d *WSD, core *sqlparse.SelectStmt, cl Closure) (*relation.Relation, error) {
+	t.Helper()
+	text, err := d.ExplainSelect(core, cl)
+	if err != nil {
+		t.Fatalf("explain %q: %v", core, err)
+	}
+	explained := strings.Fields(strings.TrimPrefix(text, "route: "))[0]
+	d.Trace = obs.NewTrace(core.String())
+	rel, err := d.SelectClosure(core, cl)
+	executed := ""
+	for _, a := range d.Trace.JSON().Attrs {
+		if a.Key == "route" {
+			executed = a.Value
+		}
+	}
+	d.Trace = nil
+	if executed != explained {
+		t.Errorf("%q: EXPLAIN says route %s, execution took %q", core, explained, executed)
+	}
+	return rel, err
+}
+
+// createTableMerged stores core as dst on the merge route.
+func createTableMerged(t *testing.T, d *WSD, dst string, core *sqlparse.SelectStmt) {
+	t.Helper()
+	an, ev := analyzed(t, d, core)
+	if err := d.materializeMerged(dst, an.Comps, ev.rel); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func selectOn(t *testing.T, d *WSD, sql string) *relation.Relation {
@@ -95,7 +150,7 @@ func TestComponentwiseNoMergeAcceptance(t *testing.T) {
 		"select conf, I.A from I, R where I.C = R.C",
 	}
 	for _, q := range queries {
-		fast, slow := figure2Pair(t)
+		fast, slow := newFigure2WSD(t), newFigure2WSD(t)
 		fastRel := selectOn(t, fast, q)
 
 		if got := fast.MergeCount(); got != 0 {
@@ -108,9 +163,9 @@ func TestComponentwiseNoMergeAcceptance(t *testing.T) {
 			t.Errorf("%q componentwise count = %d, want 1", q, got)
 		}
 
-		slowRel := selectOn(t, slow, q)
+		slowRel := selectMerged(t, slow, q)
 		if slow.MergeCount() == 0 {
-			t.Errorf("%q did not merge on the forced merge path (bad baseline)", q)
+			t.Errorf("%q did not merge on the merge route (bad baseline)", q)
 		}
 		var gotS, wantS string
 		if strings.Contains(q, "conf") {
@@ -144,10 +199,9 @@ func TestComponentwiseConfDyadic(t *testing.T) {
 		return d
 	}
 	fast, slow := build(), build()
-	slow.DisableComponentwise = true
 	q := "select conf, B from I"
 	got := renderRel(selectOn(t, fast, q))
-	want := renderRel(selectOn(t, slow, q))
+	want := renderRel(selectMerged(t, slow, q))
 	if got != want {
 		t.Fatalf("dyadic conf diverged:\n%s\nwant:\n%s", got, want)
 	}
@@ -157,8 +211,8 @@ func TestComponentwiseConfDyadic(t *testing.T) {
 }
 
 // TestComponentwiseScalesWithSum: k components of m alternatives each are
-// closed with Σ = k·m + 1 evaluations and zero merges; the forced merge
-// path multiplies them into m^k alternatives.
+// closed with Σ = k·m + 1 evaluations and zero merges; the merge route
+// multiplies them into m^k alternatives.
 func TestComponentwiseScalesWithSum(t *testing.T) {
 	const k, m = 8, 3
 	build := func() *WSD {
@@ -178,11 +232,10 @@ func TestComponentwiseScalesWithSum(t *testing.T) {
 		return d
 	}
 	fast, slow := build(), build()
-	slow.DisableComponentwise = true
 
 	q := "select conf, A, B from I"
 	got := renderRelTol(t, selectOn(t, fast, q))
-	want := renderRelTol(t, selectOn(t, slow, q))
+	want := renderRelTol(t, selectMerged(t, slow, q))
 	if got != want {
 		t.Fatalf("scaled conf diverged:\n%s\nwant:\n%s", got, want)
 	}
@@ -206,7 +259,7 @@ func TestComponentwiseScalesWithSum(t *testing.T) {
 // relation materializes componentwise — no merge, linear representation —
 // and downstream closures agree with the merge path byte for byte.
 func TestComponentwiseCreateTableAs(t *testing.T) {
-	fast, slow := figure2Pair(t)
+	fast, slow := newFigure2WSD(t), newFigure2WSD(t)
 	core, _ := parseCore(t, "select A, B from I where B >= 14")
 	if err := fast.CreateTableAs("HighB", core); err != nil {
 		t.Fatal(err)
@@ -217,9 +270,7 @@ func TestComponentwiseCreateTableAs(t *testing.T) {
 	if fast.ComponentCount() != 3 {
 		t.Fatalf("CTAS restructured to %d components", fast.ComponentCount())
 	}
-	if err := slow.CreateTableAs("HighB", core); err != nil {
-		t.Fatal(err)
-	}
+	createTableMerged(t, slow, "HighB", core)
 	if slow.MergeCount() == 0 {
 		t.Fatal("merge path did not merge (bad baseline)")
 	}
@@ -250,11 +301,12 @@ func TestComponentwiseCreateTableAs(t *testing.T) {
 
 // TestDistinctCTASCrossComponentDedup: per-world DISTINCT dedupes across
 // components, which factored storage cannot represent — a multi-component
-// DISTINCT materialization must take the merge path and represent exactly
-// the same worlds. (Regression: the analysis once kept the concat flag
-// through Distinct, storing a row shared by two components twice.)
+// DISTINCT materialization must route to the merge path and represent
+// exactly the worlds a direct merged materialization does. (Regression: the
+// analysis once kept the concat flag through Distinct, storing a row shared
+// by two components twice.)
 func TestDistinctCTASCrossComponentDedup(t *testing.T) {
-	build := func(componentwise bool) *WSD {
+	build := func(routed bool) *WSD {
 		d := New(true)
 		r := relation.New(schema.New("K", "V"))
 		r.MustAppend(row("k1", 1))
@@ -266,14 +318,18 @@ func TestDistinctCTASCrossComponentDedup(t *testing.T) {
 		if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
 			t.Fatal(err)
 		}
-		d.DisableComponentwise = !componentwise
 		core, _ := parseCore(t, "select distinct V from I")
-		if err := d.CreateTableAs("D", core); err != nil {
+		if !routed {
+			createTableMerged(t, d, "D", core)
+		} else if err := d.CreateTableAs("D", core); err != nil {
 			t.Fatal(err)
 		}
 		return d
 	}
 	fast, slow := build(true), build(false)
+	if fast.MergeCount() == 0 {
+		t.Fatal("DISTINCT materialization over two components did not route to the merge path")
+	}
 	matchViews(t, wsdViews(t, slow, "D"), wsdViews(t, fast, "D"))
 	// The world where k1 picks V=1 must hold D = {1}, not {1,1}: possible
 	// per-world cardinalities are {1, 2} on both paths.

@@ -91,6 +91,7 @@ func randomKeyedRelation(r *rand.Rand, nGroups, maxPerGroup int) *relation.Relat
 }
 
 func TestRepairEquivalenceOnFigure2(t *testing.T) {
+	t.Parallel()
 	// Naive engine.
 	s := core.NewSession(true)
 	if err := s.Register("R", figure1R()); err != nil {
@@ -106,6 +107,7 @@ func TestRepairEquivalenceOnFigure2(t *testing.T) {
 }
 
 func TestRepairEquivalenceRandomized(t *testing.T) {
+	t.Parallel()
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
 		rel := randomKeyedRelation(r, 1+r.Intn(4), 3)
@@ -156,6 +158,7 @@ func TestRepairEquivalenceRandomized(t *testing.T) {
 }
 
 func TestChoiceEquivalenceRandomized(t *testing.T) {
+	t.Parallel()
 	r := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 25; trial++ {
 		rel := randomKeyedRelation(r, 2+r.Intn(3), 3)
@@ -203,6 +206,7 @@ func TestChoiceEquivalenceRandomized(t *testing.T) {
 // subqueries); the componentwise-eligible ones are asserted to have
 // executed with zero merges. Run under -race in CI.
 func TestComponentwiseEquivalenceFuzz(t *testing.T) {
+	t.Parallel()
 	r := rand.New(rand.NewSource(46))
 	queries := []struct {
 		sql           string
@@ -282,7 +286,7 @@ func TestComponentwiseEquivalenceFuzz(t *testing.T) {
 				t.Fatal(err)
 			}
 			mergesBefore := d.MergeCount()
-			got, err := d.SelectClosure(qcore, cl)
+			got, err := selectExplained(t, d, qcore, cl)
 			if err != nil {
 				t.Fatalf("trial %d compact %q: %v", trial, q.sql, err)
 			}
@@ -413,6 +417,7 @@ func crosscheckClosures(t *testing.T, trial int, label string, s *core.Session, 
 // the target relation is uncertain; only WHERE clauses with subqueries
 // over uncertain relations may merge. Run under -race in CI.
 func TestDMLEquivalenceFuzz(t *testing.T) {
+	t.Parallel()
 	r := rand.New(rand.NewSource(47))
 	statements := []struct {
 		sql           string
@@ -475,6 +480,7 @@ func TestDMLEquivalenceFuzz(t *testing.T) {
 // grouping and main plans, or a non-decomposable grouping plan) may fall
 // back to the bounded residual merge. Run under -race in CI.
 func TestGroupWorldsEquivalenceFuzz(t *testing.T) {
+	t.Parallel()
 	r := rand.New(rand.NewSource(48))
 	queries := []struct {
 		sql           string
@@ -590,12 +596,12 @@ func TestGroupWorldsBeyondMergeLimit(t *testing.T) {
 
 	// The merge-based route cannot answer this: the spanning fallback
 	// would multiply 2^17 alternatives.
-	d.DisableComponentwise = true
-	if _, err := d.GroupWorldsClosure(gw, qcore, cl); !errors.Is(err, ErrMergeTooBig) {
+	gwAn, gwEv := analyzed(t, d, gw)
+	qAn, qEv := analyzed(t, d, qcore)
+	if _, err := d.groupWorldsSpanning(gwAn.Comps, qAn.Comps, gwEv.rel, qEv.rel, cl); !errors.Is(err, ErrMergeTooBig) {
 		t.Fatalf("spanning route: err = %v, want ErrMergeTooBig", err)
 	}
 
-	d.DisableComponentwise = false
 	groups, err := d.GroupWorldsClosure(gw, qcore, cl)
 	if err != nil {
 		t.Fatal(err)
@@ -626,6 +632,7 @@ func TestGroupWorldsBeyondMergeLimit(t *testing.T) {
 }
 
 func TestAssertEquivalenceRandomized(t *testing.T) {
+	t.Parallel()
 	// Assert "no tuple with V = 0 and K = 0 in I" on both engines.
 	r := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 15; trial++ {

@@ -1,14 +1,12 @@
 package wsd
 
-// EXPLAIN over the decomposition: predict the routing SelectClosure would
-// take — without executing, merging, or touching the world-set — and render
-// the compiled plan tree with per-table component annotations. The
-// prediction applies the same conditions as SelectClosure in the same
-// order, so it names exactly the path a real run takes.
+// EXPLAIN over the decomposition: render the routing decision SelectClosure
+// would run — the value of the same route function, obtained without
+// executing, merging, or touching the world-set — and the compiled plan tree
+// with per-table component annotations.
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -33,11 +31,11 @@ func closureName(cl Closure) string {
 	}
 }
 
-// ExplainSelect renders the plan and predicted routing of a SELECT whose
-// closure has been stripped by the caller (see StripClosure). The text has
-// three parts: the routing prediction with the closure, the predicted
-// evaluation path (batch vs. row), and the compiled operator tree with
-// component annotations on every table scan.
+// ExplainSelect renders the plan and routing of a SELECT whose closure has
+// been stripped by the caller (see StripClosure). The text has three parts:
+// the routing decision with the closure, the predicted evaluation path
+// (batch vs. row), and the compiled operator tree with component
+// annotations on every table scan.
 func (d *WSD) ExplainSelect(core *sqlparse.SelectStmt, cl Closure) (string, error) {
 	if cl.IsConf() && !d.Weighted {
 		return "", ErrConfUnweighted
@@ -52,7 +50,7 @@ func (d *WSD) ExplainSelect(core *sqlparse.SelectStmt, cl Closure) (string, erro
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "route: %s\n", d.predictRoute(core, an, cl))
+	fmt.Fprintf(&b, "route: %s\n", d.describeRoute(core, an.Comps, d.route(core, an, cl, false)))
 	fmt.Fprintf(&b, "closure: %s\n", closureName(cl))
 	fmt.Fprintf(&b, "eval: %s\n", d.predictEval(prep, an.Comps))
 	b.WriteString("plan:\n")
@@ -69,67 +67,6 @@ func (d *WSD) ExplainSelect(core *sqlparse.SelectStmt, cl Closure) (string, erro
 	return b.String(), nil
 }
 
-// predictRoute names the path SelectClosure would take for this analysis
-// and closure, mirroring its decision order exactly. Refusal predictions
-// carry the blocking construct — the uncertain relations the core reads —
-// as an attribute.
-func (d *WSD) predictRoute(core *sqlparse.SelectStmt, an *plan.ComponentAnalysis, cl Closure) string {
-	refused := func(reason string) string {
-		if names := d.uncertainTables(core); names != "" {
-			return fmt.Sprintf("refused (%s; uncertain: %s)", reason, names)
-		}
-		return fmt.Sprintf("refused (%s)", reason)
-	}
-	if len(an.Comps) == 0 {
-		return "single (world-independent)"
-	}
-	if cl == ClosureNone {
-		if !d.DisableComponentwise {
-			if !d.treeInvolved(an.Comps) {
-				allSingleton := true
-				for _, ci := range an.Comps {
-					if len(d.comps[ci].Alts) != 1 {
-						allSingleton = false
-						break
-					}
-				}
-				if allSingleton {
-					return fmt.Sprintf("single (%d components, all singleton alternatives)", len(an.Comps))
-				}
-			}
-			if an.Concat {
-				return fmt.Sprintf("conditional (relation with cond column, %d components, %d nested)",
-					len(an.Comps), d.nestedAmong(d.rootClosure(an.Comps)))
-			}
-		}
-		return refused("per-world answers over uncertain relations")
-	}
-	if an.Decomposable && !d.DisableComponentwise {
-		if d.treeInvolved(an.Comps) {
-			return fmt.Sprintf("conditional (tree fold, %d components, %d nested)",
-				len(an.Comps), d.nestedAmong(d.rootClosure(an.Comps)))
-		}
-		return fmt.Sprintf("componentwise (merge-free, %d components, %s alternatives)",
-			len(an.Comps), d.altsBrief(an.Comps))
-	}
-	alts, ok := d.mergedAlternatives(an.Comps)
-	if !ok || alts > d.MergeLimit {
-		if cl == ClosureApproxConf {
-			samples := d.ApproxSamples
-			if samples <= 0 {
-				samples = DefaultApproxSamples
-			}
-			return fmt.Sprintf("approx_mc (merge of %d components exceeds limit %d; %d samples, seed %d, stderr <= %.4f)",
-				len(an.Comps), d.MergeLimit, samples, d.ApproxSeed,
-				1/(2*math.Sqrt(float64(samples))))
-		}
-		return fmt.Sprintf("refused (merge of %d components exceeds limit %d alternatives)",
-			len(an.Comps), d.MergeLimit)
-	}
-	return fmt.Sprintf("merge (partial expansion, %d components, %d alternatives, limit %d)",
-		len(an.Comps), alts, d.MergeLimit)
-}
-
 // predictEval reports whether per-alternative evaluations would take the
 // vectorized batch path, probing the template bound against the first
 // world's instances — every touched component at its first alternative,
@@ -138,9 +75,6 @@ func (d *WSD) predictRoute(core *sqlparse.SelectStmt, an *plan.ComponentAnalysis
 // choice tables at zero rows and mispredict row; the real decision is
 // still re-made per Collect.)
 func (d *WSD) predictEval(prep *plan.Prepared, comps []int) string {
-	if !algebra.Vectorized() {
-		return "row (vectorization disabled)"
-	}
 	sel := make(map[int]int, len(comps))
 	for _, ci := range comps {
 		sel[ci] = 0
@@ -150,10 +84,7 @@ func (d *WSD) predictEval(prep *plan.Prepared, comps []int) string {
 		return "row"
 	}
 	if _, ok := algebra.Vectorize(op); ok {
-		if BatchClosure() {
-			return "batch (vectorized, batch-native collect)"
-		}
-		return "batch (vectorized, rows at collect)"
+		return "batch (vectorized, batch-native collect)"
 	}
 	return "row"
 }
@@ -165,75 +96,6 @@ func (d *WSD) altsBrief(comps []int) string {
 		parts = append(parts, fmt.Sprintf("%d", len(d.comps[ci].Alts)))
 	}
 	return strings.Join(parts, "+")
-}
-
-// mergedAlternatives computes the alternative count a merge of comps would
-// produce, without merging; ok is false on overflow. Tree-involved
-// components first condense whole trees (see condenseTrees), so the count
-// is the product of the involved trees' world counts — the per-component
-// alternative product in the flat case.
-func (d *WSD) mergedAlternatives(comps []int) (int, bool) {
-	mul := func(product, n int) (int, bool) {
-		if n == 0 {
-			return product, true
-		}
-		if product > (1<<31)/n {
-			return 0, false
-		}
-		return product * n, true
-	}
-	if d.nested == 0 {
-		product := 1
-		ok := true
-		for _, ci := range comps {
-			if product, ok = mul(product, len(d.comps[ci].Alts)); !ok {
-				return 0, false
-			}
-		}
-		return product, true
-	}
-	children := d.childrenIndex()
-	var worldsOf func(ci int) (int, bool)
-	worldsOf = func(ci int) (int, bool) {
-		c := d.comps[ci]
-		total := 0
-		for a := range c.Alts {
-			alt := 1
-			ok := true
-			for _, ch := range children[c.ID] {
-				if d.comps[ch].ParentAlt != a {
-					continue
-				}
-				w, wok := worldsOf(ch)
-				if !wok {
-					return 0, false
-				}
-				if alt, ok = mul(alt, w); !ok {
-					return 0, false
-				}
-			}
-			total += alt
-			if total > 1<<31 {
-				return 0, false
-			}
-		}
-		return total, true
-	}
-	product := 1
-	ok := true
-	for _, ci := range d.rootClosure(comps) {
-		if d.comps[ci].Parent >= 0 {
-			continue
-		}
-		w, wok := worldsOf(ci)
-		if !wok {
-			return 0, false
-		}
-		if product, ok = mul(product, w); !ok {
-			return 0, false
-		}
-	}
-	return product, true
 }
 
 func intsBrief(xs []int) string {

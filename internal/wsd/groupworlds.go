@@ -110,7 +110,7 @@ func (d *WSD) GroupWorldsClosure(gw, core *sqlparse.SelectStmt, cl Closure) ([]G
 	// frontier fold and the disjointness independence argument assume flat
 	// independent components, and the merge path condenses trees exactly
 	// (see condenseTrees).
-	if d.DisableComponentwise || intersects(gwAn.Comps, qAn.Comps) ||
+	if intersects(gwAn.Comps, qAn.Comps) ||
 		d.treeInvolved(append(append([]int(nil), gwAn.Comps...), qAn.Comps...)) {
 		return d.groupWorldsSpanning(gwAn.Comps, qAn.Comps, gwEv.rel, qEv.rel, cl)
 	}
@@ -320,72 +320,29 @@ func (d *WSD) groupsFromAlternatives(merged *Component, eval func(cat plan.Catal
 // the global one) and attaches it to every group — scaling confidences by
 // each group's probability.
 func (d *WSD) closePerGroup(groups []groupInfo, qAn *plan.ComponentAnalysis, qEv evaluator, cl Closure) ([]GroupAnswer, error) {
-	var shared *relation.Relation // possible/certain: identical per group
-	var conf *relation.Relation   // conf: global confidences, scaled per group
-	switch {
-	case len(qAn.Comps) == 0:
-		res, err := qEv.rel(newPartsCatalog(d, nil))
-		if err != nil {
-			return nil, err
-		}
-		switch cl {
-		case ClosurePossible:
-			shared, err = worldset.PossibleWorkers([]*relation.Relation{res}, d.Workers, d.Interrupt)
-		case ClosureCertain:
-			shared, err = worldset.CertainWorkers([]*relation.Relation{res}, d.Workers, d.Interrupt)
-		default:
-			conf, err = worldset.ConfWorkers([]*relation.Relation{res}, []float64{1}, d.Workers, d.Interrupt)
-		}
-		if err != nil {
-			return nil, err
-		}
-	case qAn.Decomposable && !d.DisableComponentwise:
-		parts, err := d.QueryByComponent(qAn.Comps, true, false, qEv.batch)
-		if err != nil {
-			return nil, err
-		}
-		d.componentwise.Add(1)
-		switch cl {
-		case ClosurePossible:
-			shared, err = possibleFromParts(parts)
-		case ClosureCertain:
-			shared, err = certainFromParts(parts)
-		default:
-			conf, err = confFromParts(parts)
-		}
-		if err != nil {
-			return nil, err
-		}
-	default:
-		results, probs, err := d.queryMerged(append([]int(nil), qAn.Comps...), qEv.rel)
-		if err != nil {
-			return nil, err
-		}
-		switch cl {
-		case ClosurePossible:
-			shared, err = worldset.PossibleWorkers(results, d.Workers, d.Interrupt)
-		case ClosureCertain:
-			shared, err = worldset.CertainWorkers(results, d.Workers, d.Interrupt)
-		default:
-			conf, err = worldset.ConfWorkers(results, probs, d.Workers, d.Interrupt)
-		}
-		if err != nil {
-			return nil, err
-		}
+	// The ungrouped closure runs on the route route picks for it. APPROX
+	// CONF's sampling escape does not extend to grouped closures: it routes
+	// as CONF, so a merge past MergeLimit is refused.
+	rcl := cl
+	if rcl == ClosureApproxConf {
+		rcl = ClosureConf
 	}
-
+	closed, err := d.run(d.route(qEv.sel, qAn, rcl, false), qAn.Comps, qEv, rcl)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]GroupAnswer, len(groups))
 	for gi, g := range groups {
 		var rel *relation.Relation
 		if cl.IsConf() {
-			rel = scaleConf(conf, g.prob)
+			rel = scaleConf(closed, g.prob)
 		} else if gi == 0 {
-			rel = shared
+			rel = closed
 		} else {
 			// Each group gets its own relation, like the naive engine's
 			// per-group closures: callers mutating one group's answer must
 			// not corrupt the others'.
-			rel = shared.Clone()
+			rel = closed.Clone()
 		}
 		out[gi] = GroupAnswer{Prob: g.prob, Rel: rel}
 	}
@@ -440,15 +397,7 @@ func (d *WSD) closeAltGroups(merged *Component, groups []groupInfo, qEval func(c
 			rels[j] = qResults[ai]
 			probs[j] = merged.Alts[ai].Prob
 		}
-		var rel *relation.Relation
-		switch cl {
-		case ClosurePossible:
-			rel, err = worldset.PossibleWorkers(rels, d.Workers, d.Interrupt)
-		case ClosureCertain:
-			rel, err = worldset.CertainWorkers(rels, d.Workers, d.Interrupt)
-		default:
-			rel, err = worldset.ConfWorkers(rels, probs, d.Workers, d.Interrupt)
-		}
+		rel, err := d.closeAnswers(rels, probs, cl)
 		if err != nil {
 			return nil, err
 		}

@@ -60,6 +60,7 @@ func importStmt(path string, opts relation.ImportOptions) string {
 }
 
 func TestImportEquivalenceFuzz(t *testing.T) {
+	t.Parallel()
 	r := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 40; trial++ {
 		withNulls := r.Intn(2) == 0

@@ -27,11 +27,99 @@ func (d *WSD) involvedComponents(names []string) []int {
 	return out
 }
 
+// treeWorlds returns the function counting the worlds of the d-tree rooted at
+// a component index — the alternatives condensing that tree would produce,
+// the component's own alternative count when it has no children. ok is false
+// when the count overflows 2^31.
+func (d *WSD) treeWorlds() func(ci int) (n int, ok bool) {
+	var children map[int][]int // stays nil (no lookups hit) for a flat product
+	if d.nested > 0 {
+		children = d.childrenIndex()
+	}
+	var worldsOf func(ci int) (int, bool)
+	worldsOf = func(ci int) (int, bool) {
+		c := d.comps[ci]
+		kids := children[c.ID]
+		if len(kids) == 0 {
+			return len(c.Alts), true
+		}
+		total := 0
+		for a := range c.Alts {
+			alt := 1
+			for _, ch := range kids {
+				if d.comps[ch].ParentAlt != a {
+					continue
+				}
+				w, ok := worldsOf(ch)
+				if !ok {
+					return 0, false
+				}
+				if alt, ok = mulBounded(alt, w); !ok {
+					return 0, false
+				}
+			}
+			total += alt
+			if total > 1<<31 {
+				return 0, false
+			}
+		}
+		return total, true
+	}
+	return worldsOf
+}
+
+// mulBounded multiplies two alternative counts, reporting false past 2^31. A
+// zero count multiplies nothing.
+func mulBounded(product, n int) (int, bool) {
+	if n == 0 {
+		return product, true
+	}
+	if product > (1<<31)/n {
+		return 0, false
+	}
+	return product * n, true
+}
+
+// mergedAlternatives computes the alternative count a merge of comps would
+// produce, without merging, and whether mergeComponents accepts it: fits is
+// false when the count overflows or exceeds MergeLimit — except for a lone
+// childless component, which is returned as it is and multiplies nothing.
+// Tree-involved components first condense whole trees (see condenseTrees),
+// so the count is the product of the involved trees' world counts — the
+// per-component alternative product in the flat case. route and
+// mergeComponents share this one number, so a statement is refused for size
+// before anything is restructured.
+func (d *WSD) mergedAlternatives(comps []int) (alts int, fits bool) {
+	closure := d.rootClosure(comps)
+	worlds := d.treeWorlds()
+	product := 1
+	for _, ci := range closure {
+		if d.comps[ci].Parent >= 0 {
+			continue
+		}
+		w, ok := worlds(ci)
+		if !ok {
+			return 0, false
+		}
+		if product, ok = mulBounded(product, w); !ok {
+			return 0, false
+		}
+	}
+	return product, len(closure) <= 1 || product <= d.MergeLimit
+}
+
+// errMergeTooBig is the refusal of a merge of n components past MergeLimit.
+func (d *WSD) errMergeTooBig(n int) error {
+	return fmt.Errorf("%w: merge of %d components exceeds %d alternatives", ErrMergeTooBig, n, d.MergeLimit)
+}
+
 // mergeComponents replaces the components at the given indexes with their
 // product: one alternative per combination, with multiplied probabilities
 // and unioned contributions. This is the *partial expansion* at the heart
 // of WSD query processing — bounded by MergeLimit, never the full world
-// count. It returns the merged component (nil when idx is empty).
+// count — and a merge past the bound is refused before anything is
+// restructured, so a failed statement leaves the decomposition as it was.
+// It returns the merged component (nil when idx is empty).
 //
 // Nested components are handled by first *condensing*: every involved
 // index is expanded to the full d-tree containing it, each multi-node
@@ -41,10 +129,20 @@ func (d *WSD) involvedComponents(names []string) []int {
 // rewrites over uncertain expressions, spanning world groups) is thereby
 // tree-correct without further changes.
 func (d *WSD) mergeComponents(idx []int) (*Component, error) {
+	if _, fits := d.mergedAlternatives(idx); !fits {
+		return nil, d.errMergeTooBig(len(idx))
+	}
+	return d.mergeFitting(idx)
+}
+
+// mergeFitting is mergeComponents for a merge mergedAlternatives has already
+// accepted on the decomposition as it stands: mergeComponents' own check, or
+// route's routeMerge decision (runMerge), which thereby counts once.
+func (d *WSD) mergeFitting(idx []int) (*Component, error) {
 	if len(idx) == 0 {
 		return nil, nil
 	}
-	idx, err := d.condenseTrees(idx)
+	idx, err := d.condenseFitting(idx)
 	if err != nil {
 		return nil, err
 	}
@@ -52,14 +150,6 @@ func (d *WSD) mergeComponents(idx []int) (*Component, error) {
 		return d.comps[idx[0]], nil
 	}
 	sort.Ints(idx)
-	size := 1
-	for _, i := range idx {
-		n := len(d.comps[i].Alts)
-		if size > d.MergeLimit/n {
-			return nil, fmt.Errorf("%w: product of %d components exceeds %d alternatives", ErrMergeTooBig, len(idx), d.MergeLimit)
-		}
-		size *= n
-	}
 
 	merged := []Alternative{{Prob: oneIfWeighted(d.Weighted), Contrib: map[string]*relation.Relation{}}}
 	for _, ci := range idx {
@@ -106,11 +196,35 @@ func (d *WSD) mergeComponents(idx []int) (*Component, error) {
 	return out, nil
 }
 
-// condenseTrees prepares component indexes for a flat product: indexes
+// condenseTrees condenses the d-trees containing the given indexes ahead of
+// a split that cannot nest under them (split.go), under the same bound and
+// the same promise as mergeComponents: a tree whose condensed alternatives
+// would exceed MergeLimit is refused before any tree is restructured.
+func (d *WSD) condenseTrees(idx []int) ([]int, error) {
+	closure := d.rootClosure(idx)
+	parents := map[int]bool{} // IDs of the closure's components with children
+	for _, ci := range closure {
+		parents[d.comps[ci].Parent] = true
+	}
+	worlds := d.treeWorlds()
+	for _, ci := range closure {
+		c := d.comps[ci]
+		if c.Parent >= 0 || !parents[c.ID] {
+			continue // not a root, or a lone component: nothing condenses
+		}
+		if n, ok := worlds(ci); !ok || n > d.MergeLimit {
+			return nil, d.errMergeTooBig(len(closure))
+		}
+	}
+	return d.condenseFitting(idx)
+}
+
+// condenseFitting prepares component indexes for a flat product: indexes
 // are expanded to the full d-trees containing them, every multi-node tree
 // is condensed into one flat component, and the surviving (now flat)
-// indexes are returned. Flat decompositions pass through untouched.
-func (d *WSD) condenseTrees(idx []int) ([]int, error) {
+// indexes are returned. Flat decompositions pass through untouched. The
+// callers have checked the condensed sizes against MergeLimit.
+func (d *WSD) condenseFitting(idx []int) ([]int, error) {
 	if d.nested == 0 {
 		return idx, nil
 	}
@@ -158,9 +272,10 @@ func (d *WSD) condenseTrees(idx []int) ([]int, error) {
 // IDs) into a single flat component: one alternative per valid digit
 // assignment of the tree, enumerated in expansion order, with the
 // assignment's path probability and the union of the active alternatives'
-// contributions in component list order. Bounded by MergeLimit; counts as
-// a merge (it restructures the decomposition). The world-set represented
-// is unchanged.
+// contributions in component list order. Bounded by MergeLimit (checked by
+// mergeComponents and condenseTrees before any tree condenses); counts as a
+// merge (it restructures the decomposition). The world-set represented is
+// unchanged.
 func (d *WSD) condense(ids []int) (*Component, error) {
 	byID := d.compIndexByID()
 	idxs := make([]int, len(ids))
@@ -178,9 +293,6 @@ func (d *WSD) condense(ids []int) (*Component, error) {
 	var build func(pos int, prob float64) error
 	build = func(pos int, prob float64) error {
 		if pos == len(idxs) {
-			if len(alts) >= d.MergeLimit {
-				return fmt.Errorf("%w: conditional tree of %d components exceeds %d alternatives", ErrMergeTooBig, len(idxs), d.MergeLimit)
-			}
 			if err := d.interrupted(); err != nil {
 				return err
 			}
@@ -356,13 +468,18 @@ func (d *WSD) Assert(touching []string, pred func(cat plan.Catalog) (bool, error
 // whose total probability is the alternative's, by component
 // independence.
 func (d *WSD) Query(touching []string, query func(cat plan.Catalog) (*relation.Relation, error)) ([]*relation.Relation, []float64, error) {
-	return d.queryMerged(d.involvedComponents(touching), query)
+	idx := d.involvedComponents(touching)
+	if _, fits := d.mergedAlternatives(idx); !fits {
+		return nil, nil, d.errMergeTooBig(len(idx))
+	}
+	return d.queryFitting(idx, query)
 }
 
-// queryMerged is Query over explicit component indexes (as produced by
-// involvedComponents or the planner's component analysis).
-func (d *WSD) queryMerged(idx []int, query func(cat plan.Catalog) (*relation.Relation, error)) ([]*relation.Relation, []float64, error) {
-	merged, err := d.mergeComponents(idx)
+// queryFitting is Query over explicit component indexes (as produced by
+// involvedComponents or the planner's component analysis) whose merge
+// mergedAlternatives has accepted — see mergeFitting.
+func (d *WSD) queryFitting(idx []int, query func(cat plan.Catalog) (*relation.Relation, error)) ([]*relation.Relation, []float64, error) {
+	merged, err := d.mergeFitting(idx)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -249,3 +249,154 @@ func TestUnweightedExpandAndPossible(t *testing.T) {
 	}
 	_ = fmt.Sprintf("%s", d) // String smoke
 }
+
+// TestRefusedMergeLeavesDecompositionUnchanged: a statement refused for
+// size must not restructure anything. Over nested components the merge
+// first condenses every involved d-tree, and the size check used to run
+// after that — so a refused CONF or GROUP WORLDS BY left the trees
+// flattened and the very same statement succeeded on retry (bench/README,
+// "What the first runs found" #3). The fixture nests a chained repair under
+// four two-alternative components (16 worlds, small enough to expand) with
+// MergeLimit 8, so every tree condenses within the limit but their product
+// does not.
+func TestRefusedMergeLeavesDecompositionUnchanged(t *testing.T) {
+	build := func() *WSD {
+		d := New(true)
+		rel := relation.New(schema.New("K", "V"))
+		for k := 0; k < 4; k++ {
+			rel.MustAppend(row(k, 0))
+			rel.MustAppend(row(k, 1))
+		}
+		if err := d.PutCertain("R", rel); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.RepairByKey("I", "J", []string{"K", "V"}, ""); err != nil {
+			t.Fatal(err)
+		}
+		d.MergeLimit = 8
+		return d
+	}
+	attempts := map[string]func(d *WSD) error{
+		"conf over a grouped core": func(d *WSD) error {
+			core, cl := parseCore(t, "select conf, K, V from J group by K, V")
+			_, err := d.SelectClosure(core, cl)
+			return err
+		},
+		"group worlds by sharing components": func(d *WSD) error {
+			core, cl := parseCore(t, "select possible K, V from J")
+			gw, _ := parseCore(t, "select K from J where V = 0")
+			_, err := d.GroupWorldsClosure(gw, core, cl)
+			return err
+		},
+		"assert": func(d *WSD) error {
+			return d.Assert([]string{"J"}, func(plan.Catalog) (bool, error) { return true, nil })
+		},
+	}
+	for name, attempt := range attempts {
+		d := build()
+		if d.nested == 0 {
+			t.Fatal("fixture is not nested")
+		}
+		fingerprint, comps, alts := d.SchemaFingerprint(), d.ComponentCount(), d.AlternativeCount()
+		worlds := wsdViews(t, d, "J")
+		for try := 1; try <= 2; try++ {
+			if err := attempt(d); !errors.Is(err, ErrMergeTooBig) {
+				t.Fatalf("%s, attempt %d: err = %v, want ErrMergeTooBig", name, try, err)
+			}
+			if d.SchemaFingerprint() != fingerprint || d.ComponentCount() != comps || d.AlternativeCount() != alts {
+				t.Fatalf("%s, attempt %d: refused statement restructured the decomposition: %d components / %d alternatives, was %d / %d",
+					name, try, d.ComponentCount(), d.AlternativeCount(), comps, alts)
+			}
+			if d.MergeCount() != 0 {
+				t.Fatalf("%s, attempt %d: refused statement merged %d times", name, try, d.MergeCount())
+			}
+			matchViews(t, worlds, wsdViews(t, d, "J"))
+		}
+	}
+}
+
+// TestRefusedCondenseLeavesDecompositionUnchanged covers the two splits that
+// condense a d-tree without merging (split.go): CHOICE OF over a single
+// nested feeder, and REPAIR BY KEY where a nested feeder owns a key the
+// certain part anchors. Neither passes through mergeComponents, so
+// condenseTrees carries the MergeLimit check itself — refusing before any
+// tree is restructured. The fixture's one tree (a choice root, four repair
+// children under its first alternative, one under its second) has 2^4 + 2 =
+// 18 worlds against a MergeLimit of 8; R is fed by one of the nested children
+// alone, beside one certain row.
+func TestRefusedCondenseLeavesDecompositionUnchanged(t *testing.T) {
+	build := func() *WSD {
+		d := New(true)
+		c := relation.New(schema.New("A", "V", "X"))
+		for v := 0; v < 4; v++ {
+			c.MustAppend(row(0, v, 1))
+			c.MustAppend(row(0, v, 2))
+		}
+		c.MustAppend(row(1, 10, 1))
+		c.MustAppend(row(1, 10, 2))
+		if err := d.PutCertain("C", c); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.ChoiceOf("C", "P", []string{"A"}, ""); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.RepairByKey("P", "Q", []string{"V"}, ""); err != nil {
+			t.Fatal(err)
+		}
+		anchor := relation.New(schema.New("V", "X"))
+		anchor.MustAppend(row(0, 3))
+		if err := d.PutCertain("T", anchor); err != nil {
+			t.Fatal(err)
+		}
+		// R: one certain row — sharing the feeder's key, the anchor of the
+		// repair case, and a non-empty instance where the feeder is inactive
+		// for the choice case — beside the feeder's contributions.
+		core, _ := parseCore(t, "select V, X from T union all select V, X from Q where V = 0")
+		if err := d.CreateTableAs("R", core); err != nil {
+			t.Fatal(err)
+		}
+		feeders := d.involvedComponents([]string{"R"})
+		if len(feeders) != 1 || d.comps[feeders[0]].Parent < 0 || d.certain["r"].Len() != 1 {
+			t.Fatalf("fixture: R is fed by components %v over %d certain rows, want one nested feeder over one", feeders, d.certain["r"].Len())
+		}
+		d.MergeLimit = 8
+		return d
+	}
+	attempts := map[string]func(d *WSD) error{
+		"choice of over a single nested feeder": func(d *WSD) error {
+			return d.ChoiceOf("R", "S", []string{"X"}, "")
+		},
+		"repair by key anchored by a certain row": func(d *WSD) error {
+			return d.RepairByKey("R", "S", []string{"V"}, "")
+		},
+	}
+	for name, attempt := range attempts {
+		d := build()
+		comps, alts := d.ComponentCount(), d.AlternativeCount()
+		worlds := wsdViews(t, d, "Q")
+		for try := 1; try <= 2; try++ {
+			if err := attempt(d); !errors.Is(err, ErrMergeTooBig) {
+				t.Fatalf("%s, attempt %d: err = %v, want ErrMergeTooBig", name, try, err)
+			}
+			if d.ComponentCount() != comps || d.AlternativeCount() != alts || d.MergeCount() != 0 {
+				t.Fatalf("%s, attempt %d: refused split restructured the decomposition: %d components / %d alternatives / %d merges, was %d / %d / 0",
+					name, try, d.ComponentCount(), d.AlternativeCount(), d.MergeCount(), comps, alts)
+			}
+			if _, ok := d.schemas["s"]; ok {
+				t.Fatalf("%s, attempt %d: refused split registered its target", name, try)
+			}
+			matchViews(t, worlds, wsdViews(t, d, "Q"))
+		}
+		// Within the limit the same statement condenses the tree and succeeds.
+		d.MergeLimit = 32
+		if err := attempt(d); err != nil {
+			t.Fatalf("%s within the limit: %v", name, err)
+		}
+		if d.MergeCount() == 0 {
+			t.Fatalf("%s within the limit: nothing condensed — the fixture no longer reaches condenseTrees", name)
+		}
+	}
+}

@@ -2,9 +2,9 @@ package wsd
 
 // Statement-level query execution over the decomposition: compiled plans
 // (through the process-wide shared plan cache), component-touch analysis,
-// and routing between the merge-free componentwise path and the classic
-// bounded component merge. internal/server's compact backend and the
-// public CompactDB API are thin wrappers over this file.
+// and one run function per routing decision (see route.go). internal/server's
+// compact backend and the public CompactDB API are thin wrappers over this
+// file.
 
 import (
 	"errors"
@@ -90,42 +90,24 @@ func StripClosure(st *sqlparse.SelectStmt) (*sqlparse.SelectStmt, Closure, error
 	return &core, cl, nil
 }
 
-// Route metrics: one counter per routing decision, incremented once per
-// statement, plus merge/approx cardinality telemetry. Exposed on /metrics.
+// Merge and approx cardinality telemetry, exposed on /metrics beside the
+// per-route counters (route.go).
 var (
-	routeSingle = obs.Default().Counter(`maybms_route_total{route="single"}`,
-		"Statements by routing decision (single = world-independent, componentwise = merge-free, conditional = d-tree fold or conditional relation, merge = bounded partial expansion, approx_mc = Monte-Carlo CONF, refused = ErrPerWorld).")
-	routeComponentwise = obs.Default().Counter(`maybms_route_total{route="componentwise"}`, "")
-	routeConditional   = obs.Default().Counter(`maybms_route_total{route="conditional"}`, "")
-	routeMerge         = obs.Default().Counter(`maybms_route_total{route="merge"}`, "")
-	routeApproxMC      = obs.Default().Counter(`maybms_route_total{route="approx_mc"}`, "")
-	routeRefused       = obs.Default().Counter(`maybms_route_total{route="refused"}`, "")
-	mergeAlternatives  = obs.Default().Histogram("maybms_merge_alternatives",
+	mergeAlternatives = obs.Default().Histogram("maybms_merge_alternatives",
 		"Alternatives produced by component merges on the classic path.", obs.CardinalityBuckets)
 	approxSamples = obs.Default().Counter("maybms_approx_samples_total",
 		"Monte-Carlo world samples drawn by APPROX CONF.")
 )
 
-// collect drains an operator, polling the decomposition's Interrupt hook
-// from inside the long-running iterators (see internal/algebra) and
-// accumulating per-alternative evaluation stats when a trace is installed.
-func (d *WSD) collect(op algebra.Operator) (*relation.Relation, error) {
-	var root *expr.Context
-	if d.Interrupt != nil || d.Trace != nil {
-		root = &expr.Context{Interrupt: d.Interrupt, Stats: d.Trace.Stats()}
+// rootCtx is the evaluation context statements drain operators under: it
+// carries the decomposition's Interrupt hook — polled from inside the
+// long-running iterators (see internal/algebra) — and the per-alternative
+// evaluation stats of an installed trace. nil when neither is set.
+func (d *WSD) rootCtx() *expr.Context {
+	if d.Interrupt == nil && d.Trace == nil {
+		return nil
 	}
-	return algebra.Collect(op, root)
-}
-
-// collectBatch is collect's batch-native twin: it drains the operator
-// through algebra.CollectBatch, keeping vectorized results columnar past
-// the seam (row evaluations come back as zero-copy row-backed batches).
-func (d *WSD) collectBatch(op algebra.Operator) (*colbatch.Batch, error) {
-	var root *expr.Context
-	if d.Interrupt != nil || d.Trace != nil {
-		root = &expr.Context{Interrupt: d.Interrupt, Stats: d.Trace.Stats()}
-	}
-	return algebra.CollectBatch(op, root)
+	return &expr.Context{Interrupt: d.Interrupt, Stats: d.Trace.Stats()}
 }
 
 // schemaCatalog exposes the decomposition's relation schemas (over empty
@@ -184,9 +166,10 @@ func sharedTemplate[T any](d *WSD, key string, valid func(T) bool, compile func(
 // per-catalog compilation on a failed bind, which preserves exactness) and
 // drains it on either side of the Collect seam: rel materializes row tuples
 // — the currency of the merge and per-world paths — while batch returns the
-// columnar CollectBatch result the closure builders consume natively. With
-// the batch-native seam disabled (SetBatchClosure), batch degrades to rel
-// plus a zero-copy row-backed wrapper — the ablation baseline.
+// CollectBatch result the closure builders consume natively: columnar when
+// the evaluation ran the batch operators, a zero-copy row-backed batch when
+// it ran the row operators. Which operators run is algebra's decision per
+// drain (scanned rows against its floor); nothing here sets it.
 type evaluator struct {
 	d    *WSD
 	prep *plan.Prepared
@@ -209,7 +192,7 @@ func (e evaluator) rel(cat plan.Catalog) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.d.collect(op)
+	return algebra.Collect(op, e.d.rootCtx())
 }
 
 func (e evaluator) batch(cat plan.Catalog) (*colbatch.Batch, error) {
@@ -217,14 +200,7 @@ func (e evaluator) batch(cat plan.Catalog) (*colbatch.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !batchClosureOn.Load() {
-		res, err := e.d.collect(op)
-		if err != nil {
-			return nil, err
-		}
-		return colbatch.FromRowsShared(res.Schema, res.Rows()), nil
-	}
-	return e.d.collectBatch(op)
+	return algebra.CollectBatch(op, e.d.rootCtx())
 }
 
 // prepared compiles sel once — through the process-wide shared plan cache,
@@ -283,16 +259,10 @@ func (d *WSD) analyze(prep *plan.Prepared) (*plan.ComponentAnalysis, error) {
 }
 
 // SelectClosure evaluates the plain-SQL core of a SELECT under the given
-// closure, against the represented world-set:
-//
-//   - a core touching no component is evaluated once;
-//   - a core touching components is closed over per-alternative answers —
-//     via the componentwise path (no merge, Σ alternatives evaluations,
-//     decomposition untouched) whenever the compiled plan is
-//     monotone-decomposable, else by merging exactly the involved
-//     components (bounded by MergeLimit);
-//   - ClosureNone requires a world-independent answer and fails with
-//     ErrPerWorld otherwise, without merging anything.
+// closure, against the represented world-set, on the route route picks (see
+// its comment for the rules): one evaluation, per-alternative closures with
+// no merge, a bounded merge of exactly the involved components, the
+// Monte-Carlo estimate, or a refusal that merges nothing.
 //
 // Results are identical between the componentwise and merge paths — order
 // included — and match the naive engine's closure over the expanded
@@ -315,176 +285,41 @@ func (d *WSD) SelectClosure(core *sqlparse.SelectStmt, cl Closure) (*relation.Re
 	asp.Set("decomposable", an.Decomposable)
 	asp.End(d.Trace)
 
-	// World-independent core: one evaluation, every closure is (at most) a
-	// dedup of it.
-	if len(an.Comps) == 0 {
-		routeSingle.Inc()
-		d.Trace.Set("route", "single")
-		sp := d.Trace.Begin("eval")
-		defer sp.End(d.Trace)
-		res, err := ev.rel(newPartsCatalog(d, nil))
-		if err != nil {
-			return nil, err
-		}
-		switch cl {
-		case ClosureNone:
-			return res, nil
-		case ClosurePossible:
-			return worldset.PossibleWorkers([]*relation.Relation{res}, d.Workers, d.Interrupt)
-		case ClosureCertain:
-			return worldset.CertainWorkers([]*relation.Relation{res}, d.Workers, d.Interrupt)
-		default:
-			return worldset.ConfWorkers([]*relation.Relation{res}, []float64{1}, d.Workers, d.Interrupt)
-		}
-	}
-
-	if cl == ClosureNone {
-		if d.DisableComponentwise {
-			// Reproduce the classic routing faithfully: merge the involved
-			// components, then notice whether one alternative remains.
-			results, _, err := d.queryMerged(an.Comps, ev.rel)
-			if err != nil {
-				return nil, err
-			}
-			if len(results) > 1 {
-				routeRefused.Inc()
-				d.Trace.Set("route", "refused")
-				return nil, d.perWorldError(core)
-			}
-			return results[0], nil
-		}
-		// When every involved component has a single remaining alternative
-		// (singleton key groups, or asserts narrowed the choices away) the
-		// answer is world-independent after all: evaluate that one world
-		// directly — the classic path merged first and then noticed it had
-		// one alternative. With tree structure a singleton component's
-		// *activity* still varies, so that shortcut only applies to flat
-		// involvement.
-		if !d.treeInvolved(an.Comps) {
-			allSingleton := true
-			for _, ci := range an.Comps {
-				if len(d.comps[ci].Alts) != 1 {
-					allSingleton = false
-					break
-				}
-			}
-			if allSingleton {
-				sel := make(map[int]int, len(an.Comps))
-				for _, ci := range an.Comps {
-					sel[ci] = 0
-				}
-				routeSingle.Inc()
-				d.Trace.Set("route", "single")
-				sp := d.Trace.Begin("eval")
-				defer sp.End(d.Trace)
-				return ev.rel(newPartsCatalog(d, sel))
-			}
-		}
-		// A concat-structured plan's per-world answers are compactly
-		// representable: answer as a conditional relation (trailing `cond`
-		// column; see conditionalRelation) instead of refusing.
-		if an.Concat {
-			routeConditional.Inc()
-			d.Trace.Set("route", "conditional")
-			sp := d.Trace.Begin("conditional")
-			sp.Set("components", len(an.Comps))
-			sp.Set("conditional_splits", d.nestedAmong(d.rootClosure(an.Comps)))
-			res, err := d.conditionalRelation(an.Comps, ev.batch)
-			sp.End(d.Trace)
-			if err == nil {
-				d.conditional.Add(1)
-				return res, nil
-			}
-			if !errors.Is(err, errNotConcat) {
-				return nil, err
-			}
-			// Structural analysis promised a certain-prefixed answer but the
-			// evaluation disagreed; refuse rather than answer wrongly.
-		}
-		routeRefused.Inc()
-		d.Trace.Set("route", "refused")
+	dec := d.route(core, an, cl, false)
+	d.noteRoute(dec.kind)
+	res, err := d.run(dec, an.Comps, ev, cl)
+	if errors.Is(err, errNotConcat) {
+		// Structural analysis promised a certain-prefixed answer but the
+		// evaluation disagreed; refuse rather than answer wrongly.
+		d.noteRoute(routeRefused)
 		return nil, d.perWorldError(core)
 	}
+	return res, err
+}
 
-	// The merge-free fast path: closures from per-alternative part
-	// evaluations. A single component is handled by the same code — there
-	// the classic path would not have merged either, but the parts path
-	// also skips the (noop) restructuring. Tree-involved components take
-	// the conditional fold (conditional.go) — the same Σ-sizes shape with
-	// activity-aware weighting; flat decompositions never reach it.
-	if an.Decomposable && !d.DisableComponentwise {
-		if d.treeInvolved(an.Comps) {
-			routeConditional.Inc()
-			d.Trace.Set("route", "conditional")
-			sp := d.Trace.Begin("conditional")
-			sp.Set("components", len(an.Comps))
-			sp.Set("conditional_splits", d.nestedAmong(d.rootClosure(an.Comps)))
-			cp, err := d.queryConditional(an.Comps, ev.batch)
-			sp.End(d.Trace)
-			if err != nil {
-				return nil, err
-			}
-			d.conditional.Add(1)
-			csp := d.Trace.Begin("closure")
-			defer csp.End(d.Trace)
-			if cl == ClosurePossible {
-				return cp.possible()
-			}
-			ix, err := cp.keySets()
-			if err != nil {
-				return nil, err
-			}
-			if cl == ClosureCertain {
-				return cp.certain(ix)
-			}
-			return cp.conf(ix)
-		}
-		routeComponentwise.Inc()
-		d.Trace.Set("route", "componentwise")
-		sp := d.Trace.Begin("componentwise")
-		sp.Set("components", len(an.Comps))
-		parts, err := d.QueryByComponent(an.Comps, true, false, ev.batch)
-		sp.End(d.Trace)
-		if err != nil {
-			return nil, err
-		}
-		d.componentwise.Add(1)
-		csp := d.Trace.Begin("closure")
-		defer csp.End(d.Trace)
-		switch cl {
-		case ClosurePossible:
-			return possibleFromParts(parts)
-		case ClosureCertain:
-			return certainFromParts(parts)
-		default:
-			return confFromParts(parts)
-		}
+// run answers a statement on the route dec, route's decision for it: one run
+// function per kind, the refusal's error for routeRefused.
+func (d *WSD) run(dec decision, comps []int, ev evaluator, cl Closure) (*relation.Relation, error) {
+	switch dec.kind {
+	case routeSingle:
+		return d.runSingle(comps, ev, cl)
+	case routeComponentwise:
+		return d.runComponentwise(comps, ev, cl)
+	case routeCondFold:
+		return d.runConditionalFold(comps, dec.nested, ev, cl)
+	case routeCondRelation:
+		return d.runConditionalRelation(comps, dec.nested, ev)
+	case routeMerge:
+		return d.runMerge(comps, ev, cl)
+	case routeApproxMC:
+		return d.confMonteCarlo(comps, ev.batch)
+	default:
+		return nil, dec.err
 	}
+}
 
-	// Classic path: merge exactly the involved components (bounded partial
-	// expansion), evaluate per merged alternative, close. APPROX CONF — and
-	// only it — survives a merge past MergeLimit by switching to the seeded
-	// Monte-Carlo estimator instead of failing with ErrMergeTooBig.
-	msp := d.Trace.Begin("merge_eval")
-	msp.Set("components", len(an.Comps))
-	results, probs, err := d.queryMerged(an.Comps, ev.rel)
-	if err != nil {
-		msp.End(d.Trace)
-		if cl == ClosureApproxConf && errors.Is(err, ErrMergeTooBig) {
-			routeApproxMC.Inc()
-			d.Trace.Set("route", "approx_mc")
-			return d.confMonteCarlo(an.Comps, ev.batch)
-		}
-		return nil, err
-	}
-	routeMerge.Inc()
-	d.Trace.Set("route", "merge")
-	mergeAlternatives.Observe(float64(len(results)))
-	msp.Set("alternatives", len(results))
-	msp.Set("merge_limit", d.MergeLimit)
-	msp.End(d.Trace)
-	csp := d.Trace.Begin("closure")
-	defer csp.End(d.Trace)
+// closeAnswers closes per-alternative answers, weighted by probs, under cl.
+func (d *WSD) closeAnswers(results []*relation.Relation, probs []float64, cl Closure) (*relation.Relation, error) {
 	switch cl {
 	case ClosurePossible:
 		return worldset.PossibleWorkers(results, d.Workers, d.Interrupt)
@@ -495,12 +330,113 @@ func (d *WSD) SelectClosure(core *sqlparse.SelectStmt, cl Closure) (*relation.Re
 	}
 }
 
+// runSingle evaluates the one world there is — every listed component (none
+// for a world-independent core) at its only alternative — and closes over
+// that single answer: every closure is (at most) a dedup of it.
+func (d *WSD) runSingle(comps []int, ev evaluator, cl Closure) (*relation.Relation, error) {
+	sp := d.Trace.Begin("eval")
+	defer sp.End(d.Trace)
+	var sel map[int]int
+	if len(comps) > 0 {
+		sel = make(map[int]int, len(comps))
+		for _, ci := range comps {
+			sel[ci] = 0
+		}
+	}
+	res, err := ev.rel(newPartsCatalog(d, sel))
+	if err != nil || cl == ClosureNone {
+		return res, err
+	}
+	return d.closeAnswers([]*relation.Relation{res}, []float64{1}, cl)
+}
+
+// runComponentwise is the merge-free path: closures from per-alternative
+// part evaluations over flat components. A single component is handled by
+// the same code — there the merge path would not have merged either, but the
+// parts path also skips the (noop) restructuring.
+func (d *WSD) runComponentwise(comps []int, ev evaluator, cl Closure) (*relation.Relation, error) {
+	sp := d.Trace.Begin("componentwise")
+	sp.Set("components", len(comps))
+	parts, err := d.QueryByComponent(comps, true, false, ev.batch)
+	sp.End(d.Trace)
+	if err != nil {
+		return nil, err
+	}
+	d.componentwise.Add(1)
+	csp := d.Trace.Begin("closure")
+	defer csp.End(d.Trace)
+	return parts.close(cl)
+}
+
+// runConditionalFold closes over tree-involved components (conditional.go):
+// the same Σ-sizes shape as runComponentwise with activity-aware weighting.
+func (d *WSD) runConditionalFold(comps []int, nested int, ev evaluator, cl Closure) (*relation.Relation, error) {
+	sp := d.Trace.Begin("conditional")
+	sp.Set("components", len(comps))
+	sp.Set("conditional_splits", nested)
+	cp, err := d.queryConditional(comps, ev.batch)
+	sp.End(d.Trace)
+	if err != nil {
+		return nil, err
+	}
+	d.conditional.Add(1)
+	csp := d.Trace.Begin("closure")
+	defer csp.End(d.Trace)
+	if cl == ClosurePossible {
+		return cp.possible()
+	}
+	ix, err := cp.keySets()
+	if err != nil {
+		return nil, err
+	}
+	if cl == ClosureCertain {
+		return cp.certain(ix)
+	}
+	return cp.conf(ix)
+}
+
+// runConditionalRelation answers a plain SELECT over a concat-structured
+// plan as a conditional relation (trailing `cond` column; see
+// conditionalRelation) instead of refusing.
+func (d *WSD) runConditionalRelation(comps []int, nested int, ev evaluator) (*relation.Relation, error) {
+	sp := d.Trace.Begin("conditional")
+	sp.Set("components", len(comps))
+	sp.Set("conditional_splits", nested)
+	res, err := d.conditionalRelation(comps, ev.batch)
+	sp.End(d.Trace)
+	if err != nil {
+		return nil, err
+	}
+	d.conditional.Add(1)
+	return res, nil
+}
+
+// runMerge is the classic path: merge exactly the involved components
+// (bounded partial expansion — route has checked the size), evaluate per
+// merged alternative, close.
+func (d *WSD) runMerge(comps []int, ev evaluator, cl Closure) (*relation.Relation, error) {
+	msp := d.Trace.Begin("merge_eval")
+	msp.Set("components", len(comps))
+	results, probs, err := d.queryFitting(comps, ev.rel)
+	if err != nil {
+		msp.End(d.Trace)
+		return nil, err
+	}
+	mergeAlternatives.Observe(float64(len(results)))
+	msp.Set("alternatives", len(results))
+	msp.Set("merge_limit", d.MergeLimit)
+	msp.End(d.Trace)
+	csp := d.Trace.Begin("closure")
+	defer csp.End(d.Trace)
+	return d.closeAnswers(results, probs, cl)
+}
+
 // CreateTableAs materializes the plain-SQL core of a SELECT as relation
 // dst. A core touching no component becomes a certain relation; a
-// concat-structured decomposable core is stored componentwise (certain
-// part plus per-alternative contributions — no merge, linear size);
-// anything else merges the involved components and stores one instance per
-// merged alternative, exactly as before.
+// concat-structured core is stored componentwise (certain part plus
+// per-alternative contributions — no merge, linear size); anything else
+// merges the involved components and stores one instance per merged
+// alternative.
 func (d *WSD) CreateTableAs(dst string, core *sqlparse.SelectStmt) error {
 	prep, ev, err := d.prepared(core)
 	if err != nil {
@@ -510,14 +446,14 @@ func (d *WSD) CreateTableAs(dst string, core *sqlparse.SelectStmt) error {
 	if err != nil {
 		return err
 	}
-	if len(an.Comps) == 0 {
+	switch dec := d.route(core, an, ClosureNone, true); dec.kind {
+	case routeSingle:
 		res, err := ev.rel(newPartsCatalog(d, nil))
 		if err != nil {
 			return err
 		}
 		return d.PutCertain(dst, res.WithSchema(res.Schema.Unqualify()))
-	}
-	if an.Concat && !d.DisableComponentwise {
+	case routeComponentwise:
 		err := d.materializeByComponent(dst, an.Comps, ev.batch)
 		if err == nil {
 			d.componentwise.Add(1)
@@ -528,6 +464,8 @@ func (d *WSD) CreateTableAs(dst string, core *sqlparse.SelectStmt) error {
 		}
 		// Structural analysis promised a certain-prefixed answer but the
 		// evaluation disagreed; fall back to the merge path for safety.
+	case routeRefused:
+		return dec.err
 	}
 	return d.materializeMerged(dst, an.Comps, ev.rel)
 }

@@ -94,7 +94,7 @@ func crosscheckSplitClosures(t *testing.T, label string, s *core.Session, d *WSD
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := d.SelectClosure(qcore, cl)
+		got, err := selectExplained(t, d, qcore, cl)
 		if err != nil {
 			t.Fatalf("%s compact %q: %v", label, q, err)
 		}
@@ -172,6 +172,7 @@ func choiceOp(src string, attrs []string, weight string, noMerge bool) splitOp {
 // structurally merge-free statements really split with MergeCount
 // unchanged. Run under -race in CI.
 func TestRepairUncertainEquivalenceFuzz(t *testing.T) {
+	t.Parallel()
 	r := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 8; trial++ {
 		s, d := fuzzPair(t, r)
@@ -233,6 +234,7 @@ func TestRepairUncertainEquivalenceFuzz(t *testing.T) {
 // closures, single-component grouping subqueries) run with MergeCount
 // unchanged. Run under -race in CI.
 func TestFactorizedCTASEquivalenceFuzz(t *testing.T) {
+	t.Parallel()
 	r := rand.New(rand.NewSource(53))
 	statements := []struct {
 		sql     string
@@ -363,7 +365,7 @@ func checkConditionalRelation(t *testing.T, label string, s *core.Session, d *WS
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.SelectClosure(qcore, cl)
+	got, err := selectExplained(t, d, qcore, cl)
 	if err != nil {
 		t.Fatalf("%s conditional %q: %v", label, q, err)
 	}
@@ -417,6 +419,7 @@ func checkConditionalRelation(t *testing.T, label string, s *core.Session, d *WS
 // and the conditional relation decodes to every expansion world's naive
 // answer tuple for tuple. Run under -race in CI.
 func TestConditionalShapesEquivalenceFuzz(t *testing.T) {
+	t.Parallel()
 	r := rand.New(rand.NewSource(54))
 	for trial := 0; trial < 8; trial++ {
 		s, d := fuzzPair(t, r)

@@ -1,150 +1,144 @@
 package wsd
 
 import (
+	"fmt"
 	"math"
-	"math/rand"
+	"strings"
 	"testing"
 
-	"maybms/internal/algebra"
+	"maybms/internal/obs"
 	"maybms/internal/relation"
+	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
 )
 
-// TestClosuresRowVsBatch runs the closure suite with the vectorized
-// executor forced off and on: possible/certain answers must be
-// byte-identical (order included), conf values equal to 1e-9 — the
-// end-to-end half of internal/algebra's row-vs-batch equivalence fuzz.
-func TestClosuresRowVsBatch(t *testing.T) {
-	defer algebra.SetVectorized(algebra.SetVectorized(true))
-	defer algebra.SetVectorizeMinRows(algebra.SetVectorizeMinRows(0))
-	queries := []string{
-		"select possible A, B from I",
-		"select certain A from I",
-		"select possible I.A, R.C from I, R where I.B = R.B",
-		"select possible A, B from I where B >= 15 order by B desc, A",
-		"select possible distinct C from I union select C from R",
-		"select conf, A, B from I",
-		"select conf, I.A from I, R where I.C = R.C",
-	}
-	for _, componentwise := range []bool{true, false} {
-		for _, q := range queries {
-			run := func(vec bool) *relation.Relation {
-				algebra.SetVectorized(vec)
-				d := newFigure2WSD(t)
-				d.DisableComponentwise = !componentwise
-				return selectOn(t, d, q)
-			}
-			row, batch := run(false), run(true)
-			if row.Schema.String() != batch.Schema.String() || row.Len() != batch.Len() {
-				t.Fatalf("%q (componentwise=%v): shape diverged: %s/%d vs %s/%d",
-					q, componentwise, row.Schema, row.Len(), batch.Schema, batch.Len())
-			}
-			conf := row.Schema.At(row.Schema.Len()-1).Name == "conf"
-			for i := range row.Rows() {
-				rt, bt := row.Rows()[i], batch.Rows()[i]
-				if conf {
-					if math.Abs(rt[len(rt)-1].AsFloat()-bt[len(bt)-1].AsFloat()) > 1e-9 {
-						t.Fatalf("%q (componentwise=%v) row %d: conf %v vs %v",
-							q, componentwise, i, rt[len(rt)-1], bt[len(bt)-1])
-					}
-					rt, bt = rt[:len(rt)-1], bt[:len(bt)-1]
-				}
-				if string(rt.Encode(nil)) != string(bt.Encode(nil)) {
-					t.Fatalf("%q (componentwise=%v) row %d diverged: %v vs %v",
-						q, componentwise, i, rt, bt)
-				}
-			}
+// floorFixture builds a decomposition whose evaluations land on a chosen
+// side of algebra's batch floor: P is a choice among three alternatives of
+// rows tuples each (values overlap across alternatives, so certain and conf
+// are non-trivial), I the repair of two two-candidate key groups plus a
+// singleton, and S a certain lookup of pad rows. Twelve worlds either way,
+// so the naive engine over Expand is always affordable.
+func floorFixture(t *testing.T, rows, pad int) *WSD {
+	t.Helper()
+	d := New(true)
+	c := relation.New(schema.New("G", "V"))
+	for g := 0; g < 3; g++ {
+		for v := 0; v < rows; v++ {
+			c.MustAppend(row(g, v+g))
 		}
 	}
-}
-
-// TestClosuresBatchSeamOnVsOff toggles the batch-native Collect seam with
-// the vectorized executor held on: with the seam off the very same closure
-// code runs over zero-copy row-backed batches (AppendKey delegates to the
-// tuple encoding), so every answer — possible, certain and conf, order
-// included — must be bit-identical, not merely within tolerance.
-func TestClosuresBatchSeamOnVsOff(t *testing.T) {
-	defer SetBatchClosure(SetBatchClosure(true))
-	defer algebra.SetVectorized(algebra.SetVectorized(true))
-	defer algebra.SetVectorizeMinRows(algebra.SetVectorizeMinRows(0))
-	queries := []string{
-		"select possible A, B from I",
-		"select certain A from I",
-		"select possible I.A, R.C from I, R where I.B = R.B",
-		"select possible A, B from I where B >= 15 order by B desc, A",
-		"select possible distinct C from I union select C from R",
-		"select conf, A, B from I",
-		"select conf, I.A from I, R where I.C = R.C",
+	r := relation.New(schema.New("K", "V", "W"))
+	for _, tp := range [][]any{{0, 0, 1}, {0, 1, 3}, {1, 1, 1}, {1, 2, 1}, {2, 0, 1}} {
+		r.MustAppend(row(tp...))
 	}
-	for _, componentwise := range []bool{true, false} {
-		for _, q := range queries {
-			run := func(seam bool) *relation.Relation {
-				SetBatchClosure(seam)
-				d := newFigure2WSD(t)
-				d.DisableComponentwise = !componentwise
-				return selectOn(t, d, q)
-			}
-			off, on := run(false), run(true)
-			if g, w := renderRel(on), renderRel(off); g != w {
-				t.Fatalf("%q (componentwise=%v): seam on diverged from seam off:\n%s\nwant:\n%s",
-					q, componentwise, g, w)
-			}
+	s := relation.New(schema.New("V", "Y"))
+	for v := 0; v < pad; v++ {
+		s.MustAppend(row(v, fmt.Sprintf("y%d", v)))
+	}
+	for name, rel := range map[string]*relation.Relation{"C": c, "R": r, "S": s} {
+		if err := d.PutCertain(name, rel); err != nil {
+			t.Fatal(err)
 		}
 	}
+	if err := d.ChoiceOf("C", "P", []string{"G"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RepairByKey("R", "I", []string{"K"}, "W"); err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
-// TestGroupWorldsBatchSeamOnVsOff covers the grouped closures: the
-// fingerprint frontier fold and the per-group closure runs must produce
-// bit-identical groups (probability bits included) with the batch seam on
-// and off, over randomized decompositions.
-func TestGroupWorldsBatchSeamOnVsOff(t *testing.T) {
-	defer SetBatchClosure(SetBatchClosure(true))
-	defer algebra.SetVectorized(algebra.SetVectorized(true))
-	defer algebra.SetVectorizeMinRows(algebra.SetVectorizeMinRows(0))
+// TestClosuresBothSidesOfTheFloor is the end-to-end half of
+// internal/algebra's row-vs-batch equivalence fuzz. Which operator set an
+// evaluation runs follows from its scanned rows alone, so the same closure
+// and GROUP WORLDS BY statements run over a figure-sized fixture (every
+// evaluation under the floor: row operators only) and a padded one (over
+// it: batch operators), the trace's collect counters — the observable the
+// engine selects on — confirm which side ran, and each answer is compared
+// with per-world evaluation over Expand: groups in order with
+// probabilities to 1e-9, possible/certain answers as bags, conf to 1e-9.
+func TestClosuresBothSidesOfTheFloor(t *testing.T) {
+	t.Parallel()
 	queries := []string{
-		"select possible K, V from I group worlds by (select V from P)",
-		"select certain K, V from I group worlds by (select V from P)",
-		"select conf, K, V from I group worlds by (select V from P)",
-		"select conf, V from P group worlds by (select K, V from I)",
-		"select possible K from I group worlds by (select Y from S)",
-		"select possible K, V from I group worlds by (select K from I where V = 0)",
-		"select conf, K from I group worlds by (select V from I)",
+		// Componentwise over one component and over several.
+		"select possible V from P where V >= 1",
+		"select certain V from P",
+		"select conf, V from P",
+		"select possible I.K, S.Y from I, S where I.V = S.V",
+		"select conf, I.K, S.Y from I, S where I.V = S.V",
+		// Aggregates correlate the alternatives: the merge route.
+		"select conf, G, count(*) from P group by G",
+		"select possible count(*) from I, S where I.V = S.V",
+		// Grouped: frontier fold with a shared closure, and the spanning merge.
+		"select possible K, V from I group worlds by (select G from P)",
+		"select conf, V from P group worlds by (select K from I where V = 0)",
+		"select possible V from P group worlds by (select V from P where V < 2)",
 	}
-	for trial := 0; trial < 4; trial++ {
-		for qi, q := range queries {
-			stmt, err := sqlparse.Parse(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sel := stmt.(*sqlparse.SelectStmt)
-			gw := sel.GroupWorlds
-			qcore, cl, err := StripClosure(sel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			qcore.GroupWorlds = nil
-			run := func(seam bool) []GroupAnswer {
-				SetBatchClosure(seam)
-				// Same seed both runs: identical decomposition either way.
-				_, d := fuzzPair(t, rand.New(rand.NewSource(int64(100*trial+qi))))
-				groups, err := d.GroupWorldsClosure(gw, qcore, cl)
+	sides := []struct {
+		name      string
+		rows, pad int
+		batch     bool
+	}{
+		{"under", 3, 3, false},
+		{"over", 40, 64, true},
+	}
+	for _, side := range sides {
+		for _, q := range queries {
+			side, q := side, q
+			t.Run(side.name+"/"+q, func(t *testing.T) {
+				t.Parallel()
+				d := floorFixture(t, side.rows, side.pad)
+				want, err := expandSession(t, d).Exec(q)
 				if err != nil {
-					t.Fatalf("%q (seam=%v): %v", q, seam, err)
+					t.Fatalf("naive: %v", err)
 				}
-				return groups
-			}
-			off, on := run(false), run(true)
-			if len(on) != len(off) {
-				t.Fatalf("trial %d %q: %d groups with seam on, %d off", trial, q, len(on), len(off))
-			}
-			for gi := range on {
-				if on[gi].Prob != off[gi].Prob {
-					t.Errorf("trial %d %q group %d: prob %v on vs %v off", trial, q, gi, on[gi].Prob, off[gi].Prob)
+
+				stmt, err := sqlparse.Parse(q)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if g, w := renderRel(on[gi].Rel), renderRel(off[gi].Rel); g != w {
-					t.Errorf("trial %d %q group %d diverged:\n%s\nwant:\n%s", trial, q, gi, g, w)
+				sel := stmt.(*sqlparse.SelectStmt)
+				gw := sel.GroupWorlds
+				qcore, cl, err := StripClosure(sel)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
+				qcore.GroupWorlds = nil
+				d.Trace = obs.NewTrace(q)
+				var got []GroupAnswer
+				if gw != nil {
+					got, err = d.GroupWorldsClosure(gw, qcore, cl)
+				} else {
+					var rel *relation.Relation
+					rel, err = d.SelectClosure(qcore, cl)
+					got = []GroupAnswer{{Prob: 1, Rel: rel}}
+				}
+				if err != nil {
+					t.Fatalf("compact: %v", err)
+				}
+				ex := d.Trace.JSON().Exec
+				if side.batch && ex.BatchCollects == 0 {
+					t.Errorf("over the floor but no batch collect ran (batch=%d row=%d)", ex.BatchCollects, ex.RowCollects)
+				}
+				if !side.batch && (ex.RowCollects == 0 || ex.BatchCollects != 0) {
+					t.Errorf("under the floor: collects batch=%d row=%d, want row only", ex.BatchCollects, ex.RowCollects)
+				}
+
+				if len(got) != len(want.Groups) {
+					t.Fatalf("%d groups, want %d", len(got), len(want.Groups))
+				}
+				for gi := range got {
+					if math.Abs(got[gi].Prob-want.Groups[gi].Prob) > 1e-9 {
+						t.Errorf("group %d: prob %g, want %g", gi, got[gi].Prob, want.Groups[gi].Prob)
+					}
+					g := strings.Join(sortedRows(got[gi].Rel, cl.IsConf()), "\n")
+					w := strings.Join(sortedRows(want.Groups[gi].Rel, cl.IsConf()), "\n")
+					if g != w {
+						t.Errorf("group %d diverged from per-world evaluation:\n%s\nwant:\n%s", gi, g, w)
+					}
+				}
+			})
 		}
 	}
 }

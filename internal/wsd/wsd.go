@@ -61,14 +61,21 @@
 // CreateTableAsClosure). MergeCount and ComponentwiseCount make the
 // routing observable.
 //
+// Every statement takes one routing decision (route.go): a pure function of
+// the compiled plan's component analysis, the closure and the shape of the
+// decomposition, run by SelectClosure and rendered by EXPLAIN from the same
+// value. No field, option or switch overrides it; the naive per-world engine
+// over Expand is the reference the routes are validated against.
+//
 // The componentwise path is batch-native past the Collect seam
 // (batchclosure.go): per-alternative evaluations return colbatch batches,
 // the closure builders union/dedup/merge on arena-encoded batch keys
-// (byte-identical to tuple.Encode), per-alternative contributions are
-// cached columnar, and output rows materialize once at the very end. The
-// merge and per-world paths keep the classic row currency; SetBatchClosure
-// switches the seam off to run the closures over zero-copy row-backed
-// batches instead — results are identical either way, order included.
+// (byte-identical to tuple.Encode) and output rows materialize once at the
+// very end; the merge and per-world paths keep the classic row currency.
+// Which operator set an evaluation runs is internal/algebra's one rule —
+// trees scanning fewer than 32 rows, trees with no batch mirror and bare
+// scans run the row operators; everything else runs batches; nothing sets
+// this (batch.go records the measurements that keep both operator sets).
 package wsd
 
 import (
@@ -171,10 +178,6 @@ type WSD struct {
 	// Err here so deadlined compact statements stop consuming the engine.
 	// An aborted merge leaves the decomposition unchanged.
 	Interrupt func() error
-	// DisableComponentwise forces every multi-component query onto the
-	// classic merge (partial expansion) path. It exists for benchmarks and
-	// crosschecks; results are identical either way.
-	DisableComponentwise bool
 	// ApproxSamples is the Monte-Carlo sample count APPROX CONF uses when
 	// a merge would exceed MergeLimit (DefaultApproxSamples when ≤ 0), and
 	// ApproxSeed seeds the sampler: a fixed pair makes the estimate
