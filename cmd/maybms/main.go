@@ -168,22 +168,18 @@ func (c *compactShell) meta(cmd string, out io.Writer) bool {
 }
 
 // runScript executes a .isql file statement by statement, printing each
-// statement's result. Statements are split at the lexer level (literals
-// and comments are handled) and fed to the backend as their original
-// text, so backend-specific statement forms outside the parser's grammar
-// — the compact backend's standalone ASSERT — work in scripts exactly as
-// they do in the REPL.
+// statement's result.
 func runScript(eng engine, path string, out io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	stmts, err := sqlparse.SplitScript(string(data))
+	stmts, err := sqlparse.ParseScript(string(data))
 	if err != nil {
 		return err
 	}
 	for _, stmt := range stmts {
-		res, err := eng.exec(stmt)
+		res, err := eng.exec(stmt.String())
 		if err != nil {
 			return fmt.Errorf("executing %q: %w", stmt, err)
 		}

@@ -166,15 +166,17 @@ func TestRunScriptCompact(t *testing.T) {
 }
 
 func TestRunScriptCompactAssert(t *testing.T) {
-	// ASSERT is a compact-backend statement form outside the parser's
-	// grammar; script mode must feed it through like the REPL does.
+	// A script is parsed whole (ParseScript), so the standalone ASSERT must
+	// be a statement of the grammar — on its own line and behind a comment.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "assert.isql")
 	script := `
 		create table R (K, V);
 		insert into R values (0, 0), (0, 1);
 		create table I as select * from R repair by key K;
-		assert exists (select * from I where V = 1);
+		-- keep the worlds holding V = 1; the ';' in this comment splits nothing
+		ASSERT
+			exists (select * from I where V = 1);
 	`
 	if err := os.WriteFile(path, []byte(script), 0o644); err != nil {
 		t.Fatal(err)

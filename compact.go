@@ -13,8 +13,8 @@ import (
 	"maybms/internal/wsd"
 )
 
-// errNotPlainSelect is returned by MaterializeQuery for non-SELECT input
-// or I-SQL constructs (the compact backend materializes plain SQL only).
+// errNotPlainSelect is returned by MaterializeQuery for a query using I-SQL
+// constructs (it materializes plain SQL only; Exec takes the I-SQL forms).
 var errNotPlainSelect = errors.New("maybms: MaterializeQuery takes a plain SQL SELECT (no I-SQL constructs)")
 
 // CompactDB is a database backed by a world-set decomposition (WSD), the
@@ -88,7 +88,13 @@ func (db *CompactDB) Insert(name string, rows [][]any) error {
 // Statements without a decomposition counterpart fail with an error
 // wrapping ErrCompactUnsupported.
 func (db *CompactDB) Exec(sql string) (*Result, error) {
-	return server.ExecCompact(db.w, sql)
+	sp := db.w.Trace.Begin("parse")
+	stmt, err := sqlparse.Parse(sql)
+	sp.End(db.w.Trace)
+	if err != nil {
+		return nil, err
+	}
+	return server.ExecCompact(db.w, stmt)
 }
 
 // ExecTraced runs one I-SQL statement with a fresh statement trace
@@ -99,7 +105,7 @@ func (db *CompactDB) Exec(sql string) (*Result, error) {
 func (db *CompactDB) ExecTraced(sql string) (*Result, *Trace, error) {
 	tr := obs.NewTrace(sql)
 	db.w.Trace = tr
-	res, err := server.ExecCompact(db.w, sql)
+	res, err := db.Exec(sql)
 	db.w.Trace = nil
 	return res, tr, err
 }
@@ -132,41 +138,29 @@ func (db *CompactDB) ChoiceOf(src, dst string, attrs []string, weight string) er
 
 // Assert keeps only the worlds in which cond (an I-SQL-free boolean SQL
 // expression, e.g. `not exists (select * from I where C = 'c1')`) holds,
-// and renormalizes. The relations cond reads are derived from the
-// condition itself and their components merged first; touching may list
-// extras for compatibility but is no longer required. The condition
-// compiles once through the process-wide shared plan cache.
-func (db *CompactDB) Assert(cond string, touching ...string) error {
-	e, err := parseCondition(cond)
-	if err != nil {
-		return err
-	}
-	return db.w.AssertStmt(e, touching)
-}
-
-// parseCondition parses a standalone boolean expression by wrapping it in
-// a dummy SELECT.
-func parseCondition(cond string) (sqlparse.Expr, error) {
-	stmt, err := sqlparse.Parse("select 1 where " + cond)
-	if err != nil {
-		return nil, err
-	}
-	return stmt.(*sqlparse.SelectStmt).Where, nil
+// and renormalizes: Exec of `ASSERT cond`. The relations cond reads are
+// derived from the condition itself and their components merged first; the
+// condition compiles once through the process-wide shared plan cache.
+func (db *CompactDB) Assert(cond string) error {
+	_, err := db.Exec("assert " + cond)
+	return err
 }
 
 // MaterializeQuery evaluates a plain SQL query per world and stores the
-// answer as dst. The engine compiles and analyzes the query itself, so
-// touching is accepted for compatibility but no longer consulted: the
-// component-touch analysis finds every component the compiled plan reads,
-// stores the answer componentwise (no merge, linear size) when the plan
-// decomposes, and merges exactly the involved components otherwise.
-func (db *CompactDB) MaterializeQuery(dst, query string, touching ...string) error {
-	sel, err := parsePlainSelect(query)
+// answer as dst: Exec of `CREATE TABLE dst AS query`. The component-touch
+// analysis finds every component the compiled plan reads, stores the answer
+// componentwise (no merge, linear size) when the plan decomposes, and merges
+// exactly the involved components otherwise.
+func (db *CompactDB) MaterializeQuery(dst, query string) error {
+	sel, err := parseSelect(query)
 	if err != nil {
 		return err
 	}
-	_ = touching
-	return db.w.CreateTableAs(dst, sel)
+	if sel.HasISQL() {
+		return errNotPlainSelect
+	}
+	_, err = server.ExecCompact(db.w, &sqlparse.CreateTableAs{Name: dst, Query: sel})
+	return err
 }
 
 // Update applies an UPDATE statement to every represented world without
@@ -232,46 +226,23 @@ type WorldGroup struct {
 // limit (2^17 worlds and more) group in linear time. Only a grouped query
 // genuinely spanning components (the grouping and main plans sharing a
 // component) falls back to a bounded merge of the involved components. A
-// statement without GROUP WORLDS BY returns a single group.
+// statement without GROUP WORLDS BY returns a single group. Answers and
+// errors are Exec's.
 func (db *CompactDB) SelectGroups(query string) ([]WorldGroup, error) {
-	stmt, err := sqlparse.Parse(query)
+	sel, err := parseSelect(query)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := stmt.(*sqlparse.SelectStmt)
-	if !ok {
-		return nil, errors.New("maybms: SelectGroups takes a SELECT statement")
-	}
-	if sel.Repair != nil || sel.Choice != nil || sel.Assert != nil {
-		return nil, errors.New("maybms: SelectGroups does not accept repair/choice/assert (use RepairByKey/ChoiceOf/Assert)")
-	}
-	gw := sel.GroupWorlds
-	if gw != nil && sqlparse.HasISQLDeep(gw) {
-		return nil, errors.New("maybms: group worlds by subquery must be plain SQL")
-	}
-	core, cl, err := wsd.StripClosure(sel)
+	res, err := server.ExecCompact(db.w, sel)
 	if err != nil {
 		return nil, err
 	}
-	core.GroupWorlds = nil
-	if gw == nil {
-		rel, err := db.w.SelectClosure(core, cl)
-		if err != nil {
-			return nil, err
-		}
-		prob := 0.0
-		if db.w.Weighted {
-			prob = 1
-		}
-		return []WorldGroup{{Prob: prob, Rel: rel}}, nil
-	}
-	groups, err := db.w.GroupWorldsClosure(gw, core, cl)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]WorldGroup, len(groups))
-	for i, g := range groups {
+	out := make([]WorldGroup, len(res.Groups))
+	for i, g := range res.Groups {
 		out[i] = WorldGroup{Prob: g.Prob, Rel: g.Rel}
+		if !db.w.Weighted {
+			out[i].Prob = 0
+		}
 	}
 	return out, nil
 }
@@ -282,8 +253,9 @@ func (db *CompactDB) SelectGroups(query string) ([]WorldGroup, error) {
 //   - SELECT POSSIBLE … / SELECT CERTAIN … — the ∪ / ∩ closure
 //   - SELECT …, CONF …                     — every possible tuple with its
 //     exact confidence (probabilistic databases only)
-//   - plain SELECT                         — allowed only when the answer
-//     is world-independent (it touches no uncertain relation)
+//   - plain SELECT                         — the answer itself when it is
+//     world-independent, a conditional relation (trailing cond column) when
+//     the plan decomposes
 //
 // Queries whose compiled plan decomposes over the touched components —
 // selections, projections, joins against certain relations, unions, and
@@ -293,42 +265,41 @@ func (db *CompactDB) SelectGroups(query string) ([]WorldGroup, error) {
 // correlate several components (cross-component joins, aggregates or
 // predicate subqueries spanning components) fall back to a bounded merge
 // of exactly the involved components. Results are identical either way
-// and match the naive engine on the expanded world-set.
+// and match the naive engine on the expanded world-set; answers and errors
+// are Exec's.
 func (db *CompactDB) Select(query string) (*Relation, error) {
+	sel, err := parseSelect(query)
+	if err != nil {
+		return nil, err
+	}
+	if sel.GroupWorlds != nil {
+		return nil, errors.New("maybms: Select does not accept group-worlds-by (use SelectGroups)")
+	}
+	res, err := server.ExecCompact(db.w, sel)
+	if err != nil {
+		return nil, err
+	}
+	return res.Groups[0].Rel, nil
+}
+
+// parseSelect parses query, which must be a SELECT statement.
+func parseSelect(query string) (*sqlparse.SelectStmt, error) {
 	stmt, err := sqlparse.Parse(query)
 	if err != nil {
 		return nil, err
 	}
 	sel, ok := stmt.(*sqlparse.SelectStmt)
 	if !ok {
-		return nil, errors.New("maybms: Select takes a SELECT statement")
-	}
-	if sel.Repair != nil || sel.Choice != nil || sel.Assert != nil || sel.GroupWorlds != nil {
-		return nil, errors.New("maybms: Select does not accept repair/choice/assert/group-worlds-by (use RepairByKey/ChoiceOf/Assert/SelectGroups)")
-	}
-	core, cl, err := wsd.StripClosure(sel)
-	if err != nil {
-		return nil, err
-	}
-	return db.w.SelectClosure(core, cl)
-}
-
-// parsePlainSelect parses a plain SQL SELECT (no I-SQL constructs).
-func parsePlainSelect(query string) (*sqlparse.SelectStmt, error) {
-	stmt, err := sqlparse.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*sqlparse.SelectStmt)
-	if !ok || sel.HasISQL() {
-		return nil, errNotPlainSelect
+		return nil, fmt.Errorf("maybms: expected a SELECT statement, got %T", stmt)
 	}
 	return sel, nil
 }
 
 // Conf returns the exact confidence of a tuple (given as Go values) in
-// relation name, computed from component independence without enumerating
-// worlds.
+// relation name — 1 for a tuple every world holds, 0 for one no world holds
+// — computed from component independence without enumerating worlds: the
+// closure fold restricted to the one tuple, a compare-only scan of the
+// relation's stored rows.
 func (db *CompactDB) Conf(name string, cells ...any) (float64, error) {
 	t := make(tuple.Tuple, len(cells))
 	for i, c := range cells {
@@ -341,16 +312,23 @@ func (db *CompactDB) Conf(name string, cells ...any) (float64, error) {
 	return db.w.Conf(name, t)
 }
 
-// ConfRelation returns every possible tuple of the relation extended with
-// its exact confidence.
+// ConfRelation returns every possible tuple of the relation, in Possible's
+// order, extended with its exact confidence — `select *, conf from name`
+// without a plan or an evaluation, at Possible's cost.
 func (db *CompactDB) ConfRelation(name string) (*Relation, error) {
 	return db.w.ConfRelation(name)
 }
 
-// Possible returns the tuples appearing in at least one world.
+// Possible returns the tuples appearing in at least one world: the
+// relation's certain tuples first, then the tuples its components contribute,
+// in component order (alternatives ascending), each where it first appears.
+// Like Certain, ConfRelation and Conf it reads the stored representation
+// directly — one pass over the stored rows (× the depth of nested
+// components), however many worlds they represent.
 func (db *CompactDB) Possible(name string) (*Relation, error) { return db.w.Possible(name) }
 
-// Certain returns the tuples appearing in every world.
+// Certain returns the tuples appearing in every world, in Possible's order
+// and at its cost.
 func (db *CompactDB) Certain(name string) (*Relation, error) { return db.w.Certain(name) }
 
 // WorldCount returns the exact number of represented worlds (which can be

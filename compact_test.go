@@ -1,6 +1,8 @@
 package maybms
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/big"
 	"strings"
@@ -161,11 +163,11 @@ func TestCompactSetMergeLimit(t *testing.T) {
 	}
 	cdb.SetMergeLimit(4)
 	// 2^6 = 64 > 4: the assert's merge must be rejected.
-	if err := cdb.Assert("exists (select * from I)", "I"); err == nil {
+	if err := cdb.Assert("exists (select * from I)"); err == nil {
 		t.Error("merge beyond limit must fail")
 	}
 	cdb.SetMergeLimit(1 << 10)
-	if err := cdb.Assert("exists (select * from I)", "I"); err != nil {
+	if err := cdb.Assert("exists (select * from I)"); err != nil {
 		t.Errorf("merge within limit failed: %v", err)
 	}
 	// The merge collapsed six components into one with 64 alternatives.
@@ -431,5 +433,160 @@ func TestCompactApproxConf(t *testing.T) {
 		if est.Rows()[i].Key() != again.Rows()[i].Key() {
 			t.Errorf("row %d not deterministic: %v vs %v", i, est.Rows()[i], again.Rows()[i])
 		}
+	}
+}
+
+// TestCompactTypedMethodsAreExec: Select, SelectGroups, Assert and
+// MaterializeQuery build their statement and take Exec's route, so each
+// returns what Exec returns for the statement's text — the same rows, the
+// same groups, the same resulting world-set — and refuses with the same
+// error.
+func TestCompactTypedMethodsAreExec(t *testing.T) {
+	fresh := func() *CompactDB {
+		t.Helper()
+		cdb := OpenCompact()
+		if err := cdb.Register("R", []string{"K", "V", "W"}, [][]any{
+			{0, 1, 1}, {0, 2, 3}, {1, 5, 1}, {1, 6, 1}, {2, 7, 1},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cdb.RepairByKey("R", "I", []string{"K"}, "W"); err != nil {
+			t.Fatal(err)
+		}
+		return cdb
+	}
+	render := func(groups []WorldGroup) string {
+		var b strings.Builder
+		for _, g := range groups {
+			fmt.Fprintf(&b, "P=%.9f\n%s", g.Prob, g.Rel)
+		}
+		return b.String()
+	}
+	// state renders what a statement left behind: the world count and D, the
+	// relation the materializing cases create.
+	state := func(cdb *CompactDB) string {
+		out := cdb.WorldCount().String()
+		if rel, err := cdb.Possible("D"); err == nil {
+			out += "\n" + rel.String()
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name  string
+		typed func(*CompactDB) (string, error)
+		text  string
+	}{
+		{"select closure", func(db *CompactDB) (string, error) {
+			rel, err := db.Select("select conf, K, V from I where V > 1")
+			if err != nil {
+				return "", err
+			}
+			return render([]WorldGroup{{Prob: 1, Rel: rel}}), nil
+		}, "select conf, K, V from I where V > 1"},
+		{"select per-world aggregate", func(db *CompactDB) (string, error) {
+			_, err := db.Select("select sum(V) from I")
+			return "", err
+		}, "select sum(V) from I"},
+		{"select with repair", func(db *CompactDB) (string, error) {
+			_, err := db.Select("select * from R repair by key K")
+			return "", err
+		}, "select * from R repair by key K"},
+		{"select groups", func(db *CompactDB) (string, error) {
+			groups, err := db.SelectGroups("select possible V from I group worlds by (select V from I where K = 0)")
+			return render(groups), err
+		}, "select possible V from I group worlds by (select V from I where K = 0)"},
+		{"select groups, I-SQL grouping", func(db *CompactDB) (string, error) {
+			_, err := db.SelectGroups("select possible V from I group worlds by (select possible V from I)")
+			return "", err
+		}, "select possible V from I group worlds by (select possible V from I)"},
+		{"assert", func(db *CompactDB) (string, error) {
+			return "", db.Assert("not exists (select * from I where V = 2)")
+		}, "assert not exists (select * from I where V = 2)"},
+		{"assert with I-SQL", func(db *CompactDB) (string, error) {
+			return "", db.Assert("exists (select possible * from I where V = 2)")
+		}, "assert exists (select possible * from I where V = 2)"},
+		{"assert dropping every world", func(db *CompactDB) (string, error) {
+			return "", db.Assert("exists (select * from I where V = 99)")
+		}, "assert exists (select * from I where V = 99)"},
+		{"materialize", func(db *CompactDB) (string, error) {
+			return "", db.MaterializeQuery("D", "select K, V from I where V > 1")
+		}, "create table D as select K, V from I where V > 1"},
+		{"materialize over an existing name", func(db *CompactDB) (string, error) {
+			return "", db.MaterializeQuery("I", "select K from I")
+		}, "create table I as select K from I"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a, b := fresh(), fresh()
+			got, terr := c.typed(a)
+			res, eerr := b.Exec(c.text)
+			if (terr == nil) != (eerr == nil) ||
+				errors.Is(terr, ErrCompactUnsupported) != errors.Is(eerr, ErrCompactUnsupported) ||
+				(terr != nil && terr.Error() != eerr.Error()) {
+				t.Fatalf("typed method failed with %v, Exec(%q) with %v", terr, c.text, eerr)
+			}
+			if terr == nil && len(res.Groups) > 0 {
+				var groups []WorldGroup
+				for _, g := range res.Groups {
+					groups = append(groups, WorldGroup{Prob: g.Prob, Rel: g.Rel})
+				}
+				if want := render(groups); got != want {
+					t.Errorf("typed method answered\n%s\nExec(%q) answered\n%s", got, c.text, want)
+				}
+			}
+			if sa, sb := state(a), state(b); sa != sb {
+				t.Errorf("typed method left\n%s\nExec(%q) left\n%s", sa, c.text, sb)
+			}
+		})
+	}
+}
+
+// TestCompactAssertIsParsed: the standalone ASSERT is a statement of the
+// grammar, routed like every other — so the spellings a sniff of the first
+// seven bytes missed work, the statement gets a parse span, EXPLAIN accepts
+// it, and the naive engine refuses it by name.
+func TestCompactAssertIsParsed(t *testing.T) {
+	fresh := func() *CompactDB {
+		t.Helper()
+		cdb := OpenCompact()
+		if err := cdb.Register("R", []string{"K", "V"}, [][]any{{0, 0}, {0, 1}, {1, 0}, {1, 1}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cdb.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+			t.Fatal(err)
+		}
+		return cdb
+	}
+	for _, sql := range []string{
+		"ASSERT\n exists (select * from I where K = 0 and V = 1)",
+		"-- note\nassert exists (select * from I where K = 0 and V = 1);",
+		"explain analyze assert exists (select * from I where K = 0 and V = 1)",
+	} {
+		cdb := fresh()
+		res, tr, err := cdb.ExecTraced(sql)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		if cdb.WorldCount().Cmp(big.NewInt(2)) != 0 {
+			t.Errorf("%q left %s worlds, want 2", sql, cdb.WorldCount())
+		}
+		if !strings.Contains(tr.Render(), "parse") {
+			t.Errorf("%q ran without a parse span:\n%s", sql, tr.Render())
+		}
+		if !strings.Contains(res.String(), "assert") && !strings.Contains(res.String(), "ASSERT") {
+			t.Errorf("%q answered %q", sql, res)
+		}
+	}
+	cdb := fresh()
+	res, err := cdb.Exec("explain assert exists (select * from I where V = 1)")
+	if err != nil || !strings.Contains(res.String(), "ASSERT EXISTS") {
+		t.Errorf("EXPLAIN ASSERT = %v, %v", res, err)
+	}
+	if cdb.WorldCount().Cmp(big.NewInt(4)) != 0 {
+		t.Errorf("EXPLAIN ASSERT executed: %s worlds left", cdb.WorldCount())
+	}
+
+	db := Open()
+	if _, err := db.Exec("assert exists (select * from R)"); err == nil || !strings.Contains(err.Error(), "standalone ASSERT") {
+		t.Errorf("naive engine on a standalone ASSERT: %v, want a refusal naming the statement", err)
 	}
 }

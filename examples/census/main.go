@@ -71,7 +71,7 @@ func main() {
 	// Enforce a constraint on a slice of the data: person 0 is known to be
 	// married (e.g. from a second register). Only person 0's component is
 	// touched; the rest of the decomposition is untouched.
-	err = cdb.Assert("exists (select * from Clean where PID = 0 and Status = 'married')", "Clean")
+	err = cdb.Assert("exists (select * from Clean where PID = 0 and Status = 'married')")
 	if err != nil {
 		fmt.Printf("assert over the full relation needs a %v\n", err)
 		fmt.Println("(the assert touches every component through relation Clean;")
@@ -80,7 +80,7 @@ func main() {
 
 	// Materialize the married sub-population per world instead.
 	if err := cdb.MaterializeQuery("Married",
-		"select PID from Clean where Status = 'married'", "Clean"); err != nil {
+		"select PID from Clean where Status = 'married'"); err != nil {
 		fmt.Printf("materializing over all components: %v\n", err)
 		fmt.Println("(expected: the query touches every component — the naive engine or")
 		fmt.Println(" per-component queries handle this; see DESIGN.md on partial expansion)")

@@ -247,6 +247,8 @@ func (s *Session) ExecStmt(stmt sqlparse.Statement) (*Result, error) {
 		return s.execExplain(st)
 	case *sqlparse.Import:
 		return s.execImport(st)
+	case *sqlparse.Assert:
+		return nil, errors.New("the standalone ASSERT statement runs on the compact backend only (use CREATE TABLE AS SELECT … ASSERT)")
 	default:
 		return nil, fmt.Errorf("unsupported statement %T", stmt)
 	}

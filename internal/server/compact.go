@@ -117,7 +117,9 @@ var errCompactUnsupported = ErrUnsupported
 //     the SET/WHERE expressions read no uncertain data, else by a bounded
 //     merge of the involved components
 //   - ASSERT <condition>                         — filter + renormalize
-//     the merged component (statement form of Example 2.5)
+//     the merged component (statement form of Example 2.5): a statement of
+//     the grammar (sqlparse.Assert) routed like every other, so it works
+//     across lines, behind comments, in scripts and under EXPLAIN [ANALYZE]
 //   - DROP TABLE [IF EXISTS] t                   — certain relations only
 //   - EXPLAIN <stmt>                             — routing prediction
 //     (single / conditional / componentwise / merge / approx_mc /
@@ -174,12 +176,12 @@ func (b *compactBackend) counters() *CompactCounters {
 	}
 }
 
-// ExecCompact runs one I-SQL statement against the decomposition d with
-// the compact backend's full statement routing — the same code path the
-// server's compact sessions use. It backs CompactDB.Exec and the
-// maybms shell's -compact mode.
-func ExecCompact(d *wsd.WSD, sql string) (*core.Result, error) {
-	return (&compactBackend{d: d, weighted: d.Weighted}).exec(sql)
+// ExecCompact runs one parsed I-SQL statement against the decomposition d
+// with the compact backend's full statement routing — the same code path the
+// server's compact sessions use. It backs CompactDB's Exec and typed methods
+// and the maybms shell's -compact mode.
+func ExecCompact(d *wsd.WSD, stmt sqlparse.Statement) (*core.Result, error) {
+	return (&compactBackend{d: d, weighted: d.Weighted}).execParsed(stmt)
 }
 
 func (b *compactBackend) ok(format string, args ...any) (*core.Result, error) {
@@ -187,13 +189,6 @@ func (b *compactBackend) ok(format string, args ...any) (*core.Result, error) {
 }
 
 func (b *compactBackend) exec(sql string) (*core.Result, error) {
-	// ASSERT as a standalone statement: the compact counterpart of the
-	// paper's assert clause (which the naive engine runs inside SELECT and
-	// makes durable via CREATE TABLE AS).
-	trimmed := strings.TrimSpace(sql)
-	if len(trimmed) >= 7 && strings.EqualFold(trimmed[:7], "assert ") {
-		return b.execAssert(trimmed[7:])
-	}
 	sp := b.d.Trace.Begin("parse")
 	stmt, err := sqlparse.Parse(sql)
 	sp.End(b.d.Trace)
@@ -245,6 +240,8 @@ func (b *compactBackend) execParsed(stmt sqlparse.Statement) (*core.Result, erro
 		return b.execExplain(st)
 	case *sqlparse.Import:
 		return b.execImport(st)
+	case *sqlparse.Assert:
+		return b.execAssert(st)
 	default:
 		return nil, fmt.Errorf("%w: %T statements", errCompactUnsupported, stmt)
 	}
@@ -394,20 +391,16 @@ func (b *compactBackend) execInsert(st *sqlparse.Insert) (*core.Result, error) {
 	return b.ok("inserted %d row(s) into %s", len(rows), st.Table)
 }
 
-// execAssert parses and applies a standalone ASSERT condition. The
-// condition template compiles once through the shared plan cache (see
-// WSD.AssertStmt), and its subqueries poll the interrupt hook.
-func (b *compactBackend) execAssert(cond string) (*core.Result, error) {
-	cond = strings.TrimSuffix(strings.TrimSpace(cond), ";")
-	probe, err := sqlparse.Parse("select 1 where " + cond)
-	if err != nil {
-		return nil, fmt.Errorf("assert condition: %w", err)
-	}
-	sel := probe.(*sqlparse.SelectStmt)
-	if sqlparse.HasISQLDeep(sel) {
+// execAssert applies the standalone ASSERT statement: the compact
+// counterpart of the paper's assert clause (which the naive engine runs inside
+// SELECT and makes durable via CREATE TABLE AS). The condition template
+// compiles once through the shared plan cache (see WSD.AssertStmt), and its
+// subqueries poll the interrupt hook.
+func (b *compactBackend) execAssert(st *sqlparse.Assert) (*core.Result, error) {
+	if sqlparse.HasISQLDeep(&sqlparse.SelectStmt{Where: st.Cond, Limit: -1}) {
 		return nil, fmt.Errorf("%w: I-SQL constructs in assert conditions", errCompactUnsupported)
 	}
-	if err := b.d.AssertStmt(sel.Where, nil); err != nil {
+	if err := b.d.AssertStmt(st.Cond); err != nil {
 		return nil, err
 	}
 	return b.ok("asserted; %s world(s) remain", b.d.WorldCount())
@@ -462,7 +455,7 @@ func (b *compactBackend) execCreateAs(st *sqlparse.CreateTableAs) (*core.Result,
 		// first, then materialize the rest of the query on the survivors —
 		// per-world evaluation commutes with the world filter, so this is
 		// exactly the naive engine's durable assert.
-		if err := b.d.AssertStmt(q.Assert, nil); err != nil {
+		if err := b.d.AssertStmt(q.Assert); err != nil {
 			return nil, err
 		}
 		qc := *q

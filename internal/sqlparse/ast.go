@@ -570,6 +570,17 @@ func (s *Import) String() string {
 	return b.String()
 }
 
+// Assert is the standalone ASSERT <condition>: keep the worlds in which the
+// condition holds and renormalize — the statement form of the SELECT's assert
+// clause, which the compact backend applies to the decomposition itself.
+type Assert struct {
+	Cond Expr
+}
+
+func (*Assert) stmtNode() {}
+
+func (s *Assert) String() string { return "ASSERT " + s.Cond.String() }
+
 // Explain is EXPLAIN [ANALYZE] <stmt>: render the inner statement's plan
 // tree with routing annotations; with ANALYZE, execute it for real and
 // append the traced timings and cardinalities. Note EXPLAIN ANALYZE of a

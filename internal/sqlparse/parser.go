@@ -64,44 +64,6 @@ func ParseScript(input string) ([]Statement, error) {
 	}
 }
 
-// SplitScript splits a semicolon-separated script into raw statement
-// strings at the lexer level: semicolons inside string literals or
-// comments do not split, and the statements' original text is preserved
-// (not re-rendered). Engines with statement forms outside the parser's
-// grammar — the compact backend's standalone ASSERT — consume the raw
-// strings where ParseScript would reject them.
-func SplitScript(input string) ([]string, error) {
-	toks, err := sqllex.Lex(input)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrParse, err)
-	}
-	var stmts []string
-	start := 0
-	// Track whether the current segment holds any real token: blank or
-	// comment-only segments (a trailing comment after the last ';') are
-	// skipped, like ParseScript skips them.
-	hasTok := false
-	flush := func(end int) {
-		if s := strings.TrimSpace(input[start:end]); s != "" && hasTok {
-			stmts = append(stmts, s)
-		}
-		hasTok = false
-	}
-	for _, tok := range toks {
-		if tok.Kind == sqllex.EOF {
-			break
-		}
-		if tok.IsSymbol(";") {
-			flush(tok.Pos)
-			start = tok.Pos + 1
-			continue
-		}
-		hasTok = true
-	}
-	flush(len(input))
-	return stmts, nil
-}
-
 type parser struct {
 	tz *sqllex.Tokenizer
 }
@@ -136,6 +98,13 @@ func (p *parser) parseStatement() (Statement, error) {
 		return p.parseExplain()
 	case p.tz.Cur().IsKeyword("import"), p.tz.Cur().IsKeyword("copy"):
 		return p.parseImport()
+	case p.tz.Cur().IsKeyword("assert"):
+		p.tz.Advance()
+		cond, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		return &Assert{Cond: cond}, nil
 	default:
 		return nil, p.errorf("expected a statement, found %s", p.tz.Cur())
 	}

@@ -611,8 +611,40 @@ func TestRenderingContainsClauses(t *testing.T) {
 	}
 }
 
-func TestSplitScript(t *testing.T) {
-	stmts, err := SplitScript(`
+// TestParseStandaloneAssert: ASSERT is a statement of the grammar — across
+// lines, behind a comment, under EXPLAIN and inside a script — where the
+// compact backend used to sniff the statement text for it.
+func TestParseStandaloneAssert(t *testing.T) {
+	for _, in := range []string{
+		"assert exists (select * from R)",
+		"ASSERT\n exists (select * from R);",
+		"-- note\nassert exists (select * from R)",
+	} {
+		stmt, err := Parse(in)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", in, err)
+		}
+		as, ok := stmt.(*Assert)
+		if !ok {
+			t.Fatalf("Parse(%q) = %T, want *Assert", in, stmt)
+		}
+		if got := as.String(); got != "ASSERT EXISTS (SELECT * FROM R)" {
+			t.Errorf("String() = %q", got)
+		}
+		if _, err := Parse(as.String()); err != nil {
+			t.Errorf("re-parse of %q: %v", as, err)
+		}
+	}
+	stmt, err := Parse("explain analyze assert not exists (select * from R where A = 1)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := stmt.(*Explain); !ex.Analyze {
+		t.Error("ANALYZE lost")
+	} else if _, ok := ex.Stmt.(*Assert); !ok {
+		t.Errorf("EXPLAIN inner = %T, want *Assert", ex.Stmt)
+	}
+	stmts, err := ParseScript(`
 		-- leading comment
 		create table R (A);
 		insert into R values ('x;y'); -- semicolon in a literal
@@ -622,21 +654,16 @@ func TestSplitScript(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{
-		"-- leading comment\n\t\tcreate table R (A)",
-		"insert into R values ('x;y')",
-		"-- semicolon in a literal\n\t\tassert exists (select * from R)",
+	if len(stmts) != 3 {
+		t.Fatalf("script parsed into %d statements %q, want 3", len(stmts), stmts)
 	}
-	if len(stmts) != len(want) {
-		t.Fatalf("split into %d statements %q, want %d", len(stmts), stmts, len(want))
+	if _, ok := stmts[2].(*Assert); !ok {
+		t.Errorf("statement 3 = %T, want *Assert", stmts[2])
 	}
-	for i := range want {
-		if stmts[i] != want[i] {
-			t.Errorf("statement %d = %q, want %q", i, stmts[i], want[i])
+	for _, bad := range []string{"assert", "assert ;", "assert exists (select * from R) extra"} {
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) must fail", bad)
 		}
-	}
-	if _, err := SplitScript("select 'unterminated"); err == nil {
-		t.Error("lex error must surface")
 	}
 }
 

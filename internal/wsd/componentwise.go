@@ -11,7 +11,14 @@ package wsd
 // Π_c |Alts(c)| alternatives a component merge would produce, and without
 // mutating the decomposition at all.
 //
-// The closures reproduce the naive engine's answer order exactly. The
+// This file holds the evaluation half: the catalog showing one alternative
+// per selected component, QueryByComponent's part evaluations on the worker
+// pool, and the componentwise materialization. The closing half is the one
+// fold in fold.go, shared with the d-tree route (conditional.go) and the
+// stored-relation closures (ops.go): it weighs the parts and emits the
+// sequence this file hands it.
+//
+// That sequence reproduces the naive engine's answer order exactly. The
 // naive engine closes over per-world answers in mixed-radix world order
 // (the last component varies fastest; see Expand and core's repair
 // odometer), deduplicating by first appearance. Under the decomposition
@@ -19,19 +26,18 @@ package wsd
 // first world (all components at their first alternative) and the
 // single-deviation worlds (one component at alternative a ≥ 2, all others
 // first), whose positions sort by reverse component order with
-// alternatives ascending. The componentwise closures therefore emit the
-// first world's full answer (one extra evaluation), then walk the
-// remaining alternatives of each component from the last involved
-// component to the first — and within each part, the relative order of a
-// deviation's new tuples equals their order in the part's own answer,
-// because every supported operator routes rows value- or
-// position-deterministically.
+// alternatives ascending. The emission is therefore the first world's full
+// answer (one extra evaluation), then the remaining alternatives of each
+// component from the last involved component to the first — and within
+// each part, the relative order of a deviation's new tuples equals their
+// order in the part's own answer, because every supported operator routes
+// rows value- or position-deterministically.
 //
-// Part answers are colbatch batches (the batch-native closure seam; see
-// batchclosure.go): the closures dedup on AppendKey arena keys — the same
-// byte space as tuple.Encode, so first-appearance order, grouping and
-// hash-collision behavior are untouched — and assemble their output by
-// column-wise gather, materializing rows once at the end.
+// Part answers are colbatch batches — columnar when the evaluation ran the
+// batch operators, a zero-copy row-backed batch when it ran the row
+// operators (internal/algebra's one rule decides per drain) — and stored
+// state is batch-backed, so the catalog hands stored batches to the
+// evaluations directly.
 
 import (
 	"errors"
@@ -214,205 +220,15 @@ func (d *WSD) QueryByComponent(compIdx []int, withWorld0, withBase bool, query f
 	return out, nil
 }
 
-// emitParts walks the closure emission order — the first world's answer,
+// emission returns the closure emission order — the first world's answer,
 // then the remaining alternatives of each component from the last involved
-// component to the first — calling fn with every part batch in sequence.
-// Deduplication is the caller's (fn's) business. The Interrupt hook is
-// polled once per part, like the merge path's closure fold, so deadlined
-// requests abort the fold too.
-func (p *componentParts) emitParts(fn func(b *colbatch.Batch)) error {
-	if err := p.d.interrupted(); err != nil {
-		return err
-	}
-	fn(p.world0)
+// component to the first — as the sequence the fold deduplicates.
+func (p *componentParts) emission() []*colbatch.Batch {
+	out := []*colbatch.Batch{p.world0}
 	for i := len(p.compIdx) - 1; i >= 0; i-- {
-		for a := 1; a < len(p.parts[i]); a++ {
-			if err := p.d.interrupted(); err != nil {
-				return err
-			}
-			fn(p.parts[i][a])
-		}
+		out = append(out, p.parts[i][1:]...)
 	}
-	return nil
-}
-
-// keySetIndex interns every distinct tuple key appearing in some part —
-// one key-string allocation per distinct tuple, not per (tuple, part) —
-// and records per component, per alternative, membership of the dense ids.
-type keySetIndex struct {
-	ids  map[string]int32
-	sets [][]map[int32]struct{}
-}
-
-// intern returns the dense id of the scratch-encoded key, materializing
-// the key string only on first sight.
-func (ix *keySetIndex) intern(buf []byte) int32 {
-	if id, ok := ix.ids[string(buf)]; ok {
-		return id
-	}
-	id := int32(len(ix.ids))
-	ix.ids[string(buf)] = id
-	return id
-}
-
-// keySets indexes the key sets of every part's answer, polling the
-// Interrupt hook once per part.
-func (p *componentParts) keySets() (*keySetIndex, error) {
-	ix := &keySetIndex{ids: map[string]int32{}, sets: make([][]map[int32]struct{}, len(p.parts))}
-	var buf []byte
-	for i, alts := range p.parts {
-		ix.sets[i] = make([]map[int32]struct{}, len(alts))
-		for a, b := range alts {
-			if err := p.d.interrupted(); err != nil {
-				return nil, err
-			}
-			n := b.Len()
-			set := make(map[int32]struct{}, n)
-			for r := 0; r < n; r++ {
-				buf = b.AppendKey(buf[:0], r)
-				set[ix.intern(buf)] = struct{}{}
-			}
-			ix.sets[i][a] = set
-		}
-	}
-	return ix, nil
-}
-
-// close computes the closure cl from the parts.
-func (p *componentParts) close(cl Closure) (*relation.Relation, error) {
-	switch cl {
-	case ClosurePossible:
-		return possibleFromParts(p)
-	case ClosureCertain:
-		return certainFromParts(p)
-	default:
-		return confFromParts(p)
-	}
-}
-
-// possibleFromParts computes the POSSIBLE closure: every tuple in some
-// part, in the naive engine's first-appearance order.
-func possibleFromParts(p *componentParts) (*relation.Relation, error) {
-	ub := newUnionBuilder(p.world0)
-	seen := map[string]struct{}{}
-	var buf []byte
-	var sel []int32
-	err := p.emitParts(func(b *colbatch.Batch) {
-		sel = sel[:0]
-		for r, n := 0, b.Len(); r < n; r++ {
-			// Scratch-encode and probe before inserting: duplicate tuples
-			// cost no key-string allocation.
-			buf = b.AppendKey(buf[:0], r)
-			if _, dup := seen[string(buf)]; dup {
-				continue
-			}
-			seen[string(buf)] = struct{}{}
-			sel = append(sel, int32(r))
-		}
-		ub.addSel(b, sel)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ub.finish(p.world0.Schema), nil
-}
-
-// certainFromParts computes the CERTAIN closure: a tuple is in every world
-// iff it is in the certain-only answer or some component contributes it
-// under *every* alternative — by independence, the exact criterion. The
-// order is the first world's answer order (the naive engine intersects
-// into the first world's deduplicated answer).
-func certainFromParts(p *componentParts) (*relation.Relation, error) {
-	ix, err := p.keySets()
-	if err != nil {
-		return nil, err
-	}
-	ub := newUnionBuilder(p.world0)
-	seen := make(map[int32]struct{}, p.world0.Len())
-	var buf []byte
-	var sel []int32
-	for r, n := 0, p.world0.Len(); r < n; r++ {
-		buf = p.world0.AppendKey(buf[:0], r)
-		id := ix.intern(buf)
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		for i := range ix.sets {
-			all := true
-			for _, set := range ix.sets[i] {
-				if _, ok := set[id]; !ok {
-					all = false
-					break
-				}
-			}
-			if all {
-				sel = append(sel, int32(r))
-				break
-			}
-		}
-	}
-	ub.addSel(p.world0, sel)
-	return ub.finish(p.world0.Schema), nil
-}
-
-// confFromParts computes the CONF closure: every possible tuple extended
-// with its exact confidence 1 − Π_c (1 − p_c(t)), where p_c(t) is the
-// total probability of component c's alternatives whose part contains the
-// tuple. A tuple in the certain-only answer is in every part, making every
-// p_c = 1 and the confidence 1. Tuple order is the possible order.
-func confFromParts(p *componentParts) (*relation.Relation, error) {
-	ix, err := p.keySets()
-	if err != nil {
-		return nil, err
-	}
-	ub := newUnionBuilder(p.world0)
-	seen := make(map[int32]struct{}, len(ix.ids))
-	var buf []byte
-	var sel []int32
-	var confs []float64
-	err = p.emitParts(func(b *colbatch.Batch) {
-		sel = sel[:0]
-		for r, n := 0, b.Len(); r < n; r++ {
-			// Part rows were interned by keySets, so the probe allocates
-			// only for world0-only tuples.
-			buf = b.AppendKey(buf[:0], r)
-			id := ix.intern(buf)
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
-			miss := 1.0
-			last := 0.0
-			for i := range ix.sets {
-				pc := 0.0
-				for a, set := range ix.sets[i] {
-					if _, ok := set[id]; ok {
-						pc += p.probs[i][a]
-					}
-				}
-				miss *= 1 - pc
-				last = pc
-			}
-			conf := 1 - miss
-			if len(ix.sets) == 1 {
-				// A single component's confidence is the plain probability sum,
-				// accumulated in alternative order — bit-identical to the merge
-				// path and the naive engine (1 − (1 − p) would lose ulps).
-				conf = last
-			}
-			if conf > 1 {
-				conf = 1 // clamp float accumulation noise
-			}
-			sel = append(sel, int32(r))
-			confs = append(confs, conf)
-		}
-		ub.addSel(b, sel)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ub.finishConf(p.world0.Schema.Concat(confSchema()), confs), nil
+	return out
 }
 
 // materializeByComponent stores the answer of a concat-structured

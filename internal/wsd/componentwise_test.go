@@ -367,7 +367,7 @@ func TestPlainSelectSingleRemainingWorld(t *testing.T) {
 
 	// Assert-narrowed: pin both repairs, then plain SELECT answers.
 	d2 := newFigure2WSD(t)
-	err := d2.AssertStmt(mustCond(t, "exists (select * from I where B = 10) and exists (select * from I where B = 14)"), []string{"I"})
+	err := d2.AssertStmt(mustCond(t, "exists (select * from I where B = 10) and exists (select * from I where B = 14)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,11 +398,11 @@ func TestPlainSelectSingleRemainingWorld(t *testing.T) {
 
 func mustCond(t *testing.T, cond string) sqlparse.Expr {
 	t.Helper()
-	stmt, err := sqlparse.Parse("select 1 where " + cond)
+	stmt, err := sqlparse.Parse("assert " + cond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stmt.(*sqlparse.SelectStmt).Where
+	return stmt.(*sqlparse.Assert).Cond
 }
 
 func mustCore(t *testing.T, sql string) *sqlparse.SelectStmt {
@@ -589,7 +589,7 @@ func TestAssertInterruptInsideIterators(t *testing.T) {
 		}
 		return nil
 	}
-	err := d.AssertStmt(mustCond(t, "exists (select * from B b1, B b2, B b3 where b1.B = -1)"), nil)
+	err := d.AssertStmt(mustCond(t, "exists (select * from B b1, B b2, B b3 where b1.B = -1)"))
 	if !errors.Is(err, boom) {
 		t.Fatalf("interrupted certain assert = %v, want boom", err)
 	}

@@ -6,14 +6,18 @@ package wsd
 // monotone-decomposable plans — but only over the components *active* in
 // the world (a component is active iff it is top-level or its parent
 // selects its conditioning alternative), and each alternative's weight in
-// a closure is P(a) conditioned on the parent path. The conditional route
-// generalizes the componentwise closures to tree folds:
+// a closure is P(a) conditioned on the parent path. The closures are the
+// same fold as the flat route's (fold.go, which weighs a flat component as
+// a tree of one node: CERTAIN asks whether some top-level subtree
+// contributes the tuple under every assignment, CONF multiplies miss
+// probabilities over the independent top-level subtrees); what this file
+// adds is what the fold is handed:
 //
 //   - the relevant component set is the root closure of the touched
 //     components — whole trees, since an untouched ancestor still decides
 //     whether a touched child is active;
-//   - POSSIBLE (and CONF's emission order) folds over the *deviation
-//     worlds*: the first world plus, per relevant component c and
+//   - the emission sequence (POSSIBLE's answer and CONF's order) is the
+//     *deviation worlds*: the first world plus, per relevant component c and
 //     alternative a ≥ 1, the earliest world (in expansion order) with c
 //     active at a. Every possible tuple's true first-appearance world is
 //     in that set — if a world's answer contains t then t lies in some
@@ -21,21 +25,13 @@ package wsd
 //     a = 0, of the deepest ancestor pinned off its first alternative)
 //     both contains t and precedes the world — so scanning the deviation
 //     worlds' full answers in expansion order reproduces the naive
-//     engine's first-appearance order exactly;
-//   - CERTAIN keeps the flat criterion with a recursive twist: a tuple is
-//     in every world iff some top-level relevant subtree contributes it
-//     under every assignment — per alternative, directly or through a
-//     child conditioned on that alternative (an OR of independent events
-//     is always-true iff one of them is);
-//   - CONF multiplies miss probabilities over the independent top-level
-//     subtrees, where a subtree's contribution probability is
-//     p_c(t) = Σ_a P(a)·(t ∈ part_c(a) ? 1 : 1 − Π_ch (1 − p_ch(t)))
-//     over the children ch conditioned on a.
+//     engine's first-appearance order exactly. (The deviation-world
+//     evaluations are the quadratic term left on nested decompositions;
+//     ROADMAP item 2.)
 //
-// The flat decomposition never reaches this file: SelectClosure routes
-// here only when the touched components involve tree structure
-// (treeInvolved), so the PR 8 componentwise path — order, probabilities,
-// allocation profile — is taken unchanged otherwise.
+// SelectClosure routes here only when the touched components involve tree
+// structure (treeInvolved); flat involvement takes componentwise.go's
+// evaluations and emission.
 //
 // ClosureNone takes a different shape: a per-world SELECT over uncertain
 // data cannot return one relation per world without expanding, but for a
@@ -67,36 +63,17 @@ import (
 func condSchema() *schema.Schema { return schema.New("cond") }
 
 // conditionalParts is the conditional evaluation of one query over the
-// trees touching it: per-(component, alternative) part answers for the
-// certain/conf recursions, and full deviation-world answers (expansion
-// order, first world first) for the possible/conf emission order.
+// trees touching it: per-(component, alternative) part answers for the fold
+// to weigh, and full deviation-world answers (expansion order, first world
+// first) as its emission sequence.
 type conditionalParts struct {
-	d        *WSD
 	relevant []int // component indexes: root closure of the touched set, ascending
-	roots    []int // positions (into relevant) of the top-level components
-	// children[i][a] lists positions (into relevant) of the children of
-	// (relevant[i], alternative a).
-	children [][][]int
 	// parts[i][a] is the answer with only (relevant[i], a)'s contributions
-	// visible; probs[i][a] the alternative's probability.
+	// visible.
 	parts [][]*colbatch.Batch
-	probs [][]float64
 	// devs are the deviation worlds' full answers in expansion order;
 	// devs[0] is the first world.
 	devs []*colbatch.Batch
-}
-
-// nestedCount reports how many relevant components are conditional
-// (nested under a parent alternative) — the `conditional_splits` trace
-// attribute.
-func (p *conditionalParts) nestedCount() int {
-	n := 0
-	for _, ci := range p.relevant {
-		if p.d.comps[ci].Parent >= 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // deviationVector returns the digit vector of the earliest world (in
@@ -140,31 +117,7 @@ func (d *WSD) deviationVector(byID map[int]int, ci, a int) []int {
 func (d *WSD) queryConditional(touched []int, query func(cat plan.Catalog) (*colbatch.Batch, error)) (*conditionalParts, error) {
 	relevant := d.rootClosure(touched)
 	byID := d.compIndexByID()
-	pos := make(map[int]int, len(relevant))
-	for i, ci := range relevant {
-		pos[ci] = i
-	}
-	p := &conditionalParts{
-		d:        d,
-		relevant: relevant,
-		children: make([][][]int, len(relevant)),
-		parts:    make([][]*colbatch.Batch, len(relevant)),
-		probs:    make([][]float64, len(relevant)),
-	}
-	for i, ci := range relevant {
-		c := d.comps[ci]
-		p.children[i] = make([][]int, len(c.Alts))
-		p.probs[i] = make([]float64, len(c.Alts))
-		for a := range c.Alts {
-			p.probs[i][a] = c.Alts[a].Prob
-		}
-		if c.Parent < 0 {
-			p.roots = append(p.roots, i)
-		} else {
-			pi := pos[byID[c.Parent]]
-			p.children[pi][c.ParentAlt] = append(p.children[pi][c.ParentAlt], i)
-		}
-	}
+	p := &conditionalParts{relevant: relevant, parts: make([][]*colbatch.Batch, len(relevant))}
 
 	// Deviation worlds, sorted into expansion order by their digit vectors.
 	devVecs := [][]int{d.deviationVector(byID, -1, 0)}
@@ -215,160 +168,6 @@ func (d *WSD) queryConditional(touched []int, query func(cat plan.Catalog) (*col
 		*tasks[ti].dst = results[ti]
 	}
 	return p, nil
-}
-
-// keySets indexes the key sets of every part answer, like
-// componentParts.keySets.
-func (p *conditionalParts) keySets() (*keySetIndex, error) {
-	ix := &keySetIndex{ids: map[string]int32{}, sets: make([][]map[int32]struct{}, len(p.parts))}
-	var buf []byte
-	for i, alts := range p.parts {
-		ix.sets[i] = make([]map[int32]struct{}, len(alts))
-		for a, b := range alts {
-			if err := p.d.interrupted(); err != nil {
-				return nil, err
-			}
-			n := b.Len()
-			set := make(map[int32]struct{}, n)
-			for r := 0; r < n; r++ {
-				buf = b.AppendKey(buf[:0], r)
-				set[ix.intern(buf)] = struct{}{}
-			}
-			ix.sets[i][a] = set
-		}
-	}
-	return ix, nil
-}
-
-// possible computes the POSSIBLE closure: every tuple of some deviation
-// world's answer, in the naive engine's first-appearance order.
-func (p *conditionalParts) possible() (*relation.Relation, error) {
-	ub := newUnionBuilder(p.devs[0])
-	seen := map[string]struct{}{}
-	var buf []byte
-	var sel []int32
-	for _, b := range p.devs {
-		if err := p.d.interrupted(); err != nil {
-			return nil, err
-		}
-		sel = sel[:0]
-		for r, n := 0, b.Len(); r < n; r++ {
-			buf = b.AppendKey(buf[:0], r)
-			if _, dup := seen[string(buf)]; dup {
-				continue
-			}
-			seen[string(buf)] = struct{}{}
-			sel = append(sel, int32(r))
-		}
-		ub.addSel(b, sel)
-	}
-	return ub.finish(p.devs[0].Schema), nil
-}
-
-// always reports whether the subtree rooted at relevant position i
-// contributes the tuple under every assignment (given the root is
-// active).
-func (p *conditionalParts) always(ix *keySetIndex, i int, id int32) bool {
-	for a, set := range ix.sets[i] {
-		if _, ok := set[id]; ok {
-			continue
-		}
-		ok := false
-		for _, ch := range p.children[i][a] {
-			if p.always(ix, ch, id) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// prob returns the probability that the subtree rooted at relevant
-// position i contributes the tuple (given the root is active).
-func (p *conditionalParts) prob(ix *keySetIndex, i int, id int32) float64 {
-	total := 0.0
-	for a, set := range ix.sets[i] {
-		pa := p.probs[i][a]
-		if _, ok := set[id]; ok {
-			total += pa
-			continue
-		}
-		miss := 1.0
-		for _, ch := range p.children[i][a] {
-			miss *= 1 - p.prob(ix, ch, id)
-		}
-		total += pa * (1 - miss)
-	}
-	return total
-}
-
-// certain computes the CERTAIN closure: the first world's answer filtered
-// to tuples some top-level relevant subtree always contributes (a tuple
-// in the certain-only answer is in every part, so the first relevant root
-// passes it). Order is the first world's deduplicated answer order, like
-// the flat path and the naive engine.
-func (p *conditionalParts) certain(ix *keySetIndex) (*relation.Relation, error) {
-	world0 := p.devs[0]
-	ub := newUnionBuilder(world0)
-	seen := make(map[int32]struct{}, world0.Len())
-	var buf []byte
-	var sel []int32
-	for r, n := 0, world0.Len(); r < n; r++ {
-		buf = world0.AppendKey(buf[:0], r)
-		id := ix.intern(buf)
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		for _, ri := range p.roots {
-			if p.always(ix, ri, id) {
-				sel = append(sel, int32(r))
-				break
-			}
-		}
-	}
-	ub.addSel(world0, sel)
-	return ub.finish(world0.Schema), nil
-}
-
-// conf computes the CONF closure: every possible tuple extended with
-// 1 − Π_roots (1 − p_root(t)), in the possible (first-appearance) order.
-func (p *conditionalParts) conf(ix *keySetIndex) (*relation.Relation, error) {
-	ub := newUnionBuilder(p.devs[0])
-	seen := make(map[int32]struct{}, len(ix.ids))
-	var buf []byte
-	var sel []int32
-	var confs []float64
-	for _, b := range p.devs {
-		if err := p.d.interrupted(); err != nil {
-			return nil, err
-		}
-		sel = sel[:0]
-		for r, n := 0, b.Len(); r < n; r++ {
-			buf = b.AppendKey(buf[:0], r)
-			id := ix.intern(buf)
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
-			miss := 1.0
-			for _, ri := range p.roots {
-				miss *= 1 - p.prob(ix, ri, id)
-			}
-			conf := 1 - miss
-			if conf > 1 {
-				conf = 1 // clamp float accumulation noise
-			}
-			sel = append(sel, int32(r))
-			confs = append(confs, conf)
-		}
-		ub.addSel(b, sel)
-	}
-	return ub.finishConf(p.devs[0].Schema.Concat(confSchema()), confs), nil
 }
 
 // condFor renders the activation condition of (component c, alternative

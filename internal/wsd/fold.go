@@ -1,0 +1,362 @@
+package wsd
+
+// The closure fold: POSSIBLE, CERTAIN and CONF from component independence,
+// in time linear in the representation — never in the worlds. Every route
+// that closes over per-(component, alternative) parts reaches this one type:
+// the flat componentwise route and the d-tree route hand it evaluated part
+// answers (componentwise.go, conditional.go); WSD.Possible, Certain,
+// ConfRelation and Conf hand it a stored relation's contribution batches.
+//
+// A fold is given the components (whole d-trees; a flat component is a tree
+// of one node), one batch per (component, alternative) and, for a stored
+// relation, the certain part. Per distinct tuple t it computes
+//
+//	p_c(t)      = Σ_a P(a) · (t ∈ part_c(a) ? 1 : 1 − Π_ch (1 − p_ch(t)))
+//	always_c(t) = ∀a: t ∈ part_c(a) ∨ ∃ch: always_ch(t)
+//
+// over the children ch conditioned on alternative a, bottom-up, and closes
+// over the independent roots: conf(t) = 1 − Π_root (1 − p_root(t)), and t is
+// certain iff some root always contributes it (an OR of independent events is
+// always true iff one of them is). A node only ever visits the tuples of its
+// own subtree, so the whole fold costs O(Σ part rows × tree depth): a
+// component that does not hold t would multiply by exactly 1 − 0 or add
+// exactly P(a)·0, and skipping it changes no bit. Sums run in alternative
+// order and products in component order, like the naive engine's.
+//
+// Which tuples are answered, and in which order, is the caller's emission
+// sequence: the fold emits each distinct tuple where the sequence first shows
+// it (the first world and the deviation parts or worlds on the SELECT routes,
+// the certain part then the contributions in component order for a stored
+// relation) and CERTAIN filters that sequence. Tuples are identified by
+// AppendKey arena keys — the byte space of tuple.Encode, whether a batch is
+// columnar or row-backed — interned once per distinct tuple; the output is
+// gathered column-wise, or by tuple reference when the evaluations ran the
+// row operators, and materializes rows once at the end.
+
+import (
+	"maybms/internal/colbatch"
+	"maybms/internal/relation"
+	"maybms/internal/schema"
+)
+
+// foldTuple is the fold's state for one distinct tuple: the verdict over the
+// roots folded so far, and the scratch of the node being weighed (valid while
+// its stamps equal the node's or alternative's tick).
+type foldTuple struct {
+	miss   float64 // Π over roots, in component order, of 1 − p_root(t)
+	last   float64 // p_root(t) of the last root holding t
+	always bool    // some root contributes t under every assignment
+
+	node, direct, via int32   // ticks: node weighing t / alternative holding t directly / through a child
+	n                 int32   // alternatives of the node under which its subtree always contributes t
+	viaAlways         bool    // some child of the alternative always contributes t
+	p, viaMiss        float64 // the node's p_c(t) so far / Π_ch (1 − p_ch(t)) of the alternative
+}
+
+// posting is one tuple of a weighed subtree.
+type posting struct {
+	id, n int32
+	p     float64
+}
+
+// span locates a weighed subtree's postings; alts is its root's alternative
+// count (n == alts means always).
+type span struct{ lo, hi, alts int }
+
+type closureFold struct {
+	d       *WSD
+	compIdx []int // indexes into d.comps: whole trees, ascending
+	// part returns the part of (compIdx[i], alternative a); nil holds nothing.
+	part func(i, a int) *colbatch.Batch
+	// certain holds tuples present in every world beside the parts: a stored
+	// relation's certain part. nil on the SELECT routes, whose certain-only
+	// answer rides in every part.
+	certain *colbatch.Batch
+	// only, when non-nil, is the one tuple key to weigh, as tuple 0 (the point
+	// Conf): every other row is compared and dropped, nothing is interned.
+	only []byte
+
+	ids    map[string]int32
+	tuples []foldTuple
+	// rows remembers the tuple ids of weighed part batches, so an emission
+	// sequence naming the same batches does not encode them again.
+	rows    map[*colbatch.Batch][]int32
+	kids    [][][]int // kids[i][a]: positions of the children of (compIdx[i], a); nil when flat
+	post    []posting
+	tick    int32
+	scratch []int32
+	buf     []byte
+}
+
+func (d *WSD) newClosureFold(compIdx []int, part func(i, a int) *colbatch.Batch, certain *colbatch.Batch, only []byte) *closureFold {
+	f := &closureFold{d: d, compIdx: compIdx, part: part, certain: certain, only: only,
+		ids: map[string]int32{}, rows: map[*colbatch.Batch][]int32{}}
+	if only != nil {
+		f.tuples = []foldTuple{{miss: 1}} // the one tuple, id 0
+	}
+	return f
+}
+
+// intern returns the dense id of the scratch-encoded key, materializing the
+// key string only on first sight.
+func (f *closureFold) intern(key []byte) int32 {
+	if id, ok := f.ids[string(key)]; ok {
+		return id
+	}
+	id := int32(len(f.ids))
+	f.ids[string(key)] = id
+	return id
+}
+
+// tuple returns tuple id's state. States exist from the first time a tuple is
+// weighed, so POSSIBLE — which weighs nothing — allocates none.
+func (f *closureFold) tuple(id int32) *foldTuple {
+	for int(id) >= len(f.tuples) {
+		f.tuples = append(f.tuples, foldTuple{miss: 1})
+	}
+	return &f.tuples[id]
+}
+
+// rowIDs returns the tuple id of every row of b; with remember set the ids
+// are kept for the emission to reuse, else they live until the next call.
+func (f *closureFold) rowIDs(b *colbatch.Batch, remember bool) []int32 {
+	if ids, ok := f.rows[b]; ok {
+		return ids
+	}
+	ids := f.scratch[:0]
+	if remember {
+		ids = make([]int32, 0, b.Len())
+	}
+	for r, n := 0, b.Len(); r < n; r++ {
+		f.buf = b.AppendKey(f.buf[:0], r)
+		ids = append(ids, f.intern(f.buf))
+	}
+	if remember {
+		f.rows[b] = ids
+	} else {
+		f.scratch = ids
+	}
+	return ids
+}
+
+// touch returns tuple id's state with the node scratch opened for the node
+// ticked stamp, listing the tuple among the node's postings on first touch.
+func (f *closureFold) touch(id, stamp int32) *foldTuple {
+	t := f.tuple(id)
+	if t.node != stamp {
+		t.node, t.p, t.n = stamp, 0, 0
+		f.post = append(f.post, posting{id: id})
+	}
+	return t
+}
+
+// hold records that the alternative ticked tok, of probability pa, holds
+// tuple id directly (once, however many of its rows repeat the tuple).
+func (f *closureFold) hold(id, stamp, tok int32, pa float64) {
+	if t := f.touch(id, stamp); t.direct != tok {
+		t.direct = tok
+		t.p += pa
+		t.n++
+	}
+}
+
+// weighNode appends the postings of the subtree rooted at position i — after
+// its children's — polling the Interrupt hook once per part.
+func (f *closureFold) weighNode(i int) (span, error) {
+	alts := f.d.comps[f.compIdx[i]].Alts
+	var kids [][]span
+	if f.kids != nil && f.kids[i] != nil {
+		kids = make([][]span, len(alts))
+		for a, chs := range f.kids[i] {
+			for _, ch := range chs {
+				sp, err := f.weighNode(ch)
+				if err != nil {
+					return span{}, err
+				}
+				kids[a] = append(kids[a], sp)
+			}
+		}
+	}
+	lo := len(f.post)
+	f.tick++
+	stamp := f.tick
+	var via []int32
+	for a := range alts {
+		if err := f.d.interrupted(); err != nil {
+			return span{}, err
+		}
+		f.tick++
+		tok, pa := f.tick, alts[a].Prob
+		switch b := f.part(i, a); {
+		case b == nil:
+		case f.only != nil:
+			for r, n := 0, b.Len(); r < n; r++ {
+				if f.buf = b.AppendKey(f.buf[:0], r); string(f.buf) == string(f.only) {
+					f.hold(0, stamp, tok, pa)
+				}
+			}
+		default:
+			for _, id := range f.rowIDs(b, true) {
+				f.hold(id, stamp, tok, pa)
+			}
+		}
+		if kids == nil {
+			continue
+		}
+		via = via[:0]
+		for _, sp := range kids[a] {
+			for _, e := range f.post[sp.lo:sp.hi] {
+				t := &f.tuples[e.id]
+				if t.direct == tok {
+					continue
+				}
+				if t.via != tok {
+					t.via, t.viaMiss, t.viaAlways = tok, 1, false
+					via = append(via, e.id)
+				}
+				t.viaMiss *= 1 - e.p
+				t.viaAlways = t.viaAlways || int(e.n) == sp.alts
+			}
+		}
+		for _, id := range via {
+			t := f.touch(id, stamp)
+			t.p += pa * (1 - t.viaMiss)
+			if t.viaAlways {
+				t.n++
+			}
+		}
+	}
+	for j := lo; j < len(f.post); j++ {
+		t := &f.tuples[f.post[j].id]
+		f.post[j].p, f.post[j].n = t.p, t.n
+	}
+	return span{lo: lo, hi: len(f.post), alts: len(alts)}, nil
+}
+
+// weigh folds every tree into the per-tuple verdicts, roots in component
+// order.
+func (f *closureFold) weigh() error {
+	d := f.d
+	if d.nested > 0 {
+		byID := d.compIndexByID()
+		pos := make(map[int]int, len(f.compIdx))
+		for i, ci := range f.compIdx {
+			pos[ci] = i
+		}
+		f.kids = make([][][]int, len(f.compIdx))
+		for i, ci := range f.compIdx {
+			if c := d.comps[ci]; c.Parent >= 0 {
+				pi := pos[byID[c.Parent]]
+				if f.kids[pi] == nil {
+					f.kids[pi] = make([][]int, len(d.comps[f.compIdx[pi]].Alts))
+				}
+				f.kids[pi][c.ParentAlt] = append(f.kids[pi][c.ParentAlt], i)
+			}
+		}
+	}
+	if f.certain != nil {
+		for _, id := range f.rowIDs(f.certain, true) {
+			t := f.tuple(id)
+			t.miss, t.last, t.always = 0, 1, true
+		}
+	}
+	for i, ci := range f.compIdx {
+		if d.nested > 0 && d.comps[ci].Parent >= 0 {
+			continue
+		}
+		sp, err := f.weighNode(i)
+		if err != nil {
+			return err
+		}
+		for _, e := range f.post[sp.lo:sp.hi] {
+			t := &f.tuples[e.id]
+			t.miss *= 1 - e.p
+			t.last = e.p
+			t.always = t.always || int(e.n) == sp.alts
+		}
+		f.post = f.post[:0]
+	}
+	return nil
+}
+
+// conf is the weighed tuple's confidence 1 − Π_root (1 − p_root(t)).
+func (f *closureFold) conf(t *foldTuple) float64 {
+	conf := 1 - t.miss
+	if len(f.compIdx) == 1 && f.certain == nil {
+		// Over a single component the confidence is the plain probability sum,
+		// accumulated in alternative order — bit-identical to the merge path
+		// and the naive engine (1 − (1 − p) would lose ulps).
+		conf = t.last
+	}
+	if conf > 1 {
+		conf = 1 // clamp float accumulation noise
+	}
+	return conf
+}
+
+// pointConf weighs the fold's one tuple (only) and returns its confidence, 0
+// when no part holds it.
+func (f *closureFold) pointConf() (float64, error) {
+	if err := f.weigh(); err != nil {
+		return 0, err
+	}
+	return f.conf(&f.tuples[0]), nil
+}
+
+// close answers closure cl under schema sch (CONF appends the conf column):
+// the distinct tuples of the emission sequence in first-appearance order —
+// all of them for POSSIBLE and CONF, the always-contributed ones for CERTAIN.
+// The Interrupt hook is polled once per emitted batch.
+func (f *closureFold) close(cl Closure, emit []*colbatch.Batch, sch *schema.Schema) (*relation.Relation, error) {
+	if cl != ClosurePossible {
+		if err := f.weigh(); err != nil {
+			return nil, err
+		}
+	}
+	// The output follows the first emitted batch: columnar answers gather
+	// column-wise, row-backed ones (evaluations that ran the row operators)
+	// append tuple references.
+	out := colbatch.New(sch)
+	if len(emit) > 0 && emit[0].RowBacked() {
+		out = colbatch.FromRowsShared(sch, nil)
+	}
+	emitted := make([]bool, len(f.ids))
+	var sel []int32
+	var confs []float64
+	for _, b := range emit {
+		if err := f.d.interrupted(); err != nil {
+			return nil, err
+		}
+		sel = sel[:0]
+		for r, id := range f.rowIDs(b, false) {
+			if int(id) == len(emitted) { // first seen by the emission: ids are dense
+				emitted = append(emitted, false)
+			}
+			if emitted[id] {
+				continue
+			}
+			emitted[id] = true
+			if cl == ClosureCertain && !f.tuple(id).always {
+				continue
+			}
+			sel = append(sel, int32(r))
+			if cl.IsConf() {
+				confs = append(confs, f.conf(f.tuple(id)))
+			}
+		}
+		if len(sel) == b.Len() {
+			out.AppendBatch(b) // sel is ascending by construction
+		} else {
+			out.AppendGather(b, sel)
+		}
+	}
+	if cl.IsConf() {
+		out = out.ExtendFloat(sch.Concat(confSchema()), confs)
+	}
+	return relation.FromBatch(out), nil
+}
+
+// partsOf adapts evaluated part answers to the fold's part lookup.
+func partsOf(parts [][]*colbatch.Batch) func(i, a int) *colbatch.Batch {
+	return func(i, a int) *colbatch.Batch { return parts[i][a] }
+}

@@ -1,0 +1,309 @@
+package wsd
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+	"time"
+
+	"maybms/internal/relation"
+	"maybms/internal/schema"
+	"maybms/internal/sqlparse"
+	"maybms/internal/tuple"
+)
+
+// foldFixtures are the decomposition shapes the closure fold is reached
+// with, each with the relations to close over: no component at all, one
+// flat component, several, a d-tree two levels deep under a choice, and an
+// unweighted decomposition.
+func foldFixtures(t *testing.T) []struct {
+	name string
+	d    *WSD
+	rels []string
+} {
+	t.Helper()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	keyed := func() *relation.Relation {
+		r := relation.New(schema.New("K", "V", "W"))
+		for _, tp := range [][]any{{0, 0, 1}, {0, 1, 3}, {1, 1, 1}, {1, 2, 1}, {1, 3, 2}, {2, 0, 1}} {
+			r.MustAppend(row(tp...))
+		}
+		return r
+	}
+
+	certainOnly := New(true)
+	must(certainOnly.PutCertain("R", keyed()))
+
+	one := New(true)
+	must(one.PutCertain("R", keyed()))
+	must(one.ChoiceOf("R", "P", []string{"K"}, "W"))
+
+	many := New(true)
+	must(many.PutCertain("R", keyed()))
+	must(many.RepairByKey("R", "I", []string{"K"}, "W"))
+
+	// P chooses a key group K, Q chooses a V among the chosen rows and L
+	// repairs what is left by V: children under P's alternatives,
+	// grandchildren under theirs, with a real choice at every level. (No V
+	// occurs under two Ks, so no two feeders share a repair key and nothing
+	// merges.)
+	nested := New(true)
+	nr := relation.New(schema.New("K", "V", "W"))
+	for _, tp := range [][]any{{0, 0, 1}, {0, 0, 2}, {0, 1, 1}, {1, 2, 1}, {1, 2, 3}, {1, 3, 2}} {
+		nr.MustAppend(row(tp...))
+	}
+	must(nested.PutCertain("R", nr))
+	must(nested.ChoiceOf("R", "P", []string{"K"}, ""))
+	must(nested.ChoiceOf("P", "Q", []string{"V"}, "W"))
+	must(nested.RepairByKey("Q", "L", []string{"V"}, "W"))
+	depth, byID := 0, nested.compIndexByID()
+	for _, c := range nested.comps {
+		n := 0
+		for ; c.Parent >= 0; c = nested.comps[byID[c.Parent]] {
+			n++
+		}
+		if n > depth {
+			depth = n
+		}
+	}
+	if nested.MergeCount() != 0 || depth != 2 {
+		t.Fatalf("nested fixture: merges=%d depth=%d, want a merge-free d-tree two levels deep", nested.MergeCount(), depth)
+	}
+
+	unweighted := New(false)
+	must(unweighted.PutCertain("R", keyed()))
+	must(unweighted.RepairByKey("R", "I", []string{"K"}, ""))
+
+	return []struct {
+		name string
+		d    *WSD
+		rels []string
+	}{
+		{"certain-only", certainOnly, []string{"R"}},
+		{"flat-1", one, []string{"P"}},
+		{"flat-many", many, []string{"I", "R"}},
+		{"nested", nested, []string{"P", "Q", "L"}},
+		{"unweighted", unweighted, []string{"I"}},
+	}
+}
+
+// TestClosureFoldAgreement: the stored-relation closures (Possible, Certain,
+// ConfRelation, Conf), the SELECT closures over `select * from rel` and the
+// naive engine over Expand all answer through (or, for the naive engine,
+// define) the same fold, so they must agree on every fixture shape: as sets,
+// confidences to 1e-9, Conf 0 for a tuple no world holds and 1 for one every
+// world holds, ErrNotWeighted kept on an unweighted decomposition.
+func TestClosureFoldAgreement(t *testing.T) {
+	t.Parallel()
+	for _, fx := range foldFixtures(t) {
+		for _, rel := range fx.rels {
+			fx, rel := fx, rel
+			t.Run(fx.name+"/"+rel, func(t *testing.T) {
+				d := fx.d
+				naive := expandSession(t, d)
+				closures := []struct {
+					sql   string
+					named func(string) (*relation.Relation, error)
+				}{
+					{"select possible * from " + rel, d.Possible},
+					{"select certain * from " + rel, d.Certain},
+					{"select *, conf from " + rel, d.ConfRelation},
+				}
+				var certain, conf *relation.Relation
+				for _, c := range closures {
+					stmt, err := sqlparse.Parse(c.sql)
+					if err != nil {
+						t.Fatal(err)
+					}
+					qcore, cl, err := StripClosure(stmt.(*sqlparse.SelectStmt))
+					if err != nil {
+						t.Fatal(err)
+					}
+					named, err := c.named(rel)
+					if cl.IsConf() && !d.Weighted {
+						if !errors.Is(err, ErrNotWeighted) {
+							t.Errorf("ConfRelation on an unweighted decomposition = %v, want ErrNotWeighted", err)
+						}
+						if _, err := d.SelectClosure(qcore, cl); !errors.Is(err, ErrConfUnweighted) {
+							t.Errorf("select conf on an unweighted decomposition = %v, want ErrConfUnweighted", err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("named %q: %v", c.sql, err)
+					}
+					selected, err := d.SelectClosure(qcore, cl)
+					if err != nil {
+						t.Fatalf("select %q: %v", c.sql, err)
+					}
+					want, err := naive.Exec(c.sql)
+					if err != nil {
+						t.Fatalf("naive %q: %v", c.sql, err)
+					}
+					w := strings.Join(sortedRows(want.Groups[0].Rel, cl.IsConf()), "\n")
+					if g := strings.Join(sortedRows(named, cl.IsConf()), "\n"); g != w {
+						t.Errorf("named closure for %q:\n%s\nnaive:\n%s", c.sql, g, w)
+					}
+					if g := strings.Join(sortedRows(selected, cl.IsConf()), "\n"); g != w {
+						t.Errorf("select closure for %q:\n%s\nnaive:\n%s", c.sql, g, w)
+					}
+					switch cl {
+					case ClosureCertain:
+						certain = named
+					case ClosureConf:
+						conf = named
+					}
+				}
+
+				absent := make(tuple.Tuple, len(certain.Schema.Names()))
+				for i := range absent {
+					absent[i] = row(-7)[0]
+				}
+				if !d.Weighted {
+					if _, err := d.Conf(rel, absent); !errors.Is(err, ErrNotWeighted) {
+						t.Errorf("Conf on an unweighted decomposition = %v, want ErrNotWeighted", err)
+					}
+					return
+				}
+				if c, err := d.Conf(rel, absent); err != nil || c != 0 {
+					t.Errorf("Conf of an absent tuple = %v, %v; want 0", c, err)
+				}
+				for _, tp := range certain.Rows() {
+					if c, err := d.Conf(rel, tp); err != nil || c != 1 {
+						t.Errorf("Conf of certain tuple %v = %v, %v; want 1", tp, c, err)
+					}
+				}
+				for _, tp := range conf.Rows() {
+					want := tp[len(tp)-1].AsFloat()
+					if c, err := d.Conf(rel, tp[:len(tp)-1]); err != nil || math.Abs(c-want) > 1e-9 {
+						t.Errorf("Conf(%v) = %v, %v; ConfRelation says %v", tp[:len(tp)-1], c, err, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestClosureFoldOrder pins the stored-relation closures' row order: the
+// certain part first, then the contributions in component order,
+// alternatives ascending, each tuple where it first appears — CERTAIN a
+// filter of that sequence.
+func TestClosureFoldOrder(t *testing.T) {
+	d := New(true)
+	r := relation.New(schema.New("K", "V", "W"))
+	for _, tp := range [][]any{{1, 5, 1}, {1, 6, 1}, {0, 7, 1}, {2, 8, 1}, {2, 9, 3}} {
+		r.MustAppend(row(tp...))
+	}
+	if err := d.PutCertain("R", r); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RepairByKey("R", "I", []string{"K"}, "W"); err != nil {
+		t.Fatal(err)
+	}
+	poss, err := d.Possible("I")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf, err := d.ConfRelation("I")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := d.Certain("I")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := func(rel *relation.Relation) string {
+		var out []string
+		for _, tp := range rel.Rows() {
+			out = append(out, fmt.Sprint(tp[1].AsInt()))
+		}
+		return strings.Join(out, " ")
+	}
+	// Key groups in first-appearance order: K=1 (5, 6), K=0 (7), K=2 (8, 9).
+	if got := vs(poss); got != "5 6 7 8 9" {
+		t.Errorf("Possible order = %s", got)
+	}
+	if got := vs(conf); got != "5 6 7 8 9" {
+		t.Errorf("ConfRelation order = %s", got)
+	}
+	if got := vs(cert); got != "7" {
+		t.Errorf("Certain = %s, want the singleton group's tuple", got)
+	}
+}
+
+// TestClosureFoldScalesLinearly: CONF and CERTAIN over 8× the components
+// must take about 8× the time. The bound is 16× — the per-tuple loop over
+// every (component, alternative) this fold replaced took ~60× — and a ratio,
+// so it holds on any box and under -race.
+func TestClosureFoldScalesLinearly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times 16 000-component closures")
+	}
+	build := func(n int) *WSD {
+		d := New(true)
+		r := relation.New(schema.New("K", "V", "W"))
+		for k := 0; k < n; k++ {
+			r.MustAppend(row(k, 0, 1))
+			r.MustAppend(row(k, 1, 3))
+		}
+		if err := d.PutCertain("Dirty", r); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.RepairByKey("Dirty", "Clean", []string{"K"}, "W"); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	small, large := build(2000), build(16000)
+	for _, q := range []struct {
+		sql  string
+		rows func(n int) int
+	}{
+		{"select *, conf from Clean", func(n int) int { return 2 * n }},
+		{"select certain * from Clean", func(int) int { return 0 }},
+	} {
+		stmt, err := sqlparse.Parse(q.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qcore, cl, err := StripClosure(stmt.(*sqlparse.SelectStmt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Mean time per run over equal total work (8 small runs for each large
+		// one), so both sides pay their share of garbage collection; the best
+		// of three rounds, so one preempted round does not fail the test.
+		mean := func(d *WSD, n, runs int) time.Duration {
+			start := time.Now()
+			for i := 0; i < runs; i++ {
+				rel, err := d.SelectClosure(qcore, cl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rel.Len() != q.rows(n) {
+					t.Fatalf("%q over %d components: %d rows", q.sql, n, rel.Len())
+				}
+			}
+			return time.Since(start) / time.Duration(runs)
+		}
+		var ts, tl time.Duration
+		for round := 0; round < 3; round++ {
+			s, l := mean(small, 2000, 8), mean(large, 16000, 1)
+			if round == 0 || float64(l)/float64(s) < float64(tl)/float64(ts) {
+				ts, tl = s, l
+			}
+		}
+		ratio := float64(tl) / float64(ts)
+		t.Logf("%q: 2000 components %v, 16000 components %v (×%.1f)", q.sql, ts, tl, ratio)
+		if ratio > 16 {
+			t.Errorf("%q: 16000 components took %v, 2000 took %v — ×%.1f for ×8 components, want ≤ ×16", q.sql, tl, ts, ratio)
+		}
+	}
+}

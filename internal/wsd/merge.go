@@ -125,7 +125,7 @@ func (d *WSD) errMergeTooBig(n int) error {
 // index is expanded to the full d-tree containing it, each multi-node
 // tree is flattened into one flat component (one alternative per valid
 // digit assignment, in expansion order), and only then does the flat
-// product run. Every merge-based route (Assert, Query, Materialize, DML
+// product run. Every merge-based route (Assert, queryFitting, materializeMerged, DML
 // rewrites over uncertain expressions, spanning world groups) is thereby
 // tree-correct without further changes.
 func (d *WSD) mergeComponents(idx []int) (*Component, error) {
@@ -455,29 +455,17 @@ func (d *WSD) Assert(touching []string, pred func(cat plan.Catalog) (bool, error
 	return nil
 }
 
-// Query merges the components contributing to the touching relations
-// (the same partial expansion as Assert and Materialize — it mutates the
-// representation but not the represented world-set) and evaluates query
-// once per alternative of the merged component, returning the
-// per-alternative answers and their probabilities. A query touching only
-// certain relations returns a single answer with probability 1. touching
-// must list every uncertain relation query reads; query runs concurrently
-// on the worker pool and must be safe for concurrent calls. The closures
-// of any plain-SQL answer follow by closing over the returned
-// (answers, probs) pairs — each alternative stands for a set of worlds
-// whose total probability is the alternative's, by component
-// independence.
-func (d *WSD) Query(touching []string, query func(cat plan.Catalog) (*relation.Relation, error)) ([]*relation.Relation, []float64, error) {
-	idx := d.involvedComponents(touching)
-	if _, fits := d.mergedAlternatives(idx); !fits {
-		return nil, nil, d.errMergeTooBig(len(idx))
-	}
-	return d.queryFitting(idx, query)
-}
-
-// queryFitting is Query over explicit component indexes (as produced by
-// involvedComponents or the planner's component analysis) whose merge
-// mergedAlternatives has accepted — see mergeFitting.
+// queryFitting merges the components at idx (the same partial expansion as
+// Assert and materializeMerged — it mutates the representation but not the
+// represented world-set) and evaluates query once per alternative of the
+// merged component, returning the per-alternative answers and their
+// probabilities; no component at all yields a single answer with probability
+// 1. query runs concurrently on the worker pool and must be safe for
+// concurrent calls. The closures of any plain-SQL answer follow by closing
+// over the returned (answers, probs) pairs — each alternative stands for a
+// set of worlds whose total probability is the alternative's, by component
+// independence. idx must be a merge mergedAlternatives has accepted — see
+// mergeFitting.
 func (d *WSD) queryFitting(idx []int, query func(cat plan.Catalog) (*relation.Relation, error)) ([]*relation.Relation, []float64, error) {
 	merged, err := d.mergeFitting(idx)
 	if err != nil {
@@ -503,17 +491,11 @@ func (d *WSD) queryFitting(idx []int, query func(cat plan.Catalog) (*relation.Re
 	return results, probs, nil
 }
 
-// Materialize evaluates query per world and stores its answer as relation
-// dst. touching must list every uncertain relation the query reads (query
-// runs once per alternative, concurrently, and must be safe for concurrent
-// calls). Only the involved components are merged and evaluated — one
-// evaluation per alternative of the merged component (or a single
-// evaluation when the query touches only certain relations).
-func (d *WSD) Materialize(dst string, touching []string, query func(cat plan.Catalog) (*relation.Relation, error)) error {
-	return d.materializeMerged(dst, d.involvedComponents(touching), query)
-}
-
-// materializeMerged is Materialize over explicit component indexes.
+// materializeMerged evaluates query per world and stores its answer as
+// relation dst. Only the components at idx are merged and evaluated — one
+// evaluation per alternative of the merged component (or a single evaluation
+// when idx is empty); query runs concurrently and must be safe for concurrent
+// calls.
 func (d *WSD) materializeMerged(dst string, idx []int, query func(cat plan.Catalog) (*relation.Relation, error)) error {
 	merged, err := d.mergeComponents(idx)
 	if err != nil {

@@ -111,14 +111,14 @@ func TestAssertPredicateErrorPropagates(t *testing.T) {
 func TestMaterializeErrors(t *testing.T) {
 	d := newFigure2WSD(t)
 	boom := errors.New("boom")
-	err := d.Materialize("X", []string{"I"}, func(plan.Catalog) (*relation.Relation, error) {
+	err := d.materializeMerged("X", d.involvedComponents([]string{"I"}), func(plan.Catalog) (*relation.Relation, error) {
 		return nil, boom
 	})
 	if !errors.Is(err, boom) {
 		t.Errorf("materialize error = %v", err)
 	}
 	// Name collision.
-	err = d.Materialize("I", []string{"I"}, func(cat plan.Catalog) (*relation.Relation, error) {
+	err = d.materializeMerged("I", d.involvedComponents([]string{"I"}), func(cat plan.Catalog) (*relation.Relation, error) {
 		return relation.New(schema.New("X")), nil
 	})
 	if !errors.Is(err, ErrExists) {
@@ -129,7 +129,7 @@ func TestMaterializeErrors(t *testing.T) {
 	if err := d2.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	err = d2.Materialize("R", []string{"R"}, func(cat plan.Catalog) (*relation.Relation, error) {
+	err = d2.materializeMerged("R", d2.involvedComponents([]string{"R"}), func(cat plan.Catalog) (*relation.Relation, error) {
 		return relation.New(schema.New("X")), nil
 	})
 	if !errors.Is(err, ErrExists) {
@@ -141,7 +141,7 @@ func TestMaterializeThenConfPipeline(t *testing.T) {
 	// End-to-end compact pipeline: repair → per-world SQL materialize →
 	// confidence of derived tuples, validated against hand computation.
 	d := newFigure2WSD(t)
-	err := d.Materialize("HighB", []string{"I"}, func(cat plan.Catalog) (*relation.Relation, error) {
+	err := d.materializeMerged("HighB", d.involvedComponents([]string{"I"}), func(cat plan.Catalog) (*relation.Relation, error) {
 		i, err := cat.Lookup("I")
 		if err != nil {
 			return nil, err

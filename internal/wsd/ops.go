@@ -3,7 +3,7 @@ package wsd
 import (
 	"fmt"
 
-	"maybms/internal/exec"
+	"maybms/internal/colbatch"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/tuple"
@@ -195,404 +195,97 @@ func positiveWeight(v value.Value) (float64, error) {
 	return w, nil
 }
 
-// contributions returns, per component, the probability that the component
-// contributes tuple t to relation name (sum of probabilities of the
-// alternatives containing it). Only components touching the relation
-// appear. In unweighted mode the map carries count/len(alts) so that 1.0
-// still means "in every alternative". Deliberately sequential: Conf is a
-// per-tuple API, and spawning the worker pool per tuple would cost more
-// than the scan; callers wanting parallelism should parallelize across
-// tuples (ConfRelation computes whole relations in one parallel pass).
-func (d *WSD) contributions(name string, t tuple.Tuple) map[int]float64 {
-	k := key(name)
-	tkey := t.Key()
-	out := map[int]float64{}
-	var buf []byte
-	for _, c := range d.comps {
-		p := 0.0
-		touches := false
-		for _, a := range c.Alts {
-			contrib, ok := a.Contrib[k]
-			if ok {
-				touches = true
-			}
-			for _, u := range contrib.Rows() {
-				// string(buf) in a comparison does not allocate.
-				buf = u.Encode(buf[:0])
-				if string(buf) == tkey {
-					if d.Weighted {
-						p += a.Prob
-					} else {
-						p += 1 / float64(len(c.Alts))
-					}
-					break
-				}
-			}
-		}
-		if touches && p > 0 {
-			out[c.ID] = p
-		}
-	}
-	return out
-}
-
-// childAltIndex returns, per parent component ID, the child component
-// indexes grouped by the conditioning alternative (ascending within each
-// group, since components are scanned in list order).
-func (d *WSD) childAltIndex() map[int]map[int][]int {
-	out := map[int]map[int][]int{}
-	for ci, c := range d.comps {
-		if c.Parent < 0 {
-			continue
-		}
-		m := out[c.Parent]
-		if m == nil {
-			m = map[int][]int{}
-			out[c.Parent] = m
-		}
-		m[c.ParentAlt] = append(m[c.ParentAlt], ci)
-	}
-	return out
-}
-
-// treeTupleProb returns the probability that the subtree rooted at
-// component index ci contributes the tuple (by encoded key tkey) to
-// relation k, given the root is active: per alternative a, the tuple is
-// present if contributed by a directly, else if some child conditioned on
-// a contributes it — children are independent given a, so the miss
-// probabilities multiply. Unweighted decompositions count alternatives
-// uniformly, preserving the "1.0 means always" reading.
-func (d *WSD) treeTupleProb(children map[int]map[int][]int, ci int, k, tkey string) float64 {
-	c := d.comps[ci]
-	p := 0.0
-	var buf []byte
-	for ai := range c.Alts {
-		a := &c.Alts[ai]
-		pa := 1 / float64(len(c.Alts))
-		if d.Weighted {
-			pa = a.Prob
-		}
-		in := false
-		for _, u := range a.contribRows(k) {
-			buf = u.Encode(buf[:0])
-			if string(buf) == tkey {
-				in = true
-				break
-			}
-		}
-		if in {
-			p += pa
-			continue
-		}
-		miss := 1.0
-		for _, chi := range children[c.ID][ai] {
-			miss *= 1 - d.treeTupleProb(children, chi, k, tkey)
-		}
-		p += pa * (1 - miss)
-	}
-	return p
-}
-
-// treeAlways reports whether the subtree rooted at component index ci
-// contributes the tuple in every assignment of the subtree (given the
-// root is active): every alternative either contributes it directly or
-// has a child, conditioned on it, that always does (an OR of independent
-// events is always-true iff one of them is — pick a missing assignment
-// per child otherwise).
-func (d *WSD) treeAlways(children map[int]map[int][]int, ci int, k, tkey string) bool {
-	c := d.comps[ci]
-	var buf []byte
-	for ai := range c.Alts {
-		in := false
-		for _, u := range c.Alts[ai].contribRows(k) {
-			buf = u.Encode(buf[:0])
-			if string(buf) == tkey {
-				in = true
-				break
-			}
-		}
-		if in {
-			continue
-		}
-		ok := false
-		for _, chi := range children[c.ID][ai] {
-			if d.treeAlways(children, chi, k, tkey) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// rootIndexes returns, per component index, the index of its tree's root
-// (itself for top-level components). Single pass: a parent always
-// precedes its children in the component list.
-func (d *WSD) rootIndexes() []int {
-	byID := d.compIndexByID()
-	rootOf := make([]int, len(d.comps))
-	for ci, c := range d.comps {
-		if c.Parent < 0 {
-			rootOf[ci] = ci
-		} else {
-			rootOf[ci] = rootOf[byID[c.Parent]]
-		}
-	}
-	return rootOf
-}
-
-// Conf returns the exact confidence of tuple t in relation name:
-// 1 for certain tuples, else 1 − Π_c (1 − p_c(t)) over the independent
-// top-level components, where p_c is the recursive subtree contribution
-// probability (a plain per-component alternative sum on a flat
-// decomposition). No world enumeration is performed. Weighted WSDs only.
-func (d *WSD) Conf(name string, t tuple.Tuple) (float64, error) {
-	if !d.Weighted {
-		return 0, ErrNotWeighted
-	}
+// relationFold prepares the closure fold (fold.go) over the stored relation
+// name — no plan, no evaluation: the components are the whole decomposition
+// and the parts their stored contribution batches. only, when non-nil,
+// restricts the fold to that one tuple key, and leaves the certain part to
+// the caller.
+func (d *WSD) relationFold(name string, only []byte) (*closureFold, error) {
 	k := key(name)
 	if _, ok := d.schemas[k]; !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknown, name)
+		return nil, fmt.Errorf("%w: %s", ErrUnknown, name)
 	}
-	if cert, ok := d.certain[k]; ok && cert.Contains(t) {
-		return 1, nil
+	all := make([]int, len(d.comps))
+	for ci := range all {
+		all[ci] = ci
 	}
-	if d.nested > 0 {
-		children := d.childAltIndex()
-		tkey := t.Key()
-		miss := 1.0
-		for ci, c := range d.comps {
-			if c.Parent >= 0 {
-				continue
-			}
-			miss *= 1 - d.treeTupleProb(children, ci, k, tkey)
+	part := func(i, a int) *colbatch.Batch {
+		if contrib := d.comps[i].Alts[a].Contrib[k]; contrib != nil {
+			return contrib.BatchView()
 		}
-		return 1 - miss, nil
+		return nil
 	}
-	miss := 1.0
-	for _, p := range d.contributions(name, t) {
-		miss *= 1 - p
+	var certain *colbatch.Batch
+	if cert := d.certain[k]; only == nil && cert.Len() > 0 {
+		certain = cert.BatchView()
 	}
-	return 1 - miss, nil
+	return d.newClosureFold(all, part, certain, only), nil
 }
 
-// Possible returns the set of tuples appearing in relation name in at
-// least one world: the certain tuples plus every contributed tuple.
+// closeRelation answers closure cl over the stored relation name, emitting
+// its certain part, then the contributions in component order, alternatives
+// ascending.
+func (d *WSD) closeRelation(name string, cl Closure) (*relation.Relation, error) {
+	f, err := d.relationFold(name, nil)
+	if err != nil {
+		return nil, err
+	}
+	var emit []*colbatch.Batch
+	if f.certain != nil {
+		emit = append(emit, f.certain)
+	}
+	for i, c := range d.comps {
+		for a := range c.Alts {
+			if b := f.part(i, a); b != nil {
+				emit = append(emit, b)
+			}
+		}
+	}
+	return f.close(cl, emit, d.schemas[key(name)])
+}
+
+// Possible returns the set of tuples appearing in relation name in at least
+// one world: the certain tuples, then every contributed tuple in component
+// order (alternatives ascending), each where it first appears. One pass over
+// the stored rows — no plan, no evaluation, no enumeration.
 func (d *WSD) Possible(name string) (*relation.Relation, error) {
-	k := key(name)
-	sch, ok := d.schemas[k]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknown, name)
-	}
-	out := relation.New(sch)
-	if cert, ok := d.certain[k]; ok {
-		out.AppendRows(cert.Rows())
-	}
-	perComp, _ := exec.Map(d.Workers, len(d.comps), func(ci int) ([]tuple.Tuple, error) {
-		var ts []tuple.Tuple
-		for _, a := range d.comps[ci].Alts {
-			ts = append(ts, a.contribRows(k)...)
-		}
-		return ts, nil
-	})
-	for _, ts := range perComp {
-		out.AppendRows(ts)
-	}
-	return out.Distinct(), nil
+	return d.closeRelation(name, ClosurePossible)
 }
 
-// Certain returns the tuples of relation name present in every world: the
-// certain part plus tuples contributed by every alternative of some
-// component (by independence, that is the exact criterion). Single pass
-// over the representation — no enumeration.
+// Certain returns the tuples of relation name present in every world, in
+// Possible's order: the certain part plus the tuples some top-level component
+// contributes under every assignment of its d-tree — on a flat decomposition,
+// under every alternative (by independence, the exact criterion). Linear in
+// the stored rows × tree depth.
 func (d *WSD) Certain(name string) (*relation.Relation, error) {
-	k := key(name)
-	sch, ok := d.schemas[k]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknown, name)
-	}
-	out := relation.New(sch)
-	if cert, ok := d.certain[k]; ok {
-		out.AppendRows(cert.Rows())
-	}
-	if d.nested > 0 {
-		// Tree fold: a tuple is certain iff some top-level component's
-		// subtree contributes it in every assignment (independence makes
-		// that the exact criterion, as in the flat per-component count).
-		children := d.childAltIndex()
-		rootOf := d.rootIndexes()
-		for ri, rc := range d.comps {
-			if rc.Parent >= 0 {
-				continue
-			}
-			seen := map[string]bool{}
-			for ci, c := range d.comps {
-				if rootOf[ci] != ri {
-					continue
-				}
-				for _, a := range c.Alts {
-					for _, t := range a.contribRows(k) {
-						tk := t.Key()
-						if seen[tk] {
-							continue
-						}
-						seen[tk] = true
-						if d.treeAlways(children, ri, k, tk) {
-							out.AppendRow(t)
-						}
-					}
-				}
-			}
-		}
-		return out.Distinct(), nil
-	}
-	perComp, _ := exec.Map(d.Workers, len(d.comps), func(ci int) ([]tuple.Tuple, error) {
-		c := d.comps[ci]
-		// Count, per tuple, the alternatives containing it; a tuple
-		// contributed by all of them is certain.
-		counts := map[string]int{}
-		rep := map[string]tuple.Tuple{}
-		var buf []byte
-		for _, a := range c.Alts {
-			seen := map[string]bool{}
-			for _, t := range a.contribRows(k) {
-				buf = t.Encode(buf[:0])
-				if seen[string(buf)] {
-					continue
-				}
-				tk := string(buf)
-				seen[tk] = true
-				counts[tk]++
-				rep[tk] = t
-			}
-		}
-		var ts []tuple.Tuple
-		for tk, n := range counts {
-			if n == len(c.Alts) {
-				ts = append(ts, rep[tk])
-			}
-		}
-		return ts, nil
-	})
-	for _, ts := range perComp {
-		out.AppendRows(ts)
-	}
-	return out.Distinct(), nil
+	return d.closeRelation(name, ClosureCertain)
 }
 
-// ConfRelation returns every possible tuple of relation name extended with
-// its exact confidence, mirroring the engine's `select *, conf from name`.
-// It runs in one pass over the representation: per component the
-// contribution probability of each tuple is accumulated, then the
-// independence product 1 − Π(1 − p_c) is taken per tuple.
+// ConfRelation returns every possible tuple of relation name, in Possible's
+// order, extended with its exact confidence 1 − Π_c (1 − p_c(t)) over the
+// independent top-level components — mirroring `select *, conf from name` at
+// the cost of one pass over the stored rows × tree depth. Weighted WSDs only.
 func (d *WSD) ConfRelation(name string) (*relation.Relation, error) {
 	if !d.Weighted {
 		return nil, ErrNotWeighted
 	}
-	k := key(name)
-	sch, ok := d.schemas[k]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknown, name)
+	return d.closeRelation(name, ClosureConf)
+}
+
+// Conf returns the exact confidence of tuple t in relation name — 1 for a
+// certain tuple, 0 for an impossible one — by the same fold restricted to t's
+// key: a compare-only scan of the stored contributions, nothing interned. No
+// world enumeration is performed. Weighted WSDs only.
+func (d *WSD) Conf(name string, t tuple.Tuple) (float64, error) {
+	if !d.Weighted {
+		return 0, ErrNotWeighted
 	}
-	certKeys := map[string]bool{}
-	var order []string
-	rep := map[string]tuple.Tuple{}
-	miss := map[string]float64{} // tupleKey → Π(1 − p_c)
-	if cert, ok := d.certain[k]; ok {
-		for _, t := range cert.Distinct().Rows() {
-			tk := t.Key()
-			certKeys[tk] = true
-			rep[tk] = t
-			order = append(order, tk)
-		}
+	if cert, ok := d.certain[key(name)]; ok && cert.Contains(t) {
+		return 1, nil
 	}
-	if d.nested > 0 {
-		// Tree fold: the same first-appearance scan over the component
-		// list for ordering, with each tuple's confidence folded over the
-		// independent top-level subtrees.
-		children := d.childAltIndex()
-		for _, c := range d.comps {
-			for _, a := range c.Alts {
-				for _, t := range a.contribRows(k) {
-					tk := t.Key()
-					if _, known := rep[tk]; !known {
-						rep[tk] = t
-						order = append(order, tk)
-					}
-				}
-			}
-		}
-		out := relation.New(sch.Concat(confSchema()))
-		for _, tk := range order {
-			conf := 1.0
-			if !certKeys[tk] {
-				missP := 1.0
-				for ci, c := range d.comps {
-					if c.Parent >= 0 {
-						continue
-					}
-					missP *= 1 - d.treeTupleProb(children, ci, k, tk)
-				}
-				conf = 1 - missP
-			}
-			out.AppendRow(append(rep[tk].Clone(), value.Float(conf)))
-		}
-		return out, nil
+	f, err := d.relationFold(name, t.Encode(nil))
+	if err != nil {
+		return 0, err
 	}
-	// Per-component contribution probabilities are independent; compute
-	// them on the worker pool and fold the independence product
-	// sequentially in component order (the same multiplication order as
-	// the sequential pass).
-	type compConf struct {
-		order []string
-		rep   map[string]tuple.Tuple
-		probs map[string]float64
-	}
-	perComp, _ := exec.Map(d.Workers, len(d.comps), func(ci int) (*compConf, error) {
-		cc := &compConf{rep: map[string]tuple.Tuple{}, probs: map[string]float64{}}
-		var buf []byte
-		for _, a := range d.comps[ci].Alts {
-			seen := map[string]bool{}
-			for _, t := range a.contribRows(k) {
-				buf = t.Encode(buf[:0])
-				if seen[string(buf)] {
-					continue
-				}
-				tk := string(buf)
-				seen[tk] = true
-				cc.probs[tk] += a.Prob
-				if _, known := cc.rep[tk]; !known {
-					cc.rep[tk] = t
-					cc.order = append(cc.order, tk)
-				}
-			}
-		}
-		return cc, nil
-	})
-	for _, cc := range perComp {
-		for _, tk := range cc.order {
-			if _, known := rep[tk]; !known {
-				rep[tk] = cc.rep[tk]
-				order = append(order, tk)
-				miss[tk] = 1
-			}
-		}
-		for tk, p := range cc.probs {
-			if !certKeys[tk] {
-				miss[tk] *= 1 - p
-			}
-		}
-	}
-	out := relation.New(sch.Concat(confSchema()))
-	for _, tk := range order {
-		conf := 1.0
-		if !certKeys[tk] {
-			conf = 1 - miss[tk]
-		}
-		out.AppendRow(append(rep[tk].Clone(), value.Float(conf)))
-	}
-	return out, nil
+	return f.pointConf()
 }

@@ -109,7 +109,7 @@ func TestWorkersSettingsAgree(t *testing.T) {
 		// Materialize (per-alternative query evaluations in parallel).
 		mat := func(d *WSD) *relation.Relation {
 			t.Helper()
-			err := d.Materialize("M", touching, func(cat plan.Catalog) (*relation.Relation, error) {
+			err := d.materializeMerged("M", d.involvedComponents(touching), func(cat plan.Catalog) (*relation.Relation, error) {
 				return cat.Lookup("I")
 			})
 			if err != nil {

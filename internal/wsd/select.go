@@ -223,11 +223,9 @@ func (d *WSD) prepared(sel *sqlparse.SelectStmt) (*plan.Prepared, evaluator, err
 // shared plan cache — keyed like SELECT templates, under a distinct prefix
 // — and is bound per alternative of the merged involved components, with
 // the Interrupt hook threaded into its subquery evaluations. The uncertain
-// relations the condition reads are derived from the condition itself;
-// touching may list extras (a superset is harmless) and may be nil.
-func (d *WSD) AssertStmt(e sqlparse.Expr, touching []string) error {
-	touching = append(append([]string(nil), touching...),
-		sqlparse.ReferencedTables(&sqlparse.SelectStmt{Where: e, Limit: -1})...)
+// relations the condition reads are derived from the condition itself.
+func (d *WSD) AssertStmt(e sqlparse.Expr) error {
+	touching := sqlparse.ReferencedTables(&sqlparse.SelectStmt{Where: e, Limit: -1})
 	compileCat := d.schemaCatalog()
 	pp, err := sharedTemplate(d,
 		fmt.Sprintf("ca\x00%s\x00%x", e.String(), d.SchemaFingerprint()),
@@ -351,9 +349,9 @@ func (d *WSD) runSingle(comps []int, ev evaluator, cl Closure) (*relation.Relati
 }
 
 // runComponentwise is the merge-free path: closures from per-alternative
-// part evaluations over flat components. A single component is handled by
-// the same code — there the merge path would not have merged either, but the
-// parts path also skips the (noop) restructuring.
+// part evaluations over flat components, folded in fold.go. A single
+// component is handled by the same code — there the merge path would not have
+// merged either, but the parts path also skips the (noop) restructuring.
 func (d *WSD) runComponentwise(comps []int, ev evaluator, cl Closure) (*relation.Relation, error) {
 	sp := d.Trace.Begin("componentwise")
 	sp.Set("components", len(comps))
@@ -365,11 +363,12 @@ func (d *WSD) runComponentwise(comps []int, ev evaluator, cl Closure) (*relation
 	d.componentwise.Add(1)
 	csp := d.Trace.Begin("closure")
 	defer csp.End(d.Trace)
-	return parts.close(cl)
+	return d.newClosureFold(comps, partsOf(parts.parts), nil, nil).close(cl, parts.emission(), parts.world0.Schema)
 }
 
 // runConditionalFold closes over tree-involved components (conditional.go):
-// the same Σ-sizes shape as runComponentwise with activity-aware weighting.
+// the same Σ-sizes shape and the same fold as runComponentwise, emitting the
+// deviation worlds.
 func (d *WSD) runConditionalFold(comps []int, nested int, ev evaluator, cl Closure) (*relation.Relation, error) {
 	sp := d.Trace.Begin("conditional")
 	sp.Set("components", len(comps))
@@ -382,17 +381,7 @@ func (d *WSD) runConditionalFold(comps []int, nested int, ev evaluator, cl Closu
 	d.conditional.Add(1)
 	csp := d.Trace.Begin("closure")
 	defer csp.End(d.Trace)
-	if cl == ClosurePossible {
-		return cp.possible()
-	}
-	ix, err := cp.keySets()
-	if err != nil {
-		return nil, err
-	}
-	if cl == ClosureCertain {
-		return cp.certain(ix)
-	}
-	return cp.conf(ix)
+	return d.newClosureFold(cp.relevant, partsOf(cp.parts), nil, nil).close(cl, cp.devs, cp.devs[0].Schema)
 }
 
 // runConditionalRelation answers a plain SELECT over a concat-structured

@@ -499,7 +499,7 @@ func TestConditionalShapesEquivalenceFuzz(t *testing.T) {
 		}
 		cta := parsed.(*sqlparse.CreateTableAs)
 		_, nerr := s.Exec(assertSQL)
-		cerr := d.AssertStmt(cta.Query.Assert, nil)
+		cerr := d.AssertStmt(cta.Query.Assert)
 		if cerr == nil {
 			qc := *cta.Query
 			qc.Assert = nil

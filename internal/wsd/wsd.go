@@ -32,7 +32,8 @@
 //
 //	P(t ∈ R) = 1 − Π_c (1 − p_c(t))
 //
-// Query execution is decomposition-aware (select.go, componentwise.go):
+// Query execution is decomposition-aware (select.go, componentwise.go,
+// fold.go):
 // every SELECT compiles once (through the process-wide shared plan cache)
 // and the planner annotates the compiled tree with the components it
 // touches. Queries whose plan distributes over the certain ∪
@@ -67,11 +68,14 @@
 // value. No field, option or switch overrides it; the naive per-world engine
 // over Expand is the reference the routes are validated against.
 //
-// The componentwise path is batch-native past the Collect seam
-// (batchclosure.go): per-alternative evaluations return colbatch batches,
-// the closure builders union/dedup/merge on arena-encoded batch keys
-// (byte-identical to tuple.Encode) and output rows materialize once at the
-// very end; the merge and per-world paths keep the classic row currency.
+// POSSIBLE, CERTAIN and CONF over per-(component, alternative) parts are one
+// fold (fold.go), linear in the part rows, shared by the componentwise route,
+// the d-tree route and the stored-relation closures (Possible, Certain,
+// ConfRelation, Conf). It is batch-native past the Collect seam:
+// per-alternative evaluations return colbatch batches, the fold and the
+// group-worlds frontier dedup on arena-encoded batch keys (byte-identical to
+// tuple.Encode) and output rows materialize once at the very end; the merge
+// and per-world paths keep the classic row currency.
 // Which operator set an evaluation runs is internal/algebra's one rule —
 // trees scanning fewer than 32 rows, trees with no batch mirror and bare
 // scans run the row operators; everything else runs batches; nothing sets

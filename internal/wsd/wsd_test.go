@@ -376,7 +376,7 @@ func TestMaterializeOverCertain(t *testing.T) {
 	if err := d.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	err := d.Materialize("R2", []string{"R"}, func(cat plan.Catalog) (*relation.Relation, error) {
+	err := d.materializeMerged("R2", d.involvedComponents([]string{"R"}), func(cat plan.Catalog) (*relation.Relation, error) {
 		return cat.Lookup("R")
 	})
 	if err != nil {
@@ -390,7 +390,7 @@ func TestMaterializeOverCertain(t *testing.T) {
 func TestMaterializePerWorld(t *testing.T) {
 	d := newFigure2WSD(t)
 	// Materialize D := σ_{A='a3'}(I) per world (Example 2.2 shape).
-	err := d.Materialize("D", []string{"I"}, func(cat plan.Catalog) (*relation.Relation, error) {
+	err := d.materializeMerged("D", d.involvedComponents([]string{"I"}), func(cat plan.Catalog) (*relation.Relation, error) {
 		i, err := cat.Lookup("I")
 		if err != nil {
 			return nil, err

@@ -150,14 +150,14 @@ func TestCompactAssertAndMaterialize(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Example 2.5 on the compact backend.
-	if err := cdb.Assert("not exists (select * from I where C = 'c1')", "I"); err != nil {
+	if err := cdb.Assert("not exists (select * from I where C = 'c1')"); err != nil {
 		t.Fatal(err)
 	}
 	if cdb.WorldCount().Cmp(big.NewInt(2)) != 0 {
 		t.Fatalf("worlds after assert = %s", cdb.WorldCount())
 	}
 	// Materialize a selection per world (Example 2.2 shape).
-	if err := cdb.MaterializeQuery("D2", "select * from I where A = 'a3'", "I"); err != nil {
+	if err := cdb.MaterializeQuery("D2", "select * from I where A = 'a3'"); err != nil {
 		t.Fatal(err)
 	}
 	cert, err := cdb.Certain("D2")
@@ -187,7 +187,7 @@ func TestCompactErrors(t *testing.T) {
 	if err := cdb.MaterializeQuery("X", "select possible a from R"); err == nil {
 		t.Error("I-SQL must be rejected")
 	}
-	if err := cdb.Assert("not valid sql ((", "R"); err == nil {
+	if err := cdb.Assert("not valid sql (("); err == nil {
 		t.Error("bad condition must be rejected")
 	}
 	if _, err := cdb.Conf("I", struct{}{}); err == nil {

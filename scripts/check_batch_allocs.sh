@@ -13,7 +13,8 @@
 # The closure-path gate does the same for the batch-native closure pipeline
 # past the Collect seam (internal/wsd): the BatchClosure* benchmarks close
 # POSSIBLE/CONF/GROUP WORLDS over 8 alternatives x 2048 tuples, steady state
-# ~2.5-3k allocs/op (one interned key string per distinct answer tuple plus
+# ~2.5-3k allocs/op (one interned key string per distinct answer tuple, one
+# id slice per part — internal/wsd/fold.go keeps no per-part set — plus
 # columnar assembly); an accidental per-(tuple,part) allocation (16384
 # rows/op) blows well past the ~2x ceilings.
 #
@@ -34,7 +35,7 @@
 # decomposition representing 2^18 worlds (18 repair components, one
 # conditional child under every alternative): the conditional relation
 # (cond column) and the tree-fold CONF closure must stay linear in the
-# representation — steady state ~1.4k / ~2.9k allocs/op — so anything
+# representation — steady state ~1.5k / ~2.8k allocs/op — so anything
 # scaling with the world count (or even quadratic in the components)
 # trips the ~2x ceilings immediately.
 set -euo pipefail
@@ -70,10 +71,10 @@ check BenchmarkImportCertain 1500000
 check BenchmarkImportRepairKey 3500000
 check BenchmarkImportChoice 1700000
 check BenchmarkBatchClosurePossible 5000
-check BenchmarkBatchClosureConf 5500
+check BenchmarkBatchClosureConf 5000
 check BenchmarkBatchClosureGroupWorlds 6000
 check 'BenchmarkConditionalSelect/nested/groups=18/worlds=2\^18' 3000
-check 'BenchmarkConditionalConf/nested/groups=18/worlds=2\^18' 6000
+check 'BenchmarkConditionalConf/nested/groups=18/worlds=2\^18' 5700
 
 if [ "$fail" -ne 0 ]; then
     echo "check_batch_allocs: vectorized path regressed (or benchmarks renamed)" >&2
