@@ -15,7 +15,10 @@ package maybms
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
+
+	"maybms/internal/relation"
 )
 
 const figure1SQL = `
@@ -1009,5 +1012,88 @@ func BenchmarkNaiveRepairUncertain(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// ---- reads over an imported relation: mostly certain, a little dirt ----
+
+// importedDB bulk-loads rows rows of (K, A, Cat, W) with alts alternatives of
+// dirt between them — alts/6 NULL categories (a choice among the four) and the
+// rest as two-row key conflicts, the mix of bench/'s ingest.dml — beside a
+// 200-row certain table L. Everything else in B is the certain part the
+// paper's decompositions factor the uncertainty out of.
+func importedDB(b *testing.B, rows, alts int) *CompactDB {
+	b.Helper()
+	nulls := alts / 6
+	conflicts := (alts - 4*nulls) / 2
+	var csv strings.Builder
+	csv.WriteString("K,A,Cat,W\n")
+	every := rows / (nulls + conflicts)
+	for i, k := 0, 0; i < rows; i++ {
+		dirt, at := i/every, i%every
+		if at != every/2 || dirt >= conflicts {
+			k++ // else: repeat the key of the row before
+		}
+		cat := fmt.Sprint(i % 4)
+		if at == every-1 && dirt < nulls {
+			cat = ""
+		}
+		fmt.Fprintf(&csv, "%d,%d,%s,%d\n", k, (i*7919)%1000, cat, 1+i%5)
+	}
+	p, err := relation.LoadCSV(strings.NewReader(csv.String()),
+		relation.ImportOptions{NullsChoice: true, RepairKey: []string{"K"}, Weight: "W"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cdb := OpenCompact()
+	if err := cdb.w.Import("B", p); err != nil {
+		b.Fatal(err)
+	}
+	if got := cdb.AlternativeCount(); got != alts {
+		b.Fatalf("%d alternatives, want %d", got, alts)
+	}
+	side := make([][]any, 200)
+	for i := range side {
+		side[i] = []any{i * (rows / 200), (i * 37) % 1000}
+	}
+	if err := cdb.Register("L", []string{"K", "A"}, side); err != nil {
+		b.Fatal(err)
+	}
+	return cdb
+}
+
+// BenchmarkImportedRead: closures over a bulk-imported relation. The certain
+// part is evaluated once per statement and every alternative as a delta
+// (internal/wsd/componentwise.go), so a read costs O(rows + alts) — ×16 the
+// alternatives must not cost ×16 the time.
+func BenchmarkImportedRead(b *testing.B) {
+	queries := []struct{ name, sql string }{
+		{"conf", `select K, conf from B where K >= %d and K < %d and A > 250`},
+		{"possible", `select possible Cat from B where K >= %d and K < %d`},
+		{"join", `select possible B.Cat from B, L where B.K = L.K and B.K >= %d and B.K < %d and L.A > 500`},
+	}
+	for _, q := range queries {
+		for _, rows := range []int{10000, 40000} {
+			for _, alts := range []int{24, 400} {
+				b.Run(fmt.Sprintf("%s/rows=%d/alts=%d", q.name, rows, alts), func(b *testing.B) {
+					cdb := importedDB(b, rows, alts)
+					query := fmt.Sprintf(q.sql, rows/4, rows/4+200)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						rel, err := cdb.Select(query)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if rel.Empty() {
+							b.Fatal("empty answer")
+						}
+					}
+					b.StopTimer()
+					if cdb.MergeCount() != 0 {
+						b.Fatal("imported read merged")
+					}
+				})
+			}
+		}
 	}
 }

@@ -433,7 +433,13 @@ func (j *HashJoin) Close() error {
 // Distinct drops duplicate tuples, streaming, preserving first occurrences.
 type Distinct struct {
 	Child Operator
-	seen  map[string]struct{}
+	// Except, when set, yields on Open the keys (tuple.Encode) of tuples to
+	// drop as if an earlier input had shown them: the set is shared and
+	// read-only. The planner's delta binding subtracts a certain answer
+	// computed once this way (plan.Deltas).
+	Except func(outer *expr.Context) (map[string]struct{}, error)
+	except map[string]struct{}
+	seen   map[string]struct{}
 }
 
 // Schema implements Operator.
@@ -442,6 +448,12 @@ func (d *Distinct) Schema() *schema.Schema { return d.Child.Schema() }
 // Open implements Operator.
 func (d *Distinct) Open(outer *expr.Context) error {
 	d.seen = make(map[string]struct{})
+	if d.Except != nil {
+		var err error
+		if d.except, err = d.Except(outer); err != nil {
+			return err
+		}
+	}
 	return d.Child.Open(outer)
 }
 
@@ -454,6 +466,9 @@ func (d *Distinct) Next() (tuple.Tuple, bool, error) {
 		}
 		k := t.Key()
 		if _, dup := d.seen[k]; dup {
+			continue
+		}
+		if _, dup := d.except[k]; dup {
 			continue
 		}
 		d.seen[k] = struct{}{}

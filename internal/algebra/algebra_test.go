@@ -201,6 +201,47 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
+// TestDistinctExcept: tuples in the Except key set are dropped as if already
+// seen, on the row operators and their batch mirror alike, and a failing
+// loader fails Open.
+func TestDistinctExcept(t *testing.T) {
+	r := rel([]string{"A"}, []any{1}, []any{2}, []any{1}, []any{3}, []any{2}, []any{4})
+	except := map[string]struct{}{
+		tuple.Tuple{value.Int(2)}.Key(): {},
+		tuple.Tuple{value.Int(9)}.Key(): {},
+	}
+	loads := 0
+	op := func() Operator {
+		return &Distinct{Child: NewScan(r), Except: func(*expr.Context) (map[string]struct{}, error) {
+			loads++
+			return except, nil
+		}}
+	}
+	rows, err := collectRowPath(op())
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches, _, err := collectBatchPath(op())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rel([]string{"A"}, []any{1}, []any{3}, []any{4})
+	if rows.String() != want.String() || batches.String() != want.String() {
+		t.Errorf("distinct except {2, 9}: rows\n%sbatches\n%swant\n%s", rows, batches, want)
+	}
+	if loads != 2 {
+		t.Errorf("Except loaded %d times over two drains", loads)
+	}
+	boom := errors.New("boom")
+	failing := &Distinct{Child: NewScan(r), Except: func(*expr.Context) (map[string]struct{}, error) { return nil, boom }}
+	if _, err := collectRowPath(failing); !errors.Is(err, boom) {
+		t.Errorf("row path: %v, want the loader's error", err)
+	}
+	if _, _, err := collectBatchPath(failing); !errors.Is(err, boom) {
+		t.Errorf("batch path: %v, want the loader's error", err)
+	}
+}
+
 func TestUnion(t *testing.T) {
 	a := rel([]string{"A"}, []any{1}, []any{2})
 	b := rel([]string{"A"}, []any{2}, []any{3})

@@ -59,7 +59,7 @@ const batchSize = 1024
 // batch operator state costs more than the per-tuple savings on relations
 // this small (per-world evaluation over figure-sized examples sits well
 // under it, bulk per-alternative work well over it).
-const batchFloor = 32
+const batchFloor = colbatch.Floor
 
 // ClearsBatchFloor reports whether a tree scanning rows rows is large enough
 // for the batch operators. Catalog builders (wsd's componentwise path)
@@ -178,7 +178,7 @@ func vectorize(op Operator) (BatchOperator, bool) {
 		if c == nil {
 			return nil, false
 		}
-		return &batchDistinct{child: c}, true
+		return &batchDistinct{child: c, loadExcept: n.Except}, true
 	case *Union:
 		l, lben := vectorize(n.Left)
 		if l == nil {
@@ -857,16 +857,24 @@ func (j *batchHashJoin) Close() error {
 // shared byte arena (one key-string allocation per distinct row, none per
 // duplicate).
 type batchDistinct struct {
-	child BatchOperator
-	seen  map[string]struct{}
-	sel   []int32
-	key   []byte
+	child      BatchOperator
+	loadExcept func(outer *expr.Context) (map[string]struct{}, error) // Distinct.Except
+	except     map[string]struct{}
+	seen       map[string]struct{}
+	sel        []int32
+	key        []byte
 }
 
 func (d *batchDistinct) Schema() *schema.Schema { return d.child.Schema() }
 
 func (d *batchDistinct) Open(outer *expr.Context) error {
 	d.seen = make(map[string]struct{})
+	if d.loadExcept != nil {
+		var err error
+		if d.except, err = d.loadExcept(outer); err != nil {
+			return err
+		}
+	}
 	return d.child.Open(outer)
 }
 
@@ -881,6 +889,9 @@ func (d *batchDistinct) NextBatch() (*colbatch.Batch, error) {
 		for i := 0; i < n; i++ {
 			d.key = b.AppendKey(d.key[:0], i)
 			if _, dup := d.seen[string(d.key)]; dup {
+				continue
+			}
+			if _, dup := d.except[string(d.key)]; dup {
 				continue
 			}
 			d.seen[string(d.key)] = struct{}{}

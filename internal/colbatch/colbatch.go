@@ -37,6 +37,14 @@ import (
 	"maybms/internal/value"
 )
 
+// Floor is the row count below which a columnar batch does not pay for
+// itself: its fixed cost (headers, one small slice per column, batch operator
+// state) outweighs what column-at-a-time work saves on so few rows. The two
+// places that decide "columns or rows" by size read this one number —
+// algebra.Vectorize before building a batch pipeline, relation.WithSchema
+// views before keeping a shared columnar mirror.
+const Floor = 32
+
 // Col is one typed column of a batch. Exactly one representation is active:
 //
 //   - Any != nil: the generic fallback — every cell is stored as a value,

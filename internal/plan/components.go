@@ -22,21 +22,42 @@ package plan
 //
 // The decomposition identity that the analysis certifies is
 //
-//	Q(world(a1,…,ak)) = Q(cert) ∪ Q_c1(a1) ∪ … ∪ Q_ck(ak)
+//	Q(world(a1,…,ak)) = Q(cert) ∪ ΔQ(c1, a1) ∪ … ∪ ΔQ(ck, ak)
 //
-// as sets, where Q evaluated against a catalog exposing the certain
-// database plus a single component's alternative yields exactly
-// Q(cert) ∪ Q_ci(ai). Operators that preserve the identity:
+// as sets, where Q(cert) is the query over the certain database and
+// ΔQ(c, a) — the delta — the tuples alternative a of component c adds to
+// it. Both are instances of the one template: Bind and Deltas.Bind (below)
+// bind each subtree against a PartsCatalog in one of three modes,
 //
-//   - Scan: the relation itself is certain ∪ contributions.
+//   - cert: a table scan yields the certain part;
+//   - delta: the selected alternative's contribution;
+//   - full: both, the table's instance under the selection,
+//
+// so a statement over a large certain part and a little uncertainty costs
+// O(|cert| + Σ|contributions|), not Σ alternatives × |cert|. The operators
+// that preserve the identity, with their delta rules:
+//
+//   - Scan: the relation itself is certain ∪ contributions; its delta is
+//     the contribution. A subtree touching no component has an empty delta
+//     (and is itself in the other two modes).
 //   - Filter / Project whose expressions contain no subqueries over
-//     uncertain relations: tuple-at-a-time, distribute over union.
+//     uncertain relations: tuple-at-a-time, distribute over union — the mode
+//     passes down, and the world-independent subqueries bind full.
 //   - CrossJoin / HashJoin where at most one side touches components, or
 //     both sides touch the same single component: the cross terms between
-//     distinct components never arise.
-//   - Union: concatenation distributes.
-//   - Distinct / Sort: identity on sets (closures are set-level; the
-//     emission order is reconstructed separately, see internal/wsd).
+//     distinct components never arise. Δ(L ⋈ R) = (cert L ⋈ ΔR) ++
+//     (ΔL ⋈ full R), either term vanishing with its delta — so a join
+//     against a certain table is ΔL ⋈ R (R ⋈ ΔR on the other side). With both
+//     terms the rows come in the full join's order only when L's certain rows
+//     precede its new ones (ComponentAnalysis.Ordered).
+//   - Union: concatenation distributes, Δ(L ∪ R) = ΔL ++ ΔR.
+//   - Distinct / Sort: identity on sets, the mode passes down (closures are
+//     set-level; the emission order is reconstructed separately, see
+//     internal/wsd). A Distinct's delta also drops the tuples its input holds
+//     over the certain database — new in no world — so Distinct(cert) ++
+//     Δ Distinct is the full Distinct row for row; that key set is the one
+//     thing a delta reads of the certain part, and a statement evaluates it
+//     once for all its deltas (Deltas).
 //
 // Operators that break it whenever their input touches ≥ 1 component:
 // Aggregate and Limit (whole-input functions), joins correlating ≥ 2
@@ -50,9 +71,12 @@ package plan
 
 import (
 	"fmt"
+	"sync"
 
 	"maybms/internal/algebra"
+	"maybms/internal/colbatch"
 	"maybms/internal/expr"
+	"maybms/internal/relation"
 )
 
 // ComponentCatalog maps a base-table name to the IDs of the decomposition
@@ -84,6 +108,14 @@ type ComponentAnalysis struct {
 	// storing the certain part once plus one contribution per alternative —
 	// with per-world tuple order identical to the merge path.
 	Concat bool
+	// Ordered reports that each delta lists its tuples in the order the full
+	// evaluation over the same selection meets them, so the tuples a world adds
+	// to Q(cert) can be emitted from its delta. Every rule keeps that order but
+	// the join of two sides over one component whose left side is not itself
+	// certain-part-first (a third self-join, `S, T a, T b`): the full join
+	// walks a left input that interleaves old and new rows, the rule's two
+	// terms come one after the other.
+	Ordered bool
 }
 
 // compSet is a small sorted set of component IDs.
@@ -139,6 +171,9 @@ type nodeInfo struct {
 	comps  compSet
 	decomp bool // monotone-decomposable
 	concat bool // additionally concat-structured (see ComponentAnalysis)
+	// ordered: the subtree's delta is a subsequence of its full evaluation
+	// (see ComponentAnalysis); meaningful while decomp holds.
+	ordered bool
 }
 
 // AnalyzeComponents annotates op (a compiled template tree, as produced by
@@ -154,6 +189,7 @@ func AnalyzeComponents(op algebra.Operator, cc ComponentCatalog) (*ComponentAnal
 		Comps:        append([]int(nil), info.comps...),
 		Decomposable: info.decomp,
 		Concat:       info.decomp && info.concat,
+		Ordered:      info.decomp && info.ordered,
 	}, nil
 }
 
@@ -165,10 +201,10 @@ func (p *Prepared) Analyze(cc ComponentCatalog) (*ComponentAnalysis, error) {
 func analyzeOp(op algebra.Operator, cc ComponentCatalog) (nodeInfo, error) {
 	switch n := op.(type) {
 	case *tableScan:
-		return nodeInfo{comps: newCompSet(cc.Components(n.table)), decomp: true, concat: true}, nil
+		return nodeInfo{comps: newCompSet(cc.Components(n.table)), decomp: true, concat: true, ordered: true}, nil
 	case *algebra.Scan:
 		// Literal relation (the dual for an empty FROM): world-independent.
-		return nodeInfo{decomp: true, concat: true}, nil
+		return nodeInfo{decomp: true, concat: true, ordered: true}, nil
 	case *inputScan:
 		// Split intermediates never occur in compact plans; be conservative.
 		return nodeInfo{}, fmt.Errorf("%w: split intermediate in component analysis", ErrPlan)
@@ -202,7 +238,8 @@ func analyzeOp(op algebra.Operator, cc ComponentCatalog) (nodeInfo, error) {
 			decomp: l.decomp && r.decomp,
 			// The left arm's rows precede the right arm's, so contributions
 			// only trail the certain prefix when the left arm is certain.
-			concat: l.concat && r.concat && len(l.comps) == 0,
+			concat:  l.concat && r.concat && len(l.comps) == 0,
+			ordered: l.ordered && r.ordered,
 		}, nil
 	case *algebra.Distinct:
 		child, err := analyzeOp(n.Child, cc)
@@ -245,13 +282,15 @@ func analyzeOp(op algebra.Operator, cc ComponentCatalog) (nodeInfo, error) {
 		comps := child.comps.union(ec)
 		// A whole-input function of its input: world-independent only over a
 		// certain subtree.
-		return nodeInfo{comps: comps, decomp: len(comps) == 0, concat: len(comps) == 0}, nil
+		certain := len(comps) == 0
+		return nodeInfo{comps: comps, decomp: certain, concat: certain, ordered: certain}, nil
 	case *algebra.Limit:
 		child, err := analyzeOp(n.Child, cc)
 		if err != nil {
 			return nodeInfo{}, err
 		}
-		return nodeInfo{comps: child.comps, decomp: len(child.comps) == 0, concat: len(child.comps) == 0}, nil
+		certain := len(child.comps) == 0
+		return nodeInfo{comps: child.comps, decomp: certain, concat: certain, ordered: certain}, nil
 	default:
 		return nodeInfo{}, fmt.Errorf("%w: unsupported operator %T in component analysis", ErrPlan, op)
 	}
@@ -296,6 +335,9 @@ func analyzeJoin(left, right algebra.Operator, cc ComponentCatalog) (nodeInfo, e
 		// the full right side, so contributions trail the certain prefix
 		// only when the right side is certain.
 		concat: l.concat && r.concat && !correlates && len(r.comps) == 0,
+		// With new rows on both sides the delta's two terms are in the full
+		// join's order only over a left side whose certain rows come first.
+		ordered: l.ordered && r.ordered && (len(l.comps) == 0 || len(r.comps) == 0 || l.concat),
 	}, nil
 }
 
@@ -373,4 +415,181 @@ func exprComps(cc ComponentCatalog, exprs ...expr.Expr) (compSet, error) {
 		}
 	}
 	return out, nil
+}
+
+// PartsCatalog is the catalog of one part evaluation. Lookup yields each
+// table's instance under the selected alternatives — the certain part
+// followed by their contributions, the full bind mode; Certain and Delta
+// yield the two halves on their own, the cert and delta modes. Certain is the
+// same whatever the selection.
+type PartsCatalog interface {
+	Catalog
+	// Certain returns the table's certain part alone.
+	Certain(table string) (*relation.Relation, error)
+	// Delta returns what the selected alternatives contribute to the table
+	// (nil or empty when nothing).
+	Delta(table string) (*relation.Relation, error)
+}
+
+// Deltas binds the deltas of one statement over one state of the data. What
+// every delta of the statement shares — the certain answer a Distinct
+// subtracts — is evaluated by the first evaluation to need it and kept here,
+// so it costs the statement once, not once per alternative. Safe for
+// concurrent use.
+type Deltas struct {
+	p    *Prepared
+	mu   sync.Mutex
+	cert map[*algebra.Distinct]*certKeys // by the template's Distinct nodes
+}
+
+// Deltas returns the delta binder of one statement over the template, which
+// must be Decomposable over the components of the catalogs it will bind.
+func (p *Prepared) Deltas() *Deltas {
+	return &Deltas{p: p, cert: map[*algebra.Distinct]*certKeys{}}
+}
+
+// certKeys is the tuple key set (tuple.Encode) of one Distinct's input over
+// the certain database, evaluated on first use.
+type certKeys struct {
+	once sync.Once
+	keys map[string]struct{}
+	err  error
+}
+
+// Bind instantiates ΔQ against cat: the tuples the selected alternatives add
+// to Q(cert), by the rules in the file header. A delta that is empty whatever
+// the data (no scanned table has a contribution under the selection) binds to
+// a scan of no rows and reads nothing.
+func (ds *Deltas) Bind(cat PartsCatalog) (algebra.Operator, error) {
+	b := &deltaBinding{
+		ds:   ds,
+		cat:  cat,
+		full: binding{cat: cat},
+		cert: binding{cat: CatalogFunc(cat.Certain)},
+	}
+	op, err := b.delta(ds.p.op)
+	if err != nil || op != nil {
+		return op, err
+	}
+	return algebra.NewScan(relation.New(ds.p.op.Schema())), nil
+}
+
+// deltaBinding is one Bind of a Deltas: the part catalog and the two plain
+// bindings over it that the delta rules mix in.
+type deltaBinding struct {
+	ds         *Deltas
+	cat        PartsCatalog
+	full, cert binding
+}
+
+// delta binds the subtree op in delta mode; a nil operator is the empty delta.
+func (b *deltaBinding) delta(op algebra.Operator) (algebra.Operator, error) {
+	switch n := op.(type) {
+	case *tableScan:
+		rel, err := b.cat.Delta(n.table)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrRebind, err)
+		}
+		if rel.Len() == 0 {
+			return nil, nil
+		}
+		return n.bind(rel)
+	case *algebra.Scan:
+		return nil, nil // a literal relation is world-independent
+	}
+	if l, r, ok := joined(op); ok {
+		dl, err := b.delta(l)
+		if err != nil {
+			return nil, err
+		}
+		dr, err := b.delta(r)
+		if err != nil {
+			return nil, err
+		}
+		if _, isUnion := op.(*algebra.Union); isUnion {
+			switch {
+			case dl == nil:
+				return dr, nil
+			case dr == nil:
+				return dl, nil
+			}
+			return &algebra.Union{Left: dl, Right: dr}, nil
+		}
+		// Δ(L ⋈ R) = (cert L ⋈ ΔR) ++ (ΔL ⋈ full R): what the new right rows
+		// add to the certain left rows, then everything the new left rows
+		// join — the order a left-driven join meets them in when L's certain
+		// rows all precede its new ones (else see ComponentAnalysis.Ordered).
+		var out algebra.Operator
+		if dr != nil {
+			cl, err := rebindOp(l, &b.cert)
+			if err != nil {
+				return nil, err
+			}
+			out = rejoin(op, cl, dr)
+		}
+		if dl != nil {
+			fr, err := rebindOp(r, &b.full)
+			if err != nil {
+				return nil, err
+			}
+			if j := rejoin(op, dl, fr); out == nil {
+				out = j
+			} else {
+				out = &algebra.Union{Left: out, Right: j}
+			}
+		}
+		return out, nil
+	}
+	c, ok := childOf(op)
+	if !ok {
+		return nil, fmt.Errorf("%w: unsupported operator %T", ErrRebind, op)
+	}
+	child, err := b.delta(c)
+	if err != nil || child == nil {
+		return nil, err
+	}
+	switch n := op.(type) {
+	case *algebra.Aggregate, *algebra.Limit:
+		// Whole-input functions decompose only over a world-independent
+		// child, whose delta is empty.
+		return nil, fmt.Errorf("%w: %T over a component has no delta", ErrPlan, op)
+	case *algebra.Distinct:
+		// A new row repeating a tuple of the certain input adds nothing.
+		return &algebra.Distinct{Child: child, Except: b.certKeysOf(n)}, nil
+	}
+	// Filter, Project and Sort pass the mode down; subqueries in their
+	// expressions are world-independent and bind full.
+	return rewrap(op, child, &b.full)
+}
+
+// certKeysOf returns the loader of the statement's one key set of n's input
+// over the certain database: the evaluation that opens a delta of n first
+// binds that input in cert mode and runs it, under its own context.
+func (b *deltaBinding) certKeysOf(n *algebra.Distinct) func(*expr.Context) (map[string]struct{}, error) {
+	b.ds.mu.Lock()
+	ck := b.ds.cert[n]
+	if ck == nil {
+		ck = &certKeys{}
+		b.ds.cert[n] = ck
+	}
+	b.ds.mu.Unlock()
+	return func(outer *expr.Context) (map[string]struct{}, error) {
+		ck.once.Do(func() {
+			var op algebra.Operator
+			if op, ck.err = rebindOp(n.Child, &b.cert); ck.err != nil {
+				return
+			}
+			var rows *colbatch.Batch
+			if rows, ck.err = algebra.CollectBatch(op, outer); ck.err != nil {
+				return
+			}
+			ck.keys = make(map[string]struct{}, rows.Len())
+			var key []byte
+			for i := 0; i < rows.Len(); i++ {
+				key = rows.AppendKey(key[:0], i)
+				ck.keys[string(key)] = struct{}{}
+			}
+		})
+		return ck.keys, ck.err
+	}
 }

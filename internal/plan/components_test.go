@@ -1,11 +1,20 @@
 package plan
 
 import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"maybms/internal/algebra"
+	"maybms/internal/colbatch"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
+	"maybms/internal/tuple"
+	"maybms/internal/value"
 )
 
 // analysisFixture compiles stmt against a catalog of three tables — I fed
@@ -46,37 +55,48 @@ func TestComponentAnalysis(t *testing.T) {
 		comps        []int
 		decomposable bool
 		concat       bool
+		ordered      bool
 	}{
 		// Scans, filters, projections distribute.
-		{"select A from I", []int{0, 1}, true, true},
-		{"select A from I where B = 1", []int{0, 1}, true, true},
+		{"select A from I", []int{0, 1}, true, true, true},
+		{"select A from I where B = 1", []int{0, 1}, true, true, true},
 		// DISTINCT dedupes across components per world, which factored
-		// storage cannot express: concat only survives one component.
-		{"select distinct A from I", []int{0, 1}, true, false},
-		{"select distinct A from J", []int{2}, true, true},
-		{"select A from S", nil, true, true},
+		// storage cannot express: concat only survives one component —
+		// wherever the DISTINCT sits, its delta subtracts the certain input.
+		{"select distinct A from I", []int{0, 1}, true, false, true},
+		{"select distinct A from J", []int{2}, true, true, true},
+		{"select A from S union all select distinct A from J", []int{2}, true, true, true},
+		{"select A from S union select distinct A from J", []int{2}, true, true, true},
+		{"select distinct A from S union all select A from J", []int{2}, true, true, true},
+		{"select A from S", nil, true, true, true},
 		// Joins against certain relations: fine; the uncertain side must
 		// drive (be leftmost) for the concat (materialization) property.
-		{"select I.A, S.B from I, S where I.A = S.A", []int{0, 1}, true, true},
-		{"select S.B, I.A from S, I where S.A = I.A", []int{0, 1}, true, false},
+		{"select I.A, S.B from I, S where I.A = S.A", []int{0, 1}, true, true, true},
+		{"select S.B, I.A from S, I where S.A = I.A", []int{0, 1}, true, false, true},
+		// A self-join within one component decomposes; its delta keeps the
+		// join's order while the left input lists its certain rows first.
+		{"select a.A from J a, J b", []int{2}, true, false, true},
+		{"select a.A from J a, S, J b", []int{2}, true, false, true},
+		{"select a.A from J a, J b, J c", []int{2}, true, false, false},
+		{"select a.A from S, J a, J b", []int{2}, true, false, false},
 		// Unions distribute; concat needs the certain arm first.
-		{"select A from I union select A from S", []int{0, 1}, true, false},
-		{"select A from S union all select A from I", []int{0, 1}, true, true},
+		{"select A from I union select A from S", []int{0, 1}, true, false, true},
+		{"select A from S union all select A from I", []int{0, 1}, true, true, true},
 		// Sort is set-safe but reorders certain rows into the middle.
-		{"select A from I order by A", []int{0, 1}, true, false},
+		{"select A from I order by A", []int{0, 1}, true, false, true},
 		// Aggregates and LIMIT are whole-input functions.
-		{"select sum(A) from I", []int{0, 1}, false, false},
-		{"select sum(A) from S", nil, true, true},
-		{"select A from I limit 2", []int{0, 1}, false, false},
+		{"select sum(A) from I", []int{0, 1}, false, false, false},
+		{"select sum(A) from S", nil, true, true, true},
+		{"select A from I limit 2", []int{0, 1}, false, false, false},
 		// Cross-component joins correlate.
-		{"select I.A from I, J", []int{0, 1, 2}, false, false},
+		{"select I.A from I, J", []int{0, 1, 2}, false, false, false},
 		// Predicate subqueries over uncertain relations couple rows to
 		// components; over certain relations they are harmless.
-		{"select A from I where exists (select * from J where J.A = I.A)", []int{0, 1, 2}, false, false},
-		{"select A from I where B > (select max(B) from S)", []int{0, 1}, true, true},
-		{"select A from S where exists (select * from I)", []int{0, 1}, false, false},
+		{"select A from I where exists (select * from J where J.A = I.A)", []int{0, 1, 2}, false, false, false},
+		{"select A from I where B > (select max(B) from S)", []int{0, 1}, true, true, true},
+		{"select A from S where exists (select * from I)", []int{0, 1}, false, false, false},
 		// Aggregate over certain data inside a decomposable query.
-		{"select A from I where B >= (select min(B) from S)", []int{0, 1}, true, true},
+		{"select A from I where B >= (select min(B) from S)", []int{0, 1}, true, true, true},
 	}
 	for _, c := range cases {
 		an := analysisFixture(t, c.sql)
@@ -95,6 +115,9 @@ func TestComponentAnalysis(t *testing.T) {
 		if an.Concat != c.concat {
 			t.Errorf("%q concat = %v, want %v", c.sql, an.Concat, c.concat)
 		}
+		if an.Ordered != c.ordered {
+			t.Errorf("%q ordered = %v, want %v", c.sql, an.Ordered, c.ordered)
+		}
 	}
 }
 
@@ -108,5 +131,257 @@ func TestComponentSetOps(t *testing.T) {
 	}
 	if got := a.union(nil); len(got) != 2 {
 		t.Errorf("union nil = %v", got)
+	}
+}
+
+// splitCatalog is a PartsCatalog over fixed certain parts and contributions.
+type splitCatalog struct {
+	cert, delta map[string]*relation.Relation
+}
+
+func (c splitCatalog) Certain(name string) (*relation.Relation, error) {
+	return mapCatalog(c.cert).Lookup(name)
+}
+
+func (c splitCatalog) Delta(name string) (*relation.Relation, error) { return c.delta[name], nil }
+
+func (c splitCatalog) Lookup(name string) (*relation.Relation, error) {
+	cert, err := c.Certain(name)
+	if err != nil {
+		return nil, err
+	}
+	full := cert.Clone()
+	full.AppendRows(c.delta[name].Rows())
+	return full, nil
+}
+
+// newTuples lists the tuples of rows that base does not hold, each where rows
+// shows it first: what a closure emits of a world's answer after Q(cert).
+func newTuples(base, rows *relation.Relation) string {
+	seen := map[string]bool{}
+	for _, t := range base.Rows() {
+		seen[t.Key()] = true
+	}
+	var out strings.Builder
+	for _, t := range rows.Rows() {
+		if k := t.Key(); !seen[k] {
+			seen[k] = true
+			out.WriteString(t.String() + "\n")
+		}
+	}
+	return out.String()
+}
+
+// TestBindDelta checks the delta rules operator by operator on one selected
+// contribution: base ++ ΔQ must equal Q over the full instances row for row
+// where the plan is concat-structured, as a bag wherever nothing dedups, and
+// as a set everywhere; where the analysis says Ordered, ΔQ must show the new
+// tuples in the full answer's order.
+func TestBindDelta(t *testing.T) {
+	cat := splitCatalog{
+		cert: map[string]*relation.Relation{
+			"U": rel(t, []string{"a", "b"}, []int64{1, 10}, []int64{2, 20}),
+			"V": rel(t, []string{"a", "b"}, []int64{1, 11}),
+			"S": rel(t, []string{"a", "c"}, []int64{1, 100}, []int64{3, 300}, []int64{3, 301}),
+			"E": rel(t, []string{"a", "b"}),
+		},
+		delta: map[string]*relation.Relation{
+			"U": rel(t, []string{"a", "b"}, []int64{3, 30}, []int64{1, 10}),
+			"V": rel(t, []string{"a", "b"}, []int64{3, 31}),
+			"E": rel(t, []string{"a", "b"}, []int64{7, 70}),
+		},
+	}
+	cc := ComponentCatalogFunc(func(table string) []int {
+		if cat.delta[table] != nil {
+			return []int{0}
+		}
+		return nil
+	})
+	for _, sql := range []string{
+		`select a, b from U`,
+		`select b from U where a >= 2`,
+		`select U.b, S.c from U, S where U.a = S.a`,
+		`select S.c, U.b from S, U where S.a = U.a`,
+		`select U.b, V.b from U, V where U.a = V.a`,
+		`select u1.b, u2.b from U u1, U u2 where u1.a = u2.a`,
+		`select a from S union all select a from U`,
+		`select a from U union all select a from S`,
+		`select a from U union select a from V`,
+		`select distinct a from U`,
+		`select a from S union all select distinct a from U`,
+		`select distinct a from S union all select distinct b from U`,
+		`select a, b from U order by b desc`,
+		`select u1.b, u2.b, u3.b from U u1, U u2, U u3`,
+		`select S.c, u1.b, u2.b from S, U u1, U u2`,
+		`select u1.b, S.c, u2.b from U u1, S, U u2`,
+		`select b from U where exists (select * from S where S.a = U.a)`,
+		`select b from U where a > (select min(a) from S)`,
+		`select a, b from E`,
+		`select E.b, S.c from E, S`,
+		`select c from S`,
+	} {
+		prep, err := Prepare(mustParseSelect(t, sql), cat)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		an, err := prep.Analyze(cc)
+		if err != nil || !an.Decomposable {
+			t.Fatalf("%q: analysis %+v, %v", sql, an, err)
+		}
+		eval := func(op algebra.Operator, err error) *relation.Relation {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%q: %v", sql, err)
+			}
+			out, err := algebra.Collect(op, nil)
+			if err != nil {
+				t.Fatalf("%q: %v", sql, err)
+			}
+			return out
+		}
+		full := eval(prep.Bind(cat))
+		base := eval(prep.Bind(CatalogFunc(cat.Certain)))
+		delta := eval(prep.Deltas().Bind(cat))
+		sum := base.Clone()
+		sum.AppendRows(delta.Rows())
+		if !sum.EqualSet(full) {
+			t.Errorf("%q: base ∪ Δ differs from the full answer\nbase:\n%sΔ:\n%sfull:\n%s", sql, base, delta, full)
+		}
+		if dedups := strings.Contains(sql, "distinct") || strings.Contains(sql, "union select"); !dedups && sum.Sort().String() != full.Sort().String() {
+			t.Errorf("%q: base ++ Δ differs from the full answer as a bag\nbase:\n%sΔ:\n%sfull:\n%s", sql, base, delta, full)
+		}
+		if an.Concat && sum.String() != full.String() {
+			t.Errorf("%q: base ++ Δ differs from the full answer\nbase:\n%sΔ:\n%sfull:\n%s", sql, base, delta, full)
+		}
+		if got, want := newTuples(base, delta), newTuples(base, full); an.Ordered && got != want {
+			t.Errorf("%q: Δ shows the new tuples in another order than the full answer\nΔ:\n%sfull:\n%s", sql, got, want)
+		}
+		if threeWay := strings.Count(sql, " U u") == 3 || strings.Contains(sql, "from S, U u1, U u2"); an.Ordered == threeWay {
+			t.Errorf("%q: ordered = %v", sql, an.Ordered)
+		}
+		if len(an.Comps) == 0 && delta.Len() != 0 {
+			t.Errorf("%q: a world-independent query has a delta:\n%s", sql, delta)
+		}
+	}
+
+	// Whole-input operators over a component have no delta.
+	prep, err := Prepare(mustParseSelect(t, `select sum(b) from U`), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prep.Deltas().Bind(cat); !errors.Is(err, ErrPlan) {
+		t.Errorf("delta of an aggregate over a component: %v, want ErrPlan", err)
+	}
+}
+
+// TestDeltasShareCertainKeys: the deltas of one statement subtract a
+// DISTINCT's certain input through one evaluation of it, however many are
+// bound and drained, concurrently included; another statement's Deltas
+// evaluates its own.
+func TestDeltasShareCertainKeys(t *testing.T) {
+	var certReads atomic.Int64
+	cert := rel(t, []string{"a", "b"}, []int64{1, 10}, []int64{2, 20})
+	catFor := func(delta *relation.Relation) PartsCatalog {
+		return countingCertain{
+			splitCatalog{cert: map[string]*relation.Relation{"U": cert}, delta: map[string]*relation.Relation{"U": delta}},
+			&certReads,
+		}
+	}
+	cats := []PartsCatalog{
+		catFor(rel(t, []string{"a", "b"}, []int64{1, 11}, []int64{3, 30})),
+		catFor(rel(t, []string{"a", "b"}, []int64{2, 21})),
+		catFor(rel(t, []string{"a", "b"}, []int64{4, 40}, []int64{4, 41})),
+	}
+	prep, err := Prepare(mustParseSelect(t, `select distinct a from U`), cats[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round, want := range []int64{1, 2} {
+		ds := prep.Deltas()
+		got := make([]string, len(cats))
+		var wg sync.WaitGroup
+		for i, cat := range cats {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				op, err := ds.Bind(cat)
+				if err != nil {
+					got[i] = err.Error()
+					return
+				}
+				out, err := algebra.Collect(op, nil)
+				if err != nil {
+					got[i] = err.Error()
+					return
+				}
+				var as []int64
+				for _, row := range out.Rows() {
+					as = append(as, row[0].AsInt())
+				}
+				got[i] = fmt.Sprint(as)
+			}()
+		}
+		wg.Wait()
+		for i, want := range []string{"[3]", "[]", "[4]"} {
+			if got[i] != want {
+				t.Errorf("round %d: delta %d = %s, want %s", round, i, got[i], want)
+			}
+		}
+		if n := certReads.Load(); n != want {
+			t.Errorf("round %d: the certain part was read %d times, want %d", round, n, want)
+		}
+	}
+}
+
+// countingCertain counts the Certain lookups of a splitCatalog.
+type countingCertain struct {
+	splitCatalog
+	reads *atomic.Int64
+}
+
+func (c countingCertain) Certain(name string) (*relation.Relation, error) {
+	c.reads.Add(1)
+	return c.splitCatalog.Certain(name)
+}
+
+// TestBindSharesColumnarMirror: every bind wraps the catalog's relation in a
+// fresh WithSchema view; for a row-backed relation the views must share one
+// columnarization — through the stored relation — and an Append after the
+// first must still be seen.
+func TestBindSharesColumnarMirror(t *testing.T) {
+	rows := make([][]int64, 64)
+	for i := range rows {
+		rows[i] = []int64{int64(i)}
+	}
+	stored := rel(t, []string{"a"}, rows...)
+	cat := mapCatalog{"R": stored}
+	prep, err := Prepare(mustParseSelect(t, `select a from R r1`), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanned := func() *colbatch.Batch {
+		t.Helper()
+		op, err := prep.Bind(cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return op.(*algebra.Project).Child.(*algebra.Scan).Rel.Batch()
+	}
+	b1, b2 := scanned(), scanned()
+	if b1.Col(0) != b2.Col(0) {
+		t.Error("two binds columnarized the stored relation twice")
+	}
+	if b1.Col(0) != stored.Batch().Col(0) {
+		t.Error("the binds' mirror is not the stored relation's")
+	}
+	if q := b1.Schema.At(0).Qualifier; q != "r1" {
+		t.Errorf("bound batch schema qualifier %q, want r1", q)
+	}
+	stored.MustAppend(tuple.Tuple{value.Int(64)})
+	if b3 := scanned(); b3.Len() != 65 || b3.At(64, 0).AsInt() != 64 {
+		t.Errorf("bind after Append scans %d rows, want 65 ending in 64", b3.Len())
+	}
+	if b1.Len() != 64 {
+		t.Errorf("the earlier bind's batch grew to %d rows", b1.Len())
 	}
 }

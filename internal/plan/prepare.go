@@ -108,6 +108,18 @@ func sameColumnNames(a, b *schema.Schema) bool {
 	return true
 }
 
+// bind wraps rel, a catalog's instance of the scanned table, in a fresh scan
+// under the template's qualified schema.
+func (n *tableScan) bind(rel *relation.Relation) (algebra.Operator, error) {
+	if !sameColumnNames(rel.Schema, n.base) {
+		return nil, fmt.Errorf("%w: schema of %s diverged from compile time (%s vs %s)",
+			ErrRebind, n.table, rel.Schema, n.base)
+	}
+	// Same column names: the template's qualified schema (and every
+	// column index resolved against it) stays valid over the new tuples.
+	return algebra.NewScan(rel.WithSchema(n.Scan.Rel.Schema)), nil
+}
+
 // rebindOp instantiates a fresh operator tree bound to b. Iteration state is
 // never shared with the template or with other instances.
 func rebindOp(op algebra.Operator, b *binding) (algebra.Operator, error) {
@@ -124,13 +136,7 @@ func rebindOp(op algebra.Operator, b *binding) (algebra.Operator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrRebind, err)
 		}
-		if !sameColumnNames(rel.Schema, n.base) {
-			return nil, fmt.Errorf("%w: schema of %s diverged from compile time (%s vs %s)",
-				ErrRebind, n.table, rel.Schema, n.base)
-		}
-		// Same column names: the template's qualified schema (and every
-		// column index resolved against it) stays valid over the new tuples.
-		return algebra.NewScan(rel.WithSchema(n.Scan.Rel.Schema)), nil
+		return n.bind(rel)
 	case *inputScan:
 		if b.strip {
 			return &inputScan{Scan: algebra.Scan{Rel: &relation.Relation{Schema: n.Rel.Schema}}}, nil
@@ -147,51 +153,90 @@ func rebindOp(op algebra.Operator, b *binding) (algebra.Operator, error) {
 		// Literal relation (e.g. the dual for an empty FROM): contents are
 		// world-independent and read-only; share them under fresh state.
 		return algebra.NewScan(n.Rel), nil
-	case *algebra.Filter:
-		child, err := rebindOp(n.Child, b)
+	}
+	if l, r, ok := joined(op); ok {
+		left, err := rebindOp(l, b)
 		if err != nil {
 			return nil, err
 		}
+		right, err := rebindOp(r, b)
+		if err != nil {
+			return nil, err
+		}
+		return rejoin(op, left, right), nil
+	}
+	c, ok := childOf(op)
+	if !ok {
+		return nil, fmt.Errorf("%w: unsupported operator %T", ErrRebind, op)
+	}
+	child, err := rebindOp(c, b)
+	if err != nil {
+		return nil, err
+	}
+	return rewrap(op, child, b)
+}
+
+// joined returns the inputs of a two-input operator.
+func joined(op algebra.Operator) (left, right algebra.Operator, ok bool) {
+	switch n := op.(type) {
+	case *algebra.CrossJoin:
+		return n.Left, n.Right, true
+	case *algebra.HashJoin:
+		return n.Left, n.Right, true
+	case *algebra.Union:
+		return n.Left, n.Right, true
+	}
+	return nil, nil, false
+}
+
+// rejoin instantiates the two-input operator op over bound inputs.
+func rejoin(op, left, right algebra.Operator) algebra.Operator {
+	switch n := op.(type) {
+	case *algebra.CrossJoin:
+		return &algebra.CrossJoin{Left: left, Right: right}
+	case *algebra.HashJoin:
+		return &algebra.HashJoin{Left: left, Right: right, LeftKeys: n.LeftKeys, RightKeys: n.RightKeys}
+	default:
+		return &algebra.Union{Left: left, Right: right}
+	}
+}
+
+// childOf returns the input of a one-input operator.
+func childOf(op algebra.Operator) (algebra.Operator, bool) {
+	switch n := op.(type) {
+	case *algebra.Filter:
+		return n.Child, true
+	case *algebra.Project:
+		return n.Child, true
+	case *algebra.Aggregate:
+		return n.Child, true
+	case *algebra.Distinct:
+		return n.Child, true
+	case *algebra.Sort:
+		return n.Child, true
+	case *algebra.Limit:
+		return n.Child, true
+	}
+	return nil, false
+}
+
+// rewrap instantiates the one-input operator op over a bound child, its
+// expressions rebound under b.
+func rewrap(op, child algebra.Operator, b *binding) (algebra.Operator, error) {
+	switch n := op.(type) {
+	case *algebra.Filter:
 		pred, _, err := rebindExpr(n.Pred, b)
 		if err != nil {
 			return nil, err
 		}
 		return &algebra.Filter{Child: child, Pred: pred}, nil
 	case *algebra.Project:
-		child, err := rebindOp(n.Child, b)
-		if err != nil {
-			return nil, err
-		}
 		exprs, err := rebindExprs(n.Exprs, b)
 		if err != nil {
 			return nil, err
 		}
 		return &algebra.Project{Child: child, Exprs: exprs, Out: n.Out}, nil
-	case *algebra.CrossJoin:
-		left, err := rebindOp(n.Left, b)
-		if err != nil {
-			return nil, err
-		}
-		right, err := rebindOp(n.Right, b)
-		if err != nil {
-			return nil, err
-		}
-		return &algebra.CrossJoin{Left: left, Right: right}, nil
-	case *algebra.HashJoin:
-		left, err := rebindOp(n.Left, b)
-		if err != nil {
-			return nil, err
-		}
-		right, err := rebindOp(n.Right, b)
-		if err != nil {
-			return nil, err
-		}
-		return &algebra.HashJoin{Left: left, Right: right, LeftKeys: n.LeftKeys, RightKeys: n.RightKeys}, nil
 	case *algebra.Aggregate:
-		child, err := rebindOp(n.Child, b)
-		if err != nil {
-			return nil, err
-		}
 		specs := n.Specs
 		for i := range n.Specs {
 			if n.Specs[i].Arg == nil {
@@ -210,32 +255,10 @@ func rebindOp(op algebra.Operator, b *binding) (algebra.Operator, error) {
 		}
 		return &algebra.Aggregate{Child: child, GroupBy: n.GroupBy, Specs: specs, Out: n.Out}, nil
 	case *algebra.Distinct:
-		child, err := rebindOp(n.Child, b)
-		if err != nil {
-			return nil, err
-		}
 		return &algebra.Distinct{Child: child}, nil
-	case *algebra.Union:
-		left, err := rebindOp(n.Left, b)
-		if err != nil {
-			return nil, err
-		}
-		right, err := rebindOp(n.Right, b)
-		if err != nil {
-			return nil, err
-		}
-		return &algebra.Union{Left: left, Right: right}, nil
 	case *algebra.Sort:
-		child, err := rebindOp(n.Child, b)
-		if err != nil {
-			return nil, err
-		}
 		return &algebra.Sort{Child: child, Keys: n.Keys}, nil
 	case *algebra.Limit:
-		child, err := rebindOp(n.Child, b)
-		if err != nil {
-			return nil, err
-		}
 		return &algebra.Limit{Child: child, N: n.N}, nil
 	default:
 		return nil, fmt.Errorf("%w: unsupported operator %T", ErrRebind, op)

@@ -4,19 +4,28 @@ package wsd
 // plan is monotone-decomposable over the components it touches (see
 // internal/plan's component-touch analysis), each world's answer is
 //
-//	Q(world(a1,…,ak)) = Q(cert) ∪ Q_c1(a1) ∪ … ∪ Q_ck(ak)
+//	Q(world(a1,…,ak)) = Q(cert) ∪ ΔQ(c1, a1) ∪ … ∪ ΔQ(ck, ak)
 //
-// so the possible/certain/conf closures over *all* represented worlds can
-// be computed from Σ_c |Alts(c)| single-alternative evaluations — never the
-// Π_c |Alts(c)| alternatives a component merge would produce, and without
-// mutating the decomposition at all.
+// where Q(cert) is the query over the certain parts alone and ΔQ(c, a) the
+// tuples alternative a of component c adds to it. So the possible/certain/
+// conf closures over *all* represented worlds come from one evaluation of
+// Q(cert) and Σ_c |Alts(c)| delta evaluations — never the Π_c |Alts(c)|
+// alternatives a component merge would produce, without mutating the
+// decomposition at all, and reading O(|cert| + Σ|contributions|) rows: the
+// certain part, which the paper's decompositions keep large, is evaluated
+// once per statement, not once per alternative (unconditioned tuples once,
+// conditioned ones beside them: the c-tables of "Conditional Tables in
+// practice", PAPERS.md).
 //
-// This file holds the evaluation half: the catalog showing one alternative
-// per selected component, QueryByComponent's part evaluations on the worker
-// pool, and the componentwise materialization. The closing half is the one
-// fold in fold.go, shared with the d-tree route (conditional.go) and the
-// stored-relation closures (ops.go): it weighs the parts and emits the
-// sequence this file hands it.
+// A delta is a bind-time rewrite of the compiled template (Prepared.BindDelta
+// and the three bind modes — cert, delta, full — in internal/plan's
+// components.go). This file holds the evaluation half: the catalog serving
+// the three modes for one alternative per selected component,
+// QueryByComponent's evaluations on the worker pool, and the componentwise
+// materialization. The closing half is the one fold in fold.go, shared with
+// the d-tree route (conditional.go) and the stored-relation closures
+// (ops.go): it takes Q(cert) as the certain slot, weighs the deltas and emits
+// the sequence this file hands it.
 //
 // That sequence reproduces the naive engine's answer order exactly. The
 // naive engine closes over per-world answers in mixed-radix world order
@@ -27,39 +36,44 @@ package wsd
 // single-deviation worlds (one component at alternative a ≥ 2, all others
 // first), whose positions sort by reverse component order with
 // alternatives ascending. The emission is therefore the first world's full
-// answer (one extra evaluation), then the remaining alternatives of each
-// component from the last involved component to the first — and within
-// each part, the relative order of a deviation's new tuples equals their
-// order in the part's own answer, because every supported operator routes
-// rows value- or position-deterministically.
+// answer (one extra evaluation), then the deltas of the remaining
+// alternatives of each component from the last involved component to the
+// first. A deviation world's new tuples are its delta's, in the delta's own
+// order, wherever the analysis says Ordered: every supported operator routes
+// rows value- or position-deterministically (scans, filters and projections
+// keep input order, DISTINCT keeps first appearances — its delta minus the
+// tuples of its certain input, which the first world has shown — and the sort
+// is stable), so dropping the certain rows from an operator's input never
+// reorders the rows that remain; and a join, driven by its left input, meets
+// what the new right rows add to the certain left rows before what the new
+// left rows join — the delta's two terms in that order — as long as the left
+// input lists its certain rows first. Where it does not (a third self-join
+// within one component, `S, T a, T b`) the plan is not Ordered, and route
+// sends the statement to the fold that emits full deviation worlds
+// (conditional.go) — flat components are trees of one node there.
 //
-// Part answers are colbatch batches — columnar when the evaluation ran the
-// batch operators, a zero-copy row-backed batch when it ran the row
-// operators (internal/algebra's one rule decides per drain) — and stored
-// state is batch-backed, so the catalog hands stored batches to the
-// evaluations directly.
+// Answers are colbatch batches — columnar when the evaluation ran the batch
+// operators, a zero-copy row-backed batch when it ran the row operators
+// (internal/algebra's one rule decides per drain; a one-row delta sits under
+// its floor) — and stored state is batch-backed, so the catalog hands stored
+// batches to the evaluations directly.
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
 	"maybms/internal/algebra"
 	"maybms/internal/colbatch"
+	"maybms/internal/obs"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/tuple"
 )
 
-// errNotConcat reports that a part evaluation was not certain-prefixed, so
-// a componentwise materialization would store wrong per-world tuple order;
-// callers fall back to the merge path.
-var errNotConcat = errors.New("componentwise materialization requires certain-prefixed answers")
-
 // partsCatalog exposes the certain database plus the contributions of a
-// chosen alternative per selected component, as a plan.Catalog. Components
-// not selected contribute nothing (their relations show only the certain
-// part). Contributions are appended in component order, matching the
+// chosen alternative per selected component, as a plan.PartsCatalog.
+// Components not selected contribute nothing (their relations show only the
+// certain part). Contributions are appended in component order, matching the
 // per-world relation order of the merge path and the naive engine.
 type partsCatalog struct {
 	d     *WSD
@@ -80,34 +94,65 @@ func newPartsCatalog(d *WSD, sel map[int]int) partsCatalog {
 	return partsCatalog{d: d, sel: sel, order: order}
 }
 
-// Lookup implements plan.Catalog. Stored state is batch-backed, so
-// single-source lookups pass the stored batch through zero-copy — the
-// vectorized scan reads stored columns directly, with no per-evaluation
-// re-encode — and multi-source lookups assemble one combined batch from
-// the stored parts (columnar when the table alone clears algebra's batch
-// floor, a shared row slice for evaluations that will run the row operators
-// anyway).
+// firstWorld selects the first alternative of every listed component.
+func firstWorld(comps []int) map[int]int {
+	sel := make(map[int]int, len(comps))
+	for _, ci := range comps {
+		sel[ci] = 0
+	}
+	return sel
+}
+
+// Lookup implements plan.Catalog: the certain part followed by the selected
+// contributions.
 func (pc partsCatalog) Lookup(name string) (*relation.Relation, error) {
+	return pc.view(name, true, true)
+}
+
+// Certain implements plan.PartsCatalog.
+func (pc partsCatalog) Certain(name string) (*relation.Relation, error) {
+	return pc.view(name, true, false)
+}
+
+// Delta implements plan.PartsCatalog.
+func (pc partsCatalog) Delta(name string) (*relation.Relation, error) {
+	return pc.view(name, false, true)
+}
+
+// view assembles the named table from its certain part and the selected
+// contributions, whichever are asked for. Stored state is batch-backed, so
+// single-source views pass the stored batch through zero-copy — the
+// vectorized scan reads stored columns directly, with no per-evaluation
+// re-encode — and multi-source views assemble one combined batch from the
+// stored parts (columnar when the table alone clears algebra's batch floor,
+// a shared row slice for evaluations that will run the row operators
+// anyway).
+func (pc partsCatalog) view(name string, withCert, withContrib bool) (*relation.Relation, error) {
 	k := key(name)
 	sch, ok := pc.d.schemas[k]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknown, name)
 	}
-	cert := pc.d.certain[k]
-	// The first contribution is tracked outside the slice: most lookups see
+	var cert *relation.Relation
+	if withCert {
+		cert = pc.d.certain[k]
+	}
+	// The first contribution is tracked outside the slice: most views see
 	// zero or one (part evaluations select a single component), and the
 	// fast paths below must not pay a slice allocation to find that out.
 	var first *relation.Relation
 	var rest []*relation.Relation
 	total := cert.Len()
-	for _, ci := range pc.order {
-		if c := pc.d.comps[ci].Alts[pc.sel[ci]].Contrib[k]; c.Len() > 0 {
-			if first == nil {
-				first = c
-			} else {
-				rest = append(rest, c)
+	if withContrib {
+		for _, ci := range pc.order {
+			if c := pc.d.comps[ci].Alts[pc.sel[ci]].Contrib[k]; c.Len() > 0 {
+				if first == nil {
+					first = c
+				} else {
+					rest = append(rest, c)
+				}
+				total += c.Len()
 			}
-			total += c.Len()
 		}
 	}
 	// Single-source fast paths: share the stored relation itself when its
@@ -115,11 +160,13 @@ func (pc partsCatalog) Lookup(name string) (*relation.Relation, error) {
 	// is shared across parts), else a zero-copy reschema of its batch.
 	// Stored state is immutable and plan scans never mutate their input.
 	if first == nil {
-		if cert != nil {
-			if cert.Schema == sch {
-				return cert, nil
-			}
+		switch {
+		case cert != nil && cert.Schema == sch:
+			return cert, nil
+		case cert != nil:
 			return cert.WithSchema(sch), nil
+		case !withCert:
+			return nil, nil // the selection contributes nothing
 		}
 		return relation.New(sch), nil
 	}
@@ -149,67 +196,54 @@ func (pc partsCatalog) Lookup(name string) (*relation.Relation, error) {
 	return relation.FromRowsShared(sch, rows), nil
 }
 
-var _ plan.Catalog = partsCatalog{}
+var _ plan.PartsCatalog = partsCatalog{}
 
-// componentParts is the componentwise evaluation of one query: the answer
-// of the first world (every involved component at its first alternative)
-// and one answer per (component, alternative) pair, evaluated with only
-// that alternative's contributions visible. Answers are batches — columnar
-// when the evaluation ran the vectorized CollectBatch path, row-backed
+// partQuery evaluates one query against a part catalog: in full when delta
+// is unset (Q over the catalog's instances), else as the delta ΔQ of the
+// catalog's selection. It must be safe for concurrent calls.
+type partQuery func(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error)
+
+// componentParts is the componentwise evaluation of one query. Answers are
+// batches — columnar when the evaluation ran the batch operators, row-backed
 // (zero-copy over collected tuples) otherwise.
 type componentParts struct {
-	d       *WSD
-	compIdx []int // indexes into d.comps, ascending
-	// world0 is the first world's full answer; nil unless requested.
-	world0 *colbatch.Batch
-	// base is the certain-only answer Q(cert); nil unless requested.
-	base *colbatch.Batch
-	// parts[i][a] is the answer with component compIdx[i] at alternative a.
-	parts [][]*colbatch.Batch
-	// probs[i][a] is the alternative's probability.
-	probs [][]float64
+	compIdx []int             // indexes into d.comps, ascending
+	base    *colbatch.Batch   // the certain-only answer Q(cert)
+	worlds  []*colbatch.Batch // the full answers of the requested worlds
+	// deltas[i][a] is ΔQ(compIdx[i], a): what alternative a adds to base.
+	deltas [][]*colbatch.Batch
 }
 
-// QueryByComponent evaluates query once per alternative of each listed
-// component — Σ sizes evaluations on the worker pool, no merge, no
-// mutation of the decomposition. withWorld0 additionally evaluates the
-// first world (all listed components at alternative 0); withBase
-// additionally evaluates the certain-only answer. query must be safe for
-// concurrent calls.
-func (d *WSD) QueryByComponent(compIdx []int, withWorld0, withBase bool, query func(cat plan.Catalog) (*colbatch.Batch, error)) (*componentParts, error) {
+// QueryByComponent evaluates query over the certain part once, in full over
+// each of the listed worlds (selections of alternatives), and as a delta per
+// alternative of each listed component — 1 + |worlds| + Σ sizes evaluations
+// on the worker pool reading O(|cert| + Σ|contributions|) rows beside the
+// worlds', no merge, no mutation of the decomposition. sp, the route's span if
+// any, is told what was evaluated.
+func (d *WSD) QueryByComponent(compIdx []int, worlds []map[int]int, query partQuery, sp *obs.Span) (*componentParts, error) {
 	out := &componentParts{
-		d:       d,
 		compIdx: compIdx,
-		parts:   make([][]*colbatch.Batch, len(compIdx)),
-		probs:   make([][]float64, len(compIdx)),
+		worlds:  make([]*colbatch.Batch, len(worlds)),
+		deltas:  make([][]*colbatch.Batch, len(compIdx)),
 	}
 	// Flatten every evaluation into one task list for the pool.
 	type task struct {
-		sel map[int]int
-		dst **colbatch.Batch
+		sel   map[int]int
+		delta bool
+		dst   **colbatch.Batch
 	}
-	var tasks []task
-	if withWorld0 {
-		first := make(map[int]int, len(compIdx))
-		for _, ci := range compIdx {
-			first[ci] = 0
-		}
-		tasks = append(tasks, task{sel: first, dst: &out.world0})
-	}
-	if withBase {
-		tasks = append(tasks, task{sel: map[int]int{}, dst: &out.base})
+	tasks := []task{{dst: &out.base}}
+	for wi, sel := range worlds {
+		tasks = append(tasks, task{sel: sel, dst: &out.worlds[wi]})
 	}
 	for i, ci := range compIdx {
-		alts := d.comps[ci].Alts
-		out.parts[i] = make([]*colbatch.Batch, len(alts))
-		out.probs[i] = make([]float64, len(alts))
-		for a := range alts {
-			out.probs[i][a] = alts[a].Prob
-			tasks = append(tasks, task{sel: map[int]int{ci: a}, dst: &out.parts[i][a]})
+		out.deltas[i] = make([]*colbatch.Batch, len(d.comps[ci].Alts))
+		for a := range out.deltas[i] {
+			tasks = append(tasks, task{sel: map[int]int{ci: a}, delta: true, dst: &out.deltas[i][a]})
 		}
 	}
 	results, err := mapAlts(d, len(tasks), func(ti int) (*colbatch.Batch, error) {
-		return query(newPartsCatalog(d, tasks[ti].sel))
+		return query(newPartsCatalog(d, tasks[ti].sel), tasks[ti].delta)
 	})
 	if err != nil {
 		return nil, err
@@ -217,78 +251,68 @@ func (d *WSD) QueryByComponent(compIdx []int, withWorld0, withBase bool, query f
 	for ti := range tasks {
 		*tasks[ti].dst = results[ti]
 	}
+	if sp != nil {
+		rows := 0
+		for _, alts := range out.deltas {
+			for _, delta := range alts {
+				rows += delta.Len()
+			}
+		}
+		sp.Set("base_rows", out.base.Len())
+		sp.Set("delta_rows", rows)
+		sp.Set("evaluations", len(tasks))
+	}
 	return out, nil
 }
 
-// emission returns the closure emission order — the first world's answer,
-// then the remaining alternatives of each component from the last involved
-// component to the first — as the sequence the fold deduplicates.
+// emission returns the flat closure emission order — the first world's
+// answer, then the deltas of the remaining alternatives of each component
+// from the last involved component to the first — as the sequence the fold
+// deduplicates.
 func (p *componentParts) emission() []*colbatch.Batch {
-	out := []*colbatch.Batch{p.world0}
+	out := []*colbatch.Batch{p.worlds[0]}
 	for i := len(p.compIdx) - 1; i >= 0; i-- {
-		out = append(out, p.parts[i][1:]...)
+		out = append(out, p.deltas[i][1:]...)
 	}
 	return out
 }
 
 // materializeByComponent stores the answer of a concat-structured
 // decomposable query as relation dst without merging: the certain-only
-// answer becomes dst's certain part, and each (component, alternative)
-// part contributes its suffix beyond that prefix to the alternative. Every
-// world's dst instance — certain part followed by contributions in
-// component order — is tuple-for-tuple identical to what the merge path
-// would have stored. The concat structure is verified positionally; a
-// violation returns errNotConcat and the caller falls back to the merge
-// path. Part answers are stored as the new relations' backing batches —
-// columnar parts land as zero-copy columnar slices (identity for later
-// scans), row-backed parts as shared row slices.
-func (d *WSD) materializeByComponent(dst string, compIdx []int, query func(cat plan.Catalog) (*colbatch.Batch, error)) error {
-	p, err := d.QueryByComponent(compIdx, false, true, query)
+// answer becomes dst's certain part, and the delta of each (component,
+// alternative) that alternative's contribution. Every world's dst instance —
+// certain part followed by contributions in component order — is
+// tuple-for-tuple identical to what the merge path would have stored. The
+// answers are stored as the new relations' backing batches — columnar ones
+// land as zero-copy columnar views (identity for later scans), row-backed
+// ones as shared row slices.
+func (d *WSD) materializeByComponent(dst string, compIdx []int, query partQuery) error {
+	p, err := d.QueryByComponent(compIdx, nil, query, nil)
 	if err != nil {
 		return err
-	}
-	baseLen := p.base.Len()
-	baseKeys := make([]string, baseLen)
-	var buf []byte
-	for i := 0; i < baseLen; i++ {
-		baseKeys[i] = string(p.base.AppendKey(buf[:0], i))
-	}
-	for i := range p.parts {
-		for _, part := range p.parts[i] {
-			if part.Len() < baseLen {
-				return errNotConcat
-			}
-			for j, k := range baseKeys {
-				// string(buf) in a comparison does not allocate.
-				buf = part.AppendKey(buf[:0], j)
-				if string(buf) != k {
-					return errNotConcat
-				}
-			}
-		}
 	}
 	if err := d.registerUncertain(dst, p.base.Schema); err != nil {
 		return err
 	}
 	k := key(dst)
-	if baseLen > 0 {
-		base := p.base.Slice(0, baseLen)
-		base.Schema = d.schemas[k]
-		d.certain[k] = relation.FromBatch(base)
+	stored := func(b *colbatch.Batch) *relation.Relation {
+		view := b.Slice(0, b.Len()) // capacity-clamped: appends never reach b
+		view.Schema = d.schemas[k]
+		return relation.FromBatch(view)
+	}
+	if p.base.Len() > 0 {
+		d.certain[k] = stored(p.base)
 	}
 	for i, ci := range compIdx {
 		comp := d.comps[ci]
-		for a := range p.parts[i] {
-			part := p.parts[i][a]
-			if part.Len() <= baseLen {
+		for a, delta := range p.deltas[i] {
+			if delta.Len() == 0 {
 				continue
 			}
-			view := part.Slice(baseLen, part.Len())
-			view.Schema = d.schemas[k]
 			if comp.Alts[a].Contrib == nil {
 				comp.Alts[a].Contrib = map[string]*relation.Relation{}
 			}
-			comp.Alts[a].Contrib[k] = relation.FromBatch(view)
+			comp.Alts[a].Contrib[k] = stored(delta)
 		}
 	}
 	return nil

@@ -2,7 +2,7 @@ package wsd
 
 // Conditional (d-tree aware) closure evaluation. When a query touches
 // components arranged in a decomposition tree, the flat componentwise
-// identity Q(world) = Q(cert) ∪ Q_c1(a1) ∪ … ∪ Q_ck(ak) still holds for
+// identity Q(world) = Q(cert) ∪ ΔQ(c1, a1) ∪ … ∪ ΔQ(ck, ak) still holds for
 // monotone-decomposable plans — but only over the components *active* in
 // the world (a component is active iff it is top-level or its parent
 // selects its conditioning alternative), and each alternative's weight in
@@ -10,8 +10,10 @@ package wsd
 // same fold as the flat route's (fold.go, which weighs a flat component as
 // a tree of one node: CERTAIN asks whether some top-level subtree
 // contributes the tuple under every assignment, CONF multiplies miss
-// probabilities over the independent top-level subtrees); what this file
-// adds is what the fold is handed:
+// probabilities over the independent top-level subtrees), over the same
+// evaluations — Q(cert) once as the fold's certain slot and one delta per
+// (component, alternative), componentwise.go's QueryByComponent; what this
+// file adds is what else the fold is handed:
 //
 //   - the relevant component set is the root closure of the touched
 //     components — whole trees, since an untouched ancestor still decides
@@ -20,18 +22,21 @@ package wsd
 //     *deviation worlds*: the first world plus, per relevant component c and
 //     alternative a ≥ 1, the earliest world (in expansion order) with c
 //     active at a. Every possible tuple's true first-appearance world is
-//     in that set — if a world's answer contains t then t lies in some
-//     active part (c, a), and the deviation world of (c, a) (or, for
-//     a = 0, of the deepest ancestor pinned off its first alternative)
-//     both contains t and precedes the world — so scanning the deviation
-//     worlds' full answers in expansion order reproduces the naive
-//     engine's first-appearance order exactly. (The deviation-world
-//     evaluations are the quadratic term left on nested decompositions;
-//     ROADMAP item 2.)
+//     in that set — if a world's answer contains t then t lies in Q(cert)
+//     or in some active delta ΔQ(c, a), and the first world, or the
+//     deviation world of (c, a) (or, for a = 0, of the deepest ancestor
+//     pinned off its first alternative) both contains t and precedes the
+//     world — so scanning the deviation worlds' full answers in expansion
+//     order reproduces the naive engine's first-appearance order exactly.
+//     (The deviation worlds stay full evaluations, each over the certain
+//     part and every active component: the quadratic term left on nested
+//     decompositions; ROADMAP item 2.)
 //
-// SelectClosure routes here only when the touched components involve tree
-// structure (treeInvolved); flat involvement takes componentwise.go's
-// evaluations and emission.
+// SelectClosure routes here when the touched components involve tree
+// structure (treeInvolved), or when the plan's deltas do not keep a world's
+// order (the analysis' Ordered: a third self-join within one component) and
+// only full answers can be emitted; every other flat involvement takes
+// componentwise.go's evaluations and emission.
 //
 // ClosureNone takes a different shape: a per-world SELECT over uncertain
 // data cannot return one relation per world without expanding, but for a
@@ -39,9 +44,9 @@ package wsd
 // conditional relation (the factorized analogue of a c-table): the
 // query's schema extended with a trailing `cond` column, where the base
 // rows (certain-only answer) carry an empty condition and each
-// (component, alternative) part's suffix rows carry the conjunction
+// (component, alternative)'s delta rows carry the conjunction
 // "c<parentID>=<alt>,…,c<ID>=<alt>" of its activation path. A world's
-// answer is the base rows plus the suffix rows whose conditions its
+// answer is the base rows plus the delta rows whose conditions its
 // alternative selection satisfies, in emission order. This retires the
 // blanket ErrPerWorld refusal for concat plans, flat and nested alike.
 
@@ -50,8 +55,7 @@ import (
 	"sort"
 	"strings"
 
-	"maybms/internal/colbatch"
-	"maybms/internal/plan"
+	"maybms/internal/obs"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
@@ -61,20 +65,6 @@ import (
 
 // condSchema is the trailing condition column of a conditional relation.
 func condSchema() *schema.Schema { return schema.New("cond") }
-
-// conditionalParts is the conditional evaluation of one query over the
-// trees touching it: per-(component, alternative) part answers for the fold
-// to weigh, and full deviation-world answers (expansion order, first world
-// first) as its emission sequence.
-type conditionalParts struct {
-	relevant []int // component indexes: root closure of the touched set, ascending
-	// parts[i][a] is the answer with only (relevant[i], a)'s contributions
-	// visible.
-	parts [][]*colbatch.Batch
-	// devs are the deviation worlds' full answers in expansion order;
-	// devs[0] is the first world.
-	devs []*colbatch.Batch
-}
 
 // deviationVector returns the digit vector of the earliest world (in
 // expansion order) with component ci active at alternative a: ci's
@@ -109,15 +99,16 @@ func (d *WSD) deviationVector(byID map[int]int, ci, a int) []int {
 	return digits
 }
 
-// queryConditional evaluates query once per (relevant component,
-// alternative) pair and once per deviation world — Σ sizes part
-// evaluations plus Σ (sizes−1) + 1 world evaluations on the worker pool,
-// no merge, the decomposition untouched. query must be safe for
-// concurrent calls.
-func (d *WSD) queryConditional(touched []int, query func(cat plan.Catalog) (*colbatch.Batch, error)) (*conditionalParts, error) {
+// queryConditional evaluates query over the trees touching it: the
+// certain-only answer and one delta per (relevant component, alternative)
+// for the fold to weigh, and the deviation worlds' full answers (expansion
+// order, first world first) as its emission sequence — 1 + Σ sizes part
+// evaluations plus Σ (sizes−1) + 1 world evaluations on the worker pool, no
+// merge, the decomposition untouched. The result's compIdx is the root
+// closure of the touched set; sp is the route's span.
+func (d *WSD) queryConditional(touched []int, query partQuery, sp *obs.Span) (*componentParts, error) {
 	relevant := d.rootClosure(touched)
 	byID := d.compIndexByID()
-	p := &conditionalParts{relevant: relevant, parts: make([][]*colbatch.Batch, len(relevant))}
 
 	// Deviation worlds, sorted into expansion order by their digit vectors.
 	devVecs := [][]int{d.deviationVector(byID, -1, 0)}
@@ -135,39 +126,16 @@ func (d *WSD) queryConditional(touched []int, query func(cat plan.Catalog) (*col
 		}
 		return false
 	})
-
-	// Flatten every evaluation into one task list for the pool.
-	type task struct {
-		sel map[int]int
-		dst **colbatch.Batch
-	}
-	var tasks []task
-	p.devs = make([]*colbatch.Batch, len(devVecs))
+	worlds := make([]map[int]int, len(devVecs))
 	for di, vec := range devVecs {
-		sel := map[int]int{}
+		worlds[di] = map[int]int{}
 		for _, ci := range relevant {
 			if vec[ci] >= 0 {
-				sel[ci] = vec[ci]
+				worlds[di][ci] = vec[ci]
 			}
 		}
-		tasks = append(tasks, task{sel: sel, dst: &p.devs[di]})
 	}
-	for i, ci := range relevant {
-		p.parts[i] = make([]*colbatch.Batch, len(d.comps[ci].Alts))
-		for a := range d.comps[ci].Alts {
-			tasks = append(tasks, task{sel: map[int]int{ci: a}, dst: &p.parts[i][a]})
-		}
-	}
-	results, err := mapAlts(d, len(tasks), func(ti int) (*colbatch.Batch, error) {
-		return query(newPartsCatalog(d, tasks[ti].sel))
-	})
-	if err != nil {
-		return nil, err
-	}
-	for ti := range tasks {
-		*tasks[ti].dst = results[ti]
-	}
-	return p, nil
+	return d.QueryByComponent(relevant, worlds, query, sp)
 }
 
 // condFor renders the activation condition of (component c, alternative
@@ -190,55 +158,35 @@ func (d *WSD) condFor(byID map[int]int, c *Component, a int) string {
 // conditionalRelation answers a plain SELECT whose result varies across
 // worlds as a conditional relation: the query schema plus a trailing
 // `cond` column. Base rows (the certain-only answer) carry cond = "";
-// each (relevant component, alternative) part contributes its suffix
-// beyond the base prefix under that pair's activation condition,
-// components in list order, alternatives ascending. A world's answer is
-// the base rows followed by the suffix rows whose conditions the world's
-// alternative selection satisfies, in emission order — tuple-for-tuple
-// the naive engine's per-world answer. The concat structure is verified
-// positionally; a violation returns errNotConcat and the caller refuses.
-func (d *WSD) conditionalRelation(touched []int, query func(cat plan.Catalog) (*colbatch.Batch, error)) (*relation.Relation, error) {
+// each (relevant component, alternative) contributes its delta under that
+// pair's activation condition, components in list order, alternatives
+// ascending. A world's answer is the base rows followed by the delta rows
+// whose conditions the world's alternative selection satisfies, in emission
+// order — tuple-for-tuple the naive engine's per-world answer, by the concat
+// structure the analysis certified. sp is the route's span.
+func (d *WSD) conditionalRelation(touched []int, query partQuery, sp *obs.Span) (*relation.Relation, error) {
 	relevant := d.rootClosure(touched)
-	p, err := d.QueryByComponent(relevant, false, true, query)
+	p, err := d.QueryByComponent(relevant, nil, query, sp)
 	if err != nil {
 		return nil, err
 	}
-	baseLen := p.base.Len()
-	baseKeys := make([]string, baseLen)
-	var buf []byte
-	for i := 0; i < baseLen; i++ {
-		baseKeys[i] = string(p.base.AppendKey(buf[:0], i))
-	}
-	for i := range p.parts {
-		for _, part := range p.parts[i] {
-			if part.Len() < baseLen {
-				return nil, errNotConcat
-			}
-			for j, k := range baseKeys {
-				buf = part.AppendKey(buf[:0], j)
-				if string(buf) != k {
-					return nil, errNotConcat
-				}
-			}
-		}
-	}
 	byID := d.compIndexByID()
 	outSch := p.base.Schema.Concat(condSchema())
-	rows := make([]tuple.Tuple, 0, baseLen)
+	rows := make([]tuple.Tuple, 0, p.base.Len())
 	for _, t := range p.base.Rows() {
 		rows = append(rows, append(t.Clone(), value.Str("")))
 	}
 	for i, ci := range relevant {
 		c := d.comps[ci]
-		for a, part := range p.parts[i] {
+		for a, delta := range p.deltas[i] {
 			if err := d.interrupted(); err != nil {
 				return nil, err
 			}
-			if part.Len() <= baseLen {
+			if delta.Len() == 0 {
 				continue
 			}
 			cond := value.Str(d.condFor(byID, c, a))
-			for _, t := range part.Rows()[baseLen:] {
+			for _, t := range delta.Rows() {
 				rows = append(rows, append(t.Clone(), cond))
 			}
 		}

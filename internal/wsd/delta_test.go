@@ -1,0 +1,302 @@
+package wsd
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"maybms/internal/colbatch"
+	"maybms/internal/plan"
+	"maybms/internal/relation"
+	"maybms/internal/schema"
+	"maybms/internal/tuple"
+)
+
+// checkDeltaParts asserts the identity QueryByComponent's consumers rest on,
+// against the full per-part evaluation it replaced: for every (component,
+// alternative) of sql's root closure, base ∪ Δ equals Q(cert ∪ contribution)
+// as sets, and base ++ Δ equals it row for row when the analysis says Concat.
+func checkDeltaParts(t *testing.T, label string, d *WSD, sql string) {
+	t.Helper()
+	an, ev := analyzed(t, d, mustCore(t, sql))
+	if !an.Decomposable {
+		t.Fatalf("%s %q is not decomposable", label, sql)
+	}
+	comps := d.rootClosure(an.Comps)
+	p, err := d.QueryByComponent(comps, nil, ev.part, nil)
+	if err != nil {
+		t.Fatalf("%s %q: %v", label, sql, err)
+	}
+	for i, ci := range comps {
+		for a, delta := range p.deltas[i] {
+			full, err := ev.batch(newPartsCatalog(d, map[int]int{ci: a}))
+			if err != nil {
+				t.Fatalf("%s %q full part (%d,%d): %v", label, sql, ci, a, err)
+			}
+			sum := colbatch.FromRowsShared(p.base.Schema, append(append([]tuple.Tuple(nil), p.base.Rows()...), delta.Rows()...))
+			got, want := relation.FromBatch(sum), relation.FromBatch(full)
+			if !got.EqualSet(want) {
+				t.Errorf("%s %q part (%d,%d): base ∪ Δ differs from the full evaluation\nbase ++ Δ:\n%sfull:\n%s", label, sql, ci, a, got, want)
+			}
+			if an.Concat && got.String() != want.String() {
+				t.Errorf("%s %q part (%d,%d): base ++ Δ differs from the full evaluation\nbase ++ Δ:\n%sfull:\n%s", label, sql, ci, a, got, want)
+			}
+		}
+	}
+}
+
+// TestDeltaPartsEqualFullParts runs checkDeltaParts over the componentwise
+// and conditional fuzz fixtures — fuzzPair plus M and T, the repair source R's
+// rows as a certain part under I's contributions (one component per key
+// group) and under P's (one component); every other trial nests a repair under
+// M's alternatives — with one query per delta rule: scans and filters,
+// a join against a certain table on either side, a self-join within one
+// component (twice and three times over, where the deltas lose a world's order
+// and the closures must emit from full deviation worlds), UNION with the
+// certain arm on either side, DISTINCT at the root and below it, ORDER BY, a
+// certain correlated subquery in WHERE, and an empty certain part (P).
+func TestDeltaPartsEqualFullParts(t *testing.T) {
+	t.Parallel()
+	queries := []string{
+		"select K, V from M",
+		"select K from M where V >= 1",
+		"select M.K, S.Y from M, S where M.V = S.V",
+		"select S.Y, M.K from S, M where S.V = M.V",
+		"select a.V, b.W from P a, P b where a.K = b.K",
+		"select a.V, b.V from T a, T b where a.V = b.V",
+		"select a.V, b.W, c.K from T a, T b, T c where a.V = b.V and b.V = c.V",
+		"select S.Y, a.W, b.K from S, T a, T b where a.V = b.V",
+		"select a.W, S.Y, b.K from T a, S, T b where a.V = b.V",
+		"select V from S union all select V from M",
+		"select V from M union all select V from S",
+		"select V from M union select V from S",
+		"select V from S union select distinct V from P",
+		"select V from S union all select distinct V from M",
+		"select distinct V from M",
+		"select distinct V from P",
+		"select K, V from M order by V desc, K",
+		"select K from M where exists (select * from S where S.V = M.V)",
+		"select K from M where V >= (select min(V) from S)",
+		"select K, V, W from P",
+		"select P.W, S.Y from P, S where P.V = S.V",
+		"select Y from S",
+	}
+	for trial := 0; trial < 10; trial++ {
+		label := fmt.Sprintf("trial %d", trial)
+		qs := queries
+		build := func() *WSD {
+			r := rand.New(rand.NewSource(int64(61 + trial)))
+			_, d := fuzzPair(t, r)
+			if err := d.CreateTableAs("M", mustCore(t, "select K, V, W from R union all select K, V, W from I")); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if err := d.CreateTableAs("T", mustCore(t, "select K, V, W from R union all select K, V, W from P")); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if d.certain[key("M")].Len() == 0 || d.certain[key("T")].Len() == 0 || d.MergeCount() != 0 {
+				t.Fatalf("%s: fixture M or T has no certain part, or merged", label)
+			}
+			if trial%2 == 1 {
+				src := mustCore(t, fmt.Sprintf("select K, V, W from M where V <= %d", 1+r.Intn(2)))
+				if err := d.RepairByKeyQuery(src, "N", []string{"V"}, ""); err != nil {
+					t.Fatalf("%s: nested repair: %v", label, err)
+				}
+			}
+			return d
+		}
+		if trial%2 == 1 {
+			label += " nested"
+			qs = append(append([]string(nil), queries...),
+				"select K, V from N",
+				"select N.K, S.Y from N, S where N.V = S.V",
+				"select distinct V from N",
+				"select V from S union all select V from N",
+			)
+		}
+		d, merged := build(), build()
+		before := d.MergeCount() // the nested repair may merge its feeders
+		for _, sql := range qs {
+			checkDeltaParts(t, label, d, sql)
+			// End to end: the closures folded from base and deltas against the
+			// merge route's, order included (conf to 1e-9: a certain-answer
+			// tuple now gets exactly 1, not a sum of probabilities).
+			for _, cl := range []string{"possible", "certain", "conf"} {
+				q := strings.Replace(sql, "select ", "select "+cl+" ", 1)
+				render := renderRel
+				if cl == "conf" {
+					q = strings.Replace(sql, " from ", ", conf from ", 1)
+					render = func(r *relation.Relation) string { return renderRelTol(t, r) }
+				}
+				if got, want := render(selectOn(t, d, q)), render(selectMerged(t, merged, q)); got != want {
+					t.Errorf("%s %q diverged from the merge route:\n%s\nwant:\n%s", label, q, got, want)
+				}
+			}
+		}
+		if d.MergeCount() != before {
+			t.Errorf("%s: a decomposable closure merged", label)
+		}
+	}
+}
+
+// importedWSD bulk-loads rows rows of (K, A, Cat, W) with 4 NULL categories
+// (a choice among four each) and 4 two-row key conflicts: 8 components, 24
+// alternatives of one row each, everything else certain — bench/'s ingest.dml
+// shape.
+func importedWSD(t *testing.T, rows int) *WSD {
+	t.Helper()
+	var csv strings.Builder
+	csv.WriteString("K,A,Cat,W\n")
+	every := rows / 8
+	for i, k := 0, 0; i < rows; i++ {
+		dirt, at := i/every, i%every
+		if at != every/2 || dirt >= 4 {
+			k++ // else: repeat the key of the row before
+		}
+		cat := fmt.Sprint(i % 4)
+		if at == every-1 && dirt < 4 {
+			cat = ""
+		}
+		fmt.Fprintf(&csv, "%d,%d,%s,%d\n", k, (i*7919)%1000, cat, 1+i%5)
+	}
+	p, err := relation.LoadCSV(strings.NewReader(csv.String()),
+		relation.ImportOptions{NullsChoice: true, RepairKey: []string{"K"}, Weight: "W"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := New(true)
+	if err := d.Import("B", p); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// countingCatalog counts the rows of every relation a part catalog hands out.
+type countingCatalog struct {
+	plan.PartsCatalog
+	rows *atomic.Int64
+}
+
+func (c countingCatalog) count(rel *relation.Relation, err error) (*relation.Relation, error) {
+	c.rows.Add(int64(rel.Len()))
+	return rel, err
+}
+
+func (c countingCatalog) Lookup(name string) (*relation.Relation, error) {
+	return c.count(c.PartsCatalog.Lookup(name))
+}
+
+func (c countingCatalog) Certain(name string) (*relation.Relation, error) {
+	return c.count(c.PartsCatalog.Certain(name))
+}
+
+func (c countingCatalog) Delta(name string) (*relation.Relation, error) {
+	return c.count(c.PartsCatalog.Delta(name))
+}
+
+// TestCertainPartLookedUpOnce holds "once" as a count: a CONF over 40 000
+// imported rows with 24 alternatives of dirt reads the certain part for the
+// base evaluation and for the first world — not once more per alternative.
+// (The full per-part evaluation handed out 26 × the certain part.) Under a
+// DISTINCT the deltas subtract the certain input's tuples, one more read for
+// the statement, not one per delta.
+func TestCertainPartLookedUpOnce(t *testing.T) {
+	const rows = 40000
+	d := importedWSD(t, rows)
+	for _, c := range []struct {
+		sql       string
+		certReads int
+	}{
+		{"select K from B where K >= 10000 and K < 10060 and A > 250", 2},
+		{"select distinct Cat from B where K >= 10000 and K < 10060", 3},
+	} {
+		an, ev := analyzed(t, d, mustCore(t, c.sql))
+		if len(an.Comps) != 8 || d.AlternativeCount() != 24 {
+			t.Fatalf("fixture: %d components, %d alternatives, want 8 and 24", len(an.Comps), d.AlternativeCount())
+		}
+		cert, contrib := d.certain[key("B")].Len(), 24 // every alternative contributes one row
+		if cert+12 != rows {                           // 4 NULL rows and 4 conflicts of two
+			t.Fatalf("fixture: %d certain rows of %d, want all but 12", cert, rows)
+		}
+		var handed atomic.Int64
+		p, err := d.QueryByComponent(an.Comps, []map[int]int{firstWorld(an.Comps)},
+			func(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error) {
+				return ev.part(countingCatalog{cat, &handed}, delta)
+			}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.base.Len() == 0 {
+			t.Errorf("%q: the certain-only answer is empty", c.sql)
+		}
+		if got, limit := handed.Load(), int64(c.certReads*cert+contrib+24); got > limit {
+			t.Errorf("%q: the catalog handed out %d rows, limit %d = %d·%d certain + %d contributed + 24 (the parent: %d)",
+				c.sql, got, limit, c.certReads, cert, contrib, 26*cert+8+24)
+		}
+	}
+}
+
+// TestDistinctDeltaDropsCertainTuples: under a DISTINCT a contributed tuple
+// equal to a tuple of the DISTINCT's certain input is new in no world, so the
+// positional consumers must not show it twice — the stored relation of a
+// componentwise CREATE TABLE AS represents the merge path's worlds, and the
+// conditional relation lists the tuple once, unconditioned. That holds for a
+// DISTINCT at the root and for one below a UNION ALL, which dedups against a
+// part of the certain answer only: both are stored, and answered, without a
+// merge.
+func TestDistinctDeltaDropsCertainTuples(t *testing.T) {
+	build := func() *WSD {
+		d := New(true)
+		c := relation.New(schema.New("V"))
+		c.MustAppend(row(1))
+		r := relation.New(schema.New("K", "V"))
+		r.MustAppend(row("k1", 1)) // contributed, equal to the certain V
+		r.MustAppend(row("k1", 2))
+		if err := d.PutCertain("C", c); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.PutCertain("R", r); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+			t.Fatal(err)
+		}
+		// M: C's row as the certain part, I's two alternatives beside it.
+		if err := d.CreateTableAs("M", mustCore(t, "select V from C union all select V from I")); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.certain[key("M")].Len(); got != 1 || d.MergeCount() != 0 {
+			t.Fatalf("fixture: %d certain rows in M after %d merges, want 1 and 0", got, d.MergeCount())
+		}
+		return d
+	}
+	for _, sql := range []string{
+		"select distinct V from M",
+		"select V from C union select distinct V from M",
+		"select V from C union all select distinct V from M",
+	} {
+		core := mustCore(t, sql)
+		fast, slow := build(), build()
+		if err := fast.CreateTableAs("D", core); err != nil {
+			t.Fatal(err)
+		}
+		createTableMerged(t, slow, "D", core)
+		matchViews(t, wsdViews(t, slow, "D"), wsdViews(t, fast, "D"))
+		if err := fast.CheckInvariant(); err != nil {
+			t.Errorf("%q: %v", sql, err)
+		}
+		if fast.MergeCount() != 0 {
+			t.Errorf("%q was stored through a merge", sql)
+		}
+	}
+
+	rel := selectOn(t, build(), "select distinct V from M")
+	if got, want := renderRel(rel), renderRel(relation.FromRowsShared(rel.Schema, []tuple.Tuple{row(1, ""), row(2, "c0=1")})); got != want {
+		t.Errorf("conditional relation of a DISTINCT:\n%swant V=1 unconditioned and V=2 under c0=1", rel)
+	}
+	rel = selectOn(t, build(), "select V from C union all select distinct V from M")
+	if got, want := renderRel(rel), renderRel(relation.FromRowsShared(rel.Schema, []tuple.Tuple{row(1, ""), row(1, ""), row(2, "c0=1")})); got != want {
+		t.Errorf("conditional relation of a DISTINCT below UNION ALL:\n%swant V=1 twice unconditioned and V=2 under c0=1", rel)
+	}
+}

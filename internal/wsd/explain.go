@@ -75,11 +75,7 @@ func (d *WSD) ExplainSelect(core *sqlparse.SelectStmt, cl Closure) (string, erro
 // choice tables at zero rows and mispredict row; the real decision is
 // still re-made per Collect.)
 func (d *WSD) predictEval(prep *plan.Prepared, comps []int) string {
-	sel := make(map[int]int, len(comps))
-	for _, ci := range comps {
-		sel[ci] = 0
-	}
-	op, err := prep.Bind(newPartsCatalog(d, sel))
+	op, err := prep.Bind(newPartsCatalog(d, firstWorld(comps)))
 	if err != nil {
 		return "row"
 	}

@@ -3,13 +3,15 @@ package wsd
 // The closure fold: POSSIBLE, CERTAIN and CONF from component independence,
 // in time linear in the representation — never in the worlds. Every route
 // that closes over per-(component, alternative) parts reaches this one type:
-// the flat componentwise route and the d-tree route hand it evaluated part
-// answers (componentwise.go, conditional.go); WSD.Possible, Certain,
-// ConfRelation and Conf hand it a stored relation's contribution batches.
+// the flat componentwise route and the d-tree route hand it the evaluated
+// certain-only answer and deltas (componentwise.go, conditional.go);
+// WSD.Possible, Certain, ConfRelation and Conf hand it a stored relation's
+// certain part and contribution batches — the same shape.
 //
 // A fold is given the components (whole d-trees; a flat component is a tree
-// of one node), one batch per (component, alternative) and, for a stored
-// relation, the certain part. Per distinct tuple t it computes
+// of one node), one batch per (component, alternative) — what that
+// alternative adds — and the certain part beside them, whose tuples are
+// certain with confidence exactly 1. Per distinct tuple t it computes
 //
 //	p_c(t)      = Σ_a P(a) · (t ∈ part_c(a) ? 1 : 1 − Π_ch (1 − p_ch(t)))
 //	always_c(t) = ∀a: t ∈ part_c(a) ∨ ∃ch: always_ch(t)
@@ -25,7 +27,7 @@ package wsd
 //
 // Which tuples are answered, and in which order, is the caller's emission
 // sequence: the fold emits each distinct tuple where the sequence first shows
-// it (the first world and the deviation parts or worlds on the SELECT routes,
+// it (the first world and the deviation deltas or worlds on the SELECT routes,
 // the certain part then the contributions in component order for a stored
 // relation) and CERTAIN filters that sequence. Tuples are identified by
 // AppendKey arena keys — the byte space of tuple.Encode, whether a batch is
@@ -69,8 +71,8 @@ type closureFold struct {
 	// part returns the part of (compIdx[i], alternative a); nil holds nothing.
 	part func(i, a int) *colbatch.Batch
 	// certain holds tuples present in every world beside the parts: a stored
-	// relation's certain part. nil on the SELECT routes, whose certain-only
-	// answer rides in every part.
+	// relation's certain part, the certain-only answer Q(cert) on the SELECT
+	// routes (whose parts are the deltas beyond it).
 	certain *colbatch.Batch
 	// only, when non-nil, is the one tuple key to weigh, as tuple 0 (the point
 	// Conf): every other row is compared and dropped, nothing is interned.
@@ -282,8 +284,9 @@ func (f *closureFold) weigh() error {
 // conf is the weighed tuple's confidence 1 − Π_root (1 − p_root(t)).
 func (f *closureFold) conf(t *foldTuple) float64 {
 	conf := 1 - t.miss
-	if len(f.compIdx) == 1 && f.certain == nil {
-		// Over a single component the confidence is the plain probability sum,
+	if len(f.compIdx) == 1 && t.miss > 0 {
+		// Over a single component the confidence of a tuple outside the
+		// certain part (those have miss 0) is the plain probability sum,
 		// accumulated in alternative order — bit-identical to the merge path
 		// and the naive engine (1 − (1 − p) would lose ulps).
 		conf = t.last
@@ -356,7 +359,7 @@ func (f *closureFold) close(cl Closure, emit []*colbatch.Batch, sch *schema.Sche
 	return relation.FromBatch(out), nil
 }
 
-// partsOf adapts evaluated part answers to the fold's part lookup.
+// partsOf adapts evaluated deltas to the fold's part lookup.
 func partsOf(parts [][]*colbatch.Batch) func(i, a int) *colbatch.Batch {
 	return func(i, a int) *colbatch.Batch { return parts[i][a] }
 }

@@ -6,16 +6,17 @@ package wsd
 // the paper). The compact engine cannot enumerate worlds, but a world's
 // grouping answer depends only on the components the compiled grouping
 // plan touches — and when that plan is monotone-decomposable the answer
-// *set* of world (a1,…,ak) is the union of per-alternative part answers:
+// *set* of world (a1,…,ak) is the certain-only answer united with one
+// delta per component (componentwise.go):
 //
-//	G(world) = G(cert) ∪ G_c1(a1) ∪ … ∪ G_ck(ak)
+//	G(world) = G(cert) ∪ ΔG(c1, a1) ∪ … ∪ ΔG(ck, ak)
 //
 // Relation fingerprints hash the deduplicated sorted tuple-key set, so a
 // world's group key is computable from per-component answer key sets —
-// Σ component sizes part evaluations, never the product. The groups
+// Σ component sizes delta evaluations, never the product. The groups
 // themselves come from a frontier fold: starting from the certain-only
 // answer, each involved component in turn unions every frontier set with
-// each of its alternatives' part key sets, summing probabilities when two
+// each of its alternatives' delta key sets, summing probabilities when two
 // selections reach the same set. The frontier is exactly the distinct
 // grouping answers over the processed prefix, so its size tracks the
 // number of groups (bounded by MergeLimit), not the world count — a
@@ -119,7 +120,7 @@ func (d *WSD) GroupWorldsClosure(gw, core *sqlparse.SelectStmt, cl Closure) ([]G
 	// closure shared across groups.
 	var groups []groupInfo
 	if gwAn.Decomposable {
-		groups, err = d.groupsByComponent(gwAn.Comps, gwEv.batch)
+		groups, err = d.groupsByComponent(gwAn.Comps, gwEv.part)
 		if err != nil {
 			return nil, err
 		}
@@ -217,18 +218,19 @@ func canonOf(keys []string) string {
 }
 
 // groupsByComponent computes the world groups of a monotone-decomposable
-// grouping query from per-alternative part answers — Σ component sizes
-// evaluations and a frontier fold, no merge, the decomposition untouched.
+// grouping query from the certain-only answer and per-alternative deltas —
+// 1 + Σ component sizes evaluations and a frontier fold, no merge, the
+// decomposition untouched.
 // Groups are returned in the naive engine's first-appearance order (the
 // frontier enumerates alternative selections lexicographically, earlier
 // components more significant, exactly like the world odometer).
-func (d *WSD) groupsByComponent(compIdx []int, eval func(cat plan.Catalog) (*colbatch.Batch, error)) ([]groupInfo, error) {
-	parts, err := d.QueryByComponent(compIdx, false, true, eval)
+func (d *WSD) groupsByComponent(compIdx []int, eval partQuery) ([]groupInfo, error) {
+	parts, err := d.QueryByComponent(compIdx, nil, eval, nil)
 	if err != nil {
 		return nil, err
 	}
-	partKeys := make([][][]string, len(parts.parts))
-	for i, alts := range parts.parts {
+	partKeys := make([][][]string, len(parts.deltas))
+	for i, alts := range parts.deltas {
 		partKeys[i] = make([][]string, len(alts))
 		for a, b := range alts {
 			if err := d.interrupted(); err != nil {
@@ -256,7 +258,7 @@ func (d *WSD) groupsByComponent(compIdx []int, eval func(cat plan.Catalog) (*col
 			for a := range partKeys[i] {
 				merged := unionSorted(e.keys, partKeys[i][a])
 				canon := canonOf(merged)
-				p := e.prob * parts.probs[i][a]
+				p := e.prob * d.comps[compIdx[i]].Alts[a].Prob
 				if j, ok := index[canon]; ok {
 					next[j].prob += p
 					continue

@@ -170,10 +170,14 @@ func sharedTemplate[T any](d *WSD, key string, valid func(T) bool, compile func(
 // the evaluation ran the batch operators, a zero-copy row-backed batch when
 // it ran the row operators. Which operators run is algebra's decision per
 // drain (scanned rows against its floor); nothing here sets it.
+//
+// part is the partQuery of the Σ-alternatives routes: batch, or the delta
+// ΔQ of a part catalog's selection (deltas, the statement's plan.Deltas).
 type evaluator struct {
-	d    *WSD
-	prep *plan.Prepared
-	sel  *sqlparse.SelectStmt
+	d      *WSD
+	prep   *plan.Prepared
+	deltas *plan.Deltas
+	sel    *sqlparse.SelectStmt
 }
 
 func (e evaluator) bind(cat plan.Catalog) (algebra.Operator, error) {
@@ -203,9 +207,22 @@ func (e evaluator) batch(cat plan.Catalog) (*colbatch.Batch, error) {
 	return algebra.CollectBatch(op, e.d.rootCtx())
 }
 
+func (e evaluator) part(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error) {
+	if !delta {
+		return e.batch(cat)
+	}
+	// No per-catalog compilation behind a failed bind here: prepared validated
+	// the template against the very schemas a part catalog serves.
+	op, err := e.deltas.Bind(cat)
+	if err != nil {
+		return nil, err
+	}
+	return algebra.CollectBatch(op, e.d.rootCtx())
+}
+
 // prepared compiles sel once — through the process-wide shared plan cache,
 // keyed like the naive engine's templates — and returns the template plus
-// the evaluator that binds it per catalog.
+// the evaluator that binds it per catalog, for this one statement.
 func (d *WSD) prepared(sel *sqlparse.SelectStmt) (*plan.Prepared, evaluator, error) {
 	compileCat := d.schemaCatalog()
 	prep, err := sharedTemplate(d,
@@ -215,7 +232,7 @@ func (d *WSD) prepared(sel *sqlparse.SelectStmt) (*plan.Prepared, evaluator, err
 	if err != nil {
 		return nil, evaluator{}, err
 	}
-	return prep, evaluator{d: d, prep: prep, sel: sel}, nil
+	return prep, evaluator{d: d, prep: prep, deltas: prep.Deltas(), sel: sel}, nil
 }
 
 // AssertStmt filters the world-set by an ASSERT condition (an I-SQL-free
@@ -285,14 +302,7 @@ func (d *WSD) SelectClosure(core *sqlparse.SelectStmt, cl Closure) (*relation.Re
 
 	dec := d.route(core, an, cl, false)
 	d.noteRoute(dec.kind)
-	res, err := d.run(dec, an.Comps, ev, cl)
-	if errors.Is(err, errNotConcat) {
-		// Structural analysis promised a certain-prefixed answer but the
-		// evaluation disagreed; refuse rather than answer wrongly.
-		d.noteRoute(routeRefused)
-		return nil, d.perWorldError(core)
-	}
-	return res, err
+	return d.run(dec, an.Comps, ev, cl)
 }
 
 // run answers a statement on the route dec, route's decision for it: one run
@@ -304,9 +314,9 @@ func (d *WSD) run(dec decision, comps []int, ev evaluator, cl Closure) (*relatio
 	case routeComponentwise:
 		return d.runComponentwise(comps, ev, cl)
 	case routeCondFold:
-		return d.runConditionalFold(comps, dec.nested, ev, cl)
+		return d.runConditionalFold(comps, dec, ev, cl)
 	case routeCondRelation:
-		return d.runConditionalRelation(comps, dec.nested, ev)
+		return d.runConditionalRelation(comps, dec, ev)
 	case routeMerge:
 		return d.runMerge(comps, ev, cl)
 	case routeApproxMC:
@@ -334,28 +344,22 @@ func (d *WSD) closeAnswers(results []*relation.Relation, probs []float64, cl Clo
 func (d *WSD) runSingle(comps []int, ev evaluator, cl Closure) (*relation.Relation, error) {
 	sp := d.Trace.Begin("eval")
 	defer sp.End(d.Trace)
-	var sel map[int]int
-	if len(comps) > 0 {
-		sel = make(map[int]int, len(comps))
-		for _, ci := range comps {
-			sel[ci] = 0
-		}
-	}
-	res, err := ev.rel(newPartsCatalog(d, sel))
+	res, err := ev.rel(newPartsCatalog(d, firstWorld(comps)))
 	if err != nil || cl == ClosureNone {
 		return res, err
 	}
 	return d.closeAnswers([]*relation.Relation{res}, []float64{1}, cl)
 }
 
-// runComponentwise is the merge-free path: closures from per-alternative
-// part evaluations over flat components, folded in fold.go. A single
-// component is handled by the same code — there the merge path would not have
-// merged either, but the parts path also skips the (noop) restructuring.
+// runComponentwise is the merge-free path: closures from the certain-only
+// answer and per-alternative deltas over flat components, folded in fold.go.
+// A single component is handled by the same code — there the merge path would
+// not have merged either, but the parts path also skips the (noop)
+// restructuring.
 func (d *WSD) runComponentwise(comps []int, ev evaluator, cl Closure) (*relation.Relation, error) {
 	sp := d.Trace.Begin("componentwise")
 	sp.Set("components", len(comps))
-	parts, err := d.QueryByComponent(comps, true, false, ev.batch)
+	parts, err := d.QueryByComponent(comps, []map[int]int{firstWorld(comps)}, ev.part, sp)
 	sp.End(d.Trace)
 	if err != nil {
 		return nil, err
@@ -363,17 +367,17 @@ func (d *WSD) runComponentwise(comps []int, ev evaluator, cl Closure) (*relation
 	d.componentwise.Add(1)
 	csp := d.Trace.Begin("closure")
 	defer csp.End(d.Trace)
-	return d.newClosureFold(comps, partsOf(parts.parts), nil, nil).close(cl, parts.emission(), parts.world0.Schema)
+	return d.newClosureFold(comps, partsOf(parts.deltas), parts.base, nil).close(cl, parts.emission(), parts.base.Schema)
 }
 
 // runConditionalFold closes over tree-involved components (conditional.go):
 // the same Σ-sizes shape and the same fold as runComponentwise, emitting the
 // deviation worlds.
-func (d *WSD) runConditionalFold(comps []int, nested int, ev evaluator, cl Closure) (*relation.Relation, error) {
+func (d *WSD) runConditionalFold(comps []int, dec decision, ev evaluator, cl Closure) (*relation.Relation, error) {
 	sp := d.Trace.Begin("conditional")
 	sp.Set("components", len(comps))
-	sp.Set("conditional_splits", nested)
-	cp, err := d.queryConditional(comps, ev.batch)
+	sp.Set("conditional_splits", dec.nested)
+	cp, err := d.queryConditional(comps, ev.part, sp)
 	sp.End(d.Trace)
 	if err != nil {
 		return nil, err
@@ -381,17 +385,17 @@ func (d *WSD) runConditionalFold(comps []int, nested int, ev evaluator, cl Closu
 	d.conditional.Add(1)
 	csp := d.Trace.Begin("closure")
 	defer csp.End(d.Trace)
-	return d.newClosureFold(cp.relevant, partsOf(cp.parts), nil, nil).close(cl, cp.devs, cp.devs[0].Schema)
+	return d.newClosureFold(cp.compIdx, partsOf(cp.deltas), cp.base, nil).close(cl, cp.worlds, cp.base.Schema)
 }
 
 // runConditionalRelation answers a plain SELECT over a concat-structured
 // plan as a conditional relation (trailing `cond` column; see
 // conditionalRelation) instead of refusing.
-func (d *WSD) runConditionalRelation(comps []int, nested int, ev evaluator) (*relation.Relation, error) {
+func (d *WSD) runConditionalRelation(comps []int, dec decision, ev evaluator) (*relation.Relation, error) {
 	sp := d.Trace.Begin("conditional")
 	sp.Set("components", len(comps))
-	sp.Set("conditional_splits", nested)
-	res, err := d.conditionalRelation(comps, ev.batch)
+	sp.Set("conditional_splits", dec.nested)
+	res, err := d.conditionalRelation(comps, ev.part, sp)
 	sp.End(d.Trace)
 	if err != nil {
 		return nil, err
@@ -443,16 +447,11 @@ func (d *WSD) CreateTableAs(dst string, core *sqlparse.SelectStmt) error {
 		}
 		return d.PutCertain(dst, res.WithSchema(res.Schema.Unqualify()))
 	case routeComponentwise:
-		err := d.materializeByComponent(dst, an.Comps, ev.batch)
-		if err == nil {
-			d.componentwise.Add(1)
-			return nil
-		}
-		if !errors.Is(err, errNotConcat) {
+		if err := d.materializeByComponent(dst, an.Comps, ev.part); err != nil {
 			return err
 		}
-		// Structural analysis promised a certain-prefixed answer but the
-		// evaluation disagreed; fall back to the merge path for safety.
+		d.componentwise.Add(1)
+		return nil
 	case routeRefused:
 		return dec.err
 	}

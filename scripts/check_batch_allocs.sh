@@ -38,6 +38,12 @@
 # representation — steady state ~1.5k / ~2.8k allocs/op — so anything
 # scaling with the world count (or even quadratic in the components)
 # trips the ~2x ceilings immediately.
+#
+# The imported-read gate holds "the certain part is evaluated once": a CONF
+# over 40 000 imported rows with 24 alternatives of dirt is one certain-only
+# evaluation, the first world and 24 one-row deltas (internal/wsd's
+# QueryByComponent) — steady state ~1.3k allocs/op, where one full evaluation
+# per alternative took ~6.5k and anything per certain row takes 40k.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,6 +54,8 @@ $(go test ./internal/relation/ -bench '^BenchmarkImport(Certain|RepairKey|Choice
 $(go test . -bench '^(BenchmarkBatchClosurePossible|BenchmarkBatchClosureConf|BenchmarkBatchClosureGroupWorlds)$' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
 $(go test . -bench 'BenchmarkConditional(Select|Conf)/nested/groups=18' \
+    -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
+$(go test . -bench '^BenchmarkImportedRead$/^conf$/^rows=40000$/^alts=24$' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)"
 
 fail=0
@@ -75,6 +83,7 @@ check BenchmarkBatchClosureConf 5000
 check BenchmarkBatchClosureGroupWorlds 6000
 check 'BenchmarkConditionalSelect/nested/groups=18/worlds=2\^18' 3000
 check 'BenchmarkConditionalConf/nested/groups=18/worlds=2\^18' 5700
+check 'BenchmarkImportedRead/conf/rows=40000/alts=24' 2500
 
 if [ "$fail" -ne 0 ]; then
     echo "check_batch_allocs: vectorized path regressed (or benchmarks renamed)" >&2
