@@ -88,6 +88,50 @@ func TestRunScript(t *testing.T) {
 	}
 }
 
+// TestRunScriptOrderBy: a closure-free SELECT under ORDER BY prints its rows
+// in the statement's order on both backends (LIMIT keeping the right rows in
+// that order); without ORDER BY, and under a closure, answers are unordered and
+// print canonically sorted.
+func TestRunScriptOrderBy(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "orderby.isql")
+	script := `
+		create table R (K, V);
+		insert into R values (1, 10), (2, 30), (3, 20);
+		select K, V from R order by V desc;
+		select K, V from R order by V desc limit 2;
+		select K, V from R;
+		select possible K, V from R order by V desc;
+	`
+	if err := os.WriteFile(path, []byte(script), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const head = "K  V\n-  --\n"
+	want := head + "2  30\n3  20\n1  10\n" +
+		head + "2  30\n3  20\n" +
+		head + "1  10\n2  30\n3  20\n" +
+		head + "1  10\n2  30\n3  20\n"
+	for name, eng := range map[string]engine{
+		"naive":   &naiveShell{db: maybms.Open()},
+		"compact": &compactShell{db: maybms.OpenCompact()},
+	} {
+		var out strings.Builder
+		if err := runScript(eng, path, &out); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// The tables alone: the acknowledgements and the naive shell's world
+		// headers start with a lowercase letter.
+		var tables strings.Builder
+		for _, line := range strings.SplitAfter(out.String(), "\n") {
+			if line != "" && (line[0] < 'a' || line[0] > 'z') {
+				tables.WriteString(line)
+			}
+		}
+		if got := tables.String(); got != want {
+			t.Errorf("%s shell:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+}
+
 func TestRunScriptErrors(t *testing.T) {
 	var out strings.Builder
 	if err := runScript(&naiveShell{db: maybms.Open()}, "/nonexistent/file.isql", &out); err == nil {

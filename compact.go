@@ -264,9 +264,10 @@ func (db *CompactDB) SelectGroups(query string) ([]WorldGroup, error) {
 // merge, and the decomposition is left untouched. Plans that genuinely
 // correlate several components (cross-component joins, aggregates or
 // predicate subqueries spanning components) fall back to a bounded merge
-// of exactly the involved components. Results are identical either way
-// and match the naive engine on the expanded world-set; answers and errors
-// are Exec's.
+// of exactly the involved components. Either way the answer is the naive
+// engine's on the expanded world-set, as a set: a closed answer carries no
+// order (the package doc states what the backends list it in; none of it is
+// API). Answers and errors are Exec's.
 func (db *CompactDB) Select(query string) (*Relation, error) {
 	sel, err := parseSelect(query)
 	if err != nil {

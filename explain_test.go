@@ -297,9 +297,9 @@ func TestExplainAnalyzeComponentwise(t *testing.T) {
 	for _, want := range []string{
 		"route: componentwise (merge-free, 2 components, 2+1 alternatives)",
 		"actual:",
-		// One certain-only evaluation, the first world, one delta per
-		// alternative; Rp has no certain part and every alternative one row.
-		"components=2  base_rows=0  delta_rows=3  evaluations=5",
+		// One certain-only evaluation and one delta per alternative; Rp has
+		// no certain part and every alternative one row.
+		"components=2  base_rows=0  delta_rows=3  evaluations=4",
 		"route=componentwise",
 		"result rows: 3",
 	} {

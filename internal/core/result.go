@@ -67,6 +67,10 @@ type Result struct {
 	Groups   []GroupRows // for ResultClosed
 	// Weighted mirrors the session's mode, for rendering.
 	Weighted bool
+	// Ordered marks the answers of a closure-free SELECT under ORDER BY:
+	// their row order is the statement's, and String keeps it (every other
+	// answer is unordered and renders canonically sorted).
+	Ordered bool
 }
 
 // First returns the first answer relation, convenient in tests and examples:
@@ -88,6 +92,10 @@ func (r *Result) First() *relation.Relation {
 
 // String renders the result for the REPL and examples.
 func (r *Result) String() string {
+	table := (*relation.Relation).String
+	if r.Ordered {
+		table = (*relation.Relation).StoredString
+	}
 	var b strings.Builder
 	switch r.Kind {
 	case ResultOK:
@@ -105,7 +113,7 @@ func (r *Result) String() string {
 			} else {
 				fmt.Fprintf(&b, "world %s:\n", wr.World)
 			}
-			b.WriteString(wr.Rel.String())
+			b.WriteString(table(wr.Rel))
 		}
 	case ResultClosed:
 		for i, g := range r.Groups {
@@ -115,7 +123,7 @@ func (r *Result) String() string {
 			if len(r.Groups) > 1 {
 				fmt.Fprintf(&b, "group {%s}:\n", strings.Join(g.Worlds, ", "))
 			}
-			b.WriteString(g.Rel.String())
+			b.WriteString(table(g.Rel))
 		}
 	}
 	return b.String()

@@ -228,7 +228,9 @@ func (s *Session) ExecStmt(stmt sqlparse.Statement) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ev.result(s.set.Weighted), nil
+		res := ev.result(s.set.Weighted)
+		res.Ordered = res.Kind == ResultPerWorld && st.OrdersAnswer()
+		return res, nil
 	case *sqlparse.CreateTableAs:
 		return s.execCreateAs(st.Name, st.Query, false)
 	case *sqlparse.CreateView:

@@ -47,13 +47,10 @@ package plan
 //     both sides touch the same single component: the cross terms between
 //     distinct components never arise. Δ(L ⋈ R) = (cert L ⋈ ΔR) ++
 //     (ΔL ⋈ full R), either term vanishing with its delta — so a join
-//     against a certain table is ΔL ⋈ R (R ⋈ ΔR on the other side). With both
-//     terms the rows come in the full join's order only when L's certain rows
-//     precede its new ones (ComponentAnalysis.Ordered).
+//     against a certain table is ΔL ⋈ R (R ⋈ ΔR on the other side).
 //   - Union: concatenation distributes, Δ(L ∪ R) = ΔL ++ ΔR.
 //   - Distinct / Sort: identity on sets, the mode passes down (closures are
-//     set-level; the emission order is reconstructed separately, see
-//     internal/wsd). A Distinct's delta also drops the tuples its input holds
+//     sets; internal/wsd's fold lists them). A Distinct's delta also drops the tuples its input holds
 //     over the certain database — new in no world — so Distinct(cert) ++
 //     Δ Distinct is the full Distinct row for row; that key set is the one
 //     thing a delta reads of the certain part, and a statement evaluates it
@@ -108,14 +105,6 @@ type ComponentAnalysis struct {
 	// storing the certain part once plus one contribution per alternative —
 	// with per-world tuple order identical to the merge path.
 	Concat bool
-	// Ordered reports that each delta lists its tuples in the order the full
-	// evaluation over the same selection meets them, so the tuples a world adds
-	// to Q(cert) can be emitted from its delta. Every rule keeps that order but
-	// the join of two sides over one component whose left side is not itself
-	// certain-part-first (a third self-join, `S, T a, T b`): the full join
-	// walks a left input that interleaves old and new rows, the rule's two
-	// terms come one after the other.
-	Ordered bool
 }
 
 // compSet is a small sorted set of component IDs.
@@ -171,9 +160,6 @@ type nodeInfo struct {
 	comps  compSet
 	decomp bool // monotone-decomposable
 	concat bool // additionally concat-structured (see ComponentAnalysis)
-	// ordered: the subtree's delta is a subsequence of its full evaluation
-	// (see ComponentAnalysis); meaningful while decomp holds.
-	ordered bool
 }
 
 // AnalyzeComponents annotates op (a compiled template tree, as produced by
@@ -189,7 +175,6 @@ func AnalyzeComponents(op algebra.Operator, cc ComponentCatalog) (*ComponentAnal
 		Comps:        append([]int(nil), info.comps...),
 		Decomposable: info.decomp,
 		Concat:       info.decomp && info.concat,
-		Ordered:      info.decomp && info.ordered,
 	}, nil
 }
 
@@ -201,10 +186,10 @@ func (p *Prepared) Analyze(cc ComponentCatalog) (*ComponentAnalysis, error) {
 func analyzeOp(op algebra.Operator, cc ComponentCatalog) (nodeInfo, error) {
 	switch n := op.(type) {
 	case *tableScan:
-		return nodeInfo{comps: newCompSet(cc.Components(n.table)), decomp: true, concat: true, ordered: true}, nil
+		return nodeInfo{comps: newCompSet(cc.Components(n.table)), decomp: true, concat: true}, nil
 	case *algebra.Scan:
 		// Literal relation (the dual for an empty FROM): world-independent.
-		return nodeInfo{decomp: true, concat: true, ordered: true}, nil
+		return nodeInfo{decomp: true, concat: true}, nil
 	case *inputScan:
 		// Split intermediates never occur in compact plans; be conservative.
 		return nodeInfo{}, fmt.Errorf("%w: split intermediate in component analysis", ErrPlan)
@@ -238,8 +223,7 @@ func analyzeOp(op algebra.Operator, cc ComponentCatalog) (nodeInfo, error) {
 			decomp: l.decomp && r.decomp,
 			// The left arm's rows precede the right arm's, so contributions
 			// only trail the certain prefix when the left arm is certain.
-			concat:  l.concat && r.concat && len(l.comps) == 0,
-			ordered: l.ordered && r.ordered,
+			concat: l.concat && r.concat && len(l.comps) == 0,
 		}, nil
 	case *algebra.Distinct:
 		child, err := analyzeOp(n.Child, cc)
@@ -283,14 +267,14 @@ func analyzeOp(op algebra.Operator, cc ComponentCatalog) (nodeInfo, error) {
 		// A whole-input function of its input: world-independent only over a
 		// certain subtree.
 		certain := len(comps) == 0
-		return nodeInfo{comps: comps, decomp: certain, concat: certain, ordered: certain}, nil
+		return nodeInfo{comps: comps, decomp: certain, concat: certain}, nil
 	case *algebra.Limit:
 		child, err := analyzeOp(n.Child, cc)
 		if err != nil {
 			return nodeInfo{}, err
 		}
 		certain := len(child.comps) == 0
-		return nodeInfo{comps: child.comps, decomp: certain, concat: certain, ordered: certain}, nil
+		return nodeInfo{comps: child.comps, decomp: certain, concat: certain}, nil
 	default:
 		return nodeInfo{}, fmt.Errorf("%w: unsupported operator %T in component analysis", ErrPlan, op)
 	}
@@ -335,9 +319,6 @@ func analyzeJoin(left, right algebra.Operator, cc ComponentCatalog) (nodeInfo, e
 		// the full right side, so contributions trail the certain prefix
 		// only when the right side is certain.
 		concat: l.concat && r.concat && !correlates && len(r.comps) == 0,
-		// With new rows on both sides the delta's two terms are in the full
-		// join's order only over a left side whose certain rows come first.
-		ordered: l.ordered && r.ordered && (len(l.comps) == 0 || len(r.comps) == 0 || l.concat),
 	}, nil
 }
 
@@ -516,9 +497,7 @@ func (b *deltaBinding) delta(op algebra.Operator) (algebra.Operator, error) {
 			return &algebra.Union{Left: dl, Right: dr}, nil
 		}
 		// Δ(L ⋈ R) = (cert L ⋈ ΔR) ++ (ΔL ⋈ full R): what the new right rows
-		// add to the certain left rows, then everything the new left rows
-		// join — the order a left-driven join meets them in when L's certain
-		// rows all precede its new ones (else see ComponentAnalysis.Ordered).
+		// add to the certain left rows, then everything the new left rows join.
 		var out algebra.Operator
 		if dr != nil {
 			cl, err := rebindOp(l, &b.cert)

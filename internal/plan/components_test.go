@@ -55,48 +55,46 @@ func TestComponentAnalysis(t *testing.T) {
 		comps        []int
 		decomposable bool
 		concat       bool
-		ordered      bool
 	}{
 		// Scans, filters, projections distribute.
-		{"select A from I", []int{0, 1}, true, true, true},
-		{"select A from I where B = 1", []int{0, 1}, true, true, true},
+		{"select A from I", []int{0, 1}, true, true},
+		{"select A from I where B = 1", []int{0, 1}, true, true},
 		// DISTINCT dedupes across components per world, which factored
 		// storage cannot express: concat only survives one component —
 		// wherever the DISTINCT sits, its delta subtracts the certain input.
-		{"select distinct A from I", []int{0, 1}, true, false, true},
-		{"select distinct A from J", []int{2}, true, true, true},
-		{"select A from S union all select distinct A from J", []int{2}, true, true, true},
-		{"select A from S union select distinct A from J", []int{2}, true, true, true},
-		{"select distinct A from S union all select A from J", []int{2}, true, true, true},
-		{"select A from S", nil, true, true, true},
+		{"select distinct A from I", []int{0, 1}, true, false},
+		{"select distinct A from J", []int{2}, true, true},
+		{"select A from S union all select distinct A from J", []int{2}, true, true},
+		{"select A from S union select distinct A from J", []int{2}, true, true},
+		{"select distinct A from S union all select A from J", []int{2}, true, true},
+		{"select A from S", nil, true, true},
 		// Joins against certain relations: fine; the uncertain side must
 		// drive (be leftmost) for the concat (materialization) property.
-		{"select I.A, S.B from I, S where I.A = S.A", []int{0, 1}, true, true, true},
-		{"select S.B, I.A from S, I where S.A = I.A", []int{0, 1}, true, false, true},
-		// A self-join within one component decomposes; its delta keeps the
-		// join's order while the left input lists its certain rows first.
-		{"select a.A from J a, J b", []int{2}, true, false, true},
-		{"select a.A from J a, S, J b", []int{2}, true, false, true},
-		{"select a.A from J a, J b, J c", []int{2}, true, false, false},
-		{"select a.A from S, J a, J b", []int{2}, true, false, false},
+		{"select I.A, S.B from I, S where I.A = S.A", []int{0, 1}, true, true},
+		{"select S.B, I.A from S, I where S.A = I.A", []int{0, 1}, true, false},
+		// A self-join within one component decomposes, however many times over.
+		{"select a.A from J a, J b", []int{2}, true, false},
+		{"select a.A from J a, S, J b", []int{2}, true, false},
+		{"select a.A from J a, J b, J c", []int{2}, true, false},
+		{"select a.A from S, J a, J b", []int{2}, true, false},
 		// Unions distribute; concat needs the certain arm first.
-		{"select A from I union select A from S", []int{0, 1}, true, false, true},
-		{"select A from S union all select A from I", []int{0, 1}, true, true, true},
+		{"select A from I union select A from S", []int{0, 1}, true, false},
+		{"select A from S union all select A from I", []int{0, 1}, true, true},
 		// Sort is set-safe but reorders certain rows into the middle.
-		{"select A from I order by A", []int{0, 1}, true, false, true},
+		{"select A from I order by A", []int{0, 1}, true, false},
 		// Aggregates and LIMIT are whole-input functions.
-		{"select sum(A) from I", []int{0, 1}, false, false, false},
-		{"select sum(A) from S", nil, true, true, true},
-		{"select A from I limit 2", []int{0, 1}, false, false, false},
+		{"select sum(A) from I", []int{0, 1}, false, false},
+		{"select sum(A) from S", nil, true, true},
+		{"select A from I limit 2", []int{0, 1}, false, false},
 		// Cross-component joins correlate.
-		{"select I.A from I, J", []int{0, 1, 2}, false, false, false},
+		{"select I.A from I, J", []int{0, 1, 2}, false, false},
 		// Predicate subqueries over uncertain relations couple rows to
 		// components; over certain relations they are harmless.
-		{"select A from I where exists (select * from J where J.A = I.A)", []int{0, 1, 2}, false, false, false},
-		{"select A from I where B > (select max(B) from S)", []int{0, 1}, true, true, true},
-		{"select A from S where exists (select * from I)", []int{0, 1}, false, false, false},
+		{"select A from I where exists (select * from J where J.A = I.A)", []int{0, 1, 2}, false, false},
+		{"select A from I where B > (select max(B) from S)", []int{0, 1}, true, true},
+		{"select A from S where exists (select * from I)", []int{0, 1}, false, false},
 		// Aggregate over certain data inside a decomposable query.
-		{"select A from I where B >= (select min(B) from S)", []int{0, 1}, true, true, true},
+		{"select A from I where B >= (select min(B) from S)", []int{0, 1}, true, true},
 	}
 	for _, c := range cases {
 		an := analysisFixture(t, c.sql)
@@ -114,9 +112,6 @@ func TestComponentAnalysis(t *testing.T) {
 		}
 		if an.Concat != c.concat {
 			t.Errorf("%q concat = %v, want %v", c.sql, an.Concat, c.concat)
-		}
-		if an.Ordered != c.ordered {
-			t.Errorf("%q ordered = %v, want %v", c.sql, an.Ordered, c.ordered)
 		}
 	}
 }
@@ -155,28 +150,10 @@ func (c splitCatalog) Lookup(name string) (*relation.Relation, error) {
 	return full, nil
 }
 
-// newTuples lists the tuples of rows that base does not hold, each where rows
-// shows it first: what a closure emits of a world's answer after Q(cert).
-func newTuples(base, rows *relation.Relation) string {
-	seen := map[string]bool{}
-	for _, t := range base.Rows() {
-		seen[t.Key()] = true
-	}
-	var out strings.Builder
-	for _, t := range rows.Rows() {
-		if k := t.Key(); !seen[k] {
-			seen[k] = true
-			out.WriteString(t.String() + "\n")
-		}
-	}
-	return out.String()
-}
-
 // TestBindDelta checks the delta rules operator by operator on one selected
 // contribution: base ++ ΔQ must equal Q over the full instances row for row
 // where the plan is concat-structured, as a bag wherever nothing dedups, and
-// as a set everywhere; where the analysis says Ordered, ΔQ must show the new
-// tuples in the full answer's order.
+// as a set everywhere.
 func TestBindDelta(t *testing.T) {
 	cat := splitCatalog{
 		cert: map[string]*relation.Relation{
@@ -252,12 +229,6 @@ func TestBindDelta(t *testing.T) {
 		}
 		if an.Concat && sum.String() != full.String() {
 			t.Errorf("%q: base ++ Δ differs from the full answer\nbase:\n%sΔ:\n%sfull:\n%s", sql, base, delta, full)
-		}
-		if got, want := newTuples(base, delta), newTuples(base, full); an.Ordered && got != want {
-			t.Errorf("%q: Δ shows the new tuples in another order than the full answer\nΔ:\n%sfull:\n%s", sql, got, want)
-		}
-		if threeWay := strings.Count(sql, " U u") == 3 || strings.Contains(sql, "from S, U u1, U u2"); an.Ordered == threeWay {
-			t.Errorf("%q: ordered = %v", sql, an.Ordered)
 		}
 		if len(an.Comps) == 0 && delta.Len() != 0 {
 			t.Errorf("%q: a world-independent query has a delta:\n%s", sql, delta)

@@ -526,16 +526,22 @@ func (r *Relation) GroupBy(indexes []int) (order []string, groups map[string][]t
 
 // String renders the relation as an aligned ASCII table, rows in canonical
 // order, suitable for the REPL and the reproduction harness.
-func (r *Relation) String() string {
+func (r *Relation) String() string { return r.table(r.Sort().Rows()) }
+
+// StoredString renders like String with the rows in stored order: for an
+// answer whose order is the statement's (ORDER BY).
+func (r *Relation) StoredString() string { return r.table(r.Rows()) }
+
+// table renders rows under r's schema.
+func (r *Relation) table(rows []tuple.Tuple) string {
 	var b strings.Builder
 	names := r.Schema.Names()
 	widths := make([]int, len(names))
 	for i, n := range names {
 		widths[i] = len(n)
 	}
-	sorted := r.Sort().Rows()
-	cells := make([][]string, len(sorted))
-	for i, t := range sorted {
+	cells := make([][]string, len(rows))
+	for i, t := range rows {
 		cells[i] = make([]string, len(t))
 		for j, v := range t {
 			s := v.String()

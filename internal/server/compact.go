@@ -516,6 +516,7 @@ func (b *compactBackend) execSelect(st *sqlparse.SelectStmt) (*core.Result, erro
 		Kind:     core.ResultClosed,
 		Groups:   []core.GroupRows{{Prob: 1, Rel: rel}},
 		Weighted: b.weighted,
+		Ordered:  cl == wsd.ClosureNone && st.OrdersAnswer(),
 	}, nil
 }
 

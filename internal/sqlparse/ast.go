@@ -403,6 +403,11 @@ func (s *SelectStmt) HasISQL() bool {
 	return false
 }
 
+// OrdersAnswer reports whether the statement's ORDER BY orders its whole
+// per-world answer: the top-level block carries it (beside a UNION it sorts
+// one arm). A closure answers a set whatever this says.
+func (s *SelectStmt) OrdersAnswer() bool { return len(s.OrderBy) > 0 && s.Union == nil }
+
 // CreateTableAs is CREATE TABLE name AS select.
 type CreateTableAs struct {
 	Name  string

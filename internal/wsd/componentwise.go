@@ -17,40 +17,19 @@ package wsd
 // conditioned ones beside them: the c-tables of "Conditional Tables in
 // practice", PAPERS.md).
 //
-// A delta is a bind-time rewrite of the compiled template (Prepared.BindDelta
+// A delta is a bind-time rewrite of the compiled template (Prepared.Deltas
 // and the three bind modes — cert, delta, full — in internal/plan's
 // components.go). This file holds the evaluation half: the catalog serving
 // the three modes for one alternative per selected component,
 // QueryByComponent's evaluations on the worker pool, and the componentwise
 // materialization. The closing half is the one fold in fold.go, shared with
-// the d-tree route (conditional.go) and the stored-relation closures
-// (ops.go): it takes Q(cert) as the certain slot, weighs the deltas and emits
-// the sequence this file hands it.
-//
-// That sequence reproduces the naive engine's answer order exactly. The
-// naive engine closes over per-world answers in mixed-radix world order
-// (the last component varies fastest; see Expand and core's repair
-// odometer), deduplicating by first appearance. Under the decomposition
-// identity, the only worlds contributing *new* tuples to that fold are the
-// first world (all components at their first alternative) and the
-// single-deviation worlds (one component at alternative a ≥ 2, all others
-// first), whose positions sort by reverse component order with
-// alternatives ascending. The emission is therefore the first world's full
-// answer (one extra evaluation), then the deltas of the remaining
-// alternatives of each component from the last involved component to the
-// first. A deviation world's new tuples are its delta's, in the delta's own
-// order, wherever the analysis says Ordered: every supported operator routes
-// rows value- or position-deterministically (scans, filters and projections
-// keep input order, DISTINCT keeps first appearances — its delta minus the
-// tuples of its certain input, which the first world has shown — and the sort
-// is stable), so dropping the certain rows from an operator's input never
-// reorders the rows that remain; and a join, driven by its left input, meets
-// what the new right rows add to the certain left rows before what the new
-// left rows join — the delta's two terms in that order — as long as the left
-// input lists its certain rows first. Where it does not (a third self-join
-// within one component, `S, T a, T b`) the plan is not Ordered, and route
-// sends the statement to the fold that emits full deviation worlds
-// (conditional.go) — flat components are trees of one node there.
+// the stored-relation closures (ops.go): it takes Q(cert) as the certain
+// slot, weighs the deltas and lists the answer — no world is ever evaluated.
+// Over components arranged in d-trees the identity holds over the components
+// *active* in the world (top-level, or under the alternative their parent
+// selects); the caller passes whole trees (rootClosure), since an untouched
+// ancestor still decides whether a touched child is active, and the fold
+// weighs each alternative by its conditioning path.
 //
 // Answers are colbatch batches — columnar when the evaluation ran the batch
 // operators, a zero-copy row-backed batch when it ran the row operators
@@ -198,8 +177,8 @@ func (pc partsCatalog) view(name string, withCert, withContrib bool) (*relation.
 
 var _ plan.PartsCatalog = partsCatalog{}
 
-// partQuery evaluates one query against a part catalog: in full when delta
-// is unset (Q over the catalog's instances), else as the delta ΔQ of the
+// partQuery evaluates one query against a part catalog: over the certain
+// parts alone when delta is unset (Q(cert)), else as the delta ΔQ of the
 // catalog's selection. It must be safe for concurrent calls.
 type partQuery func(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error)
 
@@ -207,43 +186,33 @@ type partQuery func(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error)
 // batches — columnar when the evaluation ran the batch operators, row-backed
 // (zero-copy over collected tuples) otherwise.
 type componentParts struct {
-	compIdx []int             // indexes into d.comps, ascending
-	base    *colbatch.Batch   // the certain-only answer Q(cert)
-	worlds  []*colbatch.Batch // the full answers of the requested worlds
+	compIdx []int           // indexes into d.comps, ascending
+	base    *colbatch.Batch // the certain-only answer Q(cert)
 	// deltas[i][a] is ΔQ(compIdx[i], a): what alternative a adds to base.
 	deltas [][]*colbatch.Batch
 }
 
-// QueryByComponent evaluates query over the certain part once, in full over
-// each of the listed worlds (selections of alternatives), and as a delta per
-// alternative of each listed component — 1 + |worlds| + Σ sizes evaluations
-// on the worker pool reading O(|cert| + Σ|contributions|) rows beside the
-// worlds', no merge, no mutation of the decomposition. sp, the route's span if
-// any, is told what was evaluated.
-func (d *WSD) QueryByComponent(compIdx []int, worlds []map[int]int, query partQuery, sp *obs.Span) (*componentParts, error) {
-	out := &componentParts{
-		compIdx: compIdx,
-		worlds:  make([]*colbatch.Batch, len(worlds)),
-		deltas:  make([][]*colbatch.Batch, len(compIdx)),
-	}
+// QueryByComponent evaluates query over the certain part once and as a delta
+// per alternative of each listed component — 1 + Σ sizes evaluations on the
+// worker pool reading O(|cert| + Σ|contributions|) rows, no merge, no mutation
+// of the decomposition. sp, the route's span if any, is told what was
+// evaluated.
+func (d *WSD) QueryByComponent(compIdx []int, query partQuery, sp *obs.Span) (*componentParts, error) {
+	out := &componentParts{compIdx: compIdx, deltas: make([][]*colbatch.Batch, len(compIdx))}
 	// Flatten every evaluation into one task list for the pool.
 	type task struct {
-		sel   map[int]int
-		delta bool
-		dst   **colbatch.Batch
+		sel map[int]int // nil: the certain-only answer
+		dst **colbatch.Batch
 	}
 	tasks := []task{{dst: &out.base}}
-	for wi, sel := range worlds {
-		tasks = append(tasks, task{sel: sel, dst: &out.worlds[wi]})
-	}
 	for i, ci := range compIdx {
 		out.deltas[i] = make([]*colbatch.Batch, len(d.comps[ci].Alts))
 		for a := range out.deltas[i] {
-			tasks = append(tasks, task{sel: map[int]int{ci: a}, delta: true, dst: &out.deltas[i][a]})
+			tasks = append(tasks, task{sel: map[int]int{ci: a}, dst: &out.deltas[i][a]})
 		}
 	}
 	results, err := mapAlts(d, len(tasks), func(ti int) (*colbatch.Batch, error) {
-		return query(newPartsCatalog(d, tasks[ti].sel), tasks[ti].delta)
+		return query(newPartsCatalog(d, tasks[ti].sel), tasks[ti].sel != nil)
 	})
 	if err != nil {
 		return nil, err
@@ -265,18 +234,6 @@ func (d *WSD) QueryByComponent(compIdx []int, worlds []map[int]int, query partQu
 	return out, nil
 }
 
-// emission returns the flat closure emission order — the first world's
-// answer, then the deltas of the remaining alternatives of each component
-// from the last involved component to the first — as the sequence the fold
-// deduplicates.
-func (p *componentParts) emission() []*colbatch.Batch {
-	out := []*colbatch.Batch{p.worlds[0]}
-	for i := len(p.compIdx) - 1; i >= 0; i-- {
-		out = append(out, p.deltas[i][1:]...)
-	}
-	return out
-}
-
 // materializeByComponent stores the answer of a concat-structured
 // decomposable query as relation dst without merging: the certain-only
 // answer becomes dst's certain part, and the delta of each (component,
@@ -287,7 +244,7 @@ func (p *componentParts) emission() []*colbatch.Batch {
 // land as zero-copy columnar views (identity for later scans), row-backed
 // ones as shared row slices.
 func (d *WSD) materializeByComponent(dst string, compIdx []int, query partQuery) error {
-	p, err := d.QueryByComponent(compIdx, nil, query, nil)
+	p, err := d.QueryByComponent(compIdx, query, nil)
 	if err != nil {
 		return err
 	}

@@ -5,13 +5,14 @@ package wsd
 // here: CONF/POSSIBLE/CERTAIN over a relation fed by k independent
 // components (plus joins against certain relations) run with zero
 // component merges — observed through MergeCount and ComponentCount — and
-// produce answers identical, order included, to the classic merge path
-// and to the naive engine on the expanded world-set.
+// produce the answers of the classic merge path and of the naive engine on
+// the expanded world-set, compared as the sets they are (renderSet).
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -60,6 +61,22 @@ func renderRelTol(t *testing.T, r *relation.Relation) string {
 		b.WriteString(fmt.Sprintf("%q|conf=%.9f", tp[:len(tp)-1].Key(), tp[len(tp)-1].AsFloat()))
 	}
 	return b.String()
+}
+
+// renderSet renders a closed answer as the set it is: a closure carries no
+// order, and the fold, the merge route and the naive engine each list theirs
+// their own way (fold.go). The schema, then the rows of renderRel — or, with
+// tol, of renderRelTol — sorted; a tuple listed twice stays twice, so equal
+// renderings are equal duplicate-free sets under equal schemas.
+func renderSet(t *testing.T, r *relation.Relation, tol bool) string {
+	t.Helper()
+	s := renderRel(r)
+	if tol {
+		s = renderRelTol(t, r)
+	}
+	lines := strings.Split(s, "\n")
+	sort.Strings(lines[1:])
+	return strings.Join(lines, "\n")
 }
 
 // analyzed compiles core against d and runs the component-touch analysis:
@@ -138,7 +155,7 @@ func selectOn(t *testing.T, d *WSD, sql string) *relation.Relation {
 // TestComponentwiseNoMergeAcceptance is the acceptance check: closures
 // over a relation fed by 3 independent components, including a join
 // against a certain relation, execute with no component merge and match
-// the merge path byte for byte.
+// the merge path tuple for tuple.
 func TestComponentwiseNoMergeAcceptance(t *testing.T) {
 	queries := []string{
 		"select possible A, B from I",
@@ -167,13 +184,8 @@ func TestComponentwiseNoMergeAcceptance(t *testing.T) {
 		if slow.MergeCount() == 0 {
 			t.Errorf("%q did not merge on the merge route (bad baseline)", q)
 		}
-		var gotS, wantS string
-		if strings.Contains(q, "conf") {
-			gotS, wantS = renderRelTol(t, fastRel), renderRelTol(t, slowRel)
-		} else {
-			gotS, wantS = renderRel(fastRel), renderRel(slowRel)
-		}
-		if gotS != wantS {
+		tol := strings.Contains(q, "conf")
+		if gotS, wantS := renderSet(t, fastRel, tol), renderSet(t, slowRel, tol); gotS != wantS {
 			t.Errorf("%q diverged from the merge path:\n%s\nwant:\n%s", q, gotS, wantS)
 		}
 	}
@@ -200,8 +212,8 @@ func TestComponentwiseConfDyadic(t *testing.T) {
 	}
 	fast, slow := build(), build()
 	q := "select conf, B from I"
-	got := renderRel(selectOn(t, fast, q))
-	want := renderRel(selectMerged(t, slow, q))
+	got := renderSet(t, selectOn(t, fast, q), false)
+	want := renderSet(t, selectMerged(t, slow, q), false)
 	if got != want {
 		t.Fatalf("dyadic conf diverged:\n%s\nwant:\n%s", got, want)
 	}
@@ -234,8 +246,8 @@ func TestComponentwiseScalesWithSum(t *testing.T) {
 	fast, slow := build(), build()
 
 	q := "select conf, A, B from I"
-	got := renderRelTol(t, selectOn(t, fast, q))
-	want := renderRelTol(t, selectMerged(t, slow, q))
+	got := renderSet(t, selectOn(t, fast, q), true)
+	want := renderSet(t, selectMerged(t, slow, q), true)
 	if got != want {
 		t.Fatalf("scaled conf diverged:\n%s\nwant:\n%s", got, want)
 	}
@@ -257,7 +269,7 @@ func TestComponentwiseScalesWithSum(t *testing.T) {
 
 // TestComponentwiseCreateTableAs: a projection of a multi-component
 // relation materializes componentwise — no merge, linear representation —
-// and downstream closures agree with the merge path byte for byte.
+// and downstream closures agree with the merge path tuple for tuple.
 func TestComponentwiseCreateTableAs(t *testing.T) {
 	fast, slow := newFigure2WSD(t), newFigure2WSD(t)
 	core, _ := parseCore(t, "select A, B from I where B >= 14")
@@ -279,13 +291,8 @@ func TestComponentwiseCreateTableAs(t *testing.T) {
 		"select certain A from HighB",
 		"select conf, A, B from HighB",
 	} {
-		var got, want string
-		if strings.Contains(q, "conf") {
-			got, want = renderRelTol(t, selectOn(t, fast, q)), renderRelTol(t, selectOn(t, slow, q))
-		} else {
-			got, want = renderRel(selectOn(t, fast, q)), renderRel(selectOn(t, slow, q))
-		}
-		if got != want {
+		tol := strings.Contains(q, "conf")
+		if got, want := renderSet(t, selectOn(t, fast, q), tol), renderSet(t, selectOn(t, slow, q), tol); got != want {
 			t.Errorf("%q after CTAS diverged:\n%s\nwant:\n%s", q, got, want)
 		}
 	}
@@ -478,61 +485,80 @@ func TestComponentwiseFallbacks(t *testing.T) {
 	}
 }
 
-// TestComponentwiseMatchesNaiveOrder: the componentwise closures reproduce
-// the naive engine's answer order exactly, including for join shapes where
-// the uncertain relation drives from either side.
-func TestComponentwiseMatchesNaiveOrder(t *testing.T) {
-	setup := []string{
-		"create table S (B, Y)",
-		"insert into S values (10,'y1'),(15,'y2'),(20,'y3'),(14,'y4')",
-		"create table I as select A, B, C, D from R repair by key A weight D",
-	}
-	queries := []string{
-		"select possible A, B from I",
-		"select certain A from I",
-		"select possible I.A, S.Y from I, S where I.B = S.B",
-		// Uncertain relation on the right side of the join: the naive
-		// first-appearance order interleaves; the componentwise emission
-		// must still match.
-		"select possible S.Y, I.A from S, I where S.B = I.B",
-		"select possible B from I order by B",
-		"select certain distinct A, B from I union select A, B from (R) R2",
-	}
-
-	s := core.NewSession(true)
-	if err := s.Register("R", figure1R()); err != nil {
-		t.Fatal(err)
-	}
-	d := New(true)
-	if err := d.PutCertain("R", figure1R()); err != nil {
-		t.Fatal(err)
-	}
-	for _, stmt := range setup {
-		if _, err := s.Exec(stmt); err != nil {
-			t.Fatalf("naive %q: %v", stmt, err)
+// TestClosureEmissionIsRepresentationOrder pins the one emission rule
+// (fold.go): the stored-relation closures, the SELECT closures and the
+// conditional relation of one relation list its tuples in the same order —
+// the certain part, then the contributions with components and alternatives
+// ascending, each tuple where it first appears — over a flat, a nested and an
+// imported decomposition.
+func TestClosureEmissionIsRepresentationOrder(t *testing.T) {
+	// nested: one choice component whose two alternatives hold three rows
+	// each, repaired by the chosen attribute — a three-alternative child under
+	// either alternative, beside Figure 2's flat repair.
+	nested := newFigure2WSD(t)
+	cand := relation.New(schema.New("G", "V"))
+	for g := 0; g < 2; g++ {
+		for v := 0; v < 3; v++ {
+			cand.MustAppend(row(g, v))
 		}
 	}
-	if err := d.PutCertain("S", mustRelFromNaive(t, s, "S")); err != nil {
+	if err := nested.PutCertain("Cand", cand); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"A"}, "D"); err != nil {
+	if err := nested.ChoiceOf("Cand", "U", []string{"G"}, ""); err != nil {
 		t.Fatal(err)
 	}
-
-	for _, q := range queries {
-		q := strings.ReplaceAll(q, "(R) R2", "R") // keep plain SQL text
-		res, err := s.Exec(q)
+	if err := nested.RepairByKey("U", "N", []string{"G"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	if nested.nested != 2 || nested.MergeCount() != 0 {
+		t.Fatalf("fixture: %d nested components after %d merges, want 2 and 0", nested.nested, nested.MergeCount())
+	}
+	// tuples lists r's distinct tuples, less the trailing drop columns, in
+	// first-appearance order.
+	tuples := func(r *relation.Relation, drop int) string {
+		seen := map[string]bool{}
+		var out []string
+		for _, tp := range r.Rows() {
+			if k := tp[:len(tp)-drop].Key(); !seen[k] {
+				seen[k] = true
+				out = append(out, fmt.Sprintf("%q", k))
+			}
+		}
+		return strings.Join(out, "\n")
+	}
+	for _, c := range []struct {
+		label string
+		d     *WSD
+		rel   string
+	}{
+		{"flat", newFigure2WSD(t), "I"},
+		{"nested", nested, "N"},
+		{"imported", importedWSD(t, 64), "B"},
+	} {
+		possible, err := c.d.Possible(c.rel)
 		if err != nil {
-			t.Fatalf("naive %q: %v", q, err)
+			t.Fatal(err)
 		}
-		want := renderRel(res.Groups[0].Rel)
-		got := renderRel(selectOn(t, d, q))
-		if got != want {
-			t.Errorf("%q diverged from naive order:\n%s\nwant:\n%s", q, got, want)
+		want := tuples(possible, 0)
+		if possible.Len() < 5 || strings.Count(want, "\n")+1 != possible.Len() {
+			t.Fatalf("%s fixture: Possible(%s) has %d rows, want at least 5 distinct", c.label, c.rel, possible.Len())
 		}
-	}
-	if d.MergeCount() != 0 {
-		t.Errorf("naive-order suite merged %d times, want 0", d.MergeCount())
+		for _, q := range []struct {
+			sql  string
+			drop int // trailing conf or cond column
+		}{
+			{"select possible * from " + c.rel, 0},
+			{"select *, conf from " + c.rel, 1},
+			{"select * from " + c.rel, 1},
+		} {
+			if got := tuples(selectOn(t, c.d, q.sql), q.drop); got != want {
+				t.Errorf("%s %q lists its tuples in another order than Possible(%s):\n%s\nwant:\n%s", c.label, q.sql, c.rel, got, want)
+			}
+		}
+		if c.d.MergeCount() != 0 {
+			t.Errorf("%s: a closure merged", c.label)
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ func checkDeltaParts(t *testing.T, label string, d *WSD, sql string) {
 		t.Fatalf("%s %q is not decomposable", label, sql)
 	}
 	comps := d.rootClosure(an.Comps)
-	p, err := d.QueryByComponent(comps, nil, ev.part, nil)
+	p, err := d.QueryByComponent(comps, ev.part, nil)
 	if err != nil {
 		t.Fatalf("%s %q: %v", label, sql, err)
 	}
@@ -53,8 +53,7 @@ func checkDeltaParts(t *testing.T, label string, d *WSD, sql string) {
 // group) and under P's (one component); every other trial nests a repair under
 // M's alternatives — with one query per delta rule: scans and filters,
 // a join against a certain table on either side, a self-join within one
-// component (twice and three times over, where the deltas lose a world's order
-// and the closures must emit from full deviation worlds), UNION with the
+// component (twice and three times over), UNION with the
 // certain arm on either side, DISTINCT at the root and below it, ORDER BY, a
 // certain correlated subquery in WHERE, and an empty certain part (P).
 func TestDeltaPartsEqualFullParts(t *testing.T) {
@@ -120,22 +119,31 @@ func TestDeltaPartsEqualFullParts(t *testing.T) {
 		for _, sql := range qs {
 			checkDeltaParts(t, label, d, sql)
 			// End to end: the closures folded from base and deltas against the
-			// merge route's, order included (conf to 1e-9: a certain-answer
-			// tuple now gets exactly 1, not a sum of probabilities).
+			// merge route's, as sets (conf to 1e-9: a certain-answer tuple gets
+			// exactly 1, not a sum of probabilities).
 			for _, cl := range []string{"possible", "certain", "conf"} {
 				q := strings.Replace(sql, "select ", "select "+cl+" ", 1)
-				render := renderRel
 				if cl == "conf" {
 					q = strings.Replace(sql, " from ", ", conf from ", 1)
-					render = func(r *relation.Relation) string { return renderRelTol(t, r) }
 				}
-				if got, want := render(selectOn(t, d, q)), render(selectMerged(t, merged, q)); got != want {
+				core, c := parseCore(t, q)
+				rel, err := selectExplained(t, d, core, c)
+				if err != nil {
+					t.Fatalf("%s %q: %v", label, q, err)
+				}
+				if got, want := renderSet(t, rel, cl == "conf"), renderSet(t, selectMerged(t, merged, q), cl == "conf"); got != want {
 					t.Errorf("%s %q diverged from the merge route:\n%s\nwant:\n%s", label, q, got, want)
 				}
 			}
 		}
 		if d.MergeCount() != before {
 			t.Errorf("%s: a decomposable closure merged", label)
+		}
+		// Every plan shape reports componentwise over flat components, the
+		// three-way self-joins included (conditional counts splits that nest
+		// and statements on a conditional route).
+		if trial%2 == 0 && d.ConditionalCount() != 0 {
+			t.Errorf("%s: %d closures over flat components reported conditional", label, d.ConditionalCount())
 		}
 	}
 }
@@ -172,10 +180,12 @@ func importedWSD(t *testing.T, rows int) *WSD {
 	return d
 }
 
-// countingCatalog counts the rows of every relation a part catalog hands out.
+// countingCatalog counts the rows of every relation a part catalog hands out,
+// and the tables it hands out in full (Lookup: certain part and contributions
+// together, the one way an evaluation sees a world's instance).
 type countingCatalog struct {
 	plan.PartsCatalog
-	rows *atomic.Int64
+	rows, full *atomic.Int64
 }
 
 func (c countingCatalog) count(rel *relation.Relation, err error) (*relation.Relation, error) {
@@ -184,6 +194,7 @@ func (c countingCatalog) count(rel *relation.Relation, err error) (*relation.Rel
 }
 
 func (c countingCatalog) Lookup(name string) (*relation.Relation, error) {
+	c.full.Add(1)
 	return c.count(c.PartsCatalog.Lookup(name))
 }
 
@@ -195,12 +206,12 @@ func (c countingCatalog) Delta(name string) (*relation.Relation, error) {
 	return c.count(c.PartsCatalog.Delta(name))
 }
 
-// TestCertainPartLookedUpOnce holds "once" as a count: a CONF over 40 000
-// imported rows with 24 alternatives of dirt reads the certain part for the
-// base evaluation and for the first world — not once more per alternative.
-// (The full per-part evaluation handed out 26 × the certain part.) Under a
-// DISTINCT the deltas subtract the certain input's tuples, one more read for
-// the statement, not one per delta.
+// TestCertainPartLookedUpOnce holds "once" as a count: the evaluations of a
+// closure over 40 000 imported rows with 24 alternatives of dirt read the
+// certain part for the base evaluation — not once more per alternative. (The
+// full per-part evaluation handed out 26 × the certain part.) Under a DISTINCT
+// the deltas subtract the certain input's tuples, one more read for the
+// statement, not one per delta.
 func TestCertainPartLookedUpOnce(t *testing.T) {
 	const rows = 40000
 	d := importedWSD(t, rows)
@@ -208,8 +219,8 @@ func TestCertainPartLookedUpOnce(t *testing.T) {
 		sql       string
 		certReads int
 	}{
-		{"select K from B where K >= 10000 and K < 10060 and A > 250", 2},
-		{"select distinct Cat from B where K >= 10000 and K < 10060", 3},
+		{"select K from B where K >= 10000 and K < 10060 and A > 250", 1},
+		{"select distinct Cat from B where K >= 10000 and K < 10060", 2},
 	} {
 		an, ev := analyzed(t, d, mustCore(t, c.sql))
 		if len(an.Comps) != 8 || d.AlternativeCount() != 24 {
@@ -219,10 +230,10 @@ func TestCertainPartLookedUpOnce(t *testing.T) {
 		if cert+12 != rows {                           // 4 NULL rows and 4 conflicts of two
 			t.Fatalf("fixture: %d certain rows of %d, want all but 12", cert, rows)
 		}
-		var handed atomic.Int64
-		p, err := d.QueryByComponent(an.Comps, []map[int]int{firstWorld(an.Comps)},
+		var handed, full atomic.Int64
+		p, err := d.QueryByComponent(an.Comps,
 			func(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error) {
-				return ev.part(countingCatalog{cat, &handed}, delta)
+				return ev.part(countingCatalog{cat, &handed, &full}, delta)
 			}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -230,9 +241,63 @@ func TestCertainPartLookedUpOnce(t *testing.T) {
 		if p.base.Len() == 0 {
 			t.Errorf("%q: the certain-only answer is empty", c.sql)
 		}
+		if got := full.Load(); got != 0 {
+			t.Errorf("%q: %d tables handed out in full, want 0", c.sql, got)
+		}
 		if got, limit := handed.Load(), int64(c.certReads*cert+contrib+24); got > limit {
 			t.Errorf("%q: the catalog handed out %d rows, limit %d = %d·%d certain + %d contributed + 24 (the parent: %d)",
 				c.sql, got, limit, c.certReads, cert, contrib, 26*cert+8+24)
+		}
+	}
+}
+
+// TestClosureEvaluatesNoWorld: POSSIBLE, CERTAIN and CONF on the merge-free
+// routes are answered from Q(cert) and one delta per alternative of the
+// involved trees — exactly 1 + Σ sizes evaluations, none of which is handed
+// the uncertain table in full: no first world, no deviation worlds. Over
+// Figure 2's flat repair and over a repair chained on it (every alternative
+// carrying a child component).
+func TestClosureEvaluatesNoWorld(t *testing.T) {
+	chained := newFigure2WSD(t)
+	if err := chained.RepairByKey("I", "N", []string{"A", "B"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		d    *WSD
+		rel  string
+		kind routeKind
+	}{
+		{newFigure2WSD(t), "I", routeComponentwise},
+		{chained, "N", routeCondFold},
+	} {
+		core := mustCore(t, "select A, B from "+c.rel)
+		an, ev := analyzed(t, c.d, core)
+		sizes := 0
+		for _, ci := range c.d.rootClosure(an.Comps) {
+			sizes += len(c.d.comps[ci].Alts)
+		}
+		for _, cl := range []Closure{ClosurePossible, ClosureCertain, ClosureConf} {
+			dec := c.d.route(core, an, cl, false)
+			if dec.kind != c.kind {
+				t.Fatalf("%s of %s routes %s, want %s", closureName(cl), c.rel, dec.kind, c.kind)
+			}
+			var evals, rows, full atomic.Int64
+			rel, err := c.d.runFold(an.Comps, dec, func(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error) {
+				evals.Add(1)
+				return ev.part(countingCatalog{cat, &rows, &full}, delta)
+			}, cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cl != ClosureCertain && rel.Len() != 5 {
+				t.Errorf("%s of %s: %d rows, want 5", closureName(cl), c.rel, rel.Len())
+			}
+			if got := evals.Load(); got != int64(1+sizes) {
+				t.Errorf("%s of %s ran %d evaluations, want 1 + Σ sizes = %d", closureName(cl), c.rel, got, 1+sizes)
+			}
+			if got := full.Load(); got != 0 {
+				t.Errorf("%s of %s was handed a table in full %d times, want 0", closureName(cl), c.rel, got)
+			}
 		}
 	}
 }

@@ -194,9 +194,10 @@ func TestChoiceEquivalenceRandomized(t *testing.T) {
 // TestComponentwiseEquivalenceFuzz builds random decompositions (repair
 // and choice components over random base tables, plus a certain lookup
 // table), runs the same I-SQL through the naive enumerating engine and the
-// decomposition-aware executor, and asserts identical results — byte
-// identical (order included) for possible/certain and for the tuple part
-// of conf answers; conf values themselves are compared to 1e-9, because
+// decomposition-aware executor, and asserts identical results — the same
+// duplicate-free tuple set under the same schema (renderSet: a closed answer
+// carries no order) for possible/certain and for the tuple part of conf
+// answers; conf values themselves are compared to 1e-9, because
 // the componentwise path computes 1 − Π(1 − p_c) where the naive engine
 // sums world probabilities (mathematically equal, floating-point
 // accumulation order differs). Queries cover both the merge-free
@@ -293,33 +294,9 @@ func TestComponentwiseEquivalenceFuzz(t *testing.T) {
 			if q.componentwise && d.MergeCount() != mergesBefore {
 				t.Errorf("trial %d %q merged on the componentwise path", trial, q.sql)
 			}
-			wantRel := want.Groups[0].Rel
-			if cl == ClosureConf {
-				compareConfRelations(t, trial, q.sql, got, wantRel)
-			} else if g, w := renderRel(got), renderRel(wantRel); g != w {
+			if g, w := renderSet(t, got, cl.IsConf()), renderSet(t, want.Groups[0].Rel, cl.IsConf()); g != w {
 				t.Errorf("trial %d %q diverged from naive:\n%s\nwant:\n%s", trial, q.sql, g, w)
 			}
-		}
-	}
-}
-
-// compareConfRelations asserts byte-identical tuple parts in identical
-// order and conf values within 1e-9.
-func compareConfRelations(t *testing.T, trial int, sql string, got, want *relation.Relation) {
-	t.Helper()
-	if got.Len() != want.Len() {
-		t.Errorf("trial %d %q: %d rows, want %d", trial, sql, got.Len(), want.Len())
-		return
-	}
-	for i := range got.Rows() {
-		g, w := got.Rows()[i], want.Rows()[i]
-		if g[:len(g)-1].Key() != w[:len(w)-1].Key() {
-			t.Errorf("trial %d %q row %d: tuple %v, want %v", trial, sql, i, g, w)
-			return
-		}
-		if math.Abs(g[len(g)-1].AsFloat()-w[len(w)-1].AsFloat()) > 1e-9 {
-			t.Errorf("trial %d %q row %d: conf %v, want %v", trial, sql, i, g[len(g)-1], w[len(w)-1])
-			return
 		}
 	}
 }
@@ -398,10 +375,7 @@ func crosscheckClosures(t *testing.T, trial int, label string, s *core.Session, 
 		if err != nil {
 			t.Fatalf("trial %d %s compact %q: %v", trial, label, sql, err)
 		}
-		wantRel := want.Groups[0].Rel
-		if cl == ClosureConf {
-			compareConfRelations(t, trial, label+" "+sql, got, wantRel)
-		} else if g, w := renderRel(got), renderRel(wantRel); g != w {
+		if g, w := renderSet(t, got, cl.IsConf()), renderSet(t, want.Groups[0].Rel, cl.IsConf()); g != w {
 			t.Errorf("trial %d %s %q diverged from naive:\n%s\nwant:\n%s", trial, label, sql, g, w)
 		}
 	}
@@ -472,8 +446,8 @@ func TestDMLEquivalenceFuzz(t *testing.T) {
 
 // TestGroupWorldsEquivalenceFuzz runs randomized GROUP WORLDS BY
 // statements through both engines: same group count and order, group
-// probabilities to 1e-9, byte-identical possible/certain group answers
-// (order included) and conf answers to 1e-9. Statements whose grouping
+// probabilities to 1e-9, the same possible/certain group answers as sets
+// (renderSet) and conf answers to 1e-9. Statements whose grouping
 // plan decomposes and touches no component of the main query must group
 // via the per-component fingerprint fold with zero merges; only grouped
 // queries genuinely spanning components (shared components between the
@@ -540,10 +514,7 @@ func TestGroupWorldsEquivalenceFuzz(t *testing.T) {
 				if math.Abs(got[gi].Prob-want.Groups[gi].Prob) > 1e-9 {
 					t.Errorf("trial %d %q group %d: prob %g, want %g", trial, q.sql, gi, got[gi].Prob, want.Groups[gi].Prob)
 				}
-				wantRel := want.Groups[gi].Rel
-				if cl == ClosureConf {
-					compareConfRelations(t, trial, fmt.Sprintf("%s group %d", q.sql, gi), got[gi].Rel, wantRel)
-				} else if g, w := renderRel(got[gi].Rel), renderRel(wantRel); g != w {
+				if g, w := renderSet(t, got[gi].Rel, cl.IsConf()), renderSet(t, want.Groups[gi].Rel, cl.IsConf()); g != w {
 					t.Errorf("trial %d %q group %d diverged:\n%s\nwant:\n%s", trial, q.sql, gi, g, w)
 				}
 			}

@@ -3,10 +3,10 @@ package wsd
 // The closure fold: POSSIBLE, CERTAIN and CONF from component independence,
 // in time linear in the representation — never in the worlds. Every route
 // that closes over per-(component, alternative) parts reaches this one type:
-// the flat componentwise route and the d-tree route hand it the evaluated
-// certain-only answer and deltas (componentwise.go, conditional.go);
-// WSD.Possible, Certain, ConfRelation and Conf hand it a stored relation's
-// certain part and contribution batches — the same shape.
+// the SELECT routes hand it the evaluated certain-only answer and deltas
+// (componentwise.go), flat and tree involvement alike; WSD.Possible, Certain,
+// ConfRelation and Conf hand it a stored relation's certain part and
+// contribution batches — the same shape.
 //
 // A fold is given the components (whole d-trees; a flat component is a tree
 // of one node), one batch per (component, alternative) — what that
@@ -25,11 +25,15 @@ package wsd
 // exactly P(a)·0, and skipping it changes no bit. Sums run in alternative
 // order and products in component order, like the naive engine's.
 //
-// Which tuples are answered, and in which order, is the caller's emission
-// sequence: the fold emits each distinct tuple where the sequence first shows
-// it (the first world and the deviation deltas or worlds on the SELECT routes,
-// the certain part then the contributions in component order for a stored
-// relation) and CERTAIN filters that sequence. Tuples are identified by
+// Which tuples are answered, and in which order, is decided here and nowhere
+// else. A closed answer is a set — a world-set closed into one relation has no
+// world order to inherit — and the fold lists it in representation order: the
+// certain slot's rows, then every part with components ascending and
+// alternatives ascending, each distinct tuple where it first appears, CERTAIN
+// filtering that sequence. The order is deterministic for a given
+// decomposition and the same for a stored relation, a SELECT over it and its
+// conditional relation (conditional.go); it is not the naive engine's
+// world-enumeration order, and neither is API. Tuples are identified by
 // AppendKey arena keys — the byte space of tuple.Encode, whether a batch is
 // columnar or row-backed — interned once per distinct tuple; the output is
 // gathered column-wise, or by tuple reference when the evaluations ran the
@@ -80,8 +84,8 @@ type closureFold struct {
 
 	ids    map[string]int32
 	tuples []foldTuple
-	// rows remembers the tuple ids of weighed part batches, so an emission
-	// sequence naming the same batches does not encode them again.
+	// rows remembers the tuple ids of weighed batches, so the emission does
+	// not encode them again.
 	rows    map[*colbatch.Batch][]int32
 	kids    [][][]int // kids[i][a]: positions of the children of (compIdx[i], a); nil when flat
 	post    []posting
@@ -307,28 +311,34 @@ func (f *closureFold) pointConf() (float64, error) {
 }
 
 // close answers closure cl under schema sch (CONF appends the conf column):
-// the distinct tuples of the emission sequence in first-appearance order —
-// all of them for POSSIBLE and CONF, the always-contributed ones for CERTAIN.
-// The Interrupt hook is polled once per emitted batch.
-func (f *closureFold) close(cl Closure, emit []*colbatch.Batch, sch *schema.Schema) (*relation.Relation, error) {
+// the distinct tuples of the certain slot and then the parts, components and
+// alternatives ascending, in first-appearance order — all of them for
+// POSSIBLE and CONF, the always-contributed ones for CERTAIN. The Interrupt
+// hook is polled once per emitted batch.
+func (f *closureFold) close(cl Closure, sch *schema.Schema) (*relation.Relation, error) {
 	if cl != ClosurePossible {
 		if err := f.weigh(); err != nil {
 			return nil, err
 		}
 	}
-	// The output follows the first emitted batch: columnar answers gather
-	// column-wise, row-backed ones (evaluations that ran the row operators)
-	// append tuple references.
-	out := colbatch.New(sch)
-	if len(emit) > 0 && emit[0].RowBacked() {
-		out = colbatch.FromRowsShared(sch, nil)
-	}
+	var out *colbatch.Batch
 	emitted := make([]bool, len(f.ids))
 	var sel []int32
 	var confs []float64
-	for _, b := range emit {
+	emit := func(b *colbatch.Batch) error {
+		if b == nil || b.Len() == 0 {
+			return nil
+		}
 		if err := f.d.interrupted(); err != nil {
-			return nil, err
+			return err
+		}
+		// The output follows the first non-empty batch: columnar answers gather
+		// column-wise, row-backed ones (evaluations that ran the row operators)
+		// append tuple references.
+		if out == nil {
+			if out = colbatch.New(sch); b.RowBacked() {
+				out = colbatch.FromRowsShared(sch, nil)
+			}
 		}
 		sel = sel[:0]
 		for r, id := range f.rowIDs(b, false) {
@@ -352,14 +362,23 @@ func (f *closureFold) close(cl Closure, emit []*colbatch.Batch, sch *schema.Sche
 		} else {
 			out.AppendGather(b, sel)
 		}
+		return nil
+	}
+	if err := emit(f.certain); err != nil {
+		return nil, err
+	}
+	for i, ci := range f.compIdx {
+		for a := range f.d.comps[ci].Alts {
+			if err := emit(f.part(i, a)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if out == nil {
+		out = colbatch.New(sch)
 	}
 	if cl.IsConf() {
 		out = out.ExtendFloat(sch.Concat(confSchema()), confs)
 	}
 	return relation.FromBatch(out), nil
-}
-
-// partsOf adapts evaluated deltas to the fold's part lookup.
-func partsOf(parts [][]*colbatch.Batch) func(i, a int) *colbatch.Batch {
-	return func(i, a int) *colbatch.Batch { return parts[i][a] }
 }

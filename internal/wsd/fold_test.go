@@ -147,11 +147,11 @@ func TestClosureFoldAgreement(t *testing.T) {
 					if err != nil {
 						t.Fatalf("naive %q: %v", c.sql, err)
 					}
-					w := strings.Join(sortedRows(want.Groups[0].Rel, cl.IsConf()), "\n")
-					if g := strings.Join(sortedRows(named, cl.IsConf()), "\n"); g != w {
+					w := renderSet(t, want.Groups[0].Rel, cl.IsConf())
+					if g := renderSet(t, named, cl.IsConf()); g != w {
 						t.Errorf("named closure for %q:\n%s\nnaive:\n%s", c.sql, g, w)
 					}
-					if g := strings.Join(sortedRows(selected, cl.IsConf()), "\n"); g != w {
+					if g := renderSet(t, selected, cl.IsConf()); g != w {
 						t.Errorf("select closure for %q:\n%s\nnaive:\n%s", c.sql, g, w)
 					}
 					switch cl {
@@ -240,13 +240,15 @@ func TestClosureFoldOrder(t *testing.T) {
 
 // TestClosureFoldScalesLinearly: CONF and CERTAIN over 8× the components
 // must take about 8× the time. The bound is 16× — the per-tuple loop over
-// every (component, alternative) this fold replaced took ~60× — and a ratio,
-// so it holds on any box and under -race.
+// every (component, alternative) this fold replaced took ~60×, and so did the
+// deviation-world evaluations of a chained repair (every alternative carrying
+// one child component), each over every active component — and a ratio, so it
+// holds on any box and under -race.
 func TestClosureFoldScalesLinearly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("times 16 000-component closures")
 	}
-	build := func(n int) *WSD {
+	build := func(n int, chained bool) *WSD {
 		d := New(true)
 		r := relation.New(schema.New("K", "V", "W"))
 		for k := 0; k < n; k++ {
@@ -259,15 +261,27 @@ func TestClosureFoldScalesLinearly(t *testing.T) {
 		if err := d.RepairByKey("Dirty", "Clean", []string{"K"}, "W"); err != nil {
 			t.Fatal(err)
 		}
+		if !chained {
+			return d
+		}
+		if err := d.RepairByKey("Clean", "Cleaner", []string{"K", "V"}, ""); err != nil {
+			t.Fatal(err)
+		}
+		if d.nested != 2*n || d.MergeCount() != 0 {
+			t.Fatalf("fixture: %d nested components after %d merges, want %d and 0", d.nested, d.MergeCount(), 2*n)
+		}
 		return d
 	}
-	small, large := build(2000), build(16000)
+	flat := [2]*WSD{build(2000, false), build(16000, false)}
+	chained := [2]*WSD{build(2000, true), build(16000, true)}
 	for _, q := range []struct {
 		sql  string
+		on   [2]*WSD
 		rows func(n int) int
 	}{
-		{"select *, conf from Clean", func(n int) int { return 2 * n }},
-		{"select certain * from Clean", func(int) int { return 0 }},
+		{"select *, conf from Clean", flat, func(n int) int { return 2 * n }},
+		{"select certain * from Clean", flat, func(int) int { return 0 }},
+		{"select *, conf from Cleaner", chained, func(n int) int { return 2 * n }},
 	} {
 		stmt, err := sqlparse.Parse(q.sql)
 		if err != nil {
@@ -295,7 +309,7 @@ func TestClosureFoldScalesLinearly(t *testing.T) {
 		}
 		var ts, tl time.Duration
 		for round := 0; round < 3; round++ {
-			s, l := mean(small, 2000, 8), mean(large, 16000, 1)
+			s, l := mean(q.on[0], 2000, 8), mean(q.on[1], 16000, 1)
 			if round == 0 || float64(l)/float64(s) < float64(tl)/float64(ts) {
 				ts, tl = s, l
 			}

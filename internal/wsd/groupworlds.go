@@ -28,9 +28,7 @@ package wsd
 // The closure of the main query within a group: when the grouping and
 // main plans touch disjoint component sets, the main query's answer is
 // independent of the grouping choice, so every group's POSSIBLE/CERTAIN
-// closure equals the global one (first-appearance order included — within
-// a group the non-grouping components still enumerate in odometer order),
-// and a group's CONF values are the global confidences scaled by the
+// closure equals the global one, and a group's CONF values are the global confidences scaled by the
 // group's probability (by independence: Σ_{w∈g, t∈Q(w)} p_w =
 // P(g)·P(t∈Q)). Only when the grouped query genuinely spans components —
 // the grouping and main plans share a component — does the engine fall
@@ -69,9 +67,10 @@ type groupInfo struct {
 // GroupWorldsClosure evaluates `SELECT <closure core> GROUP WORLDS BY
 // (gw)`: worlds are grouped by the fingerprint of gw's per-world answer
 // and the closure of core is computed within each group. Groups are
-// returned in the naive engine's first-appearance order with
-// byte-identical possible/certain answers; conf values are mathematically
-// equal (float accumulation order differs on multi-component paths).
+// returned in the naive engine's first-appearance order, each with the
+// naive engine's possible/certain answer as a set; conf values are
+// mathematically equal (float accumulation order differs on multi-component
+// paths).
 func (d *WSD) GroupWorldsClosure(gw, core *sqlparse.SelectStmt, cl Closure) ([]GroupAnswer, error) {
 	if cl == ClosureNone {
 		return nil, fmt.Errorf("group worlds by requires possible, certain or conf")
@@ -225,7 +224,7 @@ func canonOf(keys []string) string {
 // frontier enumerates alternative selections lexicographically, earlier
 // components more significant, exactly like the world odometer).
 func (d *WSD) groupsByComponent(compIdx []int, eval partQuery) ([]groupInfo, error) {
-	parts, err := d.QueryByComponent(compIdx, nil, eval, nil)
+	parts, err := d.QueryByComponent(compIdx, eval, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -366,9 +365,9 @@ func scaleConf(rel *relation.Relation, f float64) *relation.Relation {
 // groupWorldsSpanning is the bounded residual merge: the grouping and
 // main queries share components, so their union merges into one component
 // and both evaluate once per merged alternative — the grouping answers
-// fingerprint the alternatives into groups, the main answers close within
-// each group (first-appearance order over alternatives equals the world
-// odometer's, so answers match the naive engine byte for byte).
+// fingerprint the alternatives into groups (first-appearance order over
+// alternatives equals the world odometer's), the main answers close within
+// each group.
 func (d *WSD) groupWorldsSpanning(gwComps, qComps []int, gwEval, qEval func(cat plan.Catalog) (*relation.Relation, error), cl Closure) ([]GroupAnswer, error) {
 	idx := sortedUniqueInts(append(append([]int(nil), gwComps...), qComps...))
 	merged, err := d.mergeComponents(idx)

@@ -222,26 +222,13 @@ func (d *WSD) relationFold(name string, only []byte) (*closureFold, error) {
 	return d.newClosureFold(all, part, certain, only), nil
 }
 
-// closeRelation answers closure cl over the stored relation name, emitting
-// its certain part, then the contributions in component order, alternatives
-// ascending.
+// closeRelation answers closure cl over the stored relation name.
 func (d *WSD) closeRelation(name string, cl Closure) (*relation.Relation, error) {
 	f, err := d.relationFold(name, nil)
 	if err != nil {
 		return nil, err
 	}
-	var emit []*colbatch.Batch
-	if f.certain != nil {
-		emit = append(emit, f.certain)
-	}
-	for i, c := range d.comps {
-		for a := range c.Alts {
-			if b := f.part(i, a); b != nil {
-				emit = append(emit, b)
-			}
-		}
-	}
-	return f.close(cl, emit, d.schemas[key(name)])
+	return f.close(cl, d.schemas[key(name)])
 }
 
 // Possible returns the set of tuples appearing in relation name in at least

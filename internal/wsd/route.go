@@ -27,9 +27,8 @@ const (
 	// routeComponentwise: the certain-only answer plus per-alternative delta
 	// evaluations over flat components — Σ sizes, no merge (componentwise.go).
 	routeComponentwise
-	// routeCondFold: the same fold emitting the deviation worlds' full answers
-	// — a closure over tree-involved components, or over a plan whose deltas
-	// do not keep a world's order (conditional.go).
+	// routeCondFold: the same evaluations and the same fold over components
+	// arranged in d-trees; it differs in the word it reports.
 	routeCondFold
 	// routeCondRelation: a plain SELECT answered as a relation with a
 	// trailing cond column (conditional.go).
@@ -100,10 +99,8 @@ type decision struct {
 //     alternative left, a conditional relation when the plan is
 //     concat-structured, else it is refused — without merging anything;
 //   - a closure over a monotone-decomposable plan is computed from
-//     per-alternative answers (componentwise, or the conditional fold when
-//     the involved components carry tree structure or the analysis cannot
-//     vouch for the order of the plan's deltas: that fold emits from full
-//     deviation-world answers, flat components being trees of one node);
+//     per-alternative deltas (reported as componentwise, or as conditional
+//     when the involved components carry tree structure);
 //   - everything else genuinely correlates the involved components and
 //     merges exactly those — if the merged component fits MergeLimit, which
 //     mergedAlternatives answers without touching the decomposition. Past the
@@ -129,7 +126,7 @@ func (d *WSD) route(core *sqlparse.SelectStmt, an *plan.ComponentAnalysis, cl Cl
 		}
 		return decision{kind: routeRefused, err: d.perWorldError(core)}
 	case an.Decomposable:
-		if d.treeInvolved(comps) || !an.Ordered {
+		if d.treeInvolved(comps) {
 			return decision{kind: routeCondFold, nested: d.nestedAmong(d.rootClosure(comps))}
 		}
 		return decision{kind: routeComponentwise}

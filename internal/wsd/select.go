@@ -171,8 +171,9 @@ func sharedTemplate[T any](d *WSD, key string, valid func(T) bool, compile func(
 // it ran the row operators. Which operators run is algebra's decision per
 // drain (scanned rows against its floor); nothing here sets it.
 //
-// part is the partQuery of the Σ-alternatives routes: batch, or the delta
-// ΔQ of a part catalog's selection (deltas, the statement's plan.Deltas).
+// part is the partQuery of the Σ-alternatives routes: the certain-only answer
+// Q(cert), or the delta ΔQ of a part catalog's selection (deltas, the
+// statement's plan.Deltas) — neither reads a table's full instance.
 type evaluator struct {
 	d      *WSD
 	prep   *plan.Prepared
@@ -209,7 +210,7 @@ func (e evaluator) batch(cat plan.Catalog) (*colbatch.Batch, error) {
 
 func (e evaluator) part(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error) {
 	if !delta {
-		return e.batch(cat)
+		return e.batch(plan.CatalogFunc(cat.Certain))
 	}
 	// No per-catalog compilation behind a failed bind here: prepared validated
 	// the template against the very schemas a part catalog serves.
@@ -279,9 +280,10 @@ func (d *WSD) analyze(prep *plan.Prepared) (*plan.ComponentAnalysis, error) {
 // no merge, a bounded merge of exactly the involved components, the
 // Monte-Carlo estimate, or a refusal that merges nothing.
 //
-// Results are identical between the componentwise and merge paths — order
-// included — and match the naive engine's closure over the expanded
-// world-set.
+// A closed answer is a set: every route returns the same tuples (and
+// confidences) as the naive engine's closure over the expanded world-set, the
+// merge-free routes listing them in representation order (fold.go), the merge
+// route in the merged component's alternative order.
 func (d *WSD) SelectClosure(core *sqlparse.SelectStmt, cl Closure) (*relation.Relation, error) {
 	if cl.IsConf() && !d.Weighted {
 		return nil, ErrConfUnweighted
@@ -311,10 +313,8 @@ func (d *WSD) run(dec decision, comps []int, ev evaluator, cl Closure) (*relatio
 	switch dec.kind {
 	case routeSingle:
 		return d.runSingle(comps, ev, cl)
-	case routeComponentwise:
-		return d.runComponentwise(comps, ev, cl)
-	case routeCondFold:
-		return d.runConditionalFold(comps, dec, ev, cl)
+	case routeComponentwise, routeCondFold:
+		return d.runFold(comps, dec, ev.part, cl)
 	case routeCondRelation:
 		return d.runConditionalRelation(comps, dec, ev)
 	case routeMerge:
@@ -351,57 +351,52 @@ func (d *WSD) runSingle(comps []int, ev evaluator, cl Closure) (*relation.Relati
 	return d.closeAnswers([]*relation.Relation{res}, []float64{1}, cl)
 }
 
-// runComponentwise is the merge-free path: closures from the certain-only
-// answer and per-alternative deltas over flat components, folded in fold.go.
-// A single component is handled by the same code — there the merge path would
-// not have merged either, but the parts path also skips the (noop)
-// restructuring.
-func (d *WSD) runComponentwise(comps []int, ev evaluator, cl Closure) (*relation.Relation, error) {
-	sp := d.Trace.Begin("componentwise")
+// evalParts runs the evaluations of the Σ-alternatives routes — Q(cert) and
+// one delta per alternative, over the whole trees comps belong to (a flat
+// component is a tree of one node) — under the span and the session counter
+// named after dec's route. No merge, and no world is evaluated.
+func (d *WSD) evalParts(comps []int, dec decision, query partQuery) (*componentParts, error) {
+	sp := d.Trace.Begin(dec.kind.String())
+	defer sp.End(d.Trace)
 	sp.Set("components", len(comps))
-	parts, err := d.QueryByComponent(comps, []map[int]int{firstWorld(comps)}, ev.part, sp)
-	sp.End(d.Trace)
+	counter := &d.componentwise
+	if dec.kind != routeComponentwise {
+		sp.Set("conditional_splits", dec.nested)
+		counter = &d.conditional
+	}
+	parts, err := d.QueryByComponent(d.rootClosure(comps), query, sp)
 	if err != nil {
 		return nil, err
 	}
-	d.componentwise.Add(1)
-	csp := d.Trace.Begin("closure")
-	defer csp.End(d.Trace)
-	return d.newClosureFold(comps, partsOf(parts.deltas), parts.base, nil).close(cl, parts.emission(), parts.base.Schema)
+	counter.Add(1)
+	return parts, nil
 }
 
-// runConditionalFold closes over tree-involved components (conditional.go):
-// the same Σ-sizes shape and the same fold as runComponentwise, emitting the
-// deviation worlds.
-func (d *WSD) runConditionalFold(comps []int, dec decision, ev evaluator, cl Closure) (*relation.Relation, error) {
-	sp := d.Trace.Begin("conditional")
-	sp.Set("components", len(comps))
-	sp.Set("conditional_splits", dec.nested)
-	cp, err := d.queryConditional(comps, ev.part, sp)
-	sp.End(d.Trace)
+// runFold is the merge-free closure, over flat components and d-trees alike:
+// the evaluated parts closed by the one fold (fold.go), which also lists the
+// answer. A single component is handled by the same code — there the merge
+// path would not have merged either, but the parts path also skips the (noop)
+// restructuring.
+func (d *WSD) runFold(comps []int, dec decision, query partQuery, cl Closure) (*relation.Relation, error) {
+	parts, err := d.evalParts(comps, dec, query)
 	if err != nil {
 		return nil, err
 	}
-	d.conditional.Add(1)
 	csp := d.Trace.Begin("closure")
 	defer csp.End(d.Trace)
-	return d.newClosureFold(cp.compIdx, partsOf(cp.deltas), cp.base, nil).close(cl, cp.worlds, cp.base.Schema)
+	part := func(i, a int) *colbatch.Batch { return parts.deltas[i][a] }
+	return d.newClosureFold(parts.compIdx, part, parts.base, nil).close(cl, parts.base.Schema)
 }
 
 // runConditionalRelation answers a plain SELECT over a concat-structured
 // plan as a conditional relation (trailing `cond` column; see
 // conditionalRelation) instead of refusing.
 func (d *WSD) runConditionalRelation(comps []int, dec decision, ev evaluator) (*relation.Relation, error) {
-	sp := d.Trace.Begin("conditional")
-	sp.Set("components", len(comps))
-	sp.Set("conditional_splits", dec.nested)
-	res, err := d.conditionalRelation(comps, ev.part, sp)
-	sp.End(d.Trace)
+	parts, err := d.evalParts(comps, dec, ev.part)
 	if err != nil {
 		return nil, err
 	}
-	d.conditional.Add(1)
-	return res, nil
+	return d.conditionalRelation(parts)
 }
 
 // runMerge is the classic path: merge exactly the involved components

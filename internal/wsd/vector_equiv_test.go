@@ -3,7 +3,6 @@ package wsd
 import (
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"maybms/internal/obs"
@@ -132,8 +131,8 @@ func TestClosuresBothSidesOfTheFloor(t *testing.T) {
 					if math.Abs(got[gi].Prob-want.Groups[gi].Prob) > 1e-9 {
 						t.Errorf("group %d: prob %g, want %g", gi, got[gi].Prob, want.Groups[gi].Prob)
 					}
-					g := strings.Join(sortedRows(got[gi].Rel, cl.IsConf()), "\n")
-					w := strings.Join(sortedRows(want.Groups[gi].Rel, cl.IsConf()), "\n")
+					g := renderSet(t, got[gi].Rel, cl.IsConf())
+					w := renderSet(t, want.Groups[gi].Rel, cl.IsConf())
 					if g != w {
 						t.Errorf("group %d diverged from per-world evaluation:\n%s\nwant:\n%s", gi, g, w)
 					}

@@ -41,9 +41,9 @@
 // certain relations, unions, subqueries and aggregates over certain data
 // — answer their possible/certain/conf closures component-wise: one
 // evaluation per alternative (Σ component sizes, never the product), no
-// merge, the representation untouched, and answers identical to the naive
-// engine's, order included. The same distribution law drives update
-// queries and world grouping (dml.go, groupworlds.go): UPDATE/DELETE
+// merge, the representation untouched, and the naive engine's answers as
+// the sets they are (fold.go defines the listing). The same distribution
+// law drives update queries and world grouping (dml.go, groupworlds.go): UPDATE/DELETE
 // statements whose SET/WHERE expressions read no uncertain data rewrite
 // the target's certain part and each alternative's contribution
 // separately, and GROUP WORLDS BY statements whose grouping plan
@@ -69,9 +69,9 @@
 // over Expand is the reference the routes are validated against.
 //
 // POSSIBLE, CERTAIN and CONF over per-(component, alternative) parts are one
-// fold (fold.go), linear in the part rows, shared by the componentwise route,
-// the d-tree route and the stored-relation closures (Possible, Certain,
-// ConfRelation, Conf). It is batch-native past the Collect seam:
+// fold (fold.go), linear in the part rows, shared by the SELECT closures over
+// flat components and d-trees and the stored-relation closures (Possible,
+// Certain, ConfRelation, Conf). It is batch-native past the Collect seam:
 // per-alternative evaluations return colbatch batches, the fold and the
 // group-worlds frontier dedup on arena-encoded batch keys (byte-identical to
 // tuple.Encode) and output rows materialize once at the very end; the merge

@@ -94,6 +94,16 @@
 // components. CompactDB.Select runs closures directly;
 // CompactDB.MergeCount and ComponentwiseCount expose the routing.
 //
+// Answer order. A closed answer (possible, certain, conf) is a set. The
+// compact backend lists it in representation order — the certain tuples,
+// then each component's contributions, components and alternatives
+// ascending: deterministic for a given decomposition — and the naive backend
+// in world-enumeration order; neither order is API, and the two backends are
+// compared as sets. ORDER BY inside a closed core keeps its per-world meaning
+// on both (it matters under LIMIT). Only a closure-free SELECT under ORDER BY
+// has an order: rows and the rendered text keep it, every other answer
+// renders canonically sorted.
+//
 // # Observability
 //
 // Every statement can explain and measure itself:

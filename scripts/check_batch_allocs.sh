@@ -35,15 +35,17 @@
 # decomposition representing 2^18 worlds (18 repair components, one
 # conditional child under every alternative): the conditional relation
 # (cond column) and the tree-fold CONF closure must stay linear in the
-# representation — steady state ~1.5k / ~2.8k allocs/op — so anything
-# scaling with the world count (or even quadratic in the components)
-# trips the ~2x ceilings immediately.
+# representation — steady state ~1.5k allocs/op each: both are one
+# certain-only evaluation and one delta per alternative, no world is
+# evaluated — so anything scaling with the world count (or even quadratic
+# in the components, as the deviation-world evaluations were: ~2.9k) trips
+# the ~2x ceilings immediately.
 #
 # The imported-read gate holds "the certain part is evaluated once": a CONF
 # over 40 000 imported rows with 24 alternatives of dirt is one certain-only
-# evaluation, the first world and 24 one-row deltas (internal/wsd's
-# QueryByComponent) — steady state ~1.3k allocs/op, where one full evaluation
-# per alternative took ~6.5k and anything per certain row takes 40k.
+# evaluation and 24 one-row deltas (internal/wsd's QueryByComponent) — steady
+# state ~1.0k allocs/op, where one full evaluation per alternative took ~6.5k
+# and anything per certain row takes 40k.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -82,8 +84,8 @@ check BenchmarkBatchClosurePossible 5000
 check BenchmarkBatchClosureConf 5000
 check BenchmarkBatchClosureGroupWorlds 6000
 check 'BenchmarkConditionalSelect/nested/groups=18/worlds=2\^18' 3000
-check 'BenchmarkConditionalConf/nested/groups=18/worlds=2\^18' 5700
-check 'BenchmarkImportedRead/conf/rows=40000/alts=24' 2500
+check 'BenchmarkConditionalConf/nested/groups=18/worlds=2\^18' 3100
+check 'BenchmarkImportedRead/conf/rows=40000/alts=24' 2000
 
 if [ "$fail" -ne 0 ]; then
     echo "check_batch_allocs: vectorized path regressed (or benchmarks renamed)" >&2
