@@ -9,7 +9,7 @@ package maybms
 //	go test -bench=. -benchmem .
 //
 // The absolute numbers are of course not the paper's PostgreSQL testbed;
-// the *shapes* are what EXPERIMENTS.md records: WSD repair is linear where
+// the *shapes* are what they record: WSD repair is linear where
 // enumeration is exponential, and WSD confidence needs no enumeration.
 
 import (

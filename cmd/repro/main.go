@@ -1,6 +1,6 @@
 // Command repro regenerates every figure and worked example of the paper
 // and prints a paper-vs-measured report (markdown). It exits non-zero if
-// any check fails. EXPERIMENTS.md embeds its output.
+// any check fails; CI runs it and fails unless every check passes.
 package main
 
 import (
@@ -216,7 +216,7 @@ func examples() {
 	db = figure2DB()
 	rel = db.MustExec("select conf from I where 50 > (select sum(B) from I)").First()
 	gotConf := rel.Rows()[0][0].AsFloat()
-	record("Ex.2.10a", "conf(sum(B)<50), Figure-2 data", "0.44 (worlds A,B; paper prints 0.53 — see EXPERIMENTS.md)",
+	record("Ex.2.10a", "conf(sum(B)<50), Figure-2 data", "0.44 (worlds A,B; paper prints 0.53 — see Ex.2.10b)",
 		fmt.Sprintf("%.4f", gotConf), approx(gotConf, 4.0/9))
 	rel = db.MustExec("select conf from I where (select sum(B) from I) = 44 or (select sum(B) from I) = 55").First()
 	gotConf = rel.Rows()[0][0].AsFloat()

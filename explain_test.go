@@ -49,7 +49,9 @@ func explainText(t *testing.T, db *CompactDB, query string) string {
 
 // explainGoldens pins the EXPLAIN output of every compact routing class
 // over explainCompactDB: world-independent single evaluation, merge-free
-// componentwise closure, classic bounded merge, conditional relation,
+// componentwise closure (of a scan, and of a hash join with the WHERE's
+// single-table conjuncts sunk onto its inputs), classic bounded merge,
+// conditional relation,
 // Monte-Carlo approximation, and both refusal forms. tinyLimit cases run
 // with MergeLimit 1 and a fixed APPROX CONF configuration.
 var explainGoldens = []struct {
@@ -79,6 +81,22 @@ eval: row
 plan:
   Project [A]
     Scan Rp [components: 0 1]`,
+	},
+	{
+		name:  "componentwise_join",
+		query: "EXPLAIN SELECT POSSIBLE A, X FROM Rp, C WHERE K = X AND A <> 'y' AND X > 0",
+		want: `engine: compact (world-set decomposition)
+worlds: 2
+route: componentwise (merge-free, 2 components, 2+1 alternatives)
+closure: possible
+eval: row
+plan:
+  Project [A, X]
+    HashJoin (Rp.K = C.X)
+      Filter (A <> 'y')
+        Scan Rp [components: 0 1]
+      Filter (X > 0)
+        Scan C [certain]`,
 	},
 	{
 		name:  "merge",
@@ -220,9 +238,10 @@ func TestExplainNamesExecutedRoute(t *testing.T) {
 }
 
 // TestExplainVectorized pins the batch-path prediction: the same
-// componentwise route over inputs past the vectorization floor (a join
-// against a 40-row certain relation) reports the vectorized evaluator, and
-// a traced run of the statement counts batch collects only.
+// componentwise route over inputs past the vectorization floor (a hash join
+// against a 40-row certain relation, its key the WHERE's `K = X`) reports
+// the vectorized evaluator, and a traced run of the statement counts batch
+// collects only.
 func TestExplainVectorized(t *testing.T) {
 	db := explainCompactDB(t)
 	wide := make([][]any, 40)
@@ -239,10 +258,9 @@ closure: possible
 eval: batch (vectorized, batch-native collect)
 plan:
   Project [A]
-    Filter (K = X)
-      CrossJoin
-        Scan Rp [components: 0 1]
-        Scan Wide [certain]`
+    HashJoin (Rp.K = Wide.X)
+      Scan Rp [components: 0 1]
+      Scan Wide [certain]`
 	query := "SELECT POSSIBLE A FROM Rp, Wide WHERE K = X"
 	if got := explainText(t, db, "EXPLAIN "+query); got != want {
 		t.Errorf("EXPLAIN mismatch\n--- got ---\n%s\n--- want ---\n%s", got, want)

@@ -267,8 +267,8 @@ func (p *Project) Next() (tuple.Tuple, bool, error) {
 func (p *Project) Close() error { return p.Child.Close() }
 
 // CrossJoin is the Cartesian product; the right side is materialized on
-// Open. FROM lists (from I i2, I i3) compile to chains of cross joins with
-// filters on top.
+// Open. The planner joins FROM bindings (from I i2, I i3) no WHERE `a = b`
+// relates with it.
 type CrossJoin struct {
 	Left, Right Operator
 	out         *schema.Schema
@@ -339,18 +339,28 @@ func (j *CrossJoin) Close() error {
 	return j.Left.Close()
 }
 
-// HashJoin is an equi-join: LeftKeys[i] must equal RightKeys[i]. The right
-// side is hashed on Open. NULL keys never join.
+// HashJoin is an equi-join: LeftKeys[i] must equal RightKeys[i] under SQL
+// `=` (value.Equal: 1 meets 1.0, NULL and NaN meet nothing). The right side
+// is the build side, hashed on Open into a JoinTable (join.go) — the one
+// build structure of the row and batch operators — and each left row meets
+// its matches in build order, so the output is row for row the filtered
+// cross join's. The planner turns a WHERE's cross-binding `a = b` conjuncts
+// into HashJoin keys.
 type HashJoin struct {
 	Left, Right         Operator
 	LeftKeys, RightKeys []int
-	out                 *schema.Schema
-	table               map[string][]tuple.Tuple
-	cur                 tuple.Tuple
-	matches             []tuple.Tuple
-	mpos                int
-	open                bool
-	ip                  poller
+	// Build, when set, yields on Open the table over Right's rows keyed on
+	// RightKeys, built once and shared read-only; Right itself is then never
+	// opened. The planner's delta binding shares a certain build side across
+	// a statement's deltas this way (plan.Deltas).
+	Build func(outer *expr.Context) (*JoinTable, error)
+	out   *schema.Schema
+	table *JoinTable
+	cur   tuple.Tuple
+	key   []byte
+	row   int32 // next candidate build row of cur's chain, -1 = none
+	open  bool
+	ip    poller
 }
 
 // Schema implements Operator.
@@ -369,32 +379,27 @@ func (j *HashJoin) Open(outer *expr.Context) error {
 	if err := j.Left.Open(outer); err != nil {
 		return err
 	}
-	right, err := Collect(j.Right, outer)
+	table, err := j.buildTable(outer)
 	if err != nil {
 		j.Left.Close()
 		return err
 	}
-	j.table = make(map[string][]tuple.Tuple, right.Len())
-	for _, t := range right.Rows() {
-		if hasNullAt(t, j.RightKeys) {
-			continue
-		}
-		k := t.KeyOn(j.RightKeys)
-		j.table[k] = append(j.table[k], t)
-	}
-	j.cur, j.matches, j.mpos = nil, nil, 0
+	j.table = table
+	j.cur, j.row = nil, -1
 	j.open = true
 	j.ip.init(outer)
 	return nil
 }
 
-func hasNullAt(t tuple.Tuple, idx []int) bool {
-	for _, i := range idx {
-		if t[i].IsNull() {
-			return true
-		}
+func (j *HashJoin) buildTable(outer *expr.Context) (*JoinTable, error) {
+	if j.Build != nil {
+		return j.Build(outer)
 	}
-	return false
+	right, err := CollectBatch(j.Right, outer)
+	if err != nil {
+		return nil, err
+	}
+	return newJoinTable(right, j.RightKeys), nil
 }
 
 // Next implements Operator.
@@ -403,21 +408,19 @@ func (j *HashJoin) Next() (tuple.Tuple, bool, error) {
 		if err := j.ip.poll(); err != nil {
 			return nil, false, err
 		}
-		if j.mpos < len(j.matches) {
-			rt := j.matches[j.mpos]
-			j.mpos++
-			return j.cur.Concat(rt), true, nil
+		for j.row >= 0 {
+			r := j.row
+			j.row = j.table.next[r]
+			if j.table.matches(r, j.key) {
+				return j.cur.Concat(j.table.rows.Row(int(r))), true, nil
+			}
 		}
 		t, ok, err := j.Left.Next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		if hasNullAt(t, j.LeftKeys) {
-			continue
-		}
 		j.cur = t
-		j.matches = j.table[t.KeyOn(j.LeftKeys)]
-		j.mpos = 0
+		j.key, j.row = j.table.probeTuple(j.key[:0], t, j.LeftKeys)
 	}
 }
 

@@ -3,7 +3,11 @@
 // cached columnar chunks, filters evaluate predicates column-at-a-time into
 // selection vectors, projections evaluate expression columns, and the joins,
 // Distinct and Aggregate build their hash keys column-wise into reusable
-// byte arenas instead of allocating a Tuple.Key() string per row.
+// byte arenas instead of allocating a Tuple.Key() string per row. The hash
+// join shares its build structure with the row HashJoin (JoinTable, join.go):
+// its keys meet exactly when SQL `=` (value.Equal) holds — 1 meets 1.0, NULL
+// and NaN meet nothing — and a table built once may serve many joins
+// (HashJoin.Build).
 //
 // The batch pipeline is a pure wrapper over the row operators' children —
 // it never mutates the row tree, so a bound plan can be vectorized per
@@ -39,9 +43,7 @@
 package algebra
 
 import (
-	"bytes"
 	"fmt"
-	"hash/maphash"
 
 	"maybms/internal/colbatch"
 	"maybms/internal/expr"
@@ -172,7 +174,7 @@ func vectorize(op Operator) (BatchOperator, bool) {
 		if r == nil {
 			return nil, false
 		}
-		return &batchHashJoin{left: l, right: r, leftKeys: n.LeftKeys, rightKeys: n.RightKeys}, true
+		return &batchHashJoin{left: l, right: r, leftKeys: n.LeftKeys, rightKeys: n.RightKeys, build: n.Build}, true
 	case *Distinct:
 		c, _ := vectorize(n.Child)
 		if c == nil {
@@ -665,25 +667,16 @@ func (j *batchCrossJoin) Close() error {
 	return j.left.Close()
 }
 
-// batchHashJoin is the equi-join with an arena-keyed hash table: build-side
-// keys are encoded column-wise into one byte arena (offs delimits row i's
-// key) and indexed by a hash-chained table — head maps a 64-bit key hash to
-// a chain of build rows in build order, next links the chain — so neither
-// building nor probing allocates a key string. Hash collisions are resolved
-// by comparing arena bytes, and probe hits gather typed columns instead of
-// concatenating tuples. Match order (build order per probe row) is the row
-// operator's.
+// batchHashJoin is the equi-join over the row operator's build structure
+// (JoinTable, join.go): neither building nor probing allocates a key string,
+// and probe hits gather typed columns instead of concatenating tuples. Match
+// order (build order per probe row) is the row operator's.
 type batchHashJoin struct {
 	left, right         BatchOperator
 	leftKeys, rightKeys []int
+	build               func(*expr.Context) (*JoinTable, error) // HashJoin.Build
 	out                 *schema.Schema
-	rightAll            *colbatch.Batch
-	seed                maphash.Seed
-	arena               []byte
-	offs                []uint32
-	head                map[uint64]chainMeta
-	next                []int32
-	intMode             bool          // single int-typed build key: hash = the key itself
+	table               *JoinTable
 	probeCol            *colbatch.Col // intMode: j.cur's key column
 	cur                 *colbatch.Batch
 	li                  int
@@ -694,9 +687,6 @@ type batchHashJoin struct {
 	lsel, rsel          []int32
 	key                 []byte
 }
-
-// chainMeta is a hash bucket: first and last build row of the chain.
-type chainMeta struct{ head, tail int32 }
 
 func (j *batchHashJoin) Schema() *schema.Schema {
 	if j.out == nil {
@@ -712,60 +702,27 @@ func (j *batchHashJoin) Open(outer *expr.Context) error {
 	if err := j.left.Open(outer); err != nil {
 		return err
 	}
-	right, err := drainToBatch(j.right, outer)
+	table, err := j.buildTable(outer)
 	if err != nil {
 		j.left.Close()
 		return err
 	}
-	j.rightAll = right
-	n := right.Len()
-	j.seed = maphash.MakeSeed()
-	j.arena = j.arena[:0]
-	j.offs = append(j.offs[:0], 0)
-	if cap(j.next) < n {
-		j.next = make([]int32, n)
-	}
-	j.next = j.next[:n]
-	j.head = make(map[uint64]chainMeta, n)
-	// Single int-typed key: the key value is its own exact 64-bit hash, so
-	// the arena encode, maphash and collision compare all drop out. Kinds
-	// never cross-match (encodings differ in the kind byte), so a non-int
-	// probe value simply has no chain.
-	bc := (*colbatch.Col)(nil)
-	if len(j.rightKeys) == 1 {
-		bc = right.Col(j.rightKeys[0])
-	}
-	j.intMode = bc != nil && bc.Any == nil && bc.Kind == value.KindInt
-	for i := 0; i < n; i++ {
-		var h uint64
-		if j.intMode {
-			if bc.Null(i) {
-				continue
-			}
-			h = uint64(bc.Ints[i])
-		} else {
-			if right.HasNullAt(j.rightKeys, i) {
-				j.offs = append(j.offs, uint32(len(j.arena)))
-				continue
-			}
-			j.arena = right.AppendKeyOn(j.arena, j.rightKeys, i)
-			start := j.offs[len(j.offs)-1]
-			j.offs = append(j.offs, uint32(len(j.arena)))
-			h = maphash.Bytes(j.seed, j.arena[start:])
-		}
-		j.next[i] = -1
-		if c, ok := j.head[h]; ok {
-			j.next[c.tail] = int32(i)
-			c.tail = int32(i)
-			j.head[h] = c
-		} else {
-			j.head[h] = chainMeta{head: int32(i), tail: int32(i)}
-		}
-	}
+	j.table = table
 	j.cur, j.li, j.chainRow = nil, 0, -1
 	j.open = true
 	j.ip.init(outer)
 	return nil
+}
+
+func (j *batchHashJoin) buildTable(outer *expr.Context) (*JoinTable, error) {
+	if j.build != nil {
+		return j.build(outer)
+	}
+	right, err := drainToBatch(j.right, outer)
+	if err != nil {
+		return nil, err
+	}
+	return newJoinTable(right, j.rightKeys), nil
 }
 
 func (j *batchHashJoin) NextBatch() (*colbatch.Batch, error) {
@@ -784,7 +741,7 @@ func (j *batchHashJoin) NextBatch() (*colbatch.Batch, error) {
 			j.cur = b
 			j.li = 0
 			j.chainRow = -1
-			if j.intMode {
+			if j.table.intMode {
 				j.probeCol = b.Col(j.leftKeys[0])
 			}
 		}
@@ -792,11 +749,8 @@ func (j *batchHashJoin) NextBatch() (*colbatch.Batch, error) {
 		for len(lsel) < batchSize {
 			if j.chainRow >= 0 {
 				r := j.chainRow
-				j.chainRow = j.next[r]
-				// The chain holds every build row with this key hash; only
-				// byte-equal keys match (j.key still holds the probe key).
-				// In intMode the hash is the exact key, no compare needed.
-				if j.intMode || bytes.Equal(j.arena[j.offs[r]:j.offs[r+1]], j.key) {
+				j.chainRow = j.table.next[r]
+				if j.table.matches(r, j.key) {
 					lsel = append(lsel, j.curRow)
 					rsel = append(rsel, r)
 				}
@@ -807,31 +761,8 @@ func (j *batchHashJoin) NextBatch() (*colbatch.Batch, error) {
 			}
 			i := j.li
 			j.li++
-			if j.cur.HasNullAt(j.leftKeys, i) {
-				continue
-			}
-			var h uint64
-			if j.intMode {
-				switch c := j.probeCol; {
-				case c.Any != nil:
-					v := c.Any[i]
-					if v.Kind() != value.KindInt {
-						continue // non-int never equals an int key
-					}
-					h = uint64(v.AsInt())
-				case c.Kind == value.KindInt:
-					h = uint64(c.Ints[i])
-				default:
-					continue
-				}
-			} else {
-				j.key = j.cur.AppendKeyOn(j.key[:0], j.leftKeys, i)
-				h = maphash.Bytes(j.seed, j.key)
-			}
-			if c, ok := j.head[h]; ok {
-				j.chainRow = c.head
-				j.curRow = int32(i)
-			}
+			j.key, j.chainRow = j.table.probeBatch(j.key[:0], j.cur, j.leftKeys, i, j.probeCol)
+			j.curRow = int32(i)
 		}
 		j.lsel, j.rsel = lsel, rsel
 		cur := j.cur
@@ -841,7 +772,7 @@ func (j *batchHashJoin) NextBatch() (*colbatch.Batch, error) {
 		if len(lsel) == 0 {
 			continue
 		}
-		return colbatch.GatherConcat(j.Schema(), cur, lsel, j.rightAll, rsel), nil
+		return colbatch.GatherConcat(j.Schema(), cur, lsel, j.table.rows, rsel), nil
 	}
 }
 

@@ -1,10 +1,10 @@
 package algebra
 
 // bench_test.go holds the ablation benchmarks for the physical operator
-// choices called out in DESIGN.md: the planner compiles equi-joins from
-// FROM lists as filtered cross joins (simple, always correct); HashJoin
-// exists as the asymptotically right operator. The ablation quantifies the
-// gap so the trade-off is recorded, not assumed.
+// choices: the planner compiles a WHERE's cross-binding `a = b` into
+// HashJoin keys and joins the rest as filtered cross joins. The ablation
+// quantifies the gap between the two, and AblationJoinHash what the key
+// canonicalisation (SQL `=` over mixed kinds) costs the int-key fast path.
 
 import (
 	"fmt"
@@ -232,8 +232,9 @@ func benchJoinTree(l, r *relation.Relation) func() Operator {
 }
 
 // Join keys are unique (keyMod = n) so the measurement is the build+probe
-// machinery itself, not output materialization: the row path pays a Key()
-// string per build and probe row, the batch path an int-keyed hash chain.
+// machinery itself, not output materialization. Both paths build a
+// JoinTable: the row path over the collected tuples, keys canonically
+// encoded, the batch path over an int column, each key its own hash.
 func BenchmarkHashJoinRow(b *testing.B) {
 	l, r := benchRelation(8192, 8192), benchRelation(8192, 8192)
 	benchCollect(b, false, benchJoinTree(l, r))

@@ -8,6 +8,7 @@ package algebra
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -19,15 +20,32 @@ import (
 
 // randValue draws a value from deliberately small domains so joins,
 // distinct and group-by actually collide; strings mix in so arithmetic
-// sometimes errors, exercising error-precedence equivalence.
+// sometimes errors, exercising error-precedence equivalence. The numerics
+// SQL `=` treats specially take the place of a few ordinary draws (the
+// random stream, and so every tree's shape, stays as it was): −0, NaN, and
+// 2^53+1, which `=` equates with 2^53.
 func randValue(rng *rand.Rand) value.Value {
 	switch rng.Intn(10) {
 	case 0:
 		return value.Null()
 	case 1, 2, 3:
-		return value.Int(int64(rng.Intn(5)))
+		switch i := rng.Intn(5); i {
+		case 4:
+			return value.Int(1<<53 + 1)
+		default:
+			return value.Int(int64(i))
+		}
 	case 4, 5:
-		return value.Float(float64(rng.Intn(8)) / 2)
+		switch f := rng.Intn(8); f {
+		case 0:
+			return value.Float(math.Copysign(0, -1))
+		case 6:
+			return value.Float(1 << 53)
+		case 7:
+			return value.Float(math.NaN())
+		default:
+			return value.Float(float64(f) / 2)
+		}
 	case 6:
 		return value.Bool(rng.Intn(2) == 0)
 	default:
@@ -118,6 +136,10 @@ func randTree(rng *rand.Rand, a, b *relation.Relation, depth int) Operator {
 		right := NewScan(base)
 		lk := []int{rng.Intn(w)}
 		rk := []int{rng.Intn(right.Schema().Len())}
+		if rng.Intn(3) == 0 {
+			lk = append(lk, rng.Intn(w))
+			rk = append(rk, rng.Intn(right.Schema().Len()))
+		}
 		return &HashJoin{Left: child, Right: right, LeftKeys: lk, RightKeys: rk}
 	case 3:
 		return &CrossJoin{Left: child, Right: NewScan(base)}

@@ -3,8 +3,7 @@ package core
 // paper_test.go reproduces, as executable assertions, every figure and
 // worked example of the paper (Antova, Koch, Olteanu: "Query language
 // support for incomplete information in the MayBMS system", VLDB 2007).
-// cmd/repro prints the same checks as a report; EXPERIMENTS.md records the
-// outcomes.
+// cmd/repro prints the same checks as a report, and CI runs it.
 
 import (
 	"math"
@@ -329,8 +328,8 @@ func TestExample210Conf(t *testing.T) {
 	// where-condition. With Figure 2's data, sum(B) < 50 holds in worlds A
 	// (44) and B (49): conf = 1/9 + 1/3 = 4/9 ≈ 0.444. (The paper prints
 	// 0.53 = P(A)+P(D), which is inconsistent with its own figure — its
-	// query references a Time attribute that does not exist in I; see
-	// EXPERIMENTS.md.)
+	// query references a Time attribute that does not exist in I; cmd/repro
+	// reproduces the 0.53 as Ex.2.10b.)
 	res, err := s.Exec("select conf from I where 50 > (select sum(B) from I);")
 	if err != nil {
 		t.Fatal(err)

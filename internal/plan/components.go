@@ -47,14 +47,17 @@ package plan
 //     both sides touch the same single component: the cross terms between
 //     distinct components never arise. Δ(L ⋈ R) = (cert L ⋈ ΔR) ++
 //     (ΔL ⋈ full R), either term vanishing with its delta — so a join
-//     against a certain table is ΔL ⋈ R (R ⋈ ΔR on the other side).
+//     against a certain table is ΔL ⋈ R (R ⋈ ΔR on the other side). Where
+//     ΔR is empty, full R is the certain R, the same for every delta: a
+//     HashJoin's deltas then probe one table of it, hashed once per
+//     statement (Deltas), not once per alternative.
 //   - Union: concatenation distributes, Δ(L ∪ R) = ΔL ++ ΔR.
 //   - Distinct / Sort: identity on sets, the mode passes down (closures are
 //     sets; internal/wsd's fold lists them). A Distinct's delta also drops the tuples its input holds
 //     over the certain database — new in no world — so Distinct(cert) ++
-//     Δ Distinct is the full Distinct row for row; that key set is the one
-//     thing a delta reads of the certain part, and a statement evaluates it
-//     once for all its deltas (Deltas).
+//     Δ Distinct is the full Distinct row for row; that key set is, beside
+//     the join tables above, the one thing a delta reads of the certain
+//     part, and a statement evaluates it once for all its deltas (Deltas).
 //
 // Operators that break it whenever their input touches ≥ 1 component:
 // Aggregate and Limit (whole-input functions), joins correlating ≥ 2
@@ -414,19 +417,20 @@ type PartsCatalog interface {
 
 // Deltas binds the deltas of one statement over one state of the data. What
 // every delta of the statement shares — the certain answer a Distinct
-// subtracts — is evaluated by the first evaluation to need it and kept here,
-// so it costs the statement once, not once per alternative. Safe for
-// concurrent use.
+// subtracts, the hashed certain build side of a HashJoin — is evaluated by
+// the first evaluation to need it and kept here, so it costs the statement
+// once, not once per alternative. Safe for concurrent use.
 type Deltas struct {
-	p    *Prepared
-	mu   sync.Mutex
-	cert map[*algebra.Distinct]*certKeys // by the template's Distinct nodes
+	p      *Prepared
+	mu     sync.Mutex
+	cert   map[*algebra.Distinct]*certKeys  // by the template's Distinct nodes
+	builds map[*algebra.HashJoin]*certBuild // by the template's HashJoin nodes
 }
 
 // Deltas returns the delta binder of one statement over the template, which
 // must be Decomposable over the components of the catalogs it will bind.
 func (p *Prepared) Deltas() *Deltas {
-	return &Deltas{p: p, cert: map[*algebra.Distinct]*certKeys{}}
+	return &Deltas{p: p, cert: map[*algebra.Distinct]*certKeys{}, builds: map[*algebra.HashJoin]*certBuild{}}
 }
 
 // certKeys is the tuple key set (tuple.Encode) of one Distinct's input over
@@ -507,11 +511,22 @@ func (b *deltaBinding) delta(op algebra.Operator) (algebra.Operator, error) {
 			out = rejoin(op, cl, dr)
 		}
 		if dl != nil {
-			fr, err := rebindOp(r, &b.full)
-			if err != nil {
-				return nil, err
+			var j algebra.Operator
+			if hj, ok := op.(*algebra.HashJoin); ok && dr == nil {
+				// R gains nothing under this selection, so full R is the
+				// certain R — the same for every delta of the statement:
+				// probe its one table.
+				if j, err = b.probeCertain(hj, dl); err != nil {
+					return nil, err
+				}
+			} else {
+				fr, err := rebindOp(r, &b.full)
+				if err != nil {
+					return nil, err
+				}
+				j = rejoin(op, dl, fr)
 			}
-			if j := rejoin(op, dl, fr); out == nil {
+			if out == nil {
 				out = j
 			} else {
 				out = &algebra.Union{Left: out, Right: j}
@@ -571,4 +586,43 @@ func (b *deltaBinding) certKeysOf(n *algebra.Distinct) func(*expr.Context) (map[
 		})
 		return ck.keys, ck.err
 	}
+}
+
+// certBuild is the build side of one HashJoin over the certain database: its
+// right input bound in cert mode on first use, hashed by the first evaluation
+// to open a join over it.
+type certBuild struct {
+	right algebra.Operator // each join instantiates its own copy
+	once  sync.Once
+	table *algebra.JoinTable
+	err   error
+}
+
+// probeCertain joins left with n's right input over the certain database,
+// through the statement's one table of it.
+func (b *deltaBinding) probeCertain(n *algebra.HashJoin, left algebra.Operator) (algebra.Operator, error) {
+	b.ds.mu.Lock()
+	cb := b.ds.builds[n]
+	if cb == nil {
+		right, err := rebindOp(n.Right, &b.cert)
+		if err != nil {
+			b.ds.mu.Unlock()
+			return nil, err
+		}
+		cb = &certBuild{right: right}
+		b.ds.builds[n] = cb
+	}
+	b.ds.mu.Unlock()
+	// A rebind of a bound tree is a fresh instance over the same relations.
+	right, err := rebindOp(cb.right, &binding{})
+	if err != nil {
+		return nil, err
+	}
+	return &algebra.HashJoin{Left: left, Right: right, LeftKeys: n.LeftKeys, RightKeys: n.RightKeys,
+		Build: func(outer *expr.Context) (*algebra.JoinTable, error) {
+			// This join never opens its own right input, so the first to
+			// build may drain it.
+			cb.once.Do(func() { cb.table, cb.err = algebra.BuildJoinTable(right, n.RightKeys, outer) })
+			return cb.table, cb.err
+		}}, nil
 }

@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -150,10 +151,47 @@ func (c splitCatalog) Lookup(name string) (*relation.Relation, error) {
 	return full, nil
 }
 
+// deltaCorpus is TestBindDelta's statements, one or more per delta rule.
+var deltaCorpus = []string{
+	`select a, b from U`,
+	`select b from U where a >= 2`,
+	`select U.b, S.c from U, S where U.a = S.a`,
+	`select S.c, U.b from S, U where S.a = U.a`,
+	`select U.b, V.b from U, V where U.a = V.a`,
+	`select u1.b, u2.b from U u1, U u2 where u1.a = u2.a`,
+	`select a from S union all select a from U`,
+	`select a from U union all select a from S`,
+	`select a from U union select a from V`,
+	`select distinct a from U`,
+	`select a from S union all select distinct a from U`,
+	`select distinct a from S union all select distinct b from U`,
+	`select a, b from U order by b desc`,
+	`select u1.b, u2.b, u3.b from U u1, U u2, U u3`,
+	`select S.c, u1.b, u2.b from S, U u1, U u2`,
+	`select u1.b, S.c, u2.b from U u1, S, U u2`,
+	`select b from U where exists (select * from S where S.a = U.a)`,
+	`select b from U where a > (select min(a) from S)`,
+	`select a, b from E`,
+	`select E.b, S.c from E, S`,
+	`select c from S`,
+	// Keyed joins: mixed-kind and NULL keys, keys projected away, filters
+	// sunk onto the certain and the uncertain side, self-joins within
+	// the one component, a three-way chain.
+	`select U.b, F.z from U, F where U.a = F.a`,
+	`select F.z from F, U where F.a = U.a and U.b > 10`,
+	`select U.b from U, S where U.a = S.a and S.c > 100`,
+	`select G.b, F.z from G, F where G.a = F.a`,
+	`select F.z, G.b from F, G where G.a = F.a and F.z > 6`,
+	`select g1.b, g2.b from G g1, G g2 where g1.a = g2.a`,
+	`select u1.b, u2.b from U u1, U u2 where u1.a = u2.a and u1.b = u2.b`,
+	`select S.c, G.b, F.z from S, G, F where S.a = G.a and G.a = F.a`,
+}
+
 // TestBindDelta checks the delta rules operator by operator on one selected
 // contribution: base ++ ΔQ must equal Q over the full instances row for row
 // where the plan is concat-structured, as a bag wherever nothing dedups, and
-// as a set everywhere.
+// as a set everywhere. The keyed joins run over F and G, whose keys mix ints
+// with the floats `=` equates them to, −0 and NULL.
 func TestBindDelta(t *testing.T) {
 	cat := splitCatalog{
 		cert: map[string]*relation.Relation{
@@ -161,11 +199,14 @@ func TestBindDelta(t *testing.T) {
 			"V": rel(t, []string{"a", "b"}, []int64{1, 11}),
 			"S": rel(t, []string{"a", "c"}, []int64{1, 100}, []int64{3, 300}, []int64{3, 301}),
 			"E": rel(t, []string{"a", "b"}),
+			"F": mkrel([]string{"a", "z"}, []any{1.0, 7}, []any{nil, 8}, []any{3, 9}, []any{math.Copysign(0, -1), 6}),
+			"G": mkrel([]string{"a", "b"}, []any{1, 1}, []any{nil, 2}),
 		},
 		delta: map[string]*relation.Relation{
 			"U": rel(t, []string{"a", "b"}, []int64{3, 30}, []int64{1, 10}),
 			"V": rel(t, []string{"a", "b"}, []int64{3, 31}),
 			"E": rel(t, []string{"a", "b"}, []int64{7, 70}),
+			"G": mkrel([]string{"a", "b"}, []any{3.0, 3}, []any{nil, 4}, []any{0, 5}, []any{1.0, 6}),
 		},
 	}
 	cc := ComponentCatalogFunc(func(table string) []int {
@@ -174,29 +215,7 @@ func TestBindDelta(t *testing.T) {
 		}
 		return nil
 	})
-	for _, sql := range []string{
-		`select a, b from U`,
-		`select b from U where a >= 2`,
-		`select U.b, S.c from U, S where U.a = S.a`,
-		`select S.c, U.b from S, U where S.a = U.a`,
-		`select U.b, V.b from U, V where U.a = V.a`,
-		`select u1.b, u2.b from U u1, U u2 where u1.a = u2.a`,
-		`select a from S union all select a from U`,
-		`select a from U union all select a from S`,
-		`select a from U union select a from V`,
-		`select distinct a from U`,
-		`select a from S union all select distinct a from U`,
-		`select distinct a from S union all select distinct b from U`,
-		`select a, b from U order by b desc`,
-		`select u1.b, u2.b, u3.b from U u1, U u2, U u3`,
-		`select S.c, u1.b, u2.b from S, U u1, U u2`,
-		`select u1.b, S.c, u2.b from U u1, S, U u2`,
-		`select b from U where exists (select * from S where S.a = U.a)`,
-		`select b from U where a > (select min(a) from S)`,
-		`select a, b from E`,
-		`select E.b, S.c from E, S`,
-		`select c from S`,
-	} {
+	for _, sql := range deltaCorpus {
 		prep, err := Prepare(mustParseSelect(t, sql), cat)
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)

@@ -101,12 +101,15 @@ func explainNode(b *strings.Builder, op algebra.Operator, depth int, annotate fu
 	}
 }
 
+// joinKeys renders a HashJoin's key pairs as the WHERE conjuncts they came
+// from, columns named by their FROM bindings.
 func joinKeys(j *algebra.HashJoin) string {
+	l, r := j.Left.Schema(), j.Right.Schema()
 	parts := make([]string, 0, len(j.LeftKeys))
 	for i := range j.LeftKeys {
-		parts = append(parts, fmt.Sprintf("L%d=R%d", j.LeftKeys[i], j.RightKeys[i]))
+		parts = append(parts, l.At(j.LeftKeys[i]).String()+" = "+r.At(j.RightKeys[i]).String())
 	}
-	return "[" + strings.Join(parts, ", ") + "]"
+	return "(" + strings.Join(parts, " AND ") + ")"
 }
 
 // schemaBrief summarizes a bare scan's schema as its column list.

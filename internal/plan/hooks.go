@@ -26,19 +26,8 @@ func BuildFromWhere(stmt *sqlparse.SelectStmt, cat Catalog) (algebra.Operator, e
 	if stmt.Union != nil {
 		return nil, fmt.Errorf("%w: FROM/WHERE part of a UNION cannot be isolated", ErrPlan)
 	}
-	from, fromSchema, err := buildFrom(stmt.From, cat, nil)
-	if err != nil {
-		return nil, err
-	}
-	if stmt.Where != nil {
-		e := &env{cat: cat, scopes: []*schema.Schema{fromSchema}}
-		pred, err := e.lower(stmt.Where)
-		if err != nil {
-			return nil, err
-		}
-		from = &algebra.Filter{Child: from, Pred: pred}
-	}
-	return from, nil
+	from, _, err := buildFromWhere(stmt, cat, nil)
+	return from, err
 }
 
 // BuildOnRelation compiles the post-FROM/WHERE part of stmt (aggregates,

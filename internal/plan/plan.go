@@ -9,6 +9,29 @@
 // and calls the planner once per world on the plain core; Build rejects any
 // statement still carrying them.
 //
+// One logical rewrite runs between the FROM list and the WHERE (rewrite.go).
+// A FROM list of several bindings compiles to a left-deep chain of joins in
+// FROM order, the right input of each join its build side, and every
+// top-level AND-conjunct of the WHERE, in written order, gets one of three
+// treatments:
+//
+//   - a conjunct reading columns of exactly one binding becomes a Filter
+//     directly above that binding's scan;
+//   - a conjunct `colA = colB` between two bindings becomes a key pair of a
+//     HashJoin at the lowest join covering both (a join left without keys
+//     stays a CrossJoin);
+//   - everything else stays in one Filter above the joins.
+//
+// Only conjuncts that cannot raise an evaluation error move: trees of
+// comparisons, IS NULL, IN-lists, AND, OR and NOT over columns of the block
+// and constants — no arithmetic, no subquery, no outer reference, no bare
+// non-boolean operand. The rewritten plan therefore never surfaces an error
+// the written one would not, and since a hash join meets each left row's
+// matches in build order, it answers row for row, order included, what the
+// cross-joins-plus-filter plan answered. There are no statistics, no
+// reordering and nothing to switch it off; a single-binding FROM is left as
+// written.
+//
 // Beyond compilation, the package provides two analyses over compiled
 // templates for the engines:
 //
@@ -86,18 +109,9 @@ func build(stmt *sqlparse.SelectStmt, cat Catalog, outer []*schema.Schema) (alge
 
 // buildCore compiles a single SELECT block (no union chain).
 func buildCore(stmt *sqlparse.SelectStmt, cat Catalog, outer []*schema.Schema) (algebra.Operator, error) {
-	from, fromSchema, err := buildFrom(stmt.From, cat, outer)
+	from, env, err := buildFromWhere(stmt, cat, outer)
 	if err != nil {
 		return nil, err
-	}
-	env := &env{cat: cat, scopes: append([]*schema.Schema{fromSchema}, outer...)}
-
-	if stmt.Where != nil {
-		pred, err := env.lower(stmt.Where)
-		if err != nil {
-			return nil, err
-		}
-		from = &algebra.Filter{Child: from, Pred: pred}
 	}
 
 	aggSpecs, aggKeys := collectAggregates(stmt)
@@ -143,15 +157,35 @@ func (e *env) resolve(qualifier, name string) (int, int, error) {
 	return 0, 0, fmt.Errorf("%w: %v", ErrPlan, firstErr)
 }
 
-// buildFrom compiles the FROM list into a (possibly cross-joined) operator.
-// An empty FROM yields the dual relation: one zero-width tuple.
-func buildFrom(refs []sqlparse.TableRef, cat Catalog, outer []*schema.Schema) (algebra.Operator, *schema.Schema, error) {
+// buildFromWhere compiles the FROM and WHERE clauses of one SELECT block —
+// the scans joined under the WHERE by joinWhere's rewrite — and returns the
+// lowering environment of the rest of the block.
+func buildFromWhere(stmt *sqlparse.SelectStmt, cat Catalog, outer []*schema.Schema) (algebra.Operator, *env, error) {
+	scans, fromSchema, err := buildFrom(stmt.From, cat)
+	if err != nil {
+		return nil, nil, err
+	}
+	env := &env{cat: cat, scopes: append([]*schema.Schema{fromSchema}, outer...)}
+	var pred expr.Expr
+	if stmt.Where != nil {
+		if pred, err = env.lower(stmt.Where); err != nil {
+			return nil, nil, err
+		}
+	}
+	return joinWhere(scans, pred), env, nil
+}
+
+// buildFrom compiles the FROM list into one scan per binding, in FROM order,
+// and the schema of their concatenation. An empty FROM yields the dual
+// relation: one zero-width tuple.
+func buildFrom(refs []sqlparse.TableRef, cat Catalog) ([]algebra.Operator, *schema.Schema, error) {
 	if len(refs) == 0 {
 		dual := relation.New(schema.New())
 		dual.MustAppend(tuple.Tuple{})
-		return algebra.NewScan(dual), dual.Schema, nil
+		return []algebra.Operator{algebra.NewScan(dual)}, dual.Schema, nil
 	}
-	var op algebra.Operator
+	scans := make([]algebra.Operator, 0, len(refs))
+	var fromSchema *schema.Schema
 	seen := map[string]bool{}
 	for _, ref := range refs {
 		binding := strings.ToLower(ref.Binding())
@@ -164,13 +198,14 @@ func buildFrom(refs []sqlparse.TableRef, cat Catalog, outer []*schema.Schema) (a
 			return nil, nil, fmt.Errorf("%w: %v", ErrPlan, err)
 		}
 		scan := newTableScan(ref.Name, rel, ref.Binding())
-		if op == nil {
-			op = scan
+		if fromSchema == nil {
+			fromSchema = scan.Schema()
 		} else {
-			op = &algebra.CrossJoin{Left: op, Right: scan}
+			fromSchema = fromSchema.Concat(scan.Schema())
 		}
+		scans = append(scans, scan)
 	}
-	return op, op.Schema(), nil
+	return scans, fromSchema, nil
 }
 
 // lower converts an AST expression to a runtime expression.

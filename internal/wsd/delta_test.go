@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -55,7 +56,10 @@ func checkDeltaParts(t *testing.T, label string, d *WSD, sql string) {
 // a join against a certain table on either side, a self-join within one
 // component (twice and three times over), UNION with the
 // certain arm on either side, DISTINCT at the root and below it, ORDER BY, a
-// certain correlated subquery in WHERE, and an empty certain part (P).
+// certain correlated subquery in WHERE, and an empty certain part (P) — and
+// hash joins over keyedTables' F and G: NULL and mixed int/float keys, keys
+// projected away, a filter sunk onto the certain and onto the uncertain side,
+// two keys on a self-join within one component.
 func TestDeltaPartsEqualFullParts(t *testing.T) {
 	t.Parallel()
 	queries := []string{
@@ -81,6 +85,12 @@ func TestDeltaPartsEqualFullParts(t *testing.T) {
 		"select K, V, W from P",
 		"select P.W, S.Y from P, S where P.V = S.V",
 		"select Y from S",
+		"select M.K, F.Z from M, F where M.V = F.V",
+		"select F.Z from F, M where F.V = M.V and M.K >= 1",
+		"select M.K, S.Y from M, S where M.V = S.V and S.Y <> 'y1'",
+		"select G.K, F.Z from G, F where G.V = F.V",
+		"select G.K, S.Y from G, S where G.V = S.V and G.K <> 2",
+		"select a.K, b.W from P a, P b where a.V = b.V and a.W = b.W",
 	}
 	for trial := 0; trial < 10; trial++ {
 		label := fmt.Sprintf("trial %d", trial)
@@ -88,6 +98,16 @@ func TestDeltaPartsEqualFullParts(t *testing.T) {
 		build := func() *WSD {
 			r := rand.New(rand.NewSource(int64(61 + trial)))
 			_, d := fuzzPair(t, r)
+			f, fr := keyedTables()
+			if err := d.PutCertain("F", f); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.PutCertain("FR", fr); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.RepairByKey("FR", "G", []string{"K"}, "W"); err != nil {
+				t.Fatal(err)
+			}
 			if err := d.CreateTableAs("M", mustCore(t, "select K, V, W from R union all select K, V, W from I")); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -248,6 +268,66 @@ func TestCertainPartLookedUpOnce(t *testing.T) {
 			t.Errorf("%q: the catalog handed out %d rows, limit %d = %d·%d certain + %d contributed + 24 (the parent: %d)",
 				c.sql, got, limit, c.certReads, cert, contrib, 26*cert+8+24)
 		}
+	}
+}
+
+// TestDeltasShareBuild: the deltas of a hash join against a certain table
+// probe the statement's one table of it. Three deltas of one Deltas, run
+// concurrently, bind and hash the certain side once — the catalog hands it
+// out once, and never a table in full — on the batch operators (a side past
+// the batch floor) and on the row operators (one under it); each delta still
+// answers as the full evaluation of its part does.
+func TestDeltasShareBuild(t *testing.T) {
+	for _, sideRows := range []int{64, 8} {
+		d := New(true)
+		src, side := relation.New(schema.New("K", "V", "W")), relation.New(schema.New("V", "Y"))
+		for k := 0; k < 3; k++ {
+			src.MustAppend(row(k, k, 1))
+			src.MustAppend(row(k, k+1, 1))
+		}
+		for v := 0; v < sideRows; v++ {
+			side.MustAppend(row(v%4, fmt.Sprintf("y%d", v)))
+		}
+		if err := d.PutCertain("R", src); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.PutCertain("S", side); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+			t.Fatal(err)
+		}
+		const sql = "select I.K, S.Y from I, S where I.V = S.V"
+		an, ev := analyzed(t, d, mustCore(t, sql))
+		if len(an.Comps) != 3 {
+			t.Fatalf("fixture: %d components, want 3", len(an.Comps))
+		}
+		var handed, full atomic.Int64
+		contributed := 0
+		errs := make([]error, len(an.Comps))
+		var wg sync.WaitGroup
+		for i, ci := range an.Comps {
+			contributed += d.comps[ci].Alts[1].Contrib[key("I")].Len()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = ev.part(countingCatalog{newPartsCatalog(d, map[int]int{ci: 1}), &handed, &full}, true)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := handed.Load(), int64(sideRows+contributed); got != want {
+			t.Errorf("side of %d rows: the catalog handed out %d rows, want %d = the certain side once + %d contributed",
+				sideRows, got, want, contributed)
+		}
+		if got := full.Load(); got != 0 {
+			t.Errorf("side of %d rows: %d tables handed out in full, want 0", sideRows, got)
+		}
+		checkDeltaParts(t, fmt.Sprintf("side of %d rows", sideRows), d, sql)
 	}
 }
 

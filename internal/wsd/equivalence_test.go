@@ -17,6 +17,7 @@ import (
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
+	"maybms/internal/tuple"
 )
 
 type worldView struct {
@@ -191,6 +192,21 @@ func TestChoiceEquivalenceRandomized(t *testing.T) {
 	}
 }
 
+// keyedTables are the keyed-join fixtures: F, a certain table whose join
+// keys mix ints with the floats `=` equates them to, −0 and NULL, and FR, the
+// source of G — repaired by K into alternatives with NULL and float keys.
+func keyedTables() (f, fr *relation.Relation) {
+	f = relation.New(schema.New("V", "Z"))
+	for _, t := range []tuple.Tuple{row(math.Copysign(0, -1), "z0"), row(1, "z1"), row(2.0, "z2"), row(nil, "zn"), row(1.0, "z1f")} {
+		f.MustAppend(t)
+	}
+	fr = relation.New(schema.New("K", "V", "W"))
+	for _, t := range []tuple.Tuple{row(0, 0.0, 1), row(0, nil, 2), row(1, 1, 1), row(1, 2.0, 3), row(2, nil, 1)} {
+		fr.MustAppend(t)
+	}
+	return f, fr
+}
+
 // TestComponentwiseEquivalenceFuzz builds random decompositions (repair
 // and choice components over random base tables, plus a certain lookup
 // table), runs the same I-SQL through the naive enumerating engine and the
@@ -202,10 +218,12 @@ func TestChoiceEquivalenceRandomized(t *testing.T) {
 // sums world probabilities (mathematically equal, floating-point
 // accumulation order differs). Queries cover both the merge-free
 // componentwise path (single-source closures, joins against certain
-// relations from either side, filters, order by, distinct, union) and the
-// merge fallback (cross-component joins, aggregates, predicate
-// subqueries); the componentwise-eligible ones are asserted to have
-// executed with zero merges. Run under -race in CI.
+// relations from either side — hash joins on NULL and mixed int/float keys,
+// keys projected away, filters sunk onto either side, a self-join within one
+// component — filters, order by, distinct, union) and the merge fallback
+// (cross-component joins, aggregates, predicate subqueries); the
+// componentwise-eligible ones are asserted to have executed with zero
+// merges. Run under -race in CI.
 func TestComponentwiseEquivalenceFuzz(t *testing.T) {
 	t.Parallel()
 	r := rand.New(rand.NewSource(46))
@@ -224,6 +242,13 @@ func TestComponentwiseEquivalenceFuzz(t *testing.T) {
 		{"select conf, I.K from I, S where I.V = S.V", true},
 		{"select possible K, V from I union select K, V from P", true},
 		{"select conf, K from I where V >= (select min(V) from S)", true},
+		{"select possible I.K, F.Z from I, F where I.V = F.V", true},
+		{"select conf, F.Z from F, I where F.V = I.V and I.K >= 1", true},
+		{"select certain I.K from I, S where I.V = S.V and S.Y <> 'y1'", true},
+		{"select possible G.K, F.Z from G, F where G.V = F.V", true},
+		{"select conf, G.K, S.Y from G, S where G.V = S.V and G.K <> 2", true},
+		{"select possible a.K, b.K from P a, P b where a.V = b.V", true},
+		{"select possible I.K from I, S, F where I.V = S.V and S.V = F.V", true},
 		// Merge fallbacks: still must agree with the naive engine.
 		{"select possible sum(V) from I", false},
 		{"select possible I.K from I, P where I.V = P.V", false},
@@ -240,10 +265,12 @@ func TestComponentwiseEquivalenceFuzz(t *testing.T) {
 		if r.Intn(2) == 0 {
 			weight = "W"
 		}
+		f, fr := keyedTables()
+		bases := map[string]*relation.Relation{"R": rel, "C": choiceRel, "S": lookup, "F": f, "FR": fr}
 
 		// Naive session.
 		s := core.NewSession(true)
-		for name, base := range map[string]*relation.Relation{"R": rel, "C": choiceRel, "S": lookup} {
+		for name, base := range bases {
 			if err := s.Register(name, base); err != nil {
 				t.Fatal(err)
 			}
@@ -258,10 +285,13 @@ func TestComponentwiseEquivalenceFuzz(t *testing.T) {
 		if _, err := s.Exec("create table P as select K, V, W from C choice of K"); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := s.Exec("create table G as select K, V, W from FR repair by key K weight W"); err != nil {
+			t.Fatal(err)
+		}
 
 		// Decomposition.
 		d := New(true)
-		for name, base := range map[string]*relation.Relation{"R": rel, "C": choiceRel, "S": lookup} {
+		for name, base := range bases {
 			if err := d.PutCertain(name, base); err != nil {
 				t.Fatal(err)
 			}
@@ -270,6 +300,9 @@ func TestComponentwiseEquivalenceFuzz(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := d.ChoiceOf("C", "P", []string{"K"}, ""); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.RepairByKey("FR", "G", []string{"K"}, "W"); err != nil {
 			t.Fatal(err)
 		}
 

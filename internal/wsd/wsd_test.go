@@ -26,6 +26,8 @@ func row(vals ...any) tuple.Tuple {
 			out[i] = value.Str(x)
 		case float64:
 			out[i] = value.Float(x)
+		case nil:
+			out[i] = value.Null()
 		default:
 			panic("bad fixture")
 		}

@@ -45,7 +45,10 @@
 # over 40 000 imported rows with 24 alternatives of dirt is one certain-only
 # evaluation and 24 one-row deltas (internal/wsd's QueryByComponent) — steady
 # state ~1.0k allocs/op, where one full evaluation per alternative took ~6.5k
-# and anything per certain row takes 40k.
+# and anything per certain row takes 40k. Its join (B, L where B.K = L.K) is
+# the same plus a hash join whose certain build side L is hashed once per
+# statement — steady state ~1.1k, where the filtered cross join it replaced
+# took ~127k.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,7 +60,7 @@ $(go test . -bench '^(BenchmarkBatchClosurePossible|BenchmarkBatchClosureConf|Be
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
 $(go test . -bench 'BenchmarkConditional(Select|Conf)/nested/groups=18' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
-$(go test . -bench '^BenchmarkImportedRead$/^conf$/^rows=40000$/^alts=24$' \
+$(go test . -bench '^BenchmarkImportedRead$/^(conf|join)$/^rows=40000$/^alts=24$' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)"
 
 fail=0
@@ -86,6 +89,7 @@ check BenchmarkBatchClosureGroupWorlds 6000
 check 'BenchmarkConditionalSelect/nested/groups=18/worlds=2\^18' 3000
 check 'BenchmarkConditionalConf/nested/groups=18/worlds=2\^18' 3100
 check 'BenchmarkImportedRead/conf/rows=40000/alts=24' 2000
+check 'BenchmarkImportedRead/join/rows=40000/alts=24' 2200
 
 if [ "$fail" -ne 0 ]; then
     echo "check_batch_allocs: vectorized path regressed (or benchmarks renamed)" >&2
