@@ -1097,3 +1097,75 @@ func BenchmarkImportedRead(b *testing.B) {
 		}
 	}
 }
+
+// mergedDB is bench/'s closure.compact M: 8 keys with two weighted values
+// each, already merged — by one statement on the merge route — into one
+// component of 256 alternatives, so a benchmark times the merged component
+// being answered, not the merge.
+func mergedDB(b *testing.B) *CompactDB {
+	b.Helper()
+	cdb := OpenCompact()
+	var rows [][]any
+	for k := 0; k < 8; k++ {
+		rows = append(rows, []any{k, (k * 7) % 50, 1}, []any{k, 50 + (k*13)%50, 3})
+	}
+	if err := cdb.Register("MSrc", []string{"K", "V", "W"}, rows); err != nil {
+		b.Fatal(err)
+	}
+	if err := cdb.RepairByKey("MSrc", "M", []string{"K"}, "W"); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := cdb.Select("select possible sum(V) from M"); err != nil {
+		b.Fatal(err)
+	}
+	if cdb.ComponentCount() != 1 || cdb.AlternativeCount() != 256 {
+		b.Fatalf("M merged into %d components, %d alternatives; want 1, 256", cdb.ComponentCount(), cdb.AlternativeCount())
+	}
+	return cdb
+}
+
+// BenchmarkMergeRoute: statements whose plans correlate components, over a
+// merged component — closures, CREATE TABLE AS, a grouping that spans the
+// main query's components, and an UPDATE whose WHERE reads the uncertain
+// relation. Each evaluates once per merged alternative.
+func BenchmarkMergeRoute(b *testing.B) {
+	const cond = "400 > (select sum(V) from M)"
+	cases := []struct {
+		name string
+		run  func(cdb *CompactDB, i int) error
+	}{
+		{"possible.sum", func(cdb *CompactDB, _ int) error {
+			_, err := cdb.Select("select possible sum(V) from M")
+			return err
+		}},
+		{"conf.subquery", func(cdb *CompactDB, _ int) error {
+			_, err := cdb.Select("select K, conf from M where " + cond)
+			return err
+		}},
+		{"ctas", func(cdb *CompactDB, i int) error {
+			return cdb.MaterializeQuery(fmt.Sprintf("T%d", i), "select K, V from M where "+cond)
+		}},
+		{"group.spanning", func(cdb *CompactDB, _ int) error {
+			groups, err := cdb.SelectGroups("select certain V from M where K = 1 group worlds by (select V from M where K = 1)")
+			if err == nil && len(groups) != 2 {
+				err = fmt.Errorf("%d groups, want 2", len(groups))
+			}
+			return err
+		}},
+		{"update.uncertain", func(cdb *CompactDB, _ int) error {
+			_, err := cdb.Update("update M set V = V + 1 where V < (select max(V) from M)")
+			return err
+		}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			cdb := mergedDB(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.run(cdb, i); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

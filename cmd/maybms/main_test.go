@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -232,5 +233,64 @@ func TestRunScriptCompactAssert(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "asserted; 1 world(s) remain") {
 		t.Errorf("assert result missing:\n%s", out.String())
+	}
+}
+
+// TestRunScriptCompactGroupWorlds: the compact backend names no worlds, so
+// its GROUP WORLDS BY groups print numbered — with their probability in a
+// weighted session — instead of as empty world lists that all look alike.
+func TestRunScriptCompactGroupWorlds(t *testing.T) {
+	const answers = `group %[1]s:
+K
+-
+0
+1
+2
+
+group %[2]s:
+K
+-
+0
+1
+2
+group %[1]s:
+V
+-
+1
+
+group %[2]s:
+V
+--
+11
+`
+	for _, c := range []struct {
+		name        string
+		db          *maybms.CompactDB
+		rows, split string
+		head        [2]string
+	}{
+		{"weighted", maybms.OpenCompact(), "(0, 0, 1), (0, 10, 3), (1, 1, 1), (1, 11, 3), (2, 2, 1), (2, 12, 3)",
+			"K, V from MSrc repair by key K weight W", [2]string{"1 (P = 0.2500)", "2 (P = 0.7500)"}},
+		{"incomplete", maybms.OpenCompactIncomplete(), "(0, 0, 0), (0, 10, 0), (1, 1, 0), (1, 11, 0), (2, 2, 0), (2, 12, 0)",
+			"K, V from MSrc repair by key K", [2]string{"1", "2"}},
+	} {
+		path := filepath.Join(t.TempDir(), "groups.isql")
+		script := "create table MSrc (K, V, W);\n" +
+			"insert into MSrc values " + c.rows + ";\n" +
+			"create table M as select " + c.split + ";\n" +
+			"select certain K from M where K < 3 group worlds by (select V from M where K = 1);\n" +
+			"select possible V from M where K = 1 group worlds by (select V from M where K = 1);\n"
+		if err := os.WriteFile(path, []byte(script), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if err := runScript(&compactShell{db: c.db}, path, &out); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want := "created table MSrc\ninserted 6 row(s) into MSrc\ncreated table M: repair of a query source (8 worlds)\n" +
+			fmt.Sprintf(answers, c.head[0], c.head[1])
+		if got := out.String(); got != want {
+			t.Errorf("%s compact shell:\n%s\nwant:\n%s", c.name, got, want)
+		}
 	}
 }

@@ -120,8 +120,17 @@ func (r *Result) String() string {
 			if i > 0 {
 				b.WriteString("\n")
 			}
-			if len(r.Groups) > 1 {
+			// A group without world names (the compact backend never
+			// enumerates them) is numbered, with its probability when there
+			// is one.
+			switch {
+			case len(r.Groups) == 1:
+			case len(g.Worlds) > 0:
 				fmt.Fprintf(&b, "group {%s}:\n", strings.Join(g.Worlds, ", "))
+			case r.Weighted:
+				fmt.Fprintf(&b, "group %d (P = %.4f):\n", i+1, g.Prob)
+			default:
+				fmt.Fprintf(&b, "group %d:\n", i+1)
 			}
 			b.WriteString(table(g.Rel))
 		}

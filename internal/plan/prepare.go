@@ -469,6 +469,9 @@ func (p *Prepared) Bind(cat Catalog) (algebra.Operator, error) {
 	return rebindOp(p.op, &binding{cat: cat})
 }
 
+// Schema returns the schema of the statement's answer.
+func (p *Prepared) Schema() *schema.Schema { return p.op.Schema() }
+
 // PreparedFromWhere is a FROM/WHERE-only template (the pre-split
 // intermediate of repair/choice statements).
 type PreparedFromWhere struct {

@@ -53,7 +53,7 @@ import (
 // chosen alternative per selected component, as a plan.PartsCatalog.
 // Components not selected contribute nothing (their relations show only the
 // certain part). Contributions are appended in component order, matching the
-// per-world relation order of the merge path and the naive engine.
+// naive engine's per-world relation order.
 type partsCatalog struct {
 	d     *WSD
 	sel   map[int]int // component index → alternative index
@@ -186,9 +186,9 @@ type partQuery func(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error)
 // batches — columnar when the evaluation ran the batch operators, row-backed
 // (zero-copy over collected tuples) otherwise.
 type componentParts struct {
-	compIdx []int           // indexes into d.comps, ascending
-	base    *colbatch.Batch // the certain-only answer Q(cert)
-	// deltas[i][a] is ΔQ(compIdx[i], a): what alternative a adds to base.
+	comps []*Component    // the evaluated components, in index order
+	base  *colbatch.Batch // the certain-only answer Q(cert)
+	// deltas[i][a] is ΔQ(comps[i], a): what alternative a adds to base.
 	deltas [][]*colbatch.Batch
 }
 
@@ -198,7 +198,7 @@ type componentParts struct {
 // of the decomposition. sp, the route's span if any, is told what was
 // evaluated.
 func (d *WSD) QueryByComponent(compIdx []int, query partQuery, sp *obs.Span) (*componentParts, error) {
-	out := &componentParts{compIdx: compIdx, deltas: make([][]*colbatch.Batch, len(compIdx))}
+	out := &componentParts{comps: make([]*Component, len(compIdx)), deltas: make([][]*colbatch.Batch, len(compIdx))}
 	// Flatten every evaluation into one task list for the pool.
 	type task struct {
 		sel map[int]int // nil: the certain-only answer
@@ -206,6 +206,7 @@ func (d *WSD) QueryByComponent(compIdx []int, query partQuery, sp *obs.Span) (*c
 	}
 	tasks := []task{{dst: &out.base}}
 	for i, ci := range compIdx {
+		out.comps[i] = d.comps[ci]
 		out.deltas[i] = make([]*colbatch.Batch, len(d.comps[ci].Alts))
 		for a := range out.deltas[i] {
 			tasks = append(tasks, task{sel: map[int]int{ci: a}, dst: &out.deltas[i][a]})
@@ -239,10 +240,11 @@ func (d *WSD) QueryByComponent(compIdx []int, query partQuery, sp *obs.Span) (*c
 // answer becomes dst's certain part, and the delta of each (component,
 // alternative) that alternative's contribution. Every world's dst instance —
 // certain part followed by contributions in component order — is
-// tuple-for-tuple identical to what the merge path would have stored. The
-// answers are stored as the new relations' backing batches — columnar ones
-// land as zero-copy columnar views (identity for later scans), row-backed
-// ones as shared row slices.
+// tuple-for-tuple the naive engine's answer in that world: by the concat
+// structure the analysis certified, or, over one merged component, because
+// each part is the alternative's full answer. The answers are stored as the
+// new relations' backing batches — columnar ones land as zero-copy columnar
+// views (identity for later scans), row-backed ones as shared row slices.
 func (d *WSD) materializeByComponent(dst string, compIdx []int, query partQuery) error {
 	p, err := d.QueryByComponent(compIdx, query, nil)
 	if err != nil {
@@ -260,8 +262,7 @@ func (d *WSD) materializeByComponent(dst string, compIdx []int, query partQuery)
 	if p.base.Len() > 0 {
 		d.certain[k] = stored(p.base)
 	}
-	for i, ci := range compIdx {
-		comp := d.comps[ci]
+	for i, comp := range p.comps {
 		for a, delta := range p.deltas[i] {
 			if delta.Len() == 0 {
 				continue

@@ -101,7 +101,11 @@ func selectMerged(t *testing.T, d *WSD, sql string) *relation.Relation {
 	t.Helper()
 	core, cl := parseCore(t, sql)
 	an, ev := analyzed(t, d, core)
-	rel, err := d.runMerge(an.Comps, ev, cl)
+	run := d.runMerge
+	if len(an.Comps) == 0 {
+		run = d.runSingle // nothing to merge: the merge route's one evaluation
+	}
+	rel, err := run(an.Comps, ev, cl)
 	if err != nil {
 		t.Fatalf("%q on the merge route: %v", sql, err)
 	}
@@ -137,7 +141,11 @@ func selectExplained(t *testing.T, d *WSD, core *sqlparse.SelectStmt, cl Closure
 func createTableMerged(t *testing.T, d *WSD, dst string, core *sqlparse.SelectStmt) {
 	t.Helper()
 	an, ev := analyzed(t, d, core)
-	if err := d.materializeMerged(dst, an.Comps, ev.rel); err != nil {
+	mi, err := d.mergeComponents(an.Comps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.materializeByComponent(dst, []int{mi}, ev.full); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -61,8 +61,7 @@ func (d *WSD) conditionalRelation(p *componentParts) (*relation.Relation, error)
 	for _, t := range p.base.Rows() {
 		rows = append(rows, append(t.Clone(), value.Str("")))
 	}
-	for i, ci := range p.compIdx {
-		c := d.comps[ci]
+	for i, c := range p.comps {
 		for a, delta := range p.deltas[i] {
 			if err := d.interrupted(); err != nil {
 				return nil, err

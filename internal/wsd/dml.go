@@ -1,8 +1,8 @@
 package wsd
 
-// UPDATE/DELETE over the decomposition. The naive engine runs a DML
-// statement's row rewrite in every world; the compact engine cannot
-// enumerate worlds, but the rewrite distributes over the certain ∪
+// UPDATE/DELETE over the decomposition: one piece rewrite. The naive engine
+// runs a DML statement's row rewrite in every world; the compact engine
+// cannot enumerate worlds, but the rewrite distributes over the certain ∪
 // per-component structure whenever the SET/WHERE expressions read no
 // uncertain data (their subqueries touch no component, certified by the
 // planner's component-touch analysis on the compiled templates):
@@ -18,14 +18,15 @@ package wsd
 // an uncertain relation), each row's fate is coupled to those components'
 // choices: the involved components — the expressions' plus the ones
 // feeding the target — merge into one (the usual bounded partial
-// expansion), and the statement rewrites the target's full per-world
-// content once per merged alternative, storing the result as that
-// alternative's contribution (the target's certain part moves into the
-// component). Either way the per-world outcome is tuple-for-tuple what
-// the naive engine computes in the corresponding world.
+// expansion), the target's certain part moves into every merged
+// alternative ahead of its contribution, and the same piece rewrite runs,
+// each piece binding the expressions under its own alternative. Either way
+// the per-world outcome is tuple-for-tuple what the naive engine computes
+// in the corresponding world.
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"maybms/internal/plan"
@@ -76,9 +77,10 @@ func (d *WSD) Delete(st *sqlparse.Delete) (int, error) {
 	return d.applyDML(st.Table, tmpl)
 }
 
-// applyDML routes a compiled UPDATE/DELETE template: the componentwise
-// piece rewrite when the expressions are world-independent, else the
-// bounded merge of the involved components.
+// applyDML routes a compiled UPDATE/DELETE template: the piece rewrite
+// directly when the expressions are world-independent, else after the
+// bounded merge of the involved components has moved the target's certain
+// part into the merged component.
 func (d *WSD) applyDML(table string, tmpl *plan.PreparedDML) (int, error) {
 	exprComps, err := tmpl.Components(plan.ComponentCatalogFunc(d.ComponentsFor))
 	if err != nil {
@@ -92,8 +94,34 @@ func (d *WSD) applyDML(table string, tmpl *plan.PreparedDML) (int, error) {
 		d.componentwise.Add(1)
 		return n, nil
 	}
-	idx := append(exprComps, d.ComponentsFor(table)...)
-	return d.rewriteMerged(table, tmpl, sortedUniqueInts(idx))
+	mi, err := d.mergeComponents(sortedUniqueInts(append(exprComps, d.ComponentsFor(table)...)))
+	if err != nil {
+		return 0, err
+	}
+	// Every world's target is its certain prefix followed by the merged
+	// alternative's contribution; store it so, per alternative, in fresh
+	// contribution maps — a failed rewrite puts the target back as it was.
+	k := key(table)
+	cert, alts := d.certain[k], d.comps[mi].Alts
+	var saved []Alternative
+	if cert != nil {
+		saved = append(saved, alts...)
+		for i := range alts {
+			content := append(append([]tuple.Tuple(nil), cert.Rows()...), alts[i].contribRows(k)...)
+			alts[i].Contrib = maps.Clone(alts[i].Contrib)
+			if alts[i].Contrib == nil {
+				alts[i].Contrib = map[string]*relation.Relation{}
+			}
+			alts[i].Contrib[k] = relation.FromRowsShared(d.schemas[k], content)
+		}
+		delete(d.certain, k)
+	}
+	n, err := d.rewritePieces(table, tmpl)
+	if err != nil && cert != nil {
+		copy(alts, saved)
+		d.certain[k] = cert
+	}
+	return n, err
 }
 
 // sortedUniqueInts deduplicates and sorts component indexes.
@@ -110,11 +138,15 @@ func sortedUniqueInts(idx []int) []int {
 	return out
 }
 
-// rewritePieces applies a world-independent row rewrite to every piece of
-// the target relation separately: the certain part once, and each
-// alternative's contribution of each component feeding the target once —
-// in parallel on the worker pool, with no merge and the component
-// structure (sizes, probabilities) unchanged.
+// rewritePieces applies the row rewrite to every piece of the target
+// relation separately: the certain part once, and each alternative's
+// contribution of each component feeding the target once — in parallel on
+// the worker pool, with no merge and the component structure (sizes,
+// probabilities) unchanged. Each piece binds the expressions in its own
+// worlds (the certain part over the certain database, a contribution with
+// its alternative selected): the same answers for world-independent
+// expressions, the merged alternative's for expressions over uncertain
+// relations.
 func (d *WSD) rewritePieces(table string, tmpl *plan.PreparedDML) (int, error) {
 	k := key(table)
 	target := d.ComponentsFor(table)
@@ -140,11 +172,13 @@ func (d *WSD) rewritePieces(table string, tmpl *plan.PreparedDML) (int, error) {
 		changed int
 	}
 	outs, err := mapAlts(d, len(pieces), func(i int) (rewritten, error) {
-		// The expressions read only certain relations (their component set
-		// is empty), so any selection yields the same subquery answers; the
-		// certain-only catalog is the cheapest. Each task binds its own
-		// instance — subquery operators hold iteration state.
-		bound, err := tmpl.Bind(newPartsCatalog(d, nil), d.Interrupt)
+		// Each task binds its own instance — subquery operators hold
+		// iteration state.
+		var sel map[int]int
+		if p := pieces[i]; p.ci >= 0 {
+			sel = map[int]int{p.ci: p.alt}
+		}
+		bound, err := tmpl.Bind(newPartsCatalog(d, sel), d.Interrupt)
 		if err != nil {
 			return rewritten{}, err
 		}
@@ -169,57 +203,6 @@ func (d *WSD) rewritePieces(table string, tmpl *plan.PreparedDML) (int, error) {
 			delete(d.comps[p.ci].Alts[p.alt].Contrib, k)
 		} else {
 			d.comps[p.ci].Alts[p.alt].Contrib[k] = relation.FromRowsShared(d.schemas[k], outs[i].tuples)
-		}
-	}
-	return total, nil
-}
-
-// rewriteMerged merges the involved components (bounded partial
-// expansion) and rewrites the target's full per-world content once per
-// merged alternative. The rewritten content becomes the alternative's
-// contribution and the target's certain part moves into the component —
-// every world's relation stays tuple-for-tuple identical to the naive
-// engine's (certain prefix then contribution, rewritten in row order).
-func (d *WSD) rewriteMerged(table string, tmpl *plan.PreparedDML, idx []int) (int, error) {
-	k := key(table)
-	merged, err := d.mergeComponents(idx)
-	if err != nil {
-		return 0, err
-	}
-	var certTuples []tuple.Tuple
-	if cert, ok := d.certain[k]; ok {
-		certTuples = cert.Rows()
-	}
-	type rewritten struct {
-		tuples  []tuple.Tuple
-		changed int
-	}
-	outs, err := mapAlts(d, len(merged.Alts), func(i int) (rewritten, error) {
-		bound, err := tmpl.Bind(altCatalog{d: d, alt: &merged.Alts[i]}, d.Interrupt)
-		if err != nil {
-			return rewritten{}, err
-		}
-		contrib := merged.Alts[i].contribRows(k)
-		content := make([]tuple.Tuple, 0, len(certTuples)+len(contrib))
-		content = append(content, certTuples...)
-		content = append(content, contrib...)
-		kept, n, err := bound.Apply(content)
-		if err != nil {
-			return rewritten{}, err
-		}
-		return rewritten{tuples: kept, changed: n}, nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	delete(d.certain, k)
-	total := 0
-	for i := range merged.Alts {
-		total += outs[i].changed
-		if len(outs[i].tuples) == 0 {
-			delete(merged.Alts[i].Contrib, k)
-		} else {
-			merged.Alts[i].Contrib[k] = relation.FromRowsShared(d.schemas[k], outs[i].tuples)
 		}
 	}
 	return total, nil

@@ -600,9 +600,12 @@ func TestGroupWorldsBeyondMergeLimit(t *testing.T) {
 
 	// The merge-based route cannot answer this: the spanning fallback
 	// would multiply 2^17 alternatives.
-	gwAn, gwEv := analyzed(t, d, gw)
-	qAn, qEv := analyzed(t, d, qcore)
-	if _, err := d.groupWorldsSpanning(gwAn.Comps, qAn.Comps, gwEv.rel, qEv.rel, cl); !errors.Is(err, ErrMergeTooBig) {
+	g, _, err := d.prepareGrouped(gw, qcore, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.spanning = true
+	if _, _, _, err := d.groupMerged(g, cl); !errors.Is(err, ErrMergeTooBig) {
 		t.Fatalf("spanning route: err = %v, want ErrMergeTooBig", err)
 	}
 

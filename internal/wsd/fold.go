@@ -4,9 +4,12 @@ package wsd
 // in time linear in the representation — never in the worlds. Every route
 // that closes over per-(component, alternative) parts reaches this one type:
 // the SELECT routes hand it the evaluated certain-only answer and deltas
-// (componentwise.go), flat and tree involvement alike; WSD.Possible, Certain,
-// ConfRelation and Conf hand it a stored relation's certain part and
-// contribution batches — the same shape.
+// (componentwise.go), flat and tree involvement alike; the merge route hands
+// it the merged component with each alternative's full answer as its part
+// beside an empty certain slot (Q(world a) = ∅ ∪ Q(cert ∪ contrib_a)), and a
+// spanning GROUP WORLDS BY one group of those alternatives at a time;
+// WSD.Possible, Certain, ConfRelation and Conf hand it a stored relation's
+// certain part and contribution batches — the same shape.
 //
 // A fold is given the components (whole d-trees; a flat component is a tree
 // of one node), one batch per (component, alternative) — what that
@@ -70,9 +73,11 @@ type posting struct {
 type span struct{ lo, hi, alts int }
 
 type closureFold struct {
-	d       *WSD
-	compIdx []int // indexes into d.comps: whole trees, ascending
-	// part returns the part of (compIdx[i], alternative a); nil holds nothing.
+	d *WSD
+	// comps are the folded components: whole trees, parents before children
+	// (a group of a merged component's alternatives is a transient flat one).
+	comps []*Component
+	// part returns the part of (comps[i], alternative a); nil holds nothing.
 	part func(i, a int) *colbatch.Batch
 	// certain holds tuples present in every world beside the parts: a stored
 	// relation's certain part, the certain-only answer Q(cert) on the SELECT
@@ -87,15 +92,15 @@ type closureFold struct {
 	// rows remembers the tuple ids of weighed batches, so the emission does
 	// not encode them again.
 	rows    map[*colbatch.Batch][]int32
-	kids    [][][]int // kids[i][a]: positions of the children of (compIdx[i], a); nil when flat
+	kids    [][][]int // kids[i][a]: positions of the children of (comps[i], a); nil when flat
 	post    []posting
 	tick    int32
 	scratch []int32
 	buf     []byte
 }
 
-func (d *WSD) newClosureFold(compIdx []int, part func(i, a int) *colbatch.Batch, certain *colbatch.Batch, only []byte) *closureFold {
-	f := &closureFold{d: d, compIdx: compIdx, part: part, certain: certain, only: only,
+func (d *WSD) newClosureFold(comps []*Component, part func(i, a int) *colbatch.Batch, certain *colbatch.Batch, only []byte) *closureFold {
+	f := &closureFold{d: d, comps: comps, part: part, certain: certain, only: only,
 		ids: map[string]int32{}, rows: map[*colbatch.Batch][]int32{}}
 	if only != nil {
 		f.tuples = []foldTuple{{miss: 1}} // the one tuple, id 0
@@ -169,7 +174,7 @@ func (f *closureFold) hold(id, stamp, tok int32, pa float64) {
 // weighNode appends the postings of the subtree rooted at position i — after
 // its children's — polling the Interrupt hook once per part.
 func (f *closureFold) weighNode(i int) (span, error) {
-	alts := f.d.comps[f.compIdx[i]].Alts
+	alts := f.comps[i].Alts
 	var kids [][]span
 	if f.kids != nil && f.kids[i] != nil {
 		kids = make([][]span, len(alts))
@@ -242,19 +247,17 @@ func (f *closureFold) weighNode(i int) (span, error) {
 // weigh folds every tree into the per-tuple verdicts, roots in component
 // order.
 func (f *closureFold) weigh() error {
-	d := f.d
-	if d.nested > 0 {
-		byID := d.compIndexByID()
-		pos := make(map[int]int, len(f.compIdx))
-		for i, ci := range f.compIdx {
-			pos[ci] = i
+	if f.d.nested > 0 {
+		pos := make(map[int]int, len(f.comps)) // component ID → position
+		for i, c := range f.comps {
+			pos[c.ID] = i
 		}
-		f.kids = make([][][]int, len(f.compIdx))
-		for i, ci := range f.compIdx {
-			if c := d.comps[ci]; c.Parent >= 0 {
-				pi := pos[byID[c.Parent]]
+		f.kids = make([][][]int, len(f.comps))
+		for i, c := range f.comps {
+			if c.Parent >= 0 {
+				pi := pos[c.Parent]
 				if f.kids[pi] == nil {
-					f.kids[pi] = make([][]int, len(d.comps[f.compIdx[pi]].Alts))
+					f.kids[pi] = make([][]int, len(f.comps[pi].Alts))
 				}
 				f.kids[pi][c.ParentAlt] = append(f.kids[pi][c.ParentAlt], i)
 			}
@@ -266,8 +269,8 @@ func (f *closureFold) weigh() error {
 			t.miss, t.last, t.always = 0, 1, true
 		}
 	}
-	for i, ci := range f.compIdx {
-		if d.nested > 0 && d.comps[ci].Parent >= 0 {
+	for i, c := range f.comps {
+		if c.Parent >= 0 {
 			continue
 		}
 		sp, err := f.weighNode(i)
@@ -288,11 +291,11 @@ func (f *closureFold) weigh() error {
 // conf is the weighed tuple's confidence 1 − Π_root (1 − p_root(t)).
 func (f *closureFold) conf(t *foldTuple) float64 {
 	conf := 1 - t.miss
-	if len(f.compIdx) == 1 && t.miss > 0 {
+	if len(f.comps) == 1 && t.miss > 0 {
 		// Over a single component the confidence of a tuple outside the
 		// certain part (those have miss 0) is the plain probability sum,
-		// accumulated in alternative order — bit-identical to the merge path
-		// and the naive engine (1 − (1 − p) would lose ulps).
+		// accumulated in alternative order — bit-identical to the naive
+		// engine's sum over worlds (1 − (1 − p) would lose ulps).
 		conf = t.last
 	}
 	if conf > 1 {
@@ -367,8 +370,8 @@ func (f *closureFold) close(cl Closure, sch *schema.Schema) (*relation.Relation,
 	if err := emit(f.certain); err != nil {
 		return nil, err
 	}
-	for i, ci := range f.compIdx {
-		for a := range f.d.comps[ci].Alts {
+	for i, c := range f.comps {
+		for a := range c.Alts {
 			if err := emit(f.part(i, a)); err != nil {
 				return nil, err
 			}
@@ -381,4 +384,11 @@ func (f *closureFold) close(cl Closure, sch *schema.Schema) (*relation.Relation,
 		out = out.ExtendFloat(sch.Concat(confSchema()), confs)
 	}
 	return relation.FromBatch(out), nil
+}
+
+// closeParts closes a query's evaluated parts under cl: its certain-only
+// answer in the certain slot, its per-alternative parts as the parts.
+func (d *WSD) closeParts(p *componentParts, cl Closure) (*relation.Relation, error) {
+	part := func(i, a int) *colbatch.Batch { return p.deltas[i][a] }
+	return d.newClosureFold(p.comps, part, p.base, nil).close(cl, p.base.Schema)
 }

@@ -33,7 +33,9 @@ package wsd
 // P(g)·P(t∈Q)). Only when the grouped query genuinely spans components —
 // the grouping and main plans share a component — does the engine fall
 // back to the bounded residual merge of the involved components,
-// evaluating both queries once per merged alternative.
+// evaluating both queries' full answers once per merged alternative and
+// closing the main query within each group by the one fold (fold.go), the
+// group's alternatives folded as a flat component of their own.
 
 import (
 	"fmt"
@@ -57,8 +59,8 @@ type GroupAnswer struct {
 }
 
 // groupInfo is one world group produced by the grouping phase: its total
-// probability and, for the spanning path, the merged-alternative indexes
-// it contains.
+// probability and, for groups of a merged component's alternatives, their
+// indexes.
 type groupInfo struct {
 	prob float64
 	alts []int
@@ -78,73 +80,74 @@ func (d *WSD) GroupWorldsClosure(gw, core *sqlparse.SelectStmt, cl Closure) ([]G
 	if cl.IsConf() && !d.Weighted {
 		return nil, ErrConfUnweighted
 	}
-	gwPrep, gwEv, err := d.prepared(gw)
+	g, whole, err := d.prepareGrouped(gw, core, cl)
+	switch {
+	case err != nil:
+		return nil, err
+	case g == nil:
+		return []GroupAnswer{{Prob: oneIfWeighted(d.Weighted), Rel: whole}}, nil
+	case g.spanning || !g.gwAn.Decomposable:
+		_, _, answers, err := d.groupMerged(g, cl)
+		return answers, err
+	}
+	// Disjoint component sets and a decomposable grouping query: groups from
+	// per-component fingerprints, no merge, the closure shared across groups.
+	groups, err := d.groupsByComponent(g.gwAn.Comps, g.gw.part)
 	if err != nil {
 		return nil, err
+	}
+	d.componentwise.Add(1)
+	return d.closePerGroup(groups, g.q, cl)
+}
+
+// grouped is a GROUP WORLDS BY statement compiled and analyzed against the
+// decomposition: the grouping query gw, the main query q, and whether they
+// span components — share one, or involve d-trees, whose frontier fold and
+// independence argument assume flat independent components; the spanning
+// merge condenses trees exactly (see condenseTrees).
+type grouped struct {
+	gw, q     evaluator
+	gwAn, qAn *plan.ComponentAnalysis
+	spanning  bool
+}
+
+// comps returns the components a world's group is a function of: the
+// grouping query's, plus the main query's when the statement spans.
+func (g *grouped) comps() []int {
+	idx := append([]int(nil), g.gwAn.Comps...)
+	if g.spanning {
+		idx = sortedUniqueInts(append(idx, g.qAn.Comps...))
+	}
+	return idx
+}
+
+// prepareGrouped compiles and analyzes a GROUP WORLDS BY statement. A
+// world-independent grouping query puts every world in one group: then it
+// returns no grouped statement but the plain closure, that group's answer.
+func (d *WSD) prepareGrouped(gw, core *sqlparse.SelectStmt, cl Closure) (*grouped, *relation.Relation, error) {
+	gwPrep, gwEv, err := d.prepared(gw)
+	if err != nil {
+		return nil, nil, err
 	}
 	gwAn, err := d.analyze(gwPrep)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-
-	// A world-independent grouping query puts every world in one group;
-	// the answer is the plain closure.
 	if len(gwAn.Comps) == 0 {
 		rel, err := d.SelectClosure(core, cl)
-		if err != nil {
-			return nil, err
-		}
-		return []GroupAnswer{{Prob: oneIfWeighted(d.Weighted), Rel: rel}}, nil
+		return nil, rel, err
 	}
-
 	qPrep, qEv, err := d.prepared(core)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	qAn, err := d.analyze(qPrep)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-
-	// Tree-involved components route through the spanning merge: the
-	// frontier fold and the disjointness independence argument assume flat
-	// independent components, and the merge path condenses trees exactly
-	// (see condenseTrees).
-	if intersects(gwAn.Comps, qAn.Comps) ||
-		d.treeInvolved(append(append([]int(nil), gwAn.Comps...), qAn.Comps...)) {
-		return d.groupWorldsSpanning(gwAn.Comps, qAn.Comps, gwEv.rel, qEv.rel, cl)
-	}
-
-	// Disjoint component sets: groups from the grouping query alone, the
-	// closure shared across groups.
-	var groups []groupInfo
-	if gwAn.Decomposable {
-		groups, err = d.groupsByComponent(gwAn.Comps, gwEv.part)
-		if err != nil {
-			return nil, err
-		}
-		d.componentwise.Add(1)
-	} else {
-		// The grouping query itself correlates its components: merge
-		// exactly those (never the main query's) and fingerprint per
-		// merged alternative.
-		merged, err := d.mergeComponents(append([]int(nil), gwAn.Comps...))
-		if err != nil {
-			return nil, err
-		}
-		groups, err = d.groupsFromAlternatives(merged, gwEv.rel)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// The merge above may have restructured the component list; re-run the
-	// main query's analysis against the current decomposition.
-	qAn, err = d.analyze(qPrep)
-	if err != nil {
-		return nil, err
-	}
-	return d.closePerGroup(groups, qAn, qEv, cl)
+	spanning := intersects(gwAn.Comps, qAn.Comps) ||
+		d.treeInvolved(append(append([]int(nil), gwAn.Comps...), qAn.Comps...))
+	return &grouped{gw: gwEv, q: qEv, gwAn: gwAn, qAn: qAn, spanning: spanning}, nil, nil
 }
 
 // intersects reports whether two sorted component-index sets share an
@@ -291,16 +294,40 @@ func (d *WSD) groupsByComponent(compIdx []int, eval partQuery) ([]groupInfo, err
 	return out, nil
 }
 
-// groupsFromAlternatives evaluates the grouping query once per
-// alternative of a merged component and groups the alternatives by answer
-// fingerprint (first-appearance order, matching the world odometer).
-func (d *WSD) groupsFromAlternatives(merged *Component, eval func(cat plan.Catalog) (*relation.Relation, error)) ([]groupInfo, error) {
-	fps, err := mapAlts(d, len(merged.Alts), func(i int) (uint64, error) {
-		rel, err := eval(altCatalog{d: d, alt: &merged.Alts[i]})
-		if err != nil {
-			return 0, err
-		}
-		return rel.Fingerprint(), nil
+// groupMerged merges the components of g's groups into one and groups its
+// alternatives by their grouping answers. A spanning statement's main query
+// closes within each group (closeEachGroup); otherwise its closure is shared
+// across the groups (closePerGroup). It returns the merged component's index
+// beside the groups and their answers.
+func (d *WSD) groupMerged(g *grouped, cl Closure) (int, []groupInfo, []GroupAnswer, error) {
+	mi, err := d.mergeComponents(g.comps())
+	if err != nil {
+		return -1, nil, nil, err
+	}
+	groups, err := d.groupsFromAlternatives(mi, g.gw)
+	if err != nil {
+		return -1, nil, nil, err
+	}
+	var answers []GroupAnswer
+	if g.spanning {
+		answers, err = d.closeEachGroup(mi, groups, g.q, cl)
+	} else {
+		answers, err = d.closePerGroup(groups, g.q, cl)
+	}
+	return mi, groups, answers, err
+}
+
+// groupsFromAlternatives evaluates the grouping query's full answer per
+// alternative of the merged component mi and groups the alternatives by
+// answer fingerprint (first-appearance order, matching the world odometer).
+func (d *WSD) groupsFromAlternatives(mi int, gw evaluator) ([]groupInfo, error) {
+	parts, err := d.QueryByComponent([]int{mi}, gw.full, nil)
+	if err != nil {
+		return nil, err
+	}
+	answers := parts.deltas[0]
+	fps, err := mapAlts(d, len(answers), func(a int) (uint64, error) {
+		return relation.FromBatch(answers[a]).Fingerprint(), nil
 	})
 	if err != nil {
 		return nil, err
@@ -308,8 +335,8 @@ func (d *WSD) groupsFromAlternatives(merged *Component, eval func(cat plan.Catal
 	var out []groupInfo
 	for _, idxs := range worldset.Group(fps) {
 		g := groupInfo{alts: idxs}
-		for _, i := range idxs {
-			g.prob += merged.Alts[i].Prob
+		for _, a := range idxs {
+			g.prob += d.comps[mi].Alts[a].Prob
 		}
 		out = append(out, g)
 	}
@@ -320,7 +347,13 @@ func (d *WSD) groupsFromAlternatives(merged *Component, eval func(cat plan.Catal
 // are disjoint from the grouping components, so the per-group answer is
 // the global one) and attaches it to every group — scaling confidences by
 // each group's probability.
-func (d *WSD) closePerGroup(groups []groupInfo, qAn *plan.ComponentAnalysis, qEv evaluator, cl Closure) ([]GroupAnswer, error) {
+func (d *WSD) closePerGroup(groups []groupInfo, q evaluator, cl Closure) ([]GroupAnswer, error) {
+	// A merge forming the groups may have restructured the component list:
+	// analyze the main query against the decomposition as it is now.
+	qAn, err := d.analyze(q.prep)
+	if err != nil {
+		return nil, err
+	}
 	// The ungrouped closure runs on the route route picks for it. APPROX
 	// CONF's sampling escape does not extend to grouped closures: it routes
 	// as CONF, so a merge past MergeLimit is refused.
@@ -328,7 +361,7 @@ func (d *WSD) closePerGroup(groups []groupInfo, qAn *plan.ComponentAnalysis, qEv
 	if rcl == ClosureApproxConf {
 		rcl = ClosureConf
 	}
-	closed, err := d.run(d.route(qEv.sel, qAn, rcl, false), qAn.Comps, qEv, rcl)
+	closed, err := d.run(d.route(q.sel, qAn, rcl, false), qAn.Comps, q, rcl)
 	if err != nil {
 		return nil, err
 	}
@@ -362,43 +395,24 @@ func scaleConf(rel *relation.Relation, f float64) *relation.Relation {
 	return relation.FromRowsShared(rel.Schema, rows)
 }
 
-// groupWorldsSpanning is the bounded residual merge: the grouping and
-// main queries share components, so their union merges into one component
-// and both evaluate once per merged alternative — the grouping answers
-// fingerprint the alternatives into groups (first-appearance order over
-// alternatives equals the world odometer's), the main answers close within
-// each group.
-func (d *WSD) groupWorldsSpanning(gwComps, qComps []int, gwEval, qEval func(cat plan.Catalog) (*relation.Relation, error), cl Closure) ([]GroupAnswer, error) {
-	idx := sortedUniqueInts(append(append([]int(nil), gwComps...), qComps...))
-	merged, err := d.mergeComponents(idx)
+// closeEachGroup evaluates the main query's full answer per alternative of
+// the merged component mi and closes it within each group by the one fold,
+// over the group's alternatives as a flat component of their own: CERTAIN
+// within a group means in every alternative of the group.
+func (d *WSD) closeEachGroup(mi int, groups []groupInfo, q evaluator, cl Closure) ([]GroupAnswer, error) {
+	parts, err := d.QueryByComponent([]int{mi}, q.full, nil)
 	if err != nil {
 		return nil, err
 	}
-	groups, err := d.groupsFromAlternatives(merged, gwEval)
-	if err != nil {
-		return nil, err
-	}
-	return d.closeAltGroups(merged, groups, qEval, cl)
-}
-
-// closeAltGroups evaluates the main query once per alternative of a
-// merged component and closes the answers within each alternative group.
-func (d *WSD) closeAltGroups(merged *Component, groups []groupInfo, qEval func(cat plan.Catalog) (*relation.Relation, error), cl Closure) ([]GroupAnswer, error) {
-	qResults, err := mapAlts(d, len(merged.Alts), func(i int) (*relation.Relation, error) {
-		return qEval(altCatalog{d: d, alt: &merged.Alts[i]})
-	})
-	if err != nil {
-		return nil, err
-	}
+	merged := d.comps[mi]
 	out := make([]GroupAnswer, len(groups))
 	for gi, g := range groups {
-		rels := make([]*relation.Relation, len(g.alts))
-		probs := make([]float64, len(g.alts))
-		for j, ai := range g.alts {
-			rels[j] = qResults[ai]
-			probs[j] = merged.Alts[ai].Prob
+		group := &Component{ID: merged.ID, Parent: -1, Alts: make([]Alternative, len(g.alts))}
+		for j, a := range g.alts {
+			group.Alts[j] = merged.Alts[a]
 		}
-		rel, err := d.closeAnswers(rels, probs, cl)
+		part := func(_, j int) *colbatch.Batch { return parts.deltas[0][g.alts[j]] }
+		rel, err := d.newClosureFold([]*Component{group}, part, parts.base, nil).close(cl, parts.base.Schema)
 		if err != nil {
 			return nil, err
 		}
@@ -417,63 +431,16 @@ func (d *WSD) closeAltGroups(merged *Component, groups []groupInfo, qEval func(c
 // each merged alternative references its group's answer: per-group
 // contributions, not per-alternative copies.
 func (d *WSD) materializeGrouped(dst string, gw, core *sqlparse.SelectStmt, cl Closure) error {
-	gwPrep, gwEv, err := d.prepared(gw)
+	g, whole, err := d.prepareGrouped(gw, core, cl)
 	if err != nil {
 		return err
 	}
-	gwAn, err := d.analyze(gwPrep)
-	if err != nil {
-		return err
+	if g == nil {
+		// One group: the stored relation is the plain closure, certain
+		// everywhere.
+		return d.PutCertain(dst, whole.WithSchema(whole.Schema.Unqualify()))
 	}
-
-	// A world-independent grouping query puts every world in one group:
-	// the stored relation is the plain closure, certain everywhere.
-	if len(gwAn.Comps) == 0 {
-		rel, err := d.SelectClosure(core, cl)
-		if err != nil {
-			return err
-		}
-		return d.PutCertain(dst, rel.WithSchema(rel.Schema.Unqualify()))
-	}
-
-	qPrep, qEv, err := d.prepared(core)
-	if err != nil {
-		return err
-	}
-	qAn, err := d.analyze(qPrep)
-	if err != nil {
-		return err
-	}
-
-	idx := append([]int(nil), gwAn.Comps...)
-	spanning := intersects(gwAn.Comps, qAn.Comps) ||
-		d.treeInvolved(append(append([]int(nil), gwAn.Comps...), qAn.Comps...))
-	if spanning {
-		idx = sortedUniqueInts(append(idx, qAn.Comps...))
-	}
-	merged, err := d.mergeComponents(idx)
-	if err != nil {
-		return err
-	}
-	groups, err := d.groupsFromAlternatives(merged, gwEv.rel)
-	if err != nil {
-		return err
-	}
-
-	var answers []GroupAnswer
-	if spanning {
-		answers, err = d.closeAltGroups(merged, groups, qEv.rel, cl)
-	} else {
-		// The merge may have restructured the component list; re-run the
-		// main query's analysis against the current decomposition. Its
-		// closure is shared across groups (conf scaled by group
-		// probability), computed componentwise whenever the plan allows.
-		qAn, err = d.analyze(qPrep)
-		if err != nil {
-			return err
-		}
-		answers, err = d.closePerGroup(groups, qAn, qEv, cl)
-	}
+	mi, groups, answers, err := d.groupMerged(g, cl)
 	if err != nil {
 		return err
 	}
@@ -482,20 +449,21 @@ func (d *WSD) materializeGrouped(dst string, gw, core *sqlparse.SelectStmt, cl C
 		return err
 	}
 	k := key(dst)
-	for gi, g := range groups {
+	merged := d.comps[mi]
+	for gi, grp := range groups {
 		rel := answers[gi].Rel
 		if rel.Empty() {
 			continue
 		}
 		contribution := rel.WithSchema(d.schemas[k])
-		for _, ai := range g.alts {
+		for _, ai := range grp.alts {
 			if merged.Alts[ai].Contrib == nil {
 				merged.Alts[ai].Contrib = map[string]*relation.Relation{}
 			}
 			merged.Alts[ai].Contrib[k] = contribution
 		}
 	}
-	if len(idx) <= 1 {
+	if len(g.comps()) <= 1 {
 		d.componentwise.Add(1)
 	}
 	return nil

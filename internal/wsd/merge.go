@@ -1,5 +1,14 @@
 package wsd
 
+// Merges restructure the decomposition and nothing else: mergeComponents
+// multiplies the involved components into one flat component (condensing
+// d-trees first), condenseTrees flattens trees ahead of a split, and both
+// refuse past MergeLimit before touching anything. A merged component is an
+// ordinary component afterwards — every statement over it is answered by the
+// same parts, fold, storage and piece rewrite as any other (componentwise.go,
+// fold.go, dml.go). Assert, which filters the merged alternatives, is the one
+// consumer kept here.
+
 import (
 	"fmt"
 	"sort"
@@ -119,18 +128,18 @@ func (d *WSD) errMergeTooBig(n int) error {
 // of WSD query processing — bounded by MergeLimit, never the full world
 // count — and a merge past the bound is refused before anything is
 // restructured, so a failed statement leaves the decomposition as it was.
-// It returns the merged component (nil when idx is empty).
+// It returns the merged component's index (-1 when idx is empty).
 //
 // Nested components are handled by first *condensing*: every involved
 // index is expanded to the full d-tree containing it, each multi-node
 // tree is flattened into one flat component (one alternative per valid
 // digit assignment, in expansion order), and only then does the flat
-// product run. Every merge-based route (Assert, queryFitting, materializeMerged, DML
-// rewrites over uncertain expressions, spanning world groups) is thereby
-// tree-correct without further changes.
-func (d *WSD) mergeComponents(idx []int) (*Component, error) {
+// product run. Every merge-based route (Assert, the merge route's closures
+// and storage, DML rewrites over uncertain expressions, spanning world
+// groups) is thereby tree-correct without further changes.
+func (d *WSD) mergeComponents(idx []int) (int, error) {
 	if _, fits := d.mergedAlternatives(idx); !fits {
-		return nil, d.errMergeTooBig(len(idx))
+		return -1, d.errMergeTooBig(len(idx))
 	}
 	return d.mergeFitting(idx)
 }
@@ -138,16 +147,16 @@ func (d *WSD) mergeComponents(idx []int) (*Component, error) {
 // mergeFitting is mergeComponents for a merge mergedAlternatives has already
 // accepted on the decomposition as it stands: mergeComponents' own check, or
 // route's routeMerge decision (runMerge), which thereby counts once.
-func (d *WSD) mergeFitting(idx []int) (*Component, error) {
+func (d *WSD) mergeFitting(idx []int) (int, error) {
 	if len(idx) == 0 {
-		return nil, nil
+		return -1, nil
 	}
 	idx, err := d.condenseFitting(idx)
 	if err != nil {
-		return nil, err
+		return -1, err
 	}
 	if len(idx) == 1 {
-		return d.comps[idx[0]], nil
+		return idx[0], nil
 	}
 	sort.Ints(idx)
 
@@ -161,7 +170,7 @@ func (d *WSD) mergeFitting(idx []int) (*Component, error) {
 			// from holding the engine for the whole product. An abort here
 			// leaves d.comps untouched (the splice happens below).
 			if err := d.interrupted(); err != nil {
-				return nil, err
+				return -1, err
 			}
 			for _, a := range c.Alts {
 				na := Alternative{Prob: base.Prob, Contrib: map[string]*relation.Relation{}}
@@ -190,10 +199,9 @@ func (d *WSD) mergeFitting(idx []int) (*Component, error) {
 	for i := len(idx) - 1; i >= 0; i-- {
 		d.comps = append(d.comps[:idx[i]], d.comps[idx[i]+1:]...)
 	}
-	out := &Component{ID: d.nextID, Alts: merged, Parent: -1}
+	d.comps = append(d.comps, &Component{ID: d.nextID, Alts: merged, Parent: -1})
 	d.nextID++
-	d.comps = append(d.comps, out)
-	return out, nil
+	return len(d.comps) - 1, nil
 }
 
 // condenseTrees condenses the d-trees containing the given indexes ahead of
@@ -359,47 +367,6 @@ func oneIfWeighted(weighted bool) float64 {
 	return 0
 }
 
-// altCatalog exposes one alternative of a component over the certain part
-// as a plan.Catalog: Lookup(name) returns certain tuples plus the
-// alternative's contributions. Relations contributed exclusively by OTHER
-// components are not visible — callers must list every uncertain relation
-// they touch so those components get merged first.
-type altCatalog struct {
-	d   *WSD
-	alt *Alternative // nil when no components are involved
-}
-
-// Lookup implements plan.Catalog.
-func (ac altCatalog) Lookup(name string) (*relation.Relation, error) {
-	k := key(name)
-	sch, ok := ac.d.schemas[k]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknown, name)
-	}
-	cert := ac.d.certain[k]
-	var contrib *relation.Relation
-	if ac.alt != nil {
-		contrib = ac.alt.Contrib[k]
-	}
-	// The common single-source cases pass stored state through zero-copy:
-	// the evaluation reads the stored batch directly.
-	if contrib.Empty() {
-		if cert != nil {
-			return cert.WithSchema(sch), nil
-		}
-		return relation.New(sch), nil
-	}
-	if cert.Empty() {
-		return contrib.WithSchema(sch), nil
-	}
-	out := relation.New(sch)
-	out.AppendRows(cert.Rows())
-	out.AppendRows(contrib.Rows())
-	return out, nil
-}
-
-var _ plan.Catalog = altCatalog{}
-
 // Assert keeps only the worlds satisfying pred and renormalizes. touching
 // must list every uncertain relation pred reads. pred runs once per
 // alternative, concurrently on the worker pool, so it must be safe for
@@ -408,13 +375,13 @@ var _ plan.Catalog = altCatalog{}
 // independence, renormalizing within the merged component renormalizes the
 // whole world-set (Example 2.5 semantics at WSD scale).
 func (d *WSD) Assert(touching []string, pred func(cat plan.Catalog) (bool, error)) error {
-	merged, err := d.mergeComponents(d.involvedComponents(touching))
+	mi, err := d.mergeComponents(d.involvedComponents(touching))
 	if err != nil {
 		return err
 	}
-	if merged == nil {
+	if mi < 0 {
 		// Pure certain condition: either all worlds survive or none.
-		ok, err := pred(altCatalog{d: d})
+		ok, err := pred(newPartsCatalog(d, nil))
 		if err != nil {
 			return err
 		}
@@ -426,8 +393,9 @@ func (d *WSD) Assert(touching []string, pred func(cat plan.Catalog) (bool, error
 	// The per-alternative predicate evaluations are independent; run them
 	// on the worker pool, then fold the keeps sequentially in alternative
 	// order so the surviving order and renormalization are deterministic.
+	merged := d.comps[mi]
 	oks, err := mapAlts(d, len(merged.Alts), func(i int) (bool, error) {
-		return pred(altCatalog{d: d, alt: &merged.Alts[i]})
+		return pred(newPartsCatalog(d, map[int]int{mi: i}))
 	})
 	if err != nil {
 		return err
@@ -452,79 +420,5 @@ func (d *WSD) Assert(touching []string, pred func(cat plan.Catalog) (bool, error
 		}
 	}
 	merged.Alts = kept
-	return nil
-}
-
-// queryFitting merges the components at idx (the same partial expansion as
-// Assert and materializeMerged — it mutates the representation but not the
-// represented world-set) and evaluates query once per alternative of the
-// merged component, returning the per-alternative answers and their
-// probabilities; no component at all yields a single answer with probability
-// 1. query runs concurrently on the worker pool and must be safe for
-// concurrent calls. The closures of any plain-SQL answer follow by closing
-// over the returned (answers, probs) pairs — each alternative stands for a
-// set of worlds whose total probability is the alternative's, by component
-// independence. idx must be a merge mergedAlternatives has accepted — see
-// mergeFitting.
-func (d *WSD) queryFitting(idx []int, query func(cat plan.Catalog) (*relation.Relation, error)) ([]*relation.Relation, []float64, error) {
-	merged, err := d.mergeFitting(idx)
-	if err != nil {
-		return nil, nil, err
-	}
-	if merged == nil {
-		res, err := query(altCatalog{d: d})
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*relation.Relation{res}, []float64{1}, nil
-	}
-	results, err := mapAlts(d, len(merged.Alts), func(i int) (*relation.Relation, error) {
-		return query(altCatalog{d: d, alt: &merged.Alts[i]})
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	probs := make([]float64, len(merged.Alts))
-	for i := range merged.Alts {
-		probs[i] = merged.Alts[i].Prob
-	}
-	return results, probs, nil
-}
-
-// materializeMerged evaluates query per world and stores its answer as
-// relation dst. Only the components at idx are merged and evaluated — one
-// evaluation per alternative of the merged component (or a single evaluation
-// when idx is empty); query runs concurrently and must be safe for concurrent
-// calls.
-func (d *WSD) materializeMerged(dst string, idx []int, query func(cat plan.Catalog) (*relation.Relation, error)) error {
-	merged, err := d.mergeComponents(idx)
-	if err != nil {
-		return err
-	}
-	if merged == nil {
-		res, err := query(altCatalog{d: d})
-		if err != nil {
-			return err
-		}
-		return d.PutCertain(dst, res.WithSchema(res.Schema.Unqualify()))
-	}
-	k := key(dst)
-	// One evaluation per alternative of the merged component — independent
-	// by construction, so they run on the worker pool in index order.
-	results, err := mapAlts(d, len(merged.Alts), func(i int) (*relation.Relation, error) {
-		return query(altCatalog{d: d, alt: &merged.Alts[i]})
-	})
-	if err != nil {
-		return err
-	}
-	if err := d.registerUncertain(dst, results[0].Schema); err != nil {
-		return err
-	}
-	for i := range merged.Alts {
-		if merged.Alts[i].Contrib == nil {
-			merged.Alts[i].Contrib = map[string]*relation.Relation{}
-		}
-		merged.Alts[i].Contrib[k] = results[i]
-	}
 	return nil
 }

@@ -7,9 +7,12 @@ import (
 	"math/big"
 	"testing"
 
+	"maybms/internal/colbatch"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
+	"maybms/internal/tuple"
+	"maybms/internal/worldset"
 )
 
 func TestInvolvedComponents(t *testing.T) {
@@ -29,24 +32,25 @@ func TestMergeSingleComponentIsNoop(t *testing.T) {
 	d := newFigure2WSD(t)
 	before := d.ComponentCount()
 	c, err := d.mergeComponents([]int{1})
-	if err != nil || c == nil {
+	if err != nil || c != 1 {
 		t.Fatalf("merge single = %v, %v", c, err)
 	}
 	if d.ComponentCount() != before {
 		t.Error("single-component merge must not restructure")
 	}
 	none, err := d.mergeComponents(nil)
-	if err != nil || none != nil {
+	if err != nil || none != -1 {
 		t.Errorf("empty merge = %v, %v", none, err)
 	}
 }
 
 func TestMergeProductProbabilities(t *testing.T) {
 	d := newFigure2WSD(t)
-	merged, err := d.mergeComponents([]int{0, 1, 2})
+	mi, err := d.mergeComponents([]int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	merged := d.comps[mi]
 	if len(merged.Alts) != 4 {
 		t.Fatalf("merged alternatives = %d, want 4", len(merged.Alts))
 	}
@@ -73,9 +77,11 @@ func TestMergeProductProbabilities(t *testing.T) {
 	}
 }
 
-func TestAltCatalogLookup(t *testing.T) {
+// TestPartsCatalogLookup: a relation's instance in the selected worlds is its
+// certain part followed by the selected alternatives' contributions.
+func TestPartsCatalogLookup(t *testing.T) {
 	d := newFigure2WSD(t)
-	cat := altCatalog{d: d}
+	cat := newPartsCatalog(d, nil)
 	r, err := cat.Lookup("R")
 	if err != nil || r.Len() != 5 {
 		t.Errorf("certain lookup = %v, %v", r, err)
@@ -85,6 +91,18 @@ func TestAltCatalogLookup(t *testing.T) {
 	i, err := cat.Lookup("I")
 	if err != nil || i.Len() != 0 {
 		t.Errorf("uncertain lookup without alt = %v, %v", i, err)
+	}
+	// Contribution only: a1's second repair.
+	one := newPartsCatalog(d, map[int]int{0: 1})
+	i, err = one.Lookup("I")
+	if err != nil || renderRel(i) != renderRel(relation.FromRowsShared(i.Schema, []tuple.Tuple{row("a1", 15, "c2", 6)})) {
+		t.Errorf("contribution-only lookup = %v, %v", i, err)
+	}
+	// Both: a certain row first, then the contribution.
+	d.certain["i"] = relation.FromRowsShared(d.schemas["i"], []tuple.Tuple{row("a0", 1, "c0", 1)})
+	i, err = one.Lookup("I")
+	if err != nil || renderRel(i) != renderRel(relation.FromRowsShared(i.Schema, []tuple.Tuple{row("a0", 1, "c0", 1), row("a1", 15, "c2", 6)})) {
+		t.Errorf("certain-and-contribution lookup = %v, %v", i, err)
 	}
 	if _, err := cat.Lookup("nope"); !errors.Is(err, ErrUnknown) {
 		t.Errorf("unknown lookup = %v", err)
@@ -110,16 +128,20 @@ func TestAssertPredicateErrorPropagates(t *testing.T) {
 
 func TestMaterializeErrors(t *testing.T) {
 	d := newFigure2WSD(t)
+	mi, err := d.mergeComponents(d.involvedComponents([]string{"I"}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	boom := errors.New("boom")
-	err := d.materializeMerged("X", d.involvedComponents([]string{"I"}), func(plan.Catalog) (*relation.Relation, error) {
+	err = d.materializeByComponent("X", []int{mi}, func(plan.PartsCatalog, bool) (*colbatch.Batch, error) {
 		return nil, boom
 	})
 	if !errors.Is(err, boom) {
 		t.Errorf("materialize error = %v", err)
 	}
 	// Name collision.
-	err = d.materializeMerged("I", d.involvedComponents([]string{"I"}), func(cat plan.Catalog) (*relation.Relation, error) {
-		return relation.New(schema.New("X")), nil
+	err = d.materializeByComponent("I", []int{mi}, func(plan.PartsCatalog, bool) (*colbatch.Batch, error) {
+		return colbatch.New(schema.New("X")), nil
 	})
 	if !errors.Is(err, ErrExists) {
 		t.Errorf("materialize collision = %v", err)
@@ -129,34 +151,17 @@ func TestMaterializeErrors(t *testing.T) {
 	if err := d2.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	err = d2.materializeMerged("R", d2.involvedComponents([]string{"R"}), func(cat plan.Catalog) (*relation.Relation, error) {
-		return relation.New(schema.New("X")), nil
-	})
-	if !errors.Is(err, ErrExists) {
+	if err := d2.CreateTableAs("R", mustCore(t, "select * from R")); !errors.Is(err, ErrExists) {
 		t.Errorf("certain materialize collision = %v", err)
 	}
 }
 
 func TestMaterializeThenConfPipeline(t *testing.T) {
-	// End-to-end compact pipeline: repair → per-world SQL materialize →
-	// confidence of derived tuples, validated against hand computation.
+	// End-to-end compact pipeline: repair → per-world SQL materialize on the
+	// merge route → confidence of derived tuples, validated against hand
+	// computation.
 	d := newFigure2WSD(t)
-	err := d.materializeMerged("HighB", d.involvedComponents([]string{"I"}), func(cat plan.Catalog) (*relation.Relation, error) {
-		i, err := cat.Lookup("I")
-		if err != nil {
-			return nil, err
-		}
-		out := relation.New(i.Schema)
-		for _, tp := range i.Rows() {
-			if tp[1].AsInt() >= 15 {
-				out.MustAppend(tp)
-			}
-		}
-		return out, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	createTableMerged(t, d, "HighB", mustCore(t, "select * from I where B >= 15"))
 	// (a1,15,c2,6) is in HighB iff a1's repair chose B=15: conf 0.75.
 	c, err := d.Conf("HighB", row("a1", 15, "c2", 6))
 	if err != nil || math.Abs(c-0.75) > eps {
@@ -397,6 +402,159 @@ func TestRefusedCondenseLeavesDecompositionUnchanged(t *testing.T) {
 		}
 		if d.MergeCount() == 0 {
 			t.Fatalf("%s within the limit: nothing condensed — the fixture no longer reaches condenseTrees", name)
+		}
+	}
+}
+
+// TestMergeRouteMatchesWorldsetClosures pins the merge route to the answers
+// it gave while it closed per-alternative relations with the worldset
+// closures: worldset.Possible, Certain and Conf over the merged component's
+// per-alternative full answers (Conf weighted by the alternatives'
+// probabilities) are the reference, row for row — order, schema and conf
+// bits included. Over one merged component the fold lists alternatives
+// ascending, each tuple at its first appearance, and sums CONF in
+// alternative order, which is exactly what those closures did.
+func TestMergeRouteMatchesWorldsetClosures(t *testing.T) {
+	// M: three keys with two values each (sums 3…33 across worlds), weighted
+	// 1:2 so that sums of alternative probabilities are not exact binary
+	// fractions; Q: a repair nested under a choice, a d-tree the merge
+	// condenses.
+	build := func(weighted bool) *WSD {
+		d := New(weighted)
+		weight := ""
+		if weighted {
+			weight = "W"
+		}
+		src := relation.New(schema.New("K", "V", "W"))
+		for k := 0; k < 3; k++ {
+			src.MustAppend(row(k, k, 1))
+			src.MustAppend(row(k, 10+k, 2))
+		}
+		c := relation.New(schema.New("A", "V"))
+		for _, r := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {1, 4}} {
+			c.MustAppend(row(r[0], r[1]))
+		}
+		for _, err := range []error{
+			d.PutCertain("MSrc", src),
+			d.RepairByKey("MSrc", "M", []string{"K"}, weight),
+			d.PutCertain("C", c),
+			d.ChoiceOf("C", "P", []string{"A"}, ""),
+			d.RepairByKey("P", "Q", []string{"A"}, ""),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d.nested == 0 {
+			t.Fatal("fixture: Q is not nested")
+		}
+		return d
+	}
+	statements := []string{
+		"select possible sum(V) from M",
+		"select certain sum(V) from M",
+		"select possible K, V from M where 30 > (select sum(V) from M)",
+		"select certain K from M where 40 > (select sum(V) from M)",
+		"select possible K, V from M group by K, V",
+		"select certain K from M group by K, V",
+		"select possible K, V from M order by V desc limit 2",
+		"select certain K from M order by K limit 2",
+		"select possible K from M where 15 > (select sum(V) from M)", // empty in most alternatives
+		"select certain K from M where 15 > (select sum(V) from M)",
+		"select possible K from M where 0 > (select sum(V) from M)", // empty in every alternative
+		"select possible sum(V) from Q",
+		"select certain count(*) from Q",
+		"select possible A, V from Q where 2 < (select sum(V) from Q)",
+	}
+	weightedOnly := []string{
+		"select conf, sum(V) from M",
+		"select K, conf from M where 30 > (select sum(V) from M)",
+		"select conf, K, V from M group by K, V",
+		"select conf, K, V from M order by V desc limit 2",
+		"select conf, K from M where 0 > (select sum(V) from M)",
+		"select conf, sum(V) from Q",
+		"select A, V, conf from Q where 2 < (select sum(V) from Q)",
+	}
+	for _, weighted := range []bool{true, false} {
+		qs := statements
+		if weighted {
+			qs = append(append([]string(nil), statements...), weightedOnly...)
+		}
+		for _, sql := range qs {
+			label := fmt.Sprintf("weighted=%v %q", weighted, sql)
+			core, cl := parseCore(t, sql)
+			d, ref := build(weighted), build(weighted)
+			an, ev := analyzed(t, d, core)
+			if dec := d.route(core, an, cl, false); dec.kind != routeMerge {
+				t.Fatalf("%s: routed %s, want merge", label, dec.kind)
+			}
+			got, err := d.SelectClosure(core, cl)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+
+			an, ev = analyzed(t, ref, core)
+			mi, err := ref.mergeComponents(an.Comps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alts := ref.comps[mi].Alts
+			answers, probs := make([]*relation.Relation, len(alts)), make([]float64, len(alts))
+			for a := range alts {
+				b, err := ev.batch(newPartsCatalog(ref, map[int]int{mi: a}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				answers[a], probs[a] = relation.FromBatch(b), alts[a].Prob
+			}
+			var want *relation.Relation
+			switch cl {
+			case ClosurePossible:
+				want, err = worldset.Possible(answers)
+			case ClosureCertain:
+				want, err = worldset.Certain(answers)
+			default:
+				want, err = worldset.Conf(answers, probs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if renderRel(got) != renderRel(want) {
+				t.Errorf("%s: merge route\n%s\nwant (worldset closures)\n%s", label, renderRel(got), renderRel(want))
+			}
+		}
+	}
+}
+
+// TestSpanningGroupCertainPerGroup: after a spanning merge, CERTAIN within a
+// group means in every alternative of that group. Grouping M's worlds by the
+// value K = 1 takes makes two groups, each certain of its own value — where
+// folding a group as the whole merged component would leave both empty.
+func TestSpanningGroupCertainPerGroup(t *testing.T) {
+	d := New(true)
+	src := relation.New(schema.New("K", "V", "W"))
+	for k := 0; k < 3; k++ {
+		src.MustAppend(row(k, k, 1))
+		src.MustAppend(row(k, 10+k, 3))
+	}
+	if err := d.PutCertain("MSrc", src); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RepairByKey("MSrc", "M", []string{"K"}, "W"); err != nil {
+		t.Fatal(err)
+	}
+	core, cl := parseCore(t, "select certain V from M where K = 1")
+	groups, err := d.GroupWorldsClosure(mustCore(t, "select V from M where K = 1"), core, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(groups) != 2 {
+		t.Fatalf("groups = %d, want 2", len(groups))
+	}
+	for gi, want := range []int{1, 11} {
+		g := groups[gi]
+		if got := renderRel(g.Rel); got != renderRel(relation.FromRowsShared(g.Rel.Schema, []tuple.Tuple{row(want)})) {
+			t.Errorf("group %d (P = %g): certain answer\n%s\nwant V = %d", gi, g.Prob, got, want)
 		}
 	}
 }

@@ -205,10 +205,6 @@ func (d *WSD) relationFold(name string, only []byte) (*closureFold, error) {
 	if _, ok := d.schemas[k]; !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknown, name)
 	}
-	all := make([]int, len(d.comps))
-	for ci := range all {
-		all[ci] = ci
-	}
 	part := func(i, a int) *colbatch.Batch {
 		if contrib := d.comps[i].Alts[a].Contrib[k]; contrib != nil {
 			return contrib.BatchView()
@@ -219,7 +215,7 @@ func (d *WSD) relationFold(name string, only []byte) (*closureFold, error) {
 	if cert := d.certain[k]; only == nil && cert.Len() > 0 {
 		certain = cert.BatchView()
 	}
-	return d.newClosureFold(all, part, certain, only), nil
+	return d.newClosureFold(d.comps, part, certain, only), nil
 }
 
 // closeRelation answers closure cl over the stored relation name.

@@ -109,12 +109,7 @@ func TestWorkersSettingsAgree(t *testing.T) {
 		// Materialize (per-alternative query evaluations in parallel).
 		mat := func(d *WSD) *relation.Relation {
 			t.Helper()
-			err := d.materializeMerged("M", d.involvedComponents(touching), func(cat plan.Catalog) (*relation.Relation, error) {
-				return cat.Lookup("I")
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			createTableMerged(t, d, "M", mustCore(t, "select * from I"))
 			rel, err := d.ConfRelation("M")
 			if err != nil {
 				t.Fatal(err)

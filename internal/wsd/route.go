@@ -34,7 +34,8 @@ const (
 	// trailing cond column (conditional.go).
 	routeCondRelation
 	// routeMerge: bounded partial expansion — merge exactly the involved
-	// components, evaluate per merged alternative (merge.go).
+	// components (merge.go), evaluate each merged alternative's full answer
+	// as its part and close with the fold.
 	routeMerge
 	// routeApproxMC: APPROX CONF whose merge would exceed MergeLimit — the
 	// seeded Monte-Carlo estimate (approx.go).

@@ -20,7 +20,6 @@ import (
 	"maybms/internal/relation"
 	"maybms/internal/sqlparse"
 	"maybms/internal/tuple"
-	"maybms/internal/worldset"
 )
 
 // Closure selects the world-closing operation applied to a SELECT's
@@ -162,18 +161,22 @@ func sharedTemplate[T any](d *WSD, key string, valid func(T) bool, compile func(
 	return p, nil
 }
 
-// evaluator binds a compiled template per catalog (falling back to
-// per-catalog compilation on a failed bind, which preserves exactness) and
-// drains it on either side of the Collect seam: rel materializes row tuples
-// — the currency of the merge and per-world paths — while batch returns the
-// CollectBatch result the closure builders consume natively: columnar when
-// the evaluation ran the batch operators, a zero-copy row-backed batch when
-// it ran the row operators. Which operators run is algebra's decision per
-// drain (scanned rows against its floor); nothing here sets it.
+// evaluator binds a compiled template per catalog and drains it into a
+// CollectBatch result — columnar when the evaluation ran the batch operators,
+// a zero-copy row-backed batch when it ran the row operators. Which operators
+// run is algebra's decision per drain (scanned rows against its floor);
+// nothing here sets it. A bind cannot fail for want of a table or a column:
+// prepared compiled the template (or, from the cache, validated it) against
+// the very schemas every catalog here serves (schemaCatalog and partsCatalog
+// read d.schemas).
 //
-// part is the partQuery of the Σ-alternatives routes: the certain-only answer
-// Q(cert), or the delta ΔQ of a part catalog's selection (deltas, the
-// statement's plan.Deltas) — neither reads a table's full instance.
+// part and full are the two partQuery forms (componentwise.go). part is the
+// Σ-alternatives routes': the certain-only answer Q(cert), or the delta ΔQ of
+// a part catalog's selection (deltas, the statement's plan.Deltas) — neither
+// reads a table's full instance. full is the merge route's: over one merged
+// component a world's answer is a part of its own, Q(world a) = ∅ ∪ Q(cert ∪
+// contrib_a), so the certain slot is empty — not evaluated — and every
+// alternative's part is its full answer.
 type evaluator struct {
 	d      *WSD
 	prep   *plan.Prepared
@@ -181,27 +184,8 @@ type evaluator struct {
 	sel    *sqlparse.SelectStmt
 }
 
-func (e evaluator) bind(cat plan.Catalog) (algebra.Operator, error) {
-	op, err := e.prep.Bind(cat)
-	if err != nil {
-		if !errors.Is(err, plan.ErrRebind) {
-			return nil, err
-		}
-		return plan.Build(e.sel, cat)
-	}
-	return op, nil
-}
-
-func (e evaluator) rel(cat plan.Catalog) (*relation.Relation, error) {
-	op, err := e.bind(cat)
-	if err != nil {
-		return nil, err
-	}
-	return algebra.Collect(op, e.d.rootCtx())
-}
-
 func (e evaluator) batch(cat plan.Catalog) (*colbatch.Batch, error) {
-	op, err := e.bind(cat)
+	op, err := e.prep.Bind(cat)
 	if err != nil {
 		return nil, err
 	}
@@ -212,13 +196,18 @@ func (e evaluator) part(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, err
 	if !delta {
 		return e.batch(plan.CatalogFunc(cat.Certain))
 	}
-	// No per-catalog compilation behind a failed bind here: prepared validated
-	// the template against the very schemas a part catalog serves.
 	op, err := e.deltas.Bind(cat)
 	if err != nil {
 		return nil, err
 	}
 	return algebra.CollectBatch(op, e.d.rootCtx())
+}
+
+func (e evaluator) full(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error) {
+	if !delta {
+		return colbatch.New(e.prep.Schema()), nil
+	}
+	return e.batch(cat)
 }
 
 // prepared compiles sel once — through the process-wide shared plan cache,
@@ -255,13 +244,7 @@ func (d *WSD) AssertStmt(e sqlparse.Expr) error {
 	return d.Assert(touching, func(cat plan.Catalog) (bool, error) {
 		pred, err := pp.BindInterrupt(cat, d.Interrupt)
 		if err != nil {
-			if !errors.Is(err, plan.ErrRebind) {
-				return false, err
-			}
-			pred, err = plan.BuildPredicateInterrupt(e, cat, d.Interrupt)
-			if err != nil {
-				return false, err
-			}
+			return false, err
 		}
 		return pred()
 	})
@@ -281,9 +264,9 @@ func (d *WSD) analyze(prep *plan.Prepared) (*plan.ComponentAnalysis, error) {
 // Monte-Carlo estimate, or a refusal that merges nothing.
 //
 // A closed answer is a set: every route returns the same tuples (and
-// confidences) as the naive engine's closure over the expanded world-set, the
-// merge-free routes listing them in representation order (fold.go), the merge
-// route in the merged component's alternative order.
+// confidences) as the naive engine's closure over the expanded world-set,
+// listed in representation order (fold.go) — on the merge route that of the
+// merged component, whose parts are its alternatives' full answers.
 func (d *WSD) SelectClosure(core *sqlparse.SelectStmt, cl Closure) (*relation.Relation, error) {
 	if cl.IsConf() && !d.Weighted {
 		return nil, ErrConfUnweighted
@@ -326,29 +309,21 @@ func (d *WSD) run(dec decision, comps []int, ev evaluator, cl Closure) (*relatio
 	}
 }
 
-// closeAnswers closes per-alternative answers, weighted by probs, under cl.
-func (d *WSD) closeAnswers(results []*relation.Relation, probs []float64, cl Closure) (*relation.Relation, error) {
-	switch cl {
-	case ClosurePossible:
-		return worldset.PossibleWorkers(results, d.Workers, d.Interrupt)
-	case ClosureCertain:
-		return worldset.CertainWorkers(results, d.Workers, d.Interrupt)
-	default:
-		return worldset.ConfWorkers(results, probs, d.Workers, d.Interrupt)
-	}
-}
-
 // runSingle evaluates the one world there is — every listed component (none
 // for a world-independent core) at its only alternative — and closes over
-// that single answer: every closure is (at most) a dedup of it.
+// that single answer as the fold's certain slot: every closure is (at most) a
+// dedup of it.
 func (d *WSD) runSingle(comps []int, ev evaluator, cl Closure) (*relation.Relation, error) {
 	sp := d.Trace.Begin("eval")
 	defer sp.End(d.Trace)
-	res, err := ev.rel(newPartsCatalog(d, firstWorld(comps)))
-	if err != nil || cl == ClosureNone {
-		return res, err
+	res, err := ev.batch(newPartsCatalog(d, firstWorld(comps)))
+	if err != nil {
+		return nil, err
 	}
-	return d.closeAnswers([]*relation.Relation{res}, []float64{1}, cl)
+	if cl == ClosureNone {
+		return relation.FromBatch(res), nil
+	}
+	return d.newClosureFold(nil, nil, res, nil).close(cl, res.Schema)
 }
 
 // evalParts runs the evaluations of the Σ-alternatives routes — Q(cert) and
@@ -384,8 +359,7 @@ func (d *WSD) runFold(comps []int, dec decision, query partQuery, cl Closure) (*
 	}
 	csp := d.Trace.Begin("closure")
 	defer csp.End(d.Trace)
-	part := func(i, a int) *colbatch.Batch { return parts.deltas[i][a] }
-	return d.newClosureFold(parts.compIdx, part, parts.base, nil).close(cl, parts.base.Schema)
+	return d.closeParts(parts, cl)
 }
 
 // runConditionalRelation answers a plain SELECT over a concat-structured
@@ -400,31 +374,36 @@ func (d *WSD) runConditionalRelation(comps []int, dec decision, ev evaluator) (*
 }
 
 // runMerge is the classic path: merge exactly the involved components
-// (bounded partial expansion — route has checked the size), evaluate per
-// merged alternative, close.
+// (bounded partial expansion — route has checked the size), evaluate each
+// merged alternative's full answer as its part, close with the fold.
 func (d *WSD) runMerge(comps []int, ev evaluator, cl Closure) (*relation.Relation, error) {
 	msp := d.Trace.Begin("merge_eval")
 	msp.Set("components", len(comps))
-	results, probs, err := d.queryFitting(comps, ev.rel)
+	mi, err := d.mergeFitting(comps)
+	var parts *componentParts
+	if err == nil {
+		parts, err = d.QueryByComponent([]int{mi}, ev.full, nil)
+	}
 	if err != nil {
 		msp.End(d.Trace)
 		return nil, err
 	}
-	mergeAlternatives.Observe(float64(len(results)))
-	msp.Set("alternatives", len(results))
+	alts := len(parts.deltas[0])
+	mergeAlternatives.Observe(float64(alts))
+	msp.Set("alternatives", alts)
 	msp.Set("merge_limit", d.MergeLimit)
 	msp.End(d.Trace)
 	csp := d.Trace.Begin("closure")
 	defer csp.End(d.Trace)
-	return d.closeAnswers(results, probs, cl)
+	return d.closeParts(parts, cl)
 }
 
 // CreateTableAs materializes the plain-SQL core of a SELECT as relation
 // dst. A core touching no component becomes a certain relation; a
 // concat-structured core is stored componentwise (certain part plus
 // per-alternative contributions — no merge, linear size); anything else
-// merges the involved components and stores one instance per merged
-// alternative.
+// merges the involved components and stores, the same way, each merged
+// alternative's full answer as its contribution.
 func (d *WSD) CreateTableAs(dst string, core *sqlparse.SelectStmt) error {
 	prep, ev, err := d.prepared(core)
 	if err != nil {
@@ -436,11 +415,11 @@ func (d *WSD) CreateTableAs(dst string, core *sqlparse.SelectStmt) error {
 	}
 	switch dec := d.route(core, an, ClosureNone, true); dec.kind {
 	case routeSingle:
-		res, err := ev.rel(newPartsCatalog(d, nil))
+		res, err := ev.batch(newPartsCatalog(d, nil))
 		if err != nil {
 			return err
 		}
-		return d.PutCertain(dst, res.WithSchema(res.Schema.Unqualify()))
+		return d.PutCertain(dst, relation.FromBatch(res.WithSchema(res.Schema.Unqualify())))
 	case routeComponentwise:
 		if err := d.materializeByComponent(dst, an.Comps, ev.part); err != nil {
 			return err
@@ -450,7 +429,11 @@ func (d *WSD) CreateTableAs(dst string, core *sqlparse.SelectStmt) error {
 	case routeRefused:
 		return dec.err
 	}
-	return d.materializeMerged(dst, an.Comps, ev.rel)
+	mi, err := d.mergeComponents(an.Comps)
+	if err != nil {
+		return err
+	}
+	return d.materializeByComponent(dst, []int{mi}, ev.full)
 }
 
 // RepairByKeyQuery creates dst as the repair of a plain-SQL source query

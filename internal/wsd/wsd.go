@@ -71,11 +71,14 @@
 // POSSIBLE, CERTAIN and CONF over per-(component, alternative) parts are one
 // fold (fold.go), linear in the part rows, shared by the SELECT closures over
 // flat components and d-trees and the stored-relation closures (Possible,
-// Certain, ConfRelation, Conf). It is batch-native past the Collect seam:
-// per-alternative evaluations return colbatch batches, the fold and the
-// group-worlds frontier dedup on arena-encoded batch keys (byte-identical to
-// tuple.Encode) and output rows materialize once at the very end; the merge
-// and per-world paths keep the classic row currency.
+// Certain, ConfRelation, Conf). A merge only restructures (merge.go): the
+// merged component is then answered like any other — its alternatives' full
+// answers are its parts, closed by the same fold, stored by the same
+// componentwise materialization, rewritten by the same DML piece rewrite.
+// Everything is batch-native past the Collect seam: evaluations return
+// colbatch batches, the fold and the group-worlds frontier dedup on
+// arena-encoded batch keys (byte-identical to tuple.Encode) and output rows
+// materialize once at the very end.
 // Which operator set an evaluation runs is internal/algebra's one rule —
 // trees scanning fewer than 32 rows, trees with no batch mirror and bare
 // scans run the row operators; everything else runs batches; nothing sets

@@ -378,10 +378,7 @@ func TestMaterializeOverCertain(t *testing.T) {
 	if err := d.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	err := d.materializeMerged("R2", d.involvedComponents([]string{"R"}), func(cat plan.Catalog) (*relation.Relation, error) {
-		return cat.Lookup("R")
-	})
-	if err != nil {
+	if err := d.CreateTableAs("R2", mustCore(t, "select * from R")); err != nil {
 		t.Fatal(err)
 	}
 	if !d.isCertain("R2") {
@@ -391,23 +388,9 @@ func TestMaterializeOverCertain(t *testing.T) {
 
 func TestMaterializePerWorld(t *testing.T) {
 	d := newFigure2WSD(t)
-	// Materialize D := σ_{A='a3'}(I) per world (Example 2.2 shape).
-	err := d.materializeMerged("D", d.involvedComponents([]string{"I"}), func(cat plan.Catalog) (*relation.Relation, error) {
-		i, err := cat.Lookup("I")
-		if err != nil {
-			return nil, err
-		}
-		out := relation.New(i.Schema)
-		for _, tp := range i.Rows() {
-			if tp[0].AsStr() == "a3" {
-				out.MustAppend(tp)
-			}
-		}
-		return out, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Materialize D := σ_{A='a3'}(I) per world (Example 2.2 shape) on the
+	// merge route.
+	createTableMerged(t, d, "D", mustCore(t, "select * from I where A = 'a3'"))
 	// D's only tuple is certain (a3 is in every world).
 	cert, err := d.Certain("D")
 	if err != nil {

@@ -49,6 +49,14 @@
 # the same plus a hash join whose certain build side L is hashed once per
 # statement — steady state ~1.1k, where the filtered cross join it replaced
 # took ~127k.
+#
+# The merge-route gate holds a merged component to the machinery of every
+# other component: a CONF whose subquery correlates bench/'s 8 two-value
+# keys, over their 256-alternative merged component, is 256 full-answer
+# evaluations closed by the one fold (internal/wsd/fold.go) — steady state
+# ~48k allocs/op, ~186 per alternative and nearly all of them the
+# evaluation's own (as under the per-relation worldset closing it
+# replaced); the ~1.9x ceiling trips when the work per alternative doubles.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,6 +69,8 @@ $(go test . -bench '^(BenchmarkBatchClosurePossible|BenchmarkBatchClosureConf|Be
 $(go test . -bench 'BenchmarkConditional(Select|Conf)/nested/groups=18' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
 $(go test . -bench '^BenchmarkImportedRead$/^(conf|join)$/^rows=40000$/^alts=24$' \
+    -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
+$(go test . -bench '^BenchmarkMergeRoute$/^conf\.subquery$' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)"
 
 fail=0
@@ -90,6 +100,7 @@ check 'BenchmarkConditionalSelect/nested/groups=18/worlds=2\^18' 3000
 check 'BenchmarkConditionalConf/nested/groups=18/worlds=2\^18' 3100
 check 'BenchmarkImportedRead/conf/rows=40000/alts=24' 2000
 check 'BenchmarkImportedRead/join/rows=40000/alts=24' 2200
+check 'BenchmarkMergeRoute/conf\.subquery' 90000
 
 if [ "$fail" -ne 0 ]; then
     echo "check_batch_allocs: vectorized path regressed (or benchmarks renamed)" >&2
