@@ -297,16 +297,18 @@ func (d *WSD) groupsByComponent(compIdx []int, eval partQuery) ([]groupInfo, err
 // groupMerged merges the components of g's groups into one and groups its
 // alternatives by their grouping answers. A spanning statement's main query
 // closes within each group (closeEachGroup); otherwise its closure is shared
-// across the groups (closePerGroup). It returns the merged component's index
-// beside the groups and their answers.
-func (d *WSD) groupMerged(g *grouped, cl Closure) (int, []groupInfo, []GroupAnswer, error) {
+// across the groups (closePerGroup). It returns the merged component beside
+// the groups and their answers: a pointer, since closePerGroup's own route
+// may merge other components and so move the merged one's index.
+func (d *WSD) groupMerged(g *grouped, cl Closure) (*Component, []groupInfo, []GroupAnswer, error) {
 	mi, err := d.mergeComponents(g.comps())
 	if err != nil {
-		return -1, nil, nil, err
+		return nil, nil, nil, err
 	}
+	merged := d.comps[mi]
 	groups, err := d.groupsFromAlternatives(mi, g.gw)
 	if err != nil {
-		return -1, nil, nil, err
+		return nil, nil, nil, err
 	}
 	var answers []GroupAnswer
 	if g.spanning {
@@ -314,7 +316,7 @@ func (d *WSD) groupMerged(g *grouped, cl Closure) (int, []groupInfo, []GroupAnsw
 	} else {
 		answers, err = d.closePerGroup(groups, g.q, cl)
 	}
-	return mi, groups, answers, err
+	return merged, groups, answers, err
 }
 
 // groupsFromAlternatives evaluates the grouping query's full answer per
@@ -336,7 +338,7 @@ func (d *WSD) groupsFromAlternatives(mi int, gw evaluator) ([]groupInfo, error) 
 	for _, idxs := range worldset.Group(fps) {
 		g := groupInfo{alts: idxs}
 		for _, a := range idxs {
-			g.prob += d.comps[mi].Alts[a].Prob
+			g.prob += parts.comps[0].Alts[a].Prob
 		}
 		out = append(out, g)
 	}
@@ -404,7 +406,7 @@ func (d *WSD) closeEachGroup(mi int, groups []groupInfo, q evaluator, cl Closure
 	if err != nil {
 		return nil, err
 	}
-	merged := d.comps[mi]
+	merged := parts.comps[0]
 	out := make([]GroupAnswer, len(groups))
 	for gi, g := range groups {
 		group := &Component{ID: merged.ID, Parent: -1, Alts: make([]Alternative, len(g.alts))}
@@ -440,7 +442,7 @@ func (d *WSD) materializeGrouped(dst string, gw, core *sqlparse.SelectStmt, cl C
 		// everywhere.
 		return d.PutCertain(dst, whole.WithSchema(whole.Schema.Unqualify()))
 	}
-	mi, groups, answers, err := d.groupMerged(g, cl)
+	merged, groups, answers, err := d.groupMerged(g, cl)
 	if err != nil {
 		return err
 	}
@@ -449,7 +451,6 @@ func (d *WSD) materializeGrouped(dst string, gw, core *sqlparse.SelectStmt, cl C
 		return err
 	}
 	k := key(dst)
-	merged := d.comps[mi]
 	for gi, grp := range groups {
 		rel := answers[gi].Rel
 		if rel.Empty() {

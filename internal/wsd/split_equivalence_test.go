@@ -27,6 +27,7 @@ import (
 
 	"maybms/internal/core"
 	"maybms/internal/relation"
+	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
 )
 
@@ -205,6 +206,9 @@ func TestFactorizedCTASEquivalenceFuzz(t *testing.T) {
 		// Grouping and main query share components: residual merge.
 		{"create table D as select possible K, V from I group worlds by (select K from I where V = 0)", false, false},
 		{"create table D as select conf, K from I group worlds by (select V from I)", true, false},
+		// Disjoint grouping, main query on the merge route: the main query's
+		// merge of I's components moves P's index after P's groups formed.
+		{"create table D as select possible sum(V) from I group worlds by (select V from P)", false, false},
 		// Merge-path closure (aggregate over uncertain data), stored certain.
 		{"create table D as select possible sum(V) from I", false, false},
 		// World-independent grouping subquery: one group, stored certain.
@@ -265,6 +269,61 @@ func TestFactorizedCTASEquivalenceFuzz(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGroupedCTASAfterMainQueryMerge: a stored GROUP WORLDS BY whose main
+// query is disjoint from the grouping query but merges two components listed
+// before the grouping component. That merge moves the grouping component's
+// index; each group's answer must still be stored in the grouping
+// component's own alternatives, as the naive engine stores it.
+func TestGroupedCTASAfterMainQueryMerge(t *testing.T) {
+	m := relation.New(schema.New("K", "V", "W"))
+	for k := 0; k < 2; k++ {
+		m.MustAppend(row(k, k, 1))
+		m.MustAppend(row(k, 10+k, 2))
+	}
+	g := relation.New(schema.New("K", "W"))
+	g.MustAppend(row(0, 1))
+	g.MustAppend(row(1, 3))
+
+	s := core.NewSession(true)
+	d := New(true)
+	for name, base := range map[string]*relation.Relation{"MSrc": m, "GSrc": g} {
+		if err := s.Register(name, base); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.PutCertain(name, base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sql := range []string{
+		"create table M as select K, V, W from MSrc repair by key K weight W",
+		"create table G as select K, W from GSrc choice of K weight W",
+		"create table X as select possible sum(V) from M group worlds by (select K from G)",
+	} {
+		if _, err := s.Exec(sql); err != nil {
+			t.Fatalf("naive %q: %v", sql, err)
+		}
+	}
+	if err := d.RepairByKey("MSrc", "M", []string{"K"}, "W"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ChoiceOf("GSrc", "G", []string{"K"}, "W"); err != nil {
+		t.Fatal(err)
+	}
+	if mc, gc := d.ComponentsFor("M"), d.ComponentsFor("G"); len(mc) != 2 || len(gc) != 1 || gc[0] <= mc[1] {
+		t.Fatalf("fixture: M on components %v, G on %v; want G's index above M's two", mc, gc)
+	}
+	q, cl := parseCore(t, "select possible sum(V) from M")
+	if err := d.CreateTableAsClosure("X", q, cl, mustCore(t, "select K from G")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range []string{"M", "G", "X"} {
+		matchViews(t, naiveViews(t, s, rel), wsdViews(t, d, rel))
 	}
 }
 
