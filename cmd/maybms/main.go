@@ -6,8 +6,9 @@
 //
 // Without -f it reads statements from stdin (terminated by ';'). -compact
 // runs the shell on the compact world-set-decomposition backend instead
-// of the naive enumerating engine: the same I-SQL statement routing the
-// server's compact sessions use, over world-sets far beyond enumeration.
+// of the naive enumerating engine: the statement executor of internal/wsd,
+// which the server's compact sessions run too, over world-sets far beyond
+// enumeration.
 // Besides I-SQL, the shell understands the meta commands:
 //
 //	\worlds   print the full world-set (naive) / the decomposition summary (compact)

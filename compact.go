@@ -7,11 +7,17 @@ import (
 
 	"maybms/internal/core"
 	"maybms/internal/obs"
-	"maybms/internal/server"
 	"maybms/internal/sqlparse"
 	"maybms/internal/tuple"
 	"maybms/internal/wsd"
 )
+
+// ErrCompactUnsupported is the sentinel every compact-backend refusal
+// wraps: statements without a decomposition counterpart (the refusal table
+// of internal/wsd's statement executor) fail with an error satisfying
+// errors.Is(err, ErrCompactUnsupported), on CompactDB and on served compact
+// sessions alike.
+var ErrCompactUnsupported = wsd.ErrUnsupported
 
 // errNotPlainSelect is returned by MaterializeQuery for a query using I-SQL
 // constructs (it materializes plain SQL only; Exec takes the I-SQL forms).
@@ -81,21 +87,13 @@ func (db *CompactDB) Insert(name string, rows [][]any) error {
 	return db.w.InsertCertain(name, rel.Rows())
 }
 
-// Exec runs one I-SQL statement against the compact database, with the
-// same statement routing the server's compact sessions use: repair/choice
-// (over certain and uncertain sources alike), closed and grouped SELECTs,
-// factorized CREATE TABLE AS, UPDATE/DELETE, ASSERT, and the DDL forms.
-// Statements without a decomposition counterpart fail with an error
-// wrapping ErrCompactUnsupported.
-func (db *CompactDB) Exec(sql string) (*Result, error) {
-	sp := db.w.Trace.Begin("parse")
-	stmt, err := sqlparse.Parse(sql)
-	sp.End(db.w.Trace)
-	if err != nil {
-		return nil, err
-	}
-	return server.ExecCompact(db.w, stmt)
-}
+// Exec runs one I-SQL statement against the compact database through the
+// compact backend's statement executor, the one the server's compact
+// sessions run: repair/choice (over certain and uncertain sources alike),
+// closed and grouped SELECTs, factorized CREATE TABLE AS, UPDATE/DELETE,
+// ASSERT, and the DDL forms. Statements without a decomposition counterpart
+// fail with an error wrapping ErrCompactUnsupported.
+func (db *CompactDB) Exec(sql string) (*Result, error) { return db.w.Exec(sql) }
 
 // ExecTraced runs one I-SQL statement with a fresh statement trace
 // installed and returns the trace alongside the result: the compact
@@ -159,7 +157,7 @@ func (db *CompactDB) MaterializeQuery(dst, query string) error {
 	if sel.HasISQL() {
 		return errNotPlainSelect
 	}
-	_, err = server.ExecCompact(db.w, &sqlparse.CreateTableAs{Name: dst, Query: sel})
+	_, err = db.w.ExecStmt(&sqlparse.CreateTableAs{Name: dst, Query: sel})
 	return err
 }
 
@@ -233,7 +231,7 @@ func (db *CompactDB) SelectGroups(query string) ([]WorldGroup, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := server.ExecCompact(db.w, sel)
+	res, err := db.w.ExecStmt(sel)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +274,7 @@ func (db *CompactDB) Select(query string) (*Relation, error) {
 	if sel.GroupWorlds != nil {
 		return nil, errors.New("maybms: Select does not accept group-worlds-by (use SelectGroups)")
 	}
-	res, err := server.ExecCompact(db.w, sel)
+	res, err := db.w.ExecStmt(sel)
 	if err != nil {
 		return nil, err
 	}

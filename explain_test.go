@@ -1,7 +1,9 @@
 package maybms
 
 import (
+	"errors"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -234,6 +236,101 @@ func TestExplainNamesExecutedRoute(t *testing.T) {
 				t.Errorf("a refused statement restructured the decomposition: components = %d, want 2", db.ComponentCount())
 			}
 		})
+	}
+}
+
+// TestExplainAgreesWithExec: EXPLAIN predicts what execution does with
+// statement shapes whose refusal or error is decided before any route — a
+// refused statement explains as `route: refused (<Exec's text>)`, a
+// malformed one fails EXPLAIN with Exec's exact error, and a runnable one
+// explains without error.
+func TestExplainAgreesWithExec(t *testing.T) {
+	fresh := func() *CompactDB {
+		t.Helper()
+		db := OpenCompact()
+		if err := db.Register("R", []string{"A", "B"}, [][]any{{1, 2}, {3, 4}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Register("S", []string{"K", "V"}, [][]any{{0, 0}, {0, 1}, {1, 1}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.RepairByKey("S", "I", []string{"K"}, ""); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	for _, tc := range []struct{ name, sql, want string }{
+		{"primary_key", "create table P (A, B, primary key (A))", "refused"},
+		{"split_combined", "create table D as select possible * from R repair by key A", "refused"},
+		{"isql_in_assert", "assert exists (select possible * from R)", "refused"},
+		{"split_source", "create table E as select A from R group by A repair by key A", "refused"},
+		{"create_view", "create view V as select * from R", "refused"},
+		{"grouping_not_plain", "select possible K from I group worlds by (select V from I where exists (select conf from I))", "error"},
+		{"grouping_without_closure", "create table E as select K from I group worlds by (select V from I)", "error"},
+		{"ctas_assert", "create table D as select * from I assert exists (select * from I where V = 1)", "runs"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := fresh()
+			explained, xerr := db.Exec("EXPLAIN " + tc.sql)
+			_, err := db.Exec(tc.sql)
+			switch tc.want {
+			case "refused":
+				if !errors.Is(err, ErrCompactUnsupported) {
+					t.Fatalf("Exec = %v, want a refusal", err)
+				}
+				route := "route: refused (" + strings.TrimPrefix(err.Error(), ErrCompactUnsupported.Error()+": ") + ")"
+				if xerr != nil || !strings.Contains(explained.Msg, route) {
+					t.Errorf("EXPLAIN = %v, %v; want %q", explained, xerr, route)
+				}
+			case "error":
+				if err == nil || errors.Is(err, ErrCompactUnsupported) {
+					t.Fatalf("Exec = %v, want a statement error", err)
+				}
+				if xerr == nil || xerr.Error() != err.Error() {
+					t.Errorf("EXPLAIN error = %v, want Exec's %v", xerr, err)
+				}
+			default:
+				if err != nil || xerr != nil {
+					t.Errorf("Exec error %v, EXPLAIN error %v; want both to run", err, xerr)
+				}
+			}
+		})
+	}
+}
+
+// TestTableRefusalTraced: a statement the refusal table stops before it
+// runs is counted and traced like route's refusals — route=refused on the
+// trace and in maybms_route_total — and the trace names the row.
+func TestTableRefusalTraced(t *testing.T) {
+	refusedTotal := func() int {
+		var b strings.Builder
+		WriteMetrics(&b)
+		m := regexp.MustCompile(`(?m)^maybms_route_total\{route="refused"\} (\d+)$`).FindStringSubmatch(b.String())
+		if m == nil {
+			return 0
+		}
+		n, _ := strconv.Atoi(m[1])
+		return n
+	}
+	before := refusedTotal()
+	_, tr, err := OpenCompact().ExecTraced("create table P (A, primary key (A))")
+	if !errors.Is(err, ErrCompactUnsupported) {
+		t.Fatalf("err = %v, want a refusal", err)
+	}
+	if route := tracedRoute(tr); route != "refused" {
+		t.Errorf("route attr = %q, want refused", route)
+	}
+	refusal := ""
+	for _, a := range tr.JSON().Attrs {
+		if a.Key == "refusal" {
+			refusal = a.Value
+		}
+	}
+	if refusal != "primary-key" {
+		t.Errorf("refusal attr = %q, want primary-key", refusal)
+	}
+	if after := refusedTotal(); after <= before {
+		t.Errorf("maybms_route_total{route=\"refused\"} %d -> %d, want a tick", before, after)
 	}
 }
 

@@ -1,14 +1,17 @@
 package core
 
-// EXPLAIN [ANALYZE] for the naive engine. The naive engine has one routing
-// class — evaluate in every explicit world — so the prediction names the
-// world count and the I-SQL stages the statement activates; the plan tree
-// is the compiled template for the plain-SQL core. ANALYZE executes the
-// statement for real (including DML side effects, as in PostgreSQL) with a
-// statement trace installed and appends the actual spans and cardinalities.
+// EXPLAIN [ANALYZE]: the framing both engines share (Explain) and the naive
+// engine's prediction; the compact backend's is internal/wsd's. The naive
+// engine has one routing class — evaluate in every explicit world — so the
+// prediction names the world count and the I-SQL stages the statement
+// activates; the plan tree is the compiled template for the plain-SQL core.
+// ANALYZE executes the statement for real (including DML side effects, as
+// in PostgreSQL) with a statement trace installed and appends the actual
+// spans and cardinalities.
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"maybms/internal/obs"
@@ -16,20 +19,30 @@ import (
 )
 
 func (s *Session) execExplain(st *sqlparse.Explain) (*Result, error) {
-	var b strings.Builder
-	b.WriteString("engine: naive (per-world evaluation)\n")
-	fmt.Fprintf(&b, "worlds: %d\n", len(s.set.Worlds))
+	return Explain(st, "naive (per-world evaluation)", strconv.Itoa(len(s.set.Worlds)), s.set.Weighted,
+		&s.trace, s.explainPlan, s.ExecStmt)
+}
 
-	if err := s.explainPlan(&b, st.Stmt); err != nil {
+// Explain is EXPLAIN [ANALYZE] over either engine: the engine and world-count
+// header, then the prediction predict writes for the inner statement. Under
+// ANALYZE exec then runs the statement for real with a fresh trace swapped
+// into *trace, and the trace follows indented under "actual:", with the
+// result's row count.
+func Explain(st *sqlparse.Explain, engine, worlds string, weighted bool, trace **obs.Trace,
+	predict func(*strings.Builder, sqlparse.Statement) error,
+	exec func(sqlparse.Statement) (*Result, error)) (*Result, error) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "engine: %s\nworlds: %s\n", engine, worlds)
+	if err := predict(&b, st.Stmt); err != nil {
 		return nil, err
 	}
 
 	if st.Analyze {
 		tr := obs.NewTrace(st.Stmt.String())
-		prev := s.trace
-		s.trace = tr
-		res, err := s.ExecStmt(st.Stmt)
-		s.trace = prev
+		prev := *trace
+		*trace = tr
+		res, err := exec(st.Stmt)
+		*trace = prev
 		if err != nil {
 			return nil, err
 		}
@@ -40,7 +53,7 @@ func (s *Session) execExplain(st *sqlparse.Explain) (*Result, error) {
 		}
 	}
 
-	return &Result{Kind: ResultOK, Msg: strings.TrimRight(b.String(), "\n"), Weighted: s.set.Weighted}, nil
+	return &Result{Kind: ResultOK, Msg: strings.TrimRight(b.String(), "\n"), Weighted: weighted}, nil
 }
 
 // explainPlan writes the statement's stage list and, for SELECT-family

@@ -10,6 +10,20 @@ import (
 	"maybms/internal/worldset"
 )
 
+// LoadImport loads the CSV file an IMPORT statement names into the import
+// plan both engines register — certain rows plus uncertainty groups — after
+// checking that a WEIGHT column has a probabilistic session to weigh.
+func LoadImport(st *sqlparse.Import, weighted bool) (*relation.ImportPlan, error) {
+	if st.Weight != "" && !weighted {
+		return nil, fmt.Errorf("weight requires a probabilistic session: %w", worldset.ErrNotWeighted)
+	}
+	return relation.LoadCSVFile(st.Path, relation.ImportOptions{
+		NullsChoice: st.NullsChoice,
+		RepairKey:   st.RepairKey,
+		Weight:      st.Weight,
+	})
+}
+
 // execImport bulk-loads a CSV file into every world of the session. The
 // loader's plan (relation.LoadCSV) lists certain rows plus uncertainty
 // groups; certain rows land in all worlds, and each group splits every
@@ -21,14 +35,7 @@ func (s *Session) execImport(st *sqlparse.Import) (*Result, error) {
 	if err := s.checkFresh(st.Table); err != nil {
 		return nil, err
 	}
-	if st.Weight != "" && !s.set.Weighted {
-		return nil, fmt.Errorf("weight requires a probabilistic session: %w", worldset.ErrNotWeighted)
-	}
-	plan, err := relation.LoadCSVFile(st.Path, relation.ImportOptions{
-		NullsChoice: st.NullsChoice,
-		RepairKey:   st.RepairKey,
-		Weight:      st.Weight,
-	})
+	plan, err := LoadImport(st, s.set.Weighted)
 	if err != nil {
 		return nil, err
 	}

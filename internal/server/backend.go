@@ -5,6 +5,7 @@ import (
 
 	"maybms/internal/core"
 	"maybms/internal/obs"
+	"maybms/internal/wsd"
 )
 
 // A backend executes I-SQL statements for one session. Calls are
@@ -56,6 +57,36 @@ func (b *naiveBackend) worlds() string                        { return fmt.Sprin
 func (b *naiveBackend) counters() *CompactCounters            { return nil }
 func (b *naiveBackend) setTrace(t *obs.Trace)                 { b.s.SetTrace(t) }
 func (b *naiveBackend) planCache() (uint64, uint64)           { return b.s.PlanCacheCounts() }
+
+// compactBackend is a session over a world-set decomposition; the compact
+// backend's statement executor (wsd.WSD.Exec) runs its statements.
+type compactBackend struct {
+	d *wsd.WSD
+}
+
+func newCompactBackend(weighted bool, workers, mergeLimit int) *compactBackend {
+	d := wsd.New(weighted)
+	d.Workers = workers
+	if mergeLimit > 0 {
+		d.MergeLimit = mergeLimit
+	}
+	return &compactBackend{d: d}
+}
+
+func (b *compactBackend) exec(sql string) (*core.Result, error) { return b.d.Exec(sql) }
+func (b *compactBackend) setInterrupt(f func() error)           { b.d.Interrupt = f }
+func (b *compactBackend) kind() string                          { return "compact" }
+func (b *compactBackend) worlds() string                        { return b.d.WorldCount().String() }
+func (b *compactBackend) setTrace(t *obs.Trace)                 { b.d.Trace = t }
+func (b *compactBackend) planCache() (uint64, uint64)           { return b.d.PlanCacheCounts() }
+
+func (b *compactBackend) counters() *CompactCounters {
+	return &CompactCounters{
+		Merges:        b.d.MergeCount(),
+		Componentwise: b.d.ComponentwiseCount(),
+		Conditional:   b.d.ConditionalCount(),
+	}
+}
 
 // newBackend builds a backend by name ("" and "naive" select the naive
 // engine, "compact" the world-set-decomposition engine).

@@ -1,13 +1,12 @@
 package server
 
 // stats_test.go: the /v1/stats observability surface (per-session backend
-// counters + shared-plan-cache traffic) and the exported refusal
-// sentinel.
+// counters + shared-plan-cache traffic) and compact statement forms driven
+// through a session's backend.
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -25,9 +24,9 @@ func TestStatsOpReportsCounters(t *testing.T) {
 		"create table R (K, V, W)",
 		"insert into R values (0,0,1),(0,1,1),(1,0,1),(1,1,1)",
 		"create table I as select * from R repair by key K",
-		"select possible K, V from I", // componentwise: flat decomposition
+		"select possible K, V from I",                          // componentwise: flat decomposition
 		"create table J as select * from I repair by key K, V", // nests children
-		"select possible K, V from J", // conditional tree fold
+		"select possible K, V from J",                          // conditional tree fold
 	} {
 		handleOK(t, srv, Request{Session: "c", Backend: "compact", Query: stmt})
 	}
@@ -97,39 +96,6 @@ func TestStatsHTTPEndpoint(t *testing.T) {
 	}
 	if st.Sessions[0].Backend != "compact" || st.Sessions[0].Compact == nil {
 		t.Fatalf("session payload = %+v", st.Sessions[0])
-	}
-}
-
-// TestCompactRefusalsWrapSentinel: every compact refusal satisfies
-// errors.Is(err, ErrUnsupported), so clients detect "use the naive
-// backend" without matching message strings.
-func TestCompactRefusalsWrapSentinel(t *testing.T) {
-	b := newCompactBackend(true, 1, 0)
-	for _, stmt := range []string{
-		"create table R (K, V)",
-		"insert into R values (0,0),(0,1)",
-		"create table I as select * from R repair by key K",
-	} {
-		if _, err := b.exec(stmt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	refused := []string{
-		"select sum(V) from I",                // non-decomposable per-world answer (forwarded ErrPerWorld)
-		"create table X (K, primary key (K))", // PRIMARY KEY
-		"create table X as select * from I repair by key K assert exists (select * from R)", // combined I-SQL
-		"select K from I repair by key K",                 // repair inside SELECT
-		"assert exists (select K from I repair by key K)", // I-SQL in assert condition
-	}
-	for _, stmt := range refused {
-		_, err := b.exec(stmt)
-		if err == nil {
-			t.Errorf("%q unexpectedly succeeded", stmt)
-			continue
-		}
-		if !errors.Is(err, ErrUnsupported) {
-			t.Errorf("%q error does not wrap ErrUnsupported: %v", stmt, err)
-		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"maybms/internal/relation"
+	"maybms/internal/worldset"
 )
 
 // approxWSD builds k independent components of m uniform alternatives each
@@ -58,7 +59,7 @@ func TestApproxConfFallsBackToMonteCarlo(t *testing.T) {
 	d := build()
 
 	core, cl := parseCore(t, "select conf, A, B from I group by A, B")
-	if _, err := d.SelectClosure(core, cl); !errors.Is(err, ErrMergeTooBig) {
+	if _, err := d.selectClosure(core, cl); !errors.Is(err, ErrMergeTooBig) {
 		t.Fatalf("exact conf past the limit: err = %v, want ErrMergeTooBig", err)
 	}
 
@@ -118,11 +119,7 @@ func TestApproxConfUnweighted(t *testing.T) {
 	if err := d.RepairByKey("R", "I", []string{"A"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	core, cl := parseCore(t, "select approx conf, A from I")
-	if cl != ClosureApproxConf {
-		t.Fatalf("closure = %v, want ClosureApproxConf", cl)
-	}
-	if _, err := d.SelectClosure(core, cl); !errors.Is(err, ErrConfUnweighted) {
-		t.Fatalf("err = %v, want ErrConfUnweighted", err)
+	if _, err := d.Exec("select approx conf, A from I"); !errors.Is(err, worldset.ErrNotWeighted) {
+		t.Fatalf("err = %v, want worldset.ErrNotWeighted", err)
 	}
 }

@@ -25,13 +25,13 @@ import (
 )
 
 // parseCore parses an I-SQL SELECT and strips its closure.
-func parseCore(t *testing.T, sql string) (*sqlparse.SelectStmt, Closure) {
+func parseCore(t *testing.T, sql string) (*sqlparse.SelectStmt, closure) {
 	t.Helper()
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
-	core, cl, err := StripClosure(stmt.(*sqlparse.SelectStmt))
+	core, cl, err := stripClosure(stmt.(*sqlparse.SelectStmt))
 	if err != nil {
 		t.Fatalf("strip %q: %v", sql, err)
 	}
@@ -112,18 +112,18 @@ func selectMerged(t *testing.T, d *WSD, sql string) *relation.Relation {
 	return rel
 }
 
-// selectExplained is SelectClosure plus the check that EXPLAIN names the
+// selectExplained is selectClosure plus the check that EXPLAIN names the
 // route that runs: the first word of EXPLAIN's route line must be the route
 // attribute the trace of the actual execution ends up with.
-func selectExplained(t *testing.T, d *WSD, core *sqlparse.SelectStmt, cl Closure) (*relation.Relation, error) {
+func selectExplained(t *testing.T, d *WSD, core *sqlparse.SelectStmt, cl closure) (*relation.Relation, error) {
 	t.Helper()
-	text, err := d.ExplainSelect(core, cl)
-	if err != nil {
+	var text strings.Builder
+	if err := d.explainQuery(&text, shape{core: core, cl: cl}); err != nil {
 		t.Fatalf("explain %q: %v", core, err)
 	}
-	explained := strings.Fields(strings.TrimPrefix(text, "route: "))[0]
+	explained := strings.Fields(strings.TrimPrefix(text.String(), "route: "))[0]
 	d.Trace = obs.NewTrace(core.String())
-	rel, err := d.SelectClosure(core, cl)
+	rel, err := d.selectClosure(core, cl)
 	executed := ""
 	for _, a := range d.Trace.JSON().Attrs {
 		if a.Key == "route" {
@@ -153,7 +153,7 @@ func createTableMerged(t *testing.T, d *WSD, dst string, core *sqlparse.SelectSt
 func selectOn(t *testing.T, d *WSD, sql string) *relation.Relation {
 	t.Helper()
 	core, cl := parseCore(t, sql)
-	rel, err := d.SelectClosure(core, cl)
+	rel, err := d.selectClosure(core, cl)
 	if err != nil {
 		t.Fatalf("%q: %v", sql, err)
 	}
@@ -281,7 +281,7 @@ func TestComponentwiseScalesWithSum(t *testing.T) {
 func TestComponentwiseCreateTableAs(t *testing.T) {
 	fast, slow := newFigure2WSD(t), newFigure2WSD(t)
 	core, _ := parseCore(t, "select A, B from I where B >= 14")
-	if err := fast.CreateTableAs("HighB", core); err != nil {
+	if err := fast.createTableAs("HighB", core); err != nil {
 		t.Fatal(err)
 	}
 	if fast.MergeCount() != 0 {
@@ -336,7 +336,7 @@ func TestDistinctCTASCrossComponentDedup(t *testing.T) {
 		core, _ := parseCore(t, "select distinct V from I")
 		if !routed {
 			createTableMerged(t, d, "D", core)
-		} else if err := d.CreateTableAs("D", core); err != nil {
+		} else if err := d.createTableAs("D", core); err != nil {
 			t.Fatal(err)
 		}
 		return d
@@ -382,7 +382,7 @@ func TestPlainSelectSingleRemainingWorld(t *testing.T) {
 
 	// Assert-narrowed: pin both repairs, then plain SELECT answers.
 	d2 := newFigure2WSD(t)
-	err := d2.AssertStmt(mustCond(t, "exists (select * from I where B = 10) and exists (select * from I where B = 14)"))
+	err := d2.assertStmt(mustCond(t, "exists (select * from I where B = 10) and exists (select * from I where B = 14)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestPlainSelectSingleRemainingWorld(t *testing.T) {
 	// Still-uncertain answers come back as a conditional relation: one row
 	// per alternative contribution, annotated with its condition.
 	d3 := newFigure2WSD(t)
-	rel, err = d3.SelectClosure(mustCore(t, "select A from I"), ClosureNone)
+	rel, err = d3.selectClosure(mustCore(t, "select A from I"), closureNone)
 	if err != nil {
 		t.Fatalf("uncertain plain select = %v, want conditional relation", err)
 	}
@@ -453,14 +453,14 @@ func TestComponentwiseFallbacks(t *testing.T) {
 	// naming the uncertain relation.
 	d3 := newFigure2WSD(t)
 	core, cl := parseCore(t, "select A from I")
-	if _, err := d3.SelectClosure(core, cl); err != nil {
+	if _, err := d3.selectClosure(core, cl); err != nil {
 		t.Errorf("plain select over uncertain = %v, want conditional relation", err)
 	}
 	if d3.MergeCount() != 0 || d3.ComponentCount() != 3 {
 		t.Error("a conditional relation answer must not merge")
 	}
 	core, cl = parseCore(t, "select sum(B) from I")
-	_, err := d3.SelectClosure(core, cl)
+	_, err := d3.selectClosure(core, cl)
 	if !errors.Is(err, ErrPerWorld) {
 		t.Errorf("plain aggregate over uncertain = %v, want ErrPerWorld", err)
 	}
@@ -604,7 +604,7 @@ func TestSingleComponentConfBitIdentical(t *testing.T) {
 
 // TestAssertInterruptInsideIterators: a pure-certain ASSERT condition has
 // no per-alternative poll points at all — only the algebra iterators can
-// abort it — so this pins the interrupt threading through AssertStmt.
+// abort it — so this pins the interrupt threading through assertStmt.
 func TestAssertInterruptInsideIterators(t *testing.T) {
 	d := New(true)
 	big := relation.New(figure1R().Schema.Project([]int{1}))
@@ -623,7 +623,7 @@ func TestAssertInterruptInsideIterators(t *testing.T) {
 		}
 		return nil
 	}
-	err := d.AssertStmt(mustCond(t, "exists (select * from B b1, B b2, B b3 where b1.B = -1)"))
+	err := d.assertStmt(mustCond(t, "exists (select * from B b1, B b2, B b3 where b1.B = -1)"))
 	if !errors.Is(err, boom) {
 		t.Fatalf("interrupted certain assert = %v, want boom", err)
 	}

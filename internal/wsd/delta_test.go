@@ -108,10 +108,10 @@ func TestDeltaPartsEqualFullParts(t *testing.T) {
 			if err := d.RepairByKey("FR", "G", []string{"K"}, "W"); err != nil {
 				t.Fatal(err)
 			}
-			if err := d.CreateTableAs("M", mustCore(t, "select K, V, W from R union all select K, V, W from I")); err != nil {
+			if err := d.createTableAs("M", mustCore(t, "select K, V, W from R union all select K, V, W from I")); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if err := d.CreateTableAs("T", mustCore(t, "select K, V, W from R union all select K, V, W from P")); err != nil {
+			if err := d.createTableAs("T", mustCore(t, "select K, V, W from R union all select K, V, W from P")); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			if d.certain[key("M")].Len() == 0 || d.certain[key("T")].Len() == 0 || d.MergeCount() != 0 {
@@ -119,7 +119,7 @@ func TestDeltaPartsEqualFullParts(t *testing.T) {
 			}
 			if trial%2 == 1 {
 				src := mustCore(t, fmt.Sprintf("select K, V, W from M where V <= %d", 1+r.Intn(2)))
-				if err := d.RepairByKeyQuery(src, "N", []string{"V"}, ""); err != nil {
+				if err := d.repairByKeyQuery(src, "N", []string{"V"}, ""); err != nil {
 					t.Fatalf("%s: nested repair: %v", label, err)
 				}
 			}
@@ -356,7 +356,7 @@ func TestClosureEvaluatesNoWorld(t *testing.T) {
 		for _, ci := range c.d.rootClosure(an.Comps) {
 			sizes += len(c.d.comps[ci].Alts)
 		}
-		for _, cl := range []Closure{ClosurePossible, ClosureCertain, ClosureConf} {
+		for _, cl := range []closure{closurePossible, closureCertain, closureConf} {
 			dec := c.d.route(core, an, cl, false)
 			if dec.kind != c.kind {
 				t.Fatalf("%s of %s routes %s, want %s", closureName(cl), c.rel, dec.kind, c.kind)
@@ -369,7 +369,7 @@ func TestClosureEvaluatesNoWorld(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cl != ClosureCertain && rel.Len() != 5 {
+			if cl != closureCertain && rel.Len() != 5 {
 				t.Errorf("%s of %s: %d rows, want 5", closureName(cl), c.rel, rel.Len())
 			}
 			if got := evals.Load(); got != int64(1+sizes) {
@@ -408,7 +408,7 @@ func TestDistinctDeltaDropsCertainTuples(t *testing.T) {
 			t.Fatal(err)
 		}
 		// M: C's row as the certain part, I's two alternatives beside it.
-		if err := d.CreateTableAs("M", mustCore(t, "select V from C union all select V from I")); err != nil {
+		if err := d.createTableAs("M", mustCore(t, "select V from C union all select V from I")); err != nil {
 			t.Fatal(err)
 		}
 		if got := d.certain[key("M")].Len(); got != 1 || d.MergeCount() != 0 {
@@ -423,7 +423,7 @@ func TestDistinctDeltaDropsCertainTuples(t *testing.T) {
 	} {
 		core := mustCore(t, sql)
 		fast, slow := build(), build()
-		if err := fast.CreateTableAs("D", core); err != nil {
+		if err := fast.createTableAs("D", core); err != nil {
 			t.Fatal(err)
 		}
 		createTableMerged(t, slow, "D", core)

@@ -82,7 +82,7 @@ func (d *WSD) Delete(st *sqlparse.Delete) (int, error) {
 // bounded merge of the involved components has moved the target's certain
 // part into the merged component.
 func (d *WSD) applyDML(table string, tmpl *plan.PreparedDML) (int, error) {
-	exprComps, err := tmpl.Components(plan.ComponentCatalogFunc(d.ComponentsFor))
+	exprComps, err := tmpl.Components(plan.ComponentCatalogFunc(d.componentsFor))
 	if err != nil {
 		return 0, err
 	}
@@ -94,7 +94,7 @@ func (d *WSD) applyDML(table string, tmpl *plan.PreparedDML) (int, error) {
 		d.componentwise.Add(1)
 		return n, nil
 	}
-	mi, err := d.mergeComponents(sortedUniqueInts(append(exprComps, d.ComponentsFor(table)...)))
+	mi, err := d.mergeComponents(sortedUniqueInts(append(exprComps, d.componentsFor(table)...)))
 	if err != nil {
 		return 0, err
 	}
@@ -149,7 +149,7 @@ func sortedUniqueInts(idx []int) []int {
 // relations.
 func (d *WSD) rewritePieces(table string, tmpl *plan.PreparedDML) (int, error) {
 	k := key(table)
-	target := d.ComponentsFor(table)
+	target := d.componentsFor(table)
 
 	// Flatten the pieces: index 0 is the certain part (when present), the
 	// rest are (component, alternative) contributions.

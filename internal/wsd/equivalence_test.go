@@ -315,7 +315,7 @@ func TestComponentwiseEquivalenceFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			qcore, cl, err := StripClosure(stmt.(*sqlparse.SelectStmt))
+			qcore, cl, err := stripClosure(stmt.(*sqlparse.SelectStmt))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -327,7 +327,7 @@ func TestComponentwiseEquivalenceFuzz(t *testing.T) {
 			if q.componentwise && d.MergeCount() != mergesBefore {
 				t.Errorf("trial %d %q merged on the componentwise path", trial, q.sql)
 			}
-			if g, w := renderSet(t, got, cl.IsConf()), renderSet(t, want.Groups[0].Rel, cl.IsConf()); g != w {
+			if g, w := renderSet(t, got, cl.isConf()), renderSet(t, want.Groups[0].Rel, cl.isConf()); g != w {
 				t.Errorf("trial %d %q diverged from naive:\n%s\nwant:\n%s", trial, q.sql, g, w)
 			}
 		}
@@ -400,15 +400,15 @@ func crosscheckClosures(t *testing.T, trial int, label string, s *core.Session, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		qcore, cl, err := StripClosure(stmt.(*sqlparse.SelectStmt))
+		qcore, cl, err := stripClosure(stmt.(*sqlparse.SelectStmt))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := d.SelectClosure(qcore, cl)
+		got, err := d.selectClosure(qcore, cl)
 		if err != nil {
 			t.Fatalf("trial %d %s compact %q: %v", trial, label, sql, err)
 		}
-		if g, w := renderSet(t, got, cl.IsConf()), renderSet(t, want.Groups[0].Rel, cl.IsConf()); g != w {
+		if g, w := renderSet(t, got, cl.isConf()), renderSet(t, want.Groups[0].Rel, cl.isConf()); g != w {
 			t.Errorf("trial %d %s %q diverged from naive:\n%s\nwant:\n%s", trial, label, sql, g, w)
 		}
 	}
@@ -526,13 +526,13 @@ func TestGroupWorldsEquivalenceFuzz(t *testing.T) {
 			}
 			sel := stmt.(*sqlparse.SelectStmt)
 			gw := sel.GroupWorlds
-			qcore, cl, err := StripClosure(sel)
+			qcore, cl, err := stripClosure(sel)
 			if err != nil {
 				t.Fatal(err)
 			}
 			qcore.GroupWorlds = nil
 			mergesBefore := d.MergeCount()
-			got, err := d.GroupWorldsClosure(gw, qcore, cl)
+			got, err := d.groupWorldsClosure(gw, qcore, cl)
 			if err != nil {
 				t.Fatalf("trial %d compact %q: %v", trial, q.sql, err)
 			}
@@ -547,7 +547,7 @@ func TestGroupWorldsEquivalenceFuzz(t *testing.T) {
 				if math.Abs(got[gi].Prob-want.Groups[gi].Prob) > 1e-9 {
 					t.Errorf("trial %d %q group %d: prob %g, want %g", trial, q.sql, gi, got[gi].Prob, want.Groups[gi].Prob)
 				}
-				if g, w := renderSet(t, got[gi].Rel, cl.IsConf()), renderSet(t, want.Groups[gi].Rel, cl.IsConf()); g != w {
+				if g, w := renderSet(t, got[gi].Rel, cl.isConf()), renderSet(t, want.Groups[gi].Rel, cl.isConf()); g != w {
 					t.Errorf("trial %d %q group %d diverged:\n%s\nwant:\n%s", trial, q.sql, gi, g, w)
 				}
 			}
@@ -592,7 +592,7 @@ func TestGroupWorldsBeyondMergeLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qcore, cl, err := StripClosure(coreStmt.(*sqlparse.SelectStmt))
+	qcore, cl, err := stripClosure(coreStmt.(*sqlparse.SelectStmt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,7 +609,7 @@ func TestGroupWorldsBeyondMergeLimit(t *testing.T) {
 		t.Fatalf("spanning route: err = %v, want ErrMergeTooBig", err)
 	}
 
-	groups, err := d.GroupWorldsClosure(gw, qcore, cl)
+	groups, err := d.groupWorldsClosure(gw, qcore, cl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,90 @@
+package wsd
+
+import (
+	"errors"
+	"regexp"
+	"strings"
+	"testing"
+
+	"maybms/internal/obs"
+)
+
+// refusalExamples holds one statement per row of the refusal table, over
+// refusalWSD's relations.
+var refusalExamples = map[string]string{
+	"per-world":      "select sum(V) from I",
+	"primary-key":    "create table X (K, primary key (K))",
+	"create-view":    "create view X as select * from R",
+	"isql-in-select": "select K from I repair by key K",
+	"split-combined": "create table X as select * from I repair by key K assert exists (select * from R)",
+	"split-source":   "create table X as select K from R group by K repair by key K",
+	"isql-in-assert": "assert exists (select K from I repair by key K)",
+}
+
+// refusalWSD is a certain relation R(K, V) and its repair I by key K: one
+// component of two alternatives.
+func refusalWSD(t *testing.T) *WSD {
+	t.Helper()
+	d := New(true)
+	for _, sql := range []string{
+		"create table R (K, V)",
+		"insert into R values (0,0),(0,1)",
+		"create table I as select * from R repair by key K",
+	} {
+		if _, err := d.Exec(sql); err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+	}
+	return d
+}
+
+// TestRefusalTable runs every row's example: the error wraps ErrUnsupported
+// with the row's text (the per-world row's text is followed by the uncertain
+// relations route names), the trace says route=refused and names the row,
+// the decomposition is left as it was, and the naive engine runs the
+// statement (all but the standalone ASSERT, a compact-only statement).
+func TestRefusalTable(t *testing.T) {
+	for i := range refusals {
+		r := &refusals[i]
+		t.Run(r.name, func(t *testing.T) {
+			sql, ok := refusalExamples[r.name]
+			if !ok {
+				t.Fatalf("refusal row %q has no example statement", r.name)
+			}
+			d := refusalWSD(t)
+			before := []any{d.WorldCount().String(), d.ComponentCount(), d.AlternativeCount(), d.String()}
+			d.Trace = obs.NewTrace(sql)
+			_, err := d.Exec(sql)
+			if !errors.Is(err, ErrUnsupported) {
+				t.Fatalf("%q: error %v does not wrap ErrUnsupported", sql, err)
+			}
+			text := strings.ReplaceAll(regexp.QuoteMeta(r.text), "%s", ".+")
+			tail := "$"
+			if r.detect == nil {
+				tail = ""
+			}
+			if !regexp.MustCompile("^" + regexp.QuoteMeta(ErrUnsupported.Error()+": ") + text + tail).MatchString(err.Error()) {
+				t.Errorf("%q: error %q does not carry the row's text %q", sql, err, r.text)
+			}
+			attrs := map[string]string{}
+			for _, a := range d.Trace.JSON().Attrs {
+				attrs[a.Key] = a.Value
+			}
+			if attrs["route"] != "refused" || attrs["refusal"] != r.name {
+				t.Errorf("%q: trace route=%q refusal=%q, want refused and %q", sql, attrs["route"], attrs["refusal"], r.name)
+			}
+			after := []any{d.WorldCount().String(), d.ComponentCount(), d.AlternativeCount(), d.String()}
+			for j := range before {
+				if before[j] != after[j] {
+					t.Errorf("%q changed the decomposition: %v -> %v", sql, before[j], after[j])
+				}
+			}
+			if r.name == "isql-in-assert" {
+				return
+			}
+			if _, err := expandSession(t, d).Exec(sql); err != nil {
+				t.Errorf("naive engine on %q: %v", sql, err)
+			}
+		})
+	}
+}

@@ -1,6 +1,6 @@
 package wsd
 
-// EXPLAIN over the decomposition: render the routing decision SelectClosure
+// EXPLAIN over the decomposition: render the routing decision selectClosure
 // would run — the value of the same route function, obtained without
 // executing, merging, or touching the world-set — and the compiled plan tree
 // with per-table component annotations.
@@ -12,50 +12,50 @@ import (
 
 	"maybms/internal/algebra"
 	"maybms/internal/plan"
-	"maybms/internal/sqlparse"
 )
 
-// closureName renders a Closure for EXPLAIN output.
-func closureName(cl Closure) string {
+// closureName renders a closure for EXPLAIN output.
+func closureName(cl closure) string {
 	switch cl {
-	case ClosurePossible:
+	case closurePossible:
 		return "possible"
-	case ClosureCertain:
+	case closureCertain:
 		return "certain"
-	case ClosureConf:
+	case closureConf:
 		return "conf"
-	case ClosureApproxConf:
+	case closureApproxConf:
 		return "approx conf"
 	default:
 		return "none"
 	}
 }
 
-// ExplainSelect renders the plan and routing of a SELECT whose closure has
-// been stripped by the caller (see StripClosure). The text has three parts:
-// the routing decision with the closure, the predicted evaluation path
-// (batch vs. row), and the compiled operator tree with component
-// annotations on every table scan.
-func (d *WSD) ExplainSelect(core *sqlparse.SelectStmt, cl Closure) (string, error) {
-	if cl.IsConf() && !d.Weighted {
-		return "", ErrConfUnweighted
+// explainQuery writes the plan and routing of a SELECT form taken apart by
+// decide: the ASSERT applied first and the grouping, then the routing
+// decision with the closure, the predicted evaluation path (batch vs. row),
+// and the compiled operator tree with component annotations on every table
+// scan.
+func (d *WSD) explainQuery(b *strings.Builder, sh shape) error {
+	if sh.assert != nil {
+		fmt.Fprintf(b, "assert: %s\n", sh.assert)
 	}
-	prep, _, err := d.prepared(core)
+	if sh.gw != nil {
+		b.WriteString("group worlds by: yes\n")
+	}
+	prep, _, err := d.prepared(sh.core)
 	if err != nil {
-		return "", err
+		return err
 	}
 	an, err := d.analyze(prep)
 	if err != nil {
-		return "", err
+		return err
 	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "route: %s\n", d.describeRoute(core, an.Comps, d.route(core, an, cl, false)))
-	fmt.Fprintf(&b, "closure: %s\n", closureName(cl))
-	fmt.Fprintf(&b, "eval: %s\n", d.predictEval(prep, an.Comps))
+	fmt.Fprintf(b, "route: %s\n", d.describeRoute(sh.core, an.Comps, d.route(sh.core, an, sh.cl, false)))
+	fmt.Fprintf(b, "closure: %s\n", closureName(sh.cl))
+	fmt.Fprintf(b, "eval: %s\n", d.predictEval(prep, an.Comps))
 	b.WriteString("plan:\n")
 	tree := prep.ExplainTree(func(table string) string {
-		comps := d.ComponentsFor(table)
+		comps := d.componentsFor(table)
 		if len(comps) == 0 {
 			return "[certain]"
 		}
@@ -64,7 +64,7 @@ func (d *WSD) ExplainSelect(core *sqlparse.SelectStmt, cl Closure) (string, erro
 	for _, line := range strings.Split(strings.TrimRight(tree, "\n"), "\n") {
 		b.WriteString("  " + line + "\n")
 	}
-	return b.String(), nil
+	return nil
 }
 
 // predictEval reports whether per-alternative evaluations would take the

@@ -318,8 +318,8 @@ func (f *closureFold) pointConf() (float64, error) {
 // alternatives ascending, in first-appearance order — all of them for
 // POSSIBLE and CONF, the always-contributed ones for CERTAIN. The Interrupt
 // hook is polled once per emitted batch.
-func (f *closureFold) close(cl Closure, sch *schema.Schema) (*relation.Relation, error) {
-	if cl != ClosurePossible {
+func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation, error) {
+	if cl != closurePossible {
 		if err := f.weigh(); err != nil {
 			return nil, err
 		}
@@ -352,11 +352,11 @@ func (f *closureFold) close(cl Closure, sch *schema.Schema) (*relation.Relation,
 				continue
 			}
 			emitted[id] = true
-			if cl == ClosureCertain && !f.tuple(id).always {
+			if cl == closureCertain && !f.tuple(id).always {
 				continue
 			}
 			sel = append(sel, int32(r))
-			if cl.IsConf() {
+			if cl.isConf() {
 				confs = append(confs, f.conf(f.tuple(id)))
 			}
 		}
@@ -380,7 +380,7 @@ func (f *closureFold) close(cl Closure, sch *schema.Schema) (*relation.Relation,
 	if out == nil {
 		out = colbatch.New(sch)
 	}
-	if cl.IsConf() {
+	if cl.isConf() {
 		out = out.ExtendFloat(sch.Concat(confSchema()), confs)
 	}
 	return relation.FromBatch(out), nil
@@ -388,7 +388,7 @@ func (f *closureFold) close(cl Closure, sch *schema.Schema) (*relation.Relation,
 
 // closeParts closes a query's evaluated parts under cl: its certain-only
 // answer in the certain slot, its per-alternative parts as the parts.
-func (d *WSD) closeParts(p *componentParts, cl Closure) (*relation.Relation, error) {
+func (d *WSD) closeParts(p *componentParts, cl closure) (*relation.Relation, error) {
 	part := func(i, a int) *colbatch.Batch { return p.deltas[i][a] }
 	return d.newClosureFold(p.comps, part, p.base, nil).close(cl, p.base.Schema)
 }

@@ -12,6 +12,7 @@ import (
 	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
 	"maybms/internal/tuple"
+	"maybms/internal/worldset"
 )
 
 // foldFixtures are the decomposition shapes the closure fold is reached
@@ -122,24 +123,24 @@ func TestClosureFoldAgreement(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					qcore, cl, err := StripClosure(stmt.(*sqlparse.SelectStmt))
+					qcore, cl, err := stripClosure(stmt.(*sqlparse.SelectStmt))
 					if err != nil {
 						t.Fatal(err)
 					}
 					named, err := c.named(rel)
-					if cl.IsConf() && !d.Weighted {
+					if cl.isConf() && !d.Weighted {
 						if !errors.Is(err, ErrNotWeighted) {
 							t.Errorf("ConfRelation on an unweighted decomposition = %v, want ErrNotWeighted", err)
 						}
-						if _, err := d.SelectClosure(qcore, cl); !errors.Is(err, ErrConfUnweighted) {
-							t.Errorf("select conf on an unweighted decomposition = %v, want ErrConfUnweighted", err)
+						if _, err := d.Exec(c.sql); !errors.Is(err, worldset.ErrNotWeighted) {
+							t.Errorf("select conf on an unweighted decomposition = %v, want worldset.ErrNotWeighted", err)
 						}
 						continue
 					}
 					if err != nil {
 						t.Fatalf("named %q: %v", c.sql, err)
 					}
-					selected, err := d.SelectClosure(qcore, cl)
+					selected, err := d.selectClosure(qcore, cl)
 					if err != nil {
 						t.Fatalf("select %q: %v", c.sql, err)
 					}
@@ -147,17 +148,17 @@ func TestClosureFoldAgreement(t *testing.T) {
 					if err != nil {
 						t.Fatalf("naive %q: %v", c.sql, err)
 					}
-					w := renderSet(t, want.Groups[0].Rel, cl.IsConf())
-					if g := renderSet(t, named, cl.IsConf()); g != w {
+					w := renderSet(t, want.Groups[0].Rel, cl.isConf())
+					if g := renderSet(t, named, cl.isConf()); g != w {
 						t.Errorf("named closure for %q:\n%s\nnaive:\n%s", c.sql, g, w)
 					}
-					if g := renderSet(t, selected, cl.IsConf()); g != w {
+					if g := renderSet(t, selected, cl.isConf()); g != w {
 						t.Errorf("select closure for %q:\n%s\nnaive:\n%s", c.sql, g, w)
 					}
 					switch cl {
-					case ClosureCertain:
+					case closureCertain:
 						certain = named
-					case ClosureConf:
+					case closureConf:
 						conf = named
 					}
 				}
@@ -287,7 +288,7 @@ func TestClosureFoldScalesLinearly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qcore, cl, err := StripClosure(stmt.(*sqlparse.SelectStmt))
+		qcore, cl, err := stripClosure(stmt.(*sqlparse.SelectStmt))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +298,7 @@ func TestClosureFoldScalesLinearly(t *testing.T) {
 		mean := func(d *WSD, n, runs int) time.Duration {
 			start := time.Now()
 			for i := 0; i < runs; i++ {
-				rel, err := d.SelectClosure(qcore, cl)
+				rel, err := d.selectClosure(qcore, cl)
 				if err != nil {
 					t.Fatal(err)
 				}

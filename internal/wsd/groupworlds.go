@@ -42,6 +42,7 @@ import (
 	"sort"
 
 	"maybms/internal/colbatch"
+	"maybms/internal/core"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/sqlparse"
@@ -49,14 +50,6 @@ import (
 	"maybms/internal/value"
 	"maybms/internal/worldset"
 )
-
-// GroupAnswer is the closed answer over one group of worlds: the group's
-// total probability (0 in unweighted decompositions) and the closure of
-// the main query over the group's worlds.
-type GroupAnswer struct {
-	Prob float64
-	Rel  *relation.Relation
-}
 
 // groupInfo is one world group produced by the grouping phase: its total
 // probability and, for groups of a merged component's alternatives, their
@@ -66,26 +59,20 @@ type groupInfo struct {
 	alts []int
 }
 
-// GroupWorldsClosure evaluates `SELECT <closure core> GROUP WORLDS BY
+// groupWorldsClosure evaluates `SELECT <closure core> GROUP WORLDS BY
 // (gw)`: worlds are grouped by the fingerprint of gw's per-world answer
-// and the closure of core is computed within each group. Groups are
-// returned in the naive engine's first-appearance order, each with the
-// naive engine's possible/certain answer as a set; conf values are
-// mathematically equal (float accumulation order differs on multi-component
-// paths).
-func (d *WSD) GroupWorldsClosure(gw, core *sqlparse.SelectStmt, cl Closure) ([]GroupAnswer, error) {
-	if cl == ClosureNone {
-		return nil, fmt.Errorf("group worlds by requires possible, certain or conf")
-	}
-	if cl.IsConf() && !d.Weighted {
-		return nil, ErrConfUnweighted
-	}
-	g, whole, err := d.prepareGrouped(gw, core, cl)
+// and the closure of q is computed within each group. Groups are returned
+// in the naive engine's first-appearance order, each with its total
+// probability (0 in unweighted decompositions) and the naive engine's
+// possible/certain answer as a set; conf values are mathematically equal
+// (float accumulation order differs on multi-component paths).
+func (d *WSD) groupWorldsClosure(gw, q *sqlparse.SelectStmt, cl closure) ([]core.GroupRows, error) {
+	g, whole, err := d.prepareGrouped(gw, q, cl)
 	switch {
 	case err != nil:
 		return nil, err
 	case g == nil:
-		return []GroupAnswer{{Prob: oneIfWeighted(d.Weighted), Rel: whole}}, nil
+		return []core.GroupRows{{Prob: oneIfWeighted(d.Weighted), Rel: whole}}, nil
 	case g.spanning || !g.gwAn.Decomposable:
 		_, _, answers, err := d.groupMerged(g, cl)
 		return answers, err
@@ -124,7 +111,7 @@ func (g *grouped) comps() []int {
 // prepareGrouped compiles and analyzes a GROUP WORLDS BY statement. A
 // world-independent grouping query puts every world in one group: then it
 // returns no grouped statement but the plain closure, that group's answer.
-func (d *WSD) prepareGrouped(gw, core *sqlparse.SelectStmt, cl Closure) (*grouped, *relation.Relation, error) {
+func (d *WSD) prepareGrouped(gw, core *sqlparse.SelectStmt, cl closure) (*grouped, *relation.Relation, error) {
 	gwPrep, gwEv, err := d.prepared(gw)
 	if err != nil {
 		return nil, nil, err
@@ -134,7 +121,7 @@ func (d *WSD) prepareGrouped(gw, core *sqlparse.SelectStmt, cl Closure) (*groupe
 		return nil, nil, err
 	}
 	if len(gwAn.Comps) == 0 {
-		rel, err := d.SelectClosure(core, cl)
+		rel, err := d.selectClosure(core, cl)
 		return nil, rel, err
 	}
 	qPrep, qEv, err := d.prepared(core)
@@ -300,7 +287,7 @@ func (d *WSD) groupsByComponent(compIdx []int, eval partQuery) ([]groupInfo, err
 // across the groups (closePerGroup). It returns the merged component beside
 // the groups and their answers: a pointer, since closePerGroup's own route
 // may merge other components and so move the merged one's index.
-func (d *WSD) groupMerged(g *grouped, cl Closure) (*Component, []groupInfo, []GroupAnswer, error) {
+func (d *WSD) groupMerged(g *grouped, cl closure) (*Component, []groupInfo, []core.GroupRows, error) {
 	mi, err := d.mergeComponents(g.comps())
 	if err != nil {
 		return nil, nil, nil, err
@@ -310,7 +297,7 @@ func (d *WSD) groupMerged(g *grouped, cl Closure) (*Component, []groupInfo, []Gr
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var answers []GroupAnswer
+	var answers []core.GroupRows
 	if g.spanning {
 		answers, err = d.closeEachGroup(mi, groups, g.q, cl)
 	} else {
@@ -349,7 +336,7 @@ func (d *WSD) groupsFromAlternatives(mi int, gw evaluator) ([]groupInfo, error) 
 // are disjoint from the grouping components, so the per-group answer is
 // the global one) and attaches it to every group — scaling confidences by
 // each group's probability.
-func (d *WSD) closePerGroup(groups []groupInfo, q evaluator, cl Closure) ([]GroupAnswer, error) {
+func (d *WSD) closePerGroup(groups []groupInfo, q evaluator, cl closure) ([]core.GroupRows, error) {
 	// A merge forming the groups may have restructured the component list:
 	// analyze the main query against the decomposition as it is now.
 	qAn, err := d.analyze(q.prep)
@@ -360,17 +347,17 @@ func (d *WSD) closePerGroup(groups []groupInfo, q evaluator, cl Closure) ([]Grou
 	// CONF's sampling escape does not extend to grouped closures: it routes
 	// as CONF, so a merge past MergeLimit is refused.
 	rcl := cl
-	if rcl == ClosureApproxConf {
-		rcl = ClosureConf
+	if rcl == closureApproxConf {
+		rcl = closureConf
 	}
 	closed, err := d.run(d.route(q.sel, qAn, rcl, false), qAn.Comps, q, rcl)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]GroupAnswer, len(groups))
+	out := make([]core.GroupRows, len(groups))
 	for gi, g := range groups {
 		var rel *relation.Relation
-		if cl.IsConf() {
+		if cl.isConf() {
 			rel = scaleConf(closed, g.prob)
 		} else if gi == 0 {
 			rel = closed
@@ -380,7 +367,7 @@ func (d *WSD) closePerGroup(groups []groupInfo, q evaluator, cl Closure) ([]Grou
 			// not corrupt the others'.
 			rel = closed.Clone()
 		}
-		out[gi] = GroupAnswer{Prob: g.prob, Rel: rel}
+		out[gi] = core.GroupRows{Prob: g.prob, Rel: rel}
 	}
 	return out, nil
 }
@@ -401,13 +388,13 @@ func scaleConf(rel *relation.Relation, f float64) *relation.Relation {
 // the merged component mi and closes it within each group by the one fold,
 // over the group's alternatives as a flat component of their own: CERTAIN
 // within a group means in every alternative of the group.
-func (d *WSD) closeEachGroup(mi int, groups []groupInfo, q evaluator, cl Closure) ([]GroupAnswer, error) {
+func (d *WSD) closeEachGroup(mi int, groups []groupInfo, q evaluator, cl closure) ([]core.GroupRows, error) {
 	parts, err := d.QueryByComponent([]int{mi}, q.full, nil)
 	if err != nil {
 		return nil, err
 	}
 	merged := parts.comps[0]
-	out := make([]GroupAnswer, len(groups))
+	out := make([]core.GroupRows, len(groups))
 	for gi, g := range groups {
 		group := &Component{ID: merged.ID, Parent: -1, Alts: make([]Alternative, len(g.alts))}
 		for j, a := range g.alts {
@@ -418,7 +405,7 @@ func (d *WSD) closeEachGroup(mi int, groups []groupInfo, q evaluator, cl Closure
 		if err != nil {
 			return nil, err
 		}
-		out[gi] = GroupAnswer{Prob: g.prob, Rel: rel}
+		out[gi] = core.GroupRows{Prob: g.prob, Rel: rel}
 	}
 	return out, nil
 }
@@ -432,7 +419,7 @@ func (d *WSD) closeEachGroup(mi int, groups []groupInfo, q evaluator, cl Closure
 // merge at all when a single component feeds the grouping query — and
 // each merged alternative references its group's answer: per-group
 // contributions, not per-alternative copies.
-func (d *WSD) materializeGrouped(dst string, gw, core *sqlparse.SelectStmt, cl Closure) error {
+func (d *WSD) materializeGrouped(dst string, gw, core *sqlparse.SelectStmt, cl closure) error {
 	g, whole, err := d.prepareGrouped(gw, core, cl)
 	if err != nil {
 		return err

@@ -151,7 +151,7 @@ func TestMaterializeErrors(t *testing.T) {
 	if err := d2.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d2.CreateTableAs("R", mustCore(t, "select * from R")); !errors.Is(err, ErrExists) {
+	if err := d2.createTableAs("R", mustCore(t, "select * from R")); !errors.Is(err, ErrExists) {
 		t.Errorf("certain materialize collision = %v", err)
 	}
 }
@@ -287,13 +287,13 @@ func TestRefusedMergeLeavesDecompositionUnchanged(t *testing.T) {
 	attempts := map[string]func(d *WSD) error{
 		"conf over a grouped core": func(d *WSD) error {
 			core, cl := parseCore(t, "select conf, K, V from J group by K, V")
-			_, err := d.SelectClosure(core, cl)
+			_, err := d.selectClosure(core, cl)
 			return err
 		},
 		"group worlds by sharing components": func(d *WSD) error {
 			core, cl := parseCore(t, "select possible K, V from J")
 			gw, _ := parseCore(t, "select K from J where V = 0")
-			_, err := d.GroupWorldsClosure(gw, core, cl)
+			_, err := d.groupWorldsClosure(gw, core, cl)
 			return err
 		},
 		"assert": func(d *WSD) error {
@@ -360,7 +360,7 @@ func TestRefusedCondenseLeavesDecompositionUnchanged(t *testing.T) {
 		// repair case, and a non-empty instance where the feeder is inactive
 		// for the choice case — beside the feeder's contributions.
 		core, _ := parseCore(t, "select V, X from T union all select V, X from Q where V = 0")
-		if err := d.CreateTableAs("R", core); err != nil {
+		if err := d.createTableAs("R", core); err != nil {
 			t.Fatal(err)
 		}
 		feeders := d.involvedComponents([]string{"R"})
@@ -488,7 +488,7 @@ func TestMergeRouteMatchesWorldsetClosures(t *testing.T) {
 			if dec := d.route(core, an, cl, false); dec.kind != routeMerge {
 				t.Fatalf("%s: routed %s, want merge", label, dec.kind)
 			}
-			got, err := d.SelectClosure(core, cl)
+			got, err := d.selectClosure(core, cl)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -509,9 +509,9 @@ func TestMergeRouteMatchesWorldsetClosures(t *testing.T) {
 			}
 			var want *relation.Relation
 			switch cl {
-			case ClosurePossible:
+			case closurePossible:
 				want, err = worldset.Possible(answers)
-			case ClosureCertain:
+			case closureCertain:
 				want, err = worldset.Certain(answers)
 			default:
 				want, err = worldset.Conf(answers, probs)
@@ -544,7 +544,7 @@ func TestSpanningGroupCertainPerGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	core, cl := parseCore(t, "select certain V from M where K = 1")
-	groups, err := d.GroupWorldsClosure(mustCore(t, "select V from M where K = 1"), core, cl)
+	groups, err := d.groupWorldsClosure(mustCore(t, "select V from M where K = 1"), core, cl)
 	if err != nil {
 		t.Fatal(err)
 	}

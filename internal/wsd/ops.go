@@ -219,7 +219,7 @@ func (d *WSD) relationFold(name string, only []byte) (*closureFold, error) {
 }
 
 // closeRelation answers closure cl over the stored relation name.
-func (d *WSD) closeRelation(name string, cl Closure) (*relation.Relation, error) {
+func (d *WSD) closeRelation(name string, cl closure) (*relation.Relation, error) {
 	f, err := d.relationFold(name, nil)
 	if err != nil {
 		return nil, err
@@ -232,7 +232,7 @@ func (d *WSD) closeRelation(name string, cl Closure) (*relation.Relation, error)
 // order (alternatives ascending), each where it first appears. One pass over
 // the stored rows — no plan, no evaluation, no enumeration.
 func (d *WSD) Possible(name string) (*relation.Relation, error) {
-	return d.closeRelation(name, ClosurePossible)
+	return d.closeRelation(name, closurePossible)
 }
 
 // Certain returns the tuples of relation name present in every world, in
@@ -241,7 +241,7 @@ func (d *WSD) Possible(name string) (*relation.Relation, error) {
 // under every alternative (by independence, the exact criterion). Linear in
 // the stored rows × tree depth.
 func (d *WSD) Certain(name string) (*relation.Relation, error) {
-	return d.closeRelation(name, ClosureCertain)
+	return d.closeRelation(name, closureCertain)
 }
 
 // ConfRelation returns every possible tuple of relation name, in Possible's
@@ -252,7 +252,7 @@ func (d *WSD) ConfRelation(name string) (*relation.Relation, error) {
 	if !d.Weighted {
 		return nil, ErrNotWeighted
 	}
-	return d.closeRelation(name, ClosureConf)
+	return d.closeRelation(name, closureConf)
 }
 
 // Conf returns the exact confidence of tuple t in relation name — 1 for a

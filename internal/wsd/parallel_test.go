@@ -170,10 +170,10 @@ func TestInsertCertainAndDrop(t *testing.T) {
 	if err := d.InsertCertain("U", rowList(row("q", 9))); err == nil {
 		t.Fatal("insert into uncertain relation must fail")
 	}
-	if err := d.DropCertain("U"); err == nil {
+	if err := d.dropCertain("U"); err == nil {
 		t.Fatal("dropping uncertain relation must fail")
 	}
-	if err := d.DropCertain("T"); err != nil {
+	if err := d.dropCertain("T"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Possible("T"); err == nil {

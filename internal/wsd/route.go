@@ -3,8 +3,8 @@ package wsd
 // Routing: the one decision a statement over the decomposition takes. route
 // is a pure function of the compiled plan's component analysis, the closure
 // and the decomposition's shape — it touches no counter, no trace and no
-// component — and everything that needs the decision asks it: SelectClosure
-// runs the route, ExplainSelect renders the very same value, CreateTableAs
+// component — and everything that needs the decision asks it: selectClosure
+// runs the route, explainQuery renders the very same value, createTableAs
 // and the per-group closures of GROUP WORLDS BY switch on it. Nothing
 // overrides it: the only inputs are what the engine observes.
 
@@ -64,7 +64,7 @@ func (k routeKind) String() string { return routeNames[k] }
 var routeCounts = func() (out [len(routeNames)]*obs.Counter) {
 	for k, name := range routeNames {
 		out[k] = obs.Default().Counter(`maybms_route_total{route="`+name+`"}`,
-			"Statements by routing decision (single = world-independent, componentwise = merge-free, conditional = d-tree fold or conditional relation, merge = bounded partial expansion, approx_mc = Monte-Carlo CONF, refused = per-world answers or a merge past the limit).")
+			"Statements by routing decision (single = world-independent, componentwise = merge-free, conditional = d-tree fold or conditional relation, merge = bounded partial expansion, approx_mc = Monte-Carlo CONF, refused = per-world answers, a statement form the compact backend does not run, or a merge past the limit).")
 	}
 	return out
 }()
@@ -89,13 +89,13 @@ type decision struct {
 }
 
 // route decides how a statement whose compiled core has analysis an is
-// answered under closure cl — or, with store set (CreateTableAs, under
-// ClosureNone), how its per-world answers are stored:
+// answered under closure cl — or, with store set (createTableAs, under
+// closureNone), how its per-world answers are stored:
 //
 //   - a core touching no component is evaluated once;
 //   - a stored answer may have any shape, but only a concat-structured plan
 //     is stored without merging (componentwise);
-//   - a plain SELECT (ClosureNone) must have a compactly representable
+//   - a plain SELECT (closureNone) must have a compactly representable
 //     answer: one world when every involved component has a single
 //     alternative left, a conditional relation when the plan is
 //     concat-structured, else it is refused — without merging anything;
@@ -106,7 +106,7 @@ type decision struct {
 //     merges exactly those — if the merged component fits MergeLimit, which
 //     mergedAlternatives answers without touching the decomposition. Past the
 //     limit APPROX CONF samples and every other statement is refused.
-func (d *WSD) route(core *sqlparse.SelectStmt, an *plan.ComponentAnalysis, cl Closure, store bool) decision {
+func (d *WSD) route(core *sqlparse.SelectStmt, an *plan.ComponentAnalysis, cl closure, store bool) decision {
 	comps := an.Comps
 	if len(comps) == 0 {
 		return decision{kind: routeSingle}
@@ -116,7 +116,7 @@ func (d *WSD) route(core *sqlparse.SelectStmt, an *plan.ComponentAnalysis, cl Cl
 		if an.Concat {
 			return decision{kind: routeComponentwise}
 		}
-	case cl == ClosureNone:
+	case cl == closureNone:
 		// With tree structure a singleton component's *activity* still
 		// varies, so the one-world shortcut only applies to flat involvement.
 		if !d.treeInvolved(comps) && d.allSingleton(comps) {
@@ -136,7 +136,7 @@ func (d *WSD) route(core *sqlparse.SelectStmt, an *plan.ComponentAnalysis, cl Cl
 	switch {
 	case fits:
 		return decision{kind: routeMerge, alts: alts}
-	case cl == ClosureApproxConf:
+	case cl == closureApproxConf:
 		return decision{kind: routeApproxMC}
 	}
 	return decision{kind: routeRefused, err: d.errMergeTooBig(len(comps))}

@@ -2,9 +2,8 @@ package wsd
 
 // Statement-level query execution over the decomposition: compiled plans
 // (through the process-wide shared plan cache), component-touch analysis,
-// and one run function per routing decision (see route.go). internal/server's
-// compact backend and the public CompactDB API are thin wrappers over this
-// file.
+// and one run function per routing decision (see route.go). The statement
+// executor (exec.go) runs every SELECT form through this file.
 
 import (
 	"errors"
@@ -22,26 +21,26 @@ import (
 	"maybms/internal/tuple"
 )
 
-// Closure selects the world-closing operation applied to a SELECT's
+// closure selects the world-closing operation applied to a SELECT's
 // per-world answers.
-type Closure int
+type closure int
 
 // The closures.
 const (
-	ClosureNone Closure = iota
-	ClosurePossible
-	ClosureCertain
-	ClosureConf
-	// ClosureApproxConf is APPROX CONF: exact confidences whenever the
+	closureNone closure = iota
+	closurePossible
+	closureCertain
+	closureConf
+	// closureApproxConf is APPROX CONF: exact confidences whenever the
 	// exact routing succeeds, with a seeded Monte-Carlo estimate as the
 	// escape hatch when the classic path's component merge would exceed
 	// MergeLimit (where plain CONF fails with ErrMergeTooBig).
-	ClosureApproxConf
+	closureApproxConf
 )
 
-// IsConf reports whether the closure computes confidences (exactly or
+// isConf reports whether the closure computes confidences (exactly or
 // approximately); such closures require a weighted decomposition.
-func (c Closure) IsConf() bool { return c == ClosureConf || c == ClosureApproxConf }
+func (c closure) isConf() bool { return c == closureConf || c == closureApproxConf }
 
 // Errors reported by statement execution.
 var (
@@ -49,35 +48,33 @@ var (
 	// across worlds: the compact representation cannot enumerate per-world
 	// answers without expanding.
 	ErrPerWorld = errors.New("per-world answers over uncertain relations (close with possible, certain or conf)")
-	// ErrConfUnweighted reports CONF on a non-probabilistic decomposition.
-	ErrConfUnweighted = errors.New("conf requires a weighted decomposition")
 )
 
-// StripClosure splits an I-SQL SELECT into its plain-SQL core and the
+// stripClosure splits an I-SQL SELECT into its plain-SQL core and the
 // closure it requests. It rejects multiple conf items and conf combined
 // with a quantifier; repair/choice/assert/group-worlds-by are not this
 // function's business and must be handled (or rejected) by the caller.
-func StripClosure(st *sqlparse.SelectStmt) (*sqlparse.SelectStmt, Closure, error) {
-	cl := ClosureNone
+func stripClosure(st *sqlparse.SelectStmt) (*sqlparse.SelectStmt, closure, error) {
+	cl := closureNone
 	switch st.Quantifier {
 	case sqlparse.QuantPossible:
-		cl = ClosurePossible
+		cl = closurePossible
 	case sqlparse.QuantCertain:
-		cl = ClosureCertain
+		cl = closureCertain
 	}
 	items := make([]sqlparse.SelectItem, 0, len(st.Items))
 	for _, it := range st.Items {
 		if ce, ok := it.Expr.(sqlparse.ConfExpr); ok {
-			if cl.IsConf() {
+			if cl.isConf() {
 				return nil, 0, fmt.Errorf("at most one conf item is allowed")
 			}
-			if cl != ClosureNone {
+			if cl != closureNone {
 				return nil, 0, fmt.Errorf("conf cannot be combined with %s", st.Quantifier)
 			}
 			if ce.Approx {
-				cl = ClosureApproxConf
+				cl = closureApproxConf
 			} else {
-				cl = ClosureConf
+				cl = closureConf
 			}
 			continue
 		}
@@ -225,13 +222,13 @@ func (d *WSD) prepared(sel *sqlparse.SelectStmt) (*plan.Prepared, evaluator, err
 	return prep, evaluator{d: d, prep: prep, deltas: prep.Deltas(), sel: sel}, nil
 }
 
-// AssertStmt filters the world-set by an ASSERT condition (an I-SQL-free
+// assertStmt filters the world-set by an ASSERT condition (an I-SQL-free
 // boolean expression). The condition compiles once through the process-wide
 // shared plan cache — keyed like SELECT templates, under a distinct prefix
 // — and is bound per alternative of the merged involved components, with
 // the Interrupt hook threaded into its subquery evaluations. The uncertain
 // relations the condition reads are derived from the condition itself.
-func (d *WSD) AssertStmt(e sqlparse.Expr) error {
+func (d *WSD) assertStmt(e sqlparse.Expr) error {
 	touching := sqlparse.ReferencedTables(&sqlparse.SelectStmt{Where: e, Limit: -1})
 	compileCat := d.schemaCatalog()
 	pp, err := sharedTemplate(d,
@@ -254,10 +251,10 @@ func (d *WSD) AssertStmt(e sqlparse.Expr) error {
 // template against this decomposition (component IDs are indexes into the
 // component list, valid until the next restructuring operation).
 func (d *WSD) analyze(prep *plan.Prepared) (*plan.ComponentAnalysis, error) {
-	return prep.Analyze(plan.ComponentCatalogFunc(d.ComponentsFor))
+	return prep.Analyze(plan.ComponentCatalogFunc(d.componentsFor))
 }
 
-// SelectClosure evaluates the plain-SQL core of a SELECT under the given
+// selectClosure evaluates the plain-SQL core of a SELECT under the given
 // closure, against the represented world-set, on the route route picks (see
 // its comment for the rules): one evaluation, per-alternative closures with
 // no merge, a bounded merge of exactly the involved components, the
@@ -267,10 +264,7 @@ func (d *WSD) analyze(prep *plan.Prepared) (*plan.ComponentAnalysis, error) {
 // confidences) as the naive engine's closure over the expanded world-set,
 // listed in representation order (fold.go) — on the merge route that of the
 // merged component, whose parts are its alternatives' full answers.
-func (d *WSD) SelectClosure(core *sqlparse.SelectStmt, cl Closure) (*relation.Relation, error) {
-	if cl.IsConf() && !d.Weighted {
-		return nil, ErrConfUnweighted
-	}
+func (d *WSD) selectClosure(core *sqlparse.SelectStmt, cl closure) (*relation.Relation, error) {
 	prep, ev, err := d.prepared(core)
 	if err != nil {
 		return nil, err
@@ -292,7 +286,7 @@ func (d *WSD) SelectClosure(core *sqlparse.SelectStmt, cl Closure) (*relation.Re
 
 // run answers a statement on the route dec, route's decision for it: one run
 // function per kind, the refusal's error for routeRefused.
-func (d *WSD) run(dec decision, comps []int, ev evaluator, cl Closure) (*relation.Relation, error) {
+func (d *WSD) run(dec decision, comps []int, ev evaluator, cl closure) (*relation.Relation, error) {
 	switch dec.kind {
 	case routeSingle:
 		return d.runSingle(comps, ev, cl)
@@ -313,14 +307,14 @@ func (d *WSD) run(dec decision, comps []int, ev evaluator, cl Closure) (*relatio
 // for a world-independent core) at its only alternative — and closes over
 // that single answer as the fold's certain slot: every closure is (at most) a
 // dedup of it.
-func (d *WSD) runSingle(comps []int, ev evaluator, cl Closure) (*relation.Relation, error) {
+func (d *WSD) runSingle(comps []int, ev evaluator, cl closure) (*relation.Relation, error) {
 	sp := d.Trace.Begin("eval")
 	defer sp.End(d.Trace)
 	res, err := ev.batch(newPartsCatalog(d, firstWorld(comps)))
 	if err != nil {
 		return nil, err
 	}
-	if cl == ClosureNone {
+	if cl == closureNone {
 		return relation.FromBatch(res), nil
 	}
 	return d.newClosureFold(nil, nil, res, nil).close(cl, res.Schema)
@@ -352,7 +346,7 @@ func (d *WSD) evalParts(comps []int, dec decision, query partQuery) (*componentP
 // answer. A single component is handled by the same code — there the merge
 // path would not have merged either, but the parts path also skips the (noop)
 // restructuring.
-func (d *WSD) runFold(comps []int, dec decision, query partQuery, cl Closure) (*relation.Relation, error) {
+func (d *WSD) runFold(comps []int, dec decision, query partQuery, cl closure) (*relation.Relation, error) {
 	parts, err := d.evalParts(comps, dec, query)
 	if err != nil {
 		return nil, err
@@ -376,7 +370,7 @@ func (d *WSD) runConditionalRelation(comps []int, dec decision, ev evaluator) (*
 // runMerge is the classic path: merge exactly the involved components
 // (bounded partial expansion — route has checked the size), evaluate each
 // merged alternative's full answer as its part, close with the fold.
-func (d *WSD) runMerge(comps []int, ev evaluator, cl Closure) (*relation.Relation, error) {
+func (d *WSD) runMerge(comps []int, ev evaluator, cl closure) (*relation.Relation, error) {
 	msp := d.Trace.Begin("merge_eval")
 	msp.Set("components", len(comps))
 	mi, err := d.mergeFitting(comps)
@@ -398,13 +392,13 @@ func (d *WSD) runMerge(comps []int, ev evaluator, cl Closure) (*relation.Relatio
 	return d.closeParts(parts, cl)
 }
 
-// CreateTableAs materializes the plain-SQL core of a SELECT as relation
+// createTableAs materializes the plain-SQL core of a SELECT as relation
 // dst. A core touching no component becomes a certain relation; a
 // concat-structured core is stored componentwise (certain part plus
 // per-alternative contributions — no merge, linear size); anything else
 // merges the involved components and stores, the same way, each merged
 // alternative's full answer as its contribution.
-func (d *WSD) CreateTableAs(dst string, core *sqlparse.SelectStmt) error {
+func (d *WSD) createTableAs(dst string, core *sqlparse.SelectStmt) error {
 	prep, ev, err := d.prepared(core)
 	if err != nil {
 		return err
@@ -413,7 +407,7 @@ func (d *WSD) CreateTableAs(dst string, core *sqlparse.SelectStmt) error {
 	if err != nil {
 		return err
 	}
-	switch dec := d.route(core, an, ClosureNone, true); dec.kind {
+	switch dec := d.route(core, an, closureNone, true); dec.kind {
 	case routeSingle:
 		res, err := ev.batch(newPartsCatalog(d, nil))
 		if err != nil {
@@ -436,7 +430,7 @@ func (d *WSD) CreateTableAs(dst string, core *sqlparse.SelectStmt) error {
 	return d.materializeByComponent(dst, []int{mi}, ev.full)
 }
 
-// RepairByKeyQuery creates dst as the repair of a plain-SQL source query
+// repairByKeyQuery creates dst as the repair of a plain-SQL source query
 // — REPAIR BY KEY over a filtered or projected source. The source is
 // materialized transiently (componentwise when its plan decomposes, so an
 // uncertain source's contributions ride the feeding alternatives) and the
@@ -451,7 +445,7 @@ func (d *WSD) CreateTableAs(dst string, core *sqlparse.SelectStmt) error {
 // gives the same worlds — any key/weight column missing from the select
 // list is carried through the transient materialization and stripped from
 // dst after the split.
-func (d *WSD) RepairByKeyQuery(core *sqlparse.SelectStmt, dst string, key []string, weight string) error {
+func (d *WSD) repairByKeyQuery(core *sqlparse.SelectStmt, dst string, key []string, weight string) error {
 	need := append(append([]string{}, key...), weight)
 	tmp, extra, err := d.materializeSource(core, dst, need)
 	if err != nil {
@@ -465,9 +459,9 @@ func (d *WSD) RepairByKeyQuery(core *sqlparse.SelectStmt, dst string, key []stri
 	return err
 }
 
-// ChoiceOfQuery creates dst as the choice-of partitioning of a plain-SQL
-// source query; see RepairByKeyQuery for the materialization scheme.
-func (d *WSD) ChoiceOfQuery(core *sqlparse.SelectStmt, dst string, attrs []string, weight string) error {
+// choiceOfQuery creates dst as the choice-of partitioning of a plain-SQL
+// source query; see repairByKeyQuery for the materialization scheme.
+func (d *WSD) choiceOfQuery(core *sqlparse.SelectStmt, dst string, attrs []string, weight string) error {
 	need := append(append([]string{}, attrs...), weight)
 	tmp, extra, err := d.materializeSource(core, dst, need)
 	if err != nil {
@@ -481,14 +475,14 @@ func (d *WSD) ChoiceOfQuery(core *sqlparse.SelectStmt, dst string, attrs []strin
 	return err
 }
 
-// SplitSourceBlocker names the construct that stops a repair/choice query
+// splitSourceBlocker names the construct that stops a repair/choice query
 // source from commuting with the split, or "" when the source is
 // split-safe. The split applies to the source *rows* (the naive engine
 // splits the FROM/WHERE intermediate and evaluates the rest per world), so
 // a row-wise projection can be materialized first with identical worlds —
 // but constructs that look across rows cannot, and are refused rather than
 // silently answered with different worlds than the naive engine.
-func SplitSourceBlocker(core *sqlparse.SelectStmt) string {
+func splitSourceBlocker(core *sqlparse.SelectStmt) string {
 	switch {
 	case core.Distinct:
 		return "DISTINCT"
@@ -535,9 +529,6 @@ func exprAggregates(e sqlparse.Expr) bool {
 // returned count tells the caller how many trailing columns to strip from
 // the split result.
 func (d *WSD) materializeSource(core *sqlparse.SelectStmt, dst string, need []string) (string, int, error) {
-	if c := SplitSourceBlocker(core); c != "" {
-		return "", 0, fmt.Errorf("repair/choice over a query source using %s: the split applies to the source rows, so the source must be a row-wise projection (materialize it first with CREATE TABLE AS)", c)
-	}
 	if _, ok := d.schemas[key(dst)]; ok {
 		return "", 0, fmt.Errorf("%w: %s", ErrExists, dst)
 	}
@@ -546,7 +537,7 @@ func (d *WSD) materializeSource(core *sqlparse.SelectStmt, dst string, need []st
 		return "", 0, fmt.Errorf("%w: %s", ErrExists, tmp)
 	}
 	q, extra := extendProjection(core, need)
-	if err := d.CreateTableAs(tmp, q); err != nil {
+	if err := d.createTableAs(tmp, q); err != nil {
 		return "", 0, err
 	}
 	return tmp, extra, nil
@@ -634,7 +625,7 @@ func (d *WSD) dropDerived(name string) {
 	d.unregister(name)
 }
 
-// CreateTableAsClosure materializes `SELECT <closure core> [GROUP WORLDS
+// createTableAsClosure materializes `SELECT <closure core> [GROUP WORLDS
 // BY (gw)]` as relation dst — the statement form the naive engine runs as
 // CREATE TABLE AS over a closed (and possibly world-grouped) query.
 //
@@ -645,20 +636,14 @@ func (d *WSD) dropDerived(name string) {
 // group's closed answer; the result is stored factorized — one copy per
 // group, referenced by each alternative of the (possibly merged) grouping
 // component (see materializeGrouped).
-func (d *WSD) CreateTableAsClosure(dst string, core *sqlparse.SelectStmt, cl Closure, gw *sqlparse.SelectStmt) error {
+func (d *WSD) createTableAsClosure(dst string, core *sqlparse.SelectStmt, cl closure, gw *sqlparse.SelectStmt) error {
 	if _, ok := d.schemas[key(dst)]; ok {
 		return fmt.Errorf("%w: %s", ErrExists, dst)
 	}
-	if cl.IsConf() && !d.Weighted {
-		return ErrConfUnweighted
-	}
 	if gw != nil {
-		if cl == ClosureNone {
-			return fmt.Errorf("group worlds by requires possible, certain or conf")
-		}
 		return d.materializeGrouped(dst, gw, core, cl)
 	}
-	rel, err := d.SelectClosure(core, cl)
+	rel, err := d.selectClosure(core, cl)
 	if err != nil {
 		return err
 	}

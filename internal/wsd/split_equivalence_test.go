@@ -57,7 +57,7 @@ func crosscheckSplitClosures(t *testing.T, label string, s *core.Session, d *WSD
 		if err != nil {
 			t.Fatal(err)
 		}
-		qcore, cl, err := StripClosure(stmt.(*sqlparse.SelectStmt))
+		qcore, cl, err := stripClosure(stmt.(*sqlparse.SelectStmt))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,15 +69,15 @@ func crosscheckSplitClosures(t *testing.T, label string, s *core.Session, d *WSD
 		if err != nil {
 			t.Fatalf("%s own-expansion %q: %v", label, q, err)
 		}
-		g := renderSet(t, got, cl.IsConf())
-		if w := renderSet(t, own.Groups[0].Rel, cl.IsConf()); g != w {
+		g := renderSet(t, got, cl.isConf())
+		if w := renderSet(t, own.Groups[0].Rel, cl.isConf()); g != w {
 			t.Errorf("%s %q diverged from own expansion:\n%s\nwant:\n%s", label, q, g, w)
 		}
 		want, err := s.Exec(q)
 		if err != nil {
 			t.Fatalf("%s naive %q: %v", label, q, err)
 		}
-		if w := renderSet(t, want.Groups[0].Rel, cl.IsConf()); g != w {
+		if w := renderSet(t, want.Groups[0].Rel, cl.isConf()); g != w {
 			t.Errorf("%s %q diverged from naive chain:\n%s\nwant:\n%s", label, q, g, w)
 		}
 	}
@@ -225,14 +225,14 @@ func TestFactorizedCTASEquivalenceFuzz(t *testing.T) {
 				t.Fatal(err)
 			}
 			cta := parsed.(*sqlparse.CreateTableAs)
-			qcore, cl, err := StripClosure(cta.Query)
+			qcore, cl, err := stripClosure(cta.Query)
 			if err != nil {
 				t.Fatal(err)
 			}
 			gw := cta.Query.GroupWorlds
 			qcore.GroupWorlds = nil
 			mergesBefore := d.MergeCount()
-			if err := d.CreateTableAsClosure(cta.Name, qcore, cl, gw); err != nil {
+			if err := d.createTableAsClosure(cta.Name, qcore, cl, gw); err != nil {
 				t.Fatalf("trial %d compact %q: %v", trial, st.sql, err)
 			}
 			if st.noMerge && d.MergeCount() != mergesBefore {
@@ -255,11 +255,11 @@ func TestFactorizedCTASEquivalenceFuzz(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					c2, cl2, err := StripClosure(stmt2.(*sqlparse.SelectStmt))
+					c2, cl2, err := stripClosure(stmt2.(*sqlparse.SelectStmt))
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := d.SelectClosure(c2, cl2)
+					got, err := d.selectClosure(c2, cl2)
 					if err != nil {
 						t.Fatalf("trial %d compact %q: %v", trial, q, err)
 					}
@@ -312,11 +312,11 @@ func TestGroupedCTASAfterMainQueryMerge(t *testing.T) {
 	if err := d.ChoiceOf("GSrc", "G", []string{"K"}, "W"); err != nil {
 		t.Fatal(err)
 	}
-	if mc, gc := d.ComponentsFor("M"), d.ComponentsFor("G"); len(mc) != 2 || len(gc) != 1 || gc[0] <= mc[1] {
+	if mc, gc := d.componentsFor("M"), d.componentsFor("G"); len(mc) != 2 || len(gc) != 1 || gc[0] <= mc[1] {
 		t.Fatalf("fixture: M on components %v, G on %v; want G's index above M's two", mc, gc)
 	}
 	q, cl := parseCore(t, "select possible sum(V) from M")
-	if err := d.CreateTableAsClosure("X", q, cl, mustCore(t, "select K from G")); err != nil {
+	if err := d.createTableAsClosure("X", q, cl, mustCore(t, "select K from G")); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.CheckInvariant(); err != nil {
@@ -369,7 +369,7 @@ func checkConditionalRelation(t *testing.T, label string, s *core.Session, d *WS
 	if err != nil {
 		t.Fatal(err)
 	}
-	qcore, cl, err := StripClosure(stmt.(*sqlparse.SelectStmt))
+	qcore, cl, err := stripClosure(stmt.(*sqlparse.SelectStmt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func checkConditionalRelation(t *testing.T, label string, s *core.Session, d *WS
 // TestConditionalShapesEquivalenceFuzz drives the conditional-
 // decomposition statement forms against the naive chain: repair/choice
 // over filtered+projected sources (transient materialization via
-// RepairByKeyQuery/ChoiceOfQuery), a durable ASSERT inside CREATE TABLE
+// repairByKeyQuery/choiceOfQuery), a durable ASSERT inside CREATE TABLE
 // AS (filter + renormalize, then materialize), and plain per-world
 // SELECTs answered as conditional relations. After every statement the
 // world multisets match via Expand, the closures are byte-identical to
@@ -459,14 +459,14 @@ func TestConditionalShapesEquivalenceFuzz(t *testing.T) {
 				if weight != "" {
 					stmtSQL += " weight " + weight
 				}
-				apply = func() error { return d.RepairByKeyQuery(srcStmt, dst, keys, weight) }
+				apply = func() error { return d.repairByKeyQuery(srcStmt, dst, keys, weight) }
 			} else {
 				attrs := [][]string{{"K"}, {"V", "W"}}[r.Intn(2)]
 				stmtSQL = fmt.Sprintf("create table %s as %s choice of %s", dst, srcSQL, strings.Join(attrs, ", "))
 				if weight != "" {
 					stmtSQL += " weight " + weight
 				}
-				apply = func() error { return d.ChoiceOfQuery(srcStmt, dst, attrs, weight) }
+				apply = func() error { return d.choiceOfQuery(srcStmt, dst, attrs, weight) }
 			}
 			_, nerr := s.Exec(stmtSQL)
 			cerr := apply()
@@ -507,11 +507,11 @@ func TestConditionalShapesEquivalenceFuzz(t *testing.T) {
 		}
 		cta := parsed.(*sqlparse.CreateTableAs)
 		_, nerr := s.Exec(assertSQL)
-		cerr := d.AssertStmt(cta.Query.Assert)
+		cerr := d.assertStmt(cta.Query.Assert)
 		if cerr == nil {
 			qc := *cta.Query
 			qc.Assert = nil
-			cerr = d.CreateTableAs("XA", &qc)
+			cerr = d.createTableAs("XA", &qc)
 		}
 		if (nerr == nil) != (cerr == nil) {
 			t.Fatalf("trial %d %q: naive err %v, compact err %v", trial, assertSQL, nerr, cerr)

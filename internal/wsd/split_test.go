@@ -215,7 +215,7 @@ func TestRepairUncertainWithCertainPart(t *testing.T) {
 		if _, err := s.Exec(mix); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.CreateTableAs("M", mustSelect(t, "select K, V, W from I union select K, V, W from R where V >= 1")); err != nil {
+		if err := d.createTableAs("M", mustSelect(t, "select K, V, W from I union select K, V, W from R where V >= 1")); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Exec("create table J as select K, V, W from M repair by key V"); err != nil {
@@ -331,7 +331,7 @@ func TestRepairUncertainBeyondExpansion(t *testing.T) {
 	if want, got := "262144", d.WorldCount().String(); got != want {
 		t.Errorf("world count = %s, want %s", got, want)
 	}
-	rel, err := d.SelectClosure(mustSelect(t, "select K, V from J"), ClosureConf)
+	rel, err := d.selectClosure(mustSelect(t, "select K, V from J"), closureConf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestRepairUncertainMergeLimit(t *testing.T) {
 	if got := d.WorldCount().String(); got != "17" {
 		t.Errorf("world count = %s, want 17 (16 + 1)", got)
 	}
-	rel, err := d.SelectClosure(mustSelect(t, "select K, V, W from Q"), ClosureConf)
+	rel, err := d.selectClosure(mustSelect(t, "select K, V, W from Q"), closureConf)
 	if err != nil {
 		t.Fatal(err)
 	}

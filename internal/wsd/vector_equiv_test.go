@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"maybms/internal/core"
 	"maybms/internal/obs"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
@@ -99,19 +100,19 @@ func TestClosuresBothSidesOfTheFloor(t *testing.T) {
 				}
 				sel := stmt.(*sqlparse.SelectStmt)
 				gw := sel.GroupWorlds
-				qcore, cl, err := StripClosure(sel)
+				qcore, cl, err := stripClosure(sel)
 				if err != nil {
 					t.Fatal(err)
 				}
 				qcore.GroupWorlds = nil
 				d.Trace = obs.NewTrace(q)
-				var got []GroupAnswer
+				var got []core.GroupRows
 				if gw != nil {
-					got, err = d.GroupWorldsClosure(gw, qcore, cl)
+					got, err = d.groupWorldsClosure(gw, qcore, cl)
 				} else {
 					var rel *relation.Relation
-					rel, err = d.SelectClosure(qcore, cl)
-					got = []GroupAnswer{{Prob: 1, Rel: rel}}
+					rel, err = d.selectClosure(qcore, cl)
+					got = []core.GroupRows{{Prob: 1, Rel: rel}}
 				}
 				if err != nil {
 					t.Fatalf("compact: %v", err)
@@ -131,8 +132,8 @@ func TestClosuresBothSidesOfTheFloor(t *testing.T) {
 					if math.Abs(got[gi].Prob-want.Groups[gi].Prob) > 1e-9 {
 						t.Errorf("group %d: prob %g, want %g", gi, got[gi].Prob, want.Groups[gi].Prob)
 					}
-					g := renderSet(t, got[gi].Rel, cl.IsConf())
-					w := renderSet(t, want.Groups[gi].Rel, cl.IsConf())
+					g := renderSet(t, got[gi].Rel, cl.isConf())
+					w := renderSet(t, want.Groups[gi].Rel, cl.isConf())
 					if g != w {
 						t.Errorf("group %d diverged from per-world evaluation:\n%s\nwant:\n%s", gi, g, w)
 					}

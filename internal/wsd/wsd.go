@@ -59,12 +59,17 @@
 // AS over closed queries stores the closure as a certain relation; over
 // grouped queries it stores one answer per world group, shared by every
 // alternative of the grouping component (factorized storage, see
-// CreateTableAsClosure). MergeCount and ComponentwiseCount make the
+// createTableAsClosure). MergeCount and ComponentwiseCount make the
 // routing observable.
+//
+// Statements arrive through Exec and ExecStmt (exec.go), the compact
+// backend's statement executor: decide takes a statement apart once — the
+// refusal table, the split source, the ASSERT, the closure, the grouping —
+// and execution and EXPLAIN both read what it found.
 //
 // Every statement takes one routing decision (route.go): a pure function of
 // the compiled plan's component analysis, the closure and the shape of the
-// decomposition, run by SelectClosure and rendered by EXPLAIN from the same
+// decomposition, run by selectClosure and rendered by EXPLAIN from the same
 // value. No field, option or switch overrides it; the naive per-world engine
 // over Expand is the reference the routes are validated against.
 //
@@ -294,9 +299,9 @@ func (d *WSD) InsertCertain(name string, rows []tuple.Tuple) error {
 	return nil
 }
 
-// DropCertain removes a certain relation from the decomposition. Uncertain
+// dropCertain removes a certain relation from the decomposition. Uncertain
 // relations (fed by components) cannot be dropped without expanding.
-func (d *WSD) DropCertain(name string) error {
+func (d *WSD) dropCertain(name string) error {
 	if _, _, err := d.certainRelation(name); err != nil {
 		return err
 	}
@@ -348,10 +353,10 @@ func (d *WSD) PlanCacheCounts() (hits, misses uint64) {
 	return d.planHits.Load(), d.planMisses.Load()
 }
 
-// ComponentsFor returns the indexes (into the component list) of the
+// componentsFor returns the indexes (into the component list) of the
 // components contributing to relation name. Exposed to the planner's
 // component-touch analysis through a plan.ComponentCatalog adapter.
-func (d *WSD) ComponentsFor(name string) []int {
+func (d *WSD) componentsFor(name string) []int {
 	return d.involvedComponents([]string{name})
 }
 

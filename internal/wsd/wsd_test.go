@@ -378,7 +378,7 @@ func TestMaterializeOverCertain(t *testing.T) {
 	if err := d.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CreateTableAs("R2", mustCore(t, "select * from R")); err != nil {
+	if err := d.createTableAs("R2", mustCore(t, "select * from R")); err != nil {
 		t.Fatal(err)
 	}
 	if !d.isCertain("R2") {

@@ -92,7 +92,10 @@
 // linear size). Only plans that genuinely correlate several components
 // fall back to a bounded partial expansion of exactly the involved
 // components. CompactDB.Select runs closures directly;
-// CompactDB.MergeCount and ComponentwiseCount expose the routing.
+// CompactDB.MergeCount and ComponentwiseCount expose the routing. One
+// statement executor (internal/wsd's WSD.Exec) serves CompactDB, the shell's
+// -compact mode and the server's compact sessions; what it refuses is the
+// refusal table beside it, and every refusal wraps ErrCompactUnsupported.
 //
 // Answer order. A closed answer (possible, certain, conf) is a set. The
 // compact backend lists it in representation order — the certain tuples,

@@ -43,13 +43,6 @@ func Serve(cfg ServerConfig) (*Server, error) {
 	return srv, nil
 }
 
-// ErrCompactUnsupported is the sentinel every compact-backend refusal
-// wraps: statements without a decomposition counterpart (see the
-// statement table in internal/server's compact backend) fail with an
-// error satisfying errors.Is(err, ErrCompactUnsupported), on CompactDB
-// and on served compact sessions alike.
-var ErrCompactUnsupported = server.ErrUnsupported
-
 // PlanCacheStats is a snapshot of shared plan cache traffic.
 type PlanCacheStats = plan.CacheStats
 
