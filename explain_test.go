@@ -298,6 +298,42 @@ func TestExplainAgreesWithExec(t *testing.T) {
 	}
 }
 
+// TestNaiveExplainAgreesWithExec is TestExplainAgreesWithExec for the naive
+// engine, probabilistic and not: EXPLAIN runs the checks and the I-SQL strip
+// execution runs, so a statement Exec refuses EXPLAIN refuses with the same
+// error, and one Exec runs EXPLAIN explains.
+func TestNaiveExplainAgreesWithExec(t *testing.T) {
+	for _, open := range []struct {
+		name string
+		db   func() *DB
+	}{{"weighted", Open}, {"incomplete", OpenIncomplete}} {
+		for _, sql := range []string{
+			"select conf, conf from R",
+			"select possible K, conf from R",
+			"select K from R repair by key K choice of V",
+			"select K from R group worlds by (select V from R)",
+			"select K from R repair by key K union select K from R",
+			"select possible K from R group worlds by (select V from R where exists (select conf from R))",
+			"select conf from R",
+			"select K from R repair by key K weight V",
+			"select K from R union select possible K from R",
+			"select possible K from R repair by key K",
+		} {
+			t.Run(open.name+"/"+sql, func(t *testing.T) {
+				db := open.db()
+				if err := db.Register("R", []string{"K", "V"}, [][]any{{1, 1}, {1, 2}, {2, 3}}); err != nil {
+					t.Fatal(err)
+				}
+				_, xerr := db.Exec("EXPLAIN " + sql)
+				_, err := db.Exec(sql)
+				if (err == nil) != (xerr == nil) || err != nil && xerr.Error() != err.Error() {
+					t.Errorf("EXPLAIN error = %v, want Exec's %v", xerr, err)
+				}
+			})
+		}
+	}
+}
+
 // TestTableRefusalTraced: a statement the refusal table stops before it
 // runs is counted and traced like route's refusals — route=refused on the
 // trace and in maybms_route_total — and the trace names the row.

@@ -83,8 +83,12 @@ func (s *Session) explainPlan(b *strings.Builder, stmt sqlparse.Statement) error
 		return nil
 	}
 
-	// Mirror evalQuery's strip of the I-SQL clauses; the leftover core is
-	// what compiles to the per-world plan.
+	// Execution's checks and strip, before anything prints; the leftover
+	// core is what compiles to the per-world plan.
+	core, _, err := isqlCore(sel, s.set.Weighted)
+	if err != nil {
+		return err
+	}
 	switch {
 	case sel.Repair != nil:
 		fmt.Fprintf(b, "split: repair key (%s)\n", strings.Join(sel.Repair.Key, ", "))
@@ -99,17 +103,7 @@ func (s *Session) explainPlan(b *strings.Builder, stmt sqlparse.Statement) error
 	}
 	fmt.Fprintf(b, "closure: %s\n", naiveClosure(sel))
 
-	core := *sel
-	core.Quantifier = sqlparse.QuantNone
-	core.Repair, core.Choice, core.Assert, core.GroupWorlds = nil, nil, nil, nil
-	items := make([]sqlparse.SelectItem, 0, len(sel.Items))
-	for _, it := range sel.Items {
-		if _, ok := it.Expr.(sqlparse.ConfExpr); !ok {
-			items = append(items, it)
-		}
-	}
-	core.Items = items
-	prep, err := s.preparedFull(&core, s.set.Worlds[0])
+	prep, err := s.preparedFull(core, s.set.Worlds[0])
 	if err != nil {
 		return err
 	}

@@ -65,23 +65,34 @@ func TestInterruptAbortsSingleWorldEval(t *testing.T) {
 }
 
 // TestInterruptAbortsSubqueryEval: the hook is discovered through the
-// context chain, so scans inside correlated subqueries poll it too.
+// context chain, so scans inside subqueries poll it too — in a SELECT and in
+// the row rewrite of an UPDATE or DELETE, which then leave the table as it
+// was.
 func TestInterruptAbortsSubqueryEval(t *testing.T) {
-	s := NewSession(true)
-	if err := s.Register("B", bigRelation(2000)); err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("boom")
-	var polls atomic.Int64
-	s.SetInterrupt(func() error {
-		if polls.Add(1) > 4 {
-			return boom
+	for _, sql := range []string{
+		"select count(*) from B b1 where exists (select * from B b2 where b2.X = b1.X + 3000)",
+		"update B set X = 1 where exists (select * from B b2 where b2.X = -1)",
+		"delete from B where exists (select * from B b2 where b2.X = -1)",
+	} {
+		s := NewSession(true)
+		if err := s.Register("B", bigRelation(2000)); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	_, err := s.Exec("select count(*) from B b1 where exists (select * from B b2 where b2.X = b1.X + 3000)")
-	if !errors.Is(err, boom) {
-		t.Fatalf("interrupted subquery eval = %v, want boom", err)
+		before, _ := s.Set().Worlds[0].Lookup("B")
+		boom := errors.New("boom")
+		var polls atomic.Int64
+		s.SetInterrupt(func() error {
+			if polls.Add(1) > 4 {
+				return boom
+			}
+			return nil
+		})
+		if _, err := s.Exec(sql); !errors.Is(err, boom) {
+			t.Fatalf("%s: interrupted subquery eval = %v, want boom", sql, err)
+		}
+		if after, _ := s.Set().Worlds[0].Lookup("B"); after != before {
+			t.Errorf("%s: an interrupted statement changed B", sql)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -40,46 +39,18 @@ func cacheKey(prefix, text string, rep *world.World) string {
 	return fmt.Sprintf("%s\x00%s\x00%x", prefix, text, rep.SchemaFingerprint())
 }
 
-// cachedTemplate returns the template under key when it is present and
-// still binds against the current schemas, else compiles and caches a fresh
-// one. The validation bind is discarded (world 0 binds again in the
-// per-world pass): one extra bind per statement is cheap next to
-// compilation, and it revalidates shared-cache hits against this session's
-// own catalog — a stale or fingerprint-colliding entry degrades to a
-// recompile, never a wrong answer.
-func cachedTemplate[T any](s *Session, key string, valid func(T) bool, compile func() (T, error)) (T, error) {
-	sp := s.trace.Begin("plan")
-	defer sp.End(s.trace)
-	if v, ok := s.plans.Get(key); ok {
-		if p, ok := v.(T); ok && valid(p) {
-			s.planHits.Add(1)
-			sp.Set("cache", "hit")
-			return p, nil
-		}
-	}
-	s.planMisses.Add(1)
-	sp.Set("cache", "miss")
-	p, err := compile()
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	s.plans.Put(key, p)
-	return p, nil
-}
-
 // preparedFull returns a compile-once template for the plain-SQL core stmt.
 func (s *Session) preparedFull(stmt *sqlparse.SelectStmt, rep *world.World) (*plan.Prepared, error) {
-	return cachedTemplate(s, cacheKey("q", stmt.String(), rep),
-		func(p *plan.Prepared) bool { _, err := p.Bind(rep); return err == nil },
+	return plan.Cached(s.plans, s.trace, &s.lookups, cacheKey("q", stmt.String(), rep),
+		func(p *plan.Prepared) error { _, err := p.Bind(rep); return err },
 		func() (*plan.Prepared, error) { return plan.Prepare(stmt, rep) })
 }
 
 // preparedFromWhere is preparedFull for the FROM/WHERE part of a
 // world-splitting statement.
 func (s *Session) preparedFromWhere(stmt *sqlparse.SelectStmt, rep *world.World) (*plan.PreparedFromWhere, error) {
-	return cachedTemplate(s, cacheKey("fw", stmt.String(), rep),
-		func(p *plan.PreparedFromWhere) bool { _, err := p.Bind(rep); return err == nil },
+	return plan.Cached(s.plans, s.trace, &s.lookups, cacheKey("fw", stmt.String(), rep),
+		func(p *plan.PreparedFromWhere) error { _, err := p.Bind(rep); return err },
 		func() (*plan.PreparedFromWhere, error) { return plan.PrepareFromWhere(stmt, rep) })
 }
 
@@ -87,32 +58,61 @@ func (s *Session) preparedFromWhere(stmt *sqlparse.SelectStmt, rep *world.World)
 // world-splitting statement; the key includes the intermediate schema so a
 // changed FROM/WHERE shape recompiles.
 func (s *Session) preparedOnRelation(stmt *sqlparse.SelectStmt, in *plan.PreparedFromWhere, rep *world.World) (*plan.PreparedOnRelation, error) {
-	return cachedTemplate(s, cacheKey("or", stmt.String()+"\x00"+in.Schema().String(), rep),
-		func(p *plan.PreparedOnRelation) bool {
-			_, err := p.Bind(relation.New(in.Schema()), rep)
-			return err == nil
-		},
+	return plan.Cached(s.plans, s.trace, &s.lookups, cacheKey("or", stmt.String()+"\x00"+in.Schema().String(), rep),
+		func(p *plan.PreparedOnRelation) error { _, err := p.Bind(relation.New(in.Schema()), rep); return err },
 		func() (*plan.PreparedOnRelation, error) { return plan.PrepareOnRelation(stmt, in.Schema(), rep) })
 }
 
 // preparedPredicate is preparedFull for an ASSERT condition.
 func (s *Session) preparedPredicate(e sqlparse.Expr, rep *world.World) (*plan.PreparedPredicate, error) {
-	return cachedTemplate(s, cacheKey("a", e.String(), rep),
-		func(p *plan.PreparedPredicate) bool { _, err := p.Bind(rep); return err == nil },
+	return plan.Cached(s.plans, s.trace, &s.lookups, cacheKey("a", e.String(), rep),
+		func(p *plan.PreparedPredicate) error { _, err := p.Bind(rep); return err },
 		func() (*plan.PreparedPredicate, error) { return plan.PreparePredicate(e, rep) })
 }
 
-// bindOrBuild instantiates a full-statement template for w, falling back to
-// per-world compilation when w's schemas diverged from the template's.
-func bindOrBuild(p *plan.Prepared, stmt *sqlparse.SelectStmt, w *world.World) (algebra.Operator, error) {
-	op, err := p.Bind(w)
-	if err == nil {
-		return op, nil
+// isqlCore checks a SELECT's I-SQL clauses and strips them, leaving the
+// plain-SQL core every world evaluates; conf reports a CONF item. Execution
+// and EXPLAIN both call it before anything compiles, so a statement one
+// refuses the other refuses with the same error. I-SQL inside a UNION arm
+// or a subquery is the planner's to refuse.
+func isqlCore(st *sqlparse.SelectStmt, weighted bool) (core *sqlparse.SelectStmt, conf bool, err error) {
+	confCount := 0
+	for _, it := range st.Items {
+		if _, ok := it.Expr.(sqlparse.ConfExpr); ok {
+			confCount++
+		}
 	}
-	if !errors.Is(err, plan.ErrRebind) {
-		return nil, err
+	conf = confCount == 1
+	switch {
+	case confCount > 1:
+		return nil, false, fmt.Errorf("at most one conf item is allowed")
+	case conf && st.Quantifier != sqlparse.QuantNone:
+		return nil, false, fmt.Errorf("conf cannot be combined with %s", st.Quantifier)
+	case conf && !weighted:
+		return nil, false, fmt.Errorf("conf requires a probabilistic session: %w", worldset.ErrNotWeighted)
+	case st.Repair != nil && st.Choice != nil:
+		return nil, false, fmt.Errorf("repair by key and choice of cannot be combined in one statement")
+	case st.Union != nil && (st.Repair != nil || st.Choice != nil || st.Assert != nil || st.GroupWorlds != nil):
+		return nil, false, fmt.Errorf("repair/choice/assert/group-worlds-by cannot be combined with UNION")
+	case !weighted && (st.Repair != nil && st.Repair.Weight != "" || st.Choice != nil && st.Choice.Weight != ""):
+		return nil, false, fmt.Errorf("weight requires a probabilistic session: %w", worldset.ErrNotWeighted)
+	case st.GroupWorlds != nil && sqlparse.HasISQLDeep(st.GroupWorlds):
+		return nil, false, fmt.Errorf("group worlds by subquery must be plain SQL")
+	case st.GroupWorlds != nil && st.Quantifier == sqlparse.QuantNone && !conf:
+		return nil, false, fmt.Errorf("group worlds by requires possible, certain or conf")
 	}
-	return plan.Build(stmt, w)
+	c := *st
+	c.Quantifier = sqlparse.QuantNone
+	c.Repair, c.Choice, c.Assert, c.GroupWorlds = nil, nil, nil, nil
+	if conf {
+		c.Items = make([]sqlparse.SelectItem, 0, len(st.Items)-1)
+		for _, it := range st.Items {
+			if _, ok := it.Expr.(sqlparse.ConfExpr); !ok {
+				c.Items = append(c.Items, it)
+			}
+		}
+	}
+	return &c, conf, nil
 }
 
 // evalQuery runs the full I-SQL SELECT pipeline:
@@ -129,86 +129,31 @@ func bindOrBuild(p *plan.Prepared, stmt *sqlparse.SelectStmt, w *world.World) (a
 // the workers=1 sequential path.
 func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 	weighted := s.set.Weighted
-
-	// ---- validation ----
-	confCount := 0
-	for _, it := range st.Items {
-		if _, ok := it.Expr.(sqlparse.ConfExpr); ok {
-			confCount++
-		}
-	}
-	if confCount > 1 {
-		return nil, fmt.Errorf("at most one conf item is allowed")
-	}
-	hasConf := confCount == 1
-	if hasConf && st.Quantifier != sqlparse.QuantNone {
-		return nil, fmt.Errorf("conf cannot be combined with %s", st.Quantifier)
-	}
-	if hasConf && !weighted {
-		return nil, fmt.Errorf("conf requires a probabilistic session: %w", worldset.ErrNotWeighted)
-	}
-	if st.Repair != nil && st.Choice != nil {
-		return nil, fmt.Errorf("repair by key and choice of cannot be combined in one statement")
+	core, hasConf, err := isqlCore(st, weighted)
+	if err != nil {
+		return nil, err
 	}
 	split := st.Repair != nil || st.Choice != nil
-	if st.Union != nil {
-		if split || st.Assert != nil || st.GroupWorlds != nil {
-			return nil, fmt.Errorf("repair/choice/assert/group-worlds-by cannot be combined with UNION")
-		}
-		for arm := st.Union; arm != nil; arm = arm.Union {
-			if arm.HasISQL() {
-				return nil, fmt.Errorf("I-SQL constructs are not allowed in UNION arms")
-			}
-		}
-	}
-	if !weighted {
-		if st.Repair != nil && st.Repair.Weight != "" || st.Choice != nil && st.Choice.Weight != "" {
-			return nil, fmt.Errorf("weight requires a probabilistic session: %w", worldset.ErrNotWeighted)
-		}
-	}
-	if st.GroupWorlds != nil {
-		if st.GroupWorlds.HasISQL() {
-			return nil, fmt.Errorf("group worlds by subquery must be plain SQL")
-		}
-		if st.Quantifier == sqlparse.QuantNone && !hasConf {
-			return nil, fmt.Errorf("group worlds by requires possible, certain or conf")
-		}
-	}
-
-	// ---- strip the I-SQL clauses, leaving the plain-SQL core ----
-	core := *st
-	core.Quantifier = sqlparse.QuantNone
-	core.Repair, core.Choice, core.Assert, core.GroupWorlds = nil, nil, nil, nil
-	if hasConf {
-		items := make([]sqlparse.SelectItem, 0, len(st.Items)-1)
-		for _, it := range st.Items {
-			if _, ok := it.Expr.(sqlparse.ConfExpr); !ok {
-				items = append(items, it)
-			}
-		}
-		core.Items = items
-	}
 
 	// ---- per-world evaluation, with world splitting ----
 	var worlds []*world.World
 	var results []*relation.Relation
 	esp := s.trace.Begin("eval")
 	if split {
-		var err error
-		worlds, results, err = s.evalSplit(st, &core)
+		worlds, results, err = s.evalSplit(st, core)
 		if err != nil {
 			esp.End(s.trace)
 			return nil, err
 		}
 	} else {
 		worlds = s.set.Worlds
-		prep, err := s.preparedFull(&core, worlds[0])
+		prep, err := s.preparedFull(core, worlds[0])
 		if err != nil {
 			esp.End(s.trace)
 			return nil, err
 		}
 		results, err = mapWorlds(s, len(worlds), func(i int) (*relation.Relation, error) {
-			op, err := bindOrBuild(prep, &core, worlds[i])
+			op, err := prep.Bind(worlds[i])
 			if err != nil {
 				return nil, err
 			}
@@ -232,13 +177,7 @@ func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 		oks, err := mapWorlds(s, len(worlds), func(i int) (bool, error) {
 			pred, err := aPrep.BindInterrupt(worlds[i], s.interrupt)
 			if err != nil {
-				if !errors.Is(err, plan.ErrRebind) {
-					return false, err
-				}
-				pred, err = plan.BuildPredicateInterrupt(st.Assert, worlds[i], s.interrupt)
-				if err != nil {
-					return false, err
-				}
+				return false, err
 			}
 			return pred()
 		})
@@ -286,7 +225,7 @@ func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 			return nil, err
 		}
 		keys, err := mapWorlds(s, len(worlds), func(i int) (uint64, error) {
-			op, err := bindOrBuild(gwPrep, st.GroupWorlds, worlds[i])
+			op, err := gwPrep.Bind(worlds[i])
 			if err != nil {
 				return 0, err
 			}
@@ -365,13 +304,7 @@ func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt) 
 		w := parents[i]
 		irOp, err := fwPrep.Bind(w)
 		if err != nil {
-			if !errors.Is(err, plan.ErrRebind) {
-				return nil, err
-			}
-			irOp, err = plan.BuildFromWhere(core, w)
-			if err != nil {
-				return nil, err
-			}
+			return nil, err
 		}
 		ir, err := algebra.Collect(irOp, s.rootCtx())
 		if err != nil {
@@ -454,13 +387,7 @@ func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt) 
 		}
 		op, err := orPrep.Bind(tk.p.rel, child)
 		if err != nil {
-			if !errors.Is(err, plan.ErrRebind) {
-				return evaled{}, err
-			}
-			op, err = plan.BuildOnRelation(core, tk.p.rel, child)
-			if err != nil {
-				return evaled{}, err
-			}
+			return evaled{}, err
 		}
 		res, err := algebra.Collect(op, s.rootCtx())
 		if err != nil {

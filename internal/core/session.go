@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"maybms/internal/exec"
 	"maybms/internal/expr"
@@ -59,11 +58,10 @@ type Session struct {
 	// currently executing. Like interrupt it is installed per statement
 	// (statements on one session run serially) and cleared after.
 	trace *obs.Trace
-	// planHits/planMisses attribute plan-cache lookups to this session
-	// (the default cache is process-global; see the server's SessionInfo).
-	planHits   atomic.Uint64
-	planMisses atomic.Uint64
-	nextWorld  int
+	// lookups attributes plan-cache lookups to this session (the default
+	// cache is process-global; see the server's SessionInfo).
+	lookups   plan.Lookups
+	nextWorld int
 }
 
 // SetWorkers sets the per-world parallelism of the session (and of its
@@ -106,7 +104,7 @@ func (s *Session) SetTrace(t *obs.Trace) { s.trace = t }
 // PlanCacheCounts returns this session's plan-cache lookup attribution:
 // templates found valid in the cache vs. compiled fresh on its behalf.
 func (s *Session) PlanCacheCounts() (hits, misses uint64) {
-	return s.planHits.Load(), s.planMisses.Load()
+	return s.lookups.Counts()
 }
 
 // rootCtx returns the outer evaluation context for top-level plan
@@ -240,9 +238,15 @@ func (s *Session) ExecStmt(stmt sqlparse.Statement) (*Result, error) {
 	case *sqlparse.Insert:
 		return s.execInsert(st)
 	case *sqlparse.Update:
-		return s.execUpdate(st)
+		return s.execDML(st, st.Table, "updated %d row(s) across %d world(s)", s.keys[strings.ToLower(st.Table)],
+			func(sch *schema.Schema, cat plan.Catalog) (*plan.PreparedDML, error) {
+				return plan.PrepareUpdateStmt(st, sch, cat)
+			})
 	case *sqlparse.Delete:
-		return s.execDelete(st)
+		return s.execDML(st, st.Table, "deleted %d row(s) across %d world(s)", nil,
+			func(sch *schema.Schema, cat plan.Catalog) (*plan.PreparedDML, error) {
+				return plan.PrepareDeleteStmt(st, sch, cat)
+			})
 	case *sqlparse.Drop:
 		return s.execDrop(st)
 	case *sqlparse.Explain:
@@ -364,110 +368,23 @@ func checkKey(rel *relation.Relation, key []string) error {
 	return nil
 }
 
-// updateTemplate is the compile-once form of an UPDATE's SET/WHERE clauses:
-// set-column indexes and expression templates compiled against one world's
-// table schema. Worlds whose table schema is identical bind the templates;
-// any other world recompiles, preserving exact sequential semantics.
-type updateTemplate struct {
-	sch      *schema.Schema
-	setIdx   []int
-	setExprs []*plan.PreparedExpr
-	pred     *plan.PreparedExpr
-}
-
-func prepareUpdate(st *sqlparse.Update, sch *schema.Schema, cat plan.Catalog) (*updateTemplate, error) {
-	t := &updateTemplate{
-		sch:      sch,
-		setIdx:   make([]int, len(st.Set)),
-		setExprs: make([]*plan.PreparedExpr, len(st.Set)),
-	}
-	for j, sc := range st.Set {
-		idx, err := sch.Resolve("", sc.Column)
-		if err != nil {
-			return nil, err
-		}
-		low, err := plan.PrepareRowExpr(sc.Value, sch, cat)
-		if err != nil {
-			return nil, err
-		}
-		t.setIdx[j], t.setExprs[j] = idx, low
-	}
-	if st.Where != nil {
-		p, err := plan.PrepareRowExpr(st.Where, sch, cat)
-		if err != nil {
-			return nil, err
-		}
-		t.pred = p
-	}
-	return t, nil
-}
-
-// bindRowExpr instantiates a prepared row expression for w, reporting
-// ok = false when w's catalog diverged from compile time (the caller must
-// recompile); errors other than plan.ErrRebind are returned as-is.
-func bindRowExpr(p *plan.PreparedExpr, w *world.World) (expr.Expr, bool, error) {
-	e, err := p.Bind(w)
-	if err == nil {
-		return e, true, nil
-	}
-	if !errors.Is(err, plan.ErrRebind) {
-		return nil, false, err
-	}
-	return nil, false, nil
-}
-
-// bind instantiates the template for one world; ok is false when the
-// world's table schema or catalog diverged and the caller must recompile.
-func (t *updateTemplate) bind(sch *schema.Schema, w *world.World) (setExprs []expr.Expr, pred expr.Expr, ok bool, err error) {
-	if !sch.Identical(t.sch) {
-		return nil, nil, false, nil
-	}
-	setExprs = make([]expr.Expr, len(t.setExprs))
-	for j, p := range t.setExprs {
-		e, bound, err := bindRowExpr(p, w)
-		if err != nil || !bound {
-			return nil, nil, false, err
-		}
-		setExprs[j] = e
-	}
-	if t.pred != nil {
-		e, bound, err := bindRowExpr(t.pred, w)
-		if err != nil || !bound {
-			return nil, nil, false, err
-		}
-		pred = e
-	}
-	return setExprs, pred, true, nil
-}
-
-// bindOrCompileRowExpr instantiates a prepared row expression for w,
-// recompiling against w's own schema and catalog when they diverged from
-// compile time (the exact per-world path of the sequential engine).
-func bindOrCompileRowExpr(tmpl *plan.PreparedExpr, tmplSchema *schema.Schema, src sqlparse.Expr, sch *schema.Schema, w *world.World) (expr.Expr, error) {
-	if sch.Identical(tmplSchema) {
-		e, ok, err := bindRowExpr(tmpl, w)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return e, nil
-		}
-	}
-	return plan.BuildRowExpr(src, sch, w)
-}
-
-// execUpdate applies the SET clauses to the rows matching WHERE, in every
-// world; a resulting key violation in any world aborts the statement.
-// Candidate relations are built in parallel (worlds are independent); the
-// SET/WHERE expressions compile once and bind per world.
-func (s *Session) execUpdate(st *sqlparse.Update) (*Result, error) {
-	key := s.keys[strings.ToLower(st.Table)]
+// execDML applies an UPDATE or DELETE to table in every world: the
+// statement compiles once through the plan cache (prepare), and each world
+// binds the template and runs its row rewrite — the template and rewrite
+// the compact engine runs per piece. Candidate relations are built in
+// parallel and committed only when every world succeeds; with key set (an
+// UPDATE of a table with a declared primary key) a violation in any world
+// aborts the statement. msg reports the changed rows and the world count.
+func (s *Session) execDML(st sqlparse.Statement, table, msg string, key []string,
+	prepare func(*schema.Schema, plan.Catalog) (*plan.PreparedDML, error)) (*Result, error) {
 	worlds := s.set.Worlds
-	rep, err := worlds[0].Lookup(st.Table)
+	rep, err := worlds[0].Lookup(table)
 	if err != nil {
 		return nil, err
 	}
-	tmpl, err := prepareUpdate(st, rep.Schema, worlds[0])
+	tmpl, err := plan.Cached(s.plans, s.trace, &s.lookups, cacheKey("dml", st.String(), worlds[0]),
+		func(p *plan.PreparedDML) error { _, err := p.Bind(worlds[0], nil); return err },
+		func() (*plan.PreparedDML, error) { return prepare(rep.Schema, worlds[0]) })
 	if err != nil {
 		return nil, err
 	}
@@ -477,60 +394,19 @@ func (s *Session) execUpdate(st *sqlparse.Update) (*Result, error) {
 	}
 	cands, err := mapWorlds(s, len(worlds), func(i int) (cand, error) {
 		w := worlds[i]
-		cur, err := w.Lookup(st.Table)
+		cur, err := w.Lookup(table)
 		if err != nil {
 			return cand{}, err
 		}
-		sch := cur.Schema
-		setIdx := tmpl.setIdx
-		setExprs, pred, ok, err := tmpl.bind(sch, w)
+		bound, err := tmpl.Bind(w, s.interrupt)
 		if err != nil {
 			return cand{}, err
 		}
-		if !ok {
-			// Schema or catalog diverged: recompile against this world —
-			// the same code path as the shared template, so errors and
-			// semantics match the sequential engine exactly.
-			wtmpl, err := prepareUpdate(st, sch, w)
-			if err != nil {
-				return cand{}, err
-			}
-			setIdx = wtmpl.setIdx
-			setExprs, pred, ok, err = wtmpl.bind(sch, w)
-			if err != nil {
-				return cand{}, err
-			}
-			if !ok {
-				return cand{}, fmt.Errorf("internal: update template compiled against world %s failed to bind it", w.Name)
-			}
+		rows, changed, err := bound.Apply(cur.Rows())
+		if err != nil {
+			return cand{}, err
 		}
-		next := relation.New(sch)
-		changed := 0
-		for _, t := range cur.Rows() {
-			ctx := &expr.Context{Schema: sch, Tuple: t}
-			match := true
-			if pred != nil {
-				v, err := pred.Eval(ctx)
-				if err != nil {
-					return cand{}, err
-				}
-				match = v.Truth()
-			}
-			if !match {
-				next.AppendRow(t)
-				continue
-			}
-			nt := t.Clone()
-			for j := range setExprs {
-				v, err := setExprs[j].Eval(ctx)
-				if err != nil {
-					return cand{}, err
-				}
-				nt[setIdx[j]] = v
-			}
-			next.AppendRow(nt)
-			changed++
-		}
+		next := relation.FromRowsShared(cur.Schema, rows)
 		if len(key) > 0 {
 			if err := checkKey(next, key); err != nil {
 				return cand{}, fmt.Errorf("%w in world %s (statement discarded in all worlds)", err, w.Name)
@@ -543,75 +419,10 @@ func (s *Session) execUpdate(st *sqlparse.Update) (*Result, error) {
 	}
 	total := 0
 	for i, w := range worlds {
-		w.Put(st.Table, cands[i].rel)
+		w.Put(table, cands[i].rel)
 		total += cands[i].changed
 	}
-	return &Result{Kind: ResultOK, Msg: fmt.Sprintf("updated %d row(s) across %d world(s)", total, len(worlds)), Weighted: s.set.Weighted}, nil
-}
-
-// execDelete removes matching rows in every world, in parallel, with the
-// WHERE predicate compiled once and bound per world.
-func (s *Session) execDelete(st *sqlparse.Delete) (*Result, error) {
-	worlds := s.set.Worlds
-	rep, err := worlds[0].Lookup(st.Table)
-	if err != nil {
-		return nil, err
-	}
-	var tmplPred *plan.PreparedExpr
-	if st.Where != nil {
-		tmplPred, err = plan.PrepareRowExpr(st.Where, rep.Schema, worlds[0])
-		if err != nil {
-			return nil, err
-		}
-	}
-	repSchema := rep.Schema
-	type cand struct {
-		rel     *relation.Relation
-		changed int
-	}
-	cands, err := mapWorlds(s, len(worlds), func(i int) (cand, error) {
-		w := worlds[i]
-		cur, err := w.Lookup(st.Table)
-		if err != nil {
-			return cand{}, err
-		}
-		sch := cur.Schema
-		var pred expr.Expr
-		if st.Where != nil {
-			pred, err = bindOrCompileRowExpr(tmplPred, repSchema, st.Where, sch, w)
-			if err != nil {
-				return cand{}, err
-			}
-		}
-		next := relation.New(sch)
-		changed := 0
-		for _, t := range cur.Rows() {
-			if pred != nil {
-				v, err := pred.Eval(&expr.Context{Schema: sch, Tuple: t})
-				if err != nil {
-					return cand{}, err
-				}
-				if v.Truth() {
-					changed++
-					continue
-				}
-			} else {
-				changed++
-				continue
-			}
-			next.AppendRow(t)
-		}
-		return cand{rel: next, changed: changed}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for i, w := range worlds {
-		w.Put(st.Table, cands[i].rel)
-		total += cands[i].changed
-	}
-	return &Result{Kind: ResultOK, Msg: fmt.Sprintf("deleted %d row(s) across %d world(s)", total, len(worlds)), Weighted: s.set.Weighted}, nil
+	return &Result{Kind: ResultOK, Msg: fmt.Sprintf(msg, total, len(worlds)), Weighted: s.set.Weighted}, nil
 }
 
 // freshWorldName mints a lineage-based child world name.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/tuple"
@@ -171,6 +172,29 @@ func TestDelete(t *testing.T) {
 	res = mustExec(t, s, "select * from P")
 	if !res.PerWorld[0].Rel.Empty() {
 		t.Error("unconditional delete must empty the table")
+	}
+}
+
+// TestDMLCompilesThroughPlanCache: UPDATE and DELETE compile once, through
+// the plan cache like every other template — the same text again is a hit
+// and compiles nothing.
+func TestDMLCompilesThroughPlanCache(t *testing.T) {
+	s := NewSession(true)
+	s.SetPlanCache(plan.NewCache(0))
+	mustExec(t, s, "create table P (A)")
+	mustExec(t, s, "insert into P values (1), (2), (3)")
+	for _, sql := range []string{"update P set A = A + 1 where A > 1", "delete from P where A > 3"} {
+		for run, compiles := range []uint64{1, 0} {
+			prepares := plan.PrepareCount()
+			hits, _ := s.PlanCacheCounts()
+			mustExec(t, s, sql)
+			if got := plan.PrepareCount() - prepares; got != compiles {
+				t.Errorf("%s, run %d: %d compilations, want %d", sql, run+1, got, compiles)
+			}
+			if got, _ := s.PlanCacheCounts(); got-hits != 1-compiles {
+				t.Errorf("%s, run %d: %d cache hits, want %d", sql, run+1, got-hits, 1-compiles)
+			}
+		}
 	}
 }
 

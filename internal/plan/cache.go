@@ -10,14 +10,16 @@ package plan
 // with divergent schemas occupy separate slots instead of thrashing a
 // shared one.
 //
-// Sessions still revalidate every hit by binding the template against
-// their own representative world (see internal/core's cachedTemplate), so
-// a stale or colliding entry degrades to a recompile, never to a wrong
-// answer.
+// Both engines look templates up through Cached, which revalidates every
+// hit by binding the template against the session's own catalog, so a stale
+// or colliding entry degrades to a recompile, never to a wrong answer.
 
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
+
+	"maybms/internal/obs"
 )
 
 // DefaultCacheCapacity bounds the shared cache. Each entry is a compiled
@@ -152,3 +154,40 @@ var sharedCache = NewCache(DefaultCacheCapacity)
 
 // SharedCache returns the process-wide template cache.
 func SharedCache() *Cache { return sharedCache }
+
+// Lookups attributes plan-cache lookups to one session: templates found
+// valid in the cache vs. compiled fresh on its behalf. The zero value is
+// ready to use.
+type Lookups struct {
+	hits, misses atomic.Uint64
+}
+
+// Counts returns the hits and misses so far.
+func (l *Lookups) Counts() (hits, misses uint64) { return l.hits.Load(), l.misses.Load() }
+
+// Cached returns the template under key when it is present and still binds
+// against the caller's catalog, else compiles it, stores it under key and
+// returns it. bind is the validation bind: its error (ErrRebind — the
+// catalog lacks a table or a column the template reads) marks the entry
+// stale. Every lookup opens a "plan" span on tr with cache=hit|miss and
+// counts on l.
+func Cached[T any](c *Cache, tr *obs.Trace, l *Lookups, key string, bind func(T) error, compile func() (T, error)) (T, error) {
+	sp := tr.Begin("plan")
+	defer sp.End(tr)
+	if v, ok := c.Get(key); ok {
+		if p, ok := v.(T); ok && bind(p) == nil {
+			l.hits.Add(1)
+			sp.Set("cache", "hit")
+			return p, nil
+		}
+	}
+	l.misses.Add(1)
+	sp.Set("cache", "miss")
+	p, err := compile()
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	c.Put(key, p)
+	return p, nil
+}

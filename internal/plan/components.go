@@ -165,12 +165,10 @@ type nodeInfo struct {
 	concat bool // additionally concat-structured (see ComponentAnalysis)
 }
 
-// AnalyzeComponents annotates op (a compiled template tree, as produced by
-// the Prepare* functions) with the components it touches and reports
-// whether it is decomposable. Unknown operators are treated conservatively
-// as correlating everything they contain.
-func AnalyzeComponents(op algebra.Operator, cc ComponentCatalog) (*ComponentAnalysis, error) {
-	info, err := analyzeOp(op, cc)
+// Analyze annotates the template's operator tree with the components it
+// touches and reports whether it is decomposable.
+func (p *Prepared) Analyze(cc ComponentCatalog) (*ComponentAnalysis, error) {
+	info, err := analyzeOp(p.op, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -179,11 +177,6 @@ func AnalyzeComponents(op algebra.Operator, cc ComponentCatalog) (*ComponentAnal
 		Decomposable: info.decomp,
 		Concat:       info.decomp && info.concat,
 	}, nil
-}
-
-// Analyze runs AnalyzeComponents on the template's operator tree.
-func (p *Prepared) Analyze(cc ComponentCatalog) (*ComponentAnalysis, error) {
-	return AnalyzeComponents(p.op, cc)
 }
 
 func analyzeOp(op algebra.Operator, cc ComponentCatalog) (nodeInfo, error) {

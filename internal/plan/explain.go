@@ -8,14 +8,14 @@ import (
 	"maybms/internal/schema"
 )
 
-// ExplainOp renders an operator tree for EXPLAIN: one node per line,
+// explainOp renders an operator tree for EXPLAIN: one node per line,
 // children indented two spaces. Planner table scans print their catalog
 // name; annotate (optional) returns extra text appended to a table scan's
 // line — the WSD executor uses it for per-table component annotations.
 //
 // The renderer understands every operator the planner emits; an operator
 // added without a case here still renders, as its Go type name.
-func ExplainOp(op algebra.Operator, annotate func(table string) string) string {
+func explainOp(op algebra.Operator, annotate func(table string) string) string {
 	var b strings.Builder
 	explainNode(&b, op, 0, annotate)
 	return b.String()
@@ -23,12 +23,12 @@ func ExplainOp(op algebra.Operator, annotate func(table string) string) string {
 
 // ExplainTree renders the compiled template's operator tree.
 func (p *Prepared) ExplainTree(annotate func(table string) string) string {
-	return ExplainOp(p.op, annotate)
+	return explainOp(p.op, annotate)
 }
 
 // ExplainTree renders the FROM/WHERE template's operator tree.
 func (p *PreparedFromWhere) ExplainTree(annotate func(table string) string) string {
-	return ExplainOp(p.op, annotate)
+	return explainOp(p.op, annotate)
 }
 
 func explainNode(b *strings.Builder, op algebra.Operator, depth int, annotate func(string) string) {

@@ -5,9 +5,9 @@
 // into enclosing queries), star expansion, aggregate detection and
 // rewriting, and subquery compilation. The I-SQL constructs (possible /
 // certain / conf, repair, choice, assert, group worlds by) are *not*
-// handled here — the possible-worlds engine in internal/core strips them
-// and calls the planner once per world on the plain core; Build rejects any
-// statement still carrying them.
+// handled here — the engines strip them from a statement's head block and
+// compile the plain core once; the planner rejects I-SQL anywhere else
+// (UNION arms, subqueries) with one message per case.
 //
 // One logical rewrite runs between the FROM list and the WHERE (rewrite.go).
 // A FROM list of several bindings compiles to a left-deep chain of joins in
@@ -75,15 +75,11 @@ type CatalogFunc func(name string) (*relation.Relation, error)
 // Lookup implements Catalog.
 func (f CatalogFunc) Lookup(name string) (*relation.Relation, error) { return f(name) }
 
-// Build compiles the plain-SQL core of stmt against cat. It rejects
-// statements that still carry I-SQL constructs.
-func Build(stmt *sqlparse.SelectStmt, cat Catalog) (algebra.Operator, error) {
-	return build(stmt, cat, nil)
-}
-
+// build compiles the plain-SQL core of stmt against cat; outer holds the
+// scopes of the enclosing queries when stmt is a subquery.
 func build(stmt *sqlparse.SelectStmt, cat Catalog, outer []*schema.Schema) (algebra.Operator, error) {
-	if stmt.HasISQL() {
-		return nil, fmt.Errorf("%w: I-SQL construct reached the SQL planner (engine must strip it): %s", ErrPlan, stmt)
+	if err := checkPlain(stmt, outer); err != nil {
+		return nil, err
 	}
 	op, err := buildCore(stmt, cat, outer)
 	if err != nil {
@@ -105,6 +101,22 @@ func build(stmt *sqlparse.SelectStmt, cat Catalog, outer []*schema.Schema) (alge
 		op = u
 	}
 	return op, nil
+}
+
+// checkPlain rejects I-SQL in a statement the planner compiles. The engines
+// strip the constructs of a statement's head block, so I-SQL in a UNION arm
+// or in a subquery (outer != nil) is the statement's own error; in the head
+// block it means an engine did not strip it.
+func checkPlain(stmt *sqlparse.SelectStmt, outer []*schema.Schema) error {
+	switch {
+	case stmt.Union != nil && stmt.Union.HasISQL():
+		return fmt.Errorf("%w: I-SQL constructs are not allowed in UNION arms", ErrPlan)
+	case !stmt.HasISQL():
+		return nil
+	case outer != nil:
+		return fmt.Errorf("%w: I-SQL constructs are not allowed in subqueries", ErrPlan)
+	}
+	return fmt.Errorf("%w: I-SQL construct reached the SQL planner (engine must strip it): %s", ErrPlan, stmt)
 }
 
 // buildCore compiles a single SELECT block (no union chain).

@@ -89,7 +89,7 @@ func run(t *testing.T, cat Catalog, q string) *relation.Relation {
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
-	op, err := Build(stmt.(*sqlparse.SelectStmt), cat)
+	op, err := build(stmt.(*sqlparse.SelectStmt), cat, nil)
 	if err != nil {
 		t.Fatalf("build %q: %v", q, err)
 	}
@@ -106,7 +106,7 @@ func planErr(t *testing.T, cat Catalog, q string) error {
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
-	op, err := Build(stmt.(*sqlparse.SelectStmt), cat)
+	op, err := build(stmt.(*sqlparse.SelectStmt), cat, nil)
 	if err != nil {
 		return err
 	}

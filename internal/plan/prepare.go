@@ -1,22 +1,24 @@
 package plan
 
-// Compile-once plan templates. The possible-worlds engine runs the plain-SQL
-// core of every statement in each world; worlds almost always share their
-// schemas, so all the expensive planning work — name resolution, star
-// expansion, aggregate rewriting, subquery compilation — can happen once
-// against a representative world. The Prepare* functions below compile such
-// a template; Bind instantiates it against another world's catalog by
-// walking the template and constructing fresh operator state with the
-// world's relations swapped into the table scans.
+// Compile-once plan templates. The possible-worlds engines run the plain-SQL
+// core of every statement in each world, and a world-set is a set of
+// databases over one schema: every statement that adds or replaces a
+// relation does so in every world alike. So all the planning work — name
+// resolution, star expansion, aggregate rewriting, subquery compilation —
+// happens once, against any one world (or the decomposition's schemas), and
+// the template binds in all of them. The Prepare* functions below compile
+// such a template; Bind instantiates it against a world's catalog by walking
+// the template and constructing fresh operator state with the world's
+// relations swapped into the table scans. Prepare → Cached → Bind is the one
+// way either engine compiles a statement.
 //
-// Bind validates that every table it rebinds still has the column names the
-// template was compiled against and fails with ErrRebind otherwise; the
-// engine then falls back to full per-world compilation, which preserves
-// exact sequential semantics when worlds have divergent schemas. Bound
-// instances never share mutable state — operator iteration state is always
-// per-instance, and expression trees are shared only when they contain no
-// subqueries (subquery-free expressions are immutable and safe to evaluate
-// concurrently).
+// Bind checks that every table it rebinds still has the column names the
+// template was compiled against and fails with ErrRebind otherwise — a
+// cached entry compiled against other schemas, which Cached treats as stale.
+// Bound instances never share mutable state — operator iteration state is
+// always per-instance, and expression trees are shared only when they
+// contain no subqueries (subquery-free expressions are immutable and safe to
+// evaluate concurrently).
 
 import (
 	"errors"
@@ -28,6 +30,7 @@ import (
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
+	"maybms/internal/tuple"
 )
 
 // prepares counts template compilations process-wide; it makes cache
@@ -39,8 +42,9 @@ var prepares atomic.Uint64
 func PrepareCount() uint64 { return prepares.Load() }
 
 // ErrRebind reports that a template could not be instantiated against a
-// catalog — a table disappeared or its schema diverged from compile time.
-// Callers fall back to per-world compilation.
+// catalog that lacks a table or a column it was compiled against. Under the
+// one-schema invariant only a stale cache entry meets it (Cached recompiles
+// then); a statement that meets it otherwise fails with it.
 var ErrRebind = errors.New("plan rebind failed")
 
 // tableScan is a Scan that remembers which catalog name it was compiled
@@ -427,7 +431,7 @@ func rebindSubquery(sub expr.Subquery, b *binding) (expr.Subquery, error) {
 // stripTemplate drops compile-time tuple data from a compiled tree so a
 // cached template retains only schemas. If the tree holds a node the
 // rebinder does not know (impossible today), the executable tree is kept
-// as-is — Bind then fails with ErrRebind and callers fall back.
+// as-is — Bind then fails with ErrRebind.
 func stripTemplate(op algebra.Operator) algebra.Operator {
 	stripped, err := rebindOp(op, &binding{strip: true})
 	if err != nil {
@@ -455,7 +459,7 @@ type Prepared struct {
 // executed; Bind instantiates it per world.
 func Prepare(stmt *sqlparse.SelectStmt, cat Catalog) (*Prepared, error) {
 	prepares.Add(1)
-	op, err := Build(stmt, cat)
+	op, err := build(stmt, cat, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -463,8 +467,7 @@ func Prepare(stmt *sqlparse.SelectStmt, cat Catalog) (*Prepared, error) {
 }
 
 // Bind instantiates the template against cat. It fails with ErrRebind when
-// cat's schemas diverge from compile time; callers then fall back to
-// per-world compilation.
+// cat lacks a table or a column the template was compiled against.
 func (p *Prepared) Bind(cat Catalog) (algebra.Operator, error) {
 	return rebindOp(p.op, &binding{cat: cat})
 }
@@ -478,11 +481,18 @@ type PreparedFromWhere struct {
 	op algebra.Operator
 }
 
-// PrepareFromWhere compiles the FROM/WHERE part of stmt once; see
-// BuildFromWhere.
+// PrepareFromWhere compiles only the FROM and WHERE clauses of stmt once:
+// Bind yields the pre-projection intermediate, whose schema keeps the FROM
+// qualifiers. REPAIR BY KEY and CHOICE OF split this intermediate before
+// the rest of the query runs (the paper's "select A, B, C from R repair by
+// key A" repairs R, then projects in each repaired world), so the statement
+// must not carry UNION.
 func PrepareFromWhere(stmt *sqlparse.SelectStmt, cat Catalog) (*PreparedFromWhere, error) {
 	prepares.Add(1)
-	op, err := BuildFromWhere(stmt, cat)
+	if stmt.Union != nil {
+		return nil, fmt.Errorf("%w: FROM/WHERE part of a UNION cannot be isolated", ErrPlan)
+	}
+	op, _, err := buildFromWhere(stmt, cat, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -505,14 +515,37 @@ type PreparedOnRelation struct {
 }
 
 // PrepareOnRelation compiles the post-FROM/WHERE part of stmt once against
-// an intermediate of schema in; Bind supplies each piece's actual relation.
+// an intermediate of schema in (PreparedFromWhere's); Bind supplies each
+// piece's actual relation.
 func PrepareOnRelation(stmt *sqlparse.SelectStmt, in *schema.Schema, cat Catalog) (*PreparedOnRelation, error) {
 	prepares.Add(1)
-	op, err := BuildOnRelation(stmt, relation.New(in), cat)
+	op, err := buildOnRelation(stmt, in, cat)
 	if err != nil {
 		return nil, err
 	}
 	return &PreparedOnRelation{op: stripTemplate(op)}, nil
+}
+
+// buildOnRelation compiles the post-FROM/WHERE part of stmt (aggregates,
+// projection, DISTINCT, ORDER BY, LIMIT) over an input scan of schema in.
+func buildOnRelation(stmt *sqlparse.SelectStmt, in *schema.Schema, cat Catalog) (algebra.Operator, error) {
+	if err := checkPlain(stmt, nil); err != nil {
+		return nil, err
+	}
+	if stmt.Union != nil {
+		return nil, fmt.Errorf("%w: UNION cannot be combined with world-splitting clauses", ErrPlan)
+	}
+	from := &inputScan{Scan: algebra.Scan{Rel: relation.New(in)}}
+	e := &env{cat: cat, scopes: []*schema.Schema{in}}
+	aggSpecs, aggKeys := collectAggregates(stmt)
+	if len(aggSpecs) > 0 || len(stmt.GroupBy) > 0 {
+		return buildAggregate(stmt, from, e, aggSpecs, aggKeys, nil)
+	}
+	op, err := projectItems(stmt, from, e)
+	if err != nil {
+		return nil, err
+	}
+	return finishSelect(stmt, op)
 }
 
 // Bind instantiates the template over one split piece in the world cat.
@@ -525,12 +558,15 @@ type PreparedPredicate struct {
 	e expr.Expr
 }
 
+// Predicate is a compiled standalone condition (no row context), evaluated
+// against the catalog it was bound to. NULL counts as false, as in WHERE.
+type Predicate func() (bool, error)
+
 // PreparePredicate compiles an ASSERT condition once; Bind yields the
 // per-world Predicate.
 func PreparePredicate(e sqlparse.Expr, cat Catalog) (*PreparedPredicate, error) {
 	prepares.Add(1)
-	env := &env{cat: cat, scopes: []*schema.Schema{schema.New()}}
-	low, err := env.lower(e)
+	low, err := lowerIn(e, schema.New(), cat)
 	if err != nil {
 		return nil, err
 	}
@@ -550,27 +586,19 @@ func (p *PreparedPredicate) BindInterrupt(cat Catalog, interrupt func() error) (
 	if err != nil {
 		return nil, err
 	}
-	return predicateOf(low, interrupt), nil
+	return func() (bool, error) {
+		ctx := &expr.Context{Schema: schema.New(), Tuple: tuple.Tuple{}, Interrupt: interrupt}
+		v, err := low.Eval(ctx)
+		if err != nil {
+			return false, err
+		}
+		return v.Truth(), nil
+	}, nil
 }
 
-// PreparedExpr is a compiled row-expression template (UPDATE SET values and
-// UPDATE/DELETE WHERE clauses).
-type PreparedExpr struct {
-	e expr.Expr
-}
-
-// PrepareRowExpr compiles a row expression against schema s once; Bind
-// yields the per-world expression.
-func PrepareRowExpr(e sqlparse.Expr, s *schema.Schema, cat Catalog) (*PreparedExpr, error) {
-	low, err := BuildRowExpr(e, s, cat)
-	if err != nil {
-		return nil, err
-	}
-	return &PreparedExpr{e: stripExprTemplate(low)}, nil
-}
-
-// Bind instantiates the expression against cat.
-func (p *PreparedExpr) Bind(cat Catalog) (expr.Expr, error) {
-	low, _, err := rebindExpr(p.e, &binding{cat: cat})
-	return low, err
+// lowerIn compiles an expression evaluated against rows of schema s — the
+// empty schema for a standalone condition or constant.
+func lowerIn(e sqlparse.Expr, s *schema.Schema, cat Catalog) (expr.Expr, error) {
+	env := &env{cat: cat, scopes: []*schema.Schema{s}}
+	return env.lower(e)
 }

@@ -71,7 +71,7 @@ func TestPrepareBindAcrossCatalogs(t *testing.T) {
 		got  string
 		name string
 	}{{w1, got1, "w1"}, {w2, got2, "w2"}} {
-		op, err := Build(stmt, tc.cat)
+		op, err := build(stmt, tc.cat, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,9 +85,11 @@ func TestPrepareBindAcrossCatalogs(t *testing.T) {
 	}
 }
 
-// TestBindSchemaDivergence verifies that binding against a catalog whose
-// table schema changed fails with ErrRebind (the engine's per-world
-// compilation fallback trigger) rather than producing wrong answers.
+// TestBindSchemaDivergence verifies that binding against a catalog that
+// lacks a table or a column of the template fails with ErrRebind rather
+// than producing wrong answers. The worlds of one world-set share one
+// schema, so a session meets this only through a stale cache entry, which
+// plan.Cached recompiles.
 func TestBindSchemaDivergence(t *testing.T) {
 	stmt := mustParseSelect(t, `select a from R`)
 	p, err := Prepare(stmt, mapCatalog{"R": rel(t, []string{"a", "b"}, []int64{1, 2})})

@@ -255,7 +255,7 @@ func TestRewriteWhere(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := ExplainOp(op, nil); got != c.plan {
+			if got := explainOp(op, nil); got != c.plan {
 				t.Errorf("plan:\n%swant:\n%s", got, c.plan)
 			}
 			errs := false

@@ -166,8 +166,6 @@ func projectItems(stmt *sqlparse.SelectStmt, child algebra.Operator, e *env) (al
 			if !matched {
 				return nil, fmt.Errorf("%w: %s matched no columns in %s", ErrPlan, n, inSchema)
 			}
-		case sqlparse.ConfExpr:
-			return nil, fmt.Errorf("%w: conf reached the SQL planner (engine must strip it)", ErrPlan)
 		default:
 			low, err := e.lower(it.Expr)
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"maybms/internal/algebra"
 	"maybms/internal/expr"
+	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
 	"maybms/internal/tuple"
@@ -20,10 +21,14 @@ func parseSel(t *testing.T, q string) *sqlparse.SelectStmt {
 	return stmt.(*sqlparse.SelectStmt)
 }
 
-func TestBuildFromWhere(t *testing.T) {
-	cat := figure1()
-	stmt := parseSel(t, "select A, B from R where A = 'a1'")
-	op, err := BuildFromWhere(stmt, cat)
+// collectFromWhere binds a FROM/WHERE template against cat and drains it.
+func collectFromWhere(t *testing.T, stmt *sqlparse.SelectStmt, cat Catalog) *relation.Relation {
+	t.Helper()
+	fw, err := PrepareFromWhere(stmt, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := fw.Bind(cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,6 +36,36 @@ func TestBuildFromWhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return out
+}
+
+// collectOnRelation compiles the post-FROM/WHERE part of stmt over ir's
+// schema and runs it over ir.
+func collectOnRelation(t *testing.T, stmt *sqlparse.SelectStmt, ir *relation.Relation, cat Catalog) (*relation.Relation, error) {
+	t.Helper()
+	p, err := PrepareOnRelation(stmt, ir.Schema, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := p.Bind(ir, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return algebra.Collect(op, nil)
+}
+
+// predicate compiles a standalone condition and binds it against cat.
+func predicate(t *testing.T, e sqlparse.Expr, cat Catalog) (Predicate, error) {
+	t.Helper()
+	p, err := PreparePredicate(e, cat)
+	if err != nil {
+		return nil, err
+	}
+	return p.Bind(cat)
+}
+
+func TestBuildFromWhere(t *testing.T) {
+	out := collectFromWhere(t, parseSel(t, "select A, B from R where A = 'a1'"), figure1())
 	// The intermediate is pre-projection: all four R columns.
 	if out.Schema.Len() != 4 || out.Len() != 2 {
 		t.Errorf("intermediate = %s, %d rows", out.Schema, out.Len())
@@ -43,7 +78,7 @@ func TestBuildFromWhere(t *testing.T) {
 
 func TestBuildFromWhereRejectsUnion(t *testing.T) {
 	stmt := parseSel(t, "select A from R union select A from R")
-	if _, err := BuildFromWhere(stmt, figure1()); err == nil {
+	if _, err := PrepareFromWhere(stmt, figure1()); err == nil {
 		t.Error("union must be rejected")
 	}
 }
@@ -51,19 +86,7 @@ func TestBuildFromWhereRejectsUnion(t *testing.T) {
 func TestBuildOnRelation(t *testing.T) {
 	cat := figure1()
 	stmt := parseSel(t, "select A, B from R where A = 'a1'")
-	fw, err := BuildFromWhere(stmt, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ir, err := algebra.Collect(fw, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	op, err := BuildOnRelation(stmt, ir, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := algebra.Collect(op, nil)
+	out, err := collectOnRelation(t, stmt, collectFromWhere(t, stmt, cat), cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +98,7 @@ func TestBuildOnRelation(t *testing.T) {
 func TestBuildOnRelationAggregates(t *testing.T) {
 	cat := figure1()
 	stmt := parseSel(t, "select sum(B) from R")
-	fw, _ := BuildFromWhere(stmt, cat)
-	ir, _ := algebra.Collect(fw, nil)
-	op, err := BuildOnRelation(stmt, ir, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := algebra.Collect(op, nil)
+	out, err := collectOnRelation(t, stmt, collectFromWhere(t, stmt, cat), cat)
 	if err != nil || out.Rows()[0][0].AsInt() != 79 {
 		t.Errorf("aggregate over relation = %v, %v", out, err)
 	}
@@ -89,11 +106,11 @@ func TestBuildOnRelationAggregates(t *testing.T) {
 
 func TestBuildOnRelationRejections(t *testing.T) {
 	cat := figure1()
-	ir, _ := algebra.Collect(algebra.NewScan(mkrel([]string{"A"}, []any{1})), nil)
-	if _, err := BuildOnRelation(parseSel(t, "select possible A from R"), ir, cat); err == nil {
+	in := schema.New("A")
+	if _, err := PrepareOnRelation(parseSel(t, "select possible A from R"), in, cat); err == nil {
 		t.Error("I-SQL must be rejected")
 	}
-	if _, err := BuildOnRelation(parseSel(t, "select A from R union select A from R"), ir, cat); err == nil {
+	if _, err := PrepareOnRelation(parseSel(t, "select A from R union select A from R"), in, cat); err == nil {
 		t.Error("union must be rejected")
 	}
 }
@@ -101,7 +118,7 @@ func TestBuildOnRelationRejections(t *testing.T) {
 func TestBuildPredicate(t *testing.T) {
 	cat := figure1()
 	stmt := parseSel(t, "select 1 where exists (select * from R where A = 'a1')")
-	pred, err := BuildPredicate(stmt.Where, cat)
+	pred, err := predicate(t, stmt.Where, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +127,7 @@ func TestBuildPredicate(t *testing.T) {
 		t.Errorf("predicate = %v, %v", ok, err)
 	}
 	stmt = parseSel(t, "select 1 where not exists (select * from R)")
-	pred, err = BuildPredicate(stmt.Where, cat)
+	pred, err = predicate(t, stmt.Where, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +139,7 @@ func TestBuildPredicate(t *testing.T) {
 
 func TestBuildPredicateNullIsFalse(t *testing.T) {
 	stmt := parseSel(t, "select 1 where null = 1")
-	pred, err := BuildPredicate(stmt.Where, figure1())
+	pred, err := predicate(t, stmt.Where, figure1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +151,12 @@ func TestBuildPredicateNullIsFalse(t *testing.T) {
 
 func TestBuildPredicateErrors(t *testing.T) {
 	stmt := parseSel(t, "select 1 where Z = 1")
-	if _, err := BuildPredicate(stmt.Where, figure1()); err == nil {
+	if _, err := predicate(t, stmt.Where, figure1()); err == nil {
 		t.Error("unknown column in standalone predicate must fail at build")
 	}
 	// Runtime errors surface through the closure.
 	stmt = parseSel(t, "select 1 where 1 / 0 = 1")
-	pred, err := BuildPredicate(stmt.Where, figure1())
+	pred, err := predicate(t, stmt.Where, figure1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +167,7 @@ func TestBuildPredicateErrors(t *testing.T) {
 
 func TestBuildScalar(t *testing.T) {
 	stmt := parseSel(t, "select 2 + 3 * 4")
-	low, err := BuildScalar(stmt.Items[0].Expr, figure1())
+	low, err := lowerIn(stmt.Items[0].Expr, schema.New(), figure1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +180,7 @@ func TestBuildScalar(t *testing.T) {
 func TestBuildRowExpr(t *testing.T) {
 	s := schema.New("A", "B")
 	stmt := parseSel(t, "select 1 where B + 1 > 10")
-	low, err := BuildRowExpr(stmt.Where, s, figure1())
+	low, err := lowerIn(stmt.Where, s, figure1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +189,7 @@ func TestBuildRowExpr(t *testing.T) {
 	if err != nil || !v.AsBool() {
 		t.Errorf("row expr = %v, %v", v, err)
 	}
-	if _, err := BuildRowExpr(stmt.Where, schema.New("A"), figure1()); err == nil {
+	if _, err := lowerIn(stmt.Where, schema.New("A"), figure1()); err == nil {
 		t.Error("unknown column must fail")
 	}
 }
@@ -190,7 +207,7 @@ func TestLoweringAllOperators(t *testing.T) {
 	}
 	for _, q := range queries {
 		stmt := parseSel(t, q)
-		op, err := Build(stmt, cat)
+		op, err := build(stmt, cat, nil)
 		if err != nil {
 			t.Fatalf("build %q: %v", q, err)
 		}
@@ -204,7 +221,7 @@ func TestLoweringRejectsStarInExpression(t *testing.T) {
 	// * outside a select item (e.g. as an IN operand) cannot occur
 	// grammatically; the planner's guard is exercised via aggregates.
 	stmt := parseSel(t, "select min(*) from R")
-	if _, err := Build(stmt, figure1()); err == nil {
+	if _, err := build(stmt, figure1(), nil); err == nil {
 		t.Error("min(*) must be rejected")
 	}
 }

@@ -101,11 +101,30 @@ func (s *Set) Normalize() error {
 	return nil
 }
 
-// CheckInvariant validates the set: non-empty, and (when weighted)
-// probabilities in [0,1] summing to 1 within ProbEps.
+// CheckInvariant validates the set: non-empty, one schema — every world
+// binds the same relation names, each with an identical schema, which is
+// what lets a statement compiled against one world bind in all of them —
+// and (when weighted) probabilities in [0,1] summing to 1 within ProbEps.
 func (s *Set) CheckInvariant() error {
 	if len(s.Worlds) == 0 {
 		return ErrEmpty
+	}
+	first := s.Worlds[0]
+	for _, w := range s.Worlds[1:] {
+		if w.Len() != first.Len() {
+			return fmt.Errorf("world %s binds %d relations, world %s %d", w.Name, w.Len(), first.Name, first.Len())
+		}
+		for _, name := range first.Names() {
+			want, _ := first.Lookup(name)
+			got, err := w.Lookup(name)
+			if err != nil {
+				return err
+			}
+			if !got.Schema.Identical(want.Schema) {
+				return fmt.Errorf("relation %s has schema %s in world %s, %s in world %s",
+					name, got.Schema, w.Name, want.Schema, first.Name)
+			}
+		}
 	}
 	if !s.Weighted {
 		return nil

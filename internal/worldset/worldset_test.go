@@ -107,6 +107,35 @@ func TestCheckInvariantDetectsBadSums(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantDetectsSchemaDivergence: a world-set is a set of
+// databases over one schema, so worlds that differ in a relation name or a
+// column name break the invariant.
+func TestCheckInvariantDetectsSchemaDivergence(t *testing.T) {
+	xy := func(cols ...string) *relation.Relation { return relation.New(schema.New(cols...)) }
+	for name, worlds := range map[string][2]map[string]*relation.Relation{
+		"same":          {{"R": xy("X"), "S": xy("Y")}, {"r": xy("X"), "S": xy("Y")}},
+		"relation name": {{"R": xy("X"), "S": xy("Y")}, {"R": xy("X"), "T": xy("Y")}},
+		"column name":   {{"R": xy("X"), "S": xy("Y")}, {"R": xy("X"), "S": xy("Z")}},
+		"extra":         {{"R": xy("X")}, {"R": xy("X"), "S": xy("Y")}},
+	} {
+		s := New(false)
+		var ws []*world.World
+		for i, rels := range worlds {
+			w := world.New(string(rune('a' + i)))
+			for n, r := range rels {
+				w.Put(n, r)
+			}
+			ws = append(ws, w)
+		}
+		if err := s.Replace(ws); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CheckInvariant(); (err == nil) != (name == "same") {
+			t.Errorf("%s: CheckInvariant = %v", name, err)
+		}
+	}
+}
+
 func TestPossible(t *testing.T) {
 	// Example 2.8 shape: per-world sums {44},{49},{50},{55} → union.
 	results := []*relation.Relation{rel(44), rel(49), rel(50), rel(55)}

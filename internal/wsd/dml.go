@@ -48,9 +48,9 @@ func (d *WSD) Update(st *sqlparse.Update) (int, error) {
 		return 0, err
 	}
 	compileCat := d.schemaCatalog()
-	tmpl, err := sharedTemplate(d,
+	tmpl, err := plan.Cached(plan.SharedCache(), d.Trace, &d.lookups,
 		fmt.Sprintf("cdu\x00%s\x00%x", st.String(), d.SchemaFingerprint()),
-		func(p *plan.PreparedDML) bool { _, err := p.Bind(compileCat, nil); return err == nil },
+		func(p *plan.PreparedDML) error { _, err := p.Bind(compileCat, nil); return err },
 		func() (*plan.PreparedDML, error) { return plan.PrepareUpdateStmt(st, sch, compileCat) })
 	if err != nil {
 		return 0, err
@@ -67,9 +67,9 @@ func (d *WSD) Delete(st *sqlparse.Delete) (int, error) {
 		return 0, err
 	}
 	compileCat := d.schemaCatalog()
-	tmpl, err := sharedTemplate(d,
+	tmpl, err := plan.Cached(plan.SharedCache(), d.Trace, &d.lookups,
 		fmt.Sprintf("cdd\x00%s\x00%x", st.String(), d.SchemaFingerprint()),
-		func(p *plan.PreparedDML) bool { _, err := p.Bind(compileCat, nil); return err == nil },
+		func(p *plan.PreparedDML) error { _, err := p.Bind(compileCat, nil); return err },
 		func() (*plan.PreparedDML, error) { return plan.PrepareDeleteStmt(st, sch, compileCat) })
 	if err != nil {
 		return 0, err

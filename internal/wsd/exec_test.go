@@ -38,6 +38,36 @@ func refusalWSD(t *testing.T) *WSD {
 	return d
 }
 
+// TestISQLOutsideTheHeadBlock: I-SQL in a subquery, in a UNION arm or in
+// the GROUP WORLDS BY subquery fails on both engines with the same error,
+// one message per case, and never with the planner's internal "engine must
+// strip it".
+func TestISQLOutsideTheHeadBlock(t *testing.T) {
+	const (
+		sub   = "plan error: I-SQL constructs are not allowed in subqueries"
+		arm   = "plan error: I-SQL constructs are not allowed in UNION arms"
+		group = "group worlds by subquery must be plain SQL"
+	)
+	for _, tc := range []struct{ sql, want string }{
+		{"select K from R where exists (select possible V from I)", sub},
+		{"select possible K from I where V in (select conf from I)", sub},
+		{"update R set V = 1 where exists (select certain V from I)", sub},
+		{"delete from R where K in (select possible K from I)", sub},
+		{"create table X as select K from R where exists (select possible V from I)", sub},
+		{"select possible K from I union select possible K from R", arm},
+		{"select K from R union select possible K from R", arm},
+		{"select possible K from R group worlds by (select V from R where exists (select conf from R))", group},
+	} {
+		d := refusalWSD(t)
+		s := expandSession(t, d)
+		_, cerr := d.Exec(tc.sql)
+		_, nerr := s.Exec(tc.sql)
+		if cerr == nil || nerr == nil || cerr.Error() != tc.want || nerr.Error() != tc.want {
+			t.Errorf("%q: compact %v, naive %v; want %q on both", tc.sql, cerr, nerr, tc.want)
+		}
+	}
+}
+
 // TestRefusalTable runs every row's example: the error wraps ErrUnsupported
 // with the row's text (the per-world row's text is followed by the uncertain
 // relations route names), the trace says route=refused and names the row,

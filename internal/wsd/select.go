@@ -132,32 +132,6 @@ func (d *WSD) SchemaFingerprint() uint64 {
 	return h.Sum64()
 }
 
-// sharedTemplate returns the template under key from the process-wide
-// shared plan cache when it still validates, else compiles and caches a
-// fresh one. A stale or fingerprint-colliding entry degrades to a
-// recompile, never a wrong answer. Lookups are attributed to d (per-session
-// hit/miss counters) and to d.Trace when a statement trace is installed.
-func sharedTemplate[T any](d *WSD, key string, valid func(T) bool, compile func() (T, error)) (T, error) {
-	sp := d.Trace.Begin("plan")
-	defer sp.End(d.Trace)
-	if v, ok := plan.SharedCache().Get(key); ok {
-		if p, ok := v.(T); ok && valid(p) {
-			d.planHits.Add(1)
-			sp.Set("cache", "hit")
-			return p, nil
-		}
-	}
-	d.planMisses.Add(1)
-	sp.Set("cache", "miss")
-	p, err := compile()
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	plan.SharedCache().Put(key, p)
-	return p, nil
-}
-
 // evaluator binds a compiled template per catalog and drains it into a
 // CollectBatch result — columnar when the evaluation ran the batch operators,
 // a zero-copy row-backed batch when it ran the row operators. Which operators
@@ -212,9 +186,9 @@ func (e evaluator) full(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, err
 // the evaluator that binds it per catalog, for this one statement.
 func (d *WSD) prepared(sel *sqlparse.SelectStmt) (*plan.Prepared, evaluator, error) {
 	compileCat := d.schemaCatalog()
-	prep, err := sharedTemplate(d,
+	prep, err := plan.Cached(plan.SharedCache(), d.Trace, &d.lookups,
 		fmt.Sprintf("cq\x00%s\x00%x", sel.String(), d.SchemaFingerprint()),
-		func(p *plan.Prepared) bool { _, err := p.Bind(compileCat); return err == nil },
+		func(p *plan.Prepared) error { _, err := p.Bind(compileCat); return err },
 		func() (*plan.Prepared, error) { return plan.Prepare(sel, compileCat) })
 	if err != nil {
 		return nil, evaluator{}, err
@@ -231,9 +205,9 @@ func (d *WSD) prepared(sel *sqlparse.SelectStmt) (*plan.Prepared, evaluator, err
 func (d *WSD) assertStmt(e sqlparse.Expr) error {
 	touching := sqlparse.ReferencedTables(&sqlparse.SelectStmt{Where: e, Limit: -1})
 	compileCat := d.schemaCatalog()
-	pp, err := sharedTemplate(d,
+	pp, err := plan.Cached(plan.SharedCache(), d.Trace, &d.lookups,
 		fmt.Sprintf("ca\x00%s\x00%x", e.String(), d.SchemaFingerprint()),
-		func(p *plan.PreparedPredicate) bool { _, err := p.Bind(compileCat); return err == nil },
+		func(p *plan.PreparedPredicate) error { _, err := p.Bind(compileCat); return err },
 		func() (*plan.PreparedPredicate, error) { return plan.PreparePredicate(e, compileCat) })
 	if err != nil {
 		return err

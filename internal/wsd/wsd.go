@@ -101,6 +101,7 @@ import (
 
 	"maybms/internal/exec"
 	"maybms/internal/obs"
+	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/tuple"
@@ -225,10 +226,9 @@ type WSD struct {
 	// statements answered through a conditional route plus splits that
 	// created nested components.
 	conditional atomic.Uint64
-	// planHits/planMisses attribute shared-plan-cache lookups to this
-	// decomposition (the cache itself is process-global; see SessionInfo).
-	planHits   atomic.Uint64
-	planMisses atomic.Uint64
+	// lookups attributes shared-plan-cache lookups to this decomposition
+	// (the cache itself is process-global; see SessionInfo).
+	lookups plan.Lookups
 }
 
 // New creates an empty WSD (one world: the empty certain database).
@@ -350,7 +350,7 @@ func (d *WSD) ConditionalCount() uint64 { return d.conditional.Load() }
 // attribution: templates found valid in the process-wide cache vs. compiled
 // fresh on its behalf.
 func (d *WSD) PlanCacheCounts() (hits, misses uint64) {
-	return d.planHits.Load(), d.planMisses.Load()
+	return d.lookups.Counts()
 }
 
 // componentsFor returns the indexes (into the component list) of the

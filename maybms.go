@@ -48,8 +48,10 @@
 // use — so concurrent sessions over identical schemas (a many-session
 // server) reuse each other's compilations. SharedPlanCacheStats and
 // SetSharedPlanCacheCapacity expose the cache; UsePrivatePlanCache
-// detaches one database from it. Worlds whose schemas diverge from the
-// template fall back to per-world compilation transparently.
+// detaches one database from it. A world-set is a set of databases over
+// one schema — every statement that adds or replaces a relation does so in
+// every world — so a template compiled against one world binds in all of
+// them.
 //
 // # Serving I-SQL
 //
