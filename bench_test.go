@@ -612,7 +612,7 @@ func BenchmarkCompactUpdate(b *testing.B) {
 			cdb := compactDirtyDB(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cdb.Update("update Clean set V = V + 1 where V >= 0"); err != nil {
+				if _, err := cdb.Exec("update Clean set V = V + 1 where V >= 0"); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1153,7 +1153,7 @@ func BenchmarkMergeRoute(b *testing.B) {
 			return err
 		}},
 		{"update.uncertain", func(cdb *CompactDB, _ int) error {
-			_, err := cdb.Update("update M set V = V + 1 where V < (select max(V) from M)")
+			_, err := cdb.Exec("update M set V = V + 1 where V < (select max(V) from M)")
 			return err
 		}},
 	}

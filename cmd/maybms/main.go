@@ -4,11 +4,11 @@
 //
 //	maybms [-incomplete] [-compact] [-f script.isql]
 //
-// Without -f it reads statements from stdin (terminated by ';'). -compact
-// runs the shell on the compact world-set-decomposition backend instead
-// of the naive enumerating engine: the statement executor of internal/wsd,
-// which the server's compact sessions run too, over world-sets far beyond
-// enumeration.
+// Without -f it reads statements from stdin (terminated by ';'). The shell
+// holds one engine — the naive enumerating one, or with -compact the
+// world-set-decomposition one, over world-sets far beyond enumeration — and
+// runs every statement through internal/core's statement runner, as the
+// server and the embedding API do.
 // Besides I-SQL, the shell understands the meta commands:
 //
 //	\worlds   print the full world-set (naive) / the decomposition summary (compact)
@@ -31,8 +31,10 @@ import (
 	"os"
 	"strings"
 
-	"maybms"
-	"maybms/internal/sqlparse"
+	"maybms/internal/core"
+	"maybms/internal/obs"
+	"maybms/internal/plan"
+	"maybms/internal/wsd"
 )
 
 func main() {
@@ -41,19 +43,9 @@ func main() {
 	script := flag.String("f", "", "execute the statements in this file and exit")
 	flag.Parse()
 
-	var eng engine
+	var eng core.Engine = core.NewSession(!*incomplete)
 	if *compact {
-		if *incomplete {
-			eng = &compactShell{db: maybms.OpenCompactIncomplete()}
-		} else {
-			eng = &compactShell{db: maybms.OpenCompact()}
-		}
-	} else {
-		if *incomplete {
-			eng = &naiveShell{db: maybms.OpenIncomplete()}
-		} else {
-			eng = &naiveShell{db: maybms.Open()}
-		}
+		eng = wsd.New(!*incomplete)
 	}
 
 	if *script != "" {
@@ -72,26 +64,6 @@ func main() {
 	repl(eng, os.Stdin, os.Stdout)
 }
 
-// engine is the backend the shell drives: statement execution plus the
-// backend-specific meta commands (\worlds, \count, \stats). The
-// backend-independent commands (\quit, \help, unknown) live in repl.
-type engine interface {
-	exec(stmt string) (*maybms.Result, error)
-	// execTraced runs one statement with a fresh span trace installed
-	// (driven by \trace on).
-	execTraced(stmt string) (*maybms.Result, *maybms.Trace, error)
-	// meta handles a backend-specific backslash command; it reports
-	// whether the command was recognized.
-	meta(cmd string, out io.Writer) bool
-}
-
-// printCacheStats renders the shared plan cache counters (common to both
-// backends).
-func printCacheStats(out io.Writer) {
-	st := maybms.SharedPlanCacheStats()
-	fmt.Fprintf(out, "plan cache (shared): hits %d, misses %d, evictions %d\n", st.Hits, st.Misses, st.Evictions)
-}
-
 const helpText = `I-SQL statements end with ';'. Meta commands:
   \worlds  print the full world-set (naive) / the decomposition (compact)
   \count   print the number of worlds
@@ -102,96 +74,56 @@ const helpText = `I-SQL statements end with ';'. Meta commands:
   \trace on|off    print each statement's span trace after its result
   \quit    exit`
 
-// naiveShell drives the enumerating engine.
-type naiveShell struct {
-	db *maybms.DB
-}
-
-func (n *naiveShell) exec(stmt string) (*maybms.Result, error) { return n.db.Exec(stmt) }
-
-func (n *naiveShell) execTraced(stmt string) (*maybms.Result, *maybms.Trace, error) {
-	return n.db.ExecTraced(stmt)
-}
-
-func (n *naiveShell) meta(cmd string, out io.Writer) bool {
-	switch strings.Fields(cmd)[0] {
-	case "\\worlds":
-		for _, w := range n.db.Worlds() {
-			if n.db.Weighted() {
+// printEngine prints the engine-specific lines of \worlds (the naive
+// engine's worlds, each relation in name order; the compact engine's
+// decomposition summary, never enumerated) or \stats.
+func printEngine(eng core.Engine, cmd string, out io.Writer) {
+	switch e := eng.(type) {
+	case *core.Session:
+		if cmd == `\stats` {
+			fmt.Fprintf(out, "worlds: %s\n", e.Worlds())
+			return
+		}
+		for _, w := range e.Set().Worlds {
+			if e.Weighted() {
 				fmt.Fprintf(out, "world %s (P = %.4f)\n", w.Name, w.Prob)
 			} else {
 				fmt.Fprintf(out, "world %s\n", w.Name)
 			}
-			for name, rel := range w.Relations {
+			for _, name := range w.Names() {
+				rel, _ := w.Lookup(name)
 				fmt.Fprintf(out, "%s:\n%s", name, rel)
 			}
 		}
-	case "\\count":
-		fmt.Fprintln(out, n.db.WorldCount(), "world(s)")
-	case "\\stats":
-		fmt.Fprintf(out, "worlds: %d\n", n.db.WorldCount())
-		printCacheStats(out)
-	default:
-		return false
+	case *wsd.WSD:
+		if cmd == `\stats` {
+			fmt.Fprintf(out, "worlds: %s, components: %d, alternatives: %d\n",
+				e.WorldCount(), e.ComponentCount(), e.AlternativeCount())
+			fmt.Fprintf(out, "merges: %d, componentwise: %d, conditional: %d\n",
+				e.MergeCount(), e.ComponentwiseCount(), e.ConditionalCount())
+			return
+		}
+		fmt.Fprintln(out, e)
 	}
-	return true
-}
-
-// compactShell drives the world-set-decomposition engine. The world-set
-// can be astronomically large, so \worlds prints the decomposition
-// summary instead of enumerating.
-type compactShell struct {
-	db *maybms.CompactDB
-}
-
-func (c *compactShell) exec(stmt string) (*maybms.Result, error) { return c.db.Exec(stmt) }
-
-func (c *compactShell) execTraced(stmt string) (*maybms.Result, *maybms.Trace, error) {
-	return c.db.ExecTraced(stmt)
-}
-
-func (c *compactShell) meta(cmd string, out io.Writer) bool {
-	switch strings.Fields(cmd)[0] {
-	case "\\worlds":
-		fmt.Fprintln(out, c.db.String())
-	case "\\count":
-		fmt.Fprintln(out, c.db.WorldCount(), "world(s)")
-	case "\\stats":
-		fmt.Fprintf(out, "worlds: %s, components: %d, alternatives: %d\n",
-			c.db.WorldCount(), c.db.ComponentCount(), c.db.AlternativeCount())
-		fmt.Fprintf(out, "merges: %d, componentwise: %d, conditional: %d\n",
-			c.db.MergeCount(), c.db.ComponentwiseCount(), c.db.ConditionalCount())
-		printCacheStats(out)
-	default:
-		return false
-	}
-	return true
 }
 
 // runScript executes a .isql file statement by statement, printing each
 // statement's result.
-func runScript(eng engine, path string, out io.Writer) error {
+func runScript(eng core.Engine, path string, out io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	stmts, err := sqlparse.ParseScript(string(data))
-	if err != nil {
-		return err
-	}
-	for _, stmt := range stmts {
-		res, err := eng.exec(stmt.String())
-		if err != nil {
-			return fmt.Errorf("executing %q: %w", stmt, err)
-		}
+	results, err := core.ExecScript(eng, string(data))
+	for _, res := range results {
 		fmt.Fprint(out, res)
 	}
-	return nil
+	return err
 }
 
 // repl reads statements (terminated by ';') and meta commands from in,
 // writing results to out, until EOF or \quit.
-func repl(eng engine, in io.Reader, out io.Writer) {
+func repl(eng core.Engine, in io.Reader, out io.Writer) {
 	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
@@ -203,6 +135,20 @@ func repl(eng engine, in io.Reader, out io.Writer) {
 		}
 	}
 	tracing := false
+	// run executes one statement and prints its result or error, then its
+	// span trace when traced.
+	run := func(stmt string, traced bool) {
+		var tr *obs.Trace
+		if traced {
+			tr = obs.NewTrace(stmt)
+		}
+		if res, err := core.ExecTraced(eng, stmt, nil, tr); err != nil {
+			fmt.Fprintln(out, "error:", err)
+		} else {
+			fmt.Fprint(out, res)
+		}
+		fmt.Fprint(out, tr.Render())
+	}
 	prompt()
 	for scanner.Scan() {
 		line := scanner.Text()
@@ -218,10 +164,8 @@ func repl(eng engine, in io.Reader, out io.Writer) {
 				rest := strings.TrimSuffix(strings.TrimSpace(strings.TrimPrefix(trimmed, "\\explain")), ";")
 				if rest == "" {
 					fmt.Fprintln(out, "usage: \\explain <statement>")
-				} else if res, err := eng.exec("EXPLAIN " + rest); err != nil {
-					fmt.Fprintln(out, "error:", err)
 				} else {
-					fmt.Fprint(out, res)
+					run("EXPLAIN "+rest, false)
 				}
 			case "\\import":
 				if len(fields) < 3 {
@@ -232,11 +176,7 @@ func repl(eng engine, in io.Reader, out io.Writer) {
 					if rest := strings.Join(fields[3:], " "); rest != "" {
 						stmt += " " + strings.TrimSuffix(rest, ";")
 					}
-					if res, err := eng.exec(stmt); err != nil {
-						fmt.Fprintln(out, "error:", err)
-					} else {
-						fmt.Fprint(out, res)
-					}
+					run(stmt, false)
 				}
 			case "\\trace":
 				switch {
@@ -249,10 +189,16 @@ func repl(eng engine, in io.Reader, out io.Writer) {
 				default:
 					fmt.Fprintln(out, "usage: \\trace on|off")
 				}
+			case "\\worlds":
+				printEngine(eng, fields[0], out)
+			case "\\count":
+				fmt.Fprintln(out, eng.Worlds(), "world(s)")
+			case "\\stats":
+				printEngine(eng, fields[0], out)
+				st := plan.SharedCache().Stats()
+				fmt.Fprintf(out, "plan cache (shared): hits %d, misses %d, evictions %d\n", st.Hits, st.Misses, st.Evictions)
 			default:
-				if !eng.meta(trimmed, out) {
-					fmt.Fprintln(out, "unknown command; try \\help")
-				}
+				fmt.Fprintln(out, "unknown command; try \\help")
 			}
 			prompt()
 			continue
@@ -260,21 +206,8 @@ func repl(eng engine, in io.Reader, out io.Writer) {
 		buf.WriteString(line)
 		buf.WriteString("\n")
 		if strings.HasSuffix(trimmed, ";") {
-			stmt := buf.String()
+			run(buf.String(), tracing)
 			buf.Reset()
-			if tracing {
-				res, tr, err := eng.execTraced(stmt)
-				if err != nil {
-					fmt.Fprintln(out, "error:", err)
-				} else {
-					fmt.Fprint(out, res)
-				}
-				fmt.Fprint(out, tr.Render())
-			} else if res, err := eng.exec(stmt); err != nil {
-				fmt.Fprintln(out, "error:", err)
-			} else {
-				fmt.Fprint(out, res)
-			}
 		}
 		prompt()
 	}

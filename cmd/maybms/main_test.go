@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
-	"maybms"
+	"maybms/internal/core"
+	"maybms/internal/wsd"
 )
 
 func TestReplSessionFlow(t *testing.T) {
@@ -23,8 +25,8 @@ select possible D from I;
 \quit
 `)
 	var out strings.Builder
-	db := maybms.Open()
-	repl(&naiveShell{db: db}, in, &out)
+	db := core.NewSession(true)
+	repl(db, in, &out)
 	got := out.String()
 	for _, frag := range []string{
 		"maybms> ",        // prompt
@@ -44,10 +46,33 @@ select possible D from I;
 	}
 }
 
+// TestReplWorldsSorted: the naive \worlds lists each world's relations in
+// name order, every time.
+func TestReplWorldsSorted(t *testing.T) {
+	script := "create table E (X);\ncreate table C (X);\ncreate table A (X);\ncreate table D (X);\ncreate table B (X);\n" +
+		strings.Repeat("\\worlds\n", 20)
+	var out strings.Builder
+	repl(core.NewSession(true), strings.NewReader(script), &out)
+	blocks := strings.Split(out.String(), "world w1 (P = 1.0000)\n")[1:]
+	if len(blocks) != 20 {
+		t.Fatalf("%d \\worlds listings, want 20:\n%s", len(blocks), out.String())
+	}
+	header := regexp.MustCompile(`(?m)^([A-E]):$`)
+	for i, b := range blocks {
+		var names []string
+		for _, m := range header.FindAllStringSubmatch(b, -1) {
+			names = append(names, m[1])
+		}
+		if got := strings.Join(names, " "); got != "A B C D E" {
+			t.Fatalf("listing %d names relations %q, want A B C D E", i, got)
+		}
+	}
+}
+
 func TestReplReportsErrors(t *testing.T) {
 	in := strings.NewReader("select * from missing;\n")
 	var out strings.Builder
-	repl(&naiveShell{db: maybms.Open()}, in, &out)
+	repl(core.NewSession(true), in, &out)
 	if !strings.Contains(out.String(), "error:") {
 		t.Errorf("error not reported:\n%s", out.String())
 	}
@@ -56,7 +81,7 @@ func TestReplReportsErrors(t *testing.T) {
 func TestReplQuitShortForm(t *testing.T) {
 	in := strings.NewReader("\\q\nselect 1;\n")
 	var out strings.Builder
-	repl(&naiveShell{db: maybms.Open()}, in, &out)
+	repl(core.NewSession(true), in, &out)
 	if strings.Contains(out.String(), "col1") {
 		t.Error("statements after \\q must not run")
 	}
@@ -78,8 +103,7 @@ func TestRunScript(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	db := maybms.Open()
-	if err := runScript(&naiveShell{db: db}, path, &out); err != nil {
+	if err := runScript(core.NewSession(true), path, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"44", "49", "50", "55"} {
@@ -111,9 +135,9 @@ func TestRunScriptOrderBy(t *testing.T) {
 		head + "2  30\n3  20\n" +
 		head + "1  10\n2  30\n3  20\n" +
 		head + "1  10\n2  30\n3  20\n"
-	for name, eng := range map[string]engine{
-		"naive":   &naiveShell{db: maybms.Open()},
-		"compact": &compactShell{db: maybms.OpenCompact()},
+	for name, eng := range map[string]core.Engine{
+		"naive":   core.NewSession(true),
+		"compact": wsd.New(true),
 	} {
 		var out strings.Builder
 		if err := runScript(eng, path, &out); err != nil {
@@ -135,7 +159,7 @@ func TestRunScriptOrderBy(t *testing.T) {
 
 func TestRunScriptErrors(t *testing.T) {
 	var out strings.Builder
-	if err := runScript(&naiveShell{db: maybms.Open()}, "/nonexistent/file.isql", &out); err == nil {
+	if err := runScript(core.NewSession(true), "/nonexistent/file.isql", &out); err == nil {
 		t.Error("missing file must error")
 	}
 	dir := t.TempDir()
@@ -143,7 +167,7 @@ func TestRunScriptErrors(t *testing.T) {
 	if err := os.WriteFile(path, []byte("create table R (A);\nselect * from missing;\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runScript(&naiveShell{db: maybms.Open()}, path, &out); err == nil {
+	if err := runScript(core.NewSession(true), path, &out); err == nil {
 		t.Error("bad statement must surface")
 	}
 	if !strings.Contains(out.String(), "created table R") {
@@ -163,8 +187,8 @@ select conf, K, V from J;
 \quit
 `)
 	var out strings.Builder
-	db := maybms.OpenCompact()
-	repl(&compactShell{db: db}, in, &out)
+	db := wsd.New(true)
+	repl(db, in, &out)
 	got := out.String()
 	for _, frag := range []string{
 		"4 world(s)",       // \count after the chained repair
@@ -200,7 +224,7 @@ func TestRunScriptCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := runScript(&compactShell{db: maybms.OpenCompact()}, path, &out); err != nil {
+	if err := runScript(wsd.New(true), path, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"created table S", "10", "14", "15", "20"} {
@@ -227,8 +251,7 @@ func TestRunScriptCompactAssert(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	db := maybms.OpenCompact()
-	if err := runScript(&compactShell{db: db}, path, &out); err != nil {
+	if err := runScript(wsd.New(true), path, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "asserted; 1 world(s) remain") {
@@ -265,13 +288,13 @@ V
 `
 	for _, c := range []struct {
 		name        string
-		db          *maybms.CompactDB
+		db          *wsd.WSD
 		rows, split string
 		head        [2]string
 	}{
-		{"weighted", maybms.OpenCompact(), "(0, 0, 1), (0, 10, 3), (1, 1, 1), (1, 11, 3), (2, 2, 1), (2, 12, 3)",
+		{"weighted", wsd.New(true), "(0, 0, 1), (0, 10, 3), (1, 1, 1), (1, 11, 3), (2, 2, 1), (2, 12, 3)",
 			"K, V from MSrc repair by key K weight W", [2]string{"1 (P = 0.2500)", "2 (P = 0.7500)"}},
-		{"incomplete", maybms.OpenCompactIncomplete(), "(0, 0, 0), (0, 10, 0), (1, 1, 0), (1, 11, 0), (2, 2, 0), (2, 12, 0)",
+		{"incomplete", wsd.New(false), "(0, 0, 0), (0, 10, 0), (1, 1, 0), (1, 11, 0), (2, 2, 0), (2, 12, 0)",
 			"K, V from MSrc repair by key K", [2]string{"1", "2"}},
 	} {
 		path := filepath.Join(t.TempDir(), "groups.isql")
@@ -284,7 +307,7 @@ V
 			t.Fatal(err)
 		}
 		var out strings.Builder
-		if err := runScript(&compactShell{db: c.db}, path, &out); err != nil {
+		if err := runScript(c.db, path, &out); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		want := "created table MSrc\ninserted 6 row(s) into MSrc\ncreated table M: repair of a query source (8 worlds)\n" +

@@ -6,7 +6,6 @@ import (
 	"math/big"
 
 	"maybms/internal/core"
-	"maybms/internal/obs"
 	"maybms/internal/sqlparse"
 	"maybms/internal/tuple"
 	"maybms/internal/wsd"
@@ -33,13 +32,15 @@ var errNotPlainSelect = errors.New("maybms: MaterializeQuery takes a plain SQL S
 // CompactDB exposes the representation-level operations — RepairByKey
 // and ChoiceOf over certain and uncertain sources alike (chained repairs
 // split the feeding components in place, without enumerating worlds) —
-// decomposition-aware SELECT closures (Select, SelectGroups), update
-// queries (Update, Delete) that rewrite the representation piece by
-// piece, and a general Exec with the full compact statement routing;
-// asserts, queries that correlate components, and DML whose expressions
-// read uncertain data merge exactly the involved components (partial
-// expansion). For full I-SQL over small world-sets, use DB; Expand
-// bridges the two.
+// decomposition-aware SELECT closures (Select, SelectGroups), and Exec,
+// the statement runner DB uses too, with the full compact statement
+// routing: UPDATE/DELETE rewrite the representation piece by piece (Exec's
+// message counts the representation rows changed); asserts, queries that
+// correlate components, and DML whose expressions read uncertain data
+// merge exactly the involved components (partial expansion). Statements
+// without a decomposition counterpart fail with an error wrapping
+// ErrCompactUnsupported. For full I-SQL over small world-sets, use DB;
+// Expand bridges the two.
 //
 // How a statement executes is the engine's decision, taken once per
 // statement from the query's shape and the decomposition (EXPLAIN prints
@@ -49,15 +50,18 @@ var errNotPlainSelect = errors.New("maybms: MaterializeQuery takes a plain SQL S
 // everything else runs batches; nothing sets this. To cross-check an answer,
 // Expand and ask the naive engine.
 type CompactDB struct {
+	statements
 	w *wsd.WSD
 }
 
+func newCompactDB(w *wsd.WSD) *CompactDB { return &CompactDB{statements{w}, w} }
+
 // OpenCompact creates an empty probabilistic compact database.
-func OpenCompact() *CompactDB { return &CompactDB{w: wsd.New(true)} }
+func OpenCompact() *CompactDB { return newCompactDB(wsd.New(true)) }
 
 // OpenCompactIncomplete creates an empty non-probabilistic compact
 // database.
-func OpenCompactIncomplete() *CompactDB { return &CompactDB{w: wsd.New(false)} }
+func OpenCompactIncomplete() *CompactDB { return newCompactDB(wsd.New(false)) }
 
 // Register loads a complete relation from Go values (see DB.Register).
 func (db *CompactDB) Register(name string, columns []string, rows [][]any) error {
@@ -71,41 +75,6 @@ func (db *CompactDB) Register(name string, columns []string, rows [][]any) error
 // RegisterRelation loads a prebuilt complete relation.
 func (db *CompactDB) RegisterRelation(name string, rel *Relation) error {
 	return db.w.PutCertain(name, rel)
-}
-
-// Insert appends rows (Go values, see BuildRelation) to a certain
-// relation.
-func (db *CompactDB) Insert(name string, rows [][]any) error {
-	sch, err := db.w.Schema(name)
-	if err != nil {
-		return err
-	}
-	rel, err := BuildRelation(sch.Names(), rows)
-	if err != nil {
-		return err
-	}
-	return db.w.InsertCertain(name, rel.Rows())
-}
-
-// Exec runs one I-SQL statement against the compact database through the
-// compact backend's statement executor, the one the server's compact
-// sessions run: repair/choice (over certain and uncertain sources alike),
-// closed and grouped SELECTs, factorized CREATE TABLE AS, UPDATE/DELETE,
-// ASSERT, and the DDL forms. Statements without a decomposition counterpart
-// fail with an error wrapping ErrCompactUnsupported.
-func (db *CompactDB) Exec(sql string) (*Result, error) { return db.w.Exec(sql) }
-
-// ExecTraced runs one I-SQL statement with a fresh statement trace
-// installed and returns the trace alongside the result: the compact
-// routing decision (route attr), component analysis, per-stage spans and
-// evaluation stats. The trace is populated even when the statement
-// errors.
-func (db *CompactDB) ExecTraced(sql string) (*Result, *Trace, error) {
-	tr := obs.NewTrace(sql)
-	db.w.Trace = tr
-	res, err := db.Exec(sql)
-	db.w.Trace = nil
-	return res, tr, err
 }
 
 // SetWorkers bounds the parallelism of the compact engine's
@@ -157,52 +126,8 @@ func (db *CompactDB) MaterializeQuery(dst, query string) error {
 	if sel.HasISQL() {
 		return errNotPlainSelect
 	}
-	_, err = db.w.ExecStmt(&sqlparse.CreateTableAs{Name: dst, Query: sel})
+	_, err = core.ExecStmt(db.w, &sqlparse.CreateTableAs{Name: dst, Query: sel})
 	return err
-}
-
-// Update applies an UPDATE statement to every represented world without
-// enumerating the world-set. When the SET/WHERE expressions read no
-// uncertain data the rewrite runs piece-by-piece — the target's certain
-// part once plus each alternative's contribution once, no merge; when
-// they do (a subquery over an uncertain relation), the involved
-// components first merge (bounded partial expansion) and the target's
-// certain part folds into the merged component. It returns the number of
-// representation rows changed — on the piece-rewrite path certain rows
-// count once and contributed rows once per alternative; on the merge
-// path everything counts once per merged alternative. Never a per-world
-// count.
-func (db *CompactDB) Update(stmt string) (int, error) {
-	st, err := parseDML[*sqlparse.Update](stmt)
-	if err != nil {
-		return 0, err
-	}
-	return db.w.Update(st)
-}
-
-// Delete applies a DELETE statement to every represented world without
-// enumerating the world-set; see Update for the routing and the meaning
-// of the returned count.
-func (db *CompactDB) Delete(stmt string) (int, error) {
-	st, err := parseDML[*sqlparse.Delete](stmt)
-	if err != nil {
-		return 0, err
-	}
-	return db.w.Delete(st)
-}
-
-// parseDML parses a statement and asserts its type.
-func parseDML[T sqlparse.Statement](stmt string) (T, error) {
-	var zero T
-	parsed, err := sqlparse.Parse(stmt)
-	if err != nil {
-		return zero, err
-	}
-	st, ok := parsed.(T)
-	if !ok {
-		return zero, fmt.Errorf("maybms: expected a %T statement, got %T", zero, parsed)
-	}
-	return st, nil
 }
 
 // WorldGroup is one group of worlds produced by SelectGroups: the group's
@@ -217,21 +142,10 @@ type WorldGroup struct {
 // SelectGroups evaluates `SELECT [POSSIBLE|CERTAIN|CONF] … GROUP WORLDS
 // BY (q)`: worlds are grouped by the answer of the plain-SQL subquery q
 // and the closure applies within each group, in the naive engine's group
-// order. When q's compiled plan decomposes and touches no component of
-// the main query, the groups are computed from per-component answer
-// fingerprints — Σ alternatives evaluations folded through a frontier of
-// distinct answers, no merge, so decompositions far beyond the merge
-// limit (2^17 worlds and more) group in linear time. Only a grouped query
-// genuinely spanning components (the grouping and main plans sharing a
-// component) falls back to a bounded merge of the involved components. A
-// statement without GROUP WORLDS BY returns a single group. Answers and
-// errors are Exec's.
+// order, without enumerating any group's worlds. A statement without GROUP
+// WORLDS BY returns a single group. Routing, answers and errors are Exec's.
 func (db *CompactDB) SelectGroups(query string) ([]WorldGroup, error) {
-	sel, err := parseSelect(query)
-	if err != nil {
-		return nil, err
-	}
-	res, err := db.w.ExecStmt(sel)
+	res, err := db.selectStmt(query, true)
 	if err != nil {
 		return nil, err
 	}
@@ -255,30 +169,28 @@ func (db *CompactDB) SelectGroups(query string) ([]WorldGroup, error) {
 //     world-independent, a conditional relation (trailing cond column) when
 //     the plan decomposes
 //
-// Queries whose compiled plan decomposes over the touched components —
-// selections, projections, joins against certain relations, unions, and
-// subqueries or aggregates over certain data — run componentwise: one
-// evaluation per alternative (Σ sizes, never the product), no component
-// merge, and the decomposition is left untouched. Plans that genuinely
-// correlate several components (cross-component joins, aggregates or
-// predicate subqueries spanning components) fall back to a bounded merge
-// of exactly the involved components. Either way the answer is the naive
-// engine's on the expanded world-set, as a set: a closed answer carries no
-// order (the package doc states what the backends list it in; none of it is
-// API). Answers and errors are Exec's.
+// Routing, answers and errors are Exec's: the naive engine's answer on the
+// expanded world-set, as a set (the package doc states what order the
+// backends list it in; none of it is API).
 func (db *CompactDB) Select(query string) (*Relation, error) {
-	sel, err := parseSelect(query)
-	if err != nil {
-		return nil, err
-	}
-	if sel.GroupWorlds != nil {
-		return nil, errors.New("maybms: Select does not accept group-worlds-by (use SelectGroups)")
-	}
-	res, err := db.w.ExecStmt(sel)
+	res, err := db.selectStmt(query, false)
 	if err != nil {
 		return nil, err
 	}
 	return res.Groups[0].Rel, nil
+}
+
+// selectStmt runs query, which must be a SELECT — with GROUP WORLDS BY only
+// when grouped — through the statement runner.
+func (db *CompactDB) selectStmt(query string, grouped bool) (*Result, error) {
+	sel, err := parseSelect(query)
+	if err != nil {
+		return nil, err
+	}
+	if sel.GroupWorlds != nil && !grouped {
+		return nil, errors.New("maybms: Select does not accept group-worlds-by (use SelectGroups)")
+	}
+	return core.ExecStmt(db.w, sel)
 }
 
 // parseSelect parses query, which must be a SELECT statement.
@@ -374,8 +286,7 @@ func (db *CompactDB) Expand(limit int) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &DB{session: core.NewSessionFromSet(set)}
-	return out, nil
+	return newDB(core.NewSessionFromSet(set)), nil
 }
 
 // String summarizes the decomposition.
@@ -393,5 +304,5 @@ func (db *DB) Compact(name string) (*CompactDB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CompactDB{w: w}, nil
+	return newCompactDB(w), nil
 }

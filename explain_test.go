@@ -268,6 +268,15 @@ func TestExplainAgreesWithExec(t *testing.T) {
 		{"grouping_not_plain", "select possible K from I group worlds by (select V from I where exists (select conf from I))", "error"},
 		{"grouping_without_closure", "create table E as select K from I group worlds by (select V from I)", "error"},
 		{"ctas_assert", "create table D as select * from I assert exists (select * from I where V = 1)", "runs"},
+		// DML whose target, rows or template fail before any data is touched.
+		{"update_missing", "update Missing set V = 1", "error"},
+		{"delete_missing", "delete from Missing", "error"},
+		{"insert_missing", "insert into Missing values (1)", "error"},
+		{"insert_arity", "insert into R values (1, 2, 3)", "error"},
+		{"insert_column", "insert into R (Z) values (1)", "error"},
+		{"update_set_column", "update R set Z = 1", "error"},
+		{"update_where_column", "update R set V = 1 where Z = 1", "error"},
+		{"delete_where_column", "delete from R where Z = 1", "error"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db := fresh()
@@ -318,6 +327,15 @@ func TestNaiveExplainAgreesWithExec(t *testing.T) {
 			"select K from R repair by key K weight V",
 			"select K from R union select possible K from R",
 			"select possible K from R repair by key K",
+			"assert true",
+			"update Missing set V = 1",
+			"delete from Missing",
+			"insert into Missing values (1)",
+			"insert into R values (1, 2, 3)",
+			"insert into R (Z) values (1)",
+			"update R set Z = 1",
+			"update R set V = 1 where Z = 1",
+			"delete from R where Z = 1",
 		} {
 			t.Run(open.name+"/"+sql, func(t *testing.T) {
 				db := open.db()

@@ -1,64 +1,23 @@
 package core
 
-// EXPLAIN [ANALYZE]: the framing both engines share (Explain) and the naive
-// engine's prediction; the compact backend's is internal/wsd's. The naive
-// engine has one routing class — evaluate in every explicit world — so the
-// prediction names the world count and the I-SQL stages the statement
-// activates; the plan tree is the compiled template for the plain-SQL core.
-// ANALYZE executes the statement for real (including DML side effects, as
-// in PostgreSQL) with a statement trace installed and appends the actual
-// spans and cardinalities.
+// EXPLAIN's prediction on the naive engine (the runner frames it; the
+// compact engine's is internal/wsd's). The naive engine has one routing
+// class — evaluate in every explicit world — so the prediction names the
+// I-SQL stages the statement activates; the plan tree is the compiled
+// template for the plain-SQL core.
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
-	"maybms/internal/obs"
 	"maybms/internal/sqlparse"
 )
 
-func (s *Session) execExplain(st *sqlparse.Explain) (*Result, error) {
-	return Explain(st, "naive (per-world evaluation)", strconv.Itoa(len(s.set.Worlds)), s.set.Weighted,
-		&s.trace, s.explainPlan, s.ExecStmt)
-}
-
-// Explain is EXPLAIN [ANALYZE] over either engine: the engine and world-count
-// header, then the prediction predict writes for the inner statement. Under
-// ANALYZE exec then runs the statement for real with a fresh trace swapped
-// into *trace, and the trace follows indented under "actual:", with the
-// result's row count.
-func Explain(st *sqlparse.Explain, engine, worlds string, weighted bool, trace **obs.Trace,
-	predict func(*strings.Builder, sqlparse.Statement) error,
-	exec func(sqlparse.Statement) (*Result, error)) (*Result, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "engine: %s\nworlds: %s\n", engine, worlds)
-	if err := predict(&b, st.Stmt); err != nil {
-		return nil, err
-	}
-
-	if st.Analyze {
-		tr := obs.NewTrace(st.Stmt.String())
-		prev := *trace
-		*trace = tr
-		res, err := exec(st.Stmt)
-		*trace = prev
-		if err != nil {
-			return nil, err
-		}
-		b.WriteString("\nactual:\n")
-		writeIndented(&b, tr.Render())
-		if n := countRows(res); n >= 0 {
-			fmt.Fprintf(&b, "  result rows: %d\n", n)
-		}
-	}
-
-	return &Result{Kind: ResultOK, Msg: strings.TrimRight(b.String(), "\n"), Weighted: weighted}, nil
-}
-
-// explainPlan writes the statement's stage list and, for SELECT-family
-// statements, the compiled plan tree of the plain-SQL core.
-func (s *Session) explainPlan(b *strings.Builder, stmt sqlparse.Statement) error {
+// Predict writes the statement's stage list and, for SELECT-family
+// statements, the compiled plan tree of the plain-SQL core. It first runs
+// the checks Run runs: the I-SQL strip, the INSERT rows, the DML template
+// and the standalone-ASSERT refusal.
+func (s *Session) Predict(b *strings.Builder, stmt sqlparse.Statement) error {
 	var sel *sqlparse.SelectStmt
 	switch st := stmt.(type) {
 	case *sqlparse.SelectStmt:
@@ -70,14 +29,25 @@ func (s *Session) explainPlan(b *strings.Builder, stmt sqlparse.Statement) error
 		fmt.Fprintf(b, "materialize: view %s\n", st.Name)
 		sel = st.Query
 	case *sqlparse.Insert:
+		if _, err := s.insertRows(st); err != nil {
+			return err
+		}
 		fmt.Fprintf(b, "plan:\n  Insert %s (%d rows, every world)\n", st.Table, len(st.Rows))
 		return nil
 	case *sqlparse.Update:
+		if _, err := s.dmlTemplate(st, st.Table); err != nil {
+			return err
+		}
 		fmt.Fprintf(b, "plan:\n  Update %s (every world)\n", st.Table)
 		return nil
 	case *sqlparse.Delete:
+		if _, err := s.dmlTemplate(st, st.Table); err != nil {
+			return err
+		}
 		fmt.Fprintf(b, "plan:\n  Delete %s (every world)\n", st.Table)
 		return nil
+	case *sqlparse.Assert:
+		return errAssertStatement
 	default:
 		fmt.Fprintf(b, "plan:\n  %s\n", stmt)
 		return nil
@@ -128,26 +98,6 @@ func naiveClosure(sel *sqlparse.SelectStmt) string {
 		return "certain"
 	default:
 		return "none (per-world answers)"
-	}
-}
-
-// countRows sums result cardinalities, or -1 for DDL/DML acknowledgements.
-func countRows(res *Result) int {
-	switch res.Kind {
-	case ResultPerWorld:
-		n := 0
-		for _, w := range res.PerWorld {
-			n += w.Rel.Len()
-		}
-		return n
-	case ResultClosed:
-		n := 0
-		for _, g := range res.Groups {
-			n += g.Rel.Len()
-		}
-		return n
-	default:
-		return -1
 	}
 }
 

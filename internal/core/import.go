@@ -44,11 +44,7 @@ func (s *Session) execImport(st *sqlparse.Import) (*Result, error) {
 		for _, w := range s.set.Worlds {
 			w.Put(st.Table, plan.Certain)
 		}
-		return &Result{
-			Kind:     ResultOK,
-			Msg:      fmt.Sprintf("imported %d row(s) into %s in %d world(s)", plan.Certain.Len(), st.Table, len(s.set.Worlds)),
-			Weighted: s.set.Weighted,
-		}, nil
+		return s.ok("imported %d row(s) into %s in %d world(s)", plan.Certain.Len(), st.Table, len(s.set.Worlds))
 	}
 
 	perParent := plan.WorldCount(s.MaxWorlds)
@@ -85,10 +81,6 @@ func (s *Session) execImport(st *sqlparse.Import) (*Result, error) {
 	if err := s.set.Replace(worlds); err != nil {
 		return nil, err
 	}
-	return &Result{
-		Kind: ResultOK,
-		Msg: fmt.Sprintf("imported %s: %d certain row(s), %d uncertainty group(s); %d world(s)",
-			st.Table, plan.Certain.Len(), len(plan.Groups), len(s.set.Worlds)),
-		Weighted: s.set.Weighted,
-	}, nil
+	return s.ok("imported %s: %d certain row(s), %d uncertainty group(s); %d world(s)",
+		st.Table, plan.Certain.Len(), len(plan.Groups), len(s.set.Worlds))
 }

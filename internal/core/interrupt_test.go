@@ -38,13 +38,13 @@ func TestInterruptAbortsSingleWorldEval(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	var polls atomic.Int64
-	s.SetInterrupt(func() error {
+	hook := func() error {
 		if polls.Add(1) > 4 {
 			return boom
 		}
 		return nil
-	})
-	_, err := s.Exec("select count(*) from B b1, B b2, B b3")
+	}
+	_, err := ExecTraced(s, "select count(*) from B b1, B b2, B b3", hook, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("interrupted single-world eval = %v, want boom", err)
 	}
@@ -53,8 +53,7 @@ func TestInterruptAbortsSingleWorldEval(t *testing.T) {
 	if got := polls.Load(); got > 64 {
 		t.Errorf("interrupt polled %d times before aborting, want a handful", got)
 	}
-	// Clearing the hook restores normal execution.
-	s.SetInterrupt(nil)
+	// The hook lived for that statement only.
 	res, err := s.Exec("select count(*) from B b1 where X < 3")
 	if err != nil {
 		t.Fatal(err)
@@ -81,13 +80,13 @@ func TestInterruptAbortsSubqueryEval(t *testing.T) {
 		before, _ := s.Set().Worlds[0].Lookup("B")
 		boom := errors.New("boom")
 		var polls atomic.Int64
-		s.SetInterrupt(func() error {
+		hook := func() error {
 			if polls.Add(1) > 4 {
 				return boom
 			}
 			return nil
-		})
-		if _, err := s.Exec(sql); !errors.Is(err, boom) {
+		}
+		if _, err := ExecTraced(s, sql, hook, nil); !errors.Is(err, boom) {
 			t.Fatalf("%s: interrupted subquery eval = %v, want boom", sql, err)
 		}
 		if after, _ := s.Set().Worlds[0].Lookup("B"); after != before {
@@ -106,13 +105,13 @@ func TestInterruptAbortsAssertPredicate(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	var polls atomic.Int64
-	s.SetInterrupt(func() error {
+	hook := func() error {
 		if polls.Add(1) > 4 {
 			return boom
 		}
 		return nil
-	})
-	_, err := s.Exec("select * from B assert exists (select * from B b1, B b2, B b3 where b1.X = -1)")
+	}
+	_, err := ExecTraced(s, "select * from B assert exists (select * from B b1, B b2, B b3 where b1.X = -1)", hook, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("interrupted assert = %v, want boom", err)
 	}
@@ -140,13 +139,13 @@ func TestInterruptAbortsCompactEval(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	var polls atomic.Int64
-	s.SetInterrupt(func() error {
+	hook := func() error {
 		if polls.Add(1) > 2 {
 			return boom
 		}
 		return nil
-	})
-	if _, err := s.Exec("select count(*) from K k1, K k2, K k3"); !errors.Is(err, boom) {
+	}
+	if _, err := ExecTraced(s, "select count(*) from K k1, K k2, K k3", hook, nil); !errors.Is(err, boom) {
 		t.Fatalf("interrupt = %v, want boom", err)
 	}
 }

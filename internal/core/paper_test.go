@@ -33,7 +33,7 @@ func loadFigure1(t *testing.T, s *Session) {
 			('c4', 'e1'),
 			('c4', 'e2');
 	`
-	if _, err := s.ExecScript(script); err != nil {
+	if _, err := ExecScript(s, script); err != nil {
 		t.Fatalf("loading figure 1: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"maybms/internal/algebra"
+	"maybms/internal/exec"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/sqlparse"
@@ -152,12 +153,12 @@ func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 			esp.End(s.trace)
 			return nil, err
 		}
-		results, err = mapWorlds(s, len(worlds), func(i int) (*relation.Relation, error) {
+		results, err = exec.MapPolled(s.workers, len(worlds), s.interrupt, func(i int) (*relation.Relation, error) {
 			op, err := prep.Bind(worlds[i])
 			if err != nil {
 				return nil, err
 			}
-			return algebra.Collect(op, s.rootCtx())
+			return algebra.Collect(op, StatementCtx(s.interrupt, s.trace))
 		})
 		if err != nil {
 			esp.End(s.trace)
@@ -174,7 +175,7 @@ func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 		if err != nil {
 			return nil, err
 		}
-		oks, err := mapWorlds(s, len(worlds), func(i int) (bool, error) {
+		oks, err := exec.MapPolled(s.workers, len(worlds), s.interrupt, func(i int) (bool, error) {
 			pred, err := aPrep.BindInterrupt(worlds[i], s.interrupt)
 			if err != nil {
 				return false, err
@@ -224,12 +225,12 @@ func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 		if err != nil {
 			return nil, err
 		}
-		keys, err := mapWorlds(s, len(worlds), func(i int) (uint64, error) {
+		keys, err := exec.MapPolled(s.workers, len(worlds), s.interrupt, func(i int) (uint64, error) {
 			op, err := gwPrep.Bind(worlds[i])
 			if err != nil {
 				return 0, err
 			}
-			res, err := algebra.Collect(op, s.rootCtx())
+			res, err := algebra.Collect(op, StatementCtx(s.interrupt, s.trace))
 			if err != nil {
 				return 0, err
 			}
@@ -306,7 +307,7 @@ func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt) 
 		if err != nil {
 			return nil, err
 		}
-		ir, err := algebra.Collect(irOp, s.rootCtx())
+		ir, err := algebra.Collect(irOp, StatementCtx(s.interrupt, s.trace))
 		if err != nil {
 			return nil, err
 		}
@@ -321,7 +322,7 @@ func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt) 
 	// reported error (a world's own split error vs ErrTooManyWorlds)
 	// deterministic and identical to the workers=1 path.
 	var pieceCount atomic.Int64
-	perWorld, err := mapWorlds(s, len(parents), func(i int) ([]piece, error) {
+	perWorld, err := exec.MapPolled(s.workers, len(parents), s.interrupt, func(i int) ([]piece, error) {
 		pieces, err := splitWorld(i)
 		if err != nil {
 			return nil, err
@@ -379,7 +380,7 @@ func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt) 
 		child *world.World
 		res   *relation.Relation
 	}
-	outs, err := mapWorlds(s, len(tasks), func(i int) (evaled, error) {
+	outs, err := exec.MapPolled(s.workers, len(tasks), s.interrupt, func(i int) (evaled, error) {
 		tk := tasks[i]
 		child := tk.parent.Clone(tk.name)
 		if weighted {
@@ -389,7 +390,7 @@ func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt) 
 		if err != nil {
 			return evaled{}, err
 		}
-		res, err := algebra.Collect(op, s.rootCtx())
+		res, err := algebra.Collect(op, StatementCtx(s.interrupt, s.trace))
 		if err != nil {
 			return evaled{}, err
 		}
@@ -508,11 +509,7 @@ func (s *Session) execCreateAs(name string, q *sqlparse.SelectStmt, isView bool)
 		s.views[strings.ToLower(name)] = true
 		kind = "view"
 	}
-	return &Result{
-		Kind:     ResultOK,
-		Msg:      fmt.Sprintf("created %s %s in %d world(s)", kind, name, len(ev.worlds)),
-		Weighted: s.set.Weighted,
-	}, nil
+	return s.ok("created %s %s in %d world(s)", kind, name, len(ev.worlds))
 }
 
 // materializable prepares a query result for storage as a base relation:

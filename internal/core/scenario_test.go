@@ -28,7 +28,7 @@ func loadWhales(t *testing.T, s *Session) {
 			('F', 1, 'sperm', 'calf', 'c'), ('F', 2, 'sperm', 'bull', 'b'), ('F', 3, 'orca', 'cow', 'a');
 		create table I as select Id, Species, Gender, Pos from W choice of WID;
 	`
-	if _, err := s.ExecScript(script); err != nil {
+	if _, err := ExecScript(s, script); err != nil {
 		t.Fatalf("loading figure 3: %v", err)
 	}
 	if s.WorldCount() != 6 {
@@ -244,7 +244,7 @@ func loadCleaning(t *testing.T, s *Session) {
 			union
 			select SSN, TEL, TEL as "SSN'", SSN as "TEL'" from R;
 	`
-	if _, err := s.ExecScript(script); err != nil {
+	if _, err := ExecScript(s, script); err != nil {
 		t.Fatalf("loading figure 5: %v", err)
 	}
 }

@@ -3,15 +3,16 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"maybms/internal/exec"
-	"maybms/internal/expr"
 	"maybms/internal/obs"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
+	"maybms/internal/tuple"
 	"maybms/internal/world"
 	"maybms/internal/worldset"
 )
@@ -49,15 +50,10 @@ type Session struct {
 	// plus schema fingerprint and revalidate against current schemas on
 	// every use. SetPlanCache installs a private cache instead.
 	plans *plan.Cache
-	// interrupt, when non-nil, is polled between per-world units of work;
-	// a non-nil return aborts the running statement with that error. The
-	// server installs a request context's Err here to implement
-	// cooperative cancellation and deadlines.
+	// interrupt and trace belong to the statement executing now (see
+	// SetStatement).
 	interrupt func() error
-	// trace, when non-nil, receives stage spans for the statement
-	// currently executing. Like interrupt it is installed per statement
-	// (statements on one session run serially) and cleared after.
-	trace *obs.Trace
+	trace     *obs.Trace
 	// lookups attributes plan-cache lookups to this session (the default
 	// cache is process-global; see the server's SessionInfo).
 	lookups   plan.Lookups
@@ -73,9 +69,6 @@ func (s *Session) SetWorkers(n int) {
 	s.set.Workers = n
 }
 
-// Workers returns the session's worker setting (0 = GOMAXPROCS).
-func (s *Session) Workers() int { return s.workers }
-
 // SetPlanCache replaces the session's compiled-statement cache. Sessions
 // default to the process-wide plan.SharedCache(); passing a private cache
 // isolates the session (nil restores the shared one).
@@ -86,58 +79,23 @@ func (s *Session) SetPlanCache(c *plan.Cache) {
 	s.plans = c
 }
 
-// PlanCache returns the cache the session compiles statements into.
-func (s *Session) PlanCache() *plan.Cache { return s.plans }
+// SetStatement installs (or clears, with nils) the interrupt hook — polled
+// between per-world units of work and inside the algebra iterators — and
+// the trace of the statement about to run.
+func (s *Session) SetStatement(interrupt func() error, tr *obs.Trace) {
+	s.interrupt, s.trace = interrupt, tr
+}
 
-// SetInterrupt installs a hook polled between per-world units of work and
-// inside the long-running algebra iterators (every few hundred rows); a
-// non-nil return aborts the running statement with that error (typically a
-// request context's Err). Pass nil to clear. The caller must not change
-// the hook while a statement is executing.
-func (s *Session) SetInterrupt(f func() error) { s.interrupt = f }
+// Kind names the naive engine for the server and EXPLAIN.
+func (s *Session) Kind() (name, representation string) { return "naive", "per-world evaluation" }
 
-// SetTrace installs (or clears, with nil) the statement trace receiving
-// stage spans and evaluation stats from subsequent statements. Statements
-// on a session run serially; install a fresh trace per statement.
-func (s *Session) SetTrace(t *obs.Trace) { s.trace = t }
+// Worlds renders the world count.
+func (s *Session) Worlds() string { return strconv.Itoa(s.set.Len()) }
 
 // PlanCacheCounts returns this session's plan-cache lookup attribution:
 // templates found valid in the cache vs. compiled fresh on its behalf.
 func (s *Session) PlanCacheCounts() (hits, misses uint64) {
 	return s.lookups.Counts()
-}
-
-// rootCtx returns the outer evaluation context for top-level plan
-// execution: nil without an interrupt hook or trace, else a context
-// carrying only the hook (for the algebra iterators to poll) and the
-// trace's stats accumulator (it sits beyond every resolvable correlation
-// depth). The hook may be called concurrently from per-world evaluations
-// and must be safe for that, as SetInterrupt already requires.
-func (s *Session) rootCtx() *expr.Context {
-	if s.interrupt == nil && s.trace == nil {
-		return nil
-	}
-	return &expr.Context{Interrupt: s.interrupt, Stats: s.trace.Stats()}
-}
-
-// mapWorlds runs fn over [0, n) on the session's worker pool, polling the
-// interrupt hook before each task so a canceled request aborts between
-// per-world units of work. Without a hook it is exactly exec.Map: ordered
-// results, lowest-index error. (With a hook, which task observes the
-// interruption first is scheduling-dependent; the statement fails with the
-// interrupt error either way.)
-func mapWorlds[T any](s *Session, n int, fn func(i int) (T, error)) ([]T, error) {
-	intr := s.interrupt
-	if intr == nil {
-		return exec.Map(s.workers, n, fn)
-	}
-	return exec.Map(s.workers, n, func(i int) (T, error) {
-		if err := intr(); err != nil {
-			var zero T
-			return zero, err
-		}
-		return fn(i)
-	})
 }
 
 // NewSession creates a session over a single empty world. weighted selects
@@ -189,37 +147,14 @@ func (s *Session) Register(name string, rel *relation.Relation) error {
 	return nil
 }
 
-// Exec parses and executes a single statement.
-func (s *Session) Exec(sql string) (*Result, error) {
-	sp := s.trace.Begin("parse")
-	stmt, err := sqlparse.Parse(sql)
-	sp.End(s.trace)
-	if err != nil {
-		return nil, err
-	}
-	return s.ExecStmt(stmt)
-}
+// Exec parses and runs one statement through the runner.
+func (s *Session) Exec(sql string) (*Result, error) { return Exec(s, sql) }
 
-// ExecScript parses and executes a semicolon-separated script, stopping at
-// the first error. It returns the results of the executed statements.
-func (s *Session) ExecScript(sql string) ([]*Result, error) {
-	stmts, err := sqlparse.ParseScript(sql)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Result, 0, len(stmts))
-	for _, stmt := range stmts {
-		res, err := s.ExecStmt(stmt)
-		if err != nil {
-			return out, fmt.Errorf("executing %q: %w", stmt, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
+// errAssertStatement is the naive engine's answer to the standalone ASSERT.
+var errAssertStatement = errors.New("the standalone ASSERT statement runs on the compact backend only (use CREATE TABLE AS SELECT … ASSERT)")
 
-// ExecStmt executes one parsed statement.
-func (s *Session) ExecStmt(stmt sqlparse.Statement) (*Result, error) {
+// Run executes one statement other than EXPLAIN over every world.
+func (s *Session) Run(stmt sqlparse.Statement) (*Result, error) {
 	switch st := stmt.(type) {
 	case *sqlparse.SelectStmt:
 		ev, err := s.evalQuery(st)
@@ -238,26 +173,23 @@ func (s *Session) ExecStmt(stmt sqlparse.Statement) (*Result, error) {
 	case *sqlparse.Insert:
 		return s.execInsert(st)
 	case *sqlparse.Update:
-		return s.execDML(st, st.Table, "updated %d row(s) across %d world(s)", s.keys[strings.ToLower(st.Table)],
-			func(sch *schema.Schema, cat plan.Catalog) (*plan.PreparedDML, error) {
-				return plan.PrepareUpdateStmt(st, sch, cat)
-			})
+		return s.execDML(st, st.Table, "updated %d row(s) across %d world(s)", s.keys[strings.ToLower(st.Table)])
 	case *sqlparse.Delete:
-		return s.execDML(st, st.Table, "deleted %d row(s) across %d world(s)", nil,
-			func(sch *schema.Schema, cat plan.Catalog) (*plan.PreparedDML, error) {
-				return plan.PrepareDeleteStmt(st, sch, cat)
-			})
+		return s.execDML(st, st.Table, "deleted %d row(s) across %d world(s)", nil)
 	case *sqlparse.Drop:
 		return s.execDrop(st)
-	case *sqlparse.Explain:
-		return s.execExplain(st)
 	case *sqlparse.Import:
 		return s.execImport(st)
 	case *sqlparse.Assert:
-		return nil, errors.New("the standalone ASSERT statement runs on the compact backend only (use CREATE TABLE AS SELECT … ASSERT)")
+		return nil, errAssertStatement
 	default:
 		return nil, fmt.Errorf("unsupported statement %T", stmt)
 	}
+}
+
+// ok acknowledges a statement with a formatted message.
+func (s *Session) ok(format string, args ...any) (*Result, error) {
+	return &Result{Kind: ResultOK, Msg: fmt.Sprintf(format, args...), Weighted: s.set.Weighted}, nil
 }
 
 // checkFresh verifies that name is not bound in any world.
@@ -284,7 +216,7 @@ func (s *Session) execCreateTable(st *sqlparse.CreateTable) (*Result, error) {
 	for _, w := range s.set.Worlds {
 		w.Put(st.Name, relation.New(sch))
 	}
-	return &Result{Kind: ResultOK, Msg: fmt.Sprintf("created table %s", st.Name), Weighted: s.set.Weighted}, nil
+	return s.ok("created table %s", st.Name)
 }
 
 func (s *Session) execDrop(st *sqlparse.Drop) (*Result, error) {
@@ -299,7 +231,7 @@ func (s *Session) execDrop(st *sqlparse.Drop) (*Result, error) {
 	}
 	delete(s.keys, strings.ToLower(st.Name))
 	delete(s.views, strings.ToLower(st.Name))
-	return &Result{Kind: ResultOK, Msg: fmt.Sprintf("dropped %s", st.Name), Weighted: s.set.Weighted}, nil
+	return s.ok("dropped %s", st.Name)
 }
 
 // execInsert inserts the value rows into the table in every world. Per the
@@ -307,15 +239,7 @@ func (s *Session) execDrop(st *sqlparse.Drop) (*Result, error) {
 // worlds, then the update is discarded in all worlds." — the whole
 // statement aborts if any world would violate the table's primary key.
 func (s *Session) execInsert(st *sqlparse.Insert) (*Result, error) {
-	// The table must exist everywhere with one schema; take it from the
-	// first world.
-	base, err := s.set.Worlds[0].Lookup(st.Table)
-	if err != nil {
-		return nil, err
-	}
-	// Evaluate value rows once (no row context; subqueries would be
-	// world-dependent and are rejected by requiring constant rows).
-	rows, err := plan.ConstInsertRows(st, base.Schema)
+	rows, err := s.insertRows(st)
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +247,7 @@ func (s *Session) execInsert(st *sqlparse.Insert) (*Result, error) {
 	// Build candidate relations per world (in parallel — candidates are
 	// independent), checking keys; commit only if every world accepts.
 	key := s.keys[strings.ToLower(st.Table)]
-	updated, err := mapWorlds(s, len(s.set.Worlds), func(i int) (*relation.Relation, error) {
+	updated, err := exec.MapPolled(s.workers, len(s.set.Worlds), s.interrupt, func(i int) (*relation.Relation, error) {
 		w := s.set.Worlds[i]
 		cur, err := w.Lookup(st.Table)
 		if err != nil {
@@ -348,7 +272,18 @@ func (s *Session) execInsert(st *sqlparse.Insert) (*Result, error) {
 	for i, w := range s.set.Worlds {
 		w.Put(st.Table, updated[i])
 	}
-	return &Result{Kind: ResultOK, Msg: fmt.Sprintf("inserted %d row(s) into %s in %d world(s)", len(rows), st.Table, len(s.set.Worlds)), Weighted: s.set.Weighted}, nil
+	return s.ok("inserted %d row(s) into %s in %d world(s)", len(rows), st.Table, len(s.set.Worlds))
+}
+
+// insertRows evaluates an INSERT's value rows once, against the table's
+// schema in the first world (one schema across worlds); subqueries would be
+// world-dependent and are rejected by requiring constant rows.
+func (s *Session) insertRows(st *sqlparse.Insert) ([]tuple.Tuple, error) {
+	base, err := s.set.Worlds[0].Lookup(st.Table)
+	if err != nil {
+		return nil, err
+	}
+	return plan.ConstInsertRows(st, base.Schema)
 }
 
 // checkKey verifies the key uniqueness constraint on rel.
@@ -368,31 +303,43 @@ func checkKey(rel *relation.Relation, key []string) error {
 	return nil
 }
 
+// dmlTemplate compiles an UPDATE or DELETE of table once, through the plan
+// cache, against the first world. EXPLAIN runs it too, so an explained
+// statement's execution hits the cache.
+func (s *Session) dmlTemplate(st sqlparse.Statement, table string) (*plan.PreparedDML, error) {
+	w := s.set.Worlds[0]
+	rep, err := w.Lookup(table)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Cached(s.plans, s.trace, &s.lookups, cacheKey("dml", st.String(), w),
+		func(p *plan.PreparedDML) error { _, err := p.Bind(w, nil); return err },
+		func() (*plan.PreparedDML, error) {
+			if u, ok := st.(*sqlparse.Update); ok {
+				return plan.PrepareUpdateStmt(u, rep.Schema, w)
+			}
+			return plan.PrepareDeleteStmt(st.(*sqlparse.Delete), rep.Schema, w)
+		})
+}
+
 // execDML applies an UPDATE or DELETE to table in every world: the
-// statement compiles once through the plan cache (prepare), and each world
-// binds the template and runs its row rewrite — the template and rewrite
-// the compact engine runs per piece. Candidate relations are built in
-// parallel and committed only when every world succeeds; with key set (an
-// UPDATE of a table with a declared primary key) a violation in any world
-// aborts the statement. msg reports the changed rows and the world count.
-func (s *Session) execDML(st sqlparse.Statement, table, msg string, key []string,
-	prepare func(*schema.Schema, plan.Catalog) (*plan.PreparedDML, error)) (*Result, error) {
+// statement compiles once (dmlTemplate), and each world binds the template
+// and runs its row rewrite — the template and rewrite the compact engine
+// runs per piece. Candidate relations are built in parallel and committed
+// only when every world succeeds; with key set (an UPDATE of a table with a
+// declared primary key) a violation in any world aborts the statement. msg
+// reports the changed rows and the world count.
+func (s *Session) execDML(st sqlparse.Statement, table, msg string, key []string) (*Result, error) {
+	tmpl, err := s.dmlTemplate(st, table)
+	if err != nil {
+		return nil, err
+	}
 	worlds := s.set.Worlds
-	rep, err := worlds[0].Lookup(table)
-	if err != nil {
-		return nil, err
-	}
-	tmpl, err := plan.Cached(s.plans, s.trace, &s.lookups, cacheKey("dml", st.String(), worlds[0]),
-		func(p *plan.PreparedDML) error { _, err := p.Bind(worlds[0], nil); return err },
-		func() (*plan.PreparedDML, error) { return prepare(rep.Schema, worlds[0]) })
-	if err != nil {
-		return nil, err
-	}
 	type cand struct {
 		rel     *relation.Relation
 		changed int
 	}
-	cands, err := mapWorlds(s, len(worlds), func(i int) (cand, error) {
+	cands, err := exec.MapPolled(s.workers, len(worlds), s.interrupt, func(i int) (cand, error) {
 		w := worlds[i]
 		cur, err := w.Lookup(table)
 		if err != nil {
@@ -422,7 +369,7 @@ func (s *Session) execDML(st sqlparse.Statement, table, msg string, key []string
 		w.Put(table, cands[i].rel)
 		total += cands[i].changed
 	}
-	return &Result{Kind: ResultOK, Msg: fmt.Sprintf(msg, total, len(worlds)), Weighted: s.set.Weighted}, nil
+	return s.ok(msg, total, len(worlds))
 }
 
 // freshWorldName mints a lineage-based child world name.
@@ -430,4 +377,7 @@ func childName(parent string, i int) string {
 	return fmt.Sprintf("%s.%d", parent, i+1)
 }
 
-var _ plan.Catalog = (*world.World)(nil)
+var (
+	_ plan.Catalog = (*world.World)(nil)
+	_ Engine       = (*Session)(nil)
+)

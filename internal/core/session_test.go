@@ -240,7 +240,7 @@ func TestRegister(t *testing.T) {
 
 func TestExecScriptStopsAtError(t *testing.T) {
 	s := NewSession(true)
-	results, err := s.ExecScript(`
+	results, err := ExecScript(s, `
 		create table P (A);
 		insert into P values (1);
 		select * from Nope;

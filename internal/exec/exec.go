@@ -13,10 +13,23 @@
 package exec
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"maybms/internal/obs"
 )
+
+var panics = obs.Default().Counter("maybms_panics_total",
+	"Panics recovered into a failed statement.")
+
+// Recovered turns a recovered panic value into the error the statement
+// fails with, and counts it in maybms_panics_total.
+func Recovered(v any) error {
+	panics.Inc()
+	return fmt.Errorf("internal error: %v", v)
+}
 
 // Resolve normalizes a workers setting: n >= 1 is used as-is, anything else
 // selects runtime.GOMAXPROCS(0).
@@ -49,6 +62,23 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// MapPolled is Map with poll called before each task: a non-nil return
+// fails that task, so a cancelled statement stops between units of work.
+// Which task observes the interruption first is scheduling-dependent. A nil
+// poll is Map.
+func MapPolled[T any](workers, n int, poll func() error, fn func(i int) (T, error)) ([]T, error) {
+	if poll == nil {
+		return Map(workers, n, fn)
+	}
+	return Map(workers, n, func(i int) (T, error) {
+		if err := poll(); err != nil {
+			var zero T
+			return zero, err
+		}
+		return fn(i)
+	})
 }
 
 // Do is Map without per-task results: it runs fn over [0, n) under the same
@@ -98,6 +128,15 @@ func Do(workers, n int, fn func(i int) error) error {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			// A panicking task fails at its index like an erring one. The
+			// worker stops with it; the rest of its chunk lies above the
+			// failed index, so the lowest-index error is unchanged.
+			i := -1
+			defer func() {
+				if v := recover(); v != nil {
+					record(i, Recovered(v))
+				}
+			}()
 			for {
 				if stopped.Load() {
 					return
@@ -115,7 +154,7 @@ func Do(workers, n int, fn func(i int) error) error {
 				// everything below a failed index has been claimed and will
 				// report, which is what makes the lowest-index error equal
 				// the sequential one.
-				for i := start; i < end; i++ {
+				for i = start; i < end; i++ {
 					if err := fn(i); err != nil {
 						record(i, err)
 					}

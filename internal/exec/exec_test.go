@@ -45,6 +45,32 @@ func TestMapLowestIndexError(t *testing.T) {
 	}
 }
 
+// TestMapPanicIsTaskError: a task that panics on a worker goroutine fails at
+// its index, under the lowest-index contract, instead of killing the
+// process; an erring task below it still wins.
+func TestMapPanicIsTaskError(t *testing.T) {
+	for _, tc := range []struct {
+		fails map[int]bool
+		want  string
+	}{
+		{map[int]bool{}, "internal error: boom at 7"},
+		{map[int]bool{3: true}, "task 3 failed"},
+	} {
+		_, err := Map(4, 64, func(i int) (int, error) {
+			if i == 7 || i == 40 {
+				panic(fmt.Sprintf("boom at %d", i))
+			}
+			if tc.fails[i] {
+				return 0, fmt.Errorf("task %d failed", i)
+			}
+			return i, nil
+		})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("got %v, want %s", err, tc.want)
+		}
+	}
+}
+
 func TestDoShortCircuits(t *testing.T) {
 	// After an error, not every remaining task should run (with enough
 	// tasks the pool must stop claiming new chunks).

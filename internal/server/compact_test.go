@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"maybms/internal/plan"
+	"maybms/internal/wsd"
 )
 
 // compactScript is a statement sequence fully supported by the compact
@@ -114,10 +115,10 @@ func TestInsertColumnListsBothBackends(t *testing.T) {
 // acceptance at the server layer.
 func TestCompactComponentwiseBeyondMergeLimit(t *testing.T) {
 	const k = 17 // 2^17 > the default merge limit of 2^16
-	b := newCompactBackend(true, 0, 0)
+	b := wsd.New(true)
 	mustExec := func(q string) {
 		t.Helper()
-		if _, err := b.exec(q); err != nil {
+		if _, err := b.Exec(q); err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
 	}
@@ -131,21 +132,21 @@ func TestCompactComponentwiseBeyondMergeLimit(t *testing.T) {
 
 	// The merge path cannot answer this: a grouped core correlates the
 	// components, and 2^17 alternatives exceed the expansion limit.
-	if _, err := b.exec("select conf, K, V from I group by K, V"); err == nil {
+	if _, err := b.Exec("select conf, K, V from I group by K, V"); err == nil {
 		t.Fatal("merge path must refuse a 2^17-alternative expansion")
 	}
 
 	// The componentwise path answers the ungrouped query exactly, with no
 	// merge and the decomposition untouched.
-	res, err := b.exec("select conf, K, V from I")
+	res, err := b.Exec("select conf, K, V from I")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.d.MergeCount() != 0 {
-		t.Errorf("componentwise conf merged %d times", b.d.MergeCount())
+	if b.MergeCount() != 0 {
+		t.Errorf("componentwise conf merged %d times", b.MergeCount())
 	}
-	if b.d.ComponentCount() != k {
-		t.Errorf("components = %d, want %d untouched", b.d.ComponentCount(), k)
+	if b.ComponentCount() != k {
+		t.Errorf("components = %d, want %d untouched", b.ComponentCount(), k)
 	}
 	rel := res.Groups[0].Rel
 	if rel.Len() != 2*k {
@@ -160,12 +161,12 @@ func TestCompactComponentwiseBeyondMergeLimit(t *testing.T) {
 	// Joins against certain relations stay merge-free too.
 	mustExec("create table L (V, Y)")
 	mustExec("insert into L values (0, 'lo'), (1, 'hi')")
-	res, err = b.exec("select possible I.K, L.Y from I, L where I.V = L.V")
+	res, err = b.Exec("select possible I.K, L.Y from I, L where I.V = L.V")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.d.MergeCount() != 0 {
-		t.Errorf("certain join merged %d times", b.d.MergeCount())
+	if b.MergeCount() != 0 {
+		t.Errorf("certain join merged %d times", b.MergeCount())
 	}
 	if got := res.Groups[0].Rel.Len(); got != 2*k {
 		t.Errorf("join rows = %d, want %d", got, 2*k)
@@ -176,10 +177,10 @@ func TestCompactComponentwiseBeyondMergeLimit(t *testing.T) {
 	// scale, none needed.
 	mustExec("update I set V = V + 10 where V = 1")
 	mustExec("delete from I where V = 0")
-	if b.d.MergeCount() != 0 {
-		t.Errorf("componentwise DML merged %d times", b.d.MergeCount())
+	if b.MergeCount() != 0 {
+		t.Errorf("componentwise DML merged %d times", b.MergeCount())
 	}
-	res, err = b.exec("select conf, K, V from I")
+	res, err = b.Exec("select conf, K, V from I")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,12 +203,12 @@ func TestCompactComponentwiseBeyondMergeLimit(t *testing.T) {
 	mustExec("create table G (A, B)")
 	mustExec("insert into G values (10, 0), (20, 1)")
 	mustExec("create table P as select * from G choice of A")
-	res, err = b.exec("select possible K, V from I group worlds by (select B from P)")
+	res, err = b.Exec("select possible K, V from I group worlds by (select B from P)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.d.MergeCount() != 0 {
-		t.Errorf("group worlds by merged %d times", b.d.MergeCount())
+	if b.MergeCount() != 0 {
+		t.Errorf("group worlds by merged %d times", b.MergeCount())
 	}
 	if len(res.Groups) != 2 {
 		t.Fatalf("groups = %d, want 2", len(res.Groups))

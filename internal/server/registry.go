@@ -5,23 +5,52 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"maybms/internal/core"
+	"maybms/internal/wsd"
 )
+
+// newBackend builds a session's engine by backend name: "" and "naive"
+// select the naive engine (explicit worlds, at most maxWorlds of them),
+// "compact" the world-set-decomposition engine (merges bounded by
+// maxWorlds). 0 keeps the engine's default bound. Statements run through
+// core's runner, serialized by the session lock.
+func newBackend(name string, weighted bool, workers, maxWorlds int) (core.Engine, error) {
+	switch name {
+	case "", "naive":
+		s := core.NewSession(weighted)
+		s.SetWorkers(workers)
+		if maxWorlds > 0 {
+			s.MaxWorlds = maxWorlds
+		}
+		return s, nil
+	case "compact":
+		d := wsd.New(weighted)
+		d.Workers = workers
+		if maxWorlds > 0 {
+			d.MergeLimit = maxWorlds
+		}
+		return d, nil
+	default:
+		return nil, fmt.Errorf("unknown backend %q (want naive or compact)", name)
+	}
+}
 
 // session is one named database plus its execution lock. The lock is a
 // 1-slot channel rather than a mutex so waiters can abandon the wait when
 // their request context expires.
 //
-// A session is published to the registry *before* its backend is
+// A session is published to the registry *before* its engine is
 // constructed (construction can be arbitrarily slow and must not happen
-// under the registry mutex); ready closes once backend/initErr are set,
-// and nothing touches backend before awaiting ready.
+// under the registry mutex); ready closes once engine/initErr are set,
+// and nothing touches engine before awaiting ready.
 type session struct {
 	name string
 	lock chan struct{}
-	// ready closes when initialization finished; backend and initErr are
+	// ready closes when initialization finished; engine and initErr are
 	// immutable afterwards.
 	ready   chan struct{}
-	backend backend
+	engine  core.Engine
 	initErr error
 	// lastUsed is the unix-nano time of the last completed statement,
 	// guarded by the registry mutex.
@@ -51,7 +80,7 @@ func (s *session) tryAcquire() bool {
 
 func (s *session) release() { <-s.lock }
 
-// await blocks until the session's backend finished constructing (or ctx
+// await blocks until the session's engine finished constructing (or ctx
 // expires) and returns the construction error, if any.
 func (s *session) await(ctx context.Context) error {
 	select {
@@ -100,10 +129,10 @@ func newRegistry(maxSessions int) *registry {
 // get returns the session under name, creating it with create when
 // absent. The registry mutex guards only the map: a new session is
 // published as a placeholder first and create() runs outside the lock, so
-// one slow backend construction never head-of-line-blocks other sessions'
-// lookups. Callers must session.await() before touching the backend; get
+// one slow engine construction never head-of-line-blocks other sessions'
+// lookups. Callers must session.await() before touching the engine; get
 // itself returns as soon as the session is mapped.
-func (r *registry) get(name string, create func() (backend, error)) (*session, error) {
+func (r *registry) get(name string, create func() (core.Engine, error)) (*session, error) {
 	r.mu.Lock()
 	if s, ok := r.sessions[name]; ok {
 		r.mu.Unlock()
@@ -122,8 +151,8 @@ func (r *registry) get(name string, create func() (backend, error)) (*session, e
 	r.sessions[name] = s
 	r.mu.Unlock()
 
-	b, err := create()
-	s.backend, s.initErr = b, err
+	e, err := create()
+	s.engine, s.initErr = e, err
 	if err != nil {
 		// Unpublish (unless close/evict already did, or a successor took
 		// the name) so the next request retries construction.
@@ -137,16 +166,16 @@ func (r *registry) get(name string, create func() (backend, error)) (*session, e
 	return s, nil
 }
 
-// acquireOwned resolves the session under name, waits for its backend,
+// acquireOwned resolves the session under name, waits for its engine,
 // takes its execution lock, and re-verifies — identity check via lookup —
 // that the session is still the one registered under its name. Without
 // the recheck a waiter blocked in acquire() can win the lock *after* an
 // idle-eviction sweep or an explicit close deleted the session, and would
-// then execute its statement against an orphaned backend whose effects
+// then execute its statement against an orphaned engine whose effects
 // silently vanish (a concurrent request meanwhile recreates the name with
-// a fresh backend). On mismatch the lock is released and the whole
+// a fresh engine). On mismatch the lock is released and the whole
 // resolution retries. The caller must release() the returned session.
-func (r *registry) acquireOwned(ctx context.Context, name string, create func() (backend, error)) (*session, error) {
+func (r *registry) acquireOwned(ctx context.Context, name string, create func() (core.Engine, error)) (*session, error) {
 	for attempt := 0; ; attempt++ {
 		s, err := r.get(name, create)
 		if err != nil {
@@ -204,10 +233,10 @@ func (r *registry) closeAll() {
 }
 
 // list snapshots the live sessions under the mutex, then renders them
-// outside it: backend.worlds() can be arbitrarily expensive (a big.Int
+// outside it: Engine.Worlds can be arbitrarily expensive (a big.Int
 // decimal rendering on compact sessions), and holding the registry lock
 // through it would head-of-line-block every concurrent session lookup.
-// Backend calls are serialized by the session lock, so the world count is
+// Engine calls are serialized by the session lock, so the world count is
 // read only when the lock is free; a session mid-statement reports "busy"
 // and one still constructing reports "initializing".
 func (r *registry) list() []SessionInfo {
@@ -226,9 +255,9 @@ func (r *registry) list() []SessionInfo {
 	out := make([]SessionInfo, 0, len(snaps))
 	for _, sn := range snaps {
 		s := sn.s
-		// A failed construction (initErr set, backend nil) can linger in a
+		// A failed construction (initErr set, engine nil) can linger in a
 		// snapshot taken before get() unpublished it; render it like an
-		// uninitialized session rather than dereferencing a nil backend.
+		// uninitialized session rather than dereferencing a nil engine.
 		if !s.initialized() || s.initErr != nil {
 			out = append(out, SessionInfo{
 				Name:    s.name,
@@ -240,19 +269,27 @@ func (r *registry) list() []SessionInfo {
 		}
 		worlds := "busy"
 		if s.tryAcquire() {
-			worlds = s.backend.worlds()
+			worlds = s.engine.Worlds()
 			s.release()
 		}
-		hits, misses := s.backend.planCache()
-		out = append(out, SessionInfo{
-			Name:    s.name,
-			Backend: s.backend.kind(),
-			Worlds:  worlds,
-			IdleMs:  sn.idle.Milliseconds(),
-			// Counters read atomics, so a busy session reports them too.
-			Compact:   s.backend.counters(),
+		kind, _ := s.engine.Kind()
+		// Counters read atomics, so a busy session reports them too.
+		hits, misses := s.engine.PlanCacheCounts()
+		info := SessionInfo{
+			Name:      s.name,
+			Backend:   kind,
+			Worlds:    worlds,
+			IdleMs:    sn.idle.Milliseconds(),
 			PlanCache: &PlanCacheCounters{Hits: hits, Misses: misses},
-		})
+		}
+		if d, ok := s.engine.(*wsd.WSD); ok {
+			info.Compact = &CompactCounters{
+				Merges:        d.MergeCount(),
+				Componentwise: d.ComponentwiseCount(),
+				Conditional:   d.ConditionalCount(),
+			}
+		}
+		out = append(out, info)
 	}
 	return out
 }
@@ -265,7 +302,7 @@ func (r *registry) len() int {
 }
 
 // evictIdle removes sessions idle longer than timeout, skipping any with
-// a running statement or an in-flight backend construction. It returns
+// a running statement or an in-flight engine construction. It returns
 // the number evicted.
 func (r *registry) evictIdle(timeout time.Duration) int {
 	r.mu.Lock()

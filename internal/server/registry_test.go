@@ -9,36 +9,37 @@ package server
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"maybms/internal/core"
 	"maybms/internal/obs"
+	"maybms/internal/sqlparse"
 )
 
-// testBackend is a minimal backend stub with an injectable world-count
+// testEngine is a minimal fake core.Engine with an injectable world-count
 // renderer.
-type testBackend struct {
+type testEngine struct {
 	worldsFn func() string
 }
 
-func (b *testBackend) exec(string) (*core.Result, error) {
+func (e *testEngine) Kind() (string, string)                             { return "stub", "" }
+func (e *testEngine) Predict(*strings.Builder, sqlparse.Statement) error { return nil }
+func (e *testEngine) SetStatement(func() error, *obs.Trace)              {}
+func (e *testEngine) PlanCacheCounts() (uint64, uint64)                  { return 0, 0 }
+func (e *testEngine) Run(sqlparse.Statement) (*core.Result, error) {
 	return &core.Result{Kind: core.ResultOK}, nil
 }
-func (b *testBackend) setInterrupt(func() error)   {}
-func (b *testBackend) kind() string                { return "stub" }
-func (b *testBackend) counters() *CompactCounters  { return nil }
-func (b *testBackend) setTrace(*obs.Trace)         {}
-func (b *testBackend) planCache() (uint64, uint64) { return 0, 0 }
-func (b *testBackend) worlds() string {
-	if b.worldsFn != nil {
-		return b.worldsFn()
+func (e *testEngine) Worlds() string {
+	if e.worldsFn != nil {
+		return e.worldsFn()
 	}
 	return "1"
 }
 
-func instantCreate() (backend, error) { return &testBackend{}, nil }
+func instantCreate() (core.Engine, error) { return &testEngine{}, nil }
 
 // fakeClock is a race-safe manual clock for the registry's now hook.
 type fakeClock struct {
@@ -69,10 +70,10 @@ func TestSlowCreateDoesNotBlockOtherSessions(t *testing.T) {
 	slowDone := make(chan struct{})
 	go func() {
 		defer close(slowDone)
-		s, err := reg.acquireOwned(ctx, "slow", func() (backend, error) {
+		s, err := reg.acquireOwned(ctx, "slow", func() (core.Engine, error) {
 			close(slowStarted)
 			<-unblock
-			return &testBackend{}, nil
+			return &testEngine{}, nil
 		})
 		if err != nil {
 			t.Error(err)
@@ -104,9 +105,9 @@ func TestSlowCreateDoesNotBlockOtherSessions(t *testing.T) {
 	// construction instead of constructing again.
 	waiterDone := make(chan *session, 1)
 	go func() {
-		s, err := reg.acquireOwned(ctx, "slow", func() (backend, error) {
+		s, err := reg.acquireOwned(ctx, "slow", func() (core.Engine, error) {
 			t.Error("second construction for an in-flight session")
-			return &testBackend{}, nil
+			return &testEngine{}, nil
 		})
 		if err != nil {
 			t.Error(err)
@@ -131,8 +132,8 @@ func TestListRendersOutsideLock(t *testing.T) {
 	rendering := make(chan struct{})
 	unblockRender := make(chan struct{})
 	var renderOnce sync.Once
-	s, err := reg.acquireOwned(ctx, "slowworlds", func() (backend, error) {
-		return &testBackend{worldsFn: func() string {
+	s, err := reg.acquireOwned(ctx, "slowworlds", func() (core.Engine, error) {
+		return &testEngine{worldsFn: func() string {
 			renderOnce.Do(func() { close(rendering) })
 			<-unblockRender
 			return "42"
@@ -193,10 +194,10 @@ func TestListRendersOutsideLock(t *testing.T) {
 	initStarted := make(chan struct{})
 	unblockInit := make(chan struct{})
 	go func() {
-		_, _ = reg.get("initializing", func() (backend, error) {
+		_, _ = reg.get("initializing", func() (core.Engine, error) {
 			close(initStarted)
 			<-unblockInit
-			return &testBackend{}, nil
+			return &testEngine{}, nil
 		})
 	}()
 	<-initStarted
@@ -336,7 +337,7 @@ func TestCreateFailureUnpublishes(t *testing.T) {
 	reg := newRegistry(0)
 	ctx := context.Background()
 	boom := errors.New("construction failed")
-	if _, err := reg.acquireOwned(ctx, "x", func() (backend, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := reg.acquireOwned(ctx, "x", func() (core.Engine, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 	if reg.lookup("x") != nil {

@@ -443,7 +443,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.Default().WritePrometheus(w)
 }
 
-// stats extends the health snapshot with per-session backend state.
+// stats extends the health snapshot with per-session engine state.
 func (s *Server) stats() *Stats {
 	return &Stats{Server: s.health(), Sessions: s.reg.list()}
 }
@@ -552,10 +552,10 @@ func (s *Server) handleQuery(ctx context.Context, name string, req *Request) *Re
 	}
 
 	// Resolve the session and take its execution lock; the registry
-	// constructs backends outside its mutex and re-verifies, after the
+	// constructs engines outside its mutex and re-verifies, after the
 	// lock is won, that the session is still the one registered under its
 	// name (an idle-eviction sweep or close can race the acquisition).
-	sess, err := s.reg.acquireOwned(ctx, name, func() (backend, error) {
+	sess, err := s.reg.acquireOwned(ctx, name, func() (core.Engine, error) {
 		return newBackend(req.Backend, !req.Incomplete, s.cfg.Workers, s.cfg.MaxWorlds)
 	})
 	if err != nil {
@@ -569,23 +569,20 @@ func (s *Server) handleQuery(ctx context.Context, name string, req *Request) *Re
 		return errorResponse(name, err)
 	}
 
+	// A trace is installed when the client asked for one or a slow-query
+	// threshold is configured (so slow statements always log with spans).
+	// It lives for exactly this statement; the session lock serializes
+	// statements, so traces never interleave within a session.
+	var tr *obs.Trace
+	if req.Trace || s.cfg.SlowQueryThreshold > 0 {
+		tr = obs.NewTrace(req.Query)
+	}
+
 	// Run the statement with cooperative cancellation. On deadline the
 	// request returns immediately; the statement observes the interrupt at
 	// its next per-world unit of work and the session lock is held until
 	// it actually stops, keeping the session serialized.
-	sess.backend.setInterrupt(ctx.Err)
-	kind := sess.backend.kind()
-
-	// A trace is installed when the client asked for one or a slow-query
-	// threshold is configured (so slow statements always log with spans).
-	// It lives for exactly this statement; the backend serializes
-	// statements per session, so traces never interleave within a session.
-	var tr *obs.Trace
-	if req.Trace || s.cfg.SlowQueryThreshold > 0 {
-		tr = obs.NewTrace(req.Query)
-		sess.backend.setTrace(tr)
-	}
-
+	kind, _ := sess.engine.Kind()
 	type outcome struct {
 		res *core.Result
 		err error
@@ -593,12 +590,8 @@ func (s *Server) handleQuery(ctx context.Context, name string, req *Request) *Re
 	ch := make(chan outcome, 1)
 	start := time.Now()
 	go func() {
-		res, err := sess.backend.exec(req.Query)
+		res, err := core.ExecTraced(sess.engine, req.Query, ctx.Err, tr)
 		elapsed := time.Since(start)
-		sess.backend.setInterrupt(nil)
-		if tr != nil {
-			sess.backend.setTrace(nil)
-		}
 		s.observeStatement(kind, name, req.Query, elapsed, tr)
 		s.reg.touch(sess)
 		s.gate.Release()

@@ -2,7 +2,7 @@ package server
 
 // stats_test.go: the /v1/stats observability surface (per-session backend
 // counters + shared-plan-cache traffic) and compact statement forms driven
-// through a session's backend.
+// through a session's engine.
 
 import (
 	"context"
@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"maybms/internal/wsd"
 )
 
 // TestStatsOpReportsCounters: the "stats" protocol op reports per-session
@@ -103,7 +105,7 @@ func TestStatsHTTPEndpoint(t *testing.T) {
 // over closed and grouped queries now executes on the compact backend,
 // and the stored tables answer further closures.
 func TestCompactCTASClosedAndGrouped(t *testing.T) {
-	b := newCompactBackend(true, 0, 0)
+	b := wsd.New(true)
 	for _, stmt := range []string{
 		"create table R (K, V, W)",
 		"insert into R values (0,0,1),(0,1,1),(1,0,1),(1,1,1)",
@@ -114,11 +116,11 @@ func TestCompactCTASClosedAndGrouped(t *testing.T) {
 		"create table Closed as select possible K, V from I",
 		"create table Grouped as select conf, K, V from I group worlds by (select B from P)",
 	} {
-		if _, err := b.exec(stmt); err != nil {
+		if _, err := b.Exec(stmt); err != nil {
 			t.Fatalf("%q: %v", stmt, err)
 		}
 	}
-	res, err := b.exec("select certain K, V from Closed")
+	res, err := b.Exec("select certain K, V from Closed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,15 +129,15 @@ func TestCompactCTASClosedAndGrouped(t *testing.T) {
 	}
 	// Grouped is fed by P's component: per-world content is its group's
 	// conf answer, scaled by the group's probability.
-	res, err = b.exec("select possible * from Grouped")
+	res, err = b.Exec("select possible * from Grouped")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Groups[0].Rel.Len(); got != 4 {
 		t.Errorf("grouped CTAS possible rows = %d, want 4", got)
 	}
-	if b.d.MergeCount() != 0 {
-		t.Errorf("closed/grouped CTAS merged %d times", b.d.MergeCount())
+	if b.MergeCount() != 0 {
+		t.Errorf("closed/grouped CTAS merged %d times", b.MergeCount())
 	}
 }
 
@@ -143,13 +145,14 @@ func TestCompactCTASClosedAndGrouped(t *testing.T) {
 // subquery's own subqueries is refused up front (deep walk), not
 // surfaced as an internal planner-contract error.
 func TestGroupWorldsDeepISQLRefused(t *testing.T) {
-	b := newCompactBackend(true, 1, 0)
+	b := wsd.New(true)
+	b.Workers = 1
 	for _, stmt := range []string{
 		"create table R (K, V)",
 		"insert into R values (0,0),(0,1)",
 		"create table I as select * from R repair by key K",
 	} {
-		if _, err := b.exec(stmt); err != nil {
+		if _, err := b.Exec(stmt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +160,7 @@ func TestGroupWorldsDeepISQLRefused(t *testing.T) {
 		"select possible K from I group worlds by (select V from I where exists (select conf from I))",
 		"create table X as select possible K from I group worlds by (select V from I where exists (select conf from I))",
 	} {
-		_, err := b.exec(stmt)
+		_, err := b.Exec(stmt)
 		if err == nil || !strings.Contains(err.Error(), "must be plain SQL") {
 			t.Errorf("%q error = %v, want the plain-SQL refusal", stmt, err)
 		}

@@ -6,6 +6,9 @@
 // cancellation, bounded result encoding for large answers, idle-session
 // eviction and graceful shutdown.
 //
+// A session holds a core.Engine, and a request is one call of core's
+// statement runner on it; a panicking statement fails that request alone.
+//
 // Observability: GET /metrics renders the process-wide internal/obs
 // registry in Prometheus text format alongside server gauges; a request
 // with Trace (or ?trace=1 on POST /v1/query) gets the statement's span

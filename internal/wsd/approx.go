@@ -50,11 +50,11 @@ func (d *WSD) confMonteCarlo(compIdx []int, eval func(cat plan.Catalog) (*colbat
 	samples := d.sampleCount()
 	approxSamples.Add(uint64(samples))
 	bound := 1 / (2 * math.Sqrt(float64(samples)))
-	sp := d.Trace.Begin("approx_mc")
+	sp := d.trace.Begin("approx_mc")
 	sp.Set("samples", samples)
 	sp.Set("seed", d.ApproxSeed)
 	sp.Set("stderr_bound", fmt.Sprintf("%.4f", bound))
-	defer sp.End(d.Trace)
+	defer sp.End(d.trace)
 	rng := rand.New(rand.NewSource(d.ApproxSeed))
 
 	counts := map[string]int{}

@@ -43,6 +43,7 @@ import (
 
 	"maybms/internal/algebra"
 	"maybms/internal/colbatch"
+	"maybms/internal/exec"
 	"maybms/internal/obs"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
@@ -212,7 +213,7 @@ func (d *WSD) QueryByComponent(compIdx []int, query partQuery, sp *obs.Span) (*c
 			tasks = append(tasks, task{sel: map[int]int{ci: a}, dst: &out.deltas[i][a]})
 		}
 	}
-	results, err := mapAlts(d, len(tasks), func(ti int) (*colbatch.Batch, error) {
+	results, err := exec.MapPolled(d.Workers, len(tasks), d.interrupt, func(ti int) (*colbatch.Batch, error) {
 		return query(newPartsCatalog(d, tasks[ti].sel), tasks[ti].sel != nil)
 	})
 	if err != nil {

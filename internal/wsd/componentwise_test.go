@@ -122,15 +122,15 @@ func selectExplained(t *testing.T, d *WSD, core *sqlparse.SelectStmt, cl closure
 		t.Fatalf("explain %q: %v", core, err)
 	}
 	explained := strings.Fields(strings.TrimPrefix(text.String(), "route: "))[0]
-	d.Trace = obs.NewTrace(core.String())
+	d.trace = obs.NewTrace(core.String())
 	rel, err := d.selectClosure(core, cl)
 	executed := ""
-	for _, a := range d.Trace.JSON().Attrs {
+	for _, a := range d.trace.JSON().Attrs {
 		if a.Key == "route" {
 			executed = a.Value
 		}
 	}
-	d.Trace = nil
+	d.trace = nil
 	if executed != explained {
 		t.Errorf("%q: EXPLAIN says route %s, execution took %q", core, explained, executed)
 	}
@@ -616,7 +616,7 @@ func TestAssertInterruptInsideIterators(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	polls := 0
-	d.Interrupt = func() error {
+	d.interrupt = func() error {
 		polls++
 		if polls > 3 {
 			return boom

@@ -29,59 +29,47 @@ import (
 	"maps"
 	"sort"
 
+	"maybms/internal/exec"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/sqlparse"
 	"maybms/internal/tuple"
 )
 
-// Update applies an UPDATE statement to the represented world-set without
-// enumerating it. It returns the number of representation rows changed —
-// not a per-world count, which can be astronomically large. On the
-// piece-rewrite path certain rows count once and a contributed row once
-// per alternative holding it; on the merge path (expressions over
-// uncertain relations) the certain part folds into the merged component
-// first, so its rows count once per merged alternative.
-func (d *WSD) Update(st *sqlparse.Update) (int, error) {
-	sch, err := d.Schema(st.Table)
+// dmlTemplate compiles an UPDATE or DELETE of table once, through the
+// process-wide plan cache, against the decomposition's schemas. EXPLAIN runs
+// it too, so an explained statement's execution hits the cache.
+func (d *WSD) dmlTemplate(st sqlparse.Statement, table string) (*plan.PreparedDML, error) {
+	sch, err := d.Schema(table)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	compileCat := d.schemaCatalog()
-	tmpl, err := plan.Cached(plan.SharedCache(), d.Trace, &d.lookups,
-		fmt.Sprintf("cdu\x00%s\x00%x", st.String(), d.SchemaFingerprint()),
+	return plan.Cached(plan.SharedCache(), d.trace, &d.lookups,
+		fmt.Sprintf("cdml\x00%s\x00%x", st.String(), d.SchemaFingerprint()),
 		func(p *plan.PreparedDML) error { _, err := p.Bind(compileCat, nil); return err },
-		func() (*plan.PreparedDML, error) { return plan.PrepareUpdateStmt(st, sch, compileCat) })
-	if err != nil {
-		return 0, err
-	}
-	return d.applyDML(st.Table, tmpl)
+		func() (*plan.PreparedDML, error) {
+			if u, ok := st.(*sqlparse.Update); ok {
+				return plan.PrepareUpdateStmt(u, sch, compileCat)
+			}
+			return plan.PrepareDeleteStmt(st.(*sqlparse.Delete), sch, compileCat)
+		})
 }
 
-// Delete applies a DELETE statement to the represented world-set without
-// enumerating it; the count is the number of representation rows removed
-// (see Update for its meaning).
-func (d *WSD) Delete(st *sqlparse.Delete) (int, error) {
-	sch, err := d.Schema(st.Table)
+// applyDML applies an UPDATE or DELETE of table to the represented
+// world-set without enumerating it: the piece rewrite directly when the
+// expressions are world-independent, else after the bounded merge of the
+// involved components has moved the target's certain part into the merged
+// component. It returns the number of representation rows changed — not a
+// per-world count, which can be astronomically large. On the piece-rewrite
+// path certain rows count once and a contributed row once per alternative
+// holding it; on the merge path the certain part folds into the merged
+// component first, so its rows count once per merged alternative.
+func (d *WSD) applyDML(st sqlparse.Statement, table string) (int, error) {
+	tmpl, err := d.dmlTemplate(st, table)
 	if err != nil {
 		return 0, err
 	}
-	compileCat := d.schemaCatalog()
-	tmpl, err := plan.Cached(plan.SharedCache(), d.Trace, &d.lookups,
-		fmt.Sprintf("cdd\x00%s\x00%x", st.String(), d.SchemaFingerprint()),
-		func(p *plan.PreparedDML) error { _, err := p.Bind(compileCat, nil); return err },
-		func() (*plan.PreparedDML, error) { return plan.PrepareDeleteStmt(st, sch, compileCat) })
-	if err != nil {
-		return 0, err
-	}
-	return d.applyDML(st.Table, tmpl)
-}
-
-// applyDML routes a compiled UPDATE/DELETE template: the piece rewrite
-// directly when the expressions are world-independent, else after the
-// bounded merge of the involved components has moved the target's certain
-// part into the merged component.
-func (d *WSD) applyDML(table string, tmpl *plan.PreparedDML) (int, error) {
 	exprComps, err := tmpl.Components(plan.ComponentCatalogFunc(d.componentsFor))
 	if err != nil {
 		return 0, err
@@ -171,14 +159,14 @@ func (d *WSD) rewritePieces(table string, tmpl *plan.PreparedDML) (int, error) {
 		tuples  []tuple.Tuple
 		changed int
 	}
-	outs, err := mapAlts(d, len(pieces), func(i int) (rewritten, error) {
+	outs, err := exec.MapPolled(d.Workers, len(pieces), d.interrupt, func(i int) (rewritten, error) {
 		// Each task binds its own instance — subquery operators hold
 		// iteration state.
 		var sel map[int]int
 		if p := pieces[i]; p.ci >= 0 {
 			sel = map[int]int{p.ci: p.alt}
 		}
-		bound, err := tmpl.Bind(newPartsCatalog(d, sel), d.Interrupt)
+		bound, err := tmpl.Bind(newPartsCatalog(d, sel), d.interrupt)
 		if err != nil {
 			return rewritten{}, err
 		}

@@ -1,9 +1,9 @@
 package wsd
 
-// The compact backend's statement executor: Exec and ExecStmt run one I-SQL
-// statement against the decomposition, as core.Session's Exec and ExecStmt
-// do over explicit worlds. CompactDB, the maybms shell's -compact mode and
-// the server's compact sessions all run their statements here. Every SELECT
+// The compact engine's half of core.Engine: Run executes one I-SQL statement
+// against the decomposition and Predict explains it, as core.Session's do
+// over explicit worlds; core's runner parses, frames EXPLAIN and installs
+// the statement's interrupt hook and trace around both. Every SELECT
 // compiles once (through the process-wide shared plan cache, keyed by
 // statement text and the decomposition's schema fingerprint), the planner
 // annotates the compiled tree with the components it touches, and route
@@ -92,15 +92,11 @@ package wsd
 //     the grammar (sqlparse.Assert) routed like every other, so it works
 //     across lines, behind comments, in scripts and under EXPLAIN [ANALYZE]
 //   - DROP TABLE [IF EXISTS] t                   — certain relations only
-//   - EXPLAIN <stmt>                             — routing prediction
-//     (single / conditional / componentwise / merge / approx_mc /
-//     refused, with merge cardinality against the expansion limit) plus
-//     the compiled plan tree, component-annotated per table scan;
-//     predicts without executing, merging, or touching the decomposition
-//   - EXPLAIN ANALYZE <stmt>                     — the same, then executes
-//     the statement for real (DML side effects included, as in
-//     PostgreSQL) with a statement trace installed and appends the actual
-//     spans, timings and cardinalities
+//   - EXPLAIN [ANALYZE] <stmt>                   — framed by core's
+//     runner; Predict writes the routing (single / conditional /
+//     componentwise / merge / approx_mc / refused, with merge cardinality
+//     against the expansion limit) and the compiled plan tree,
+//     component-annotated per table scan, touching nothing
 //
 // Still rejected (use the naive backend): the rows of refusals below.
 
@@ -114,8 +110,11 @@ import (
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
+	"maybms/internal/tuple"
 	"maybms/internal/worldset"
 )
+
+var _ core.Engine = (*WSD)(nil)
 
 // ErrUnsupported is the sentinel every refusal wraps: clients and embedders
 // detect "this statement needs the naive backend" with errors.Is(err,
@@ -198,7 +197,7 @@ func (d *WSD) refuse(r *refusal, text string) error {
 	if r.detect != nil {
 		d.noteRoute(routeRefused)
 	}
-	d.Trace.Set("refusal", r.name)
+	d.trace.Set("refusal", r.name)
 	return fmt.Errorf("%w: %s", ErrUnsupported, text)
 }
 
@@ -312,23 +311,11 @@ func plainStarSource(q *sqlparse.SelectStmt) (string, bool) {
 	return q.From[0].Name, true
 }
 
-// Exec parses and executes one I-SQL statement.
-func (d *WSD) Exec(sql string) (*core.Result, error) {
-	sp := d.Trace.Begin("parse")
-	stmt, err := sqlparse.Parse(sql)
-	sp.End(d.Trace)
-	if err != nil {
-		return nil, err
-	}
-	return d.ExecStmt(stmt)
-}
+// Exec parses and runs one statement through core's runner.
+func (d *WSD) Exec(sql string) (*core.Result, error) { return core.Exec(d, sql) }
 
-// ExecStmt executes one parsed statement.
-func (d *WSD) ExecStmt(stmt sqlparse.Statement) (*core.Result, error) {
-	if st, ok := stmt.(*sqlparse.Explain); ok {
-		return core.Explain(st, "compact (world-set decomposition)", d.WorldCount().String(), d.Weighted,
-			&d.Trace, d.explainPlan, d.ExecStmt)
-	}
+// Run executes one statement other than EXPLAIN against the decomposition.
+func (d *WSD) Run(stmt sqlparse.Statement) (*core.Result, error) {
 	sh, err := d.decide(stmt)
 	if err != nil {
 		return nil, err
@@ -343,7 +330,14 @@ func (d *WSD) ExecStmt(stmt sqlparse.Statement) (*core.Result, error) {
 		}
 		return d.ok("created table %s", st.Name)
 	case *sqlparse.Insert:
-		return d.execInsert(st)
+		rows, err := d.insertRows(st)
+		if err == nil {
+			err = d.InsertCertain(st.Table, rows)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return d.ok("inserted %d row(s) into %s", len(rows), st.Table)
 	case *sqlparse.Drop:
 		if err := d.dropCertain(st.Name); err != nil && !(st.IfExists && errors.Is(err, ErrUnknown)) {
 			return nil, err
@@ -354,13 +348,13 @@ func (d *WSD) ExecStmt(stmt sqlparse.Statement) (*core.Result, error) {
 	case *sqlparse.SelectStmt:
 		return d.execSelect(st, sh)
 	case *sqlparse.Update:
-		n, err := d.Update(st)
+		n, err := d.applyDML(st, st.Table)
 		if err != nil {
 			return nil, err
 		}
 		return d.ok("updated %d representation row(s) in %s across %s world(s)", n, st.Table, d.WorldCount())
 	case *sqlparse.Delete:
-		n, err := d.Delete(st)
+		n, err := d.applyDML(st, st.Table)
 		if err != nil {
 			return nil, err
 		}
@@ -399,22 +393,15 @@ func (d *WSD) execImport(st *sqlparse.Import) (*core.Result, error) {
 		st.Table, p.Certain.Len(), len(p.Groups), d.WorldCount())
 }
 
-// execInsert appends constant rows to a certain relation. Row construction
-// (column-list reorder, NULL-fill, constant-expression evaluation) is shared
-// with the naive engine via plan.ConstInsertRows.
-func (d *WSD) execInsert(st *sqlparse.Insert) (*core.Result, error) {
+// insertRows builds an INSERT's constant rows against the target's schema
+// (shared with the naive engine via plan.ConstInsertRows): the check
+// EXPLAIN runs too.
+func (d *WSD) insertRows(st *sqlparse.Insert) ([]tuple.Tuple, error) {
 	sch, err := d.Schema(st.Table)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := plan.ConstInsertRows(st, sch)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.InsertCertain(st.Table, rows); err != nil {
-		return nil, err
-	}
-	return d.ok("inserted %d row(s) into %s", len(rows), st.Table)
+	return plan.ConstInsertRows(st, sch)
 }
 
 // execCreateAs materializes a query: a split becomes decomposition
@@ -504,11 +491,12 @@ func (d *WSD) execSelect(st *sqlparse.SelectStmt, sh shape) (*core.Result, error
 	}, nil
 }
 
-// explainPlan writes EXPLAIN's prediction for one statement, read off the
+// Predict writes EXPLAIN's prediction for one statement, read off the
 // statement's shape: a table refusal as route's refusals print; the routing
 // of a SELECT form from route itself; the target relation's components for
-// DML; one plan line for the rest.
-func (d *WSD) explainPlan(b *strings.Builder, stmt sqlparse.Statement) error {
+// DML, after the DML template or the INSERT rows build as they do in Run;
+// one plan line for the rest.
+func (d *WSD) Predict(b *strings.Builder, stmt sqlparse.Statement) error {
 	sh, err := d.decide(stmt)
 	if err != nil {
 		return err
@@ -537,10 +525,19 @@ func (d *WSD) explainPlan(b *strings.Builder, stmt sqlparse.Statement) error {
 			return d.explainQuery(b, sh)
 		}
 	case *sqlparse.Update:
+		if _, err := d.dmlTemplate(st, st.Table); err != nil {
+			return err
+		}
 		fmt.Fprintf(b, "plan:\n  Update %s [%s]\n", st.Table, target(st.Table))
 	case *sqlparse.Delete:
+		if _, err := d.dmlTemplate(st, st.Table); err != nil {
+			return err
+		}
 		fmt.Fprintf(b, "plan:\n  Delete %s [%s]\n", st.Table, target(st.Table))
 	case *sqlparse.Insert:
+		if _, err := d.insertRows(st); err != nil {
+			return err
+		}
 		fmt.Fprintf(b, "plan:\n  Insert %s (%d rows, certain part)\n", st.Table, len(st.Rows))
 	default:
 		fmt.Fprintf(b, "plan:\n  %s\n", stmt)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"maybms/internal/core"
 	"maybms/internal/obs"
 )
 
@@ -83,8 +84,8 @@ func TestRefusalTable(t *testing.T) {
 			}
 			d := refusalWSD(t)
 			before := []any{d.WorldCount().String(), d.ComponentCount(), d.AlternativeCount(), d.String()}
-			d.Trace = obs.NewTrace(sql)
-			_, err := d.Exec(sql)
+			tr := obs.NewTrace(sql)
+			_, err := core.ExecTraced(d, sql, nil, tr)
 			if !errors.Is(err, ErrUnsupported) {
 				t.Fatalf("%q: error %v does not wrap ErrUnsupported", sql, err)
 			}
@@ -97,7 +98,7 @@ func TestRefusalTable(t *testing.T) {
 				t.Errorf("%q: error %q does not carry the row's text %q", sql, err, r.text)
 			}
 			attrs := map[string]string{}
-			for _, a := range d.Trace.JSON().Attrs {
+			for _, a := range tr.JSON().Attrs {
 				attrs[a.Key] = a.Value
 			}
 			if attrs["route"] != "refused" || attrs["refusal"] != r.name {

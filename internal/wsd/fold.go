@@ -172,7 +172,7 @@ func (f *closureFold) hold(id, stamp, tok int32, pa float64) {
 }
 
 // weighNode appends the postings of the subtree rooted at position i — after
-// its children's — polling the Interrupt hook once per part.
+// its children's — polling the interrupt hook once per part.
 func (f *closureFold) weighNode(i int) (span, error) {
 	alts := f.comps[i].Alts
 	var kids [][]span
@@ -316,7 +316,7 @@ func (f *closureFold) pointConf() (float64, error) {
 // close answers closure cl under schema sch (CONF appends the conf column):
 // the distinct tuples of the certain slot and then the parts, components and
 // alternatives ascending, in first-appearance order — all of them for
-// POSSIBLE and CONF, the always-contributed ones for CERTAIN. The Interrupt
+// POSSIBLE and CONF, the always-contributed ones for CERTAIN. The interrupt
 // hook is polled once per emitted batch.
 func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation, error) {
 	if cl != closurePossible {

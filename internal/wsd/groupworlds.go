@@ -43,6 +43,7 @@ import (
 
 	"maybms/internal/colbatch"
 	"maybms/internal/core"
+	"maybms/internal/exec"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/sqlparse"
@@ -315,7 +316,7 @@ func (d *WSD) groupsFromAlternatives(mi int, gw evaluator) ([]groupInfo, error) 
 		return nil, err
 	}
 	answers := parts.deltas[0]
-	fps, err := mapAlts(d, len(answers), func(a int) (uint64, error) {
+	fps, err := exec.MapPolled(d.Workers, len(answers), d.interrupt, func(a int) (uint64, error) {
 		return relation.FromBatch(answers[a]).Fingerprint(), nil
 	})
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 
+	"maybms/internal/exec"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 )
@@ -394,7 +395,7 @@ func (d *WSD) Assert(touching []string, pred func(cat plan.Catalog) (bool, error
 	// on the worker pool, then fold the keeps sequentially in alternative
 	// order so the surviving order and renormalization are deterministic.
 	merged := d.comps[mi]
-	oks, err := mapAlts(d, len(merged.Alts), func(i int) (bool, error) {
+	oks, err := exec.MapPolled(d.Workers, len(merged.Alts), d.interrupt, func(i int) (bool, error) {
 		return pred(newPartsCatalog(d, map[int]int{mi: i}))
 	})
 	if err != nil {

@@ -73,7 +73,7 @@ var routeCounts = func() (out [len(routeNames)]*obs.Counter) {
 // trace's route attribute.
 func (d *WSD) noteRoute(k routeKind) {
 	routeCounts[k].Inc()
-	d.Trace.Set("route", k.String())
+	d.trace.Set("route", k.String())
 }
 
 // decision is the value route returns.

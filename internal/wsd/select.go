@@ -13,7 +13,7 @@ import (
 
 	"maybms/internal/algebra"
 	"maybms/internal/colbatch"
-	"maybms/internal/expr"
+	"maybms/internal/core"
 	"maybms/internal/obs"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
@@ -95,17 +95,6 @@ var (
 		"Monte-Carlo world samples drawn by APPROX CONF.")
 )
 
-// rootCtx is the evaluation context statements drain operators under: it
-// carries the decomposition's Interrupt hook — polled from inside the
-// long-running iterators (see internal/algebra) — and the per-alternative
-// evaluation stats of an installed trace. nil when neither is set.
-func (d *WSD) rootCtx() *expr.Context {
-	if d.Interrupt == nil && d.Trace == nil {
-		return nil
-	}
-	return &expr.Context{Interrupt: d.Interrupt, Stats: d.Trace.Stats()}
-}
-
 // schemaCatalog exposes the decomposition's relation schemas (over empty
 // relations) as a compile target: planning needs names and columns only,
 // and the compiled template is stripped of tuples anyway.
@@ -160,7 +149,7 @@ func (e evaluator) batch(cat plan.Catalog) (*colbatch.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return algebra.CollectBatch(op, e.d.rootCtx())
+	return algebra.CollectBatch(op, core.StatementCtx(e.d.interrupt, e.d.trace))
 }
 
 func (e evaluator) part(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error) {
@@ -171,7 +160,7 @@ func (e evaluator) part(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, err
 	if err != nil {
 		return nil, err
 	}
-	return algebra.CollectBatch(op, e.d.rootCtx())
+	return algebra.CollectBatch(op, core.StatementCtx(e.d.interrupt, e.d.trace))
 }
 
 func (e evaluator) full(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error) {
@@ -186,7 +175,7 @@ func (e evaluator) full(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, err
 // the evaluator that binds it per catalog, for this one statement.
 func (d *WSD) prepared(sel *sqlparse.SelectStmt) (*plan.Prepared, evaluator, error) {
 	compileCat := d.schemaCatalog()
-	prep, err := plan.Cached(plan.SharedCache(), d.Trace, &d.lookups,
+	prep, err := plan.Cached(plan.SharedCache(), d.trace, &d.lookups,
 		fmt.Sprintf("cq\x00%s\x00%x", sel.String(), d.SchemaFingerprint()),
 		func(p *plan.Prepared) error { _, err := p.Bind(compileCat); return err },
 		func() (*plan.Prepared, error) { return plan.Prepare(sel, compileCat) })
@@ -200,12 +189,12 @@ func (d *WSD) prepared(sel *sqlparse.SelectStmt) (*plan.Prepared, evaluator, err
 // boolean expression). The condition compiles once through the process-wide
 // shared plan cache — keyed like SELECT templates, under a distinct prefix
 // — and is bound per alternative of the merged involved components, with
-// the Interrupt hook threaded into its subquery evaluations. The uncertain
+// the interrupt hook threaded into its subquery evaluations. The uncertain
 // relations the condition reads are derived from the condition itself.
 func (d *WSD) assertStmt(e sqlparse.Expr) error {
 	touching := sqlparse.ReferencedTables(&sqlparse.SelectStmt{Where: e, Limit: -1})
 	compileCat := d.schemaCatalog()
-	pp, err := plan.Cached(plan.SharedCache(), d.Trace, &d.lookups,
+	pp, err := plan.Cached(plan.SharedCache(), d.trace, &d.lookups,
 		fmt.Sprintf("ca\x00%s\x00%x", e.String(), d.SchemaFingerprint()),
 		func(p *plan.PreparedPredicate) error { _, err := p.Bind(compileCat); return err },
 		func() (*plan.PreparedPredicate, error) { return plan.PreparePredicate(e, compileCat) })
@@ -213,7 +202,7 @@ func (d *WSD) assertStmt(e sqlparse.Expr) error {
 		return err
 	}
 	return d.Assert(touching, func(cat plan.Catalog) (bool, error) {
-		pred, err := pp.BindInterrupt(cat, d.Interrupt)
+		pred, err := pp.BindInterrupt(cat, d.interrupt)
 		if err != nil {
 			return false, err
 		}
@@ -243,15 +232,15 @@ func (d *WSD) selectClosure(core *sqlparse.SelectStmt, cl closure) (*relation.Re
 	if err != nil {
 		return nil, err
 	}
-	asp := d.Trace.Begin("analyze")
+	asp := d.trace.Begin("analyze")
 	an, err := d.analyze(prep)
 	if err != nil {
-		asp.End(d.Trace)
+		asp.End(d.trace)
 		return nil, err
 	}
 	asp.Set("components", len(an.Comps))
 	asp.Set("decomposable", an.Decomposable)
-	asp.End(d.Trace)
+	asp.End(d.trace)
 
 	dec := d.route(core, an, cl, false)
 	d.noteRoute(dec.kind)
@@ -282,8 +271,8 @@ func (d *WSD) run(dec decision, comps []int, ev evaluator, cl closure) (*relatio
 // that single answer as the fold's certain slot: every closure is (at most) a
 // dedup of it.
 func (d *WSD) runSingle(comps []int, ev evaluator, cl closure) (*relation.Relation, error) {
-	sp := d.Trace.Begin("eval")
-	defer sp.End(d.Trace)
+	sp := d.trace.Begin("eval")
+	defer sp.End(d.trace)
 	res, err := ev.batch(newPartsCatalog(d, firstWorld(comps)))
 	if err != nil {
 		return nil, err
@@ -299,8 +288,8 @@ func (d *WSD) runSingle(comps []int, ev evaluator, cl closure) (*relation.Relati
 // component is a tree of one node) — under the span and the session counter
 // named after dec's route. No merge, and no world is evaluated.
 func (d *WSD) evalParts(comps []int, dec decision, query partQuery) (*componentParts, error) {
-	sp := d.Trace.Begin(dec.kind.String())
-	defer sp.End(d.Trace)
+	sp := d.trace.Begin(dec.kind.String())
+	defer sp.End(d.trace)
 	sp.Set("components", len(comps))
 	counter := &d.componentwise
 	if dec.kind != routeComponentwise {
@@ -325,8 +314,8 @@ func (d *WSD) runFold(comps []int, dec decision, query partQuery, cl closure) (*
 	if err != nil {
 		return nil, err
 	}
-	csp := d.Trace.Begin("closure")
-	defer csp.End(d.Trace)
+	csp := d.trace.Begin("closure")
+	defer csp.End(d.trace)
 	return d.closeParts(parts, cl)
 }
 
@@ -345,7 +334,7 @@ func (d *WSD) runConditionalRelation(comps []int, dec decision, ev evaluator) (*
 // (bounded partial expansion — route has checked the size), evaluate each
 // merged alternative's full answer as its part, close with the fold.
 func (d *WSD) runMerge(comps []int, ev evaluator, cl closure) (*relation.Relation, error) {
-	msp := d.Trace.Begin("merge_eval")
+	msp := d.trace.Begin("merge_eval")
 	msp.Set("components", len(comps))
 	mi, err := d.mergeFitting(comps)
 	var parts *componentParts
@@ -353,16 +342,16 @@ func (d *WSD) runMerge(comps []int, ev evaluator, cl closure) (*relation.Relatio
 		parts, err = d.QueryByComponent([]int{mi}, ev.full, nil)
 	}
 	if err != nil {
-		msp.End(d.Trace)
+		msp.End(d.trace)
 		return nil, err
 	}
 	alts := len(parts.deltas[0])
 	mergeAlternatives.Observe(float64(alts))
 	msp.Set("alternatives", alts)
 	msp.Set("merge_limit", d.MergeLimit)
-	msp.End(d.Trace)
-	csp := d.Trace.Begin("closure")
-	defer csp.End(d.Trace)
+	msp.End(d.trace)
+	csp := d.trace.Begin("closure")
+	defer csp.End(d.trace)
 	return d.closeParts(parts, cl)
 }
 

@@ -105,7 +105,7 @@ func TestClosuresBothSidesOfTheFloor(t *testing.T) {
 					t.Fatal(err)
 				}
 				qcore.GroupWorlds = nil
-				d.Trace = obs.NewTrace(q)
+				d.trace = obs.NewTrace(q)
 				var got []core.GroupRows
 				if gw != nil {
 					got, err = d.groupWorldsClosure(gw, qcore, cl)
@@ -117,7 +117,7 @@ func TestClosuresBothSidesOfTheFloor(t *testing.T) {
 				if err != nil {
 					t.Fatalf("compact: %v", err)
 				}
-				ex := d.Trace.JSON().Exec
+				ex := d.trace.JSON().Exec
 				if side.batch && ex.BatchCollects == 0 {
 					t.Errorf("over the floor but no batch collect ran (batch=%d row=%d)", ex.BatchCollects, ex.RowCollects)
 				}

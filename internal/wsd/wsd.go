@@ -62,10 +62,10 @@
 // createTableAsClosure). MergeCount and ComponentwiseCount make the
 // routing observable.
 //
-// Statements arrive through Exec and ExecStmt (exec.go), the compact
-// backend's statement executor: decide takes a statement apart once — the
-// refusal table, the split source, the ASSERT, the closure, the grouping —
-// and execution and EXPLAIN both read what it found.
+// Statements arrive from core's runner through Run and Predict (exec.go),
+// the compact engine's core.Engine methods: decide takes a statement apart
+// once — the refusal table, the split source, the ASSERT, the closure, the
+// grouping — and execution and EXPLAIN both read what it found.
 //
 // Every statement takes one routing decision (route.go): a pure function of
 // the compiled plan's component analysis, the closure and the shape of the
@@ -99,7 +99,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"maybms/internal/exec"
 	"maybms/internal/obs"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
@@ -185,24 +184,16 @@ type WSD struct {
 	// default) selects GOMAXPROCS. Results are identical for every
 	// setting; see internal/exec.
 	Workers int
-	// Interrupt, when non-nil, is polled during long passes (component
-	// merges, per-alternative evaluations); a non-nil return aborts the
-	// operation with that error. The server installs a request context's
-	// Err here so deadlined compact statements stop consuming the engine.
-	// An aborted merge leaves the decomposition unchanged.
-	Interrupt func() error
 	// ApproxSamples is the Monte-Carlo sample count APPROX CONF uses when
 	// a merge would exceed MergeLimit (DefaultApproxSamples when ≤ 0), and
 	// ApproxSeed seeds the sampler: a fixed pair makes the estimate
 	// deterministic.
 	ApproxSamples int
 	ApproxSeed    int64
-	// Trace, when non-nil, receives stage spans and routing annotations
-	// for the statement currently executing (plan-cache lookup, analysis,
-	// route, merge cardinalities, approx sampling). Statements on one
-	// decomposition execute serially, so callers install a fresh trace
-	// per statement — like Interrupt — and clear it after.
-	Trace *obs.Trace
+	// interrupt and trace belong to the statement executing now (see
+	// SetStatement); an interrupted merge leaves the decomposition as it was.
+	interrupt func() error
+	trace     *obs.Trace
 
 	certain map[string]*relation.Relation // lower name → certain tuples
 	schemas map[string]*schema.Schema     // lower name → schema
@@ -245,24 +236,12 @@ func New(weighted bool) *WSD {
 // key normalizes a relation name.
 func key(name string) string { return strings.ToLower(name) }
 
-// interrupted polls the Interrupt hook.
+// interrupted polls the interrupt hook.
 func (d *WSD) interrupted() error {
-	if d.Interrupt == nil {
+	if d.interrupt == nil {
 		return nil
 	}
-	return d.Interrupt()
-}
-
-// mapAlts runs fn over n alternatives on the worker pool, polling the
-// Interrupt hook before each task.
-func mapAlts[T any](d *WSD, n int, fn func(i int) (T, error)) ([]T, error) {
-	return exec.Map(d.Workers, n, func(i int) (T, error) {
-		if err := d.interrupted(); err != nil {
-			var zero T
-			return zero, err
-		}
-		return fn(i)
-	})
+	return d.interrupt()
 }
 
 // PutCertain registers a complete relation present in every world.
@@ -352,6 +331,18 @@ func (d *WSD) ConditionalCount() uint64 { return d.conditional.Load() }
 func (d *WSD) PlanCacheCounts() (hits, misses uint64) {
 	return d.lookups.Counts()
 }
+
+// SetStatement installs (or clears, with nils) the interrupt hook and the
+// trace of the statement about to run; see core.Engine.SetStatement.
+func (d *WSD) SetStatement(interrupt func() error, tr *obs.Trace) {
+	d.interrupt, d.trace = interrupt, tr
+}
+
+// Kind names the compact engine for the server and EXPLAIN.
+func (d *WSD) Kind() (name, representation string) { return "compact", "world-set decomposition" }
+
+// Worlds renders the exact world count in decimal.
+func (d *WSD) Worlds() string { return d.WorldCount().String() }
 
 // componentsFor returns the indexes (into the component list) of the
 // components contributing to relation name. Exposed to the planner's

@@ -53,6 +53,14 @@
 // every world — so a template compiled against one world binds in all of
 // them.
 //
+// # One statement runner
+//
+// Both engines implement internal/core's Engine, and core's statement
+// runner runs every statement for DB, CompactDB, the shell and the server:
+// it parses, frames EXPLAIN [ANALYZE], installs and clears the statement's
+// interrupt hook and trace, and turns a panic into the statement's error
+// ("internal error: …", counted in maybms_panics_total).
+//
 // # Serving I-SQL
 //
 // The cmd/maybms-serve binary (and the embeddable Serve / NewServer API)
@@ -81,7 +89,7 @@
 //
 // # Decomposition-aware execution (compact backend)
 //
-// The compact engine (CompactDB and the server's compact backend) executes
+// The compact engine (CompactDB and the server's compact sessions) executes
 // queries against the world-set decomposition itself. Each statement
 // compiles once and the planner annotates the compiled tree with the
 // components it touches; possible/certain/conf closures over plans that
@@ -91,13 +99,13 @@
 // component sizes, never their product), no component merge, and the
 // representation left untouched. CREATE TABLE AS over such plans stores
 // its answer factorized (certain part plus per-alternative contributions,
-// linear size). Only plans that genuinely correlate several components
-// fall back to a bounded partial expansion of exactly the involved
-// components. CompactDB.Select runs closures directly;
-// CompactDB.MergeCount and ComponentwiseCount expose the routing. One
-// statement executor (internal/wsd's WSD.Exec) serves CompactDB, the shell's
-// -compact mode and the server's compact sessions; what it refuses is the
-// refusal table beside it, and every refusal wraps ErrCompactUnsupported.
+// linear size), and UPDATE/DELETE rewrite the certain part and each
+// alternative's contribution separately. Only plans that genuinely
+// correlate several components fall back to a bounded partial expansion of
+// exactly the involved components. CompactDB.Select runs closures directly;
+// CompactDB.MergeCount and ComponentwiseCount expose the routing. What the
+// compact engine refuses is the refusal table beside its statement switch
+// (internal/wsd), and every refusal wraps ErrCompactUnsupported.
 //
 // Answer order. A closed answer (possible, certain, conf) is a set. The
 // compact backend lists it in representation order — the certain tuples,
@@ -132,7 +140,8 @@
 //     maybms_route_total{route}, maybms_merge_alternatives,
 //     maybms_approx_samples_total, maybms_requests_total{op},
 //     maybms_request_errors_total, maybms_statement_seconds{backend},
-//     maybms_slow_queries_total, plus plan-cache and session gauges.
+//     maybms_slow_queries_total, maybms_panics_total, plus plan-cache and
+//     session gauges.
 //   - Metrics collection is on by default and nearly free (one atomic add
 //     per statement stage, never per row); MAYBMS_METRICS=off or
 //     SetMetricsEnabled(false) turns it off. scripts/check_trace_overhead.sh
@@ -181,38 +190,28 @@ func SetMetricsEnabled(on bool) { obs.SetEnabled(on) }
 // the server gauges).
 func WriteMetrics(w io.Writer) { obs.Default().WritePrometheus(w) }
 
-// DB is a database whose state is a set of possible worlds, evaluated with
-// the naive (explicitly enumerating) engine.
-type DB struct {
-	session *core.Session
-}
-
-// Open creates an empty probabilistic database: one world with
-// probability 1.
-func Open() *DB { return &DB{session: core.NewSession(true)} }
-
-// OpenIncomplete creates an empty non-probabilistic database: worlds carry
-// no probabilities, and CONF / WEIGHT are unavailable (the paper's
-// Example 2.3 mode).
-func OpenIncomplete() *DB { return &DB{session: core.NewSession(false)} }
+// statements are the I-SQL entry points DB and CompactDB share: each runs
+// through the engine's statement runner (internal/core), the one the shell
+// and the server run too.
+type statements struct{ engine core.Engine }
 
 // Exec parses and executes one I-SQL statement.
-func (db *DB) Exec(sql string) (*Result, error) { return db.session.Exec(sql) }
+func (s statements) Exec(sql string) (*Result, error) { return core.Exec(s.engine, sql) }
 
 // ExecTraced runs one I-SQL statement with a fresh statement trace
-// installed and returns the trace alongside the result. The trace is
-// populated even when the statement errors.
-func (db *DB) ExecTraced(sql string) (*Result, *Trace, error) {
+// installed and returns the trace alongside the result: per-stage spans,
+// evaluation stats and, on the compact engine, the routing decision (route
+// attr) and component analysis. The trace is populated even when the
+// statement errors.
+func (s statements) ExecTraced(sql string) (*Result, *Trace, error) {
 	tr := obs.NewTrace(sql)
-	db.session.SetTrace(tr)
-	res, err := db.session.Exec(sql)
-	db.session.SetTrace(nil)
+	res, err := core.ExecTraced(s.engine, sql, nil, tr)
 	return res, tr, err
 }
 
 // MustExec is Exec for program initialization; it panics on error.
-func (db *DB) MustExec(sql string) *Result {
-	res, err := db.session.Exec(sql)
+func (s statements) MustExec(sql string) *Result {
+	res, err := s.Exec(sql)
 	if err != nil {
 		panic(fmt.Sprintf("maybms: %s: %v", sql, err))
 	}
@@ -221,7 +220,25 @@ func (db *DB) MustExec(sql string) *Result {
 
 // ExecScript executes a semicolon-separated script, stopping at the first
 // error.
-func (db *DB) ExecScript(sql string) ([]*Result, error) { return db.session.ExecScript(sql) }
+func (s statements) ExecScript(sql string) ([]*Result, error) { return core.ExecScript(s.engine, sql) }
+
+// DB is a database whose state is a set of possible worlds, evaluated with
+// the naive (explicitly enumerating) engine.
+type DB struct {
+	statements
+	session *core.Session
+}
+
+func newDB(s *core.Session) *DB { return &DB{statements{s}, s} }
+
+// Open creates an empty probabilistic database: one world with
+// probability 1.
+func Open() *DB { return newDB(core.NewSession(true)) }
+
+// OpenIncomplete creates an empty non-probabilistic database: worlds carry
+// no probabilities, and CONF / WEIGHT are unavailable (the paper's
+// Example 2.3 mode).
+func OpenIncomplete() *DB { return newDB(core.NewSession(false)) }
 
 // Parse checks a statement without executing it, returning its normalized
 // rendering.
