@@ -3,6 +3,7 @@ package maybms_test
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"maybms"
 )
@@ -103,25 +104,60 @@ func ExampleOpenCompact() {
 	// conf = 0.75
 }
 
-// ExampleOpenLineage shows U-relation lineage composing through a join.
-func ExampleOpenLineage() {
-	db := maybms.OpenLineage()
-	if err := db.RegisterRepair("Cust", []string{"CID", "City", "W"},
-		[][]any{{1, "vienna", 3}, {1, "graz", 1}}, []string{"CID"}, "W"); err != nil {
-		panic(err)
+// ExampleCompactDB_Exec_conf asks for confidences across a join and a
+// self-join of a repaired relation. The self-join correlates two customers'
+// independent repairs, so the compact engine merges their two components
+// once; the naive engine, enumerating the worlds, gives the same answers.
+func ExampleCompactDB_Exec_conf() {
+	const script = `
+		create table Raw (CID, City, W);
+		insert into Raw values (1, 'vienna', 3), (1, 'graz', 1),
+			(2, 'vienna', 3), (2, 'linz', 1), (3, 'linz', 2);
+		create table Customer as select CID, City from Raw repair by key CID weight W;
+		create table Region (City, Region);
+		insert into Region values ('vienna', 'east'), ('graz', 'south'), ('linz', 'north');
+		select CID, Region, conf from Customer C, Region R where C.City = R.City;
+		select conf from Customer C1, Region R1, Customer C2, Region R2 where C1.City = R1.City
+			and C2.City = R2.City and C1.CID = 1 and C2.CID = 2 and R1.Region = 'east' and R2.Region = 'east';
+		select conf from Customer C1, Region R1, Customer C2, Region R2 where C1.City = R1.City
+			and C2.City = R2.City and C1.CID = 1 and C2.CID = 2 and R1.Region = 'south' and R2.Region = 'south'`
+	// The last three results are the answers; each prints its rows sorted.
+	answers := func(results []*maybms.Result) string {
+		var b strings.Builder
+		for _, r := range results[len(results)-3:] {
+			fmt.Fprintln(&b, r.First())
+		}
+		return b.String()
 	}
-	if err := db.RegisterCertain("Region", []string{"City", "Region"},
-		[][]any{{"vienna", "east"}, {"graz", "south"}}); err != nil {
-		panic(err)
-	}
-	if err := db.Join("Located", "Cust", "Region", "City", "City"); err != nil {
-		panic(err)
-	}
-	c, err := db.Conf("Located", 1, "vienna", 3, "vienna", "east")
+	cdb := maybms.OpenCompact()
+	compact, err := cdb.ExecScript(script)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("P(customer 1 in the east) = %.2f\n", c)
+	naive, err := maybms.Open().ExecScript(script)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Print(answers(compact))
+	fmt.Println("merges:", cdb.MergeCount())
+	fmt.Println("naive engine agrees:", answers(naive) == answers(compact))
 	// Output:
-	// P(customer 1 in the east) = 0.75
+	// CID  Region  conf
+	// ---  ------  ----
+	// 1    east    0.75
+	// 1    south   0.25
+	// 2    east    0.75
+	// 2    north   0.25
+	// 3    north   1.0
+	//
+	// conf
+	// ------
+	// 0.5625
+	//
+	// conf
+	// ----
+	// (empty)
+	//
+	// merges: 1
+	// naive engine agrees: true
 }

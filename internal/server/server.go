@@ -29,6 +29,10 @@ const (
 	DefaultIdleTimeout = 15 * time.Minute
 )
 
+// maxRequestBytes caps one request on either transport: a TCP request line
+// or an HTTP request body.
+const maxRequestBytes = 8 << 20
+
 // Config parameterizes a Server. The zero value is a working local
 // configuration with both listeners disabled (useful for embedding;
 // Handle still works).
@@ -350,7 +354,7 @@ func (s *Server) serveConn(conn net.Conn, busy *atomic.Bool) {
 		s.connWG.Done()
 	}()
 	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 64*1024), 8*1024*1024)
+	scanner.Buffer(make([]byte, 64*1024), maxRequestBytes)
 	enc := json.NewEncoder(conn)
 	for scanner.Scan() {
 		line := strings.TrimSpace(scanner.Text())
@@ -377,7 +381,7 @@ func (s *Server) serveConn(conn net.Conn, busy *atomic.Bool) {
 			return
 		}
 	}
-	// A failed read (e.g. a request line beyond the scanner's 8 MB buffer)
+	// A failed read (e.g. a request line beyond maxRequestBytes)
 	// still owes the client a diagnostic before the connection closes —
 	// resynchronizing mid-line is impossible, so closing is correct.
 	if err := scanner.Err(); err != nil {
@@ -385,12 +389,22 @@ func (s *Server) serveConn(conn net.Conn, busy *atomic.Bool) {
 	}
 }
 
-// handleHTTPQuery is POST /v1/query.
+// handleHTTPQuery is POST /v1/query. The body is one request object, read
+// as a TCP line is: past maxRequestBytes it is refused with 413, and
+// anything but white space after the object with 400.
 func (s *Server) handleHTTPQuery(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
 		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
+		w.WriteHeader(status)
 		_ = json.NewEncoder(w).Encode(errorResponse("", fmt.Errorf("bad request: %w", err)))
 		return
 	}

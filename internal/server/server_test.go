@@ -390,10 +390,9 @@ func TestHTTPEndpoints(t *testing.T) {
 	}()
 	base := "http://" + srv.HTTPAddr().String()
 
-	post := func(req Request) *Response {
+	postBody := func(body string, wantStatus int) *Response {
 		t.Helper()
-		body, _ := json.Marshal(req)
-		httpResp, err := http.Post(base+"/v1/query", "application/json", strings.NewReader(string(body)))
+		httpResp, err := http.Post(base+"/v1/query", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,7 +401,15 @@ func TestHTTPEndpoints(t *testing.T) {
 		if err := json.NewDecoder(httpResp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}
+		if wantStatus != 0 && httpResp.StatusCode != wantStatus {
+			t.Errorf("status = %d, want %d (%s)", httpResp.StatusCode, wantStatus, out.Error)
+		}
 		return &out
+	}
+	post := func(req Request) *Response {
+		t.Helper()
+		body, _ := json.Marshal(req)
+		return postBody(string(body), 0)
 	}
 	if resp := post(Request{Session: "h", Query: "create table T (A)"}); !resp.OK {
 		t.Fatalf("create over http: %s", resp.Error)
@@ -417,6 +424,23 @@ func TestHTTPEndpoints(t *testing.T) {
 	// Errors map to 422 + ok:false.
 	if resp := post(Request{Session: "h", Query: "select nonsense from nowhere"}); resp.OK {
 		t.Fatal("bad query must fail")
+	}
+	// A body is one request object of at most maxRequestBytes, like a TCP
+	// line: a larger one gets 413, data after the object 400, and the server
+	// goes on serving.
+	head, tail := `{"session":"h","query":"select '`, `'"}`
+	huge := head + strings.Repeat("a", maxRequestBytes+1-len(head)-len(tail)) + tail
+	for body, status := range map[string]int{
+		huge:                                    http.StatusRequestEntityTooLarge,
+		`{"session":"h","query":"select 1"} x`:  http.StatusBadRequest,
+		`{"session":"h","query":"select 1"} {}`: http.StatusBadRequest,
+	} {
+		if resp := postBody(body, status); resp.OK || !strings.HasPrefix(resp.Error, "bad request") {
+			t.Errorf("body of %d bytes: ok=%v, error %q", len(body), resp.OK, resp.Error)
+		}
+	}
+	if resp := postBody(`{"session":"h","query":"select A from T"}`+"\n", http.StatusOK); !resp.OK {
+		t.Errorf("after the refusals: %+v", resp)
 	}
 
 	healthResp, err := http.Get(base + "/v1/health")

@@ -3,8 +3,10 @@
 // integer and float literals, operators and punctuation, and -- comments.
 //
 // The lexer is case-preserving for identifiers and strings; keyword
-// recognition happens in the parser via case-insensitive matching, so any
-// keyword can also be used as a quoted identifier.
+// recognition happens in the parser via ASCII case-insensitive matching, so
+// any keyword can also be used as a quoted identifier. A bare identifier is
+// a Unicode letter or '_', then letters, digits, '_' and '$'; invalid UTF-8
+// is a lex error everywhere but inside a string literal.
 package sqllex
 
 import (
@@ -12,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // ErrLex is wrapped by all lexing errors.
@@ -67,9 +70,18 @@ func (t Token) String() string {
 }
 
 // IsKeyword reports whether the token is a bare identifier that equals the
-// keyword (case-insensitive). Quoted identifiers never match keywords.
+// keyword kw, given in lower-case letters, ignoring ASCII case only. Quoted
+// identifiers never match keywords.
 func (t Token) IsKeyword(kw string) bool {
-	return t.Kind == Ident && strings.EqualFold(t.Text, kw)
+	if t.Kind != Ident || len(t.Text) != len(kw) {
+		return false
+	}
+	for i := 0; i < len(kw); i++ {
+		if t.Text[i]|0x20 != kw[i] { // |0x20 lower-cases an ASCII letter
+			return false
+		}
+	}
+	return true
 }
 
 // IsSymbol reports whether the token is the given symbol.
@@ -86,12 +98,17 @@ func Lex(input string) ([]Token, error) {
 	n := len(input)
 	for i < n {
 		c := input[i]
+		r, size := utf8.DecodeRuneInString(input[i:])
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			i++
 		case c == '-' && i+1 < n && input[i+1] == '-':
+			start := i
 			for i < n && input[i] != '\n' {
 				i++
+			}
+			if !utf8.ValidString(input[start:i]) {
+				return nil, fmt.Errorf("%w: invalid UTF-8 in the comment at offset %d", ErrLex, start)
 			}
 		case c == '\'':
 			tok, next, err := lexString(input, i)
@@ -111,12 +128,18 @@ func Lex(input string) ([]Token, error) {
 			tok, next := lexNumber(input, i)
 			toks = append(toks, tok)
 			i = next
-		case isIdentStart(rune(c)):
+		case isIdentStart(r):
 			start := i
-			for i < n && isIdentCont(rune(input[i])) {
-				i++
+			for i < n {
+				r, size := utf8.DecodeRuneInString(input[i:])
+				if !isIdentCont(r) {
+					break // an invalid byte fails as the next token
+				}
+				i += size
 			}
 			toks = append(toks, Token{Kind: Ident, Text: input[start:i], Pos: start})
+		case r == utf8.RuneError && size == 1:
+			return nil, fmt.Errorf("%w: invalid UTF-8 at offset %d", ErrLex, i)
 		default:
 			tok, next, err := lexSymbol(input, i)
 			if err != nil {
@@ -161,6 +184,9 @@ func lexQuotedIdent(input string, start int) (Token, int, error) {
 			}
 			if b.Len() == 0 {
 				return Token{}, 0, fmt.Errorf("%w: empty quoted identifier at offset %d", ErrLex, start)
+			}
+			if !utf8.ValidString(b.String()) {
+				return Token{}, 0, fmt.Errorf("%w: invalid UTF-8 in the quoted identifier at offset %d", ErrLex, start)
 			}
 			return Token{Kind: QuotedIdent, Text: b.String(), Pos: start}, i + 1, nil
 		}

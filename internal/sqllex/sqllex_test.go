@@ -100,12 +100,28 @@ func TestUnexpectedCharacter(t *testing.T) {
 }
 
 func TestKeywordMatching(t *testing.T) {
-	toks := lexAll(t, `SeLeCt "select"`)
+	toks := lexAll(t, `SeLeCt "select" ſelect`)
 	if !toks[0].IsKeyword("select") {
 		t.Error("keyword match must be case-insensitive")
 	}
 	if toks[1].IsKeyword("select") {
 		t.Error("quoted identifier must not match keywords")
+	}
+	if toks[2].IsKeyword("select") {
+		t.Error("keyword match must fold ASCII case only (ſ is not s)")
+	}
+}
+
+// TestUTF8: identifiers are Unicode letters read rune by rune, and invalid
+// UTF-8 fails everywhere but inside a string literal.
+func TestUTF8(t *testing.T) {
+	if toks := lexAll(t, "select café, 'caf\xe9'"); len(toks) != 4 || toks[1].Text != "café" || toks[3].Text != "caf\xe9" {
+		t.Errorf("tokens = %v", toks)
+	}
+	for _, in := range []string{"select \xe1()", "select caf\xe9", `select "caf` + "\xe9" + `"`, "select 1 -- caf\xe9", "select \xff"} {
+		if _, err := Lex(in); err == nil || !strings.Contains(err.Error(), "invalid UTF-8") {
+			t.Errorf("Lex(%q) = %v, want an invalid UTF-8 error", in, err)
+		}
 	}
 }
 

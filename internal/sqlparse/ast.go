@@ -34,9 +34,9 @@ func (ColumnRef) exprNode() {}
 
 func (e ColumnRef) String() string {
 	if e.Qualifier == "" {
-		return e.Name
+		return quoteIdentIfNeeded(e.Name)
 	}
-	return e.Qualifier + "." + e.Name
+	return quoteIdentIfNeeded(e.Qualifier) + "." + quoteIdentIfNeeded(e.Name)
 }
 
 // Literal is a constant.
@@ -65,7 +65,13 @@ type UnaryExpr struct {
 
 func (UnaryExpr) exprNode() {}
 
-func (e UnaryExpr) String() string { return fmt.Sprintf("(%s %s)", e.Op, e.E) }
+func (e UnaryExpr) String() string {
+	if _, ok := e.E.(ExistsExpr); ok {
+		// NOT EXISTS would reparse as one negated ExistsExpr.
+		return fmt.Sprintf("(%s (%s))", e.Op, e.E)
+	}
+	return fmt.Sprintf("(%s %s)", e.Op, e.E)
+}
 
 // IsNullExpr is expr IS [NOT] NULL.
 type IsNullExpr struct {
@@ -228,9 +234,9 @@ type TableRef struct {
 
 func (tr TableRef) String() string {
 	if tr.Alias != "" {
-		return tr.Name + " " + tr.Alias
+		return quoteIdentIfNeeded(tr.Name) + " " + quoteIdentIfNeeded(tr.Alias)
 	}
-	return tr.Name
+	return quoteIdentIfNeeded(tr.Name)
 }
 
 // Binding returns the name the table is known by inside the query.
@@ -248,9 +254,9 @@ type RepairClause struct {
 }
 
 func (rc RepairClause) String() string {
-	s := "REPAIR BY KEY " + strings.Join(rc.Key, ", ")
+	s := "REPAIR BY KEY " + quoteIdents(rc.Key)
 	if rc.Weight != "" {
-		s += " WEIGHT " + rc.Weight
+		s += " WEIGHT " + quoteIdentIfNeeded(rc.Weight)
 	}
 	return s
 }
@@ -262,9 +268,9 @@ type ChoiceClause struct {
 }
 
 func (cc ChoiceClause) String() string {
-	s := "CHOICE OF " + strings.Join(cc.Attrs, ", ")
+	s := "CHOICE OF " + quoteIdents(cc.Attrs)
 	if cc.Weight != "" {
-		s += " WEIGHT " + cc.Weight
+		s += " WEIGHT " + quoteIdentIfNeeded(cc.Weight)
 	}
 	return s
 }
@@ -448,7 +454,7 @@ func (s *CreateTable) String() string {
 		cols = append(cols, quoteIdentIfNeeded(c))
 	}
 	if len(s.PrimaryKey) > 0 {
-		cols = append(cols, "PRIMARY KEY ("+strings.Join(s.PrimaryKey, ", ")+")")
+		cols = append(cols, "PRIMARY KEY ("+quoteIdents(s.PrimaryKey)+")")
 	}
 	return fmt.Sprintf("CREATE TABLE %s (%s)", quoteIdentIfNeeded(s.Name), strings.Join(cols, ", "))
 }
@@ -466,7 +472,7 @@ func (s *Insert) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "INSERT INTO %s", quoteIdentIfNeeded(s.Table))
 	if len(s.Columns) > 0 {
-		b.WriteString(" (" + strings.Join(s.Columns, ", ") + ")")
+		b.WriteString(" (" + quoteIdents(s.Columns) + ")")
 	}
 	b.WriteString(" VALUES ")
 	rows := make([]string, len(s.Rows))
@@ -567,7 +573,7 @@ func (s *Import) String() string {
 		b.WriteString(" NULLS AS CHOICE")
 	}
 	if len(s.RepairKey) > 0 {
-		b.WriteString(" REPAIR KEY (" + strings.Join(s.RepairKey, ", ") + ")")
+		b.WriteString(" REPAIR KEY (" + quoteIdents(s.RepairKey) + ")")
 	}
 	if s.Weight != "" {
 		b.WriteString(" WEIGHT " + quoteIdentIfNeeded(s.Weight))
@@ -605,11 +611,27 @@ func (s *Explain) String() string {
 	return out + s.Stmt.String()
 }
 
+// quoteIdentIfNeeded renders an identifier so that it parses back to itself
+// (statements key the plan cache by their rendering): bare when it is an
+// ASCII letter or '_' then ASCII letters, digits and '_', and spells no
+// keyword; double-quoted otherwise. A byte loop: it runs on every identifier.
 func quoteIdentIfNeeded(s string) string {
-	for _, r := range s {
-		if !(r == '_' || r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9') {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
+	plain := s != "" && !('0' <= s[0] && s[0] <= '9')
+	for i := 0; plain && i < len(s); i++ {
+		c := s[i]
+		plain = c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
 	}
-	return s
+	if _, kw := keyword(s); plain && !kw {
+		return s
+	}
+	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
+}
+
+// quoteIdents renders an identifier list, comma-separated.
+func quoteIdents(names []string) string {
+	quoted := make([]string, len(names))
+	for i, n := range names {
+		quoted[i] = quoteIdentIfNeeded(n)
+	}
+	return strings.Join(quoted, ", ")
 }

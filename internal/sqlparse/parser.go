@@ -13,12 +13,48 @@ import (
 // ErrParse is wrapped by all parse errors.
 var ErrParse = errors.New("parse error")
 
-// clauseKeywords are the identifiers that terminate a FROM-clause alias or
-// select item, so bare aliases never swallow the next clause.
-var clauseKeywords = map[string]bool{
-	"from": true, "where": true, "group": true, "having": true, "order": true,
-	"union": true, "repair": true, "choice": true, "assert": true,
-	"limit": true, "on": true, "as": true,
+// keywords are the words the parser matches, lower-case. No function may be
+// named by one, and String quotes an identifier spelling one. The ones
+// mapped to true terminate a FROM-clause alias or select item, so bare
+// aliases never swallow the next clause.
+var keywords = func() map[string]bool {
+	m := map[string]bool{}
+	for _, kw := range strings.Fields(`all analyze and approx asc by certain conf copy create delete
+		desc distinct drop exists explain false if import in insert into is key not null nulls of
+		or possible primary select set table true update values view weight worlds`) {
+		m[kw] = false
+	}
+	for _, kw := range strings.Fields("from where group having order union repair choice assert limit on as") {
+		m[kw] = true
+	}
+	return m
+}()
+
+// maxKeywordLen is the length of the longest keyword.
+const maxKeywordLen = 8
+
+// keyword looks s up in keywords, ignoring ASCII case (the case
+// Token.IsKeyword ignores): ok reports a keyword, clause one that ends an
+// alias. It allocates nothing.
+func keyword(s string) (clause, ok bool) {
+	if len(s) > maxKeywordLen {
+		return false, false
+	}
+	var low [maxKeywordLen]byte
+	for i := 0; i < len(s); i++ {
+		low[i] = byte(lowerASCII(rune(s[i])))
+	}
+	clause, ok = keywords[string(low[:len(s)])]
+	return clause, ok
+}
+
+// lowerASCII lower-cases an ASCII letter and keeps every other rune, so a
+// lowered identifier still lexes as the one identifier it was.
+func lowerASCII(r rune) rune {
+	if 'A' <= r && r <= 'Z' {
+		return r + 'a' - 'A'
+	}
+	return r
 }
 
 // Parse parses a single statement; trailing semicolons are allowed, and the
@@ -464,8 +500,7 @@ func (p *parser) parseOptionalAlias() (string, bool, error) {
 		return name, true, nil
 	}
 	tok := p.tz.Cur()
-	if tok.Kind == sqllex.QuotedIdent ||
-		tok.Kind == sqllex.Ident && !clauseKeywords[strings.ToLower(tok.Text)] {
+	if clause, _ := keyword(tok.Text); tok.Kind == sqllex.QuotedIdent || tok.Kind == sqllex.Ident && !clause {
 		p.tz.Advance()
 		return tok.Text, true, nil
 	}
@@ -1020,11 +1055,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 		return e, nil
 	case tok.Kind == sqllex.Ident || tok.Kind == sqllex.QuotedIdent:
-		// Function call?
-		if tok.Kind == sqllex.Ident && p.tz.Peek(1).IsSymbol("(") {
+		// Function call? Keywords name no function.
+		if _, kw := keyword(tok.Text); tok.Kind == sqllex.Ident && !kw && p.tz.Peek(1).IsSymbol("(") {
 			name := p.tz.Advance().Text
 			p.tz.Advance() // (
-			fc := FuncCall{Name: strings.ToLower(name)}
+			fc := FuncCall{Name: strings.Map(lowerASCII, name)}
 			if p.tz.MatchSymbol("*") {
 				fc.Star = true
 			} else {

@@ -668,7 +668,7 @@ func TestParseStandaloneAssert(t *testing.T) {
 }
 
 func TestParseExplain(t *testing.T) {
-	stmt, err := Parse("explain select conf() from R")
+	stmt, err := Parse("explain select count(*) from R")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,7 +679,7 @@ func TestParseExplain(t *testing.T) {
 	if _, ok := ex.Stmt.(*SelectStmt); !ok {
 		t.Fatalf("inner stmt = %T", ex.Stmt)
 	}
-	if got := ex.String(); got != "EXPLAIN SELECT conf() FROM R" {
+	if got := ex.String(); got != "EXPLAIN SELECT count(*) FROM R" {
 		t.Errorf("String() = %q", got)
 	}
 

@@ -6,10 +6,9 @@ package wsd
 // drawing one alternative per involved component according to its
 // probabilities; a tuple's confidence estimate is the fraction of sampled
 // worlds whose answer contains it. The estimator is unbiased with standard
-// error ≤ 1/(2√samples), mirroring internal/urel's ConfMC over lineage;
-// that bound is surfaced as a trailing "cerr" column next to each
-// estimate (and as the trace's stderr_bound attribute). Sampling runs on
-// the batch-native closure seam: each world's answer comes back as a
+// error ≤ 1/(2√samples), surfaced as a trailing "cerr" column next to
+// each estimate (and as the trace's stderr_bound attribute). Sampling runs
+// on the batch-native closure seam: each world's answer comes back as a
 // colbatch batch and is counted on arena-encoded batch keys.
 
 import (

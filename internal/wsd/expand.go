@@ -102,35 +102,50 @@ func (d *WSD) expandDigits(n int) func(wi int) []int {
 			return digits
 		}
 	}
-	all := d.enumerateAssignments(n)
+	all := make([][]int, 0, n)
+	idxs := make([]int, len(d.comps))
+	for i := range idxs {
+		idxs[i] = i
+	}
+	_ = d.walkAssignments(idxs, func(digits []int, _ float64) error { // visit never fails
+		all = append(all, append([]int(nil), digits...))
+		return nil
+	})
 	return func(wi int) []int { return all[wi] }
 }
 
-// enumerateAssignments lists every valid digit assignment of the d-tree
-// in expansion order: components in list order, last varying fastest,
-// inactive components pinned to -1. cap bounds the allocation (the caller
-// has already verified the world count).
-func (d *WSD) enumerateAssignments(cap int) [][]int {
-	byID := d.compIndexByID()
-	out := make([][]int, 0, cap)
-	digits := make([]int, len(d.comps))
-	var rec func(ci int)
-	rec = func(ci int) {
-		if ci == len(d.comps) {
-			out = append(out, append([]int(nil), digits...))
-			return
+// walkAssignments calls visit with every valid digit assignment of the
+// components at the sorted indexes idxs, in expansion order: idxs[0] most
+// significant, the last varying fastest, and a component whose parent is
+// not among idxs at its conditioning alternative inactive — pinned to -1,
+// contributing no factor. digits is indexed like idxs and reused between
+// calls; prob is the product of the active alternatives' probabilities,
+// taken left to right. The first error visit returns stops the walk.
+func (d *WSD) walkAssignments(idxs []int, visit func(digits []int, prob float64) error) error {
+	pos := make(map[int]int, len(idxs)) // component ID → position in idxs
+	for p, ci := range idxs {
+		pos[d.comps[ci].ID] = p
+	}
+	digits := make([]int, len(idxs))
+	var walk func(p int, prob float64) error
+	walk = func(p int, prob float64) error {
+		if p == len(idxs) {
+			return visit(digits, prob)
 		}
-		c := d.comps[ci]
-		if c.Parent >= 0 && digits[byID[c.Parent]] != c.ParentAlt {
-			digits[ci] = -1
-			rec(ci + 1)
-			return
+		c := d.comps[idxs[p]]
+		if c.Parent >= 0 {
+			if pp, ok := pos[c.Parent]; !ok || digits[pp] != c.ParentAlt {
+				digits[p] = -1
+				return walk(p+1, prob)
+			}
 		}
 		for a := range c.Alts {
-			digits[ci] = a
-			rec(ci + 1)
+			digits[p] = a
+			if err := walk(p+1, prob*c.Alts[a].Prob); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	rec(0)
-	return out
+	return walk(0, 1)
 }

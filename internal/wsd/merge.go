@@ -134,10 +134,11 @@ func (d *WSD) errMergeTooBig(n int) error {
 // Nested components are handled by first *condensing*: every involved
 // index is expanded to the full d-tree containing it, each multi-node
 // tree is flattened into one flat component (one alternative per valid
-// digit assignment, in expansion order), and only then does the flat
-// product run. Every merge-based route (Assert, the merge route's closures
-// and storage, DML rewrites over uncertain expressions, spanning world
-// groups) is thereby tree-correct without further changes.
+// digit assignment, in expansion order), and only then does condense run
+// again, over the flat components, whose assignments are their product.
+// Every merge-based route (Assert, the merge route's closures and storage,
+// DML rewrites over uncertain expressions, spanning world groups) is
+// thereby tree-correct without further changes.
 func (d *WSD) mergeComponents(idx []int) (int, error) {
 	if _, fits := d.mergedAlternatives(idx); !fits {
 		return -1, d.errMergeTooBig(len(idx))
@@ -159,49 +160,9 @@ func (d *WSD) mergeFitting(idx []int) (int, error) {
 	if len(idx) == 1 {
 		return idx[0], nil
 	}
-	sort.Ints(idx)
-
-	merged := []Alternative{{Prob: oneIfWeighted(d.Weighted), Contrib: map[string]*relation.Relation{}}}
-	for _, ci := range idx {
-		c := d.comps[ci]
-		next := make([]Alternative, 0, len(merged)*len(c.Alts))
-		for _, base := range merged {
-			// Merges are the uninterruptible-by-nature cost of partial
-			// expansion; polling per base row keeps a deadlined request
-			// from holding the engine for the whole product. An abort here
-			// leaves d.comps untouched (the splice happens below).
-			if err := d.interrupted(); err != nil {
-				return -1, err
-			}
-			for _, a := range c.Alts {
-				na := Alternative{Prob: base.Prob, Contrib: map[string]*relation.Relation{}}
-				if d.Weighted {
-					na.Prob = base.Prob * a.Prob
-				}
-				for name, rel := range base.Contrib {
-					na.Contrib[name] = rel.Clone()
-				}
-				for name, rel := range a.Contrib {
-					if dst, ok := na.Contrib[name]; ok {
-						dst.AppendRows(rel.Rows())
-					} else {
-						na.Contrib[name] = rel.Clone()
-					}
-				}
-				next = append(next, na)
-			}
-		}
-		merged = next
+	if _, err := d.condense(idx); err != nil {
+		return -1, err
 	}
-
-	// Remove the merged-in components (descending index order) and append
-	// the product.
-	d.merges.Add(1)
-	for i := len(idx) - 1; i >= 0; i-- {
-		d.comps = append(d.comps[:idx[i]], d.comps[idx[i]+1:]...)
-	}
-	d.comps = append(d.comps, &Component{ID: d.nextID, Alts: merged, Parent: -1})
-	d.nextID++
 	return len(d.comps) - 1, nil
 }
 
@@ -263,7 +224,12 @@ func (d *WSD) condenseFitting(idx []int) ([]int, error) {
 			resultIDs = append(resultIDs, ids[0])
 			continue
 		}
-		c, err := d.condense(ids)
+		byID = d.compIndexByID()
+		idxs := make([]int, len(ids))
+		for i, id := range ids {
+			idxs[i] = byID[id]
+		}
+		c, err := d.condense(idxs)
 		if err != nil {
 			return nil, err
 		}
@@ -277,76 +243,43 @@ func (d *WSD) condenseFitting(idx []int) ([]int, error) {
 	return out, nil
 }
 
-// condense flattens one complete d-tree (given by its member component
-// IDs) into a single flat component: one alternative per valid digit
-// assignment of the tree, enumerated in expansion order, with the
-// assignment's path probability and the union of the active alternatives'
-// contributions in component list order. Bounded by MergeLimit (checked by
-// mergeComponents and condenseTrees before any tree condenses); counts as a
-// merge (it restructures the decomposition). The world-set represented is
-// unchanged.
-func (d *WSD) condense(ids []int) (*Component, error) {
-	byID := d.compIndexByID()
-	idxs := make([]int, len(ids))
-	for i, id := range ids {
-		idxs[i] = byID[id]
-	}
+// condense flattens the components at the given indexes into one flat
+// component: one alternative per valid digit assignment (walkAssignments,
+// the first component most significant), with the assignment's path
+// probability and the union of the active alternatives' contributions in
+// component list order. Over one complete d-tree that condenses the tree;
+// over flat components it is their product. Bounded by MergeLimit (checked
+// by mergeComponents and condenseTrees before anything condenses); counts as
+// a merge (it restructures the decomposition). The world-set represented is
+// unchanged. It polls the interrupt per alternative, before the splice, so
+// an abort leaves d.comps untouched.
+func (d *WSD) condense(idxs []int) (*Component, error) {
 	sort.Ints(idxs)
-	member := make(map[int]int, len(idxs)) // comp ID → position in idxs
-	for pos, ci := range idxs {
-		member[d.comps[ci].ID] = pos
-	}
-
-	digits := make([]int, len(idxs))
 	var alts []Alternative
-	var build func(pos int, prob float64) error
-	build = func(pos int, prob float64) error {
-		if pos == len(idxs) {
-			if err := d.interrupted(); err != nil {
-				return err
+	err := d.walkAssignments(idxs, func(digits []int, prob float64) error {
+		if err := d.interrupted(); err != nil {
+			return err
+		}
+		na := Alternative{Contrib: map[string]*relation.Relation{}}
+		if d.Weighted {
+			na.Prob = prob
+		}
+		for p, ci := range idxs {
+			if digits[p] < 0 {
+				continue
 			}
-			na := Alternative{Prob: oneIfWeighted(d.Weighted), Contrib: map[string]*relation.Relation{}}
-			if d.Weighted {
-				na.Prob = prob
-			}
-			for p, ci := range idxs {
-				if digits[p] < 0 {
-					continue
-				}
-				for name, rel := range d.comps[ci].Alts[digits[p]].Contrib {
-					if dst, ok := na.Contrib[name]; ok {
-						dst.AppendRows(rel.Rows())
-					} else {
-						na.Contrib[name] = rel.Clone()
-					}
+			for name, rel := range d.comps[ci].Alts[digits[p]].Contrib {
+				if dst, ok := na.Contrib[name]; ok {
+					dst.AppendRows(rel.Rows())
+				} else {
+					na.Contrib[name] = rel.Clone()
 				}
 			}
-			alts = append(alts, na)
-			return nil
 		}
-		c := d.comps[idxs[pos]]
-		active := c.Parent < 0
-		if !active {
-			pp, ok := member[c.Parent]
-			active = ok && digits[pp] == c.ParentAlt
-		}
-		if !active {
-			digits[pos] = -1
-			return build(pos+1, prob)
-		}
-		for a := range c.Alts {
-			digits[pos] = a
-			p := prob
-			if d.Weighted {
-				p *= c.Alts[a].Prob
-			}
-			if err := build(pos+1, p); err != nil {
-				return err
-			}
-		}
+		alts = append(alts, na)
 		return nil
-	}
-	if err := build(0, 1); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 

@@ -42,11 +42,14 @@
 // Statements also compile once per execution rather than once per world:
 // the plain-SQL core is planned against the first world and the compiled
 // template is bound to each world's relations (internal/plan Prepare/Bind).
-// Compiled templates live in a process-wide shared cache keyed by
-// statement text plus a schema fingerprint, size-bounded with LRU
-// eviction and revalidated against the session's current schemas on every
-// use — so concurrent sessions over identical schemas (a many-session
-// server) reuse each other's compilations. SharedPlanCacheStats and
+// Compiled templates live in a process-wide shared cache keyed by the
+// statement's faithful rendering plus a schema fingerprint, size-bounded
+// with LRU eviction and revalidated against the session's current schemas
+// on every use — so concurrent sessions over identical schemas (a
+// many-session server) reuse each other's compilations. The rendering
+// parses back to the same statement (it quotes every identifier that is
+// not a plain non-keyword name), so two different statements never share
+// a key. SharedPlanCacheStats and
 // SetSharedPlanCacheCapacity expose the cache; UsePrivatePlanCache
 // detaches one database from it. A world-set is a set of databases over
 // one schema — every statement that adds or replaces a relation does so in

@@ -70,6 +70,31 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestPlanCacheKeepsQuotedIdentifiers: the shared plan cache keys a
+// statement by its rendering, so a rendering that drops the quotes of a
+// column named "R.A" handed that column's template to R.A (and back) across
+// databases. Each order runs in a fresh database after the other has
+// warmed the cache.
+func TestPlanCacheKeepsQuotedIdentifiers(t *testing.T) {
+	quoted, qualified := `select "R.A" from R`, `select R.A from R`
+	want := map[string]string{quoted: "2", qualified: "1"}
+	for _, open := range []func() statements{
+		func() statements { return Open().statements },
+		func() statements { return OpenCompact().statements },
+	} {
+		for _, order := range [][]string{{quoted, qualified}, {qualified, quoted}} {
+			db := open()
+			db.MustExec(`create table R (A int, "R.A" int)`)
+			db.MustExec(`insert into R values (1, 2)`)
+			for _, q := range order {
+				if got := db.MustExec(q).First().Rows()[0][0].String(); got != want[q] {
+					t.Errorf("%T, order %q: %s = %s, want %s", db.engine, order, q, got, want[q])
+				}
+			}
+		}
+	}
+}
+
 func TestOpenIncomplete(t *testing.T) {
 	db := OpenIncomplete()
 	if db.Weighted() {
