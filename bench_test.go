@@ -351,20 +351,11 @@ func dirtyRows(n int) [][]any {
 
 // BenchmarkScalingRepairNaive enumerates all 2^n repairs explicitly — the
 // exponential baseline. Sizes are kept small; the point is the growth.
-// This is the parallel default (workers = GOMAXPROCS); the Workers1 variant
-// below pins the exact sequential path for speedup comparisons.
-func BenchmarkScalingRepairNaive(b *testing.B) { benchScalingRepairNaive(b, 0) }
-
-// BenchmarkScalingRepairNaiveWorkers1 is the sequential (workers = 1)
-// configuration of BenchmarkScalingRepairNaive.
-func BenchmarkScalingRepairNaiveWorkers1(b *testing.B) { benchScalingRepairNaive(b, 1) }
-
-func benchScalingRepairNaive(b *testing.B, workers int) {
+func BenchmarkScalingRepairNaive(b *testing.B) {
 	for _, n := range []int{2, 4, 8, 12} {
 		b.Run(fmt.Sprintf("groups=%d/worlds=%d", n, 1<<n), func(b *testing.B) {
 			db := Open()
 			db.SetMaxWorlds(1 << 14)
-			db.SetWorkers(workers)
 			if err := db.Register("Dirty", []string{"K", "V", "W"}, dirtyRows(n)); err != nil {
 				b.Fatal(err)
 			}
@@ -406,20 +397,12 @@ func BenchmarkScalingRepairWSD(b *testing.B) {
 }
 
 // BenchmarkScalingConfNaive computes a tuple confidence by world
-// enumeration (conf query over 2^n worlds), on the parallel default; the
-// Workers1 variant pins the exact sequential path.
-func BenchmarkScalingConfNaive(b *testing.B) { benchScalingConfNaive(b, 0) }
-
-// BenchmarkScalingConfNaiveWorkers1 is the sequential (workers = 1)
-// configuration of BenchmarkScalingConfNaive.
-func BenchmarkScalingConfNaiveWorkers1(b *testing.B) { benchScalingConfNaive(b, 1) }
-
-func benchScalingConfNaive(b *testing.B, workers int) {
+// enumeration (conf query over 2^n worlds).
+func BenchmarkScalingConfNaive(b *testing.B) {
 	for _, n := range []int{2, 4, 8, 12} {
 		b.Run(fmt.Sprintf("groups=%d/worlds=%d", n, 1<<n), func(b *testing.B) {
 			db := Open()
 			db.SetMaxWorlds(1 << 14)
-			db.SetWorkers(workers)
 			if err := db.Register("Dirty", []string{"K", "V", "W"}, dirtyRows(n)); err != nil {
 				b.Fatal(err)
 			}

@@ -34,8 +34,9 @@
 // "session", default "default") with a "backend" of "naive" (full I-SQL)
 // or "compact" (the world-set-decomposition engine), evicted after
 // -idle of inactivity. Statements on one session serialize; different
-// sessions run concurrently, bounded by -workers across the whole
-// process, and all sessions share one compiled-statement cache.
+// sessions run concurrently, at most -workers statements at once across the
+// whole process (each statement runs on one goroutine), and all sessions
+// share one compiled-statement cache.
 package main
 
 import (
@@ -56,7 +57,7 @@ func main() {
 	var cfg server.Config
 	flag.StringVar(&cfg.TCPAddr, "tcp", ":7171", "TCP listen address for the line/JSON protocol (empty disables)")
 	flag.StringVar(&cfg.HTTPAddr, "http", ":7172", "HTTP listen address for /v1/query, /v1/health and /v1/stats (empty disables)")
-	flag.IntVar(&cfg.Workers, "workers", 0, "engine parallelism across and within statements (0 = GOMAXPROCS, 1 = sequential)")
+	flag.IntVar(&cfg.Workers, "workers", 0, "statements executing at once across sessions (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.MaxSessions, "max-sessions", server.DefaultMaxSessions, "maximum live sessions")
 	flag.DurationVar(&cfg.IdleTimeout, "idle", server.DefaultIdleTimeout, "evict sessions idle this long (<0 disables)")
 	flag.IntVar(&cfg.MaxRows, "max-rows", server.DefaultMaxRows, "rows encoded per relation per response (-1 = unlimited)")

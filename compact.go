@@ -77,13 +77,6 @@ func (db *CompactDB) RegisterRelation(name string, rel *Relation) error {
 	return db.w.PutCertain(name, rel)
 }
 
-// SetWorkers bounds the parallelism of the compact engine's
-// component-independent passes (per-component closures, per-alternative
-// asserts and materializations, expansion): 1 selects the exact sequential
-// path, 0 (the default) selects runtime.GOMAXPROCS. Every setting produces
-// identical results.
-func (db *CompactDB) SetWorkers(n int) { db.w.Workers = n }
-
 // RepairByKey creates dst as the repair of relation src under the key
 // columns. A complete src factorizes into one component per key group;
 // an uncertain src (a previous repair or choice) splits the components

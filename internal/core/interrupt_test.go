@@ -10,6 +10,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -147,5 +148,70 @@ func TestInterruptAbortsCompactEval(t *testing.T) {
 	}
 	if _, err := ExecTraced(s, "select count(*) from K k1, K k2, K k3", hook, nil); !errors.Is(err, boom) {
 		t.Fatalf("interrupt = %v, want boom", err)
+	}
+}
+
+// failingFrom returns a hook that fails from its k-th call on, and the
+// count of its calls.
+func failingFrom(k int64, boom error) (func() error, *atomic.Int64) {
+	polls := &atomic.Int64{}
+	return func() error {
+		if polls.Add(1) >= k {
+			return boom
+		}
+		return nil
+	}, polls
+}
+
+// TestInterruptPolledBeforeEachWorld: every per-world loop polls the hook
+// before each world, so a hook failing from its k-th poll stops the
+// statement after at most k+1 polls and leaves the world-set as it was — a
+// SELECT and an UPDATE over 2^10 one-row worlds, and a repair split under
+// an ASSERT (FROM/WHERE and split per parent, the rest of the query per
+// child, the condition per child). k runs over each loop.
+func TestInterruptPolledBeforeEachWorld(t *testing.T) {
+	open := func() *Session {
+		s := NewSession(true)
+		mustExec(t, s, "create table D (K, V)")
+		mustExec(t, s, "insert into D values (1, 'a'), (1, 'b')")
+		mustExec(t, s, "create table P (A)")
+		vals := make([]string, 1<<10)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("(%d)", i)
+		}
+		mustExec(t, s, "insert into P values "+strings.Join(vals, ", "))
+		mustExec(t, s, "create table W as select A from P choice of A")
+		mustExec(t, s, "drop table P")
+		if s.WorldCount() != 1<<10 {
+			t.Fatalf("fixture has %d worlds", s.WorldCount())
+		}
+		return s
+	}
+	boom := errors.New("boom")
+	for _, sql := range []string{
+		"select A from W",
+		"update W set A = A + 1",
+		"create table Q as select K, V from D repair by key K assert exists (select * from W where A >= 0)",
+	} {
+		// An uninterrupted run counts the polls.
+		hook, polls := failingFrom(math.MaxInt64, boom)
+		if _, err := ExecTraced(open(), sql, hook, nil); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		n := polls.Load()
+		s := open()
+		before := snapshot(s)
+		for _, k := range []int64{1, n / 5, n / 2, n - 1, n} {
+			hook, polls := failingFrom(k, boom)
+			if _, err := ExecTraced(s, sql, hook, nil); !errors.Is(err, boom) {
+				t.Fatalf("%s, failing from poll %d of %d: err = %v, want boom", sql, k, n, err)
+			}
+			if got := polls.Load(); got > k+1 {
+				t.Errorf("%s: a hook failing from poll %d was polled %d times", sql, k, got)
+			}
+			if snapshot(s) != before {
+				t.Fatalf("%s, failing from poll %d: the world-set changed", sql, k)
+			}
+		}
 	}
 }

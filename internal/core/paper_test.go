@@ -118,6 +118,39 @@ func TestFigure2RepairWorldsAndProbabilities(t *testing.T) {
 	}
 }
 
+// TestFigure2RepairQueryDoesNotMaterialize: the repair of Figure 2 as a
+// plain query answers once per repair, with Figure 2's probabilities, and
+// leaves the session's one world as it was.
+func TestFigure2RepairQueryDoesNotMaterialize(t *testing.T) {
+	s := NewSession(true)
+	loadFigure1(t, s)
+	res, err := s.Exec("select A, B, C from R repair by key A weight D;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Kind != ResultPerWorld || len(res.PerWorld) != 4 {
+		t.Fatalf("result = %+v", res)
+	}
+	want := map[[2]int64]float64{{10, 14}: 1.0 / 9, {15, 14}: 1.0 / 3, {10, 20}: 5.0 / 36, {15, 20}: 5.0 / 12}
+	for _, wr := range res.PerWorld {
+		var b [2]int64
+		for _, tp := range wr.Rel.Rows() {
+			switch tp[0].AsStr() {
+			case "a1":
+				b[0] = tp[1].AsInt()
+			case "a2":
+				b[1] = tp[1].AsInt()
+			}
+		}
+		if p, ok := want[b]; !ok || math.Abs(wr.Prob-p) > eps {
+			t.Errorf("world %s: a1→%d, a2→%d with P = %.4f", wr.World, b[0], b[1], wr.Prob)
+		}
+	}
+	if s.WorldCount() != 1 || s.Set().Worlds[0].Has("I") {
+		t.Error("a repair query must not change the world-set")
+	}
+}
+
 func TestExample23UnweightedRepair(t *testing.T) {
 	s := NewSession(false) // non-probabilistic world-set
 	loadFigure1(t, s)
@@ -181,6 +214,22 @@ func TestExample25AssertAndRenormalization(t *testing.T) {
 	s := NewSession(true)
 	loadFigure1(t, s)
 	repairFigure2(t, s)
+
+	// As a query, the assert answers in the two surviving worlds,
+	// renormalized, and leaves the session's four worlds as they were.
+	before := snapshot(s)
+	res, err := s.Exec("select * from I assert not exists(select * from I where C = 'c1');")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PerWorld) != 2 ||
+		math.Abs(math.Min(res.PerWorld[0].Prob, res.PerWorld[1].Prob)-4.0/9) > eps ||
+		math.Abs(math.Max(res.PerWorld[0].Prob, res.PerWorld[1].Prob)-5.0/9) > eps {
+		t.Errorf("assert query answers = %+v, want 2 worlds with P = 4/9, 5/9", res.PerWorld)
+	}
+	if snapshot(s) != before {
+		t.Error("an assert query must not change the world-set")
+	}
 
 	if _, err := s.Exec(`create table J as select * from I
 		assert not exists(select * from I where C = 'c1');`); err != nil {
@@ -375,5 +424,59 @@ func TestConfIsPerTuple(t *testing.T) {
 	// a1→10 in worlds A and C: 1/9 + 5/36 = 1/4; a1→15 in B and D: 3/4.
 	if math.Abs(got[10]-0.25) > eps || math.Abs(got[15]-0.75) > eps {
 		t.Errorf("per-tuple conf = %v, want {10:0.25, 15:0.75}", got)
+	}
+
+	// With a correlated condition: only (a1, 15, c2) and (a2, 20, c4) have a
+	// C in S, in 3/4 and 5/9 of the probability mass.
+	res, err = s.Exec("select K.B, conf from I K where exists (select * from S where C = K.C);")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = map[int64]float64{}
+	for _, tp := range res.Groups[0].Rel.Rows() {
+		got[tp[0].AsInt()] = tp[1].AsFloat()
+	}
+	if len(got) != 2 || math.Abs(got[15]-0.75) > eps || math.Abs(got[20]-5.0/9) > eps {
+		t.Errorf("correlated conf = %v, want {15:0.75, 20:0.5556}", got)
+	}
+}
+
+// TestUpdatesApplyInEveryWorld: INSERT, UPDATE and DELETE change a relation
+// in each of Figure 2's four worlds alike.
+func TestUpdatesApplyInEveryWorld(t *testing.T) {
+	s := NewSession(true)
+	loadFigure1(t, s)
+	repairFigure2(t, s)
+	for _, c := range []struct {
+		sql     string
+		msg     string
+		e9Count int
+	}{
+		{"insert into S values ('c9', 'e3')", "inserted 1 row(s) into S in 4 world(s)", 0},
+		{"update S set E = 'e9' where C = 'c9'", "updated 4 row(s) across 4 world(s)", 1},
+		{"delete from S where E = 'e9'", "deleted 4 row(s) across 4 world(s)", 0},
+	} {
+		res := mustExec(t, s, c.sql)
+		if res.Msg != c.msg {
+			t.Errorf("%s: %q, want %q", c.sql, res.Msg, c.msg)
+		}
+		for _, w := range s.Set().Worlds {
+			rel, err := w.Lookup("S")
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for _, tp := range rel.Rows() {
+				if tp[1].AsStr() == "e9" {
+					n++
+				}
+			}
+			if n != c.e9Count {
+				t.Errorf("%s: world %s has %d e9 rows, want %d", c.sql, w.Name, n, c.e9Count)
+			}
+		}
+	}
+	if rel := mustExec(t, s, "select possible * from S").Groups[0].Rel; rel.Len() != 3 {
+		t.Errorf("possible S after the round trip = %v, want Figure 1's 3 rows", rel.Rows())
 	}
 }

@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"maybms/internal/algebra"
-	"maybms/internal/exec"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/sqlparse"
@@ -122,48 +120,30 @@ func isqlCore(st *sqlparse.SelectStmt, weighted bool) (core *sqlparse.SelectStmt
 //	each (child) world → assert filter + renormalize → group-worlds-by →
 //	possible/certain/conf closure per group.
 //
-// Worlds are independent, so every per-world pass runs on the session's
-// worker pool (see internal/exec); results are collected in world order and
-// the statement compiles once against the first world, binding each world's
-// relations into the compiled plan (internal/plan's Prepare/Bind), so the
-// output — world names, order, group order, probabilities — is identical to
-// the workers=1 sequential path.
+// The statement compiles once against the first world and binds each
+// world's relations into the compiled plan (internal/plan's Prepare/Bind).
+// Every per-world pass is a loop in world order that polls the interrupt
+// hook before each world.
 func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 	weighted := s.set.Weighted
 	core, hasConf, err := isqlCore(st, weighted)
 	if err != nil {
 		return nil, err
 	}
-	split := st.Repair != nil || st.Choice != nil
 
 	// ---- per-world evaluation, with world splitting ----
 	var worlds []*world.World
 	var results []*relation.Relation
 	esp := s.trace.Begin("eval")
-	if split {
+	if st.Repair != nil || st.Choice != nil {
 		worlds, results, err = s.evalSplit(st, core)
-		if err != nil {
-			esp.End(s.trace)
-			return nil, err
-		}
 	} else {
 		worlds = s.set.Worlds
-		prep, err := s.preparedFull(core, worlds[0])
-		if err != nil {
-			esp.End(s.trace)
-			return nil, err
-		}
-		results, err = exec.MapPolled(s.workers, len(worlds), s.interrupt, func(i int) (*relation.Relation, error) {
-			op, err := prep.Bind(worlds[i])
-			if err != nil {
-				return nil, err
-			}
-			return algebra.Collect(op, StatementCtx(s.interrupt, s.trace))
-		})
-		if err != nil {
-			esp.End(s.trace)
-			return nil, err
-		}
+		results, err = s.collectEach(core, worlds)
+	}
+	if err != nil {
+		esp.End(s.trace)
+		return nil, err
 	}
 	esp.Set("worlds", len(worlds))
 	esp.End(s.trace)
@@ -175,20 +155,21 @@ func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 		if err != nil {
 			return nil, err
 		}
-		oks, err := exec.MapPolled(s.workers, len(worlds), s.interrupt, func(i int) (bool, error) {
-			pred, err := aPrep.BindInterrupt(worlds[i], s.interrupt)
-			if err != nil {
-				return false, err
-			}
-			return pred()
-		})
-		if err != nil {
-			return nil, err
-		}
 		var keptWorlds []*world.World
 		var keptResults []*relation.Relation
 		for i, w := range worlds {
-			if oks[i] {
+			if err := s.interrupted(); err != nil {
+				return nil, err
+			}
+			pred, err := aPrep.BindInterrupt(w, s.interrupt)
+			if err != nil {
+				return nil, err
+			}
+			ok, err := pred()
+			if err != nil {
+				return nil, err
+			}
+			if ok {
 				// Clone so renormalization cannot leak into the session's
 				// worlds on a non-materializing query.
 				keptWorlds = append(keptWorlds, w.Clone(w.Name))
@@ -221,23 +202,13 @@ func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 	}
 	var groups [][]int
 	if st.GroupWorlds != nil {
-		gwPrep, err := s.preparedFull(st.GroupWorlds, worlds[0])
+		answers, err := s.collectEach(st.GroupWorlds, worlds)
 		if err != nil {
 			return nil, err
 		}
-		keys, err := exec.MapPolled(s.workers, len(worlds), s.interrupt, func(i int) (uint64, error) {
-			op, err := gwPrep.Bind(worlds[i])
-			if err != nil {
-				return 0, err
-			}
-			res, err := algebra.Collect(op, StatementCtx(s.interrupt, s.trace))
-			if err != nil {
-				return 0, err
-			}
-			return res.Fingerprint(), nil
-		})
-		if err != nil {
-			return nil, err
+		keys := make([]uint64, len(answers))
+		for i, a := range answers {
+			keys[i] = a.Fingerprint()
 		}
 		groups = worldset.Group(keys)
 	} else {
@@ -248,9 +219,6 @@ func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 		groups = [][]int{all}
 	}
 
-	// The closure merge runs as a tree reduction on the worker pool (the
-	// dominant cost of huge conf queries); results are bit-identical to the
-	// sequential fold for every workers setting.
 	csp := s.trace.Begin("closure")
 	csp.Set("groups", len(groups))
 	defer csp.End(s.trace)
@@ -264,15 +232,15 @@ func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 		var err error
 		switch {
 		case st.Quantifier == sqlparse.QuantPossible:
-			rel, err = worldset.PossibleWorkers(groupResults, s.workers, s.interrupt)
+			rel, err = worldset.Possible(groupResults, s.interrupt)
 		case st.Quantifier == sqlparse.QuantCertain:
-			rel, err = worldset.CertainWorkers(groupResults, s.workers, s.interrupt)
+			rel, err = worldset.Certain(groupResults, s.interrupt)
 		default: // conf
 			probs := make([]float64, len(idxs))
 			for j, wi := range idxs {
 				probs[j] = worlds[wi].Prob
 			}
-			rel, err = worldset.ConfWorkers(groupResults, probs, s.workers, s.interrupt)
+			rel, err = worldset.Conf(groupResults, probs, s.interrupt)
 		}
 		if err != nil {
 			return nil, err
@@ -285,89 +253,51 @@ func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 
 // evalSplit evaluates a repair/choice statement: in each parent world the
 // FROM/WHERE intermediate is computed and split into pieces (phase one),
-// then the rest of the query runs in every child world (phase two). Both
-// phases run on the worker pool; between them a sequential fold replays the
-// per-world MaxWorlds accounting in world order, so world naming, order and
-// probabilities match the sequential engine exactly. (When several worlds
-// fail for different reasons the error reported is phase-ordered — all
-// split errors surface before any piece-evaluation error — which can differ
-// from strict statement order; the statement fails either way.)
+// then the rest of the query runs in every child world (phase two). Phase
+// one stops as soon as the pieces so far exceed MaxWorlds, so every split
+// error surfaces before any piece-evaluation error.
 func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt) ([]*world.World, []*relation.Relation, error) {
 	parents := s.set.Worlds
-	weighted := s.set.Weighted
 	fwPrep, err := s.preparedFromWhere(core, parents[0])
 	if err != nil {
 		return nil, nil, err
 	}
 
-	// Phase one: FROM/WHERE + split, per parent world.
-	splitWorld := func(i int) ([]piece, error) {
-		w := parents[i]
+	// Phase one: FROM/WHERE + split, per parent world, naming the children
+	// in world order.
+	var worlds []*world.World
+	var pieces []piece
+	for _, w := range parents {
+		if err := s.interrupted(); err != nil {
+			return nil, nil, err
+		}
 		irOp, err := fwPrep.Bind(w)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		ir, err := algebra.Collect(irOp, StatementCtx(s.interrupt, s.trace))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return s.splitPieces(st, ir)
-	}
-	// The running piece count keeps peak memory bounded by MaxWorlds even
-	// though the pool computes splits out of order: once the total exceeds
-	// the limit, remaining tasks short-circuit instead of materializing
-	// more pieces. Which task observes the overflow is scheduling-dependent,
-	// so on ANY phase-one failure the split is replayed sequentially — the
-	// replay is bounded exactly like the sequential engine and makes the
-	// reported error (a world's own split error vs ErrTooManyWorlds)
-	// deterministic and identical to the workers=1 path.
-	var pieceCount atomic.Int64
-	perWorld, err := exec.MapPolled(s.workers, len(parents), s.interrupt, func(i int) ([]piece, error) {
-		pieces, err := splitWorld(i)
+		ps, err := s.splitPieces(st, ir)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if pieceCount.Add(int64(len(pieces))) > int64(s.MaxWorlds) {
-			return nil, ErrTooManyWorlds
+		if len(pieces)+len(ps) > s.MaxWorlds {
+			return nil, nil, ErrTooManyWorlds
 		}
-		return pieces, nil
-	})
-	if err != nil {
-		count := 0
-		for i := range parents {
-			pieces, err := splitWorld(i)
-			if err != nil {
-				return nil, nil, err
-			}
-			if count+len(pieces) > s.MaxWorlds {
-				return nil, nil, ErrTooManyWorlds
-			}
-			count += len(pieces)
-		}
-		// The parallel pass failed but a bounded sequential replay does
-		// not: only possible if the statement races with external mutation
-		// of the session, which Exec's contract forbids.
-		return nil, nil, err
-	}
-
-	// Fold: fix the child world naming in world order. No MaxWorlds check
-	// is needed here — phase one completing without error implies the
-	// total piece count stayed within the limit.
-	type task struct {
-		parent *world.World
-		p      piece
-		name   string
-	}
-	var tasks []task
-	for i, w := range parents {
-		pieces := perWorld[i]
-		for pi, p := range pieces {
+		for pi, p := range ps {
 			name := w.Name
-			if len(pieces) > 1 {
+			if len(ps) > 1 {
 				name = childName(w.Name, pi)
 			}
-			tasks = append(tasks, task{parent: w, p: p, name: name})
+			child := w.Clone(name)
+			if s.set.Weighted {
+				child.Prob = w.Prob * p.prob
+			}
+			worlds = append(worlds, child)
 		}
+		pieces = append(pieces, ps...)
 	}
 
 	orPrep, err := s.preparedOnRelation(core, fwPrep, parents[0])
@@ -376,36 +306,43 @@ func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt) 
 	}
 
 	// Phase two: the rest of the query in every child world.
-	type evaled struct {
-		child *world.World
-		res   *relation.Relation
-	}
-	outs, err := exec.MapPolled(s.workers, len(tasks), s.interrupt, func(i int) (evaled, error) {
-		tk := tasks[i]
-		child := tk.parent.Clone(tk.name)
-		if weighted {
-			child.Prob = tk.parent.Prob * tk.p.prob
+	results := make([]*relation.Relation, len(worlds))
+	for i, child := range worlds {
+		if err := s.interrupted(); err != nil {
+			return nil, nil, err
 		}
-		op, err := orPrep.Bind(tk.p.rel, child)
+		op, err := orPrep.Bind(pieces[i].rel, child)
 		if err != nil {
-			return evaled{}, err
+			return nil, nil, err
 		}
-		res, err := algebra.Collect(op, StatementCtx(s.interrupt, s.trace))
-		if err != nil {
-			return evaled{}, err
+		if results[i], err = algebra.Collect(op, StatementCtx(s.interrupt, s.trace)); err != nil {
+			return nil, nil, err
 		}
-		return evaled{child: child, res: res}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	worlds := make([]*world.World, len(outs))
-	results := make([]*relation.Relation, len(outs))
-	for i, o := range outs {
-		worlds[i], results[i] = o.child, o.res
 	}
 	return worlds, results, nil
+}
+
+// collectEach compiles q once against worlds[0] and collects its answer in
+// every world, polling the interrupt hook before each.
+func (s *Session) collectEach(q *sqlparse.SelectStmt, worlds []*world.World) ([]*relation.Relation, error) {
+	prep, err := s.preparedFull(q, worlds[0])
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*relation.Relation, len(worlds))
+	for i, w := range worlds {
+		if err := s.interrupted(); err != nil {
+			return nil, err
+		}
+		op, err := prep.Bind(w)
+		if err != nil {
+			return nil, err
+		}
+		if out[i], err = algebra.Collect(op, StatementCtx(s.interrupt, s.trace)); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // splitPieces dispatches to the repair or choice split on the FROM/WHERE

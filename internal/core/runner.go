@@ -4,17 +4,21 @@ package core
 // CompactDB, the shell and the server all call. It parses, frames EXPLAIN
 // [ANALYZE], installs the statement's interrupt hook and trace and clears
 // them on every exit path, turns a panic into the statement's error, and
-// hands everything else to the engine's Run.
+// hands everything else to the engine's Run. A statement runs on the
+// caller's goroutine from start to finish, so that one recover covers all of
+// it.
 
 import (
 	"fmt"
 	"strings"
 
-	"maybms/internal/exec"
 	"maybms/internal/expr"
 	"maybms/internal/obs"
 	"maybms/internal/sqlparse"
 )
+
+var panics = obs.Default().Counter("maybms_panics_total",
+	"Panics recovered into a failed statement.")
 
 // Engine is one representation of a world-set running I-SQL: *Session over
 // explicit worlds, *wsd.WSD over a decomposition. Each keeps its statement
@@ -31,8 +35,8 @@ type Engine interface {
 	// Run executes one statement other than EXPLAIN.
 	Run(stmt sqlparse.Statement) (*Result, error)
 	// SetStatement installs (nils clear) the hook polled during execution —
-	// a non-nil return aborts the statement; it may be called concurrently
-	// — and the trace receiving stage spans.
+	// a non-nil return aborts the statement — and the trace receiving stage
+	// spans.
 	SetStatement(interrupt func() error, tr *obs.Trace)
 	// PlanCacheCounts attributes plan-cache lookups to the engine: templates
 	// found valid vs. compiled on its behalf. Safe while a statement runs.
@@ -41,9 +45,8 @@ type Engine interface {
 
 // StatementCtx is the outer evaluation context an engine drains a
 // statement's plans under: nil without an interrupt hook or trace, else one
-// carrying the hook (polled by the long-running iterators, possibly from
-// several goroutines) and the trace's stats accumulator; it sits beyond
-// every resolvable correlation depth.
+// carrying the hook (polled by the long-running iterators) and the trace's
+// stats accumulator; it sits beyond every resolvable correlation depth.
 func StatementCtx(interrupt func() error, tr *obs.Trace) *expr.Context {
 	if interrupt == nil && tr == nil {
 		return nil
@@ -92,12 +95,14 @@ func ExecScript(e Engine, sql string) ([]*Result, error) {
 }
 
 // statement runs fn with interrupt and tr installed on e and clears both
-// after; a panic fails the statement with exec.Recovered's error.
+// after; a panic fails the statement with "internal error: …" and counts in
+// maybms_panics_total.
 func statement(e Engine, interrupt func() error, tr *obs.Trace, fn func() (*Result, error)) (res *Result, err error) {
 	e.SetStatement(interrupt, tr)
 	defer func() {
 		if v := recover(); v != nil {
-			res, err = nil, exec.Recovered(v)
+			panics.Inc()
+			res, err = nil, fmt.Errorf("internal error: %v", v)
 		}
 		e.SetStatement(nil, nil)
 	}()

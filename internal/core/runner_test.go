@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"maybms/internal/core"
-	"maybms/internal/exec"
 	"maybms/internal/obs"
 	"maybms/internal/sqlparse"
 	"maybms/internal/wsd"
@@ -133,33 +132,20 @@ func panicsTotal(t *testing.T) int {
 	return n
 }
 
-// TestRunnerRecoversPanic: a panic in Run, on the statement's goroutine or
-// on a worker of the pool, fails the statement with "internal error: boom",
-// ticks maybms_panics_total and leaves no interrupt hook or trace installed.
+// TestRunnerRecoversPanic: a panic in Run fails the statement with
+// "internal error: boom", ticks maybms_panics_total and leaves no interrupt
+// hook or trace installed.
 func TestRunnerRecoversPanic(t *testing.T) {
-	for name, run := range map[string]func() error{
-		"statement": func() error { panic("boom") },
-		"worker": func() error {
-			_, err := exec.Map(4, 64, func(i int) (int, error) {
-				if i == 7 {
-					panic("boom")
-				}
-				return i, nil
-			})
-			return err
-		},
-	} {
-		e := &panicEngine{recorder: recorder{Engine: core.NewSession(true)}, run: run}
-		before := panicsTotal(t)
-		_, err := core.ExecTraced(e, "select 1", func() error { return nil }, obs.NewTrace("select 1"))
-		if err == nil || err.Error() != "internal error: boom" {
-			t.Errorf("%s: err = %v, want internal error: boom", name, err)
-		}
-		if e.interrupt != nil || e.trace != nil {
-			t.Errorf("%s: interrupt or trace left installed after a panic", name)
-		}
-		if after := panicsTotal(t); after != before+1 {
-			t.Errorf("%s: maybms_panics_total %d -> %d, want one tick", name, before, after)
-		}
+	e := &panicEngine{recorder: recorder{Engine: core.NewSession(true)}, run: func() error { panic("boom") }}
+	before := panicsTotal(t)
+	_, err := core.ExecTraced(e, "select 1", func() error { return nil }, obs.NewTrace("select 1"))
+	if err == nil || err.Error() != "internal error: boom" {
+		t.Errorf("err = %v, want internal error: boom", err)
+	}
+	if e.interrupt != nil || e.trace != nil {
+		t.Error("interrupt or trace left installed after a panic")
+	}
+	if after := panicsTotal(t); after != before+1 {
+		t.Errorf("maybms_panics_total %d -> %d, want one tick", before, after)
 	}
 }

@@ -72,6 +72,16 @@ func TestWhaleValidView(t *testing.T) {
 	s := NewSession(false)
 	loadWhales(t, s)
 
+	// As a query, the assert answers in world E alone and keeps all six.
+	res, err := s.Exec(`select * from I assert exists
+		(select * from I where Gender='cow' and Pos='b');`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PerWorld) != 1 || res.PerWorld[0].Rel.Len() != 3 || s.WorldCount() != 6 {
+		t.Fatalf("assert query: %d answers, %d worlds left; want 1 answer of 3 whales, 6 worlds", len(res.PerWorld), s.WorldCount())
+	}
+
 	// The assert-view keeps only world E (a sperm cow at position b).
 	if _, err := s.Exec(`create view Valid as
 		select * from I assert exists
@@ -93,7 +103,7 @@ func TestWhaleValidView(t *testing.T) {
 		t.Fatalf("Valid = %v", valid.Rows())
 	}
 	// Q on Valid returns the empty answer: the calf is not at b in E.
-	res, err := s.Exec("select possible 'yes' from Valid where Id=1 and Pos='b';")
+	res, err = s.Exec("select possible 'yes' from Valid where Id=1 and Pos='b';")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +123,22 @@ func TestWhaleValidView(t *testing.T) {
 func TestWhaleValidPrimeView(t *testing.T) {
 	s := NewSession(false)
 	loadWhales(t, s)
+
+	// As a query, the condition answers in all six worlds, non-empty in E.
+	res, err := s.Exec(`select * from I where exists
+		(select * from I where Gender='cow' and Pos='b');`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := 0
+	for _, wr := range res.PerWorld {
+		if !wr.Rel.Empty() {
+			answered++
+		}
+	}
+	if len(res.PerWorld) != 6 || answered != 1 {
+		t.Fatalf("where-exists query: %d answers, %d non-empty; want 6 and 1", len(res.PerWorld), answered)
+	}
 
 	// Valid' keeps all six worlds; the relation is empty outside E.
 	if _, err := s.Exec(`create view ValidP as
@@ -141,7 +167,7 @@ func TestWhaleValidPrimeView(t *testing.T) {
 	}
 
 	// Q has the same (empty) answer on Valid' as on Valid...
-	res, err := s.Exec("select possible 'yes' from ValidP where Id=1 and Pos='b';")
+	res, err = s.Exec("select possible 'yes' from ValidP where Id=1 and Pos='b';")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +188,22 @@ func TestFigure4GroupWorldsBy(t *testing.T) {
 	s := NewSession(false)
 	loadWhales(t, s)
 
-	if _, err := s.Exec(`create table Groups as
-		select possible i2.Gender as G2, i3.Gender as G3
+	groupsQuery := `select possible i2.Gender as G2, i3.Gender as G3
 		from I i2, I i3
 		where i2.Id = 2 and i3.Id = 3
-		group worlds by (select Pos from I where Id = 2);`); err != nil {
+		group worlds by (select Pos from I where Id = 2);`
+	// As a query: one closed answer per world group — worlds A–D (Id 2 at
+	// c), then E–F (Id 2 at b).
+	res, err := s.Exec(groupsQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Groups) != 2 || len(res.Groups[0].Worlds) != 4 || len(res.Groups[1].Worlds) != 2 ||
+		res.Groups[0].Rel.Len() != 4 || res.Groups[1].Rel.Len() != 2 {
+		t.Fatalf("group worlds by query = %+v, want groups of 4 and 2 worlds with 4 and 2 pairs", res.Groups)
+	}
+
+	if _, err := s.Exec("create table Groups as " + groupsQuery); err != nil {
 		t.Fatal(err)
 	}
 	if s.WorldCount() != 6 {
@@ -276,6 +313,13 @@ func TestFigure5SwapClosure(t *testing.T) {
 func TestFigure6RepairReadings(t *testing.T) {
 	s := NewSession(false)
 	loadCleaning(t, s)
+	res, err := s.Exec(`select "SSN'", "TEL'" from S repair by key SSN, TEL;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PerWorld) != 4 || s.WorldCount() != 1 {
+		t.Fatalf("repair query: %d answers, %d worlds left; want 4 and 1", len(res.PerWorld), s.WorldCount())
+	}
 	if _, err := s.Exec(`create table T as
 		select "SSN'", "TEL'" from S repair by key SSN, TEL;`); err != nil {
 		t.Fatal(err)
@@ -328,10 +372,17 @@ func TestFigure7FDAssert(t *testing.T) {
 		select "SSN'", "TEL'" from S repair by key SSN, TEL;`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Exec(`create table U as
-		select * from T assert not exists
+	fdAssert := `select * from T assert not exists
 		(select 'yes' from T t1, T t2
-		 where t1."SSN'" = t2."SSN'" and t1."TEL'" <> t2."TEL'");`); err != nil {
+		 where t1."SSN'" = t2."SSN'" and t1."TEL'" <> t2."TEL'");`
+	res, err := s.Exec(fdAssert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PerWorld) != 3 || s.WorldCount() != 4 {
+		t.Fatalf("FD assert query: %d answers, %d worlds left; want 3 and 4", len(res.PerWorld), s.WorldCount())
+	}
+	if _, err := s.Exec("create table U as " + fdAssert); err != nil {
 		t.Fatal(err)
 	}
 	// Figure 7: world B violates SSN' → TEL' and is dropped.

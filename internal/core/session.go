@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"maybms/internal/exec"
 	"maybms/internal/obs"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
@@ -38,11 +37,6 @@ type Session struct {
 	// MaxWorlds bounds the world-set; splits that would exceed it fail with
 	// ErrTooManyWorlds.
 	MaxWorlds int
-	// workers bounds the per-world parallelism of statement execution:
-	// 1 runs the exact sequential path, 0 (the default) selects
-	// runtime.GOMAXPROCS. Results are identical for every setting; see
-	// internal/exec and SetWorkers.
-	workers int
 	// plans caches compiled statement templates (see internal/plan's
 	// Prepare/Bind). By default it is the process-wide shared cache
 	// (plan.SharedCache()) so concurrent sessions over identical schemas
@@ -60,15 +54,6 @@ type Session struct {
 	nextWorld int
 }
 
-// SetWorkers sets the per-world parallelism of the session (and of its
-// world-set's cross-world passes, e.g. Coalesce): 1 selects the exact
-// sequential path, 0 selects runtime.GOMAXPROCS. Any setting produces
-// identical results; see internal/exec.
-func (s *Session) SetWorkers(n int) {
-	s.workers = n
-	s.set.Workers = n
-}
-
 // SetPlanCache replaces the session's compiled-statement cache. Sessions
 // default to the process-wide plan.SharedCache(); passing a private cache
 // isolates the session (nil restores the shared one).
@@ -84,6 +69,15 @@ func (s *Session) SetPlanCache(c *plan.Cache) {
 // the trace of the statement about to run.
 func (s *Session) SetStatement(interrupt func() error, tr *obs.Trace) {
 	s.interrupt, s.trace = interrupt, tr
+}
+
+// interrupted polls the interrupt hook; every per-world loop calls it
+// before each unit of work.
+func (s *Session) interrupted() error {
+	if s.interrupt == nil {
+		return nil
+	}
+	return s.interrupt()
 }
 
 // Kind names the naive engine for the server and EXPLAIN.
@@ -244,11 +238,14 @@ func (s *Session) execInsert(st *sqlparse.Insert) (*Result, error) {
 		return nil, err
 	}
 
-	// Build candidate relations per world (in parallel — candidates are
-	// independent), checking keys; commit only if every world accepts.
+	// Build candidate relations per world, checking keys; commit only if
+	// every world accepts.
 	key := s.keys[strings.ToLower(st.Table)]
-	updated, err := exec.MapPolled(s.workers, len(s.set.Worlds), s.interrupt, func(i int) (*relation.Relation, error) {
-		w := s.set.Worlds[i]
+	updated := make([]*relation.Relation, len(s.set.Worlds))
+	for i, w := range s.set.Worlds {
+		if err := s.interrupted(); err != nil {
+			return nil, err
+		}
 		cur, err := w.Lookup(st.Table)
 		if err != nil {
 			return nil, err
@@ -264,10 +261,7 @@ func (s *Session) execInsert(st *sqlparse.Insert) (*Result, error) {
 				return nil, fmt.Errorf("%w in world %s (statement discarded in all worlds)", err, w.Name)
 			}
 		}
-		return next, nil
-	})
-	if err != nil {
-		return nil, err
+		updated[i] = next
 	}
 	for i, w := range s.set.Worlds {
 		w.Put(st.Table, updated[i])
@@ -325,49 +319,44 @@ func (s *Session) dmlTemplate(st sqlparse.Statement, table string) (*plan.Prepar
 // execDML applies an UPDATE or DELETE to table in every world: the
 // statement compiles once (dmlTemplate), and each world binds the template
 // and runs its row rewrite — the template and rewrite the compact engine
-// runs per piece. Candidate relations are built in parallel and committed
-// only when every world succeeds; with key set (an UPDATE of a table with a
-// declared primary key) a violation in any world aborts the statement. msg
-// reports the changed rows and the world count.
+// runs per piece. Candidate relations are committed only when every world
+// succeeds; with key set (an UPDATE of a table with a declared primary key)
+// a violation in any world aborts the statement. msg reports the changed
+// rows and the world count.
 func (s *Session) execDML(st sqlparse.Statement, table, msg string, key []string) (*Result, error) {
 	tmpl, err := s.dmlTemplate(st, table)
 	if err != nil {
 		return nil, err
 	}
 	worlds := s.set.Worlds
-	type cand struct {
-		rel     *relation.Relation
-		changed int
-	}
-	cands, err := exec.MapPolled(s.workers, len(worlds), s.interrupt, func(i int) (cand, error) {
-		w := worlds[i]
+	cands := make([]*relation.Relation, len(worlds))
+	total := 0
+	for i, w := range worlds {
+		if err := s.interrupted(); err != nil {
+			return nil, err
+		}
 		cur, err := w.Lookup(table)
 		if err != nil {
-			return cand{}, err
+			return nil, err
 		}
 		bound, err := tmpl.Bind(w, s.interrupt)
 		if err != nil {
-			return cand{}, err
+			return nil, err
 		}
 		rows, changed, err := bound.Apply(cur.Rows())
 		if err != nil {
-			return cand{}, err
+			return nil, err
 		}
-		next := relation.FromRowsShared(cur.Schema, rows)
+		cands[i] = relation.FromRowsShared(cur.Schema, rows)
 		if len(key) > 0 {
-			if err := checkKey(next, key); err != nil {
-				return cand{}, fmt.Errorf("%w in world %s (statement discarded in all worlds)", err, w.Name)
+			if err := checkKey(cands[i], key); err != nil {
+				return nil, fmt.Errorf("%w in world %s (statement discarded in all worlds)", err, w.Name)
 			}
 		}
-		return cand{rel: next, changed: changed}, nil
-	})
-	if err != nil {
-		return nil, err
+		total += changed
 	}
-	total := 0
 	for i, w := range worlds {
-		w.Put(table, cands[i].rel)
-		total += cands[i].changed
+		w.Put(table, cands[i])
 	}
 	return s.ok(msg, total, len(worlds))
 }

@@ -59,9 +59,8 @@ type Span struct {
 // stage-level spans plus trace-level attributes and aggregate ExecStats.
 // All methods are nil-safe (a nil *Trace is a no-op), so instrumented code
 // calls t.Begin(...)/sp.End() unconditionally. A Trace is created per
-// statement and handed to exactly one execution, but span creation and
-// attribute writes are mutex-guarded because per-alternative work runs on
-// the internal/exec pool.
+// statement and handed to exactly one execution; span creation and
+// attribute writes are mutex-guarded.
 type Trace struct {
 	Statement string
 

@@ -160,7 +160,7 @@ func (r *Relation) mirror() *colbatch.Batch {
 // BatchView returns a batch over the relation's contents without ever
 // columnarizing: the store itself when columnar, the cached columnar view
 // when one is valid, else the row-backed store as-is. Key-encoding
-// consumers (Distinct, the worldset closure workers) read typed columns
+// consumers (Distinct, the worldset closures) read typed columns
 // when available and fall back to tuple encoding otherwise, with identical
 // bytes.
 func (r *Relation) BatchView() *colbatch.Batch {

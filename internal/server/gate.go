@@ -1,7 +1,8 @@
-package exec
+package server
 
 import (
 	"context"
+	"runtime"
 	"time"
 
 	"maybms/internal/obs"
@@ -19,24 +20,26 @@ var (
 		"Admission wait time in seconds.", obs.DurationBuckets)
 )
 
-// Gate is a counting semaphore bounding cross-request parallelism: the
-// I-SQL server acquires a slot per statement execution, so the same
-// workers setting that bounds per-world parallelism inside a statement
-// also bounds how many statements execute at once across sessions. Under
-// many concurrent sessions the process then runs at most ~workers² busy
-// goroutines instead of clients × workers.
-type Gate struct {
+// gate is a counting semaphore bounding how many statements execute at once
+// across sessions: the server acquires a slot per statement execution. A
+// statement runs on one goroutine, so the gate is the server's only bound
+// on engine parallelism.
+type gate struct {
 	slots chan struct{}
 }
 
-// NewGate creates a gate with Resolve(workers) slots.
-func NewGate(workers int) *Gate {
-	return &Gate{slots: make(chan struct{}, Resolve(workers))}
+// newGate creates a gate with slots slots; slots < 1 selects
+// runtime.GOMAXPROCS(0).
+func newGate(slots int) *gate {
+	if slots < 1 {
+		slots = runtime.GOMAXPROCS(0)
+	}
+	return &gate{slots: make(chan struct{}, slots)}
 }
 
-// Acquire blocks until a slot is free or ctx is done, returning ctx's
+// acquire blocks until a slot is free or ctx is done, returning ctx's
 // error in the latter case.
-func (g *Gate) Acquire(ctx context.Context) error {
+func (g *gate) acquire(ctx context.Context) error {
 	// Fast path: a free slot means no wait to measure (and no clock read
 	// when metrics are off).
 	select {
@@ -62,8 +65,8 @@ func (g *Gate) Acquire(ctx context.Context) error {
 	}
 }
 
-// Release frees a slot acquired with Acquire.
-func (g *Gate) Release() { <-g.slots }
+// release frees a slot acquired with acquire.
+func (g *gate) release() { <-g.slots }
 
-// Cap returns the number of slots.
-func (g *Gate) Cap() int { return cap(g.slots) }
+// size returns the number of slots.
+func (g *gate) size() int { return cap(g.slots) }

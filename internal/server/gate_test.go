@@ -1,4 +1,4 @@
-package exec
+package server
 
 import (
 	"context"
@@ -8,15 +8,15 @@ import (
 )
 
 func TestGateBoundsConcurrency(t *testing.T) {
-	g := NewGate(3)
-	if g.Cap() != 3 {
-		t.Fatalf("cap = %d", g.Cap())
+	g := newGate(3)
+	if g.size() != 3 {
+		t.Fatalf("cap = %d", g.size())
 	}
 	var cur, peak atomic.Int32
 	done := make(chan struct{})
 	for i := 0; i < 20; i++ {
 		go func() {
-			if err := g.Acquire(context.Background()); err != nil {
+			if err := g.acquire(context.Background()); err != nil {
 				t.Error(err)
 				done <- struct{}{}
 				return
@@ -30,7 +30,7 @@ func TestGateBoundsConcurrency(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 			cur.Add(-1)
-			g.Release()
+			g.release()
 			done <- struct{}{}
 		}()
 	}
@@ -43,17 +43,17 @@ func TestGateBoundsConcurrency(t *testing.T) {
 }
 
 func TestGateAcquireHonoursContext(t *testing.T) {
-	g := NewGate(1)
-	if err := g.Acquire(context.Background()); err != nil {
+	g := newGate(1)
+	if err := g.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if err := g.Acquire(ctx); err == nil {
+	if err := g.acquire(ctx); err == nil {
 		t.Fatal("acquire on a full gate must respect the deadline")
 	}
-	g.Release()
-	if err := g.Acquire(context.Background()); err != nil {
+	g.release()
+	if err := g.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -15,18 +15,16 @@ import (
 // "compact" the world-set-decomposition engine (merges bounded by
 // maxWorlds). 0 keeps the engine's default bound. Statements run through
 // core's runner, serialized by the session lock.
-func newBackend(name string, weighted bool, workers, maxWorlds int) (core.Engine, error) {
+func newBackend(name string, weighted bool, maxWorlds int) (core.Engine, error) {
 	switch name {
 	case "", "naive":
 		s := core.NewSession(weighted)
-		s.SetWorkers(workers)
 		if maxWorlds > 0 {
 			s.MaxWorlds = maxWorlds
 		}
 		return s, nil
 	case "compact":
 		d := wsd.New(weighted)
-		d.Workers = workers
 		if maxWorlds > 0 {
 			d.MergeLimit = maxWorlds
 		}

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"maybms/internal/core"
-	"maybms/internal/exec"
 	"maybms/internal/obs"
 	"maybms/internal/plan"
 )
@@ -43,9 +42,9 @@ type Config struct {
 	// HTTPAddr is the listen address of the HTTP transport
 	// (POST /v1/query, GET /v1/health; "" disables).
 	HTTPAddr string
-	// Workers bounds both the per-world parallelism inside a statement
-	// and, through the admission gate, how many statements execute at once
-	// across sessions. 0 selects GOMAXPROCS, 1 the sequential engine.
+	// Workers sizes the admission gate: how many statements execute at
+	// once across sessions (0 selects GOMAXPROCS). Each statement runs on
+	// one goroutine.
 	Workers int
 	// MaxSessions bounds the number of live sessions (default 1024).
 	MaxSessions int
@@ -110,7 +109,7 @@ var (
 type Server struct {
 	cfg  Config
 	reg  *registry
-	gate *exec.Gate
+	gate *gate
 	// maxRowsConfigured records whether the operator set Config.MaxRows
 	// explicitly (New normalizes 0 to DefaultMaxRows, which would make an
 	// explicit cap of exactly DefaultMaxRows indistinguishable from the
@@ -155,7 +154,7 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:               cfg,
 		reg:               newRegistry(cfg.MaxSessions),
-		gate:              exec.NewGate(cfg.Workers),
+		gate:              newGate(cfg.Workers),
 		maxRowsConfigured: maxRowsConfigured,
 		baseCtx:           ctx,
 		cancel:            cancel,
@@ -428,8 +427,8 @@ func (s *Server) health() Health {
 		OK:             true,
 		Sessions:       s.reg.len(),
 		UptimeMs:       time.Since(s.started).Milliseconds(),
-		Workers:        exec.Resolve(s.cfg.Workers),
-		Gate:           s.gate.Cap(),
+		Workers:        s.gate.size(),
+		Gate:           s.gate.size(),
 		Prepares:       plan.PrepareCount(),
 		CacheHits:      st.Hits,
 		CacheMisses:    st.Misses,
@@ -570,15 +569,15 @@ func (s *Server) handleQuery(ctx context.Context, name string, req *Request) *Re
 	// lock is won, that the session is still the one registered under its
 	// name (an idle-eviction sweep or close can race the acquisition).
 	sess, err := s.reg.acquireOwned(ctx, name, func() (core.Engine, error) {
-		return newBackend(req.Backend, !req.Incomplete, s.cfg.Workers, s.cfg.MaxWorlds)
+		return newBackend(req.Backend, !req.Incomplete, s.cfg.MaxWorlds)
 	})
 	if err != nil {
 		return errorResponse(name, err)
 	}
 
 	// Cross-request admission: one gate slot per executing statement, so
-	// Workers bounds total engine parallelism across sessions.
-	if err := s.gate.Acquire(ctx); err != nil {
+	// Workers bounds how many statements run at once across sessions.
+	if err := s.gate.acquire(ctx); err != nil {
 		sess.release()
 		return errorResponse(name, err)
 	}
@@ -608,7 +607,7 @@ func (s *Server) handleQuery(ctx context.Context, name string, req *Request) *Re
 		elapsed := time.Since(start)
 		s.observeStatement(kind, name, req.Query, elapsed, tr)
 		s.reg.touch(sess)
-		s.gate.Release()
+		s.gate.release()
 		sess.release()
 		ch <- outcome{res, err}
 	}()

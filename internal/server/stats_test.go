@@ -146,7 +146,6 @@ func TestCompactCTASClosedAndGrouped(t *testing.T) {
 // surfaced as an internal planner-contract error.
 func TestGroupWorldsDeepISQLRefused(t *testing.T) {
 	b := wsd.New(true)
-	b.Workers = 1
 	for _, stmt := range []string{
 		"create table R (K, V)",
 		"insert into R values (0,0),(0,1)",

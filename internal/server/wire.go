@@ -17,10 +17,9 @@
 //
 // All sessions share the process-wide compiled-statement cache
 // (internal/plan's SharedCache), so concurrent sessions over identical
-// schemas reuse each other's query compilations. A single workers setting
-// governs both the per-world parallelism inside a statement and — through
-// an admission gate (internal/exec's Gate) — how many statements execute
-// at once across sessions.
+// schemas reuse each other's query compilations. Each statement runs on one
+// goroutine; the workers setting sizes an admission gate (gate.go) bounding
+// how many statements execute at once across sessions.
 package server
 
 import (

@@ -14,7 +14,6 @@ import (
 	"math"
 	"strings"
 
-	"maybms/internal/exec"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/tuple"
@@ -37,9 +36,6 @@ const ProbEps = 1e-9
 type Set struct {
 	Weighted bool
 	Worlds   []*world.World
-	// Workers bounds the parallelism of cross-world passes (Coalesce's
-	// fingerprint computation): 1 is sequential, 0 selects GOMAXPROCS.
-	Workers int
 }
 
 // New returns a world-set containing a single empty world named "w1". The
@@ -59,7 +55,7 @@ func (s *Set) Len() int { return len(s.Worlds) }
 // Clone deep-copies the set structure (worlds are cloned; relations are
 // shared, as they are immutable).
 func (s *Set) Clone() *Set {
-	out := &Set{Weighted: s.Weighted, Workers: s.Workers, Worlds: make([]*world.World, len(s.Worlds))}
+	out := &Set{Weighted: s.Weighted, Worlds: make([]*world.World, len(s.Worlds))}
 	for i, w := range s.Worlds {
 		out.Worlds[i] = w.Clone(w.Name)
 	}
@@ -157,80 +153,35 @@ func requireSameArity(results []*relation.Relation) error {
 }
 
 // Possible computes the POSSIBLE closure over per-world answers: the
-// deduplicated union. results[i] must be the answer in world i of the
-// group being closed. It runs sequentially; PossibleWorkers is the
-// tree-reduction variant.
-func Possible(results []*relation.Relation) (*relation.Relation, error) {
-	return PossibleWorkers(results, 1, nil)
-}
-
-// PossibleWorkers computes the POSSIBLE closure by pairwise tree reduction
-// on a worker pool of the given size (1 = sequential, 0 = GOMAXPROCS).
-// The merge keeps first-appearance order across world order, so the result
-// is identical for every workers setting and to the sequential fold —
-// which still runs as a single O(total) pass when the pool is size 1.
-// interrupt (nil ok) is polled between units of work: a non-nil return
+// deduplicated union, each tuple at its first appearance in world order.
+// results[i] must be the answer in world i of the group being closed.
+// interrupt (nil ok) is polled before each world's answer: a non-nil return
 // aborts the closure with that error, so deadlined server requests do not
 // hold the engine through a huge merge.
-func PossibleWorkers(results []*relation.Relation, workers int, interrupt func() error) (*relation.Relation, error) {
+func Possible(results []*relation.Relation, interrupt func() error) (*relation.Relation, error) {
 	if err := requireSameArity(results); err != nil {
 		return nil, err
 	}
-	if exec.Resolve(workers) == 1 || len(results) == 1 {
-		// Direct first-appearance fold — identical to concatenating all
-		// answers and deduplicating, without materializing the concatenation.
-		// Keys come off each relation's columnar view when one is cached
-		// (AppendKey writes tuple.Encode's exact byte stream).
-		var rows []tuple.Tuple
-		seen := map[string]struct{}{}
-		var buf []byte
-		for _, r := range results {
-			if err := poll(interrupt); err != nil {
-				return nil, err
-			}
-			bv := r.BatchView()
-			for i, t := range r.Rows() {
-				buf = bv.AppendKey(buf[:0], i)
-				if _, dup := seen[string(buf)]; dup {
-					continue
-				}
-				seen[string(buf)] = struct{}{}
-				rows = append(rows, t)
-			}
-		}
-		return relation.FromRowsShared(results[0].Schema, rows), nil
-	}
-	// Leaves: dedup each world's answer; the tree then merges deduped sets.
-	parts, err := exec.Map(workers, len(results), func(i int) (*relation.Relation, error) {
+	// Keys come off each relation's columnar view when one is cached
+	// (AppendKey writes tuple.Encode's exact byte stream).
+	var rows []tuple.Tuple
+	seen := map[string]struct{}{}
+	var buf []byte
+	for _, r := range results {
 		if err := poll(interrupt); err != nil {
 			return nil, err
 		}
-		return results[i].Distinct(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	merged, err := treeReduce(parts, workers, interrupt, func(a, b *relation.Relation) (*relation.Relation, error) {
-		// a's tuples (already first-appearance ordered) then b's tuples not
-		// in a, in b's order — exactly the first-appearance order of the
-		// concatenated range.
-		rows := append([]tuple.Tuple(nil), a.Rows()...)
-		seen := keySetOf(a)
-		bv := b.BatchView()
-		var buf []byte
-		for i, t := range b.Rows() {
-			// Scratch-encoded probe: no key-string allocation per lookup.
+		bv := r.BatchView()
+		for i, t := range r.Rows() {
 			buf = bv.AppendKey(buf[:0], i)
-			if _, dup := seen[string(buf)]; !dup {
-				rows = append(rows, t)
+			if _, dup := seen[string(buf)]; dup {
+				continue
 			}
+			seen[string(buf)] = struct{}{}
+			rows = append(rows, t)
 		}
-		return relation.FromRowsShared(a.Schema, rows), nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return merged, nil
+	return relation.FromRowsShared(results[0].Schema, rows), nil
 }
 
 // poll invokes a (possibly nil) interrupt hook.
@@ -241,154 +192,39 @@ func poll(interrupt func() error) error {
 	return interrupt()
 }
 
-// keySetOf returns the set of tuple keys of r.
-func keySetOf(r *relation.Relation) map[string]struct{} {
-	out := make(map[string]struct{}, r.Len())
-	bv := r.BatchView()
-	var buf []byte
-	for i := 0; i < r.Len(); i++ {
-		buf = bv.AppendKey(buf[:0], i)
-		if _, dup := out[string(buf)]; !dup {
-			out[string(buf)] = struct{}{}
-		}
-	}
-	return out
-}
-
 // Certain computes the CERTAIN closure: tuples present in every per-world
-// answer. It runs sequentially; CertainWorkers is the tree-reduction
-// variant.
-func Certain(results []*relation.Relation) (*relation.Relation, error) {
-	return CertainWorkers(results, 1, nil)
-}
-
-// CertainWorkers computes the CERTAIN closure by pairwise tree reduction:
-// intersection is associative and relation.Intersect keeps the left
-// operand's order, so the result — ordered by the first world's answer —
-// is identical for every workers setting and to the sequential fold.
-func CertainWorkers(results []*relation.Relation, workers int, interrupt func() error) (*relation.Relation, error) {
+// answer, in the first world's order. interrupt is polled as in Possible.
+func Certain(results []*relation.Relation, interrupt func() error) (*relation.Relation, error) {
 	if err := requireSameArity(results); err != nil {
 		return nil, err
 	}
-	if exec.Resolve(workers) == 1 || len(results) == 1 {
-		out := results[0].Distinct()
-		for _, r := range results[1:] {
-			if err := poll(interrupt); err != nil {
-				return nil, err
-			}
-			out = relation.Intersect(out, r)
-			if out.Empty() {
-				break
-			}
+	out := results[0].Distinct()
+	for _, r := range results[1:] {
+		if err := poll(interrupt); err != nil {
+			return nil, err
 		}
-		return out, nil
+		out = relation.Intersect(out, r)
+		if out.Empty() {
+			break
+		}
 	}
-	parts := append([]*relation.Relation(nil), results...)
-	parts[0] = parts[0].Distinct()
-	return treeReduce(parts, workers, interrupt, func(a, b *relation.Relation) (*relation.Relation, error) {
-		if a.Empty() {
-			return a, nil
-		}
-		return relation.Intersect(a, b), nil
-	})
-}
-
-// confPartial is the tree-reduction state of a CONF closure over a
-// contiguous range of worlds: the distinct tuples in first-appearance
-// order, each with the ascending list of world indexes whose answer
-// contains it. Carrying indexes instead of partial probability sums keeps
-// the final float accumulation in strict world order, bit-identical to the
-// sequential fold for every workers setting.
-type confPartial struct {
-	order   []string
-	tuples  map[string]tuple.Tuple
-	inWorld map[string][]int32
+	return out, nil
 }
 
 // Conf computes tuple confidences: for every distinct tuple appearing in
 // some per-world answer, the sum of probabilities of the worlds whose
-// answer contains it. probs[i] is the probability of world i. The result
-// extends the answer schema with a trailing "conf" column. It runs
-// sequentially; ConfWorkers is the tree-reduction variant.
-func Conf(results []*relation.Relation, probs []float64) (*relation.Relation, error) {
-	return ConfWorkers(results, probs, 1, nil)
-}
-
-// ConfWorkers computes the CONF closure by pairwise tree reduction on a
-// worker pool — the dominant cost of huge conf queries is this merge, and
-// the per-world dedup plus pairwise merges are independent. The partials
-// carry contributing world indexes, so the probability summation happens
-// once at the end in ascending world order: results are bit-identical for
-// every workers setting.
-func ConfWorkers(results []*relation.Relation, probs []float64, workers int, interrupt func() error) (*relation.Relation, error) {
+// answer contains it, accumulated in world order. probs[i] is the
+// probability of world i. The result extends the answer schema with a
+// trailing "conf" column. interrupt is polled as in Possible.
+func Conf(results []*relation.Relation, probs []float64, interrupt func() error) (*relation.Relation, error) {
 	if err := requireSameArity(results); err != nil {
 		return nil, err
 	}
 	if len(results) != len(probs) {
 		return nil, fmt.Errorf("got %d results for %d probabilities", len(results), len(probs))
 	}
-	if exec.Resolve(workers) == 1 || len(results) == 1 {
-		return confSequential(results, probs, interrupt)
-	}
-	// Leaves: dedup within each world (a tuple appearing several times in
-	// one world's answer contributes that world's probability once).
-	parts, err := exec.Map(workers, len(results), func(i int) (*confPartial, error) {
-		if err := poll(interrupt); err != nil {
-			return nil, err
-		}
-		p := &confPartial{tuples: map[string]tuple.Tuple{}, inWorld: map[string][]int32{}}
-		bv := results[i].BatchView()
-		var buf []byte
-		for j, t := range results[i].Rows() {
-			buf = bv.AppendKey(buf[:0], j)
-			if _, dup := p.tuples[string(buf)]; dup {
-				continue
-			}
-			k := string(buf)
-			p.tuples[k] = t
-			p.inWorld[k] = []int32{int32(i)}
-			p.order = append(p.order, k)
-		}
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	merged, err := treeReduce(parts, workers, interrupt, func(a, b *confPartial) (*confPartial, error) {
-		for _, k := range b.order {
-			if _, ok := a.tuples[k]; !ok {
-				a.tuples[k] = b.tuples[k]
-				a.order = append(a.order, k)
-			}
-			// Ranges are disjoint and ascending: appending keeps the index
-			// list sorted.
-			a.inWorld[k] = append(a.inWorld[k], b.inWorld[k]...)
-		}
-		return a, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]tuple.Tuple, 0, len(merged.order))
-	for _, k := range merged.order {
-		conf := 0.0
-		for _, wi := range merged.inWorld[k] {
-			conf += probs[wi]
-		}
-		if conf > 1 {
-			conf = 1 // clamp float accumulation noise
-		}
-		rows = append(rows, append(merged.tuples[k].Clone(), value.Float(conf)))
-	}
-	return relation.FromRowsShared(results[0].Schema.Concat(schema.New("conf")), rows), nil
-}
-
-// confSequential is the single-pass CONF fold: one map pass over all
-// per-world answers, accumulating each tuple's confidence in world order
-// with in-world dedup (lastWorld). The tree reduction above produces
-// bit-identical output — it carries world indexes so the final float
-// summation happens in the same ascending order.
-func confSequential(results []*relation.Relation, probs []float64, interrupt func() error) (*relation.Relation, error) {
+	// lastWorld dedups within one world: a tuple appearing several times in
+	// one world's answer contributes that world's probability once.
 	type entry struct {
 		t         tuple.Tuple
 		conf      float64
@@ -429,34 +265,6 @@ func confSequential(results []*relation.Relation, probs []float64, interrupt fun
 	return relation.FromRowsShared(results[0].Schema.Concat(schema.New("conf")), rows), nil
 }
 
-// treeReduce folds parts pairwise, level by level, merging adjacent pairs
-// on a worker pool: merge(parts[0],parts[1]), merge(parts[2],parts[3]), …
-// until one remains. The reduction shape depends only on len(parts), so
-// the result is deterministic for every workers setting whenever merge is
-// associative over adjacent ranges. merge may mutate and return its first
-// argument (leaves are owned by the reduction).
-func treeReduce[T any](parts []T, workers int, interrupt func() error, merge func(a, b T) (T, error)) (T, error) {
-	for len(parts) > 1 {
-		pairs := len(parts) / 2
-		next, err := exec.Map(workers, pairs, func(i int) (T, error) {
-			if err := poll(interrupt); err != nil {
-				var zero T
-				return zero, err
-			}
-			return merge(parts[2*i], parts[2*i+1])
-		})
-		if err != nil {
-			var zero T
-			return zero, err
-		}
-		if len(parts)%2 == 1 {
-			next = append(next, parts[len(parts)-1])
-		}
-		parts = next
-	}
-	return parts[0], nil
-}
-
 // Group partitions world indexes by fingerprint key: worlds with equal keys
 // form one group. Groups are returned in first-appearance order.
 func Group(keys []uint64) [][]int {
@@ -483,23 +291,15 @@ func Group(keys []uint64) [][]int {
 // exponentially smaller after asserts or projections collapse choices. It
 // returns the number of worlds removed.
 func (s *Set) Coalesce() int {
-	// Fingerprints are pure functions of immutable world contents — compute
-	// them on the worker pool; the merge stays sequential in world order so
-	// representatives and summed probabilities are deterministic. The tasks
-	// cannot fail, so Do's error is structurally nil.
-	fps := make([]uint64, len(s.Worlds))
-	_ = exec.Do(s.Workers, len(s.Worlds), func(i int) error {
-		fps[i] = s.Worlds[i].Fingerprint()
-		return nil
-	})
 	byFp := map[uint64]*world.World{}
 	var kept []*world.World
-	for i, w := range s.Worlds {
-		if rep, ok := byFp[fps[i]]; ok {
+	for _, w := range s.Worlds {
+		fp := w.Fingerprint()
+		if rep, ok := byFp[fp]; ok {
 			rep.Prob += w.Prob
 			continue
 		}
-		byFp[fps[i]] = w
+		byFp[fp] = w
 		kept = append(kept, w)
 	}
 	removed := len(s.Worlds) - len(kept)

@@ -139,7 +139,7 @@ func TestCheckInvariantDetectsSchemaDivergence(t *testing.T) {
 func TestPossible(t *testing.T) {
 	// Example 2.8 shape: per-world sums {44},{49},{50},{55} → union.
 	results := []*relation.Relation{rel(44), rel(49), rel(50), rel(55)}
-	got, err := Possible(results)
+	got, err := Possible(results, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestPossible(t *testing.T) {
 		t.Errorf("possible = %v", got.Rows())
 	}
 	// Duplicates across worlds collapse.
-	got, _ = Possible([]*relation.Relation{rel(1, 2), rel(2, 3)})
+	got, _ = Possible([]*relation.Relation{rel(1, 2), rel(2, 3)}, nil)
 	if got.Len() != 3 {
 		t.Errorf("dedup = %v", got.Rows())
 	}
@@ -155,21 +155,21 @@ func TestPossible(t *testing.T) {
 
 func TestCertain(t *testing.T) {
 	// Example 2.9 shape: {e1} ∩ {e1, e2} = {e1}.
-	got, err := Certain([]*relation.Relation{rel(1), rel(1, 2)})
+	got, err := Certain([]*relation.Relation{rel(1), rel(1, 2)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 1 || got.Rows()[0][0].AsInt() != 1 {
 		t.Errorf("certain = %v", got.Rows())
 	}
-	got, _ = Certain([]*relation.Relation{rel(1), rel(2)})
+	got, _ = Certain([]*relation.Relation{rel(1), rel(2)}, nil)
 	if !got.Empty() {
 		t.Errorf("disjoint certain = %v", got.Rows())
 	}
 }
 
 func TestCertainSingleWorld(t *testing.T) {
-	got, err := Certain([]*relation.Relation{rel(1, 1, 2)})
+	got, err := Certain([]*relation.Relation{rel(1, 1, 2)}, nil)
 	if err != nil || got.Len() != 2 {
 		t.Errorf("single-world certain must dedup: %v, %v", got, err)
 	}
@@ -183,7 +183,7 @@ func TestConf(t *testing.T) {
 	hit := relation.New(schema.New())
 	hit.MustAppend(tuple.Tuple{})
 	results := []*relation.Relation{hit, empty, empty, hit}
-	got, err := Conf(results, probs)
+	got, err := Conf(results, probs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestConf(t *testing.T) {
 func TestConfPerTuple(t *testing.T) {
 	results := []*relation.Relation{rel(1, 2), rel(2), rel(2, 2)}
 	probs := []float64{0.5, 0.3, 0.2}
-	got, err := Conf(results, probs)
+	got, err := Conf(results, probs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestConfPerTuple(t *testing.T) {
 func TestConfClampsAboveOne(t *testing.T) {
 	results := []*relation.Relation{rel(1), rel(1), rel(1)}
 	probs := []float64{0.5, 0.5, 1e-13} // float noise
-	got, err := Conf(results, probs)
+	got, err := Conf(results, probs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,20 +227,20 @@ func TestConfClampsAboveOne(t *testing.T) {
 }
 
 func TestConfErrors(t *testing.T) {
-	if _, err := Conf([]*relation.Relation{rel(1)}, []float64{0.5, 0.5}); err == nil {
+	if _, err := Conf([]*relation.Relation{rel(1)}, []float64{0.5, 0.5}, nil); err == nil {
 		t.Error("length mismatch must error")
 	}
-	if _, err := Conf(nil, nil); err == nil {
+	if _, err := Conf(nil, nil, nil); err == nil {
 		t.Error("empty input must error")
 	}
 }
 
 func TestMixedArityRejected(t *testing.T) {
 	two := relation.New(schema.New("A", "B"))
-	if _, err := Possible([]*relation.Relation{rel(1), two}); err == nil {
+	if _, err := Possible([]*relation.Relation{rel(1), two}, nil); err == nil {
 		t.Error("mixed arity possible must error")
 	}
-	if _, err := Certain([]*relation.Relation{rel(1), two}); err == nil {
+	if _, err := Certain([]*relation.Relation{rel(1), two}, nil); err == nil {
 		t.Error("mixed arity certain must error")
 	}
 }
@@ -302,8 +302,8 @@ func TestQuickCertainSubsetOfPossible(t *testing.T) {
 			}
 			results[i] = r
 		}
-		poss, err1 := Possible(results)
-		cert, err2 := Certain(results)
+		poss, err1 := Possible(results, nil)
+		cert, err2 := Certain(results, nil)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -340,12 +340,12 @@ func TestQuickConfMatchesPossibleAndCertain(t *testing.T) {
 		for i := range probs {
 			probs[i] /= total
 		}
-		confRel, err := Conf(results, probs)
+		confRel, err := Conf(results, probs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		poss, _ := Possible(results)
-		cert, _ := Certain(results)
+		poss, _ := Possible(results, nil)
+		cert, _ := Certain(results, nil)
 		for _, tp := range confRel.Rows() {
 			base := tp[:1]
 			c := tp[1].AsFloat()

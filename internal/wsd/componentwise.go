@@ -21,10 +21,10 @@ package wsd
 // and the three bind modes — cert, delta, full — in internal/plan's
 // components.go). This file holds the evaluation half: the catalog serving
 // the three modes for one alternative per selected component,
-// QueryByComponent's evaluations on the worker pool, and the componentwise
-// materialization. The closing half is the one fold in fold.go, shared with
-// the stored-relation closures (ops.go): it takes Q(cert) as the certain
-// slot, weighs the deltas and lists the answer — no world is ever evaluated.
+// QueryByComponent's evaluations, and the componentwise materialization. The
+// closing half is the one fold in fold.go, shared with the stored-relation
+// closures (ops.go): it takes Q(cert) as the certain slot, weighs the deltas
+// and lists the answer — no world is ever evaluated.
 // Over components arranged in d-trees the identity holds over the components
 // *active* in the world (top-level, or under the alternative their parent
 // selects); the caller passes whole trees (rootClosure), since an untouched
@@ -43,7 +43,6 @@ import (
 
 	"maybms/internal/algebra"
 	"maybms/internal/colbatch"
-	"maybms/internal/exec"
 	"maybms/internal/obs"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
@@ -180,7 +179,7 @@ var _ plan.PartsCatalog = partsCatalog{}
 
 // partQuery evaluates one query against a part catalog: over the certain
 // parts alone when delta is unset (Q(cert)), else as the delta ΔQ of the
-// catalog's selection. It must be safe for concurrent calls.
+// catalog's selection.
 type partQuery func(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error)
 
 // componentParts is the componentwise evaluation of one query. Answers are
@@ -194,44 +193,43 @@ type componentParts struct {
 }
 
 // QueryByComponent evaluates query over the certain part once and as a delta
-// per alternative of each listed component — 1 + Σ sizes evaluations on the
-// worker pool reading O(|cert| + Σ|contributions|) rows, no merge, no mutation
-// of the decomposition. sp, the route's span if any, is told what was
-// evaluated.
+// per alternative of each listed component — 1 + Σ sizes evaluations, in
+// component and alternative order, reading O(|cert| + Σ|contributions|)
+// rows, no merge, no mutation of the decomposition. The interrupt hook is
+// polled before each evaluation. sp, the route's span if any, is told what
+// was evaluated.
 func (d *WSD) QueryByComponent(compIdx []int, query partQuery, sp *obs.Span) (*componentParts, error) {
 	out := &componentParts{comps: make([]*Component, len(compIdx)), deltas: make([][]*colbatch.Batch, len(compIdx))}
-	// Flatten every evaluation into one task list for the pool.
-	type task struct {
-		sel map[int]int // nil: the certain-only answer
-		dst **colbatch.Batch
+	eval := func(sel map[int]int) (*colbatch.Batch, error) {
+		if err := d.interrupted(); err != nil {
+			return nil, err
+		}
+		return query(newPartsCatalog(d, sel), sel != nil)
 	}
-	tasks := []task{{dst: &out.base}}
+	var err error
+	if out.base, err = eval(nil); err != nil {
+		return nil, err
+	}
 	for i, ci := range compIdx {
 		out.comps[i] = d.comps[ci]
 		out.deltas[i] = make([]*colbatch.Batch, len(d.comps[ci].Alts))
 		for a := range out.deltas[i] {
-			tasks = append(tasks, task{sel: map[int]int{ci: a}, dst: &out.deltas[i][a]})
+			if out.deltas[i][a], err = eval(map[int]int{ci: a}); err != nil {
+				return nil, err
+			}
 		}
 	}
-	results, err := exec.MapPolled(d.Workers, len(tasks), d.interrupt, func(ti int) (*colbatch.Batch, error) {
-		return query(newPartsCatalog(d, tasks[ti].sel), tasks[ti].sel != nil)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for ti := range tasks {
-		*tasks[ti].dst = results[ti]
-	}
 	if sp != nil {
-		rows := 0
+		evaluations, rows := 1, 0
 		for _, alts := range out.deltas {
 			for _, delta := range alts {
+				evaluations++
 				rows += delta.Len()
 			}
 		}
 		sp.Set("base_rows", out.base.Len())
 		sp.Set("delta_rows", rows)
-		sp.Set("evaluations", len(tasks))
+		sp.Set("evaluations", evaluations)
 	}
 	return out, nil
 }

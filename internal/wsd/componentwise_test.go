@@ -632,6 +632,79 @@ func TestAssertInterruptInsideIterators(t *testing.T) {
 	}
 }
 
+// TestInterruptPolledBeforeEachPart: the per-alternative evaluations of a
+// componentwise CONF and the per-piece rewrite of an UPDATE poll the hook
+// before each unit, so a hook failing from its k-th poll stops either after
+// at most k+1 polls, with the decomposition as it was: its SchemaFingerprint
+// and stored representation and, over 10 components, its Expand multiset.
+// Over 1000 components the decomposition is far past any expansion.
+func TestInterruptPolledBeforeEachPart(t *testing.T) {
+	open := func(n int) *WSD {
+		d := New(true)
+		r := relation.New(schema.New("K", "V"))
+		for k := 0; k < n; k++ {
+			r.MustAppend(row(k, 0))
+			r.MustAppend(row(k, 1))
+		}
+		if err := d.PutCertain("R", r); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	boom := errors.New("boom")
+	failingFrom := func(k int) (func() error, *int) {
+		polls := new(int)
+		return func() error {
+			*polls++
+			if *polls >= k {
+				return boom
+			}
+			return nil
+		}, polls
+	}
+	for _, n := range []int{10, 1000} {
+		for _, sql := range []string{"select K, conf from I", "update I set V = V + 1"} {
+			hook, polls := failingFrom(math.MaxInt)
+			if _, err := core.ExecTraced(open(n), sql, hook, nil); err != nil {
+				t.Fatalf("%s over %d components: %v", sql, n, err)
+			}
+			total := *polls
+			d := open(n)
+			fingerprint, stored := d.SchemaFingerprint(), d.String()
+			conf, err := d.ConfRelation("I")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var worlds []worldView
+			if n <= 10 {
+				worlds = wsdViews(t, d, "I")
+			}
+			for _, k := range []int{1, total / 5, total / 2, total - 1, total} {
+				hook, polls := failingFrom(k)
+				if _, err := core.ExecTraced(d, sql, hook, nil); !errors.Is(err, boom) {
+					t.Fatalf("%s over %d components, failing from poll %d of %d: err = %v, want boom", sql, n, k, total, err)
+				}
+				if *polls > k+1 {
+					t.Errorf("%s over %d components: a hook failing from poll %d was polled %d times", sql, n, k, *polls)
+				}
+				after, err := d.ConfRelation("I")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.SchemaFingerprint() != fingerprint || d.String() != stored || renderRel(after) != renderRel(conf) {
+					t.Fatalf("%s over %d components, failing from poll %d: the decomposition changed", sql, n, k)
+				}
+				if worlds != nil {
+					matchViews(t, worlds, wsdViews(t, d, "I"))
+				}
+			}
+		}
+	}
+}
+
 // mustRelFromNaive extracts a relation from the naive session's first
 // world (valid for certain relations).
 func mustRelFromNaive(t *testing.T, s *core.Session, name string) *relation.Relation {

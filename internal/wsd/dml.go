@@ -29,7 +29,6 @@ import (
 	"maps"
 	"sort"
 
-	"maybms/internal/exec"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/sqlparse"
@@ -128,9 +127,10 @@ func sortedUniqueInts(idx []int) []int {
 
 // rewritePieces applies the row rewrite to every piece of the target
 // relation separately: the certain part once, and each alternative's
-// contribution of each component feeding the target once — in parallel on
-// the worker pool, with no merge and the component structure (sizes,
-// probabilities) unchanged. Each piece binds the expressions in its own
+// contribution of each component feeding the target once, polling the
+// interrupt hook before each piece — with no merge and the component
+// structure (sizes, probabilities) unchanged. Nothing is stored until every
+// piece has been rewritten. Each piece binds the expressions in its own
 // worlds (the certain part over the certain database, a contribution with
 // its alternative selected): the same answers for world-independent
 // expressions, the merged alternative's for expressions over uncertain
@@ -155,42 +155,38 @@ func (d *WSD) rewritePieces(table string, tmpl *plan.PreparedDML) (int, error) {
 		}
 	}
 
-	type rewritten struct {
-		tuples  []tuple.Tuple
-		changed int
-	}
-	outs, err := exec.MapPolled(d.Workers, len(pieces), d.interrupt, func(i int) (rewritten, error) {
-		// Each task binds its own instance — subquery operators hold
-		// iteration state.
+	outs := make([][]tuple.Tuple, len(pieces))
+	total := 0
+	for i, p := range pieces {
+		if err := d.interrupted(); err != nil {
+			return 0, err
+		}
+		// Each piece binds its own instance under its own selection.
 		var sel map[int]int
-		if p := pieces[i]; p.ci >= 0 {
+		if p.ci >= 0 {
 			sel = map[int]int{p.ci: p.alt}
 		}
 		bound, err := tmpl.Bind(newPartsCatalog(d, sel), d.interrupt)
 		if err != nil {
-			return rewritten{}, err
+			return 0, err
 		}
-		kept, n, err := bound.Apply(pieces[i].tuples)
+		kept, n, err := bound.Apply(p.tuples)
 		if err != nil {
-			return rewritten{}, err
+			return 0, err
 		}
-		return rewritten{tuples: kept, changed: n}, nil
-	})
-	if err != nil {
-		return 0, err
+		outs[i] = kept
+		total += n
 	}
 
-	total := 0
 	for i, p := range pieces {
-		total += outs[i].changed
 		if p.ci < 0 {
-			d.certain[k] = relation.FromRowsShared(d.schemas[k], outs[i].tuples)
+			d.certain[k] = relation.FromRowsShared(d.schemas[k], outs[i])
 			continue
 		}
-		if len(outs[i].tuples) == 0 {
+		if len(outs[i]) == 0 {
 			delete(d.comps[p.ci].Alts[p.alt].Contrib, k)
 		} else {
-			d.comps[p.ci].Alts[p.alt].Contrib[k] = relation.FromRowsShared(d.schemas[k], outs[i].tuples)
+			d.comps[p.ci].Alts[p.alt].Contrib[k] = relation.FromRowsShared(d.schemas[k], outs[i])
 		}
 	}
 	return total, nil

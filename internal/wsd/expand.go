@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/big"
 
-	"maybms/internal/exec"
 	"maybms/internal/relation"
 	"maybms/internal/world"
 	"maybms/internal/worldset"
@@ -14,17 +13,14 @@ import (
 // testing against the naive engine and for inspecting small WSDs. It
 // refuses to expand beyond limit worlds (pass 0 for the default 1<<16).
 //
-// On a flat decomposition, world wi picks alternative
-// (wi / stride[ci]) % |Alts(ci)| of component ci, with the last component
-// varying fastest — the mixed-radix digits of wi. With nested components
-// the enumeration is the activity-aware odometer: components are visited
-// in list order, the last varying fastest, and a component whose parent
-// does not select its conditioning alternative is inactive — skipped,
-// contributing neither a digit nor tuples. This order reproduces the
-// naive chain's interleaved child-world order after repair/choice of an
-// uncertain source exactly. Every world is independent of the others and
-// the per-world builds run on the worker pool (d.Workers), producing the
-// exact world order and probabilities of the sequential odometer.
+// The enumeration is the activity-aware odometer of walkAssignments over
+// every component: components are visited in list order, the last varying
+// fastest, and a component whose parent does not select its conditioning
+// alternative is inactive — skipped, contributing neither a digit nor
+// tuples. On a flat decomposition world wi thus picks the mixed-radix
+// digits of wi; with nested components this order reproduces the naive
+// chain's interleaved child-world order after repair/choice of an
+// uncertain source exactly.
 func (d *WSD) Expand(limit int) (*worldset.Set, error) {
 	if limit <= 0 {
 		limit = DefaultMergeLimit
@@ -33,16 +29,16 @@ func (d *WSD) Expand(limit int) (*worldset.Set, error) {
 	if count.Cmp(big.NewInt(int64(limit))) > 0 {
 		return nil, fmt.Errorf("cannot expand %s worlds (limit %d): %w", count, limit, ErrMergeTooBig)
 	}
-	n := int(count.Int64())
 
-	digitsFor := d.expandDigits(n)
-
-	set := &worldset.Set{Weighted: d.Weighted, Workers: d.Workers}
-	worlds, _ := exec.Map(d.Workers, n, func(wi int) (*world.World, error) {
-		digits := digitsFor(wi)
-		w := world.New(fmt.Sprintf("w%d", wi+1))
+	set := &worldset.Set{Weighted: d.Weighted, Worlds: make([]*world.World, 0, int(count.Int64()))}
+	idxs := make([]int, len(d.comps))
+	for i := range idxs {
+		idxs[i] = i
+	}
+	_ = d.walkAssignments(idxs, func(digits []int, prob float64) error { // visit never fails
+		w := world.New(fmt.Sprintf("w%d", len(set.Worlds)+1))
 		if d.Weighted {
-			w.Prob = 1
+			w.Prob = prob
 		}
 		// Start from the certain part.
 		perRel := map[string]*relation.Relation{}
@@ -57,61 +53,17 @@ func (d *WSD) Expand(limit int) (*worldset.Set, error) {
 			if digits[ci] < 0 {
 				continue // inactive under this world's parent path
 			}
-			a := c.Alts[digits[ci]]
-			if d.Weighted {
-				w.Prob *= a.Prob
-			}
-			for name, rel := range a.Contrib {
+			for name, rel := range c.Alts[digits[ci]].Contrib {
 				perRel[name].AppendRows(rel.Rows())
 			}
 		}
 		for k, rel := range perRel {
 			w.Put(d.names[k], rel)
 		}
-		return w, nil
-	})
-	set.Worlds = worlds
-	if len(set.Worlds) == 0 {
-		set.Worlds = append(set.Worlds, world.New("w1"))
-		if d.Weighted {
-			set.Worlds[0].Prob = 1
-		}
-	}
-	return set, nil
-}
-
-// expandDigits returns a lookup from world index to the per-component
-// digit vector (-1 marks an inactive component). The flat case computes
-// digits by stride arithmetic; with nested components the activity-aware
-// odometer materializes all n vectors up front (n is already bounded by
-// the expansion limit).
-func (d *WSD) expandDigits(n int) func(wi int) []int {
-	if d.nested == 0 {
-		// stride[ci] = product of the sizes of the components after ci.
-		stride := make([]int, len(d.comps))
-		acc := 1
-		for ci := len(d.comps) - 1; ci >= 0; ci-- {
-			stride[ci] = acc
-			acc *= len(d.comps[ci].Alts)
-		}
-		return func(wi int) []int {
-			digits := make([]int, len(d.comps))
-			for ci, c := range d.comps {
-				digits[ci] = (wi / stride[ci]) % len(c.Alts)
-			}
-			return digits
-		}
-	}
-	all := make([][]int, 0, n)
-	idxs := make([]int, len(d.comps))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	_ = d.walkAssignments(idxs, func(digits []int, _ float64) error { // visit never fails
-		all = append(all, append([]int(nil), digits...))
+		set.Worlds = append(set.Worlds, w)
 		return nil
 	})
-	return func(wi int) []int { return all[wi] }
+	return set, nil
 }
 
 // walkAssignments calls visit with every valid digit assignment of the

@@ -43,7 +43,6 @@ import (
 
 	"maybms/internal/colbatch"
 	"maybms/internal/core"
-	"maybms/internal/exec"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/sqlparse"
@@ -316,11 +315,12 @@ func (d *WSD) groupsFromAlternatives(mi int, gw evaluator) ([]groupInfo, error) 
 		return nil, err
 	}
 	answers := parts.deltas[0]
-	fps, err := exec.MapPolled(d.Workers, len(answers), d.interrupt, func(a int) (uint64, error) {
-		return relation.FromBatch(answers[a]).Fingerprint(), nil
-	})
-	if err != nil {
-		return nil, err
+	fps := make([]uint64, len(answers))
+	for a, answer := range answers {
+		if err := d.interrupted(); err != nil {
+			return nil, err
+		}
+		fps[a] = relation.FromBatch(answer).Fingerprint()
 	}
 	var out []groupInfo
 	for _, idxs := range worldset.Group(fps) {

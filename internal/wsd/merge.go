@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 
-	"maybms/internal/exec"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 )
@@ -303,11 +302,10 @@ func oneIfWeighted(weighted bool) float64 {
 
 // Assert keeps only the worlds satisfying pred and renormalizes. touching
 // must list every uncertain relation pred reads. pred runs once per
-// alternative, concurrently on the worker pool, so it must be safe for
-// concurrent calls (the engine-built predicates are); the involved components
-// are merged (partial expansion) and filtered locally — thanks to
-// independence, renormalizing within the merged component renormalizes the
-// whole world-set (Example 2.5 semantics at WSD scale).
+// alternative, in alternative order, after a poll of the interrupt hook; the
+// involved components are merged (partial expansion) and filtered locally —
+// thanks to independence, renormalizing within the merged component
+// renormalizes the whole world-set (Example 2.5 semantics at WSD scale).
 func (d *WSD) Assert(touching []string, pred func(cat plan.Catalog) (bool, error)) error {
 	mi, err := d.mergeComponents(d.involvedComponents(touching))
 	if err != nil {
@@ -324,20 +322,18 @@ func (d *WSD) Assert(touching []string, pred func(cat plan.Catalog) (bool, error
 		}
 		return nil
 	}
-	// The per-alternative predicate evaluations are independent; run them
-	// on the worker pool, then fold the keeps sequentially in alternative
-	// order so the surviving order and renormalization are deterministic.
 	merged := d.comps[mi]
-	oks, err := exec.MapPolled(d.Workers, len(merged.Alts), d.interrupt, func(i int) (bool, error) {
-		return pred(newPartsCatalog(d, map[int]int{mi: i}))
-	})
-	if err != nil {
-		return err
-	}
 	var kept []Alternative
 	total := 0.0
 	for i, a := range merged.Alts {
-		if oks[i] {
+		if err := d.interrupted(); err != nil {
+			return err
+		}
+		ok, err := pred(newPartsCatalog(d, map[int]int{mi: i}))
+		if err != nil {
+			return err
+		}
+		if ok {
 			kept = append(kept, a)
 			total += a.Prob
 		}

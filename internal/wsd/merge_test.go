@@ -510,11 +510,11 @@ func TestMergeRouteMatchesWorldsetClosures(t *testing.T) {
 			var want *relation.Relation
 			switch cl {
 			case closurePossible:
-				want, err = worldset.Possible(answers)
+				want, err = worldset.Possible(answers, nil)
 			case closureCertain:
-				want, err = worldset.Certain(answers)
+				want, err = worldset.Certain(answers, nil)
 			default:
-				want, err = worldset.Conf(answers, probs)
+				want, err = worldset.Conf(answers, probs, nil)
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -386,15 +386,23 @@ func checkConditionalRelation(t *testing.T, label string, s *core.Session, d *WS
 	if _, err := ref.Exec("create table __q as " + q); err != nil {
 		t.Fatalf("%s own-expansion per-world CTAS: %v", label, err)
 	}
-	worlds := ref.Set().Worlds
-	digitsFor := d.expandDigits(len(worlds))
+	// World wi of the expansion is the wi-th assignment of Expand's walk.
+	var assignments [][]int
+	idxs := make([]int, len(d.comps))
+	for i := range idxs {
+		idxs[i] = i
+	}
+	_ = d.walkAssignments(idxs, func(digits []int, _ float64) error {
+		assignments = append(assignments, append([]int(nil), digits...))
+		return nil
+	})
 	byID := d.compIndexByID()
-	for wi, w := range worlds {
+	for wi, w := range ref.Set().Worlds {
 		want, err := w.Lookup("__q")
 		if err != nil {
 			t.Fatal(err)
 		}
-		digits := digitsFor(wi)
+		digits := assignments[wi]
 		var decoded []string
 		for _, tp := range got.Rows() {
 			if !hasCond {

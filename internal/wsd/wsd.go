@@ -178,12 +178,6 @@ type WSD struct {
 	Weighted bool
 	// MergeLimit bounds partial expansions (component merges).
 	MergeLimit int
-	// Workers bounds the parallelism of component-independent passes
-	// (per-component closures, per-alternative asserts and
-	// materializations, expansion): 1 is the exact sequential path, 0 (the
-	// default) selects GOMAXPROCS. Results are identical for every
-	// setting; see internal/exec.
-	Workers int
 	// ApproxSamples is the Monte-Carlo sample count APPROX CONF uses when
 	// a merge would exceed MergeLimit (DefaultApproxSamples when ≤ 0), and
 	// ApproxSeed seeds the sampler: a fixed pair makes the estimate
@@ -236,7 +230,8 @@ func New(weighted bool) *WSD {
 // key normalizes a relation name.
 func key(name string) string { return strings.ToLower(name) }
 
-// interrupted polls the interrupt hook.
+// interrupted polls the interrupt hook; every per-alternative and
+// per-piece loop calls it before each unit of work.
 func (d *WSD) interrupted() error {
 	if d.interrupt == nil {
 		return nil
@@ -410,7 +405,8 @@ func productTree(sizes []int64) *big.Int {
 	case 1:
 		return big.NewInt(sizes[0])
 	}
-	// Fold runs that fit in an int64 first to keep the tree shallow.
+	// Halving keeps both factors of every multiplication about the same
+	// size, so the big.Int work stays near-linear.
 	mid := len(sizes) / 2
 	l := productTree(sizes[:mid])
 	r := productTree(sizes[mid:])

@@ -467,3 +467,45 @@ func TestStringSummary(t *testing.T) {
 		t.Errorf("unknown schema = %v", err)
 	}
 }
+
+func TestInsertCertainAndDrop(t *testing.T) {
+	d := New(true)
+	r := relation.New(schema.New("A", "B"))
+	r.MustAppend(row("x", 1))
+	if err := d.PutCertain("T", r); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.InsertCertain("T", nil); err != nil {
+		t.Fatalf("empty insert: %v", err)
+	}
+	if err := d.InsertCertain("T", []tuple.Tuple{row("y", 2), row("z", 3)}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.Possible("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 3 {
+		t.Fatalf("after insert: %v", got.Rows())
+	}
+	// Width mismatch rejected.
+	if err := d.InsertCertain("T", []tuple.Tuple{row("w")}); err == nil {
+		t.Fatal("want width error")
+	}
+	// Uncertain relations reject inserts and drops.
+	if err := d.RepairByKey("T", "U", []string{"A"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.InsertCertain("U", []tuple.Tuple{row("q", 9)}); err == nil {
+		t.Fatal("insert into uncertain relation must fail")
+	}
+	if err := d.dropCertain("U"); err == nil {
+		t.Fatal("dropping uncertain relation must fail")
+	}
+	if err := d.dropCertain("T"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Possible("T"); err == nil {
+		t.Fatal("T should be gone")
+	}
+}

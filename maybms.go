@@ -28,18 +28,9 @@
 // moderate world counts; OpenCompact provides the world-set-decomposition
 // backend that represents exponentially many worlds in linear space.
 //
-// # Parallel execution and plan caching
+// # Plan caching
 //
-// Worlds are independent by construction, so the naive engine evaluates
-// every per-world pass — query evaluation, repair/choice splitting, ASSERT
-// filtering, GROUP WORLDS BY fingerprinting, INSERT/UPDATE/DELETE candidate
-// construction, and Coalesce — on a bounded worker pool (internal/exec).
-// SetWorkers tunes the pool: 1 selects the exact sequential path, 0 (the
-// default) uses runtime.GOMAXPROCS. Results are bit-identical for every
-// setting: world names, world and group order, probabilities, and closed
-// answers all match the sequential engine.
-//
-// Statements also compile once per execution rather than once per world:
+// Statements compile once per execution rather than once per world:
 // the plain-SQL core is planned against the first world and the compiled
 // template is bound to each world's relations (internal/plan Prepare/Bind).
 // Compiled templates live in a process-wide shared cache keyed by the
@@ -55,6 +46,10 @@
 // one schema — every statement that adds or replaces a relation does so in
 // every world — so a template compiled against one world binds in all of
 // them.
+//
+// A statement runs on its caller's goroutine; concurrency comes from
+// running statements on different databases (sessions) at once, as the
+// server does.
 //
 // # One statement runner
 //
@@ -79,11 +74,10 @@
 //     liveness plus shared-cache statistics.
 //
 // Statements on one session serialize; different sessions execute
-// concurrently. One workers setting bounds both the per-world parallelism
-// inside a statement and (through an admission gate) how many statements
-// run at once across sessions. Requests carry optional deadlines
-// (timeout_ms) — statements are cancelled cooperatively between per-world
-// units of work and inside the long-running iterators (every few hundred
+// concurrently, at most -workers statements at once (an admission gate).
+// Requests carry optional deadlines (timeout_ms) — statements are cancelled
+// cooperatively between per-world units of work and inside the long-running
+// iterators (every few hundred
 // rows), so even one huge single-world evaluation aborts promptly — and
 // row bounds (max_rows) for large closed answers. Shutdown is graceful:
 // listeners stop, in-flight requests drain up to a deadline, then
@@ -262,13 +256,6 @@ func (db *DB) Weighted() bool { return db.session.Weighted() }
 // SetMaxWorlds bounds the world-set size; splits beyond it fail. The
 // default is core.DefaultMaxWorlds.
 func (db *DB) SetMaxWorlds(n int) { db.session.MaxWorlds = n }
-
-// SetWorkers bounds the engine's per-world parallelism: statements are
-// evaluated in every world concurrently on a worker pool of this size.
-// 1 selects the exact sequential path; 0 (the default) selects
-// runtime.GOMAXPROCS. Every setting produces identical results — world
-// names, ordering, probabilities, and closed answers included.
-func (db *DB) SetWorkers(n int) { db.session.SetWorkers(n) }
 
 // Coalesce merges indistinguishable worlds (identical database contents),
 // summing their probabilities. No query can tell the difference, but the
