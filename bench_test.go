@@ -385,7 +385,7 @@ func BenchmarkScalingRepairWSD(b *testing.B) {
 				if err := cdb.Register("Dirty", []string{"K", "V", "W"}, rows); err != nil {
 					b.Fatal(err)
 				}
-				if err := cdb.RepairByKey("Dirty", "Clean", []string{"K"}, "W"); err != nil {
+				if _, err := cdb.Exec("create table Clean as select * from Dirty repair by key K weight W"); err != nil {
 					b.Fatal(err)
 				}
 				if cdb.ComponentCount() != n {
@@ -430,7 +430,7 @@ func BenchmarkScalingConfWSD(b *testing.B) {
 			if err := cdb.Register("Dirty", []string{"K", "V", "W"}, dirtyRows(n)); err != nil {
 				b.Fatal(err)
 			}
-			if err := cdb.RepairByKey("Dirty", "Clean", []string{"K"}, "W"); err != nil {
+			if _, err := cdb.Exec("create table Clean as select * from Dirty repair by key K weight W"); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -455,7 +455,7 @@ func componentwiseDB(b *testing.B, n int) *CompactDB {
 	if err := cdb.Register("Dirty", []string{"K", "V", "W"}, dirtyRows(n)); err != nil {
 		b.Fatal(err)
 	}
-	if err := cdb.RepairByKey("Dirty", "Clean", []string{"K"}, "W"); err != nil {
+	if _, err := cdb.Exec("create table Clean as select * from Dirty repair by key K weight W"); err != nil {
 		b.Fatal(err)
 	}
 	return cdb
@@ -467,10 +467,11 @@ func benchComponentwiseSelect(b *testing.B, query string, sizes []int) {
 			cdb := componentwiseDB(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rel, err := cdb.Select(query)
+				res, err := cdb.Exec(query)
 				if err != nil {
 					b.Fatal(err)
 				}
+				rel := res.First()
 				if rel.Len() != 2*n {
 					b.Fatalf("wrong answer: %d rows", rel.Len())
 				}
@@ -517,10 +518,11 @@ func BenchmarkClosureComponents(b *testing.B) {
 				cdb := componentwiseDB(b, n)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					rel, err := cdb.Select(q.sql)
+					res, err := cdb.Exec(q.sql)
 					if err != nil {
 						b.Fatal(err)
 					}
+					rel := res.First()
 					if rel.Len() != q.rows(n) {
 						b.Fatalf("wrong answer: %d rows", rel.Len())
 					}
@@ -574,13 +576,13 @@ func compactDirtyDB(b *testing.B, n int) *CompactDB {
 	if err := cdb.Register("Dirty", []string{"K", "V", "W"}, dirtyRows(n)); err != nil {
 		b.Fatal(err)
 	}
-	if err := cdb.RepairByKey("Dirty", "Clean", []string{"K"}, "W"); err != nil {
+	if _, err := cdb.Exec("create table Clean as select * from Dirty repair by key K weight W"); err != nil {
 		b.Fatal(err)
 	}
 	if err := cdb.Register("C", []string{"A", "B"}, [][]any{{10, 0}, {20, 1}}); err != nil {
 		b.Fatal(err)
 	}
-	if err := cdb.ChoiceOf("C", "P", []string{"A"}, ""); err != nil {
+	if _, err := cdb.Exec("create table P as select * from C choice of A"); err != nil {
 		b.Fatal(err)
 	}
 	return cdb
@@ -630,11 +632,11 @@ func BenchmarkCompactGroupWorldsBy(b *testing.B) {
 			cdb := compactDirtyDB(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				groups, err := cdb.SelectGroups("select possible K, V from Clean group worlds by (select B from P)")
+				res, err := cdb.Exec("select possible K, V from Clean group worlds by (select B from P)")
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(groups) != 2 {
+				if len(res.Groups) != 2 {
 					b.Fatal("wrong group count")
 				}
 			}
@@ -674,7 +676,7 @@ func BenchmarkWorldCountMillion(b *testing.B) {
 	if err := cdb.Register("Huge", []string{"K", "V", "W"}, dirtyRows(n)); err != nil {
 		b.Fatal(err)
 	}
-	if err := cdb.RepairByKey("Huge", "HugeR", []string{"K"}, ""); err != nil {
+	if _, err := cdb.Exec("create table HugeR as select * from Huge repair by key K"); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -701,14 +703,14 @@ func BenchmarkScalingAssertWSD(b *testing.B) {
 				}
 				// One component per key: touch only key 0's data via a
 				// dedicated relation so the merge involves one component.
-				if err := cdb.RepairByKey("Dirty", "Clean", []string{"K"}, "W"); err != nil {
+				if _, err := cdb.Exec("create table Clean as select * from Dirty repair by key K weight W"); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
 				// The assert touches relation Clean — all components — so
 				// it must be rejected quickly (guard path), demonstrating
 				// the bounded-merge contract.
-				err := cdb.Assert("exists (select * from Clean where K = 0 and V = 1)")
+				_, err := cdb.Exec("assert exists (select * from Clean where K = 0 and V = 1)")
 				if err == nil {
 					b.Fatal("expected merge guard for whole-relation assert")
 				}
@@ -730,13 +732,14 @@ func BenchmarkCompactRepairUncertain(b *testing.B) {
 				b.StopTimer()
 				cdb := componentwiseDB(b, n)
 				b.StartTimer()
-				if err := cdb.RepairByKey("Clean", "Cleaner", []string{"K", "V"}, ""); err != nil {
+				if _, err := cdb.Exec("create table Cleaner as select * from Clean repair by key K, V"); err != nil {
 					b.Fatal(err)
 				}
-				rel, err := cdb.Select("select conf, K, V from Cleaner")
+				res, err := cdb.Exec("select conf, K, V from Cleaner")
 				if err != nil {
 					b.Fatal(err)
 				}
+				rel := res.First()
 				if rel.Len() != 2*n {
 					b.Fatalf("wrong answer: %d rows", rel.Len())
 				}
@@ -759,7 +762,7 @@ func BenchmarkCompactRepairUncertain(b *testing.B) {
 func conditionalCleanerDB(b *testing.B, n int) *CompactDB {
 	b.Helper()
 	cdb := componentwiseDB(b, n)
-	if err := cdb.RepairByKey("Clean", "Cleaner", []string{"K", "V"}, ""); err != nil {
+	if _, err := cdb.Exec("create table Cleaner as select * from Clean repair by key K, V"); err != nil {
 		b.Fatal(err)
 	}
 	return cdb
@@ -788,7 +791,7 @@ func BenchmarkConditionalRepair(b *testing.B) {
 				b.StopTimer()
 				cdb := componentwiseDB(b, n)
 				b.StartTimer()
-				if err := cdb.RepairByKey("Clean", "Cleaner", []string{"K", "V"}, ""); err != nil {
+				if _, err := cdb.Exec("create table Cleaner as select * from Clean repair by key K, V"); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
@@ -845,10 +848,11 @@ func benchConditionalSelect(b *testing.B, confQuery bool) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					rel, err := cdb.Select(query(leg.nested))
+					res, err := cdb.Exec(query(leg.nested))
 					if err != nil {
 						b.Fatal(err)
 					}
+					rel := res.First()
 					if rel.Len() < 2*n {
 						b.Fatalf("wrong answer: %d rows", rel.Len())
 					}
@@ -911,13 +915,13 @@ func bulkChoiceDB(b *testing.B, alts, rows int) *CompactDB {
 	if err := cdb.Register("Cand", []string{"G", "V", "W"}, data); err != nil {
 		b.Fatal(err)
 	}
-	if err := cdb.ChoiceOf("Cand", "U", []string{"G"}, ""); err != nil {
+	if _, err := cdb.Exec("create table U as select * from Cand choice of G"); err != nil {
 		b.Fatal(err)
 	}
 	if err := cdb.Register("C", []string{"A", "B"}, [][]any{{10, 0}, {20, 1}}); err != nil {
 		b.Fatal(err)
 	}
-	if err := cdb.ChoiceOf("C", "P", []string{"A"}, ""); err != nil {
+	if _, err := cdb.Exec("create table P as select * from C choice of A"); err != nil {
 		b.Fatal(err)
 	}
 	return cdb
@@ -927,10 +931,11 @@ func benchBatchClosure(b *testing.B, query string, wantRows int) {
 	cdb := bulkChoiceDB(b, 8, 2048)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rel, err := cdb.Select(query)
+		res, err := cdb.Exec(query)
 		if err != nil {
 			b.Fatal(err)
 		}
+		rel := res.First()
 		if rel.Len() != wantRows {
 			b.Fatalf("wrong answer: %d rows, want %d", rel.Len(), wantRows)
 		}
@@ -959,11 +964,11 @@ func BenchmarkBatchClosureGroupWorlds(b *testing.B) {
 	cdb := bulkChoiceDB(b, 8, 2048)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		groups, err := cdb.SelectGroups("select possible V from U group worlds by (select B from P)")
+		res, err := cdb.Exec("select possible V from U group worlds by (select B from P)")
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(groups) != 2 {
+		if len(res.Groups) != 2 {
 			b.Fatal("wrong group count")
 		}
 	}
@@ -1063,10 +1068,11 @@ func BenchmarkImportedRead(b *testing.B) {
 					query := fmt.Sprintf(q.sql, rows/4, rows/4+200)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						rel, err := cdb.Select(query)
+						res, err := cdb.Exec(query)
 						if err != nil {
 							b.Fatal(err)
 						}
+						rel := res.First()
 						if rel.Empty() {
 							b.Fatal("empty answer")
 						}
@@ -1095,10 +1101,10 @@ func mergedDB(b *testing.B) *CompactDB {
 	if err := cdb.Register("MSrc", []string{"K", "V", "W"}, rows); err != nil {
 		b.Fatal(err)
 	}
-	if err := cdb.RepairByKey("MSrc", "M", []string{"K"}, "W"); err != nil {
+	if _, err := cdb.Exec("create table M as select * from MSrc repair by key K weight W"); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := cdb.Select("select possible sum(V) from M"); err != nil {
+	if _, err := cdb.Exec("select possible sum(V) from M"); err != nil {
 		b.Fatal(err)
 	}
 	if cdb.ComponentCount() != 1 || cdb.AlternativeCount() != 256 {
@@ -1118,20 +1124,21 @@ func BenchmarkMergeRoute(b *testing.B) {
 		run  func(cdb *CompactDB, i int) error
 	}{
 		{"possible.sum", func(cdb *CompactDB, _ int) error {
-			_, err := cdb.Select("select possible sum(V) from M")
+			_, err := cdb.Exec("select possible sum(V) from M")
 			return err
 		}},
 		{"conf.subquery", func(cdb *CompactDB, _ int) error {
-			_, err := cdb.Select("select K, conf from M where " + cond)
+			_, err := cdb.Exec("select K, conf from M where " + cond)
 			return err
 		}},
 		{"ctas", func(cdb *CompactDB, i int) error {
-			return cdb.MaterializeQuery(fmt.Sprintf("T%d", i), "select K, V from M where "+cond)
+			_, err := cdb.Exec(fmt.Sprintf("create table T%d as select K, V from M where %s", i, cond))
+			return err
 		}},
 		{"group.spanning", func(cdb *CompactDB, _ int) error {
-			groups, err := cdb.SelectGroups("select certain V from M where K = 1 group worlds by (select V from M where K = 1)")
-			if err == nil && len(groups) != 2 {
-				err = fmt.Errorf("%d groups, want 2", len(groups))
+			res, err := cdb.Exec("select certain V from M where K = 1 group worlds by (select V from M where K = 1)")
+			if err == nil && len(res.Groups) != 2 {
+				err = fmt.Errorf("%d groups, want 2", len(res.Groups))
 			}
 			return err
 		}},

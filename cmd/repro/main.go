@@ -343,9 +343,7 @@ func compact() {
 	if err := cdb.Register("Dirty", []string{"K", "V", "W"}, rows); err != nil {
 		panic(err)
 	}
-	if err := cdb.RepairByKey("Dirty", "Repaired", []string{"K"}, "W"); err != nil {
-		panic(err)
-	}
+	cdb.MustExec("create table Repaired as select * from Dirty repair by key K weight W")
 	count := cdb.WorldCount()
 	wantBits := n + 1
 	c, err := cdb.Conf("Repaired", 5, 1, 3)
@@ -383,9 +381,7 @@ func compact() {
 	if err := big6.Register("Huge", []string{"K", "V"}, million); err != nil {
 		panic(err)
 	}
-	if err := big6.RepairByKey("Huge", "HugeR", []string{"K"}, ""); err != nil {
-		panic(err)
-	}
+	big6.MustExec("create table HugeR as select * from Huge repair by key K")
 	hugeCount := big6.WorldCount()
 	digits := float64(hugeCount.BitLen()-1) * math.Log10(2)
 	record("10^10^6", "world count of 2^(2^20) ≈ 10^315k worlds",

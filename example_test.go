@@ -88,9 +88,7 @@ func ExampleOpenCompact() {
 	if err := cdb.Register("Dirty", []string{"K", "V", "W"}, rows); err != nil {
 		panic(err)
 	}
-	if err := cdb.RepairByKey("Dirty", "Clean", []string{"K"}, "W"); err != nil {
-		panic(err)
-	}
+	cdb.MustExec("create table Clean as select * from Dirty repair by key K weight W")
 	fmt.Println("components:", cdb.ComponentCount())
 	fmt.Println("world count bits:", cdb.WorldCount().BitLen()) // 2^100
 	c, err := cdb.Conf("Clean", 7, "keep", 3)

@@ -37,9 +37,7 @@ func main() {
 	}
 
 	// Repair the key PID: one independent component per person.
-	if err := cdb.RepairByKey("Census", "Clean", []string{"PID"}, "W"); err != nil {
-		panic(err)
-	}
+	cdb.MustExec("create table Clean as select * from Census repair by key PID weight W")
 
 	count := cdb.WorldCount()
 	digits := float64(count.BitLen()-1) * math.Log10(2)
@@ -71,16 +69,15 @@ func main() {
 	// Enforce a constraint on a slice of the data: person 0 is known to be
 	// married (e.g. from a second register). Only person 0's component is
 	// touched; the rest of the decomposition is untouched.
-	err = cdb.Assert("exists (select * from Clean where PID = 0 and Status = 'married')")
+	_, err = cdb.Exec("assert exists (select * from Clean where PID = 0 and Status = 'married')")
 	if err != nil {
 		fmt.Printf("assert over the full relation needs a %v\n", err)
 		fmt.Println("(the assert touches every component through relation Clean;")
-		fmt.Println(" scoping constraints to slices is what MaterializeQuery is for)")
+		fmt.Println(" scoping constraints to slices is what CREATE TABLE AS is for)")
 	}
 
 	// Materialize the married sub-population per world instead.
-	if err := cdb.MaterializeQuery("Married",
-		"select PID from Clean where Status = 'married'"); err != nil {
+	if _, err := cdb.Exec("create table Married as select PID from Clean where Status = 'married'"); err != nil {
 		fmt.Printf("materializing over all components: %v\n", err)
 		fmt.Println("(expected: the query touches every component — the naive engine or")
 		fmt.Println(" per-component queries handle this; see DESIGN.md on partial expansion)")

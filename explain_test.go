@@ -18,9 +18,7 @@ func explainCompactDB(t *testing.T) *CompactDB {
 		[][]any{{1, "x", 0.5}, {1, "y", 0.5}, {2, "z", 1.0}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.RepairByKey("R", "Rp", []string{"K"}, "W"); err != nil {
-		t.Fatal(err)
-	}
+	db.MustExec("create table Rp as select * from R repair by key K weight W")
 	if err := db.Register("C", []string{"X"}, [][]any{{1}, {2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +142,7 @@ plan:
 		query:     "EXPLAIN SELECT A, APPROX CONF FROM Rp GROUP BY A",
 		want: `engine: compact (world-set decomposition)
 worlds: 2
-route: approx_mc (merge of 2 components exceeds limit 1; 1000 samples, seed 42, stderr <= 0.0158)
+route: approx_mc (merge of 2 components exceeds limit 1; 1000 samples, seed 0, stderr <= 0.0158)
 closure: approx conf
 eval: row
 plan:
@@ -174,7 +172,6 @@ func explainGoldenDB(t *testing.T, tinyLimit bool) *CompactDB {
 	db := explainCompactDB(t)
 	if tinyLimit {
 		db.SetMergeLimit(1)
-		db.SetApproxConf(1000, 42)
 	}
 	return db
 }
@@ -254,9 +251,7 @@ func TestExplainAgreesWithExec(t *testing.T) {
 		if err := db.Register("S", []string{"K", "V"}, [][]any{{0, 0}, {0, 1}, {1, 1}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.RepairByKey("S", "I", []string{"K"}, ""); err != nil {
-			t.Fatal(err)
-		}
+		db.MustExec("create table I as select * from S repair by key K")
 		return db
 	}
 	for _, tc := range []struct{ name, sql, want string }{

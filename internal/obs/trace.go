@@ -135,14 +135,6 @@ func (s *Span) End(t *Trace) {
 	t.mu.Unlock()
 }
 
-// Total returns the elapsed time since the trace started.
-func (t *Trace) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.start)
-}
-
 // TraceJSON is the wire form of a trace, attached to server responses when
 // the client opts in (Request.Trace / ?trace=1) and emitted by the
 // slow-query log.

@@ -446,15 +446,6 @@ func keySet(r *Relation) map[string]struct{} {
 	return out
 }
 
-// Union returns the set union of r and s (deduplicated). Schemas must have
-// the same width; r's schema is kept.
-func Union(r, s *Relation) *Relation {
-	out := make([]tuple.Tuple, 0, r.Len()+s.Len())
-	out = append(out, r.Rows()...)
-	out = append(out, s.Rows()...)
-	return FromRowsShared(r.Schema, out).Distinct()
-}
-
 // Intersect returns the set intersection of r and s. r's schema is kept.
 func Intersect(r, s *Relation) *Relation {
 	b := keySet(s)
@@ -467,25 +458,6 @@ func Intersect(r, s *Relation) *Relation {
 			continue
 		}
 		if _, ok := b[string(buf)]; ok {
-			out = append(out, t)
-			seen[string(buf)] = struct{}{}
-		}
-	}
-	return FromRowsShared(r.Schema, out)
-}
-
-// Diff returns the set difference r − s. r's schema is kept.
-func Diff(r, s *Relation) *Relation {
-	b := keySet(s)
-	var out []tuple.Tuple
-	seen := map[string]struct{}{}
-	var buf []byte
-	for _, t := range r.Rows() {
-		buf = t.Encode(buf[:0])
-		if _, dup := seen[string(buf)]; dup {
-			continue
-		}
-		if _, ok := b[string(buf)]; !ok {
 			out = append(out, t)
 			seen[string(buf)] = struct{}{}
 		}

@@ -159,7 +159,7 @@ func TestFingerprintSetSemantics(t *testing.T) {
 	}
 }
 
-func TestUnionIntersectDiff(t *testing.T) {
+func TestIntersect(t *testing.T) {
 	a := New(schema.New("A"))
 	a.MustAppend(row(1))
 	a.MustAppend(row(2))
@@ -167,17 +167,9 @@ func TestUnionIntersectDiff(t *testing.T) {
 	b.MustAppend(row(2))
 	b.MustAppend(row(3))
 
-	u := Union(a, b)
-	if u.Len() != 3 {
-		t.Errorf("Union len = %d", u.Len())
-	}
 	i := Intersect(a, b)
 	if i.Len() != 1 || i.Rows()[0][0].AsInt() != 2 {
 		t.Errorf("Intersect = %v", i.Rows())
-	}
-	d := Diff(a, b)
-	if d.Len() != 1 || d.Rows()[0][0].AsInt() != 1 {
-		t.Errorf("Diff = %v", d.Rows())
 	}
 }
 
@@ -189,9 +181,6 @@ func TestIntersectDedupsReceiver(t *testing.T) {
 	b.MustAppend(row(1))
 	if got := Intersect(a, b).Len(); got != 1 {
 		t.Errorf("Intersect must produce a set, got %d tuples", got)
-	}
-	if got := Diff(a, New(schema.New("A"))).Len(); got != 1 {
-		t.Errorf("Diff must produce a set, got %d tuples", got)
 	}
 }
 
@@ -344,34 +333,6 @@ func TestQuickDistinctIdempotent(t *testing.T) {
 		d1 := a.Distinct()
 		d2 := d1.Distinct()
 		return d1.Len() == d2.Len() && d1.EqualSet(a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickUnionContainsBoth(t *testing.T) {
-	f := func(xs, ys []uint8) bool {
-		a := New(schema.New("X"))
-		for _, v := range xs {
-			a.MustAppend(row(int(v % 8)))
-		}
-		b := New(schema.New("X"))
-		for _, v := range ys {
-			b.MustAppend(row(int(v % 8)))
-		}
-		u := Union(a, b)
-		for _, t := range a.Rows() {
-			if !u.Contains(t) {
-				return false
-			}
-		}
-		for _, t := range b.Rows() {
-			if !u.Contains(t) {
-				return false
-			}
-		}
-		return u.Len() == u.Distinct().Len()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -24,37 +24,31 @@ import (
 	"maybms/internal/value"
 )
 
-// DefaultApproxSamples is the Monte-Carlo sample count used when
-// ApproxSamples is unset.
-const DefaultApproxSamples = 1000
+// APPROX CONF samples mcSamples worlds from a sampler seeded with mcSeed:
+// the estimate is deterministic.
+const (
+	mcSamples       = 1000
+	mcSeed    int64 = 0
+)
 
 func cerrSchema() *schema.Schema { return schema.New("cerr") }
-
-// sampleCount is the number of worlds APPROX CONF samples.
-func (d *WSD) sampleCount() int {
-	if d.ApproxSamples <= 0 {
-		return DefaultApproxSamples
-	}
-	return d.ApproxSamples
-}
 
 // confMonteCarlo estimates the CONF closure over the worlds spanned by the
 // involved components compIdx without merging them: each sample draws one
 // alternative per component, evaluates the query in that world, and counts
 // the distinct tuples of the answer. Output rows appear in first-appearance
 // order across samples, each extended with its estimated confidence and the
-// ±1/(2√samples) standard-error bound; the estimate is deterministic for a
-// fixed (ApproxSeed, ApproxSamples) pair.
+// ±1/(2√samples) standard-error bound.
 func (d *WSD) confMonteCarlo(compIdx []int, eval func(cat plan.Catalog) (*colbatch.Batch, error)) (*relation.Relation, error) {
-	samples := d.sampleCount()
-	approxSamples.Add(uint64(samples))
-	bound := 1 / (2 * math.Sqrt(float64(samples)))
+	const samples = mcSamples
+	approxSamples.Add(samples)
+	bound := 1 / (2 * math.Sqrt(samples))
 	sp := d.trace.Begin("approx_mc")
 	sp.Set("samples", samples)
-	sp.Set("seed", d.ApproxSeed)
+	sp.Set("seed", mcSeed)
 	sp.Set("stderr_bound", fmt.Sprintf("%.4f", bound))
 	defer sp.End(d.trace)
-	rng := rand.New(rand.NewSource(d.ApproxSeed))
+	rng := rand.New(rand.NewSource(mcSeed))
 
 	counts := map[string]int{}
 	rep := map[string]tuple.Tuple{}

@@ -26,7 +26,7 @@ func approxWSD(t *testing.T, k, m, mergeLimit int) *WSD {
 	if err := d.PutCertain("R", r); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"A"}, ""); err != nil {
+	if err := d.repairByKey("R", "I", []string{"A"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	d.MergeLimit = mergeLimit
@@ -50,12 +50,7 @@ func TestApproxConfMatchesExactWhenMergeFits(t *testing.T) {
 // deterministic estimate close to the known exact confidence 1/m.
 func TestApproxConfFallsBackToMonteCarlo(t *testing.T) {
 	const k, m = 8, 3 // merged: 3^8 = 6561 alternatives
-	build := func() *WSD {
-		d := approxWSD(t, k, m, 64)
-		d.ApproxSamples = 4000
-		d.ApproxSeed = 7
-		return d
-	}
+	build := func() *WSD { return approxWSD(t, k, m, 64) }
 	d := build()
 
 	core, cl := parseCore(t, "select conf, A, B from I group by A, B")
@@ -73,11 +68,11 @@ func TestApproxConfFallsBackToMonteCarlo(t *testing.T) {
 	if got, got2 := est.Schema.At(n-2).Name, est.Schema.At(n-1).Name; got != "conf" || got2 != "cerr" {
 		t.Fatalf("trailing columns = %q, %q, want conf, cerr", got, got2)
 	}
-	wantBound := 1 / (2 * math.Sqrt(4000))
-	// True confidence of every tuple is 1/m; with 4000 samples the binomial
-	// standard error is ≈ 0.0075, so 0.05 is a ≥ 6σ tolerance.
+	wantBound := 1 / (2 * math.Sqrt(mcSamples))
+	// True confidence of every tuple is 1/m; with 1000 samples the binomial
+	// standard error is ≈ 0.015, so 0.06 is a 4σ tolerance.
 	for _, tp := range est.Rows() {
-		if c := tp[len(tp)-2].AsFloat(); math.Abs(c-1.0/m) > 0.05 {
+		if c := tp[len(tp)-2].AsFloat(); math.Abs(c-1.0/m) > 0.06 {
 			t.Fatalf("tuple %v: estimate %v too far from %v", tp[:len(tp)-2], c, 1.0/m)
 		}
 		if b := tp[len(tp)-1].AsFloat(); b != wantBound {
@@ -85,25 +80,11 @@ func TestApproxConfFallsBackToMonteCarlo(t *testing.T) {
 		}
 	}
 
-	// Same seed and sample count → byte-identical estimate (fresh WSD: the
-	// failed exact attempt above must not have consumed randomness either).
+	// A fixed seed → byte-identical estimate (fresh WSD: the failed exact
+	// attempt above must not have consumed randomness either).
 	again := selectOn(t, build(), "select approx conf, A, B from I group by A, B")
 	if renderRel(again) != renderRel(est) {
 		t.Fatalf("seeded estimate not deterministic:\n%s\nvs:\n%s", renderRel(again), renderRel(est))
-	}
-
-	// A different seed resamples: expect at least one conf cell to move.
-	other := build()
-	other.ApproxSeed = 8
-	moved := false
-	for i, tp := range selectOn(t, other, "select approx conf, A, B from I group by A, B").Rows() {
-		if tp[len(tp)-2].AsFloat() != est.Rows()[i][len(tp)-2].AsFloat() {
-			moved = true
-			break
-		}
-	}
-	if !moved {
-		t.Fatal("changing the seed left every estimate unchanged")
 	}
 }
 
@@ -116,7 +97,7 @@ func TestApproxConfUnweighted(t *testing.T) {
 	if err := d.PutCertain("R", r); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"A"}, ""); err != nil {
+	if err := d.repairByKey("R", "I", []string{"A"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Exec("select approx conf, A from I"); !errors.Is(err, worldset.ErrNotWeighted) {

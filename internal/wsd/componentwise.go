@@ -21,7 +21,7 @@ package wsd
 // and the three bind modes — cert, delta, full — in internal/plan's
 // components.go). This file holds the evaluation half: the catalog serving
 // the three modes for one alternative per selected component,
-// QueryByComponent's evaluations, and the componentwise materialization. The
+// queryByComponent's evaluations, and the componentwise materialization. The
 // closing half is the one fold in fold.go, shared with the stored-relation
 // closures (ops.go): it takes Q(cert) as the certain slot, weighs the deltas
 // and lists the answer — no world is ever evaluated.
@@ -192,13 +192,13 @@ type componentParts struct {
 	deltas [][]*colbatch.Batch
 }
 
-// QueryByComponent evaluates query over the certain part once and as a delta
+// queryByComponent evaluates query over the certain part once and as a delta
 // per alternative of each listed component — 1 + Σ sizes evaluations, in
 // component and alternative order, reading O(|cert| + Σ|contributions|)
 // rows, no merge, no mutation of the decomposition. The interrupt hook is
 // polled before each evaluation. sp, the route's span if any, is told what
 // was evaluated.
-func (d *WSD) QueryByComponent(compIdx []int, query partQuery, sp *obs.Span) (*componentParts, error) {
+func (d *WSD) queryByComponent(compIdx []int, query partQuery, sp *obs.Span) (*componentParts, error) {
 	out := &componentParts{comps: make([]*Component, len(compIdx)), deltas: make([][]*colbatch.Batch, len(compIdx))}
 	eval := func(sel map[int]int) (*colbatch.Batch, error) {
 		if err := d.interrupted(); err != nil {
@@ -245,7 +245,7 @@ func (d *WSD) QueryByComponent(compIdx []int, query partQuery, sp *obs.Span) (*c
 // new relations' backing batches — columnar ones land as zero-copy columnar
 // views (identity for later scans), row-backed ones as shared row slices.
 func (d *WSD) materializeByComponent(dst string, compIdx []int, query partQuery) error {
-	p, err := d.QueryByComponent(compIdx, query, nil)
+	p, err := d.queryByComponent(compIdx, query, nil)
 	if err != nil {
 		return err
 	}

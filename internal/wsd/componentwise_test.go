@@ -213,7 +213,7 @@ func TestComponentwiseConfDyadic(t *testing.T) {
 		if err := d.PutCertain("R", r); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.RepairByKey("R", "I", []string{"A"}, "D"); err != nil {
+		if err := d.repairByKey("R", "I", []string{"A"}, "D"); err != nil {
 			t.Fatal(err)
 		}
 		return d
@@ -246,7 +246,7 @@ func TestComponentwiseScalesWithSum(t *testing.T) {
 		if err := d.PutCertain("R", r); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.RepairByKey("R", "I", []string{"A"}, ""); err != nil {
+		if err := d.repairByKey("R", "I", []string{"A"}, ""); err != nil {
 			t.Fatal(err)
 		}
 		return d
@@ -330,7 +330,7 @@ func TestDistinctCTASCrossComponentDedup(t *testing.T) {
 		if err := d.PutCertain("R", r); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+		if err := d.repairByKey("R", "I", []string{"K"}, ""); err != nil {
 			t.Fatal(err)
 		}
 		core, _ := parseCore(t, "select distinct V from I")
@@ -372,7 +372,7 @@ func TestPlainSelectSingleRemainingWorld(t *testing.T) {
 	if err := d.PutCertain("R", r); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+	if err := d.repairByKey("R", "I", []string{"K"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	rel := selectOn(t, d, "select K, V from I order by K")
@@ -474,10 +474,10 @@ func TestComponentwiseFallbacks(t *testing.T) {
 	if err := d4.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d4.RepairByKey("R", "I", []string{"A"}, ""); err != nil {
+	if err := d4.repairByKey("R", "I", []string{"A"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := d4.ChoiceOf("R", "P", []string{"C"}, ""); err != nil {
+	if err := d4.choiceOf("R", "P", []string{"C"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	before := d4.ComponentCount() // 3 repair components + 1 choice
@@ -513,10 +513,10 @@ func TestClosureEmissionIsRepresentationOrder(t *testing.T) {
 	if err := nested.PutCertain("Cand", cand); err != nil {
 		t.Fatal(err)
 	}
-	if err := nested.ChoiceOf("Cand", "U", []string{"G"}, ""); err != nil {
+	if err := nested.choiceOf("Cand", "U", []string{"G"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := nested.RepairByKey("U", "N", []string{"G"}, ""); err != nil {
+	if err := nested.repairByKey("U", "N", []string{"G"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if nested.nested != 2 || nested.MergeCount() != 0 {
@@ -585,7 +585,7 @@ func TestSingleComponentConfBitIdentical(t *testing.T) {
 	if err := d.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ChoiceOf("R", "P", []string{"A"}, "D"); err != nil {
+	if err := d.choiceOf("R", "P", []string{"A"}, "D"); err != nil {
 		t.Fatal(err)
 	}
 	q := "select conf, A, B from P"
@@ -649,7 +649,7 @@ func TestInterruptPolledBeforeEachPart(t *testing.T) {
 		if err := d.PutCertain("R", r); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+		if err := d.repairByKey("R", "I", []string{"K"}, ""); err != nil {
 			t.Fatal(err)
 		}
 		return d

@@ -11,7 +11,7 @@ package wsd
 // "c<parentID>=<alt>,…,c<ID>=<alt>" of its activation path. A world's answer
 // is the base rows plus the delta rows whose conditions its alternative
 // selection satisfies, in the listed order. The evaluations are the closures'
-// (componentwise.go's QueryByComponent over whole trees), flat and nested
+// (componentwise.go's queryByComponent over whole trees), flat and nested
 // alike; closures over the same parts are fold.go's.
 
 import (

@@ -205,7 +205,7 @@ func TestDecomposeRandomProductsRecoverFactorization(t *testing.T) {
 		if err := fwd.PutCertain("R", rel); err != nil {
 			t.Fatal(err)
 		}
-		if err := fwd.RepairByKey("R", "I", []string{"K"}, "W"); err != nil {
+		if err := fwd.repairByKey("R", "I", []string{"K"}, "W"); err != nil {
 			t.Fatal(err)
 		}
 		set, err := fwd.Expand(0)

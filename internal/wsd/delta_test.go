@@ -15,7 +15,7 @@ import (
 	"maybms/internal/tuple"
 )
 
-// checkDeltaParts asserts the identity QueryByComponent's consumers rest on,
+// checkDeltaParts asserts the identity queryByComponent's consumers rest on,
 // against the full per-part evaluation it replaced: for every (component,
 // alternative) of sql's root closure, base ∪ Δ equals Q(cert ∪ contribution)
 // as sets, and base ++ Δ equals it row for row when the analysis says Concat.
@@ -26,7 +26,7 @@ func checkDeltaParts(t *testing.T, label string, d *WSD, sql string) {
 		t.Fatalf("%s %q is not decomposable", label, sql)
 	}
 	comps := d.rootClosure(an.Comps)
-	p, err := d.QueryByComponent(comps, ev.part, nil)
+	p, err := d.queryByComponent(comps, ev.part, nil)
 	if err != nil {
 		t.Fatalf("%s %q: %v", label, sql, err)
 	}
@@ -105,7 +105,7 @@ func TestDeltaPartsEqualFullParts(t *testing.T) {
 			if err := d.PutCertain("FR", fr); err != nil {
 				t.Fatal(err)
 			}
-			if err := d.RepairByKey("FR", "G", []string{"K"}, "W"); err != nil {
+			if err := d.repairByKey("FR", "G", []string{"K"}, "W"); err != nil {
 				t.Fatal(err)
 			}
 			if err := d.createTableAs("M", mustCore(t, "select K, V, W from R union all select K, V, W from I")); err != nil {
@@ -251,7 +251,7 @@ func TestCertainPartLookedUpOnce(t *testing.T) {
 			t.Fatalf("fixture: %d certain rows of %d, want all but 12", cert, rows)
 		}
 		var handed, full atomic.Int64
-		p, err := d.QueryByComponent(an.Comps,
+		p, err := d.queryByComponent(an.Comps,
 			func(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error) {
 				return ev.part(countingCatalog{cat, &handed, &full}, delta)
 			}, nil)
@@ -294,7 +294,7 @@ func TestDeltasShareBuild(t *testing.T) {
 		if err := d.PutCertain("S", side); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+		if err := d.repairByKey("R", "I", []string{"K"}, ""); err != nil {
 			t.Fatal(err)
 		}
 		const sql = "select I.K, S.Y from I, S where I.V = S.V"
@@ -339,7 +339,7 @@ func TestDeltasShareBuild(t *testing.T) {
 // carrying a child component).
 func TestClosureEvaluatesNoWorld(t *testing.T) {
 	chained := newFigure2WSD(t)
-	if err := chained.RepairByKey("I", "N", []string{"A", "B"}, ""); err != nil {
+	if err := chained.repairByKey("I", "N", []string{"A", "B"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -404,7 +404,7 @@ func TestDistinctDeltaDropsCertainTuples(t *testing.T) {
 		if err := d.PutCertain("R", r); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+		if err := d.repairByKey("R", "I", []string{"K"}, ""); err != nil {
 			t.Fatal(err)
 		}
 		// M: C's row as the certain part, I's two alternatives beside it.

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"maybms/internal/core"
@@ -18,6 +19,7 @@ import (
 	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
 	"maybms/internal/tuple"
+	"maybms/internal/world"
 )
 
 type worldView struct {
@@ -133,7 +135,7 @@ func TestRepairEquivalenceRandomized(t *testing.T) {
 		if err := d.PutCertain("R", rel); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.RepairByKey("R", "I", []string{"K"}, weight); err != nil {
+		if err := d.repairByKey("R", "I", []string{"K"}, weight); err != nil {
 			t.Fatal(err)
 		}
 
@@ -184,7 +186,7 @@ func TestChoiceEquivalenceRandomized(t *testing.T) {
 		if err := d.PutCertain("R", rel); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.ChoiceOf("R", "P", []string{"K"}, weight); err != nil {
+		if err := d.choiceOf("R", "P", []string{"K"}, weight); err != nil {
 			t.Fatal(err)
 		}
 
@@ -296,13 +298,13 @@ func TestComponentwiseEquivalenceFuzz(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := d.RepairByKey("R", "I", []string{"K"}, weight); err != nil {
+		if err := d.repairByKey("R", "I", []string{"K"}, weight); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.ChoiceOf("C", "P", []string{"K"}, ""); err != nil {
+		if err := d.choiceOf("C", "P", []string{"K"}, ""); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.RepairByKey("FR", "G", []string{"K"}, "W"); err != nil {
+		if err := d.repairByKey("FR", "G", []string{"K"}, "W"); err != nil {
 			t.Fatal(err)
 		}
 
@@ -373,10 +375,10 @@ func fuzzPair(t *testing.T, r *rand.Rand) (*core.Session, *WSD) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.RepairByKey("R", "I", []string{"K"}, weight); err != nil {
+	if err := d.repairByKey("R", "I", []string{"K"}, weight); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ChoiceOf("C", "P", []string{"K"}, ""); err != nil {
+	if err := d.choiceOf("C", "P", []string{"K"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	return s, d
@@ -443,6 +445,7 @@ func TestDMLEquivalenceFuzz(t *testing.T) {
 		{"delete from I where exists (select * from P where W >= 2)", false},
 		{"update I set V = 0 where V <= (select max(V) from P)", false},
 	}
+	nestedDrops := 0
 	for trial := 0; trial < 10; trial++ {
 		s, d := fuzzPair(t, r)
 		for i := 0; i < 6; i++ {
@@ -462,7 +465,51 @@ func TestDMLEquivalenceFuzz(t *testing.T) {
 			}
 			crosscheckClosures(t, trial, st.sql, s, d)
 		}
+		// DROP keeps every world on both engines: of a nested relation (a
+		// repair of I, its components hung under I's alternatives), then of
+		// the flat I itself.
+		for _, sql := range []string{
+			"create table N as select * from I repair by key V",
+			"drop table N",
+			"drop table I",
+		} {
+			if _, err := s.Exec(sql); err != nil {
+				t.Fatalf("trial %d naive %q: %v", trial, sql, err)
+			}
+			if _, err := d.Exec(sql); err != nil {
+				t.Fatalf("trial %d compact %q: %v", trial, sql, err)
+			}
+			if err := d.CheckInvariant(); err != nil {
+				t.Fatalf("trial %d %q: %v", trial, sql, err)
+			}
+			if sql == "drop table N" && d.nested > 0 {
+				nestedDrops++
+			}
+			expanded, err := d.Expand(1 << 14)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matchViews(t, wholeWorlds(s.Set().Worlds), wholeWorlds(expanded.Worlds))
+		}
 	}
+	if nestedDrops == 0 {
+		t.Error("no trial dropped a nested relation")
+	}
+}
+
+// wholeWorlds views each world whole: every relation's name and instance,
+// with the world's probability.
+func wholeWorlds(worlds []*world.World) []worldView {
+	out := make([]worldView, 0, len(worlds))
+	for _, w := range worlds {
+		var b strings.Builder
+		for _, name := range w.Names() {
+			rel, _ := w.Lookup(name)
+			fmt.Fprintf(&b, "%s=%x ", strings.ToLower(name), rel.Fingerprint())
+		}
+		out = append(out, worldView{key: b.String(), prob: w.Prob})
+	}
+	return out
 }
 
 // TestGroupWorldsEquivalenceFuzz runs randomized GROUP WORLDS BY
@@ -559,7 +606,7 @@ func TestGroupWorldsBeyondMergeLimit(t *testing.T) {
 	if err := d.PutCertain("R", rel); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+	if err := d.repairByKey("R", "I", []string{"K"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	ch := relation.New(schema.New("A", "B"))
@@ -568,7 +615,7 @@ func TestGroupWorldsBeyondMergeLimit(t *testing.T) {
 	if err := d.PutCertain("C", ch); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ChoiceOf("C", "P", []string{"A"}, ""); err != nil {
+	if err := d.choiceOf("C", "P", []string{"A"}, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -647,10 +694,10 @@ func TestAssertEquivalenceRandomized(t *testing.T) {
 		if err := d.PutCertain("R", rel); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+		if err := d.repairByKey("R", "I", []string{"K"}, ""); err != nil {
 			t.Fatal(err)
 		}
-		wsdErr := d.Assert([]string{"I"}, func(cat plan.Catalog) (bool, error) {
+		wsdErr := d.assert([]string{"I"}, func(cat plan.Catalog) (bool, error) {
 			i, err := cat.Lookup("I")
 			if err != nil {
 				return false, err

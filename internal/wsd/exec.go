@@ -27,14 +27,15 @@ package wsd
 //     many worlds the dirt encodes
 //   - CREATE TABLE d AS <plain SQL source>
 //     REPAIR BY KEY k [WEIGHT w] | CHOICE OF u [WEIGHT w]
-//     — for a certain source: one component per key group / one
-//     component, O(tuples) space for exponentially many worlds. An
-//     uncertain source (repair of a repair, choice of a repair, a
-//     filtered or projected view of either, …) nests each feeding
-//     alternative's conditional key-group repairs as child components
-//     under that alternative (Σ-alternatives work, zero merges unless two
-//     components contribute candidates under a common key; a choice
-//     merges its feeders into one first, none when fed by at most one).
+//     — one split (split.go) for every source: a source fed by components
+//     (repair of a repair, choice of a repair, a filtered or projected
+//     view of either, …) nests each feeding alternative's conditional
+//     key-group repairs as child components under that alternative
+//     (Σ-alternatives work, zero merges unless two components contribute
+//     candidates under a common key; a choice merges its feeders into one
+//     first, none when fed by at most one). A certain source is the case
+//     with no feeders: one top-level component per key group / one
+//     component, O(tuples) space for exponentially many worlds.
 //     `select * from t` splits t directly; any other plain-SQL source is
 //     materialized transiently first (repairByKeyQuery/choiceOfQuery).
 //     Key/weight columns outside the select list resolve against the
@@ -73,9 +74,9 @@ package wsd
 //     routing
 //   - SELECT <exprs>, APPROX CONF <plain SQL core> — exact confidences via
 //     the same routing while it fits; when the classic path's component
-//     merge would exceed the expansion limit (where CONF fails), a seeded
-//     Monte-Carlo estimate over sampled worlds (ApproxSamples /
-//     ApproxSeed; deterministic for a fixed pair)
+//     merge would exceed the expansion limit (where CONF fails), a
+//     Monte-Carlo estimate over 1000 sampled worlds from seed 0
+//     (deterministic)
 //   - SELECT … GROUP WORLDS BY (q)               — groups from a
 //     per-component frontier fold over q's answer fingerprints
 //     (Σ alternatives evaluations) when q's plan decomposes and touches
@@ -91,7 +92,9 @@ package wsd
 //     the merged component (statement form of Example 2.5): a statement of
 //     the grammar (sqlparse.Assert) routed like every other, so it works
 //     across lines, behind comments, in scripts and under EXPLAIN [ANALYZE]
-//   - DROP TABLE [IF EXISTS] t                   — certain relations only
+//   - DROP TABLE [IF EXISTS] t                   — any relation: its certain
+//     part and its contribution to every alternative go, every component
+//     stays (as the naive DROP keeps every world)
 //   - EXPLAIN [ANALYZE] <stmt>                   — framed by core's
 //     runner; Predict writes the routing (single / conditional /
 //     componentwise / merge / approx_mc / refused, with merge cardinality
@@ -332,14 +335,14 @@ func (d *WSD) Run(stmt sqlparse.Statement) (*core.Result, error) {
 	case *sqlparse.Insert:
 		rows, err := d.insertRows(st)
 		if err == nil {
-			err = d.InsertCertain(st.Table, rows)
+			err = d.insertCertain(st.Table, rows)
 		}
 		if err != nil {
 			return nil, err
 		}
 		return d.ok("inserted %d row(s) into %s", len(rows), st.Table)
 	case *sqlparse.Drop:
-		if err := d.dropCertain(st.Name); err != nil && !(st.IfExists && errors.Is(err, ErrUnknown)) {
+		if err := d.drop(st.Name); err != nil && !(st.IfExists && errors.Is(err, ErrUnknown)) {
 			return nil, err
 		}
 		return d.ok("dropped %s", st.Name)
@@ -440,11 +443,11 @@ func (d *WSD) execSplit(name string, sh shape) (*core.Result, error) {
 	var err error
 	switch {
 	case sh.repair != nil && sh.src != "":
-		err = d.RepairByKey(sh.src, name, sh.repair.Key, sh.repair.Weight)
+		err = d.repairByKey(sh.src, name, sh.repair.Key, sh.repair.Weight)
 	case sh.repair != nil:
 		err = d.repairByKeyQuery(sh.core, name, sh.repair.Key, sh.repair.Weight)
 	case sh.src != "":
-		err = d.ChoiceOf(sh.src, name, sh.choice.Attrs, sh.choice.Weight)
+		err = d.choiceOf(sh.src, name, sh.choice.Attrs, sh.choice.Weight)
 	default:
 		err = d.choiceOfQuery(sh.core, name, sh.choice.Attrs, sh.choice.Weight)
 	}

@@ -44,11 +44,11 @@ func foldFixtures(t *testing.T) []struct {
 
 	one := New(true)
 	must(one.PutCertain("R", keyed()))
-	must(one.ChoiceOf("R", "P", []string{"K"}, "W"))
+	must(one.choiceOf("R", "P", []string{"K"}, "W"))
 
 	many := New(true)
 	must(many.PutCertain("R", keyed()))
-	must(many.RepairByKey("R", "I", []string{"K"}, "W"))
+	must(many.repairByKey("R", "I", []string{"K"}, "W"))
 
 	// P chooses a key group K, Q chooses a V among the chosen rows and L
 	// repairs what is left by V: children under P's alternatives,
@@ -61,9 +61,9 @@ func foldFixtures(t *testing.T) []struct {
 		nr.MustAppend(row(tp...))
 	}
 	must(nested.PutCertain("R", nr))
-	must(nested.ChoiceOf("R", "P", []string{"K"}, ""))
-	must(nested.ChoiceOf("P", "Q", []string{"V"}, "W"))
-	must(nested.RepairByKey("Q", "L", []string{"V"}, "W"))
+	must(nested.choiceOf("R", "P", []string{"K"}, ""))
+	must(nested.choiceOf("P", "Q", []string{"V"}, "W"))
+	must(nested.repairByKey("Q", "L", []string{"V"}, "W"))
 	depth, byID := 0, nested.compIndexByID()
 	for _, c := range nested.comps {
 		n := 0
@@ -80,7 +80,7 @@ func foldFixtures(t *testing.T) []struct {
 
 	unweighted := New(false)
 	must(unweighted.PutCertain("R", keyed()))
-	must(unweighted.RepairByKey("R", "I", []string{"K"}, ""))
+	must(unweighted.repairByKey("R", "I", []string{"K"}, ""))
 
 	return []struct {
 		name string
@@ -205,7 +205,7 @@ func TestClosureFoldOrder(t *testing.T) {
 	if err := d.PutCertain("R", r); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"K"}, "W"); err != nil {
+	if err := d.repairByKey("R", "I", []string{"K"}, "W"); err != nil {
 		t.Fatal(err)
 	}
 	poss, err := d.Possible("I")
@@ -259,13 +259,13 @@ func TestClosureFoldScalesLinearly(t *testing.T) {
 		if err := d.PutCertain("Dirty", r); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.RepairByKey("Dirty", "Clean", []string{"K"}, "W"); err != nil {
+		if err := d.repairByKey("Dirty", "Clean", []string{"K"}, "W"); err != nil {
 			t.Fatal(err)
 		}
 		if !chained {
 			return d
 		}
-		if err := d.RepairByKey("Clean", "Cleaner", []string{"K", "V"}, ""); err != nil {
+		if err := d.repairByKey("Clean", "Cleaner", []string{"K", "V"}, ""); err != nil {
 			t.Fatal(err)
 		}
 		if d.nested != 2*n || d.MergeCount() != 0 {

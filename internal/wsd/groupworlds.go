@@ -214,7 +214,7 @@ func canonOf(keys []string) string {
 // frontier enumerates alternative selections lexicographically, earlier
 // components more significant, exactly like the world odometer).
 func (d *WSD) groupsByComponent(compIdx []int, eval partQuery) ([]groupInfo, error) {
-	parts, err := d.QueryByComponent(compIdx, eval, nil)
+	parts, err := d.queryByComponent(compIdx, eval, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -310,7 +310,7 @@ func (d *WSD) groupMerged(g *grouped, cl closure) (*Component, []groupInfo, []co
 // alternative of the merged component mi and groups the alternatives by
 // answer fingerprint (first-appearance order, matching the world odometer).
 func (d *WSD) groupsFromAlternatives(mi int, gw evaluator) ([]groupInfo, error) {
-	parts, err := d.QueryByComponent([]int{mi}, gw.full, nil)
+	parts, err := d.queryByComponent([]int{mi}, gw.full, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -390,7 +390,7 @@ func scaleConf(rel *relation.Relation, f float64) *relation.Relation {
 // over the group's alternatives as a flat component of their own: CERTAIN
 // within a group means in every alternative of the group.
 func (d *WSD) closeEachGroup(mi int, groups []groupInfo, q evaluator, cl closure) ([]core.GroupRows, error) {
-	parts, err := d.QueryByComponent([]int{mi}, q.full, nil)
+	parts, err := d.queryByComponent([]int{mi}, q.full, nil)
 	if err != nil {
 		return nil, err
 	}

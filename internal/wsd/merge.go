@@ -300,13 +300,13 @@ func oneIfWeighted(weighted bool) float64 {
 	return 0
 }
 
-// Assert keeps only the worlds satisfying pred and renormalizes. touching
+// assert keeps only the worlds satisfying pred and renormalizes. touching
 // must list every uncertain relation pred reads. pred runs once per
 // alternative, in alternative order, after a poll of the interrupt hook; the
 // involved components are merged (partial expansion) and filtered locally —
 // thanks to independence, renormalizing within the merged component
 // renormalizes the whole world-set (Example 2.5 semantics at WSD scale).
-func (d *WSD) Assert(touching []string, pred func(cat plan.Catalog) (bool, error)) error {
+func (d *WSD) assert(touching []string, pred func(cat plan.Catalog) (bool, error)) error {
 	mi, err := d.mergeComponents(d.involvedComponents(touching))
 	if err != nil {
 		return err

@@ -112,7 +112,7 @@ func TestPartsCatalogLookup(t *testing.T) {
 func TestAssertPredicateErrorPropagates(t *testing.T) {
 	d := newFigure2WSD(t)
 	boom := errors.New("boom")
-	err := d.Assert([]string{"I"}, func(plan.Catalog) (bool, error) { return false, boom })
+	err := d.assert([]string{"I"}, func(plan.Catalog) (bool, error) { return false, boom })
 	if !errors.Is(err, boom) {
 		t.Errorf("assert error = %v", err)
 	}
@@ -120,7 +120,7 @@ func TestAssertPredicateErrorPropagates(t *testing.T) {
 	if err := d2.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	err = d2.Assert([]string{"R"}, func(plan.Catalog) (bool, error) { return false, boom })
+	err = d2.assert([]string{"R"}, func(plan.Catalog) (bool, error) { return false, boom })
 	if !errors.Is(err, boom) {
 		t.Errorf("certain assert error = %v", err)
 	}
@@ -241,7 +241,7 @@ func TestUnweightedExpandAndPossible(t *testing.T) {
 	if err := d.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"A"}, ""); err != nil {
+	if err := d.repairByKey("R", "I", []string{"A"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	set, err := d.Expand(0)
@@ -275,10 +275,10 @@ func TestRefusedMergeLeavesDecompositionUnchanged(t *testing.T) {
 		if err := d.PutCertain("R", rel); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+		if err := d.repairByKey("R", "I", []string{"K"}, ""); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.RepairByKey("I", "J", []string{"K", "V"}, ""); err != nil {
+		if err := d.repairByKey("I", "J", []string{"K", "V"}, ""); err != nil {
 			t.Fatal(err)
 		}
 		d.MergeLimit = 8
@@ -297,7 +297,7 @@ func TestRefusedMergeLeavesDecompositionUnchanged(t *testing.T) {
 			return err
 		},
 		"assert": func(d *WSD) error {
-			return d.Assert([]string{"J"}, func(plan.Catalog) (bool, error) { return true, nil })
+			return d.assert([]string{"J"}, func(plan.Catalog) (bool, error) { return true, nil })
 		},
 	}
 	for name, attempt := range attempts {
@@ -345,10 +345,10 @@ func TestRefusedCondenseLeavesDecompositionUnchanged(t *testing.T) {
 		if err := d.PutCertain("C", c); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.ChoiceOf("C", "P", []string{"A"}, ""); err != nil {
+		if err := d.choiceOf("C", "P", []string{"A"}, ""); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.RepairByKey("P", "Q", []string{"V"}, ""); err != nil {
+		if err := d.repairByKey("P", "Q", []string{"V"}, ""); err != nil {
 			t.Fatal(err)
 		}
 		anchor := relation.New(schema.New("V", "X"))
@@ -372,10 +372,10 @@ func TestRefusedCondenseLeavesDecompositionUnchanged(t *testing.T) {
 	}
 	attempts := map[string]func(d *WSD) error{
 		"choice of over a single nested feeder": func(d *WSD) error {
-			return d.ChoiceOf("R", "S", []string{"X"}, "")
+			return d.choiceOf("R", "S", []string{"X"}, "")
 		},
 		"repair by key anchored by a certain row": func(d *WSD) error {
-			return d.RepairByKey("R", "S", []string{"V"}, "")
+			return d.repairByKey("R", "S", []string{"V"}, "")
 		},
 	}
 	for name, attempt := range attempts {
@@ -436,10 +436,10 @@ func TestMergeRouteMatchesWorldsetClosures(t *testing.T) {
 		}
 		for _, err := range []error{
 			d.PutCertain("MSrc", src),
-			d.RepairByKey("MSrc", "M", []string{"K"}, weight),
+			d.repairByKey("MSrc", "M", []string{"K"}, weight),
 			d.PutCertain("C", c),
-			d.ChoiceOf("C", "P", []string{"A"}, ""),
-			d.RepairByKey("P", "Q", []string{"A"}, ""),
+			d.choiceOf("C", "P", []string{"A"}, ""),
+			d.repairByKey("P", "Q", []string{"A"}, ""),
 		} {
 			if err != nil {
 				t.Fatal(err)
@@ -540,7 +540,7 @@ func TestSpanningGroupCertainPerGroup(t *testing.T) {
 	if err := d.PutCertain("MSrc", src); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("MSrc", "M", []string{"K"}, "W"); err != nil {
+	if err := d.repairByKey("MSrc", "M", []string{"K"}, "W"); err != nil {
 		t.Fatal(err)
 	}
 	core, cl := parseCore(t, "select certain V from M where K = 1")

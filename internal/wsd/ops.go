@@ -1,5 +1,10 @@
 package wsd
 
+// Reads of a stored relation — Possible, Certain, ConfRelation and Conf —
+// answered by the closure fold over the stored representation, with no plan
+// and no evaluation. (REPAIR BY KEY and CHOICE OF, over certain and uncertain
+// sources alike, are split.go's.)
+
 import (
 	"fmt"
 
@@ -7,162 +12,9 @@ import (
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/tuple"
-	"maybms/internal/value"
 )
 
 func confSchema() *schema.Schema { return schema.New("conf") }
-
-// RepairByKey creates relation dst holding, in each world, one repair of
-// relation src under the key columns.
-//
-// A certain src factorizes directly: the world-set gains one component
-// per key group with one alternative per candidate tuple — linear
-// representation size for Π(group sizes) worlds. An uncertain src (one
-// that varies across worlds) is handled by component splitting
-// (split.go): each key group becomes its own component, nested as a
-// child under each feeding alternative when the group's candidates are
-// conditional on a feeding component, with merges bounded to components
-// that contribute candidates under a common key — Σ-alternatives work
-// and MergeCount unchanged when the feeding components' keys do not
-// cross, and representation size linear in the candidate tuples.
-//
-// weight names a positive numeric column used for in-group probabilities
-// (w(t)/Σ_group w, Example 2.4); empty means uniform. Weights require a
-// weighted WSD.
-func (d *WSD) RepairByKey(src, dst string, keyCols []string, weight string) error {
-	sch, err := d.Schema(src)
-	if err != nil {
-		return err
-	}
-	keyIdx, err := sch.IndexesOf(keyCols)
-	if err != nil {
-		return err
-	}
-	weightIdx := -1
-	if weight != "" {
-		if !d.Weighted {
-			return ErrNotWeighted
-		}
-		weightIdx, err = sch.Resolve("", weight)
-		if err != nil {
-			return err
-		}
-	}
-	if !d.isCertain(src) {
-		if len(d.involvedComponents([]string{src})) == 0 {
-			// Registered with neither certain tuples nor contributions: the
-			// instance is empty in every world and so is its only repair
-			// (PutCertain reports a dst collision).
-			return d.PutCertain(dst, relation.New(sch))
-		}
-		return d.repairUncertain(src, dst, keyIdx, weightIdx)
-	}
-	rel := d.certain[key(src)]
-	k := key(dst)
-	order, groups := rel.GroupBy(keyIdx)
-	// Build every key group's component before touching the decomposition:
-	// a bad weight in a later group must not leave earlier groups' orphan
-	// components feeding a half-created relation.
-	pending := make([][]Alternative, 0, len(order))
-	for _, gk := range order {
-		tuples := groups[gk]
-		probs, err := repairGroupProbs(tuples, weightIdx, d.Weighted)
-		if err != nil {
-			return err
-		}
-		alts := make([]Alternative, len(tuples))
-		for i, t := range tuples {
-			alts[i] = Alternative{Contrib: contribRel(sch, k, []tuple.Tuple{t})}
-			if d.Weighted {
-				alts[i].Prob = probs[i]
-			}
-		}
-		pending = append(pending, alts)
-	}
-	if err := d.registerUncertain(dst, sch); err != nil {
-		return err
-	}
-	for _, alts := range pending {
-		d.comps = append(d.comps, &Component{ID: d.nextID, Alts: alts, Parent: -1})
-		d.nextID++
-	}
-	return nil
-}
-
-// ChoiceOf creates relation dst holding, in each world, one partition of
-// relation src by the given attribute columns: a single new component
-// with one alternative per distinct value (Examples 2.6–2.7). An
-// uncertain src is handled by component splitting (split.go): the
-// partition choice couples everything feeding the source, so the feeding
-// components merge into one (no merge for at most one feeder), and each
-// of its alternatives gains one nested child component holding the
-// partitions of that alternative's instance.
-func (d *WSD) ChoiceOf(src, dst string, attrs []string, weight string) error {
-	sch, err := d.Schema(src)
-	if err != nil {
-		return err
-	}
-	attrIdx, err := sch.IndexesOf(attrs)
-	if err != nil {
-		return err
-	}
-	weightIdx := -1
-	if weight != "" {
-		if !d.Weighted {
-			return ErrNotWeighted
-		}
-		weightIdx, err = sch.Resolve("", weight)
-		if err != nil {
-			return err
-		}
-	}
-	if !d.isCertain(src) {
-		if len(d.involvedComponents([]string{src})) == 0 {
-			return fmt.Errorf("choice of over an empty relation produces no worlds: %w", ErrEmpty)
-		}
-		return d.choiceUncertain(src, dst, attrIdx, weightIdx)
-	}
-	rel := d.certain[key(src)]
-	order, groups := rel.GroupBy(attrIdx)
-	if len(order) == 0 {
-		return fmt.Errorf("choice of over an empty relation produces no worlds: %w", ErrEmpty)
-	}
-	if err := d.registerUncertain(dst, sch); err != nil {
-		return err
-	}
-	k := key(dst)
-	alts := make([]Alternative, len(order))
-	if d.Weighted && weightIdx >= 0 {
-		total := 0.0
-		sums := make([]float64, len(order))
-		for i, gk := range order {
-			for _, t := range groups[gk] {
-				w, err := positiveWeight(t[weightIdx])
-				if err != nil {
-					d.unregister(dst)
-					return err
-				}
-				sums[i] += w
-			}
-			total += sums[i]
-		}
-		for i, gk := range order {
-			alts[i] = Alternative{Prob: sums[i] / total, Contrib: contribRel(sch, k, groups[gk])}
-		}
-	} else {
-		for i, gk := range order {
-			alts[i] = Alternative{Contrib: contribRel(sch, k, groups[gk])}
-			if d.Weighted {
-				alts[i].Prob = 1 / float64(len(order))
-			}
-		}
-	}
-	_, err = d.addComponent(alts)
-	if err != nil {
-		d.unregister(dst)
-	}
-	return err
-}
 
 func (d *WSD) certainRelation(name string) (*relation.Relation, *schema.Schema, error) {
 	k := key(name)
@@ -182,17 +34,6 @@ func (d *WSD) certainRelation(name string) (*relation.Relation, *schema.Schema, 
 func (d *WSD) unregister(name string) {
 	delete(d.schemas, key(name))
 	delete(d.names, key(name))
-}
-
-func positiveWeight(v value.Value) (float64, error) {
-	if !v.IsNumeric() {
-		return 0, fmt.Errorf("weight value %v is not numeric", v)
-	}
-	w := v.AsFloat()
-	if w <= 0 {
-		return 0, fmt.Errorf("weight value %g must be positive", w)
-	}
-	return w, nil
 }
 
 // relationFold prepares the closure fold (fold.go) over the stored relation

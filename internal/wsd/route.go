@@ -173,9 +173,8 @@ func (d *WSD) describeRoute(core *sqlparse.SelectStmt, comps []int, dec decision
 	case routeMerge:
 		detail = fmt.Sprintf("partial expansion, %d components, %d alternatives, limit %d", n, dec.alts, d.MergeLimit)
 	case routeApproxMC:
-		samples := d.sampleCount()
 		detail = fmt.Sprintf("merge of %d components exceeds limit %d; %d samples, seed %d, stderr <= %.4f",
-			n, d.MergeLimit, samples, d.ApproxSeed, 1/(2*math.Sqrt(float64(samples))))
+			n, d.MergeLimit, mcSamples, mcSeed, 1/(2*math.Sqrt(mcSamples)))
 	default:
 		if errors.Is(dec.err, ErrMergeTooBig) {
 			detail = fmt.Sprintf("merge of %d components exceeds limit %d alternatives", n, d.MergeLimit)

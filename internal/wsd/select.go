@@ -201,7 +201,7 @@ func (d *WSD) assertStmt(e sqlparse.Expr) error {
 	if err != nil {
 		return err
 	}
-	return d.Assert(touching, func(cat plan.Catalog) (bool, error) {
+	return d.assert(touching, func(cat plan.Catalog) (bool, error) {
 		pred, err := pp.BindInterrupt(cat, d.interrupt)
 		if err != nil {
 			return false, err
@@ -296,7 +296,7 @@ func (d *WSD) evalParts(comps []int, dec decision, query partQuery) (*componentP
 		sp.Set("conditional_splits", dec.nested)
 		counter = &d.conditional
 	}
-	parts, err := d.QueryByComponent(d.rootClosure(comps), query, sp)
+	parts, err := d.queryByComponent(d.rootClosure(comps), query, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +339,7 @@ func (d *WSD) runMerge(comps []int, ev evaluator, cl closure) (*relation.Relatio
 	mi, err := d.mergeFitting(comps)
 	var parts *componentParts
 	if err == nil {
-		parts, err = d.QueryByComponent([]int{mi}, ev.full, nil)
+		parts, err = d.queryByComponent([]int{mi}, ev.full, nil)
 	}
 	if err != nil {
 		msp.End(d.trace)
@@ -414,8 +414,8 @@ func (d *WSD) repairByKeyQuery(core *sqlparse.SelectStmt, dst string, key []stri
 	if err != nil {
 		return err
 	}
-	err = d.RepairByKey(tmp, dst, key, weight)
-	d.dropDerived(tmp)
+	err = d.repairByKey(tmp, dst, key, weight)
+	_ = d.drop(tmp) // materializeSource just registered tmp
 	if err == nil && extra > 0 {
 		d.projectOutTrailing(dst, extra)
 	}
@@ -430,8 +430,8 @@ func (d *WSD) choiceOfQuery(core *sqlparse.SelectStmt, dst string, attrs []strin
 	if err != nil {
 		return err
 	}
-	err = d.ChoiceOf(tmp, dst, attrs, weight)
-	d.dropDerived(tmp)
+	err = d.choiceOf(tmp, dst, attrs, weight)
+	_ = d.drop(tmp) // materializeSource just registered tmp
 	if err == nil && extra > 0 {
 		d.projectOutTrailing(dst, extra)
 	}
@@ -570,22 +570,6 @@ func (d *WSD) projectOutTrailing(name string, n int) {
 			c.Alts[i].Contrib[k] = relation.FromRowsShared(d.schemas[k], out)
 		}
 	}
-}
-
-// dropDerived removes a relation — certain part, schema, and every
-// component contribution — without restructuring components. Safe only
-// when the remaining components' worlds are still meaningful without it
-// (the transient sources of the *Query split forms: their feeders carry
-// their own relations, and the split's children carry dst).
-func (d *WSD) dropDerived(name string) {
-	k := key(name)
-	delete(d.certain, k)
-	for _, c := range d.comps {
-		for i := range c.Alts {
-			delete(c.Alts[i].Contrib, k)
-		}
-	}
-	d.unregister(name)
 }
 
 // createTableAsClosure materializes `SELECT <closure core> [GROUP WORLDS

@@ -1,26 +1,27 @@
 package wsd
 
-// Component splitting: REPAIR BY KEY and CHOICE OF over *uncertain*
-// sources, without enumerating worlds.
+// Component splitting: REPAIR BY KEY and CHOICE OF over any source, without
+// enumerating worlds.
 //
-// Repairing a certain relation creates fresh independent components (one
-// per key group, ops.go). When the source itself varies across worlds its
-// instance in world (a1,…,ak) is the certain part plus the selected
-// alternatives' contributions, so a key group's candidate set — and hence
-// the repair's choice within the group — is *conditional* on the
-// components feeding that key. The split therefore grows the
-// decomposition tree: each key group becomes its own component whose
-// alternatives are the group's candidates, and a group whose candidates
-// depend on a feeding component C spawns one *child* component per
-// alternative a of C — nested under (C, a) via Component.Parent/ParentAlt
-// and active exactly in the worlds selecting a. Existing components are
-// left untouched (the world-set of every existing relation is preserved
-// bit for bit), the representation stays linear in the number of
-// candidate tuples (no per-alternative product of key groups, hence no
-// MergeLimit bound), and the new components are appended after all
-// existing ones so their digits vary fastest: the expansion reproduces
-// the naive chain's interleaved child-world order after
-// repair-of-uncertain exactly — order, probabilities and all.
+// A source's instance in world (a1,…,ak) is its certain part plus the
+// selected alternatives' contributions, so a key group's candidate set — and
+// hence the repair's choice within the group — is *conditional* on the
+// components feeding that key. The split therefore grows the decomposition
+// tree: each key group becomes its own component whose alternatives are the
+// group's candidates, and a group whose candidates depend on a feeding
+// component C spawns one *child* component per alternative a of C — nested
+// under (C, a) via Component.Parent/ParentAlt and active exactly in the
+// worlds selecting a. A certain source is the case with no feeders (a
+// complete relation is a c-table whose conditions all hold): every key group
+// becomes one fresh independent top-level component — linear representation
+// size for Π(group sizes) worlds. Existing components are left untouched
+// (the world-set of every existing relation is preserved bit for bit), the
+// representation stays linear in the number of candidate tuples (no
+// per-alternative product of key groups, hence no MergeLimit bound), and the
+// new components are appended after all existing ones so their digits vary
+// fastest: the expansion reproduces the naive chain's interleaved
+// child-world order after repair-of-uncertain exactly — order, probabilities
+// and all.
 //
 // Component creation order mirrors the naive engine's per-world group
 // first-appearance order (certain prefix first, then the active
@@ -44,6 +45,7 @@ package wsd
 // alternative a of the merged feeder gets one child component whose
 // alternatives are the partitions of a's instance (certain part
 // included) — the naive interleaved order, exactly, for a single feeder.
+// With no feeder the certain part's partitions form one top-level component.
 //
 // This makes the decomposition closed under its own repair/choice
 // operations (chained repairs, repairs of choices, repairs over filtered
@@ -59,15 +61,8 @@ import (
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/tuple"
+	"maybms/internal/value"
 )
-
-// splitPiece is one derived alternative of a refinement: the tuples the
-// new relation receives and the conditional probability of the piece
-// given the parent alternative.
-type splitPiece struct {
-	tuples []tuple.Tuple
-	prob   float64
-}
 
 // pendingComp is one component of a split, staged before any mutation so
 // a weight error leaves the decomposition untouched.
@@ -75,6 +70,27 @@ type pendingComp struct {
 	alts      []Alternative
 	parentID  int // -1 for a top-level component
 	parentAlt int
+}
+
+// splitColumns resolves a split's column list and optional weight column
+// (-1 when absent) against the source schema; a weight needs a weighted WSD.
+func (d *WSD) splitColumns(src string, cols []string, weight string) (sch *schema.Schema, idx []int, weightIdx int, err error) {
+	if sch, err = d.Schema(src); err != nil {
+		return nil, nil, 0, err
+	}
+	if idx, err = sch.IndexesOf(cols); err != nil {
+		return nil, nil, 0, err
+	}
+	weightIdx = -1
+	if weight != "" {
+		if !d.Weighted {
+			return nil, nil, 0, ErrNotWeighted
+		}
+		if weightIdx, err = sch.Resolve("", weight); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	return sch, idx, weightIdx, nil
 }
 
 // repairGroupComp builds the alternatives of one key-group component:
@@ -95,25 +111,35 @@ func (d *WSD) repairGroupComp(sch *schema.Schema, dk string, tuples []tuple.Tupl
 	return alts, nil
 }
 
-// repairUncertain implements REPAIR BY KEY over a source fed by
-// components (possibly on top of a certain part). See the package comment
-// above for the construction. The decomposition is mutated only by
-// world-set-preserving component merges until every input is validated;
-// the new components and the dst registration apply atomically afterwards.
-func (d *WSD) repairUncertain(src, dst string, keyIdx []int, weightIdx int) error {
+// repairByKey creates relation dst holding, in each world, one repair of
+// relation src under the key columns; weight names a positive numeric column
+// for the in-group probabilities (w(t)/Σ_group w, Example 2.4), "" meaning
+// uniform. The source may have a certain part, feeding components, or both;
+// see the comment at the top of this file for the construction. The
+// decomposition is mutated only by world-set-preserving component merges
+// until every input is validated; the new components and the dst
+// registration apply atomically afterwards.
+func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) error {
+	sch, keyIdx, weightIdx, err := d.splitColumns(src, keyCols, weight)
+	if err != nil {
+		return err
+	}
 	k := key(src)
-	sch := d.schemas[k]
+	if _, ok := d.certain[k]; !ok && len(d.involvedComponents([]string{src})) == 0 {
+		// Registered with neither certain tuples nor contributions: the
+		// instance is empty in every world and so is its only repair
+		// (PutCertain reports a dst collision).
+		return d.PutCertain(dst, relation.New(sch))
+	}
 	if _, ok := d.schemas[key(dst)]; ok {
 		return fmt.Errorf("%w: %s", ErrExists, dst)
 	}
 
-	var certTuples []tuple.Tuple
+	// The key groups anchored in the certain part, in first-appearance order.
+	var certOrder []string
+	var certGroups map[string][]tuple.Tuple
 	if cert, ok := d.certain[k]; ok {
-		certTuples = cert.Rows()
-	}
-	certKeySet := map[string]bool{}
-	for _, t := range certTuples {
-		certKeySet[t.KeyOn(keyIdx)] = true
+		certOrder, certGroups = cert.GroupBy(keyIdx)
 	}
 
 	// Merge the components whose candidate keys cross — and only those.
@@ -152,14 +178,14 @@ func (d *WSD) repairUncertain(src, dst string, keyIdx []int, weightIdx int) erro
 		// Condense the offending trees to flat components first (exactness
 		// of the interleaved order is already forfeited to a restructuring
 		// here, as on the crossing-merge path).
-		if d.nested > 0 && len(certKeySet) > 0 {
+		if d.nested > 0 && len(certGroups) > 0 {
 			var bad []int
 			for i, tch := range touches {
 				if d.comps[comps[i]].Parent < 0 {
 					continue
 				}
 				for _, kv := range tch.Keys {
-					if certKeySet[kv] {
+					if _, anchored := certGroups[kv]; anchored {
 						bad = append(bad, comps[i])
 						break
 					}
@@ -188,14 +214,11 @@ func (d *WSD) repairUncertain(src, dst string, keyIdx []int, weightIdx int) erro
 
 	// (a) Key groups anchored in the certain part, in certain-part
 	// first-appearance order. An unowned group is an independent top-level
-	// choice; a group owned by feeder C nests one child per alternative of
-	// C, repairing the certain candidates followed by that alternative's
+	// choice — every group of a certain source, which has no feeders; a
+	// group owned by feeder C nests one child per alternative of C,
+	// repairing the certain candidates followed by that alternative's
 	// contributions under the group key.
-	certRel := relation.FromRowsShared(sch, certTuples)
-	certOrder, certGroups := certRel.GroupBy(keyIdx)
-	certAnchored := map[string]bool{}
 	for _, gk := range certOrder {
-		certAnchored[gk] = true
 		certTs := certGroups[gk]
 		fi, isOwned := owner[gk]
 		if !isOwned {
@@ -241,7 +264,7 @@ func (d *WSD) repairUncertain(src, dst string, keyIdx []int, weightIdx int) erro
 			}
 			gOrder, gGroups := contrib.GroupBy(keyIdx)
 			for _, gk := range gOrder {
-				if certAnchored[gk] {
+				if _, anchored := certGroups[gk]; anchored {
 					continue // handled in (a), certain-prefix position
 				}
 				alts, err := d.repairGroupComp(sch, dk, gGroups[gk], weightIdx)
@@ -252,9 +275,79 @@ func (d *WSD) repairUncertain(src, dst string, keyIdx []int, weightIdx int) erro
 			}
 		}
 	}
+	return d.applySplit(dst, sch, pending)
+}
 
-	// Apply atomically: nothing above mutated the decomposition beyond
-	// world-set-preserving merges.
+// choiceOf creates relation dst holding, in each world, one partition of
+// relation src by the attribute columns (Examples 2.6–2.7), weighted by the
+// partitions' weight shares or uniformly. The choice picks one partition of
+// the whole per-world instance, a single decision coupling every feeding
+// component, so those merge into one (no merge for a single feeder), and each
+// alternative of the merged feeder gets one child component whose
+// alternatives are the partitions of that alternative's instance (certain
+// part included). A certain source has no feeder: its one instance, the
+// certain part, becomes one top-level component.
+func (d *WSD) choiceOf(src, dst string, attrs []string, weight string) error {
+	sch, attrIdx, weightIdx, err := d.splitColumns(src, attrs, weight)
+	if err != nil {
+		return err
+	}
+	k := key(src)
+	if _, ok := d.schemas[key(dst)]; ok {
+		return fmt.Errorf("%w: %s", ErrExists, dst)
+	}
+	comps := d.involvedComponents([]string{src})
+	if len(comps) > 1 {
+		// Multiple feeders: the choice couples them, so they merge (trees
+		// condense first — see condenseTrees). A single top-level feeder —
+		// even one carrying children — is left untouched; the choice nests
+		// under it.
+		if _, err := d.mergeComponents(comps); err != nil {
+			return err
+		}
+		comps = d.involvedComponents([]string{src})
+	} else if len(comps) == 1 && d.comps[comps[0]].Parent >= 0 {
+		// A *nested* single feeder is inactive in some worlds; there the
+		// source instance shrinks to its certain part (possibly empty — a
+		// naive error), which children of the feeder alone cannot express.
+		// Condense its tree to a flat component first.
+		if _, err := d.condenseTrees(comps); err != nil {
+			return err
+		}
+		comps = d.involvedComponents([]string{src})
+	}
+	cert := d.certain[k]
+	if cert == nil {
+		cert = relation.New(sch)
+	}
+	dk := key(dst)
+	if len(comps) == 0 {
+		alts, err := d.choiceComp(sch, dk, cert, attrIdx, weightIdx)
+		if err != nil {
+			return err
+		}
+		return d.applySplit(dst, sch, []pendingComp{{alts: alts, parentID: -1}})
+	}
+	fc := d.comps[comps[0]]
+	certTuples := cert.Rows()
+	var pending []pendingComp
+	for ai, a := range fc.Alts {
+		if err := d.interrupted(); err != nil {
+			return err
+		}
+		inst := relation.FromRowsShared(sch, append(append([]tuple.Tuple{}, certTuples...), a.contribRows(k)...))
+		alts, err := d.choiceComp(sch, dk, inst, attrIdx, weightIdx)
+		if err != nil {
+			return fmt.Errorf("choice over %s: %w", src, err)
+		}
+		pending = append(pending, pendingComp{alts: alts, parentID: fc.ID, parentAlt: ai})
+	}
+	return d.applySplit(dst, sch, pending)
+}
+
+// applySplit registers dst and appends a split's staged components, nested
+// ones under their parent alternatives; nesting counts one conditional split.
+func (d *WSD) applySplit(dst string, sch *schema.Schema, pending []pendingComp) error {
 	if err := d.registerUncertain(dst, sch); err != nil {
 		return err
 	}
@@ -274,75 +367,6 @@ func (d *WSD) repairUncertain(src, dst string, keyIdx []int, weightIdx int) erro
 	if nested {
 		d.conditional.Add(1)
 	}
-	return nil
-}
-
-// choiceUncertain implements CHOICE OF over a source fed by components:
-// the choice picks one partition of the whole per-world instance, a
-// single decision coupling every feeding component, so those merge into
-// one (no merge for a single feeder), and each alternative of the merged
-// feeder gets one child component whose alternatives are the partitions
-// of that alternative's instance (certain part included).
-func (d *WSD) choiceUncertain(src, dst string, attrIdx []int, weightIdx int) error {
-	k := key(src)
-	sch := d.schemas[k]
-	if _, ok := d.schemas[key(dst)]; ok {
-		return fmt.Errorf("%w: %s", ErrExists, dst)
-	}
-	comps := d.involvedComponents([]string{src})
-	if len(comps) > 1 {
-		// Multiple feeders: the choice couples them, so they merge (trees
-		// condense first — see condenseTrees). A single top-level feeder —
-		// even one carrying children — is left untouched; the choice nests
-		// under it.
-		if _, err := d.mergeComponents(comps); err != nil {
-			return err
-		}
-		comps = d.involvedComponents([]string{src})
-	} else if d.comps[comps[0]].Parent >= 0 {
-		// A *nested* single feeder is inactive in some worlds; there the
-		// source instance shrinks to its certain part (possibly empty — a
-		// naive error), which children of the feeder alone cannot express.
-		// Condense its tree to a flat component first.
-		if _, err := d.condenseTrees(comps); err != nil {
-			return err
-		}
-		comps = d.involvedComponents([]string{src})
-	}
-	fc := d.comps[comps[0]]
-	var certTuples []tuple.Tuple
-	if cert, ok := d.certain[k]; ok {
-		certTuples = cert.Rows()
-	}
-	dk := key(dst)
-	var pending []pendingComp
-	for ai, a := range fc.Alts {
-		if err := d.interrupted(); err != nil {
-			return err
-		}
-		inst := relation.FromRowsShared(sch, append(append([]tuple.Tuple{}, certTuples...), a.contribRows(k)...))
-		pieces, err := enumChoices(inst, attrIdx, weightIdx, d.Weighted)
-		if err != nil {
-			return fmt.Errorf("choice over %s: %w", src, err)
-		}
-		alts := make([]Alternative, len(pieces))
-		for i, p := range pieces {
-			alts[i] = Alternative{Contrib: contribRel(sch, dk, p.tuples)}
-			if d.Weighted {
-				alts[i].Prob = p.prob
-			}
-		}
-		pending = append(pending, pendingComp{alts: alts, parentID: fc.ID, parentAlt: ai})
-	}
-	if err := d.registerUncertain(dst, sch); err != nil {
-		return err
-	}
-	for _, pc := range pending {
-		if _, err := d.addChildComponent(pc.alts, pc.parentID, pc.parentAlt); err != nil {
-			return err
-		}
-	}
-	d.conditional.Add(1)
 	return nil
 }
 
@@ -387,19 +411,30 @@ func repairGroupProbs(tuples []tuple.Tuple, weightIdx int, weighted bool) ([]flo
 	return probs, nil
 }
 
-// enumChoices partitions one instance by the attribute columns: one piece
-// per distinct value combination in first-appearance order, weighted by
-// the partition's weight share (or uniformly), as in the naive engine's
-// choice split.
-func enumChoices(rel *relation.Relation, attrIdx []int, weightIdx int, weighted bool) ([]splitPiece, error) {
-	order, groups := rel.GroupBy(attrIdx)
+// positiveWeight reads one weight cell: a positive number.
+func positiveWeight(v value.Value) (float64, error) {
+	if !v.IsNumeric() {
+		return 0, fmt.Errorf("weight value %v is not numeric", v)
+	}
+	w := v.AsFloat()
+	if w <= 0 {
+		return 0, fmt.Errorf("weight value %g must be positive", w)
+	}
+	return w, nil
+}
+
+// choiceComp builds the alternatives of one choice component: one
+// alternative per distinct value combination of inst's attribute columns, in
+// first-appearance order, weighted by the partition's weight share (or
+// uniformly), as in the naive engine's choice split.
+func (d *WSD) choiceComp(sch *schema.Schema, dk string, inst *relation.Relation, attrIdx []int, weightIdx int) ([]Alternative, error) {
+	order, groups := inst.GroupBy(attrIdx)
 	if len(order) == 0 {
 		return nil, fmt.Errorf("choice of over an empty relation produces no worlds: %w", ErrEmpty)
 	}
-	out := make([]splitPiece, 0, len(order))
 	var weights []float64
 	totalW := 0.0
-	if weighted && weightIdx >= 0 {
+	if d.Weighted && weightIdx >= 0 {
 		weights = make([]float64, len(order))
 		for i, gk := range order {
 			for _, t := range groups[gk] {
@@ -412,16 +447,16 @@ func enumChoices(rel *relation.Relation, attrIdx []int, weightIdx int, weighted 
 			totalW += weights[i]
 		}
 	}
+	alts := make([]Alternative, len(order))
 	for i, gk := range order {
-		p := splitPiece{tuples: groups[gk]}
-		if weighted {
+		alts[i] = Alternative{Contrib: contribRel(sch, dk, groups[gk])}
+		if d.Weighted {
 			if weightIdx >= 0 {
-				p.prob = weights[i] / totalW
+				alts[i].Prob = weights[i] / totalW
 			} else {
-				p.prob = 1 / float64(len(order))
+				alts[i].Prob = 1 / float64(len(order))
 			}
 		}
-		out = append(out, p)
 	}
-	return out, nil
+	return alts, nil
 }

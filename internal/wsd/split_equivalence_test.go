@@ -100,7 +100,7 @@ func repairOp(src string, keys []string, weight string, noMerge bool) splitOp {
 	}
 	return splitOp{
 		naive:   stmt,
-		apply:   func(d *WSD, dst string) error { return d.RepairByKey(src, dst, keys, weight) },
+		apply:   func(d *WSD, dst string) error { return d.repairByKey(src, dst, keys, weight) },
 		noMerge: noMerge,
 	}
 }
@@ -112,7 +112,7 @@ func choiceOp(src string, attrs []string, weight string, noMerge bool) splitOp {
 	}
 	return splitOp{
 		naive:   stmt,
-		apply:   func(d *WSD, dst string) error { return d.ChoiceOf(src, dst, attrs, weight) },
+		apply:   func(d *WSD, dst string) error { return d.choiceOf(src, dst, attrs, weight) },
 		noMerge: noMerge,
 	}
 }
@@ -306,10 +306,10 @@ func TestGroupedCTASAfterMainQueryMerge(t *testing.T) {
 			t.Fatalf("naive %q: %v", sql, err)
 		}
 	}
-	if err := d.RepairByKey("MSrc", "M", []string{"K"}, "W"); err != nil {
+	if err := d.repairByKey("MSrc", "M", []string{"K"}, "W"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ChoiceOf("GSrc", "G", []string{"K"}, "W"); err != nil {
+	if err := d.choiceOf("GSrc", "G", []string{"K"}, "W"); err != nil {
 		t.Fatal(err)
 	}
 	if mc, gc := d.componentsFor("M"), d.componentsFor("G"); len(mc) != 2 || len(gc) != 1 || gc[0] <= mc[1] {

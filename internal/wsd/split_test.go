@@ -53,10 +53,10 @@ func TestRepairOfChoiceSplitsComponent(t *testing.T) {
 	if err := d.PutCertain("C", base); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ChoiceOf("C", "P", []string{"K"}, ""); err != nil {
+	if err := d.choiceOf("C", "P", []string{"K"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("P", "Q", []string{"W"}, ""); err != nil {
+	if err := d.repairByKey("P", "Q", []string{"W"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if d.MergeCount() != 0 {
@@ -107,10 +107,10 @@ func TestChainedRepairRefinesInPlace(t *testing.T) {
 	if err := d.PutCertain("R", base); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"K"}, "W"); err != nil {
+	if err := d.repairByKey("R", "I", []string{"K"}, "W"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("I", "J", []string{"K"}, ""); err != nil {
+	if err := d.repairByKey("I", "J", []string{"K"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if d.MergeCount() != 0 {
@@ -161,10 +161,10 @@ func TestRepairUncertainCrossKeyMerges(t *testing.T) {
 	if err := d.PutCertain("R", base); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+	if err := d.repairByKey("R", "I", []string{"K"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("I", "J", []string{"V"}, ""); err != nil {
+	if err := d.repairByKey("I", "J", []string{"V"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if d.MergeCount() != 1 {
@@ -206,7 +206,7 @@ func TestRepairUncertainWithCertainPart(t *testing.T) {
 		if _, err := s.Exec("create table I as select K, V, W from R repair by key K"); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+		if err := d.repairByKey("R", "I", []string{"K"}, ""); err != nil {
 			t.Fatal(err)
 		}
 		// Mix certain tuples into I's uncertain world: INSERT cannot target
@@ -221,7 +221,7 @@ func TestRepairUncertainWithCertainPart(t *testing.T) {
 		if _, err := s.Exec("create table J as select K, V, W from M repair by key V"); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.RepairByKey("M", "J", []string{"V"}, ""); err != nil {
+		if err := d.repairByKey("M", "J", []string{"V"}, ""); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.CheckInvariant(); err != nil {
@@ -258,10 +258,10 @@ func TestChoiceOfUncertainSource(t *testing.T) {
 	if err := d.PutCertain("R", base); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"K"}, "W"); err != nil {
+	if err := d.repairByKey("R", "I", []string{"K"}, "W"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ChoiceOf("I", "P", []string{"V"}, ""); err != nil {
+	if err := d.choiceOf("I", "P", []string{"V"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if d.MergeCount() != 1 {
@@ -289,10 +289,10 @@ func TestChoiceOfUncertainSource(t *testing.T) {
 	if _, err := s2.Exec("create table Q as select K, V, W from P choice of V"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d2.ChoiceOf("C", "P", []string{"K"}, ""); err != nil {
+	if err := d2.choiceOf("C", "P", []string{"K"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := d2.ChoiceOf("P", "Q", []string{"V"}, ""); err != nil {
+	if err := d2.choiceOf("P", "Q", []string{"V"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if d2.MergeCount() != 0 {
@@ -317,12 +317,12 @@ func TestRepairUncertainBeyondExpansion(t *testing.T) {
 	if err := d.PutCertain("R", base); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+	if err := d.repairByKey("R", "I", []string{"K"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	// Refining chained repair: key (K, V) keeps every group inside its
 	// component.
-	if err := d.RepairByKey("I", "J", []string{"K", "V"}, ""); err != nil {
+	if err := d.repairByKey("I", "J", []string{"K", "V"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if d.MergeCount() != 0 {
@@ -366,10 +366,10 @@ func TestRepairUncertainMergeLimit(t *testing.T) {
 	if err := d.PutCertain("C", base); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ChoiceOf("C", "P", []string{"K"}, ""); err != nil {
+	if err := d.choiceOf("C", "P", []string{"K"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("P", "Q", []string{"V"}, ""); err != nil {
+	if err := d.repairByKey("P", "Q", []string{"V"}, ""); err != nil {
 		t.Fatalf("conditional split beyond MergeLimit = %v, want success", err)
 	}
 	if d.MergeCount() != 0 {
@@ -412,7 +412,7 @@ func TestRepairBadWeightLeavesNoOrphans(t *testing.T) {
 	if err := d.PutCertain("R", rel); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"K"}, "W"); err == nil {
+	if err := d.repairByKey("R", "I", []string{"K"}, "W"); err == nil {
 		t.Fatal("negative weight must fail")
 	}
 	if d.ComponentCount() != 0 {
@@ -422,7 +422,7 @@ func TestRepairBadWeightLeavesNoOrphans(t *testing.T) {
 		t.Fatalf("failed repair left I registered: %v", err)
 	}
 	// Retry without weights: exactly 2x2 worlds.
-	if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+	if err := d.repairByKey("R", "I", []string{"K"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.WorldCount().String(); got != "4" {

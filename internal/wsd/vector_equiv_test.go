@@ -40,10 +40,10 @@ func floorFixture(t *testing.T, rows, pad int) *WSD {
 			t.Fatal(err)
 		}
 	}
-	if err := d.ChoiceOf("C", "P", []string{"G"}, ""); err != nil {
+	if err := d.choiceOf("C", "P", []string{"G"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"K"}, "W"); err != nil {
+	if err := d.repairByKey("R", "I", []string{"K"}, "W"); err != nil {
 		t.Fatal(err)
 	}
 	return d

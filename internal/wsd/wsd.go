@@ -14,7 +14,8 @@
 //
 // repair-by-key on a certain relation produces one component per key group
 // (linear size, exponentially many worlds); choice-of produces a single
-// component. Both also accept *uncertain* sources (split.go): components
+// component. Both run one split (split.go) for which a certain source is the
+// case with no feeding components, and so accept *uncertain* sources: components
 // are first-class refinable objects arranged in a *decomposition tree*
 // (a d-tree): a component may hang under a specific alternative of a
 // parent component (Component.Parent/ParentAlt) and is active only in the
@@ -178,12 +179,6 @@ type WSD struct {
 	Weighted bool
 	// MergeLimit bounds partial expansions (component merges).
 	MergeLimit int
-	// ApproxSamples is the Monte-Carlo sample count APPROX CONF uses when
-	// a merge would exceed MergeLimit (DefaultApproxSamples when ≤ 0), and
-	// ApproxSeed seeds the sampler: a fixed pair makes the estimate
-	// deterministic.
-	ApproxSamples int
-	ApproxSeed    int64
 	// interrupt and trace belong to the statement executing now (see
 	// SetStatement); an interrupted merge leaves the decomposition as it was.
 	interrupt func() error
@@ -251,11 +246,11 @@ func (d *WSD) PutCertain(name string, rel *relation.Relation) error {
 	return nil
 }
 
-// InsertCertain appends rows to a certain relation — the compact
+// insertCertain appends rows to a certain relation — the compact
 // counterpart of INSERT INTO over complete data. The stored relation is
 // replaced by an extended clone, so snapshots handed out earlier (e.g. by
 // Expand) are unaffected.
-func (d *WSD) InsertCertain(name string, rows []tuple.Tuple) error {
+func (d *WSD) insertCertain(name string, rows []tuple.Tuple) error {
 	rel, sch, err := d.certainRelation(name)
 	if err != nil {
 		return err
@@ -273,13 +268,20 @@ func (d *WSD) InsertCertain(name string, rows []tuple.Tuple) error {
 	return nil
 }
 
-// dropCertain removes a certain relation from the decomposition. Uncertain
-// relations (fed by components) cannot be dropped without expanding.
-func (d *WSD) dropCertain(name string) error {
-	if _, _, err := d.certainRelation(name); err != nil {
-		return err
+// drop removes relation name — its certain part, its registration and its
+// contribution to every alternative — and keeps every component, as the
+// naive engine's DROP keeps every world.
+func (d *WSD) drop(name string) error {
+	k := key(name)
+	if _, ok := d.schemas[k]; !ok {
+		return fmt.Errorf("%w: %s", ErrUnknown, name)
 	}
-	delete(d.certain, key(name))
+	delete(d.certain, k)
+	for _, c := range d.comps {
+		for i := range c.Alts {
+			delete(c.Alts[i].Contrib, k)
+		}
+	}
 	d.unregister(name)
 	return nil
 }

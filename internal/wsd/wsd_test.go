@@ -52,7 +52,7 @@ func newFigure2WSD(t *testing.T) *WSD {
 	if err := d.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"A"}, "D"); err != nil {
+	if err := d.repairByKey("R", "I", []string{"A"}, "D"); err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -162,7 +162,7 @@ func TestChoiceOf(t *testing.T) {
 	if err := d.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ChoiceOf("R", "P", []string{"A"}, "D"); err != nil {
+	if err := d.choiceOf("R", "P", []string{"A"}, "D"); err != nil {
 		t.Fatal(err)
 	}
 	if d.ComponentCount() != 1 || d.WorldCount().Cmp(big.NewInt(3)) != 0 {
@@ -233,7 +233,7 @@ func TestExpandLimitGuard(t *testing.T) {
 	if err := d.PutCertain("R", rel); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+	if err := d.repairByKey("R", "I", []string{"K"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	// 2^20 worlds, limit 1<<16.
@@ -255,7 +255,7 @@ func TestConfOnUnweighted(t *testing.T) {
 	if err := d.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"A"}, ""); err != nil {
+	if err := d.repairByKey("R", "I", []string{"A"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Conf("I", row("a3", 20, "c5", 6)); !errors.Is(err, ErrNotWeighted) {
@@ -273,39 +273,39 @@ func TestWeightOnUnweightedRejected(t *testing.T) {
 	if err := d.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"A"}, "D"); !errors.Is(err, ErrNotWeighted) {
+	if err := d.repairByKey("R", "I", []string{"A"}, "D"); !errors.Is(err, ErrNotWeighted) {
 		t.Errorf("weighted repair on unweighted WSD = %v", err)
 	}
-	if err := d.ChoiceOf("R", "P", []string{"A"}, "D"); !errors.Is(err, ErrNotWeighted) {
+	if err := d.choiceOf("R", "P", []string{"A"}, "D"); !errors.Is(err, ErrNotWeighted) {
 		t.Errorf("weighted choice on unweighted WSD = %v", err)
 	}
 }
 
 func TestRepairErrors(t *testing.T) {
 	d := New(true)
-	if err := d.RepairByKey("Nope", "I", []string{"A"}, ""); !errors.Is(err, ErrUnknown) {
+	if err := d.repairByKey("Nope", "I", []string{"A"}, ""); !errors.Is(err, ErrUnknown) {
 		t.Errorf("unknown source = %v", err)
 	}
 	if err := d.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"Z"}, ""); err == nil {
+	if err := d.repairByKey("R", "I", []string{"Z"}, ""); err == nil {
 		t.Error("unknown key column must fail")
 	}
-	if err := d.RepairByKey("R", "I", []string{"A"}, "Zz"); err == nil {
+	if err := d.repairByKey("R", "I", []string{"A"}, "Zz"); err == nil {
 		t.Error("unknown weight column must fail")
 	}
-	if err := d.RepairByKey("R", "R", []string{"A"}, ""); !errors.Is(err, ErrExists) {
+	if err := d.repairByKey("R", "R", []string{"A"}, ""); !errors.Is(err, ErrExists) {
 		t.Errorf("dst collision = %v", err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"A"}, ""); err != nil {
+	if err := d.repairByKey("R", "I", []string{"A"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	// I is uncertain: repairing it splits components instead of refusing
 	// (each key group has one candidate per world, so the repair is the
 	// identity and the world count is preserved).
 	before := d.WorldCount().String()
-	if err := d.RepairByKey("I", "J", []string{"A"}, ""); err != nil {
+	if err := d.repairByKey("I", "J", []string{"A"}, ""); err != nil {
 		t.Errorf("repair of uncertain relation = %v", err)
 	} else if got := d.WorldCount().String(); got != before {
 		t.Errorf("identity chained repair changed world count: %s -> %s", before, got)
@@ -320,7 +320,7 @@ func TestAssertLocalFiltering(t *testing.T) {
 	// Drop worlds where I contains C-value c1 (Example 2.5). The assert
 	// touches I, whose a1 component gets filtered; a2/a3 components stay
 	// untouched only if independent — here merge involves all I components.
-	err := d.Assert([]string{"I"}, func(cat plan.Catalog) (bool, error) {
+	err := d.assert([]string{"I"}, func(cat plan.Catalog) (bool, error) {
 		rel, err := cat.Lookup("I")
 		if err != nil {
 			return false, err
@@ -355,11 +355,11 @@ func TestAssertCertainOnly(t *testing.T) {
 	if err := d.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	err := d.Assert([]string{"R"}, func(cat plan.Catalog) (bool, error) { return true, nil })
+	err := d.assert([]string{"R"}, func(cat plan.Catalog) (bool, error) { return true, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = d.Assert([]string{"R"}, func(cat plan.Catalog) (bool, error) { return false, nil })
+	err = d.assert([]string{"R"}, func(cat plan.Catalog) (bool, error) { return false, nil })
 	if !errors.Is(err, ErrEmpty) {
 		t.Errorf("failing certain assert = %v", err)
 	}
@@ -367,7 +367,7 @@ func TestAssertCertainOnly(t *testing.T) {
 
 func TestAssertDroppingAllWorldsFails(t *testing.T) {
 	d := newFigure2WSD(t)
-	err := d.Assert([]string{"I"}, func(plan.Catalog) (bool, error) { return false, nil })
+	err := d.assert([]string{"I"}, func(plan.Catalog) (bool, error) { return false, nil })
 	if !errors.Is(err, ErrEmpty) {
 		t.Errorf("assert dropping everything = %v", err)
 	}
@@ -415,10 +415,10 @@ func TestMergeLimitGuard(t *testing.T) {
 	if err := d.PutCertain("R", rel); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+	if err := d.repairByKey("R", "I", []string{"K"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	err := d.Assert([]string{"I"}, func(plan.Catalog) (bool, error) { return true, nil })
+	err := d.assert([]string{"I"}, func(plan.Catalog) (bool, error) { return true, nil })
 	if !errors.Is(err, ErrMergeTooBig) {
 		t.Errorf("oversized merge = %v", err)
 	}
@@ -437,7 +437,7 @@ func TestMillionComponentWorldCount(t *testing.T) {
 	if err := d.PutCertain("R", rel); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RepairByKey("R", "I", []string{"K"}, ""); err != nil {
+	if err := d.repairByKey("R", "I", []string{"K"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	count := d.WorldCount()
@@ -475,10 +475,10 @@ func TestInsertCertainAndDrop(t *testing.T) {
 	if err := d.PutCertain("T", r); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InsertCertain("T", nil); err != nil {
+	if err := d.insertCertain("T", nil); err != nil {
 		t.Fatalf("empty insert: %v", err)
 	}
-	if err := d.InsertCertain("T", []tuple.Tuple{row("y", 2), row("z", 3)}); err != nil {
+	if err := d.insertCertain("T", []tuple.Tuple{row("y", 2), row("z", 3)}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := d.Possible("T")
@@ -489,23 +489,37 @@ func TestInsertCertainAndDrop(t *testing.T) {
 		t.Fatalf("after insert: %v", got.Rows())
 	}
 	// Width mismatch rejected.
-	if err := d.InsertCertain("T", []tuple.Tuple{row("w")}); err == nil {
+	if err := d.insertCertain("T", []tuple.Tuple{row("w")}); err == nil {
 		t.Fatal("want width error")
 	}
-	// Uncertain relations reject inserts and drops.
-	if err := d.RepairByKey("T", "U", []string{"A"}, ""); err != nil {
+	// Uncertain relations reject inserts; dropping one removes its
+	// contributions and keeps every component, so the world count stays.
+	if err := d.repairByKey("T", "U", []string{"A"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InsertCertain("U", []tuple.Tuple{row("q", 9)}); err == nil {
+	if err := d.insertCertain("U", []tuple.Tuple{row("q", 9)}); err == nil {
 		t.Fatal("insert into uncertain relation must fail")
 	}
-	if err := d.dropCertain("U"); err == nil {
-		t.Fatal("dropping uncertain relation must fail")
+	worlds, comps := d.WorldCount().String(), d.ComponentCount()
+	if err := d.drop("U"); err != nil {
+		t.Fatalf("drop uncertain relation: %v", err)
 	}
-	if err := d.dropCertain("T"); err != nil {
+	if _, err := d.Possible("U"); !errors.Is(err, ErrUnknown) {
+		t.Fatalf("U should be gone: %v", err)
+	}
+	if d.WorldCount().String() != worlds || d.ComponentCount() != comps {
+		t.Fatalf("drop restructured the decomposition: %s", d)
+	}
+	if err := d.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.drop("T"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Possible("T"); err == nil {
 		t.Fatal("T should be gone")
+	}
+	if err := d.drop("T"); !errors.Is(err, ErrUnknown) {
+		t.Fatalf("second drop: %v, want ErrUnknown", err)
 	}
 }

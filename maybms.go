@@ -99,8 +99,9 @@
 // linear size), and UPDATE/DELETE rewrite the certain part and each
 // alternative's contribution separately. Only plans that genuinely
 // correlate several components fall back to a bounded partial expansion of
-// exactly the involved components. CompactDB.Select runs closures directly;
-// CompactDB.MergeCount and ComponentwiseCount expose the routing. What the
+// exactly the involved components. CompactDB.Exec runs closures like every
+// other statement; CompactDB.MergeCount and ComponentwiseCount expose the
+// routing. What the
 // compact engine refuses is the refusal table beside its statement switch
 // (internal/wsd), and every refusal wraps ErrCompactUnsupported.
 //

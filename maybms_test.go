@@ -129,9 +129,7 @@ func TestCompactParity(t *testing.T) {
 	if err := cdb.Register("R", cols, rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := cdb.RepairByKey("R", "I", []string{"A"}, "D"); err != nil {
-		t.Fatal(err)
-	}
+	cdb.MustExec("create table I as select * from R repair by key A weight D")
 	if cdb.WorldCount().Cmp(big.NewInt(4)) != 0 {
 		t.Fatalf("compact worlds = %s", cdb.WorldCount())
 	}
@@ -171,18 +169,16 @@ func TestCompactAssertAndMaterialize(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cdb.RepairByKey("R", "I", []string{"A"}, "D"); err != nil {
-		t.Fatal(err)
-	}
+	cdb.MustExec("create table I as select * from R repair by key A weight D")
 	// Example 2.5 on the compact backend.
-	if err := cdb.Assert("not exists (select * from I where C = 'c1')"); err != nil {
+	if _, err := cdb.Exec("assert not exists (select * from I where C = 'c1')"); err != nil {
 		t.Fatal(err)
 	}
 	if cdb.WorldCount().Cmp(big.NewInt(2)) != 0 {
 		t.Fatalf("worlds after assert = %s", cdb.WorldCount())
 	}
 	// Materialize a selection per world (Example 2.2 shape).
-	if err := cdb.MaterializeQuery("D2", "select * from I where A = 'a3'"); err != nil {
+	if _, err := cdb.Exec("create table D2 as select * from I where A = 'a3'"); err != nil {
 		t.Fatal(err)
 	}
 	cert, err := cdb.Certain("D2")
@@ -206,13 +202,7 @@ func TestCompactAssertAndMaterialize(t *testing.T) {
 
 func TestCompactErrors(t *testing.T) {
 	cdb := OpenCompact()
-	if err := cdb.MaterializeQuery("X", "insert into R values (1)"); err == nil {
-		t.Error("non-select must be rejected")
-	}
-	if err := cdb.MaterializeQuery("X", "select possible a from R"); err == nil {
-		t.Error("I-SQL must be rejected")
-	}
-	if err := cdb.Assert("not valid sql (("); err == nil {
+	if _, err := cdb.Exec("assert not valid sql (("); err == nil {
 		t.Error("bad condition must be rejected")
 	}
 	if _, err := cdb.Conf("I", struct{}{}); err == nil {
@@ -222,7 +212,7 @@ func TestCompactErrors(t *testing.T) {
 	if err := incomplete.Register("R", []string{"K"}, [][]any{{1}, {1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := incomplete.RepairByKey("R", "I", []string{"K"}, "K"); err == nil {
+	if _, err := incomplete.Exec("create table I as select * from R repair by key K weight K"); err == nil {
 		t.Error("weight on incomplete compact DB must fail")
 	}
 }
