@@ -78,10 +78,10 @@ func TestInsertColumnListsBothBackends(t *testing.T) {
 		}
 	}
 	want := [][]any{
-		{int64(1), nil, int64(3)},
-		{int64(10), nil, int64(30)},
-		{nil, int64(42), nil},
-		{int64(7), int64(8), int64(9)},
+		{1.0, nil, 3.0},
+		{10.0, nil, 30.0},
+		{nil, 42.0, nil},
+		{7.0, 8.0, 9.0},
 	}
 	for _, backend := range []string{"naive", "compact"} {
 		resp := handleOK(t, srv, Request{Session: backend + "-cols", Backend: backend, Query: "select certain A, B, C from T"})

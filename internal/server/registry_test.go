@@ -317,14 +317,14 @@ func TestMaxRowsValidation(t *testing.T) {
 			t.Fatalf("%q: %s", q, resp.Error)
 		}
 	}
-	resp = srv.Handle(context.Background(), &Request{Session: "m", Query: "select certain A from T", MaxRows: -1})
+	resp = decoded(t, srv.Handle(context.Background(), &Request{Session: "m", Query: "select certain A from T", MaxRows: -1}))
 	if !resp.OK {
 		t.Fatal(resp.Error)
 	}
 	if n := len(resp.Groups[0].Rows.Rows); n != 2 || !resp.Truncated {
 		t.Fatalf("client -1 lifted a configured cap: %d rows, truncated=%v", n, resp.Truncated)
 	}
-	resp = srv.Handle(context.Background(), &Request{Session: "m", Query: "select certain A from T", MaxRows: 1})
+	resp = decoded(t, srv.Handle(context.Background(), &Request{Session: "m", Query: "select certain A from T", MaxRows: 1}))
 	if n := len(resp.Groups[0].Rows.Rows); n != 1 {
 		t.Fatalf("client could not lower the cap: %d rows", n)
 	}

@@ -354,7 +354,8 @@ func (s *Server) serveConn(conn net.Conn, busy *atomic.Bool) {
 	}()
 	scanner := bufio.NewScanner(conn)
 	scanner.Buffer(make([]byte, 64*1024), maxRequestBytes)
-	enc := json.NewEncoder(conn)
+	// buf is the connection's one response buffer, reused line after line.
+	var buf []byte
 	for scanner.Scan() {
 		line := strings.TrimSpace(scanner.Text())
 		if line == "" {
@@ -370,21 +371,26 @@ func (s *Server) serveConn(conn net.Conn, busy *atomic.Bool) {
 		var req Request
 		var resp *Response
 		if err := json.Unmarshal([]byte(line), &req); err != nil {
-			resp = errorResponse("", fmt.Errorf("bad request: %w", err))
+			resp = errorResponse("", fmt.Errorf("bad request: %w", err)).encode(buf)
 		} else {
-			resp = s.Handle(s.baseCtx, &req)
+			resp = s.handle(s.baseCtx, &req, buf).encode(buf)
 		}
-		err := enc.Encode(resp)
+		_, err := conn.Write(resp.line)
 		busy.Store(false)
 		if err != nil || s.closing.Load() {
 			return
+		}
+		// Past maxRequestBytes the buffer is dropped, so that one huge
+		// answer does not stay pinned for the connection's life.
+		if buf = resp.line[:0]; cap(buf) > maxRequestBytes {
+			buf = nil
 		}
 	}
 	// A failed read (e.g. a request line beyond maxRequestBytes)
 	// still owes the client a diagnostic before the connection closes —
 	// resynchronizing mid-line is impossible, so closing is correct.
 	if err := scanner.Err(); err != nil {
-		_ = enc.Encode(errorResponse("", fmt.Errorf("read: %w", err)))
+		_, _ = conn.Write(errorResponse("", fmt.Errorf("read: %w", err)).encode(buf).line)
 	}
 }
 
@@ -404,7 +410,7 @@ func (s *Server) handleHTTPQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(status)
-		_ = json.NewEncoder(w).Encode(errorResponse("", fmt.Errorf("bad request: %w", err)))
+		_, _ = w.Write(errorResponse("", fmt.Errorf("bad request: %w", err)).encode(nil).line)
 		return
 	}
 	if v := r.URL.Query().Get("trace"); v == "1" || v == "true" {
@@ -415,9 +421,9 @@ func (s *Server) handleHTTPQuery(w http.ResponseWriter, r *http.Request) {
 	if !resp.OK {
 		w.WriteHeader(http.StatusUnprocessableEntity)
 	}
-	// Encode streams straight into the chunked response body, so large
-	// (row-bounded) answers never double-buffer on the server.
-	_ = json.NewEncoder(w).Encode(resp)
+	// The line is encoded whole (row-bounded by max_rows) before the first
+	// byte is written: the same bytes a TCP client reads.
+	_, _ = w.Write(resp.line)
 }
 
 // health snapshots the process-wide counters.
@@ -476,8 +482,16 @@ func (s *Server) handleHTTPStats(w http.ResponseWriter, r *http.Request) {
 
 // Handle executes one request. It is the transport-independent entry
 // point (both the TCP and HTTP paths go through it), safe for concurrent
-// use.
+// use. The response's Line holds exactly what a TCP client would read;
+// answer cells are written only there, so an in-process caller decodes
+// Line into a Response to read them (Worlds and Groups are left empty).
 func (s *Server) Handle(ctx context.Context, req *Request) *Response {
+	return s.handle(ctx, req, nil).encode(nil)
+}
+
+// handle executes one request; a query's answer line is written into
+// buf's storage.
+func (s *Server) handle(ctx context.Context, req *Request, buf []byte) *Response {
 	name, err := normalizeSessionName(req.Session)
 	if err != nil {
 		return errorResponse(req.Session, err)
@@ -485,7 +499,7 @@ func (s *Server) Handle(ctx context.Context, req *Request) *Response {
 	switch req.Op {
 	case "", OpQuery:
 		requestsQuery.Inc()
-		resp := s.handleQuery(ctx, name, req)
+		resp := s.handleQuery(ctx, name, req, buf)
 		if !resp.OK {
 			requestErrors.Inc()
 		}
@@ -538,8 +552,9 @@ func (s *Server) effectiveMaxRows(req *Request) (int, error) {
 	return req.MaxRows, nil
 }
 
-// handleQuery runs one statement against the named session.
-func (s *Server) handleQuery(ctx context.Context, name string, req *Request) *Response {
+// handleQuery runs one statement against the named session and writes
+// its answer line into buf's storage.
+func (s *Server) handleQuery(ctx context.Context, name string, req *Request, buf []byte) *Response {
 	if strings.TrimSpace(req.Query) == "" {
 		return errorResponse(name, errors.New("empty query"))
 	}
@@ -620,10 +635,18 @@ func (s *Server) handleQuery(ctx context.Context, name string, req *Request) *Re
 		// The exec goroutine has finished (outcome received), so the trace
 		// is quiescent: spanning the encode and snapshotting are safe.
 		sp := tr.Begin("encode")
-		resp := encodeResult(name, out.res, maxRows, req.Render)
+		resp, line, err := encodeResult(buf[:0], name, out.res, maxRows, req.Render)
 		sp.End(tr)
+		if err != nil {
+			return errorResponse(name, err)
+		}
 		if req.Trace && tr != nil {
 			resp.Trace = tr.JSON()
+		}
+		// trace is the line's last field, so it follows the encode span it
+		// reports.
+		if resp.line, err = appendTail(line, resp); err != nil {
+			return errorResponse(name, err)
 		}
 		return resp
 	case <-ctx.Done():

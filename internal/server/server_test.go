@@ -58,9 +58,21 @@ func embeddedTranscript(t *testing.T, stmts []string) []string {
 	return out
 }
 
+// decoded reads resp the way every client does, by decoding its line:
+// Handle writes answer cells only there.
+func decoded(t testing.TB, resp *Response) *Response {
+	t.Helper()
+	var out Response
+	if err := json.Unmarshal(resp.Line(), &out); err != nil {
+		t.Fatalf("response line %q: %v", resp.Line(), err)
+	}
+	return &out
+}
+
+// handleOK runs req and returns its decoded line, failing on ok:false.
 func handleOK(t *testing.T, srv *Server, req Request) *Response {
 	t.Helper()
-	resp := srv.Handle(context.Background(), &req)
+	resp := decoded(t, srv.Handle(context.Background(), &req))
 	if !resp.OK {
 		t.Fatalf("request %+v failed: %s", req, resp.Error)
 	}
@@ -126,7 +138,7 @@ func TestMaxRowsTruncation(t *testing.T) {
 		t.Fatalf("unbounded response = %+v", resp)
 	}
 	// Values arrive as JSON-typed cells.
-	if v, ok := resp.Worlds[0].Rows.Rows[0][0].(int64); !ok || v != 1 {
+	if v, ok := resp.Worlds[0].Rows.Rows[0][0].(float64); !ok || v != 1 {
 		t.Fatalf("cell = %#v", resp.Worlds[0].Rows.Rows[0][0])
 	}
 	// Render honours the bound too: a truncated response omits Text
@@ -296,7 +308,7 @@ func TestSharedPlanCacheCrossSessionHits(t *testing.T) {
 func TestCompactBackend(t *testing.T) {
 	srv := New(Config{})
 	sess := func(q string) *Response {
-		return srv.Handle(context.Background(), &Request{Session: "c", Backend: "compact", Query: q})
+		return decoded(t, srv.Handle(context.Background(), &Request{Session: "c", Backend: "compact", Query: q}))
 	}
 	mustOK := func(q string) *Response {
 		t.Helper()
@@ -337,8 +349,8 @@ func TestCompactBackend(t *testing.T) {
 
 	// Plain SQL over certain relations answers directly.
 	resp = mustOK("select count(*) from R")
-	if v := resp.Groups[0].Rows.Rows[0][0].(int64); v != 5 {
-		t.Fatalf("count = %d", v)
+	if v := resp.Groups[0].Rows.Rows[0][0].(float64); v != 5 {
+		t.Fatalf("count = %g", v)
 	}
 
 	// Materialization by partial expansion, then assert (Example 2.5's

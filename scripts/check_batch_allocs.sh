@@ -57,6 +57,14 @@
 # ~48k allocs/op, ~186 per alternative and nearly all of them the
 # evaluation's own (as under the per-relation worldset closing it
 # replaced); the ~1.9x ceiling trips when the work per alternative doubles.
+#
+# The answer-encoding gate holds the server's wire encoder to per-relation
+# allocation: BenchmarkEncodeAnswer writes a 10 000 x 6 columnar answer and
+# a 2 000 x 4 row-backed one into a reused buffer, as a TCP connection
+# does — steady state 2 and 1 allocs/op (the response envelope, plus the
+# column table of a columnar batch). Boxing cells into an any again (60 000
+# and 8 000 cells here), or columnarising a row-backed answer, trips the 2x
+# ceilings at once.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -71,6 +79,8 @@ $(go test . -bench 'BenchmarkConditional(Select|Conf)/nested/groups=18' \
 $(go test . -bench '^BenchmarkImportedRead$/^(conf|join)$/^rows=40000$/^alts=24$' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
 $(go test . -bench '^BenchmarkMergeRoute$/^conf\.subquery$' \
+    -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
+$(go test ./internal/server/ -bench '^BenchmarkEncodeAnswer$' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)"
 
 fail=0
@@ -101,6 +111,8 @@ check 'BenchmarkConditionalConf/nested/groups=18/worlds=2\^18' 3100
 check 'BenchmarkImportedRead/conf/rows=40000/alts=24' 2000
 check 'BenchmarkImportedRead/join/rows=40000/alts=24' 2200
 check 'BenchmarkMergeRoute/conf\.subquery' 90000
+check 'BenchmarkEncodeAnswer/columnar' 4
+check 'BenchmarkEncodeAnswer/rows' 2
 
 if [ "$fail" -ne 0 ]; then
     echo "check_batch_allocs: vectorized path regressed (or benchmarks renamed)" >&2

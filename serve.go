@@ -24,7 +24,12 @@ type Server = server.Server
 
 // ServerRequest and ServerResponse are the wire types of the server
 // protocol (one JSON object per line over TCP; the POST /v1/query body
-// and response over HTTP).
+// and response over HTTP). Clients decode response lines into
+// ServerResponse. An in-process caller of (*Server).Handle does the same:
+// the server writes answer cells straight from the engine's columns into
+// the response line, so Handle's ServerResponse carries the envelope (OK,
+// Error, Kind, Text, Truncated, Trace, …) with Worlds and Groups empty,
+// and json.Unmarshal of its Line() yields the cells.
 type (
 	ServerRequest  = server.Request
 	ServerResponse = server.Response
