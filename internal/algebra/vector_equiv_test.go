@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"maybms/internal/colbatch"
 	"maybms/internal/expr"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
@@ -258,5 +259,71 @@ func TestRowBatchEquivalenceFuzz(t *testing.T) {
 	}
 	if mirrored < 250 {
 		t.Fatalf("only %d of 300 trees had a batch mirror", mirrored)
+	}
+}
+
+// TestConnectiveVecEquivalence holds AND, OR and NOT to the row evaluator
+// on every operand shape they combine: null-free bool columns and
+// comparisons (the typed fast path), bool constants, a nullable bool
+// column, NULL and non-bool operands (type errors), and an operand that
+// errs at some rows — on its own side and under the other side's
+// short-circuit. Each row's value (kind and bytes) and error text must
+// match.
+func TestConnectiveVecEquivalence(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(5))
+	sch := schema.New("bf", "bn", "i", "z")
+	rows := make([][]value.Value, 64)
+	for r := range rows {
+		bn := value.Bool(rng.Intn(2) == 0)
+		if rng.Intn(4) == 0 {
+			bn = value.Null()
+		}
+		rows[r] = []value.Value{value.Bool(rng.Intn(2) == 0), bn, value.Int(int64(rng.Intn(6))), value.Int(int64(rng.Intn(3)))}
+	}
+	rel := relation.New(sch)
+	for _, row := range rows {
+		rel.MustAppend(row)
+	}
+	b := colbatch.FromRows(sch, rel.Rows())
+	col := func(i int) expr.Expr { return expr.Column{Index: i, Name: sch.At(i).Name} }
+	operands := []expr.Expr{
+		col(0), // null-free bool column
+		col(1), // nullable bool column
+		expr.Cmp{Op: expr.CmpGt, L: col(2), R: expr.Const{Value: value.Int(2)}}, // null-free comparison
+		expr.Const{Value: value.Bool(true)},
+		expr.Const{Value: value.Bool(false)},
+		expr.Const{Value: value.Null()},
+		expr.Const{Value: value.Int(1)}, // not a boolean
+		col(2),                          // not a boolean
+		expr.Cmp{Op: expr.CmpLt, L: expr.Arith{Op: value.OpDiv, L: expr.Const{Value: value.Int(6)}, R: col(3)}, R: col(2)}, // errs where z = 0
+	}
+	var shapes []expr.Expr
+	for _, l := range operands {
+		shapes = append(shapes, expr.Not{E: l})
+		for _, r := range operands {
+			shapes = append(shapes, expr.And{L: l, R: r}, expr.Or{L: l, R: r})
+		}
+	}
+	shapes = append(shapes,
+		expr.And{L: expr.And{L: col(0), R: operands[2]}, R: expr.Not{E: col(0)}},
+		expr.Or{L: expr.Not{E: operands[2]}, R: expr.And{L: col(0), R: operands[8]}},
+	)
+	cell := func(v value.Value, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return fmt.Sprintf("%d:%x", v.Kind(), v.Encode(nil))
+	}
+	for _, e := range shapes {
+		v := expr.EvalVec(e, b)
+		ctx := &expr.Context{Schema: sch}
+		for i, row := range rel.Rows() {
+			ctx.Tuple = row
+			want := cell(e.Eval(ctx))
+			if got := cell(v.At(i), v.ErrAt(i)); got != want {
+				t.Fatalf("%s row %d: vector %s, row %s", e, i, got, want)
+			}
+		}
 	}
 }

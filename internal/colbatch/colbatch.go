@@ -635,6 +635,73 @@ func (b *Batch) Gather(sel []int32) *Batch {
 	return out
 }
 
+// Update returns b with, for each t in order, the cells of column idx[t] at
+// the rows sel (ascending) replaced by the cells of cols[t] — one per
+// selected row — so a later t overwrites an earlier one on the same column.
+// The updated columns are fresh copies; every other column is shared
+// zero-copy with b behind a capacity-clamped slice, as Slice shares it, so
+// an append to either batch never reaches the other. b must be columnar.
+func (b *Batch) Update(sel []int32, idx []int, cols []Col) *Batch {
+	out := b.Slice(0, b.n)
+	for t, j := range idx {
+		out.cols[j] = out.cols[j].scatter(b.n, sel, &cols[t])
+	}
+	return out
+}
+
+// scatter returns a copy of c's n cells with the cells at rows sel replaced
+// by src's cells 0..len(sel)-1. Typed columns of one kind copy and overwrite
+// their payloads; any other pair is rebuilt cell by cell, degrading as
+// Append does.
+func (c *Col) scatter(n int, sel []int32, src *Col) Col {
+	if c.Any != nil || src.Any != nil || c.Kind != src.Kind || c.Kind == value.KindNull {
+		var out Col
+		k := 0
+		for i := 0; i < n; i++ {
+			if k < len(sel) && int(sel[k]) == i {
+				out.append(i, src.Value(k))
+				k++
+			} else {
+				out.append(i, c.Value(i))
+			}
+		}
+		return out
+	}
+	out := Col{Kind: c.Kind}
+	if c.Nulls != nil || src.Nulls != nil {
+		out.Nulls = make([]bool, n)
+		if c.Nulls != nil {
+			copy(out.Nulls, c.Nulls[:n])
+		}
+		for k, s := range sel {
+			out.Nulls[s] = src.Nulls != nil && src.Nulls[k]
+		}
+	}
+	switch c.Kind {
+	case value.KindInt:
+		out.Ints = append([]int64(nil), c.Ints[:n]...)
+		for k, s := range sel {
+			out.Ints[s] = src.Ints[k]
+		}
+	case value.KindFloat:
+		out.Floats = append([]float64(nil), c.Floats[:n]...)
+		for k, s := range sel {
+			out.Floats[s] = src.Floats[k]
+		}
+	case value.KindString:
+		out.Strs = append([]string(nil), c.Strs[:n]...)
+		for k, s := range sel {
+			out.Strs[s] = src.Strs[k]
+		}
+	case value.KindBool:
+		out.Bools = append([]bool(nil), c.Bools[:n]...)
+		for k, s := range sel {
+			out.Bools[s] = src.Bools[k]
+		}
+	}
+	return out
+}
+
 // GatherConcat builds the join-output batch: for each i, the row l[lsel[i]]
 // concatenated with r[rsel[i]], under schema out.
 func GatherConcat(out *schema.Schema, l *Batch, lsel []int32, r *Batch, rsel []int32) *Batch {

@@ -280,19 +280,23 @@ func (s *Session) insertRows(st *sqlparse.Insert) ([]tuple.Tuple, error) {
 	return plan.ConstInsertRows(st, base.Schema)
 }
 
-// checkKey verifies the key uniqueness constraint on rel.
+// checkKey verifies the key uniqueness constraint on rel. Keys are encoded
+// from the batch (the bytes of tuple.KeyOn); a row is materialised only to
+// word a violation.
 func checkKey(rel *relation.Relation, key []string) error {
 	idx, err := rel.Schema.IndexesOf(key)
 	if err != nil {
 		return err
 	}
-	seen := make(map[string]struct{}, rel.Len())
-	for _, t := range rel.Rows() {
-		k := t.KeyOn(idx)
-		if _, dup := seen[k]; dup {
-			return fmt.Errorf("%w: duplicate key (%s) value %s", ErrKeyViolation, strings.Join(key, ", "), t.Project(idx))
+	bv := rel.BatchView()
+	seen := make(map[string]struct{}, bv.Len())
+	var buf []byte
+	for i := 0; i < bv.Len(); i++ {
+		buf = bv.AppendKeyOn(buf[:0], idx, i)
+		if _, dup := seen[string(buf)]; dup {
+			return fmt.Errorf("%w: duplicate key (%s) value %s", ErrKeyViolation, strings.Join(key, ", "), bv.Row(i).Project(idx))
 		}
-		seen[k] = struct{}{}
+		seen[string(buf)] = struct{}{}
 	}
 	return nil
 }
@@ -318,11 +322,12 @@ func (s *Session) dmlTemplate(st sqlparse.Statement, table string) (*plan.Prepar
 
 // execDML applies an UPDATE or DELETE to table in every world: the
 // statement compiles once (dmlTemplate), and each world binds the template
-// and runs its row rewrite — the template and rewrite the compact engine
-// runs per piece. Candidate relations are committed only when every world
-// succeeds; with key set (an UPDATE of a table with a declared primary key)
-// a violation in any world aborts the statement. msg reports the changed
-// rows and the world count.
+// and runs its row rewrite over the relation's batch — the template and
+// rewrite the compact engine runs per piece. A world where no row matches
+// keeps its relation. Candidate relations are committed only when every
+// world succeeds; with key set (an UPDATE of a table with a declared
+// primary key) a violation in any world aborts the statement. msg reports
+// the changed rows and the world count.
 func (s *Session) execDML(st sqlparse.Statement, table, msg string, key []string) (*Result, error) {
 	tmpl, err := s.dmlTemplate(st, table)
 	if err != nil {
@@ -343,11 +348,14 @@ func (s *Session) execDML(st sqlparse.Statement, table, msg string, key []string
 		if err != nil {
 			return nil, err
 		}
-		rows, changed, err := bound.Apply(cur.Rows())
+		out, changed, err := bound.Apply(cur.BatchView())
 		if err != nil {
 			return nil, err
 		}
-		cands[i] = relation.FromRowsShared(cur.Schema, rows)
+		cands[i] = cur
+		if changed > 0 {
+			cands[i] = relation.FromBatch(out)
+		}
 		if len(key) > 0 {
 			if err := checkKey(cands[i], key); err != nil {
 				return nil, fmt.Errorf("%w in world %s (statement discarded in all worlds)", err, w.Name)

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -476,5 +478,80 @@ func TestGroupWorldsByWithConf(t *testing.T) {
 		if math.Abs(sum-want) > eps {
 			t.Errorf("group conf sum = %g, want %g", sum, want)
 		}
+	}
+}
+
+// TestKeyViolationOnColumnarTable checks that checkKey, reading keys from
+// the batch, words a violation byte for byte as it does on a table built
+// row by row: the same UPDATE over the same rows, once IMPORTed (columnar)
+// and once INSERTed (row-backed), fails with the same message.
+func TestKeyViolationOnColumnarTable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.csv")
+	if err := os.WriteFile(path, []byte("A,B\n1,x\n2,y\n3,\n4,w\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	imported := NewSession(true)
+	mustExec(t, imported, "import into P from '"+path+"'")
+	if rel, _ := imported.set.Worlds[0].Lookup("P"); rel.BatchView().RowBacked() {
+		t.Fatal("setup: the imported table is row-backed")
+	}
+	// IMPORT creates its table, so the key is declared behind its back.
+	imported.keys["p"] = []string{"A", "B"}
+
+	inserted := NewSession(true)
+	mustExec(t, inserted, "create table P (A, B, primary key (A, B))")
+	mustExec(t, inserted, "insert into P values (1, 'x'), (2, 'y'), (3, null), (4, 'w')")
+
+	const update = "update P set A = 1, B = 'x' where A >= 3"
+	_, colErr := imported.Exec(update)
+	_, rowErr := inserted.Exec(update)
+	if !errors.Is(colErr, ErrKeyViolation) || !errors.Is(rowErr, ErrKeyViolation) {
+		t.Fatalf("want key violations, got %v and %v", colErr, rowErr)
+	}
+	const want = "primary key violation: duplicate key (A, B) value (1, x) in world w1 (statement discarded in all worlds)"
+	if colErr.Error() != want || rowErr.Error() != want {
+		t.Fatalf("columnar: %q\nrow-backed: %q\nwant: %q", colErr, rowErr, want)
+	}
+	if rel, _ := imported.set.Worlds[0].Lookup("P"); rel.Len() != 4 || rel.BatchView().RowBacked() {
+		t.Fatalf("a failed update changed the table: %v", rel.Rows())
+	}
+}
+
+// TestDMLKeepsColumnarRelations checks the naive engine's UPDATE/DELETE
+// copy-on-write: an UPDATE matching nothing keeps the world's relation
+// itself, a matching one stores a new columnar relation and leaves the old
+// one as it was, and an INSERT into the new one does not reach the old.
+func TestDMLKeepsColumnarRelations(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.csv")
+	if err := os.WriteFile(path, []byte("A,B\n1,x\n2,y\n3,\n4,w\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(true)
+	mustExec(t, s, "import into P from '"+path+"'")
+	lookup := func() *relation.Relation {
+		rel, err := s.set.Worlds[0].Lookup("P")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel
+	}
+	before := lookup()
+	want := before.StoredString()
+
+	mustExec(t, s, "update P set B = 'z' where A > 100")
+	if lookup() != before {
+		t.Fatal("an UPDATE matching nothing replaced the relation")
+	}
+	mustExec(t, s, "update P set B = 'z' where A >= 3")
+	after := lookup()
+	if after == before || after.BatchView().RowBacked() {
+		t.Fatalf("a matching UPDATE stored the same or a row-backed relation")
+	}
+	mustExec(t, s, "insert into P values (5, 'v')")
+	if got := before.StoredString(); got != want {
+		t.Fatalf("the pre-UPDATE relation changed:\n%s\nwant:\n%s", got, want)
+	}
+	if got := after.StoredString(); got != "A  B\n-  -\n1  x\n2  y\n3  z\n4  z\n" {
+		t.Fatalf("the UPDATE's result changed under the INSERT:\n%s", got)
 	}
 }

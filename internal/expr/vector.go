@@ -263,8 +263,57 @@ func setBoolCell(out *Vec, i int, v value.Value) {
 	out.Col.Bools[i] = v.AsBool()
 }
 
+// boolSide describes one connective operand as a bool stream when it can
+// hold neither a NULL nor an error: a BOOLEAN constant, or a bool column
+// without nulls and without errors.
+type boolSide struct {
+	constv bool
+	cb     bool
+	bools  []bool
+}
+
+func boolStream(v *Vec) (boolSide, bool) {
+	if v.Errs != nil {
+		return boolSide{}, false
+	}
+	if v.Const {
+		if v.CV.Kind() != value.KindBool {
+			return boolSide{}, false
+		}
+		return boolSide{constv: true, cb: v.CV.AsBool()}, true
+	}
+	c := &v.Col
+	if c.Any != nil || c.Nulls != nil || c.Kind != value.KindBool {
+		return boolSide{}, false
+	}
+	return boolSide{bools: c.Bools}, true
+}
+
+func (s *boolSide) at(i int) bool {
+	if s.constv {
+		return s.cb
+	}
+	return s.bools[i]
+}
+
+// boolPair returns both operands as bool streams when both qualify. Over
+// them three-valued logic is two-valued, no cell is NULL and no row errs,
+// so the connectives combine the slices directly.
+func boolPair(l, r *Vec) (ls, rs boolSide, ok bool) {
+	if ls, ok = boolStream(l); ok {
+		rs, ok = boolStream(r)
+	}
+	return ls, rs, ok
+}
+
 func andVec(l, r *Vec, n int) Vec {
 	out := Vec{N: n, Col: colbatch.Col{Kind: value.KindBool, Bools: make([]bool, n)}}
+	if ls, rs, ok := boolPair(l, r); ok {
+		for i, bools := 0, out.Col.Bools; i < n; i++ {
+			bools[i] = ls.at(i) && rs.at(i)
+		}
+		return out
+	}
 	for i := 0; i < n; i++ {
 		if err := l.ErrAt(i); err != nil {
 			out.setErr(i, err)
@@ -292,6 +341,12 @@ func andVec(l, r *Vec, n int) Vec {
 
 func orVec(l, r *Vec, n int) Vec {
 	out := Vec{N: n, Col: colbatch.Col{Kind: value.KindBool, Bools: make([]bool, n)}}
+	if ls, rs, ok := boolPair(l, r); ok {
+		for i, bools := 0, out.Col.Bools; i < n; i++ {
+			bools[i] = ls.at(i) || rs.at(i)
+		}
+		return out
+	}
 	for i := 0; i < n; i++ {
 		if err := l.ErrAt(i); err != nil {
 			out.setErr(i, err)
@@ -331,6 +386,12 @@ func orVec(l, r *Vec, n int) Vec {
 
 func notVec(s *Vec, n int) Vec {
 	out := Vec{N: n, Col: colbatch.Col{Kind: value.KindBool, Bools: make([]bool, n)}}
+	if ss, ok := boolStream(s); ok {
+		for i, bools := 0, out.Col.Bools; i < n; i++ {
+			bools[i] = !ss.at(i)
+		}
+		return out
+	}
 	for i := 0; i < n; i++ {
 		if err := s.ErrAt(i); err != nil {
 			out.setErr(i, err)

@@ -7,9 +7,11 @@
 // backed by a colbatch.Batch — columnar when built by the bulk loaders and
 // closure builders (FromBatch), row-backed when built tuple-at-a-time (New,
 // FromRows, Append) — and Rows() materializes tuple.Tuple views lazily, once,
-// only when a row path asks. The vectorized read path (Batch, BatchView) and
-// the key-encoding paths (Distinct, Fingerprint, Contains) never touch
-// tuples on a columnar-backed relation.
+// only when a row path asks. The vectorized read path (Batch, BatchView),
+// the key-encoding paths (Distinct, Fingerprint, Contains) and both
+// engines' UPDATE/DELETE (plan's BoundDML.Apply over BatchView) never touch
+// tuples on a columnar-backed relation: an UPDATE's result is columnar
+// again (FromBatch), sharing its untouched columns with its input.
 package relation
 
 import (

@@ -12,27 +12,32 @@ package wsd
 // because the rewrite is tuple-at-a-time and row order is the certain
 // prefix followed by contributions in component order on both sides. The
 // certain part is rewritten once and each alternative's contribution once
-// — Σ component sizes pieces, no merge, the decomposition untouched.
+// — Σ component sizes pieces, no merge, the decomposition untouched. A
+// piece is a stored relation, rewritten over its batch by plan's
+// BoundDML.Apply: an imported (columnar) piece stays columnar and shares
+// its untouched columns with the rewritten one, and a piece where nothing
+// matches stays the relation it was.
 //
 // When the expressions do touch components (a WHERE or SET subquery over
 // an uncertain relation), each row's fate is coupled to those components'
 // choices: the involved components — the expressions' plus the ones
 // feeding the target — merge into one (the usual bounded partial
 // expansion), the target's certain part moves into every merged
-// alternative ahead of its contribution, and the same piece rewrite runs,
-// each piece binding the expressions under its own alternative. Either way
-// the per-world outcome is tuple-for-tuple what the naive engine computes
-// in the corresponding world.
+// alternative ahead of its contribution (one batch concatenation per
+// alternative), and the same piece rewrite runs, each piece binding the
+// expressions under its own alternative. Either way the per-world outcome
+// is tuple-for-tuple what the naive engine computes in the corresponding
+// world.
 
 import (
 	"fmt"
 	"maps"
 	"sort"
 
+	"maybms/internal/colbatch"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/sqlparse"
-	"maybms/internal/tuple"
 )
 
 // dmlTemplate compiles an UPDATE or DELETE of table once, through the
@@ -94,12 +99,16 @@ func (d *WSD) applyDML(st sqlparse.Statement, table string) (int, error) {
 	if cert != nil {
 		saved = append(saved, alts...)
 		for i := range alts {
-			content := append(append([]tuple.Tuple(nil), cert.Rows()...), alts[i].contribRows(k)...)
+			content := colbatch.New(d.schemas[k])
+			content.AppendBatch(cert.BatchView())
+			if c := alts[i].Contrib[k]; c != nil {
+				content.AppendBatch(c.BatchView())
+			}
 			alts[i].Contrib = maps.Clone(alts[i].Contrib)
 			if alts[i].Contrib == nil {
 				alts[i].Contrib = map[string]*relation.Relation{}
 			}
-			alts[i].Contrib[k] = relation.FromRowsShared(d.schemas[k], content)
+			alts[i].Contrib[k] = relation.FromBatch(content)
 		}
 		delete(d.certain, k)
 	}
@@ -129,12 +138,13 @@ func sortedUniqueInts(idx []int) []int {
 // relation separately: the certain part once, and each alternative's
 // contribution of each component feeding the target once, polling the
 // interrupt hook before each piece — with no merge and the component
-// structure (sizes, probabilities) unchanged. Nothing is stored until every
-// piece has been rewritten. Each piece binds the expressions in its own
-// worlds (the certain part over the certain database, a contribution with
-// its alternative selected): the same answers for world-independent
-// expressions, the merged alternative's for expressions over uncertain
-// relations.
+// structure (sizes, probabilities) unchanged. A piece is a stored relation,
+// rewritten over its batch; a piece no row of which matches is kept as it
+// is. Nothing is stored until every piece has been rewritten. Each piece
+// binds the expressions in its own worlds (the certain part over the
+// certain database, a contribution with its alternative selected): the same
+// answers for world-independent expressions, the merged alternative's for
+// expressions over uncertain relations.
 func (d *WSD) rewritePieces(table string, tmpl *plan.PreparedDML) (int, error) {
 	k := key(table)
 	target := d.componentsFor(table)
@@ -142,20 +152,20 @@ func (d *WSD) rewritePieces(table string, tmpl *plan.PreparedDML) (int, error) {
 	// Flatten the pieces: index 0 is the certain part (when present), the
 	// rest are (component, alternative) contributions.
 	type piece struct {
-		ci, alt int // ci < 0 marks the certain part
-		tuples  []tuple.Tuple
+		ci, alt int                // ci < 0 marks the certain part
+		rel     *relation.Relation // nil: the alternative contributes nothing
 	}
 	var pieces []piece
 	if cert, ok := d.certain[k]; ok {
-		pieces = append(pieces, piece{ci: -1, tuples: cert.Rows()})
+		pieces = append(pieces, piece{ci: -1, rel: cert})
 	}
 	for _, ci := range target {
 		for a := range d.comps[ci].Alts {
-			pieces = append(pieces, piece{ci: ci, alt: a, tuples: d.comps[ci].Alts[a].contribRows(k)})
+			pieces = append(pieces, piece{ci: ci, alt: a, rel: d.comps[ci].Alts[a].Contrib[k]})
 		}
 	}
 
-	outs := make([][]tuple.Tuple, len(pieces))
+	outs := make([]*relation.Relation, len(pieces))
 	total := 0
 	for i, p := range pieces {
 		if err := d.interrupted(); err != nil {
@@ -170,23 +180,28 @@ func (d *WSD) rewritePieces(table string, tmpl *plan.PreparedDML) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		kept, n, err := bound.Apply(p.tuples)
+		outs[i] = p.rel
+		if p.rel == nil {
+			continue
+		}
+		out, n, err := bound.Apply(p.rel.BatchView())
 		if err != nil {
 			return 0, err
 		}
-		outs[i] = kept
+		if n > 0 {
+			outs[i] = relation.FromBatch(out.WithSchema(d.schemas[k]))
+		}
 		total += n
 	}
 
 	for i, p := range pieces {
-		if p.ci < 0 {
-			d.certain[k] = relation.FromRowsShared(d.schemas[k], outs[i])
-			continue
-		}
-		if len(outs[i]) == 0 {
+		switch {
+		case p.ci < 0:
+			d.certain[k] = outs[i]
+		case outs[i].Len() == 0:
 			delete(d.comps[p.ci].Alts[p.alt].Contrib, k)
-		} else {
-			d.comps[p.ci].Alts[p.alt].Contrib[k] = relation.FromRowsShared(d.schemas[k], outs[i])
+		default:
+			d.comps[p.ci].Alts[p.alt].Contrib[k] = outs[i]
 		}
 	}
 	return total, nil

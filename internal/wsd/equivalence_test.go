@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -444,10 +446,18 @@ func TestDMLEquivalenceFuzz(t *testing.T) {
 		// must still agree.
 		{"delete from I where exists (select * from P where W >= 2)", false},
 		{"update I set V = 0 where V <= (select max(V) from P)", false},
+		// J is IMPORTed, so its certain part and its contributions are
+		// columnar on both engines: these rewrite batches, not tuples.
+		{"update J set V = V + 10 where K < 10", true},
+		{"update J set V = 0, W = W * 2 where V is null or K >= 25", true},
+		{"delete from J where V >= 3 and K > 20", true},
+		{"delete from J where K = (select min(V) from S) + 3", true},
+		{"update J set V = V - 1 where V <= (select max(V) from P)", false},
 	}
 	nestedDrops := 0
 	for trial := 0; trial < 10; trial++ {
 		s, d := fuzzPair(t, r)
+		importTarget(t, rand.New(rand.NewSource(int64(trial))), s, d)
 		for i := 0; i < 6; i++ {
 			st := statements[r.Intn(len(statements))]
 			if _, err := s.Exec(st.sql); err != nil {
@@ -460,7 +470,7 @@ func TestDMLEquivalenceFuzz(t *testing.T) {
 			if st.componentwise && d.MergeCount() != mergesBefore {
 				t.Errorf("trial %d %q merged on the componentwise DML path", trial, st.sql)
 			}
-			for _, rel := range []string{"I", "P", "S"} {
+			for _, rel := range []string{"I", "P", "S", "J"} {
 				matchViews(t, naiveViews(t, s, rel), wsdViews(t, d, rel))
 			}
 			crosscheckClosures(t, trial, st.sql, s, d)
@@ -494,6 +504,43 @@ func TestDMLEquivalenceFuzz(t *testing.T) {
 	}
 	if nestedDrops == 0 {
 		t.Error("no trial dropped a nested relation")
+	}
+}
+
+// importTarget IMPORTs a table J(K, V, W) into both engines: 30 keys, some
+// V cells NULL, and one or two keys given a conflicting second row, which
+// become repair alternatives. It checks that J is stored columnar on both.
+func importTarget(t *testing.T, r *rand.Rand, s *core.Session, d *WSD) {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("K,V,W\n")
+	conflicts := map[int]bool{r.Intn(30): true, r.Intn(30): true}
+	for k := 0; k < 30; k++ {
+		for n := 0; n < 1 || (n < 2 && conflicts[k]); n++ {
+			v := fmt.Sprint(r.Intn(6))
+			if r.Intn(5) == 0 {
+				v = ""
+			}
+			fmt.Fprintf(&b, "%d,%s,%d\n", k, v, 1+r.Intn(4))
+		}
+	}
+	path := filepath.Join(t.TempDir(), "j.csv")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stmt := fmt.Sprintf("import into J from '%s' repair key (K) weight W", strings.ReplaceAll(path, "'", "''"))
+	if _, err := s.Exec(stmt); err != nil {
+		t.Fatalf("naive %q: %v", stmt, err)
+	}
+	if _, err := d.Exec(stmt); err != nil {
+		t.Fatalf("compact %q: %v", stmt, err)
+	}
+	naive, err := s.Set().Worlds[0].Lookup("J")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if naive.BatchView().RowBacked() || d.certain[key("J")].BatchView().RowBacked() {
+		t.Fatal("setup: an imported J is row-backed")
 	}
 }
 
@@ -717,5 +764,57 @@ func TestAssertEquivalenceRandomized(t *testing.T) {
 			continue // both dropped every world
 		}
 		matchViews(t, naiveViews(t, s, "I"), wsdViews(t, d, "I"))
+	}
+}
+
+// TestDMLKeepsColumnarPieces checks the compact engine's UPDATE/DELETE
+// copy-on-write over an IMPORTed relation: a statement matching no row
+// keeps every piece itself, a matching one stores columnar pieces and
+// leaves the replaced ones as they were.
+func TestDMLKeepsColumnarPieces(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.csv")
+	if err := os.WriteFile(path, []byte("K,V,W\n1,10,1\n2,20,1\n2,21,3\n3,,1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := New(true)
+	if _, err := d.Exec("import into J from '" + path + "' repair key (K) weight W"); err != nil {
+		t.Fatal(err)
+	}
+	k := key("J")
+	pieces := func() []*relation.Relation {
+		out := []*relation.Relation{d.certain[k]}
+		for _, ci := range d.componentsFor("J") {
+			for _, a := range d.comps[ci].Alts {
+				out = append(out, a.Contrib[k])
+			}
+		}
+		return out
+	}
+	before := pieces()
+	if len(before) != 3 {
+		t.Fatalf("setup: %d pieces, want the certain part and two alternatives", len(before))
+	}
+	var want []string
+	for _, p := range before {
+		want = append(want, p.StoredString())
+	}
+	if _, err := d.Exec("update J set V = 0 where K > 100"); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pieces() {
+		if p != before[i] {
+			t.Fatalf("piece %d replaced by an UPDATE matching nothing", i)
+		}
+	}
+	if _, err := d.Exec("update J set V = V + 1 where K >= 1"); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pieces() {
+		if p == before[i] || p.BatchView().RowBacked() {
+			t.Fatalf("piece %d: kept, or stored row-backed, by a matching UPDATE", i)
+		}
+		if got := before[i].StoredString(); got != want[i] {
+			t.Fatalf("piece %d changed under the UPDATE:\n%s\nwant:\n%s", i, got, want[i])
+		}
 	}
 }

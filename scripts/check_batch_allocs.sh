@@ -65,6 +65,14 @@
 # column table of a columnar batch). Boxing cells into an any again (60 000
 # and 8 000 cells here), or columnarising a row-backed answer, trips the 2x
 # ceilings at once.
+#
+# The DML gate holds UPDATE and DELETE to per-column allocation:
+# BenchmarkDMLApply rewrites a 40 000-row columnar batch of which one row
+# in ten matches (internal/plan's BoundDML.Apply) — steady state 16 allocs/op
+# for the update (the selection, the gathered matching rows, the SET
+# column's copy) and 12 for the delete (the gathered complement). Going
+# back through tuples, or one allocation per matching row (4 000 here),
+# trips the 2x ceilings at once.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,6 +89,8 @@ $(go test . -bench '^BenchmarkImportedRead$/^(conf|join)$/^rows=40000$/^alts=24$
 $(go test . -bench '^BenchmarkMergeRoute$/^conf\.subquery$' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
 $(go test ./internal/server/ -bench '^BenchmarkEncodeAnswer$' \
+    -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
+$(go test ./internal/plan/ -bench '^BenchmarkDMLApply$' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)"
 
 fail=0
@@ -113,6 +123,8 @@ check 'BenchmarkImportedRead/join/rows=40000/alts=24' 2200
 check 'BenchmarkMergeRoute/conf\.subquery' 90000
 check 'BenchmarkEncodeAnswer/columnar' 4
 check 'BenchmarkEncodeAnswer/rows' 2
+check 'BenchmarkDMLApply/update' 32
+check 'BenchmarkDMLApply/delete' 24
 
 if [ "$fail" -ne 0 ]; then
     echo "check_batch_allocs: vectorized path regressed (or benchmarks renamed)" >&2
