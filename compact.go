@@ -38,11 +38,10 @@ var ErrCompactUnsupported = wsd.ErrUnsupported
 //
 // How a statement executes is the engine's decision, taken once per
 // statement from the query's shape and the decomposition (EXPLAIN prints
-// it; MergeCount, ComponentwiseCount and ConditionalCount count it), and
-// per evaluation from the scanned input size: trees scanning fewer than 32
-// rows, trees with no batch mirror and bare scans run the row operators;
-// everything else runs batches; nothing sets this. To cross-check an answer,
-// Expand and ask the naive engine.
+// it; MergeCount, ComponentwiseCount and ConditionalCount count it).
+// Every evaluation runs one operator set, over columns for a relation of at
+// least 32 rows and over the relation as stored otherwise; nothing sets
+// this. To cross-check an answer, Expand and ask the naive engine.
 type CompactDB struct {
 	statements
 	w *wsd.WSD

@@ -65,7 +65,6 @@ var explainGoldens = []struct {
 worlds: 2
 route: single (world-independent)
 closure: possible
-eval: row
 plan:
   Project [X]
     Scan C [certain]`,
@@ -77,7 +76,6 @@ plan:
 worlds: 2
 route: componentwise (merge-free, 2 components, 2+1 alternatives)
 closure: possible
-eval: row
 plan:
   Project [A]
     Scan Rp [components: 0 1]`,
@@ -89,7 +87,6 @@ plan:
 worlds: 2
 route: componentwise (merge-free, 2 components, 2+1 alternatives)
 closure: possible
-eval: row
 plan:
   Project [A, X]
     HashJoin (Rp.K = C.X)
@@ -105,7 +102,6 @@ plan:
 worlds: 2
 route: merge (partial expansion, 2 components, 2 alternatives, limit 65536)
 closure: conf
-eval: row
 plan:
   Project [A]
     Aggregate [] group=[1]
@@ -118,7 +114,6 @@ plan:
 worlds: 2
 route: conditional (relation with cond column, 2 components, 0 nested)
 closure: none
-eval: row
 plan:
   Project [A]
     Scan Rp [components: 0 1]`,
@@ -130,7 +125,6 @@ plan:
 worlds: 2
 route: refused (per-world answers over uncertain relations; uncertain: Rp)
 closure: none
-eval: row
 plan:
   Project [sum(A)]
     Aggregate [sum(A)]
@@ -144,7 +138,6 @@ plan:
 worlds: 2
 route: approx_mc (merge of 2 components exceeds limit 1; 1000 samples, seed 0, stderr <= 0.0158)
 closure: approx conf
-eval: row
 plan:
   Project [A]
     Aggregate [] group=[1]
@@ -158,7 +151,6 @@ plan:
 worlds: 2
 route: refused (merge of 2 components exceeds limit 1 alternatives)
 closure: conf
-eval: row
 plan:
   Project [A]
     Aggregate [] group=[1]
@@ -383,11 +375,13 @@ func TestTableRefusalTraced(t *testing.T) {
 	}
 }
 
-// TestExplainVectorized pins the batch-path prediction: the same
-// componentwise route over inputs past the vectorization floor (a hash join
-// against a 40-row certain relation, its key the WHERE's `K = X`) reports
-// the vectorized evaluator, and a traced run of the statement counts batch
-// collects only.
+// TestExplainVectorized: EXPLAIN names no evaluation path — there is one
+// operator set, and which representation it runs over follows the scanned
+// relations — and a traced run of a componentwise join against a 40-row
+// certain relation (its key the WHERE's `K = X`) collects columnar answers
+// only: the scan emits the relation's columns past colbatch.Floor, and the
+// hash join's output follows its columnar build side, for the one-row
+// deltas too.
 func TestExplainVectorized(t *testing.T) {
 	db := explainCompactDB(t)
 	wide := make([][]any, 40)
@@ -401,7 +395,6 @@ func TestExplainVectorized(t *testing.T) {
 worlds: 2
 route: componentwise (merge-free, 2 components, 2+1 alternatives)
 closure: possible
-eval: batch (vectorized, batch-native collect)
 plan:
   Project [A]
     HashJoin (Rp.K = Wide.X)
@@ -416,7 +409,7 @@ plan:
 		t.Fatal(err)
 	}
 	if ex := tr.JSON().Exec; ex.BatchCollects == 0 || ex.RowCollects != 0 {
-		t.Errorf("collects batch=%d row=%d, want batch only", ex.BatchCollects, ex.RowCollects)
+		t.Errorf("collects batch=%d row=%d, want columnar answers only", ex.BatchCollects, ex.RowCollects)
 	}
 }
 
@@ -430,7 +423,6 @@ func TestExplainAnalyzeCompactGolden(t *testing.T) {
 worlds: 2
 route: merge (partial expansion, 2 components, 2 alternatives, limit 65536)
 closure: conf
-eval: row
 plan:
   Project [A]
     Aggregate [] group=[1]

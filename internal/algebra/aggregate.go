@@ -2,16 +2,13 @@ package algebra
 
 import (
 	"fmt"
-	"sort"
 
+	"maybms/internal/colbatch"
 	"maybms/internal/expr"
 	"maybms/internal/schema"
 	"maybms/internal/tuple"
+	"maybms/internal/value"
 )
-
-func sortSlice(rows []tuple.Tuple, less func(a, b tuple.Tuple) bool) {
-	sort.SliceStable(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
-}
 
 // Aggregate groups its input by GroupBy column indexes and computes the
 // aggregate specs per group. The output schema is the group-by columns
@@ -20,13 +17,28 @@ func sortSlice(rows []tuple.Tuple, less func(a, b tuple.Tuple) bool) {
 // With no group-by columns the operator is a scalar aggregate: it emits
 // exactly one row even for empty input (count()=0, sum()=NULL), matching
 // SQL. With group-by columns, empty input yields no rows.
+//
+// Groups are keyed through one reused byte arena. Over a columnar batch the
+// vectorizable aggregate arguments are evaluated batch-at-a-time and fed per
+// row in spec order, so results and error order are the row-at-a-time
+// evaluation's; the answer is row-backed exactly when the input is.
 type Aggregate struct {
 	Child   Operator
 	GroupBy []int
 	Specs   []expr.AggSpec
 	Out     *schema.Schema
-	rows    []tuple.Tuple
-	pos     int
+	out     *colbatch.Batch
+	done    bool
+	key     []byte
+	vec     []bool
+	args    []expr.Vec
+	ctx     expr.Context // row-at-a-time evaluation context
+}
+
+// aggGroup is one group: its key cells and one accumulator per spec.
+type aggGroup struct {
+	key  tuple.Tuple
+	accs []*expr.Accumulator
 }
 
 // Schema implements Operator.
@@ -42,75 +54,139 @@ func (a *Aggregate) Open(outer *expr.Context) error {
 		return err
 	}
 	defer a.Child.Close()
-
-	type group struct {
-		key  tuple.Tuple
-		accs []*expr.Accumulator
+	a.vec = a.vec[:0]
+	for _, spec := range a.Specs {
+		a.vec = append(a.vec, spec.Arg != nil && expr.Vectorizable(spec.Arg))
 	}
-	var order []string
-	groups := map[string]*group{}
-	newGroup := func(key tuple.Tuple) *group {
-		g := &group{key: key, accs: make([]*expr.Accumulator, len(a.Specs))}
-		for i, spec := range a.Specs {
-			g.accs[i] = expr.NewAccumulator(spec)
-		}
-		return g
-	}
-
-	childSchema := a.Child.Schema()
+	a.ctx = expr.Context{Schema: a.Child.Schema(), Outer: outer}
+	index := map[string]int{}
+	var groups []aggGroup
 	for {
-		t, ok, err := a.Child.Next()
+		b, err := a.Child.NextBatch()
 		if err != nil {
 			return err
 		}
-		if !ok {
+		if b == nil {
 			break
 		}
-		k := t.KeyOn(a.GroupBy)
-		g, exists := groups[k]
-		if !exists {
-			g = newGroup(t.Project(a.GroupBy))
-			groups[k] = g
-			order = append(order, k)
-		}
-		ctx := &expr.Context{Schema: childSchema, Tuple: t, Outer: outer}
-		for _, acc := range g.accs {
-			if err := acc.Add(ctx); err != nil {
-				return fmt.Errorf("%w: %v", ErrExec, err)
-			}
+		if groups, err = a.add(b, index, groups); err != nil {
+			return err
 		}
 	}
-
 	if len(groups) == 0 && len(a.GroupBy) == 0 {
 		// Scalar aggregate over empty input: one row of empty-input results.
-		g := newGroup(tuple.Tuple{})
-		groups[""] = g
-		order = append(order, "")
+		groups = append(groups, a.newGroup(tuple.Tuple{}))
 	}
-
-	a.rows = a.rows[:0]
-	for _, k := range order {
-		g := groups[k]
-		row := make(tuple.Tuple, 0, a.Out.Len())
-		row = append(row, g.key...)
-		for _, acc := range g.accs {
-			row = append(row, acc.Result())
-		}
-		a.rows = append(a.rows, row)
-	}
-	a.pos = 0
+	a.out = a.result(groups, a.Child.rowBacked())
+	a.done = false
 	return nil
 }
 
-// Next implements Operator.
-func (a *Aggregate) Next() (tuple.Tuple, bool, error) {
-	if a.pos >= len(a.rows) {
-		return nil, false, nil
+func (a *Aggregate) newGroup(key tuple.Tuple) aggGroup {
+	g := aggGroup{key: key, accs: make([]*expr.Accumulator, len(a.Specs))}
+	for i, spec := range a.Specs {
+		g.accs[i] = expr.NewAccumulator(spec)
 	}
-	t := a.rows[a.pos]
-	a.pos++
-	return t, true, nil
+	return g
+}
+
+// add feeds b's rows to their groups, appending new groups in first-
+// appearance order.
+func (a *Aggregate) add(b *colbatch.Batch, index map[string]int, groups []aggGroup) ([]aggGroup, error) {
+	rowBacked := b.RowBacked()
+	needRows := rowBacked
+	a.args = a.args[:0]
+	for s, spec := range a.Specs {
+		var v expr.Vec
+		switch {
+		case rowBacked || spec.Arg == nil:
+		case a.vec[s]:
+			v = expr.EvalVec(spec.Arg, b)
+		default:
+			needRows = true
+		}
+		a.args = append(a.args, v)
+	}
+	var rows []tuple.Tuple
+	if needRows {
+		rows = b.Rows()
+	}
+	for i := 0; i < b.Len(); i++ {
+		a.key = b.AppendKeyOn(a.key[:0], a.GroupBy, i)
+		gi, ok := index[string(a.key)]
+		if !ok {
+			kt := make(tuple.Tuple, len(a.GroupBy))
+			for j, c := range a.GroupBy {
+				kt[j] = b.At(i, c)
+			}
+			gi = len(groups)
+			index[string(a.key)] = gi
+			groups = append(groups, a.newGroup(kt))
+		}
+		for s, acc := range groups[gi].accs {
+			var err error
+			switch {
+			case a.Specs[s].Arg == nil:
+				acc.AddStar()
+			case !rowBacked && a.vec[s]:
+				if err = a.args[s].ErrAt(i); err == nil {
+					err = acc.AddValue(a.args[s].At(i))
+				}
+			default:
+				a.ctx.Tuple = rows[i]
+				err = acc.Add(&a.ctx)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrExec, err)
+			}
+		}
+	}
+	return groups, nil
+}
+
+// result lays the groups out as one batch: tuples over one value slab when
+// rowBacked, else typed columns.
+func (a *Aggregate) result(groups []aggGroup, rowBacked bool) *colbatch.Batch {
+	w := a.Out.Len()
+	if rowBacked {
+		slab := make([]value.Value, 0, len(groups)*w)
+		rows := make([]tuple.Tuple, len(groups))
+		for i, g := range groups {
+			start := len(slab)
+			slab = append(slab, g.key...)
+			for _, acc := range g.accs {
+				slab = append(slab, acc.Result())
+			}
+			rows[i] = tuple.Tuple(slab[start:len(slab):len(slab)])
+		}
+		return colbatch.FromRowsShared(a.Out, rows)
+	}
+	builders := make([]colbatch.ColBuilder, w)
+	for _, g := range groups {
+		for j, v := range g.key {
+			builders[j].Append(v)
+		}
+		for s, acc := range g.accs {
+			builders[len(g.key)+s].Append(acc.Result())
+		}
+	}
+	cols := make([]colbatch.Col, w)
+	for j := range builders {
+		cols[j] = builders[j].Col()
+	}
+	return colbatch.FromCols(a.Out, cols, len(groups))
+}
+
+// NextBatch implements Operator.
+func (a *Aggregate) NextBatch() (*colbatch.Batch, error) {
+	if a.done || a.out.Len() == 0 {
+		return nil, nil
+	}
+	a.done = true
+	return a.out, nil
 }
 
 // Close implements Operator.
 func (a *Aggregate) Close() error { return nil }
+
+func (a *Aggregate) rowBacked() bool { return a.out.RowBacked() }

@@ -1,6 +1,7 @@
-// Package algebra implements the physical relational operators in the
-// classic Volcano iterator style: Scan, Filter, Project, CrossJoin,
-// HashJoin, Aggregate, Distinct, Sort, Union and Limit.
+// Package algebra implements the physical relational operators — Scan,
+// Filter, Project, CrossJoin, HashJoin, Aggregate, Distinct, Sort, Union and
+// Limit — as one set of batch-at-a-time operators over colbatch batches (the
+// execution model is in batch.go).
 //
 // Operators are opened with the expression context of the *enclosing* query
 // (nil at the top level), so correlated subqueries can reach outer columns
@@ -17,6 +18,7 @@ import (
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/tuple"
+	"maybms/internal/value"
 )
 
 // ErrExec is wrapped by operator execution errors.
@@ -27,172 +29,149 @@ var ErrExec = errors.New("execution error")
 // instrumented hot path pays a handful of atomic adds per alternative.
 var (
 	batchCollects = obs.Default().Counter(`maybms_collects_total{path="batch"}`,
-		"Collect calls by execution path (batch = vectorized, row = Volcano iterators).")
+		"Collect calls by the representation of the drained answer (batch = columnar, row = row-backed).")
 	rowCollects = obs.Default().Counter(`maybms_collects_total{path="row"}`, "")
 	collectRows = obs.Default().Counter("maybms_collect_rows_total",
 		"Tuples materialized by Collect across all statements.")
 )
 
-// Operator is a Volcano-style iterator over tuples.
+// Operator is a batch-at-a-time operator. A bound tree may be drained any
+// number of times: each drain is Open, NextBatch until a nil batch (end of
+// stream) or an error, then Close, and Open resets all iteration state.
+// A returned batch's data is immutable; its header belongs to the operator
+// and stays valid until the next NextBatch call.
 type Operator interface {
-	// Schema describes the tuples produced by Next.
+	// Schema describes the rows produced by NextBatch.
 	Schema() *schema.Schema
-	// Open prepares the iterator. outer is the expression context of the
+	// Open prepares a drain. outer is the expression context of the
 	// enclosing query for correlated references, or nil.
 	Open(outer *expr.Context) error
-	// Next returns the next tuple; ok is false at end of stream.
-	Next() (t tuple.Tuple, ok bool, err error)
+	// NextBatch returns the next non-empty batch, or nil at end of stream.
+	NextBatch() (*colbatch.Batch, error)
 	// Close releases resources. Close is idempotent.
 	Close() error
+	// rowBacked reports, once Open has succeeded, whether the operator's
+	// answer is row-backed: exactly when every relation it scans is.
+	rowBacked() bool
 }
 
-// drain runs op to completion on the operator set Vectorize selects — the
-// one path choice in the engine — and ticks the per-path and row counters
-// once per call: one maybms_collects_total{path=batch|row} tick by the path
-// actually taken, rows counted once. fromBatches finishes a batch pipeline;
-// fromRows wraps the tuples the row iterators produced.
-func drain[T interface{ Len() int }](op Operator, outer *expr.Context,
-	fromBatches func(BatchOperator, *expr.Context) (T, error),
-	fromRows func(*schema.Schema, []tuple.Tuple) T) (T, error) {
-	var out T
-	stats := outer.FindStats()
-	if b, ok := Vectorize(op); ok {
-		batchCollects.Inc()
-		if stats != nil {
-			stats.BatchCollects.Add(1)
-		}
-		var err error
-		if out, err = fromBatches(b, outer); err != nil {
-			return out, err
-		}
-	} else {
+// Collect drains op into a relation backed by its answer batch (see
+// CollectBatch).
+func Collect(op Operator, outer *expr.Context) (*relation.Relation, error) {
+	b, err := CollectBatch(op, outer)
+	if err != nil {
+		return nil, err
+	}
+	return relation.FromBatch(b), nil
+}
+
+// CollectBatch drains op into one batch — row-backed when every relation op
+// scans is scanned row-backed, else columnar — and ticks the collect
+// counters once: one maybms_collects_total{path=batch|row} tick by the
+// answer's representation, rows counted once.
+func CollectBatch(op Operator, outer *expr.Context) (*colbatch.Batch, error) {
+	out, err := drain(op, outer)
+	if err != nil {
+		return nil, err
+	}
+	rows := out.RowBacked()
+	if rows {
 		rowCollects.Inc()
-		if stats != nil {
-			stats.RowCollects.Add(1)
-		}
-		rows, err := drainRows(op, outer)
-		if err != nil {
-			return out, err
-		}
-		out = fromRows(op.Schema(), rows)
+	} else {
+		batchCollects.Inc()
 	}
 	collectRows.Add(uint64(out.Len()))
-	if stats != nil {
+	if stats := outer.FindStats(); stats != nil {
+		if rows {
+			stats.RowCollects.Add(1)
+		} else {
+			stats.BatchCollects.Add(1)
+		}
 		stats.Rows.Add(uint64(out.Len()))
 	}
 	return out, nil
 }
 
-// drainRows runs the row iterators of op to completion.
-func drainRows(op Operator, outer *expr.Context) ([]tuple.Tuple, error) {
-	if err := op.Open(outer); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	var rows []tuple.Tuple
-	for {
-		t, ok, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return rows, nil
-		}
-		rows = append(rows, t)
-	}
-}
-
-// Collect drains op into a materialized relation. Trees that Vectorize
-// accepts run batch-at-a-time with identical results (see batch.go);
-// everything else runs the row iterators.
-func Collect(op Operator, outer *expr.Context) (*relation.Relation, error) {
-	return drain(op, outer, collectBatches, relation.FromRowsShared)
-}
-
-// CollectBatch drains op into one combined columnar batch — the
-// batch-native Collect variant behind the wsd closure builders. On the
-// batch path the pipeline's batches append column-wise into the result and
-// no row tuples are materialized at all; on the row path the collected
-// tuples are wrapped as a row-backed batch (FromRowsShared) with zero
-// copying, so callers always receive a batch and decide themselves when (if
-// ever) to materialize rows.
-func CollectBatch(op Operator, outer *expr.Context) (*colbatch.Batch, error) {
-	return drain(op, outer, drainToBatch, colbatch.FromRowsShared)
-}
-
-// interruptEvery is how many rows a long-running iterator produces between
-// polls of the Interrupt hook on the evaluation context chain. A power of
-// two keeps the check a mask; the poll itself costs one pointer test per
-// row when no hook is installed.
-const interruptEvery = 256
-
-// poller polls an Interrupt hook (found on the Open context chain) every
-// interruptEvery calls. The zero value (no hook) never fires.
-type poller struct {
-	hook func() error
-	n    uint
-}
-
-func (p *poller) init(outer *expr.Context) {
-	p.hook = outer.FindInterrupt()
-	p.n = 0
-}
-
-func (p *poller) poll() error {
-	if p.hook == nil {
-		return nil
-	}
-	p.n++
-	if p.n&(interruptEvery-1) != 0 {
-		return nil
-	}
-	return p.hook()
-}
-
-// Scan iterates a materialized relation.
+// Scan emits a relation in batches of up to batchSize rows: its columnar
+// form when it holds at least colbatch.Floor rows (the cached mirror of a
+// row-backed store), else its store as it is. This is the one place
+// representation is chosen; every other operator follows its input. A
+// relation that fits one batch is emitted as its stored batch, under the
+// stored schema (consumers read columns by index; Collect answers under the
+// operator's Schema).
 type Scan struct {
-	Rel  *relation.Relation
-	rows []tuple.Tuple
-	pos  int
-	ip   poller
+	Rel *relation.Relation
+	// Out, when set, is the scan's output schema: Rel's columns under the
+	// names of a FROM binding. Nil means Rel.Schema.
+	Out   *schema.Schema
+	b     *colbatch.Batch
+	chunk *colbatch.Batch // reused zero-copy window over a larger relation
+	pos   int
+	ip    interruptHook
 }
 
 // NewScan creates a scan over rel.
 func NewScan(rel *relation.Relation) *Scan { return &Scan{Rel: rel} }
 
 // Schema implements Operator.
-func (s *Scan) Schema() *schema.Schema { return s.Rel.Schema }
+func (s *Scan) Schema() *schema.Schema {
+	if s.Out != nil {
+		return s.Out
+	}
+	return s.Rel.Schema
+}
 
 // Open implements Operator.
 func (s *Scan) Open(outer *expr.Context) error {
-	s.rows = s.Rel.Rows()
+	if s.Rel.Len() >= colbatch.Floor {
+		s.b = s.Rel.Batch()
+	} else {
+		s.b = s.Rel.BatchView()
+	}
 	s.pos = 0
 	s.ip.init(outer)
 	return nil
 }
 
-// Next implements Operator.
-func (s *Scan) Next() (tuple.Tuple, bool, error) {
+// NextBatch implements Operator.
+func (s *Scan) NextBatch() (*colbatch.Batch, error) {
 	if err := s.ip.poll(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
+	n := s.b.Len()
+	switch {
+	case s.pos >= n:
+		return nil, nil
+	case n <= batchSize:
+		s.pos = n
+		return s.b, nil
 	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, true, nil
+	if s.chunk == nil {
+		s.chunk = new(colbatch.Batch)
+	}
+	hi := min(s.pos+batchSize, n)
+	out := s.b.SliceInto(s.chunk, s.pos, hi)
+	s.pos = hi
+	return out, nil
 }
 
 // Close implements Operator.
 func (s *Scan) Close() error { return nil }
 
-// Filter passes through tuples on which Pred is true (SQL semantics: NULL
-// and false both drop the tuple).
+func (s *Scan) rowBacked() bool { return s.b.RowBacked() }
+
+// Filter passes through rows on which Pred is true (SQL semantics: NULL and
+// false both drop the row). A columnar batch is evaluated column-at-a-time
+// into a selection vector when the predicate is vectorizable; anything else
+// row-at-a-time. A per-row predicate error is deferred until the rows
+// preceding it have been emitted.
 type Filter struct {
 	Child Operator
 	Pred  expr.Expr
-	outer *expr.Context
+	vec   bool
+	ctx   expr.Context // row-at-a-time evaluation context
+	sel   []int32
+	err   error
 }
 
 // Schema implements Operator.
@@ -200,37 +179,108 @@ func (f *Filter) Schema() *schema.Schema { return f.Child.Schema() }
 
 // Open implements Operator.
 func (f *Filter) Open(outer *expr.Context) error {
-	f.outer = outer
+	f.vec = expr.Vectorizable(f.Pred)
+	f.ctx = expr.Context{Schema: f.Child.Schema(), Outer: outer}
+	f.err = nil
 	return f.Child.Open(outer)
 }
 
-// Next implements Operator.
-func (f *Filter) Next() (tuple.Tuple, bool, error) {
+// NextBatch implements Operator.
+func (f *Filter) NextBatch() (*colbatch.Batch, error) {
 	for {
-		t, ok, err := f.Child.Next()
-		if err != nil || !ok {
-			return nil, false, err
+		if f.err != nil {
+			return nil, f.err
 		}
-		ctx := &expr.Context{Schema: f.Child.Schema(), Tuple: t, Outer: f.outer}
-		v, err := f.Pred.Eval(ctx)
-		if err != nil {
-			return nil, false, fmt.Errorf("%w: filter %s: %w", ErrExec, f.Pred, err)
+		b, err := f.Child.NextBatch()
+		if err != nil || b == nil {
+			return nil, err
 		}
-		if v.Truth() {
-			return t, true, nil
+		if f.vec && !b.RowBacked() {
+			f.selectVec(b)
+		} else {
+			f.selectRows(b)
+		}
+		switch len(f.sel) {
+		case 0:
+			continue
+		case b.Len():
+			return b, nil
+		}
+		return b.Gather(f.sel), nil
+	}
+}
+
+// selectVec selects the passing rows of b before its first error row.
+func (f *Filter) selectVec(b *colbatch.Batch) {
+	v := expr.EvalVec(f.Pred, b)
+	stop := b.Len()
+	for i, e := range v.Errs {
+		if e != nil {
+			stop = i
+			f.err = fmt.Errorf("%w: filter %s: %w", ErrExec, f.Pred, e)
+			break
 		}
 	}
+	sel := f.sel[:0]
+	switch {
+	case v.Const:
+		if v.CV.Truth() {
+			for i := 0; i < stop; i++ {
+				sel = append(sel, int32(i))
+			}
+		}
+	case v.Col.Kind == value.KindBool && v.Col.Any == nil:
+		bools, nulls := v.Col.Bools, v.Col.Nulls
+		for i := 0; i < stop; i++ {
+			if bools[i] && (nulls == nil || !nulls[i]) {
+				sel = append(sel, int32(i))
+			}
+		}
+	default:
+		for i := 0; i < stop; i++ {
+			if v.At(i).Truth() {
+				sel = append(sel, int32(i))
+			}
+		}
+	}
+	f.sel = sel
+}
+
+// selectRows is selectVec evaluated row-at-a-time.
+func (f *Filter) selectRows(b *colbatch.Batch) {
+	sel := f.sel[:0]
+	ctx := &f.ctx
+	for i, t := range b.Rows() {
+		ctx.Tuple = t
+		v, err := f.Pred.Eval(ctx)
+		if err != nil {
+			f.err = fmt.Errorf("%w: filter %s: %w", ErrExec, f.Pred, err)
+			break
+		}
+		if v.Truth() {
+			sel = append(sel, int32(i))
+		}
+	}
+	f.sel = sel
 }
 
 // Close implements Operator.
 func (f *Filter) Close() error { return f.Child.Close() }
 
-// Project computes an output tuple per input tuple from expressions.
+func (f *Filter) rowBacked() bool { return f.Child.rowBacked() }
+
+// Project computes an output row per input row from expressions: column-at-
+// a-time over a columnar batch when every expression is vectorizable, else
+// row-at-a-time, into tuples for a row-backed batch and columns for a
+// columnar one. A per-row error is deferred until the rows preceding it have
+// been emitted.
 type Project struct {
 	Child Operator
 	Exprs []expr.Expr
 	Out   *schema.Schema
-	outer *expr.Context
+	vec   bool
+	ctx   expr.Context // row-at-a-time evaluation context
+	err   error
 }
 
 // Schema implements Operator.
@@ -241,208 +291,151 @@ func (p *Project) Open(outer *expr.Context) error {
 	if len(p.Exprs) != p.Out.Len() {
 		return fmt.Errorf("%w: project arity %d vs schema %s", ErrExec, len(p.Exprs), p.Out)
 	}
-	p.outer = outer
+	p.vec = true
+	for _, e := range p.Exprs {
+		p.vec = p.vec && expr.Vectorizable(e)
+	}
+	p.ctx = expr.Context{Schema: p.Child.Schema(), Outer: outer}
+	p.err = nil
 	return p.Child.Open(outer)
 }
 
-// Next implements Operator.
-func (p *Project) Next() (tuple.Tuple, bool, error) {
-	t, ok, err := p.Child.Next()
-	if err != nil || !ok {
-		return nil, false, err
+// NextBatch implements Operator.
+func (p *Project) NextBatch() (*colbatch.Batch, error) {
+	if p.err != nil {
+		return nil, p.err
 	}
-	ctx := &expr.Context{Schema: p.Child.Schema(), Tuple: t, Outer: p.outer}
-	out := make(tuple.Tuple, len(p.Exprs))
-	for i, e := range p.Exprs {
-		v, err := e.Eval(ctx)
-		if err != nil {
-			return nil, false, fmt.Errorf("%w: projecting %s: %w", ErrExec, e, err)
+	b, err := p.Child.NextBatch()
+	if err != nil || b == nil {
+		return nil, err
+	}
+	var out *colbatch.Batch
+	switch {
+	case b.RowBacked():
+		out = p.rows(b)
+	case p.vec:
+		out = p.columns(b)
+	default:
+		out = p.build(b)
+	}
+	if out == nil {
+		return nil, p.err
+	}
+	return out, nil
+}
+
+func (p *Project) wrap(e expr.Expr, err error) {
+	p.err = fmt.Errorf("%w: projecting %s: %w", ErrExec, e, err)
+}
+
+// rows projects a row-backed batch into tuples sharing one value slab; nil
+// when the first row errs.
+func (p *Project) rows(b *colbatch.Batch) *colbatch.Batch {
+	in := b.Rows()
+	ctx := &p.ctx
+	w := len(p.Exprs)
+	slab := make([]value.Value, len(in)*w)
+	out := make([]tuple.Tuple, 0, len(in))
+scan:
+	for i, t := range in {
+		ctx.Tuple = t
+		row := slab[i*w : (i+1)*w : (i+1)*w]
+		for j, e := range p.Exprs {
+			v, err := e.Eval(ctx)
+			if err != nil {
+				p.wrap(e, err)
+				break scan
+			}
+			row[j] = v
 		}
-		out[i] = v
+		out = append(out, tuple.Tuple(row))
 	}
-	return out, true, nil
+	if len(out) == 0 {
+		return nil
+	}
+	return colbatch.FromRowsShared(p.Out, out)
+}
+
+// columns evaluates every expression over a columnar batch; the first error
+// in row order (row-major, expression-minor) cuts the batch.
+func (p *Project) columns(b *colbatch.Batch) *colbatch.Batch {
+	n := b.Len()
+	vecs := make([]expr.Vec, len(p.Exprs))
+	for j, e := range p.Exprs {
+		vecs[j] = expr.EvalVec(e, b)
+	}
+	stop := n
+scan:
+	for i := 0; i < n; i++ {
+		for j := range vecs {
+			if err := vecs[j].ErrAt(i); err != nil {
+				stop = i
+				p.wrap(p.Exprs[j], err)
+				break scan
+			}
+		}
+	}
+	if stop == 0 {
+		return nil
+	}
+	cols := make([]colbatch.Col, len(vecs))
+	for j := range vecs {
+		cols[j] = colFromVec(&vecs[j], n, stop)
+	}
+	return colbatch.FromCols(p.Out, cols, stop)
+}
+
+// build evaluates a columnar batch row-at-a-time into columns.
+func (p *Project) build(b *colbatch.Batch) *colbatch.Batch {
+	builders := make([]colbatch.ColBuilder, len(p.Exprs))
+	vals := make([]value.Value, len(p.Exprs))
+	ctx := &p.ctx
+	n := 0
+scan:
+	for _, t := range b.Rows() {
+		ctx.Tuple = t
+		for j, e := range p.Exprs {
+			v, err := e.Eval(ctx)
+			if err != nil {
+				p.wrap(e, err)
+				break scan
+			}
+			vals[j] = v
+		}
+		for j := range builders {
+			builders[j].Append(vals[j])
+		}
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	cols := make([]colbatch.Col, len(builders))
+	for j := range builders {
+		cols[j] = builders[j].Col()
+	}
+	return colbatch.FromCols(p.Out, cols, n)
 }
 
 // Close implements Operator.
 func (p *Project) Close() error { return p.Child.Close() }
 
-// CrossJoin is the Cartesian product; the right side is materialized on
-// Open. The planner joins FROM bindings (from I i2, I i3) no WHERE `a = b`
-// relates with it.
-type CrossJoin struct {
-	Left, Right Operator
-	out         *schema.Schema
-	right       *relation.Relation
-	rightRows   []tuple.Tuple
-	cur         tuple.Tuple
-	rpos        int
-	open        bool
-	ip          poller
-}
+func (p *Project) rowBacked() bool { return p.Child.rowBacked() }
 
-// Schema implements Operator.
-func (j *CrossJoin) Schema() *schema.Schema {
-	if j.out == nil {
-		j.out = j.Left.Schema().Concat(j.Right.Schema())
-	}
-	return j.out
-}
-
-// Open implements Operator.
-func (j *CrossJoin) Open(outer *expr.Context) error {
-	if err := j.Left.Open(outer); err != nil {
-		return err
-	}
-	right, err := Collect(j.Right, outer)
-	if err != nil {
-		j.Left.Close()
-		return err
-	}
-	j.right = right
-	j.rightRows = right.Rows()
-	j.cur = nil
-	j.rpos = 0
-	j.open = true
-	j.ip.init(outer)
-	return nil
-}
-
-// Next implements Operator.
-func (j *CrossJoin) Next() (tuple.Tuple, bool, error) {
-	for {
-		if err := j.ip.poll(); err != nil {
-			return nil, false, err
-		}
-		if j.cur == nil {
-			t, ok, err := j.Left.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			j.cur = t
-			j.rpos = 0
-		}
-		if j.rpos < len(j.rightRows) {
-			rt := j.rightRows[j.rpos]
-			j.rpos++
-			return j.cur.Concat(rt), true, nil
-		}
-		j.cur = nil
-	}
-}
-
-// Close implements Operator.
-func (j *CrossJoin) Close() error {
-	if !j.open {
-		return nil
-	}
-	j.open = false
-	return j.Left.Close()
-}
-
-// HashJoin is an equi-join: LeftKeys[i] must equal RightKeys[i] under SQL
-// `=` (value.Equal: 1 meets 1.0, NULL and NaN meet nothing). The right side
-// is the build side, hashed on Open into a JoinTable (join.go) — the one
-// build structure of the row and batch operators — and each left row meets
-// its matches in build order, so the output is row for row the filtered
-// cross join's. The planner turns a WHERE's cross-binding `a = b` conjuncts
-// into HashJoin keys.
-type HashJoin struct {
-	Left, Right         Operator
-	LeftKeys, RightKeys []int
-	// Build, when set, yields on Open the table over Right's rows keyed on
-	// RightKeys, built once and shared read-only; Right itself is then never
-	// opened. The planner's delta binding shares a certain build side across
-	// a statement's deltas this way (plan.Deltas).
-	Build func(outer *expr.Context) (*JoinTable, error)
-	out   *schema.Schema
-	table *JoinTable
-	cur   tuple.Tuple
-	key   []byte
-	row   int32 // next candidate build row of cur's chain, -1 = none
-	open  bool
-	ip    poller
-}
-
-// Schema implements Operator.
-func (j *HashJoin) Schema() *schema.Schema {
-	if j.out == nil {
-		j.out = j.Left.Schema().Concat(j.Right.Schema())
-	}
-	return j.out
-}
-
-// Open implements Operator.
-func (j *HashJoin) Open(outer *expr.Context) error {
-	if len(j.LeftKeys) != len(j.RightKeys) || len(j.LeftKeys) == 0 {
-		return fmt.Errorf("%w: hash join needs matching non-empty key lists", ErrExec)
-	}
-	if err := j.Left.Open(outer); err != nil {
-		return err
-	}
-	table, err := j.buildTable(outer)
-	if err != nil {
-		j.Left.Close()
-		return err
-	}
-	j.table = table
-	j.cur, j.row = nil, -1
-	j.open = true
-	j.ip.init(outer)
-	return nil
-}
-
-func (j *HashJoin) buildTable(outer *expr.Context) (*JoinTable, error) {
-	if j.Build != nil {
-		return j.Build(outer)
-	}
-	right, err := CollectBatch(j.Right, outer)
-	if err != nil {
-		return nil, err
-	}
-	return newJoinTable(right, j.RightKeys), nil
-}
-
-// Next implements Operator.
-func (j *HashJoin) Next() (tuple.Tuple, bool, error) {
-	for {
-		if err := j.ip.poll(); err != nil {
-			return nil, false, err
-		}
-		for j.row >= 0 {
-			r := j.row
-			j.row = j.table.next[r]
-			if j.table.matches(r, j.key) {
-				return j.cur.Concat(j.table.rows.Row(int(r))), true, nil
-			}
-		}
-		t, ok, err := j.Left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		j.cur = t
-		j.key, j.row = j.table.probeTuple(j.key[:0], t, j.LeftKeys)
-	}
-}
-
-// Close implements Operator.
-func (j *HashJoin) Close() error {
-	if !j.open {
-		return nil
-	}
-	j.open = false
-	return j.Left.Close()
-}
-
-// Distinct drops duplicate tuples, streaming, preserving first occurrences.
+// Distinct drops duplicate rows, streaming, preserving first occurrences. Each
+// row is keyed through one reused byte arena: one key string per distinct
+// row, none per duplicate.
 type Distinct struct {
 	Child Operator
-	// Except, when set, yields on Open the keys (tuple.Encode) of tuples to
+	// Except, when set, yields on Open the keys (tuple.Encode) of rows to
 	// drop as if an earlier input had shown them: the set is shared and
 	// read-only. The planner's delta binding subtracts a certain answer
 	// computed once this way (plan.Deltas).
 	Except func(outer *expr.Context) (map[string]struct{}, error)
 	except map[string]struct{}
 	seen   map[string]struct{}
+	sel    []int32
+	key    []byte
 }
 
 // Schema implements Operator.
@@ -450,7 +443,11 @@ func (d *Distinct) Schema() *schema.Schema { return d.Child.Schema() }
 
 // Open implements Operator.
 func (d *Distinct) Open(outer *expr.Context) error {
-	d.seen = make(map[string]struct{})
+	if d.seen == nil {
+		d.seen = make(map[string]struct{})
+	} else {
+		clear(d.seen)
+	}
 	if d.Except != nil {
 		var err error
 		if d.except, err = d.Except(outer); err != nil {
@@ -460,30 +457,43 @@ func (d *Distinct) Open(outer *expr.Context) error {
 	return d.Child.Open(outer)
 }
 
-// Next implements Operator.
-func (d *Distinct) Next() (tuple.Tuple, bool, error) {
+// NextBatch implements Operator.
+func (d *Distinct) NextBatch() (*colbatch.Batch, error) {
 	for {
-		t, ok, err := d.Child.Next()
-		if err != nil || !ok {
-			return nil, false, err
+		b, err := d.Child.NextBatch()
+		if err != nil || b == nil {
+			return nil, err
 		}
-		k := t.Key()
-		if _, dup := d.seen[k]; dup {
+		sel := d.sel[:0]
+		for i := 0; i < b.Len(); i++ {
+			d.key = b.AppendKey(d.key[:0], i)
+			if _, dup := d.seen[string(d.key)]; dup {
+				continue
+			}
+			if _, dup := d.except[string(d.key)]; dup {
+				continue
+			}
+			d.seen[string(d.key)] = struct{}{}
+			sel = append(sel, int32(i))
+		}
+		d.sel = sel
+		switch len(sel) {
+		case 0:
 			continue
+		case b.Len():
+			return b, nil
 		}
-		if _, dup := d.except[k]; dup {
-			continue
-		}
-		d.seen[k] = struct{}{}
-		return t, true, nil
+		return b.Gather(sel), nil
 	}
 }
 
 // Close implements Operator.
 func (d *Distinct) Close() error { return d.Child.Close() }
 
-// Union concatenates two inputs with identical arity. Wrap in Distinct for
-// SQL UNION; use alone for UNION ALL.
+func (d *Distinct) rowBacked() bool { return d.Child.rowBacked() }
+
+// Union concatenates two inputs with identical arity, left first. Wrap in
+// Distinct for SQL UNION; use alone for UNION ALL.
 type Union struct {
 	Left, Right Operator
 	onRight     bool
@@ -504,19 +514,16 @@ func (u *Union) Open(outer *expr.Context) error {
 	return u.Right.Open(outer)
 }
 
-// Next implements Operator.
-func (u *Union) Next() (tuple.Tuple, bool, error) {
+// NextBatch implements Operator.
+func (u *Union) NextBatch() (*colbatch.Batch, error) {
 	if !u.onRight {
-		t, ok, err := u.Left.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return t, true, nil
+		b, err := u.Left.NextBatch()
+		if err != nil || b != nil {
+			return b, err
 		}
 		u.onRight = true
 	}
-	return u.Right.Next()
+	return u.Right.NextBatch()
 }
 
 // Close implements Operator.
@@ -529,6 +536,8 @@ func (u *Union) Close() error {
 	return err2
 }
 
+func (u *Union) rowBacked() bool { return u.Left.rowBacked() && u.Right.rowBacked() }
+
 // SortKey orders by a column index, optionally descending.
 type SortKey struct {
 	Index int
@@ -540,8 +549,8 @@ type SortKey struct {
 type Sort struct {
 	Child Operator
 	Keys  []SortKey
-	rows  []tuple.Tuple
-	pos   int
+	out   *colbatch.Batch
+	done  bool
 }
 
 // Schema implements Operator.
@@ -549,50 +558,37 @@ func (s *Sort) Schema() *schema.Schema { return s.Child.Schema() }
 
 // Open implements Operator.
 func (s *Sort) Open(outer *expr.Context) error {
-	rel, err := Collect(s.Child, outer)
+	in, err := drain(s.Child, outer)
 	if err != nil {
 		return err
 	}
-	s.rows = append([]tuple.Tuple(nil), rel.Rows()...)
-	sortTuples(s.rows, s.Keys)
-	s.pos = 0
+	perm := make([]int32, in.Len())
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	sortRows(perm, in, s.Keys)
+	s.out = in.Gather(perm)
+	s.done = false
 	return nil
 }
 
-func sortTuples(rows []tuple.Tuple, keys []SortKey) {
-	less := func(a, b tuple.Tuple) bool {
-		for _, k := range keys {
-			c := tupleCmpAt(a, b, k.Index)
-			if k.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return tuple.Compare(a, b) < 0
+// NextBatch implements Operator.
+func (s *Sort) NextBatch() (*colbatch.Batch, error) {
+	if s.done || s.out.Len() == 0 {
+		return nil, nil
 	}
-	sortSlice(rows, less)
-}
-
-func tupleCmpAt(a, b tuple.Tuple, i int) int {
-	return tuple.Compare(tuple.Tuple{a[i]}, tuple.Tuple{b[i]})
-}
-
-// Next implements Operator.
-func (s *Sort) Next() (tuple.Tuple, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, true, nil
+	s.done = true
+	return s.out, nil
 }
 
 // Close implements Operator.
-func (s *Sort) Close() error { return s.Child.Close() }
+func (s *Sort) Close() error { return nil }
 
-// Limit caps the number of emitted tuples.
+func (s *Sort) rowBacked() bool { return s.out.RowBacked() }
+
+// Limit caps the number of emitted rows. Every operator emits the rows
+// preceding a per-row error before failing, so Limit stops exactly where a
+// row-at-a-time LIMIT would: an error past the cut is never reached.
 type Limit struct {
 	Child Operator
 	N     int
@@ -608,18 +604,24 @@ func (l *Limit) Open(outer *expr.Context) error {
 	return l.Child.Open(outer)
 }
 
-// Next implements Operator.
-func (l *Limit) Next() (tuple.Tuple, bool, error) {
+// NextBatch implements Operator.
+func (l *Limit) NextBatch() (*colbatch.Batch, error) {
 	if l.count >= l.N {
-		return nil, false, nil
+		return nil, nil
 	}
-	t, ok, err := l.Child.Next()
-	if err != nil || !ok {
-		return nil, false, err
+	b, err := l.Child.NextBatch()
+	if err != nil || b == nil {
+		return nil, err
 	}
-	l.count++
-	return t, true, nil
+	take := min(l.N-l.count, b.Len())
+	l.count += take
+	if take == b.Len() {
+		return b, nil
+	}
+	return b.Slice(0, take), nil
 }
 
 // Close implements Operator.
 func (l *Limit) Close() error { return l.Child.Close() }
+
+func (l *Limit) rowBacked() bool { return l.Child.rowBacked() }

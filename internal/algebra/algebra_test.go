@@ -202,7 +202,7 @@ func TestDistinct(t *testing.T) {
 }
 
 // TestDistinctExcept: tuples in the Except key set are dropped as if already
-// seen, on the row operators and their batch mirror alike, and a failing
+// seen, by the operator and the reference operator alike, and a failing
 // loader fails Open.
 func TestDistinctExcept(t *testing.T) {
 	r := rel([]string{"A"}, []any{1}, []any{2}, []any{1}, []any{3}, []any{2}, []any{4})
@@ -217,11 +217,11 @@ func TestDistinctExcept(t *testing.T) {
 			return except, nil
 		}}
 	}
-	rows, err := collectRowPath(op())
+	rows, err := collectReference(op(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches, _, err := collectBatchPath(op())
+	batches, err := Collect(op(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +234,11 @@ func TestDistinctExcept(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	failing := &Distinct{Child: NewScan(r), Except: func(*expr.Context) (map[string]struct{}, error) { return nil, boom }}
-	if _, err := collectRowPath(failing); !errors.Is(err, boom) {
-		t.Errorf("row path: %v, want the loader's error", err)
+	if _, err := collectReference(failing, nil); !errors.Is(err, boom) {
+		t.Errorf("reference: %v, want the loader's error", err)
 	}
-	if _, _, err := collectBatchPath(failing); !errors.Is(err, boom) {
-		t.Errorf("batch path: %v, want the loader's error", err)
+	if _, err := Collect(failing, nil); !errors.Is(err, boom) {
+		t.Errorf("operator: %v, want the loader's error", err)
 	}
 }
 

@@ -89,38 +89,27 @@ func BenchmarkAblationAggregate(b *testing.B) {
 	}
 }
 
-// ---- row vs batch: the vectorized-executor ablation ----
+// ---- the operators at bulk and at figure size ----
 //
-// Each pair below runs the same operator tree on the row iterators (Row…,
-// the drain Collect uses under the size floor) and through Collect, which
-// picks the batch operators at these sizes (…Batch). scripts/bench.sh
-// records both, so BENCH_<date>.json carries the row-vs-batch trajectory;
-// scripts/check_batch_allocs.sh gates the batch variants' allocs/op in CI.
+// The bulk benchmarks drain 8192-row relations whose scans emit columns;
+// the figure-sized ones drain what per-world and per-alternative evaluation
+// drains thousands of times per statement. scripts/check_batch_allocs.sh
+// gates their allocs/op in CI.
 
-func benchCollect(b *testing.B, batch bool, build func() Operator) {
+func benchCollect(b *testing.B, build func() Operator) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if batch {
-			_, err = Collect(build(), nil)
-		} else {
-			_, err = drainRows(build(), nil)
-		}
-		if err != nil {
+		if _, err := Collect(build(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// Scan: both variants drain the operator the way a downstream consumer
-// does — the row path one Next() call per tuple, the batch path zero-copy
-// slices of the relation's cached columnar form. (A bare scan is not
-// routed through Vectorize at the Collect seam — the rows already exist —
-// so the batch variant drives the batch operator directly.)
-func BenchmarkRowScan(b *testing.B) {
-	r := benchRelation(8192, 64)
+// benchScan drains a scan of r the way a downstream operator does: zero-copy
+// slices of the relation's columnar form.
+func benchScan(b *testing.B, r *relation.Relation) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -130,14 +119,14 @@ func BenchmarkRowScan(b *testing.B) {
 		}
 		rows := 0
 		for {
-			_, ok, err := s.Next()
+			bt, err := s.NextBatch()
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !ok {
+			if bt == nil {
 				break
 			}
-			rows++
+			rows += bt.Len()
 		}
 		if err := s.Close(); err != nil || rows != r.Len() {
 			b.Fatal(err, rows)
@@ -148,28 +137,7 @@ func BenchmarkRowScan(b *testing.B) {
 func BenchmarkBatchScan(b *testing.B) {
 	r := benchRelation(8192, 64)
 	r.Batch() // build + cache the columnar form once, like a warm table
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := &batchScan{rel: r}
-		if err := s.Open(nil); err != nil {
-			b.Fatal(err)
-		}
-		rows := 0
-		for {
-			bt, err := s.NextBatch()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if bt == nil {
-				break
-			}
-			rows += bt.Len()
-		}
-		if err := s.Close(); err != nil || rows != r.Len() {
-			b.Fatal(err, rows)
-		}
-	}
+	benchScan(b, r)
 }
 
 // BenchmarkStoredBatchScan scans a relation whose store is columnar — an
@@ -179,34 +147,11 @@ func BenchmarkBatchScan(b *testing.B) {
 // batches-as-truth contract check_batch_allocs.sh gates on.
 func BenchmarkStoredBatchScan(b *testing.B) {
 	base := benchRelation(8192, 64)
-	stored := relation.FromBatch(colbatch.FromRows(base.Schema, base.Rows()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := &batchScan{rel: stored}
-		if err := s.Open(nil); err != nil {
-			b.Fatal(err)
-		}
-		rows := 0
-		for {
-			bt, err := s.NextBatch()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if bt == nil {
-				break
-			}
-			rows += bt.Len()
-		}
-		if err := s.Close(); err != nil || rows != stored.Len() {
-			b.Fatal(err, rows)
-		}
-	}
+	benchScan(b, relation.FromBatch(colbatch.FromRows(base.Schema, base.Rows())))
 }
 
 func benchFilterTree(r *relation.Relation) func() Operator {
-	// K < 32 over K ∈ [0,64): selects half the input, column-at-a-time on
-	// the batch path.
+	// K < 32 over K ∈ [0,64): selects half the input, column-at-a-time.
 	return func() Operator {
 		return &Filter{Child: NewScan(r), Pred: expr.Cmp{
 			Op: expr.CmpLt, L: expr.Column{Index: 0}, R: expr.Const{Value: value.Int(32)},
@@ -214,35 +159,63 @@ func benchFilterTree(r *relation.Relation) func() Operator {
 	}
 }
 
-func BenchmarkRowFilter(b *testing.B) {
-	r := benchRelation(8192, 64)
-	benchCollect(b, false, benchFilterTree(r))
-}
-
 func BenchmarkBatchFilter(b *testing.B) {
 	r := benchRelation(8192, 64)
 	r.Batch()
-	benchCollect(b, true, benchFilterTree(r))
-}
-
-func benchJoinTree(l, r *relation.Relation) func() Operator {
-	return func() Operator {
-		return &HashJoin{Left: NewScan(l), Right: NewScan(r), LeftKeys: []int{0}, RightKeys: []int{0}}
-	}
+	benchCollect(b, benchFilterTree(r))
 }
 
 // Join keys are unique (keyMod = n) so the measurement is the build+probe
-// machinery itself, not output materialization. Both paths build a
-// JoinTable: the row path over the collected tuples, keys canonically
-// encoded, the batch path over an int column, each key its own hash.
-func BenchmarkHashJoinRow(b *testing.B) {
-	l, r := benchRelation(8192, 8192), benchRelation(8192, 8192)
-	benchCollect(b, false, benchJoinTree(l, r))
-}
-
+// machinery itself, not output materialization: the build side hashes an int
+// column, each key its own hash.
 func BenchmarkHashJoinBatch(b *testing.B) {
 	l, r := benchRelation(8192, 8192), benchRelation(8192, 8192)
 	l.Batch()
 	r.Batch()
-	benchCollect(b, true, benchJoinTree(l, r))
+	benchCollect(b, func() Operator {
+		return &HashJoin{Left: NewScan(l), Right: NewScan(r), LeftKeys: []int{0}, RightKeys: []int{0}}
+	})
+}
+
+// BenchmarkFigurePipeline drains bound trees the size of the paper's
+// figures, reusing each tree across drains as a bound subquery or a
+// per-alternative plan is: an 8-row row-backed Scan → Filter → Project
+// (K < 4, then K and V + 1), and a one-row row-backed delta probing a
+// 100-row build side shared read-only by every drain (HashJoin.Build, as
+// plan.Deltas shares a certain build). Row-backed input runs the row loops
+// and comes out row-backed, so a drain allocates its answer and little else.
+func BenchmarkFigurePipeline(b *testing.B) {
+	b.Run("scan-filter-project", func(b *testing.B) {
+		r := benchRelation(8, 8)
+		op := &Project{
+			Child: &Filter{Child: NewScan(r), Pred: expr.Cmp{
+				Op: expr.CmpLt, L: expr.Column{Index: 0}, R: expr.Const{Value: value.Int(4)},
+			}},
+			Exprs: []expr.Expr{expr.Column{Index: 0}, expr.Arith{Op: value.OpAdd, L: expr.Column{Index: 1}, R: expr.Const{Value: value.Int(1)}}},
+			Out:   schema.New("K", "V1"),
+		}
+		benchDrains(b, op, 4)
+	})
+	b.Run("delta-probe", func(b *testing.B) {
+		build := benchRelation(100, 100)
+		table, err := BuildJoinTable(NewScan(build), []int{0}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		delta := benchRelation(1, 1)
+		op := &HashJoin{Left: NewScan(delta), Right: NewScan(build), LeftKeys: []int{0}, RightKeys: []int{0},
+			Build: func(*expr.Context) (*JoinTable, error) { return table, nil }}
+		benchDrains(b, op, 1)
+	})
+}
+
+func benchDrains(b *testing.B, op Operator, rows int) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rel, err := Collect(op, nil)
+		if err != nil || rel.Len() != rows {
+			b.Fatal(err, rel.Len())
+		}
+	}
 }

@@ -1,10 +1,10 @@
 package algebra
 
-// The build side of an equi-join, one structure for the row and the batch
-// HashJoin: the build rows in build order, indexed by a hash-chained table —
-// head maps a 64-bit key hash to a chain of build rows, next links the chain
-// in build order — so a probe row meets its matches in build order, the
-// order the cross-join-plus-filter plan produced them in.
+// The joins. HashJoin's build side is a JoinTable: the build rows in build
+// order, indexed by a hash-chained table — head maps a 64-bit key hash to a
+// chain of build rows, next links the chain in build order — so a probe row
+// meets its matches in build order, the order the cross-join-plus-filter plan
+// produced them in.
 //
 // Key equality is SQL `=` (value.Equal), exactly: numerics meet by their
 // float64 value (1 = 1.0, -0.0 = 0.0, and ints beyond 2^53 as AsFloat
@@ -17,14 +17,231 @@ package algebra
 
 import (
 	"bytes"
+	"fmt"
 	"hash/maphash"
 	"math"
 
 	"maybms/internal/colbatch"
 	"maybms/internal/expr"
+	"maybms/internal/schema"
 	"maybms/internal/tuple"
 	"maybms/internal/value"
 )
+
+// CrossJoin is the Cartesian product; the right side is materialized on
+// Open. The planner joins FROM bindings (from I i2, I i3) no WHERE `a = b`
+// relates with it. Output batches are gathered in left-major order.
+type CrossJoin struct {
+	Left, Right Operator
+	out         *schema.Schema
+	right       *colbatch.Batch
+	cur         *colbatch.Batch
+	li, ri      int
+	open        bool
+	ip          interruptHook
+	lsel, rsel  []int32
+}
+
+// Schema implements Operator.
+func (j *CrossJoin) Schema() *schema.Schema {
+	if j.out == nil {
+		j.out = j.Left.Schema().Concat(j.Right.Schema())
+	}
+	return j.out
+}
+
+// Open implements Operator.
+func (j *CrossJoin) Open(outer *expr.Context) error {
+	if err := j.Left.Open(outer); err != nil {
+		return err
+	}
+	right, err := drain(j.Right, outer)
+	if err != nil {
+		j.Left.Close()
+		return err
+	}
+	j.right = right
+	j.cur = nil
+	j.open = true
+	j.ip.init(outer)
+	return nil
+}
+
+// NextBatch implements Operator.
+func (j *CrossJoin) NextBatch() (*colbatch.Batch, error) {
+	for {
+		if err := j.ip.poll(); err != nil {
+			return nil, err
+		}
+		if j.cur == nil {
+			b, err := j.Left.NextBatch()
+			if err != nil || b == nil {
+				return nil, err
+			}
+			if j.right.Len() == 0 {
+				continue
+			}
+			j.cur = b
+			j.li, j.ri = 0, 0
+		}
+		lsel, rsel := j.lsel[:0], j.rsel[:0]
+		for len(lsel) < batchSize && j.li < j.cur.Len() {
+			lsel = append(lsel, int32(j.li))
+			rsel = append(rsel, int32(j.ri))
+			j.ri++
+			if j.ri == j.right.Len() {
+				j.ri = 0
+				j.li++
+			}
+		}
+		j.lsel, j.rsel = lsel, rsel
+		cur := j.cur
+		if j.li >= cur.Len() {
+			j.cur = nil
+		}
+		return colbatch.GatherConcat(j.Schema(), cur, lsel, j.right, rsel), nil
+	}
+}
+
+// Close implements Operator.
+func (j *CrossJoin) Close() error {
+	if !j.open {
+		return nil
+	}
+	j.open = false
+	return j.Left.Close()
+}
+
+func (j *CrossJoin) rowBacked() bool { return j.Left.rowBacked() && j.right.RowBacked() }
+
+// HashJoin is an equi-join: LeftKeys[i] must equal RightKeys[i] under SQL
+// `=`. The right side is the build side, hashed on Open into a JoinTable,
+// and each left row meets its matches in build order, so the output is row
+// for row the filtered cross join's. Neither building nor probing allocates
+// a key string. The planner turns a WHERE's cross-binding `a = b` conjuncts
+// into HashJoin keys.
+type HashJoin struct {
+	Left, Right         Operator
+	LeftKeys, RightKeys []int
+	// Build, when set, yields on Open the table over Right's rows keyed on
+	// RightKeys, built once and shared read-only; Right itself is then never
+	// opened. The planner's delta binding shares a certain build side across
+	// a statement's deltas this way (plan.Deltas).
+	Build      func(outer *expr.Context) (*JoinTable, error)
+	out        *schema.Schema
+	table      *JoinTable
+	cur        *colbatch.Batch
+	rows       []tuple.Tuple // cur's rows when it is row-backed
+	probeCol   *colbatch.Col // intMode over a columnar cur: its key column
+	li         int
+	chainRow   int32 // next candidate build row of curRow's chain, -1 = none
+	curRow     int32
+	open       bool
+	ip         interruptHook
+	lsel, rsel []int32
+	key        []byte
+}
+
+// Schema implements Operator.
+func (j *HashJoin) Schema() *schema.Schema {
+	if j.out == nil {
+		j.out = j.Left.Schema().Concat(j.Right.Schema())
+	}
+	return j.out
+}
+
+// Open implements Operator.
+func (j *HashJoin) Open(outer *expr.Context) error {
+	if len(j.LeftKeys) != len(j.RightKeys) || len(j.LeftKeys) == 0 {
+		return fmt.Errorf("%w: hash join needs matching non-empty key lists", ErrExec)
+	}
+	if err := j.Left.Open(outer); err != nil {
+		return err
+	}
+	table, err := j.buildTable(outer)
+	if err != nil {
+		j.Left.Close()
+		return err
+	}
+	j.table = table
+	j.cur, j.chainRow = nil, -1
+	j.open = true
+	j.ip.init(outer)
+	return nil
+}
+
+func (j *HashJoin) buildTable(outer *expr.Context) (*JoinTable, error) {
+	if j.Build != nil {
+		return j.Build(outer)
+	}
+	return BuildJoinTable(j.Right, j.RightKeys, outer)
+}
+
+// NextBatch implements Operator.
+func (j *HashJoin) NextBatch() (*colbatch.Batch, error) {
+	for {
+		if err := j.ip.poll(); err != nil {
+			return nil, err
+		}
+		if j.cur == nil {
+			b, err := j.Left.NextBatch()
+			if err != nil || b == nil {
+				return nil, err
+			}
+			j.cur, j.li, j.chainRow = b, 0, -1
+			j.rows, j.probeCol = nil, nil
+			switch {
+			case b.RowBacked():
+				j.rows = b.Rows()
+			case j.table.intMode:
+				j.probeCol = b.Col(j.LeftKeys[0])
+			}
+		}
+		lsel, rsel := j.lsel[:0], j.rsel[:0]
+		for len(lsel) < batchSize {
+			if j.chainRow >= 0 {
+				r := j.chainRow
+				j.chainRow = j.table.next[r]
+				if j.table.matches(r, j.key) {
+					lsel = append(lsel, j.curRow)
+					rsel = append(rsel, r)
+				}
+				continue
+			}
+			if j.li >= j.cur.Len() {
+				break
+			}
+			i := j.li
+			j.li++
+			if j.rows != nil {
+				j.key, j.chainRow = j.table.probeTuple(j.key[:0], j.rows[i], j.LeftKeys)
+			} else {
+				j.key, j.chainRow = j.table.probeBatch(j.key[:0], j.cur, j.LeftKeys, i, j.probeCol)
+			}
+			j.curRow = int32(i)
+		}
+		j.lsel, j.rsel = lsel, rsel
+		cur := j.cur
+		if j.li >= cur.Len() && j.chainRow < 0 {
+			j.cur = nil
+		}
+		if len(lsel) == 0 {
+			continue
+		}
+		return colbatch.GatherConcat(j.Schema(), cur, lsel, j.table.rows, rsel), nil
+	}
+}
+
+// Close implements Operator.
+func (j *HashJoin) Close() error {
+	if !j.open {
+		return nil
+	}
+	j.open = false
+	return j.Left.Close()
+}
+
+func (j *HashJoin) rowBacked() bool { return j.Left.rowBacked() && j.table.rows.RowBacked() }
 
 // maxExactInt bounds the ints float64 represents exactly: within ±2^53
 // distinct ints stay distinct under AsFloat.
@@ -51,18 +268,9 @@ type chainMeta struct{ head, tail int32 }
 // Like a join's own build it is a drain inside an operator, not a Collect, so
 // it ticks no collect counter.
 func BuildJoinTable(op Operator, keys []int, outer *expr.Context) (*JoinTable, error) {
-	var rows *colbatch.Batch
-	if b, _ := vectorize(op); b != nil {
-		var err error
-		if rows, err = drainToBatch(b, outer); err != nil {
-			return nil, err
-		}
-	} else {
-		tuples, err := drainRows(op, outer)
-		if err != nil {
-			return nil, err
-		}
-		rows = colbatch.FromRowsShared(op.Schema(), tuples)
+	rows, err := drain(op, outer)
+	if err != nil {
+		return nil, err
 	}
 	return newJoinTable(rows, keys), nil
 }
@@ -70,10 +278,10 @@ func BuildJoinTable(op Operator, keys []int, outer *expr.Context) (*JoinTable, e
 func newJoinTable(rows *colbatch.Batch, keys []int) *JoinTable {
 	n := rows.Len()
 	t := &JoinTable{rows: rows, seed: maphash.MakeSeed(), head: make(map[uint64]chainMeta, n), next: make([]int32, n)}
-	var ints *colbatch.Col
-	if len(keys) == 1 && !rows.RowBacked() {
-		ints = rows.Col(keys[0])
-		t.intMode = ints.Any == nil && ints.Kind == value.KindInt && exactInts(ints)
+	var ints []int64
+	var nulls []bool
+	if len(keys) == 1 {
+		ints, nulls, t.intMode = exactIntKey(rows, keys[0])
 	}
 	if !t.intMode {
 		t.offs = make([]uint32, 1, n+1)
@@ -81,10 +289,10 @@ func newJoinTable(rows *colbatch.Batch, keys []int) *JoinTable {
 	for i := 0; i < n; i++ {
 		var h uint64
 		if t.intMode {
-			if ints.Null(i) {
+			if nulls != nil && nulls[i] {
 				continue
 			}
-			h = uint64(ints.Ints[i])
+			h = uint64(ints[i])
 		} else {
 			start := len(t.arena)
 			var ok bool
@@ -109,15 +317,39 @@ func newJoinTable(rows *colbatch.Batch, keys []int) *JoinTable {
 	return t
 }
 
-// exactInts reports whether every cell of an int column lies within ±2^53
-// (a NULL cell's payload is 0).
-func exactInts(c *colbatch.Col) bool {
-	for _, v := range c.Ints {
-		if v < -maxExactInt || v > maxExactInt {
-			return false
+// exactIntKey returns key column k of rows as ints and a null mask (nil when
+// no cell is NULL); ok is false unless every other cell is an int within
+// ±2^53, so that the keys may hash by value.
+func exactIntKey(rows *colbatch.Batch, k int) (ints []int64, nulls []bool, ok bool) {
+	if !rows.RowBacked() {
+		c := rows.Col(k)
+		if c.Any != nil || c.Kind != value.KindInt {
+			return nil, nil, false
+		}
+		for _, v := range c.Ints { // a NULL cell's payload is 0
+			if v < -maxExactInt || v > maxExactInt {
+				return nil, nil, false
+			}
+		}
+		return c.Ints, c.Nulls, true
+	}
+	ints = make([]int64, rows.Len())
+	for i, t := range rows.Rows() {
+		switch v := t[k]; v.Kind() {
+		case value.KindNull:
+			if nulls == nil {
+				nulls = make([]bool, rows.Len())
+			}
+			nulls[i] = true
+		case value.KindInt:
+			if ints[i] = v.AsInt(); ints[i] < -maxExactInt || ints[i] > maxExactInt {
+				return nil, nil, false
+			}
+		default:
+			return nil, nil, false
 		}
 	}
-	return true
+	return ints, nulls, true
 }
 
 // appendKeyValue appends v's canonical key to dst; ok is false for NULL and

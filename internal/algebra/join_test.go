@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"maybms/internal/colbatch"
 	"maybms/internal/expr"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
@@ -22,8 +23,8 @@ var keyValues = []value.Value{
 }
 
 // keyRelation builds (k0, …, id) rows for a join: ints-only key columns
-// (which the build side hashes by value) or keyValues mixed with strings,
-// booleans and NULLs.
+// (which a columnar build side hashes by value) or keyValues mixed with
+// strings, booleans and NULLs; row-backed or columnar.
 func keyRelation(rng *rand.Rand, keys int, intsOnly bool) *relation.Relation {
 	names := []string{"id"}
 	for k := 0; k < keys; k++ {
@@ -61,15 +62,18 @@ func keyRelation(rng *rand.Rand, keys int, intsOnly bool) *relation.Relation {
 		}
 		rel.MustAppend(t)
 	}
+	if rng.Intn(2) == 0 {
+		return relation.FromBatch(colbatch.FromRows(rel.Schema, rel.Rows()))
+	}
 	return rel
 }
 
 // TestHashJoinKeysAreSQLEquality: a hash join pairs exactly the rows SQL `=`
 // pairs. Over random key columns mixing int, float, string, NULL, NaN, ±0 and
-// 2^53+1, on one and two keys, the row HashJoin, the batch HashJoin and the
+// 2^53+1, on one and two keys, the reference HashJoin, the HashJoin and the
 // cross join filtered by `=` must give the same rows in the same order —
 // with the build side hashed by value (an exact int key column) and by
-// canonical encoding.
+// canonical encoding, probed by row-backed and columnar batches.
 func TestHashJoinKeysAreSQLEquality(t *testing.T) {
 	t.Parallel()
 	modes := map[bool]int{}
@@ -91,15 +95,18 @@ func TestHashJoinKeysAreSQLEquality(t *testing.T) {
 		}
 		join := func() Operator { return &HashJoin{Left: NewScan(l), Right: NewScan(r), LeftKeys: lk, RightKeys: rk} }
 
-		want := renderResult(collectRowPath(&Filter{Child: &CrossJoin{Left: NewScan(l), Right: NewScan(r)}, Pred: pred}))
-		if got := renderResult(collectRowPath(join())); got != want {
-			t.Fatalf("seed %d: row HashJoin differs from the filtered cross join\nleft:\n%sright:\n%sgot:\n%s\nwant:\n%s", seed, l, r, got, want)
+		want := renderResult(collectReference(&Filter{Child: &CrossJoin{Left: NewScan(l), Right: NewScan(r)}, Pred: pred}, nil))
+		if got := renderResult(collectReference(join(), nil)); got != want {
+			t.Fatalf("seed %d: reference HashJoin differs from the filtered cross join\nleft:\n%sright:\n%sgot:\n%s\nwant:\n%s", seed, l, r, got, want)
 		}
-		batch, _, err := collectBatchPath(join())
-		if got := renderResult(batch, err); got != want {
-			t.Fatalf("seed %d: batch HashJoin differs from the filtered cross join\nleft:\n%sright:\n%sgot:\n%s\nwant:\n%s", seed, l, r, got, want)
+		if got := renderResult(Collect(join(), nil)); got != want {
+			t.Fatalf("seed %d: HashJoin differs from the filtered cross join\nleft:\n%sright:\n%sgot:\n%s\nwant:\n%s", seed, l, r, got, want)
 		}
-		modes[newJoinTable(r.Batch(), rk).intMode]++
+		build, err := drain(NewScan(r), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		modes[newJoinTable(build, rk).intMode]++
 	}
 	if modes[true] == 0 || modes[false] == 0 {
 		t.Fatalf("build sides hashed by value %d times, by encoding %d times: want both", modes[true], modes[false])

@@ -1,21 +1,24 @@
 package algebra
 
-// Row-vs-batch equivalence fuzz: random relations and random operator
-// trees are collected once on the row path and once on the vectorized
-// path, and the results must be byte-identical — schema, tuples, order —
-// with identical error strings when an evaluation fails. This is the
-// contract that lets Collect pick either path; CI runs it under -race.
+// Row-vs-batch equivalence fuzz: random relations — row-backed and
+// columnar, on both sides of colbatch.Floor — and random operator trees are
+// collected by the operators and by the row-at-a-time reference operators
+// (oracle_test.go), and the results must be byte-identical — schema, tuples,
+// order — with identical error strings when an evaluation fails. CI runs it
+// under -race.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"maybms/internal/colbatch"
 	"maybms/internal/expr"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
+	"maybms/internal/tuple"
 	"maybms/internal/value"
 )
 
@@ -54,22 +57,46 @@ func randValue(rng *rand.Rand) value.Value {
 	}
 }
 
-func randRelation(rng *rand.Rand) *relation.Relation {
+// randRelation draws a relation of width 1–4 whose size straddles the
+// floor (0, 1, 31, 32, 33), is small, or — one draw in eight — runs to
+// 2 000 rows; it is built tuple-at-a-time (row-backed) or as a columnar
+// batch. small caps the large draws at 33 rows, for join build sides.
+func randRelation(rng *rand.Rand, small bool) *relation.Relation {
 	w := 1 + rng.Intn(4)
 	names := make([]string, w)
 	for i := range names {
 		names[i] = fmt.Sprintf("c%d", i)
 	}
-	rel := relation.New(schema.New(names...))
-	n := rng.Intn(40)
-	for i := 0; i < n; i++ {
-		t := make([]value.Value, w)
-		for j := range t {
-			t[j] = randValue(rng)
-		}
-		rel.MustAppend(t)
+	sizes := []int{0, 1, colbatch.Floor - 1, colbatch.Floor, colbatch.Floor + 1, rng.Intn(40), rng.Intn(40), 100 + rng.Intn(1901)}
+	n := sizes[rng.Intn(len(sizes))]
+	if small && n > colbatch.Floor+1 {
+		n = rng.Intn(8)
 	}
-	return rel
+	// A clean column holds small ints and the odd NULL: arithmetic over it
+	// fails only where it divides by a zero, at some row deep in the input.
+	clean := make([]bool, w)
+	for j := range clean {
+		clean[j] = rng.Intn(2) == 0
+	}
+	rows := make([]tuple.Tuple, n)
+	for i := range rows {
+		rows[i] = make(tuple.Tuple, w)
+		for j := range rows[i] {
+			switch {
+			case !clean[j]:
+				rows[i][j] = randValue(rng)
+			case rng.Intn(20) == 0:
+				rows[i][j] = value.Null()
+			default:
+				rows[i][j] = value.Int(int64(rng.Intn(10)))
+			}
+		}
+	}
+	sch := schema.New(names...)
+	if rng.Intn(2) == 0 {
+		return relation.FromRowsShared(sch, rows)
+	}
+	return relation.FromBatch(colbatch.FromRows(sch, rows))
 }
 
 // randExpr builds a random scalar expression over a width-w schema. It
@@ -109,22 +136,31 @@ func randExpr(rng *rand.Rand, w, depth int) expr.Expr {
 	}
 }
 
-// randTree builds a random operator tree over the two relations. Width
-// bookkeeping keeps projections and join keys in range.
-func randTree(rng *rand.Rand, a, b *relation.Relation, depth int) Operator {
-	base := a
+// randTree builds a random operator tree over a and b; join build sides
+// scan the small relation c, and a tree joins at most once, so answers stay
+// within a few ten thousand rows. Width bookkeeping keeps projections and
+// join keys in range.
+type randTree struct {
+	rng     *rand.Rand
+	a, b, c *relation.Relation
+	joined  bool
+}
+
+func (g *randTree) build(depth int) Operator {
+	rng := g.rng
+	base := g.a
 	if rng.Intn(2) == 1 {
-		base = b
+		base = g.b
 	}
 	if depth <= 0 {
 		return NewScan(base)
 	}
-	child := randTree(rng, a, b, depth-1)
+	child := g.build(depth - 1)
 	w := child.Schema().Len()
-	switch rng.Intn(9) {
-	case 0:
+	switch k := rng.Intn(9); {
+	case k == 0 || (k == 2 || k == 3) && g.joined:
 		return &Filter{Child: child, Pred: randExpr(rng, w, 2)}
-	case 1:
+	case k == 1:
 		n := 1 + rng.Intn(3)
 		exprs := make([]expr.Expr, n)
 		names := make([]string, n)
@@ -133,8 +169,9 @@ func randTree(rng *rand.Rand, a, b *relation.Relation, depth int) Operator {
 			names[i] = fmt.Sprintf("p%d", i)
 		}
 		return &Project{Child: child, Exprs: exprs, Out: schema.New(names...)}
-	case 2:
-		right := NewScan(base)
+	case k == 2:
+		g.joined = true
+		right := NewScan(g.c)
 		lk := []int{rng.Intn(w)}
 		rk := []int{rng.Intn(right.Schema().Len())}
 		if rng.Intn(3) == 0 {
@@ -142,20 +179,20 @@ func randTree(rng *rand.Rand, a, b *relation.Relation, depth int) Operator {
 			rk = append(rk, rng.Intn(right.Schema().Len()))
 		}
 		return &HashJoin{Left: child, Right: right, LeftKeys: lk, RightKeys: rk}
-	case 3:
-		return &CrossJoin{Left: child, Right: NewScan(base)}
-	case 4:
+	case k == 3:
+		g.joined = true
+		return &CrossJoin{Left: child, Right: NewScan(g.c)}
+	case k == 4:
 		return &Distinct{Child: child}
-	case 5:
+	case k == 5:
 		// Union arms must agree on arity; scanning the same relation twice
 		// (or unioning child with a same-width scan) keeps it legal, and an
 		// occasional mismatched arm exercises the arity error path.
 		right := Operator(NewScan(base))
 		if right.Schema().Len() != w && rng.Intn(4) > 0 {
-			idx := make([]int, w)
 			exprs := make([]expr.Expr, w)
 			names := make([]string, w)
-			for i := range idx {
+			for i := range exprs {
 				j := rng.Intn(right.Schema().Len())
 				exprs[i] = expr.Column{Index: j, Name: fmt.Sprintf("c%d", j)}
 				names[i] = fmt.Sprintf("u%d", i)
@@ -163,10 +200,10 @@ func randTree(rng *rand.Rand, a, b *relation.Relation, depth int) Operator {
 			right = &Project{Child: right, Exprs: exprs, Out: schema.New(names...)}
 		}
 		return &Union{Left: child, Right: right}
-	case 6:
+	case k == 6:
 		keys := []SortKey{{Index: rng.Intn(w), Desc: rng.Intn(2) == 0}}
 		return &Sort{Child: child, Keys: keys}
-	case 7:
+	case k == 7:
 		return &Limit{Child: child, N: rng.Intn(20)}
 	default:
 		var groupBy []int
@@ -193,72 +230,171 @@ func randTree(rng *rand.Rand, a, b *relation.Relation, depth int) Operator {
 	}
 }
 
+// lateDiv is 1 / (c - k) over a random column c: over a clean column it
+// fails only at the rows holding k, somewhere deep in the input.
+func lateDiv(rng *rand.Rand, w int) expr.Expr {
+	i := rng.Intn(w)
+	diff := expr.Arith{Op: value.OpSub, L: expr.Column{Index: i, Name: fmt.Sprintf("c%d", i)}, R: expr.Const{Value: value.Int(int64(rng.Intn(10)))}}
+	return expr.Arith{Op: value.OpDiv, L: expr.Const{Value: value.Int(1)}, R: diff}
+}
+
+// cutTree is a LIMIT over a filter, a projection or a join whose left input
+// fails late (lateDiv), over a random tree: the cut falls before the first
+// failing row, after it, or — past 1 024 rows — in a later batch.
+func (g *randTree) cutTree(depth int) Operator {
+	rng := g.rng
+	child := g.build(depth)
+	w := child.Schema().Len()
+	var op Operator
+	switch rng.Intn(4) {
+	case 0:
+		op = &Filter{Child: child, Pred: expr.Cmp{Op: expr.CmpGt, L: lateDiv(rng, w), R: expr.Const{Value: value.Int(0)}}}
+	case 1:
+		op = &Project{Child: child, Exprs: []expr.Expr{expr.Column{Index: 0, Name: "c0"}, lateDiv(rng, w)}, Out: schema.New("p0", "p1")}
+	case 2:
+		left := &Project{Child: child, Exprs: []expr.Expr{lateDiv(rng, w)}, Out: schema.New("p0")}
+		op = &HashJoin{Left: left, Right: NewScan(g.c), LeftKeys: []int{0}, RightKeys: []int{0}}
+	default:
+		left := &Filter{Child: child, Pred: expr.Cmp{Op: expr.CmpNe, L: lateDiv(rng, w), R: expr.Const{Value: value.Int(0)}}}
+		op = &CrossJoin{Left: left, Right: NewScan(g.c)}
+	}
+	n := rng.Intn(20)
+	if rng.Intn(4) == 0 {
+		n = 1000 + rng.Intn(1000)
+	}
+	return &Limit{Child: op, N: n}
+}
+
 func renderResult(rel *relation.Relation, err error) string {
 	if err != nil {
 		return "error: " + err.Error()
 	}
-	out := rel.Schema.String()
+	var b strings.Builder
+	b.WriteString(rel.Schema.String())
 	for _, t := range rel.Rows() {
-		out += "\n" + fmt.Sprintf("%q", string(t.Encode(nil)))
+		fmt.Fprintf(&b, "\n%q", t.Encode(nil))
 	}
-	return out
+	return b.String()
 }
 
-// collectRowPath and collectBatchPath drain op the way Collect would on each
-// side of Vectorize's choice. The batch side takes the mirror from
-// vectorize, so trees under the size floor or with nothing to gain — which
-// Collect would run on the row operators — exercise the batch operators too.
-func collectRowPath(op Operator) (*relation.Relation, error) {
-	rows, err := drainRows(op, nil)
-	if err != nil {
-		return nil, err
+// scansRows reports whether every relation op scans is scanned row-backed:
+// row-backed and under the floor.
+func scansRows(op Operator) bool {
+	switch n := op.(type) {
+	case *Scan:
+		return n.Rel.BatchView().RowBacked() && n.Rel.Len() < colbatch.Floor
+	case *Filter:
+		return scansRows(n.Child)
+	case *Project:
+		return scansRows(n.Child)
+	case *Distinct:
+		return scansRows(n.Child)
+	case *Sort:
+		return scansRows(n.Child)
+	case *Limit:
+		return scansRows(n.Child)
+	case *Aggregate:
+		return scansRows(n.Child)
+	case *CrossJoin:
+		return scansRows(n.Left) && scansRows(n.Right)
+	case *HashJoin:
+		return scansRows(n.Left) && scansRows(n.Right)
+	case *Union:
+		return scansRows(n.Left) && scansRows(n.Right)
 	}
-	return relation.FromRowsShared(op.Schema(), rows), nil
+	panic(fmt.Sprintf("scansRows: %T", op))
 }
 
-func collectBatchPath(op Operator) (rel *relation.Relation, mirrored bool, err error) {
-	b, _ := vectorize(op)
-	if b == nil {
-		return nil, false, nil
+// cutErrors counts, per kind of a LIMIT's child, the LIMITs in op whose
+// child fails when drained in full while the LIMIT itself succeeds: an
+// error past the cut that must stay unreached.
+func cutErrors(op Operator, counts map[string]int) {
+	if l, ok := op.(*Limit); ok {
+		if _, err := collectReference(l.Child, nil); err != nil {
+			if _, err := collectReference(l, nil); err == nil {
+				counts[fmt.Sprintf("%T", l.Child)]++
+			}
+		}
 	}
-	rel, err = collectBatches(b, nil)
-	return rel, true, err
+	switch n := op.(type) {
+	case *Filter:
+		cutErrors(n.Child, counts)
+	case *Project:
+		cutErrors(n.Child, counts)
+	case *Distinct:
+		cutErrors(n.Child, counts)
+	case *Sort:
+		cutErrors(n.Child, counts)
+	case *Limit:
+		cutErrors(n.Child, counts)
+	case *Aggregate:
+		cutErrors(n.Child, counts)
+	case *CrossJoin:
+		cutErrors(n.Left, counts)
+	case *HashJoin:
+		cutErrors(n.Left, counts)
+	case *Union:
+		cutErrors(n.Left, counts)
+		cutErrors(n.Right, counts)
+	}
 }
 
-// TestRowBatchEquivalenceFuzz is the row-vs-batch contract check: 300
-// random trees, each drained on both paths, must agree byte for byte —
-// including which error (if any) surfaces. Trees with no batch mirror (a
-// LIMIT over a lazily erroring child) only ever run the row operators.
+// TestRowBatchEquivalenceFuzz is the operators' contract check: 400 random
+// trees and 400 LIMITs over late-failing inputs (cutTree), each collected by
+// the operators and by the reference operators,
+// must agree byte for byte — including which error (if any) surfaces, under
+// LIMIT too — and an answer must be row-backed exactly when every relation
+// the tree scans is row-backed and under the floor.
 func TestRowBatchEquivalenceFuzz(t *testing.T) {
 	t.Parallel()
-	errs, mirrored := 0, 0
-	for seed := int64(0); seed < 300; seed++ {
+	errs, rowAnswers, colAnswers := 0, 0, 0
+	cuts := map[string]int{}
+	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		a, b := randRelation(rng), randRelation(rng)
+		a, b, c := randRelation(rng, false), randRelation(rng, false), randRelation(rng, true)
 		treeSeed, depth := rng.Int63(), 1+rng.Intn(3)
-		build := func() Operator {
-			return randTree(rand.New(rand.NewSource(treeSeed)), a, b, depth)
-		}
-
-		rowRes := renderResult(collectRowPath(build()))
-		batchRel, ok, batchErr := collectBatchPath(build())
-		if !ok {
-			continue
-		}
-		mirrored++
-		batchRes := renderResult(batchRel, batchErr)
-		if rowRes != batchRes {
-			t.Fatalf("seed %d: paths diverged\nrow:\n%s\nbatch:\n%s", seed, rowRes, batchRes)
-		}
-		if len(rowRes) > 6 && rowRes[:6] == "error:" {
-			errs++
+		for _, cut := range []bool{false, true} {
+			tree := func() Operator {
+				g := &randTree{rng: rand.New(rand.NewSource(treeSeed)), a: a, b: b, c: c}
+				if cut {
+					return g.cutTree(depth - 1)
+				}
+				return g.build(depth)
+			}
+			want := renderResult(collectReference(tree(), nil))
+			op := tree()
+			got, err := Collect(op, nil)
+			if res := renderResult(got, err); res != want {
+				t.Fatalf("seed %d (cut %v): operators diverged from the reference\nreference:\n%s\noperators:\n%s", seed, cut, want, res)
+			}
+			if err != nil {
+				errs++
+				continue
+			}
+			if rows := got.BatchView().RowBacked(); rows != scansRows(op) {
+				t.Fatalf("seed %d (cut %v): answer row-backed = %v, scanned inputs row-backed and under the floor = %v", seed, cut, rows, !rows)
+			} else if rows {
+				rowAnswers++
+			} else {
+				colAnswers++
+			}
+			cutErrors(tree(), cuts)
 		}
 	}
+	t.Logf("%d errors, %d row-backed and %d columnar answers, LIMITs short of an error by child: %v", errs, rowAnswers, colAnswers, cuts)
 	if errs == 0 {
 		t.Fatal("fuzz never produced an evaluation error; error-path equivalence untested")
 	}
-	if mirrored < 250 {
-		t.Fatalf("only %d of 300 trees had a batch mirror", mirrored)
+	if rowAnswers == 0 || colAnswers == 0 {
+		t.Fatalf("%d row-backed and %d columnar answers: want both", rowAnswers, colAnswers)
+	}
+	for _, kind := range []string{"*algebra.Filter", "*algebra.Project"} {
+		if cuts[kind] == 0 {
+			t.Errorf("no LIMIT over an erroring %s stopped short of its error (cuts: %v)", kind, cuts)
+		}
+	}
+	if cuts["*algebra.HashJoin"]+cuts["*algebra.CrossJoin"] == 0 {
+		t.Errorf("no LIMIT over an erroring join stopped short of its error (cuts: %v)", cuts)
 	}
 }
 
@@ -323,6 +459,45 @@ func TestConnectiveVecEquivalence(t *testing.T) {
 			want := cell(e.Eval(ctx))
 			if got := cell(v.At(i), v.ErrAt(i)); got != want {
 				t.Fatalf("%s row %d: vector %s, row %s", e, i, got, want)
+			}
+		}
+	}
+}
+
+// TestCmpVecOrdersNaNLikeRows: an ordering comparison between an int and a
+// float operand, where the float is NaN, takes value.Compare's kind
+// tie-break (INT before FLOAT) column-at-a-time as it does row-at-a-time;
+// between two floats NaN ties. Every operator, both operand orders, column
+// and constant operands.
+func TestCmpVecOrdersNaNLikeRows(t *testing.T) {
+	t.Parallel()
+	sch := schema.New("f", "i", "g")
+	nan := value.Float(math.NaN())
+	rows := []tuple.Tuple{
+		{nan, value.Int(0), value.Float(0)},
+		{value.Float(1), value.Int(1), nan},
+		{value.Float(-2), value.Int(3), value.Float(3)},
+	}
+	b := colbatch.FromRows(sch, rows)
+	operands := []expr.Expr{
+		expr.Column{Index: 0, Name: "f"}, expr.Column{Index: 1, Name: "i"}, expr.Column{Index: 2, Name: "g"},
+		expr.Const{Value: nan}, expr.Const{Value: value.Int(0)}, expr.Const{Value: value.Float(0.5)},
+	}
+	ops := []expr.CmpOp{expr.CmpEq, expr.CmpNe, expr.CmpLt, expr.CmpLe, expr.CmpGt, expr.CmpGe}
+	for _, l := range operands {
+		for _, r := range operands {
+			for _, op := range ops {
+				e := expr.Cmp{Op: op, L: l, R: r}
+				v := expr.EvalVec(e, b)
+				for i, row := range rows {
+					want, err := e.Eval(&expr.Context{Schema: sch, Tuple: row})
+					if err != nil || v.ErrAt(i) != nil {
+						t.Fatalf("%s row %d: errors %v, %v", e, i, err, v.ErrAt(i))
+					}
+					if got := v.At(i); got.Kind() != want.Kind() || got.Truth() != want.Truth() {
+						t.Errorf("%s row %d: vector %v, row %v", e, i, got, want)
+					}
+				}
 			}
 		}
 	}

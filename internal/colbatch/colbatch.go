@@ -25,8 +25,8 @@
 // evaluation. Row-backed batches (FromRowsShared) are the lazy row view of
 // that seam — they wrap already-materialized tuples with zero copying, their
 // Rows() is free, and AppendKey degrades to tuple.Encode on the shared rows,
-// so the row path and the naive engine run through the same closure code
-// with identical bytes.
+// so row-backed and columnar answers, and the naive engine's, run through
+// the same closure code with identical bytes.
 package colbatch
 
 import (
@@ -38,11 +38,12 @@ import (
 )
 
 // Floor is the row count below which a columnar batch does not pay for
-// itself: its fixed cost (headers, one small slice per column, batch operator
-// state) outweighs what column-at-a-time work saves on so few rows. The two
-// places that decide "columns or rows" by size read this one number —
-// algebra.Vectorize before building a batch pipeline, relation.WithSchema
-// views before keeping a shared columnar mirror.
+// itself: its fixed cost (headers, one small slice per column, per-operator
+// column work) outweighs what column-at-a-time work saves on so few rows.
+// It is read in one place: algebra's Scan emits the columnar form of a
+// relation of at least Floor rows and the relation's store as it is
+// otherwise, and every other operator follows the representation it is
+// handed.
 const Floor = 32
 
 // Col is one typed column of a batch. Exactly one representation is active:
@@ -703,33 +704,43 @@ func (c *Col) scatter(n int, sel []int32, src *Col) Col {
 }
 
 // GatherConcat builds the join-output batch: for each i, the row l[lsel[i]]
-// concatenated with r[rsel[i]], under schema out.
+// concatenated with r[rsel[i]], under schema out. Two row-backed sides give
+// row-backed output, the concatenated tuples laid out in one value slab;
+// otherwise the output is columnar.
 func GatherConcat(out *schema.Schema, l *Batch, lsel []int32, r *Batch, rsel []int32) *Batch {
 	lw, rw := l.Width(), r.Width()
+	if l.rows != nil && r.rows != nil {
+		w := lw + rw
+		slab := make([]value.Value, len(lsel)*w)
+		rows := make([]tuple.Tuple, len(lsel))
+		for i := range lsel {
+			row := slab[i*w : (i+1)*w : (i+1)*w]
+			copy(row, l.rows[lsel[i]])
+			copy(row[lw:], r.rows[rsel[i]])
+			rows[i] = tuple.Tuple(row)
+		}
+		return &Batch{Schema: out, n: len(rows), rows: rows}
+	}
 	res := &Batch{Schema: out, cols: make([]Col, lw+rw), n: len(lsel)}
-	lg, rg := l, r
-	if l.rows != nil {
-		lg = l.columnar()
-	}
-	if r.rows != nil {
-		rg = r.columnar()
-	}
 	for j := 0; j < lw; j++ {
-		res.cols[j] = lg.cols[j].gather(lsel)
+		res.cols[j] = l.gatherCol(j, lsel)
 	}
 	for j := 0; j < rw; j++ {
-		res.cols[lw+j] = rg.cols[j].gather(rsel)
+		res.cols[lw+j] = r.gatherCol(j, rsel)
 	}
 	return res
 }
 
-// columnar converts a row-backed batch to columnar form.
-func (b *Batch) columnar() *Batch {
-	out := New(b.Schema)
-	for _, t := range b.rows {
-		out.Append(t)
+// gatherCol returns column j's cells at the selected rows as a new column.
+func (b *Batch) gatherCol(j int, sel []int32) Col {
+	if b.rows == nil {
+		return b.cols[j].gather(sel)
 	}
-	return out
+	var c Col
+	for i, s := range sel {
+		c.append(i, b.rows[s][j])
+	}
+	return c
 }
 
 // Rows materializes the batch as row tuples. For columnar batches the

@@ -29,8 +29,8 @@ func mixedBatch() *Batch {
 }
 
 // TestAppendKeyMatchesTupleEncode: the batch key bytes are the contract
-// that lets batch operators share hash tables and dedup sets with the row
-// operators' tuple.Encode keys — they must match byte for byte.
+// that lets columnar and row-backed batches share hash tables and dedup sets
+// keyed by tuple.Encode — they must match byte for byte.
 func TestAppendKeyMatchesTupleEncode(t *testing.T) {
 	b := mixedBatch()
 	for i, row := range mixedRows() {

@@ -3,9 +3,9 @@ package core
 // interrupt_test.go: cooperative cancellation *inside* a single world's
 // plain-SQL evaluation. The per-world passes have always polled the
 // interrupt hook between units of work; these tests pin down the finer
-// grain — the algebra iterators (Scan/CrossJoin/HashJoin) poll every few
-// hundred rows, so one huge cross join in one world no longer runs to
-// completion after its request is cancelled.
+// grain — the algebra operators (Scan/CrossJoin/HashJoin) poll once per
+// batch, so one huge cross join in one world no longer runs to completion
+// after its request is cancelled.
 
 import (
 	"errors"

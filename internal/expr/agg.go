@@ -114,7 +114,7 @@ func (a *Accumulator) Add(ctx *Context) error {
 }
 
 // AddStar counts one row for count(*) without evaluating an argument; it is
-// the batch path's equivalent of Add for AggCountStar specs.
+// the column-at-a-time equivalent of Add for AggCountStar specs.
 func (a *Accumulator) AddStar() { a.count++ }
 
 // AddValue folds an already evaluated argument value into the accumulator —

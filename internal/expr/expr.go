@@ -48,9 +48,9 @@ type Context struct {
 	Schema *schema.Schema
 	Tuple  tuple.Tuple
 	Outer  *Context
-	// Interrupt, when non-nil, is polled by long-running iterators
-	// (Scan/CrossJoin/HashJoin, every few hundred rows); a non-nil return
-	// aborts the evaluation with that error.
+	// Interrupt, when non-nil, is polled by long-running operators
+	// (Scan/CrossJoin/HashJoin, once per batch); a non-nil return aborts
+	// the evaluation with that error.
 	Interrupt func() error
 	// Stats, when non-nil, accumulates per-alternative evaluation counts
 	// (batch vs. row collects, rows materialized) for a traced statement.

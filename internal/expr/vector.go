@@ -3,7 +3,7 @@
 // producing exactly the values — and exactly the errors, per row — that the
 // row evaluator would. Anything outside that subset (subqueries, correlated
 // columns, IN over a subquery) is reported by Vectorizable and evaluated by
-// the caller through the row path instead.
+// the caller row-at-a-time instead.
 //
 // Error equivalence is the subtle part: the row evaluator short-circuits
 // (And skips its right operand on a false left, Or on a true left), so a
@@ -154,6 +154,7 @@ func EvalVec(e Expr, b *colbatch.Batch) Vec {
 // operands are numeric (the engine compares all numerics through float64;
 // see value.Equal / value.Compare).
 type numSide struct {
+	kind   value.Kind // KindInt or KindFloat
 	constv bool
 	cf     float64
 	ints   []int64
@@ -168,7 +169,7 @@ func numericSide(v *Vec) (numSide, bool) {
 		if !v.CV.IsNumeric() {
 			return numSide{}, false
 		}
-		return numSide{constv: true, cf: v.CV.AsFloat()}, true
+		return numSide{kind: v.CV.Kind(), constv: true, cf: v.CV.AsFloat()}, true
 	}
 	c := &v.Col
 	if c.Any != nil || c.Nulls != nil {
@@ -176,9 +177,9 @@ func numericSide(v *Vec) (numSide, bool) {
 	}
 	switch c.Kind {
 	case value.KindInt:
-		return numSide{ints: c.Ints}, true
+		return numSide{kind: value.KindInt, ints: c.Ints}, true
 	case value.KindFloat:
-		return numSide{floats: c.Floats}, true
+		return numSide{kind: value.KindFloat, floats: c.Floats}, true
 	}
 	return numSide{}, false
 }
@@ -201,6 +202,30 @@ func cmpVec(op CmpOp, l, r *Vec, n int) Vec {
 	if ls, ok := numericSide(l); ok {
 		if rs, ok := numericSide(r); ok {
 			bools := out.Col.Bools
+			if ls.kind != rs.kind {
+				// An int against a float: a NaN float is unordered, and
+				// value.Compare orders the pair by kind, INT before FLOAT.
+				tie := 1
+				if ls.kind == value.KindInt {
+					tie = -1
+				}
+				for i := 0; i < n; i++ {
+					a, b := ls.at(i), rs.at(i)
+					c := tie
+					switch {
+					case a < b:
+						c = -1
+					case a > b:
+						c = 1
+					case a == b:
+						c = 0
+					}
+					bools[i] = op == CmpEq && c == 0 || op == CmpNe && c != 0 ||
+						op == CmpLt && c < 0 || op == CmpLe && c <= 0 ||
+						op == CmpGt && c > 0 || op == CmpGe && c >= 0
+				}
+				return out
+			}
 			switch op {
 			case CmpEq:
 				for i := 0; i < n; i++ {

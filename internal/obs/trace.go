@@ -14,8 +14,8 @@ import (
 // expr.Context.Stats) and mutated with plain atomic adds — cheap enough
 // for the Collect seam, which runs once per alternative, not per row.
 type ExecStats struct {
-	BatchCollects atomic.Uint64 // Collect calls served by the vectorized path
-	RowCollects   atomic.Uint64 // Collect calls served by the row path
+	BatchCollects atomic.Uint64 // Collect calls whose answer is columnar
+	RowCollects   atomic.Uint64 // Collect calls whose answer is row-backed
 	Rows          atomic.Uint64 // tuples materialized across all collects
 }
 

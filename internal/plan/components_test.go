@@ -334,10 +334,10 @@ func (c countingCertain) Certain(name string) (*relation.Relation, error) {
 	return c.splitCatalog.Certain(name)
 }
 
-// TestBindSharesColumnarMirror: every bind wraps the catalog's relation in a
-// fresh WithSchema view; for a row-backed relation the views must share one
-// columnarization — through the stored relation — and an Append after the
-// first must still be seen.
+// TestBindSharesColumnarMirror: every bind scans the catalog's relation
+// itself under the binding's qualified schema, so for a row-backed relation
+// past the floor the binds share one columnarization — the stored
+// relation's — and an Append after the first must still be seen.
 func TestBindSharesColumnarMirror(t *testing.T) {
 	rows := make([][]int64, 64)
 	for i := range rows {
@@ -355,14 +355,18 @@ func TestBindSharesColumnarMirror(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return op.(*algebra.Project).Child.(*algebra.Scan).Rel.Batch()
+		b, err := algebra.CollectBatch(op.(*algebra.Project).Child, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
 	b1, b2 := scanned(), scanned()
-	if b1.Col(0) != b2.Col(0) {
+	if &b1.Col(0).Ints[0] != &b2.Col(0).Ints[0] {
 		t.Error("two binds columnarized the stored relation twice")
 	}
-	if b1.Col(0) != stored.Batch().Col(0) {
-		t.Error("the binds' mirror is not the stored relation's")
+	if &b1.Col(0).Ints[0] != &stored.Batch().Col(0).Ints[0] {
+		t.Error("the binds' columns are not the stored relation's")
 	}
 	if q := b1.Schema.At(0).Qualifier; q != "r1" {
 		t.Errorf("bound batch schema qualifier %q, want r1", q)

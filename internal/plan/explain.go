@@ -45,7 +45,7 @@ func explainNode(b *strings.Builder, op algebra.Operator, depth int, annotate fu
 	case *inputScan:
 		fmt.Fprintf(b, "%sScan <input>\n", indent)
 	case *algebra.Scan:
-		fmt.Fprintf(b, "%sScan %s\n", indent, schemaBrief(n.Rel.Schema))
+		fmt.Fprintf(b, "%sScan %s\n", indent, schemaBrief(n.Schema()))
 	case *algebra.Filter:
 		fmt.Fprintf(b, "%sFilter %s\n", indent, n.Pred)
 		explainNode(b, n.Child, depth+1, annotate)

@@ -49,8 +49,9 @@ var ErrRebind = errors.New("plan rebind failed")
 
 // tableScan is a Scan that remembers which catalog name it was compiled
 // from, so the rebinder can look the table up again in another world. The
-// embedded Scan holds the compile-time relation and the qualified schema
-// (base schema unqualified, then qualified by the FROM binding).
+// embedded Scan holds the compile-time relation and, as its output schema,
+// the qualified one (base schema unqualified, then qualified by the FROM
+// binding).
 type tableScan struct {
 	algebra.Scan
 	table string
@@ -62,7 +63,7 @@ type tableScan struct {
 
 func newTableScan(table string, rel *relation.Relation, binding string) *tableScan {
 	return &tableScan{
-		Scan:  algebra.Scan{Rel: rel.WithSchema(rel.Schema.Unqualify().Qualify(binding))},
+		Scan:  algebra.Scan{Rel: rel, Out: rel.Schema.Unqualify().Qualify(binding)},
 		table: table,
 		base:  rel.Schema,
 	}
@@ -112,8 +113,9 @@ func sameColumnNames(a, b *schema.Schema) bool {
 	return true
 }
 
-// bind wraps rel, a catalog's instance of the scanned table, in a fresh scan
-// under the template's qualified schema.
+// bind returns a fresh scan of rel, a catalog's instance of the scanned
+// table, under the template's qualified schema. The scan reads rel itself,
+// so every bind shares its lazy caches (the columnar mirror above all).
 func (n *tableScan) bind(rel *relation.Relation) (algebra.Operator, error) {
 	if !sameColumnNames(rel.Schema, n.base) {
 		return nil, fmt.Errorf("%w: schema of %s diverged from compile time (%s vs %s)",
@@ -121,7 +123,7 @@ func (n *tableScan) bind(rel *relation.Relation) (algebra.Operator, error) {
 	}
 	// Same column names: the template's qualified schema (and every
 	// column index resolved against it) stays valid over the new tuples.
-	return algebra.NewScan(rel.WithSchema(n.Scan.Rel.Schema)), nil
+	return &algebra.Scan{Rel: rel, Out: n.Out}, nil
 }
 
 // rebindOp instantiates a fresh operator tree bound to b. Iteration state is
@@ -131,7 +133,7 @@ func rebindOp(op algebra.Operator, b *binding) (algebra.Operator, error) {
 	case *tableScan:
 		if b.strip {
 			return &tableScan{
-				Scan:  algebra.Scan{Rel: &relation.Relation{Schema: n.Scan.Rel.Schema}},
+				Scan:  algebra.Scan{Rel: &relation.Relation{Schema: n.base}, Out: n.Out},
 				table: n.table,
 				base:  n.base,
 			}, nil
@@ -154,9 +156,10 @@ func rebindOp(op algebra.Operator, b *binding) (algebra.Operator, error) {
 		}
 		return algebra.NewScan(b.input), nil
 	case *algebra.Scan:
-		// Literal relation (e.g. the dual for an empty FROM): contents are
-		// world-independent and read-only; share them under fresh state.
-		return algebra.NewScan(n.Rel), nil
+		// Literal relation (e.g. the dual for an empty FROM) or a bound
+		// table: contents are world-independent and read-only; share them
+		// under fresh state.
+		return &algebra.Scan{Rel: n.Rel, Out: n.Out}, nil
 	}
 	if l, r, ok := joined(op); ok {
 		left, err := rebindOp(l, b)

@@ -132,8 +132,8 @@ func TestBindInstancesAreIndependent(t *testing.T) {
 	if err := op1.Open(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := op1.Next(); err != nil || !ok {
-		t.Fatalf("op1 first Next: ok=%v err=%v", ok, err)
+	if b, err := op1.NextBatch(); err != nil || b == nil {
+		t.Fatalf("op1 first NextBatch: %v, %v", b, err)
 	}
 	// op2 must start from the beginning regardless of op1's progress.
 	out, err := algebra.Collect(op2, nil)

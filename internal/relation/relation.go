@@ -44,11 +44,6 @@ type Relation struct {
 	rows atomic.Pointer[rowsView]       // lazy row view of a columnar store
 	col  atomic.Pointer[colbatch.Batch] // lazy columnar view of a row-backed store
 	keys atomic.Pointer[keyIndex]
-
-	// src is the relation a row-backed WithSchema view was cut from. The view
-	// columnarizes through it, so every view of one stored relation (a plan
-	// binds a fresh one per evaluation) shares one columnar mirror.
-	src *Relation
 }
 
 type rowsView struct {
@@ -116,45 +111,16 @@ func (r *Relation) Batch() *colbatch.Batch {
 	if b := r.mirror(); b != nil {
 		return b
 	}
-	var b *colbatch.Batch
-	if r.viewsSrc() {
-		b = r.src.Batch().WithSchema(r.Schema)
-	} else {
-		b = colbatch.FromRows(r.Schema, r.store.Rows())
-	}
+	b := colbatch.FromRows(r.Schema, r.store.Rows())
 	r.col.Store(b)
 	return b
 }
 
-// viewsSrc reports whether r is a WithSchema view still showing exactly its
-// source's rows — the same backing array at the same length (an append on
-// either side moves one of the two) — and at least colbatch.Floor of them.
-// Below the floor a mirror's fixed footprint outweighs its rows, and a
-// decomposition stores thousands of one-row contributions: keeping a mirror
-// on each cost bench/'s closure.compact +16 % rss_mb, where rebuilding a few
-// cells per view costs nothing measurable (and such views are scanned by the
-// row operators anyway).
-func (r *Relation) viewsSrc() bool {
-	if r.src == nil || r.src.store == nil {
-		return false
-	}
-	a, b := r.store.Rows(), r.src.store.Rows()
-	return len(a) == len(b) && len(a) >= colbatch.Floor && &a[0] == &b[0]
-}
-
-// mirror returns the valid cached columnar view of a row-backed store — the
-// relation's own, or a zero-copy reschema of the one its WithSchema source
-// holds — or nil when there is none.
+// mirror returns the valid cached columnar view of a row-backed store, or
+// nil when there is none.
 func (r *Relation) mirror() *colbatch.Batch {
 	if b := r.col.Load(); b != nil && b.Len() == r.store.Len() {
 		return b
-	}
-	if r.viewsSrc() {
-		if b := r.src.mirror(); b != nil {
-			b = b.WithSchema(r.Schema)
-			r.col.Store(b)
-			return b
-		}
 	}
 	return nil
 }
@@ -269,9 +235,6 @@ func (r *Relation) WithSchema(s *schema.Schema) *Relation {
 	// so appends through the view never reach back into r.
 	b := r.store.Slice(0, r.store.Len())
 	b.Schema = s
-	if b.RowBacked() {
-		return &Relation{Schema: s, store: b, src: r}
-	}
 	return &Relation{Schema: s, store: b}
 }
 

@@ -31,17 +31,16 @@ package wsd
 // ancestor still decides whether a touched child is active, and the fold
 // weighs each alternative by its conditioning path.
 //
-// Answers are colbatch batches — columnar when the evaluation ran the batch
-// operators, a zero-copy row-backed batch when it ran the row operators
-// (internal/algebra's one rule decides per drain; a one-row delta sits under
-// its floor) — and stored state is batch-backed, so the catalog hands stored
-// batches to the evaluations directly.
+// Answers are colbatch batches — row-backed when every relation an
+// evaluation scanned was scanned row-backed, columnar otherwise
+// (internal/algebra's Scan decides by size and store, every other operator
+// follows its input) — and stored state is batch-backed, so the catalog
+// hands stored batches to the evaluations directly.
 
 import (
 	"fmt"
 	"sort"
 
-	"maybms/internal/algebra"
 	"maybms/internal/colbatch"
 	"maybms/internal/obs"
 	"maybms/internal/plan"
@@ -100,12 +99,11 @@ func (pc partsCatalog) Delta(name string) (*relation.Relation, error) {
 
 // view assembles the named table from its certain part and the selected
 // contributions, whichever are asked for. Stored state is batch-backed, so
-// single-source views pass the stored batch through zero-copy — the
-// vectorized scan reads stored columns directly, with no per-evaluation
-// re-encode — and multi-source views assemble one combined batch from the
-// stored parts (columnar when the table alone clears algebra's batch floor,
-// a shared row slice for evaluations that will run the row operators
-// anyway).
+// single-source views pass the stored relation through — the scan reads its
+// batch directly, with no per-evaluation re-encode — and multi-source views
+// concatenate the parts' batches as they are stored: row-backed when every
+// part is, else columnar. Whether an evaluation runs over columns is the
+// scan's decision alone (internal/algebra).
 func (pc partsCatalog) view(name string, withCert, withContrib bool) (*relation.Relation, error) {
 	k := key(name)
 	sch, ok := pc.d.schemas[k]
@@ -155,24 +153,24 @@ func (pc partsCatalog) view(name string, withCert, withContrib bool) (*relation.
 		}
 		return first.WithSchema(sch), nil
 	}
-	if algebra.ClearsBatchFloor(total) {
-		combined := colbatch.New(sch)
-		if cert.Len() > 0 {
-			combined.AppendBatch(cert.Batch())
-		}
-		combined.AppendBatch(first.Batch())
-		for _, c := range rest {
-			combined.AppendBatch(c.Batch())
-		}
-		return relation.FromBatch(combined), nil
-	}
-	rows := make([]tuple.Tuple, 0, total)
-	rows = append(rows, cert.Rows()...)
-	rows = append(rows, first.Rows()...)
+	rowBacked := first.BatchView().RowBacked() && (cert.Len() == 0 || cert.BatchView().RowBacked())
 	for _, c := range rest {
-		rows = append(rows, c.Rows()...)
+		rowBacked = rowBacked && c.BatchView().RowBacked()
 	}
-	return relation.FromRowsShared(sch, rows), nil
+	var combined *colbatch.Batch
+	if rowBacked {
+		combined = colbatch.FromRowsShared(sch, make([]tuple.Tuple, 0, total))
+	} else {
+		combined = colbatch.New(sch)
+	}
+	if cert.Len() > 0 {
+		combined.AppendBatch(cert.BatchView())
+	}
+	combined.AppendBatch(first.BatchView())
+	for _, c := range rest {
+		combined.AppendBatch(c.BatchView())
+	}
+	return relation.FromBatch(combined), nil
 }
 
 var _ plan.PartsCatalog = partsCatalog{}
@@ -183,8 +181,7 @@ var _ plan.PartsCatalog = partsCatalog{}
 type partQuery func(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error)
 
 // componentParts is the componentwise evaluation of one query. Answers are
-// batches — columnar when the evaluation ran the batch operators, row-backed
-// (zero-copy over collected tuples) otherwise.
+// batches, row-backed or columnar as the evaluation's input was.
 type componentParts struct {
 	comps []*Component    // the evaluated components, in index order
 	base  *colbatch.Batch // the certain-only answer Q(cert)

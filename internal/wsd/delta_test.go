@@ -274,8 +274,8 @@ func TestCertainPartLookedUpOnce(t *testing.T) {
 // TestDeltasShareBuild: the deltas of a hash join against a certain table
 // probe the statement's one table of it. Three deltas of one Deltas, run
 // concurrently, bind and hash the certain side once — the catalog hands it
-// out once, and never a table in full — on the batch operators (a side past
-// the batch floor) and on the row operators (one under it); each delta still
+// out once, and never a table in full — over a columnar build side (a side
+// past colbatch.Floor) and a row-backed one (under it); each delta still
 // answers as the full evaluation of its part does.
 func TestDeltasShareBuild(t *testing.T) {
 	for _, sideRows := range []int{64, 8} {

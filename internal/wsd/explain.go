@@ -9,9 +9,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"maybms/internal/algebra"
-	"maybms/internal/plan"
 )
 
 // closureName renders a closure for EXPLAIN output.
@@ -32,8 +29,7 @@ func closureName(cl closure) string {
 
 // explainQuery writes the plan and routing of a SELECT form taken apart by
 // decide: the ASSERT applied first and the grouping, then the routing
-// decision with the closure, the predicted evaluation path (batch vs. row),
-// and the compiled operator tree with component annotations on every table
+// decision with the closure, and the compiled operator tree with component annotations on every table
 // scan.
 func (d *WSD) explainQuery(b *strings.Builder, sh shape) error {
 	if sh.assert != nil {
@@ -52,7 +48,6 @@ func (d *WSD) explainQuery(b *strings.Builder, sh shape) error {
 	}
 	fmt.Fprintf(b, "route: %s\n", d.describeRoute(sh.core, an.Comps, d.route(sh.core, an, sh.cl, false)))
 	fmt.Fprintf(b, "closure: %s\n", closureName(sh.cl))
-	fmt.Fprintf(b, "eval: %s\n", d.predictEval(prep, an.Comps))
 	b.WriteString("plan:\n")
 	tree := prep.ExplainTree(func(table string) string {
 		comps := d.componentsFor(table)
@@ -65,24 +60,6 @@ func (d *WSD) explainQuery(b *strings.Builder, sh shape) error {
 		b.WriteString("  " + line + "\n")
 	}
 	return nil
-}
-
-// predictEval reports whether per-alternative evaluations would take the
-// vectorized batch path, probing the template bound against the first
-// world's instances — every touched component at its first alternative,
-// the same sizes the closures actually evaluate. (Binding against the
-// certain parts alone would size pure-contribution relations like bulk
-// choice tables at zero rows and mispredict row; the real decision is
-// still re-made per Collect.)
-func (d *WSD) predictEval(prep *plan.Prepared, comps []int) string {
-	op, err := prep.Bind(newPartsCatalog(d, firstWorld(comps)))
-	if err != nil {
-		return "row"
-	}
-	if _, ok := algebra.Vectorize(op); ok {
-		return "batch (vectorized, batch-native collect)"
-	}
-	return "row"
 }
 
 // altsBrief summarizes per-component alternative counts, e.g. "2+2+3".

@@ -39,8 +39,8 @@ package wsd
 // world-enumeration order, and neither is API. Tuples are identified by
 // AppendKey arena keys — the byte space of tuple.Encode, whether a batch is
 // columnar or row-backed — interned once per distinct tuple; the output is
-// gathered column-wise, or by tuple reference when the evaluations ran the
-// row operators, and materializes rows once at the end.
+// gathered column-wise, or by tuple reference when the evaluations' answers
+// are row-backed, and materializes rows once at the end.
 
 import (
 	"maybms/internal/colbatch"
@@ -336,8 +336,8 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 			return err
 		}
 		// The output follows the first non-empty batch: columnar answers gather
-		// column-wise, row-backed ones (evaluations that ran the row operators)
-		// append tuple references.
+		// column-wise, row-backed ones (evaluations over small row-backed
+		// relations) append tuple references.
 		if out == nil {
 			if out = colbatch.New(sch); b.RowBacked() {
 				out = colbatch.FromRowsShared(sch, nil)

@@ -122,10 +122,10 @@ func (d *WSD) SchemaFingerprint() uint64 {
 }
 
 // evaluator binds a compiled template per catalog and drains it into a
-// CollectBatch result — columnar when the evaluation ran the batch operators,
-// a zero-copy row-backed batch when it ran the row operators. Which operators
-// run is algebra's decision per drain (scanned rows against its floor);
-// nothing here sets it. A bind cannot fail for want of a table or a column:
+// CollectBatch result — row-backed when every relation the evaluation
+// scanned is small and row-backed (a one-row delta, a figure-sized table),
+// columnar otherwise. The representation follows the catalog's relations
+// (algebra's Scan); nothing here sets it. A bind cannot fail for want of a table or a column:
 // prepared compiled the template (or, from the cache, validated it) against
 // the very schemas every catalog here serves (schemaCatalog and partsCatalog
 // read d.schemas).

@@ -13,7 +13,7 @@ import (
 )
 
 // floorFixture builds a decomposition whose evaluations land on a chosen
-// side of algebra's batch floor: P is a choice among three alternatives of
+// side of colbatch.Floor: P is a choice among three alternatives of
 // rows tuples each (values overlap across alternatives, so certain and conf
 // are non-trivial), I the repair of two two-candidate key groups plus a
 // singleton, and S a certain lookup of pad rows. Twelve worlds either way,
@@ -50,14 +50,15 @@ func floorFixture(t *testing.T, rows, pad int) *WSD {
 }
 
 // TestClosuresBothSidesOfTheFloor is the end-to-end half of
-// internal/algebra's row-vs-batch equivalence fuzz. Which operator set an
-// evaluation runs follows from its scanned rows alone, so the same closure
-// and GROUP WORLDS BY statements run over a figure-sized fixture (every
-// evaluation under the floor: row operators only) and a padded one (over
-// it: batch operators), the trace's collect counters — the observable the
-// engine selects on — confirm which side ran, and each answer is compared
-// with per-world evaluation over Expand: groups in order with
-// probabilities to 1e-9, possible/certain answers as bags, conf to 1e-9.
+// internal/algebra's operator-vs-reference equivalence fuzz. Whether an
+// evaluation runs over rows or columns follows from its scanned relations
+// alone, so the same closure and GROUP WORLDS BY statements run over a
+// figure-sized fixture (every relation under the floor: every evaluation's
+// answer row-backed) and a padded one (over it: columnar answers), the
+// trace's collect counters — which count answers by representation —
+// confirm which side ran, and each answer is compared with per-world
+// evaluation over Expand: groups in order with probabilities to 1e-9,
+// possible/certain answers as bags, conf to 1e-9.
 func TestClosuresBothSidesOfTheFloor(t *testing.T) {
 	t.Parallel()
 	queries := []string{
@@ -119,10 +120,10 @@ func TestClosuresBothSidesOfTheFloor(t *testing.T) {
 				}
 				ex := d.trace.JSON().Exec
 				if side.batch && ex.BatchCollects == 0 {
-					t.Errorf("over the floor but no batch collect ran (batch=%d row=%d)", ex.BatchCollects, ex.RowCollects)
+					t.Errorf("over the floor but no answer was columnar (columnar=%d row-backed=%d)", ex.BatchCollects, ex.RowCollects)
 				}
 				if !side.batch && (ex.RowCollects == 0 || ex.BatchCollects != 0) {
-					t.Errorf("under the floor: collects batch=%d row=%d, want row only", ex.BatchCollects, ex.RowCollects)
+					t.Errorf("under the floor: %d columnar and %d row-backed answers, want row-backed only", ex.BatchCollects, ex.RowCollects)
 				}
 
 				if len(got) != len(want.Groups) {

@@ -85,10 +85,10 @@
 // colbatch batches, the fold and the group-worlds frontier dedup on
 // arena-encoded batch keys (byte-identical to tuple.Encode) and output rows
 // materialize once at the very end.
-// Which operator set an evaluation runs is internal/algebra's one rule —
-// trees scanning fewer than 32 rows, trees with no batch mirror and bare
-// scans run the row operators; everything else runs batches; nothing sets
-// this (batch.go records the measurements that keep both operator sets).
+// Every evaluation runs internal/algebra's one operator set; whether it
+// runs over rows or columns follows from what it scans — a relation of at
+// least colbatch.Floor rows is scanned as columns, a smaller one as it is
+// stored — and nothing here chooses or overrides it.
 package wsd
 
 import (

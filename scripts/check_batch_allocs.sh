@@ -3,11 +3,11 @@
 #
 # The batch executor's whole point is taking per-tuple allocations off the
 # per-alternative hot path (see internal/colbatch and internal/algebra's
-# batch operators). This script runs the three batch benchmarks with
+# operators). This script runs the bulk operator benchmarks with
 # -benchmem and fails when allocs/op regresses past a fixed ceiling, so an
-# accidental per-row allocation in a batch operator fails CI instead of
+# accidental per-row allocation in an operator fails CI instead of
 # silently eating the win. Ceilings are ~2x the measured steady state
-# (scan 1, filter ~95, join ~185 allocs/op) — loose enough for noise,
+# (scan 1, filter ~70, join ~150 allocs/op) — loose enough for noise,
 # tight enough that an O(rows) regression (8192 rows/op here) trips them.
 #
 # The closure-path gate does the same for the batch-native closure pipeline
@@ -21,8 +21,9 @@
 # The stored-batch-scan gate pins the columnar-first storage contract:
 # scanning a relation whose store is columnar (imported or closure-built)
 # is an identity lookup plus zero-copy slices — O(1) allocations per scan
-# (measured 1 alloc/op over 8192 rows), so any per-row re-encode sneaking
-# back into batchScan.Open trips the ceiling of 8 instantly.
+# (measured 2 allocs/op over 8192 rows: the scan and its chunk header), so
+# any per-row re-encode sneaking back into Scan.Open trips the ceiling of 8
+# instantly.
 #
 # The bulk-load gates hold the IMPORT loader to per-column allocation:
 # 1M-row CSVs must stay at ~1 alloc/row for a clean load (the csv
@@ -73,11 +74,27 @@
 # column's copy) and 12 for the delete (the gathered complement). Going
 # back through tuples, or one allocation per matching row (4 000 here),
 # trips the 2x ceilings at once.
+#
+# The per-drain gates hold the one operator set to the cost of the tiny
+# drains per-world and per-alternative evaluation runs thousands of times
+# per statement. BenchmarkFigurePipeline drains bound trees reused across
+# drains, as a bound subquery is: an 8-row row-backed Scan -> Filter ->
+# Project (steady state 7 allocs/op: the filter's gathered rows, the
+# projection's value slab, rows and header, the answer's header and
+# relation) and a one-row delta probing a shared 100-row build (9 allocs/op:
+# the answer's columns). The ~2x ceilings trip on any per-drain or per-row
+# allocation added to a row-backed drain. BenchmarkClosureComponents
+# closes a 1000-component decomposition (1000 one-row deltas per statement);
+# its possible and conf ceilings are ~1.2x the steady states the two
+# operator sets had before they became one (33 150 and 39 210 allocs/op),
+# so the per-delta cost cannot drift back past them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="$(go test ./internal/algebra/ -bench '^(BenchmarkBatchScan|BenchmarkStoredBatchScan|BenchmarkBatchFilter|BenchmarkHashJoinBatch)$' \
+OUT="$(go test ./internal/algebra/ -bench '^(BenchmarkBatchScan|BenchmarkStoredBatchScan|BenchmarkBatchFilter|BenchmarkHashJoinBatch|BenchmarkFigurePipeline)$' \
     -benchmem -benchtime 50x -run '^$' | tee /dev/stderr)
+$(go test . -bench '^BenchmarkClosureComponents$/^(possible|conf)$/^groups=1000$' \
+    -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
 $(go test ./internal/relation/ -bench '^BenchmarkImport(Certain|RepairKey|Choice)$' \
     -benchmem -benchtime 1x -run '^$' | tee /dev/stderr)
 $(go test . -bench '^(BenchmarkBatchClosurePossible|BenchmarkBatchClosureConf|BenchmarkBatchClosureGroupWorlds)$' \
@@ -110,6 +127,10 @@ check BenchmarkBatchScan 8
 check BenchmarkStoredBatchScan 8
 check BenchmarkBatchFilter 200
 check BenchmarkHashJoinBatch 400
+check 'BenchmarkFigurePipeline/scan-filter-project' 14
+check 'BenchmarkFigurePipeline/delta-probe' 18
+check 'BenchmarkClosureComponents/possible/groups=1000' 39800
+check 'BenchmarkClosureComponents/conf/groups=1000' 47000
 check BenchmarkImportCertain 1500000
 check BenchmarkImportRepairKey 3500000
 check BenchmarkImportChoice 1700000
