@@ -376,12 +376,13 @@ func TestTableRefusalTraced(t *testing.T) {
 }
 
 // TestExplainVectorized: EXPLAIN names no evaluation path — there is one
-// operator set, and which representation it runs over follows the scanned
-// relations — and a traced run of a componentwise join against a 40-row
-// certain relation (its key the WHERE's `K = X`) collects columnar answers
-// only: the scan emits the relation's columns past colbatch.Floor, and the
-// hash join's output follows its columnar build side, for the one-row
-// deltas too.
+// operator set, and which form it runs over follows the scanned relations
+// — and a traced run of a componentwise join against a 40-row certain
+// relation (its key the WHERE's `K = X`) collects a columnar answer for each
+// of the three one-row deltas: the 40-row relation is stored as columns
+// (past colbatch.Floor), and the hash join's output over a columnar build
+// side is columnar. The fourth answer, the certain-only evaluation over Rp's
+// empty certain part, is empty, and an empty batch is in row form.
 func TestExplainVectorized(t *testing.T) {
 	db := explainCompactDB(t)
 	wide := make([][]any, 40)
@@ -408,8 +409,8 @@ plan:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex := tr.JSON().Exec; ex.BatchCollects == 0 || ex.RowCollects != 0 {
-		t.Errorf("collects batch=%d row=%d, want columnar answers only", ex.BatchCollects, ex.RowCollects)
+	if ex := tr.JSON().Exec; ex.BatchCollects != 3 || ex.RowCollects != 1 {
+		t.Errorf("collects batch=%d row=%d, want 3 columnar deltas and 1 empty certain-only answer", ex.BatchCollects, ex.RowCollects)
 	}
 }
 

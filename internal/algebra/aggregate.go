@@ -21,7 +21,7 @@ import (
 // Groups are keyed through one reused byte arena. Over a columnar batch the
 // vectorizable aggregate arguments are evaluated batch-at-a-time and fed per
 // row in spec order, so results and error order are the row-at-a-time
-// evaluation's; the answer is row-backed exactly when the input is.
+// evaluation's.
 type Aggregate struct {
 	Child   Operator
 	GroupBy []int
@@ -77,7 +77,7 @@ func (a *Aggregate) Open(outer *expr.Context) error {
 		// Scalar aggregate over empty input: one row of empty-input results.
 		groups = append(groups, a.newGroup(tuple.Tuple{}))
 	}
-	a.out = a.result(groups, a.Child.rowBacked())
+	a.out = a.result(groups)
 	a.done = false
 	return nil
 }
@@ -144,37 +144,21 @@ func (a *Aggregate) add(b *colbatch.Batch, index map[string]int, groups []aggGro
 	return groups, nil
 }
 
-// result lays the groups out as one batch: tuples over one value slab when
-// rowBacked, else typed columns.
-func (a *Aggregate) result(groups []aggGroup, rowBacked bool) *colbatch.Batch {
+// result lays the groups out as tuples over one value slab, in the form
+// colbatch picks for their number.
+func (a *Aggregate) result(groups []aggGroup) *colbatch.Batch {
 	w := a.Out.Len()
-	if rowBacked {
-		slab := make([]value.Value, 0, len(groups)*w)
-		rows := make([]tuple.Tuple, len(groups))
-		for i, g := range groups {
-			start := len(slab)
-			slab = append(slab, g.key...)
-			for _, acc := range g.accs {
-				slab = append(slab, acc.Result())
-			}
-			rows[i] = tuple.Tuple(slab[start:len(slab):len(slab)])
+	slab := make([]value.Value, 0, len(groups)*w)
+	rows := make([]tuple.Tuple, len(groups))
+	for i, g := range groups {
+		start := len(slab)
+		slab = append(slab, g.key...)
+		for _, acc := range g.accs {
+			slab = append(slab, acc.Result())
 		}
-		return colbatch.FromRowsShared(a.Out, rows)
+		rows[i] = tuple.Tuple(slab[start:len(slab):len(slab)])
 	}
-	builders := make([]colbatch.ColBuilder, w)
-	for _, g := range groups {
-		for j, v := range g.key {
-			builders[j].Append(v)
-		}
-		for s, acc := range g.accs {
-			builders[len(g.key)+s].Append(acc.Result())
-		}
-	}
-	cols := make([]colbatch.Col, w)
-	for j := range builders {
-		cols[j] = builders[j].Col()
-	}
-	return colbatch.FromCols(a.Out, cols, len(groups))
+	return colbatch.FromRows(a.Out, rows)
 }
 
 // NextBatch implements Operator.
@@ -188,5 +172,3 @@ func (a *Aggregate) NextBatch() (*colbatch.Batch, error) {
 
 // Close implements Operator.
 func (a *Aggregate) Close() error { return nil }
-
-func (a *Aggregate) rowBacked() bool { return a.out.RowBacked() }

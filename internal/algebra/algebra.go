@@ -29,7 +29,7 @@ var ErrExec = errors.New("execution error")
 // instrumented hot path pays a handful of atomic adds per alternative.
 var (
 	batchCollects = obs.Default().Counter(`maybms_collects_total{path="batch"}`,
-		"Collect calls by the representation of the drained answer (batch = columnar, row = row-backed).")
+		"Collect calls by the form of the drained answer (batch = columnar, row = row form: fewer than colbatch's floor of rows).")
 	rowCollects = obs.Default().Counter(`maybms_collects_total{path="row"}`, "")
 	collectRows = obs.Default().Counter("maybms_collect_rows_total",
 		"Tuples materialized by Collect across all statements.")
@@ -50,9 +50,6 @@ type Operator interface {
 	NextBatch() (*colbatch.Batch, error)
 	// Close releases resources. Close is idempotent.
 	Close() error
-	// rowBacked reports, once Open has succeeded, whether the operator's
-	// answer is row-backed: exactly when every relation it scans is.
-	rowBacked() bool
 }
 
 // Collect drains op into a relation backed by its answer batch (see
@@ -65,10 +62,9 @@ func Collect(op Operator, outer *expr.Context) (*relation.Relation, error) {
 	return relation.FromBatch(b), nil
 }
 
-// CollectBatch drains op into one batch — row-backed when every relation op
-// scans is scanned row-backed, else columnar — and ticks the collect
-// counters once: one maybms_collects_total{path=batch|row} tick by the
-// answer's representation, rows counted once.
+// CollectBatch drains op into one batch and ticks the collect counters
+// once: one maybms_collects_total{path=batch|row} tick by the answer's
+// form, rows counted once.
 func CollectBatch(op Operator, outer *expr.Context) (*colbatch.Batch, error) {
 	out, err := drain(op, outer)
 	if err != nil {
@@ -92,10 +88,7 @@ func CollectBatch(op Operator, outer *expr.Context) (*colbatch.Batch, error) {
 	return out, nil
 }
 
-// Scan emits a relation in batches of up to batchSize rows: its columnar
-// form when it holds at least colbatch.Floor rows (the cached mirror of a
-// row-backed store), else its store as it is. This is the one place
-// representation is chosen; every other operator follows its input. A
+// Scan emits a relation's batch in batches of up to batchSize rows. A
 // relation that fits one batch is emitted as its stored batch, under the
 // stored schema (consumers read columns by index; Collect answers under the
 // operator's Schema).
@@ -123,11 +116,7 @@ func (s *Scan) Schema() *schema.Schema {
 
 // Open implements Operator.
 func (s *Scan) Open(outer *expr.Context) error {
-	if s.Rel.Len() >= colbatch.Floor {
-		s.b = s.Rel.Batch()
-	} else {
-		s.b = s.Rel.BatchView()
-	}
+	s.b = s.Rel.Batch()
 	s.pos = 0
 	s.ip.init(outer)
 	return nil
@@ -157,8 +146,6 @@ func (s *Scan) NextBatch() (*colbatch.Batch, error) {
 
 // Close implements Operator.
 func (s *Scan) Close() error { return nil }
-
-func (s *Scan) rowBacked() bool { return s.b.RowBacked() }
 
 // Filter passes through rows on which Pred is true (SQL semantics: NULL and
 // false both drop the row). A columnar batch is evaluated column-at-a-time
@@ -267,12 +254,10 @@ func (f *Filter) selectRows(b *colbatch.Batch) {
 // Close implements Operator.
 func (f *Filter) Close() error { return f.Child.Close() }
 
-func (f *Filter) rowBacked() bool { return f.Child.rowBacked() }
-
 // Project computes an output row per input row from expressions: column-at-
 // a-time over a columnar batch when every expression is vectorizable, else
-// row-at-a-time, into tuples for a row-backed batch and columns for a
-// columnar one. A per-row error is deferred until the rows preceding it have
+// row-at-a-time into tuples, which colbatch keeps or lays out as columns by
+// their number. A per-row error is deferred until the rows preceding it have
 // been emitted.
 type Project struct {
 	Child Operator
@@ -310,13 +295,10 @@ func (p *Project) NextBatch() (*colbatch.Batch, error) {
 		return nil, err
 	}
 	var out *colbatch.Batch
-	switch {
-	case b.RowBacked():
-		out = p.rows(b)
-	case p.vec:
+	if p.vec && !b.RowBacked() {
 		out = p.columns(b)
-	default:
-		out = p.build(b)
+	} else {
+		out = p.rows(b)
 	}
 	if out == nil {
 		return nil, p.err
@@ -328,8 +310,8 @@ func (p *Project) wrap(e expr.Expr, err error) {
 	p.err = fmt.Errorf("%w: projecting %s: %w", ErrExec, e, err)
 }
 
-// rows projects a row-backed batch into tuples sharing one value slab; nil
-// when the first row errs.
+// rows projects a batch row-at-a-time into tuples sharing one value slab;
+// nil when the first row errs.
 func (p *Project) rows(b *colbatch.Batch) *colbatch.Batch {
 	in := b.Rows()
 	ctx := &p.ctx
@@ -353,7 +335,7 @@ scan:
 	if len(out) == 0 {
 		return nil
 	}
-	return colbatch.FromRowsShared(p.Out, out)
+	return colbatch.FromRows(p.Out, out)
 }
 
 // columns evaluates every expression over a columnar batch; the first error
@@ -385,42 +367,8 @@ scan:
 	return colbatch.FromCols(p.Out, cols, stop)
 }
 
-// build evaluates a columnar batch row-at-a-time into columns.
-func (p *Project) build(b *colbatch.Batch) *colbatch.Batch {
-	builders := make([]colbatch.ColBuilder, len(p.Exprs))
-	vals := make([]value.Value, len(p.Exprs))
-	ctx := &p.ctx
-	n := 0
-scan:
-	for _, t := range b.Rows() {
-		ctx.Tuple = t
-		for j, e := range p.Exprs {
-			v, err := e.Eval(ctx)
-			if err != nil {
-				p.wrap(e, err)
-				break scan
-			}
-			vals[j] = v
-		}
-		for j := range builders {
-			builders[j].Append(vals[j])
-		}
-		n++
-	}
-	if n == 0 {
-		return nil
-	}
-	cols := make([]colbatch.Col, len(builders))
-	for j := range builders {
-		cols[j] = builders[j].Col()
-	}
-	return colbatch.FromCols(p.Out, cols, n)
-}
-
 // Close implements Operator.
 func (p *Project) Close() error { return p.Child.Close() }
-
-func (p *Project) rowBacked() bool { return p.Child.rowBacked() }
 
 // Distinct drops duplicate rows, streaming, preserving first occurrences. Each
 // row is keyed through one reused byte arena: one key string per distinct
@@ -490,8 +438,6 @@ func (d *Distinct) NextBatch() (*colbatch.Batch, error) {
 // Close implements Operator.
 func (d *Distinct) Close() error { return d.Child.Close() }
 
-func (d *Distinct) rowBacked() bool { return d.Child.rowBacked() }
-
 // Union concatenates two inputs with identical arity, left first. Wrap in
 // Distinct for SQL UNION; use alone for UNION ALL.
 type Union struct {
@@ -535,8 +481,6 @@ func (u *Union) Close() error {
 	}
 	return err2
 }
-
-func (u *Union) rowBacked() bool { return u.Left.rowBacked() && u.Right.rowBacked() }
 
 // SortKey orders by a column index, optionally descending.
 type SortKey struct {
@@ -584,8 +528,6 @@ func (s *Sort) NextBatch() (*colbatch.Batch, error) {
 // Close implements Operator.
 func (s *Sort) Close() error { return nil }
 
-func (s *Sort) rowBacked() bool { return s.out.RowBacked() }
-
 // Limit caps the number of emitted rows. Every operator emits the rows
 // preceding a per-row error before failing, so Limit stops exactly where a
 // row-at-a-time LIMIT would: an error past the cut is never reached.
@@ -623,5 +565,3 @@ func (l *Limit) NextBatch() (*colbatch.Batch, error) {
 
 // Close implements Operator.
 func (l *Limit) Close() error { return l.Child.Close() }
-
-func (l *Limit) rowBacked() bool { return l.Child.rowBacked() }

@@ -1,17 +1,17 @@
 // The execution model. Every operator runs batch-at-a-time over colbatch
-// batches, and the representation of a batch follows the input: a Scan
-// emits the columnar form of a relation of at least colbatch.Floor rows and
-// the store as it is otherwise, and every other operator keeps what it is
-// handed. A row-backed batch — an INSERT-built or figure-sized relation, a
-// split contribution, a one-row delta — runs each operator's row-at-a-time
-// inner loop and comes out row-backed; a columnar batch runs the vectorized
-// loop: filters evaluate predicates column-at-a-time into selection vectors,
-// projections evaluate expression columns, and the joins, Distinct and
-// Aggregate build their hash keys column-wise into reusable byte arenas
-// instead of allocating a Tuple.Key() string per row. Expressions outside
-// the vectorizable subset run row-at-a-time inside the same operators. An
-// operator keeps its state across the drains of a bound tree (a subquery is
-// drained once per outer row) and resets it on Open.
+// batches, and the form of a batch is colbatch's choice: a Scan emits the
+// relation's batch as it is stored, and an operator's output is built by
+// colbatch, which keeps rows under its floor and columns otherwise. Each
+// operator picks its inner loop by the form it is handed. A row-form batch
+// — an INSERT-built or figure-sized relation, a split contribution, a
+// one-row delta — runs the row-at-a-time loop; a columnar batch runs the
+// vectorized loop: filters evaluate predicates column-at-a-time into
+// selection vectors, projections evaluate expression columns, and the
+// joins, Distinct and Aggregate build their hash keys column-wise into
+// reusable byte arenas instead of allocating a Tuple.Key() string per row.
+// Expressions outside the vectorizable subset run row-at-a-time inside the
+// same operators. An operator keeps its state across the drains of a bound
+// tree (a subquery is drained once per outer row) and resets it on Open.
 //
 // Answers are row for row and error for error the row-at-a-time reference
 // operators' (kept as the oracle of the equivalence fuzz): the same tuples,
@@ -50,14 +50,13 @@ const batchSize = 1024
 
 // drain runs op to completion into one batch under op's schema: the first
 // batch's data shared zero-copy when it is the only one, else the batches
-// appended into an accumulator. The answer is row-backed exactly when op's
-// input is (Operator.rowBacked), whatever its batches were.
+// appended into an accumulator that takes the first batch's form (and
+// settles into columns if row-form batches reach colbatch's floor).
 func drain(op Operator, outer *expr.Context) (*colbatch.Batch, error) {
 	if err := op.Open(outer); err != nil {
 		return nil, err
 	}
 	defer op.Close()
-	rowBacked := op.rowBacked()
 	var out *colbatch.Batch
 	owned := false // out is an accumulator, not a snapshot of a batch
 	for {
@@ -69,30 +68,21 @@ func drain(op Operator, outer *expr.Context) (*colbatch.Batch, error) {
 			break
 		}
 		switch {
-		case out == nil && b.RowBacked() == rowBacked:
+		case out == nil:
 			out = b.Slice(0, b.Len()) // the header is op's; the data is immutable
 			continue
 		case !owned:
-			acc := emptyBatch(op, rowBacked)
-			if out != nil {
-				acc.AppendBatch(out)
-			}
+			acc := colbatch.New(op.Schema())
+			acc.AppendBatch(out)
 			out, owned = acc, true
 		}
 		out.AppendBatch(b)
 	}
 	if out == nil {
-		return emptyBatch(op, rowBacked), nil
+		return colbatch.New(op.Schema()), nil
 	}
 	out.Schema = op.Schema()
 	return out, nil
-}
-
-func emptyBatch(op Operator, rowBacked bool) *colbatch.Batch {
-	if rowBacked {
-		return colbatch.FromRowsShared(op.Schema(), nil)
-	}
-	return colbatch.New(op.Schema())
 }
 
 // interruptHook polls an Interrupt hook (found on the Open context chain)
@@ -145,27 +135,5 @@ func colFromVec(v *expr.Vec, n, stop int) colbatch.Col {
 	if stop == n {
 		return v.Col
 	}
-	return sliceCol(&v.Col, stop)
-}
-
-// sliceCol returns a zero-copy prefix of a column.
-func sliceCol(c *colbatch.Col, stop int) colbatch.Col {
-	if c.Any != nil {
-		return colbatch.Col{Any: c.Any[:stop]}
-	}
-	out := colbatch.Col{Kind: c.Kind}
-	if c.Nulls != nil {
-		out.Nulls = c.Nulls[:stop]
-	}
-	switch c.Kind {
-	case value.KindInt:
-		out.Ints = c.Ints[:stop]
-	case value.KindFloat:
-		out.Floats = c.Floats[:stop]
-	case value.KindString:
-		out.Strs = c.Strs[:stop]
-	case value.KindBool:
-		out.Bools = c.Bools[:stop]
-	}
-	return out
+	return v.Col.Slice(0, stop)
 }

@@ -112,8 +112,6 @@ func (j *CrossJoin) Close() error {
 	return j.Left.Close()
 }
 
-func (j *CrossJoin) rowBacked() bool { return j.Left.rowBacked() && j.right.RowBacked() }
-
 // HashJoin is an equi-join: LeftKeys[i] must equal RightKeys[i] under SQL
 // `=`. The right side is the build side, hashed on Open into a JoinTable,
 // and each left row meets its matches in build order, so the output is row
@@ -131,7 +129,7 @@ type HashJoin struct {
 	out        *schema.Schema
 	table      *JoinTable
 	cur        *colbatch.Batch
-	rows       []tuple.Tuple // cur's rows when it is row-backed
+	rows       []tuple.Tuple // cur's rows when it is in row form
 	probeCol   *colbatch.Col // intMode over a columnar cur: its key column
 	li         int
 	chainRow   int32 // next candidate build row of curRow's chain, -1 = none
@@ -240,8 +238,6 @@ func (j *HashJoin) Close() error {
 	j.open = false
 	return j.Left.Close()
 }
-
-func (j *HashJoin) rowBacked() bool { return j.Left.rowBacked() && j.table.rows.RowBacked() }
 
 // maxExactInt bounds the ints float64 represents exactly: within ±2^53
 // distinct ints stay distinct under AsFloat.

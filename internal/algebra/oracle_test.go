@@ -59,7 +59,7 @@ func collectReference(op Operator, outer *expr.Context) (*relation.Relation, err
 	if err != nil {
 		return nil, err
 	}
-	return relation.FromRowsShared(r.Schema(), rows), nil
+	return relation.FromBatch(colbatch.FromRows(r.Schema(), rows)), nil
 }
 
 func drainRowOp(op rowOp, outer *expr.Context) ([]tuple.Tuple, error) {
@@ -238,7 +238,7 @@ func (j *rowHashJoin) Open(outer *expr.Context) error {
 	} else {
 		var right []tuple.Tuple
 		if right, err = drainRowOp(j.right, outer); err == nil {
-			j.table = newJoinTable(colbatch.FromRowsShared(j.right.Schema(), right), j.rightKeys)
+			j.table = newJoinTable(colbatch.FromRows(j.right.Schema(), right), j.rightKeys)
 		}
 	}
 	if err != nil {

@@ -59,8 +59,9 @@ func randValue(rng *rand.Rand) value.Value {
 
 // randRelation draws a relation of width 1–4 whose size straddles the
 // floor (0, 1, 31, 32, 33), is small, or — one draw in eight — runs to
-// 2 000 rows; it is built tuple-at-a-time (row-backed) or as a columnar
-// batch. small caps the large draws at 33 rows, for join build sides.
+// 2 000 rows; it is built from rows (colbatch.FromRows: row form under the
+// floor) or as columns whatever its size. small caps the large draws at 33
+// rows, for join build sides.
 func randRelation(rng *rand.Rand, small bool) *relation.Relation {
 	w := 1 + rng.Intn(4)
 	names := make([]string, w)
@@ -94,9 +95,13 @@ func randRelation(rng *rand.Rand, small bool) *relation.Relation {
 	}
 	sch := schema.New(names...)
 	if rng.Intn(2) == 0 {
-		return relation.FromRowsShared(sch, rows)
+		return relation.FromBatch(colbatch.FromRows(sch, rows))
 	}
-	return relation.FromBatch(colbatch.FromRows(sch, rows))
+	b := colbatch.FromCols(sch, make([]colbatch.Col, w), 0)
+	for _, t := range rows {
+		b.Append(t)
+	}
+	return relation.FromBatch(b)
 }
 
 // randExpr builds a random scalar expression over a width-w schema. It
@@ -277,32 +282,50 @@ func renderResult(rel *relation.Relation, err error) string {
 	return b.String()
 }
 
-// scansRows reports whether every relation op scans is scanned row-backed:
-// row-backed and under the floor.
-func scansRows(op Operator) bool {
+// scans describes what op scans: whether every scanned relation is in row
+// form, whether every one is columnar, and a bound on the rows of any batch
+// or drain inside op (joins multiply their sides, a union adds them, an
+// aggregate emits at least one row). aggregates reports an Aggregate in op.
+type scans struct {
+	rows, cols, aggregates bool
+	bound                  int
+}
+
+func scanned(op Operator) scans {
 	switch n := op.(type) {
 	case *Scan:
-		return n.Rel.BatchView().RowBacked() && n.Rel.Len() < colbatch.Floor
+		b := n.Rel.Batch()
+		return scans{rows: b.RowBacked(), cols: !b.RowBacked(), bound: b.Len()}
 	case *Filter:
-		return scansRows(n.Child)
+		return scanned(n.Child)
 	case *Project:
-		return scansRows(n.Child)
+		return scanned(n.Child)
 	case *Distinct:
-		return scansRows(n.Child)
+		return scanned(n.Child)
 	case *Sort:
-		return scansRows(n.Child)
+		return scanned(n.Child)
 	case *Limit:
-		return scansRows(n.Child)
+		return scanned(n.Child)
 	case *Aggregate:
-		return scansRows(n.Child)
+		s := scanned(n.Child)
+		s.aggregates, s.bound = true, max(s.bound, 1)
+		return s
 	case *CrossJoin:
-		return scansRows(n.Left) && scansRows(n.Right)
+		return scanned(n.Left).join(scanned(n.Right), true)
 	case *HashJoin:
-		return scansRows(n.Left) && scansRows(n.Right)
+		return scanned(n.Left).join(scanned(n.Right), true)
 	case *Union:
-		return scansRows(n.Left) && scansRows(n.Right)
+		return scanned(n.Left).join(scanned(n.Right), false)
 	}
-	panic(fmt.Sprintf("scansRows: %T", op))
+	panic(fmt.Sprintf("scanned: %T", op))
+}
+
+func (s scans) join(t scans, product bool) scans {
+	out := scans{rows: s.rows && t.rows, cols: s.cols && t.cols, aggregates: s.aggregates || t.aggregates, bound: s.bound + t.bound}
+	if product {
+		out.bound = s.bound * t.bound
+	}
+	return out
 }
 
 // cutErrors counts, per kind of a LIMIT's child, the LIMITs in op whose
@@ -343,8 +366,12 @@ func cutErrors(op Operator, counts map[string]int) {
 // trees and 400 LIMITs over late-failing inputs (cutTree), each collected by
 // the operators and by the reference operators,
 // must agree byte for byte — including which error (if any) surfaces, under
-// LIMIT too — and an answer must be row-backed exactly when every relation
-// the tree scans is row-backed and under the floor.
+// LIMIT too. The answer's form must follow colbatch's invariant: a row-form
+// answer holds fewer than colbatch.Floor rows; rows stay rows while nothing
+// inside the tree reaches the floor (every relation it scans is in row form
+// and the scans bound every batch under the floor); columns stay columns (a
+// non-empty answer over columnar scans alone is columnar unless an
+// Aggregate laid its groups out afresh).
 func TestRowBatchEquivalenceFuzz(t *testing.T) {
 	t.Parallel()
 	errs, rowAnswers, colAnswers := 0, 0, 0
@@ -371,22 +398,28 @@ func TestRowBatchEquivalenceFuzz(t *testing.T) {
 				errs++
 				continue
 			}
-			if rows := got.BatchView().RowBacked(); rows != scansRows(op) {
-				t.Fatalf("seed %d (cut %v): answer row-backed = %v, scanned inputs row-backed and under the floor = %v", seed, cut, rows, !rows)
-			} else if rows {
+			rows, in := got.Batch().RowBacked(), scanned(op)
+			switch {
+			case rows && got.Len() >= colbatch.Floor:
+				t.Fatalf("seed %d (cut %v): row-form answer of %d rows", seed, cut, got.Len())
+			case !rows && in.rows && in.bound < colbatch.Floor:
+				t.Fatalf("seed %d (cut %v): columnar answer over row-form scans bounded by %d rows", seed, cut, in.bound)
+			case rows && got.Len() > 0 && in.cols && !in.aggregates:
+				t.Fatalf("seed %d (cut %v): row-form answer over columnar scans", seed, cut)
+			case rows && in.rows:
 				rowAnswers++
-			} else {
+			case !rows && in.cols:
 				colAnswers++
 			}
 			cutErrors(tree(), cuts)
 		}
 	}
-	t.Logf("%d errors, %d row-backed and %d columnar answers, LIMITs short of an error by child: %v", errs, rowAnswers, colAnswers, cuts)
+	t.Logf("%d errors, %d row-form and %d columnar answers, LIMITs short of an error by child: %v", errs, rowAnswers, colAnswers, cuts)
 	if errs == 0 {
 		t.Fatal("fuzz never produced an evaluation error; error-path equivalence untested")
 	}
 	if rowAnswers == 0 || colAnswers == 0 {
-		t.Fatalf("%d row-backed and %d columnar answers: want both", rowAnswers, colAnswers)
+		t.Fatalf("%d row-form answers over row-form scans and %d columnar answers over columnar scans: want both", rowAnswers, colAnswers)
 	}
 	for _, kind := range []string{"*algebra.Filter", "*algebra.Project"} {
 		if cuts[kind] == 0 {

@@ -1,32 +1,27 @@
-// Package colbatch implements typed columnar batches of tuples: the storage
-// format of relations and of the vectorized read path. A Batch holds one
-// typed vector per column (int64 / float64 / string / bool payloads plus a
-// null bitmap), with a generic value fallback for mixed-kind columns, and
-// supports the operations batch operators need — batch-at-a-time append,
-// zero-copy column projection and row slicing, selection-vector gather,
-// slab-allocated row materialization, and canonical key encoding into a
-// reusable byte arena.
+// Package colbatch implements batches of tuples: the storage format of
+// relations and the currency of every operator and closure builder. A Batch
+// holds its rows in one of two forms. Columnar: one typed vector per column
+// (int64 / float64 / string / bool payloads plus a null bitmap), with a
+// generic value fallback for mixed-kind columns. Row form: the tuples
+// themselves, fewer than Floor of them. Both support what batch operators
+// need — batch-at-a-time append, zero-copy row slicing, selection-vector
+// gather, canonical key encoding into a reusable byte arena — with identical
+// answers: a batch's Rows() are value-for-value the rows it was built from,
+// and AppendKey/AppendKeyOn produce exactly the bytes of tuple.Encode /
+// tuple.KeyOn whatever the form.
 //
-// The batch is the truth; rows are a view. relation.Relation stores its
-// contents as a Batch (columnar when built by the loaders and closure
-// builders, row-backed via FromRowsShared when built tuple-at-a-time), and
-// Rows() materializes tuples only when a row path asks: a batch's Rows()
-// are value-for-value identical to the rows it was built from, and
-// AppendKeyOn produces exactly the bytes of tuple.KeyOn / value.Encode.
+// The form is decided here and nowhere else, by size: a batch built from
+// rows stays in row form under Floor rows and is laid out as columns at
+// Floor rows or more, a row-form batch that an append brings to Floor rows
+// settles into columns, and a batch derived from a columnar one stays
+// columnar. Consumers read batches without asking which form they hold;
+// only the size-selected inner loops (internal/algebra's operators, the
+// tiny-DML rewrite, the wire encoder's row branch) test RowBacked.
+//
 // Batches are treated as immutable once handed to a consumer; builders
 // append, consumers only read. Zero-copy slices are capacity-clamped, so a
 // stored batch sliced out of a larger one (factorized CTAS contributions,
 // import conflict groups) never aliases appends with its parent.
-//
-// Since the batch-native closure seam landed, batches are also the currency
-// past algebra.CollectBatch: the wsd closure builders union/dedup/merge on
-// AppendKey arena keys and assemble outputs with AppendBatch/AppendGather,
-// materializing rows once at the very end (one Rows() slab) instead of per
-// evaluation. Row-backed batches (FromRowsShared) are the lazy row view of
-// that seam — they wrap already-materialized tuples with zero copying, their
-// Rows() is free, and AppendKey degrades to tuple.Encode on the shared rows,
-// so row-backed and columnar answers, and the naive engine's, run through
-// the same closure code with identical bytes.
 package colbatch
 
 import (
@@ -40,10 +35,8 @@ import (
 // Floor is the row count below which a columnar batch does not pay for
 // itself: its fixed cost (headers, one small slice per column, per-operator
 // column work) outweighs what column-at-a-time work saves on so few rows.
-// It is read in one place: algebra's Scan emits the columnar form of a
-// relation of at least Floor rows and the relation's store as it is
-// otherwise, and every other operator follows the representation it is
-// handed.
+// It is read in colbatch only: a row-form batch holds fewer than Floor rows,
+// and every constructor and append keeps it so.
 const Floor = 32
 
 // Col is one typed column of a batch. Exactly one representation is active:
@@ -139,6 +132,21 @@ func (c *Col) append(n int, v value.Value) {
 		c.Nulls = append(c.Nulls, false)
 	}
 	c.appendTyped(v)
+}
+
+// reserve makes an empty column of kind k with room for n cells.
+func (c *Col) reserve(k value.Kind, n int) {
+	c.Kind = k
+	switch k {
+	case value.KindInt:
+		c.Ints = make([]int64, 0, n)
+	case value.KindFloat:
+		c.Floats = make([]float64, 0, n)
+	case value.KindString:
+		c.Strs = make([]string, 0, n)
+	case value.KindBool:
+		c.Bools = make([]bool, 0, n)
+	}
 }
 
 func (c *Col) grow(n int) {
@@ -238,11 +246,11 @@ func (c *Col) gather(sel []int32) Col {
 	return out
 }
 
-// slice returns a zero-copy view of rows [lo, hi). The sub-slices are
+// Slice returns a zero-copy view of rows [lo, hi). The sub-slices are
 // capacity-clamped so a later append through the view reallocates instead
 // of clobbering the parent's cells past hi — sliced views are safe to hand
 // out as independent stored batches (copy-on-write).
-func (c *Col) slice(lo, hi int) Col {
+func (c *Col) Slice(lo, hi int) Col {
 	if c.Any != nil {
 		return Col{Any: c.Any[lo:hi:hi]}
 	}
@@ -351,69 +359,110 @@ func (c *Col) appendKey(dst []byte, i int) []byte {
 	return dst
 }
 
-// Batch is a fixed-schema batch of rows in columnar form. rows, when
-// non-nil, is a row-backed batch (produced by FromRowsShared): columns are
-// materialized lazily and Rows() is free.
+// Batch is a fixed-schema batch of rows in one of two forms. Columnar
+// (cols != nil): one typed column per schema column. Row form (cols == nil):
+// rows holds the tuples, fewer than Floor of them — the Append, AppendBatch
+// and AppendGather that would bring a row-form batch to Floor rows settle it
+// into columns first, and every constructor builds columns at Floor rows or
+// more. An empty batch is in row form until a columnar batch is appended to
+// it.
 type Batch struct {
 	Schema *schema.Schema
 	cols   []Col
 	n      int
-	rows   []tuple.Tuple // non-nil for row-backed batches
+	rows   []tuple.Tuple // the rows of a row-form batch
+	room   int           // rows the batch makes room for (Reserve)
 }
 
-// New returns an empty batch with the given schema.
+// New returns an empty batch with the given schema. It takes the form of
+// the first thing appended to it: rows for a tuple or a row-form batch,
+// columns for a columnar batch.
 func New(sch *schema.Schema) *Batch {
-	return &Batch{Schema: sch, cols: make([]Col, sch.Len())}
+	return &Batch{Schema: sch}
 }
 
-// FromRows builds a columnar batch from rows (each of the schema's width).
+// FromRows builds a batch from rows (each of the schema's width), taking
+// ownership of the slice: kept as it is in row form under Floor rows, laid
+// out as columns at Floor rows or more. The caller must treat the rows as
+// immutable.
 func FromRows(sch *schema.Schema, rows []tuple.Tuple) *Batch {
-	b := New(sch)
-	for _, t := range rows {
-		b.Append(t)
+	b := &Batch{Schema: sch, n: len(rows), rows: rows, room: len(rows)}
+	if b.n >= Floor {
+		b.settle()
 	}
 	return b
 }
 
-// FromRowsShared wraps already materialized rows as a row-backed batch
-// without columnarizing: Rows() returns the slice as-is. The caller must
-// treat the rows as immutable.
-func FromRowsShared(sch *schema.Schema, rows []tuple.Tuple) *Batch {
-	if rows == nil {
-		// A nil slice would make the batch look columnar (RowBacked is
-		// rows != nil); pin the row-backed representation with an empty one.
-		rows = make([]tuple.Tuple, 0)
+// Len returns the number of rows; a nil batch has none.
+func (b *Batch) Len() int {
+	if b == nil {
+		return 0
 	}
-	return &Batch{Schema: sch, n: len(rows), rows: rows}
+	return b.n
 }
 
-// Len returns the number of rows.
-func (b *Batch) Len() int { return b.n }
+// RowBacked reports whether the batch is in row form: its Rows() are the
+// stored tuples, returned without materialization, and it holds fewer than
+// Floor of them.
+func (b *Batch) RowBacked() bool { return b.cols == nil }
 
-// RowBacked reports whether the batch is a row-backed view (FromRowsShared):
-// its Rows() are the original tuples, returned without materialization.
-func (b *Batch) RowBacked() bool { return b.rows != nil }
+// Reserve makes room for about n more rows: in the row slice of an empty
+// batch, and in the columns a row-form batch settles into.
+func (b *Batch) Reserve(n int) {
+	b.room = b.n + n
+	if b.n == 0 && b.cols == nil {
+		b.rows = make([]tuple.Tuple, 0, min(n, Floor-1))
+	}
+}
 
-// WithSchema returns a shallow view of the batch under a different schema of
-// the same width (the columnar counterpart of Relation.WithSchema).
+// settle lays a row-form batch out as columns, each typed column allocated
+// once with room to grow well past Floor rows (or to the reserved size): a
+// batch settles because it is growing.
+func (b *Batch) settle() {
+	rows := b.rows
+	b.cols, b.rows, b.n = make([]Col, b.Schema.Len()), nil, 0
+	for j := range b.cols {
+		for _, t := range rows {
+			if !t[j].IsNull() {
+				b.cols[j].reserve(t[j].Kind(), max(4*Floor, b.room))
+				break
+			}
+		}
+	}
+	for _, t := range rows {
+		b.appendCols(t)
+	}
+}
+
+// appendCols adds one row to a columnar batch.
+func (b *Batch) appendCols(t tuple.Tuple) {
+	for j := range b.cols {
+		b.cols[j].append(b.n, t[j])
+	}
+	b.n++
+}
+
+// WithSchema returns b under a different schema of the same width, sharing
+// its data as Slice does: appends through either batch never reach the
+// other.
 func (b *Batch) WithSchema(sch *schema.Schema) *Batch {
-	out := *b
+	out := b.Slice(0, b.n)
 	out.Schema = sch
-	return &out
+	return out
 }
 
 // Width returns the number of columns.
 func (b *Batch) Width() int {
-	if b.rows != nil {
+	if b.cols == nil {
 		return b.Schema.Len()
 	}
 	return len(b.cols)
 }
 
-// Col returns column j. On a row-backed batch the column is materialized
+// Col returns column j. On a row-form batch the column is materialized
 // generically on demand.
 func (b *Batch) Col(j int) *Col {
-	if b.rows != nil {
+	if b.cols == nil {
 		anyv := make([]value.Value, b.n)
 		for i, t := range b.rows {
 			anyv[i] = t[j]
@@ -425,36 +474,54 @@ func (b *Batch) Col(j int) *Col {
 
 // At returns the value at row i, column j.
 func (b *Batch) At(i, j int) value.Value {
-	if b.rows != nil {
+	if b.cols == nil {
 		return b.rows[i][j]
 	}
 	return b.cols[j].Value(i)
 }
 
-// Append adds one row to the batch.
+// Append adds one row to the batch, taking ownership of the tuple while the
+// batch stays in row form.
 func (b *Batch) Append(t tuple.Tuple) {
-	if b.rows != nil {
-		b.rows = append(b.rows, t)
-		b.n++
-		return
+	if b.cols == nil {
+		if b.n+1 < Floor {
+			b.rows = append(b.rows, t)
+			b.n++
+			return
+		}
+		b.settle()
 	}
-	for j := range b.cols {
-		b.cols[j].append(b.n, t[j])
+	b.appendCols(t)
+}
+
+// toColumns prepares b to receive src's m rows: it reports whether they
+// stay in row form, and otherwise leaves b columnar — an empty batch takes
+// a columnar src's form, a row-form one settles when the rows would reach
+// Floor.
+func (b *Batch) toColumns(src *Batch, m int) bool {
+	switch {
+	case b.cols != nil:
+	case b.n == 0 && src.cols != nil:
+		b.cols, b.rows = make([]Col, len(src.cols)), nil
+	case b.n+m < Floor:
+		return false
+	default:
+		b.settle()
 	}
-	b.n++
+	return true
 }
 
 // AppendBatch appends all rows of src to b. The schemas must have the same
 // width.
 func (b *Batch) AppendBatch(src *Batch) {
-	if b.rows != nil {
+	if !b.toColumns(src, src.n) {
 		b.rows = append(b.rows, src.Rows()...)
 		b.n += src.n
 		return
 	}
-	if src.rows != nil {
+	if src.cols == nil {
 		for _, t := range src.rows {
-			b.Append(t)
+			b.appendCols(t)
 		}
 		return
 	}
@@ -469,22 +536,16 @@ func (b *Batch) AppendBatch(src *Batch) {
 // first-appearance rows without materializing an intermediate batch. The
 // schemas must have the same width.
 func (b *Batch) AppendGather(src *Batch, sel []int32) {
-	if b.rows != nil {
-		if src.rows != nil {
-			for _, s := range sel {
-				b.rows = append(b.rows, src.rows[s])
-			}
-		} else {
-			for _, s := range sel {
-				b.rows = append(b.rows, src.Row(int(s)))
-			}
+	if !b.toColumns(src, len(sel)) {
+		for _, s := range sel {
+			b.rows = append(b.rows, src.Row(int(s)))
 		}
 		b.n += len(sel)
 		return
 	}
-	if src.rows != nil {
+	if src.cols == nil {
 		for _, s := range sel {
-			b.Append(src.rows[s])
+			b.appendCols(src.rows[s])
 		}
 		return
 	}
@@ -558,32 +619,37 @@ func (c *Col) appendGather(at int, src *Col, sel []int32) {
 	}
 }
 
-// ExtendFloat returns the batch extended with a trailing float column (the
-// closure builders' conf column), under the given output schema. vals must
-// have one entry per row. Row-backed batches extend row-wise (each output
-// row is a fresh tuple); columnar batches share their existing vectors.
-func (b *Batch) ExtendFloat(out *schema.Schema, vals []float64) *Batch {
-	if b.rows != nil {
+// Extend returns the batch extended with a trailing column c (one cell per
+// row) under the given output schema: the closure builders' conf column, a
+// conditional relation's cond column. A columnar batch shares its existing
+// vectors; a row-form one extends row-wise into one value slab.
+func (b *Batch) Extend(out *schema.Schema, c Col) *Batch {
+	if b.cols == nil {
+		w := out.Len()
+		slab := make([]value.Value, b.n*w)
 		rows := make([]tuple.Tuple, b.n)
 		for i, t := range b.rows {
-			rows[i] = append(t.Clone(), value.Float(vals[i]))
+			row := slab[i*w : (i+1)*w : (i+1)*w]
+			copy(row, t)
+			row[w-1] = c.Value(i)
+			rows[i] = tuple.Tuple(row)
 		}
 		return &Batch{Schema: out, n: b.n, rows: rows}
 	}
 	cols := make([]Col, len(b.cols)+1)
 	copy(cols, b.cols)
-	cols[len(b.cols)] = Col{Kind: value.KindFloat, Floats: vals}
+	cols[len(b.cols)] = c
 	return &Batch{Schema: out, cols: cols, n: b.n}
 }
 
-// Slice returns a zero-copy view of rows [lo, hi).
+// Slice returns a zero-copy view of rows [lo, hi), in b's form.
 func (b *Batch) Slice(lo, hi int) *Batch {
-	if b.rows != nil {
+	if b.cols == nil {
 		return &Batch{Schema: b.Schema, n: hi - lo, rows: b.rows[lo:hi:hi]}
 	}
 	out := &Batch{Schema: b.Schema, cols: make([]Col, len(b.cols)), n: hi - lo}
 	for j := range b.cols {
-		out.cols[j] = b.cols[j].slice(lo, hi)
+		out.cols[j] = b.cols[j].Slice(lo, hi)
 	}
 	return out
 }
@@ -596,7 +662,7 @@ func (b *Batch) Slice(lo, hi int) *Batch {
 func (b *Batch) SliceInto(out *Batch, lo, hi int) *Batch {
 	cols := out.cols[:0]
 	*out = Batch{Schema: b.Schema, n: hi - lo}
-	if b.rows != nil {
+	if b.cols == nil {
 		out.rows = b.rows[lo:hi:hi]
 		return out
 	}
@@ -605,33 +671,49 @@ func (b *Batch) SliceInto(out *Batch, lo, hi int) *Batch {
 	}
 	out.cols = cols[:len(b.cols)]
 	for j := range b.cols {
-		out.cols[j] = b.cols[j].slice(lo, hi)
+		out.cols[j] = b.cols[j].Slice(lo, hi)
 	}
 	return out
 }
 
-// Project returns a zero-copy batch holding the selected columns under the
-// given output schema.
+// Project returns a batch holding the selected columns under the given
+// output schema, in b's form: zero-copy over columns, the projected tuples
+// in one value slab over rows.
 func (b *Batch) Project(idx []int, out *schema.Schema) *Batch {
+	if b.cols == nil {
+		w := len(idx)
+		slab := make([]value.Value, b.n*w)
+		rows := make([]tuple.Tuple, b.n)
+		for i, t := range b.rows {
+			row := slab[i*w : (i+1)*w : (i+1)*w]
+			for j, src := range idx {
+				row[j] = t[src]
+			}
+			rows[i] = tuple.Tuple(row)
+		}
+		return &Batch{Schema: out, n: b.n, rows: rows}
+	}
 	res := &Batch{Schema: out, cols: make([]Col, len(idx)), n: b.n}
 	for j, src := range idx {
-		res.cols[j] = *b.Col(src)
+		res.cols[j] = b.cols[src].Slice(0, b.n)
 	}
 	return res
 }
 
-// Gather returns a new batch holding the selected rows, in sel order.
+// Gather returns a new batch holding the selected rows, in sel order: in
+// row form when b is and the output has fewer than Floor rows, else
+// columnar.
 func (b *Batch) Gather(sel []int32) *Batch {
-	if b.rows != nil {
+	if b.cols == nil && len(sel) < Floor {
 		rows := make([]tuple.Tuple, len(sel))
 		for i, s := range sel {
 			rows[i] = b.rows[s]
 		}
 		return &Batch{Schema: b.Schema, n: len(sel), rows: rows}
 	}
-	out := &Batch{Schema: b.Schema, cols: make([]Col, len(b.cols)), n: len(sel)}
-	for j := range b.cols {
-		out.cols[j] = b.cols[j].gather(sel)
+	out := &Batch{Schema: b.Schema, cols: make([]Col, b.Width()), n: len(sel)}
+	for j := range out.cols {
+		out.cols[j] = b.gatherCol(j, sel)
 	}
 	return out
 }
@@ -704,12 +786,12 @@ func (c *Col) scatter(n int, sel []int32, src *Col) Col {
 }
 
 // GatherConcat builds the join-output batch: for each i, the row l[lsel[i]]
-// concatenated with r[rsel[i]], under schema out. Two row-backed sides give
-// row-backed output, the concatenated tuples laid out in one value slab;
-// otherwise the output is columnar.
+// concatenated with r[rsel[i]], under schema out. Two row-form sides give
+// row-form output under Floor rows, the concatenated tuples laid out in one
+// value slab; otherwise the output is columnar.
 func GatherConcat(out *schema.Schema, l *Batch, lsel []int32, r *Batch, rsel []int32) *Batch {
 	lw, rw := l.Width(), r.Width()
-	if l.rows != nil && r.rows != nil {
+	if l.cols == nil && r.cols == nil && len(lsel) < Floor {
 		w := lw + rw
 		slab := make([]value.Value, len(lsel)*w)
 		rows := make([]tuple.Tuple, len(lsel))
@@ -733,7 +815,7 @@ func GatherConcat(out *schema.Schema, l *Batch, lsel []int32, r *Batch, rsel []i
 
 // gatherCol returns column j's cells at the selected rows as a new column.
 func (b *Batch) gatherCol(j int, sel []int32) Col {
-	if b.rows == nil {
+	if b.cols != nil {
 		return b.cols[j].gather(sel)
 	}
 	var c Col
@@ -746,9 +828,9 @@ func (b *Batch) gatherCol(j int, sel []int32) Col {
 // Rows materializes the batch as row tuples. For columnar batches the
 // values are laid out in one slab, with each row a capacity-clamped
 // sub-slice, so downstream appends reallocate rather than overlap. For
-// row-backed batches the underlying rows are returned as-is.
+// row-form batches the stored rows are returned as-is.
 func (b *Batch) Rows() []tuple.Tuple {
-	if b.rows != nil {
+	if b.cols == nil {
 		return b.rows
 	}
 	n, w := b.n, len(b.cols)
@@ -801,9 +883,10 @@ func (b *Batch) Rows() []tuple.Tuple {
 	return rows
 }
 
-// Row materializes the single row i as a fresh tuple.
+// Row returns row i: the stored tuple of a row-form batch, a fresh one
+// materialized from columns otherwise.
 func (b *Batch) Row(i int) tuple.Tuple {
-	if b.rows != nil {
+	if b.cols == nil {
 		return b.rows[i]
 	}
 	out := make(tuple.Tuple, len(b.cols))
@@ -817,7 +900,7 @@ func (b *Batch) Row(i int) tuple.Tuple {
 // restricted to cols to dst, reusing dst's capacity — the byte-arena
 // replacement for per-tuple Key() strings on hash and dedup paths.
 func (b *Batch) AppendKeyOn(dst []byte, cols []int, i int) []byte {
-	if b.rows != nil {
+	if b.cols == nil {
 		t := b.rows[i]
 		for _, j := range cols {
 			dst = t[j].Encode(dst)
@@ -833,7 +916,7 @@ func (b *Batch) AppendKeyOn(dst []byte, cols []int, i int) []byte {
 // AppendKey appends the canonical full-row encoding (tuple.Encode) of row i
 // to dst.
 func (b *Batch) AppendKey(dst []byte, i int) []byte {
-	if b.rows != nil {
+	if b.cols == nil {
 		return b.rows[i].Encode(dst)
 	}
 	for j := range b.cols {
@@ -844,7 +927,7 @@ func (b *Batch) AppendKey(dst []byte, i int) []byte {
 
 // HasNullAt reports whether row i is NULL in any of the given columns.
 func (b *Batch) HasNullAt(cols []int, i int) bool {
-	if b.rows != nil {
+	if b.cols == nil {
 		for _, j := range cols {
 			if b.rows[i][j].IsNull() {
 				return true
@@ -879,7 +962,11 @@ func (cb *ColBuilder) Col() Col { return cb.col }
 // Len returns the number of cells appended.
 func (cb *ColBuilder) Len() int { return cb.n }
 
-// FromCols assembles a batch directly from built columns (each of length n).
+// FromCols assembles a columnar batch directly from built columns (each of
+// length n).
 func FromCols(sch *schema.Schema, cols []Col, n int) *Batch {
+	if cols == nil {
+		cols = []Col{}
+	}
 	return &Batch{Schema: sch, cols: cols, n: n}
 }

@@ -20,9 +20,14 @@ func mixedRows() []tuple.Tuple {
 }
 
 func mixedBatch() *Batch {
-	sch := schema.New("i", "f", "s", "b")
-	b := New(sch)
-	for _, t := range mixedRows() {
+	return columnar(schema.New("i", "f", "s", "b"), mixedRows())
+}
+
+// columnar builds a columnar batch of rows whatever their number, so a test
+// of column behaviour holds under Floor too.
+func columnar(sch *schema.Schema, rows []tuple.Tuple) *Batch {
+	b := FromCols(sch, make([]Col, sch.Len()), 0)
+	for _, t := range rows {
 		b.Append(t)
 	}
 	return b
@@ -82,12 +87,7 @@ func TestRoundTrip(t *testing.T) {
 // first non-NULL cell with a backfilled bitmap that stays in sync (the
 // bitmap must include an entry for the adopting cell itself).
 func TestNullAdoption(t *testing.T) {
-	sch := schema.New("x")
-	b := New(sch)
-	b.Append(tuple.Tuple{value.Null()})
-	b.Append(tuple.Tuple{value.Null()})
-	b.Append(tuple.Tuple{value.Int(7)})
-	b.Append(tuple.Tuple{value.Null()})
+	b := columnar(schema.New("x"), []tuple.Tuple{{value.Null()}, {value.Null()}, {value.Int(7)}, {value.Null()}})
 	want := []value.Value{value.Null(), value.Null(), value.Int(7), value.Null()}
 	for i, w := range want {
 		got := b.At(i, 0)
@@ -106,11 +106,7 @@ func TestNullAdoption(t *testing.T) {
 // TestDegrade: a kind conflict degrades the column to boxed values without
 // losing cells.
 func TestDegrade(t *testing.T) {
-	sch := schema.New("x")
-	b := New(sch)
-	b.Append(tuple.Tuple{value.Int(1)})
-	b.Append(tuple.Tuple{value.Str("two")})
-	b.Append(tuple.Tuple{value.Null()})
+	b := columnar(schema.New("x"), []tuple.Tuple{{value.Int(1)}, {value.Str("two")}, {value.Null()}})
 	if got := b.At(0, 0); got.AsInt() != 1 {
 		t.Errorf("cell 0 = %v", got)
 	}
@@ -151,13 +147,51 @@ func TestGatherConcat(t *testing.T) {
 	}
 }
 
-// TestFromRowsSharedAliases: FromRowsShared serves the caller's tuples
-// back without copying; FromRows is the defensive variant.
-func TestFromRowsSharedAliases(t *testing.T) {
+// TestFromRowsOwnership: under Floor rows FromRows keeps the caller's
+// slice and tuples as they are, without copying; at Floor rows it lays them
+// out as columns.
+func TestFromRowsOwnership(t *testing.T) {
+	sch := schema.New("i", "f", "s", "b")
 	rows := mixedRows()
-	shared := FromRowsShared(schema.New("i", "f", "s", "b"), rows)
-	if got := shared.Rows(); &got[0][0] != &rows[0][0] {
-		t.Error("FromRowsShared copied its input")
+	b := FromRows(sch, rows)
+	if got := b.Rows(); !b.RowBacked() || &got[0] != &rows[0] || &got[0][0] != &rows[0][0] {
+		t.Error("FromRows copied its input under Floor")
+	}
+	many := make([]tuple.Tuple, Floor)
+	for i := range many {
+		many[i] = rows[i%len(rows)]
+	}
+	if b := FromRows(sch, many); b.RowBacked() || b.Len() != Floor {
+		t.Errorf("FromRows of %d rows: row form %v, %d rows", Floor, b.RowBacked(), b.Len())
+	}
+}
+
+// TestWithSchemaDoesNotAlias: a renamed batch shares its parent's data the
+// way Slice does, so appends through the parent and through the renamed
+// batch never reach each other, in either form.
+func TestWithSchemaDoesNotAlias(t *testing.T) {
+	sch := schema.New("x")
+	row := func(v int64) tuple.Tuple { return tuple.Tuple{value.Int(v)} }
+	for _, form := range []struct {
+		name  string
+		build func() *Batch
+	}{
+		{"columnar", func() *Batch { return columnar(sch, nil) }},
+		{"rows", func() *Batch { return New(sch) }},
+	} {
+		parent := form.build()
+		for v := range int64(3) { // three appends leave spare capacity
+			parent.Append(row(v + 1))
+		}
+		renamed := parent.WithSchema(schema.New("y"))
+		renamed.Append(row(4))
+		parent.Append(row(5))
+		if got := fmt.Sprint(parent.Rows()); got != "[(1) (2) (3) (5)]" {
+			t.Errorf("%s: parent reads %s, want [(1) (2) (3) (5)]", form.name, got)
+		}
+		if got := fmt.Sprint(renamed.Rows()); got != "[(1) (2) (3) (4)]" {
+			t.Errorf("%s: renamed batch reads %s, want [(1) (2) (3) (4)]", form.name, got)
+		}
 	}
 }
 

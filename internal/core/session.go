@@ -288,7 +288,7 @@ func checkKey(rel *relation.Relation, key []string) error {
 	if err != nil {
 		return err
 	}
-	bv := rel.BatchView()
+	bv := rel.Batch()
 	seen := make(map[string]struct{}, bv.Len())
 	var buf []byte
 	for i := 0; i < bv.Len(); i++ {
@@ -348,7 +348,7 @@ func (s *Session) execDML(st sqlparse.Statement, table, msg string, key []string
 		if err != nil {
 			return nil, err
 		}
-		out, changed, err := bound.Apply(cur.BatchView())
+		out, changed, err := bound.Apply(cur.Batch())
 		if err != nil {
 			return nil, err
 		}

@@ -492,7 +492,7 @@ func TestKeyViolationOnColumnarTable(t *testing.T) {
 	}
 	imported := NewSession(true)
 	mustExec(t, imported, "import into P from '"+path+"'")
-	if rel, _ := imported.set.Worlds[0].Lookup("P"); rel.BatchView().RowBacked() {
+	if rel, _ := imported.set.Worlds[0].Lookup("P"); rel.Batch().RowBacked() {
 		t.Fatal("setup: the imported table is row-backed")
 	}
 	// IMPORT creates its table, so the key is declared behind its back.
@@ -512,7 +512,7 @@ func TestKeyViolationOnColumnarTable(t *testing.T) {
 	if colErr.Error() != want || rowErr.Error() != want {
 		t.Fatalf("columnar: %q\nrow-backed: %q\nwant: %q", colErr, rowErr, want)
 	}
-	if rel, _ := imported.set.Worlds[0].Lookup("P"); rel.Len() != 4 || rel.BatchView().RowBacked() {
+	if rel, _ := imported.set.Worlds[0].Lookup("P"); rel.Len() != 4 || rel.Batch().RowBacked() {
 		t.Fatalf("a failed update changed the table: %v", rel.Rows())
 	}
 }
@@ -544,7 +544,7 @@ func TestDMLKeepsColumnarRelations(t *testing.T) {
 	}
 	mustExec(t, s, "update P set B = 'z' where A >= 3")
 	after := lookup()
-	if after == before || after.BatchView().RowBacked() {
+	if after == before || after.Batch().RowBacked() {
 		t.Fatalf("a matching UPDATE stored the same or a row-backed relation")
 	}
 	mustExec(t, s, "insert into P values (5, 'v')")

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maybms/internal/colbatch"
 
 	"maybms/internal/relation"
 	"maybms/internal/value"
@@ -126,8 +127,7 @@ func choices(rel *relation.Relation, attrIdx []int, weightIdx int, weighted bool
 		}
 	}
 	for i, key := range order {
-		p := piece{rel: relation.New(rel.Schema), prob: 0}
-		p.rel.AppendRows(groups[key])
+		p := piece{rel: relation.FromBatch(colbatch.FromRows(rel.Schema, groups[key]))}
 		if weighted {
 			if weightIdx >= 0 {
 				p.prob = weights[i] / totalW

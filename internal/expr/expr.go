@@ -468,10 +468,11 @@ func (e In) Eval(ctx *Context) (value.Value, error) {
 		if rel.Schema.Len() != 1 {
 			return value.Null(), fmt.Errorf("%w: IN subquery must return one column, got %s", ErrEval, rel.Schema)
 		}
-		for _, t := range rel.Rows() {
-			if t[0].IsNull() {
+		b := rel.Batch()
+		for i := 0; i < b.Len(); i++ {
+			if v := b.At(i, 0); v.IsNull() {
 				sawNull = true
-			} else if value.Equal(l, t[0]) {
+			} else if value.Equal(l, v) {
 				found = true
 				break
 			}
@@ -532,7 +533,7 @@ func (e Scalar) Eval(ctx *Context) (value.Value, error) {
 	case 0:
 		return value.Null(), nil
 	case 1:
-		return rel.Rows()[0][0], nil
+		return rel.Batch().At(0, 0), nil
 	default:
 		return value.Null(), fmt.Errorf("%w: scalar subquery returned %d rows", ErrEval, rel.Len())
 	}

@@ -15,7 +15,7 @@ import (
 // for the Collect seam, which runs once per alternative, not per row.
 type ExecStats struct {
 	BatchCollects atomic.Uint64 // Collect calls whose answer is columnar
-	RowCollects   atomic.Uint64 // Collect calls whose answer is row-backed
+	RowCollects   atomic.Uint64 // Collect calls whose answer is in row form (under colbatch's floor)
 	Rows          atomic.Uint64 // tuples materialized across all collects
 }
 

@@ -147,7 +147,9 @@ func (c splitCatalog) Lookup(name string) (*relation.Relation, error) {
 		return nil, err
 	}
 	full := cert.Clone()
-	full.AppendRows(c.delta[name].Rows())
+	if delta := c.delta[name]; delta != nil {
+		full.AppendBatch(delta.Batch())
+	}
 	return full, nil
 }
 
@@ -239,7 +241,7 @@ func TestBindDelta(t *testing.T) {
 		base := eval(prep.Bind(CatalogFunc(cat.Certain)))
 		delta := eval(prep.Deltas().Bind(cat))
 		sum := base.Clone()
-		sum.AppendRows(delta.Rows())
+		sum.AppendBatch(delta.Batch())
 		if !sum.EqualSet(full) {
 			t.Errorf("%q: base ∪ Δ differs from the full answer\nbase:\n%sΔ:\n%sfull:\n%s", sql, base, delta, full)
 		}
@@ -334,16 +336,19 @@ func (c countingCertain) Certain(name string) (*relation.Relation, error) {
 	return c.splitCatalog.Certain(name)
 }
 
-// TestBindSharesColumnarMirror: every bind scans the catalog's relation
-// itself under the binding's qualified schema, so for a row-backed relation
-// past the floor the binds share one columnarization — the stored
-// relation's — and an Append after the first must still be seen.
-func TestBindSharesColumnarMirror(t *testing.T) {
+// TestBindSharesStore: a relation built row by row past colbatch.Floor is
+// laid out as columns once, while it is built, and every bind scans that
+// store itself under the binding's qualified schema: two binds share its
+// columns, and an Append after the first must still be seen.
+func TestBindSharesStore(t *testing.T) {
 	rows := make([][]int64, 64)
 	for i := range rows {
 		rows[i] = []int64{int64(i)}
 	}
 	stored := rel(t, []string{"a"}, rows...)
+	if stored.Batch().RowBacked() {
+		t.Fatalf("a relation of %d rows built row by row is in row form", len(rows))
+	}
 	cat := mapCatalog{"R": stored}
 	prep, err := Prepare(mustParseSelect(t, `select a from R r1`), cat)
 	if err != nil {
@@ -363,7 +368,7 @@ func TestBindSharesColumnarMirror(t *testing.T) {
 	}
 	b1, b2 := scanned(), scanned()
 	if &b1.Col(0).Ints[0] != &b2.Col(0).Ints[0] {
-		t.Error("two binds columnarized the stored relation twice")
+		t.Error("two binds scanned different columns")
 	}
 	if &b1.Col(0).Ints[0] != &stored.Batch().Col(0).Ints[0] {
 		t.Error("the binds' columns are not the stored relation's")

@@ -152,8 +152,8 @@ func (p *PreparedDML) Bind(cat Catalog, interrupt func() error) (*BoundDML, erro
 // vector; DELETE gathers the complement, and UPDATE evaluates the SET
 // values over the gathered matching rows and scatters them into fresh
 // copies of the SET columns, sharing every other column with the input
-// (colbatch.Batch.Update). A row-backed input is rewritten tuple by tuple
-// and stays row-backed. Either way the input is never modified, and when no
+// (colbatch.Batch.Update). A row-form input — the tiny relations INSERT
+// builds and a split contributes — is rewritten tuple by tuple. Either way the input is never modified, and when no
 // row matches the input itself is returned, so a caller can keep the
 // relation it came from.
 func (b *BoundDML) Apply(in *colbatch.Batch) (out *colbatch.Batch, changed int, err error) {
@@ -181,7 +181,7 @@ func (b *BoundDML) Apply(in *colbatch.Batch) (out *colbatch.Batch, changed int, 
 	return in.Update(sel, b.setIdx, cols), len(sel), nil
 }
 
-// applyRows is Apply over a row-backed batch: the row loop, one context per
+// applyRows is Apply over a row-form batch: the row loop, one context per
 // row, each updated row a fresh clone.
 func (b *BoundDML) applyRows(in *colbatch.Batch) (*colbatch.Batch, int, error) {
 	tuples := in.Rows()
@@ -218,7 +218,7 @@ func (b *BoundDML) applyRows(in *colbatch.Batch) (*colbatch.Batch, int, error) {
 	if changed == 0 {
 		return in, 0, nil
 	}
-	return colbatch.FromRowsShared(in.Schema, out), changed, nil
+	return colbatch.FromRows(in.Schema, out), changed, nil
 }
 
 // match returns the ascending rows of in the predicate holds on, up to the

@@ -179,7 +179,13 @@ func TestApplyBatchMatchesRows(t *testing.T) {
 		if strings.HasPrefix(want, "error: ") {
 			errs++
 		}
-		for _, in := range []*colbatch.Batch{colbatch.FromRows(sch, rows), colbatch.FromRowsShared(sch, rows)} {
+		// Both forms: columns whatever the size, and FromRows, which keeps
+		// rows under colbatch.Floor.
+		columnar := colbatch.FromCols(sch, make([]colbatch.Col, sch.Len()), 0)
+		for _, t := range rows {
+			columnar.Append(t)
+		}
+		for _, in := range []*colbatch.Batch{columnar, colbatch.FromRows(sch, rows)} {
 			out, changed, err := b.Apply(in)
 			var got string
 			if err != nil {

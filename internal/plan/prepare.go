@@ -115,7 +115,7 @@ func sameColumnNames(a, b *schema.Schema) bool {
 
 // bind returns a fresh scan of rel, a catalog's instance of the scanned
 // table, under the template's qualified schema. The scan reads rel itself,
-// so every bind shares its lazy caches (the columnar mirror above all).
+// so every bind shares its batch and its lazy key set.
 func (n *tableScan) bind(rel *relation.Relation) (algebra.Operator, error) {
 	if !sameColumnNames(rel.Schema, n.base) {
 		return nil, fmt.Errorf("%w: schema of %s diverged from compile time (%s vs %s)",

@@ -3,15 +3,11 @@
 // engine needs — deduplication, union, intersection, difference, sorting,
 // order-insensitive fingerprints — plus pretty printing and CSV I/O.
 //
-// Storage invariant: the batch is the truth, rows are a view. A Relation is
-// backed by a colbatch.Batch — columnar when built by the bulk loaders and
-// closure builders (FromBatch), row-backed when built tuple-at-a-time (New,
-// FromRows, Append) — and Rows() materializes tuple.Tuple views lazily, once,
-// only when a row path asks. The vectorized read path (Batch, BatchView),
-// the key-encoding paths (Distinct, Fingerprint, Contains) and both
-// engines' UPDATE/DELETE (plan's BoundDML.Apply over BatchView) never touch
-// tuples on a columnar-backed relation: an UPDATE's result is columnar
-// again (FromBatch), sharing its untouched columns with its input.
+// A relation is its batch: a Relation is a schema over one colbatch.Batch,
+// which holds the rows in whatever form colbatch picked for their number,
+// and every operation here reads and builds batches without asking which
+// form that is. Rows materializes tuples on every call; outside tests only
+// the CSV writer asks for them.
 package relation
 
 import (
@@ -26,29 +22,21 @@ import (
 	"maybms/internal/colbatch"
 	"maybms/internal/schema"
 	"maybms/internal/tuple"
+	"maybms/internal/value"
 )
 
-// Relation is a schema plus a bag of tuples backed by a columnar or
-// row-backed batch. Most engine operations treat relations as immutable
-// after construction; Append is only used while building.
+// Relation is a schema plus a bag of tuples, stored as one batch. Most
+// engine operations treat relations as immutable after construction;
+// Append is only used while building.
 //
-// Lazily built caches ride along: a materialized row view (Rows), a columnar
-// view for row-backed stores (Batch) and an encoded-key set (Contains). All
-// are validated by tuple count, so appending after a cached read rebuilds
-// them; they are safe for concurrent readers.
+// An encoded-key set (Contains) is built lazily and validated by tuple
+// count, so appending after a cached read rebuilds it; it is safe for
+// concurrent readers.
 type Relation struct {
 	Schema *schema.Schema
 
-	store *colbatch.Batch // the truth; nil means empty
-
-	rows atomic.Pointer[rowsView]       // lazy row view of a columnar store
-	col  atomic.Pointer[colbatch.Batch] // lazy columnar view of a row-backed store
-	keys atomic.Pointer[keyIndex]
-}
-
-type rowsView struct {
-	n    int
-	rows []tuple.Tuple
+	store *colbatch.Batch // nil on a bare literal, read as empty
+	keys  atomic.Pointer[keyIndex]
 }
 
 type keyIndex struct {
@@ -56,19 +44,18 @@ type keyIndex struct {
 	set map[string]struct{}
 }
 
-// ensure returns the backing store, installing an empty row-backed one on a
-// relation built as a bare literal.
+// ensure returns the batch, installing an empty one on a relation built as
+// a bare literal.
 func (r *Relation) ensure() *colbatch.Batch {
 	if r.store == nil {
-		r.store = colbatch.FromRowsShared(r.Schema, make([]tuple.Tuple, 0))
+		r.store = colbatch.New(r.Schema)
 	}
 	return r.store
 }
 
-// New creates an empty relation with the given schema. The store starts
-// row-backed, so tuple-at-a-time building stays allocation-cheap.
+// New creates an empty relation with the given schema.
 func New(s *schema.Schema) *Relation {
-	return &Relation{Schema: s, store: colbatch.FromRowsShared(s, make([]tuple.Tuple, 0))}
+	return &Relation{Schema: s, store: colbatch.New(s)}
 }
 
 // FromRows builds a relation from a schema and rows, validating widths.
@@ -81,87 +68,30 @@ func FromRows(s *schema.Schema, rows []tuple.Tuple) (*Relation, error) {
 	}
 	cp := make([]tuple.Tuple, len(rows))
 	copy(cp, rows)
-	return &Relation{Schema: s, store: colbatch.FromRowsShared(s, cp)}, nil
+	return FromBatch(colbatch.FromRows(s, cp)), nil
 }
 
-// FromRowsShared wraps already materialized rows as a row-backed relation
-// without copying: the relation takes ownership of the slice.
-func FromRowsShared(s *schema.Schema, rows []tuple.Tuple) *Relation {
-	return &Relation{Schema: s, store: colbatch.FromRowsShared(s, rows)}
-}
-
-// FromBatch wraps a batch as the relation's backing store, zero-copy. The
-// batch (columnar or row-backed) must be treated as owned by the relation.
+// FromBatch wraps a batch as the relation, zero-copy. The batch must be
+// treated as owned by the relation.
 func FromBatch(b *colbatch.Batch) *Relation {
 	return &Relation{Schema: b.Schema, store: b}
 }
 
-// Batch returns a columnar view of the relation. For a columnar-backed
-// relation this is the store itself (identity, zero-copy); for a row-backed
-// one the columnar view is built and cached on first use. The view is valid
-// as long as the tuple count is unchanged; callers must treat it as
-// immutable.
+// Batch returns the relation's batch. Callers must treat it as immutable.
 func (r *Relation) Batch() *colbatch.Batch {
 	if r.store == nil {
 		return colbatch.New(r.Schema)
 	}
-	if !r.store.RowBacked() {
-		return r.store
-	}
-	if b := r.mirror(); b != nil {
-		return b
-	}
-	b := colbatch.FromRows(r.Schema, r.store.Rows())
-	r.col.Store(b)
-	return b
-}
-
-// mirror returns the valid cached columnar view of a row-backed store, or
-// nil when there is none.
-func (r *Relation) mirror() *colbatch.Batch {
-	if b := r.col.Load(); b != nil && b.Len() == r.store.Len() {
-		return b
-	}
-	return nil
-}
-
-// BatchView returns a batch over the relation's contents without ever
-// columnarizing: the store itself when columnar, the cached columnar view
-// when one is valid, else the row-backed store as-is. Key-encoding
-// consumers (Distinct, the worldset closures) read typed columns
-// when available and fall back to tuple encoding otherwise, with identical
-// bytes.
-func (r *Relation) BatchView() *colbatch.Batch {
-	if r.store == nil {
-		return colbatch.FromRowsShared(r.Schema, nil)
-	}
-	if !r.store.RowBacked() {
-		return r.store
-	}
-	if b := r.mirror(); b != nil {
-		return b
-	}
 	return r.store
 }
 
-// Rows returns the relation's tuples as a row view. For a row-backed store
-// this is the underlying slice (free); for a columnar store the rows are
-// materialized once (one slab) and cached. Callers must treat the returned
-// tuples as immutable and must not append through the returned slice.
+// Rows materializes the relation's tuples (colbatch.Batch.Rows). Callers
+// must treat the returned tuples as immutable.
 func (r *Relation) Rows() []tuple.Tuple {
 	if r == nil || r.store == nil {
 		return nil
 	}
-	if r.store.RowBacked() {
-		return r.store.Rows()
-	}
-	n := r.store.Len()
-	if v := r.rows.Load(); v != nil && v.n == n {
-		return v.rows
-	}
-	rows := r.store.Rows()
-	r.rows.Store(&rowsView{n: n, rows: rows})
-	return rows
+	return r.store.Rows()
 }
 
 // Append adds a tuple, checking its width against the schema.
@@ -186,12 +116,9 @@ func (r *Relation) AppendRow(t tuple.Tuple) {
 	r.ensure().Append(t)
 }
 
-// AppendRows bulk-appends tuples without width checks.
-func (r *Relation) AppendRows(ts []tuple.Tuple) {
-	b := r.ensure()
-	for _, t := range ts {
-		b.Append(t)
-	}
+// AppendBatch bulk-appends the rows of b, whose width must be the schema's.
+func (r *Relation) AppendBatch(b *colbatch.Batch) {
+	r.ensure().AppendBatch(b)
 }
 
 // Len returns the number of tuples (bag cardinality).
@@ -205,70 +132,51 @@ func (r *Relation) Len() int {
 // Empty reports whether the relation has no tuples.
 func (r *Relation) Empty() bool { return r.Len() == 0 }
 
-// Clone returns a deep-enough copy. A row-backed store's tuple slice is
-// copied (the tuples themselves are immutable and shared); a columnar store
-// is shared zero-copy behind a capacity-clamped slice, so appends to either
-// copy reallocate instead of aliasing.
+// Clone returns a copy sharing r's data zero-copy behind a
+// capacity-clamped slice, so appends to either copy reallocate instead of
+// aliasing.
 func (r *Relation) Clone() *Relation {
-	if r.store == nil {
-		return New(r.Schema)
-	}
-	if r.store.RowBacked() {
-		src := r.store.Rows()
-		cp := make([]tuple.Tuple, len(src))
-		copy(cp, src)
-		return FromRowsShared(r.Schema, cp)
-	}
-	return &Relation{Schema: r.Schema, store: r.store.Slice(0, r.store.Len())}
+	b := r.Batch()
+	return FromBatch(b.Slice(0, b.Len()))
 }
 
 // WithSchema returns a shallow view of r under a different schema of the
-// same width (used for aliasing: from I i2).
+// same width (used for aliasing: from I i2). Appends through the view never
+// reach back into r.
 func (r *Relation) WithSchema(s *schema.Schema) *Relation {
 	if s.Len() != r.Schema.Len() {
 		panic(fmt.Sprintf("relation: WithSchema width mismatch %d vs %d", s.Len(), r.Schema.Len()))
 	}
-	if r.store == nil {
-		return New(s)
-	}
-	// Slice(0, n) gives a capacity-clamped view with its own column headers,
-	// so appends through the view never reach back into r.
-	b := r.store.Slice(0, r.store.Len())
-	b.Schema = s
-	return &Relation{Schema: s, store: b}
+	return FromBatch(r.Batch().WithSchema(s))
 }
 
 // Distinct returns the set version of r: duplicates removed, first
-// occurrence order preserved. On a columnar-backed relation the result is
-// assembled by gather, without touching tuples.
+// occurrence order preserved, assembled by gather.
 func (r *Relation) Distinct() *Relation {
-	bv := r.BatchView()
-	n := bv.Len()
+	b := r.Batch()
+	n := b.Len()
 	seen := make(map[string]struct{}, n)
 	var buf []byte
 	sel := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
-		// One scratch buffer for all rows — encoded from typed columns when
-		// the store is columnar; the string(buf) lookup does not allocate,
-		// and the key string is materialized only on first occurrence.
-		buf = bv.AppendKey(buf[:0], i)
+		// One scratch buffer for all rows; the string(buf) lookup does not
+		// allocate, and the key string is materialized only on first
+		// occurrence.
+		buf = b.AppendKey(buf[:0], i)
 		if _, ok := seen[string(buf)]; ok {
 			continue
 		}
 		seen[string(buf)] = struct{}{}
 		sel = append(sel, int32(i))
 	}
-	if bv.RowBacked() {
-		rows := bv.Rows()
-		out := make([]tuple.Tuple, len(sel))
-		for i, s := range sel {
-			out[i] = rows[s]
-		}
-		return FromRowsShared(r.Schema, out)
-	}
-	b := bv.Gather(sel)
-	b.Schema = r.Schema
-	return FromBatch(b)
+	return r.gather(sel)
+}
+
+// gather returns r's rows at sel as a relation under r's schema.
+func (r *Relation) gather(sel []int32) *Relation {
+	out := r.Batch().Gather(sel)
+	out.Schema = r.Schema
+	return FromBatch(out)
 }
 
 // Contains reports whether r contains a tuple equal to t. The encoded-key
@@ -278,17 +186,8 @@ func (r *Relation) Distinct() *Relation {
 func (r *Relation) Contains(t tuple.Tuple) bool {
 	idx := r.keys.Load()
 	if idx == nil || idx.n != r.Len() {
-		bv := r.BatchView()
-		n := bv.Len()
-		set := make(map[string]struct{}, n)
-		var buf []byte
-		for i := 0; i < n; i++ {
-			buf = bv.AppendKey(buf[:0], i)
-			if _, ok := set[string(buf)]; !ok {
-				set[string(buf)] = struct{}{}
-			}
-		}
-		idx = &keyIndex{n: n, set: set}
+		set := keySet(r)
+		idx = &keyIndex{n: r.Len(), set: set}
 		r.keys.Store(idx)
 	}
 	buf := t.Encode(make([]byte, 0, 48))
@@ -296,15 +195,24 @@ func (r *Relation) Contains(t tuple.Tuple) bool {
 	return ok
 }
 
-// Sort returns a copy of r with tuples in canonical order.
+// Sort returns a copy of r with tuples in canonical order (tuple.Compare).
 func (r *Relation) Sort() *Relation {
-	src := r.Rows()
-	out := make([]tuple.Tuple, len(src))
-	copy(out, src)
-	sort.SliceStable(out, func(i, j int) bool {
-		return tuple.Compare(out[i], out[j]) < 0
+	b := r.Batch()
+	w := b.Width()
+	perm := make([]int32, b.Len())
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	sort.SliceStable(perm, func(x, y int) bool {
+		i, j := int(perm[x]), int(perm[y])
+		for c := 0; c < w; c++ {
+			if d := value.Compare(b.At(i, c), b.At(j, c)); d != 0 {
+				return d < 0
+			}
+		}
+		return false
 	})
-	return FromRowsShared(r.Schema, out)
+	return r.gather(perm)
 }
 
 // Fingerprint returns an order-insensitive hash of the deduplicated tuple
@@ -316,12 +224,12 @@ func (r *Relation) Fingerprint() uint64 {
 	// bytes, and stream the unique keys straight into the hash — the same
 	// byte stream FingerprintKeys hashes, with no per-tuple key strings and
 	// no tuple materialization on a columnar store.
-	bv := r.BatchView()
-	n := bv.Len()
+	b := r.Batch()
+	n := b.Len()
 	arena := make([]byte, 0, n*16)
 	offs := make([]int32, n+1)
 	for i := 0; i < n; i++ {
-		arena = bv.AppendKey(arena, i)
+		arena = b.AppendKey(arena, i)
 		offs[i+1] = int32(len(arena))
 	}
 	idx := make([]int32, n)
@@ -398,12 +306,12 @@ func (r *Relation) EqualSet(s *Relation) bool {
 }
 
 func keySet(r *Relation) map[string]struct{} {
-	bv := r.BatchView()
-	n := bv.Len()
+	b := r.Batch()
+	n := b.Len()
 	out := make(map[string]struct{}, n)
 	var buf []byte
 	for i := 0; i < n; i++ {
-		buf = bv.AppendKey(buf[:0], i)
+		buf = b.AppendKey(buf[:0], i)
 		if _, ok := out[string(buf)]; !ok {
 			out[string(buf)] = struct{}{}
 		}
@@ -411,28 +319,30 @@ func keySet(r *Relation) map[string]struct{} {
 	return out
 }
 
-// Intersect returns the set intersection of r and s. r's schema is kept.
+// Intersect returns the set intersection of r and s, in r's first-
+// appearance order. r's schema is kept.
 func Intersect(r, s *Relation) *Relation {
-	b := keySet(s)
-	var out []tuple.Tuple
+	in := keySet(s)
+	b := r.Batch()
 	seen := map[string]struct{}{}
+	var sel []int32
 	var buf []byte
-	for _, t := range r.Rows() {
-		buf = t.Encode(buf[:0])
+	for i := 0; i < b.Len(); i++ {
+		buf = b.AppendKey(buf[:0], i)
 		if _, dup := seen[string(buf)]; dup {
 			continue
 		}
-		if _, ok := b[string(buf)]; ok {
-			out = append(out, t)
+		if _, ok := in[string(buf)]; ok {
+			sel = append(sel, int32(i))
 			seen[string(buf)] = struct{}{}
 		}
 	}
-	return FromRowsShared(r.Schema, out)
+	return r.gather(sel)
 }
 
 // GroupBy partitions the tuples by their values on the given column indexes.
-// It returns the distinct group keys in first-appearance order and a map
-// from group key to member tuples.
+// It returns the distinct group keys (the bytes of tuple.KeyOn) in
+// first-appearance order and a map from group key to member tuples.
 func (r *Relation) GroupBy(indexes []int) (order []string, groups map[string][]tuple.Tuple) {
 	// Group membership is accumulated positionally (index map → slice) so
 	// the per-row map writes use the no-allocation string(buf) lookup; key
@@ -440,10 +350,9 @@ func (r *Relation) GroupBy(indexes []int) (order []string, groups map[string][]t
 	idx := make(map[string]int)
 	var members [][]tuple.Tuple
 	var buf []byte
-	bv := r.BatchView()
-	rows := r.Rows()
-	for i, t := range rows {
-		buf = bv.AppendKeyOn(buf[:0], indexes, i)
+	b := r.Batch()
+	for i, t := range b.Rows() {
+		buf = b.AppendKeyOn(buf[:0], indexes, i)
 		gi, ok := idx[string(buf)]
 		if !ok {
 			k := string(buf)
@@ -463,25 +372,26 @@ func (r *Relation) GroupBy(indexes []int) (order []string, groups map[string][]t
 
 // String renders the relation as an aligned ASCII table, rows in canonical
 // order, suitable for the REPL and the reproduction harness.
-func (r *Relation) String() string { return r.table(r.Sort().Rows()) }
+func (r *Relation) String() string { return r.Sort().table() }
 
 // StoredString renders like String with the rows in stored order: for an
 // answer whose order is the statement's (ORDER BY).
-func (r *Relation) StoredString() string { return r.table(r.Rows()) }
+func (r *Relation) StoredString() string { return r.table() }
 
-// table renders rows under r's schema.
-func (r *Relation) table(rows []tuple.Tuple) string {
+// table renders r's rows in stored order under its schema.
+func (r *Relation) table() string {
 	var b strings.Builder
 	names := r.Schema.Names()
 	widths := make([]int, len(names))
 	for i, n := range names {
 		widths[i] = len(n)
 	}
-	cells := make([][]string, len(rows))
-	for i, t := range rows {
-		cells[i] = make([]string, len(t))
-		for j, v := range t {
-			s := v.String()
+	rows := r.Batch()
+	cells := make([][]string, rows.Len())
+	for i := range cells {
+		cells[i] = make([]string, rows.Width())
+		for j := range cells[i] {
+			s := rows.At(i, j).String()
 			cells[i][j] = s
 			if len(s) > widths[j] {
 				widths[j] = len(s)

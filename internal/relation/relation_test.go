@@ -284,7 +284,7 @@ func TestReadCSVColumnarEquivalence(t *testing.T) {
 			t.Fatalf("tuple %d: %v, want %v", i, got.Rows()[i], want.Rows()[i])
 		}
 	}
-	bv := got.BatchView()
+	bv := got.Batch()
 	if bv.RowBacked() {
 		t.Fatal("ReadCSV result should carry a columnar batch")
 	}

@@ -12,7 +12,7 @@
 // Wire: the types below (Request, Response and its Rows) are the schema
 // clients decode. The server writes every response line with one append
 // encoder in this file: answer cells go into a byte slice straight from
-// colbatch's typed vectors and null bitmaps (row-backed answers tuple by
+// colbatch's typed vectors and null bitmaps (row-form answers tuple by
 // tuple), never boxed into a [][]any and never through reflective JSON. A
 // float JSON cannot represent fails the request with ok:false instead of
 // an unreadable line.
@@ -318,8 +318,9 @@ func encodeResult(dst []byte, session string, res *core.Result, maxRows int, ren
 
 // appendAnswer appends the part WorldRows and GroupRows share, from
 // "prob" to the closing brace: the columns, then the first maxRows rows
-// read through BatchView. A columnar batch is read column-typed; a
-// row-backed one tuple by tuple. Neither is converted to the other.
+// of the relation's batch. A columnar batch is read column-typed; a
+// row-form one (fewer than colbatch's floor of rows) tuple by tuple, without
+// allocating. Neither is converted to the other.
 func appendAnswer(dst []byte, prob float64, rel *relation.Relation, maxRows int) ([]byte, error) {
 	dst = append(dst, `"prob":`...)
 	var ok bool
@@ -334,7 +335,7 @@ func appendAnswer(dst []byte, prob float64, rel *relation.Relation, maxRows int)
 		dst = appendString(dst, rel.Schema.At(j).Name)
 	}
 	dst = append(dst, `],"rows":[`...)
-	b := rel.BatchView()
+	b := rel.Batch()
 	n := b.Len()
 	truncated := cut(n, maxRows)
 	if truncated {

@@ -14,9 +14,9 @@ import (
 	"math"
 	"strings"
 
+	"maybms/internal/colbatch"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
-	"maybms/internal/tuple"
 	"maybms/internal/value"
 	"maybms/internal/world"
 )
@@ -162,26 +162,39 @@ func Possible(results []*relation.Relation, interrupt func() error) (*relation.R
 	if err := requireSameArity(results); err != nil {
 		return nil, err
 	}
-	// Keys come off each relation's columnar view when one is cached
-	// (AppendKey writes tuple.Encode's exact byte stream).
-	var rows []tuple.Tuple
+	out := colbatch.New(results[0].Schema)
+	out.Reserve(rowsIn(results))
+	var scratch [32]int32 // a small answer's selections stay on the stack
+	sel := scratch[:0]
 	seen := map[string]struct{}{}
 	var buf []byte
 	for _, r := range results {
 		if err := poll(interrupt); err != nil {
 			return nil, err
 		}
-		bv := r.BatchView()
-		for i, t := range r.Rows() {
-			buf = bv.AppendKey(buf[:0], i)
+		b := r.Batch()
+		sel = sel[:0]
+		for i := 0; i < b.Len(); i++ {
+			buf = b.AppendKey(buf[:0], i)
 			if _, dup := seen[string(buf)]; dup {
 				continue
 			}
 			seen[string(buf)] = struct{}{}
-			rows = append(rows, t)
+			sel = append(sel, int32(i))
 		}
+		out.AppendGather(b, sel)
 	}
-	return relation.FromRowsShared(results[0].Schema, rows), nil
+	return relation.FromBatch(out), nil
+}
+
+// rowsIn returns the length of the largest of results: the room a closure
+// reserves for its answer, which holds every distinct row of each.
+func rowsIn(results []*relation.Relation) int {
+	n := 0
+	for _, r := range results {
+		n = max(n, r.Len())
+	}
+	return n
 }
 
 // poll invokes a (possibly nil) interrupt hook.
@@ -223,46 +236,47 @@ func Conf(results []*relation.Relation, probs []float64, interrupt func() error)
 	if len(results) != len(probs) {
 		return nil, fmt.Errorf("got %d results for %d probabilities", len(results), len(probs))
 	}
-	// lastWorld dedups within one world: a tuple appearing several times in
-	// one world's answer contributes that world's probability once.
-	type entry struct {
-		t         tuple.Tuple
-		conf      float64
-		lastWorld int
-	}
-	var order []string
-	acc := map[string]*entry{}
+	// Tuples are listed once, at their first appearance, in out; conf[i]
+	// accumulates row i's confidence, and lastWorld[i] dedups within one
+	// world: a tuple appearing several times in one world's answer
+	// contributes that world's probability once.
+	out := colbatch.New(results[0].Schema)
+	out.Reserve(rowsIn(results))
+	var scratch [32]int32 // a small answer's selections and stamps stay on the stack
+	var stamps [32]int
+	sel, lastWorld := scratch[:0], stamps[:0]
+	index := map[string]int{}
+	var conf []float64
 	var buf []byte
-	for i, r := range results {
+	for w, r := range results {
 		if err := poll(interrupt); err != nil {
 			return nil, err
 		}
-		bv := r.BatchView()
-		for j, t := range r.Rows() {
-			buf = bv.AppendKey(buf[:0], j)
-			e, ok := acc[string(buf)]
+		b := r.Batch()
+		sel = sel[:0]
+		for i := 0; i < b.Len(); i++ {
+			buf = b.AppendKey(buf[:0], i)
+			e, ok := index[string(buf)]
 			if !ok {
-				k := string(buf)
-				e = &entry{t: t, lastWorld: -1}
-				acc[k] = e
-				order = append(order, k)
+				e = len(conf)
+				index[string(buf)] = e
+				conf = append(conf, 0)
+				lastWorld = append(lastWorld, -1)
+				sel = append(sel, int32(i))
 			}
-			if e.lastWorld == i {
+			if lastWorld[e] == w {
 				continue
 			}
-			e.lastWorld = i
-			e.conf += probs[i]
+			lastWorld[e] = w
+			conf[e] += probs[w]
 		}
+		out.AppendGather(b, sel)
 	}
-	rows := make([]tuple.Tuple, 0, len(order))
-	for _, k := range order {
-		e := acc[k]
-		if e.conf > 1 {
-			e.conf = 1 // clamp float accumulation noise
-		}
-		rows = append(rows, append(e.t.Clone(), value.Float(e.conf)))
+	for e := range conf {
+		conf[e] = min(conf[e], 1) // clamp float accumulation noise
 	}
-	return relation.FromRowsShared(results[0].Schema.Concat(schema.New("conf")), rows), nil
+	sch := results[0].Schema.Concat(schema.New("conf"))
+	return relation.FromBatch(out.Extend(sch, colbatch.Col{Kind: value.KindFloat, Floats: conf})), nil
 }
 
 // Group partitions world indexes by fingerprint key: worlds with equal keys

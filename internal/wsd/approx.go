@@ -94,8 +94,8 @@ func (d *WSD) confMonteCarlo(compIdx []int, eval func(cat plan.Catalog) (*colbat
 			seen[k] = struct{}{}
 			if _, ok := counts[k]; !ok {
 				order = append(order, k)
-				// Row() of a row-backed batch returns the shared underlying
-				// tuple; clone before extending it below.
+				// Row() of a row-form batch returns the stored tuple; clone
+				// before extending it below.
 				rep[k] = res.Row(r).Clone()
 			}
 			counts[k]++

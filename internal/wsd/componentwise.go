@@ -31,11 +31,9 @@ package wsd
 // ancestor still decides whether a touched child is active, and the fold
 // weighs each alternative by its conditioning path.
 //
-// Answers are colbatch batches — row-backed when every relation an
-// evaluation scanned was scanned row-backed, columnar otherwise
-// (internal/algebra's Scan decides by size and store, every other operator
-// follows its input) — and stored state is batch-backed, so the catalog
-// hands stored batches to the evaluations directly.
+// Answers are colbatch batches, in whatever form colbatch picked for them,
+// and stored state is batches too, so the catalog hands stored batches to
+// the evaluations directly.
 
 import (
 	"fmt"
@@ -45,7 +43,6 @@ import (
 	"maybms/internal/obs"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
-	"maybms/internal/tuple"
 )
 
 // partsCatalog exposes the certain database plus the contributions of a
@@ -101,9 +98,8 @@ func (pc partsCatalog) Delta(name string) (*relation.Relation, error) {
 // contributions, whichever are asked for. Stored state is batch-backed, so
 // single-source views pass the stored relation through — the scan reads its
 // batch directly, with no per-evaluation re-encode — and multi-source views
-// concatenate the parts' batches as they are stored: row-backed when every
-// part is, else columnar. Whether an evaluation runs over columns is the
-// scan's decision alone (internal/algebra).
+// concatenate the parts' batches into one, in the form colbatch picks for
+// it.
 func (pc partsCatalog) view(name string, withCert, withContrib bool) (*relation.Relation, error) {
 	k := key(name)
 	sch, ok := pc.d.schemas[k]
@@ -119,7 +115,6 @@ func (pc partsCatalog) view(name string, withCert, withContrib bool) (*relation.
 	// fast paths below must not pay a slice allocation to find that out.
 	var first *relation.Relation
 	var rest []*relation.Relation
-	total := cert.Len()
 	if withContrib {
 		for _, ci := range pc.order {
 			if c := pc.d.comps[ci].Alts[pc.sel[ci]].Contrib[k]; c.Len() > 0 {
@@ -128,13 +123,12 @@ func (pc partsCatalog) view(name string, withCert, withContrib bool) (*relation.
 				} else {
 					rest = append(rest, c)
 				}
-				total += c.Len()
 			}
 		}
 	}
 	// Single-source fast paths: share the stored relation itself when its
-	// schema is already the registered one (then even the lazy row cache
-	// is shared across parts), else a zero-copy reschema of its batch.
+	// schema is already the registered one, else a zero-copy reschema of
+	// its batch.
 	// Stored state is immutable and plan scans never mutate their input.
 	if first == nil {
 		switch {
@@ -153,22 +147,13 @@ func (pc partsCatalog) view(name string, withCert, withContrib bool) (*relation.
 		}
 		return first.WithSchema(sch), nil
 	}
-	rowBacked := first.BatchView().RowBacked() && (cert.Len() == 0 || cert.BatchView().RowBacked())
-	for _, c := range rest {
-		rowBacked = rowBacked && c.BatchView().RowBacked()
-	}
-	var combined *colbatch.Batch
-	if rowBacked {
-		combined = colbatch.FromRowsShared(sch, make([]tuple.Tuple, 0, total))
-	} else {
-		combined = colbatch.New(sch)
-	}
+	combined := colbatch.New(sch)
 	if cert.Len() > 0 {
-		combined.AppendBatch(cert.BatchView())
+		combined.AppendBatch(cert.Batch())
 	}
-	combined.AppendBatch(first.BatchView())
+	combined.AppendBatch(first.Batch())
 	for _, c := range rest {
-		combined.AppendBatch(c.BatchView())
+		combined.AppendBatch(c.Batch())
 	}
 	return relation.FromBatch(combined), nil
 }
@@ -181,7 +166,7 @@ var _ plan.PartsCatalog = partsCatalog{}
 type partQuery func(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error)
 
 // componentParts is the componentwise evaluation of one query. Answers are
-// batches, row-backed or columnar as the evaluation's input was.
+// batches, in the form colbatch picked for each.
 type componentParts struct {
 	comps []*Component    // the evaluated components, in index order
 	base  *colbatch.Batch // the certain-only answer Q(cert)
@@ -239,8 +224,7 @@ func (d *WSD) queryByComponent(compIdx []int, query partQuery, sp *obs.Span) (*c
 // tuple-for-tuple the naive engine's answer in that world: by the concat
 // structure the analysis certified, or, over one merged component, because
 // each part is the alternative's full answer. The answers are stored as the
-// new relations' backing batches — columnar ones land as zero-copy columnar
-// views (identity for later scans), row-backed ones as shared row slices.
+// new relations' batches, zero-copy.
 func (d *WSD) materializeByComponent(dst string, compIdx []int, query partQuery) error {
 	p, err := d.queryByComponent(compIdx, query, nil)
 	if err != nil {

@@ -18,10 +18,10 @@ import (
 	"fmt"
 	"strings"
 
+	"maybms/internal/colbatch"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
-	"maybms/internal/tuple"
 	"maybms/internal/value"
 )
 
@@ -56,10 +56,11 @@ func (d *WSD) condFor(byID map[int]int, c *Component, a int) string {
 // the analysis certified.
 func (d *WSD) conditionalRelation(p *componentParts) (*relation.Relation, error) {
 	byID := d.compIndexByID()
-	outSch := p.base.Schema.Concat(condSchema())
-	rows := make([]tuple.Tuple, 0, p.base.Len())
-	for _, t := range p.base.Rows() {
-		rows = append(rows, append(t.Clone(), value.Str("")))
+	all := colbatch.New(p.base.Schema)
+	all.AppendBatch(p.base)
+	var cond colbatch.ColBuilder
+	for range p.base.Len() {
+		cond.Append(value.Str(""))
 	}
 	for i, c := range p.comps {
 		for a, delta := range p.deltas[i] {
@@ -69,13 +70,14 @@ func (d *WSD) conditionalRelation(p *componentParts) (*relation.Relation, error)
 			if delta.Len() == 0 {
 				continue
 			}
-			cond := value.Str(d.condFor(byID, c, a))
-			for _, t := range delta.Rows() {
-				rows = append(rows, append(t.Clone(), cond))
+			all.AppendBatch(delta)
+			v := value.Str(d.condFor(byID, c, a))
+			for range delta.Len() {
+				cond.Append(v)
 			}
 		}
 	}
-	return relation.FromRowsShared(outSch, rows), nil
+	return relation.FromBatch(all.Extend(p.base.Schema.Concat(condSchema()), cond.Col())), nil
 }
 
 // uncertainTables names the referenced tables that vary across worlds —

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"maybms/internal/colbatch"
 	"maybms/internal/relation"
 	"maybms/internal/tuple"
 	"maybms/internal/worldset"
@@ -64,11 +65,12 @@ func Decompose(set *worldset.Set, name string) (*WSD, error) {
 	rep := map[string]tuple.Tuple{}
 	present := map[string][]bool{}
 	for i, inst := range insts {
-		for _, t := range inst.Rows() {
-			k := t.Key()
+		b := inst.Batch()
+		for j := 0; j < b.Len(); j++ {
+			k := string(b.AppendKey(nil, j))
 			if _, ok := present[k]; !ok {
 				order = append(order, k)
-				rep[k] = t
+				rep[k] = b.Row(j)
 				present[k] = make([]bool, set.Len())
 			}
 			present[k][i] = true
@@ -223,7 +225,7 @@ func buildComponents(d *WSD, name string, groups [][]int, keys []string,
 				}
 			}
 			if len(ts) > 0 {
-				alt.Contrib[k] = relation.FromRowsShared(sch, ts)
+				alt.Contrib[k] = relation.FromBatch(colbatch.FromRows(sch, ts))
 			}
 			alts = append(alts, alt)
 		}

@@ -36,7 +36,9 @@ func checkDeltaParts(t *testing.T, label string, d *WSD, sql string) {
 			if err != nil {
 				t.Fatalf("%s %q full part (%d,%d): %v", label, sql, ci, a, err)
 			}
-			sum := colbatch.FromRowsShared(p.base.Schema, append(append([]tuple.Tuple(nil), p.base.Rows()...), delta.Rows()...))
+			sum := colbatch.New(p.base.Schema)
+			sum.AppendBatch(p.base)
+			sum.AppendBatch(delta)
 			got, want := relation.FromBatch(sum), relation.FromBatch(full)
 			if !got.EqualSet(want) {
 				t.Errorf("%s %q part (%d,%d): base ∪ Δ differs from the full evaluation\nbase ++ Δ:\n%sfull:\n%s", label, sql, ci, a, got, want)
@@ -437,11 +439,11 @@ func TestDistinctDeltaDropsCertainTuples(t *testing.T) {
 	}
 
 	rel := selectOn(t, build(), "select distinct V from M")
-	if got, want := renderRel(rel), renderRel(relation.FromRowsShared(rel.Schema, []tuple.Tuple{row(1, ""), row(2, "c0=1")})); got != want {
+	if got, want := renderRel(rel), renderRel(rowsRel(rel.Schema, []tuple.Tuple{row(1, ""), row(2, "c0=1")})); got != want {
 		t.Errorf("conditional relation of a DISTINCT:\n%swant V=1 unconditioned and V=2 under c0=1", rel)
 	}
 	rel = selectOn(t, build(), "select V from C union all select distinct V from M")
-	if got, want := renderRel(rel), renderRel(relation.FromRowsShared(rel.Schema, []tuple.Tuple{row(1, ""), row(1, ""), row(2, "c0=1")})); got != want {
+	if got, want := renderRel(rel), renderRel(rowsRel(rel.Schema, []tuple.Tuple{row(1, ""), row(1, ""), row(2, "c0=1")})); got != want {
 		t.Errorf("conditional relation of a DISTINCT below UNION ALL:\n%swant V=1 twice unconditioned and V=2 under c0=1", rel)
 	}
 }

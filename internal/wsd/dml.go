@@ -100,9 +100,9 @@ func (d *WSD) applyDML(st sqlparse.Statement, table string) (int, error) {
 		saved = append(saved, alts...)
 		for i := range alts {
 			content := colbatch.New(d.schemas[k])
-			content.AppendBatch(cert.BatchView())
+			content.AppendBatch(cert.Batch())
 			if c := alts[i].Contrib[k]; c != nil {
-				content.AppendBatch(c.BatchView())
+				content.AppendBatch(c.Batch())
 			}
 			alts[i].Contrib = maps.Clone(alts[i].Contrib)
 			if alts[i].Contrib == nil {
@@ -184,7 +184,7 @@ func (d *WSD) rewritePieces(table string, tmpl *plan.PreparedDML) (int, error) {
 		if p.rel == nil {
 			continue
 		}
-		out, n, err := bound.Apply(p.rel.BatchView())
+		out, n, err := bound.Apply(p.rel.Batch())
 		if err != nil {
 			return 0, err
 		}

@@ -539,7 +539,7 @@ func importTarget(t *testing.T, r *rand.Rand, s *core.Session, d *WSD) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if naive.BatchView().RowBacked() || d.certain[key("J")].BatchView().RowBacked() {
+	if naive.Batch().RowBacked() || d.certain[key("J")].Batch().RowBacked() {
 		t.Fatal("setup: an imported J is row-backed")
 	}
 }
@@ -810,7 +810,7 @@ func TestDMLKeepsColumnarPieces(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range pieces() {
-		if p == before[i] || p.BatchView().RowBacked() {
+		if p == before[i] || p.Batch().RowBacked() {
 			t.Fatalf("piece %d: kept, or stored row-backed, by a matching UPDATE", i)
 		}
 		if got := before[i].StoredString(); got != want[i] {

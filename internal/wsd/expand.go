@@ -45,7 +45,7 @@ func (d *WSD) Expand(limit int) (*worldset.Set, error) {
 		for k, sch := range d.schemas {
 			rel := relation.New(sch)
 			if cert, ok := d.certain[k]; ok {
-				rel.AppendRows(cert.Rows())
+				rel.AppendBatch(cert.Batch())
 			}
 			perRel[k] = rel
 		}
@@ -54,7 +54,7 @@ func (d *WSD) Expand(limit int) (*worldset.Set, error) {
 				continue // inactive under this world's parent path
 			}
 			for name, rel := range c.Alts[digits[ci]].Contrib {
-				perRel[name].AppendRows(rel.Rows())
+				perRel[name].AppendBatch(rel.Batch())
 			}
 		}
 		for k, rel := range perRel {

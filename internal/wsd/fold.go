@@ -37,15 +37,15 @@ package wsd
 // decomposition and the same for a stored relation, a SELECT over it and its
 // conditional relation (conditional.go); it is not the naive engine's
 // world-enumeration order, and neither is API. Tuples are identified by
-// AppendKey arena keys — the byte space of tuple.Encode, whether a batch is
-// columnar or row-backed — interned once per distinct tuple; the output is
-// gathered column-wise, or by tuple reference when the evaluations' answers
-// are row-backed, and materializes rows once at the end.
+// AppendKey arena keys — the byte space of tuple.Encode, whatever a batch's
+// form — interned once per distinct tuple; the output is gathered into one
+// batch, in the form colbatch picks for it.
 
 import (
 	"maybms/internal/colbatch"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
+	"maybms/internal/value"
 )
 
 // foldTuple is the fold's state for one distinct tuple: the verdict over the
@@ -324,24 +324,28 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 			return nil, err
 		}
 	}
-	var out *colbatch.Batch
-	emitted := make([]bool, len(f.ids))
+	// Every tuple is interned by the time it is emitted; POSSIBLE, which
+	// weighs nothing, interns during the emission, up to one tuple per row.
+	room := len(f.ids)
+	if cl == closurePossible {
+		room = f.certain.Len()
+		for i, c := range f.comps {
+			for a := range c.Alts {
+				room += f.part(i, a).Len()
+			}
+		}
+	}
+	out := colbatch.New(sch)
+	out.Reserve(room)
+	emitted := make([]bool, len(f.ids), room)
 	var sel []int32
 	var confs []float64
 	emit := func(b *colbatch.Batch) error {
-		if b == nil || b.Len() == 0 {
+		if b.Len() == 0 {
 			return nil
 		}
 		if err := f.d.interrupted(); err != nil {
 			return err
-		}
-		// The output follows the first non-empty batch: columnar answers gather
-		// column-wise, row-backed ones (evaluations over small row-backed
-		// relations) append tuple references.
-		if out == nil {
-			if out = colbatch.New(sch); b.RowBacked() {
-				out = colbatch.FromRowsShared(sch, nil)
-			}
 		}
 		sel = sel[:0]
 		for r, id := range f.rowIDs(b, false) {
@@ -377,11 +381,8 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 			}
 		}
 	}
-	if out == nil {
-		out = colbatch.New(sch)
-	}
 	if cl.isConf() {
-		out = out.ExtendFloat(sch.Concat(confSchema()), confs)
+		out = out.Extend(sch.Concat(confSchema()), colbatch.Col{Kind: value.KindFloat, Floats: confs})
 	}
 	return relation.FromBatch(out), nil
 }

@@ -46,7 +46,6 @@ import (
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/sqlparse"
-	"maybms/internal/tuple"
 	"maybms/internal/value"
 	"maybms/internal/worldset"
 )
@@ -376,13 +375,17 @@ func (d *WSD) closePerGroup(groups []groupInfo, q evaluator, cl closure) ([]core
 // scaleConf multiplies the trailing conf column by f (a group's
 // probability), preserving tuple order.
 func scaleConf(rel *relation.Relation, f float64) *relation.Relation {
-	rows := make([]tuple.Tuple, 0, rel.Len())
-	for _, t := range rel.Rows() {
-		nt := t.Clone()
-		nt[len(nt)-1] = value.Float(f * nt[len(nt)-1].AsFloat())
-		rows = append(rows, nt)
+	b := rel.Batch()
+	keep := make([]int, b.Width()-1)
+	for j := range keep {
+		keep[j] = j
 	}
-	return relation.FromRowsShared(rel.Schema, rows)
+	conf := make([]float64, b.Len())
+	for i := range conf {
+		conf[i] = f * b.At(i, len(keep)).AsFloat()
+	}
+	rest := b.Project(keep, rel.Schema.Project(keep))
+	return relation.FromBatch(rest.Extend(rel.Schema, colbatch.Col{Kind: value.KindFloat, Floats: conf}))
 }
 
 // closeEachGroup evaluates the main query's full answer per alternative of

@@ -269,7 +269,7 @@ func (d *WSD) condense(idxs []int) (*Component, error) {
 			}
 			for name, rel := range d.comps[ci].Alts[digits[p]].Contrib {
 				if dst, ok := na.Contrib[name]; ok {
-					dst.AppendRows(rel.Rows())
+					dst.AppendBatch(rel.Batch())
 				} else {
 					na.Contrib[name] = rel.Clone()
 				}

@@ -95,13 +95,13 @@ func TestPartsCatalogLookup(t *testing.T) {
 	// Contribution only: a1's second repair.
 	one := newPartsCatalog(d, map[int]int{0: 1})
 	i, err = one.Lookup("I")
-	if err != nil || renderRel(i) != renderRel(relation.FromRowsShared(i.Schema, []tuple.Tuple{row("a1", 15, "c2", 6)})) {
+	if err != nil || renderRel(i) != renderRel(rowsRel(i.Schema, []tuple.Tuple{row("a1", 15, "c2", 6)})) {
 		t.Errorf("contribution-only lookup = %v, %v", i, err)
 	}
 	// Both: a certain row first, then the contribution.
-	d.certain["i"] = relation.FromRowsShared(d.schemas["i"], []tuple.Tuple{row("a0", 1, "c0", 1)})
+	d.certain["i"] = rowsRel(d.schemas["i"], []tuple.Tuple{row("a0", 1, "c0", 1)})
 	i, err = one.Lookup("I")
-	if err != nil || renderRel(i) != renderRel(relation.FromRowsShared(i.Schema, []tuple.Tuple{row("a0", 1, "c0", 1), row("a1", 15, "c2", 6)})) {
+	if err != nil || renderRel(i) != renderRel(rowsRel(i.Schema, []tuple.Tuple{row("a0", 1, "c0", 1), row("a1", 15, "c2", 6)})) {
 		t.Errorf("certain-and-contribution lookup = %v, %v", i, err)
 	}
 	if _, err := cat.Lookup("nope"); !errors.Is(err, ErrUnknown) {
@@ -553,7 +553,7 @@ func TestSpanningGroupCertainPerGroup(t *testing.T) {
 	}
 	for gi, want := range []int{1, 11} {
 		g := groups[gi]
-		if got := renderRel(g.Rel); got != renderRel(relation.FromRowsShared(g.Rel.Schema, []tuple.Tuple{row(want)})) {
+		if got := renderRel(g.Rel); got != renderRel(rowsRel(g.Rel.Schema, []tuple.Tuple{row(want)})) {
 			t.Errorf("group %d (P = %g): certain answer\n%s\nwant V = %d", gi, g.Prob, got, want)
 		}
 	}

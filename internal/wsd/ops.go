@@ -48,13 +48,13 @@ func (d *WSD) relationFold(name string, only []byte) (*closureFold, error) {
 	}
 	part := func(i, a int) *colbatch.Batch {
 		if contrib := d.comps[i].Alts[a].Contrib[k]; contrib != nil {
-			return contrib.BatchView()
+			return contrib.Batch()
 		}
 		return nil
 	}
 	var certain *colbatch.Batch
 	if cert := d.certain[k]; only == nil && cert.Len() > 0 {
-		certain = cert.BatchView()
+		certain = cert.Batch()
 	}
 	return d.newClosureFold(d.comps, part, certain, only), nil
 }

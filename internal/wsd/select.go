@@ -18,7 +18,6 @@ import (
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/sqlparse"
-	"maybms/internal/tuple"
 )
 
 // closure selects the world-closing operation applied to a SELECT's
@@ -122,10 +121,8 @@ func (d *WSD) SchemaFingerprint() uint64 {
 }
 
 // evaluator binds a compiled template per catalog and drains it into a
-// CollectBatch result — row-backed when every relation the evaluation
-// scanned is small and row-backed (a one-row delta, a figure-sized table),
-// columnar otherwise. The representation follows the catalog's relations
-// (algebra's Scan); nothing here sets it. A bind cannot fail for want of a table or a column:
+// CollectBatch result, in the form colbatch picked for it; nothing here
+// sets it. A bind cannot fail for want of a table or a column:
 // prepared compiled the template (or, from the cache, validated it) against
 // the very schemas every catalog here serves (schemaCatalog and partsCatalog
 // read d.schemas).
@@ -551,23 +548,13 @@ func (d *WSD) projectOutTrailing(name string, n int) {
 	}
 	d.schemas[k] = sch.Project(keep)
 	if r, ok := d.certain[k]; ok {
-		pr := relation.New(d.schemas[k])
-		for _, t := range r.Rows() {
-			pr.MustAppend(t.Project(keep))
-		}
-		d.certain[k] = pr
+		d.certain[k] = relation.FromBatch(r.Batch().Project(keep, d.schemas[k]))
 	}
 	for _, c := range d.comps {
 		for i := range c.Alts {
-			contrib, ok := c.Alts[i].Contrib[k]
-			if !ok {
-				continue
+			if contrib, ok := c.Alts[i].Contrib[k]; ok {
+				c.Alts[i].Contrib[k] = relation.FromBatch(contrib.Batch().Project(keep, d.schemas[k]))
 			}
-			out := make([]tuple.Tuple, contrib.Len())
-			for j, t := range contrib.Rows() {
-				out[j] = t.Project(keep)
-			}
-			c.Alts[i].Contrib[k] = relation.FromRowsShared(d.schemas[k], out)
 		}
 	}
 }

@@ -57,6 +57,7 @@ package wsd
 import (
 	"fmt"
 
+	"maybms/internal/colbatch"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
@@ -154,10 +155,13 @@ func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) erro
 		for _, ci := range comps {
 			seen := map[string]struct{}{}
 			var keys []string
+			var buf []byte
 			for _, a := range d.comps[ci].Alts {
-				for _, t := range a.contribRows(k) {
-					kv := t.KeyOn(keyIdx)
-					if _, dup := seen[kv]; !dup {
+				b := a.contribution(k, sch)
+				for i := 0; i < b.Len(); i++ {
+					buf = b.AppendKeyOn(buf[:0], keyIdx, i)
+					if _, dup := seen[string(buf)]; !dup {
+						kv := string(buf)
 						seen[kv] = struct{}{}
 						keys = append(keys, kv)
 					}
@@ -235,9 +239,11 @@ func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) erro
 				return err
 			}
 			inst := append([]tuple.Tuple(nil), certTs...)
-			for _, t := range fc.Alts[ai].contribRows(k) {
-				if t.KeyOn(keyIdx) == gk {
-					inst = append(inst, t)
+			b := fc.Alts[ai].contribution(k, sch)
+			var buf []byte
+			for i := 0; i < b.Len(); i++ {
+				if buf = b.AppendKeyOn(buf[:0], keyIdx, i); string(buf) == gk {
+					inst = append(inst, b.Row(i))
 				}
 			}
 			alts, err := d.repairGroupComp(sch, dk, inst, weightIdx)
@@ -329,14 +335,15 @@ func (d *WSD) choiceOf(src, dst string, attrs []string, weight string) error {
 		return d.applySplit(dst, sch, []pendingComp{{alts: alts, parentID: -1}})
 	}
 	fc := d.comps[comps[0]]
-	certTuples := cert.Rows()
 	var pending []pendingComp
 	for ai, a := range fc.Alts {
 		if err := d.interrupted(); err != nil {
 			return err
 		}
-		inst := relation.FromRowsShared(sch, append(append([]tuple.Tuple{}, certTuples...), a.contribRows(k)...))
-		alts, err := d.choiceComp(sch, dk, inst, attrIdx, weightIdx)
+		inst := colbatch.New(sch)
+		inst.AppendBatch(cert.Batch())
+		inst.AppendBatch(a.contribution(k, sch))
+		alts, err := d.choiceComp(sch, dk, relation.FromBatch(inst), attrIdx, weightIdx)
 		if err != nil {
 			return fmt.Errorf("choice over %s: %w", src, err)
 		}

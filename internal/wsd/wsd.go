@@ -85,10 +85,9 @@
 // colbatch batches, the fold and the group-worlds frontier dedup on
 // arena-encoded batch keys (byte-identical to tuple.Encode) and output rows
 // materialize once at the very end.
-// Every evaluation runs internal/algebra's one operator set; whether it
-// runs over rows or columns follows from what it scans — a relation of at
-// least colbatch.Floor rows is scanned as columns, a smaller one as it is
-// stored — and nothing here chooses or overrides it.
+// Every evaluation runs internal/algebra's one operator set over the
+// batches it scans; whether a batch holds rows or columns is colbatch's
+// choice by size, and nothing here asks or overrides it.
 package wsd
 
 import (
@@ -100,6 +99,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"maybms/internal/colbatch"
 	"maybms/internal/obs"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
@@ -123,24 +123,26 @@ const DefaultMergeLimit = 1 << 16
 
 // Alternative is one local choice of a component: a probability (in
 // weighted WSDs) and the tuples it contributes per relation. Contributions
-// are stored as relations — batch-backed, so the componentwise closures
-// read stored columnar state directly (and tiny row-built contributions
-// stay row-backed).
+// are stored as relations, so the componentwise closures and the fold read
+// their stored batches directly, in whatever form colbatch keeps them.
 type Alternative struct {
 	Prob    float64
 	Contrib map[string]*relation.Relation // lower-case relation name → contribution
 }
 
-// contribRows returns the alternative's contribution rows for relation k
-// (nil when it contributes nothing).
-func (a *Alternative) contribRows(k string) []tuple.Tuple {
-	return a.Contrib[k].Rows()
+// contribution returns the alternative's contribution to relation k, of
+// schema sch: empty when it contributes nothing.
+func (a *Alternative) contribution(k string, sch *schema.Schema) *colbatch.Batch {
+	if c := a.Contrib[k]; c != nil {
+		return c.Batch()
+	}
+	return colbatch.New(sch)
 }
 
 // contribRel builds a single-relation contribution map around rows that the
 // relation takes ownership of.
 func contribRel(sch *schema.Schema, k string, rows []tuple.Tuple) map[string]*relation.Relation {
-	return map[string]*relation.Relation{k: relation.FromRowsShared(sch, rows)}
+	return map[string]*relation.Relation{k: relation.FromBatch(colbatch.FromRows(sch, rows))}
 }
 
 // Component is a finite choice among alternatives. A top-level component
@@ -621,10 +623,8 @@ func (d *WSD) CheckInvariant() error {
 				if !ok {
 					return fmt.Errorf("component %d contributes to unknown relation %q", c.ID, name)
 				}
-				for _, t := range contrib.Rows() {
-					if len(t) != sch.Len() {
-						return fmt.Errorf("component %d contributes width-%d tuple to %s%s", c.ID, len(t), name, sch)
-					}
+				if w := contrib.Batch().Width(); w != sch.Len() {
+					return fmt.Errorf("component %d contributes width-%d tuple to %s%s", c.ID, w, name, sch)
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"maybms/internal/colbatch"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
@@ -15,6 +16,11 @@ import (
 )
 
 const eps = 1e-9
+
+// rowsRel builds a relation of rows, which it takes ownership of.
+func rowsRel(sch *schema.Schema, rows []tuple.Tuple) *relation.Relation {
+	return relation.FromBatch(colbatch.FromRows(sch, rows))
+}
 
 func row(vals ...any) tuple.Tuple {
 	out := make(tuple.Tuple, len(vals))
@@ -172,7 +178,7 @@ func TestChoiceOf(t *testing.T) {
 	comp := d.comps[0]
 	probs := map[string]float64{}
 	for _, a := range comp.Alts {
-		probs[a.contribRows("p")[0][0].AsStr()] = a.Prob
+		probs[a.Contrib["p"].Batch().At(0, 0).AsStr()] = a.Prob
 	}
 	want := map[string]float64{"a1": 8.0 / 23, "a2": 9.0 / 23, "a3": 6.0 / 23}
 	for k, w := range want {

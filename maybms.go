@@ -130,13 +130,14 @@
 //     (components touched), eval / componentwise / merge_eval / closure /
 //     approx_mc — each with monotonic offsets, durations and attributes
 //     (route, worlds, components, alternatives, merge_limit, samples,
-//     seed, stderr_bound), plus collect counts by answer representation
-//     (batch = columnar, row = row-backed) and row counts.
+//     seed, stderr_bound), plus collect counts by answer form (batch =
+//     columnar, row = row form: fewer than colbatch's floor of rows) and
+//     row counts.
 //   - The server adds GET /metrics (Prometheus text format), a per-request
 //     trace in the response ({"trace": true} or ?trace=1), and a
 //     structured JSON slow-query log past a configurable threshold.
 //     Metric families: maybms_collects_total{path} (path="batch" for a
-//     columnar answer, "row" for a row-backed one), maybms_collect_rows_total,
+//     columnar answer, "row" for a row-form one), maybms_collect_rows_total,
 //     maybms_route_total{route}, maybms_merge_alternatives,
 //     maybms_approx_samples_total, maybms_requests_total{op},
 //     maybms_request_errors_total, maybms_statement_seconds{backend},

@@ -61,11 +61,11 @@
 #
 # The answer-encoding gate holds the server's wire encoder to per-relation
 # allocation: BenchmarkEncodeAnswer writes a 10 000 x 6 columnar answer and
-# a 2 000 x 4 row-backed one into a reused buffer, as a TCP connection
-# does — steady state 2 and 1 allocs/op (the response envelope, plus the
-# column table of a columnar batch). Boxing cells into an any again (60 000
-# and 8 000 cells here), or columnarising a row-backed answer, trips the 2x
-# ceilings at once.
+# a 31 x 4 row-form one (the most rows a row-form batch holds) into a reused
+# buffer, as a TCP connection does — steady state 2 and 1 allocs/op (the
+# response envelope, plus the column table of a columnar batch). Boxing
+# cells into an any again (60 000 and 124 cells here), or columnarising a
+# row-form answer, trips the 2x ceilings at once.
 #
 # The DML gate holds UPDATE and DELETE to per-column allocation:
 # BenchmarkDMLApply rewrites a 40 000-row columnar batch of which one row
@@ -78,12 +78,12 @@
 # The per-drain gates hold the one operator set to the cost of the tiny
 # drains per-world and per-alternative evaluation runs thousands of times
 # per statement. BenchmarkFigurePipeline drains bound trees reused across
-# drains, as a bound subquery is: an 8-row row-backed Scan -> Filter ->
+# drains, as a bound subquery is: an 8-row row-form Scan -> Filter ->
 # Project (steady state 7 allocs/op: the filter's gathered rows, the
 # projection's value slab, rows and header, the answer's header and
 # relation) and a one-row delta probing a shared 100-row build (9 allocs/op:
 # the answer's columns). The ~2x ceilings trip on any per-drain or per-row
-# allocation added to a row-backed drain. BenchmarkClosureComponents
+# allocation added to a row-form drain. BenchmarkClosureComponents
 # closes a 1000-component decomposition (1000 one-row deltas per statement);
 # its possible and conf ceilings are ~1.2x the steady states the two
 # operator sets had before they became one (33 150 and 39 210 allocs/op),
