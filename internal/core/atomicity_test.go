@@ -2,7 +2,9 @@ package core
 
 // atomicity_test.go checks that failing statements never leave the session
 // half-applied — the cross-world counterpart of transactional atomicity
-// that the paper's constraint semantics (§2) requires.
+// that the paper's constraint semantics (§2) requires. No statement stages
+// its writes for this: the runner restores the snapshot it took before a
+// failed statement (fault_test.go fails every statement at every poll).
 
 import (
 	"testing"

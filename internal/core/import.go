@@ -30,7 +30,8 @@ func LoadImport(st *sqlparse.Import, weighted bool) (*relation.ImportPlan, error
 // parent world into one child per alternative. Children enumerate groups
 // in first-row order with the last group varying fastest — exactly the
 // order the WSD backend's Expand walks its components — so both engines
-// produce the same world-set for the same file.
+// produce the same world-set for the same file. The interrupt hook is
+// polled before each world.
 func (s *Session) execImport(st *sqlparse.Import) (*Result, error) {
 	if err := s.checkFresh(st.Table); err != nil {
 		return nil, err
@@ -41,8 +42,8 @@ func (s *Session) execImport(st *sqlparse.Import) (*Result, error) {
 	}
 
 	if len(plan.Groups) == 0 {
-		for _, w := range s.set.Worlds {
-			w.Put(st.Table, plan.Certain)
+		if err := s.putEach(st.Table, func(*world.World) (*relation.Relation, error) { return plan.Certain, nil }); err != nil {
+			return nil, err
 		}
 		return s.ok("imported %d row(s) into %s in %d world(s)", plan.Certain.Len(), st.Table, len(s.set.Worlds))
 	}
@@ -64,6 +65,9 @@ func (s *Session) execImport(st *sqlparse.Import) (*Result, error) {
 	worlds := make([]*world.World, 0, len(s.set.Worlds)*perParent)
 	for _, parent := range s.set.Worlds {
 		for j := 0; j < perParent; j++ {
+			if err := s.interrupted(); err != nil {
+				return nil, err
+			}
 			child := parent.Clone(childName(parent.Name, j))
 			combined := colbatch.New(plan.Schema)
 			combined.AppendBatch(plan.Certain.Batch())

@@ -402,7 +402,11 @@ func (ev *queryEval) result(weighted bool) *Result {
 // execCreateAs materializes a query: the hypothetical world-set becomes the
 // session's world-set (making repair/choice splits and asserts durable, per
 // Examples 2.2–2.5), and the answer relation is added to each world — per
-// group for closed results (Figure 4's Groups), per world otherwise.
+// group for closed results (Figure 4's Groups), per world otherwise. A split
+// or an assert hands back worlds of the statement's own; any other query
+// answers over the session's worlds, which are cloned before the answer is
+// stored. A result that cannot be stored fails the statement, which the
+// runner then undoes.
 func (s *Session) execCreateAs(name string, q *sqlparse.SelectStmt, isView bool) (*Result, error) {
 	if err := s.checkFresh(name); err != nil {
 		return nil, err
@@ -411,34 +415,33 @@ func (s *Session) execCreateAs(name string, q *sqlparse.SelectStmt, isView bool)
 	if err != nil {
 		return nil, err
 	}
+	worlds := ev.worlds
+	if q.Repair == nil && q.Choice == nil && q.Assert == nil {
+		worlds = make([]*world.World, len(ev.worlds))
+		for i, w := range ev.worlds {
+			worlds[i] = w.Clone(w.Name)
+		}
+	}
 	if ev.closed != nil {
-		rels := make([]*relation.Relation, len(ev.groups))
-		for gi := range ev.groups {
-			rels[gi], err = materializable(ev.closed[gi])
+		for gi, idxs := range ev.groups {
+			rel, err := materializable(ev.closed[gi])
 			if err != nil {
 				return nil, err
 			}
-		}
-		for gi, idxs := range ev.groups {
 			for _, wi := range idxs {
-				ev.worlds[wi].Put(name, rels[gi])
+				worlds[wi].Put(name, rel)
 			}
 		}
 	} else {
-		// Validate every per-world result before touching any world, so a
-		// failure cannot leave the statement half-applied.
-		rels := make([]*relation.Relation, len(ev.worlds))
-		for i := range ev.worlds {
-			rels[i], err = materializable(ev.results[i])
+		for i, w := range worlds {
+			rel, err := materializable(ev.results[i])
 			if err != nil {
 				return nil, err
 			}
-		}
-		for i, w := range ev.worlds {
-			w.Put(name, rels[i])
+			w.Put(name, rel)
 		}
 	}
-	if err := s.set.Replace(ev.worlds); err != nil {
+	if err := s.set.Replace(worlds); err != nil {
 		return nil, err
 	}
 	kind := "table"
@@ -446,7 +449,7 @@ func (s *Session) execCreateAs(name string, q *sqlparse.SelectStmt, isView bool)
 		s.views[strings.ToLower(name)] = true
 		kind = "view"
 	}
-	return s.ok("created %s %s in %d world(s)", kind, name, len(ev.worlds))
+	return s.ok("created %s %s in %d world(s)", kind, name, len(worlds))
 }
 
 // materializable prepares a query result for storage as a base relation:

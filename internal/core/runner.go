@@ -7,6 +7,12 @@ package core
 // hands everything else to the engine's Run. A statement runs on the
 // caller's goroutine from start to finish, so that one recover covers all of
 // it.
+//
+// Atomicity is the runner's too: it takes the engine's Snapshot before a
+// statement and restores it when the statement ends in an error, an
+// interrupt or a panic, so a failed statement leaves the engine exactly as
+// it was (the paper's §2: an update that fails in some world "is discarded
+// in all worlds"). No engine stages its writes for this.
 
 import (
 	"fmt"
@@ -24,6 +30,11 @@ var panics = obs.Default().Counter("maybms_panics_total",
 // explicit worlds, *wsd.WSD over a decomposition. Each keeps its statement
 // switch inside Run and Predict. Statements on one engine run serially.
 type Engine interface {
+	// Snapshot saves the engine's state before a statement; restore puts it
+	// back after a failed one. State published before a statement starts is
+	// never written in place during it — a statement writes into copies and
+	// swaps them in — so a snapshot copies headers only.
+	Snapshot() (restore func())
 	// Kind names the engine ("naive" or "compact") and the representation
 	// EXPLAIN prints beside the name.
 	Kind() (name, representation string)
@@ -96,13 +107,18 @@ func ExecScript(e Engine, sql string) ([]*Result, error) {
 
 // statement runs fn with interrupt and tr installed on e and clears both
 // after; a panic fails the statement with "internal error: …" and counts in
-// maybms_panics_total.
+// maybms_panics_total. A statement that fails — by error, interrupt or panic
+// — is undone by restoring the snapshot taken before it.
 func statement(e Engine, interrupt func() error, tr *obs.Trace, fn func() (*Result, error)) (res *Result, err error) {
+	restore := e.Snapshot()
 	e.SetStatement(interrupt, tr)
 	defer func() {
 		if v := recover(); v != nil {
 			panics.Inc()
 			res, err = nil, fmt.Errorf("internal error: %v", v)
+		}
+		if err != nil {
+			restore()
 		}
 		e.SetStatement(nil, nil)
 	}()

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 
@@ -50,8 +51,7 @@ type Session struct {
 	trace     *obs.Trace
 	// lookups attributes plan-cache lookups to this session (the default
 	// cache is process-global; see the server's SessionInfo).
-	lookups   plan.Lookups
-	nextWorld int
+	lookups plan.Lookups
 }
 
 // SetPlanCache replaces the session's compiled-statement cache. Sessions
@@ -69,6 +69,14 @@ func (s *Session) SetPlanCache(c *plan.Cache) {
 // the trace of the statement about to run.
 func (s *Session) SetStatement(interrupt func() error, tr *obs.Trace) {
 	s.interrupt, s.trace = interrupt, tr
+}
+
+// Snapshot saves the world list's header and the key and view maps; see
+// Engine.Snapshot. It copies no world: a statement stores only into worlds
+// it created or cloned, then swaps the list.
+func (s *Session) Snapshot() (restore func()) {
+	worlds, keys, views := s.set.Worlds, maps.Clone(s.keys), maps.Clone(s.views)
+	return func() { s.set.Worlds, s.keys, s.views = worlds, keys, views }
 }
 
 // interrupted polls the interrupt hook; every per-world loop calls it
@@ -129,7 +137,8 @@ func (s *Session) PrimaryKey(table string) []string {
 func (s *Session) IsView(name string) bool { return s.views[strings.ToLower(name)] }
 
 // Register loads rel under name into every world, like a CREATE TABLE +
-// INSERTs of complete data. It fails if the name is taken.
+// INSERTs of complete data. It fails if the name is taken. It runs outside
+// statements, so it stores into the worlds in place.
 func (s *Session) Register(name string, rel *relation.Relation) error {
 	if err := s.checkFresh(name); err != nil {
 		return err
@@ -207,21 +216,44 @@ func (s *Session) execCreateTable(st *sqlparse.CreateTable) (*Result, error) {
 		}
 		s.keys[strings.ToLower(st.Name)] = st.PrimaryKey
 	}
-	for _, w := range s.set.Worlds {
-		w.Put(st.Name, relation.New(sch))
+	if err := s.putEach(st.Name, func(*world.World) (*relation.Relation, error) { return relation.New(sch), nil }); err != nil {
+		return nil, err
 	}
 	return s.ok("created table %s", st.Name)
 }
 
-func (s *Session) execDrop(st *sqlparse.Drop) (*Result, error) {
-	existed := false
-	for _, w := range s.set.Worlds {
-		if w.Drop(st.Name) {
-			existed = true
+// putEach swaps in a new world list: a clone of every world with the
+// relation rel returns for it stored under name, or name dropped when rel
+// returns nil. It polls the interrupt hook before each world. Published
+// worlds are never written, so Snapshot's copy of the list header is the
+// session as it was.
+func (s *Session) putEach(name string, rel func(w *world.World) (*relation.Relation, error)) error {
+	next := make([]*world.World, len(s.set.Worlds))
+	for i, w := range s.set.Worlds {
+		if err := s.interrupted(); err != nil {
+			return err
+		}
+		r, err := rel(w)
+		if err != nil {
+			return err
+		}
+		next[i] = w.Clone(w.Name)
+		if r == nil {
+			next[i].Drop(name)
+		} else {
+			next[i].Put(name, r)
 		}
 	}
-	if !existed && !st.IfExists {
+	s.set.Worlds = next
+	return nil
+}
+
+func (s *Session) execDrop(st *sqlparse.Drop) (*Result, error) {
+	if err := s.checkFresh(st.Name); err == nil && !st.IfExists {
 		return nil, fmt.Errorf("relation %q does not exist", st.Name)
+	}
+	if err := s.putEach(st.Name, func(*world.World) (*relation.Relation, error) { return nil, nil }); err != nil {
+		return nil, err
 	}
 	delete(s.keys, strings.ToLower(st.Name))
 	delete(s.views, strings.ToLower(st.Name))
@@ -230,22 +262,16 @@ func (s *Session) execDrop(st *sqlparse.Drop) (*Result, error) {
 
 // execInsert inserts the value rows into the table in every world. Per the
 // paper (§2): "In case the tuple insertion violates a constraint in some
-// worlds, then the update is discarded in all worlds." — the whole
-// statement aborts if any world would violate the table's primary key.
+// worlds, then the update is discarded in all worlds." — a violation of the
+// table's primary key in any world fails the statement, and the runner
+// restores the session as it was.
 func (s *Session) execInsert(st *sqlparse.Insert) (*Result, error) {
 	rows, err := s.insertRows(st)
 	if err != nil {
 		return nil, err
 	}
-
-	// Build candidate relations per world, checking keys; commit only if
-	// every world accepts.
 	key := s.keys[strings.ToLower(st.Table)]
-	updated := make([]*relation.Relation, len(s.set.Worlds))
-	for i, w := range s.set.Worlds {
-		if err := s.interrupted(); err != nil {
-			return nil, err
-		}
+	err = s.putEach(st.Table, func(w *world.World) (*relation.Relation, error) {
 		cur, err := w.Lookup(st.Table)
 		if err != nil {
 			return nil, err
@@ -261,10 +287,10 @@ func (s *Session) execInsert(st *sqlparse.Insert) (*Result, error) {
 				return nil, fmt.Errorf("%w in world %s (statement discarded in all worlds)", err, w.Name)
 			}
 		}
-		updated[i] = next
-	}
-	for i, w := range s.set.Worlds {
-		w.Put(st.Table, updated[i])
+		return next, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s.ok("inserted %d row(s) into %s in %d world(s)", len(rows), st.Table, len(s.set.Worlds))
 }
@@ -324,22 +350,17 @@ func (s *Session) dmlTemplate(st sqlparse.Statement, table string) (*plan.Prepar
 // statement compiles once (dmlTemplate), and each world binds the template
 // and runs its row rewrite over the relation's batch — the template and
 // rewrite the compact engine runs per piece. A world where no row matches
-// keeps its relation. Candidate relations are committed only when every
-// world succeeds; with key set (an UPDATE of a table with a declared
-// primary key) a violation in any world aborts the statement. msg reports
-// the changed rows and the world count.
+// keeps its relation. With key set (an UPDATE of a table with a declared
+// primary key) a violation in any world fails the statement, which the
+// runner then undoes in every world. msg reports the changed rows and the
+// world count.
 func (s *Session) execDML(st sqlparse.Statement, table, msg string, key []string) (*Result, error) {
 	tmpl, err := s.dmlTemplate(st, table)
 	if err != nil {
 		return nil, err
 	}
-	worlds := s.set.Worlds
-	cands := make([]*relation.Relation, len(worlds))
 	total := 0
-	for i, w := range worlds {
-		if err := s.interrupted(); err != nil {
-			return nil, err
-		}
+	err = s.putEach(table, func(w *world.World) (*relation.Relation, error) {
 		cur, err := w.Lookup(table)
 		if err != nil {
 			return nil, err
@@ -352,21 +373,21 @@ func (s *Session) execDML(st sqlparse.Statement, table, msg string, key []string
 		if err != nil {
 			return nil, err
 		}
-		cands[i] = cur
 		if changed > 0 {
-			cands[i] = relation.FromBatch(out)
+			cur = relation.FromBatch(out)
 		}
 		if len(key) > 0 {
-			if err := checkKey(cands[i], key); err != nil {
+			if err := checkKey(cur, key); err != nil {
 				return nil, fmt.Errorf("%w in world %s (statement discarded in all worlds)", err, w.Name)
 			}
 		}
 		total += changed
+		return cur, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for i, w := range worlds {
-		w.Put(table, cands[i])
-	}
-	return s.ok(msg, total, len(worlds))
+	return s.ok(msg, total, len(s.set.Worlds))
 }
 
 // freshWorldName mints a lineage-based child world name.

@@ -28,6 +28,7 @@ type testEngine struct {
 func (e *testEngine) Kind() (string, string)                             { return "stub", "" }
 func (e *testEngine) Predict(*strings.Builder, sqlparse.Statement) error { return nil }
 func (e *testEngine) SetStatement(func() error, *obs.Trace)              {}
+func (e *testEngine) Snapshot() func()                                   { return func() {} }
 func (e *testEngine) PlanCacheCounts() (uint64, uint64)                  { return 0, 0 }
 func (e *testEngine) Run(sqlparse.Statement) (*core.Result, error) {
 	return &core.Result{Kind: core.ResultOK}, nil

@@ -242,15 +242,12 @@ func (d *WSD) materializeByComponent(dst string, compIdx []int, query partQuery)
 	if p.base.Len() > 0 {
 		d.certain[k] = stored(p.base)
 	}
-	for i, comp := range p.comps {
+	for i, ci := range compIdx {
+		c := d.own(ci)
 		for a, delta := range p.deltas[i] {
-			if delta.Len() == 0 {
-				continue
+			if delta.Len() > 0 {
+				c.Alts[a].Contrib[k] = stored(delta)
 			}
-			if comp.Alts[a].Contrib == nil {
-				comp.Alts[a].Contrib = map[string]*relation.Relation{}
-			}
-			comp.Alts[a].Contrib[k] = stored(delta)
 		}
 	}
 	return nil

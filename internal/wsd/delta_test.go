@@ -121,7 +121,7 @@ func TestDeltaPartsEqualFullParts(t *testing.T) {
 			}
 			if trial%2 == 1 {
 				src := mustCore(t, fmt.Sprintf("select K, V, W from M where V <= %d", 1+r.Intn(2)))
-				if err := d.repairByKeyQuery(src, "N", []string{"V"}, ""); err != nil {
+				if err := d.splitQuery(src, "N", []string{"V"}, "", d.repairByKey); err != nil {
 					t.Fatalf("%s: nested repair: %v", label, err)
 				}
 			}

@@ -31,7 +31,6 @@ package wsd
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 
 	"maybms/internal/colbatch"
@@ -68,7 +67,8 @@ func (d *WSD) dmlTemplate(st sqlparse.Statement, table string) (*plan.PreparedDM
 // per-world count, which can be astronomically large. On the piece-rewrite
 // path certain rows count once and a contributed row once per alternative
 // holding it; on the merge path the certain part folds into the merged
-// component first, so its rows count once per merged alternative.
+// component first, so its rows count once per merged alternative. A failed
+// rewrite is undone, merge included, by the runner's snapshot.
 func (d *WSD) applyDML(st sqlparse.Statement, table string) (int, error) {
 	tmpl, err := d.dmlTemplate(st, table)
 	if err != nil {
@@ -91,33 +91,21 @@ func (d *WSD) applyDML(st sqlparse.Statement, table string) (int, error) {
 		return 0, err
 	}
 	// Every world's target is its certain prefix followed by the merged
-	// alternative's contribution; store it so, per alternative, in fresh
-	// contribution maps — a failed rewrite puts the target back as it was.
+	// alternative's contribution; store it so, per alternative.
 	k := key(table)
-	cert, alts := d.certain[k], d.comps[mi].Alts
-	var saved []Alternative
-	if cert != nil {
-		saved = append(saved, alts...)
-		for i := range alts {
+	if cert := d.certain[k]; cert != nil {
+		merged := d.own(mi)
+		for _, a := range merged.Alts {
 			content := colbatch.New(d.schemas[k])
 			content.AppendBatch(cert.Batch())
-			if c := alts[i].Contrib[k]; c != nil {
+			if c := a.Contrib[k]; c != nil {
 				content.AppendBatch(c.Batch())
 			}
-			alts[i].Contrib = maps.Clone(alts[i].Contrib)
-			if alts[i].Contrib == nil {
-				alts[i].Contrib = map[string]*relation.Relation{}
-			}
-			alts[i].Contrib[k] = relation.FromBatch(content)
+			a.Contrib[k] = relation.FromBatch(content)
 		}
 		delete(d.certain, k)
 	}
-	n, err := d.rewritePieces(table, tmpl)
-	if err != nil && cert != nil {
-		copy(alts, saved)
-		d.certain[k] = cert
-	}
-	return n, err
+	return d.rewritePieces(table, tmpl)
 }
 
 // sortedUniqueInts deduplicates and sorts component indexes.
@@ -139,69 +127,54 @@ func sortedUniqueInts(idx []int) []int {
 // contribution of each component feeding the target once, polling the
 // interrupt hook before each piece — with no merge and the component
 // structure (sizes, probabilities) unchanged. A piece is a stored relation,
-// rewritten over its batch; a piece no row of which matches is kept as it
-// is. Nothing is stored until every piece has been rewritten. Each piece
-// binds the expressions in its own worlds (the certain part over the
-// certain database, a contribution with its alternative selected): the same
-// answers for world-independent expressions, the merged alternative's for
-// expressions over uncertain relations.
+// rewritten over its batch and stored as soon as it is rewritten; a piece no
+// row of which matches is kept as it is. Each piece binds the expressions in
+// its own worlds (the certain part over the certain database, a
+// contribution with its alternative selected): the same answers for
+// world-independent expressions, the merged alternative's for expressions
+// over uncertain relations. Storing each piece as it is rewritten changes
+// no binding: the expressions read the target only where it is one piece
+// (no component feeds it) or, on the merge path, through the one merged
+// alternative being rewritten, so no piece is read after it is stored.
 func (d *WSD) rewritePieces(table string, tmpl *plan.PreparedDML) (int, error) {
 	k := key(table)
-	target := d.componentsFor(table)
-
-	// Flatten the pieces: index 0 is the certain part (when present), the
-	// rest are (component, alternative) contributions.
-	type piece struct {
-		ci, alt int                // ci < 0 marks the certain part
-		rel     *relation.Relation // nil: the alternative contributes nothing
-	}
-	var pieces []piece
-	if cert, ok := d.certain[k]; ok {
-		pieces = append(pieces, piece{ci: -1, rel: cert})
-	}
-	for _, ci := range target {
-		for a := range d.comps[ci].Alts {
-			pieces = append(pieces, piece{ci: ci, alt: a, rel: d.comps[ci].Alts[a].Contrib[k]})
-		}
-	}
-
-	outs := make([]*relation.Relation, len(pieces))
 	total := 0
-	for i, p := range pieces {
+	// rewrite rewrites one piece, bound under sel, and returns what to store:
+	// the piece itself when nothing matched.
+	rewrite := func(rel *relation.Relation, sel map[int]int) (*relation.Relation, error) {
 		if err := d.interrupted(); err != nil {
-			return 0, err
-		}
-		// Each piece binds its own instance under its own selection.
-		var sel map[int]int
-		if p.ci >= 0 {
-			sel = map[int]int{p.ci: p.alt}
+			return nil, err
 		}
 		bound, err := tmpl.Bind(newPartsCatalog(d, sel), d.interrupt)
-		if err != nil {
-			return 0, err
+		if err != nil || rel == nil {
+			return rel, err
 		}
-		outs[i] = p.rel
-		if p.rel == nil {
-			continue
-		}
-		out, n, err := bound.Apply(p.rel.Batch())
-		if err != nil {
-			return 0, err
-		}
-		if n > 0 {
-			outs[i] = relation.FromBatch(out.WithSchema(d.schemas[k]))
+		out, n, err := bound.Apply(rel.Batch())
+		if err != nil || n == 0 {
+			return rel, err
 		}
 		total += n
+		return relation.FromBatch(out.WithSchema(d.schemas[k])), nil
 	}
-
-	for i, p := range pieces {
-		switch {
-		case p.ci < 0:
-			d.certain[k] = outs[i]
-		case outs[i].Len() == 0:
-			delete(d.comps[p.ci].Alts[p.alt].Contrib, k)
-		default:
-			d.comps[p.ci].Alts[p.alt].Contrib[k] = outs[i]
+	if cert, ok := d.certain[k]; ok {
+		out, err := rewrite(cert, nil)
+		if err != nil {
+			return 0, err
+		}
+		d.certain[k] = out
+	}
+	for _, ci := range d.componentsFor(table) {
+		c := d.own(ci)
+		for a := range c.Alts {
+			out, err := rewrite(c.Alts[a].Contrib[k], map[int]int{ci: a})
+			switch {
+			case err != nil:
+				return 0, err
+			case out.Len() == 0:
+				delete(c.Alts[a].Contrib, k)
+			default:
+				c.Alts[a].Contrib[k] = out
+			}
 		}
 	}
 	return total, nil

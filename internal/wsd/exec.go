@@ -37,7 +37,7 @@ package wsd
 //     with no feeders: one top-level component per key group / one
 //     component, O(tuples) space for exponentially many worlds.
 //     `select * from t` splits t directly; any other plain-SQL source is
-//     materialized transiently first (repairByKeyQuery/choiceOfQuery).
+//     materialized transiently first (splitQuery).
 //     Key/weight columns outside the select list resolve against the
 //     source rows (`… select A, B from R repair by key A weight D` — the
 //     naive engine's split-then-project semantics): they ride the
@@ -299,8 +299,7 @@ func splitSource(stmt sqlparse.Statement) *sqlparse.SelectStmt {
 
 // plainStarSource reports whether a split source is exactly `select * from
 // t` — the fast path splitting t directly, with no transient
-// materialization (any other source goes through
-// repairByKeyQuery/choiceOfQuery).
+// materialization (any other source goes through splitQuery).
 func plainStarSource(q *sqlparse.SelectStmt) (string, bool) {
 	star := len(q.Items) == 1 && q.Items[0].Alias == ""
 	if star {
@@ -440,28 +439,25 @@ func (d *WSD) execCreateAs(name string, sh shape) (*core.Result, error) {
 // transiently, split, and dropped — the components carry the new relation
 // alone.
 func (d *WSD) execSplit(name string, sh shape) (*core.Result, error) {
+	split, what, source := d.repairByKey, "repair of", sh.src
+	var cols []string
+	var weight string
+	if sh.repair != nil {
+		cols, weight = sh.repair.Key, sh.repair.Weight
+	} else {
+		split, what, cols, weight = d.choiceOf, "choice over", sh.choice.Attrs, sh.choice.Weight
+	}
 	var err error
-	switch {
-	case sh.repair != nil && sh.src != "":
-		err = d.repairByKey(sh.src, name, sh.repair.Key, sh.repair.Weight)
-	case sh.repair != nil:
-		err = d.repairByKeyQuery(sh.core, name, sh.repair.Key, sh.repair.Weight)
-	case sh.src != "":
-		err = d.choiceOf(sh.src, name, sh.choice.Attrs, sh.choice.Weight)
-	default:
-		err = d.choiceOfQuery(sh.core, name, sh.choice.Attrs, sh.choice.Weight)
+	if source != "" {
+		err = split(source, name, cols, weight)
+	} else {
+		source = "a query source"
+		err = d.splitQuery(sh.core, name, cols, weight, split)
 	}
 	if err != nil {
 		return nil, err
 	}
-	split, source := "repair of", sh.src
-	if sh.choice != nil {
-		split = "choice over"
-	}
-	if source == "" {
-		source = "a query source"
-	}
-	return d.ok("created table %s: %s %s (%s worlds)", name, split, source, d.WorldCount())
+	return d.ok("created table %s: %s %s (%s worlds)", name, what, source, d.WorldCount())
 }
 
 // execSelect answers a SELECT through the analyzed-plan executor: POSSIBLE /

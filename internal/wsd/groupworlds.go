@@ -39,6 +39,7 @@ package wsd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"maybms/internal/colbatch"
@@ -441,6 +442,7 @@ func (d *WSD) materializeGrouped(dst string, gw, core *sqlparse.SelectStmt, cl c
 	if err := d.registerUncertain(dst, answers[0].Rel.Schema.Unqualify()); err != nil {
 		return err
 	}
+	merged = d.own(slices.Index(d.comps, merged))
 	k := key(dst)
 	for gi, grp := range groups {
 		rel := answers[gi].Rel
@@ -449,9 +451,6 @@ func (d *WSD) materializeGrouped(dst string, gw, core *sqlparse.SelectStmt, cl c
 		}
 		contribution := rel.WithSchema(d.schemas[k])
 		for _, ai := range grp.alts {
-			if merged.Alts[ai].Contrib == nil {
-				merged.Alts[ai].Contrib = map[string]*relation.Relation{}
-			}
 			merged.Alts[ai].Contrib[k] = contribution
 		}
 	}

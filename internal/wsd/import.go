@@ -11,6 +11,9 @@ import (
 // every import group becomes one independent component whose alternative
 // i contributes row i of the group. Contributions are zero-copy slices of
 // the group's stored batch — the columnar load is the decomposition.
+// Components are added group by group, polling the interrupt hook before
+// each; a bad or interrupted group fails the statement, which the runner's
+// snapshot undoes.
 //
 // A plan without groups degenerates to PutCertain. Group probabilities
 // are applied only on a weighted WSD (they are ignored, like repair-key
@@ -27,11 +30,13 @@ func (d *WSD) Import(name string, p *relation.ImportPlan) error {
 	// Share the registered schema pointer across every stored relation, so
 	// componentwise lookups return the stored contributions themselves.
 	sch := d.schemas[k]
-
-	// Build every component before touching the components, so a bad
-	// group cannot leave earlier groups' orphan components behind.
-	pending := make([][]Alternative, len(p.Groups))
-	for gi, g := range p.Groups {
+	if p.Certain.Len() > 0 {
+		d.certain[k] = p.Certain.WithSchema(sch)
+	}
+	for _, g := range p.Groups {
+		if err := d.interrupted(); err != nil {
+			return err
+		}
 		b := g.Rel.Batch()
 		alts := make([]Alternative, g.Rel.Len())
 		for i := range alts {
@@ -41,21 +46,9 @@ func (d *WSD) Import(name string, p *relation.ImportPlan) error {
 				alts[i].Prob = g.Probs[i]
 			}
 		}
-		pending[gi] = alts
-	}
-
-	if p.Certain.Len() > 0 {
-		d.certain[k] = p.Certain.WithSchema(sch)
-	}
-	added := 0
-	for _, alts := range pending {
 		if _, err := d.addComponent(alts); err != nil {
-			d.comps = d.comps[:len(d.comps)-added]
-			d.unregister(name)
-			delete(d.certain, k)
 			return fmt.Errorf("import group: %w", err)
 		}
-		added++
 	}
 	return nil
 }

@@ -127,8 +127,9 @@ func (d *WSD) errMergeTooBig(n int) error {
 // and unioned contributions. This is the *partial expansion* at the heart
 // of WSD query processing — bounded by MergeLimit, never the full world
 // count — and a merge past the bound is refused before anything is
-// restructured, so a failed statement leaves the decomposition as it was.
-// It returns the merged component's index (-1 when idx is empty).
+// restructured. A merge commits with its statement: the runner's snapshot
+// undoes the merge of one that fails. It returns the merged component's
+// index (-1 when idx is empty).
 //
 // Nested components are handled by first *condensing*: every involved
 // index is expanded to the full d-tree containing it, each multi-node
@@ -250,8 +251,9 @@ func (d *WSD) condenseFitting(idx []int) ([]int, error) {
 // over flat components it is their product. Bounded by MergeLimit (checked
 // by mergeComponents and condenseTrees before anything condenses); counts as
 // a merge (it restructures the decomposition). The world-set represented is
-// unchanged. It polls the interrupt per alternative, before the splice, so
-// an abort leaves d.comps untouched.
+// unchanged. It polls the interrupt before each alternative; the merged
+// alternatives are new, and the condensed components are only unlinked from
+// the component list, never written.
 func (d *WSD) condense(idxs []int) (*Component, error) {
 	sort.Ints(idxs)
 	var alts []Alternative
@@ -349,6 +351,6 @@ func (d *WSD) assert(touching []string, pred func(cat plan.Catalog) (bool, error
 			kept[i].Prob /= total
 		}
 	}
-	merged.Alts = kept
+	d.own(mi).Alts = kept
 	return nil
 }

@@ -390,13 +390,15 @@ func (d *WSD) createTableAs(dst string, core *sqlparse.SelectStmt) error {
 	return d.materializeByComponent(dst, []int{mi}, ev.full)
 }
 
-// repairByKeyQuery creates dst as the repair of a plain-SQL source query
-// — REPAIR BY KEY over a filtered or projected source. The source is
-// materialized transiently (componentwise when its plan decomposes, so an
-// uncertain source's contributions ride the feeding alternatives) and the
-// usual split applies: each feeding alternative nests its conditional
-// key-group repairs as child components. The transient source is removed
-// afterwards; only dst remains.
+// splitQuery creates dst by split — repairByKey or choiceOf, over cols and
+// weight — of a plain-SQL source query: REPAIR BY KEY or CHOICE OF over a
+// filtered or projected source. The source is materialized transiently
+// (componentwise when its plan decomposes, so an uncertain source's
+// contributions ride the feeding alternatives) and the usual split applies:
+// each feeding alternative nests its conditional key-group repairs as child
+// components. The transient source is removed afterwards; only dst remains.
+// A failed split leaves no transient source: the runner's snapshot undoes
+// the whole statement.
 //
 // The naive engine splits the FROM/WHERE rows and projects per world
 // afterwards, so the key and weight may name source columns outside the
@@ -405,34 +407,18 @@ func (d *WSD) createTableAs(dst string, core *sqlparse.SelectStmt) error {
 // gives the same worlds — any key/weight column missing from the select
 // list is carried through the transient materialization and stripped from
 // dst after the split.
-func (d *WSD) repairByKeyQuery(core *sqlparse.SelectStmt, dst string, key []string, weight string) error {
-	need := append(append([]string{}, key...), weight)
-	tmp, extra, err := d.materializeSource(core, dst, need)
+func (d *WSD) splitQuery(core *sqlparse.SelectStmt, dst string, cols []string, weight string, split func(src, dst string, cols []string, weight string) error) error {
+	tmp, extra, err := d.materializeSource(core, dst, append(append([]string{}, cols...), weight))
 	if err != nil {
 		return err
 	}
-	err = d.repairByKey(tmp, dst, key, weight)
-	_ = d.drop(tmp) // materializeSource just registered tmp
-	if err == nil && extra > 0 {
-		d.projectOutTrailing(dst, extra)
-	}
-	return err
-}
-
-// choiceOfQuery creates dst as the choice-of partitioning of a plain-SQL
-// source query; see repairByKeyQuery for the materialization scheme.
-func (d *WSD) choiceOfQuery(core *sqlparse.SelectStmt, dst string, attrs []string, weight string) error {
-	need := append(append([]string{}, attrs...), weight)
-	tmp, extra, err := d.materializeSource(core, dst, need)
-	if err != nil {
+	if err := split(tmp, dst, cols, weight); err != nil {
 		return err
 	}
-	err = d.choiceOf(tmp, dst, attrs, weight)
-	_ = d.drop(tmp) // materializeSource just registered tmp
-	if err == nil && extra > 0 {
+	if extra > 0 {
 		d.projectOutTrailing(dst, extra)
 	}
-	return err
+	return d.drop(tmp)
 }
 
 // splitSourceBlocker names the construct that stops a repair/choice query
@@ -550,7 +536,8 @@ func (d *WSD) projectOutTrailing(name string, n int) {
 	if r, ok := d.certain[k]; ok {
 		d.certain[k] = relation.FromBatch(r.Batch().Project(keep, d.schemas[k]))
 	}
-	for _, c := range d.comps {
+	for _, ci := range d.componentsFor(name) {
+		c := d.own(ci)
 		for i := range c.Alts {
 			if contrib, ok := c.Alts[i].Contrib[k]; ok {
 				c.Alts[i].Contrib[k] = relation.FromBatch(contrib.Batch().Project(keep, d.schemas[k]))

@@ -65,14 +65,6 @@ import (
 	"maybms/internal/value"
 )
 
-// pendingComp is one component of a split, staged before any mutation so
-// a weight error leaves the decomposition untouched.
-type pendingComp struct {
-	alts      []Alternative
-	parentID  int // -1 for a top-level component
-	parentAlt int
-}
-
 // splitColumns resolves a split's column list and optional weight column
 // (-1 when absent) against the source schema; a weight needs a weighted WSD.
 func (d *WSD) splitColumns(src string, cols []string, weight string) (sch *schema.Schema, idx []int, weightIdx int, err error) {
@@ -116,10 +108,9 @@ func (d *WSD) repairGroupComp(sch *schema.Schema, dk string, tuples []tuple.Tupl
 // relation src under the key columns; weight names a positive numeric column
 // for the in-group probabilities (w(t)/Σ_group w, Example 2.4), "" meaning
 // uniform. The source may have a certain part, feeding components, or both;
-// see the comment at the top of this file for the construction. The
-// decomposition is mutated only by world-set-preserving component merges
-// until every input is validated; the new components and the dst
-// registration apply atomically afterwards.
+// see the comment at the top of this file for the construction. Components
+// are added as they are built; a failed split (a bad weight, an interrupt)
+// is undone by the runner's snapshot.
 func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) error {
 	sch, keyIdx, weightIdx, err := d.splitColumns(src, keyCols, weight)
 	if err != nil {
@@ -213,8 +204,10 @@ func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) erro
 			owner[kv] = i
 		}
 	}
-	dk := key(dst)
-	var pending []pendingComp
+	dk, nested := key(dst), d.nested
+	if err := d.registerUncertain(dst, sch); err != nil {
+		return err
+	}
 
 	// (a) Key groups anchored in the certain part, in certain-part
 	// first-appearance order. An unowned group is an independent top-level
@@ -227,10 +220,12 @@ func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) erro
 		fi, isOwned := owner[gk]
 		if !isOwned {
 			alts, err := d.repairGroupComp(sch, dk, certTs, weightIdx)
+			if err == nil {
+				_, err = d.addComponent(alts)
+			}
 			if err != nil {
 				return err
 			}
-			pending = append(pending, pendingComp{alts: alts, parentID: -1})
 			continue
 		}
 		fc := d.comps[comps[fi]]
@@ -247,10 +242,12 @@ func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) erro
 				}
 			}
 			alts, err := d.repairGroupComp(sch, dk, inst, weightIdx)
+			if err == nil {
+				_, err = d.addChildComponent(alts, fc.ID, ai)
+			}
 			if err != nil {
 				return err
 			}
-			pending = append(pending, pendingComp{alts: alts, parentID: fc.ID, parentAlt: ai})
 		}
 	}
 
@@ -274,14 +271,19 @@ func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) erro
 					continue // handled in (a), certain-prefix position
 				}
 				alts, err := d.repairGroupComp(sch, dk, gGroups[gk], weightIdx)
+				if err == nil {
+					_, err = d.addChildComponent(alts, fc.ID, ai)
+				}
 				if err != nil {
 					return err
 				}
-				pending = append(pending, pendingComp{alts: alts, parentID: fc.ID, parentAlt: ai})
 			}
 		}
 	}
-	return d.applySplit(dst, sch, pending)
+	if d.nested > nested {
+		d.conditional.Add(1)
+	}
+	return nil
 }
 
 // choiceOf creates relation dst holding, in each world, one partition of
@@ -327,15 +329,17 @@ func (d *WSD) choiceOf(src, dst string, attrs []string, weight string) error {
 		cert = relation.New(sch)
 	}
 	dk := key(dst)
+	if err := d.registerUncertain(dst, sch); err != nil {
+		return err
+	}
 	if len(comps) == 0 {
 		alts, err := d.choiceComp(sch, dk, cert, attrIdx, weightIdx)
-		if err != nil {
-			return err
+		if err == nil {
+			_, err = d.addComponent(alts)
 		}
-		return d.applySplit(dst, sch, []pendingComp{{alts: alts, parentID: -1}})
+		return err
 	}
 	fc := d.comps[comps[0]]
-	var pending []pendingComp
 	for ai, a := range fc.Alts {
 		if err := d.interrupted(); err != nil {
 			return err
@@ -347,46 +351,12 @@ func (d *WSD) choiceOf(src, dst string, attrs []string, weight string) error {
 		if err != nil {
 			return fmt.Errorf("choice over %s: %w", src, err)
 		}
-		pending = append(pending, pendingComp{alts: alts, parentID: fc.ID, parentAlt: ai})
-	}
-	return d.applySplit(dst, sch, pending)
-}
-
-// applySplit registers dst and appends a split's staged components, nested
-// ones under their parent alternatives; nesting counts one conditional split.
-func (d *WSD) applySplit(dst string, sch *schema.Schema, pending []pendingComp) error {
-	if err := d.registerUncertain(dst, sch); err != nil {
-		return err
-	}
-	nested := false
-	for _, pc := range pending {
-		var err error
-		if pc.parentID >= 0 {
-			nested = true
-			_, err = d.addChildComponent(pc.alts, pc.parentID, pc.parentAlt)
-		} else {
-			_, err = d.addComponent(pc.alts)
-		}
-		if err != nil {
+		if _, err := d.addChildComponent(alts, fc.ID, ai); err != nil {
 			return err
 		}
 	}
-	if nested {
-		d.conditional.Add(1)
-	}
+	d.conditional.Add(1)
 	return nil
-}
-
-// shareContribMap copies an alternative's contribution map, sharing the
-// contribution relations: splits never mutate contributions in place (and
-// neither does any other engine pass — rewrites replace relations), so
-// derived alternatives can share a parent's storage.
-func shareContribMap(m map[string]*relation.Relation) map[string]*relation.Relation {
-	out := make(map[string]*relation.Relation, len(m)+1)
-	for name, rel := range m {
-		out[name] = rel
-	}
-	return out
 }
 
 // repairGroupProbs returns the in-group choice probabilities of one key

@@ -427,7 +427,7 @@ func checkConditionalRelation(t *testing.T, label string, s *core.Session, d *WS
 // TestConditionalShapesEquivalenceFuzz drives the conditional-
 // decomposition statement forms against the naive chain: repair/choice
 // over filtered+projected sources (transient materialization via
-// repairByKeyQuery/choiceOfQuery), a durable ASSERT inside CREATE TABLE
+// splitQuery), a durable ASSERT inside CREATE TABLE
 // AS (filter + renormalize, then materialize), and plain per-world
 // SELECTs answered as conditional relations. After every statement the
 // world multisets match via Expand, the closures are byte-identical to
@@ -467,14 +467,14 @@ func TestConditionalShapesEquivalenceFuzz(t *testing.T) {
 				if weight != "" {
 					stmtSQL += " weight " + weight
 				}
-				apply = func() error { return d.repairByKeyQuery(srcStmt, dst, keys, weight) }
+				apply = func() error { return d.splitQuery(srcStmt, dst, keys, weight, d.repairByKey) }
 			} else {
 				attrs := [][]string{{"K"}, {"V", "W"}}[r.Intn(2)]
 				stmtSQL = fmt.Sprintf("create table %s as %s choice of %s", dst, srcSQL, strings.Join(attrs, ", "))
 				if weight != "" {
 					stmtSQL += " weight " + weight
 				}
-				apply = func() error { return d.choiceOfQuery(srcStmt, dst, attrs, weight) }
+				apply = func() error { return d.splitQuery(srcStmt, dst, attrs, weight, d.choiceOf) }
 			}
 			_, nerr := s.Exec(stmtSQL)
 			cerr := apply()

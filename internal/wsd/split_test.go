@@ -402,6 +402,8 @@ func TestRepairUncertainMergeLimit(t *testing.T) {
 // TestRepairBadWeightLeavesNoOrphans: a weight error in a later key
 // group must leave the decomposition untouched — no orphan components
 // from earlier groups — so a corrected retry gives the exact world-set.
+// The split adds components as it builds them; the statement runner's
+// snapshot undoes the failed statement.
 func TestRepairBadWeightLeavesNoOrphans(t *testing.T) {
 	d := New(true)
 	rel := relation.New(schema.New("K", "V", "W"))
@@ -412,7 +414,7 @@ func TestRepairBadWeightLeavesNoOrphans(t *testing.T) {
 	if err := d.PutCertain("R", rel); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.repairByKey("R", "I", []string{"K"}, "W"); err == nil {
+	if _, err := core.Exec(d, "create table I as select * from R repair by key K weight W"); err == nil {
 		t.Fatal("negative weight must fail")
 	}
 	if d.ComponentCount() != 0 {
@@ -422,7 +424,7 @@ func TestRepairBadWeightLeavesNoOrphans(t *testing.T) {
 		t.Fatalf("failed repair left I registered: %v", err)
 	}
 	// Retry without weights: exactly 2x2 worlds.
-	if err := d.repairByKey("R", "I", []string{"K"}, ""); err != nil {
+	if _, err := core.Exec(d, "create table I as select * from R repair by key K"); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.WorldCount().String(); got != "4" {

@@ -93,8 +93,10 @@ package wsd
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/big"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -182,7 +184,8 @@ type WSD struct {
 	// MergeLimit bounds partial expansions (component merges).
 	MergeLimit int
 	// interrupt and trace belong to the statement executing now (see
-	// SetStatement); an interrupted merge leaves the decomposition as it was.
+	// SetStatement). A statement that fails, however far it got, is undone by
+	// the runner through Snapshot.
 	interrupt func() error
 	trace     *obs.Trace
 
@@ -279,13 +282,45 @@ func (d *WSD) drop(name string) error {
 		return fmt.Errorf("%w: %s", ErrUnknown, name)
 	}
 	delete(d.certain, k)
-	for _, c := range d.comps {
+	for _, ci := range d.componentsFor(name) {
+		c := d.own(ci)
 		for i := range c.Alts {
 			delete(c.Alts[i].Contrib, k)
 		}
 	}
 	d.unregister(name)
 	return nil
+}
+
+// Snapshot saves the decomposition's header — the relation maps, the
+// component list, the next component ID and the nested count; see
+// core.Engine.Snapshot. It costs one pointer copy per relation and per
+// component: components, their alternatives and contribution maps, and
+// relations are never written once published (see own).
+func (d *WSD) Snapshot() (restore func()) {
+	certain, schemas, names := maps.Clone(d.certain), maps.Clone(d.schemas), maps.Clone(d.names)
+	comps, nextID, nested := slices.Clone(d.comps), d.nextID, d.nested
+	return func() {
+		d.certain, d.schemas, d.names = certain, schemas, names
+		d.comps, d.nextID, d.nested = comps, nextID, nested
+	}
+}
+
+// own replaces component ci with a copy that has a fresh Alts slice and
+// fresh (non-nil) Contrib maps, and returns the copy for writing. Every
+// write into a component goes through own, so no engine pass mutates a
+// published component, alternative or contribution map in place: a header
+// snapshot restores the decomposition, and derived alternatives may share a
+// parent's contribution relations.
+func (d *WSD) own(ci int) *Component {
+	c := *d.comps[ci]
+	c.Alts = slices.Clone(c.Alts)
+	for i, a := range c.Alts {
+		c.Alts[i].Contrib = make(map[string]*relation.Relation, len(a.Contrib)+1)
+		maps.Copy(c.Alts[i].Contrib, a.Contrib)
+	}
+	d.comps[ci] = &c
+	return &c
 }
 
 // Schema returns the schema of a relation known to the WSD.
