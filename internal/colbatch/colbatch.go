@@ -718,6 +718,22 @@ func (b *Batch) Gather(sel []int32) *Batch {
 	return out
 }
 
+// Pick returns a new batch holding the selected rows, in sel order, in the
+// form FromRows gives that many rows whatever b's form: row form under
+// Floor rows, columns at Floor or more. The split builders store their
+// alternatives through it, so a one-row alternative picked from a columnar
+// source is one tuple, not a header per column.
+func (b *Batch) Pick(sel []int32) *Batch {
+	if b.cols == nil || len(sel) >= Floor {
+		return b.Gather(sel)
+	}
+	rows := make([]tuple.Tuple, len(sel))
+	for i, s := range sel {
+		rows[i] = b.Row(int(s))
+	}
+	return &Batch{Schema: b.Schema, n: len(sel), rows: rows}
+}
+
 // Update returns b with, for each t in order, the cells of column idx[t] at
 // the rows sel (ascending) replaced by the cells of cols[t] — one per
 // selected row — so a later t overwrites an earlier one on the same column.

@@ -12,11 +12,12 @@ import (
 
 // FuzzBatchForm runs random sequences of the batch constructors and
 // operations — FromRows at and around Floor, Append, AppendBatch and
-// AppendGather across forms, Gather with repeated indexes, GatherConcat,
-// Slice, WithSchema, Project, Extend and Update — beside a plain []tuple.Tuple
-// reference of every batch, and checks after each step that a row-form
-// batch holds fewer than Floor rows and that Rows, At, AppendKey and
-// AppendKeyOn equal the reference.
+// AppendGather across forms, Gather and Pick with repeated indexes,
+// GatherConcat, Slice, WithSchema, Project, Extend and Update — beside a
+// plain []tuple.Tuple reference of every batch, and checks after each step
+// that a row-form batch holds fewer than Floor rows (and that Pick's form is
+// FromRows' for its row count) and that Rows, At, AppendKey and AppendKeyOn
+// equal the reference.
 func FuzzBatchForm(f *testing.F) {
 	f.Add([]byte{0, 2, 1, 0, 3, 7, 2, 0, 1, 9})
 	f.Add([]byte{0, 1, 0, 0, 4, 2, 1, 1, 0, 3, 1, 0, 40, 5, 6, 7})
@@ -69,10 +70,16 @@ func FuzzBatchForm(f *testing.F) {
 					refs[i] = append(refs[i], refs[j][s])
 				}
 				checkForm(t, pool[i], refs[i])
-			case 4: // Gather
+			case 4: // Gather, and Pick of the same rows
 				i := pick()
 				sel := in.sel(len(refs[i]))
-				add(pool[i].Gather(sel), gatherRef(refs[i], sel))
+				ref := gatherRef(refs[i], sel)
+				picked := pool[i].Pick(sel)
+				if picked.RowBacked() != (len(sel) < Floor) {
+					t.Fatalf("Pick of %d rows: row form %v, want %v", len(sel), picked.RowBacked(), len(sel) < Floor)
+				}
+				checkForm(t, picked, ref)
+				add(pool[i].Gather(sel), ref)
 			case 5: // GatherConcat
 				i, j := pick(), pick()
 				lsel := in.sel(len(refs[i]))

@@ -53,33 +53,35 @@ func (s *Session) execImport(st *sqlparse.Import) (*Result, error) {
 		return nil, ErrTooManyWorlds
 	}
 
-	// stride[gi] = product of the sizes of the groups after gi: world j of
-	// a parent picks alternative (j / stride[gi]) % |group gi|.
-	stride := make([]int, len(plan.Groups))
-	acc := 1
-	for gi := len(plan.Groups) - 1; gi >= 0; gi-- {
-		stride[gi] = acc
-		acc *= plan.Groups[gi].Rel.Len()
+	// Every parent has one child per pick of an alternative from each
+	// group, last group fastest.
+	sizes := make([]int, len(plan.Groups))
+	for gi, g := range plan.Groups {
+		sizes[gi] = g.Rel.Len()
 	}
-
 	worlds := make([]*world.World, 0, len(s.set.Worlds)*perParent)
 	for _, parent := range s.set.Worlds {
-		for j := 0; j < perParent; j++ {
+		j := 0
+		err := relation.EachPick(sizes, func(pick []int) error {
 			if err := s.interrupted(); err != nil {
-				return nil, err
+				return err
 			}
 			child := parent.Clone(childName(parent.Name, j))
+			j++
 			combined := colbatch.New(plan.Schema)
 			combined.AppendBatch(plan.Certain.Batch())
 			for gi, g := range plan.Groups {
-				pick := (j / stride[gi]) % g.Rel.Len()
-				combined.AppendBatch(g.Rel.Batch().Slice(pick, pick+1))
+				combined.AppendBatch(g.Rel.Batch().Slice(pick[gi], pick[gi]+1))
 				if s.set.Weighted {
-					child.Prob *= g.Probs[pick]
+					child.Prob *= g.Probs[pick[gi]]
 				}
 			}
 			child.Put(st.Table, relation.FromBatch(combined))
 			worlds = append(worlds, child)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	if err := s.set.Replace(worlds); err != nil {

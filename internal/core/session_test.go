@@ -380,6 +380,17 @@ func TestRepairWeightValidation(t *testing.T) {
 	if _, err := s.Exec("select A from P2 repair by key A weight D"); err == nil {
 		t.Error("non-numeric weight must be rejected")
 	}
+	// A key group of one row is weighed too, as IMPORT ... REPAIR KEY
+	// weighs it.
+	mustExec(t, s, "create table P3 (K, V, W)")
+	mustExec(t, s, "insert into P3 values ('a', 1, 1), ('a', 2, 2), ('b', 3, -5), ('c', 4, 'oops')")
+	if _, err := s.Exec("select * from P3 repair by key K weight W"); err == nil || err.Error() != "weight value -5 must be positive" {
+		t.Errorf("negative weight of a lone key = %v", err)
+	}
+	mustExec(t, s, "delete from P3 where K = 'b'")
+	if _, err := s.Exec("select * from P3 repair by key K weight W"); err == nil || err.Error() != "weight value oops is not numeric" {
+		t.Errorf("non-numeric weight of a lone key = %v", err)
+	}
 }
 
 func TestUnweightedRepairUniformInWeightedSession(t *testing.T) {

@@ -3,10 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maybms/internal/colbatch"
 
 	"maybms/internal/relation"
-	"maybms/internal/value"
 )
 
 // ErrTooManyWorlds guards against explosive splits on the naive
@@ -24,76 +22,48 @@ type piece struct {
 
 // repairs enumerates the repairs of rel under the key columns keyIdx: every
 // way of choosing exactly one tuple from each key group (the maximal
-// subsets of rel satisfying the key). With weightIdx >= 0, the probability
-// of choosing tuple t within its group is w(t)/Σ_group w (Example 2.4);
-// with weighted && weightIdx < 0 the choice is uniform within each group.
+// subsets of rel satisfying the key), last group fastest. With weightIdx >=
+// 0, the probability of choosing tuple t within its group is w(t)/Σ_group w
+// (Example 2.4); with weighted && weightIdx < 0 the choice is uniform
+// within each group. The empty input has one repair, the empty relation.
 // maxPieces bounds the enumeration.
 func repairs(rel *relation.Relation, keyIdx []int, weightIdx int, weighted bool, maxPieces int) ([]piece, error) {
-	order, groups := rel.GroupBy(keyIdx)
-	if len(order) == 0 {
-		// Empty input: the only repair is the empty relation.
-		return []piece{{rel: relation.New(rel.Schema), prob: oneIf(weighted)}}, nil
-	}
-
-	// Per-group choice probabilities (normalized within the group).
+	b := rel.Batch()
+	p := relation.PartitionBy(b, keyIdx, nil)
 	total := 1
-	groupProbs := make([][]float64, len(order))
-	for gi, key := range order {
-		tuples := groups[key]
-		if total*len(tuples) > maxPieces {
+	sizes := make([]int, p.Len())
+	probs := make([][]float64, p.Len())
+	for g := range sizes {
+		rows := p.Group(g)
+		if total*len(rows) > maxPieces {
 			return nil, fmt.Errorf("%w (key groups multiply beyond %d repairs)", ErrTooManyWorlds, maxPieces)
 		}
-		total *= len(tuples)
-		probs := make([]float64, len(tuples))
+		total *= len(rows)
+		sizes[g] = len(rows)
 		if weighted {
-			if weightIdx >= 0 {
-				sum := 0.0
-				for _, t := range tuples {
-					w, err := weightOf(t[weightIdx])
-					if err != nil {
-						return nil, err
-					}
-					sum += w
-				}
-				for i, t := range tuples {
-					w, _ := weightOf(t[weightIdx])
-					probs[i] = w / sum
-				}
-			} else {
-				for i := range tuples {
-					probs[i] = 1 / float64(len(tuples))
-				}
+			w, err := relation.Weights(b, rows, weightIdx)
+			if err != nil {
+				return nil, err
 			}
+			probs[g] = relation.Normalize(w)
 		}
-		groupProbs[gi] = probs
 	}
 
-	// Odometer over one choice per group.
-	choice := make([]int, len(order))
 	out := make([]piece, 0, total)
-	for {
-		p := piece{rel: relation.New(rel.Schema), prob: oneIf(weighted)}
-		for gi, key := range order {
-			t := groups[key][choice[gi]]
-			p.rel.AppendRow(t)
+	sel := make([]int32, len(sizes))
+	relation.EachPick(sizes, func(pick []int) error {
+		pc := piece{prob: oneIf(weighted)}
+		for g, i := range pick {
+			sel[g] = p.Group(g)[i]
 			if weighted {
-				p.prob *= groupProbs[gi][choice[gi]]
+				pc.prob *= probs[g][i]
 			}
 		}
-		out = append(out, p)
-		// Advance odometer.
-		i := len(choice) - 1
-		for ; i >= 0; i-- {
-			choice[i]++
-			if choice[i] < len(groups[order[i]]) {
-				break
-			}
-			choice[i] = 0
-		}
-		if i < 0 {
-			return out, nil
-		}
-	}
+		pc.rel = relation.FromBatch(b.Pick(sel))
+		out = append(out, pc)
+		return nil
+	})
+	return out, nil
 }
 
 // choices partitions rel by the attribute columns attrIdx: one piece per
@@ -101,57 +71,26 @@ func repairs(rel *relation.Relation, keyIdx []int, weightIdx int, weighted bool,
 // With weightIdx >= 0 the piece probability is Σ_partition w / Σ w
 // (Example 2.7); with weighted && weightIdx < 0 it is uniform over pieces.
 func choices(rel *relation.Relation, attrIdx []int, weightIdx int, weighted bool) ([]piece, error) {
-	order, groups := rel.GroupBy(attrIdx)
-	if len(order) == 0 {
+	b := rel.Batch()
+	p := relation.PartitionBy(b, attrIdx, nil)
+	if p.Len() == 0 {
 		return nil, fmt.Errorf("choice of over an empty relation produces no worlds")
 	}
-	out := make([]piece, 0, len(order))
-	var weights []float64
-	totalW := 0.0
-	if weighted && weightIdx >= 0 {
-		weights = make([]float64, len(order))
-		for i, key := range order {
-			sum := 0.0
-			for _, t := range groups[key] {
-				w, err := weightOf(t[weightIdx])
-				if err != nil {
-					return nil, err
-				}
-				sum += w
-			}
-			weights[i] = sum
-			totalW += sum
-		}
-		if totalW <= 0 {
-			return nil, fmt.Errorf("choice of: total weight is %g, want > 0", totalW)
+	var probs []float64
+	if weighted {
+		var err error
+		if probs, err = p.ChoiceProbs(b, weightIdx); err != nil {
+			return nil, err
 		}
 	}
-	for i, key := range order {
-		p := piece{rel: relation.FromBatch(colbatch.FromRows(rel.Schema, groups[key]))}
+	out := make([]piece, p.Len())
+	for g := range out {
+		out[g].rel = relation.FromBatch(b.Pick(p.Group(g)))
 		if weighted {
-			if weightIdx >= 0 {
-				p.prob = weights[i] / totalW
-			} else {
-				p.prob = 1 / float64(len(order))
-			}
+			out[g].prob = probs[g]
 		}
-		out = append(out, p)
 	}
 	return out, nil
-}
-
-// weightOf validates and extracts a weight value: numeric and positive
-// (the paper: "this makes sense, of course, if all D-values are numbers
-// greater than zero").
-func weightOf(v value.Value) (float64, error) {
-	if !v.IsNumeric() {
-		return 0, fmt.Errorf("weight value %v is not numeric", v)
-	}
-	w := v.AsFloat()
-	if w <= 0 {
-		return 0, fmt.Errorf("weight value %g must be positive", w)
-	}
-	return w, nil
 }
 
 func oneIf(weighted bool) float64 {

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -102,94 +103,80 @@ func classifyImport(rel *Relation, opts ImportOptions) (*ImportPlan, error) {
 		return &ImportPlan{Schema: sch, Certain: rel}, nil
 	}
 
-	var keyIdx []int
-	if len(opts.RepairKey) > 0 {
-		var err error
-		keyIdx, err = sch.IndexesOf(opts.RepairKey)
-		if err != nil {
-			return nil, fmt.Errorf("relation: import: %w", err)
-		}
+	keyIdx, err := sch.IndexesOf(opts.RepairKey)
+	if err != nil {
+		return nil, fmt.Errorf("relation: import: %w", err)
 	}
 	weightIdx := -1
 	if opts.Weight != "" {
-		idx, err := sch.Resolve("", opts.Weight)
-		if err != nil {
+		if weightIdx, err = sch.Resolve("", opts.Weight); err != nil {
 			return nil, fmt.Errorf("relation: import: weight: %w", err)
 		}
-		weightIdx = idx
 	}
 
-	// Rows with a NULL become choice groups; everything else is eligible
-	// for repair-key grouping.
-	choiceRow := make([]bool, n)
+	// Rows with a NULL become choice groups; the others are the repair
+	// input (nil: every row).
+	var choice, input []int32
 	if opts.NullsChoice {
 		allCols := make([]int, sch.Len())
 		for j := range allCols {
 			allCols[j] = j
 		}
+		input = make([]int32, 0, n)
 		for i := 0; i < n; i++ {
-			choiceRow[i] = b.HasNullAt(allCols, i)
-		}
-	}
-
-	// Group the remaining rows by repair key (first-appearance order).
-	// Most keys never conflict, so member slices materialize only once a
-	// group gains its second row — singleton groups cost one map insert,
-	// not a slice allocation per distinct key.
-	var groupOf []int32 // row index → key-group id, -1 for choice rows
-	var firstOf []int32 // key-group id → its first row
-	members := map[int32][]int32{}
-	if len(keyIdx) > 0 {
-		groupOf = make([]int32, n)
-		seen := map[string]int32{}
-		var key []byte
-		for i := 0; i < n; i++ {
-			if choiceRow[i] {
-				groupOf[i] = -1
-				continue
-			}
-			key = b.AppendKeyOn(key[:0], keyIdx, i)
-			gi, ok := seen[string(key)]
-			if !ok {
-				gi = int32(len(firstOf))
-				seen[string(key)] = gi
-				firstOf = append(firstOf, int32(i))
-				groupOf[i] = gi
-				continue
-			}
-			groupOf[i] = gi
-			if m, conflicted := members[gi]; conflicted {
-				members[gi] = append(m, int32(i))
+			if b.HasNullAt(allCols, i) {
+				choice = append(choice, int32(i))
 			} else {
-				members[gi] = []int32{firstOf[gi], int32(i)}
+				input = append(input, int32(i))
 			}
 		}
 	}
 
+	// Groups are listed in first-row order: before each key group, the
+	// choice rows above its first row.
 	plan := &ImportPlan{Schema: sch}
-	domains := newDomainCache(b)
-	var certSel []int32
-	for i := 0; i < n; i++ {
-		switch {
-		case choiceRow[i]:
-			g, err := choiceGroup(b, i, domains)
+	domains := map[int][]value.Value{} // active domains, of the columns a NULL is filled in
+	next := 0
+	choicesBefore := func(row int32) error {
+		for ; next < len(choice) && choice[next] < row; next++ {
+			g, err := choiceGroup(b, int(choice[next]), domains)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			plan.Groups = append(plan.Groups, g)
-		case groupOf != nil && members[groupOf[i]] != nil:
-			sel := members[groupOf[i]]
-			if sel[0] != int32(i) {
-				continue // group already emitted at its first row
-			}
-			g, err := repairGroup(b, sel, weightIdx)
-			if err != nil {
-				return nil, err
-			}
-			plan.Groups = append(plan.Groups, g)
-		default:
-			certSel = append(certSel, int32(i))
 		}
+		return nil
+	}
+	certSel := input
+	if len(keyIdx) > 0 {
+		// Rows agreeing on the key are one repair group, each row's
+		// probability its weight share within the group. Every input row's
+		// weight is validated, a lone row's too; a lone row is certain.
+		p := PartitionBy(b, keyIdx, input)
+		probs, err := Weights(b, p.Rows, weightIdx)
+		if err != nil {
+			var we *WeightError
+			errors.As(err, &we)
+			return nil, fmt.Errorf("relation: import: row %d: %w", we.Row+1, err)
+		}
+		certSel = nil
+		for g := 0; g < p.Len(); g++ {
+			rows := p.Group(g)
+			if err := choicesBefore(rows[0]); err != nil {
+				return nil, err
+			}
+			if len(rows) == 1 {
+				certSel = append(certSel, rows[0])
+				continue
+			}
+			plan.Groups = append(plan.Groups, ImportGroup{
+				Rel:   FromBatch(b.Gather(rows)),
+				Probs: Normalize(probs[p.Start[g]:p.Start[g+1]:p.Start[g+1]]),
+			})
+		}
+	}
+	if err := choicesBefore(int32(n)); err != nil {
+		return nil, err
 	}
 	if len(certSel) == n {
 		plan.Certain = rel
@@ -199,39 +186,21 @@ func classifyImport(rel *Relation, opts ImportOptions) (*ImportPlan, error) {
 	return plan, nil
 }
 
-// domainCache lazily computes per-column active domains: the distinct
-// non-NULL values of a column across the whole file, in first-appearance
-// order. Only columns that actually host a NULL fill are ever scanned.
-type domainCache struct {
-	b    *colbatch.Batch
-	cols map[int][]value.Value
-}
-
-func newDomainCache(b *colbatch.Batch) *domainCache {
-	return &domainCache{b: b, cols: map[int][]value.Value{}}
-}
-
-func (dc *domainCache) domain(j int) []value.Value {
-	if d, ok := dc.cols[j]; ok {
-		return d
-	}
-	var d []value.Value
-	seen := map[string]struct{}{}
-	var key []byte
-	col := dc.b.Col(j)
-	for i, n := 0, dc.b.Len(); i < n; i++ {
-		if col.Null(i) {
-			continue
+// activeDomain returns column j's active domain: its distinct non-NULL
+// values across the whole file, in first-appearance order.
+func activeDomain(b *colbatch.Batch, j int) []value.Value {
+	col := b.Col(j)
+	nonNull := []int32{}
+	for i := 0; i < b.Len(); i++ {
+		if !col.Null(i) {
+			nonNull = append(nonNull, int32(i))
 		}
-		v := col.Value(i)
-		key = v.Encode(key[:0])
-		if _, ok := seen[string(key)]; ok {
-			continue
-		}
-		seen[string(key)] = struct{}{}
-		d = append(d, v)
 	}
-	dc.cols[j] = d
+	p := PartitionBy(b, []int{j}, nonNull)
+	d := make([]value.Value, p.Len())
+	for g := range d {
+		d[g] = col.Value(int(p.Group(g)[0]))
+	}
 	return d
 }
 
@@ -239,7 +208,7 @@ func (dc *domainCache) domain(j int) []value.Value {
 // active-domain fills for its NULL columns, uniformly weighted. The last
 // NULL column varies fastest, and a column whose domain is empty keeps
 // NULL (one option). The expansion is capped at MaxChoiceAlternatives.
-func choiceGroup(b *colbatch.Batch, i int, domains *domainCache) (ImportGroup, error) {
+func choiceGroup(b *colbatch.Batch, i int, domains map[int][]value.Value) (ImportGroup, error) {
 	sch := b.Schema
 	var nullCols []int
 	for j := 0; j < sch.Len(); j++ {
@@ -248,13 +217,18 @@ func choiceGroup(b *colbatch.Batch, i int, domains *domainCache) (ImportGroup, e
 		}
 	}
 	fills := make([][]value.Value, len(nullCols))
+	sizes := make([]int, len(nullCols))
 	total := 1
 	for k, j := range nullCols {
-		d := domains.domain(j)
+		d, ok := domains[j]
+		if !ok {
+			d = activeDomain(b, j)
+			domains[j] = d
+		}
 		if len(d) == 0 {
 			d = []value.Value{value.Null()} // nothing to fill from
 		}
-		fills[k] = d
+		fills[k], sizes[k] = d, len(d)
 		total *= len(d)
 		if total > MaxChoiceAlternatives {
 			return ImportGroup{}, fmt.Errorf(
@@ -264,8 +238,7 @@ func choiceGroup(b *colbatch.Batch, i int, domains *domainCache) (ImportGroup, e
 	}
 	rel := New(sch)
 	base := b.Row(i)
-	pick := make([]int, len(nullCols))
-	for a := 0; a < total; a++ {
+	EachPick(sizes, func(pick []int) error {
 		// Appending hands off ownership of the row, so each alternative
 		// needs its own copy of the base tuple.
 		row := append(tuple.Tuple(nil), base...)
@@ -273,46 +246,11 @@ func choiceGroup(b *colbatch.Batch, i int, domains *domainCache) (ImportGroup, e
 			row[j] = fills[k][pick[k]]
 		}
 		rel.MustAppend(row)
-		for k := len(pick) - 1; k >= 0; k-- {
-			pick[k]++
-			if pick[k] < len(fills[k]) {
-				break
-			}
-			pick[k] = 0
-		}
-	}
+		return nil
+	})
 	probs := make([]float64, total)
 	for a := range probs {
 		probs[a] = 1 / float64(total)
 	}
 	return ImportGroup{Choice: true, Rel: rel, Probs: probs}, nil
-}
-
-// repairGroup turns the key-conflicting rows sel into mutually exclusive
-// alternatives, weight-proportional when a weight column was given.
-func repairGroup(b *colbatch.Batch, sel []int32, weightIdx int) (ImportGroup, error) {
-	rel := FromBatch(b.Gather(sel))
-	probs := make([]float64, len(sel))
-	if weightIdx < 0 {
-		for a := range probs {
-			probs[a] = 1 / float64(len(sel))
-		}
-		return ImportGroup{Rel: rel, Probs: probs}, nil
-	}
-	sum := 0.0
-	for _, ri := range sel {
-		v := b.At(int(ri), weightIdx)
-		if !v.IsNumeric() {
-			return ImportGroup{}, fmt.Errorf("relation: import: row %d: weight value %v is not numeric", ri+1, v)
-		}
-		w := v.AsFloat()
-		if w <= 0 {
-			return ImportGroup{}, fmt.Errorf("relation: import: row %d: weight value %g must be positive", ri+1, w)
-		}
-		sum += w
-	}
-	for a, ri := range sel {
-		probs[a] = b.At(int(ri), weightIdx).AsFloat() / sum
-	}
-	return ImportGroup{Rel: rel, Probs: probs}, nil
 }

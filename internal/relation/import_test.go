@@ -159,6 +159,20 @@ func TestImportErrors(t *testing.T) {
 	if _, err := LoadCSV(strings.NewReader(bad), ImportOptions{RepairKey: []string{"K"}, Weight: "W"}); err == nil || !strings.Contains(err.Error(), "numeric") {
 		t.Errorf("non-numeric weight = %v", err)
 	}
+	// A row with a key of its own is a repair candidate too: its weight is
+	// checked like a conflicting row's, as REPAIR BY KEY checks it.
+	single := "K,V,W\na,1,1\na,2,2\nb,3,-5\nc,4,oops\n"
+	if _, err := LoadCSV(strings.NewReader(single), ImportOptions{RepairKey: []string{"K"}, Weight: "W"}); err == nil || err.Error() != "relation: import: row 3: weight value -5 must be positive" {
+		t.Errorf("negative weight of a lone key = %v", err)
+	}
+	single = "K,V,W\na,1,1\na,2,2\nc,4,oops\n"
+	if _, err := LoadCSV(strings.NewReader(single), ImportOptions{RepairKey: []string{"K"}, Weight: "W"}); err == nil || err.Error() != "relation: import: row 3: weight value oops is not numeric" {
+		t.Errorf("non-numeric weight of a lone key = %v", err)
+	}
+	// A NULLS AS CHOICE row is no repair candidate: its weight is not read.
+	if _, err := LoadCSV(strings.NewReader("K,V,W\na,1,1\nb,,\n"), ImportOptions{NullsChoice: true, RepairKey: []string{"K"}, Weight: "W"}); err != nil {
+		t.Errorf("choice row's weight was validated: %v", err)
+	}
 	if _, err := LoadCSV(strings.NewReader(base), ImportOptions{RepairKey: []string{"nope"}}); err == nil {
 		t.Error("unknown key column must fail")
 	}

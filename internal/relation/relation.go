@@ -110,12 +110,6 @@ func (r *Relation) MustAppend(t tuple.Tuple) {
 	}
 }
 
-// AppendRow adds a tuple without a width check — the builder fast path for
-// callers that constructed the tuple against the schema already.
-func (r *Relation) AppendRow(t tuple.Tuple) {
-	r.ensure().Append(t)
-}
-
 // AppendBatch bulk-appends the rows of b, whose width must be the schema's.
 func (r *Relation) AppendBatch(b *colbatch.Batch) {
 	r.ensure().AppendBatch(b)
@@ -338,36 +332,6 @@ func Intersect(r, s *Relation) *Relation {
 		}
 	}
 	return r.gather(sel)
-}
-
-// GroupBy partitions the tuples by their values on the given column indexes.
-// It returns the distinct group keys (the bytes of tuple.KeyOn) in
-// first-appearance order and a map from group key to member tuples.
-func (r *Relation) GroupBy(indexes []int) (order []string, groups map[string][]tuple.Tuple) {
-	// Group membership is accumulated positionally (index map → slice) so
-	// the per-row map writes use the no-allocation string(buf) lookup; key
-	// strings are materialized once per distinct group.
-	idx := make(map[string]int)
-	var members [][]tuple.Tuple
-	var buf []byte
-	b := r.Batch()
-	for i, t := range b.Rows() {
-		buf = b.AppendKeyOn(buf[:0], indexes, i)
-		gi, ok := idx[string(buf)]
-		if !ok {
-			k := string(buf)
-			gi = len(members)
-			idx[k] = gi
-			order = append(order, k)
-			members = append(members, nil)
-		}
-		members[gi] = append(members[gi], t)
-	}
-	groups = make(map[string][]tuple.Tuple, len(order))
-	for gi, k := range order {
-		groups[k] = members[gi]
-	}
-	return order, groups
 }
 
 // String renders the relation as an aligned ASCII table, rows in canonical

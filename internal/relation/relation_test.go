@@ -184,20 +184,6 @@ func TestIntersectDedupsReceiver(t *testing.T) {
 	}
 }
 
-func TestGroupBy(t *testing.T) {
-	r := New(schema.New("A", "B"))
-	r.MustAppend(row("a1", 10))
-	r.MustAppend(row("a2", 14))
-	r.MustAppend(row("a1", 15))
-	order, groups := r.GroupBy([]int{0})
-	if len(order) != 2 {
-		t.Fatalf("groups = %d", len(order))
-	}
-	if len(groups[order[0]]) != 2 || len(groups[order[1]]) != 1 {
-		t.Errorf("group sizes wrong: %v", groups)
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	r := sample()
 	s := r.String()

@@ -90,7 +90,7 @@ func Decompose(set *worldset.Set, name string) (*WSD, error) {
 			}
 		}
 		if all {
-			cert.AppendRow(rep[k])
+			cert.MustAppend(rep[k])
 		} else {
 			uncertain = append(uncertain, k)
 		}

@@ -61,8 +61,6 @@ import (
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
-	"maybms/internal/tuple"
-	"maybms/internal/value"
 )
 
 // splitColumns resolves a split's column list and optional weight column
@@ -86,17 +84,21 @@ func (d *WSD) splitColumns(src string, cols []string, weight string) (sch *schem
 	return sch, idx, weightIdx, nil
 }
 
-// repairGroupComp builds the alternatives of one key-group component:
-// one alternative per candidate tuple, weight-proportional (or uniform)
-// probabilities.
-func (d *WSD) repairGroupComp(sch *schema.Schema, dk string, tuples []tuple.Tuple, weightIdx int) ([]Alternative, error) {
-	probs, err := repairGroupProbs(tuples, weightIdx, d.Weighted)
-	if err != nil {
-		return nil, err
+// repairGroupComp builds the alternatives of one key-group component from
+// the candidate rows sel of b: one alternative per candidate,
+// weight-proportional (or uniform) probabilities.
+func (d *WSD) repairGroupComp(sch *schema.Schema, dk string, b *colbatch.Batch, sel []int32, weightIdx int) ([]Alternative, error) {
+	var probs []float64
+	if d.Weighted {
+		w, err := relation.Weights(b, sel, weightIdx)
+		if err != nil {
+			return nil, err
+		}
+		probs = relation.Normalize(w)
 	}
-	alts := make([]Alternative, len(tuples))
-	for i, t := range tuples {
-		alts[i] = Alternative{Contrib: contribRel(sch, dk, []tuple.Tuple{t})}
+	alts := make([]Alternative, len(sel))
+	for i := range sel {
+		alts[i] = Alternative{Contrib: contribRel(sch, dk, b.Pick(sel[i:i+1]))}
 		if d.Weighted {
 			alts[i].Prob = probs[i]
 		}
@@ -127,11 +129,19 @@ func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) erro
 		return fmt.Errorf("%w: %s", ErrExists, dst)
 	}
 
-	// The key groups anchored in the certain part, in first-appearance order.
-	var certOrder []string
-	var certGroups map[string][]tuple.Tuple
-	if cert, ok := d.certain[k]; ok {
-		certOrder, certGroups = cert.GroupBy(keyIdx)
+	// The key groups anchored in the certain part, in first-appearance
+	// order, and their keys.
+	cert := d.certain[k]
+	if cert == nil {
+		cert = relation.New(sch)
+	}
+	cb := cert.Batch()
+	cp := relation.PartitionBy(cb, keyIdx, nil)
+	anchored := make(map[string]struct{}, cp.Len())
+	var buf []byte
+	for g := 0; g < cp.Len(); g++ {
+		buf = cb.AppendKeyOn(buf[:0], keyIdx, int(cp.Group(g)[0]))
+		anchored[string(buf)] = struct{}{}
 	}
 
 	// Merge the components whose candidate keys cross — and only those.
@@ -173,14 +183,14 @@ func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) erro
 		// Condense the offending trees to flat components first (exactness
 		// of the interleaved order is already forfeited to a restructuring
 		// here, as on the crossing-merge path).
-		if d.nested > 0 && len(certGroups) > 0 {
+		if d.nested > 0 && cp.Len() > 0 {
 			var bad []int
 			for i, tch := range touches {
 				if d.comps[comps[i]].Parent < 0 {
 					continue
 				}
 				for _, kv := range tch.Keys {
-					if _, anchored := certGroups[kv]; anchored {
+					if _, ok := anchored[kv]; ok {
 						bad = append(bad, comps[i])
 						break
 					}
@@ -215,11 +225,12 @@ func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) erro
 	// group owned by feeder C nests one child per alternative of C,
 	// repairing the certain candidates followed by that alternative's
 	// contributions under the group key.
-	for _, gk := range certOrder {
-		certTs := certGroups[gk]
-		fi, isOwned := owner[gk]
+	for g := 0; g < cp.Len(); g++ {
+		certRows := cp.Group(g)
+		buf = cb.AppendKeyOn(buf[:0], keyIdx, int(certRows[0]))
+		fi, isOwned := owner[string(buf)]
 		if !isOwned {
-			alts, err := d.repairGroupComp(sch, dk, certTs, weightIdx)
+			alts, err := d.repairGroupComp(sch, dk, cb, certRows, weightIdx)
 			if err == nil {
 				_, err = d.addComponent(alts)
 			}
@@ -228,20 +239,27 @@ func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) erro
 			}
 			continue
 		}
+		gk := string(buf)
 		fc := d.comps[comps[fi]]
 		for ai := range fc.Alts {
 			if err := d.interrupted(); err != nil {
 				return err
 			}
-			inst := append([]tuple.Tuple(nil), certTs...)
 			b := fc.Alts[ai].contribution(k, sch)
-			var buf []byte
+			var match []int32
 			for i := 0; i < b.Len(); i++ {
 				if buf = b.AppendKeyOn(buf[:0], keyIdx, i); string(buf) == gk {
-					inst = append(inst, b.Row(i))
+					match = append(match, int32(i))
 				}
 			}
-			alts, err := d.repairGroupComp(sch, dk, inst, weightIdx)
+			inst := colbatch.New(sch)
+			inst.AppendGather(cb, certRows)
+			inst.AppendGather(b, match)
+			all := make([]int32, inst.Len())
+			for i := range all {
+				all[i] = int32(i)
+			}
+			alts, err := d.repairGroupComp(sch, dk, inst, all, weightIdx)
 			if err == nil {
 				_, err = d.addChildComponent(alts, fc.ID, ai)
 			}
@@ -257,20 +275,19 @@ func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) erro
 	// triple becomes one child component.
 	for _, ci := range comps {
 		fc := d.comps[ci]
-		for ai, a := range fc.Alts {
+		for ai := range fc.Alts {
 			if err := d.interrupted(); err != nil {
 				return err
 			}
-			contrib := a.Contrib[k]
-			if contrib == nil {
-				contrib = relation.New(sch)
-			}
-			gOrder, gGroups := contrib.GroupBy(keyIdx)
-			for _, gk := range gOrder {
-				if _, anchored := certGroups[gk]; anchored {
+			b := fc.Alts[ai].contribution(k, sch)
+			p := relation.PartitionBy(b, keyIdx, nil)
+			for g := 0; g < p.Len(); g++ {
+				rows := p.Group(g)
+				buf = b.AppendKeyOn(buf[:0], keyIdx, int(rows[0]))
+				if _, ok := anchored[string(buf)]; ok {
 					continue // handled in (a), certain-prefix position
 				}
-				alts, err := d.repairGroupComp(sch, dk, gGroups[gk], weightIdx)
+				alts, err := d.repairGroupComp(sch, dk, b, rows, weightIdx)
 				if err == nil {
 					_, err = d.addChildComponent(alts, fc.ID, ai)
 				}
@@ -333,7 +350,7 @@ func (d *WSD) choiceOf(src, dst string, attrs []string, weight string) error {
 		return err
 	}
 	if len(comps) == 0 {
-		alts, err := d.choiceComp(sch, dk, cert, attrIdx, weightIdx)
+		alts, err := d.choiceComp(sch, dk, cert.Batch(), attrIdx, weightIdx)
 		if err == nil {
 			_, err = d.addComponent(alts)
 		}
@@ -347,7 +364,7 @@ func (d *WSD) choiceOf(src, dst string, attrs []string, weight string) error {
 		inst := colbatch.New(sch)
 		inst.AppendBatch(cert.Batch())
 		inst.AppendBatch(a.contribution(k, sch))
-		alts, err := d.choiceComp(sch, dk, relation.FromBatch(inst), attrIdx, weightIdx)
+		alts, err := d.choiceComp(sch, dk, inst, attrIdx, weightIdx)
 		if err != nil {
 			return fmt.Errorf("choice over %s: %w", src, err)
 		}
@@ -359,80 +376,27 @@ func (d *WSD) choiceOf(src, dst string, attrs []string, weight string) error {
 	return nil
 }
 
-// repairGroupProbs returns the in-group choice probabilities of one key
-// group: weight-proportional with a weight column, else uniform. Nil in
-// unweighted mode.
-func repairGroupProbs(tuples []tuple.Tuple, weightIdx int, weighted bool) ([]float64, error) {
-	if !weighted {
-		return nil, nil
-	}
-	probs := make([]float64, len(tuples))
-	if weightIdx < 0 {
-		for i := range tuples {
-			probs[i] = 1 / float64(len(tuples))
-		}
-		return probs, nil
-	}
-	sum := 0.0
-	for _, t := range tuples {
-		w, err := positiveWeight(t[weightIdx])
-		if err != nil {
-			return nil, err
-		}
-		sum += w
-	}
-	for i, t := range tuples {
-		w, _ := positiveWeight(t[weightIdx])
-		probs[i] = w / sum
-	}
-	return probs, nil
-}
-
-// positiveWeight reads one weight cell: a positive number.
-func positiveWeight(v value.Value) (float64, error) {
-	if !v.IsNumeric() {
-		return 0, fmt.Errorf("weight value %v is not numeric", v)
-	}
-	w := v.AsFloat()
-	if w <= 0 {
-		return 0, fmt.Errorf("weight value %g must be positive", w)
-	}
-	return w, nil
-}
-
 // choiceComp builds the alternatives of one choice component: one
 // alternative per distinct value combination of inst's attribute columns, in
 // first-appearance order, weighted by the partition's weight share (or
 // uniformly), as in the naive engine's choice split.
-func (d *WSD) choiceComp(sch *schema.Schema, dk string, inst *relation.Relation, attrIdx []int, weightIdx int) ([]Alternative, error) {
-	order, groups := inst.GroupBy(attrIdx)
-	if len(order) == 0 {
+func (d *WSD) choiceComp(sch *schema.Schema, dk string, inst *colbatch.Batch, attrIdx []int, weightIdx int) ([]Alternative, error) {
+	p := relation.PartitionBy(inst, attrIdx, nil)
+	if p.Len() == 0 {
 		return nil, fmt.Errorf("choice of over an empty relation produces no worlds: %w", ErrEmpty)
 	}
-	var weights []float64
-	totalW := 0.0
-	if d.Weighted && weightIdx >= 0 {
-		weights = make([]float64, len(order))
-		for i, gk := range order {
-			for _, t := range groups[gk] {
-				w, err := positiveWeight(t[weightIdx])
-				if err != nil {
-					return nil, err
-				}
-				weights[i] += w
-			}
-			totalW += weights[i]
+	var probs []float64
+	if d.Weighted {
+		var err error
+		if probs, err = p.ChoiceProbs(inst, weightIdx); err != nil {
+			return nil, err
 		}
 	}
-	alts := make([]Alternative, len(order))
-	for i, gk := range order {
-		alts[i] = Alternative{Contrib: contribRel(sch, dk, groups[gk])}
+	alts := make([]Alternative, p.Len())
+	for g := range alts {
+		alts[g] = Alternative{Contrib: contribRel(sch, dk, inst.Pick(p.Group(g)))}
 		if d.Weighted {
-			if weightIdx >= 0 {
-				alts[i].Prob = weights[i] / totalW
-			} else {
-				alts[i].Prob = 1 / float64(len(order))
-			}
+			alts[g].Prob = probs[g]
 		}
 	}
 	return alts, nil

@@ -141,10 +141,11 @@ func (a *Alternative) contribution(k string, sch *schema.Schema) *colbatch.Batch
 	return colbatch.New(sch)
 }
 
-// contribRel builds a single-relation contribution map around rows that the
-// relation takes ownership of.
-func contribRel(sch *schema.Schema, k string, rows []tuple.Tuple) map[string]*relation.Relation {
-	return map[string]*relation.Relation{k: relation.FromBatch(colbatch.FromRows(sch, rows))}
+// contribRel builds a single-relation contribution map around a fresh
+// batch, which the relation takes ownership of under schema sch.
+func contribRel(sch *schema.Schema, k string, b *colbatch.Batch) map[string]*relation.Relation {
+	b.Schema = sch
+	return map[string]*relation.Relation{k: relation.FromBatch(b)}
 }
 
 // Component is a finite choice among alternatives. A top-level component
