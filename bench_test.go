@@ -485,8 +485,9 @@ func benchComponentwiseSelect(b *testing.B, query string, sizes []int) {
 }
 
 // BenchmarkComponentwiseConf closes a CONF query over n independent
-// components with Σ alternatives evaluations and zero merges; cost scales
-// with the sum of alternatives. groups=64 represents 2^64 worlds — far
+// components with two evaluations — certain-only plus one tagged delta of
+// every alternative — and zero merges; cost scales with the sum of
+// alternatives. groups=64 represents 2^64 worlds — far
 // beyond what any merge could multiply out. (The merge-path halves of this
 // pair, BenchmarkMergePath{Conf,Possible}, needed a switch to force the
 // route; their numbers stay in BENCH_2026-07-30.json.)

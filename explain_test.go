@@ -378,11 +378,11 @@ func TestTableRefusalTraced(t *testing.T) {
 // TestExplainVectorized: EXPLAIN names no evaluation path — there is one
 // operator set, and which form it runs over follows the scanned relations
 // — and a traced run of a componentwise join against a 40-row certain
-// relation (its key the WHERE's `K = X`) collects a columnar answer for each
-// of the three one-row deltas: the 40-row relation is stored as columns
-// (past colbatch.Floor), and the hash join's output over a columnar build
-// side is columnar. The fourth answer, the certain-only evaluation over Rp's
-// empty certain part, is empty, and an empty batch is in row form.
+// relation (its key the WHERE's `K = X`) collects one columnar answer, the
+// tagged delta of all three alternatives: the 40-row relation is stored as
+// columns (past colbatch.Floor), and the hash join's output over a columnar
+// build side is columnar. The other answer, the certain-only evaluation over
+// Rp's empty certain part, is empty, and an empty batch is in row form.
 func TestExplainVectorized(t *testing.T) {
 	db := explainCompactDB(t)
 	wide := make([][]any, 40)
@@ -409,8 +409,8 @@ plan:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex := tr.JSON().Exec; ex.BatchCollects != 3 || ex.RowCollects != 1 {
-		t.Errorf("collects batch=%d row=%d, want 3 columnar deltas and 1 empty certain-only answer", ex.BatchCollects, ex.RowCollects)
+	if ex := tr.JSON().Exec; ex.BatchCollects != 1 || ex.RowCollects != 1 {
+		t.Errorf("collects batch=%d row=%d, want 1 columnar tagged delta and 1 empty certain-only answer", ex.BatchCollects, ex.RowCollects)
 	}
 }
 
@@ -454,9 +454,10 @@ func TestExplainAnalyzeComponentwise(t *testing.T) {
 	for _, want := range []string{
 		"route: componentwise (merge-free, 2 components, 2+1 alternatives)",
 		"actual:",
-		// One certain-only evaluation and one delta per alternative; Rp has
-		// no certain part and every alternative one row.
-		"components=2  base_rows=0  delta_rows=3  evaluations=4",
+		// One certain-only evaluation and one tagged delta of all three
+		// alternatives; Rp has no certain part and every alternative one
+		// row, so the delta's scan reads three tagged rows.
+		"components=2  base_rows=0  delta_rows=3  evaluations=2  tagged_rows=3",
 		"route=componentwise",
 		"result rows: 3",
 	} {

@@ -26,7 +26,7 @@ var ErrExec = errors.New("execution error")
 
 // Process-wide collect counters, exposed on GET /metrics. Incremented once
 // per Collect call / once per collected relation — never per row — so the
-// instrumented hot path pays a handful of atomic adds per alternative.
+// instrumented hot path pays a handful of atomic adds per evaluation.
 var (
 	batchCollects = obs.Default().Counter(`maybms_collects_total{path="batch"}`,
 		"Collect calls by the form of the drained answer (batch = columnar, row = row form: fewer than colbatch's floor of rows).")
@@ -380,10 +380,14 @@ type Distinct struct {
 	// read-only. The planner's delta binding subtracts a certain answer
 	// computed once this way (plan.Deltas).
 	Except func(outer *expr.Context) (map[string]struct{}, error)
-	except map[string]struct{}
-	seen   map[string]struct{}
-	sel    []int32
-	key    []byte
+	// Tagged marks the last column as a tag (the planner's tagged deltas):
+	// rows are distinct per tag, and Except holds keys of rows without it.
+	Tagged    bool
+	except    map[string]struct{}
+	seen      map[string]struct{}
+	body, tag []int // Tagged: the columns before the tag, and the tag's
+	sel       []int32
+	key       []byte
 }
 
 // Schema implements Operator.
@@ -402,6 +406,13 @@ func (d *Distinct) Open(outer *expr.Context) error {
 			return err
 		}
 	}
+	if d.Tagged && d.tag == nil {
+		w := d.Child.Schema().Len()
+		d.body, d.tag = make([]int, w-1), []int{w - 1}
+		for j := range d.body {
+			d.body[j] = j
+		}
+	}
 	return d.Child.Open(outer)
 }
 
@@ -414,11 +425,18 @@ func (d *Distinct) NextBatch() (*colbatch.Batch, error) {
 		}
 		sel := d.sel[:0]
 		for i := 0; i < b.Len(); i++ {
-			d.key = b.AppendKey(d.key[:0], i)
-			if _, dup := d.seen[string(d.key)]; dup {
-				continue
+			if d.Tagged {
+				d.key = b.AppendKeyOn(d.key[:0], d.body, i)
+			} else {
+				d.key = b.AppendKey(d.key[:0], i)
 			}
 			if _, dup := d.except[string(d.key)]; dup {
+				continue
+			}
+			if d.Tagged {
+				d.key = b.AppendKeyOn(d.key, d.tag, i) // the full row's key
+			}
+			if _, dup := d.seen[string(d.key)]; dup {
 				continue
 			}
 			d.seen[string(d.key)] = struct{}{}

@@ -9,10 +9,10 @@ import (
 	"time"
 )
 
-// ExecStats accumulates per-alternative evaluation counts for one traced
-// statement. It is carried down the operator tree on expr.Context (see
-// expr.Context.Stats) and mutated with plain atomic adds — cheap enough
-// for the Collect seam, which runs once per alternative, not per row.
+// ExecStats accumulates evaluation counts for one traced statement. It is
+// carried down the operator tree on expr.Context (see expr.Context.Stats)
+// and mutated with plain atomic adds — cheap enough for the Collect seam,
+// which runs once per evaluation, not per row.
 type ExecStats struct {
 	BatchCollects atomic.Uint64 // Collect calls whose answer is columnar
 	RowCollects   atomic.Uint64 // Collect calls whose answer is in row form (under colbatch's floor)

@@ -16,9 +16,9 @@ package plan
 // components are world-independent; subtrees touching one component vary
 // with that component's alternative only; and a whole tree whose operators
 // all distribute over the certain ∪ per-component-contribution structure
-// ("monotone-decomposable" below) can be evaluated per alternative of each
-// component separately — closure-style, with no component merge — even when
-// it touches arbitrarily many components.
+// ("monotone-decomposable" below) can be evaluated for every alternative of
+// every component at once — closure-style, with no component merge — even
+// when it touches arbitrarily many components.
 //
 // The decomposition identity that the analysis certifies is
 //
@@ -26,38 +26,50 @@ package plan
 //
 // as sets, where Q(cert) is the query over the certain database and
 // ΔQ(c, a) — the delta — the tuples alternative a of component c adds to
-// it. Both are instances of the one template: Bind and Deltas.Bind (below)
-// bind each subtree against a PartsCatalog in one of three modes,
-//
-//   - cert: a table scan yields the certain part;
-//   - delta: the selected alternative's contribution;
-//   - full: both, the table's instance under the selection,
-//
-// so a statement over a large certain part and a little uncertainty costs
-// O(|cert| + Σ|contributions|), not Σ alternatives × |cert|. The operators
-// that preserve the identity, with their delta rules:
+// it. A statement evaluates the one template twice: Bind over the certain
+// parts gives Q(cert), and Deltas.Bind (below) gives every ΔQ(c, a) at once,
+// as one tagged answer — the U-relations of MayBMS's successor, Antova,
+// Jansen, Koch and Olteanu, "Fast and Simple Relational Processing of
+// Uncertain Data" (ICDE 2008). Each row of a tagged relation carries, as a
+// trailing int column (TagColumn), the tag of the one alternative it belongs
+// to, and the rows tagged t of the tagged answer are ΔQ of that alternative,
+// row for row what evaluating that alternative's delta alone returns. So a
+// statement over a large certain part and a little uncertainty costs
+// O(|cert| + Σ|contributions|) rows and two plan runs, not one plan run per
+// alternative. The operators that preserve the identity, with their tagged
+// delta rules:
 //
 //   - Scan: the relation itself is certain ∪ contributions; its delta is
-//     the contribution. A subtree touching no component has an empty delta
-//     (and is itself in the other two modes).
+//     every listed alternative's contribution in one relation, tagged
+//     (PartsCatalog.Delta). A subtree touching no component has an empty
+//     delta.
 //   - Filter / Project whose expressions contain no subqueries over
-//     uncertain relations: tuple-at-a-time, distribute over union — the mode
-//     passes down, and the world-independent subqueries bind full.
+//     uncertain relations: tuple-at-a-time, distribute over union — the
+//     tag passes through (a Project carries it as one more column), and the
+//     world-independent subqueries bind to the certain parts.
 //   - CrossJoin / HashJoin where at most one side touches components, or
 //     both sides touch the same single component: the cross terms between
 //     distinct components never arise. Δ(L ⋈ R) = (cert L ⋈ ΔR) ++
-//     (ΔL ⋈ full R), either term vanishing with its delta — so a join
-//     against a certain table is ΔL ⋈ R (R ⋈ ΔR on the other side). Where
-//     ΔR is empty, full R is the certain R, the same for every delta: a
-//     HashJoin's deltas then probe one table of it, hashed once per
-//     statement (Deltas), not once per alternative.
+//     (ΔL ⋈ full R), either term vanishing with its delta. Against a
+//     certain side the tag passes through: cert L ⋈ ΔR, and ΔL ⋈ cert R,
+//     whose HashJoin probes one hashed table of cert R (Deltas). Over two
+//     sides of the same component, full R under alternative t is cert R ++
+//     ΔR(t): ΔL joins cert R, tagged as every alternative's, followed by ΔR,
+//     and keeps the pairs whose tags agree — ΔL ⋈ cert R plus ΔL ⋈ ΔR on
+//     equal tags, each left row meeting its matches in full R's order.
 //   - Union: concatenation distributes, Δ(L ∪ R) = ΔL ++ ΔR.
-//   - Distinct / Sort: identity on sets, the mode passes down (closures are
-//     sets; internal/wsd's fold lists them). A Distinct's delta also drops the tuples its input holds
-//     over the certain database — new in no world — so Distinct(cert) ++
-//     Δ Distinct is the full Distinct row for row; that key set is, beside
-//     the join tables above, the one thing a delta reads of the certain
-//     part, and a statement evaluates it once for all its deltas (Deltas).
+//   - Distinct / Sort: identity on sets (closures are sets; internal/wsd's
+//     fold lists them); the tag passes through. A Distinct's delta dedupes
+//     on (tag, row) and drops the tuples its input holds over the certain
+//     database — new in no world — compared without the tag, so
+//     Distinct(cert) ++ Δ Distinct(t) is the full Distinct row for row; that
+//     key set and the join tables above are what a delta reads of the
+//     certain part, each evaluated once however often the statement's
+//     Deltas binds (Deltas).
+//
+// Every rule keeps the rows of one tag in the order that alternative's
+// delta evaluated alone lists them, so a stable partition of the tagged
+// answer on the tag is the per-alternative deltas, in order.
 //
 // Operators that break it whenever their input touches ≥ 1 component:
 // Aggregate and Limit (whole-input functions), joins correlating ≥ 2
@@ -77,6 +89,8 @@ import (
 	"maybms/internal/colbatch"
 	"maybms/internal/expr"
 	"maybms/internal/relation"
+	"maybms/internal/schema"
+	"maybms/internal/value"
 )
 
 // ComponentCatalog maps a base-table name to the IDs of the decomposition
@@ -394,25 +408,33 @@ func exprComps(cc ComponentCatalog, exprs ...expr.Expr) (compSet, error) {
 	return out, nil
 }
 
-// PartsCatalog is the catalog of one part evaluation. Lookup yields each
-// table's instance under the selected alternatives — the certain part
-// followed by their contributions, the full bind mode; Certain and Delta
-// yield the two halves on their own, the cert and delta modes. Certain is the
-// same whatever the selection.
+// PartsCatalog is the catalog of a statement's two evaluations: Certain
+// serves Q(cert) and the certain halves of the delta rules, Delta the tagged
+// contributions.
 type PartsCatalog interface {
-	Catalog
 	// Certain returns the table's certain part alone.
 	Certain(table string) (*relation.Relation, error)
-	// Delta returns what the selected alternatives contribute to the table
-	// (nil or empty when nothing).
+	// Delta returns what the listed alternatives contribute to the table, in
+	// one relation of the table's columns followed by TagColumn, an int: the
+	// tag of the alternative each row belongs to, ascending (nil or empty
+	// when nothing).
 	Delta(table string) (*relation.Relation, error)
 }
 
+// TagColumn names the trailing column of a tagged relation.
+const TagColumn = "#tag"
+
+// Tagged returns sch followed by the tag column: the schema of a tagged
+// relation whose rows are sch's.
+func Tagged(sch *schema.Schema) *schema.Schema { return sch.Concat(schema.New(TagColumn)) }
+
 // Deltas binds the deltas of one statement over one state of the data. What
-// every delta of the statement shares — the certain answer a Distinct
+// the deltas read of the certain part — the certain answer a Distinct
 // subtracts, the hashed certain build side of a HashJoin — is evaluated by
 // the first evaluation to need it and kept here, so it costs the statement
-// once, not once per alternative. Safe for concurrent use.
+// once however many times it binds (the engine binds once, over every
+// alternative; a test's oracle, once per alternative). Safe for concurrent
+// use.
 type Deltas struct {
 	p      *Prepared
 	mu     sync.Mutex
@@ -434,33 +456,30 @@ type certKeys struct {
 	err  error
 }
 
-// Bind instantiates ΔQ against cat: the tuples the selected alternatives add
-// to Q(cert), by the rules in the file header. A delta that is empty whatever
-// the data (no scanned table has a contribution under the selection) binds to
-// a scan of no rows and reads nothing.
+// Bind instantiates ΔQ against cat: the tuples the listed alternatives add
+// to Q(cert), tagged, by the rules in the file header — the template's
+// columns followed by the tag. A delta that is empty whatever the data (no
+// scanned table has a contribution) binds to a scan of no rows and reads
+// nothing.
 func (ds *Deltas) Bind(cat PartsCatalog) (algebra.Operator, error) {
-	b := &deltaBinding{
-		ds:   ds,
-		cat:  cat,
-		full: binding{cat: cat},
-		cert: binding{cat: CatalogFunc(cat.Certain)},
-	}
+	b := &deltaBinding{ds: ds, cat: cat, cert: binding{cat: CatalogFunc(cat.Certain)}}
 	op, err := b.delta(ds.p.op)
 	if err != nil || op != nil {
 		return op, err
 	}
-	return algebra.NewScan(relation.New(ds.p.op.Schema())), nil
+	return algebra.NewScan(relation.New(Tagged(ds.p.op.Schema()))), nil
 }
 
-// deltaBinding is one Bind of a Deltas: the part catalog and the two plain
-// bindings over it that the delta rules mix in.
+// deltaBinding is one Bind of a Deltas: the part catalog and the binding of
+// its certain parts that the delta rules mix in.
 type deltaBinding struct {
-	ds         *Deltas
-	cat        PartsCatalog
-	full, cert binding
+	ds   *Deltas
+	cat  PartsCatalog
+	cert binding
 }
 
-// delta binds the subtree op in delta mode; a nil operator is the empty delta.
+// delta binds the subtree op in delta mode, tag last; a nil operator is the
+// empty delta.
 func (b *deltaBinding) delta(op algebra.Operator) (algebra.Operator, error) {
 	switch n := op.(type) {
 	case *tableScan:
@@ -471,7 +490,7 @@ func (b *deltaBinding) delta(op algebra.Operator) (algebra.Operator, error) {
 		if rel.Len() == 0 {
 			return nil, nil
 		}
-		return n.bind(rel)
+		return n.bindTagged(rel)
 	case *algebra.Scan:
 		return nil, nil // a literal relation is world-independent
 	}
@@ -485,13 +504,7 @@ func (b *deltaBinding) delta(op algebra.Operator) (algebra.Operator, error) {
 			return nil, err
 		}
 		if _, isUnion := op.(*algebra.Union); isUnion {
-			switch {
-			case dl == nil:
-				return dr, nil
-			case dr == nil:
-				return dl, nil
-			}
-			return &algebra.Union{Left: dl, Right: dr}, nil
+			return unionOf(dl, dr), nil
 		}
 		// Δ(L ⋈ R) = (cert L ⋈ ΔR) ++ (ΔL ⋈ full R): what the new right rows
 		// add to the certain left rows, then everything the new left rows join.
@@ -501,29 +514,45 @@ func (b *deltaBinding) delta(op algebra.Operator) (algebra.Operator, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = rejoin(op, cl, dr)
+			out = rejoin(op, cl, dr) // the right side's tag is last already
 		}
 		if dl != nil {
+			// Widths and names come from the bound inputs: a template's
+			// lazily cached join schemas are shared by concurrent binds.
+			wl := dl.Schema().Len() - 1
 			var j algebra.Operator
-			if hj, ok := op.(*algebra.HashJoin); ok && dr == nil {
-				// R gains nothing under this selection, so full R is the
-				// certain R — the same for every delta of the statement:
-				// probe its one table.
+			var wr int
+			if hj, isHash := op.(*algebra.HashJoin); isHash && dr == nil {
+				// Full R is the certain R, the same for every alternative:
+				// probe the statement's one table of it.
 				if j, err = b.probeCertain(hj, dl); err != nil {
 					return nil, err
 				}
+				wr = j.Schema().Len() - wl - 1
 			} else {
-				fr, err := rebindOp(r, &b.full)
+				cr, err := rebindOp(r, &b.cert)
 				if err != nil {
 					return nil, err
 				}
-				j = rejoin(op, dl, fr)
+				wr = cr.Schema().Len()
+				j = rejoin(op, dl, cr)
+				if dr != nil {
+					// Both sides over the one component: under alternative t
+					// full R is cert R ++ ΔR(t), so join cert R tagged as every
+					// alternative's, then ΔR, and keep the pairs whose tags
+					// agree.
+					all := &algebra.Project{Child: cr, Exprs: append(refs(seq(0, wr)), expr.Const{Value: value.Int(anyTag)}), Out: dr.Schema()}
+					tl, tr := expr.Column{Index: wl}, expr.Column{Index: wl + 1 + wr}
+					j = &algebra.Filter{Child: rejoin(op, dl, &algebra.Union{Left: all, Right: dr}), Pred: expr.Or{
+						L: expr.Cmp{Op: expr.CmpEq, L: tr, R: tl},
+						R: expr.Cmp{Op: expr.CmpEq, L: tr, R: expr.Const{Value: value.Int(anyTag)}},
+					}}
+				}
 			}
-			if out == nil {
-				out = j
-			} else {
-				out = &algebra.Union{Left: out, Right: j}
-			}
+			// The left side's tag sits between the two sides (the right
+			// side's, if any, is dropped): move it last.
+			keep := append(append(seq(0, wl), seq(wl+1, wr)...), wl)
+			out = unionOf(out, &algebra.Project{Child: j, Exprs: refs(keep), Out: j.Schema().Project(keep)})
 		}
 		return out, nil
 	}
@@ -542,11 +571,51 @@ func (b *deltaBinding) delta(op algebra.Operator) (algebra.Operator, error) {
 		return nil, fmt.Errorf("%w: %T over a component has no delta", ErrPlan, op)
 	case *algebra.Distinct:
 		// A new row repeating a tuple of the certain input adds nothing.
-		return &algebra.Distinct{Child: child, Except: b.certKeysOf(n)}, nil
+		return &algebra.Distinct{Child: child, Except: b.certKeysOf(n), Tagged: true}, nil
+	case *algebra.Project:
+		exprs, err := rebindExprs(n.Exprs, &b.cert)
+		if err != nil {
+			return nil, err
+		}
+		return &algebra.Project{Child: child, Exprs: append(exprs[:len(exprs):len(exprs)], expr.Column{Index: child.Schema().Len() - 1}),
+			Out: Tagged(n.Out)}, nil
 	}
-	// Filter, Project and Sort pass the mode down; subqueries in their
-	// expressions are world-independent and bind full.
-	return rewrap(op, child, &b.full)
+	// Filter and Sort pass the tag through; subqueries in a Filter are
+	// world-independent and bind to the certain parts.
+	return rewrap(op, child, &b.cert)
+}
+
+// anyTag tags the certain rows a same-component join's delta meets under
+// every alternative.
+const anyTag = -1
+
+// seq returns the n column indexes from, from+1, ….
+func seq(from, n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = from + i
+	}
+	return out
+}
+
+// refs returns references to the columns idx.
+func refs(idx []int) []expr.Expr {
+	out := make([]expr.Expr, len(idx))
+	for i, j := range idx {
+		out[i] = expr.Column{Index: j}
+	}
+	return out
+}
+
+// unionOf concatenates two deltas, either of which may be empty (nil).
+func unionOf(l, r algebra.Operator) algebra.Operator {
+	switch {
+	case l == nil:
+		return r
+	case r == nil:
+		return l
+	}
+	return &algebra.Union{Left: l, Right: r}
 }
 
 // certKeysOf returns the loader of the statement's one key set of n's input

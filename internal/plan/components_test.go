@@ -130,27 +130,74 @@ func TestComponentSetOps(t *testing.T) {
 	}
 }
 
-// splitCatalog is a PartsCatalog over fixed certain parts and contributions.
+// splitCatalog is a PartsCatalog over fixed certain parts and the
+// contributions of alternatives 0, 1, …: alts[t], tagged t.
 type splitCatalog struct {
-	cert, delta map[string]*relation.Relation
+	cert map[string]*relation.Relation
+	alts []map[string]*relation.Relation
 }
 
 func (c splitCatalog) Certain(name string) (*relation.Relation, error) {
 	return mapCatalog(c.cert).Lookup(name)
 }
 
-func (c splitCatalog) Delta(name string) (*relation.Relation, error) { return c.delta[name], nil }
+func (c splitCatalog) Delta(name string) (*relation.Relation, error) {
+	var out *colbatch.Batch
+	var tags []int64
+	for t, alt := range c.alts {
+		contrib := alt[name]
+		if contrib.Len() == 0 {
+			continue
+		}
+		if out == nil {
+			out = colbatch.New(contrib.Schema)
+		}
+		out.AppendBatch(contrib.Batch())
+		for range contrib.Len() {
+			tags = append(tags, int64(t))
+		}
+	}
+	if out == nil {
+		return nil, nil
+	}
+	return relation.FromBatch(out.Extend(Tagged(out.Schema), colbatch.Col{Kind: value.KindInt, Ints: tags})), nil
+}
 
+// Lookup is the table's instance under alternative 0: the certain part
+// followed by alternative 0's contribution.
 func (c splitCatalog) Lookup(name string) (*relation.Relation, error) {
 	cert, err := c.Certain(name)
 	if err != nil {
 		return nil, err
 	}
 	full := cert.Clone()
-	if delta := c.delta[name]; delta != nil {
+	if delta := c.alts[0][name]; delta != nil {
 		full.AppendBatch(delta.Batch())
 	}
 	return full, nil
+}
+
+// only is the catalog listing alternative t alone, as alternative 0.
+func (c splitCatalog) only(t int) splitCatalog {
+	return splitCatalog{cert: c.cert, alts: c.alts[t : t+1]}
+}
+
+// untag returns the rows of a tagged answer tagged tag, in order, without
+// the tag column.
+func untag(tagged *relation.Relation, tag int64) *relation.Relation {
+	b := tagged.Batch()
+	w := b.Width() - 1
+	keep := make([]int, w)
+	for i := range keep {
+		keep[i] = i
+	}
+	var sel []int32
+	for r := 0; r < b.Len(); r++ {
+		if b.At(r, w).AsInt() == tag {
+			sel = append(sel, int32(r))
+		}
+	}
+	return relation.FromBatch(b.Gather(sel).Project(keep, tagged.Schema.Project(keep)))
 }
 
 // deltaCorpus is TestBindDelta's statements, one or more per delta rule.
@@ -204,15 +251,15 @@ func TestBindDelta(t *testing.T) {
 			"F": mkrel([]string{"a", "z"}, []any{1.0, 7}, []any{nil, 8}, []any{3, 9}, []any{math.Copysign(0, -1), 6}),
 			"G": mkrel([]string{"a", "b"}, []any{1, 1}, []any{nil, 2}),
 		},
-		delta: map[string]*relation.Relation{
+		alts: []map[string]*relation.Relation{{
 			"U": rel(t, []string{"a", "b"}, []int64{3, 30}, []int64{1, 10}),
 			"V": rel(t, []string{"a", "b"}, []int64{3, 31}),
 			"E": rel(t, []string{"a", "b"}, []int64{7, 70}),
 			"G": mkrel([]string{"a", "b"}, []any{3.0, 3}, []any{nil, 4}, []any{0, 5}, []any{1.0, 6}),
-		},
+		}},
 	}
 	cc := ComponentCatalogFunc(func(table string) []int {
-		if cat.delta[table] != nil {
+		if cat.alts[0][table] != nil {
 			return []int{0}
 		}
 		return nil
@@ -239,7 +286,7 @@ func TestBindDelta(t *testing.T) {
 		}
 		full := eval(prep.Bind(cat))
 		base := eval(prep.Bind(CatalogFunc(cat.Certain)))
-		delta := eval(prep.Deltas().Bind(cat))
+		delta := untag(eval(prep.Deltas().Bind(cat)), 0)
 		sum := base.Clone()
 		sum.AppendBatch(delta.Batch())
 		if !sum.EqualSet(full) {
@@ -266,6 +313,68 @@ func TestBindDelta(t *testing.T) {
 	}
 }
 
+// TestTaggedDeltaIsEveryAlternative checks the tag rules: one bind over
+// three alternatives' contributions, tagged 0, 1 and 2, answers for each tag
+// t exactly what the delta of alternative t alone answers, row for row — so
+// no row of one alternative meets a row of another, not even in a self-join
+// of the one component, where only the tags keep them apart. The
+// alternatives repeat each other's join keys and the certain rows.
+func TestTaggedDeltaIsEveryAlternative(t *testing.T) {
+	cat := splitCatalog{
+		cert: map[string]*relation.Relation{
+			"U": rel(t, []string{"a", "b"}, []int64{1, 10}, []int64{2, 20}),
+			"V": rel(t, []string{"a", "b"}, []int64{1, 11}),
+			"S": rel(t, []string{"a", "c"}, []int64{1, 100}, []int64{3, 300}, []int64{3, 301}),
+			"E": rel(t, []string{"a", "b"}),
+			"F": mkrel([]string{"a", "z"}, []any{1.0, 7}, []any{nil, 8}, []any{3, 9}, []any{math.Copysign(0, -1), 6}),
+			"G": mkrel([]string{"a", "b"}, []any{1, 1}, []any{nil, 2}),
+		},
+		alts: []map[string]*relation.Relation{{
+			"U": rel(t, []string{"a", "b"}, []int64{3, 30}, []int64{1, 10}, []int64{1, 12}),
+			"V": rel(t, []string{"a", "b"}, []int64{3, 31}),
+			"E": rel(t, []string{"a", "b"}, []int64{7, 70}),
+			"G": mkrel([]string{"a", "b"}, []any{3.0, 3}, []any{nil, 4}, []any{0, 5}, []any{1.0, 6}),
+		}, {
+			"U": rel(t, []string{"a", "b"}, []int64{1, 13}, []int64{3, 33}, []int64{2, 20}),
+			"G": mkrel([]string{"a", "b"}, []any{1, 7}, []any{3, 8}),
+		}, {
+			"U": rel(t, []string{"a", "b"}, []int64{3, 34}, []int64{3, 30}),
+			"V": rel(t, []string{"a", "b"}, []int64{1, 35}, []int64{3, 36}),
+			"E": rel(t, []string{"a", "b"}, []int64{7, 71}),
+		}},
+	}
+	for _, sql := range deltaCorpus {
+		prep, err := Prepare(mustParseSelect(t, sql), cat)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		collect := func(c PartsCatalog) *relation.Relation {
+			t.Helper()
+			op, err := prep.Deltas().Bind(c)
+			if err != nil {
+				t.Fatalf("%q: %v", sql, err)
+			}
+			out, err := algebra.Collect(op, nil)
+			if err != nil {
+				t.Fatalf("%q: %v", sql, err)
+			}
+			return out
+		}
+		tagged := collect(cat)
+		rows := 0
+		for tag := range cat.alts {
+			got, want := untag(tagged, int64(tag)), untag(collect(cat.only(tag)), 0)
+			rows += got.Len()
+			if got.String() != want.String() {
+				t.Errorf("%q: rows tagged %d\n%sdiffer from alternative %d's delta alone\n%s", sql, tag, got, tag, want)
+			}
+		}
+		if rows != tagged.Len() {
+			t.Errorf("%q: %d of %d rows carry a tag of no listed alternative:\n%s", sql, tagged.Len()-rows, tagged.Len(), tagged)
+		}
+	}
+}
+
 // TestDeltasShareCertainKeys: the deltas of one statement subtract a
 // DISTINCT's certain input through one evaluation of it, however many are
 // bound and drained, concurrently included; another statement's Deltas
@@ -275,7 +384,7 @@ func TestDeltasShareCertainKeys(t *testing.T) {
 	cert := rel(t, []string{"a", "b"}, []int64{1, 10}, []int64{2, 20})
 	catFor := func(delta *relation.Relation) PartsCatalog {
 		return countingCertain{
-			splitCatalog{cert: map[string]*relation.Relation{"U": cert}, delta: map[string]*relation.Relation{"U": delta}},
+			splitCatalog{cert: map[string]*relation.Relation{"U": cert}, alts: []map[string]*relation.Relation{{"U": delta}}},
 			&certReads,
 		}
 	}
@@ -284,7 +393,7 @@ func TestDeltasShareCertainKeys(t *testing.T) {
 		catFor(rel(t, []string{"a", "b"}, []int64{2, 21})),
 		catFor(rel(t, []string{"a", "b"}, []int64{4, 40}, []int64{4, 41})),
 	}
-	prep, err := Prepare(mustParseSelect(t, `select distinct a from U`), cats[0])
+	prep, err := Prepare(mustParseSelect(t, `select distinct a from U`), mapCatalog{"U": cert})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,6 +126,16 @@ func (n *tableScan) bind(rel *relation.Relation) (algebra.Operator, error) {
 	return &algebra.Scan{Rel: rel, Out: n.Out}, nil
 }
 
+// bindTagged is bind for a tagged relation (PartsCatalog.Delta): rel's
+// columns are the table's followed by the tag, and so are the scan's.
+func (n *tableScan) bindTagged(rel *relation.Relation) (algebra.Operator, error) {
+	if !sameColumnNames(Tagged(n.base), rel.Schema) {
+		return nil, fmt.Errorf("%w: tagged schema of %s diverged from compile time (%s vs %s)",
+			ErrRebind, n.table, rel.Schema, n.base)
+	}
+	return &algebra.Scan{Rel: rel, Out: Tagged(n.Out)}, nil
+}
+
 // rebindOp instantiates a fresh operator tree bound to b. Iteration state is
 // never shared with the template or with other instances.
 func rebindOp(op algebra.Operator, b *binding) (algebra.Operator, error) {

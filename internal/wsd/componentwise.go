@@ -8,23 +8,28 @@ package wsd
 //
 // where Q(cert) is the query over the certain parts alone and ΔQ(c, a) the
 // tuples alternative a of component c adds to it. So the possible/certain/
-// conf closures over *all* represented worlds come from one evaluation of
-// Q(cert) and Σ_c |Alts(c)| delta evaluations — never the Π_c |Alts(c)|
-// alternatives a component merge would produce, without mutating the
-// decomposition at all, and reading O(|cert| + Σ|contributions|) rows: the
-// certain part, which the paper's decompositions keep large, is evaluated
-// once per statement, not once per alternative (unconditioned tuples once,
+// conf closures over *all* represented worlds come from two plan runs —
+// certain-only plus one tagged delta — never the Π_c |Alts(c)| alternatives
+// a component merge would produce, without mutating the decomposition at
+// all, and reading O(|cert| + Σ|contributions|) rows: the certain part,
+// which the paper's decompositions keep large, is evaluated once per
+// statement, and so is every contribution (unconditioned tuples once,
 // conditioned ones beside them: the c-tables of "Conditional Tables in
 // practice", PAPERS.md).
 //
-// A delta is a bind-time rewrite of the compiled template (Prepared.Deltas
-// and the three bind modes — cert, delta, full — in internal/plan's
-// components.go). This file holds the evaluation half: the catalog serving
-// the three modes for one alternative per selected component,
-// queryByComponent's evaluations, and the componentwise materialization. The
-// closing half is the one fold in fold.go, shared with the stored-relation
-// closures (ops.go): it takes Q(cert) as the certain slot, weighs the deltas
-// and lists the answer — no world is ever evaluated.
+// The tagged delta is the U-relation form of MayBMS's successor (Antova,
+// Jansen, Koch and Olteanu, ICDE 2008): every contribution row carries the
+// tag of its (component, alternative) — the alternative's index, flat over
+// the listed components — and Prepared.Deltas binds the template once over
+// the tagged union (the tag rules are in internal/plan's components.go).
+// Its rows tagged t are ΔQ of alternative t, in the order that
+// alternative's delta alone lists them, so a stable partition on the tag
+// splits the one answer into every part. This file holds the evaluation
+// half: the catalogs (a world's instance; the certain parts and the tagged
+// contributions), the two evaluations and that split, and the componentwise
+// materialization. The closing half is the one fold in fold.go, shared with
+// the stored-relation closures (ops.go): it takes Q(cert) as the certain
+// slot, weighs the parts and lists the answer — no world is ever evaluated.
 // Over components arranged in d-trees the identity holds over the components
 // *active* in the world (top-level, or under the alternative their parent
 // selects); the caller passes whole trees (rootClosure), since an untouched
@@ -32,7 +37,7 @@ package wsd
 // weighs each alternative by its conditioning path.
 //
 // Answers are colbatch batches, in whatever form colbatch picked for them,
-// and stored state is batches too, so the catalog hands stored batches to
+// and stored state is batches too, so the catalogs hand stored batches to
 // the evaluations directly.
 
 import (
@@ -43,13 +48,16 @@ import (
 	"maybms/internal/obs"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
+	"maybms/internal/schema"
+	"maybms/internal/value"
 )
 
-// partsCatalog exposes the certain database plus the contributions of a
-// chosen alternative per selected component, as a plan.PartsCatalog.
-// Components not selected contribute nothing (their relations show only the
-// certain part). Contributions are appended in component order, matching the
-// naive engine's per-world relation order.
+// partsCatalog exposes one world's instance of the decomposition — the
+// certain database plus the contributions of a chosen alternative per
+// selected component — as a plan.Catalog. Components not selected contribute
+// nothing (their relations show only the certain part). Contributions are
+// appended in component order, matching the naive engine's per-world
+// relation order.
 type partsCatalog struct {
 	d     *WSD
 	sel   map[int]int // component index → alternative index
@@ -57,9 +65,7 @@ type partsCatalog struct {
 }
 
 // newPartsCatalog builds a catalog over the given selection. The lookup
-// cost is O(|sel|) per table, not O(components) — part evaluations select
-// a single component, so scanning the whole component list per lookup
-// would make componentwise evaluation quadratic in the component count.
+// cost is O(|sel|) per table, not O(components).
 func newPartsCatalog(d *WSD, sel map[int]int) partsCatalog {
 	order := make([]int, 0, len(sel))
 	for ci := range sel {
@@ -79,73 +85,40 @@ func firstWorld(comps []int) map[int]int {
 }
 
 // Lookup implements plan.Catalog: the certain part followed by the selected
-// contributions.
+// contributions. Stored state is batch-backed, so a single-source instance
+// passes the stored relation through — the scan reads its batch directly,
+// with no per-evaluation re-encode — and a multi-source one concatenates
+// the parts' batches into one, in the form colbatch picks for it.
 func (pc partsCatalog) Lookup(name string) (*relation.Relation, error) {
-	return pc.view(name, true, true)
-}
-
-// Certain implements plan.PartsCatalog.
-func (pc partsCatalog) Certain(name string) (*relation.Relation, error) {
-	return pc.view(name, true, false)
-}
-
-// Delta implements plan.PartsCatalog.
-func (pc partsCatalog) Delta(name string) (*relation.Relation, error) {
-	return pc.view(name, false, true)
-}
-
-// view assembles the named table from its certain part and the selected
-// contributions, whichever are asked for. Stored state is batch-backed, so
-// single-source views pass the stored relation through — the scan reads its
-// batch directly, with no per-evaluation re-encode — and multi-source views
-// concatenate the parts' batches into one, in the form colbatch picks for
-// it.
-func (pc partsCatalog) view(name string, withCert, withContrib bool) (*relation.Relation, error) {
 	k := key(name)
 	sch, ok := pc.d.schemas[k]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknown, name)
 	}
-	var cert *relation.Relation
-	if withCert {
-		cert = pc.d.certain[k]
-	}
-	// The first contribution is tracked outside the slice: most views see
-	// zero or one (part evaluations select a single component), and the
-	// fast paths below must not pay a slice allocation to find that out.
+	cert := pc.d.certain[k]
+	// The first contribution is tracked outside the slice: most instances
+	// see zero or one, and the fast paths below must not pay a slice
+	// allocation to find that out.
 	var first *relation.Relation
 	var rest []*relation.Relation
-	if withContrib {
-		for _, ci := range pc.order {
-			if c := pc.d.comps[ci].Alts[pc.sel[ci]].Contrib[k]; c.Len() > 0 {
-				if first == nil {
-					first = c
-				} else {
-					rest = append(rest, c)
-				}
+	for _, ci := range pc.order {
+		if c := pc.d.comps[ci].Alts[pc.sel[ci]].Contrib[k]; c.Len() > 0 {
+			if first == nil {
+				first = c
+			} else {
+				rest = append(rest, c)
 			}
 		}
 	}
-	// Single-source fast paths: share the stored relation itself when its
-	// schema is already the registered one, else a zero-copy reschema of
-	// its batch.
-	// Stored state is immutable and plan scans never mutate their input.
-	if first == nil {
-		switch {
-		case cert != nil && cert.Schema == sch:
-			return cert, nil
-		case cert != nil:
-			return cert.WithSchema(sch), nil
-		case !withCert:
-			return nil, nil // the selection contributes nothing
-		}
+	// Single-source fast paths share the stored relation itself. Stored
+	// state is immutable and plan scans never mutate their input.
+	switch {
+	case first == nil && cert == nil:
 		return relation.New(sch), nil
-	}
-	if cert.Len() == 0 && len(rest) == 0 {
-		if first.Schema == sch {
-			return first, nil
-		}
-		return first.WithSchema(sch), nil
+	case first == nil:
+		return under(cert, sch), nil
+	case cert.Len() == 0 && len(rest) == 0:
+		return under(first, sch), nil
 	}
 	combined := colbatch.New(sch)
 	if cert.Len() > 0 {
@@ -158,96 +131,259 @@ func (pc partsCatalog) view(name string, withCert, withContrib bool) (*relation.
 	return relation.FromBatch(combined), nil
 }
 
-var _ plan.PartsCatalog = partsCatalog{}
+// under returns the stored relation rel under the registered schema sch:
+// itself when its schema is sch already, else a zero-copy reschema of its
+// batch.
+func under(rel *relation.Relation, sch *schema.Schema) *relation.Relation {
+	if rel.Schema == sch {
+		return rel
+	}
+	return rel.WithSchema(sch)
+}
 
-// partQuery evaluates one query against a part catalog: over the certain
-// parts alone when delta is unset (Q(cert)), else as the delta ΔQ of the
-// catalog's selection.
+// deltaCatalog is the plan.PartsCatalog of a statement's two evaluations
+// over the listed components: the certain parts, and every listed
+// alternative's contribution tagged with the alternative's flat index
+// (first[i] + a for alternative a of comps[i]).
+type deltaCatalog struct {
+	d      *WSD
+	comps  []int
+	first  []int
+	tagged *int // rows handed out by Delta
+}
+
+// Certain implements plan.PartsCatalog: the instance of the world that
+// selects nothing.
+func (dc deltaCatalog) Certain(name string) (*relation.Relation, error) {
+	return partsCatalog{d: dc.d}.Lookup(name)
+}
+
+// Delta implements plan.PartsCatalog: the listed alternatives'
+// contributions, concatenated in tag order, with the tag column after them.
+func (dc deltaCatalog) Delta(name string) (*relation.Relation, error) {
+	k := key(name)
+	sch, ok := dc.d.schemas[k]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknown, name)
+	}
+	var out *colbatch.Batch
+	var tags []int64
+	for i, ci := range dc.comps {
+		for a := range dc.d.comps[ci].Alts {
+			c := dc.d.comps[ci].Alts[a].Contrib[k]
+			if c.Len() == 0 {
+				continue
+			}
+			if out == nil {
+				out = colbatch.New(sch)
+			}
+			out.AppendBatch(c.Batch())
+			for range c.Len() {
+				tags = append(tags, int64(dc.first[i]+a))
+			}
+		}
+	}
+	if out == nil {
+		return nil, nil
+	}
+	*dc.tagged += len(tags)
+	return relation.FromBatch(out.Extend(plan.Tagged(sch), colbatch.Col{Kind: value.KindInt, Ints: tags})), nil
+}
+
+var _ plan.PartsCatalog = deltaCatalog{}
+
+// partQuery evaluates one query against a statement's part catalog: over
+// the certain parts alone when delta is unset (Q(cert)), else as the tagged
+// delta of the catalog's alternatives.
 type partQuery func(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error)
+
+// rowRange is rows [lo, hi) of a batch: a part, cut from an evaluation's
+// answer without a copy. The zero value is the empty part.
+type rowRange struct {
+	b      *colbatch.Batch
+	lo, hi int
+}
+
+// whole is the range of all of b's rows.
+func whole(b *colbatch.Batch) rowRange { return rowRange{b: b, hi: b.Len()} }
+
+// Len returns the number of rows in the range.
+func (r rowRange) Len() int { return r.hi - r.lo }
+
+// batch returns the rows as a batch: b itself when they are all of its rows,
+// else a zero-copy view; nil when there are none.
+func (r rowRange) batch() *colbatch.Batch {
+	switch {
+	case r.lo == 0 && r.hi == r.b.Len():
+		return r.b
+	case r.Len() == 0:
+		return nil
+	}
+	return r.b.Slice(r.lo, r.hi)
+}
 
 // componentParts is the componentwise evaluation of one query. Answers are
 // batches, in the form colbatch picked for each.
 type componentParts struct {
-	comps []*Component    // the evaluated components, in index order
+	idx   []int           // the evaluated components' indexes, ascending
+	comps []*Component    // the evaluated components
 	base  *colbatch.Batch // the certain-only answer Q(cert)
-	// deltas[i][a] is ΔQ(comps[i], a): what alternative a adds to base.
-	deltas [][]*colbatch.Batch
+	first []int           // first[i]: the flat index of (comps[i], 0)
+	// parts[first[i]+a] is the part of (comps[i], a) — on the merge-free
+	// routes ΔQ(comps[i], a), what alternative a adds to base: a range of the
+	// tagged answer, empty when it adds nothing.
+	parts []rowRange
 }
 
-// queryByComponent evaluates query over the certain part once and as a delta
-// per alternative of each listed component — 1 + Σ sizes evaluations, in
-// component and alternative order, reading O(|cert| + Σ|contributions|)
-// rows, no merge, no mutation of the decomposition. The interrupt hook is
-// polled before each evaluation. sp, the route's span if any, is told what
-// was evaluated.
+// newComponentParts lays out the parts of the listed components, all empty.
+func (d *WSD) newComponentParts(compIdx []int, base *colbatch.Batch) *componentParts {
+	p := &componentParts{idx: compIdx, comps: make([]*Component, len(compIdx)), base: base, first: make([]int, len(compIdx))}
+	n := 0
+	for i, ci := range compIdx {
+		p.comps[i], p.first[i] = d.comps[ci], n
+		n += len(d.comps[ci].Alts)
+	}
+	p.parts = make([]rowRange, n)
+	return p
+}
+
+// part returns the part of (comps[i], alternative a).
+func (p *componentParts) part(i, a int) rowRange { return p.parts[p.first[i]+a] }
+
+// queryByComponent evaluates query twice over the listed components: over
+// the certain part, and as the tagged delta of all their alternatives, which
+// a stable partition on the tag splits into the parts — reading
+// O(|cert| + Σ|contributions|) rows, no merge, no mutation of the
+// decomposition. The interrupt hook is polled by the evaluations' drains.
+// sp, the route's span if any, is told what was evaluated.
 func (d *WSD) queryByComponent(compIdx []int, query partQuery, sp *obs.Span) (*componentParts, error) {
-	out := &componentParts{comps: make([]*Component, len(compIdx)), deltas: make([][]*colbatch.Batch, len(compIdx))}
-	eval := func(sel map[int]int) (*colbatch.Batch, error) {
+	p := d.newComponentParts(compIdx, nil)
+	tagged := 0
+	cat := deltaCatalog{d: d, comps: compIdx, first: p.first, tagged: &tagged}
+	var err error
+	if p.base, err = query(cat, false); err != nil {
+		return nil, err
+	}
+	delta, err := query(cat, true)
+	if err != nil {
+		return nil, err
+	}
+	p.split(delta, p.base.Schema)
+	if sp != nil {
+		sp.Set("base_rows", p.base.Len())
+		sp.Set("delta_rows", delta.Len())
+		sp.Set("evaluations", 2)
+		sp.Set("tagged_rows", tagged)
+	}
+	return p, nil
+}
+
+// split cuts the tagged delta into the parts: a stable counting sort on the
+// tag (no gather when the rows are in tag order already, as the rules keep
+// them under scans, filters and certain-side joins), the tag dropped, and
+// each alternative's part the range of its rows.
+func (p *componentParts) split(delta *colbatch.Batch, sch *schema.Schema) {
+	n := delta.Len()
+	if n == 0 {
+		return
+	}
+	w := sch.Len()
+	col := delta.Col(w)
+	tags := make([]int, n)
+	start := make([]int, len(p.parts)+1)
+	sorted := true
+	for r := range tags {
+		t := int(col.Value(r).AsInt())
+		tags[r] = t
+		start[t+1]++
+		sorted = sorted && (r == 0 || tags[r-1] <= t)
+	}
+	for t := range p.parts {
+		start[t+1] += start[t]
+	}
+	answer := delta.Project(columnRange(w), sch)
+	if !sorted {
+		sel := make([]int32, n)
+		at := append([]int(nil), start[:len(p.parts)]...)
+		for r, t := range tags {
+			sel[at[t]] = int32(r)
+			at[t]++
+		}
+		answer = answer.Gather(sel)
+	}
+	for t := range p.parts {
+		if start[t] < start[t+1] {
+			p.parts[t] = rowRange{b: answer, lo: start[t], hi: start[t+1]}
+		}
+	}
+}
+
+// columnRange returns the column indexes 0..n-1.
+func columnRange(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// mergedParts evaluates query's full answer in each alternative of the
+// merged component mi, in alternative order, as that alternative's part
+// beside an empty certain slot: over one merged component a world's answer
+// is a part of its own, Q(world a) = ∅ ∪ Q(cert ∪ contrib_a), which no
+// delta of a non-decomposable plan gives. The interrupt hook is polled
+// before each evaluation.
+func (d *WSD) mergedParts(mi int, ev evaluator) (*componentParts, error) {
+	p := d.newComponentParts([]int{mi}, colbatch.New(ev.prep.Schema()))
+	for a := range p.parts {
 		if err := d.interrupted(); err != nil {
 			return nil, err
 		}
-		return query(newPartsCatalog(d, sel), sel != nil)
-	}
-	var err error
-	if out.base, err = eval(nil); err != nil {
-		return nil, err
-	}
-	for i, ci := range compIdx {
-		out.comps[i] = d.comps[ci]
-		out.deltas[i] = make([]*colbatch.Batch, len(d.comps[ci].Alts))
-		for a := range out.deltas[i] {
-			if out.deltas[i][a], err = eval(map[int]int{ci: a}); err != nil {
-				return nil, err
-			}
+		answer, err := ev.batch(newPartsCatalog(d, map[int]int{mi: a}))
+		if err != nil {
+			return nil, err
 		}
+		p.parts[a] = whole(answer)
 	}
-	if sp != nil {
-		evaluations, rows := 1, 0
-		for _, alts := range out.deltas {
-			for _, delta := range alts {
-				evaluations++
-				rows += delta.Len()
-			}
-		}
-		sp.Set("base_rows", out.base.Len())
-		sp.Set("delta_rows", rows)
-		sp.Set("evaluations", evaluations)
-	}
-	return out, nil
+	return p, nil
 }
 
-// materializeByComponent stores the answer of a concat-structured
+// materializeByComponent stores the evaluated parts of a concat-structured
 // decomposable query as relation dst without merging: the certain-only
-// answer becomes dst's certain part, and the delta of each (component,
-// alternative) that alternative's contribution. Every world's dst instance —
+// answer becomes dst's certain part, and each (component, alternative)'s
+// part that alternative's contribution. Every world's dst instance —
 // certain part followed by contributions in component order — is
 // tuple-for-tuple the naive engine's answer in that world: by the concat
 // structure the analysis certified, or, over one merged component, because
-// each part is the alternative's full answer. The answers are stored as the
-// new relations' batches, zero-copy.
-func (d *WSD) materializeByComponent(dst string, compIdx []int, query partQuery) error {
-	p, err := d.queryByComponent(compIdx, query, nil)
-	if err != nil {
-		return err
-	}
+// each part is the alternative's full answer. The certain part is stored as
+// the answer's batch, zero-copy; each non-empty part through Batch.Pick, in
+// the form its own row count gives it, so a one-row alternative is one
+// tuple whatever the answer it was cut from.
+func (d *WSD) materializeByComponent(dst string, p *componentParts) error {
 	if err := d.registerUncertain(dst, p.base.Schema); err != nil {
 		return err
 	}
 	k := key(dst)
-	stored := func(b *colbatch.Batch) *relation.Relation {
-		view := b.Slice(0, b.Len()) // capacity-clamped: appends never reach b
-		view.Schema = d.schemas[k]
-		return relation.FromBatch(view)
-	}
+	sch := d.schemas[k]
 	if p.base.Len() > 0 {
-		d.certain[k] = stored(p.base)
+		view := p.base.Slice(0, p.base.Len()) // capacity-clamped: appends never reach base
+		view.Schema = sch
+		d.certain[k] = relation.FromBatch(view)
 	}
-	for i, ci := range compIdx {
+	var sel []int32 // 0, 1, 2, …
+	for i, ci := range p.idx {
 		c := d.own(ci)
-		for a, delta := range p.deltas[i] {
-			if delta.Len() > 0 {
-				c.Alts[a].Contrib[k] = stored(delta)
+		for a := range c.Alts {
+			part := p.part(i, a)
+			if part.Len() == 0 {
+				continue
 			}
+			for len(sel) < part.hi {
+				sel = append(sel, int32(len(sel)))
+			}
+			stored := part.b.Pick(sel[part.lo:part.hi])
+			stored.Schema = sch
+			c.Alts[a].Contrib[k] = relation.FromBatch(stored)
 		}
 	}
 	return nil

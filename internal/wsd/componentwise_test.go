@@ -114,9 +114,11 @@ func selectMerged(t *testing.T, d *WSD, sql string) *relation.Relation {
 
 // selectExplained is selectClosure plus the check that EXPLAIN names the
 // route that runs: the first word of EXPLAIN's route line must be the route
-// attribute the trace of the actual execution ends up with.
+// attribute the trace of the actual execution ends up with. A decomposable
+// core's parts are checked against the per-alternative oracle first.
 func selectExplained(t *testing.T, d *WSD, core *sqlparse.SelectStmt, cl closure) (*relation.Relation, error) {
 	t.Helper()
+	checkTaggedParts(t, "select", d, core)
 	var text strings.Builder
 	if err := d.explainQuery(&text, shape{core: core, cl: cl}); err != nil {
 		t.Fatalf("explain %q: %v", core, err)
@@ -145,7 +147,11 @@ func createTableMerged(t *testing.T, d *WSD, dst string, core *sqlparse.SelectSt
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.materializeByComponent(dst, []int{mi}, ev.full); err != nil {
+	parts, err := d.mergedParts(mi, ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.materializeByComponent(dst, parts); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -632,13 +638,15 @@ func TestAssertInterruptInsideIterators(t *testing.T) {
 	}
 }
 
-// TestInterruptPolledBeforeEachPart: the per-alternative evaluations of a
-// componentwise CONF and the per-piece rewrite of an UPDATE poll the hook
-// before each unit, so a hook failing from its k-th poll stops either after
-// at most k+1 polls, with the decomposition as it was: its SchemaFingerprint
-// and stored representation and, over 10 components, its Expand multiset.
-// Over 1000 components the decomposition is far past any expansion.
-func TestInterruptPolledBeforeEachPart(t *testing.T) {
+// TestInterruptPolledPerBatchAndPiece: a componentwise CONF polls the hook
+// from the drains of its two evaluations (once per batch of at most 1 024
+// rows, the tagged delta's included) and from the fold (once per part), and
+// the per-piece rewrite of an UPDATE before each piece, so a hook failing
+// from its k-th poll stops either after at most k+1 polls, with the
+// decomposition as it was: its SchemaFingerprint and stored representation
+// and, over 10 components, its Expand multiset. Over 1000 components the
+// decomposition is far past any expansion.
+func TestInterruptPolledPerBatchAndPiece(t *testing.T) {
 	open := func(n int) *WSD {
 		d := New(true)
 		r := relation.New(schema.New("K", "V"))

@@ -11,8 +11,9 @@ package wsd
 // "c<parentID>=<alt>,…,c<ID>=<alt>" of its activation path. A world's answer
 // is the base rows plus the delta rows whose conditions its alternative
 // selection satisfies, in the listed order. The evaluations are the closures'
-// (componentwise.go's queryByComponent over whole trees), flat and nested
-// alike; closures over the same parts are fold.go's.
+// (componentwise.go's queryByComponent over whole trees: certain-only plus
+// one tagged delta), flat and nested alike; closures over the same parts are
+// fold.go's.
 
 import (
 	"fmt"
@@ -63,10 +64,11 @@ func (d *WSD) conditionalRelation(p *componentParts) (*relation.Relation, error)
 		cond.Append(value.Str(""))
 	}
 	for i, c := range p.comps {
-		for a, delta := range p.deltas[i] {
+		for a := range c.Alts {
 			if err := d.interrupted(); err != nil {
 				return nil, err
 			}
+			delta := p.part(i, a).batch()
 			if delta.Len() == 0 {
 				continue
 			}

@@ -16,29 +16,34 @@ import (
 )
 
 // checkDeltaParts asserts the identity queryByComponent's consumers rest on,
-// against the full per-part evaluation it replaced: for every (component,
-// alternative) of sql's root closure, base ∪ Δ equals Q(cert ∪ contribution)
-// as sets, and base ++ Δ equals it row for row when the analysis says Concat.
+// against the full per-part evaluation: for every (component, alternative)
+// of sql's root closure, base ∪ Δ equals Q(cert ∪ contribution) as sets, and
+// base ++ Δ equals it row for row when the analysis says Concat. It also
+// checks the parts against the per-alternative oracle (checkTaggedParts).
 func checkDeltaParts(t *testing.T, label string, d *WSD, sql string) {
 	t.Helper()
-	an, ev := analyzed(t, d, mustCore(t, sql))
+	core := mustCore(t, sql)
+	an, ev := analyzed(t, d, core)
 	if !an.Decomposable {
 		t.Fatalf("%s %q is not decomposable", label, sql)
 	}
+	checkTaggedParts(t, label, d, core)
 	comps := d.rootClosure(an.Comps)
 	p, err := d.queryByComponent(comps, ev.part, nil)
 	if err != nil {
 		t.Fatalf("%s %q: %v", label, sql, err)
 	}
 	for i, ci := range comps {
-		for a, delta := range p.deltas[i] {
+		for a := range p.comps[i].Alts {
 			full, err := ev.batch(newPartsCatalog(d, map[int]int{ci: a}))
 			if err != nil {
 				t.Fatalf("%s %q full part (%d,%d): %v", label, sql, ci, a, err)
 			}
 			sum := colbatch.New(p.base.Schema)
 			sum.AppendBatch(p.base)
-			sum.AppendBatch(delta)
+			if delta := p.part(i, a).batch(); delta != nil {
+				sum.AppendBatch(delta)
+			}
 			got, want := relation.FromBatch(sum), relation.FromBatch(full)
 			if !got.EqualSet(want) {
 				t.Errorf("%s %q part (%d,%d): base ∪ Δ differs from the full evaluation\nbase ++ Δ:\n%sfull:\n%s", label, sql, ci, a, got, want)
@@ -202,22 +207,18 @@ func importedWSD(t *testing.T, rows int) *WSD {
 	return d
 }
 
-// countingCatalog counts the rows of every relation a part catalog hands out,
-// and the tables it hands out in full (Lookup: certain part and contributions
-// together, the one way an evaluation sees a world's instance).
+// countingCatalog counts the rows of every relation a part catalog hands
+// out. A part catalog has no full lookup (certain part and contributions
+// together, the one way an evaluation sees a world's instance), so a delta
+// evaluation cannot be handed a table in full.
 type countingCatalog struct {
 	plan.PartsCatalog
-	rows, full *atomic.Int64
+	rows *atomic.Int64
 }
 
 func (c countingCatalog) count(rel *relation.Relation, err error) (*relation.Relation, error) {
 	c.rows.Add(int64(rel.Len()))
 	return rel, err
-}
-
-func (c countingCatalog) Lookup(name string) (*relation.Relation, error) {
-	c.full.Add(1)
-	return c.count(c.PartsCatalog.Lookup(name))
 }
 
 func (c countingCatalog) Certain(name string) (*relation.Relation, error) {
@@ -252,19 +253,16 @@ func TestCertainPartLookedUpOnce(t *testing.T) {
 		if cert+12 != rows {                           // 4 NULL rows and 4 conflicts of two
 			t.Fatalf("fixture: %d certain rows of %d, want all but 12", cert, rows)
 		}
-		var handed, full atomic.Int64
+		var handed atomic.Int64
 		p, err := d.queryByComponent(an.Comps,
 			func(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error) {
-				return ev.part(countingCatalog{cat, &handed, &full}, delta)
+				return ev.part(countingCatalog{cat, &handed}, delta)
 			}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p.base.Len() == 0 {
 			t.Errorf("%q: the certain-only answer is empty", c.sql)
-		}
-		if got := full.Load(); got != 0 {
-			t.Errorf("%q: %d tables handed out in full, want 0", c.sql, got)
 		}
 		if got, limit := handed.Load(), int64(c.certReads*cert+contrib+24); got > limit {
 			t.Errorf("%q: the catalog handed out %d rows, limit %d = %d·%d certain + %d contributed + 24 (the parent: %d)",
@@ -304,7 +302,7 @@ func TestDeltasShareBuild(t *testing.T) {
 		if len(an.Comps) != 3 {
 			t.Fatalf("fixture: %d components, want 3", len(an.Comps))
 		}
-		var handed, full atomic.Int64
+		var handed atomic.Int64
 		contributed := 0
 		errs := make([]error, len(an.Comps))
 		var wg sync.WaitGroup
@@ -313,7 +311,7 @@ func TestDeltasShareBuild(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, errs[i] = ev.part(countingCatalog{newPartsCatalog(d, map[int]int{ci: 1}), &handed, &full}, true)
+				_, errs[i] = ev.part(countingCatalog{alternativeCatalog{d: d, ci: ci, a: 1}, &handed}, true)
 			}()
 		}
 		wg.Wait()
@@ -326,17 +324,15 @@ func TestDeltasShareBuild(t *testing.T) {
 			t.Errorf("side of %d rows: the catalog handed out %d rows, want %d = the certain side once + %d contributed",
 				sideRows, got, want, contributed)
 		}
-		if got := full.Load(); got != 0 {
-			t.Errorf("side of %d rows: %d tables handed out in full, want 0", sideRows, got)
-		}
 		checkDeltaParts(t, fmt.Sprintf("side of %d rows", sideRows), d, sql)
 	}
 }
 
 // TestClosureEvaluatesNoWorld: POSSIBLE, CERTAIN and CONF on the merge-free
-// routes are answered from Q(cert) and one delta per alternative of the
-// involved trees — exactly 1 + Σ sizes evaluations, none of which is handed
-// the uncertain table in full: no first world, no deviation worlds. Over
+// routes are answered from exactly two evaluations, Q(cert) and one tagged
+// delta of every alternative of the involved trees, neither of which can be
+// handed the uncertain table in full (a part catalog has no full lookup):
+// no first world, no deviation worlds, no evaluation per alternative. Over
 // Figure 2's flat repair and over a repair chained on it (every alternative
 // carrying a child component).
 func TestClosureEvaluatesNoWorld(t *testing.T) {
@@ -358,15 +354,21 @@ func TestClosureEvaluatesNoWorld(t *testing.T) {
 		for _, ci := range c.d.rootClosure(an.Comps) {
 			sizes += len(c.d.comps[ci].Alts)
 		}
+		if sizes < 4 {
+			t.Fatalf("fixture %s: %d alternatives, want several", c.rel, sizes)
+		}
 		for _, cl := range []closure{closurePossible, closureCertain, closureConf} {
 			dec := c.d.route(core, an, cl, false)
 			if dec.kind != c.kind {
 				t.Fatalf("%s of %s routes %s, want %s", closureName(cl), c.rel, dec.kind, c.kind)
 			}
-			var evals, rows, full atomic.Int64
+			var evals, deltas, rows atomic.Int64
 			rel, err := c.d.runFold(an.Comps, dec, func(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error) {
 				evals.Add(1)
-				return ev.part(countingCatalog{cat, &rows, &full}, delta)
+				if delta {
+					deltas.Add(1)
+				}
+				return ev.part(countingCatalog{cat, &rows}, delta)
 			}, cl)
 			if err != nil {
 				t.Fatal(err)
@@ -374,11 +376,9 @@ func TestClosureEvaluatesNoWorld(t *testing.T) {
 			if cl != closureCertain && rel.Len() != 5 {
 				t.Errorf("%s of %s: %d rows, want 5", closureName(cl), c.rel, rel.Len())
 			}
-			if got := evals.Load(); got != int64(1+sizes) {
-				t.Errorf("%s of %s ran %d evaluations, want 1 + Σ sizes = %d", closureName(cl), c.rel, got, 1+sizes)
-			}
-			if got := full.Load(); got != 0 {
-				t.Errorf("%s of %s was handed a table in full %d times, want 0", closureName(cl), c.rel, got)
+			if got := evals.Load(); got != 2 || deltas.Load() != 1 {
+				t.Errorf("%s of %s ran %d evaluations (%d deltas), want 2: certain-only and one tagged delta of %d alternatives",
+					closureName(cl), c.rel, got, deltas.Load(), sizes)
 			}
 		}
 	}

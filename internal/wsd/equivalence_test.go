@@ -408,6 +408,7 @@ func crosscheckClosures(t *testing.T, trial int, label string, s *core.Session, 
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkTaggedParts(t, fmt.Sprintf("trial %d %s", trial, label), d, qcore)
 		got, err := d.selectClosure(qcore, cl)
 		if err != nil {
 			t.Fatalf("trial %d %s compact %q: %v", trial, label, sql, err)
@@ -613,6 +614,9 @@ func TestGroupWorldsEquivalenceFuzz(t *testing.T) {
 				t.Fatal(err)
 			}
 			qcore.GroupWorlds = nil
+			label := fmt.Sprintf("trial %d %q", trial, q.sql)
+			checkTaggedParts(t, label+" grouping", d, gw)
+			checkTaggedParts(t, label+" main", d, qcore)
 			mergesBefore := d.MergeCount()
 			got, err := d.groupWorldsClosure(gw, qcore, cl)
 			if err != nil {

@@ -9,8 +9,8 @@ package wsd
 // annotates the compiled tree with the components it touches, and route
 // picks the cheapest sound strategy — a single evaluation for
 // world-independent queries, the merge-free componentwise path for
-// decomposable queries (Σ alternatives evaluations, the decomposition
-// untouched), or a bounded partial expansion merging exactly the involved
+// decomposable queries (certain-only plus one tagged delta, the
+// decomposition untouched), or a bounded partial expansion merging exactly the involved
 // components. The compact representation still cannot run every I-SQL
 // statement; the supported subset and what each form costs:
 //
@@ -79,8 +79,8 @@ package wsd
 //     (deterministic)
 //   - SELECT … GROUP WORLDS BY (q)               — groups from a
 //     per-component frontier fold over q's answer fingerprints
-//     (Σ alternatives evaluations) when q's plan decomposes and touches
-//     no component of the main query; a bounded residual merge of the
+//     (certain-only plus one tagged delta) when q's plan decomposes and
+//     touches no component of the main query; a bounded residual merge of the
 //     involved components only when the grouped query genuinely spans
 //     components
 //   - UPDATE t SET … [WHERE …] / DELETE FROM t [WHERE …] — certain

@@ -77,8 +77,9 @@ type closureFold struct {
 	// comps are the folded components: whole trees, parents before children
 	// (a group of a merged component's alternatives is a transient flat one).
 	comps []*Component
-	// part returns the part of (comps[i], alternative a); nil holds nothing.
-	part func(i, a int) *colbatch.Batch
+	// part returns the part of (comps[i], alternative a); the empty range
+	// holds nothing.
+	part func(i, a int) rowRange
 	// certain holds tuples present in every world beside the parts: a stored
 	// relation's certain part, the certain-only answer Q(cert) on the SELECT
 	// routes (whose parts are the deltas beyond it).
@@ -99,7 +100,7 @@ type closureFold struct {
 	buf     []byte
 }
 
-func (d *WSD) newClosureFold(comps []*Component, part func(i, a int) *colbatch.Batch, certain *colbatch.Batch, only []byte) *closureFold {
+func (d *WSD) newClosureFold(comps []*Component, part func(i, a int) rowRange, certain *colbatch.Batch, only []byte) *closureFold {
 	f := &closureFold{d: d, comps: comps, part: part, certain: certain, only: only,
 		ids: map[string]int32{}, rows: map[*colbatch.Batch][]int32{}}
 	if only != nil {
@@ -128,26 +129,32 @@ func (f *closureFold) tuple(id int32) *foldTuple {
 	return &f.tuples[id]
 }
 
-// rowIDs returns the tuple id of every row of b; with remember set the ids
-// are kept for the emission to reuse, else they live until the next call.
-func (f *closureFold) rowIDs(b *colbatch.Batch, remember bool) []int32 {
-	if ids, ok := f.rows[b]; ok {
-		return ids
+// rowIDs returns the tuple id of every row of r. With remember set the ids of
+// all of r's batch are computed — one pass over an answer that several parts
+// are cut from — and kept for the other parts and the emission to reuse;
+// else r's own live until the next call.
+func (f *closureFold) rowIDs(r rowRange, remember bool) []int32 {
+	if r.Len() == 0 {
+		return nil
 	}
-	ids := f.scratch[:0]
+	if ids, ok := f.rows[r.b]; ok {
+		return ids[r.lo:r.hi]
+	}
+	lo, hi, ids := r.lo, r.hi, f.scratch[:0]
 	if remember {
-		ids = make([]int32, 0, b.Len())
+		lo, hi = 0, r.b.Len()
+		ids = make([]int32, 0, hi)
 	}
-	for r, n := 0, b.Len(); r < n; r++ {
-		f.buf = b.AppendKey(f.buf[:0], r)
+	for i := lo; i < hi; i++ {
+		f.buf = r.b.AppendKey(f.buf[:0], i)
 		ids = append(ids, f.intern(f.buf))
 	}
-	if remember {
-		f.rows[b] = ids
-	} else {
+	if !remember {
 		f.scratch = ids
+		return ids
 	}
-	return ids
+	f.rows[r.b] = ids
+	return ids[r.lo:r.hi]
 }
 
 // touch returns tuple id's state with the node scratch opened for the node
@@ -198,16 +205,16 @@ func (f *closureFold) weighNode(i int) (span, error) {
 		}
 		f.tick++
 		tok, pa := f.tick, alts[a].Prob
-		switch b := f.part(i, a); {
-		case b == nil:
+		switch part := f.part(i, a); {
+		case part.Len() == 0:
 		case f.only != nil:
-			for r, n := 0, b.Len(); r < n; r++ {
-				if f.buf = b.AppendKey(f.buf[:0], r); string(f.buf) == string(f.only) {
+			for r := part.lo; r < part.hi; r++ {
+				if f.buf = part.b.AppendKey(f.buf[:0], r); string(f.buf) == string(f.only) {
 					f.hold(0, stamp, tok, pa)
 				}
 			}
 		default:
-			for _, id := range f.rowIDs(b, true) {
+			for _, id := range f.rowIDs(part, true) {
 				f.hold(id, stamp, tok, pa)
 			}
 		}
@@ -264,7 +271,7 @@ func (f *closureFold) weigh() error {
 		}
 	}
 	if f.certain != nil {
-		for _, id := range f.rowIDs(f.certain, true) {
+		for _, id := range f.rowIDs(whole(f.certain), true) {
 			t := f.tuple(id)
 			t.miss, t.last, t.always = 0, 1, true
 		}
@@ -317,7 +324,7 @@ func (f *closureFold) pointConf() (float64, error) {
 // the distinct tuples of the certain slot and then the parts, components and
 // alternatives ascending, in first-appearance order — all of them for
 // POSSIBLE and CONF, the always-contributed ones for CERTAIN. The interrupt
-// hook is polled once per emitted batch.
+// hook is polled once per emitted part.
 func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation, error) {
 	if cl != closurePossible {
 		if err := f.weigh(); err != nil {
@@ -340,15 +347,15 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 	emitted := make([]bool, len(f.ids), room)
 	var sel []int32
 	var confs []float64
-	emit := func(b *colbatch.Batch) error {
-		if b.Len() == 0 {
+	emit := func(part rowRange) error {
+		if part.Len() == 0 {
 			return nil
 		}
 		if err := f.d.interrupted(); err != nil {
 			return err
 		}
 		sel = sel[:0]
-		for r, id := range f.rowIDs(b, false) {
+		for r, id := range f.rowIDs(part, false) {
 			if int(id) == len(emitted) { // first seen by the emission: ids are dense
 				emitted = append(emitted, false)
 			}
@@ -359,19 +366,19 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 			if cl == closureCertain && !f.tuple(id).always {
 				continue
 			}
-			sel = append(sel, int32(r))
+			sel = append(sel, int32(part.lo+r))
 			if cl.isConf() {
 				confs = append(confs, f.conf(f.tuple(id)))
 			}
 		}
-		if len(sel) == b.Len() {
-			out.AppendBatch(b) // sel is ascending by construction
+		if len(sel) == part.b.Len() {
+			out.AppendBatch(part.b) // sel is ascending by construction
 		} else {
-			out.AppendGather(b, sel)
+			out.AppendGather(part.b, sel)
 		}
 		return nil
 	}
-	if err := emit(f.certain); err != nil {
+	if err := emit(whole(f.certain)); err != nil {
 		return nil, err
 	}
 	for i, c := range f.comps {
@@ -390,6 +397,5 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 // closeParts closes a query's evaluated parts under cl: its certain-only
 // answer in the certain slot, its per-alternative parts as the parts.
 func (d *WSD) closeParts(p *componentParts, cl closure) (*relation.Relation, error) {
-	part := func(i, a int) *colbatch.Batch { return p.deltas[i][a] }
-	return d.newClosureFold(p.comps, part, p.base, nil).close(cl, p.base.Schema)
+	return d.newClosureFold(p.comps, p.part, p.base, nil).close(cl, p.base.Schema)
 }

@@ -13,7 +13,7 @@ package wsd
 //
 // Relation fingerprints hash the deduplicated sorted tuple-key set, so a
 // world's group key is computable from per-component answer key sets —
-// Σ component sizes delta evaluations, never the product. The groups
+// one tagged delta evaluation, never the product. The groups
 // themselves come from a frontier fold: starting from the certain-only
 // answer, each involved component in turn unions every frontier set with
 // each of its alternatives' delta key sets, summing probabilities when two
@@ -208,8 +208,8 @@ func canonOf(keys []string) string {
 
 // groupsByComponent computes the world groups of a monotone-decomposable
 // grouping query from the certain-only answer and per-alternative deltas —
-// 1 + Σ component sizes evaluations and a frontier fold, no merge, the
-// decomposition untouched.
+// certain-only plus one tagged delta evaluation and a frontier fold, no
+// merge, the decomposition untouched.
 // Groups are returned in the naive engine's first-appearance order (the
 // frontier enumerates alternative selections lexicographically, earlier
 // components more significant, exactly like the world odometer).
@@ -218,14 +218,14 @@ func (d *WSD) groupsByComponent(compIdx []int, eval partQuery) ([]groupInfo, err
 	if err != nil {
 		return nil, err
 	}
-	partKeys := make([][][]string, len(parts.deltas))
-	for i, alts := range parts.deltas {
-		partKeys[i] = make([][]string, len(alts))
-		for a, b := range alts {
+	partKeys := make([][][]string, len(parts.comps))
+	for i, c := range parts.comps {
+		partKeys[i] = make([][]string, len(c.Alts))
+		for a := range c.Alts {
 			if err := d.interrupted(); err != nil {
 				return nil, err
 			}
-			partKeys[i][a] = sortedBatchKeys(b)
+			partKeys[i][a] = sortedBatchKeys(parts.part(i, a).batch())
 		}
 	}
 
@@ -310,17 +310,16 @@ func (d *WSD) groupMerged(g *grouped, cl closure) (*Component, []groupInfo, []co
 // alternative of the merged component mi and groups the alternatives by
 // answer fingerprint (first-appearance order, matching the world odometer).
 func (d *WSD) groupsFromAlternatives(mi int, gw evaluator) ([]groupInfo, error) {
-	parts, err := d.queryByComponent([]int{mi}, gw.full, nil)
+	parts, err := d.mergedParts(mi, gw)
 	if err != nil {
 		return nil, err
 	}
-	answers := parts.deltas[0]
-	fps := make([]uint64, len(answers))
-	for a, answer := range answers {
+	fps := make([]uint64, len(parts.parts))
+	for a, answer := range parts.parts {
 		if err := d.interrupted(); err != nil {
 			return nil, err
 		}
-		fps[a] = relation.FromBatch(answer).Fingerprint()
+		fps[a] = relation.FromBatch(answer.b).Fingerprint()
 	}
 	var out []groupInfo
 	for _, idxs := range worldset.Group(fps) {
@@ -394,7 +393,7 @@ func scaleConf(rel *relation.Relation, f float64) *relation.Relation {
 // over the group's alternatives as a flat component of their own: CERTAIN
 // within a group means in every alternative of the group.
 func (d *WSD) closeEachGroup(mi int, groups []groupInfo, q evaluator, cl closure) ([]core.GroupRows, error) {
-	parts, err := d.queryByComponent([]int{mi}, q.full, nil)
+	parts, err := d.mergedParts(mi, q)
 	if err != nil {
 		return nil, err
 	}
@@ -405,7 +404,7 @@ func (d *WSD) closeEachGroup(mi int, groups []groupInfo, q evaluator, cl closure
 		for j, a := range g.alts {
 			group.Alts[j] = merged.Alts[a]
 		}
-		part := func(_, j int) *colbatch.Batch { return parts.deltas[0][g.alts[j]] }
+		part := func(_, j int) rowRange { return parts.part(0, g.alts[j]) }
 		rel, err := d.newClosureFold([]*Component{group}, part, parts.base, nil).close(cl, parts.base.Schema)
 		if err != nil {
 			return nil, err

@@ -20,14 +20,14 @@ import (
 // involvedComponents returns the indexes (into d.comps) of the components
 // contributing to any of the given relation names.
 func (d *WSD) involvedComponents(names []string) []int {
-	want := map[string]bool{}
-	for _, n := range names {
-		want[key(n)] = true
+	keys := make([]string, len(names))
+	for i, n := range names {
+		keys[i] = key(n)
 	}
 	var out []int
 	for i, c := range d.comps {
-		for rel := range c.relations() {
-			if want[rel] {
+		for _, k := range keys {
+			if c.contributesTo(k) {
 				out = append(out, i)
 				break
 			}

@@ -133,16 +133,14 @@ func TestMaterializeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	err = d.materializeByComponent("X", []int{mi}, func(plan.PartsCatalog, bool) (*colbatch.Batch, error) {
+	_, err = d.queryByComponent([]int{mi}, func(plan.PartsCatalog, bool) (*colbatch.Batch, error) {
 		return nil, boom
-	})
+	}, nil)
 	if !errors.Is(err, boom) {
-		t.Errorf("materialize error = %v", err)
+		t.Errorf("evaluation error = %v", err)
 	}
 	// Name collision.
-	err = d.materializeByComponent("I", []int{mi}, func(plan.PartsCatalog, bool) (*colbatch.Batch, error) {
-		return colbatch.New(schema.New("X")), nil
-	})
+	err = d.materializeByComponent("I", d.newComponentParts([]int{mi}, colbatch.New(schema.New("X"))))
 	if !errors.Is(err, ErrExists) {
 		t.Errorf("materialize collision = %v", err)
 	}

@@ -46,11 +46,11 @@ func (d *WSD) relationFold(name string, only []byte) (*closureFold, error) {
 	if _, ok := d.schemas[k]; !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknown, name)
 	}
-	part := func(i, a int) *colbatch.Batch {
+	part := func(i, a int) rowRange {
 		if contrib := d.comps[i].Alts[a].Contrib[k]; contrib != nil {
-			return contrib.Batch()
+			return whole(contrib.Batch())
 		}
-		return nil
+		return rowRange{}
 	}
 	var certain *colbatch.Batch
 	if cert := d.certain[k]; only == nil && cert.Len() > 0 {

@@ -24,8 +24,9 @@ type routeKind int
 const (
 	// routeSingle: the answer is the same in every world — one evaluation.
 	routeSingle routeKind = iota
-	// routeComponentwise: the certain-only answer plus per-alternative delta
-	// evaluations over flat components — Σ sizes, no merge (componentwise.go).
+	// routeComponentwise: the certain-only answer plus one tagged delta of
+	// every alternative of flat components — two evaluations, no merge
+	// (componentwise.go).
 	routeComponentwise
 	// routeCondFold: the same evaluations and the same fold over components
 	// arranged in d-trees; it differs in the word it reports.

@@ -124,16 +124,14 @@ func (d *WSD) SchemaFingerprint() uint64 {
 // CollectBatch result, in the form colbatch picked for it; nothing here
 // sets it. A bind cannot fail for want of a table or a column:
 // prepared compiled the template (or, from the cache, validated it) against
-// the very schemas every catalog here serves (schemaCatalog and partsCatalog
-// read d.schemas).
+// the very schemas every catalog here serves (schemaCatalog, partsCatalog
+// and deltaCatalog read d.schemas).
 //
-// part and full are the two partQuery forms (componentwise.go). part is the
-// Σ-alternatives routes': the certain-only answer Q(cert), or the delta ΔQ of
-// a part catalog's selection (deltas, the statement's plan.Deltas) — neither
-// reads a table's full instance. full is the merge route's: over one merged
-// component a world's answer is a part of its own, Q(world a) = ∅ ∪ Q(cert ∪
-// contrib_a), so the certain slot is empty — not evaluated — and every
-// alternative's part is its full answer.
+// part is the Σ-alternatives routes' partQuery (componentwise.go): the
+// certain-only answer Q(cert), or the tagged delta of a delta catalog's
+// alternatives (deltas, the statement's plan.Deltas) — neither reads a
+// table's full instance. The merge route binds batch over each merged
+// alternative's full instance instead (mergedParts).
 type evaluator struct {
 	d      *WSD
 	prep   *plan.Prepared
@@ -158,13 +156,6 @@ func (e evaluator) part(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, err
 		return nil, err
 	}
 	return algebra.CollectBatch(op, core.StatementCtx(e.d.interrupt, e.d.trace))
-}
-
-func (e evaluator) full(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error) {
-	if !delta {
-		return colbatch.New(e.prep.Schema()), nil
-	}
-	return e.batch(cat)
 }
 
 // prepared compiles sel once — through the process-wide shared plan cache,
@@ -280,8 +271,8 @@ func (d *WSD) runSingle(comps []int, ev evaluator, cl closure) (*relation.Relati
 	return d.newClosureFold(nil, nil, res, nil).close(cl, res.Schema)
 }
 
-// evalParts runs the evaluations of the Σ-alternatives routes — Q(cert) and
-// one delta per alternative, over the whole trees comps belong to (a flat
+// evalParts runs the evaluations of the Σ-alternatives routes — certain-only
+// plus one tagged delta, over the whole trees comps belong to (a flat
 // component is a tree of one node) — under the span and the session counter
 // named after dec's route. No merge, and no world is evaluated.
 func (d *WSD) evalParts(comps []int, dec decision, query partQuery) (*componentParts, error) {
@@ -336,13 +327,13 @@ func (d *WSD) runMerge(comps []int, ev evaluator, cl closure) (*relation.Relatio
 	mi, err := d.mergeFitting(comps)
 	var parts *componentParts
 	if err == nil {
-		parts, err = d.queryByComponent([]int{mi}, ev.full, nil)
+		parts, err = d.mergedParts(mi, ev)
 	}
 	if err != nil {
 		msp.End(d.trace)
 		return nil, err
 	}
-	alts := len(parts.deltas[0])
+	alts := len(parts.parts)
 	mergeAlternatives.Observe(float64(alts))
 	msp.Set("alternatives", alts)
 	msp.Set("merge_limit", d.MergeLimit)
@@ -375,7 +366,11 @@ func (d *WSD) createTableAs(dst string, core *sqlparse.SelectStmt) error {
 		}
 		return d.PutCertain(dst, relation.FromBatch(res.WithSchema(res.Schema.Unqualify())))
 	case routeComponentwise:
-		if err := d.materializeByComponent(dst, an.Comps, ev.part); err != nil {
+		parts, err := d.queryByComponent(an.Comps, ev.part, nil)
+		if err != nil {
+			return err
+		}
+		if err := d.materializeByComponent(dst, parts); err != nil {
 			return err
 		}
 		d.componentwise.Add(1)
@@ -387,7 +382,11 @@ func (d *WSD) createTableAs(dst string, core *sqlparse.SelectStmt) error {
 	if err != nil {
 		return err
 	}
-	return d.materializeByComponent(dst, []int{mi}, ev.full)
+	parts, err := d.mergedParts(mi, ev)
+	if err != nil {
+		return err
+	}
+	return d.materializeByComponent(dst, parts)
 }
 
 // splitQuery creates dst by split — repairByKey or choiceOf, over cols and

@@ -40,9 +40,10 @@
 // touches. Queries whose plan distributes over the certain ∪
 // per-component structure — selections, projections, joins against
 // certain relations, unions, subqueries and aggregates over certain data
-// — answer their possible/certain/conf closures component-wise: one
-// evaluation per alternative (Σ component sizes, never the product), no
-// merge, the representation untouched, and the naive engine's answers as
+// — answer their possible/certain/conf closures component-wise: the
+// certain-only answer plus one tagged delta of every alternative (work
+// linear in Σ component sizes, never the product), no merge, the
+// representation untouched, and the naive engine's answers as
 // the sets they are (fold.go defines the listing). The same distribution
 // law drives update queries and world grouping (dml.go, groupworlds.go): UPDATE/DELETE
 // statements whose SET/WHERE expressions read no uncertain data rewrite
@@ -166,15 +167,15 @@ type Component struct {
 	ParentAlt int
 }
 
-// relations returns the lower-case relation names the component touches.
-func (c *Component) relations() map[string]bool {
-	out := map[string]bool{}
+// contributesTo reports whether some alternative of the component lists a
+// contribution to relation k (lower-case).
+func (c *Component) contributesTo(k string) bool {
 	for _, a := range c.Alts {
-		for name := range a.Contrib {
-			out[name] = true
+		if _, ok := a.Contrib[k]; ok {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // WSD is a world-set decomposition.
@@ -567,7 +568,7 @@ func (d *WSD) isCertain(name string) bool {
 		return false
 	}
 	for _, c := range d.comps {
-		if c.relations()[k] {
+		if c.contributesTo(k) {
 			return false
 		}
 	}

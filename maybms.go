@@ -92,9 +92,10 @@
 // components it touches; possible/certain/conf closures over plans that
 // distribute across components — selections, projections, joins against
 // certain relations, unions, subqueries and aggregates over certain data —
-// evaluate component-wise: one evaluation per alternative (the *sum* of
-// component sizes, never their product), no component merge, and the
-// representation left untouched. CREATE TABLE AS over such plans stores
+// evaluate component-wise: certain-only plus one tagged delta — two plan
+// runs whose work is the certain part plus the *sum* of the component
+// sizes, never their product — no component merge, and the representation
+// left untouched. CREATE TABLE AS over such plans stores
 // its answer factorized (certain part plus per-alternative contributions,
 // linear size), and UPDATE/DELETE rewrite the certain part and each
 // alternative's contribution separately. Only plans that genuinely

@@ -44,12 +44,12 @@
 #
 # The imported-read gate holds "the certain part is evaluated once": a CONF
 # over 40 000 imported rows with 24 alternatives of dirt is one certain-only
-# evaluation and 24 one-row deltas (internal/wsd's QueryByComponent) — steady
-# state ~1.0k allocs/op, where one full evaluation per alternative took ~6.5k
-# and anything per certain row takes 40k. Its join (B, L where B.K = L.K) is
-# the same plus a hash join whose certain build side L is hashed once per
-# statement — steady state ~1.1k, where the filtered cross join it replaced
-# took ~127k.
+# evaluation and one tagged delta of the 24 one-row contributions
+# (internal/wsd's queryByComponent), where one full evaluation per
+# alternative took ~6.5k allocs/op and anything per certain row takes 40k.
+# Its join (B, L where B.K = L.K) is the same plus a hash join whose certain
+# build side L is hashed once per statement, where the filtered cross join
+# it replaced took ~127k.
 #
 # The merge-route gate holds a merged component to the machinery of every
 # other component: a CONF whose subquery correlates bench/'s 8 two-value
@@ -84,16 +84,20 @@
 # relation) and a one-row delta probing a shared 100-row build (9 allocs/op:
 # the answer's columns). The ~2x ceilings trip on any per-drain or per-row
 # allocation added to a row-form drain. BenchmarkClosureComponents
-# closes a 1000-component decomposition (1000 one-row deltas per statement);
-# its possible and conf ceilings are ~1.2x the steady states the two
-# operator sets had before they became one (33 150 and 39 210 allocs/op),
-# so the per-delta cost cannot drift back past them.
+# closes a 1000-component decomposition: two plan runs per statement, the
+# certain-only answer and one tagged delta of all 2000 one-row
+# contributions, which the fold reads as row ranges of that one answer.
+# Steady state 2 274 (possible) and 2 313 (conf) allocs/op, where one delta
+# evaluation per alternative took 29 137 and 31 204; the ~1.2x ceilings trip
+# on anything per alternative, and the conf/groups=16000 ceiling (steady
+# state 32 771, 496 721 with an evaluation per alternative) on anything that
+# grows faster than the representation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="$(go test ./internal/algebra/ -bench '^(BenchmarkBatchScan|BenchmarkStoredBatchScan|BenchmarkBatchFilter|BenchmarkHashJoinBatch|BenchmarkFigurePipeline)$' \
     -benchmem -benchtime 50x -run '^$' | tee /dev/stderr)
-$(go test . -bench '^BenchmarkClosureComponents$/^(possible|conf)$/^groups=1000$' \
+$(go test . -bench '^BenchmarkClosureComponents$/^(possible|conf)$/^groups=(1000|16000)$' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
 $(go test ./internal/relation/ -bench '^BenchmarkImport(Certain|RepairKey|Choice)$' \
     -benchmem -benchtime 1x -run '^$' | tee /dev/stderr)
@@ -129,8 +133,9 @@ check BenchmarkBatchFilter 200
 check BenchmarkHashJoinBatch 400
 check 'BenchmarkFigurePipeline/scan-filter-project' 14
 check 'BenchmarkFigurePipeline/delta-probe' 18
-check 'BenchmarkClosureComponents/possible/groups=1000' 39800
-check 'BenchmarkClosureComponents/conf/groups=1000' 47000
+check 'BenchmarkClosureComponents/possible/groups=1000' 2750
+check 'BenchmarkClosureComponents/conf/groups=1000' 2800
+check 'BenchmarkClosureComponents/conf/groups=16000' 40000
 check BenchmarkImportCertain 1500000
 check BenchmarkImportRepairKey 3500000
 check BenchmarkImportChoice 1700000
