@@ -2,6 +2,7 @@ package maybms
 
 import (
 	"errors"
+	"fmt"
 	"regexp"
 	"strconv"
 	"strings"
@@ -555,5 +556,76 @@ func TestExecTraced(t *testing.T) {
 	}
 	if got := tr2.JSON(); len(got.Spans) == 0 || got.Exec.Rows != 2 {
 		t.Errorf("naive trace spans=%d rows=%d, want >0 and 2", len(got.Spans), got.Exec.Rows)
+	}
+}
+
+// TestTraceCountsSharedSubplans: a traced statement reports what its binds
+// shared. Over the 2^9 worlds of a repair, the naive engine runs the
+// uncorrelated sum once per world (subquery_evals=512), not once per row of
+// I, and hashes the certain D — extended by an INSERT after the split —
+// once for every world's join (shared_builds=1);
+// the compact engine's merge route runs the sum once per merged alternative,
+// and its certain-only evaluation and tagged delta probe one table of D.
+// EXPLAIN ANALYZE prints the attributes; a statement with nothing to share
+// reports neither.
+func TestTraceCountsSharedSubplans(t *testing.T) {
+	type engine interface {
+		MustExec(sql string) *Result
+		ExecTraced(sql string) (*Result, *Trace, error)
+	}
+	load := func(db engine) engine {
+		var src, dim []string
+		for k := 0; k < 9; k++ {
+			src = append(src, fmt.Sprintf("(%d, %d, 1), (%d, %d, 1)", k, k, k, 60+k))
+		}
+		for k := 0; k < 200; k++ {
+			dim = append(dim, fmt.Sprintf("(%d, 'l%d', %d)", k, k%7, k%100))
+		}
+		db.MustExec("create table Src (K, V, W)")
+		db.MustExec("insert into Src values " + strings.Join(src, ", "))
+		db.MustExec("create table D (K, Label, X)")
+		db.MustExec("insert into D values " + strings.Join(dim, ", "))
+		db.MustExec("create table I as select K, V from Src repair by key K weight W")
+		// Inserted into every world after the split: worlds that shared D
+		// share its extension.
+		db.MustExec("insert into D values (200, 'l0', 1)")
+		return db
+	}
+	const (
+		sum  = "select conf from I where 300 > (select sum(V) from I)"
+		join = "select possible I.K, Label from I, D where I.K = D.K and V > 50 and X < 55"
+		none = "select possible K from I where V > 50"
+	)
+	for _, c := range []struct {
+		db                  engine
+		sql                 string
+		evals, builds, name string
+	}{
+		{load(Open()), sum, "512", "", "naive"},
+		{load(Open()), join, "", "1", "naive"},
+		{load(Open()), none, "", "", "naive"},
+		{load(OpenCompact()), sum, "512", "", "compact"},
+		{load(OpenCompact()), join, "", "1", "compact"},
+		{load(OpenCompact()), none, "", "", "compact"},
+	} {
+		_, tr, err := c.db.ExecTraced(c.sql)
+		if err != nil {
+			t.Fatalf("%s %q: %v", c.name, c.sql, err)
+		}
+		got := map[string]string{}
+		for _, a := range tr.JSON().Attrs {
+			got[a.Key] = a.Value
+		}
+		if got["subquery_evals"] != c.evals || got["shared_builds"] != c.builds {
+			t.Errorf("%s %q: subquery_evals=%q shared_builds=%q, want %q and %q",
+				c.name, c.sql, got["subquery_evals"], got["shared_builds"], c.evals, c.builds)
+		}
+		analyzed := c.db.MustExec("EXPLAIN ANALYZE " + c.sql).Msg
+		for key, want := range map[string]string{"subquery_evals": c.evals, "shared_builds": c.builds} {
+			if printed := strings.Contains(analyzed, key+"="); printed != (want != "") ||
+				want != "" && !strings.Contains(analyzed, key+"="+want+"\n") {
+				t.Errorf("%s EXPLAIN ANALYZE %q: want %s=%q printed iff set:\n%s", c.name, c.sql, key, want, analyzed)
+			}
+		}
 	}
 }

@@ -67,12 +67,16 @@ func TestInterruptAbortsSingleWorldEval(t *testing.T) {
 // TestInterruptAbortsSubqueryEval: the hook is discovered through the
 // context chain, so scans inside subqueries poll it too — in a SELECT and in
 // the row rewrite of an UPDATE or DELETE, which then leave the table as it
-// was.
+// was. The correlated subqueries (matching no row) run once per row of B;
+// the uncorrelated self cross join runs once for the statement, and that
+// one evaluation is interrupted from inside.
 func TestInterruptAbortsSubqueryEval(t *testing.T) {
 	for _, sql := range []string{
 		"select count(*) from B b1 where exists (select * from B b2 where b2.X = b1.X + 3000)",
-		"update B set X = 1 where exists (select * from B b2 where b2.X = -1)",
-		"delete from B where exists (select * from B b2 where b2.X = -1)",
+		"update B set X = 1 where exists (select * from B b2 where b2.X = B.X - 100000)",
+		"delete from B where exists (select * from B b2 where b2.X = B.X - 100000)",
+		"update B set X = 1 where exists (select * from B b2, B b3 where b2.X + b3.X < 0)",
+		"delete from B where exists (select * from B b2, B b3 where b2.X + b3.X < 0)",
 	} {
 		s := NewSession(true)
 		if err := s.Register("B", bigRelation(2000)); err != nil {

@@ -41,7 +41,7 @@ func cacheKey(prefix, text string, rep *world.World) string {
 // preparedFull returns a compile-once template for the plain-SQL core stmt.
 func (s *Session) preparedFull(stmt *sqlparse.SelectStmt, rep *world.World) (*plan.Prepared, error) {
 	return plan.Cached(s.plans, s.trace, &s.lookups, cacheKey("q", stmt.String(), rep),
-		func(p *plan.Prepared) error { _, err := p.Bind(rep); return err },
+		func(p *plan.Prepared) error { _, err := p.Bind(rep, nil); return err },
 		func() (*plan.Prepared, error) { return plan.Prepare(stmt, rep) })
 }
 
@@ -49,7 +49,7 @@ func (s *Session) preparedFull(stmt *sqlparse.SelectStmt, rep *world.World) (*pl
 // world-splitting statement.
 func (s *Session) preparedFromWhere(stmt *sqlparse.SelectStmt, rep *world.World) (*plan.PreparedFromWhere, error) {
 	return plan.Cached(s.plans, s.trace, &s.lookups, cacheKey("fw", stmt.String(), rep),
-		func(p *plan.PreparedFromWhere) error { _, err := p.Bind(rep); return err },
+		func(p *plan.PreparedFromWhere) error { _, err := p.Bind(rep, nil); return err },
 		func() (*plan.PreparedFromWhere, error) { return plan.PrepareFromWhere(stmt, rep) })
 }
 
@@ -58,14 +58,17 @@ func (s *Session) preparedFromWhere(stmt *sqlparse.SelectStmt, rep *world.World)
 // changed FROM/WHERE shape recompiles.
 func (s *Session) preparedOnRelation(stmt *sqlparse.SelectStmt, in *plan.PreparedFromWhere, rep *world.World) (*plan.PreparedOnRelation, error) {
 	return plan.Cached(s.plans, s.trace, &s.lookups, cacheKey("or", stmt.String()+"\x00"+in.Schema().String(), rep),
-		func(p *plan.PreparedOnRelation) error { _, err := p.Bind(relation.New(in.Schema()), rep); return err },
+		func(p *plan.PreparedOnRelation) error {
+			_, err := p.Bind(relation.New(in.Schema()), rep, nil)
+			return err
+		},
 		func() (*plan.PreparedOnRelation, error) { return plan.PrepareOnRelation(stmt, in.Schema(), rep) })
 }
 
 // preparedPredicate is preparedFull for an ASSERT condition.
 func (s *Session) preparedPredicate(e sqlparse.Expr, rep *world.World) (*plan.PreparedPredicate, error) {
 	return plan.Cached(s.plans, s.trace, &s.lookups, cacheKey("a", e.String(), rep),
-		func(p *plan.PreparedPredicate) error { _, err := p.Bind(rep); return err },
+		func(p *plan.PreparedPredicate) error { _, err := p.Bind(rep, nil, nil); return err },
 		func() (*plan.PreparedPredicate, error) { return plan.PreparePredicate(e, rep) })
 }
 
@@ -122,24 +125,28 @@ func isqlCore(st *sqlparse.SelectStmt, weighted bool) (core *sqlparse.SelectStmt
 //
 // The statement compiles once against the first world and binds each
 // world's relations into the compiled plan (internal/plan's Prepare/Bind).
-// Every per-world pass is a loop in world order that polls the interrupt
-// hook before each world.
+// Every bind takes the statement's one memo, so what does not change from
+// world to world — an uncorrelated subquery over relations the worlds
+// share, a build side over a certain table — is evaluated once. Every
+// per-world pass is a loop in world order that polls the interrupt hook
+// before each world.
 func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 	weighted := s.set.Weighted
 	core, hasConf, err := isqlCore(st, weighted)
 	if err != nil {
 		return nil, err
 	}
+	var memo plan.Memo
 
 	// ---- per-world evaluation, with world splitting ----
 	var worlds []*world.World
 	var results []*relation.Relation
 	esp := s.trace.Begin("eval")
 	if st.Repair != nil || st.Choice != nil {
-		worlds, results, err = s.evalSplit(st, core)
+		worlds, results, err = s.evalSplit(st, core, &memo)
 	} else {
 		worlds = s.set.Worlds
-		results, err = s.collectEach(core, worlds)
+		results, err = s.collectEach(core, worlds, &memo)
 	}
 	if err != nil {
 		esp.End(s.trace)
@@ -157,11 +164,12 @@ func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 		}
 		var keptWorlds []*world.World
 		var keptResults []*relation.Relation
+		outer := StatementCtx(s.interrupt, s.trace)
 		for i, w := range worlds {
 			if err := s.interrupted(); err != nil {
 				return nil, err
 			}
-			pred, err := aPrep.BindInterrupt(w, s.interrupt)
+			pred, err := aPrep.Bind(w, outer, &memo)
 			if err != nil {
 				return nil, err
 			}
@@ -202,7 +210,7 @@ func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 	}
 	var groups [][]int
 	if st.GroupWorlds != nil {
-		answers, err := s.collectEach(st.GroupWorlds, worlds)
+		answers, err := s.collectEach(st.GroupWorlds, worlds, &memo)
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +264,7 @@ func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 // then the rest of the query runs in every child world (phase two). Phase
 // one stops as soon as the pieces so far exceed MaxWorlds, so every split
 // error surfaces before any piece-evaluation error.
-func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt) ([]*world.World, []*relation.Relation, error) {
+func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt, memo *plan.Memo) ([]*world.World, []*relation.Relation, error) {
 	parents := s.set.Worlds
 	fwPrep, err := s.preparedFromWhere(core, parents[0])
 	if err != nil {
@@ -271,7 +279,7 @@ func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt) 
 		if err := s.interrupted(); err != nil {
 			return nil, nil, err
 		}
-		irOp, err := fwPrep.Bind(w)
+		irOp, err := fwPrep.Bind(w, memo)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -311,7 +319,7 @@ func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt) 
 		if err := s.interrupted(); err != nil {
 			return nil, nil, err
 		}
-		op, err := orPrep.Bind(pieces[i].rel, child)
+		op, err := orPrep.Bind(pieces[i].rel, child, memo)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -323,8 +331,9 @@ func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt) 
 }
 
 // collectEach compiles q once against worlds[0] and collects its answer in
-// every world, polling the interrupt hook before each.
-func (s *Session) collectEach(q *sqlparse.SelectStmt, worlds []*world.World) ([]*relation.Relation, error) {
+// every world, binding through the statement's memo and polling the
+// interrupt hook before each.
+func (s *Session) collectEach(q *sqlparse.SelectStmt, worlds []*world.World, memo *plan.Memo) ([]*relation.Relation, error) {
 	prep, err := s.preparedFull(q, worlds[0])
 	if err != nil {
 		return nil, err
@@ -334,7 +343,7 @@ func (s *Session) collectEach(q *sqlparse.SelectStmt, worlds []*world.World) ([]
 		if err := s.interrupted(); err != nil {
 			return nil, err
 		}
-		op, err := prep.Bind(w)
+		op, err := prep.Bind(w, memo)
 		if err != nil {
 			return nil, err
 		}

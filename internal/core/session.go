@@ -264,17 +264,23 @@ func (s *Session) execDrop(st *sqlparse.Drop) (*Result, error) {
 // paper (§2): "In case the tuple insertion violates a constraint in some
 // worlds, then the update is discarded in all worlds." — a violation of the
 // table's primary key in any world fails the statement, and the runner
-// restores the session as it was.
+// restores the session as it was. Worlds that share the table's instance
+// share its extension too, so later statements still see one relation
+// there (and their memo shares what reads it).
 func (s *Session) execInsert(st *sqlparse.Insert) (*Result, error) {
 	rows, err := s.insertRows(st)
 	if err != nil {
 		return nil, err
 	}
 	key := s.keys[strings.ToLower(st.Table)]
+	extended := map[*relation.Relation]*relation.Relation{}
 	err = s.putEach(st.Table, func(w *world.World) (*relation.Relation, error) {
 		cur, err := w.Lookup(st.Table)
 		if err != nil {
 			return nil, err
+		}
+		if next, ok := extended[cur]; ok {
+			return next, nil
 		}
 		next := cur.Clone()
 		for _, t := range rows {
@@ -287,6 +293,7 @@ func (s *Session) execInsert(st *sqlparse.Insert) (*Result, error) {
 				return nil, fmt.Errorf("%w in world %s (statement discarded in all worlds)", err, w.Name)
 			}
 		}
+		extended[cur] = next
 		return next, nil
 	})
 	if err != nil {
@@ -337,7 +344,7 @@ func (s *Session) dmlTemplate(st sqlparse.Statement, table string) (*plan.Prepar
 		return nil, err
 	}
 	return plan.Cached(s.plans, s.trace, &s.lookups, cacheKey("dml", st.String(), w),
-		func(p *plan.PreparedDML) error { _, err := p.Bind(w, nil); return err },
+		func(p *plan.PreparedDML) error { _, err := p.Bind(w, nil, nil); return err },
 		func() (*plan.PreparedDML, error) {
 			if u, ok := st.(*sqlparse.Update); ok {
 				return plan.PrepareUpdateStmt(u, rep.Schema, w)
@@ -348,9 +355,9 @@ func (s *Session) dmlTemplate(st sqlparse.Statement, table string) (*plan.Prepar
 
 // execDML applies an UPDATE or DELETE to table in every world: the
 // statement compiles once (dmlTemplate), and each world binds the template
-// and runs its row rewrite over the relation's batch — the template and
-// rewrite the compact engine runs per piece. A world where no row matches
-// keeps its relation. With key set (an UPDATE of a table with a declared
+// through the statement's memo and runs its row rewrite over the
+// relation's batch — the template and rewrite the compact engine runs per
+// piece. A world where no row matches keeps its relation. With key set (an UPDATE of a table with a declared
 // primary key) a violation in any world fails the statement, which the
 // runner then undoes in every world. msg reports the changed rows and the
 // world count.
@@ -360,12 +367,14 @@ func (s *Session) execDML(st sqlparse.Statement, table, msg string, key []string
 		return nil, err
 	}
 	total := 0
+	var memo plan.Memo
+	outer := StatementCtx(s.interrupt, s.trace)
 	err = s.putEach(table, func(w *world.World) (*relation.Relation, error) {
 		cur, err := w.Lookup(table)
 		if err != nil {
 			return nil, err
 		}
-		bound, err := tmpl.Bind(w, s.interrupt)
+		bound, err := tmpl.Bind(w, outer, &memo)
 		if err != nil {
 			return nil, err
 		}

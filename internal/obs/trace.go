@@ -17,6 +17,8 @@ type ExecStats struct {
 	BatchCollects atomic.Uint64 // Collect calls whose answer is columnar
 	RowCollects   atomic.Uint64 // Collect calls whose answer is in row form (under colbatch's floor)
 	Rows          atomic.Uint64 // tuples materialized across all collects
+	SubqueryEvals atomic.Uint64 // evaluations of uncorrelated subqueries (one per distinct input)
+	SharedBuilds  atomic.Uint64 // hash-join build sides hashed for the statement's binds to share
 }
 
 // ExecStatsJSON is the wire form of ExecStats.
@@ -165,6 +167,13 @@ func (t *Trace) JSON() *TraceJSON {
 		TotalUs:   time.Since(t.start).Microseconds(),
 		Attrs:     append([]Attr(nil), t.attrs...),
 		Exec:      t.stats.snapshot(),
+	}
+	// The statement's shared subplans show as attributes, when it had any.
+	if n := t.stats.SubqueryEvals.Load(); n > 0 {
+		out.Attrs = append(out.Attrs, Attr{Key: "subquery_evals", Value: fmt.Sprint(n)})
+	}
+	if n := t.stats.SharedBuilds.Load(); n > 0 {
+		out.Attrs = append(out.Attrs, Attr{Key: "shared_builds", Value: fmt.Sprint(n)})
 	}
 	for _, sp := range t.spans {
 		d := sp.Dur

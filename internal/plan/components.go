@@ -52,7 +52,8 @@ package plan
 //     distinct components never arise. Δ(L ⋈ R) = (cert L ⋈ ΔR) ++
 //     (ΔL ⋈ full R), either term vanishing with its delta. Against a
 //     certain side the tag passes through: cert L ⋈ ΔR, and ΔL ⋈ cert R,
-//     whose HashJoin probes one hashed table of cert R (Deltas). Over two
+//     whose HashJoin probes the statement's one hashed table of cert R (its
+//     Memo entry, shared with Q(cert)'s join). Over two
 //     sides of the same component, full R under alternative t is cert R ++
 //     ΔR(t): ΔL joins cert R, tagged as every alternative's, followed by ΔR,
 //     and keeps the pairs whose tags agree — ΔL ⋈ cert R plus ΔL ⋈ ΔR on
@@ -65,7 +66,7 @@ package plan
 //     Distinct(cert) ++ Δ Distinct(t) is the full Distinct row for row; that
 //     key set and the join tables above are what a delta reads of the
 //     certain part, each evaluated once however often the statement's
-//     Deltas binds (Deltas).
+//     Deltas binds (Deltas, and the statement's Memo).
 //
 // Every rule keeps the rows of one tag in the order that alternative's
 // delta evaluated alone lists them, so a stable partition of the tagged
@@ -429,23 +430,23 @@ const TagColumn = "#tag"
 func Tagged(sch *schema.Schema) *schema.Schema { return sch.Concat(schema.New(TagColumn)) }
 
 // Deltas binds the deltas of one statement over one state of the data. What
-// the deltas read of the certain part — the certain answer a Distinct
-// subtracts, the hashed certain build side of a HashJoin — is evaluated by
-// the first evaluation to need it and kept here, so it costs the statement
-// once however many times it binds (the engine binds once, over every
-// alternative; a test's oracle, once per alternative). Safe for concurrent
-// use.
+// the deltas read of the certain part is evaluated by the first evaluation
+// to need it, so it costs the statement once however many times it binds
+// (the engine binds once, over every alternative; a test's oracle, once per
+// alternative): the certain answer a Distinct subtracts is kept here, and
+// the hashed certain build side of a HashJoin is the statement's Memo
+// entry, the very table Q(cert)'s plain bind of the join builds. Safe for
+// concurrent use.
 type Deltas struct {
-	p      *Prepared
-	mu     sync.Mutex
-	cert   map[*algebra.Distinct]*certKeys  // by the template's Distinct nodes
-	builds map[*algebra.HashJoin]*certBuild // by the template's HashJoin nodes
+	p    *Prepared
+	mu   sync.Mutex
+	cert map[*algebra.Distinct]*certKeys // by the template's Distinct nodes
 }
 
 // Deltas returns the delta binder of one statement over the template, which
 // must be Decomposable over the components of the catalogs it will bind.
 func (p *Prepared) Deltas() *Deltas {
-	return &Deltas{p: p, cert: map[*algebra.Distinct]*certKeys{}, builds: map[*algebra.HashJoin]*certBuild{}}
+	return &Deltas{p: p, cert: map[*algebra.Distinct]*certKeys{}}
 }
 
 // certKeys is the tuple key set (tuple.Encode) of one Distinct's input over
@@ -458,11 +459,12 @@ type certKeys struct {
 
 // Bind instantiates ΔQ against cat: the tuples the listed alternatives add
 // to Q(cert), tagged, by the rules in the file header — the template's
-// columns followed by the tag. A delta that is empty whatever the data (no
-// scanned table has a contribution) binds to a scan of no rows and reads
-// nothing.
-func (ds *Deltas) Bind(cat PartsCatalog) (algebra.Operator, error) {
-	b := &deltaBinding{ds: ds, cat: cat, cert: binding{cat: CatalogFunc(cat.Certain)}}
+// columns followed by the tag. Its certain halves share invariant subplans
+// through memo, the statement's. A delta that is empty whatever the data
+// (no scanned table has a contribution) binds to a scan of no rows and
+// reads nothing.
+func (ds *Deltas) Bind(cat PartsCatalog, memo *Memo) (algebra.Operator, error) {
+	b := &deltaBinding{ds: ds, cat: cat, cert: binding{cat: CatalogFunc(cat.Certain), memo: memo}}
 	op, err := b.delta(ds.p.op)
 	if err != nil || op != nil {
 		return op, err
@@ -522,10 +524,10 @@ func (b *deltaBinding) delta(op algebra.Operator) (algebra.Operator, error) {
 			wl := dl.Schema().Len() - 1
 			var j algebra.Operator
 			var wr int
-			if hj, isHash := op.(*algebra.HashJoin); isHash && dr == nil {
+			if hj, isHash := op.(*algebra.HashJoin); isHash && dr == nil && b.cert.memo != nil {
 				// Full R is the certain R, the same for every alternative:
 				// probe the statement's one table of it.
-				if j, err = b.probeCertain(hj, dl); err != nil {
+				if j, err = b.cert.sharedJoin(hj, dl); err != nil {
 					return nil, err
 				}
 				wr = j.Schema().Len() - wl - 1
@@ -648,43 +650,4 @@ func (b *deltaBinding) certKeysOf(n *algebra.Distinct) func(*expr.Context) (map[
 		})
 		return ck.keys, ck.err
 	}
-}
-
-// certBuild is the build side of one HashJoin over the certain database: its
-// right input bound in cert mode on first use, hashed by the first evaluation
-// to open a join over it.
-type certBuild struct {
-	right algebra.Operator // each join instantiates its own copy
-	once  sync.Once
-	table *algebra.JoinTable
-	err   error
-}
-
-// probeCertain joins left with n's right input over the certain database,
-// through the statement's one table of it.
-func (b *deltaBinding) probeCertain(n *algebra.HashJoin, left algebra.Operator) (algebra.Operator, error) {
-	b.ds.mu.Lock()
-	cb := b.ds.builds[n]
-	if cb == nil {
-		right, err := rebindOp(n.Right, &b.cert)
-		if err != nil {
-			b.ds.mu.Unlock()
-			return nil, err
-		}
-		cb = &certBuild{right: right}
-		b.ds.builds[n] = cb
-	}
-	b.ds.mu.Unlock()
-	// A rebind of a bound tree is a fresh instance over the same relations.
-	right, err := rebindOp(cb.right, &binding{})
-	if err != nil {
-		return nil, err
-	}
-	return &algebra.HashJoin{Left: left, Right: right, LeftKeys: n.LeftKeys, RightKeys: n.RightKeys,
-		Build: func(outer *expr.Context) (*algebra.JoinTable, error) {
-			// This join never opens its own right input, so the first to
-			// build may drain it.
-			cb.once.Do(func() { cb.table, cb.err = algebra.BuildJoinTable(right, n.RightKeys, outer) })
-			return cb.table, cb.err
-		}}, nil
 }

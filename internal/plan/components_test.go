@@ -284,9 +284,9 @@ func TestBindDelta(t *testing.T) {
 			}
 			return out
 		}
-		full := eval(prep.Bind(cat))
-		base := eval(prep.Bind(CatalogFunc(cat.Certain)))
-		delta := untag(eval(prep.Deltas().Bind(cat)), 0)
+		full := eval(prep.Bind(cat, nil))
+		base := eval(prep.Bind(CatalogFunc(cat.Certain), nil))
+		delta := untag(eval(prep.Deltas().Bind(cat, nil)), 0)
 		sum := base.Clone()
 		sum.AppendBatch(delta.Batch())
 		if !sum.EqualSet(full) {
@@ -308,7 +308,7 @@ func TestBindDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prep.Deltas().Bind(cat); !errors.Is(err, ErrPlan) {
+	if _, err := prep.Deltas().Bind(cat, nil); !errors.Is(err, ErrPlan) {
 		t.Errorf("delta of an aggregate over a component: %v, want ErrPlan", err)
 	}
 }
@@ -350,7 +350,7 @@ func TestTaggedDeltaIsEveryAlternative(t *testing.T) {
 		}
 		collect := func(c PartsCatalog) *relation.Relation {
 			t.Helper()
-			op, err := prep.Deltas().Bind(c)
+			op, err := prep.Deltas().Bind(c, nil)
 			if err != nil {
 				t.Fatalf("%q: %v", sql, err)
 			}
@@ -405,7 +405,7 @@ func TestDeltasShareCertainKeys(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				op, err := ds.Bind(cat)
+				op, err := ds.Bind(cat, nil)
 				if err != nil {
 					got[i] = err.Error()
 					return
@@ -465,7 +465,7 @@ func TestBindSharesStore(t *testing.T) {
 	}
 	scanned := func() *colbatch.Batch {
 		t.Helper()
-		op, err := prep.Bind(cat)
+		op, err := prep.Bind(cat, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

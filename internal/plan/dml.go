@@ -44,7 +44,9 @@ type PreparedDML struct {
 }
 
 // PrepareUpdateStmt compiles an UPDATE against the target schema sch and
-// catalog cat once; Bind instantiates it per catalog.
+// catalog cat once; Bind instantiates it per catalog. The row expressions
+// see the target row under the table's name, as a FROM binding, so a
+// subquery can correlate to it past its own columns (B.X).
 func PrepareUpdateStmt(st *sqlparse.Update, sch *schema.Schema, cat Catalog) (*PreparedDML, error) {
 	prepares.Add(1)
 	p := &PreparedDML{
@@ -57,13 +59,13 @@ func PrepareUpdateStmt(st *sqlparse.Update, sch *schema.Schema, cat Catalog) (*P
 		if err != nil {
 			return nil, err
 		}
-		low, err := lowerIn(sc.Value, sch, cat)
+		low, err := lowerIn(sc.Value, sch.Qualify(st.Table), cat)
 		if err != nil {
 			return nil, err
 		}
 		p.setIdx[j], p.setExprs[j] = idx, stripExprTemplate(low)
 	}
-	return p.where(st.Where, cat)
+	return p.where(st.Table, st.Where, cat)
 }
 
 // PrepareDeleteStmt compiles a DELETE against the target schema sch and
@@ -71,13 +73,13 @@ func PrepareUpdateStmt(st *sqlparse.Update, sch *schema.Schema, cat Catalog) (*P
 func PrepareDeleteStmt(st *sqlparse.Delete, sch *schema.Schema, cat Catalog) (*PreparedDML, error) {
 	prepares.Add(1)
 	p := &PreparedDML{sch: sch, del: true}
-	return p.where(st.Where, cat)
+	return p.where(st.Table, st.Where, cat)
 }
 
 // where lowers the WHERE predicate into p (none: every row matches).
-func (p *PreparedDML) where(e sqlparse.Expr, cat Catalog) (*PreparedDML, error) {
+func (p *PreparedDML) where(table string, e sqlparse.Expr, cat Catalog) (*PreparedDML, error) {
 	if e != nil {
-		low, err := lowerIn(e, p.sch, cat)
+		low, err := lowerIn(e, p.sch.Qualify(table), cat)
 		if err != nil {
 			return nil, err
 		}
@@ -106,29 +108,30 @@ func (p *PreparedDML) Components(cc ComponentCatalog) ([]int, error) {
 // not share subquery iteration state, but a single instance must be used
 // sequentially.
 type BoundDML struct {
-	sch       *schema.Schema
-	del       bool
-	setIdx    []int
-	setExprs  []expr.Expr
-	pred      expr.Expr
-	interrupt func() error
+	sch      *schema.Schema
+	del      bool
+	setIdx   []int
+	setExprs []expr.Expr
+	pred     expr.Expr
+	outer    *expr.Context
 	// predVec and setVec record, once per instance, which expressions
 	// EvalVec handles; the others (subqueries) run row by row.
 	predVec bool
 	setVec  []bool
 }
 
-// Bind instantiates the template against cat; it fails with ErrRebind when
-// cat lacks a table or a column the expressions' subqueries were compiled
-// against. interrupt, when non-nil, is threaded into the row-expression
-// contexts so subquery scans poll it.
-func (p *PreparedDML) Bind(cat Catalog, interrupt func() error) (*BoundDML, error) {
-	bd := &binding{cat: cat}
+// Bind instantiates the template against cat, sharing through memo; it
+// fails with ErrRebind when cat lacks a table or a column the expressions'
+// subqueries were compiled against. The row expressions evaluate under
+// outer, the statement's root context (nil: none), so subquery scans poll
+// its interrupt hook and count into its trace.
+func (p *PreparedDML) Bind(cat Catalog, outer *expr.Context, memo *Memo) (*BoundDML, error) {
+	bd := &binding{cat: cat, memo: memo}
 	setExprs, err := rebindExprs(p.setExprs, bd)
 	if err != nil {
 		return nil, err
 	}
-	b := &BoundDML{sch: p.sch, del: p.del, setIdx: p.setIdx, setExprs: setExprs, interrupt: interrupt,
+	b := &BoundDML{sch: p.sch, del: p.del, setIdx: p.setIdx, setExprs: setExprs, outer: outer,
 		setVec: make([]bool, len(setExprs))}
 	for j, e := range setExprs {
 		b.setVec[j] = expr.Vectorizable(e)
@@ -188,7 +191,7 @@ func (b *BoundDML) applyRows(in *colbatch.Batch) (*colbatch.Batch, int, error) {
 	out := make([]tuple.Tuple, 0, len(tuples))
 	changed := 0
 	for _, t := range tuples {
-		ctx := &expr.Context{Schema: b.sch, Tuple: t, Interrupt: b.interrupt}
+		ctx := &expr.Context{Schema: b.sch, Tuple: t, Outer: b.outer}
 		match := true
 		if b.pred != nil {
 			v, err := b.pred.Eval(ctx)
@@ -328,7 +331,7 @@ type rowContext struct {
 }
 
 func (b *BoundDML) rowContext(in *colbatch.Batch) *rowContext {
-	return &rowContext{in: in, ctx: &expr.Context{Schema: b.sch, Tuple: make(tuple.Tuple, in.Width()), Interrupt: b.interrupt}}
+	return &rowContext{in: in, ctx: &expr.Context{Schema: b.sch, Tuple: make(tuple.Tuple, in.Width()), Outer: b.outer}}
 }
 
 func (rc *rowContext) eval(e expr.Expr, i int) (value.Value, error) {

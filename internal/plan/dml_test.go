@@ -21,7 +21,7 @@ import (
 func applyRowsOracle(b *BoundDML, tuples []tuple.Tuple) (out []tuple.Tuple, changed int, err error) {
 	out = make([]tuple.Tuple, 0, len(tuples))
 	for _, t := range tuples {
-		ctx := &expr.Context{Schema: b.sch, Tuple: t, Interrupt: b.interrupt}
+		ctx := &expr.Context{Schema: b.sch, Tuple: t, Outer: b.outer}
 		match := true
 		if b.pred != nil {
 			v, err := b.pred.Eval(ctx)
@@ -133,7 +133,7 @@ func bindDML(t testing.TB, sql string, sch *schema.Schema, cat Catalog) *BoundDM
 	if err != nil {
 		t.Fatalf("prepare %q: %v", sql, err)
 	}
-	b, err := p.Bind(cat, nil)
+	b, err := p.Bind(cat, nil, nil)
 	if err != nil {
 		t.Fatalf("bind %q: %v", sql, err)
 	}

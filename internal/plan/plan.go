@@ -38,6 +38,17 @@
 //   - Prepare/Bind (prepare.go): compile-once templates rebound per world,
 //     so planning happens once per statement instead of once per world,
 //     with a process-wide shared Cache (cache.go) across sessions.
+//   - The statement memo (memo.go): what runs once per statement. Every
+//     Bind takes the statement's Memo, and two kinds of invariant subplan
+//     evaluate once for each distinct input rather than once per outer row
+//     or per world: an uncorrelated subquery (the planner marks it while it
+//     resolves the subquery's columns: none reaches past its own scopes)
+//     and the build side of a HashJoin outside any correlated subquery. An
+//     entry is keyed by the template node plus the *relation.Relation
+//     values its scans read; identity is a sound key because a published
+//     relation is never written in place (a statement writes into copies
+//     and swaps them in), and the memo dies with the statement, so the
+//     shared Cache still holds no data.
 //   - Component-touch analysis (components.go): given a catalog mapping
 //     tables to world-set-decomposition components, Analyze annotates each
 //     subtree with the components it touches and certifies when the whole
@@ -75,9 +86,9 @@ type CatalogFunc func(name string) (*relation.Relation, error)
 // Lookup implements Catalog.
 func (f CatalogFunc) Lookup(name string) (*relation.Relation, error) { return f(name) }
 
-// build compiles the plain-SQL core of stmt against cat; outer holds the
-// scopes of the enclosing queries when stmt is a subquery.
-func build(stmt *sqlparse.SelectStmt, cat Catalog, outer []*schema.Schema) (algebra.Operator, error) {
+// build compiles the plain-SQL core of stmt against cat; outer is the
+// environment enclosing stmt when it is a subquery, nil at the top level.
+func build(stmt *sqlparse.SelectStmt, cat Catalog, outer *env) (algebra.Operator, error) {
 	if err := checkPlain(stmt, outer); err != nil {
 		return nil, err
 	}
@@ -107,7 +118,7 @@ func build(stmt *sqlparse.SelectStmt, cat Catalog, outer []*schema.Schema) (alge
 // strip the constructs of a statement's head block, so I-SQL in a UNION arm
 // or in a subquery (outer != nil) is the statement's own error; in the head
 // block it means an engine did not strip it.
-func checkPlain(stmt *sqlparse.SelectStmt, outer []*schema.Schema) error {
+func checkPlain(stmt *sqlparse.SelectStmt, outer *env) error {
 	switch {
 	case stmt.Union != nil && stmt.Union.HasISQL():
 		return fmt.Errorf("%w: I-SQL constructs are not allowed in UNION arms", ErrPlan)
@@ -120,7 +131,7 @@ func checkPlain(stmt *sqlparse.SelectStmt, outer []*schema.Schema) error {
 }
 
 // buildCore compiles a single SELECT block (no union chain).
-func buildCore(stmt *sqlparse.SelectStmt, cat Catalog, outer []*schema.Schema) (algebra.Operator, error) {
+func buildCore(stmt *sqlparse.SelectStmt, cat Catalog, outer *env) (algebra.Operator, error) {
 	from, env, err := buildFromWhere(stmt, cat, outer)
 	if err != nil {
 		return nil, err
@@ -128,7 +139,7 @@ func buildCore(stmt *sqlparse.SelectStmt, cat Catalog, outer []*schema.Schema) (
 
 	aggSpecs, aggKeys := collectAggregates(stmt)
 	if len(aggSpecs) > 0 || len(stmt.GroupBy) > 0 {
-		return buildAggregate(stmt, from, env, aggSpecs, aggKeys, outer)
+		return buildAggregate(stmt, from, env, aggSpecs, aggKeys)
 	}
 
 	op, err := buildProjection(stmt, from, env)
@@ -145,18 +156,45 @@ type env struct {
 	// agg is non-nil when lowering runs against an aggregate output schema:
 	// aggregate calls resolve to output columns instead of being evaluated.
 	agg map[string]int
+	// open lists the subqueries being compiled around this scope, outermost
+	// first.
+	open []*openSubquery
 }
 
-func (e *env) child(inner *schema.Schema) *env {
-	return &env{cat: e.cat, scopes: append([]*schema.Schema{inner}, e.scopes...)}
+// openSubquery is a subquery being compiled: base counts the scopes
+// enclosing it, and correlated records that a column inside resolved into
+// one of them.
+type openSubquery struct {
+	base       int
+	correlated bool
 }
 
-// resolve finds (depth, index) for a column reference across scopes.
+// nest returns the environment of a block whose own scope is inner,
+// enclosed by e (nil at a statement's top level).
+func (e *env) nest(cat Catalog, inner *schema.Schema) *env {
+	n := &env{cat: cat, scopes: []*schema.Schema{inner}}
+	if e != nil {
+		n.scopes = append(n.scopes, e.scopes...)
+		n.open = e.open
+	}
+	return n
+}
+
+// resolve finds (depth, index) for a column reference across scopes, and
+// marks correlated every open subquery the reference reaches out of.
 func (e *env) resolve(qualifier, name string) (int, int, error) {
 	var firstErr error
 	for depth, s := range e.scopes {
 		idx, err := s.Resolve(qualifier, name)
 		if err == nil {
+			// The resolved scope's position, counted from the outermost:
+			// a subquery's enclosing scopes are the first base of them.
+			at := len(e.scopes) - 1 - depth
+			for _, o := range e.open {
+				if at < o.base {
+					o.correlated = true
+				}
+			}
 			return depth, idx, nil
 		}
 		if errors.Is(err, schema.ErrAmbiguousColumn) {
@@ -172,12 +210,12 @@ func (e *env) resolve(qualifier, name string) (int, int, error) {
 // buildFromWhere compiles the FROM and WHERE clauses of one SELECT block —
 // the scans joined under the WHERE by joinWhere's rewrite — and returns the
 // lowering environment of the rest of the block.
-func buildFromWhere(stmt *sqlparse.SelectStmt, cat Catalog, outer []*schema.Schema) (algebra.Operator, *env, error) {
+func buildFromWhere(stmt *sqlparse.SelectStmt, cat Catalog, outer *env) (algebra.Operator, *env, error) {
 	scans, fromSchema, err := buildFrom(stmt.From, cat)
 	if err != nil {
 		return nil, nil, err
 	}
-	env := &env{cat: cat, scopes: append([]*schema.Schema{fromSchema}, outer...)}
+	env := outer.nest(cat, fromSchema)
 	var pred expr.Expr
 	if stmt.Where != nil {
 		if pred, err = env.lower(stmt.Where); err != nil {
@@ -351,13 +389,17 @@ func (e *env) lower(x sqlparse.Expr) (expr.Expr, error) {
 }
 
 // subquery compiles a nested SELECT into an expr.Subquery. The subquery's
-// own scopes sit in front of the current scopes for correlation. The
-// concrete compiledSubquery type (rather than an opaque closure) lets the
-// rebinder reach the underlying plan when instantiating per world.
+// own scopes sit in front of the current scopes for correlation, and the
+// one compilation marks it uncorrelated when no column inside resolves
+// into the current scopes. The concrete compiledSubquery type (rather than
+// an opaque closure) lets the rebinder reach the underlying plan when
+// instantiating per world.
 func (e *env) subquery(stmt *sqlparse.SelectStmt) (expr.Subquery, error) {
-	op, err := build(stmt, e.cat, e.scopes)
+	mark := &openSubquery{base: len(e.scopes)}
+	outer := &env{cat: e.cat, scopes: e.scopes, open: append(e.open[:len(e.open):len(e.open)], mark)}
+	op, err := build(stmt, e.cat, outer)
 	if err != nil {
 		return nil, err
 	}
-	return &compiledSubquery{op: op}, nil
+	return &compiledSubquery{op: op, uncorrelated: !mark.correlated}, nil
 }

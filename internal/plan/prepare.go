@@ -15,10 +15,12 @@ package plan
 // Bind checks that every table it rebinds still has the column names the
 // template was compiled against and fails with ErrRebind otherwise — a
 // cached entry compiled against other schemas, which Cached treats as stale.
-// Bound instances never share mutable state — operator iteration state is
-// always per-instance, and expression trees are shared only when they
-// contain no subqueries (subquery-free expressions are immutable and safe to
-// evaluate concurrently).
+// Operator iteration state is always per-instance, and expression trees are
+// shared only when they contain no subqueries (subquery-free expressions are
+// immutable and safe to evaluate concurrently). What bound instances do
+// share is the statement's Memo (memo.go): every Bind takes it, and an
+// uncorrelated subquery's answer and a hash join's build side are computed
+// once per statement for each distinct set of relations they read.
 
 import (
 	"errors"
@@ -78,12 +80,24 @@ type inputScan struct {
 
 // compiledSubquery is a compiled nested query. It is the planner's concrete
 // expr.Subquery so the rebinder can instantiate the inner plan per world.
+//
+// uncorrelated is the planner's mark, set while it compiles the subquery:
+// no column inside resolves beyond the subquery's own scopes, so its answer
+// depends on the relations it reads and nothing else. A bound uncorrelated
+// subquery therefore runs once per statement for each distinct set of
+// relations it reads, through the statement's Memo (shared), not once per
+// outer row; a correlated one runs per outer row.
 type compiledSubquery struct {
-	op algebra.Operator
+	op           algebra.Operator
+	uncorrelated bool
+	shared       *memoEntry
 }
 
 // Eval implements expr.Subquery.
 func (s *compiledSubquery) Eval(ctx *expr.Context) (*relation.Relation, error) {
+	if s.shared != nil {
+		return s.shared.answer(s.op, ctx)
+	}
 	return algebra.Collect(s.op, ctx)
 }
 
@@ -97,6 +111,28 @@ type binding struct {
 	// cached templates do not pin compile-time tuple snapshots for the
 	// session's lifetime; the rebinder never reads template tuples.
 	strip bool
+	// memo shares the statement's invariant subplans (nil: none shared).
+	memo *Memo
+	// correlated is set inside a correlated subquery, whose build sides
+	// are not shared.
+	correlated bool
+	// keyed counts the shared subplans being bound around the current node,
+	// and reads lists the relations their scans read, in bind order: a
+	// shared subplan's key is the stretch its own scans (nested subqueries'
+	// included) appended.
+	keyed int
+	reads []*relation.Relation
+}
+
+// read notes a relation a bound scan reads.
+func (b *binding) read(rel *relation.Relation) {
+	switch {
+	case b.keyed == 0:
+	case b.reads == nil:
+		b.reads = append(make([]*relation.Relation, 0, 4), rel)
+	default:
+		b.reads = append(b.reads, rel)
+	}
 }
 
 // sameColumnNames reports whether two schemas carry identical column names
@@ -152,6 +188,7 @@ func rebindOp(op algebra.Operator, b *binding) (algebra.Operator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrRebind, err)
 		}
+		b.read(rel)
 		return n.bind(rel)
 	case *inputScan:
 		if b.strip {
@@ -164,12 +201,22 @@ func rebindOp(op algebra.Operator, b *binding) (algebra.Operator, error) {
 			return nil, fmt.Errorf("%w: split intermediate schema diverged (%s vs %s)",
 				ErrRebind, b.input.Schema, n.Rel.Schema)
 		}
+		b.read(b.input)
 		return algebra.NewScan(b.input), nil
 	case *algebra.Scan:
 		// Literal relation (e.g. the dual for an empty FROM) or a bound
 		// table: contents are world-independent and read-only; share them
 		// under fresh state.
+		b.read(n.Rel)
 		return &algebra.Scan{Rel: n.Rel, Out: n.Out}, nil
+	case *algebra.HashJoin:
+		if b.memo != nil && !b.correlated {
+			left, err := rebindOp(n.Left, b)
+			if err != nil {
+				return nil, err
+			}
+			return b.sharedJoin(n, left)
+		}
 	}
 	if l, r, ok := joined(op); ok {
 		left, err := rebindOp(l, b)
@@ -191,6 +238,21 @@ func rebindOp(op algebra.Operator, b *binding) (algebra.Operator, error) {
 		return nil, err
 	}
 	return rewrap(op, child, b)
+}
+
+// sharedJoin instantiates the template join n over a bound left input,
+// its build side bound under b and hashed once per statement for the
+// relations it reads (b.memo must be set).
+func (b *binding) sharedJoin(n *algebra.HashJoin, left algebra.Operator) (algebra.Operator, error) {
+	from := len(b.reads)
+	b.keyed++
+	right, err := rebindOp(n.Right, b)
+	b.keyed--
+	if err != nil {
+		return nil, err
+	}
+	return &algebra.HashJoin{Left: left, Right: right, LeftKeys: n.LeftKeys, RightKeys: n.RightKeys,
+		Build: b.memo.entry(n, b.reads[from:]).build(right, n.RightKeys)}, nil
 }
 
 // joined returns the inputs of a two-input operator.
@@ -429,16 +491,33 @@ func rebindExprs(exprs []expr.Expr, b *binding) ([]expr.Expr, error) {
 	return out, nil
 }
 
+// rebindSubquery instantiates a subquery for b; an uncorrelated one binds
+// to its entry in the statement's memo.
 func rebindSubquery(sub expr.Subquery, b *binding) (expr.Subquery, error) {
 	cs, ok := sub.(*compiledSubquery)
 	if !ok {
 		return nil, fmt.Errorf("%w: unsupported subquery %T", ErrRebind, sub)
 	}
+	out := &compiledSubquery{uncorrelated: cs.uncorrelated}
+	shared := b.memo != nil && cs.uncorrelated
+	from, correlated := len(b.reads), b.correlated
+	if shared {
+		b.keyed++
+	}
+	b.correlated = correlated || !cs.uncorrelated
 	op, err := rebindOp(cs.op, b)
+	b.correlated = correlated
+	if shared {
+		b.keyed--
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &compiledSubquery{op: op}, nil
+	out.op = op
+	if shared {
+		out.shared = b.memo.entry(cs, b.reads[from:])
+	}
+	return out, nil
 }
 
 // stripTemplate drops compile-time tuple data from a compiled tree so a
@@ -479,10 +558,11 @@ func Prepare(stmt *sqlparse.SelectStmt, cat Catalog) (*Prepared, error) {
 	return &Prepared{op: stripTemplate(op)}, nil
 }
 
-// Bind instantiates the template against cat. It fails with ErrRebind when
+// Bind instantiates the template against cat, sharing invariant subplans
+// through memo, the statement's (nil: none). It fails with ErrRebind when
 // cat lacks a table or a column the template was compiled against.
-func (p *Prepared) Bind(cat Catalog) (algebra.Operator, error) {
-	return rebindOp(p.op, &binding{cat: cat})
+func (p *Prepared) Bind(cat Catalog, memo *Memo) (algebra.Operator, error) {
+	return rebindOp(p.op, &binding{cat: cat, memo: memo})
 }
 
 // Schema returns the schema of the statement's answer.
@@ -512,9 +592,9 @@ func PrepareFromWhere(stmt *sqlparse.SelectStmt, cat Catalog) (*PreparedFromWher
 	return &PreparedFromWhere{op: stripTemplate(op)}, nil
 }
 
-// Bind instantiates the template against cat.
-func (p *PreparedFromWhere) Bind(cat Catalog) (algebra.Operator, error) {
-	return rebindOp(p.op, &binding{cat: cat})
+// Bind instantiates the template against cat, sharing through memo.
+func (p *PreparedFromWhere) Bind(cat Catalog, memo *Memo) (algebra.Operator, error) {
+	return rebindOp(p.op, &binding{cat: cat, memo: memo})
 }
 
 // Schema returns the schema of the FROM/WHERE intermediate.
@@ -552,7 +632,7 @@ func buildOnRelation(stmt *sqlparse.SelectStmt, in *schema.Schema, cat Catalog) 
 	e := &env{cat: cat, scopes: []*schema.Schema{in}}
 	aggSpecs, aggKeys := collectAggregates(stmt)
 	if len(aggSpecs) > 0 || len(stmt.GroupBy) > 0 {
-		return buildAggregate(stmt, from, e, aggSpecs, aggKeys, nil)
+		return buildAggregate(stmt, from, e, aggSpecs, aggKeys)
 	}
 	op, err := projectItems(stmt, from, e)
 	if err != nil {
@@ -561,9 +641,10 @@ func buildOnRelation(stmt *sqlparse.SelectStmt, in *schema.Schema, cat Catalog) 
 	return finishSelect(stmt, op)
 }
 
-// Bind instantiates the template over one split piece in the world cat.
-func (p *PreparedOnRelation) Bind(input *relation.Relation, cat Catalog) (algebra.Operator, error) {
-	return rebindOp(p.op, &binding{cat: cat, input: input})
+// Bind instantiates the template over one split piece in the world cat,
+// sharing through memo.
+func (p *PreparedOnRelation) Bind(input *relation.Relation, cat Catalog, memo *Memo) (algebra.Operator, error) {
+	return rebindOp(p.op, &binding{cat: cat, input: input, memo: memo})
 }
 
 // PreparedPredicate is a compiled standalone condition (ASSERT) template.
@@ -586,21 +667,17 @@ func PreparePredicate(e sqlparse.Expr, cat Catalog) (*PreparedPredicate, error) 
 	return &PreparedPredicate{e: stripExprTemplate(low)}, nil
 }
 
-// Bind instantiates the predicate against cat.
-func (p *PreparedPredicate) Bind(cat Catalog) (Predicate, error) {
-	return p.BindInterrupt(cat, nil)
-}
-
-// BindInterrupt is Bind with a cancellation hook threaded into the
-// evaluation context, so scans inside the predicate's subqueries poll it
-// (see internal/algebra). A nil hook is Bind.
-func (p *PreparedPredicate) BindInterrupt(cat Catalog, interrupt func() error) (Predicate, error) {
-	low, _, err := rebindExpr(p.e, &binding{cat: cat})
+// Bind instantiates the predicate against cat, sharing through memo. The
+// predicate evaluates under outer, the statement's root context (nil:
+// none), so scans inside its subqueries poll its interrupt hook and count
+// into its trace (see internal/algebra).
+func (p *PreparedPredicate) Bind(cat Catalog, outer *expr.Context, memo *Memo) (Predicate, error) {
+	low, _, err := rebindExpr(p.e, &binding{cat: cat, memo: memo})
 	if err != nil {
 		return nil, err
 	}
 	return func() (bool, error) {
-		ctx := &expr.Context{Schema: schema.New(), Tuple: tuple.Tuple{}, Interrupt: interrupt}
+		ctx := &expr.Context{Schema: schema.New(), Tuple: tuple.Tuple{}, Outer: outer}
 		v, err := low.Eval(ctx)
 		if err != nil {
 			return false, err

@@ -51,7 +51,7 @@ func TestPrepareBindAcrossCatalogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	collect := func(cat Catalog) string {
-		op, err := p.Bind(cat)
+		op, err := p.Bind(cat, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,12 +101,12 @@ func TestBindSchemaDivergence(t *testing.T) {
 		"dropped column": {"R": rel(t, []string{"a"}, []int64{1})},
 		"missing table":  {},
 	} {
-		if _, err := p.Bind(bad); !errors.Is(err, ErrRebind) {
+		if _, err := p.Bind(bad, nil); !errors.Is(err, ErrRebind) {
 			t.Fatalf("%s: got %v, want ErrRebind", name, err)
 		}
 	}
 	// The original catalog still binds.
-	if _, err := p.Bind(mapCatalog{"R": rel(t, []string{"a", "b"}, []int64{3, 4})}); err != nil {
+	if _, err := p.Bind(mapCatalog{"R": rel(t, []string{"a", "b"}, []int64{3, 4})}, nil); err != nil {
 		t.Fatalf("same-schema catalog failed to bind: %v", err)
 	}
 }
@@ -121,11 +121,11 @@ func TestBindInstancesAreIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op1, err := p.Bind(cat)
+	op1, err := p.Bind(cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	op2, err := p.Bind(cat)
+	op2, err := p.Bind(cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestPreparedPredicateBind(t *testing.T) {
 		cat  mapCatalog
 		want bool
 	}{{cat1, true}, {cat2, false}} {
-		pred, err := p.Bind(tc.cat)
+		pred, err := p.Bind(tc.cat, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

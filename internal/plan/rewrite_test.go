@@ -251,7 +251,7 @@ func TestRewriteWhere(t *testing.T) {
 					contexts = append(contexts, &expr.Context{Schema: sch, Tuple: row})
 				}
 			}
-			op, err := build(stmt, cat, outer)
+			op, err := build(stmt, cat, &env{cat: cat, scopes: outer})
 			if err != nil {
 				t.Fatal(err)
 			}

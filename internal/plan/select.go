@@ -62,7 +62,7 @@ func collectAggregates(stmt *sqlparse.SelectStmt) ([]sqlparse.FuncCall, map[stri
 
 // buildAggregate compiles a SELECT block with aggregates and/or GROUP BY.
 func buildAggregate(stmt *sqlparse.SelectStmt, from algebra.Operator, e *env,
-	calls []sqlparse.FuncCall, keys map[string]int, outer []*schema.Schema) (algebra.Operator, error) {
+	calls []sqlparse.FuncCall, keys map[string]int) (algebra.Operator, error) {
 
 	fromSchema := e.scopes[0]
 
@@ -119,7 +119,7 @@ func buildAggregate(stmt *sqlparse.SelectStmt, from algebra.Operator, e *env,
 	for k, i := range keys {
 		aggKeys[k] = len(groupIdx) + i
 	}
-	post := &env{cat: e.cat, scopes: append([]*schema.Schema{aggSchema}, outer...), agg: aggKeys}
+	post := &env{cat: e.cat, scopes: append([]*schema.Schema{aggSchema}, e.scopes[1:]...), agg: aggKeys, open: e.open}
 
 	if stmt.Having != nil {
 		pred, err := post.lower(stmt.Having)

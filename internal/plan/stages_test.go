@@ -28,7 +28,7 @@ func collectFromWhere(t *testing.T, stmt *sqlparse.SelectStmt, cat Catalog) *rel
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := fw.Bind(cat)
+	op, err := fw.Bind(cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func collectOnRelation(t *testing.T, stmt *sqlparse.SelectStmt, ir *relation.Rel
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := p.Bind(ir, cat)
+	op, err := p.Bind(ir, cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func predicate(t *testing.T, e sqlparse.Expr, cat Catalog) (Predicate, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Bind(cat)
+	return p.Bind(cat, nil, nil)
 }
 
 func TestBuildFromWhere(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"maybms/internal/colbatch"
+	"maybms/internal/obs"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
@@ -272,10 +273,12 @@ func TestCertainPartLookedUpOnce(t *testing.T) {
 }
 
 // TestDeltasShareBuild: the deltas of a hash join against a certain table
-// probe the statement's one table of it. Three deltas of one Deltas, run
-// concurrently, bind and hash the certain side once — the catalog hands it
-// out once, and never a table in full — over a columnar build side (a side
-// past colbatch.Floor) and a row-backed one (under it); each delta still
+// probe the statement's one table of it, the one Q(cert) probes too. Three
+// deltas of one Deltas and Q(cert), run concurrently through the statement's
+// memo, hash the certain side once — one shared build in the trace — while
+// each bind looks the side up, a pointer that keys the memo, and no
+// evaluation is handed a table in full; over a columnar build side (a side
+// past colbatch.Floor) and a row-backed one (under it). Each delta still
 // answers as the full evaluation of its part does.
 func TestDeltasShareBuild(t *testing.T) {
 	for _, sideRows := range []int{64, 8} {
@@ -302,9 +305,11 @@ func TestDeltasShareBuild(t *testing.T) {
 		if len(an.Comps) != 3 {
 			t.Fatalf("fixture: %d components, want 3", len(an.Comps))
 		}
+		tr := obs.NewTrace(sql)
+		d.SetStatement(nil, tr)
 		var handed atomic.Int64
 		contributed := 0
-		errs := make([]error, len(an.Comps))
+		errs := make([]error, len(an.Comps)+1)
 		var wg sync.WaitGroup
 		for i, ci := range an.Comps {
 			contributed += d.comps[ci].Alts[1].Contrib[key("I")].Len()
@@ -314,18 +319,38 @@ func TestDeltasShareBuild(t *testing.T) {
 				_, errs[i] = ev.part(countingCatalog{alternativeCatalog{d: d, ci: ci, a: 1}, &handed}, true)
 			}()
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[len(an.Comps)] = ev.part(countingCatalog{alternativeCatalog{d: d, ci: an.Comps[0], a: 1}, &handed}, false)
+		}()
 		wg.Wait()
+		d.SetStatement(nil, nil)
 		for _, err := range errs {
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
-		if got, want := handed.Load(), int64(sideRows+contributed); got != want {
-			t.Errorf("side of %d rows: the catalog handed out %d rows, want %d = the certain side once + %d contributed",
+		if got, want := handed.Load(), int64(4*sideRows+contributed); got != want {
+			t.Errorf("side of %d rows: the catalog handed out %d rows, want %d = the certain side to each of 4 binds + %d contributed",
 				sideRows, got, want, contributed)
+		}
+		if got := attr(tr, "shared_builds"); got != "1" {
+			t.Errorf("side of %d rows: shared_builds = %q, want 1: Q(cert) and the 3 deltas hash the certain side once", sideRows, got)
 		}
 		checkDeltaParts(t, fmt.Sprintf("side of %d rows", sideRows), d, sql)
 	}
+}
+
+// attr returns the trace attribute key's last value ("" when unset).
+func attr(tr *obs.Trace, key string) string {
+	v := ""
+	for _, a := range tr.JSON().Attrs {
+		if a.Key == key {
+			v = a.Value
+		}
+	}
+	return v
 }
 
 // TestClosureEvaluatesNoWorld: POSSIBLE, CERTAIN and CONF on the merge-free

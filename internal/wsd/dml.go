@@ -34,6 +34,7 @@ import (
 	"sort"
 
 	"maybms/internal/colbatch"
+	"maybms/internal/core"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/sqlparse"
@@ -50,7 +51,7 @@ func (d *WSD) dmlTemplate(st sqlparse.Statement, table string) (*plan.PreparedDM
 	compileCat := d.schemaCatalog()
 	return plan.Cached(plan.SharedCache(), d.trace, &d.lookups,
 		fmt.Sprintf("cdml\x00%s\x00%x", st.String(), d.SchemaFingerprint()),
-		func(p *plan.PreparedDML) error { _, err := p.Bind(compileCat, nil); return err },
+		func(p *plan.PreparedDML) error { _, err := p.Bind(compileCat, nil, nil); return err },
 		func() (*plan.PreparedDML, error) {
 			if u, ok := st.(*sqlparse.Update); ok {
 				return plan.PrepareUpdateStmt(u, sch, compileCat)
@@ -135,17 +136,22 @@ func sortedUniqueInts(idx []int) []int {
 // over uncertain relations. Storing each piece as it is rewritten changes
 // no binding: the expressions read the target only where it is one piece
 // (no component feeds it) or, on the merge path, through the one merged
-// alternative being rewritten, so no piece is read after it is stored.
+// alternative being rewritten, so no piece is read after it is stored. The
+// binds share one memo, so an uncorrelated subquery over the same
+// relations runs once for all the pieces; a stored piece is a new relation,
+// so no entry outlives the data it was computed from.
 func (d *WSD) rewritePieces(table string, tmpl *plan.PreparedDML) (int, error) {
 	k := key(table)
 	total := 0
+	var memo plan.Memo
+	outer := core.StatementCtx(d.interrupt, d.trace)
 	// rewrite rewrites one piece, bound under sel, and returns what to store:
 	// the piece itself when nothing matched.
 	rewrite := func(rel *relation.Relation, sel map[int]int) (*relation.Relation, error) {
 		if err := d.interrupted(); err != nil {
 			return nil, err
 		}
-		bound, err := tmpl.Bind(newPartsCatalog(d, sel), d.interrupt)
+		bound, err := tmpl.Bind(newPartsCatalog(d, sel), outer, &memo)
 		if err != nil || rel == nil {
 			return rel, err
 		}

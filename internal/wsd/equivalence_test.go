@@ -211,6 +211,35 @@ func keyedTables() (f, fr *relation.Relation) {
 	return f, fr
 }
 
+// componentwiseQueries is the componentwise equivalence corpus.
+var componentwiseQueries = []struct {
+	sql           string
+	componentwise bool // must run with no merge
+}{
+	{"select possible K, V from I", true},
+	{"select certain K, V from I", true},
+	{"select conf, K, V from I", true},
+	{"select possible K from I where V >= 1", true},
+	{"select certain distinct K from I", true},
+	{"select possible V from I order by V desc", true},
+	{"select possible I.K, S.Y from I, S where I.V = S.V", true},
+	{"select possible S.Y, I.K from S, I where S.V = I.V", true},
+	{"select conf, I.K from I, S where I.V = S.V", true},
+	{"select possible K, V from I union select K, V from P", true},
+	{"select conf, K from I where V >= (select min(V) from S)", true},
+	{"select possible I.K, F.Z from I, F where I.V = F.V", true},
+	{"select conf, F.Z from F, I where F.V = I.V and I.K >= 1", true},
+	{"select certain I.K from I, S where I.V = S.V and S.Y <> 'y1'", true},
+	{"select possible G.K, F.Z from G, F where G.V = F.V", true},
+	{"select conf, G.K, S.Y from G, S where G.V = S.V and G.K <> 2", true},
+	{"select possible a.K, b.K from P a, P b where a.V = b.V", true},
+	{"select possible I.K from I, S, F where I.V = S.V and S.V = F.V", true},
+	// Merge fallbacks: still must agree with the naive engine.
+	{"select possible sum(V) from I", false},
+	{"select possible I.K from I, P where I.V = P.V", false},
+	{"select conf from I where exists (select * from I where V = 0)", false},
+}
+
 // TestComponentwiseEquivalenceFuzz builds random decompositions (repair
 // and choice components over random base tables, plus a certain lookup
 // table), runs the same I-SQL through the naive enumerating engine and the
@@ -231,33 +260,6 @@ func keyedTables() (f, fr *relation.Relation) {
 func TestComponentwiseEquivalenceFuzz(t *testing.T) {
 	t.Parallel()
 	r := rand.New(rand.NewSource(46))
-	queries := []struct {
-		sql           string
-		componentwise bool // must run with no merge
-	}{
-		{"select possible K, V from I", true},
-		{"select certain K, V from I", true},
-		{"select conf, K, V from I", true},
-		{"select possible K from I where V >= 1", true},
-		{"select certain distinct K from I", true},
-		{"select possible V from I order by V desc", true},
-		{"select possible I.K, S.Y from I, S where I.V = S.V", true},
-		{"select possible S.Y, I.K from S, I where S.V = I.V", true},
-		{"select conf, I.K from I, S where I.V = S.V", true},
-		{"select possible K, V from I union select K, V from P", true},
-		{"select conf, K from I where V >= (select min(V) from S)", true},
-		{"select possible I.K, F.Z from I, F where I.V = F.V", true},
-		{"select conf, F.Z from F, I where F.V = I.V and I.K >= 1", true},
-		{"select certain I.K from I, S where I.V = S.V and S.Y <> 'y1'", true},
-		{"select possible G.K, F.Z from G, F where G.V = F.V", true},
-		{"select conf, G.K, S.Y from G, S where G.V = S.V and G.K <> 2", true},
-		{"select possible a.K, b.K from P a, P b where a.V = b.V", true},
-		{"select possible I.K from I, S, F where I.V = S.V and S.V = F.V", true},
-		// Merge fallbacks: still must agree with the naive engine.
-		{"select possible sum(V) from I", false},
-		{"select possible I.K from I, P where I.V = P.V", false},
-		{"select conf from I where exists (select * from I where V = 0)", false},
-	}
 	for trial := 0; trial < 12; trial++ {
 		rel := randomKeyedRelation(r, 1+r.Intn(3), 3)
 		choiceRel := randomKeyedRelation(r, 2, 2)
@@ -310,7 +312,7 @@ func TestComponentwiseEquivalenceFuzz(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		for _, q := range queries {
+		for _, q := range componentwiseQueries {
 			want, err := s.Exec(q.sql)
 			if err != nil {
 				t.Fatalf("trial %d naive %q: %v", trial, q.sql, err)
@@ -419,6 +421,32 @@ func crosscheckClosures(t *testing.T, trial int, label string, s *core.Session, 
 	}
 }
 
+// dmlStatements is the DML equivalence corpus.
+var dmlStatements = []struct {
+	sql           string
+	componentwise bool // must run with no merge on the compact engine
+}{
+	{"update I set V = V + 10 where K = 0", true},
+	{"update I set W = W * 2", true},
+	{"update S set Y = 'zz' where V = 1", true},
+	{"update I set V = V + (select min(V) from S) where K >= 1", true},
+	{"delete from I where V >= 2 and K = 0", true},
+	{"delete from S where V = 0", true},
+	{"update P set V = V + 100 where W >= 1", true},
+	// Expressions over uncertain relations couple rows to component
+	// choices: the involved components merge (bounded), and the engines
+	// must still agree.
+	{"delete from I where exists (select * from P where W >= 2)", false},
+	{"update I set V = 0 where V <= (select max(V) from P)", false},
+	// J is IMPORTed, so its certain part and its contributions are
+	// columnar on both engines: these rewrite batches, not tuples.
+	{"update J set V = V + 10 where K < 10", true},
+	{"update J set V = 0, W = W * 2 where V is null or K >= 25", true},
+	{"delete from J where V >= 3 and K > 20", true},
+	{"delete from J where K = (select min(V) from S) + 3", true},
+	{"update J set V = V - 1 where V <= (select max(V) from P)", false},
+}
+
 // TestDMLEquivalenceFuzz runs randomized UPDATE/DELETE statements through
 // the naive enumerating engine and the compact executor over identical
 // content, asserting the represented world-sets stay identical (world
@@ -431,36 +459,12 @@ func crosscheckClosures(t *testing.T, trial int, label string, s *core.Session, 
 func TestDMLEquivalenceFuzz(t *testing.T) {
 	t.Parallel()
 	r := rand.New(rand.NewSource(47))
-	statements := []struct {
-		sql           string
-		componentwise bool // must run with no merge on the compact engine
-	}{
-		{"update I set V = V + 10 where K = 0", true},
-		{"update I set W = W * 2", true},
-		{"update S set Y = 'zz' where V = 1", true},
-		{"update I set V = V + (select min(V) from S) where K >= 1", true},
-		{"delete from I where V >= 2 and K = 0", true},
-		{"delete from S where V = 0", true},
-		{"update P set V = V + 100 where W >= 1", true},
-		// Expressions over uncertain relations couple rows to component
-		// choices: the involved components merge (bounded), and the engines
-		// must still agree.
-		{"delete from I where exists (select * from P where W >= 2)", false},
-		{"update I set V = 0 where V <= (select max(V) from P)", false},
-		// J is IMPORTed, so its certain part and its contributions are
-		// columnar on both engines: these rewrite batches, not tuples.
-		{"update J set V = V + 10 where K < 10", true},
-		{"update J set V = 0, W = W * 2 where V is null or K >= 25", true},
-		{"delete from J where V >= 3 and K > 20", true},
-		{"delete from J where K = (select min(V) from S) + 3", true},
-		{"update J set V = V - 1 where V <= (select max(V) from P)", false},
-	}
 	nestedDrops := 0
 	for trial := 0; trial < 10; trial++ {
 		s, d := fuzzPair(t, r)
 		importTarget(t, rand.New(rand.NewSource(int64(trial))), s, d)
 		for i := 0; i < 6; i++ {
-			st := statements[r.Intn(len(statements))]
+			st := dmlStatements[r.Intn(len(dmlStatements))]
 			if _, err := s.Exec(st.sql); err != nil {
 				t.Fatalf("trial %d naive %q: %v", trial, st.sql, err)
 			}
@@ -560,6 +564,31 @@ func wholeWorlds(worlds []*world.World) []worldView {
 	return out
 }
 
+// groupWorldsQueries is the GROUP WORLDS BY equivalence corpus.
+var groupWorldsQueries = []struct {
+	sql           string
+	componentwise bool // must run with no merge
+}{
+	{"select possible K, V from I group worlds by (select V from P)", true},
+	{"select certain K, V from I group worlds by (select V from P)", true},
+	{"select conf, K, V from I group worlds by (select V from P)", true},
+	// Multi-component grouping plan: the frontier fold combines the
+	// per-component answer fingerprints of every repair component.
+	{"select conf, V from P group worlds by (select K, V from I)", true},
+	{"select possible V, W from P group worlds by (select K from I where V >= 1)", true},
+	// World-independent grouping query: one group, the plain closure.
+	{"select possible K from I group worlds by (select Y from S)", true},
+	// Certain-data subquery in the main query stays componentwise.
+	{"select conf, K from I where V >= (select min(V) from S) group worlds by (select V from P)", true},
+	// The grouping and main plans share components: bounded residual
+	// merge, still equivalent.
+	{"select possible K, V from I group worlds by (select K from I where V = 0)", false},
+	{"select conf, K from I group worlds by (select V from I)", false},
+	// Non-decomposable grouping plan (aggregate over uncertain data):
+	// its components merge, the main query stays componentwise.
+	{"select possible V from P group worlds by (select sum(V) from I)", false},
+}
+
 // TestGroupWorldsEquivalenceFuzz runs randomized GROUP WORLDS BY
 // statements through both engines: same group count and order, group
 // probabilities to 1e-9, the same possible/certain group answers as sets
@@ -572,31 +601,8 @@ func wholeWorlds(worlds []*world.World) []worldView {
 func TestGroupWorldsEquivalenceFuzz(t *testing.T) {
 	t.Parallel()
 	r := rand.New(rand.NewSource(48))
-	queries := []struct {
-		sql           string
-		componentwise bool // must run with no merge
-	}{
-		{"select possible K, V from I group worlds by (select V from P)", true},
-		{"select certain K, V from I group worlds by (select V from P)", true},
-		{"select conf, K, V from I group worlds by (select V from P)", true},
-		// Multi-component grouping plan: the frontier fold combines the
-		// per-component answer fingerprints of every repair component.
-		{"select conf, V from P group worlds by (select K, V from I)", true},
-		{"select possible V, W from P group worlds by (select K from I where V >= 1)", true},
-		// World-independent grouping query: one group, the plain closure.
-		{"select possible K from I group worlds by (select Y from S)", true},
-		// Certain-data subquery in the main query stays componentwise.
-		{"select conf, K from I where V >= (select min(V) from S) group worlds by (select V from P)", true},
-		// The grouping and main plans share components: bounded residual
-		// merge, still equivalent.
-		{"select possible K, V from I group worlds by (select K from I where V = 0)", false},
-		{"select conf, K from I group worlds by (select V from I)", false},
-		// Non-decomposable grouping plan (aggregate over uncertain data):
-		// its components merge, the main query stays componentwise.
-		{"select possible V from P group worlds by (select sum(V) from I)", false},
-	}
 	for trial := 0; trial < 10; trial++ {
-		for _, q := range queries {
+		for _, q := range groupWorldsQueries {
 			// Fresh pair per query: merges restructure the decomposition.
 			s, d := fuzzPair(t, r)
 			want, err := s.Exec(q.sql)

@@ -131,16 +131,20 @@ func (d *WSD) SchemaFingerprint() uint64 {
 // certain-only answer Q(cert), or the tagged delta of a delta catalog's
 // alternatives (deltas, the statement's plan.Deltas) — neither reads a
 // table's full instance. The merge route binds batch over each merged
-// alternative's full instance instead (mergedParts).
+// alternative's full instance instead (mergedParts). Every bind takes the
+// statement's memo, so Q(cert) and the delta hash one table of a certain
+// build side, and the merged alternatives evaluate an uncorrelated
+// subquery once each, not once per row.
 type evaluator struct {
 	d      *WSD
 	prep   *plan.Prepared
 	deltas *plan.Deltas
+	memo   *plan.Memo
 	sel    *sqlparse.SelectStmt
 }
 
 func (e evaluator) batch(cat plan.Catalog) (*colbatch.Batch, error) {
-	op, err := e.prep.Bind(cat)
+	op, err := e.prep.Bind(cat, e.memo)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +155,7 @@ func (e evaluator) part(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, err
 	if !delta {
 		return e.batch(plan.CatalogFunc(cat.Certain))
 	}
-	op, err := e.deltas.Bind(cat)
+	op, err := e.deltas.Bind(cat, e.memo)
 	if err != nil {
 		return nil, err
 	}
@@ -165,32 +169,34 @@ func (d *WSD) prepared(sel *sqlparse.SelectStmt) (*plan.Prepared, evaluator, err
 	compileCat := d.schemaCatalog()
 	prep, err := plan.Cached(plan.SharedCache(), d.trace, &d.lookups,
 		fmt.Sprintf("cq\x00%s\x00%x", sel.String(), d.SchemaFingerprint()),
-		func(p *plan.Prepared) error { _, err := p.Bind(compileCat); return err },
+		func(p *plan.Prepared) error { _, err := p.Bind(compileCat, nil); return err },
 		func() (*plan.Prepared, error) { return plan.Prepare(sel, compileCat) })
 	if err != nil {
 		return nil, evaluator{}, err
 	}
-	return prep, evaluator{d: d, prep: prep, deltas: prep.Deltas(), sel: sel}, nil
+	return prep, evaluator{d: d, prep: prep, deltas: prep.Deltas(), memo: new(plan.Memo), sel: sel}, nil
 }
 
 // assertStmt filters the world-set by an ASSERT condition (an I-SQL-free
 // boolean expression). The condition compiles once through the process-wide
 // shared plan cache — keyed like SELECT templates, under a distinct prefix
-// — and is bound per alternative of the merged involved components, with
-// the interrupt hook threaded into its subquery evaluations. The uncertain
+// — and is bound per alternative of the merged involved components, through
+// one memo, with the interrupt hook threaded into its subquery evaluations. The uncertain
 // relations the condition reads are derived from the condition itself.
 func (d *WSD) assertStmt(e sqlparse.Expr) error {
 	touching := sqlparse.ReferencedTables(&sqlparse.SelectStmt{Where: e, Limit: -1})
 	compileCat := d.schemaCatalog()
 	pp, err := plan.Cached(plan.SharedCache(), d.trace, &d.lookups,
 		fmt.Sprintf("ca\x00%s\x00%x", e.String(), d.SchemaFingerprint()),
-		func(p *plan.PreparedPredicate) error { _, err := p.Bind(compileCat); return err },
+		func(p *plan.PreparedPredicate) error { _, err := p.Bind(compileCat, nil, nil); return err },
 		func() (*plan.PreparedPredicate, error) { return plan.PreparePredicate(e, compileCat) })
 	if err != nil {
 		return err
 	}
+	var memo plan.Memo
+	outer := core.StatementCtx(d.interrupt, d.trace)
 	return d.assert(touching, func(cat plan.Catalog) (bool, error) {
-		pred, err := pp.BindInterrupt(cat, d.interrupt)
+		pred, err := pp.Bind(cat, outer, &memo)
 		if err != nil {
 			return false, err
 		}

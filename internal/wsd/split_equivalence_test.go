@@ -179,6 +179,33 @@ func TestRepairUncertainEquivalenceFuzz(t *testing.T) {
 	}
 }
 
+// ctasStatements is the factorized CTAS equivalence corpus.
+var ctasStatements = []struct {
+	sql     string
+	conf    bool // stored content carries a float conf column
+	noMerge bool
+}{
+	{"create table D as select possible K, V from I", false, true},
+	{"create table D as select certain K, V from I", false, true},
+	{"create table D as select conf, K, V from I", true, true},
+	{"create table D as select possible K, V from I group worlds by (select V from P)", false, true},
+	{"create table D as select certain V, W from I group worlds by (select V from P)", false, true},
+	{"create table D as select conf, K from I group worlds by (select V from P)", true, true},
+	// Multi-component grouping subquery: the grouping components merge
+	// (a world's group is a joint function of them), bounded.
+	{"create table D as select possible V, W from P group worlds by (select K, V from I)", false, false},
+	// Grouping and main query share components: residual merge.
+	{"create table D as select possible K, V from I group worlds by (select K from I where V = 0)", false, false},
+	{"create table D as select conf, K from I group worlds by (select V from I)", true, false},
+	// Disjoint grouping, main query on the merge route: the main query's
+	// merge of I's components moves P's index after P's groups formed.
+	{"create table D as select possible sum(V) from I group worlds by (select V from P)", false, false},
+	// Merge-path closure (aggregate over uncertain data), stored certain.
+	{"create table D as select possible sum(V) from I", false, false},
+	// World-independent grouping subquery: one group, stored certain.
+	{"create table D as select possible K from I group worlds by (select Y from S)", false, true},
+}
+
 // TestFactorizedCTASEquivalenceFuzz materializes closed and grouped
 // queries as tables on both engines and asserts the stored relations
 // represent identical world-sets (byte-identical instances for
@@ -189,33 +216,8 @@ func TestRepairUncertainEquivalenceFuzz(t *testing.T) {
 func TestFactorizedCTASEquivalenceFuzz(t *testing.T) {
 	t.Parallel()
 	r := rand.New(rand.NewSource(53))
-	statements := []struct {
-		sql     string
-		conf    bool // stored content carries a float conf column
-		noMerge bool
-	}{
-		{"create table D as select possible K, V from I", false, true},
-		{"create table D as select certain K, V from I", false, true},
-		{"create table D as select conf, K, V from I", true, true},
-		{"create table D as select possible K, V from I group worlds by (select V from P)", false, true},
-		{"create table D as select certain V, W from I group worlds by (select V from P)", false, true},
-		{"create table D as select conf, K from I group worlds by (select V from P)", true, true},
-		// Multi-component grouping subquery: the grouping components merge
-		// (a world's group is a joint function of them), bounded.
-		{"create table D as select possible V, W from P group worlds by (select K, V from I)", false, false},
-		// Grouping and main query share components: residual merge.
-		{"create table D as select possible K, V from I group worlds by (select K from I where V = 0)", false, false},
-		{"create table D as select conf, K from I group worlds by (select V from I)", true, false},
-		// Disjoint grouping, main query on the merge route: the main query's
-		// merge of I's components moves P's index after P's groups formed.
-		{"create table D as select possible sum(V) from I group worlds by (select V from P)", false, false},
-		// Merge-path closure (aggregate over uncertain data), stored certain.
-		{"create table D as select possible sum(V) from I", false, false},
-		// World-independent grouping subquery: one group, stored certain.
-		{"create table D as select possible K from I group worlds by (select Y from S)", false, true},
-	}
 	for trial := 0; trial < 8; trial++ {
-		for _, st := range statements {
+		for _, st := range ctasStatements {
 			s, d := fuzzPair(t, r)
 			if _, err := s.Exec(st.sql); err != nil {
 				t.Fatalf("trial %d naive %q: %v", trial, st.sql, err)

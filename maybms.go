@@ -45,7 +45,11 @@
 // detaches one database from it. A world-set is a set of databases over
 // one schema — every statement that adds or replaces a relation does so in
 // every world — so a template compiled against one world binds in all of
-// them.
+// them. The binds of one statement share its invariant subplans: an
+// uncorrelated subquery runs once per distinct set of relations it reads,
+// not once per outer row, and a hash join's build side is hashed once
+// across the worlds that share it (traced as subquery_evals and
+// shared_builds).
 //
 // A statement runs on its caller's goroutine; concurrency comes from
 // running statements on different databases (sessions) at once, as the

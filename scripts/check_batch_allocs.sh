@@ -54,10 +54,13 @@
 # The merge-route gate holds a merged component to the machinery of every
 # other component: a CONF whose subquery correlates bench/'s 8 two-value
 # keys, over their 256-alternative merged component, is 256 full-answer
-# evaluations closed by the one fold (internal/wsd/fold.go) — steady state
-# ~48k allocs/op, ~186 per alternative and nearly all of them the
-# evaluation's own (as under the per-relation worldset closing it
-# replaced); the ~1.9x ceiling trips when the work per alternative doubles.
+# evaluations closed by the one fold (internal/wsd/fold.go). Its
+# uncorrelated sum runs once per alternative through the statement's memo
+# (internal/plan/memo.go), not once per row: steady state ~9.2k allocs/op,
+# where evaluating it per row took 28 392. The UPDATE whose WHERE reads the
+# same merged component rewrites 256 pieces with the max evaluated once
+# each: ~12.5k, where 31 695 per row. The ~1.2x ceilings trip when the
+# subquery runs per row again.
 #
 # The answer-encoding gate holds the server's wire encoder to per-relation
 # allocation: BenchmarkEncodeAnswer writes a 10 000 x 6 columnar answer and
@@ -107,7 +110,7 @@ $(go test . -bench 'BenchmarkConditional(Select|Conf)/nested/groups=18' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
 $(go test . -bench '^BenchmarkImportedRead$/^(conf|join)$/^rows=40000$/^alts=24$' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
-$(go test . -bench '^BenchmarkMergeRoute$/^conf\.subquery$' \
+$(go test . -bench '^BenchmarkMergeRoute$/^(conf\.subquery|update\.uncertain)$' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
 $(go test ./internal/server/ -bench '^BenchmarkEncodeAnswer$' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
@@ -146,7 +149,8 @@ check 'BenchmarkConditionalSelect/nested/groups=18/worlds=2\^18' 3000
 check 'BenchmarkConditionalConf/nested/groups=18/worlds=2\^18' 3100
 check 'BenchmarkImportedRead/conf/rows=40000/alts=24' 2000
 check 'BenchmarkImportedRead/join/rows=40000/alts=24' 2200
-check 'BenchmarkMergeRoute/conf\.subquery' 90000
+check 'BenchmarkMergeRoute/conf\.subquery' 11000
+check 'BenchmarkMergeRoute/update\.uncertain' 15000
 check 'BenchmarkEncodeAnswer/columnar' 4
 check 'BenchmarkEncodeAnswer/rows' 2
 check 'BenchmarkDMLApply/update' 32
