@@ -25,7 +25,9 @@
 package colbatch
 
 import (
+	"hash/maphash"
 	"math"
+	"slices"
 
 	"maybms/internal/schema"
 	"maybms/internal/tuple"
@@ -407,7 +409,8 @@ func (b *Batch) Len() int {
 func (b *Batch) RowBacked() bool { return b.cols == nil }
 
 // Reserve makes room for about n more rows: in the row slice of an empty
-// batch, and in the columns a row-form batch settles into.
+// batch, in the columns a row-form batch settles into, and in the typed
+// columns an empty batch takes from the first columnar batch appended.
 func (b *Batch) Reserve(n int) {
 	b.room = b.n + n
 	if b.n == 0 && b.cols == nil {
@@ -503,6 +506,11 @@ func (b *Batch) toColumns(src *Batch, m int) bool {
 	case b.cols != nil:
 	case b.n == 0 && src.cols != nil:
 		b.cols, b.rows = make([]Col, len(src.cols)), nil
+		for j := range b.cols {
+			if c := &src.cols[j]; c.Any == nil && b.room > 0 {
+				b.cols[j].reserve(c.Kind, b.room)
+			}
+		}
 	case b.n+m < Floor:
 		return false
 	default:
@@ -929,6 +937,157 @@ func (b *Batch) AppendKeyOn(dst []byte, cols []int, i int) []byte {
 	return dst
 }
 
+// HashKeysOn sets hashes[k] to a 64-bit hash of row rows[k] restricted to
+// cols, computed column at a time. Rows whose AppendKeyOn encodings are
+// equal hash alike: a typed cell hashes by its payload, a NULL as one
+// constant, a generic or row-form cell by its kind's payload. Rows of one
+// hash may still differ; SameKeyOn tells.
+func (b *Batch) HashKeysOn(cols []int, rows []int32, hashes []uint64) {
+	clear(hashes)
+	for _, j := range cols {
+		if b.cols == nil {
+			for k, r := range rows {
+				hashes[k] = mixHash(hashes[k], valueHash(b.rows[r][j]))
+			}
+			continue
+		}
+		b.cols[j].hashInto(rows, hashes)
+	}
+}
+
+// hashInto folds the hashes of c's cells at rows into hashes.
+func (c *Col) hashInto(rows []int32, hashes []uint64) {
+	null := func(r int32) bool { return c.Nulls != nil && c.Nulls[r] }
+	switch {
+	case c.Any != nil:
+		for k, r := range rows {
+			hashes[k] = mixHash(hashes[k], valueHash(c.Any[r]))
+		}
+	case c.Kind == value.KindNull:
+		for k := range rows {
+			hashes[k] = mixHash(hashes[k], nullHash)
+		}
+	case c.Kind == value.KindInt:
+		for k, r := range rows {
+			x := uint64(c.Ints[r])
+			if null(r) {
+				x = nullHash
+			}
+			hashes[k] = mixHash(hashes[k], x)
+		}
+	case c.Kind == value.KindFloat:
+		for k, r := range rows {
+			x := math.Float64bits(c.Floats[r])
+			if null(r) {
+				x = nullHash
+			}
+			hashes[k] = mixHash(hashes[k], x)
+		}
+	case c.Kind == value.KindString:
+		for k, r := range rows {
+			x := uint64(nullHash)
+			if !null(r) {
+				x = maphash.String(keySeed, c.Strs[r])
+			}
+			hashes[k] = mixHash(hashes[k], x)
+		}
+	default:
+		for k, r := range rows {
+			x := uint64(0)
+			if null(r) {
+				x = nullHash
+			} else if c.Bools[r] {
+				x = 1
+			}
+			hashes[k] = mixHash(hashes[k], x)
+		}
+	}
+}
+
+// keySeed seeds the hashes of TEXT cells.
+var keySeed = maphash.MakeSeed()
+
+// nullHash is the payload hash of a NULL cell.
+const nullHash = 0x6e756c6c
+
+// valueHash hashes v as hashInto hashes a typed cell of its kind.
+func valueHash(v value.Value) uint64 {
+	switch v.Kind() {
+	case value.KindInt:
+		return uint64(v.AsInt())
+	case value.KindFloat:
+		return math.Float64bits(v.AsFloat())
+	case value.KindString:
+		return maphash.String(keySeed, v.AsStr())
+	case value.KindBool:
+		if v.AsBool() {
+			return 1
+		}
+		return 0
+	}
+	return nullHash
+}
+
+// mixHash folds the hash x of one more key cell into the row hash h.
+func mixHash(h, x uint64) uint64 {
+	h = (h ^ x) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
+
+// SameKeyOn reports whether rows i and j have equal AppendKeyOn encodings
+// on cols, compared cell by cell: both NULL, or of one kind and payload,
+// floats by their bits.
+func (b *Batch) SameKeyOn(cols []int, i, j int) bool {
+	for _, c := range cols {
+		if b.cols == nil {
+			if !sameValue(b.rows[i][c], b.rows[j][c]) {
+				return false
+			}
+		} else if !b.cols[c].sameCell(i, j) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameCell reports whether c's cells i and j encode alike.
+func (c *Col) sameCell(i, j int) bool {
+	if c.Any != nil {
+		return sameValue(c.Any[i], c.Any[j])
+	}
+	if ni, nj := c.Null(i), c.Null(j); ni || nj {
+		return ni == nj
+	}
+	switch c.Kind {
+	case value.KindInt:
+		return c.Ints[i] == c.Ints[j]
+	case value.KindFloat:
+		return math.Float64bits(c.Floats[i]) == math.Float64bits(c.Floats[j])
+	case value.KindString:
+		return c.Strs[i] == c.Strs[j]
+	}
+	return c.Bools[i] == c.Bools[j]
+}
+
+// sameValue reports whether a and b encode alike (value.Encode): one kind
+// and payload, floats compared by their bits.
+func sameValue(a, b value.Value) bool {
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	switch a.Kind() {
+	case value.KindInt:
+		return a.AsInt() == b.AsInt()
+	case value.KindFloat:
+		return math.Float64bits(a.AsFloat()) == math.Float64bits(b.AsFloat())
+	case value.KindString:
+		return a.AsStr() == b.AsStr()
+	case value.KindBool:
+		return a.AsBool() == b.AsBool()
+	}
+	return true
+}
+
 // AppendKey appends the canonical full-row encoding (tuple.Encode) of row i
 // to dst.
 func (b *Batch) AppendKey(dst []byte, i int) []byte {
@@ -970,6 +1129,67 @@ type ColBuilder struct {
 func (cb *ColBuilder) Append(v value.Value) {
 	cb.col.append(cb.n, v)
 	cb.n++
+}
+
+// AppendInt adds the INTEGER x as the next cell: straight onto the payload
+// vector of an integer column, else as Append(value.Int(x)) does.
+func (cb *ColBuilder) AppendInt(x int64) {
+	c := &cb.col
+	if c.Kind != value.KindInt || c.Any != nil {
+		cb.Append(value.Int(x))
+		return
+	}
+	if c.Nulls != nil {
+		c.Nulls = append(c.Nulls, false)
+	}
+	c.Ints = append(c.Ints, x)
+	cb.n++
+}
+
+// AppendStr adds the TEXT s as the next cell, as AppendInt does.
+func (cb *ColBuilder) AppendStr(s string) {
+	c := &cb.col
+	if c.Kind != value.KindString || c.Any != nil {
+		cb.Append(value.Str(s))
+		return
+	}
+	if c.Nulls != nil {
+		c.Nulls = append(c.Nulls, false)
+	}
+	c.Strs = append(c.Strs, s)
+	cb.n++
+}
+
+// Grow makes room for n more cells in the column's vectors, so that a
+// loader that can estimate its row count sizes its columns once. An
+// all-NULL column, whose kind is not known yet, has no vectors to grow.
+func (cb *ColBuilder) Grow(n int) {
+	c := &cb.col
+	switch {
+	case c.Any != nil:
+		c.Any = slices.Grow(c.Any, n)
+	case c.Kind == value.KindInt:
+		c.Ints = slices.Grow(c.Ints, n)
+	case c.Kind == value.KindFloat:
+		c.Floats = slices.Grow(c.Floats, n)
+	case c.Kind == value.KindString:
+		c.Strs = slices.Grow(c.Strs, n)
+	case c.Kind == value.KindBool:
+		c.Bools = slices.Grow(c.Bools, n)
+	}
+	if c.Nulls != nil {
+		c.Nulls = slices.Grow(c.Nulls, n)
+	}
+}
+
+// SetStr sets cell i, appended as TEXT, to s: a loader can append a TEXT
+// cell before the string that holds its bytes exists.
+func (cb *ColBuilder) SetStr(i int, s string) {
+	if c := &cb.col; c.Any != nil {
+		c.Any[i] = value.Str(s)
+	} else {
+		c.Strs[i] = s
+	}
 }
 
 // Col returns the built column.

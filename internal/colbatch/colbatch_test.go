@@ -209,3 +209,45 @@ func TestColBuilder(t *testing.T) {
 		t.Errorf("builder column = %s, want %s", got, want)
 	}
 }
+
+// TestColBuilderTyped checks the typed appends against Append: the same
+// cells and the same representation, through a NULL backfill and a kind
+// change that degrades the column, with room made by Grow on the way and
+// TEXT cells appended as "" and set by SetStr.
+func TestColBuilderTyped(t *testing.T) {
+	for _, vals := range [][]value.Value{
+		{value.Int(1), value.Int(-2), value.Null(), value.Int(3)},
+		{value.Null(), value.Null(), value.Float(0.5), value.Float(-1)},
+		{value.Str("a"), value.Null(), value.Str("b")},
+		{value.Int(1), value.Float(1), value.Str("x"), value.Null(), value.Int(2)},
+		{value.Str("a"), value.Int(7), value.Str("b"), value.Bool(true)},
+	} {
+		var typed, ref ColBuilder
+		var text []int
+		for i, v := range vals {
+			ref.Append(v)
+			switch v.Kind() {
+			case value.KindInt:
+				typed.AppendInt(v.AsInt())
+			case value.KindString:
+				typed.AppendStr("")
+				text = append(text, i)
+			default:
+				typed.Append(v)
+			}
+			typed.Grow(2)
+		}
+		for _, i := range text {
+			typed.SetStr(i, vals[i].AsStr())
+		}
+		got, want := typed.Col(), ref.Col()
+		if got.Kind != want.Kind || (got.Any == nil) != (want.Any == nil) || (got.Nulls == nil) != (want.Nulls == nil) {
+			t.Errorf("%v: typed column is kind %s (generic %v), want %s (generic %v)", vals, got.Kind, got.Any != nil, want.Kind, want.Any != nil)
+		}
+		for i := range vals {
+			if g, w := got.Value(i), want.Value(i); string(g.Encode(nil)) != string(w.Encode(nil)) {
+				t.Errorf("%v: cell %d = %v, want %v", vals, i, g, w)
+			}
+		}
+	}
+}

@@ -182,6 +182,23 @@ func checkForm(t *testing.T, b *Batch, ref []tuple.Tuple) {
 			}
 		}
 	}
+	// Two rows have the same key exactly when their encodings are equal,
+	// and the same key hashes alike.
+	on := []int{1, 0}
+	all := make([]int32, len(ref))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	hashes := make([]uint64, len(ref))
+	b.HashKeysOn(on, all, hashes)
+	for i := range ref {
+		for i2 := range ref {
+			same := bytes.Equal(ref[i].EncodeOn(got[:0], on), ref[i2].EncodeOn(want[:0], on))
+			if b.SameKeyOn(on, i, i2) != same || (same && hashes[i] != hashes[i2]) {
+				t.Fatalf("rows %d and %d: SameKeyOn %v, encodings equal %v, hashes %x %x", i, i2, b.SameKeyOn(on, i, i2), same, hashes[i], hashes[i2])
+			}
+		}
+	}
 }
 
 func gatherRef(ref []tuple.Tuple, sel []int32) []tuple.Tuple {

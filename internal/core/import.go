@@ -54,11 +54,17 @@ func (s *Session) execImport(st *sqlparse.Import) (*Result, error) {
 	}
 
 	// Every parent has one child per pick of an alternative from each
-	// group, last group fastest.
+	// group, last group fastest. The groups' alternatives are assembled
+	// once, group gi's alternative a at row off[gi]+a, and each child is
+	// one batch sized for the certain rows plus one gather of its picks.
 	sizes := make([]int, len(plan.Groups))
+	off := make([]int32, len(plan.Groups))
+	alts := colbatch.New(plan.Schema)
 	for gi, g := range plan.Groups {
-		sizes[gi] = g.Rel.Len()
+		sizes[gi], off[gi] = g.Rel.Len(), int32(alts.Len())
+		alts.AppendBatch(g.Rel.Batch())
 	}
+	sel := make([]int32, len(plan.Groups))
 	worlds := make([]*world.World, 0, len(s.set.Worlds)*perParent)
 	for _, parent := range s.set.Worlds {
 		j := 0
@@ -68,14 +74,16 @@ func (s *Session) execImport(st *sqlparse.Import) (*Result, error) {
 			}
 			child := parent.Clone(childName(parent.Name, j))
 			j++
-			combined := colbatch.New(plan.Schema)
-			combined.AppendBatch(plan.Certain.Batch())
 			for gi, g := range plan.Groups {
-				combined.AppendBatch(g.Rel.Batch().Slice(pick[gi], pick[gi]+1))
+				sel[gi] = off[gi] + int32(pick[gi])
 				if s.set.Weighted {
 					child.Prob *= g.Probs[pick[gi]]
 				}
 			}
+			combined := colbatch.New(plan.Schema)
+			combined.Reserve(plan.Certain.Len() + len(sel))
+			combined.AppendBatch(plan.Certain.Batch())
+			combined.AppendGather(alts, sel)
 			child.Put(st.Table, relation.FromBatch(combined))
 			worlds = append(worlds, child)
 			return nil

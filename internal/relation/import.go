@@ -82,10 +82,12 @@ func LoadCSVFile(path string, opts ImportOptions) (*ImportPlan, error) {
 }
 
 // LoadCSV bulk-loads CSV (header row first, fields interpreted with
-// value.Parse) and classifies the rows into an ImportPlan. The file loads
-// straight into per-column builders — per-column allocation, no per-row
-// tuples — and the certain part of the plan is a columnar gather (or the
-// whole stored batch when the file carries no uncertainty).
+// value.Parse) and classifies the rows into an ImportPlan. ReadCSV streams
+// the file into typed columns, allocating per column and per chunk of rows;
+// the key groups of REPAIR KEY and the active domains of NULLS AS CHOICE
+// are partitions over those typed cells (PartitionBy); and the certain part
+// of the plan is a columnar gather (or the whole stored batch when the file
+// carries no uncertainty).
 func LoadCSV(r io.Reader, opts ImportOptions) (*ImportPlan, error) {
 	rel, err := ReadCSV(r)
 	if err != nil {
@@ -159,7 +161,7 @@ func classifyImport(rel *Relation, opts ImportOptions) (*ImportPlan, error) {
 			errors.As(err, &we)
 			return nil, fmt.Errorf("relation: import: row %d: %w", we.Row+1, err)
 		}
-		certSel = nil
+		certSel = make([]int32, 0, p.Len())
 		for g := 0; g < p.Len(); g++ {
 			rows := p.Group(g)
 			if err := choicesBefore(rows[0]); err != nil {
@@ -190,7 +192,7 @@ func classifyImport(rel *Relation, opts ImportOptions) (*ImportPlan, error) {
 // values across the whole file, in first-appearance order.
 func activeDomain(b *colbatch.Batch, j int) []value.Value {
 	col := b.Col(j)
-	nonNull := []int32{}
+	nonNull := make([]int32, 0, b.Len())
 	for i := 0; i < b.Len(); i++ {
 		if !col.Null(i) {
 			nonNull = append(nonNull, int32(i))

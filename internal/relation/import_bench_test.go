@@ -6,6 +6,29 @@ import (
 	"testing"
 )
 
+// benchDirtyCSV renders the file shape of the benchmark's ingest.dml
+// workload: K,A,Cat,Label,W over rows rows, in which dirty rows, evenly
+// spread, repeat the key of the row before them (a repair group of two) and
+// as many others have a NULL Cat (a choice among the four categories).
+func benchDirtyCSV(rows, dirty int) []byte {
+	words := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}
+	var b bytes.Buffer
+	b.WriteString("K,A,Cat,Label,W\n")
+	every := rows / dirty
+	k := 0
+	for i := 0; i < rows; i++ {
+		if i%every != every/2 || i/every >= dirty {
+			k++
+		}
+		cat := fmt.Sprint(i * 7 % 4)
+		if i%every == every-1 && i/every < dirty {
+			cat = ""
+		}
+		fmt.Fprintf(&b, "%d,%d,%s,%s,%d\n", k, i*7919%1000, cat, words[i*31%len(words)], 1+i%5)
+	}
+	return b.Bytes()
+}
+
 // benchCSVData builds an in-memory dirty CSV: K,V,W with rows/dupEvery
 // key conflicts (repair fodder) and rows/nullEvery NULLed V cells (choice
 // fodder). V ranges over a small domain so NULL fills stay bounded.
@@ -44,9 +67,9 @@ func benchImport(b *testing.B, rows int, data []byte, opts ImportOptions) {
 }
 
 // BenchmarkImportCertain is the clean bulk load: 1M rows straight into
-// per-column builders, one stored batch, no uncertainty classification.
-// Allocations are per column (builder growth) plus the csv reader's one
-// record string per row — nothing per cell.
+// typed columns, one stored batch, no uncertainty classification.
+// Allocations are per column (vector growth) and per chunk of rows (its
+// string arena) — nothing per row or per cell.
 func BenchmarkImportCertain(b *testing.B) {
 	const rows = 1_000_000
 	data := benchCSVData(rows, 0, 0)
@@ -68,4 +91,14 @@ func BenchmarkImportChoice(b *testing.B) {
 	const rows = 1_000_000
 	data := benchCSVData(rows, 0, 500)
 	benchImport(b, rows, data, ImportOptions{NullsChoice: true})
+}
+
+// BenchmarkImportDirty is ingest.dml's IMPORT: 40 000 rows, 4 of them with
+// a NULL Cat and 4 key conflicts, under NULLS AS CHOICE REPAIR KEY (K)
+// WEIGHT W — the load, the key partition over typed cells, the active
+// domain of Cat, and 8 small groups.
+func BenchmarkImportDirty(b *testing.B) {
+	const rows = 40_000
+	data := benchDirtyCSV(rows, 4)
+	benchImport(b, rows, data, ImportOptions{NullsChoice: true, RepairKey: []string{"K"}, Weight: "W"})
 }

@@ -19,43 +19,61 @@ type Partition struct {
 }
 
 // PartitionBy partitions the rows of b — only the ascending rows subset when
-// it is non-nil — by their values on cols.
+// it is non-nil — by their values on cols. Two rows are in one group when
+// their key cells encode alike (AppendKeyOn): of one kind and payload, NULL
+// equal to NULL, floats by their bits. Each row's key is hashed to 64 bits
+// column at a time (HashKeysOn); rows of one hash whose keys differ are told
+// apart by a chain of the hash's groups, compared cell by cell (SameKeyOn).
 func PartitionBy(b *colbatch.Batch, cols []int, subset []int32) Partition {
-	row := func(k int) int32 {
-		if subset != nil {
-			return subset[k]
+	rows := subset
+	if rows == nil {
+		rows = make([]int32, b.Len())
+		for i := range rows {
+			rows[i] = int32(i)
 		}
-		return int32(k)
 	}
-	ids := make([]int32, b.Len())
-	if subset != nil {
-		ids = ids[:len(subset)]
-	}
-	index := map[string]int32{}
-	var next []int32 // per group: its size, then its next slot in Rows
-	var key []byte
-	for k := range ids {
-		key = b.AppendKeyOn(key[:0], cols, int(row(k)))
-		g, ok := index[string(key)]
+	hashes := make([]uint64, len(rows))
+	hashKeys(b, cols, rows, hashes)
+
+	// Per group: its first row; the hash's previous group, or -1; its size,
+	// then its next slot in Rows. There are at most len(rows) groups.
+	n := len(rows)
+	groups := make([]int32, 3*n)
+	first, chain, next := groups[:0:n], groups[n:n:2*n], groups[2*n:2*n]
+	index := map[uint64]int32{} // hash → its latest group
+	ids := make([]int32, n)
+	for k, r := range rows {
+		head, ok := index[hashes[k]]
 		if !ok {
-			g = int32(len(next))
-			index[string(key)] = g
-			next = append(next, 0)
+			head = -1
+		}
+		g := head
+		for g >= 0 && !b.SameKeyOn(cols, int(first[g]), int(r)) {
+			g = chain[g]
+		}
+		if g < 0 {
+			g = int32(len(first))
+			first, chain, next = append(first, r), append(chain, head), append(next, 0)
+			index[hashes[k]] = g
 		}
 		ids[k] = g
 		next[g]++
 	}
 	p := Partition{Rows: make([]int32, len(ids)), Start: make([]int32, len(next)+1)}
-	for g, n := range next {
-		p.Start[g+1] = p.Start[g] + n
+	for g, size := range next {
+		p.Start[g+1] = p.Start[g] + size
 		next[g] = p.Start[g]
 	}
 	for k, g := range ids {
-		p.Rows[next[g]] = row(k)
+		p.Rows[next[g]] = rows[k]
 		next[g]++
 	}
 	return p
 }
+
+// hashKeys is the partition's key hash, a variable so that a test can make
+// every key collide.
+var hashKeys = (*colbatch.Batch).HashKeysOn
 
 // Len returns the number of groups.
 func (p Partition) Len() int { return len(p.Start) - 1 }

@@ -10,6 +10,7 @@ import (
 	"maybms/internal/colbatch"
 	"maybms/internal/schema"
 	"maybms/internal/tuple"
+	"maybms/internal/value"
 )
 
 // TestPartitionBy groups rows by key in first-appearance order, rows
@@ -41,6 +42,62 @@ func TestPartitionBy(t *testing.T) {
 	}
 	if p := PartitionBy(colbatch.New(sch), []int{0}, nil); p.Len() != 0 || len(p.Rows) != 0 {
 		t.Errorf("empty batch: %d groups", p.Len())
+	}
+}
+
+// TestPartitionIdentity pins PartitionBy's key identity where a typed hash
+// could drift from the byte key (refGroups, over value.Encode): an INTEGER
+// and the equal FLOAT differ, +0.0 and -0.0 differ, a NaN is equal to a NaN
+// of the same bits only, NULL equals NULL, a mixed-kind column keys by kind
+// and payload, and a two-column key by both. Each case runs in row form and
+// columnar, with the real hash and with one that makes every key collide,
+// so that the chain of a hash's groups decides every group.
+func TestPartitionIdentity(t *testing.T) {
+	i, f, s, null := value.Int, value.Float, value.Str, value.Null()
+	nan, otherNaN := math.NaN(), math.Float64frombits(math.Float64bits(math.NaN())^1)
+	for _, c := range []struct {
+		name   string
+		rows   []tuple.Tuple
+		cols   []int
+		groups int
+	}{
+		{"int and float", []tuple.Tuple{{i(1)}, {f(1)}, {i(1)}, {f(1)}}, []int{0}, 2},
+		{"signed zeros", []tuple.Tuple{{f(0)}, {f(math.Copysign(0, -1))}, {f(0)}}, []int{0}, 2},
+		{"NaN bits", []tuple.Tuple{{f(nan)}, {f(nan)}, {f(otherNaN)}, {f(nan)}}, []int{0}, 2},
+		{"NULL keys", []tuple.Tuple{{null}, {i(3)}, {null}, {i(3)}, {null}}, []int{0}, 2},
+		{"mixed kinds", []tuple.Tuple{{i(1)}, {s("1")}, {value.Bool(true)}, {null}, {f(1)}, {s("1")}, {null}, {i(1)}}, []int{0}, 5},
+		{"two columns", []tuple.Tuple{{s("a"), i(1)}, {s("a"), i(2)}, {s("b"), i(1)}, {s("a"), i(1)}, {null, i(1)}, {null, i(1)}, {s("b"), null}}, []int{0, 1}, 5},
+	} {
+		t.Cleanup(func() { hashKeys = (*colbatch.Batch).HashKeysOn })
+		names := []string{"A", "B"}[:len(c.rows[0])]
+		for _, collide := range []bool{false, true} {
+			if collide {
+				hashKeys = func(_ *colbatch.Batch, _ []int, _ []int32, hashes []uint64) {
+					for k := range hashes {
+						hashes[k] = 7
+					}
+				}
+			}
+			for _, n := range []int{len(c.rows), 4 * colbatch.Floor} {
+				rows := make([]tuple.Tuple, n)
+				for r := range rows {
+					rows[r] = c.rows[r%len(c.rows)]
+				}
+				b := colbatch.FromRows(schema.New(names...), rows)
+				all := make([]int32, n)
+				for r := range all {
+					all[r] = int32(r)
+				}
+				want := refGroups(b, c.cols, all)
+				if got := partitionGroups(PartitionBy(b, c.cols, nil)); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s, %d rows, collide %v: groups %v, want %v", c.name, n, collide, got, want)
+				}
+				if len(want) != c.groups {
+					t.Errorf("%s: reference has %d groups, want %d", c.name, len(want), c.groups)
+				}
+			}
+			hashKeys = (*colbatch.Batch).HashKeysOn
+		}
 	}
 }
 
@@ -95,6 +152,23 @@ func TestEachPick(t *testing.T) {
 	}
 }
 
+// loadCSVSeeds are FuzzLoadCSV's seeds, each a file and its opts, and
+// FuzzReadCSV's files: the paper's Figure 1 and the examples' tables, with
+// conflicts, NULLs and bad weights.
+var loadCSVSeeds = []struct {
+	csv  string
+	opts uint8
+}{
+	{"A,B,C,D\na1,10,c1,2\na1,15,c2,6\na2,14,c3,4\na2,20,c4,5\na3,20,c5,6\n", 6},
+	{"WID,Id,Species,Gender,Pos\nA,1,sperm,calf,b\nA,2,sperm,cow,c\nA,3,orca,cow,a\nB,1,sperm,calf,b\nB,3,orca,bull,a\n", 2},
+	{"K,V,W\nk1,1,1\nk1,2,3\nk2,7,1\nk2,9,1\n", 6},
+	{"PID,Status,W\n0,married,2\n0,single,1\n1,single,1\n2,,1\n", 7},
+	{"SSN,TEL\n123,456\n789,123\n123,\n", 11},
+	{"A,B,W\na1,10,1\na1,20,3\na2,5,2\na3,,1\n", 7},
+	{"K,V,W\na,1,1\na,2,2\nb,3,-5\nc,4,oops\n", 6},
+	{"K,V,W\na,1,+Inf\na,2,1e308\na,3,1e308\n", 6},
+}
+
 // FuzzLoadCSV loads any CSV under any import options and checks the plan
 // against a map-based reference classification: every row lands exactly
 // once, in Certain (in row order) or in one group; groups are in first-row
@@ -104,15 +178,9 @@ func TestEachPick(t *testing.T) {
 // first column, bit 3 on the first two, and bit 2 weighs a keyed import by
 // the last column.
 func FuzzLoadCSV(f *testing.F) {
-	// The paper's Figure 1 and the examples' tables, as files.
-	f.Add("A,B,C,D\na1,10,c1,2\na1,15,c2,6\na2,14,c3,4\na2,20,c4,5\na3,20,c5,6\n", uint8(6))
-	f.Add("WID,Id,Species,Gender,Pos\nA,1,sperm,calf,b\nA,2,sperm,cow,c\nA,3,orca,cow,a\nB,1,sperm,calf,b\nB,3,orca,bull,a\n", uint8(2))
-	f.Add("K,V,W\nk1,1,1\nk1,2,3\nk2,7,1\nk2,9,1\n", uint8(6))
-	f.Add("PID,Status,W\n0,married,2\n0,single,1\n1,single,1\n2,,1\n", uint8(7))
-	f.Add("SSN,TEL\n123,456\n789,123\n123,\n", uint8(11))
-	f.Add("A,B,W\na1,10,1\na1,20,3\na2,5,2\na3,,1\n", uint8(7))
-	f.Add("K,V,W\na,1,1\na,2,2\nb,3,-5\nc,4,oops\n", uint8(6))
-	f.Add("K,V,W\na,1,+Inf\na,2,1e308\na,3,1e308\n", uint8(6))
+	for _, s := range loadCSVSeeds {
+		f.Add(s.csv, s.opts)
+	}
 	f.Fuzz(func(t *testing.T, csv string, opts uint8) {
 		rel, err := ReadCSV(strings.NewReader(csv))
 		if err != nil {

@@ -76,13 +76,13 @@ func TestParseImportRoundTrip(t *testing.T) {
 
 func TestParseImportErrors(t *testing.T) {
 	for _, in := range []string{
-		"import t from 'a.csv';",                       // missing INTO
-		"copy into t from 'a.csv';",                    // COPY takes no INTO
-		"import into t from a.csv;",                    // unquoted path
-		"import into t from 'a.csv' nulls choice;",     // missing AS
-		"import into t from 'a.csv' repair (k);",       // missing KEY
-		"import into t from 'a.csv' repair key k;",     // missing parens
-		"import into t from 'a.csv' weight w;",         // WEIGHT without REPAIR KEY
+		"import t from 'a.csv';",                                      // missing INTO
+		"copy into t from 'a.csv';",                                   // COPY takes no INTO
+		"import into t from a.csv;",                                   // unquoted path
+		"import into t from 'a.csv' nulls choice;",                    // missing AS
+		"import into t from 'a.csv' repair (k);",                      // missing KEY
+		"import into t from 'a.csv' repair key k;",                    // missing parens
+		"import into t from 'a.csv' weight w;",                        // WEIGHT without REPAIR KEY
 		"import into t from 'a.csv' nulls as choice nulls as choice;", // duplicate
 	} {
 		if _, err := Parse(in); !errors.Is(err, ErrParse) {

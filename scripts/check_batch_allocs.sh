@@ -25,12 +25,17 @@
 # any per-row re-encode sneaking back into Scan.Open trips the ceiling of 8
 # instantly.
 #
-# The bulk-load gates hold the IMPORT loader to per-column allocation:
-# 1M-row CSVs must stay at ~1 alloc/row for a clean load (the csv
-# reader's one record string per row — nothing per cell), ~2.4 with
-# repair-key classification (plus one interned key per distinct key) and
-# ~1.1 with NULL-choice expansion. The ceilings are ~1.5x those steady
-# states: one extra per-row allocation adds a full 1M and blows through.
+# The bulk-load gates hold the IMPORT loader to per-column and per-group
+# allocation. internal/relation's CSV reader streams the file through one
+# buffer into typed columns, sized from the bytes per row read so far, with
+# one string arena per 1 024-row chunk: a clean 1M-row load is ~1.1k
+# allocs/op, nothing per row or per cell. Repair-key classification
+# adds one gathered batch per conflict group (~309k over 50k groups) and
+# NULL-choice expansion one small relation per choice row (~69k over 2 000
+# rows of 20 alternatives); BenchmarkImportDirty, ingest.dml's 40 000-row
+# file under NULLS AS CHOICE REPAIR KEY (K) WEIGHT W, is ~560. The ceilings
+# are ~1.5x those steady states, so one allocation per row (1M, or 40k
+# for the dirty file) blows through.
 #
 # The conditional-path gate covers the d-tree routes over a nested
 # decomposition representing 2^18 worlds (18 repair components, one
@@ -102,7 +107,7 @@ OUT="$(go test ./internal/algebra/ -bench '^(BenchmarkBatchScan|BenchmarkStoredB
     -benchmem -benchtime 50x -run '^$' | tee /dev/stderr)
 $(go test . -bench '^BenchmarkClosureComponents$/^(possible|conf)$/^groups=(1000|16000)$' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
-$(go test ./internal/relation/ -bench '^BenchmarkImport(Certain|RepairKey|Choice)$' \
+$(go test ./internal/relation/ -bench '^BenchmarkImport(Certain|RepairKey|Choice|Dirty)$' \
     -benchmem -benchtime 1x -run '^$' | tee /dev/stderr)
 $(go test . -bench '^(BenchmarkBatchClosurePossible|BenchmarkBatchClosureConf|BenchmarkBatchClosureGroupWorlds)$' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
@@ -139,9 +144,10 @@ check 'BenchmarkFigurePipeline/delta-probe' 18
 check 'BenchmarkClosureComponents/possible/groups=1000' 2750
 check 'BenchmarkClosureComponents/conf/groups=1000' 2800
 check 'BenchmarkClosureComponents/conf/groups=16000' 40000
-check BenchmarkImportCertain 1500000
-check BenchmarkImportRepairKey 3500000
-check BenchmarkImportChoice 1700000
+check BenchmarkImportCertain 1600
+check BenchmarkImportRepairKey 460000
+check BenchmarkImportChoice 105000
+check BenchmarkImportDirty 850
 check BenchmarkBatchClosurePossible 5000
 check BenchmarkBatchClosureConf 5000
 check BenchmarkBatchClosureGroupWorlds 6000
