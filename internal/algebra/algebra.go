@@ -6,6 +6,13 @@
 // Operators are opened with the expression context of the *enclosing* query
 // (nil at the top level), so correlated subqueries can reach outer columns
 // through expr.Context.Outer chains.
+//
+// Collect's answer may be the stored batch itself: a tree that only reads a
+// relation's columns (a Scan, or a Project of plain columns over one) is
+// answered by a zero-copy view of its batch. Any other answer of one batch
+// shares that batch, and one of several is copied once into columns of its
+// length. Answers are read-only like every batch; an append to one
+// reallocates instead of reaching what it shares.
 package algebra
 
 import (
@@ -62,9 +69,10 @@ func Collect(op Operator, outer *expr.Context) (*relation.Relation, error) {
 	return relation.FromBatch(b), nil
 }
 
-// CollectBatch drains op into one batch and ticks the collect counters
-// once: one maybms_collects_total{path=batch|row} tick by the answer's
-// form, rows counted once.
+// CollectBatch drains op into one batch (see drain: possibly a view of a
+// stored batch) and ticks the collect counters once: one
+// maybms_collects_total{path=batch|row} tick by the answer's form, rows
+// counted once.
 func CollectBatch(op Operator, outer *expr.Context) (*colbatch.Batch, error) {
 	out, err := drain(op, outer)
 	if err != nil {
@@ -339,16 +347,19 @@ scan:
 }
 
 // columns evaluates every expression over a columnar batch; the first error
-// in row order (row-major, expression-minor) cuts the batch.
+// in row order (row-major, expression-minor) cuts the batch. The rows are
+// walked for it only when some expression erred.
 func (p *Project) columns(b *colbatch.Batch) *colbatch.Batch {
 	n := b.Len()
 	vecs := make([]expr.Vec, len(p.Exprs))
+	errs := false
 	for j, e := range p.Exprs {
 		vecs[j] = expr.EvalVec(e, b)
+		errs = errs || vecs[j].Errs != nil
 	}
 	stop := n
 scan:
-	for i := 0; i < n; i++ {
+	for i := 0; errs && i < n; i++ {
 		for j := range vecs {
 			if err := vecs[j].ErrAt(i); err != nil {
 				stop = i

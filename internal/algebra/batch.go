@@ -48,17 +48,25 @@ import (
 // batchSize is the most rows a batch carries.
 const batchSize = 1024
 
-// drain runs op to completion into one batch under op's schema: the first
-// batch's data shared zero-copy when it is the only one, else the batches
-// appended into an accumulator that takes the first batch's form (and
-// settles into columns if row-form batches reach colbatch's floor).
+// drain runs op to completion into one batch under op's schema, by one of
+// two rules. A tree that only reads a stored batch — a Scan, or a Project of
+// depth-0 columns over one — is answered by a zero-copy view of that batch
+// (see view): the answer may be the stored batch itself. Any other tree is
+// drained: a single batch is shared zero-copy as it comes, and several are
+// kept as zero-copy headers and concatenated once (colbatch.Concat) into
+// columns allocated at their total length, so no cell is copied twice.
+// Either way the answer's data is immutable and its slices are
+// capacity-clamped, so an append to it never reaches what it shares.
 func drain(op Operator, outer *expr.Context) (*colbatch.Batch, error) {
+	if b, ok, err := view(op, outer); ok {
+		return b, err
+	}
 	if err := op.Open(outer); err != nil {
 		return nil, err
 	}
 	defer op.Close()
-	var out *colbatch.Batch
-	owned := false // out is an accumulator, not a snapshot of a batch
+	var first *colbatch.Batch
+	var parts []*colbatch.Batch
 	for {
 		b, err := op.NextBatch()
 		if err != nil {
@@ -67,22 +75,66 @@ func drain(op Operator, outer *expr.Context) (*colbatch.Batch, error) {
 		if b == nil {
 			break
 		}
+		b = b.Slice(0, b.Len()) // the header is op's; the data is immutable
 		switch {
-		case out == nil:
-			out = b.Slice(0, b.Len()) // the header is op's; the data is immutable
-			continue
-		case !owned:
-			acc := colbatch.New(op.Schema())
-			acc.AppendBatch(out)
-			out, owned = acc, true
+		case first == nil:
+			first = b
+		case parts == nil:
+			parts = []*colbatch.Batch{first, b}
+		default:
+			parts = append(parts, b)
 		}
-		out.AppendBatch(b)
 	}
-	if out == nil {
+	switch {
+	case first == nil:
 		return colbatch.New(op.Schema()), nil
+	case parts == nil:
+		first.Schema = op.Schema()
+		return first, nil
 	}
-	out.Schema = op.Schema()
-	return out, nil
+	return colbatch.Concat(op.Schema(), parts), nil
+}
+
+// view answers op without opening it when op only reads a stored batch: a
+// Scan, or a Project whose every expression is a depth-0 column of the
+// scanned batch, is that batch under op's schema (Batch.WithSchema,
+// Batch.Project) — no cell copied, after one interrupt poll. ok is false for
+// any other tree, which drain then opens and drains.
+func view(op Operator, outer *expr.Context) (b *colbatch.Batch, ok bool, err error) {
+	var idx []int
+	var buf [16]int
+	s, isScan := op.(*Scan)
+	if !isScan {
+		p, isProject := op.(*Project)
+		if !isProject {
+			return nil, false, nil
+		}
+		if s, isScan = p.Child.(*Scan); !isScan || len(p.Exprs) != p.Out.Len() {
+			return nil, false, nil
+		}
+		w := s.Rel.Batch().Width()
+		idx = buf[:0]
+		for _, e := range p.Exprs {
+			c, isCol := e.(expr.Column)
+			if !isCol || c.Depth != 0 || c.Index < 0 || c.Index >= w {
+				return nil, false, nil
+			}
+			idx = append(idx, c.Index)
+		}
+	}
+	if hook := outer.FindInterrupt(); hook != nil {
+		if err := hook(); err != nil {
+			return nil, true, err
+		}
+	}
+	stored := s.Rel.Batch()
+	switch {
+	case stored.Len() == 0:
+		return colbatch.New(op.Schema()), true, nil
+	case idx == nil:
+		return stored.WithSchema(op.Schema()), true, nil
+	}
+	return stored.Project(idx, op.Schema()), true, nil
 }
 
 // interruptHook polls an Interrupt hook (found on the Open context chain)

@@ -150,6 +150,20 @@ func BenchmarkStoredBatchScan(b *testing.B) {
 	benchScan(b, relation.FromBatch(colbatch.FromRows(base.Schema, base.Rows())))
 }
 
+// BenchmarkCollectStoredScan collects a Scan, and a Project of plain
+// columns over one, of a relation whose store is columnar: drain answers both
+// with a view of the stored batch, so a Collect allocates O(1) — the answer's
+// header and relation — not O(rows) or O(batches).
+func BenchmarkCollectStoredScan(b *testing.B) {
+	base := benchRelation(8192, 64)
+	r := relation.FromBatch(colbatch.FromRows(base.Schema, base.Rows()))
+	b.Run("scan", func(b *testing.B) { benchDrains(b, NewScan(r), r.Len()) })
+	b.Run("project", func(b *testing.B) {
+		op := &Project{Child: NewScan(r), Exprs: []expr.Expr{expr.Column{Index: 1}, expr.Column{Index: 0}}, Out: schema.New("V", "K")}
+		benchDrains(b, op, r.Len())
+	})
+}
+
 func benchFilterTree(r *relation.Relation) func() Operator {
 	// K < 32 over K ∈ [0,64): selects half the input, column-at-a-time.
 	return func() Operator {

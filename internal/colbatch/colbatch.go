@@ -19,9 +19,13 @@
 // tiny-DML rewrite, the wire encoder's row branch) test RowBacked.
 //
 // Batches are treated as immutable once handed to a consumer; builders
-// append, consumers only read. Zero-copy slices are capacity-clamped, so a
-// stored batch sliced out of a larger one (factorized CTAS contributions,
-// import conflict groups) never aliases appends with its parent.
+// append, consumers only read, and no published column is written in place.
+// So vectors are shared freely: a stored batch sliced out of a larger one
+// (factorized CTAS contributions, the import conflict groups' one gathered
+// batch), an UPDATE's untouched columns, and a query answer that is a view
+// of a stored batch (WithSchema, Project) all alias their source. Zero-copy
+// slices are capacity-clamped, so an append through any of them reallocates
+// instead of reaching the batch it shares.
 package colbatch
 
 import (
@@ -625,6 +629,96 @@ func (c *Col) appendGather(at int, src *Col, sel []int32) {
 			c.Bools = append(c.Bools, src.Bools[s])
 		}
 	}
+}
+
+// Concat returns the rows of parts, in order, as one new batch under sch: in
+// row form when every part is and they hold fewer than Floor rows, else
+// columnar, each column in the representation appending the parts one by one
+// to an empty batch would leave (typed when its non-NULL cells share a kind
+// and no part's column is generic, with a null bitmap when some part has
+// NULL cells or one) — but allocated once at the total length, so no cell is
+// copied twice. The parts must have sch's width.
+func Concat(sch *schema.Schema, parts []*Batch) *Batch {
+	n, rows := 0, true
+	for _, p := range parts {
+		n += p.n
+		rows = rows && p.cols == nil
+	}
+	if rows && n < Floor {
+		out := make([]tuple.Tuple, 0, n)
+		for _, p := range parts {
+			out = append(out, p.rows...)
+		}
+		return &Batch{Schema: sch, n: n, rows: out}
+	}
+	out := &Batch{Schema: sch, cols: make([]Col, sch.Len()), n: n}
+	for j := range out.cols {
+		out.cols[j] = concatCol(parts, j, n)
+	}
+	return out
+}
+
+// concatCol is column j of Concat's n rows.
+func concatCol(parts []*Batch, j, n int) Col {
+	kind, nulls, generic := value.KindNull, false, false
+	see := func(k value.Kind) {
+		if kind == value.KindNull {
+			kind = k
+		} else if k != kind {
+			generic = true
+		}
+	}
+	for _, p := range parts {
+		if p.cols == nil {
+			for _, t := range p.rows {
+				if t[j].IsNull() {
+					nulls = true
+				} else {
+					see(t[j].Kind())
+				}
+			}
+			continue
+		}
+		switch c := &p.cols[j]; {
+		case c.Any != nil:
+			generic = true
+		case c.Kind == value.KindNull:
+			nulls = true
+		default:
+			see(c.Kind)
+			nulls = nulls || c.Nulls != nil
+		}
+	}
+	var out Col
+	switch {
+	case generic:
+		out.Any = make([]value.Value, 0, n)
+		for _, p := range parts {
+			for i := 0; i < p.n; i++ {
+				out.Any = append(out.Any, p.At(i, j))
+			}
+		}
+		return out
+	case kind == value.KindNull:
+		return out
+	}
+	out.reserve(kind, n)
+	if nulls {
+		out.Nulls = make([]bool, 0, n)
+	}
+	at := 0
+	for _, p := range parts {
+		if p.cols == nil {
+			for _, t := range p.rows {
+				out.append(at, t[j])
+				at++
+			}
+			continue
+		}
+		out.appendAll(at, &p.cols[j], p.n)
+		at += p.n
+	}
+	return out
 }
 
 // Extend returns the batch extended with a trailing column c (one cell per

@@ -3,6 +3,7 @@ package colbatch
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"maybms/internal/schema"
@@ -247,6 +248,58 @@ func TestColBuilderTyped(t *testing.T) {
 		for i := range vals {
 			if g, w := got.Value(i), want.Value(i); string(g.Encode(nil)) != string(w.Encode(nil)) {
 				t.Errorf("%v: cell %d = %v, want %v", vals, i, g, w)
+			}
+		}
+	}
+}
+
+// TestConcatKeepsAppendRepresentation: Concat lays parts out as appending
+// them one by one to an empty batch does, for row-form and columnar parts in
+// either order, with NULLs, all-NULL columns and kind conflicts.
+func TestConcatKeepsAppendRepresentation(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sch := schema.New("A", "B", "C")
+	draw := func(kind int) value.Value {
+		switch kind {
+		case 0:
+			return value.Null()
+		case 1:
+			return value.Int(int64(rng.Intn(9)))
+		case 2:
+			return value.Str("x")
+		}
+		if rng.Intn(3) == 0 {
+			return value.Null()
+		}
+		return value.Float(0.5)
+	}
+	for trial := 0; trial < 300; trial++ {
+		var parts []*Batch
+		for p := 1 + rng.Intn(4); p > 0; p-- {
+			rows := make([]tuple.Tuple, 1+rng.Intn(40))
+			kinds := []int{rng.Intn(4), rng.Intn(4), rng.Intn(4)}
+			for i := range rows {
+				rows[i] = tuple.Tuple{draw(kinds[0]), draw(kinds[1]), draw(kinds[2])}
+			}
+			parts = append(parts, FromRows(sch, rows))
+		}
+		want := New(sch)
+		for _, p := range parts {
+			want.AppendBatch(p)
+		}
+		got := Concat(sch, parts)
+		if got.Len() != want.Len() || got.RowBacked() != want.RowBacked() {
+			t.Fatalf("trial %d: %d rows (row form %v), want %d (%v)", trial, got.Len(), got.RowBacked(), want.Len(), want.RowBacked())
+		}
+		for j := 0; j < sch.Len(); j++ {
+			g, w := got.Col(j), want.Col(j)
+			if !got.RowBacked() && ((g.Any == nil) != (w.Any == nil) || g.Kind != w.Kind || (g.Nulls == nil) != (w.Nulls == nil)) {
+				t.Fatalf("trial %d column %d: representation differs from appending", trial, j)
+			}
+			for i := 0; i < got.Len(); i++ {
+				if gv, wv := g.Value(i), w.Value(i); string(gv.Encode(nil)) != string(wv.Encode(nil)) {
+					t.Fatalf("trial %d cell (%d,%d) = %v, want %v", trial, i, j, gv, wv)
+				}
 			}
 		}
 	}

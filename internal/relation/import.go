@@ -161,6 +161,16 @@ func classifyImport(rel *Relation, opts ImportOptions) (*ImportPlan, error) {
 			errors.As(err, &we)
 			return nil, fmt.Errorf("relation: import: row %d: %w", we.Row+1, err)
 		}
+		// The rows of every repair group are gathered once, in group
+		// order, and each group is a capacity-clamped slice of them.
+		var multi []int32
+		for g := 0; g < p.Len(); g++ {
+			if rows := p.Group(g); len(rows) > 1 {
+				multi = append(multi, rows...)
+			}
+		}
+		alts := b.Gather(multi)
+		at := 0
 		certSel = make([]int32, 0, p.Len())
 		for g := 0; g < p.Len(); g++ {
 			rows := p.Group(g)
@@ -172,9 +182,10 @@ func classifyImport(rel *Relation, opts ImportOptions) (*ImportPlan, error) {
 				continue
 			}
 			plan.Groups = append(plan.Groups, ImportGroup{
-				Rel:   FromBatch(b.Gather(rows)),
+				Rel:   FromBatch(alts.Slice(at, at+len(rows))),
 				Probs: Normalize(probs[p.Start[g]:p.Start[g+1]:p.Start[g+1]]),
 			})
+			at += len(rows)
 		}
 	}
 	if err := choicesBefore(int32(n)); err != nil {

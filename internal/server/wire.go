@@ -479,10 +479,15 @@ func appendValue(dst []byte, v value.Value) ([]byte, bool) {
 // appendFloat appends f as encoding/json writes a float64: the shortest
 // 'f' form, or 'e' when |f| < 1e-6 or |f| >= 1e21, with a one-digit
 // negative exponent unpadded (e-7, not e-07). It reports false, and
-// appends nothing, for NaN and ±Inf.
+// appends nothing, for NaN and ±Inf. An integral f below 2^53 in magnitude,
+// other than −0, is written as the int it is: the shortest 'f' form of such
+// a float is exactly its integer digits.
 func appendFloat(dst []byte, f float64) ([]byte, bool) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return dst, false
+	}
+	if i := int64(f); float64(i) == f && i > -1<<53 && i < 1<<53 && (i != 0 || !math.Signbit(f)) {
+		return strconv.AppendInt(dst, i, 10), true
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {

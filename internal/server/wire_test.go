@@ -291,6 +291,38 @@ var fuzzSeeds = [][]byte{
 	{1, 1, 3, 5, 3, 6, 1, 9, 10, 11, 12, 13, 14, 0, 8, 7, 6, 5, 4, 3, 2, 1, 0},
 }
 
+// integralFloats are the floats around appendFloat's integer fast path:
+// the zeros, small integers, a fraction, the edges of 2^53, and integers
+// past it whose shortest form is not their digits (2^60 prints as
+// 1152921504606847000).
+var integralFloats = []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 1<<53 - 1, 1 << 53, 1<<53 + 2, 1e20, 1 << 60}
+
+// floatSeed is a fuzz input whose answer is one closed group holding f as
+// the one cell of a columnar relation.
+func floatSeed(f float64) []byte {
+	s := []byte{0, 0, byte(core.ResultClosed), 1, 1, 0, 2, 1, 1, fuzzFloat, 1, 1, 63}
+	s = binary.LittleEndian.AppendUint64(s, math.Float64bits(f))
+	return append(s, 1)
+}
+
+// TestFloatSeedsHoldTheirFloat: each floatSeed decodes to the answer it
+// is meant to, so FuzzEncodeAnswer's seeds reach the fast path's edges.
+func TestFloatSeedsHoldTheirFloat(t *testing.T) {
+	for _, f := range integralFloats {
+		r := &fuzzReader{data: floatSeed(f)}
+		r.intn(14)
+		r.byte()
+		res := r.result()
+		if len(res.Groups) != 1 || res.Groups[0].Rel.Len() != 1 || res.Groups[0].Rel.Batch().RowBacked() {
+			t.Fatalf("seed of %v decodes to %+v", f, res)
+		}
+		got := res.Groups[0].Rel.Batch().At(0, 0)
+		if got.Kind() != value.KindFloat || math.Float64bits(got.AsFloat()) != math.Float64bits(f) {
+			t.Fatalf("seed of %v holds %v", f, got)
+		}
+	}
+}
+
 // FuzzEncodeAnswer: for any answer — columnar or row-backed relations over
 // int, float, text, bool, all-NULL and mixed-kind columns, any row bound,
 // with or without render — the server's line is byte for byte the boxed
@@ -299,6 +331,9 @@ var fuzzSeeds = [][]byte{
 func FuzzEncodeAnswer(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
+	}
+	for _, x := range integralFloats {
+		f.Add(floatSeed(x))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}

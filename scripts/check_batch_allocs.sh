@@ -30,9 +30,11 @@
 # buffer into typed columns, sized from the bytes per row read so far, with
 # one string arena per 1 024-row chunk: a clean 1M-row load is ~1.1k
 # allocs/op, nothing per row or per cell. Repair-key classification
-# adds one gathered batch per conflict group (~309k over 50k groups) and
-# NULL-choice expansion one small relation per choice row (~69k over 2 000
-# rows of 20 alternatives); BenchmarkImportDirty, ingest.dml's 40 000-row
+# gathers the rows of every conflict group once and hands each group a
+# slice of them, a header and a relation per group (~159k over 50k groups,
+# where one gather per group took ~309k), and NULL-choice expansion adds
+# one small relation per choice row (~69k over 2 000 rows of 20
+# alternatives); BenchmarkImportDirty, ingest.dml's 40 000-row
 # file under NULLS AS CHOICE REPAIR KEY (K) WEIGHT W, is ~560. The ceilings
 # are ~1.5x those steady states, so one allocation per row (1M, or 40k
 # for the dirty file) blows through.
@@ -83,11 +85,17 @@
 # back through tuples, or one allocation per matching row (4 000 here),
 # trips the 2x ceilings at once.
 #
-# The per-drain gates hold the one operator set to the cost of the tiny
-# drains per-world and per-alternative evaluation runs thousands of times
-# per statement. BenchmarkFigurePipeline drains bound trees reused across
-# drains, as a bound subquery is: an 8-row row-form Scan -> Filter ->
-# Project (steady state 7 allocs/op: the filter's gathered rows, the
+# The per-drain gates hold drain (internal/algebra/batch.go) to its two
+# rules. A tree that only reads a stored batch — a Scan, or a Project of
+# plain columns over one — is answered by a zero-copy view of that batch:
+# BenchmarkCollectStoredScan collects both over 8 192 stored rows at a
+# steady state of 3 allocs/op (the answer's header, its column table and
+# its relation), and the ceiling of 8 trips on any copy or any allocation
+# per batch. Any other tree is drained, its one batch shared as it comes or
+# its several concatenated once into columns of their total length.
+# BenchmarkFigurePipeline drains bound trees reused across drains, as a
+# bound subquery is: an 8-row row-form Scan -> Filter -> Project (steady
+# state 7 allocs/op: the filter's gathered rows, the
 # projection's value slab, rows and header, the answer's header and
 # relation) and a one-row delta probing a shared 100-row build (9 allocs/op:
 # the answer's columns). The ~2x ceilings trip on any per-drain or per-row
@@ -103,7 +111,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="$(go test ./internal/algebra/ -bench '^(BenchmarkBatchScan|BenchmarkStoredBatchScan|BenchmarkBatchFilter|BenchmarkHashJoinBatch|BenchmarkFigurePipeline)$' \
+OUT="$(go test ./internal/algebra/ -bench '^(BenchmarkBatchScan|BenchmarkStoredBatchScan|BenchmarkBatchFilter|BenchmarkHashJoinBatch|BenchmarkFigurePipeline|BenchmarkCollectStoredScan)$' \
     -benchmem -benchtime 50x -run '^$' | tee /dev/stderr)
 $(go test . -bench '^BenchmarkClosureComponents$/^(possible|conf)$/^groups=(1000|16000)$' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
@@ -141,11 +149,13 @@ check BenchmarkBatchFilter 200
 check BenchmarkHashJoinBatch 400
 check 'BenchmarkFigurePipeline/scan-filter-project' 14
 check 'BenchmarkFigurePipeline/delta-probe' 18
+check 'BenchmarkCollectStoredScan/scan' 8
+check 'BenchmarkCollectStoredScan/project' 8
 check 'BenchmarkClosureComponents/possible/groups=1000' 2750
 check 'BenchmarkClosureComponents/conf/groups=1000' 2800
 check 'BenchmarkClosureComponents/conf/groups=16000' 40000
 check BenchmarkImportCertain 1600
-check BenchmarkImportRepairKey 460000
+check BenchmarkImportRepairKey 240000
 check BenchmarkImportChoice 105000
 check BenchmarkImportDirty 850
 check BenchmarkBatchClosurePossible 5000
