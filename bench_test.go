@@ -422,7 +422,9 @@ func BenchmarkScalingConfNaive(b *testing.B) {
 }
 
 // BenchmarkScalingConfWSD computes the same confidence exactly on the
-// decomposition, without enumeration.
+// decomposition, without enumeration: one `select conf … where` statement
+// through Exec, so it runs the statement runner and its instrumentation
+// (scripts/check_trace_overhead.sh times it with metrics off and on).
 func BenchmarkScalingConfWSD(b *testing.B) {
 	for _, n := range []int{2, 4, 8, 12, 1000, 100000} {
 		b.Run(fmt.Sprintf("groups=%d", n), func(b *testing.B) {
@@ -435,11 +437,11 @@ func BenchmarkScalingConfWSD(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c, err := cdb.Conf("Clean", 0, 1, 3)
+				res, err := cdb.Exec("select conf from Clean where K = 0 and V = 1 and W = 3")
 				if err != nil {
 					b.Fatal(err)
 				}
-				if math.Abs(c-0.75) > 1e-9 {
+				if c := res.First().Rows()[0][0].AsFloat(); math.Abs(c-0.75) > 1e-9 {
 					b.Fatal("wrong confidence")
 				}
 			}
@@ -530,26 +532,6 @@ func BenchmarkClosureComponents(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkConfRelation is the same CONF read straight off the stored
-// contributions: no plan, no evaluation, one pass of the fold.
-func BenchmarkConfRelation(b *testing.B) {
-	for _, n := range []int{1000, 100000} {
-		b.Run(fmt.Sprintf("groups=%d", n), func(b *testing.B) {
-			cdb := componentwiseDB(b, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rel, err := cdb.ConfRelation("Clean")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rel.Len() != 2*n {
-					b.Fatalf("wrong answer: %d rows", rel.Len())
-				}
-			}
-		})
 	}
 }
 

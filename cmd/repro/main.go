@@ -346,10 +346,7 @@ func compact() {
 	cdb.MustExec("create table Repaired as select * from Dirty repair by key K weight W")
 	count := cdb.WorldCount()
 	wantBits := n + 1
-	c, err := cdb.Conf("Repaired", 5, 1, 3)
-	if err != nil {
-		panic(err)
-	}
+	c := cdb.MustExec("select conf from Repaired where K = 5 and V = 1 and W = 3").First().Rows()[0][0].AsFloat()
 	record("WSD scale", "repair of 1000 dirty keys (2 candidates each)",
 		"2^1000 worlds in O(n) space; conf(t)=0.75 exact",
 		fmt.Sprintf("%d-bit world count, %d alternatives, conf=%.2f", count.BitLen(), cdb.AlternativeCount(), c),
@@ -362,10 +359,7 @@ func compact() {
 	if err != nil {
 		panic(err)
 	}
-	cback, err := compacted.Conf("I", "a1", 10, "c1")
-	if err != nil {
-		panic(err)
-	}
+	cback := compacted.MustExec("select conf from I where A = 'a1' and B = 10 and C = 'c1'").First().Rows()[0][0].AsFloat()
 	record("WSD back", "decompose the Figure-2 world-set (ref [2])",
 		"2 components + certain part; conf(a1→10) = 0.25",
 		fmt.Sprintf("%d components, conf=%.2f", compacted.ComponentCount(), cback),

@@ -4,7 +4,6 @@ import (
 	"math/big"
 
 	"maybms/internal/core"
-	"maybms/internal/tuple"
 	"maybms/internal/wsd"
 )
 
@@ -22,19 +21,20 @@ var ErrCompactUnsupported = wsd.ErrUnsupported
 // representing k^n worlds. Confidence, possible and certain are computed
 // exactly without enumeration.
 //
-// Like DB, a CompactDB takes I-SQL through Exec (and ExecTraced, MustExec,
-// ExecScript) — the statement runner DB uses too — and otherwise offers
-// inspection. REPAIR BY KEY and CHOICE OF split certain and uncertain
-// sources alike (chained repairs split the feeding components in place,
-// without enumerating worlds); SELECT closures run decomposition-aware;
-// UPDATE/DELETE rewrite the representation piece by piece (Exec's message
-// counts the representation rows changed); asserts, queries that correlate
-// components, and DML whose expressions read uncertain data merge exactly
-// the involved components (partial expansion). Statements without a
-// decomposition counterpart fail with an error wrapping
-// ErrCompactUnsupported. Possible, Certain, ConfRelation and Conf read a
-// stored relation directly, with no plan. For full I-SQL over small
-// world-sets, use DB; Expand bridges the two.
+// Like DB, a CompactDB is Exec (and ExecTraced, MustExec, ExecScript) plus
+// inspection: every question, a tuple's confidence included, is an I-SQL
+// statement run by the statement runner DB uses too — `select possible *
+// from R`, `select certain * from R`, `select *, conf from R`, `select conf
+// from R where A = … and B = …` — and the other methods load, count, bound
+// merges and convert. REPAIR BY KEY and CHOICE OF split certain and uncertain sources
+// alike (chained repairs split the feeding components in place, without
+// enumerating worlds); SELECT closures run decomposition-aware; UPDATE/DELETE
+// rewrite the representation piece by piece (Exec's message counts the
+// representation rows changed); asserts, queries that correlate components,
+// and DML whose expressions read uncertain data merge exactly the involved
+// components (partial expansion). Statements without a decomposition
+// counterpart fail with an error wrapping ErrCompactUnsupported. For full
+// I-SQL over small world-sets, use DB; Expand bridges the two.
 //
 // How a statement executes is the engine's decision, taken once per
 // statement from the query's shape and the decomposition (EXPLAIN prints
@@ -64,42 +64,6 @@ func (db *CompactDB) Register(name string, columns []string, rows [][]any) error
 	}
 	return db.w.PutCertain(name, rel)
 }
-
-// Conf returns the exact confidence of a tuple (given as Go values) in
-// relation name — 1 for a tuple every world holds, 0 for one no world holds
-// — computed from component independence without enumerating worlds: the
-// closure fold restricted to the one tuple, a compare-only scan of the
-// relation's stored rows.
-func (db *CompactDB) Conf(name string, cells ...any) (float64, error) {
-	t := make(tuple.Tuple, len(cells))
-	for i, c := range cells {
-		v, err := toValue(c)
-		if err != nil {
-			return 0, err
-		}
-		t[i] = v
-	}
-	return db.w.Conf(name, t)
-}
-
-// ConfRelation returns every possible tuple of the relation, in Possible's
-// order, extended with its exact confidence — `select *, conf from name`
-// without a plan or an evaluation, at Possible's cost.
-func (db *CompactDB) ConfRelation(name string) (*Relation, error) {
-	return db.w.ConfRelation(name)
-}
-
-// Possible returns the tuples appearing in at least one world: the
-// relation's certain tuples first, then the tuples its components contribute,
-// in component order (alternatives ascending), each where it first appears.
-// Like Certain, ConfRelation and Conf it reads the stored representation
-// directly — one pass over the stored rows (× the depth of nested
-// components), however many worlds they represent.
-func (db *CompactDB) Possible(name string) (*Relation, error) { return db.w.Possible(name) }
-
-// Certain returns the tuples appearing in every world, in Possible's order
-// and at its cost.
-func (db *CompactDB) Certain(name string) (*Relation, error) { return db.w.Certain(name) }
 
 // WorldCount returns the exact number of represented worlds (which can be
 // astronomically large; hence *big.Int).

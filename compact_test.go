@@ -7,7 +7,43 @@ import (
 	"math/big"
 	"strings"
 	"testing"
+
+	"maybms/internal/worldset"
 )
+
+// confOf runs a `select conf … where` statement and returns its one
+// confidence: 0 for an empty answer, which no world holds.
+func confOf(db interface{ Exec(string) (*Result, error) }, sql string) (float64, error) {
+	res, err := db.Exec(sql)
+	if err != nil || res.First().Len() == 0 {
+		return 0, err
+	}
+	return res.First().Rows()[0][0].AsFloat(), nil
+}
+
+// TestNotWeightedSameOnBothEngines: a WEIGHT in a non-probabilistic session
+// fails with the one sentinel and the one message on both engines.
+func TestNotWeightedSameOnBothEngines(t *testing.T) {
+	const sql = "create table C as select * from Dirty repair by key K weight W"
+	rows := [][]any{{0, 1, 1}, {0, 2, 3}}
+	db, cdb := OpenIncomplete(), OpenCompactIncomplete()
+	if err := db.Register("Dirty", []string{"K", "V", "W"}, rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := cdb.Register("Dirty", []string{"K", "V", "W"}, rows); err != nil {
+		t.Fatal(err)
+	}
+	_, naive := db.Exec(sql)
+	_, compact := cdb.Exec(sql)
+	for _, err := range []error{naive, compact} {
+		if !errors.Is(err, worldset.ErrNotWeighted) {
+			t.Errorf("%s = %v, want worldset.ErrNotWeighted", sql, err)
+		}
+	}
+	if naive == nil || compact == nil || naive.Error() != compact.Error() {
+		t.Errorf("naive says %v, compact says %v", naive, compact)
+	}
+}
 
 func TestCompactChoiceOf(t *testing.T) {
 	cdb := OpenCompact()
@@ -21,7 +57,7 @@ func TestCompactChoiceOf(t *testing.T) {
 		t.Fatalf("choice worlds = %s", cdb.WorldCount())
 	}
 	// Example 2.7 weights on the compact engine: 8/23, 9/23, 6/23.
-	c, err := cdb.Conf("P", "a1", 2)
+	c, err := confOf(cdb, "select conf from P where A = 'a1' and D = 2")
 	if err != nil || math.Abs(c-8.0/23) > 1e-9 {
 		t.Errorf("conf = %v, %v", c, err)
 	}
@@ -195,7 +231,7 @@ func TestDBCompactRoundTrip(t *testing.T) {
 	if cdb.WorldCount().Cmp(big.NewInt(4)) != 0 {
 		t.Errorf("worlds = %s", cdb.WorldCount())
 	}
-	c, err := cdb.Conf("I", "a1", 10)
+	c, err := confOf(cdb, "select conf from I where A = 'a1' and B = 10")
 	if err != nil || math.Abs(c-0.25) > 1e-9 {
 		t.Errorf("conf after round trip = %v, %v", c, err)
 	}
@@ -328,7 +364,7 @@ func TestCompactAssertDerivesTouching(t *testing.T) {
 	if got := cdb.WorldCount().Int64(); got != 1 {
 		t.Fatalf("worlds after assert = %d, want 1", got)
 	}
-	c, err := cdb.Conf("I", "k1", 1)
+	c, err := confOf(cdb, "select conf from I where K = 'k1' and V = 1")
 	if err != nil || math.Abs(c-1) > 1e-9 {
 		t.Fatalf("conf after assert = %v, %v", c, err)
 	}

@@ -91,11 +91,11 @@ func ExampleOpenCompact() {
 	cdb.MustExec("create table Clean as select * from Dirty repair by key K weight W")
 	fmt.Println("components:", cdb.ComponentCount())
 	fmt.Println("world count bits:", cdb.WorldCount().BitLen()) // 2^100
-	c, err := cdb.Conf("Clean", 7, "keep", 3)
+	res, err := cdb.Exec("select conf from Clean where K = 7 and V = 'keep' and W = 3")
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("conf = %.2f\n", c)
+	fmt.Printf("conf = %.2f\n", res.First().Rows()[0][0].AsFloat())
 	// Output:
 	// components: 100
 	// world count bits: 101

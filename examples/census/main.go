@@ -48,29 +48,20 @@ func main() {
 
 	// Exact confidences, no enumeration: an ambiguous person is married
 	// with probability 2/3.
-	c, err := cdb.Conf("Clean", 0, "married", 2)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("conf(person 0 married): %.4f (expected 2/3)\n", c)
-	c, err = cdb.Conf("Clean", 1, "single", 1)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("conf(person 1 single):  %.4f (expected 1)\n", c)
+	conf := func(sql string) float64 { return cdb.MustExec(sql).First().Rows()[0][0].AsFloat() }
+	fmt.Printf("conf(person 0 married): %.4f (expected 2/3)\n",
+		conf("select conf from Clean where PID = 0 and Status = 'married' and W = 2"))
+	fmt.Printf("conf(person 1 single):  %.4f (expected 1)\n",
+		conf("select conf from Clean where PID = 1 and Status = 'single' and W = 1"))
 
 	// Certain tuples: the clean records.
-	cert, err := cdb.Certain("Clean")
-	if err != nil {
-		panic(err)
-	}
+	cert := cdb.MustExec("select certain * from Clean").First()
 	fmt.Printf("certain records:       %d (expected %d)\n", cert.Len(), people-people/dirtyEvery)
 
 	// Enforce a constraint on a slice of the data: person 0 is known to be
 	// married (e.g. from a second register). Only person 0's component is
 	// touched; the rest of the decomposition is untouched.
-	_, err = cdb.Exec("assert exists (select * from Clean where PID = 0 and Status = 'married')")
-	if err != nil {
+	if _, err := cdb.Exec("assert exists (select * from Clean where PID = 0 and Status = 'married')"); err != nil {
 		fmt.Printf("assert over the full relation needs a %v\n", err)
 		fmt.Println("(the assert touches every component through relation Clean;")
 		fmt.Println(" scoping constraints to slices is what CREATE TABLE AS is for)")

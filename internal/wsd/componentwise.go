@@ -27,9 +27,9 @@ package wsd
 // splits the one answer into every part. This file holds the evaluation
 // half: the catalogs (a world's instance; the certain parts and the tagged
 // contributions), the two evaluations and that split, and the componentwise
-// materialization. The closing half is the one fold in fold.go, shared with
-// the stored-relation closures (ops.go): it takes Q(cert) as the certain
-// slot, weighs the parts and lists the answer — no world is ever evaluated.
+// materialization. The closing half is the one fold in fold.go: it takes
+// Q(cert) as the certain slot, weighs the parts and lists the answer — no
+// world is ever evaluated.
 // Over components arranged in d-trees the identity holds over the components
 // *active* in the world (top-level, or under the alternative their parent
 // selects); the caller passes whole trees (rootClosure), since an untouched

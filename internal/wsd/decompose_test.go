@@ -32,19 +32,16 @@ func TestDecomposeRoundTripFigure2(t *testing.T) {
 	if back.WorldCount().Cmp(big.NewInt(4)) != 0 {
 		t.Errorf("world count = %s", back.WorldCount())
 	}
-	cert, err := back.Certain("I")
-	if err != nil || cert.Len() != 1 {
-		t.Errorf("certain part = %v, %v", cert, err)
+	if cert := closed(t, back, "select certain * from I"); cert.Len() != 1 {
+		t.Errorf("certain part = %v", cert)
 	}
 	// Confidences agree with the original decomposition.
 	for _, tp := range figure1R().Rows() {
-		proj := tp[:3] // I has columns A, B, C
-		want, err := d.Conf("I", tp)
+		want, err := tupleConf(d, "I", tp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = proj
-		got, err := back.Conf("I", tp)
+		got, err := tupleConf(back, "I", tp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +86,7 @@ func TestDecomposeCorrelatedTuplesShareComponent(t *testing.T) {
 	if d.ComponentCount() != 1 {
 		t.Fatalf("components = %d, want 1", d.ComponentCount())
 	}
-	c, err := d.Conf("R", row(1, 1))
+	c, err := tupleConf(d, "R", row(1, 1))
 	if err != nil || math.Abs(c-0.3) > eps {
 		t.Errorf("conf = %v, %v", c, err)
 	}
@@ -111,11 +108,11 @@ func TestDecomposeIndependentTuplesSplit(t *testing.T) {
 	if d.ComponentCount() != 2 {
 		t.Fatalf("components = %d, want 2", d.ComponentCount())
 	}
-	c, err := d.Conf("R", row(1, 1))
+	c, err := tupleConf(d, "R", row(1, 1))
 	if err != nil || math.Abs(c-0.2) > eps {
 		t.Errorf("conf(t1) = %v, %v", c, err)
 	}
-	c, err = d.Conf("R", row(2, 2))
+	c, err = tupleConf(d, "R", row(2, 2))
 	if err != nil || math.Abs(c-0.3) > eps {
 		t.Errorf("conf(t2) = %v, %v", c, err)
 	}
@@ -139,7 +136,7 @@ func TestDecomposeJointlyDependentPairwiseIndependent(t *testing.T) {
 		t.Fatalf("components = %d, want 1 (fallback on joint dependence)", d.ComponentCount())
 	}
 	// The single component reproduces the distribution exactly.
-	c, err := d.Conf("R", row(3, 3))
+	c, err := tupleConf(d, "R", row(3, 3))
 	if err != nil || math.Abs(c-0.5) > eps {
 		t.Errorf("conf(t3) = %v, %v", c, err)
 	}
@@ -156,9 +153,8 @@ func TestDecomposeAllCertain(t *testing.T) {
 	if d.ComponentCount() != 0 {
 		t.Errorf("components = %d, want 0", d.ComponentCount())
 	}
-	cert, err := d.Certain("R")
-	if err != nil || cert.Len() != 1 {
-		t.Errorf("certain = %v, %v", cert, err)
+	if cert := closed(t, d, "select certain * from R"); cert.Len() != 1 {
+		t.Errorf("certain = %v", cert)
 	}
 }
 
@@ -221,8 +217,8 @@ func TestDecomposeRandomProductsRecoverFactorization(t *testing.T) {
 		}
 		// Confidences of every tuple agree.
 		for _, tp := range rel.Rows() {
-			want, _ := fwd.Conf("I", tp)
-			got, err := back.Conf("I", tp)
+			want, _ := tupleConf(fwd, "I", tp)
+			got, err := tupleConf(back, "I", tp)
 			if err != nil || math.Abs(got-want) > 1e-9 {
 				t.Fatalf("trial %d: conf(%v) = %g vs %g (%v)", trial, tp, got, want, err)
 			}

@@ -151,7 +151,7 @@ func TestRepairEquivalenceRandomized(t *testing.T) {
 		for _, tp := range res.Groups[0].Rel.Rows() {
 			base := tp[:3]
 			want := tp[3].AsFloat()
-			got, err := d.Conf("I", base)
+			got, err := tupleConf(d, "I", base)
 			if err != nil {
 				t.Fatal(err)
 			}

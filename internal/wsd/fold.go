@@ -1,15 +1,14 @@
 package wsd
 
 // The closure fold: POSSIBLE, CERTAIN and CONF from component independence,
-// in time linear in the representation — never in the worlds. Every route
-// that closes over per-(component, alternative) parts reaches this one type:
-// the SELECT routes hand it the evaluated certain-only answer and deltas
-// (componentwise.go), flat and tree involvement alike; the merge route hands
-// it the merged component with each alternative's full answer as its part
-// beside an empty certain slot (Q(world a) = ∅ ∪ Q(cert ∪ contrib_a)), and a
-// spanning GROUP WORLDS BY one group of those alternatives at a time;
-// WSD.Possible, Certain, ConfRelation and Conf hand it a stored relation's
-// certain part and contribution batches — the same shape.
+// in time linear in the representation — never in the worlds. It answers the
+// SELECT closures, and nothing else: every route that closes over
+// per-(component, alternative) parts reaches this one type. The SELECT routes
+// hand it the evaluated certain-only answer and deltas (componentwise.go),
+// flat and tree involvement alike; the merge route hands it the merged
+// component with each alternative's full answer as its part beside an empty
+// certain slot (Q(world a) = ∅ ∪ Q(cert ∪ contrib_a)), and a spanning GROUP
+// WORLDS BY one group of those alternatives at a time.
 //
 // A fold is given the components (whole d-trees; a flat component is a tree
 // of one node), one batch per (component, alternative) — what that
@@ -34,12 +33,12 @@ package wsd
 // certain slot's rows, then every part with components ascending and
 // alternatives ascending, each distinct tuple where it first appears, CERTAIN
 // filtering that sequence. The order is deterministic for a given
-// decomposition and the same for a stored relation, a SELECT over it and its
-// conditional relation (conditional.go); it is not the naive engine's
-// world-enumeration order, and neither is API. Tuples are identified by
-// AppendKey arena keys — the byte space of tuple.Encode, whatever a batch's
-// form — interned once per distinct tuple; the output is gathered into one
-// batch, in the form colbatch picks for it.
+// decomposition and the same for every closure over a plain scan of a
+// relation and for its conditional relation (conditional.go); it is not the
+// naive engine's world-enumeration order, and neither is API. Tuples are
+// identified by AppendKey arena keys — the byte space of tuple.Encode,
+// whatever a batch's form — interned once per distinct tuple; the output is
+// gathered into one batch, in the form colbatch picks for it.
 
 import (
 	"maybms/internal/colbatch"
@@ -80,13 +79,9 @@ type closureFold struct {
 	// part returns the part of (comps[i], alternative a); the empty range
 	// holds nothing.
 	part func(i, a int) rowRange
-	// certain holds tuples present in every world beside the parts: a stored
-	// relation's certain part, the certain-only answer Q(cert) on the SELECT
-	// routes (whose parts are the deltas beyond it).
+	// certain holds tuples present in every world beside the parts: the
+	// certain-only answer Q(cert) (whose parts are the deltas beyond it).
 	certain *colbatch.Batch
-	// only, when non-nil, is the one tuple key to weigh, as tuple 0 (the point
-	// Conf): every other row is compared and dropped, nothing is interned.
-	only []byte
 
 	ids    map[string]int32
 	tuples []foldTuple
@@ -100,13 +95,9 @@ type closureFold struct {
 	buf     []byte
 }
 
-func (d *WSD) newClosureFold(comps []*Component, part func(i, a int) rowRange, certain *colbatch.Batch, only []byte) *closureFold {
-	f := &closureFold{d: d, comps: comps, part: part, certain: certain, only: only,
+func (d *WSD) newClosureFold(comps []*Component, part func(i, a int) rowRange, certain *colbatch.Batch) *closureFold {
+	return &closureFold{d: d, comps: comps, part: part, certain: certain,
 		ids: map[string]int32{}, rows: map[*colbatch.Batch][]int32{}}
-	if only != nil {
-		f.tuples = []foldTuple{{miss: 1}} // the one tuple, id 0
-	}
-	return f
 }
 
 // intern returns the dense id of the scratch-encoded key, materializing the
@@ -205,18 +196,8 @@ func (f *closureFold) weighNode(i int) (span, error) {
 		}
 		f.tick++
 		tok, pa := f.tick, alts[a].Prob
-		switch part := f.part(i, a); {
-		case part.Len() == 0:
-		case f.only != nil:
-			for r := part.lo; r < part.hi; r++ {
-				if f.buf = part.b.AppendKey(f.buf[:0], r); string(f.buf) == string(f.only) {
-					f.hold(0, stamp, tok, pa)
-				}
-			}
-		default:
-			for _, id := range f.rowIDs(part, true) {
-				f.hold(id, stamp, tok, pa)
-			}
+		for _, id := range f.rowIDs(f.part(i, a), true) {
+			f.hold(id, stamp, tok, pa)
 		}
 		if kids == nil {
 			continue
@@ -311,15 +292,6 @@ func (f *closureFold) conf(t *foldTuple) float64 {
 	return conf
 }
 
-// pointConf weighs the fold's one tuple (only) and returns its confidence, 0
-// when no part holds it.
-func (f *closureFold) pointConf() (float64, error) {
-	if err := f.weigh(); err != nil {
-		return 0, err
-	}
-	return f.conf(&f.tuples[0]), nil
-}
-
 // close answers closure cl under schema sch (CONF appends the conf column):
 // the distinct tuples of the certain slot and then the parts, components and
 // alternatives ascending, in first-appearance order — all of them for
@@ -397,5 +369,5 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 // closeParts closes a query's evaluated parts under cl: its certain-only
 // answer in the certain slot, its per-alternative parts as the parts.
 func (d *WSD) closeParts(p *componentParts, cl closure) (*relation.Relation, error) {
-	return d.newClosureFold(p.comps, p.part, p.base, nil).close(cl, p.base.Schema)
+	return d.newClosureFold(p.comps, p.part, p.base).close(cl, p.base.Schema)
 }

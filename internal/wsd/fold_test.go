@@ -95,12 +95,12 @@ func foldFixtures(t *testing.T) []struct {
 	}
 }
 
-// TestClosureFoldAgreement: the stored-relation closures (Possible, Certain,
-// ConfRelation, Conf), the SELECT closures over `select * from rel` and the
-// naive engine over Expand all answer through (or, for the naive engine,
-// define) the same fold, so they must agree on every fixture shape: as sets,
-// confidences to 1e-9, Conf 0 for a tuple no world holds and 1 for one every
-// world holds, ErrNotWeighted kept on an unweighted decomposition.
+// TestClosureFoldAgreement: the SELECT closures over `select * from rel`
+// answer through the fold and the naive engine over Expand defines it, so
+// they must agree on every fixture shape, as sets and confidences to 1e-9. A
+// point `select conf … where` must answer 0 for a tuple no world holds, 1 for
+// one every world holds and the CONF answer's confidence for every other; on
+// an unweighted decomposition both fail with worldset.ErrNotWeighted.
 func TestClosureFoldAgreement(t *testing.T) {
 	t.Parallel()
 	for _, fx := range foldFixtures(t) {
@@ -109,38 +109,23 @@ func TestClosureFoldAgreement(t *testing.T) {
 			t.Run(fx.name+"/"+rel, func(t *testing.T) {
 				d := fx.d
 				naive := expandSession(t, d)
-				closures := []struct {
-					sql   string
-					named func(string) (*relation.Relation, error)
-				}{
-					{"select possible * from " + rel, d.Possible},
-					{"select certain * from " + rel, d.Certain},
-					{"select *, conf from " + rel, d.ConfRelation},
-				}
 				var certain, conf *relation.Relation
-				for _, c := range closures {
-					stmt, err := sqlparse.Parse(c.sql)
-					if err != nil {
-						t.Fatal(err)
-					}
-					qcore, cl, err := stripClosure(stmt.(*sqlparse.SelectStmt))
-					if err != nil {
-						t.Fatal(err)
-					}
-					named, err := c.named(rel)
-					if cl.isConf() && !d.Weighted {
-						if !errors.Is(err, ErrNotWeighted) {
-							t.Errorf("ConfRelation on an unweighted decomposition = %v, want ErrNotWeighted", err)
-						}
-						if _, err := d.Exec(c.sql); !errors.Is(err, worldset.ErrNotWeighted) {
+				for _, c := range []struct {
+					sql  string
+					conf bool
+					keep **relation.Relation
+				}{
+					{"select possible * from " + rel, false, nil},
+					{"select certain * from " + rel, false, &certain},
+					{"select *, conf from " + rel, true, &conf},
+				} {
+					got, err := d.Exec(c.sql)
+					if c.conf && !d.Weighted {
+						if !errors.Is(err, worldset.ErrNotWeighted) {
 							t.Errorf("select conf on an unweighted decomposition = %v, want worldset.ErrNotWeighted", err)
 						}
 						continue
 					}
-					if err != nil {
-						t.Fatalf("named %q: %v", c.sql, err)
-					}
-					selected, err := d.selectClosure(qcore, cl)
 					if err != nil {
 						t.Fatalf("select %q: %v", c.sql, err)
 					}
@@ -148,18 +133,12 @@ func TestClosureFoldAgreement(t *testing.T) {
 					if err != nil {
 						t.Fatalf("naive %q: %v", c.sql, err)
 					}
-					w := renderSet(t, want.Groups[0].Rel, cl.isConf())
-					if g := renderSet(t, named, cl.isConf()); g != w {
-						t.Errorf("named closure for %q:\n%s\nnaive:\n%s", c.sql, g, w)
-					}
-					if g := renderSet(t, selected, cl.isConf()); g != w {
+					w := renderSet(t, want.Groups[0].Rel, c.conf)
+					if g := renderSet(t, got.First(), c.conf); g != w {
 						t.Errorf("select closure for %q:\n%s\nnaive:\n%s", c.sql, g, w)
 					}
-					switch cl {
-					case closureCertain:
-						certain = named
-					case closureConf:
-						conf = named
+					if c.keep != nil {
+						*c.keep = got.First()
 					}
 				}
 
@@ -168,23 +147,23 @@ func TestClosureFoldAgreement(t *testing.T) {
 					absent[i] = row(-7)[0]
 				}
 				if !d.Weighted {
-					if _, err := d.Conf(rel, absent); !errors.Is(err, ErrNotWeighted) {
-						t.Errorf("Conf on an unweighted decomposition = %v, want ErrNotWeighted", err)
+					if _, err := tupleConf(d, rel, absent); !errors.Is(err, worldset.ErrNotWeighted) {
+						t.Errorf("point conf on an unweighted decomposition = %v, want worldset.ErrNotWeighted", err)
 					}
 					return
 				}
-				if c, err := d.Conf(rel, absent); err != nil || c != 0 {
-					t.Errorf("Conf of an absent tuple = %v, %v; want 0", c, err)
+				if c, err := tupleConf(d, rel, absent); err != nil || c != 0 {
+					t.Errorf("conf of an absent tuple = %v, %v; want 0", c, err)
 				}
 				for _, tp := range certain.Rows() {
-					if c, err := d.Conf(rel, tp); err != nil || c != 1 {
-						t.Errorf("Conf of certain tuple %v = %v, %v; want 1", tp, c, err)
+					if c, err := tupleConf(d, rel, tp); err != nil || c != 1 {
+						t.Errorf("conf of certain tuple %v = %v, %v; want 1", tp, c, err)
 					}
 				}
 				for _, tp := range conf.Rows() {
 					want := tp[len(tp)-1].AsFloat()
-					if c, err := d.Conf(rel, tp[:len(tp)-1]); err != nil || math.Abs(c-want) > 1e-9 {
-						t.Errorf("Conf(%v) = %v, %v; ConfRelation says %v", tp[:len(tp)-1], c, err, want)
+					if c, err := tupleConf(d, rel, tp[:len(tp)-1]); err != nil || math.Abs(c-want) > 1e-9 {
+						t.Errorf("conf(%v) = %v, %v; select *, conf says %v", tp[:len(tp)-1], c, err, want)
 					}
 				}
 			})
@@ -192,10 +171,11 @@ func TestClosureFoldAgreement(t *testing.T) {
 	}
 }
 
-// TestClosureFoldOrder pins the stored-relation closures' row order: the
-// certain part first, then the contributions in component order,
-// alternatives ascending, each tuple where it first appears — CERTAIN a
-// filter of that sequence.
+// TestClosureFoldOrder pins the closures' row order over a plain scan —
+// `select possible * from I`, `select *, conf from I` and `select certain *
+// from I`: the certain part first, then the contributions in component
+// order, alternatives ascending, each tuple where it first appears — CERTAIN
+// a filter of that sequence.
 func TestClosureFoldOrder(t *testing.T) {
 	d := New(true)
 	r := relation.New(schema.New("K", "V", "W"))
@@ -208,34 +188,22 @@ func TestClosureFoldOrder(t *testing.T) {
 	if err := d.repairByKey("R", "I", []string{"K"}, "W"); err != nil {
 		t.Fatal(err)
 	}
-	poss, err := d.Possible("I")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conf, err := d.ConfRelation("I")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cert, err := d.Certain("I")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs := func(rel *relation.Relation) string {
+	vs := func(sql string) string {
 		var out []string
-		for _, tp := range rel.Rows() {
+		for _, tp := range closed(t, d, sql).Rows() {
 			out = append(out, fmt.Sprint(tp[1].AsInt()))
 		}
 		return strings.Join(out, " ")
 	}
 	// Key groups in first-appearance order: K=1 (5, 6), K=0 (7), K=2 (8, 9).
-	if got := vs(poss); got != "5 6 7 8 9" {
-		t.Errorf("Possible order = %s", got)
+	if got := vs("select possible * from I"); got != "5 6 7 8 9" {
+		t.Errorf("possible order = %s", got)
 	}
-	if got := vs(conf); got != "5 6 7 8 9" {
-		t.Errorf("ConfRelation order = %s", got)
+	if got := vs("select *, conf from I"); got != "5 6 7 8 9" {
+		t.Errorf("conf order = %s", got)
 	}
-	if got := vs(cert); got != "7" {
-		t.Errorf("Certain = %s, want the singleton group's tuple", got)
+	if got := vs("select certain * from I"); got != "7" {
+		t.Errorf("certain = %s, want the singleton group's tuple", got)
 	}
 }
 

@@ -99,7 +99,7 @@ func TestImportEquivalenceFuzz(t *testing.T) {
 		for _, tp := range res.Groups[0].Rel.Rows() {
 			base := tp[:3]
 			want := tp[3].AsFloat()
-			got, err := d.Conf("T", base)
+			got, err := tupleConf(d, "T", base)
 			if err != nil {
 				t.Fatal(err)
 			}

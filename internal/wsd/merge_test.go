@@ -161,12 +161,12 @@ func TestMaterializeThenConfPipeline(t *testing.T) {
 	d := newFigure2WSD(t)
 	createTableMerged(t, d, "HighB", mustCore(t, "select * from I where B >= 15"))
 	// (a1,15,c2,6) is in HighB iff a1's repair chose B=15: conf 0.75.
-	c, err := d.Conf("HighB", row("a1", 15, "c2", 6))
+	c, err := tupleConf(d, "HighB", row("a1", 15, "c2", 6))
 	if err != nil || math.Abs(c-0.75) > eps {
 		t.Errorf("derived conf = %v, %v", c, err)
 	}
 	// (a3,20,c5,6) is always there.
-	c, err = d.Conf("HighB", row("a3", 20, "c5", 6))
+	c, err = tupleConf(d, "HighB", row("a3", 20, "c5", 6))
 	if err != nil || math.Abs(c-1) > eps {
 		t.Errorf("derived certain conf = %v, %v", c, err)
 	}
@@ -246,9 +246,8 @@ func TestUnweightedExpandAndPossible(t *testing.T) {
 	if err != nil || set.Len() != 4 || set.Weighted {
 		t.Fatalf("unweighted expand = %v, %v", set, err)
 	}
-	poss, err := d.Possible("I")
-	if err != nil || poss.Len() != 5 {
-		t.Errorf("possible = %v, %v", poss, err)
+	if poss := closed(t, d, "select possible * from I"); poss.Len() != 5 {
+		t.Errorf("possible = %v", poss)
 	}
 	_ = fmt.Sprintf("%s", d) // String smoke
 }

@@ -61,6 +61,7 @@ import (
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
+	"maybms/internal/worldset"
 )
 
 // splitColumns resolves a split's column list and optional weight column
@@ -75,7 +76,7 @@ func (d *WSD) splitColumns(src string, cols []string, weight string) (sch *schem
 	weightIdx = -1
 	if weight != "" {
 		if !d.Weighted {
-			return nil, nil, 0, ErrNotWeighted
+			return nil, nil, 0, fmt.Errorf("weight requires a probabilistic session: %w", worldset.ErrNotWeighted)
 		}
 		if weightIdx, err = sch.Resolve("", weight); err != nil {
 			return nil, nil, 0, err

@@ -75,13 +75,14 @@
 // value. No field, option or switch overrides it; the naive per-world engine
 // over Expand is the reference the routes are validated against.
 //
-// POSSIBLE, CERTAIN and CONF over per-(component, alternative) parts are one
-// fold (fold.go), linear in the part rows, shared by the SELECT closures over
-// flat components and d-trees and the stored-relation closures (Possible,
-// Certain, ConfRelation, Conf). A merge only restructures (merge.go): the
-// merged component is then answered like any other — its alternatives' full
-// answers are its parts, closed by the same fold, stored by the same
-// componentwise materialization, rewritten by the same DML piece rewrite.
+// POSSIBLE, CERTAIN and CONF are asked through Exec and nowhere else: the
+// WSD has no stored-relation read beside the statement. Over
+// per-(component, alternative) parts they are one fold (fold.go), linear in
+// the part rows, shared by the SELECT closures over flat components and
+// d-trees alike. A merge only restructures (merge.go): the merged component
+// is then answered like any other — its alternatives' full answers are its
+// parts, closed by the same fold, stored by the same componentwise
+// materialization, rewritten by the same DML piece rewrite.
 // Everything is batch-native past the Collect seam: evaluations return
 // colbatch batches, the fold and the group-worlds frontier dedup on
 // arena-encoded batch keys (byte-identical to tuple.Encode) and output rows
@@ -117,7 +118,6 @@ var (
 	ErrNotCertain  = errors.New("operation requires a certain (complete) relation")
 	ErrEmpty       = errors.New("operation would leave an empty world-set")
 	ErrMergeTooBig = errors.New("component merge exceeds the expansion limit")
-	ErrNotWeighted = errors.New("operation requires a weighted WSD")
 )
 
 // DefaultMergeLimit bounds the number of alternatives a component merge
@@ -253,6 +253,23 @@ func (d *WSD) PutCertain(name string, rel *relation.Relation) error {
 	return nil
 }
 
+// certainRelation returns certain relation name and its schema; a relation
+// some component contributes to is ErrNotCertain.
+func (d *WSD) certainRelation(name string) (*relation.Relation, *schema.Schema, error) {
+	k := key(name)
+	rel, ok := d.certain[k]
+	if !ok {
+		if _, known := d.schemas[k]; known {
+			return nil, nil, fmt.Errorf("%w: %s varies across worlds", ErrNotCertain, name)
+		}
+		return nil, nil, fmt.Errorf("%w: %s", ErrUnknown, name)
+	}
+	if !d.isCertain(name) {
+		return nil, nil, fmt.Errorf("%w: %s has component contributions", ErrNotCertain, name)
+	}
+	return rel, d.schemas[k], nil
+}
+
 // insertCertain appends rows to a certain relation — the compact
 // counterpart of INSERT INTO over complete data. The stored relation is
 // replaced by an extended clone, so snapshots handed out earlier (e.g. by
@@ -290,7 +307,8 @@ func (d *WSD) drop(name string) error {
 			delete(c.Alts[i].Contrib, k)
 		}
 	}
-	d.unregister(name)
+	delete(d.schemas, k)
+	delete(d.names, k)
 	return nil
 }
 
@@ -610,6 +628,9 @@ func (d *WSD) addChildComponent(alts []Alternative, parentID, parentAlt int) (*C
 	d.nested++
 	return c, nil
 }
+
+// confSchema is the schema of the conf column a CONF answer appends.
+func confSchema() *schema.Schema { return schema.New("conf") }
 
 // registerUncertain declares a new uncertain relation fed by components.
 func (d *WSD) registerUncertain(name string, sch *schema.Schema) error {

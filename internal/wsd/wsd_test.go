@@ -13,6 +13,7 @@ import (
 	"maybms/internal/schema"
 	"maybms/internal/tuple"
 	"maybms/internal/value"
+	"maybms/internal/worldset"
 )
 
 const eps = 1e-9
@@ -39,6 +40,38 @@ func row(vals ...any) tuple.Tuple {
 		}
 	}
 	return out
+}
+
+// closed runs closure statement sql on d and returns its answer.
+func closed(t *testing.T, d *WSD, sql string) *relation.Relation {
+	t.Helper()
+	res, err := d.Exec(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	return res.First()
+}
+
+// tupleConf is the confidence of tuple tp in relation name, asked as `select
+// conf from name where` each column equals tp's cell: 0 for an empty answer,
+// which no world holds.
+func tupleConf(d *WSD, name string, tp tuple.Tuple) (float64, error) {
+	sch, err := d.Schema(name)
+	if err != nil {
+		return 0, err
+	}
+	conds := make([]string, len(tp))
+	for i, v := range tp {
+		conds[i] = sch.At(i).Name + " = " + v.SQL()
+		if v.IsNull() {
+			conds[i] = sch.At(i).Name + " is null"
+		}
+	}
+	res, err := d.Exec("select conf from " + name + " where " + strings.Join(conds, " and "))
+	if err != nil || res.First().Len() == 0 {
+		return 0, err
+	}
+	return res.First().Rows()[0][0].AsFloat(), nil
 }
 
 // figure1R is relation R of Figure 1.
@@ -96,7 +129,7 @@ func TestRepairConfMatchesFigure2(t *testing.T) {
 		{row("a3", 20, "c5", 6), 1.0},
 	}
 	for _, c := range cases {
-		got, err := d.Conf("I", c.t)
+		got, err := tupleConf(d, "I", c.t)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +138,7 @@ func TestRepairConfMatchesFigure2(t *testing.T) {
 		}
 	}
 	// A tuple that never occurs.
-	got, err := d.Conf("I", row("a9", 0, "cx", 1))
+	got, err := tupleConf(d, "I", row("a9", 0, "cx", 1))
 	if err != nil || got != 0 {
 		t.Errorf("conf of impossible tuple = %v, %v", got, err)
 	}
@@ -113,37 +146,22 @@ func TestRepairConfMatchesFigure2(t *testing.T) {
 
 func TestPossibleAndCertain(t *testing.T) {
 	d := newFigure2WSD(t)
-	poss, err := d.Possible("I")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if poss.Len() != 5 {
+	if poss := closed(t, d, "select possible * from I"); poss.Len() != 5 {
 		t.Errorf("possible I = %d tuples, want 5", poss.Len())
 	}
-	cert, err := d.Certain("I")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Only the a3 tuple (singleton group) is certain.
-	if cert.Len() != 1 || cert.Rows()[0][0].AsStr() != "a3" {
+	if cert := closed(t, d, "select certain * from I"); cert.Len() != 1 || cert.Rows()[0][0].AsStr() != "a3" {
 		t.Errorf("certain I = %v", cert.Rows())
 	}
 	// R itself is certain everywhere.
-	certR, err := d.Certain("R")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if certR.Len() != 5 {
+	if certR := closed(t, d, "select certain * from R"); certR.Len() != 5 {
 		t.Errorf("certain R = %d", certR.Len())
 	}
 }
 
 func TestConfRelation(t *testing.T) {
 	d := newFigure2WSD(t)
-	rel, err := d.ConfRelation("I")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := closed(t, d, "select *, conf from I")
 	if rel.Len() != 5 || rel.Schema.Len() != 5 {
 		t.Fatalf("conf relation shape: %s, %d rows", rel.Schema, rel.Len())
 	}
@@ -250,7 +268,7 @@ func TestExpandLimitGuard(t *testing.T) {
 	if d.WorldCount().Cmp(big.NewInt(1<<20)) != 0 {
 		t.Errorf("world count = %s", d.WorldCount())
 	}
-	c, err := d.Conf("I", row(3, 1))
+	c, err := tupleConf(d, "I", row(3, 1))
 	if err != nil || math.Abs(c-0.5) > eps {
 		t.Errorf("conf = %v, %v", c, err)
 	}
@@ -264,13 +282,12 @@ func TestConfOnUnweighted(t *testing.T) {
 	if err := d.repairByKey("R", "I", []string{"A"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Conf("I", row("a3", 20, "c5", 6)); !errors.Is(err, ErrNotWeighted) {
+	if _, err := tupleConf(d, "I", row("a3", 20, "c5", 6)); !errors.Is(err, worldset.ErrNotWeighted) {
 		t.Errorf("conf on unweighted = %v", err)
 	}
 	// Possible/certain still work.
-	cert, err := d.Certain("I")
-	if err != nil || cert.Len() != 1 {
-		t.Errorf("certain = %v, %v", cert, err)
+	if cert := closed(t, d, "select certain * from I"); cert.Len() != 1 {
+		t.Errorf("certain = %v", cert)
 	}
 }
 
@@ -279,10 +296,10 @@ func TestWeightOnUnweightedRejected(t *testing.T) {
 	if err := d.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.repairByKey("R", "I", []string{"A"}, "D"); !errors.Is(err, ErrNotWeighted) {
+	if err := d.repairByKey("R", "I", []string{"A"}, "D"); !errors.Is(err, worldset.ErrNotWeighted) {
 		t.Errorf("weighted repair on unweighted WSD = %v", err)
 	}
-	if err := d.choiceOf("R", "P", []string{"A"}, "D"); !errors.Is(err, ErrNotWeighted) {
+	if err := d.choiceOf("R", "P", []string{"A"}, "D"); !errors.Is(err, worldset.ErrNotWeighted) {
 		t.Errorf("weighted choice on unweighted WSD = %v", err)
 	}
 }
@@ -398,11 +415,7 @@ func TestMaterializePerWorld(t *testing.T) {
 	// merge route.
 	createTableMerged(t, d, "D", mustCore(t, "select * from I where A = 'a3'"))
 	// D's only tuple is certain (a3 is in every world).
-	cert, err := d.Certain("D")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cert.Len() != 1 {
+	if cert := closed(t, d, "select certain * from D"); cert.Len() != 1 {
 		t.Errorf("certain D = %v", cert.Rows())
 	}
 	// World count unchanged (merge collapsed the I components into one).
@@ -487,11 +500,7 @@ func TestInsertCertainAndDrop(t *testing.T) {
 	if err := d.insertCertain("T", []tuple.Tuple{row("y", 2), row("z", 3)}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Possible("T")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 3 {
+	if got := closed(t, d, "select possible * from T"); got.Len() != 3 {
 		t.Fatalf("after insert: %v", got.Rows())
 	}
 	// Width mismatch rejected.
@@ -510,7 +519,7 @@ func TestInsertCertainAndDrop(t *testing.T) {
 	if err := d.drop("U"); err != nil {
 		t.Fatalf("drop uncertain relation: %v", err)
 	}
-	if _, err := d.Possible("U"); !errors.Is(err, ErrUnknown) {
+	if _, err := d.Schema("U"); !errors.Is(err, ErrUnknown) {
 		t.Fatalf("U should be gone: %v", err)
 	}
 	if d.WorldCount().String() != worlds || d.ComponentCount() != comps {
@@ -522,7 +531,7 @@ func TestInsertCertainAndDrop(t *testing.T) {
 	if err := d.drop("T"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Possible("T"); err == nil {
+	if _, err := d.Exec("select possible * from T"); err == nil {
 		t.Fatal("T should be gone")
 	}
 	if err := d.drop("T"); !errors.Is(err, ErrUnknown) {

@@ -138,7 +138,7 @@ func TestCompactParity(t *testing.T) {
 	}
 
 	// conf(a1 row with B=10) = 1/4.
-	c, err := cdb.Conf("I", "a1", 10, "c1", 2)
+	c, err := confOf(cdb, "select conf from I where A = 'a1' and B = 10 and C = 'c1' and D = 2")
 	if err != nil || math.Abs(c-0.25) > 1e-9 {
 		t.Errorf("conf = %v, %v", c, err)
 	}
@@ -181,22 +181,19 @@ func TestCompactAssertAndMaterialize(t *testing.T) {
 	if _, err := cdb.Exec("create table D2 as select * from I where A = 'a3'"); err != nil {
 		t.Fatal(err)
 	}
-	cert, err := cdb.Certain("D2")
-	if err != nil || cert.Len() != 1 {
-		t.Errorf("certain D2 = %v, %v", cert, err)
+	if cert := cdb.MustExec("select certain * from D2").First(); cert.Len() != 1 {
+		t.Errorf("certain D2 = %v", cert)
 	}
-	poss, err := cdb.Possible("I")
-	if err != nil || poss.Len() != 4 {
-		t.Errorf("possible I after assert = %v, %v", poss, err)
+	if poss := cdb.MustExec("select possible * from I").First(); poss.Len() != 4 {
+		t.Errorf("possible I after assert = %v", poss)
 	}
 	// conf is renormalized: the surviving a1 choice (B=15) is certain.
-	c, err := cdb.Conf("I", "a1", 15, "c2", 6)
+	c, err := confOf(cdb, "select conf from I where A = 'a1' and B = 15 and C = 'c2' and D = 6")
 	if err != nil || math.Abs(c-1) > 1e-9 {
 		t.Errorf("conf after assert = %v, %v", c, err)
 	}
-	rel, err := cdb.ConfRelation("I")
-	if err != nil || rel.Len() != 4 {
-		t.Errorf("conf relation = %v, %v", rel, err)
+	if rel := cdb.MustExec("select *, conf from I").First(); rel.Len() != 4 {
+		t.Errorf("conf relation = %v", rel)
 	}
 }
 
@@ -205,7 +202,7 @@ func TestCompactErrors(t *testing.T) {
 	if _, err := cdb.Exec("assert not valid sql (("); err == nil {
 		t.Error("bad condition must be rejected")
 	}
-	if _, err := cdb.Conf("I", struct{}{}); err == nil {
+	if err := cdb.Register("X", []string{"A"}, [][]any{{struct{}{}}}); err == nil {
 		t.Error("bad cell type must be rejected")
 	}
 	incomplete := OpenCompactIncomplete()
