@@ -535,6 +535,47 @@ func BenchmarkClosureComponents(b *testing.B) {
 	}
 }
 
+// BenchmarkStatementOverhead is what a statement pays for the size of the
+// decomposition it runs over: `select possible V from U where K = 0` over n
+// flat two-alternative repair components U beside one nested chain (a repair
+// N chained on a repair U2), closure.compact's shape. The answer is one
+// component's two rows; what grows with n is the tagged delta's tag column
+// and the fold over U's alternatives, while the decomposition's index (its
+// ID positions, children, relation feeders and U's concatenated
+// contributions) is built once, not per statement.
+func BenchmarkStatementOverhead(b *testing.B) {
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("comps=%d", n), func(b *testing.B) {
+			cdb := OpenCompact()
+			if err := cdb.Register("Src", []string{"K", "V", "W"}, dirtyRows(n)); err != nil {
+				b.Fatal(err)
+			}
+			if err := cdb.Register("Src2", []string{"K", "V", "W"}, dirtyRows(8)); err != nil {
+				b.Fatal(err)
+			}
+			for _, sql := range []string{
+				"create table U as select K, V from Src repair by key K weight W",
+				"create table U2 as select K, V from Src2 repair by key K weight W",
+				"create table N as select K, V from U2 repair by key K, V",
+			} {
+				if _, err := cdb.Exec(sql); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := cdb.Exec("select possible V from U where K = 0")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rel := res.First(); rel.Len() != 2 {
+					b.Fatalf("wrong answer: %d rows", rel.Len())
+				}
+			}
+		})
+	}
+}
+
 // naiveDirtyDB enumerates the n-component repair explicitly (2^n worlds)
 // for the naive DML/grouping baselines, plus a two-way choice table P.
 func naiveDirtyDB(b *testing.B, n int) *DB {

@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"maybms/internal/plan"
+	"maybms/internal/world"
 	"maybms/internal/worldset"
+	"maybms/internal/wsd"
 )
 
 // confOf runs a `select conf … where` statement and returns its one
@@ -19,6 +22,29 @@ func confOf(db interface{ Exec(string) (*Result, error) }, sql string) (float64,
 		return 0, err
 	}
 	return res.First().Rows()[0][0].AsFloat(), nil
+}
+
+// TestUnknownRelationKeepsCause: a statement over a relation the catalog
+// does not hold fails, on both engines, as a plan error that still carries
+// the catalog's own cause, in the words it always had.
+func TestUnknownRelationKeepsCause(t *testing.T) {
+	for _, c := range []struct {
+		engine string
+		db     interface{ Exec(string) (*Result, error) }
+		cause  error
+		msg    string
+	}{
+		{"naive", Open(), world.ErrUnknown, `plan error: relation "U" does not exist in world w1`},
+		{"compact", OpenCompact(), wsd.ErrUnknown, "plan error: relation unknown to the WSD: U"},
+	} {
+		_, err := c.db.Exec("select possible * from U")
+		if !errors.Is(err, plan.ErrPlan) || !errors.Is(err, c.cause) {
+			t.Errorf("%s: %v: want errors.Is for plan.ErrPlan and %v", c.engine, err, c.cause)
+		}
+		if err == nil || err.Error() != c.msg {
+			t.Errorf("%s: error %v, want %q", c.engine, err, c.msg)
+		}
+	}
 }
 
 // TestNotWeightedSameOnBothEngines: a WEIGHT in a non-probabilistic session

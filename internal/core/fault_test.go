@@ -147,6 +147,11 @@ func engineState(t *testing.T, e core.Engine) string {
 				t.Fatal(err)
 			}
 		}
+		// The reads above validated the decomposition's index against the
+		// component list; it must be the one a fresh build gives.
+		if err := e.CheckInvariant(); err != nil {
+			t.Fatal(err)
+		}
 	default:
 		t.Fatalf("unknown engine %T", e)
 	}

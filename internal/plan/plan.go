@@ -198,13 +198,13 @@ func (e *env) resolve(qualifier, name string) (int, int, error) {
 			return depth, idx, nil
 		}
 		if errors.Is(err, schema.ErrAmbiguousColumn) {
-			return 0, 0, fmt.Errorf("%w: %v", ErrPlan, err)
+			return 0, 0, fmt.Errorf("%w: %w", ErrPlan, err)
 		}
 		if firstErr == nil {
 			firstErr = err
 		}
 	}
-	return 0, 0, fmt.Errorf("%w: %v", ErrPlan, firstErr)
+	return 0, 0, fmt.Errorf("%w: %w", ErrPlan, firstErr)
 }
 
 // buildFromWhere compiles the FROM and WHERE clauses of one SELECT block —
@@ -245,7 +245,7 @@ func buildFrom(refs []sqlparse.TableRef, cat Catalog) ([]algebra.Operator, *sche
 		seen[binding] = true
 		rel, err := cat.Lookup(ref.Name)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrPlan, err)
+			return nil, nil, fmt.Errorf("%w: %w", ErrPlan, err)
 		}
 		scan := newTableScan(ref.Name, rel, ref.Binding())
 		if fromSchema == nil {

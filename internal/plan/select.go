@@ -71,7 +71,7 @@ func buildAggregate(stmt *sqlparse.SelectStmt, from algebra.Operator, e *env,
 	for i, c := range stmt.GroupBy {
 		idx, err := fromSchema.Resolve(c.Qualifier, c.Name)
 		if err != nil {
-			return nil, fmt.Errorf("%w: GROUP BY: %v", ErrPlan, err)
+			return nil, fmt.Errorf("%w: GROUP BY: %w", ErrPlan, err)
 		}
 		groupIdx[i] = idx
 	}
@@ -208,7 +208,7 @@ func finishSelect(stmt *sqlparse.SelectStmt, op algebra.Operator) (algebra.Opera
 			case oi.Column != nil:
 				idx, err := out.Resolve(oi.Column.Qualifier, oi.Column.Name)
 				if err != nil {
-					return nil, fmt.Errorf("%w: ORDER BY: %v", ErrPlan, err)
+					return nil, fmt.Errorf("%w: ORDER BY: %w", ErrPlan, err)
 				}
 				keys[i] = algebra.SortKey{Index: idx, Desc: oi.Desc}
 			case oi.Position >= 1 && oi.Position <= out.Len():

@@ -5,6 +5,7 @@
 package world
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -45,11 +46,25 @@ func (w *World) Put(name string, rel *relation.Relation) {
 	w.rels[key] = rel
 }
 
+// ErrUnknown is the cause of every Lookup of a relation the world does not
+// hold.
+var ErrUnknown = errors.New("relation does not exist")
+
+// lookupError is a failed Lookup: it names the relation and the world, and
+// unwraps to ErrUnknown.
+type lookupError struct{ name, world string }
+
+func (e lookupError) Error() string {
+	return fmt.Sprintf("relation %q does not exist in world %s", e.name, e.world)
+}
+
+func (e lookupError) Unwrap() error { return ErrUnknown }
+
 // Lookup returns the relation stored under name.
 func (w *World) Lookup(name string) (*relation.Relation, error) {
 	rel, ok := w.rels[strings.ToLower(name)]
 	if !ok {
-		return nil, fmt.Errorf("relation %q does not exist in world %s", name, w.Name)
+		return nil, lookupError{name: name, world: w.Name}
 	}
 	return rel, nil
 }

@@ -59,7 +59,7 @@ func (d *WSD) confMonteCarlo(compIdx []int, eval func(cat plan.Catalog) (*colbat
 	// root closure in list order — parents precede children — and draw a
 	// digit only for active components.
 	relevant := d.rootClosure(compIdx)
-	byID := d.compIndexByID()
+	ix := d.index()
 	sel := make(map[int]int, len(relevant))
 	seen := map[string]struct{}{}
 	var buf []byte
@@ -71,7 +71,7 @@ func (d *WSD) confMonteCarlo(compIdx []int, eval func(cat plan.Catalog) (*colbat
 		for _, ci := range relevant {
 			c := d.comps[ci]
 			if c.Parent >= 0 {
-				if pa, ok := sel[byID[c.Parent]]; !ok || pa != c.ParentAlt {
+				if pa, ok := sel[ix.parent(c)]; !ok || pa != c.ParentAlt {
 					continue
 				}
 			}

@@ -15,7 +15,10 @@ package wsd
 // which the paper's decompositions keep large, is evaluated once per
 // statement, and so is every contribution (unconditioned tuples once,
 // conditioned ones beside them: the c-tables of "Conditional Tables in
-// practice", PAPERS.md).
+// practice", PAPERS.md). As there, the tagged relation is stored, not rebuilt
+// per query: a relation's contributions are concatenated once per change of
+// the decomposition (index.go), and a statement only writes the tag column
+// its listing of the components gives them.
 //
 // The tagged delta is the U-relation form of MayBMS's successor (Antova,
 // Jansen, Koch and Olteanu, ICDE 2008): every contribution row carries the
@@ -142,7 +145,8 @@ func under(rel *relation.Relation, sch *schema.Schema) *relation.Relation {
 }
 
 // deltaCatalog is the plan.PartsCatalog of a statement's two evaluations
-// over the listed components: the certain parts, and every listed
+// over the listed components (ascending, every component feeding a table the
+// statement reads among them): the certain parts, and every listed
 // alternative's contribution tagged with the alternative's flat index
 // (first[i] + a for alternative a of comps[i]).
 type deltaCatalog struct {
@@ -158,36 +162,36 @@ func (dc deltaCatalog) Certain(name string) (*relation.Relation, error) {
 	return partsCatalog{d: dc.d}.Lookup(name)
 }
 
-// Delta implements plan.PartsCatalog: the listed alternatives'
-// contributions, concatenated in tag order, with the tag column after them.
+// Delta implements plan.PartsCatalog: the relation's contributions,
+// concatenated once per change of the decomposition (the index's stored
+// delta), beside a fresh tag column this statement's listing gives them.
 func (dc deltaCatalog) Delta(name string) (*relation.Relation, error) {
 	k := key(name)
 	sch, ok := dc.d.schemas[k]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknown, name)
 	}
-	var out *colbatch.Batch
-	var tags []int64
-	for i, ci := range dc.comps {
-		for a := range dc.d.comps[ci].Alts {
-			c := dc.d.comps[ci].Alts[a].Contrib[k]
-			if c.Len() == 0 {
-				continue
-			}
-			if out == nil {
-				out = colbatch.New(sch)
-			}
-			out.AppendBatch(c.Batch())
-			for range c.Len() {
-				tags = append(tags, int64(dc.first[i]+a))
-			}
-		}
-	}
-	if out == nil {
+	sd := dc.d.index().delta(k, sch)
+	if sd.rows == nil {
 		return nil, nil
 	}
+	tags := make([]int64, sd.rows.Len())
+	lo, i := 0, 0
+	for _, run := range sd.runs {
+		for i < len(dc.comps) && dc.comps[i] < int(run.comp) {
+			i++
+		}
+		if i == len(dc.comps) || dc.comps[i] != int(run.comp) {
+			return nil, fmt.Errorf("component %d feeds %s but is not listed", run.comp, name)
+		}
+		tag := int64(dc.first[i] + int(run.alt))
+		for r := lo; r < int(run.end); r++ {
+			tags[r] = tag
+		}
+		lo = int(run.end)
+	}
 	*dc.tagged += len(tags)
-	return relation.FromBatch(out.Extend(plan.Tagged(sch), colbatch.Col{Kind: value.KindInt, Ints: tags})), nil
+	return relation.FromBatch(sd.rows.Extend(plan.Tagged(sch), colbatch.Col{Kind: value.KindInt, Ints: tags})), nil
 }
 
 var _ plan.PartsCatalog = deltaCatalog{}

@@ -17,6 +17,7 @@ package wsd
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"maybms/internal/colbatch"
@@ -29,19 +30,17 @@ import (
 // condSchema is the trailing condition column of a conditional relation.
 func condSchema() *schema.Schema { return schema.New("cond") }
 
-// condFor renders the activation condition of (component c, alternative
-// a): the conjunction of the ancestor path's pinned alternatives followed
-// by the component's own, root first.
-func (d *WSD) condFor(byID map[int]int, c *Component, a int) string {
+// condFor renders the activation condition of alternative a of the
+// component at position ci: the conjunction of the ancestor path's pinned
+// alternatives followed by the component's own, root first.
+func condFor(ix *index, ci, a int) string {
+	c := ix.comps[ci]
 	var conj []string
-	for cur := c; cur.Parent >= 0; {
+	for cur := c; cur.Parent >= 0; cur = ix.comps[ix.parent(cur)] {
 		conj = append(conj, fmt.Sprintf("c%d=%d", cur.Parent, cur.ParentAlt))
-		cur = d.comps[byID[cur.Parent]]
 	}
 	// The walk collected child-to-root; reverse to root-first.
-	for i, j := 0, len(conj)-1; i < j; i, j = i+1, j-1 {
-		conj[i], conj[j] = conj[j], conj[i]
-	}
+	slices.Reverse(conj)
 	conj = append(conj, fmt.Sprintf("c%d=%d", c.ID, a))
 	return strings.Join(conj, ",")
 }
@@ -54,15 +53,16 @@ func (d *WSD) condFor(byID map[int]int, c *Component, a int) string {
 // emission order (fold.go). A world's answer is the base rows followed by the
 // delta rows whose conditions the world's alternative selection satisfies —
 // tuple-for-tuple the naive engine's per-world answer, by the concat structure
-// the analysis certified.
+// the analysis certified. The rows are copied once, by one Concat, and the
+// cond column is one typed string vector.
 func (d *WSD) conditionalRelation(p *componentParts) (*relation.Relation, error) {
-	byID := d.compIndexByID()
-	all := colbatch.New(p.base.Schema)
-	all.AppendBatch(p.base)
-	var cond colbatch.ColBuilder
-	for range p.base.Len() {
-		cond.Append(value.Str(""))
+	ix := d.index()
+	n := p.base.Len()
+	for _, part := range p.parts {
+		n += part.Len()
 	}
+	rows := []*colbatch.Batch{p.base}
+	conds := make([]string, p.base.Len(), n)
 	for i, c := range p.comps {
 		for a := range c.Alts {
 			if err := d.interrupted(); err != nil {
@@ -72,14 +72,15 @@ func (d *WSD) conditionalRelation(p *componentParts) (*relation.Relation, error)
 			if delta.Len() == 0 {
 				continue
 			}
-			all.AppendBatch(delta)
-			v := value.Str(d.condFor(byID, c, a))
+			rows = append(rows, delta)
+			cond := condFor(ix, p.idx[i], a)
 			for range delta.Len() {
-				cond.Append(v)
+				conds = append(conds, cond)
 			}
 		}
 	}
-	return relation.FromBatch(all.Extend(p.base.Schema.Concat(condSchema()), cond.Col())), nil
+	all := colbatch.Concat(p.base.Schema, rows)
+	return relation.FromBatch(all.Extend(p.base.Schema.Concat(condSchema()), colbatch.Col{Kind: value.KindString, Strs: conds})), nil
 }
 
 // uncertainTables names the referenced tables that vary across worlds —

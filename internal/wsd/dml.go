@@ -31,7 +31,7 @@ package wsd
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"maybms/internal/colbatch"
 	"maybms/internal/core"
@@ -109,18 +109,12 @@ func (d *WSD) applyDML(st sqlparse.Statement, table string) (int, error) {
 	return d.rewritePieces(table, tmpl)
 }
 
-// sortedUniqueInts deduplicates and sorts component indexes.
+// sortedUniqueInts returns component indexes sorted and deduplicated, in a
+// new slice.
 func sortedUniqueInts(idx []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, i := range idx {
-		if !seen[i] {
-			seen[i] = true
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
+	out := slices.Clone(idx)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // rewritePieces applies the row rewrite to every piece of the target

@@ -3,6 +3,7 @@ package wsd
 import (
 	"fmt"
 	"math/big"
+	"slices"
 
 	"maybms/internal/relation"
 	"maybms/internal/world"
@@ -74,10 +75,7 @@ func (d *WSD) Expand(limit int) (*worldset.Set, error) {
 // calls; prob is the product of the active alternatives' probabilities,
 // taken left to right. The first error visit returns stops the walk.
 func (d *WSD) walkAssignments(idxs []int, visit func(digits []int, prob float64) error) error {
-	pos := make(map[int]int, len(idxs)) // component ID → position in idxs
-	for p, ci := range idxs {
-		pos[d.comps[ci].ID] = p
-	}
+	ix := d.index()
 	digits := make([]int, len(idxs))
 	var walk func(p int, prob float64) error
 	walk = func(p int, prob float64) error {
@@ -86,7 +84,7 @@ func (d *WSD) walkAssignments(idxs []int, visit func(digits []int, prob float64)
 		}
 		c := d.comps[idxs[p]]
 		if c.Parent >= 0 {
-			if pp, ok := pos[c.Parent]; !ok || digits[pp] != c.ParentAlt {
+			if pp, ok := slices.BinarySearch(idxs, ix.parent(c)); !ok || digits[pp] != c.ParentAlt {
 				digits[p] = -1
 				return walk(p+1, prob)
 			}

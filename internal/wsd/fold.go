@@ -41,6 +41,8 @@ package wsd
 // gathered into one batch, in the form colbatch picks for it.
 
 import (
+	"slices"
+
 	"maybms/internal/colbatch"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
@@ -76,6 +78,9 @@ type closureFold struct {
 	// comps are the folded components: whole trees, parents before children
 	// (a group of a merged component's alternatives is a transient flat one).
 	comps []*Component
+	// idx holds comps' positions in the component list, ascending; nil for a
+	// transient component.
+	idx []int
 	// part returns the part of (comps[i], alternative a); the empty range
 	// holds nothing.
 	part func(i, a int) rowRange
@@ -95,8 +100,8 @@ type closureFold struct {
 	buf     []byte
 }
 
-func (d *WSD) newClosureFold(comps []*Component, part func(i, a int) rowRange, certain *colbatch.Batch) *closureFold {
-	return &closureFold{d: d, comps: comps, part: part, certain: certain,
+func (d *WSD) newClosureFold(comps []*Component, idx []int, part func(i, a int) rowRange, certain *colbatch.Batch) *closureFold {
+	return &closureFold{d: d, comps: comps, idx: idx, part: part, certain: certain,
 		ids: map[string]int32{}, rows: map[*colbatch.Batch][]int32{}}
 }
 
@@ -235,15 +240,12 @@ func (f *closureFold) weighNode(i int) (span, error) {
 // weigh folds every tree into the per-tuple verdicts, roots in component
 // order.
 func (f *closureFold) weigh() error {
-	if f.d.nested > 0 {
-		pos := make(map[int]int, len(f.comps)) // component ID → position
-		for i, c := range f.comps {
-			pos[c.ID] = i
-		}
+	if f.d.nested > 0 && f.idx != nil {
+		ix := f.d.index()
 		f.kids = make([][][]int, len(f.comps))
 		for i, c := range f.comps {
-			if c.Parent >= 0 {
-				pi := pos[c.Parent]
+			if p := ix.parent(c); p >= 0 {
+				pi, _ := slices.BinarySearch(f.idx, p)
 				if f.kids[pi] == nil {
 					f.kids[pi] = make([][]int, len(f.comps[pi].Alts))
 				}
@@ -369,5 +371,5 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 // closeParts closes a query's evaluated parts under cl: its certain-only
 // answer in the certain slot, its per-alternative parts as the parts.
 func (d *WSD) closeParts(p *componentParts, cl closure) (*relation.Relation, error) {
-	return d.newClosureFold(p.comps, p.part, p.base).close(cl, p.base.Schema)
+	return d.newClosureFold(p.comps, p.idx, p.part, p.base).close(cl, p.base.Schema)
 }

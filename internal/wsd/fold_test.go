@@ -64,10 +64,10 @@ func foldFixtures(t *testing.T) []struct {
 	must(nested.choiceOf("R", "P", []string{"K"}, ""))
 	must(nested.choiceOf("P", "Q", []string{"V"}, "W"))
 	must(nested.repairByKey("Q", "L", []string{"V"}, "W"))
-	depth, byID := 0, nested.compIndexByID()
+	depth, ix := 0, nested.index()
 	for _, c := range nested.comps {
 		n := 0
-		for ; c.Parent >= 0; c = nested.comps[byID[c.Parent]] {
+		for p := ix.parent(c); p >= 0; p = ix.parent(nested.comps[p]) {
 			n++
 		}
 		if n > depth {

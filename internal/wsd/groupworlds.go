@@ -405,7 +405,7 @@ func (d *WSD) closeEachGroup(mi int, groups []groupInfo, q evaluator, cl closure
 			group.Alts[j] = merged.Alts[a]
 		}
 		part := func(_, j int) rowRange { return parts.part(0, g.alts[j]) }
-		rel, err := d.newClosureFold([]*Component{group}, part, parts.base).close(cl, parts.base.Schema)
+		rel, err := d.newClosureFold([]*Component{group}, nil, part, parts.base).close(cl, parts.base.Schema)
 		if err != nil {
 			return nil, err
 		}

@@ -11,44 +11,23 @@ package wsd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 )
 
-// involvedComponents returns the indexes (into d.comps) of the components
-// contributing to any of the given relation names.
-func (d *WSD) involvedComponents(names []string) []int {
-	keys := make([]string, len(names))
-	for i, n := range names {
-		keys[i] = key(n)
-	}
-	var out []int
-	for i, c := range d.comps {
-		for _, k := range keys {
-			if c.contributesTo(k) {
-				out = append(out, i)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // treeWorlds returns the function counting the worlds of the d-tree rooted at
 // a component index — the alternatives condensing that tree would produce,
 // the component's own alternative count when it has no children. ok is false
 // when the count overflows 2^31.
 func (d *WSD) treeWorlds() func(ci int) (n int, ok bool) {
-	var children map[int][]int // stays nil (no lookups hit) for a flat product
-	if d.nested > 0 {
-		children = d.childrenIndex()
-	}
+	children := d.index().children
 	var worldsOf func(ci int) (int, bool)
 	worldsOf = func(ci int) (int, bool) {
 		c := d.comps[ci]
-		kids := children[c.ID]
+		kids := children[ci]
 		if len(kids) == 0 {
 			return len(c.Alts), true
 		}
@@ -172,14 +151,10 @@ func (d *WSD) mergeFitting(idx []int) (int, error) {
 // would exceed MergeLimit is refused before any tree is restructured.
 func (d *WSD) condenseTrees(idx []int) ([]int, error) {
 	closure := d.rootClosure(idx)
-	parents := map[int]bool{} // IDs of the closure's components with children
-	for _, ci := range closure {
-		parents[d.comps[ci].Parent] = true
-	}
+	children := d.index().children
 	worlds := d.treeWorlds()
 	for _, ci := range closure {
-		c := d.comps[ci]
-		if c.Parent >= 0 || !parents[c.ID] {
+		if d.comps[ci].Parent >= 0 || len(children[ci]) == 0 {
 			continue // not a root, or a lone component: nothing condenses
 		}
 		if n, ok := worlds(ci); !ok || n > d.MergeLimit {
@@ -198,36 +173,32 @@ func (d *WSD) condenseFitting(idx []int) ([]int, error) {
 	if d.nested == 0 {
 		return idx, nil
 	}
+	ix := d.index()
 	closure := d.rootClosure(idx)
-	byID := d.compIndexByID()
-	rootID := func(ci int) int {
-		for d.comps[ci].Parent >= 0 {
-			ci = byID[d.comps[ci].Parent]
-		}
-		return d.comps[ci].ID
-	}
-	// Group the closure by root, keeping member IDs (indexes go stale as
-	// trees condense; IDs of untouched components do not).
-	trees := map[int][]int{}
-	var order []int
+	var roots []int
 	for _, ci := range closure {
-		r := rootID(ci)
-		if _, ok := trees[r]; !ok {
-			order = append(order, r)
+		if d.comps[ci].Parent < 0 {
+			roots = append(roots, ci)
 		}
-		trees[r] = append(trees[r], d.comps[ci].ID)
 	}
-	resultIDs := make([]int, 0, len(order))
-	for _, r := range order {
-		ids := trees[r]
+	// Group the closure by tree, roots ascending, keeping member IDs
+	// (positions go stale as trees condense; IDs of untouched components do
+	// not).
+	trees := make([][]int, len(roots))
+	for _, ci := range closure {
+		t, _ := slices.BinarySearch(roots, ix.root(ci))
+		trees[t] = append(trees[t], d.comps[ci].ID)
+	}
+	resultIDs := make([]int, 0, len(trees))
+	for _, ids := range trees {
 		if len(ids) == 1 {
 			resultIDs = append(resultIDs, ids[0])
 			continue
 		}
-		byID = d.compIndexByID()
+		ix = d.index()
 		idxs := make([]int, len(ids))
 		for i, id := range ids {
-			idxs[i] = byID[id]
+			idxs[i] = ix.position(id)
 		}
 		c, err := d.condense(idxs)
 		if err != nil {
@@ -235,10 +206,10 @@ func (d *WSD) condenseFitting(idx []int) ([]int, error) {
 		}
 		resultIDs = append(resultIDs, c.ID)
 	}
-	byID = d.compIndexByID()
+	ix = d.index()
 	out := make([]int, len(resultIDs))
 	for i, id := range resultIDs {
-		out[i] = byID[id]
+		out[i] = ix.position(id)
 	}
 	return out, nil
 }
@@ -309,7 +280,11 @@ func oneIfWeighted(weighted bool) float64 {
 // thanks to independence, renormalizing within the merged component
 // renormalizes the whole world-set (Example 2.5 semantics at WSD scale).
 func (d *WSD) assert(touching []string, pred func(cat plan.Catalog) (bool, error)) error {
-	mi, err := d.mergeComponents(d.involvedComponents(touching))
+	var involved []int
+	for _, name := range touching {
+		involved = append(involved, d.componentsFor(name)...)
+	}
+	mi, err := d.mergeComponents(sortedUniqueInts(involved))
 	if err != nil {
 		return err
 	}

@@ -17,13 +17,13 @@ import (
 
 func TestInvolvedComponents(t *testing.T) {
 	d := newFigure2WSD(t)
-	if got := d.involvedComponents([]string{"I"}); len(got) != 3 {
+	if got := d.componentsFor("I"); len(got) != 3 {
 		t.Errorf("I involves %d components, want 3", len(got))
 	}
-	if got := d.involvedComponents([]string{"R"}); len(got) != 0 {
+	if got := d.componentsFor("R"); len(got) != 0 {
 		t.Errorf("R involves %d components, want 0 (certain)", len(got))
 	}
-	if got := d.involvedComponents([]string{"nope"}); len(got) != 0 {
+	if got := d.componentsFor("nope"); len(got) != 0 {
 		t.Errorf("unknown relation involves %d components", len(got))
 	}
 }
@@ -128,7 +128,7 @@ func TestAssertPredicateErrorPropagates(t *testing.T) {
 
 func TestMaterializeErrors(t *testing.T) {
 	d := newFigure2WSD(t)
-	mi, err := d.mergeComponents(d.involvedComponents([]string{"I"}))
+	mi, err := d.mergeComponents(d.componentsFor("I"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestRefusedCondenseLeavesDecompositionUnchanged(t *testing.T) {
 		if err := d.createTableAs("R", core); err != nil {
 			t.Fatal(err)
 		}
-		feeders := d.involvedComponents([]string{"R"})
+		feeders := d.componentsFor("R")
 		if len(feeders) != 1 || d.comps[feeders[0]].Parent < 0 || d.certain["r"].Len() != 1 {
 			t.Fatalf("fixture: R is fed by components %v over %d certain rows, want one nested feeder over one", feeders, d.certain["r"].Len())
 		}

@@ -274,7 +274,7 @@ func (d *WSD) runSingle(comps []int, ev evaluator, cl closure) (*relation.Relati
 	if cl == closureNone {
 		return relation.FromBatch(res), nil
 	}
-	return d.newClosureFold(nil, nil, res).close(cl, res.Schema)
+	return d.newClosureFold(nil, nil, nil, res).close(cl, res.Schema)
 }
 
 // evalParts runs the evaluations of the Σ-alternatives routes — certain-only

@@ -120,7 +120,7 @@ func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) erro
 		return err
 	}
 	k := key(src)
-	if _, ok := d.certain[k]; !ok && len(d.involvedComponents([]string{src})) == 0 {
+	if _, ok := d.certain[k]; !ok && len(d.componentsFor(src)) == 0 {
 		// Registered with neither certain tuples nor contributions: the
 		// instance is empty in every world and so is its only repair
 		// (PutCertain reports a dst collision).
@@ -152,7 +152,7 @@ func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) erro
 	var comps []int
 	var touches []plan.KeyTouch
 	for {
-		comps = d.involvedComponents([]string{src})
+		comps = d.componentsFor(src)
 		touches = touches[:0]
 		for _, ci := range comps {
 			seen := map[string]struct{}{}
@@ -322,7 +322,7 @@ func (d *WSD) choiceOf(src, dst string, attrs []string, weight string) error {
 	if _, ok := d.schemas[key(dst)]; ok {
 		return fmt.Errorf("%w: %s", ErrExists, dst)
 	}
-	comps := d.involvedComponents([]string{src})
+	comps := d.componentsFor(src)
 	if len(comps) > 1 {
 		// Multiple feeders: the choice couples them, so they merge (trees
 		// condense first — see condenseTrees). A single top-level feeder —
@@ -331,7 +331,7 @@ func (d *WSD) choiceOf(src, dst string, attrs []string, weight string) error {
 		if _, err := d.mergeComponents(comps); err != nil {
 			return err
 		}
-		comps = d.involvedComponents([]string{src})
+		comps = d.componentsFor(src)
 	} else if len(comps) == 1 && d.comps[comps[0]].Parent >= 0 {
 		// A *nested* single feeder is inactive in some worlds; there the
 		// source instance shrinks to its certain part (possibly empty — a
@@ -340,7 +340,7 @@ func (d *WSD) choiceOf(src, dst string, attrs []string, weight string) error {
 		if _, err := d.condenseTrees(comps); err != nil {
 			return err
 		}
-		comps = d.involvedComponents([]string{src})
+		comps = d.componentsFor(src)
 	}
 	cert := d.certain[k]
 	if cert == nil {

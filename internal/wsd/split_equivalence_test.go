@@ -334,7 +334,7 @@ func TestGroupedCTASAfterMainQueryMerge(t *testing.T) {
 // inactive component (digit -1) satisfies no conjunct, matching the
 // semantics: a nested pair's suffix applies only where its whole
 // conditioning path is selected.
-func condSatisfied(t *testing.T, cond string, byID map[int]int, digits []int) bool {
+func condSatisfied(t *testing.T, cond string, ix *index, digits []int) bool {
 	t.Helper()
 	if cond == "" {
 		return true
@@ -344,11 +344,10 @@ func condSatisfied(t *testing.T, cond string, byID map[int]int, digits []int) bo
 		if _, err := fmt.Sscanf(term, "c%d=%d", &id, &a); err != nil {
 			t.Fatalf("malformed cond term %q in %q: %v", term, cond, err)
 		}
-		ci, ok := byID[id]
-		if !ok {
+		if id < 0 || id >= len(ix.pos) || ix.position(id) < 0 {
 			t.Fatalf("cond %q references unknown component %d", cond, id)
 		}
-		if digits[ci] != a {
+		if digits[ix.position(id)] != a {
 			return false
 		}
 	}
@@ -398,7 +397,7 @@ func checkConditionalRelation(t *testing.T, label string, s *core.Session, d *WS
 		assignments = append(assignments, append([]int(nil), digits...))
 		return nil
 	})
-	byID := d.compIndexByID()
+	ix := d.index()
 	for wi, w := range ref.Set().Worlds {
 		want, err := w.Lookup("__q")
 		if err != nil {
@@ -411,7 +410,7 @@ func checkConditionalRelation(t *testing.T, label string, s *core.Session, d *WS
 				decoded = append(decoded, tp.Key())
 				continue
 			}
-			if condSatisfied(t, tp[len(tp)-1].AsStr(), byID, digits) {
+			if condSatisfied(t, tp[len(tp)-1].AsStr(), ix, digits) {
 				decoded = append(decoded, tp[:len(tp)-1].Key())
 			}
 		}

@@ -69,6 +69,12 @@
 // once — the refusal table, the split source, the ASSERT, the closure, the
 // grouping — and execution and EXPLAIN both read what it found.
 //
+// What a statement asks of the component list as a whole — a component's
+// position by ID, its children, the components feeding a relation, a
+// relation's contributions concatenated for the tagged delta — it reads from
+// the decomposition's one index (index.go), built once per change of the
+// list and valid while the list holds the pointers it was built from.
+//
 // Every statement takes one routing decision (route.go): a pure function of
 // the compiled plan's component analysis, the closure and the shape of the
 // decomposition, run by selectClosure and rendered by EXPLAIN from the same
@@ -167,17 +173,6 @@ type Component struct {
 	ParentAlt int
 }
 
-// contributesTo reports whether some alternative of the component lists a
-// contribution to relation k (lower-case).
-func (c *Component) contributesTo(k string) bool {
-	for _, a := range c.Alts {
-		if _, ok := a.Contrib[k]; ok {
-			return true
-		}
-	}
-	return false
-}
-
 // WSD is a world-set decomposition.
 type WSD struct {
 	// Weighted selects probabilistic mode; alternatives then carry
@@ -201,6 +196,8 @@ type WSD struct {
 	// means the decomposition is a flat product and every flat fast path
 	// applies unchanged.
 	nested int
+	// ix is the index of comps as it was last read (see index.go).
+	ix *index
 
 	// merges counts component merges that actually restructured the
 	// decomposition (≥ 2 components multiplied into one): the observability
@@ -330,8 +327,11 @@ func (d *WSD) Snapshot() (restore func()) {
 // fresh (non-nil) Contrib maps, and returns the copy for writing. Every
 // write into a component goes through own, so no engine pass mutates a
 // published component, alternative or contribution map in place: a header
-// snapshot restores the decomposition, and derived alternatives may share a
-// parent's contribution relations.
+// snapshot restores the decomposition, derived alternatives may share a
+// parent's contribution relations, and the decomposition's index (index.go)
+// is valid exactly while the component list holds the pointers it was built
+// from — own's new pointer is what retires it. So the writes into the copy
+// must be done before anything reads the index again.
 func (d *WSD) own(ci int) *Component {
 	c := *d.comps[ci]
 	c.Alts = slices.Clone(c.Alts)
@@ -398,13 +398,6 @@ func (d *WSD) Kind() (name, representation string) { return "compact", "world-se
 // Worlds renders the exact world count in decimal.
 func (d *WSD) Worlds() string { return d.WorldCount().String() }
 
-// componentsFor returns the indexes (into the component list) of the
-// components contributing to relation name. Exposed to the planner's
-// component-touch analysis through a plan.ComponentCatalog adapter.
-func (d *WSD) componentsFor(name string) []int {
-	return d.involvedComponents([]string{name})
-}
-
 // AlternativeCount returns the total number of alternatives across
 // components — the representation size driver.
 func (d *WSD) AlternativeCount() int {
@@ -432,14 +425,14 @@ func (d *WSD) WorldCount() *big.Int {
 		}
 		return productTree(sizes)
 	}
-	children := d.childrenIndex()
+	children := d.index().children
 	var worldsOf func(ci int) *big.Int
 	worldsOf = func(ci int) *big.Int {
 		c := d.comps[ci]
 		total := big.NewInt(0)
 		for a := range c.Alts {
 			alt := big.NewInt(1)
-			for _, ch := range children[c.ID] {
+			for _, ch := range children[ci] {
 				if d.comps[ch].ParentAlt == a {
 					alt.Mul(alt, worldsOf(ch))
 				}
@@ -472,75 +465,31 @@ func productTree(sizes []int64) *big.Int {
 	return l.Mul(l, r)
 }
 
-// compIndexByID maps component IDs to indexes in the component list.
-func (d *WSD) compIndexByID() map[int]int {
-	idx := make(map[int]int, len(d.comps))
-	for i, c := range d.comps {
-		idx[c.ID] = i
-	}
-	return idx
-}
-
-// childrenIndex maps a parent component ID to the (ascending) indexes of
-// its child components.
-func (d *WSD) childrenIndex() map[int][]int {
-	out := map[int][]int{}
-	for i, c := range d.comps {
-		if c.Parent >= 0 {
-			out[c.Parent] = append(out[c.Parent], i)
-		}
-	}
-	return out
-}
-
 // rootClosure expands a set of component indexes to the full d-trees
 // containing them: every ancestor up to the root and every descendant.
-// The result is sorted ascending. For a flat decomposition it returns the
+// The result is sorted ascending. For components of no d-tree it returns the
 // input set (sorted, deduped).
 func (d *WSD) rootClosure(idxs []int) []int {
-	if len(idxs) == 0 {
-		return nil
+	if !d.treeInvolved(idxs) {
+		return sortedUniqueInts(idxs)
 	}
-	if d.nested == 0 {
-		out := append([]int(nil), idxs...)
-		sort.Ints(out)
-		w := 0
-		for i, v := range out {
-			if i == 0 || v != out[w-1] {
-				out[w] = v
-				w++
-			}
-		}
-		return out[:w]
+	ix := d.index()
+	roots := make([]int, len(idxs))
+	for i, ci := range idxs {
+		roots[i] = ix.root(ci)
 	}
-	byID := d.compIndexByID()
-	children := d.childrenIndex()
-	roots := map[int]bool{}
-	for _, ci := range idxs {
-		for d.comps[ci].Parent >= 0 {
-			ci = byID[d.comps[ci].Parent]
-		}
-		roots[ci] = true
-	}
-	in := map[int]bool{}
+	var out []int
 	var addTree func(ci int)
 	addTree = func(ci int) {
-		if in[ci] {
-			return
-		}
-		in[ci] = true
-		for _, ch := range children[d.comps[ci].ID] {
+		out = append(out, ci)
+		for _, ch := range ix.children[ci] {
 			addTree(ch)
 		}
 	}
-	for r := range roots {
+	for _, r := range sortedUniqueInts(roots) {
 		addTree(r)
 	}
-	out := make([]int, 0, len(in))
-	for ci := range in {
-		out = append(out, ci)
-	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -551,15 +500,9 @@ func (d *WSD) treeInvolved(idxs []int) bool {
 	if d.nested == 0 {
 		return false
 	}
-	want := map[int]bool{}
+	ix := d.index()
 	for _, ci := range idxs {
-		if d.comps[ci].Parent >= 0 {
-			return true
-		}
-		want[d.comps[ci].ID] = true
-	}
-	for _, c := range d.comps {
-		if c.Parent >= 0 && want[c.Parent] {
+		if d.comps[ci].Parent >= 0 || len(ix.children[ci]) > 0 {
 			return true
 		}
 	}
@@ -585,12 +528,7 @@ func (d *WSD) isCertain(name string) bool {
 	if _, ok := d.certain[k]; !ok {
 		return false
 	}
-	for _, c := range d.comps {
-		if c.contributesTo(k) {
-			return false
-		}
-	}
-	return true
+	return len(d.index().rels[k]) == 0
 }
 
 // addComponent appends a component, validating its probabilities.
@@ -645,17 +583,27 @@ func (d *WSD) registerUncertain(name string, sch *schema.Schema) error {
 
 // CheckInvariant validates the decomposition: component probabilities sum
 // to 1 (weighted), schemas exist for every contributed relation, tuple
-// widths match, and the d-tree structure is well-formed (parents precede
-// their children in the component list, parent alternatives exist, and
-// the nested count is in sync).
+// widths match, the d-tree structure is well-formed (component IDs are
+// distinct and below the next ID, parents precede their children in the
+// component list, parent alternatives exist, and the nested count is in
+// sync), and an index the component list still validates (index.go) is the
+// one a fresh build gives, its cached deltas included.
 func (d *WSD) CheckInvariant() error {
-	byID := d.compIndexByID()
+	for _, c := range d.comps {
+		if c.ID < 0 || c.ID >= d.nextID {
+			return fmt.Errorf("component %d has an ID outside [0, %d)", c.ID, d.nextID)
+		}
+	}
+	fresh := buildIndex(d.comps, d.nextID)
 	nested := 0
 	for ci, c := range d.comps {
+		if fresh.position(c.ID) != ci {
+			return fmt.Errorf("component ID %d appears twice in the component list", c.ID)
+		}
 		if c.Parent >= 0 {
 			nested++
-			pi, ok := byID[c.Parent]
-			if !ok {
+			pi := fresh.parent(c)
+			if pi < 0 {
 				return fmt.Errorf("component %d has unknown parent %d", c.ID, c.Parent)
 			}
 			if pi >= ci {
@@ -688,6 +636,11 @@ func (d *WSD) CheckInvariant() error {
 		}
 		if d.Weighted && math.Abs(total-1) > 1e-9 {
 			return fmt.Errorf("component %d probabilities sum to %g", c.ID, total)
+		}
+	}
+	if ix := d.ix; ix != nil && slices.Equal(ix.comps, d.comps) {
+		if err := ix.sameAs(fresh, d.schemas); err != nil {
+			return fmt.Errorf("stale decomposition index: %w", err)
 		}
 	}
 	return nil

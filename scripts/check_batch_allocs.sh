@@ -108,6 +108,16 @@
 # on anything per alternative, and the conf/groups=16000 ceiling (steady
 # state 32 771, 496 721 with an evaluation per alternative) on anything that
 # grows faster than the representation.
+#
+# The statement-overhead gate holds what a statement pays for the size of the
+# decomposition: BenchmarkStatementOverhead asks for one component's two rows
+# (`select possible V from U where K = 0`) over n flat repair components beside
+# one nested chain, closure.compact's shape. The decomposition's index —
+# component positions, children, relation feeders, U's concatenated
+# contributions — is built once per change (internal/wsd/index.go), so the
+# steady state is ~172 (comps=1000) and ~192 (comps=10000) allocs/op, nothing
+# per component; rebuilding the index on every read took 381 and 443. The
+# ~1.5x ceilings trip on that, and on anything per component (1000+).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -117,6 +127,8 @@ $(go test . -bench '^BenchmarkClosureComponents$/^(possible|conf)$/^groups=(1000
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
 $(go test ./internal/relation/ -bench '^BenchmarkImport(Certain|RepairKey|Choice|Dirty)$' \
     -benchmem -benchtime 1x -run '^$' | tee /dev/stderr)
+$(go test . -bench '^BenchmarkStatementOverhead$' \
+    -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
 $(go test . -bench '^(BenchmarkBatchClosurePossible|BenchmarkBatchClosureConf|BenchmarkBatchClosureGroupWorlds)$' \
     -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
 $(go test . -bench 'BenchmarkConditional(Select|Conf)/nested/groups=18' \
@@ -154,6 +166,8 @@ check 'BenchmarkCollectStoredScan/project' 8
 check 'BenchmarkClosureComponents/possible/groups=1000' 2750
 check 'BenchmarkClosureComponents/conf/groups=1000' 2800
 check 'BenchmarkClosureComponents/conf/groups=16000' 40000
+check 'BenchmarkStatementOverhead/comps=1000' 260
+check 'BenchmarkStatementOverhead/comps=10000' 290
 check BenchmarkImportCertain 1600
 check BenchmarkImportRepairKey 240000
 check BenchmarkImportChoice 105000
