@@ -822,7 +822,7 @@ func BenchmarkConditionalRepair(b *testing.B) {
 				if cdb.MergeCount() != 0 {
 					b.Fatal("nesting split merged")
 				}
-				if cdb.ConditionalCount() == 0 {
+				if cdb.RouteCounts()["conditional"] == 0 {
 					b.Fatal("split did not nest")
 				}
 				b.StartTimer()
@@ -885,7 +885,7 @@ func benchConditionalSelect(b *testing.B, confQuery bool) {
 				if cdb.MergeCount() != 0 {
 					b.Fatal("conditional query merged")
 				}
-				if !confQuery && cdb.ConditionalCount() == 0 {
+				if !confQuery && cdb.RouteCounts()["conditional"] == 0 {
 					b.Fatal("query did not route conditional")
 				}
 			})

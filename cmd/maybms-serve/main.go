@@ -21,7 +21,7 @@
 //     trace in the response); GET /v1/health for liveness plus
 //     shared-plan-cache statistics; GET /v1/stats additionally reports,
 //     per session, the backend, world count, plan-cache attribution, and
-//     the compact engine's merge/componentwise routing counters (also
+//     the compact engine's merge and per-route statement counts (also
 //     available as the "stats" protocol op); GET /metrics in Prometheus
 //     text format.
 //

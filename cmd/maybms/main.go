@@ -28,7 +28,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 
 	"maybms/internal/core"
@@ -99,8 +101,12 @@ func printEngine(eng core.Engine, cmd string, out io.Writer) {
 		if cmd == `\stats` {
 			fmt.Fprintf(out, "worlds: %s, components: %d, alternatives: %d\n",
 				e.WorldCount(), e.ComponentCount(), e.AlternativeCount())
-			fmt.Fprintf(out, "merges: %d, componentwise: %d, conditional: %d\n",
-				e.MergeCount(), e.ComponentwiseCount(), e.ConditionalCount())
+			routes := e.RouteCounts()
+			fmt.Fprintf(out, "merges: %d\nroutes:", e.MergeCount())
+			for _, word := range slices.Sorted(maps.Keys(routes)) {
+				fmt.Fprintf(out, " %s=%d", word, routes[word])
+			}
+			fmt.Fprintln(out)
 			return
 		}
 		fmt.Fprintln(out, e)

@@ -193,7 +193,7 @@ select conf, K, V from J;
 	for _, frag := range []string{
 		"4 world(s)",       // \count after the chained repair
 		"merges: 0",        // \stats: the chained repair split, no merge
-		"conditional: 2",   // \stats: nesting split + tree-fold conf closure
+		"conditional=2",    // \stats: nesting split + tree-fold conf closure
 		"plan cache",       // \stats: shared-cache counters
 		"WSD{relations: 3", // \worlds prints the decomposition summary
 		"created table J",  // chained repair over the uncertain source

@@ -37,8 +37,10 @@ var ErrCompactUnsupported = wsd.ErrUnsupported
 // I-SQL over small world-sets, use DB; Expand bridges the two.
 //
 // How a statement executes is the engine's decision, taken once per
-// statement from the query's shape and the decomposition (EXPLAIN prints
-// it; MergeCount, ComponentwiseCount and ConditionalCount count it).
+// statement from its shape and the decomposition: EXPLAIN prints it, the
+// trace of ExecTraced names it (attribute route), and RouteCounts and
+// maybms_route_total count it. MergeCount counts the merges that
+// restructured the decomposition.
 // Every evaluation runs one operator set, over columns for a relation of at
 // least 32 rows and over the relation as stored otherwise; nothing sets
 // this. To cross-check an answer, Expand and ask the naive engine.
@@ -84,15 +86,11 @@ func (db *CompactDB) SetMergeLimit(n int) { db.w.MergeLimit = n }
 // Queries served componentwise leave it unchanged.
 func (db *CompactDB) MergeCount() uint64 { return db.w.MergeCount() }
 
-// ComponentwiseCount returns the number of statements answered by the
-// merge-free componentwise path.
-func (db *CompactDB) ComponentwiseCount() uint64 { return db.w.ComponentwiseCount() }
-
-// ConditionalCount returns the number of uses of the conditional (d-tree)
-// machinery: statements answered through a conditional route — tree-fold
-// closures and conditional-relation answers — plus repair/choice splits
-// that nested components under feeding alternatives.
-func (db *CompactDB) ConditionalCount() uint64 { return db.w.ConditionalCount() }
+// RouteCounts returns the number of statements run per route word: single,
+// componentwise, conditional (a d-tree fold, a conditional relation or a
+// nesting split), merge, approx_mc and refused — one per statement, the word
+// EXPLAIN prints.
+func (db *CompactDB) RouteCounts() map[string]uint64 { return db.w.RouteCounts() }
 
 // Expand enumerates the world-set into a naive DB supporting full I-SQL.
 // It fails if more than limit worlds are represented (0 = default limit).

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -216,6 +218,63 @@ func TestCompactSetMergeLimit(t *testing.T) {
 	}
 }
 
+// TestCompactCreateAsAssertUnderMergeLimit: CREATE TABLE AS … ASSERT
+// decides its store on the world-set the assert leaves. Before the assert
+// the store's merge (I's 4 alternatives times J's 8) exceeds the limit;
+// after it, one that keeps 2 of J's 8 worlds lets the store merge fit (4 × 2
+// ≤ 16) — the statement runs, notes one merge and stores what the naive
+// engine stores — while one that keeps 4 still does not (4 × 4 > 8): the
+// statement fails for size and leaves the world-set as it was.
+func TestCompactCreateAsAssertUnderMergeLimit(t *testing.T) {
+	open := func(dbs ...interface{ MustExec(string) *Result }) {
+		for _, q := range []string{
+			"create table R (K, V)",
+			"insert into R values (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)",
+			"create table S (K, V)",
+			"insert into S values (0, 0), (0, 1), (1, 0), (1, 1)",
+			"create table I as select * from S repair by key K",
+			"create table J as select * from R repair by key K",
+		} {
+			for _, db := range dbs {
+				db.MustExec(q)
+			}
+		}
+	}
+	closed := func(db interface{ MustExec(string) *Result }, sql string) []string {
+		var out []string
+		for _, tp := range db.MustExec(sql).First().Rows() {
+			out = append(out, fmt.Sprintf("%v", tp))
+		}
+		sort.Strings(out)
+		return out
+	}
+	cdb, db := OpenCompact(), Open()
+	open(cdb, db)
+	cdb.SetMergeLimit(16)
+	const fits = "create table X as select count(*) as N, sum(J.V) as M from I, J where I.V <= J.V assert not exists (select * from J where V = 1 and K < 2)"
+	before := cdb.RouteCounts()
+	cdb.MustExec(fits)
+	db.MustExec(fits)
+	if after := cdb.RouteCounts(); after["merge"] != before["merge"]+1 {
+		t.Errorf("routes %v -> %v, want one more merge", before, after)
+	}
+	if got, want := closed(cdb, "select conf, N, M from X"), closed(db, "select conf, N, M from X"); !slices.Equal(got, want) {
+		t.Errorf("compact stored %v, naive %v", got, want)
+	}
+
+	cdb = OpenCompact()
+	open(cdb)
+	worlds := cdb.WorldCount().String()
+	cdb.SetMergeLimit(8)
+	const tooBig = "create table Y as select count(*) as N from I, J assert not exists (select * from J where V = 1 and K = 2)"
+	if _, err := cdb.Exec(tooBig); err == nil || !strings.Contains(err.Error(), "exceeds 8 alternatives") {
+		t.Errorf("Exec(%q) = %v, want a merge past the limit", tooBig, err)
+	}
+	if got := cdb.WorldCount().String(); got != worlds {
+		t.Errorf("a failed statement left %s worlds, want %s", got, worlds)
+	}
+}
+
 func TestCompactExpandGuard(t *testing.T) {
 	cdb := OpenCompact()
 	rows := [][]any{}
@@ -312,7 +371,7 @@ func TestCompactSelectComponentwise(t *testing.T) {
 	if got := cdb.MergeCount(); got != 0 {
 		t.Errorf("Select merged %d times, want 0", got)
 	}
-	if got := cdb.ComponentwiseCount(); got == 0 {
+	if got := cdb.RouteCounts()["componentwise"]; got == 0 {
 		t.Error("Select did not use the componentwise path")
 	}
 	if got := cdb.ComponentCount(); got != 3 {

@@ -121,7 +121,7 @@ func main() {
 	fmt.Printf("[wide/compact] repair-of-uncertain round trip:\n%s\n", resp.Text)
 
 	// GET /v1/stats reports, per session, the backend, world count, and —
-	// for compact sessions — the merge/componentwise routing counters,
+	// for compact sessions — the merges and the statements per route,
 	// next to the shared-plan-cache traffic.
 	statsResp, err := http.Get(base + "/v1/stats")
 	if err != nil {
@@ -134,8 +134,8 @@ func main() {
 			Backend string `json:"backend"`
 			Worlds  string `json:"worlds"`
 			Compact *struct {
-				Merges        uint64 `json:"merges"`
-				Componentwise uint64 `json:"componentwise"`
+				Merges uint64            `json:"merges"`
+				Routes map[string]uint64 `json:"routes"`
 			} `json:"compact"`
 		} `json:"sessions"`
 	}
@@ -144,8 +144,8 @@ func main() {
 	}
 	for _, s := range stats.Sessions {
 		if s.Compact != nil {
-			fmt.Printf("session %s (%s): %s worlds, %d merges, %d componentwise statements\n",
-				s.Name, s.Backend, s.Worlds, s.Compact.Merges, s.Compact.Componentwise)
+			fmt.Printf("session %s (%s): %s worlds, %d merges, routes %v\n",
+				s.Name, s.Backend, s.Worlds, s.Compact.Merges, s.Compact.Routes)
 		}
 	}
 

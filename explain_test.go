@@ -51,9 +51,10 @@ func explainText(t *testing.T, db *CompactDB, query string) string {
 // explainGoldens pins the EXPLAIN output of every compact routing class
 // over explainCompactDB: world-independent single evaluation, merge-free
 // componentwise closure (of a scan, and of a hash join with the WHERE's
-// single-table conjuncts sunk onto its inputs), classic bounded merge,
-// conditional relation,
-// Monte-Carlo approximation, and both refusal forms. tinyLimit cases run
+// single-table conjuncts sunk onto its inputs), classic bounded merge (of a
+// closure, a store and a spanning GROUP WORLDS BY), conditional relation, a
+// componentwise UPDATE, a nesting split, Monte-Carlo approximation, and the
+// refusal forms. tinyLimit cases run
 // with MergeLimit 1 and a fixed APPROX CONF configuration.
 var explainGoldens = []struct {
 	name, query, want string
@@ -130,6 +131,56 @@ plan:
   Project [sum(A)]
     Aggregate [sum(A)]
       Scan Rp [components: 0 1]`,
+	},
+	{
+		name:  "ctas_merge",
+		query: "EXPLAIN CREATE TABLE N AS SELECT COUNT(*) AS N FROM Rp",
+		want: `engine: compact (world-set decomposition)
+worlds: 2
+materialize: table N
+route: merge (partial expansion, 2 components, 2 alternatives, limit 65536)
+closure: none
+plan:
+  Project [count(*)]
+    Aggregate [count(*)]
+      Scan Rp [components: 0 1]`,
+	},
+	{
+		name:  "group_worlds_spanning",
+		query: "EXPLAIN SELECT POSSIBLE A FROM Rp GROUP WORLDS BY (SELECT A FROM Rp WHERE K = 1)",
+		want: `engine: compact (world-set decomposition)
+worlds: 2
+group worlds by: yes
+route: merge (partial expansion, 2 components, 2 alternatives, limit 65536)
+closure: possible
+plan:
+  Project [A]
+    Scan Rp [components: 0 1]`,
+	},
+	{
+		name:  "update_componentwise",
+		query: "EXPLAIN UPDATE Rp SET A = 'q' WHERE K = 1",
+		want: `engine: compact (world-set decomposition)
+worlds: 2
+route: componentwise (merge-free, 2 components, 2+1 alternatives)
+plan:
+  Update Rp [components [0 1]]`,
+	},
+	{
+		name:  "repair_conditional",
+		query: "EXPLAIN CREATE TABLE Rq AS SELECT * FROM Rp REPAIR BY KEY A",
+		want: `engine: compact (world-set decomposition)
+worlds: 2
+route: conditional (nested split, 2 feeding components)
+plan:
+  RepairByKey (A) -> Rq`,
+	},
+	{
+		name:  "refused_insert_uncertain",
+		query: "EXPLAIN INSERT INTO Rp VALUES (3, 'w', 1)",
+		want: `engine: compact (world-set decomposition)
+worlds: 2
+route: refused (operation requires a certain (complete) relation: Rp has component contributions)`,
 	},
 	{
 		tinyLimit: true,

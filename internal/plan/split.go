@@ -23,7 +23,8 @@ package plan
 // the source's components by the transitive closure of "contribute
 // candidates under a common key", so the engine merges exactly the
 // crossing groups — never more — and reports NoMerge when splitting
-// avoids merging entirely (the Σ-alternatives, MergeCount == 0 path).
+// avoids merging entirely (the Σ-alternatives path, which the compact
+// engine's route decision reports as conditional rather than merge).
 // The analysis is value-level (key values are data, not plan structure),
 // so it complements the operator-tree analysis in components.go: the
 // tree analysis certifies that the source *plan* exposes the certain ∪

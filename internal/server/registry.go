@@ -281,11 +281,7 @@ func (r *registry) list() []SessionInfo {
 			PlanCache: &PlanCacheCounters{Hits: hits, Misses: misses},
 		}
 		if d, ok := s.engine.(*wsd.WSD); ok {
-			info.Compact = &CompactCounters{
-				Merges:        d.MergeCount(),
-				Componentwise: d.ComponentwiseCount(),
-				Conditional:   d.ConditionalCount(),
-			}
+			info.Compact = &CompactCounters{Merges: d.MergeCount(), Routes: d.RouteCounts()}
 		}
 		out = append(out, info)
 	}

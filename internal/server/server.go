@@ -474,7 +474,7 @@ func (s *Server) handleHTTPHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHTTPStats is GET /v1/stats: the health payload plus per-session
-// world counts and the compact backends' merge/componentwise counters.
+// world counts and the compact backends' merge and per-route counts.
 func (s *Server) handleHTTPStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(s.stats())

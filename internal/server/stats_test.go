@@ -17,8 +17,8 @@ import (
 )
 
 // TestStatsOpReportsCounters: the "stats" protocol op reports per-session
-// backends, world counts, and compact merge/componentwise counters next
-// to the process-wide health payload.
+// backends, world counts, and compact merge and route counters next to
+// the process-wide health payload.
 func TestStatsOpReportsCounters(t *testing.T) {
 	srv := New(Config{})
 	handleOK(t, srv, Request{Session: "n", Query: "create table R (A)"})
@@ -58,12 +58,11 @@ func TestStatsOpReportsCounters(t *testing.T) {
 	if c.Compact.Merges != 0 {
 		t.Errorf("chained repair merged %d times", c.Compact.Merges)
 	}
-	if c.Compact.Componentwise == 0 {
-		t.Errorf("componentwise counter = 0 after a componentwise closure")
+	if got := c.Compact.Routes["componentwise"]; got != 1 {
+		t.Errorf("componentwise routes = %d after one componentwise closure, want 1", got)
 	}
-	if c.Compact.Conditional < 2 {
-		t.Errorf("conditional counter = %d after a nesting split and a tree-fold closure, want >= 2",
-			c.Compact.Conditional)
+	if got := c.Compact.Routes["conditional"]; got != 2 {
+		t.Errorf("conditional routes = %d after a nesting split and a tree-fold closure, want 2", got)
 	}
 }
 

@@ -127,13 +127,11 @@ type CompactCounters struct {
 	// Merges counts component merges (bounded partial expansions that
 	// restructured the decomposition).
 	Merges uint64 `json:"merges"`
-	// Componentwise counts statements answered by the merge-free
-	// componentwise path.
-	Componentwise uint64 `json:"componentwise"`
-	// Conditional counts uses of the conditional (d-tree) machinery:
-	// statements answered through a conditional route plus repair/choice
-	// splits that created nested components.
-	Conditional uint64 `json:"conditional"`
+	// Routes counts the session's statements per route word (single,
+	// componentwise, conditional, merge, approx_mc, refused): the session's
+	// share of maybms_route_total, the decision EXPLAIN prints and the trace's
+	// route attribute names.
+	Routes map[string]uint64 `json:"routes"`
 }
 
 // SessionInfo describes one live session.
@@ -145,7 +143,7 @@ type SessionInfo struct {
 	Worlds string `json:"worlds"`
 	// IdleMs is the time since the session last executed a statement.
 	IdleMs int64 `json:"idle_ms"`
-	// Compact carries the compact backend's merge/componentwise counters
+	// Compact carries the compact backend's merge and route counters
 	// (absent for naive sessions).
 	Compact *CompactCounters `json:"compact,omitempty"`
 	// PlanCache attributes shared-plan-cache lookups to this session

@@ -376,11 +376,14 @@ func (d *WSD) materializeByComponent(dst string, p *componentParts) error {
 	}
 	var sel []int32 // 0, 1, 2, …
 	for i, ci := range p.idx {
-		c := d.own(ci)
-		for a := range c.Alts {
+		var c *Component // owned at its first non-empty part
+		for a := range p.comps[i].Alts {
 			part := p.part(i, a)
 			if part.Len() == 0 {
 				continue
+			}
+			if c == nil {
+				c = d.own(ci)
 			}
 			for len(sel) < part.hi {
 				sel = append(sel, int32(len(sel)))

@@ -102,11 +102,11 @@ func selectMerged(t *testing.T, d *WSD, sql string) *relation.Relation {
 	t.Helper()
 	core, cl := parseCore(t, sql)
 	an, ev := analyzed(t, d, core)
-	run := d.runMerge
+	dec := decision{kind: routeMerge, comps: an.Comps}
 	if len(an.Comps) == 0 {
-		run = d.runSingle // nothing to merge: the merge route's one evaluation
+		dec.kind = routeSingle // nothing to merge: the merge route's one evaluation
 	}
-	rel, err := run(an.Comps, ev, cl)
+	rel, err := d.run(dec, ev, cl, "")
 	if err != nil {
 		t.Fatalf("%q on the merge route: %v", sql, err)
 	}
@@ -120,13 +120,17 @@ func selectMerged(t *testing.T, d *WSD, sql string) *relation.Relation {
 func selectExplained(t *testing.T, d *WSD, core *sqlparse.SelectStmt, cl closure) (*relation.Relation, error) {
 	t.Helper()
 	checkTaggedParts(t, "select", d, core)
-	var text strings.Builder
-	if err := d.explainQuery(&text, shape{core: core, cl: cl}); err != nil {
-		t.Fatalf("explain %q: %v", core, err)
+	var b strings.Builder
+	if err := d.Predict(&b, withClosure(core, cl)); err != nil {
+		t.Fatalf("EXPLAIN %q: %v", core, err)
 	}
-	explained := strings.Fields(strings.TrimPrefix(text.String(), "route: "))[0]
+	explained := routeLine.FindStringSubmatch(b.String())[1]
 	d.trace = obs.NewTrace(core.String())
-	rel, err := d.selectClosure(core, cl)
+	res, err := d.Run(withClosure(core, cl))
+	var rel *relation.Relation
+	if err == nil {
+		rel = res.Groups[0].Rel
+	}
 	executed := ""
 	for _, a := range d.trace.JSON().Attrs {
 		if a.Key == "route" {
@@ -157,14 +161,14 @@ func createTableMerged(t *testing.T, d *WSD, dst string, core *sqlparse.SelectSt
 	}
 }
 
+// selectOn runs the SELECT sql as a statement, its route noted.
 func selectOn(t *testing.T, d *WSD, sql string) *relation.Relation {
 	t.Helper()
-	core, cl := parseCore(t, sql)
-	rel, err := d.selectClosure(core, cl)
+	res, err := d.Exec(sql)
 	if err != nil {
 		t.Fatalf("%q: %v", sql, err)
 	}
-	return rel
+	return res.Groups[0].Rel
 }
 
 // TestComponentwiseNoMergeAcceptance is the acceptance check: closures
@@ -191,7 +195,7 @@ func TestComponentwiseNoMergeAcceptance(t *testing.T) {
 		if got := fast.ComponentCount(); got != 3 {
 			t.Errorf("%q restructured the decomposition to %d components, want 3 untouched", q, got)
 		}
-		if got := fast.ComponentwiseCount(); got != 1 {
+		if got := fast.RouteCounts()["componentwise"]; got != 1 {
 			t.Errorf("%q componentwise count = %d, want 1", q, got)
 		}
 
@@ -400,10 +404,11 @@ func TestPlainSelectSingleRemainingWorld(t *testing.T) {
 	// Still-uncertain answers come back as a conditional relation: one row
 	// per alternative contribution, annotated with its condition.
 	d3 := newFigure2WSD(t)
-	rel, err = d3.selectClosure(mustCore(t, "select A from I"), closureNone)
+	res, err := d3.Exec("select A from I")
 	if err != nil {
 		t.Fatalf("uncertain plain select = %v, want conditional relation", err)
 	}
+	rel = res.Groups[0].Rel
 	if got := rel.Schema.String(); !strings.HasSuffix(got, "cond)") {
 		t.Fatalf("conditional relation schema = %q, want trailing cond column", got)
 	}
@@ -413,8 +418,8 @@ func TestPlainSelectSingleRemainingWorld(t *testing.T) {
 	if d3.MergeCount() != 0 {
 		t.Error("conditional relation answer merged")
 	}
-	if d3.ConditionalCount() != 1 {
-		t.Errorf("conditional count = %d, want 1", d3.ConditionalCount())
+	if got := d3.RouteCounts()["conditional"]; got != 1 {
+		t.Errorf("conditional count = %d, want 1", got)
 	}
 }
 

@@ -95,13 +95,16 @@ func (d *WSD) uncertainTables(core *sqlparse.SelectStmt) string {
 	return strings.Join(names, ", ")
 }
 
-// perWorldError wraps ErrPerWorld with the uncertain relations that
-// forced the refusal.
-func (d *WSD) perWorldError(core *sqlparse.SelectStmt) error {
+// perWorld is the refusal of a plain SELECT whose answer varies across
+// worlds and does not decompose, naming the uncertain relations it reads.
+func (d *WSD) perWorld(core *sqlparse.SelectStmt) decision {
+	cause, why := ErrPerWorld, "per-world answers over uncertain relations"
 	if names := d.uncertainTables(core); names != "" {
-		return fmt.Errorf("%w: uncertain %s", ErrPerWorld, names)
+		cause, why = fmt.Errorf("%w: uncertain %s", ErrPerWorld, names), why+"; uncertain: "+names
 	}
-	return ErrPerWorld
+	dec := refused(&refusals[0], cause)
+	dec.why = why
+	return dec
 }
 
 // nestedAmong counts the conditional (nested) components among idxs.

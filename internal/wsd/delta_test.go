@@ -56,6 +56,39 @@ func checkDeltaParts(t *testing.T, label string, d *WSD, sql string) {
 	}
 }
 
+// deltaQueries is the delta-parts corpus: every plan shape the tagged delta
+// covers, over fuzzPair's tables plus F, G, M and T.
+var deltaQueries = []string{
+	"select K, V from M",
+	"select K from M where V >= 1",
+	"select M.K, S.Y from M, S where M.V = S.V",
+	"select S.Y, M.K from S, M where S.V = M.V",
+	"select a.V, b.W from P a, P b where a.K = b.K",
+	"select a.V, b.V from T a, T b where a.V = b.V",
+	"select a.V, b.W, c.K from T a, T b, T c where a.V = b.V and b.V = c.V",
+	"select S.Y, a.W, b.K from S, T a, T b where a.V = b.V",
+	"select a.W, S.Y, b.K from T a, S, T b where a.V = b.V",
+	"select V from S union all select V from M",
+	"select V from M union all select V from S",
+	"select V from M union select V from S",
+	"select V from S union select distinct V from P",
+	"select V from S union all select distinct V from M",
+	"select distinct V from M",
+	"select distinct V from P",
+	"select K, V from M order by V desc, K",
+	"select K from M where exists (select * from S where S.V = M.V)",
+	"select K from M where V >= (select min(V) from S)",
+	"select K, V, W from P",
+	"select P.W, S.Y from P, S where P.V = S.V",
+	"select Y from S",
+	"select M.K, F.Z from M, F where M.V = F.V",
+	"select F.Z from F, M where F.V = M.V and M.K >= 1",
+	"select M.K, S.Y from M, S where M.V = S.V and S.Y <> 'y1'",
+	"select G.K, F.Z from G, F where G.V = F.V",
+	"select G.K, S.Y from G, S where G.V = S.V and G.K <> 2",
+	"select a.K, b.W from P a, P b where a.V = b.V and a.W = b.W",
+}
+
 // TestDeltaPartsEqualFullParts runs checkDeltaParts over the componentwise
 // and conditional fuzz fixtures — fuzzPair plus M and T, the repair source R's
 // rows as a certain part under I's contributions (one component per key
@@ -70,39 +103,9 @@ func checkDeltaParts(t *testing.T, label string, d *WSD, sql string) {
 // two keys on a self-join within one component.
 func TestDeltaPartsEqualFullParts(t *testing.T) {
 	t.Parallel()
-	queries := []string{
-		"select K, V from M",
-		"select K from M where V >= 1",
-		"select M.K, S.Y from M, S where M.V = S.V",
-		"select S.Y, M.K from S, M where S.V = M.V",
-		"select a.V, b.W from P a, P b where a.K = b.K",
-		"select a.V, b.V from T a, T b where a.V = b.V",
-		"select a.V, b.W, c.K from T a, T b, T c where a.V = b.V and b.V = c.V",
-		"select S.Y, a.W, b.K from S, T a, T b where a.V = b.V",
-		"select a.W, S.Y, b.K from T a, S, T b where a.V = b.V",
-		"select V from S union all select V from M",
-		"select V from M union all select V from S",
-		"select V from M union select V from S",
-		"select V from S union select distinct V from P",
-		"select V from S union all select distinct V from M",
-		"select distinct V from M",
-		"select distinct V from P",
-		"select K, V from M order by V desc, K",
-		"select K from M where exists (select * from S where S.V = M.V)",
-		"select K from M where V >= (select min(V) from S)",
-		"select K, V, W from P",
-		"select P.W, S.Y from P, S where P.V = S.V",
-		"select Y from S",
-		"select M.K, F.Z from M, F where M.V = F.V",
-		"select F.Z from F, M where F.V = M.V and M.K >= 1",
-		"select M.K, S.Y from M, S where M.V = S.V and S.Y <> 'y1'",
-		"select G.K, F.Z from G, F where G.V = F.V",
-		"select G.K, S.Y from G, S where G.V = S.V and G.K <> 2",
-		"select a.K, b.W from P a, P b where a.V = b.V and a.W = b.W",
-	}
 	for trial := 0; trial < 10; trial++ {
 		label := fmt.Sprintf("trial %d", trial)
-		qs := queries
+		qs := deltaQueries
 		build := func() *WSD {
 			r := rand.New(rand.NewSource(int64(61 + trial)))
 			_, d := fuzzPair(t, r)
@@ -126,8 +129,8 @@ func TestDeltaPartsEqualFullParts(t *testing.T) {
 				t.Fatalf("%s: fixture M or T has no certain part, or merged", label)
 			}
 			if trial%2 == 1 {
-				src := mustCore(t, fmt.Sprintf("select K, V, W from M where V <= %d", 1+r.Intn(2)))
-				if err := d.splitQuery(src, "N", []string{"V"}, "", d.repairByKey); err != nil {
+				src := fmt.Sprintf("create table N as select K, V, W from M where V <= %d repair by key V", 1+r.Intn(2))
+				if _, err := d.Exec(src); err != nil {
 					t.Fatalf("%s: nested repair: %v", label, err)
 				}
 			}
@@ -135,7 +138,7 @@ func TestDeltaPartsEqualFullParts(t *testing.T) {
 		}
 		if trial%2 == 1 {
 			label += " nested"
-			qs = append(append([]string(nil), queries...),
+			qs = append(append([]string(nil), deltaQueries...),
 				"select K, V from N",
 				"select N.K, S.Y from N, S where N.V = S.V",
 				"select distinct V from N",
@@ -168,10 +171,9 @@ func TestDeltaPartsEqualFullParts(t *testing.T) {
 			t.Errorf("%s: a decomposable closure merged", label)
 		}
 		// Every plan shape reports componentwise over flat components, the
-		// three-way self-joins included (conditional counts splits that nest
-		// and statements on a conditional route).
-		if trial%2 == 0 && d.ConditionalCount() != 0 {
-			t.Errorf("%s: %d closures over flat components reported conditional", label, d.ConditionalCount())
+		// three-way self-joins included.
+		if trial%2 == 0 && d.RouteCounts()["conditional"] != 0 {
+			t.Errorf("%s: %d closures over flat components reported conditional", label, d.RouteCounts()["conditional"])
 		}
 	}
 }
@@ -383,18 +385,22 @@ func TestClosureEvaluatesNoWorld(t *testing.T) {
 			t.Fatalf("fixture %s: %d alternatives, want several", c.rel, sizes)
 		}
 		for _, cl := range []closure{closurePossible, closureCertain, closureConf} {
-			dec := c.d.route(core, an, cl, false)
+			dec := c.d.routeCore(core, an, cl, false)
 			if dec.kind != c.kind {
 				t.Fatalf("%s of %s routes %s, want %s", closureName(cl), c.rel, dec.kind, c.kind)
 			}
 			var evals, deltas, rows atomic.Int64
-			rel, err := c.d.runFold(an.Comps, dec, func(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error) {
+			parts, err := c.d.evalParts(dec, func(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error) {
 				evals.Add(1)
 				if delta {
 					deltas.Add(1)
 				}
 				return ev.part(countingCatalog{cat, &rows}, delta)
-			}, cl)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, err := c.d.closeParts(parts, cl)
 			if err != nil {
 				t.Fatal(err)
 			}

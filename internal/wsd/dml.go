@@ -60,53 +60,49 @@ func (d *WSD) dmlTemplate(st sqlparse.Statement, table string) (*plan.PreparedDM
 		})
 }
 
-// applyDML applies an UPDATE or DELETE of table to the represented
-// world-set without enumerating it: the piece rewrite directly when the
-// expressions are world-independent, else after the bounded merge of the
-// involved components has moved the target's certain part into the merged
-// component. It returns the number of representation rows changed — not a
-// per-world count, which can be astronomically large. On the piece-rewrite
-// path certain rows count once and a contributed row once per alternative
-// holding it; on the merge path the certain part folds into the merged
-// component first, so its rows count once per merged alternative. A failed
-// rewrite is undone, merge included, by the runner's snapshot.
-func (d *WSD) applyDML(st sqlparse.Statement, table string) (int, error) {
+// routeDML decides an UPDATE or DELETE of table, as the top of this file
+// describes: one rewrite of a certain table (single), the piece rewrite
+// (componentwise), or the merge first (merge). The run reports, after
+// format, the representation rows changed — not a per-world count, which can
+// be astronomically large: certain rows once and a contributed row once per
+// alternative holding it, so on the merge path a certain row once per merged
+// alternative. A failed rewrite is undone by the runner's snapshot.
+func (d *WSD) routeDML(st sqlparse.Statement, table, format string) (decision, func() (*core.Result, error), error) {
 	tmpl, err := d.dmlTemplate(st, table)
 	if err != nil {
-		return 0, err
+		return decision{}, nil, err
 	}
 	exprComps, err := tmpl.Components(plan.ComponentCatalogFunc(d.componentsFor))
 	if err != nil {
-		return 0, err
+		return decision{}, nil, err
 	}
-	if len(exprComps) == 0 {
+	dec := decision{kind: routeSingle}
+	switch target := d.componentsFor(table); {
+	case len(exprComps) > 0:
+		dec = d.mergeDecision(sortedUniqueInts(append(exprComps, target...)))
+	case len(target) > 0:
+		dec = decision{kind: routeComponentwise, comps: target}
+	}
+	return dec, func() (*core.Result, error) {
+		if dec.kind == routeMerge {
+			mi, err := d.mergeComponents(dec.comps)
+			if err != nil {
+				return nil, err
+			}
+			k, sch := key(table), d.schemas[key(table)]
+			if cert := d.certain[k]; cert != nil {
+				for _, a := range d.own(mi).Alts {
+					a.Contrib[k] = relation.FromBatch(colbatch.Concat(sch, []*colbatch.Batch{cert.Batch(), a.contribution(k, sch)}))
+				}
+				delete(d.certain, k)
+			}
+		}
 		n, err := d.rewritePieces(table, tmpl)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		d.componentwise.Add(1)
-		return n, nil
-	}
-	mi, err := d.mergeComponents(sortedUniqueInts(append(exprComps, d.componentsFor(table)...)))
-	if err != nil {
-		return 0, err
-	}
-	// Every world's target is its certain prefix followed by the merged
-	// alternative's contribution; store it so, per alternative.
-	k := key(table)
-	if cert := d.certain[k]; cert != nil {
-		merged := d.own(mi)
-		for _, a := range merged.Alts {
-			content := colbatch.New(d.schemas[k])
-			content.AppendBatch(cert.Batch())
-			if c := a.Contrib[k]; c != nil {
-				content.AppendBatch(c.Batch())
-			}
-			a.Contrib[k] = relation.FromBatch(content)
-		}
-		delete(d.certain, k)
-	}
-	return d.rewritePieces(table, tmpl)
+		return d.ok(format, n, table, d.WorldCount())
+	}, nil
 }
 
 // sortedUniqueInts returns component indexes sorted and deduplicated, in a

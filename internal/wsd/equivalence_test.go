@@ -692,12 +692,12 @@ func TestGroupWorldsBeyondMergeLimit(t *testing.T) {
 
 	// The merge-based route cannot answer this: the spanning fallback
 	// would multiply 2^17 alternatives.
-	g, _, err := d.prepareGrouped(gw, qcore, cl)
+	g, err := d.prepareGrouped(gw, qcore)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.spanning = true
-	if _, _, _, err := d.groupMerged(g, cl); !errors.Is(err, ErrMergeTooBig) {
+	if _, _, _, err := d.groupMerged(g, cl, decision{}); !errors.Is(err, ErrMergeTooBig) {
 		t.Fatalf("spanning route: err = %v, want ErrMergeTooBig", err)
 	}
 
@@ -754,7 +754,7 @@ func TestAssertEquivalenceRandomized(t *testing.T) {
 		if err := d.repairByKey("R", "I", []string{"K"}, ""); err != nil {
 			t.Fatal(err)
 		}
-		wsdErr := d.assert([]string{"I"}, func(cat plan.Catalog) (bool, error) {
+		wsdErr := d.assert(d.componentsFor("I"), func(cat plan.Catalog) (bool, error) {
 			i, err := cat.Lookup("I")
 			if err != nil {
 				return false, err

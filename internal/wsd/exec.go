@@ -3,103 +3,57 @@ package wsd
 // The compact engine's half of core.Engine: Run executes one I-SQL statement
 // against the decomposition and Predict explains it, as core.Session's do
 // over explicit worlds; core's runner parses, frames EXPLAIN and installs
-// the statement's interrupt hook and trace around both. Every SELECT
-// compiles once (through the process-wide shared plan cache, keyed by
-// statement text and the decomposition's schema fingerprint), the planner
-// annotates the compiled tree with the components it touches, and route
-// picks the cheapest sound strategy — a single evaluation for
-// world-independent queries, the merge-free componentwise path for
-// decomposable queries (certain-only plus one tagged delta, the
-// decomposition untouched), or a bounded partial expansion merging exactly the involved
-// components. The compact representation still cannot run every I-SQL
-// statement; the supported subset and what each form costs:
+// the statement's interrupt hook and trace around both. decide takes a
+// statement apart, route (route.go) decides it — once, the decision Run
+// notes and Predict prints — and the run it returns carries it out. Every
+// query compiles once, through the process-wide shared plan cache keyed by
+// statement text and the decomposition's schema fingerprint. The supported
+// subset, and the routes each form takes:
 //
-//   - CREATE TABLE t (cols)                      — empty certain relation
-//   - INSERT INTO t [(cols)] VALUES (…), (…)     — append certain tuples
-//     (column lists are reordered, missing columns NULL-filled)
-//   - IMPORT INTO t FROM 'file.csv' [NULLS AS CHOICE]
-//     [REPAIR KEY (cols) [WEIGHT w]] (COPY t FROM '…' is a synonym)
-//     — bulk CSV load compiling uncertainty at ingestion: the certain
-//     rows become the certain part in one columnar batch, and every
-//     NULL-bearing row (NULLS AS CHOICE) or key-conflicting row group
-//     (REPAIR KEY) becomes one independent component whose alternatives
-//     are zero-copy slices of the loaded batch — O(file) space however
-//     many worlds the dirt encodes
-//   - CREATE TABLE d AS <plain SQL source>
-//     REPAIR BY KEY k [WEIGHT w] | CHOICE OF u [WEIGHT w]
-//     — one split (split.go) for every source: a source fed by components
-//     (repair of a repair, choice of a repair, a filtered or projected
-//     view of either, …) nests each feeding alternative's conditional
-//     key-group repairs as child components under that alternative
-//     (Σ-alternatives work, zero merges unless two components contribute
-//     candidates under a common key; a choice merges its feeders into one
-//     first, none when fed by at most one). A certain source is the case
-//     with no feeders: one top-level component per key group / one
-//     component, O(tuples) space for exponentially many worlds.
-//     `select * from t` splits t directly; any other plain-SQL source is
-//     materialized transiently first (splitQuery).
-//     Key/weight columns outside the select list resolve against the
-//     source rows (`… select A, B from R repair by key A weight D` — the
-//     naive engine's split-then-project semantics): they ride the
-//     transient materialization and are stripped after the split
-//   - CREATE TABLE d AS <plain SQL>              — componentwise (no
-//     merge, linear size) when the compiled plan decomposes and keeps
-//     certain rows in front; else a partial expansion of exactly the
+//   - CREATE TABLE t (cols), DROP TABLE [IF EXISTS] t, IMPORT INTO t FROM
+//     'file.csv' [NULLS AS CHOICE] [REPAIR KEY (cols) [WEIGHT w]] — single.
+//     DROP keeps every component, as the naive DROP keeps every world;
+//     IMPORT compiles the file's uncertainty into one component per dirty
+//     row group, zero-copy slices of the loaded batch
+//   - INSERT INTO t [(cols)] VALUES … — single: appended to a certain
+//     relation (column lists reordered, missing columns NULL-filled);
+//     refused when a component contributes to t
+//   - SELECT [POSSIBLE|CERTAIN] …, SELECT …, [APPROX] CONF … — single when
+//     world-independent; componentwise (certain-only answer plus one tagged
+//     delta, the decomposition untouched) when the compiled plan decomposes,
+//     conditional over d-trees; merge (a bounded partial expansion of
+//     exactly the involved components) when it genuinely correlates
+//     components; approx_mc (1000 worlds sampled from seed 0) for APPROX
+//     CONF past the expansion limit. A plain SELECT over uncertain
+//     relations answers as a conditional relation (a trailing cond column,
+//     "c3=1,c7=0", root first) when its plan decomposes, and is refused
+//     otherwise
+//   - SELECT … GROUP WORLDS BY (q) — componentwise: groups from a frontier
+//     fold over per-component fingerprints of q's answer, when q decomposes
+//     and shares no component with the main query; else merge of the
 //     involved components
-//   - CREATE TABLE d AS SELECT [POSSIBLE|CERTAIN|CONF] <plain SQL core>
-//     [GROUP WORLDS BY (q)] — the closed answer stored as a certain
-//     relation; with grouping, stored factorized: one copy per world
-//     group, shared by every alternative of the (possibly merged)
-//     grouping component — no merge when a single component feeds q
-//   - SELECT [POSSIBLE|CERTAIN] <plain SQL core> — merge-free
-//     componentwise closure for decomposable plans (selections,
-//     projections, joins against certain relations, unions,
-//     subqueries/aggregates over certain data — over any number of
-//     components); a bounded merge only when the plan genuinely
-//     correlates ≥ 2 components (cross-component joins, aggregates or
-//     predicate subqueries over several components). Components nested
-//     under other components' alternatives (conditional splits) answer
-//     through the conditional tree fold, weighting each alternative by
-//     its parent path — still merge-free
-//   - plain SELECT over uncertain relations    — answered as a
-//     *conditional relation* when the compiled plan decomposes: the
-//     world-independent rows first with an empty trailing cond column,
-//     then each alternative's contribution annotated with its condition
-//     ("c3=1,c7=0" — root first); plans that do not decompose are refused
-//   - CREATE TABLE d AS SELECT … ASSERT cond   — the durable assert:
-//     filters + renormalizes the world-set first, then materializes the
-//     rest of the query on the surviving worlds (per-world evaluation
-//     commutes with the world filter)
-//   - SELECT <exprs>, CONF <plain SQL core>      — exact confidences, same
-//     routing
-//   - SELECT <exprs>, APPROX CONF <plain SQL core> — exact confidences via
-//     the same routing while it fits; when the classic path's component
-//     merge would exceed the expansion limit (where CONF fails), a
-//     Monte-Carlo estimate over 1000 sampled worlds from seed 0
-//     (deterministic)
-//   - SELECT … GROUP WORLDS BY (q)               — groups from a
-//     per-component frontier fold over q's answer fingerprints
-//     (certain-only plus one tagged delta) when q's plan decomposes and
-//     touches no component of the main query; a bounded residual merge of the
-//     involved components only when the grouped query genuinely spans
-//     components
-//   - UPDATE t SET … [WHERE …] / DELETE FROM t [WHERE …] — certain
-//     relations in place; uncertain relations by rewriting the certain
-//     part and each alternative's contribution separately (no merge) when
-//     the SET/WHERE expressions read no uncertain data, else by a bounded
-//     merge of the involved components
-//   - ASSERT <condition>                         — filter + renormalize
-//     the merged component (statement form of Example 2.5): a statement of
-//     the grammar (sqlparse.Assert) routed like every other, so it works
-//     across lines, behind comments, in scripts and under EXPLAIN [ANALYZE]
-//   - DROP TABLE [IF EXISTS] t                   — any relation: its certain
-//     part and its contribution to every alternative go, every component
-//     stays (as the naive DROP keeps every world)
-//   - EXPLAIN [ANALYZE] <stmt>                   — framed by core's
-//     runner; Predict writes the routing (single / conditional /
-//     componentwise / merge / approx_mc / refused, with merge cardinality
-//     against the expansion limit) and the compiled plan tree,
-//     component-annotated per table scan, touching nothing
+//   - CREATE TABLE d AS <query> — the query's answer stored: plain SQL
+//     componentwise when the plan keeps certain rows in front, else by
+//     merge; a closed query as a certain relation; a grouped one
+//     factorized, one copy per world group. An ASSERT in it filters and
+//     renormalizes the world-set first, and the store is decided on the
+//     world-set it leaves
+//   - CREATE TABLE d AS <source> REPAIR BY KEY k [WEIGHT w] | CHOICE OF u
+//     [WEIGHT w] — one split (split.go): single over certain data,
+//     conditional when it nests under the components feeding the source,
+//     merge when it must merge feeders first. `select * from t` splits t;
+//     any other row-wise source is stored transiently first, its key and
+//     weight columns carried through the projection
+//   - UPDATE / DELETE — single over a certain table; componentwise, the
+//     certain part and each alternative's contribution rewritten apart,
+//     when the SET/WHERE expressions read no uncertain data; else merge
+//   - ASSERT <condition> — merge: filter and renormalize the merged
+//     component of the relations it reads (Example 2.5)
+//   - EXPLAIN [ANALYZE] <stmt> — framed by core's runner: Predict prints the
+//     route line (single / componentwise / conditional / merge / approx_mc /
+//     refused, with the counts behind it) for every statement, then the
+//     compiled plan tree, component-annotated per table scan, changing
+//     nothing (a split's route reads the keys of its source)
 //
 // Still rejected (use the naive backend): the rows of refusals below.
 
@@ -113,7 +67,6 @@ import (
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
-	"maybms/internal/tuple"
 	"maybms/internal/worldset"
 )
 
@@ -134,17 +87,19 @@ type refusal struct {
 	// found.
 	text string
 	// detect reports whether the row refuses a statement, before anything
-	// runs, and names the construct. nil for the per-world row, which route
-	// detects at run time (ErrPerWorld).
+	// runs, and names the construct. nil for the rows route detects.
 	detect func(sqlparse.Statement) (construct string, refused bool)
 }
 
-// refusals is the table of what the compact backend refuses; the first row
-// is route's, the others are checked in order by decide.
+// refusals is the table of what the compact backend refuses; the first two
+// rows are route's, the others are checked in order by decide.
 var refusals = []refusal{
 	// Aggregates or cross-component correlation in a plain SELECT; plans
 	// that decompose answer as a conditional relation instead.
 	{name: "per-world", text: ErrPerWorld.Error()},
+	// INSERT appends to the certain part, and a relation some component
+	// contributes to has more than that in some world.
+	{name: "insert-uncertain", text: ErrNotCertain.Error()},
 	{name: "primary-key", text: "PRIMARY KEY declarations (use REPAIR BY KEY)",
 		detect: func(stmt sqlparse.Statement) (string, bool) {
 			st, ok := stmt.(*sqlparse.CreateTable)
@@ -191,17 +146,6 @@ var refusals = []refusal{
 			}
 			return "", cond != nil && sqlparse.HasISQLDeep(&sqlparse.SelectStmt{Where: cond, Limit: -1})
 		}},
-}
-
-// refuse fails a statement on row r with text, the one error every refusal
-// is. A row detected before anything runs counts as route=refused here
-// (route noted its own); every refusal traces refusal=<row>.
-func (d *WSD) refuse(r *refusal, text string) error {
-	if r.detect != nil {
-		d.noteRoute(routeRefused)
-	}
-	d.trace.Set("refusal", r.name)
-	return fmt.Errorf("%w: %s", ErrUnsupported, text)
 }
 
 // shape is a statement taken apart once, by decide: execution and EXPLAIN
@@ -299,7 +243,7 @@ func splitSource(stmt sqlparse.Statement) *sqlparse.SelectStmt {
 
 // plainStarSource reports whether a split source is exactly `select * from
 // t` — the fast path splitting t directly, with no transient
-// materialization (any other source goes through splitQuery).
+// materialization (any other source is stored transiently; see routeSplit).
 func plainStarSource(q *sqlparse.SelectStmt) (string, bool) {
 	star := len(q.Items) == 1 && q.Items[0].Alias == ""
 	if star {
@@ -316,67 +260,49 @@ func plainStarSource(q *sqlparse.SelectStmt) (string, bool) {
 // Exec parses and runs one statement through core's runner.
 func (d *WSD) Exec(sql string) (*core.Result, error) { return core.Exec(d, sql) }
 
-// Run executes one statement other than EXPLAIN against the decomposition.
+// Run executes one statement other than EXPLAIN against the decomposition:
+// it notes the statement's route decision and runs it.
 func (d *WSD) Run(stmt sqlparse.Statement) (*core.Result, error) {
 	sh, err := d.decide(stmt)
 	if err != nil {
 		return nil, err
 	}
-	if sh.refusal != nil {
-		return nil, d.refuse(sh.refusal, sh.why)
+	dec, run, err := d.route(stmt, sh)
+	if err != nil {
+		return nil, err
 	}
+	if dec.then != nil && dec.kind != routeRefused {
+		dec, run = dec.then()
+	}
+	d.noteRoute(dec)
+	if dec.kind == routeRefused {
+		return nil, dec.err
+	}
+	return run()
+}
+
+func (d *WSD) ok(format string, args ...any) (*core.Result, error) {
+	return &core.Result{Kind: core.ResultOK, Msg: fmt.Sprintf(format, args...), Weighted: d.Weighted}, nil
+}
+
+// runOther runs the statements that involve no component: DDL, DROP and
+// IMPORT.
+func (d *WSD) runOther(stmt sqlparse.Statement) (*core.Result, error) {
 	switch st := stmt.(type) {
 	case *sqlparse.CreateTable:
 		if err := d.PutCertain(st.Name, relation.New(schema.New(st.Columns...))); err != nil {
 			return nil, err
 		}
 		return d.ok("created table %s", st.Name)
-	case *sqlparse.Insert:
-		rows, err := d.insertRows(st)
-		if err == nil {
-			err = d.insertCertain(st.Table, rows)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return d.ok("inserted %d row(s) into %s", len(rows), st.Table)
 	case *sqlparse.Drop:
 		if err := d.drop(st.Name); err != nil && !(st.IfExists && errors.Is(err, ErrUnknown)) {
 			return nil, err
 		}
 		return d.ok("dropped %s", st.Name)
-	case *sqlparse.CreateTableAs:
-		return d.execCreateAs(st.Name, sh)
-	case *sqlparse.SelectStmt:
-		return d.execSelect(st, sh)
-	case *sqlparse.Update:
-		n, err := d.applyDML(st, st.Table)
-		if err != nil {
-			return nil, err
-		}
-		return d.ok("updated %d representation row(s) in %s across %s world(s)", n, st.Table, d.WorldCount())
-	case *sqlparse.Delete:
-		n, err := d.applyDML(st, st.Table)
-		if err != nil {
-			return nil, err
-		}
-		return d.ok("deleted %d representation row(s) from %s across %s world(s)", n, st.Table, d.WorldCount())
 	case *sqlparse.Import:
 		return d.execImport(st)
-	case *sqlparse.Assert:
-		// The compact counterpart of the paper's assert clause, which the
-		// naive engine runs inside SELECT and makes durable via CREATE TABLE
-		// AS.
-		if err := d.assertStmt(st.Cond); err != nil {
-			return nil, err
-		}
-		return d.ok("asserted; %s world(s) remain", d.WorldCount())
 	}
 	return nil, fmt.Errorf("unsupported statement %s", stmt)
-}
-
-func (d *WSD) ok(format string, args ...any) (*core.Result, error) {
-	return &core.Result{Kind: core.ResultOK, Msg: fmt.Sprintf(format, args...), Weighted: d.Weighted}, nil
 }
 
 // execImport bulk-loads a CSV file through the shared import classifier
@@ -395,113 +321,135 @@ func (d *WSD) execImport(st *sqlparse.Import) (*core.Result, error) {
 		st.Table, p.Certain.Len(), len(p.Groups), d.WorldCount())
 }
 
-// insertRows builds an INSERT's constant rows against the target's schema
-// (shared with the naive engine via plan.ConstInsertRows): the check
-// EXPLAIN runs too.
-func (d *WSD) insertRows(st *sqlparse.Insert) ([]tuple.Tuple, error) {
+// routeInsert decides an INSERT: its constant rows are built against the
+// target's schema (shared with the naive engine via plan.ConstInsertRows)
+// and appended to the certain part, which is all of the relation in every
+// world only when no component contributes to it — else the insert is
+// refused.
+func (d *WSD) routeInsert(st *sqlparse.Insert) (decision, func() (*core.Result, error), error) {
 	sch, err := d.Schema(st.Table)
 	if err != nil {
-		return nil, err
+		return decision{}, nil, err
 	}
-	return plan.ConstInsertRows(st, sch)
-}
-
-// execCreateAs materializes a query: a split becomes decomposition
-// components (splitting the feeding components in place when its source is
-// uncertain); closed and grouped queries store their factorized answers;
-// plain SQL is stored componentwise when the compiled plan decomposes and by
-// bounded partial expansion otherwise. An ASSERT filters and renormalizes the
-// world-set first — per-world evaluation commutes with the world filter, so
-// this is exactly the naive engine's durable assert.
-func (d *WSD) execCreateAs(name string, sh shape) (*core.Result, error) {
-	if sh.repair != nil || sh.choice != nil {
-		return d.execSplit(name, sh)
+	rows, err := plan.ConstInsertRows(st, sch)
+	if err != nil {
+		return decision{}, nil, err
 	}
-	if sh.assert != nil {
-		if err := d.assertStmt(sh.assert); err != nil {
+	if _, _, err := d.certainRelation(st.Table); err != nil {
+		return refused(&refusals[1], err), nil, nil
+	}
+	return decision{kind: routeSingle}, func() (*core.Result, error) {
+		if err := d.insertCertain(st.Table, rows); err != nil {
 			return nil, err
 		}
-	}
-	var err error
-	if sh.gw == nil && sh.cl == closureNone {
-		err = d.createTableAs(name, sh.core)
-	} else {
-		err = d.createTableAsClosure(name, sh.core, sh.cl, sh.gw)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return d.ok("created table %s", name)
-}
-
-// execSplit runs CREATE TABLE AS … REPAIR BY KEY / CHOICE OF: over `select *
-// from t` it splits t directly; any other source is materialized
-// transiently, split, and dropped — the components carry the new relation
-// alone.
-func (d *WSD) execSplit(name string, sh shape) (*core.Result, error) {
-	split, what, source := d.repairByKey, "repair of", sh.src
-	var cols []string
-	var weight string
-	if sh.repair != nil {
-		cols, weight = sh.repair.Key, sh.repair.Weight
-	} else {
-		split, what, cols, weight = d.choiceOf, "choice over", sh.choice.Attrs, sh.choice.Weight
-	}
-	var err error
-	if source != "" {
-		err = split(source, name, cols, weight)
-	} else {
-		source = "a query source"
-		err = d.splitQuery(sh.core, name, cols, weight, split)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return d.ok("created table %s: %s %s (%s worlds)", name, what, source, d.WorldCount())
-}
-
-// execSelect answers a SELECT through the analyzed-plan executor: POSSIBLE /
-// CERTAIN / CONF close over per-alternative answers — with no component
-// merge whenever the compiled plan decomposes — and plain SQL is one world's
-// answer or a conditional relation. GROUP WORLDS BY groups worlds by the
-// fingerprint of the subquery's answer and closes within each group; group
-// membership is not enumerated (it can span astronomically many worlds), so
-// Groups carries probabilities and closed answers only.
-func (d *WSD) execSelect(st *sqlparse.SelectStmt, sh shape) (*core.Result, error) {
-	if sh.gw != nil {
-		groups, err := d.groupWorldsClosure(sh.gw, sh.core, sh.cl)
-		if err != nil {
-			return nil, err
-		}
-		return &core.Result{Kind: core.ResultClosed, Groups: groups, Weighted: d.Weighted}, nil
-	}
-	rel, err := d.selectClosure(sh.core, sh.cl)
-	if errors.Is(err, ErrPerWorld) {
-		return nil, d.refuse(&refusals[0], err.Error())
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &core.Result{
-		Kind:     core.ResultClosed,
-		Groups:   []core.GroupRows{{Prob: 1, Rel: rel}},
-		Weighted: d.Weighted,
-		Ordered:  sh.cl == closureNone && st.OrdersAnswer(),
+		return d.ok("inserted %d row(s) into %s", len(rows), st.Table)
 	}, nil
 }
 
-// Predict writes EXPLAIN's prediction for one statement, read off the
-// statement's shape: a table refusal as route's refusals print; the routing
-// of a SELECT form from route itself; the target relation's components for
-// DML, after the DML template or the INSERT rows build as they do in Run;
-// one plan line for the rest.
+// routeSelect decides a SELECT: a closure, a plain answer (one world's or a
+// conditional relation), or GROUP WORLDS BY, whose groups carry
+// probabilities and closed answers but no world names (a group can span
+// astronomically many worlds).
+func (d *WSD) routeSelect(st *sqlparse.SelectStmt, sh shape) (decision, func() (*core.Result, error), error) {
+	closed := func(groups []core.GroupRows, err error) (*core.Result, error) {
+		if err != nil {
+			return nil, err
+		}
+		return &core.Result{Kind: core.ResultClosed, Groups: groups, Weighted: d.Weighted,
+			Ordered: sh.cl == closureNone && st.OrdersAnswer()}, nil
+	}
+	if sh.gw != nil {
+		dec, grouped, err := d.routeGrouped(sh.gw, sh.core, sh.cl, "")
+		return dec, func() (*core.Result, error) { return closed(grouped()) }, err
+	}
+	dec, answer, err := d.routeQuery(sh.core, sh.cl, "")
+	return dec, func() (*core.Result, error) {
+		rel, err := answer()
+		return closed([]core.GroupRows{{Prob: 1, Rel: rel}}, err)
+	}, err
+}
+
+// routeCreateAs decides CREATE TABLE AS: a split (routeSplit), a closed
+// query stored as the certain relation of its closure, a grouped one
+// factorized (routeGrouped), plain SQL stored by routeQuery. An ASSERT
+// filters and renormalizes the world-set first, which commutes with
+// per-world evaluation; the store is then decided on the world-set the
+// assert leaves (decision.then), and forecast until then on the
+// decomposition as it stands, where a merge past MergeLimit may yet fit.
+func (d *WSD) routeCreateAs(name string, sh shape) (decision, func() (*core.Result, error), error) {
+	if sh.repair != nil || sh.choice != nil {
+		return d.routeSplit(name, sh)
+	}
+	if _, ok := d.schemas[key(name)]; ok {
+		return decision{}, nil, fmt.Errorf("%w: %s", ErrExists, name)
+	}
+	created := func(_ any, err error) (*core.Result, error) {
+		if err != nil {
+			return nil, err
+		}
+		return d.ok("created table %s", name)
+	}
+	store := func() (decision, func() (*core.Result, error), error) {
+		if sh.gw != nil {
+			dec, grouped, err := d.routeGrouped(sh.gw, sh.core, sh.cl, name)
+			return dec, func() (*core.Result, error) { return created(grouped()) }, err
+		}
+		dec, stored, err := d.routeQuery(sh.core, sh.cl, name)
+		return dec, func() (*core.Result, error) { return created(stored()) }, err
+	}
+	dec, run, err := store()
+	if err != nil || sh.assert == nil {
+		return dec, run, err
+	}
+	adec, assert, err := d.routeAssert(sh.assert)
+	if err != nil {
+		return decision{}, nil, err
+	}
+	if dec.kind == routeApproxMC || dec.kind == routeRefused {
+		dec = decision{kind: routeMerge, comps: dec.comps}
+		dec.alts, _ = d.mergedAlternatives(dec.comps)
+	}
+	dec = costlier(adec, dec)
+	dec.then = func() (decision, func() (*core.Result, error)) {
+		var sdec decision
+		var run func() (*core.Result, error)
+		err := assert()
+		if err == nil {
+			sdec, run, err = store()
+		}
+		if err != nil {
+			return adec, func() (*core.Result, error) { return nil, err }
+		}
+		return costlier(adec, sdec), run
+	}
+	return dec, nil, nil
+}
+
+// Predict writes EXPLAIN's prediction for one statement: the route decision
+// Run would note, rendered, after the phases a CREATE TABLE AS runs first;
+// then the compiled plan of a SELECT form, the split or DML target, or one
+// plan line for the rest. A table refusal prints its route line alone.
 func (d *WSD) Predict(b *strings.Builder, stmt sqlparse.Statement) error {
 	sh, err := d.decide(stmt)
 	if err != nil {
 		return err
 	}
+	dec, _, err := d.route(stmt, sh)
+	if err != nil {
+		return err
+	}
+	split := sh.repair != nil || sh.choice != nil
+	if st, ok := stmt.(*sqlparse.CreateTableAs); ok && sh.core != nil && !split {
+		fmt.Fprintf(b, "materialize: table %s\n", st.Name)
+	}
+	if sh.assert != nil {
+		fmt.Fprintf(b, "assert: %s\n", sh.assert)
+	}
+	if sh.gw != nil {
+		b.WriteString("group worlds by: yes\n")
+	}
+	fmt.Fprintf(b, "route: %s\n", d.describeRoute(dec))
 	if sh.refusal != nil {
-		fmt.Fprintf(b, "route: refused (%s)\n", sh.why)
 		return nil
 	}
 	target := func(table string) string {
@@ -512,7 +460,7 @@ func (d *WSD) Predict(b *strings.Builder, stmt sqlparse.Statement) error {
 	}
 	switch st := stmt.(type) {
 	case *sqlparse.SelectStmt:
-		return d.explainQuery(b, sh)
+		return d.explainPlan(b, sh)
 	case *sqlparse.CreateTableAs:
 		switch {
 		case sh.repair != nil:
@@ -520,24 +468,16 @@ func (d *WSD) Predict(b *strings.Builder, stmt sqlparse.Statement) error {
 		case sh.choice != nil:
 			fmt.Fprintf(b, "plan:\n  ChoiceOf (%s) -> %s\n", strings.Join(sh.choice.Attrs, ", "), st.Name)
 		default:
-			fmt.Fprintf(b, "materialize: table %s\n", st.Name)
-			return d.explainQuery(b, sh)
+			return d.explainPlan(b, sh)
 		}
 	case *sqlparse.Update:
-		if _, err := d.dmlTemplate(st, st.Table); err != nil {
-			return err
-		}
 		fmt.Fprintf(b, "plan:\n  Update %s [%s]\n", st.Table, target(st.Table))
 	case *sqlparse.Delete:
-		if _, err := d.dmlTemplate(st, st.Table); err != nil {
-			return err
-		}
 		fmt.Fprintf(b, "plan:\n  Delete %s [%s]\n", st.Table, target(st.Table))
 	case *sqlparse.Insert:
-		if _, err := d.insertRows(st); err != nil {
-			return err
+		if dec.kind != routeRefused {
+			fmt.Fprintf(b, "plan:\n  Insert %s (%d rows, certain part)\n", st.Table, len(st.Rows))
 		}
-		fmt.Fprintf(b, "plan:\n  Insert %s (%d rows, certain part)\n", st.Table, len(st.Rows))
 	default:
 		fmt.Fprintf(b, "plan:\n  %s\n", stmt)
 	}

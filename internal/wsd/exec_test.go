@@ -13,13 +13,14 @@ import (
 // refusalExamples holds one statement per row of the refusal table, over
 // refusalWSD's relations.
 var refusalExamples = map[string]string{
-	"per-world":      "select sum(V) from I",
-	"primary-key":    "create table X (K, primary key (K))",
-	"create-view":    "create view X as select * from R",
-	"isql-in-select": "select K from I repair by key K",
-	"split-combined": "create table X as select * from I repair by key K assert exists (select * from R)",
-	"split-source":   "create table X as select K from R group by K repair by key K",
-	"isql-in-assert": "assert exists (select K from I repair by key K)",
+	"per-world":        "select sum(V) from I",
+	"insert-uncertain": "insert into I values (0, 2)",
+	"primary-key":      "create table X (K, primary key (K))",
+	"create-view":      "create view X as select * from R",
+	"isql-in-select":   "select K from I repair by key K",
+	"split-combined":   "create table X as select * from I repair by key K assert exists (select * from R)",
+	"split-source":     "create table X as select K from R group by K repair by key K",
+	"isql-in-assert":   "assert exists (select K from I repair by key K)",
 }
 
 // refusalWSD is a certain relation R(K, V) and its repair I by key K: one

@@ -1,9 +1,11 @@
 package wsd
 
-// EXPLAIN over the decomposition: render the routing decision selectClosure
-// would run — the value of the same route function, obtained without
-// executing, merging, or touching the world-set — and the compiled plan tree
-// with per-table component annotations.
+// EXPLAIN over the decomposition: Predict (exec.go) renders the route
+// decision Run would note — the value of the same route function, obtained
+// without executing or changing the world-set; a split's decision reads its
+// source's keys, and for a query source stored componentwise the evaluated
+// parts — and this file the compiled plan tree with per-table component
+// annotations.
 
 import (
 	"fmt"
@@ -13,40 +15,16 @@ import (
 
 // closureName renders a closure for EXPLAIN output.
 func closureName(cl closure) string {
-	switch cl {
-	case closurePossible:
-		return "possible"
-	case closureCertain:
-		return "certain"
-	case closureConf:
-		return "conf"
-	case closureApproxConf:
-		return "approx conf"
-	default:
-		return "none"
-	}
+	return [...]string{"none", "possible", "certain", "conf", "approx conf"}[cl]
 }
 
-// explainQuery writes the plan and routing of a SELECT form taken apart by
-// decide: the ASSERT applied first and the grouping, then the routing
-// decision with the closure, and the compiled operator tree with component annotations on every table
-// scan.
-func (d *WSD) explainQuery(b *strings.Builder, sh shape) error {
-	if sh.assert != nil {
-		fmt.Fprintf(b, "assert: %s\n", sh.assert)
-	}
-	if sh.gw != nil {
-		b.WriteString("group worlds by: yes\n")
-	}
+// explainPlan writes the closure of a SELECT form taken apart by decide and
+// its compiled operator tree, with component annotations on every table scan.
+func (d *WSD) explainPlan(b *strings.Builder, sh shape) error {
 	prep, _, err := d.prepared(sh.core)
 	if err != nil {
 		return err
 	}
-	an, err := d.analyze(prep)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(b, "route: %s\n", d.describeRoute(sh.core, an.Comps, d.route(sh.core, an, sh.cl, false)))
 	fmt.Fprintf(b, "closure: %s\n", closureName(sh.cl))
 	b.WriteString("plan:\n")
 	tree := prep.ExplainTree(func(table string) string {

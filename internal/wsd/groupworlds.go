@@ -59,32 +59,66 @@ type groupInfo struct {
 	alts []int
 }
 
-// groupWorldsClosure evaluates `SELECT <closure core> GROUP WORLDS BY
-// (gw)`: worlds are grouped by the fingerprint of gw's per-world answer
-// and the closure of q is computed within each group. Groups are returned
-// in the naive engine's first-appearance order, each with its total
-// probability (0 in unweighted decompositions) and the naive engine's
-// possible/certain answer as a set; conf values are mathematically equal
-// (float accumulation order differs on multi-component paths).
-func (d *WSD) groupWorldsClosure(gw, q *sqlparse.SelectStmt, cl closure) ([]core.GroupRows, error) {
-	g, whole, err := d.prepareGrouped(gw, q, cl)
-	switch {
-	case err != nil:
-		return nil, err
-	case g == nil:
-		return []core.GroupRows{{Prob: oneIfWeighted(d.Weighted), Rel: whole}}, nil
-	case g.spanning || !g.gwAn.Decomposable:
-		_, _, answers, err := d.groupMerged(g, cl)
-		return answers, err
-	}
-	// Disjoint component sets and a decomposable grouping query: groups from
-	// per-component fingerprints, no merge, the closure shared across groups.
-	groups, err := d.groupsByComponent(g.gwAn.Comps, g.gw.part)
+// routeGrouped decides `SELECT <closure core> GROUP WORLDS BY (gw)`, or with
+// dst set its factorized store (storeGrouped). A world-independent gw puts
+// every world in one group, answered on q's own route. Else the groups come
+// from per-component fingerprints (componentwise) when gw decomposes, shares
+// no component with q and nothing is stored, or from the merged components
+// of the groups (merge); a q disjoint from gw closes once, on its own route,
+// and the costlier phase is recorded. The run lists the groups in the naive
+// engine's first-appearance order with their probabilities (0 unweighted)
+// and answers as sets; conf values are equal up to float accumulation order.
+func (d *WSD) routeGrouped(gw, q *sqlparse.SelectStmt, cl closure, dst string) (decision, func() ([]core.GroupRows, error), error) {
+	g, err := d.prepareGrouped(gw, q)
 	if err != nil {
-		return nil, err
+		return decision{}, nil, err
 	}
-	d.componentwise.Add(1)
-	return d.closePerGroup(groups, g.q, cl)
+	if len(g.gwAn.Comps) == 0 {
+		dec := d.routeCore(q, g.qAn, cl, false)
+		return dec, func() ([]core.GroupRows, error) {
+			// One group: stored, the plain closure is certain everywhere.
+			whole, err := d.run(dec, g.q, cl, dst)
+			if err != nil || dst != "" {
+				return nil, err
+			}
+			return []core.GroupRows{{Prob: oneIfWeighted(d.Weighted), Rel: whole}}, nil
+		}, nil
+	}
+	merged := g.spanning || !g.gwAn.Decomposable || dst != ""
+	dec := decision{kind: routeComponentwise, comps: g.gwAn.Comps}
+	if merged {
+		dec = d.mergeDecision(g.comps())
+	}
+	var qdec decision // the main query's own route, when it closes once for all groups
+	if !g.spanning {
+		qdec = d.routeCore(q, g.qAn, groupedClosure(cl), false)
+		dec = costlier(dec, qdec)
+	}
+	return dec, func() ([]core.GroupRows, error) {
+		if !merged {
+			groups, err := d.groupsByComponent(g.gwAn.Comps, g.gw.part)
+			if err != nil {
+				return nil, err
+			}
+			return d.closePerGroup(groups, g.q, cl, qdec)
+		}
+		mc, groups, answers, err := d.groupMerged(g, cl, qdec)
+		if err != nil || dst == "" {
+			return answers, err
+		}
+		return nil, d.storeGrouped(dst, mc, groups, answers)
+	}, nil
+}
+
+// groupedClosure is the closure a grouped statement's main query is routed
+// under when it closes once for every group: APPROX CONF's sampling escape
+// does not extend to grouped closures, so it routes as CONF, and a merge past
+// MergeLimit is refused.
+func groupedClosure(cl closure) closure {
+	if cl == closureApproxConf {
+		return closureConf
+	}
+	return cl
 }
 
 // grouped is a GROUP WORLDS BY statement compiled and analyzed against the
@@ -108,33 +142,28 @@ func (g *grouped) comps() []int {
 	return idx
 }
 
-// prepareGrouped compiles and analyzes a GROUP WORLDS BY statement. A
-// world-independent grouping query puts every world in one group: then it
-// returns no grouped statement but the plain closure, that group's answer.
-func (d *WSD) prepareGrouped(gw, core *sqlparse.SelectStmt, cl closure) (*grouped, *relation.Relation, error) {
+// prepareGrouped compiles and analyzes a GROUP WORLDS BY statement's
+// grouping and main queries.
+func (d *WSD) prepareGrouped(gw, core *sqlparse.SelectStmt) (*grouped, error) {
 	gwPrep, gwEv, err := d.prepared(gw)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	gwAn, err := d.analyze(gwPrep)
 	if err != nil {
-		return nil, nil, err
-	}
-	if len(gwAn.Comps) == 0 {
-		rel, err := d.selectClosure(core, cl)
-		return nil, rel, err
+		return nil, err
 	}
 	qPrep, qEv, err := d.prepared(core)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	qAn, err := d.analyze(qPrep)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	spanning := intersects(gwAn.Comps, qAn.Comps) ||
 		d.treeInvolved(append(append([]int(nil), gwAn.Comps...), qAn.Comps...))
-	return &grouped{gw: gwEv, q: qEv, gwAn: gwAn, qAn: qAn, spanning: spanning}, nil, nil
+	return &grouped{gw: gwEv, q: qEv, gwAn: gwAn, qAn: qAn, spanning: spanning}, nil
 }
 
 // intersects reports whether two sorted component-index sets share an
@@ -284,10 +313,11 @@ func (d *WSD) groupsByComponent(compIdx []int, eval partQuery) ([]groupInfo, err
 // groupMerged merges the components of g's groups into one and groups its
 // alternatives by their grouping answers. A spanning statement's main query
 // closes within each group (closeEachGroup); otherwise its closure is shared
-// across the groups (closePerGroup). It returns the merged component beside
-// the groups and their answers: a pointer, since closePerGroup's own route
-// may merge other components and so move the merged one's index.
-func (d *WSD) groupMerged(g *grouped, cl closure) (*Component, []groupInfo, []core.GroupRows, error) {
+// across the groups (closePerGroup, on its route qdec). It returns the
+// merged component beside the groups and their answers: a pointer, since
+// closePerGroup's own route may merge other components and so move the
+// merged one's index.
+func (d *WSD) groupMerged(g *grouped, cl closure, qdec decision) (*Component, []groupInfo, []core.GroupRows, error) {
 	mi, err := d.mergeComponents(g.comps())
 	if err != nil {
 		return nil, nil, nil, err
@@ -301,7 +331,7 @@ func (d *WSD) groupMerged(g *grouped, cl closure) (*Component, []groupInfo, []co
 	if g.spanning {
 		answers, err = d.closeEachGroup(mi, groups, g.q, cl)
 	} else {
-		answers, err = d.closePerGroup(groups, g.q, cl)
+		answers, err = d.closePerGroup(groups, g.q, cl, qdec)
 	}
 	return merged, groups, answers, err
 }
@@ -332,25 +362,20 @@ func (d *WSD) groupsFromAlternatives(mi int, gw evaluator) ([]groupInfo, error) 
 	return out, nil
 }
 
-// closePerGroup computes the main query's closure once (its components
-// are disjoint from the grouping components, so the per-group answer is
-// the global one) and attaches it to every group — scaling confidences by
-// each group's probability.
-func (d *WSD) closePerGroup(groups []groupInfo, q evaluator, cl closure) ([]core.GroupRows, error) {
-	// A merge forming the groups may have restructured the component list:
-	// analyze the main query against the decomposition as it is now.
+// closePerGroup computes the main query's closure once, on the route dec
+// routeGrouped decided for it (its components are disjoint from the grouping
+// components, so the per-group answer is the global one), and attaches it to
+// every group — scaling confidences by each group's probability.
+func (d *WSD) closePerGroup(groups []groupInfo, q evaluator, cl closure, dec decision) ([]core.GroupRows, error) {
+	// A merge forming the groups may have moved the main query's components
+	// (flat, and untouched by it) to other indexes: read them again.
 	qAn, err := d.analyze(q.prep)
 	if err != nil {
 		return nil, err
 	}
-	// The ungrouped closure runs on the route route picks for it. APPROX
-	// CONF's sampling escape does not extend to grouped closures: it routes
-	// as CONF, so a merge past MergeLimit is refused.
-	rcl := cl
-	if rcl == closureApproxConf {
-		rcl = closureConf
-	}
-	closed, err := d.run(d.route(q.sel, qAn, rcl, false), qAn.Comps, q, rcl)
+	dec.comps = qAn.Comps
+	rcl := groupedClosure(cl)
+	closed, err := d.run(dec, q, rcl, "")
 	if err != nil {
 		return nil, err
 	}
@@ -414,30 +439,16 @@ func (d *WSD) closeEachGroup(mi int, groups []groupInfo, q evaluator, cl closure
 	return out, nil
 }
 
-// materializeGrouped stores `SELECT <closed core> GROUP WORLDS BY (gw)`
-// as relation dst, factorized: every world's dst instance is its group's
-// closed answer, and worlds in the same group share one stored copy. A
-// world's group is a function of the *joint* choice of the components the
-// grouping plan touches, so those components (and, when the main query
-// shares components with the grouping, the union) merge into one — no
-// merge at all when a single component feeds the grouping query — and
-// each merged alternative references its group's answer: per-group
-// contributions, not per-alternative copies.
-func (d *WSD) materializeGrouped(dst string, gw, core *sqlparse.SelectStmt, cl closure) error {
-	g, whole, err := d.prepareGrouped(gw, core, cl)
-	if err != nil {
-		return err
-	}
-	if g == nil {
-		// One group: the stored relation is the plain closure, certain
-		// everywhere.
-		return d.PutCertain(dst, whole.WithSchema(whole.Schema.Unqualify()))
-	}
-	merged, groups, answers, err := d.groupMerged(g, cl)
-	if err != nil {
-		return err
-	}
-
+// storeGrouped stores `SELECT <closed core> GROUP WORLDS BY (gw)` as
+// relation dst, factorized: every world's dst instance is its group's closed
+// answer, and worlds in the same group share one stored copy. A world's
+// group is a function of the *joint* choice of the components the grouping
+// plan touches, so groupMerged has merged those (and, when the main query
+// shares components with the grouping, the union) into one — no merge at
+// all when a single component feeds the grouping query — and each merged
+// alternative references its group's answer: per-group contributions, not
+// per-alternative copies.
+func (d *WSD) storeGrouped(dst string, merged *Component, groups []groupInfo, answers []core.GroupRows) error {
 	if err := d.registerUncertain(dst, answers[0].Rel.Schema.Unqualify()); err != nil {
 		return err
 	}
@@ -452,9 +463,6 @@ func (d *WSD) materializeGrouped(dst string, gw, core *sqlparse.SelectStmt, cl c
 		for _, ai := range grp.alts {
 			merged.Alts[ai].Contrib[k] = contribution
 		}
-	}
-	if len(g.comps()) <= 1 {
-		d.componentwise.Add(1)
 	}
 	return nil
 }

@@ -14,8 +14,10 @@ import (
 	"slices"
 	"sort"
 
+	"maybms/internal/core"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
+	"maybms/internal/sqlparse"
 )
 
 // treeWorlds returns the function counting the worlds of the d-tree rooted at
@@ -96,11 +98,6 @@ func (d *WSD) mergedAlternatives(comps []int) (alts int, fits bool) {
 	return product, len(closure) <= 1 || product <= d.MergeLimit
 }
 
-// errMergeTooBig is the refusal of a merge of n components past MergeLimit.
-func (d *WSD) errMergeTooBig(n int) error {
-	return fmt.Errorf("%w: merge of %d components exceeds %d alternatives", ErrMergeTooBig, n, d.MergeLimit)
-}
-
 // mergeComponents replaces the components at the given indexes with their
 // product: one alternative per combination, with multiplied probabilities
 // and unioned contributions. This is the *partial expansion* at the heart
@@ -119,16 +116,9 @@ func (d *WSD) errMergeTooBig(n int) error {
 // DML rewrites over uncertain expressions, spanning world groups) is
 // thereby tree-correct without further changes.
 func (d *WSD) mergeComponents(idx []int) (int, error) {
-	if _, fits := d.mergedAlternatives(idx); !fits {
-		return -1, d.errMergeTooBig(len(idx))
+	if dec := d.mergeDecision(idx); dec.kind == routeRefused {
+		return -1, dec.err
 	}
-	return d.mergeFitting(idx)
-}
-
-// mergeFitting is mergeComponents for a merge mergedAlternatives has already
-// accepted on the decomposition as it stands: mergeComponents' own check, or
-// route's routeMerge decision (runMerge), which thereby counts once.
-func (d *WSD) mergeFitting(idx []int) (int, error) {
 	if len(idx) == 0 {
 		return -1, nil
 	}
@@ -150,18 +140,30 @@ func (d *WSD) mergeFitting(idx []int) (int, error) {
 // the same promise as mergeComponents: a tree whose condensed alternatives
 // would exceed MergeLimit is refused before any tree is restructured.
 func (d *WSD) condenseTrees(idx []int) ([]int, error) {
+	if dec := d.condenseDecision(idx); dec.kind == routeRefused {
+		return nil, dec.err
+	}
+	return d.condenseFitting(idx)
+}
+
+// condenseDecision decides condenseTrees(idx): routeMerge with the largest
+// condensed tree's alternatives, or a refusal when one exceeds MergeLimit.
+func (d *WSD) condenseDecision(idx []int) decision {
 	closure := d.rootClosure(idx)
 	children := d.index().children
 	worlds := d.treeWorlds()
+	dec := decision{kind: routeMerge, comps: closure}
 	for _, ci := range closure {
 		if d.comps[ci].Parent >= 0 || len(children[ci]) == 0 {
 			continue // not a root, or a lone component: nothing condenses
 		}
-		if n, ok := worlds(ci); !ok || n > d.MergeLimit {
-			return nil, d.errMergeTooBig(len(closure))
+		n, ok := worlds(ci)
+		if !ok || n > d.MergeLimit {
+			return d.tooBig(closure)
 		}
+		dec.alts = max(dec.alts, n)
 	}
-	return d.condenseFitting(idx)
+	return dec
 }
 
 // condenseFitting prepares component indexes for a flat product: indexes
@@ -273,18 +275,49 @@ func oneIfWeighted(weighted bool) float64 {
 	return 0
 }
 
-// assert keeps only the worlds satisfying pred and renormalizes. touching
-// must list every uncertain relation pred reads. pred runs once per
-// alternative, in alternative order, after a poll of the interrupt hook; the
-// involved components are merged (partial expansion) and filtered locally —
-// thanks to independence, renormalizing within the merged component
-// renormalizes the whole world-set (Example 2.5 semantics at WSD scale).
-func (d *WSD) assert(touching []string, pred func(cat plan.Catalog) (bool, error)) error {
+// routeAssert decides an ASSERT condition (an I-SQL-free boolean
+// expression): single over certain data alone, else a merge of the
+// components of the relations it reads. It compiles once through the shared
+// plan cache, and the run binds it per merged alternative through one memo.
+func (d *WSD) routeAssert(e sqlparse.Expr) (decision, func() error, error) {
+	compileCat := d.schemaCatalog()
+	pp, err := plan.Cached(plan.SharedCache(), d.trace, &d.lookups,
+		fmt.Sprintf("ca\x00%s\x00%x", e.String(), d.SchemaFingerprint()),
+		func(p *plan.PreparedPredicate) error { _, err := p.Bind(compileCat, nil, nil); return err },
+		func() (*plan.PreparedPredicate, error) { return plan.PreparePredicate(e, compileCat) })
+	if err != nil {
+		return decision{}, nil, err
+	}
 	var involved []int
-	for _, name := range touching {
+	for _, name := range sqlparse.ReferencedTables(&sqlparse.SelectStmt{Where: e, Limit: -1}) {
 		involved = append(involved, d.componentsFor(name)...)
 	}
-	mi, err := d.mergeComponents(sortedUniqueInts(involved))
+	dec := decision{kind: routeSingle}
+	if len(involved) > 0 {
+		dec = d.mergeDecision(sortedUniqueInts(involved))
+	}
+	return dec, func() error {
+		var memo plan.Memo
+		outer := core.StatementCtx(d.interrupt, d.trace)
+		return d.assert(dec.comps, func(cat plan.Catalog) (bool, error) {
+			pred, err := pp.Bind(cat, outer, &memo)
+			if err != nil {
+				return false, err
+			}
+			return pred()
+		})
+	}, nil
+}
+
+// assert keeps only the worlds satisfying pred and renormalizes. comps must
+// list every component feeding an uncertain relation pred reads. pred runs
+// once per alternative, in alternative order, after a poll of the interrupt
+// hook; the involved components are merged (partial expansion) and filtered
+// locally — thanks to independence, renormalizing within the merged
+// component renormalizes the whole world-set (Example 2.5 semantics at WSD
+// scale).
+func (d *WSD) assert(comps []int, pred func(cat plan.Catalog) (bool, error)) error {
+	mi, err := d.mergeComponents(comps)
 	if err != nil {
 		return err
 	}

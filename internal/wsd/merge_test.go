@@ -112,7 +112,7 @@ func TestPartsCatalogLookup(t *testing.T) {
 func TestAssertPredicateErrorPropagates(t *testing.T) {
 	d := newFigure2WSD(t)
 	boom := errors.New("boom")
-	err := d.assert([]string{"I"}, func(plan.Catalog) (bool, error) { return false, boom })
+	err := d.assert(d.componentsFor("I"), func(plan.Catalog) (bool, error) { return false, boom })
 	if !errors.Is(err, boom) {
 		t.Errorf("assert error = %v", err)
 	}
@@ -120,7 +120,7 @@ func TestAssertPredicateErrorPropagates(t *testing.T) {
 	if err := d2.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	err = d2.assert([]string{"R"}, func(plan.Catalog) (bool, error) { return false, boom })
+	err = d2.assert(d2.componentsFor("R"), func(plan.Catalog) (bool, error) { return false, boom })
 	if !errors.Is(err, boom) {
 		t.Errorf("certain assert error = %v", err)
 	}
@@ -294,7 +294,7 @@ func TestRefusedMergeLeavesDecompositionUnchanged(t *testing.T) {
 			return err
 		},
 		"assert": func(d *WSD) error {
-			return d.assert([]string{"J"}, func(plan.Catalog) (bool, error) { return true, nil })
+			return d.assert(d.componentsFor("J"), func(plan.Catalog) (bool, error) { return true, nil })
 		},
 	}
 	for name, attempt := range attempts {
@@ -482,7 +482,7 @@ func TestMergeRouteMatchesWorldsetClosures(t *testing.T) {
 			core, cl := parseCore(t, sql)
 			d, ref := build(weighted), build(weighted)
 			an, ev := analyzed(t, d, core)
-			if dec := d.route(core, an, cl, false); dec.kind != routeMerge {
+			if dec := d.routeCore(core, an, cl, false); dec.kind != routeMerge {
 				t.Fatalf("%s: routed %s, want merge", label, dec.kind)
 			}
 			got, err := d.selectClosure(core, cl)

@@ -177,33 +177,6 @@ func (d *WSD) prepared(sel *sqlparse.SelectStmt) (*plan.Prepared, evaluator, err
 	return prep, evaluator{d: d, prep: prep, deltas: prep.Deltas(), memo: new(plan.Memo), sel: sel}, nil
 }
 
-// assertStmt filters the world-set by an ASSERT condition (an I-SQL-free
-// boolean expression). The condition compiles once through the process-wide
-// shared plan cache — keyed like SELECT templates, under a distinct prefix
-// — and is bound per alternative of the merged involved components, through
-// one memo, with the interrupt hook threaded into its subquery evaluations. The uncertain
-// relations the condition reads are derived from the condition itself.
-func (d *WSD) assertStmt(e sqlparse.Expr) error {
-	touching := sqlparse.ReferencedTables(&sqlparse.SelectStmt{Where: e, Limit: -1})
-	compileCat := d.schemaCatalog()
-	pp, err := plan.Cached(plan.SharedCache(), d.trace, &d.lookups,
-		fmt.Sprintf("ca\x00%s\x00%x", e.String(), d.SchemaFingerprint()),
-		func(p *plan.PreparedPredicate) error { _, err := p.Bind(compileCat, nil, nil); return err },
-		func() (*plan.PreparedPredicate, error) { return plan.PreparePredicate(e, compileCat) })
-	if err != nil {
-		return err
-	}
-	var memo plan.Memo
-	outer := core.StatementCtx(d.interrupt, d.trace)
-	return d.assert(touching, func(cat plan.Catalog) (bool, error) {
-		pred, err := pp.Bind(cat, outer, &memo)
-		if err != nil {
-			return false, err
-		}
-		return pred()
-	})
-}
-
 // analyze runs the planner's component-touch analysis on a compiled
 // template against this decomposition (component IDs are indexes into the
 // component list, valid until the next restructuring operation).
@@ -211,219 +184,121 @@ func (d *WSD) analyze(prep *plan.Prepared) (*plan.ComponentAnalysis, error) {
 	return prep.Analyze(plan.ComponentCatalogFunc(d.componentsFor))
 }
 
-// selectClosure evaluates the plain-SQL core of a SELECT under the given
-// closure, against the represented world-set, on the route route picks (see
-// its comment for the rules): one evaluation, per-alternative closures with
-// no merge, a bounded merge of exactly the involved components, the
-// Monte-Carlo estimate, or a refusal that merges nothing.
-//
-// A closed answer is a set: every route returns the same tuples (and
-// confidences) as the naive engine's closure over the expanded world-set,
-// listed in representation order (fold.go) — on the merge route that of the
-// merged component, whose parts are its alternatives' full answers.
-func (d *WSD) selectClosure(core *sqlparse.SelectStmt, cl closure) (*relation.Relation, error) {
+// routeQuery compiles and analyzes the plain-SQL core of a SELECT form and
+// decides (routeCore) how it is answered under closure cl — or, with dst
+// set, stored as relation dst; the run answers it on that route. A closed
+// answer is a set: every route returns the naive engine's tuples (and
+// confidences), listed in representation order (fold.go).
+func (d *WSD) routeQuery(core *sqlparse.SelectStmt, cl closure, dst string) (decision, func() (*relation.Relation, error), error) {
 	prep, ev, err := d.prepared(core)
 	if err != nil {
-		return nil, err
+		return decision{}, nil, err
 	}
 	asp := d.trace.Begin("analyze")
 	an, err := d.analyze(prep)
 	if err != nil {
 		asp.End(d.trace)
-		return nil, err
+		return decision{}, nil, err
 	}
 	asp.Set("components", len(an.Comps))
 	asp.Set("decomposable", an.Decomposable)
 	asp.End(d.trace)
-
-	dec := d.route(core, an, cl, false)
-	d.noteRoute(dec.kind)
-	return d.run(dec, an.Comps, ev, cl)
+	dec := d.routeCore(core, an, cl, dst != "" && cl == closureNone)
+	return dec, func() (*relation.Relation, error) { return d.run(dec, ev, cl, dst) }, nil
 }
 
-// run answers a statement on the route dec, route's decision for it: one run
-// function per kind, the refusal's error for routeRefused.
-func (d *WSD) run(dec decision, comps []int, ev evaluator, cl closure) (*relation.Relation, error) {
+// run answers a statement on the route dec, routeCore's decision for it —
+// or, with dst set, stores as relation dst its per-world answers, or its
+// closed answer as a certain relation: one run function per kind, the
+// refusal's error for routeRefused.
+func (d *WSD) run(dec decision, ev evaluator, cl closure, dst string) (*relation.Relation, error) {
+	if dst != "" && cl != closureNone {
+		rel, err := d.run(dec, ev, cl, "")
+		if err == nil {
+			err = d.PutCertain(dst, rel.WithSchema(rel.Schema.Unqualify()))
+		}
+		return nil, err
+	}
+	var parts *componentParts
+	var err error
 	switch dec.kind {
 	case routeSingle:
-		return d.runSingle(comps, ev, cl)
-	case routeComponentwise, routeCondFold:
-		return d.runFold(comps, dec, ev.part, cl)
-	case routeCondRelation:
-		return d.runConditionalRelation(comps, dec, ev)
+		return d.runSingle(dec.comps, ev, cl, dst)
+	case routeComponentwise, routeCondFold, routeCondRelation:
+		parts, err = d.evalParts(dec, ev.part)
 	case routeMerge:
-		return d.runMerge(comps, ev, cl)
+		parts, err = d.mergeEval(dec.comps, ev)
 	case routeApproxMC:
-		return d.confMonteCarlo(comps, ev.batch)
+		return d.confMonteCarlo(dec.comps, ev.batch)
 	default:
 		return nil, dec.err
 	}
+	switch {
+	case err != nil:
+		return nil, err
+	case dst != "":
+		return nil, d.materializeByComponent(dst, parts)
+	case dec.kind == routeCondRelation:
+		return d.conditionalRelation(parts)
+	}
+	csp := d.trace.Begin("closure")
+	defer csp.End(d.trace)
+	return d.closeParts(parts, cl)
 }
 
 // runSingle evaluates the one world there is — every listed component (none
 // for a world-independent core) at its only alternative — and closes over
 // that single answer as the fold's certain slot: every closure is (at most) a
-// dedup of it.
-func (d *WSD) runSingle(comps []int, ev evaluator, cl closure) (*relation.Relation, error) {
+// dedup of it. A stored answer is a certain relation.
+func (d *WSD) runSingle(comps []int, ev evaluator, cl closure, dst string) (*relation.Relation, error) {
 	sp := d.trace.Begin("eval")
 	defer sp.End(d.trace)
 	res, err := ev.batch(newPartsCatalog(d, firstWorld(comps)))
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if cl == closureNone {
+	case dst != "":
+		return nil, d.PutCertain(dst, relation.FromBatch(res.WithSchema(res.Schema.Unqualify())))
+	case cl == closureNone:
 		return relation.FromBatch(res), nil
 	}
 	return d.newClosureFold(nil, nil, nil, res).close(cl, res.Schema)
 }
 
 // evalParts runs the evaluations of the Σ-alternatives routes — certain-only
-// plus one tagged delta, over the whole trees comps belong to (a flat
-// component is a tree of one node) — under the span and the session counter
-// named after dec's route. No merge, and no world is evaluated.
-func (d *WSD) evalParts(comps []int, dec decision, query partQuery) (*componentParts, error) {
+// plus one tagged delta, over the whole trees dec's components belong to (a
+// flat component is a tree of one node) — under the span named after dec's
+// route. No merge, and no world is evaluated. The merge-free closure, the
+// conditional relation and the componentwise store all read these parts.
+func (d *WSD) evalParts(dec decision, query partQuery) (*componentParts, error) {
 	sp := d.trace.Begin(dec.kind.String())
 	defer sp.End(d.trace)
-	sp.Set("components", len(comps))
-	counter := &d.componentwise
+	sp.Set("components", len(dec.comps))
 	if dec.kind != routeComponentwise {
 		sp.Set("conditional_splits", dec.nested)
-		counter = &d.conditional
 	}
-	parts, err := d.queryByComponent(d.rootClosure(comps), query, sp)
-	if err != nil {
-		return nil, err
-	}
-	counter.Add(1)
-	return parts, nil
+	return d.queryByComponent(d.rootClosure(dec.comps), query, sp)
 }
 
-// runFold is the merge-free closure, over flat components and d-trees alike:
-// the evaluated parts closed by the one fold (fold.go), which also lists the
-// answer. A single component is handled by the same code — there the merge
-// path would not have merged either, but the parts path also skips the (noop)
-// restructuring.
-func (d *WSD) runFold(comps []int, dec decision, query partQuery, cl closure) (*relation.Relation, error) {
-	parts, err := d.evalParts(comps, dec, query)
-	if err != nil {
-		return nil, err
-	}
-	csp := d.trace.Begin("closure")
-	defer csp.End(d.trace)
-	return d.closeParts(parts, cl)
-}
-
-// runConditionalRelation answers a plain SELECT over a concat-structured
-// plan as a conditional relation (trailing `cond` column; see
-// conditionalRelation) instead of refusing.
-func (d *WSD) runConditionalRelation(comps []int, dec decision, ev evaluator) (*relation.Relation, error) {
-	parts, err := d.evalParts(comps, dec, ev.part)
-	if err != nil {
-		return nil, err
-	}
-	return d.conditionalRelation(parts)
-}
-
-// runMerge is the classic path: merge exactly the involved components
-// (bounded partial expansion — route has checked the size), evaluate each
-// merged alternative's full answer as its part, close with the fold.
-func (d *WSD) runMerge(comps []int, ev evaluator, cl closure) (*relation.Relation, error) {
+// mergeEval is the classic path: merge exactly the involved components
+// (bounded partial expansion — route has checked the size) and evaluate each
+// merged alternative's full answer as its part.
+func (d *WSD) mergeEval(comps []int, ev evaluator) (*componentParts, error) {
 	msp := d.trace.Begin("merge_eval")
+	defer msp.End(d.trace)
 	msp.Set("components", len(comps))
-	mi, err := d.mergeFitting(comps)
-	var parts *componentParts
-	if err == nil {
-		parts, err = d.mergedParts(mi, ev)
-	}
+	mi, err := d.mergeComponents(comps)
 	if err != nil {
-		msp.End(d.trace)
 		return nil, err
-	}
-	alts := len(parts.parts)
-	mergeAlternatives.Observe(float64(alts))
-	msp.Set("alternatives", alts)
-	msp.Set("merge_limit", d.MergeLimit)
-	msp.End(d.trace)
-	csp := d.trace.Begin("closure")
-	defer csp.End(d.trace)
-	return d.closeParts(parts, cl)
-}
-
-// createTableAs materializes the plain-SQL core of a SELECT as relation
-// dst. A core touching no component becomes a certain relation; a
-// concat-structured core is stored componentwise (certain part plus
-// per-alternative contributions — no merge, linear size); anything else
-// merges the involved components and stores, the same way, each merged
-// alternative's full answer as its contribution.
-func (d *WSD) createTableAs(dst string, core *sqlparse.SelectStmt) error {
-	prep, ev, err := d.prepared(core)
-	if err != nil {
-		return err
-	}
-	an, err := d.analyze(prep)
-	if err != nil {
-		return err
-	}
-	switch dec := d.route(core, an, closureNone, true); dec.kind {
-	case routeSingle:
-		res, err := ev.batch(newPartsCatalog(d, nil))
-		if err != nil {
-			return err
-		}
-		return d.PutCertain(dst, relation.FromBatch(res.WithSchema(res.Schema.Unqualify())))
-	case routeComponentwise:
-		parts, err := d.queryByComponent(an.Comps, ev.part, nil)
-		if err != nil {
-			return err
-		}
-		if err := d.materializeByComponent(dst, parts); err != nil {
-			return err
-		}
-		d.componentwise.Add(1)
-		return nil
-	case routeRefused:
-		return dec.err
-	}
-	mi, err := d.mergeComponents(an.Comps)
-	if err != nil {
-		return err
 	}
 	parts, err := d.mergedParts(mi, ev)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return d.materializeByComponent(dst, parts)
-}
-
-// splitQuery creates dst by split — repairByKey or choiceOf, over cols and
-// weight — of a plain-SQL source query: REPAIR BY KEY or CHOICE OF over a
-// filtered or projected source. The source is materialized transiently
-// (componentwise when its plan decomposes, so an uncertain source's
-// contributions ride the feeding alternatives) and the usual split applies:
-// each feeding alternative nests its conditional key-group repairs as child
-// components. The transient source is removed afterwards; only dst remains.
-// A failed split leaves no transient source: the runner's snapshot undoes
-// the whole statement.
-//
-// The naive engine splits the FROM/WHERE rows and projects per world
-// afterwards, so the key and weight may name source columns outside the
-// select list (`select A, B, C from R repair by key A weight D`). A plain
-// projection commutes with the split, so materializing project-then-split
-// gives the same worlds — any key/weight column missing from the select
-// list is carried through the transient materialization and stripped from
-// dst after the split.
-func (d *WSD) splitQuery(core *sqlparse.SelectStmt, dst string, cols []string, weight string, split func(src, dst string, cols []string, weight string) error) error {
-	tmp, extra, err := d.materializeSource(core, dst, append(append([]string{}, cols...), weight))
-	if err != nil {
-		return err
-	}
-	if err := split(tmp, dst, cols, weight); err != nil {
-		return err
-	}
-	if extra > 0 {
-		d.projectOutTrailing(dst, extra)
-	}
-	return d.drop(tmp)
+	mergeAlternatives.Observe(float64(len(parts.parts)))
+	msp.Set("alternatives", len(parts.parts))
+	msp.Set("merge_limit", d.MergeLimit)
+	return parts, nil
 }
 
 // splitSourceBlocker names the construct that stops a repair/choice query
@@ -471,27 +346,6 @@ func exprAggregates(e sqlparse.Expr) bool {
 		return exprAggregates(n.E)
 	}
 	return false
-}
-
-// materializeSource stores a split statement's query source under a
-// transient name derived from dst, after verifying dst itself is free and
-// that the source commutes with the split. Columns in need that the select
-// list doesn't expose are appended to the materialized projection; the
-// returned count tells the caller how many trailing columns to strip from
-// the split result.
-func (d *WSD) materializeSource(core *sqlparse.SelectStmt, dst string, need []string) (string, int, error) {
-	if _, ok := d.schemas[key(dst)]; ok {
-		return "", 0, fmt.Errorf("%w: %s", ErrExists, dst)
-	}
-	tmp := "__src__" + dst
-	if _, ok := d.schemas[key(tmp)]; ok {
-		return "", 0, fmt.Errorf("%w: %s", ErrExists, tmp)
-	}
-	q, extra := extendProjection(core, need)
-	if err := d.createTableAs(tmp, q); err != nil {
-		return "", 0, err
-	}
-	return tmp, extra, nil
 }
 
 // extendProjection returns core with every column of need missing from its
@@ -549,29 +403,4 @@ func (d *WSD) projectOutTrailing(name string, n int) {
 			}
 		}
 	}
-}
-
-// createTableAsClosure materializes `SELECT <closure core> [GROUP WORLDS
-// BY (gw)]` as relation dst — the statement form the naive engine runs as
-// CREATE TABLE AS over a closed (and possibly world-grouped) query.
-//
-// Without grouping the closed answer is world-independent by definition,
-// so dst becomes a certain relation holding the closure (computed with
-// the usual routing: componentwise for decomposable plans, bounded merge
-// otherwise). With GROUP WORLDS BY every world's dst instance is its
-// group's closed answer; the result is stored factorized — one copy per
-// group, referenced by each alternative of the (possibly merged) grouping
-// component (see materializeGrouped).
-func (d *WSD) createTableAsClosure(dst string, core *sqlparse.SelectStmt, cl closure, gw *sqlparse.SelectStmt) error {
-	if _, ok := d.schemas[key(dst)]; ok {
-		return fmt.Errorf("%w: %s", ErrExists, dst)
-	}
-	if gw != nil {
-		return d.materializeGrouped(dst, gw, core, cl)
-	}
-	rel, err := d.selectClosure(core, cl)
-	if err != nil {
-		return err
-	}
-	return d.PutCertain(dst, rel.WithSchema(rel.Schema.Unqualify()))
 }

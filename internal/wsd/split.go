@@ -58,6 +58,7 @@ import (
 	"fmt"
 
 	"maybms/internal/colbatch"
+	"maybms/internal/core"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
@@ -66,23 +67,262 @@ import (
 
 // splitColumns resolves a split's column list and optional weight column
 // (-1 when absent) against the source schema; a weight needs a weighted WSD.
-func (d *WSD) splitColumns(src string, cols []string, weight string) (sch *schema.Schema, idx []int, weightIdx int, err error) {
-	if sch, err = d.Schema(src); err != nil {
-		return nil, nil, 0, err
-	}
+func (d *WSD) splitColumns(sch *schema.Schema, cols []string, weight string) (idx []int, weightIdx int, err error) {
 	if idx, err = sch.IndexesOf(cols); err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	weightIdx = -1
 	if weight != "" {
 		if !d.Weighted {
-			return nil, nil, 0, fmt.Errorf("weight requires a probabilistic session: %w", worldset.ErrNotWeighted)
+			return nil, 0, fmt.Errorf("weight requires a probabilistic session: %w", worldset.ErrNotWeighted)
 		}
 		if weightIdx, err = sch.Resolve("", weight); err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
 	}
-	return sch, idx, weightIdx, nil
+	return idx, weightIdx, nil
+}
+
+// splitter is a split resolved against its source relation, with its first
+// key-touch round: route decides the split on it, and the split then runs on
+// it without touching the keys again.
+type splitter struct {
+	src       string
+	sch       *schema.Schema
+	cols      []int // the key (repair) or attribute (choice) columns
+	weightIdx int
+	repair    bool
+	cert      *colbatch.Batch // the source's certain part
+	comps     []int           // the components feeding the source, ascending
+	// A repair's certain key groups, their keys, and the keys each feeder's
+	// alternatives contribute, in first-appearance order.
+	cp       relation.Partition
+	anchored map[string]struct{}
+	touches  []plan.KeyTouch
+}
+
+// newSplit resolves a split of relation src, of schema sch: as stored, or —
+// with p set — as it will be once the evaluated parts p are stored as src
+// (materializeByComponent), their feeding alternatives' parts its
+// contributions.
+func (d *WSD) newSplit(src string, sch *schema.Schema, p *componentParts, repair bool, cols []string, weight string) (*splitter, error) {
+	s := &splitter{src: src, sch: sch, repair: repair, comps: d.componentsFor(src)}
+	var err error
+	if s.cols, s.weightIdx, err = d.splitColumns(sch, cols, weight); err != nil {
+		return nil, err
+	}
+	k := key(src)
+	s.cert = colbatch.New(sch)
+	if cert := d.certain[k]; cert != nil {
+		s.cert = cert.Batch()
+	}
+	contribution := func(j, a int) *colbatch.Batch { return d.comps[s.comps[j]].Alts[a].contribution(k, sch) }
+	if p != nil {
+		s.cert, s.comps = p.base, nil
+		var at []int // at[j]: feeder j's position in p
+		for i, ci := range p.idx {
+			for a := range p.comps[i].Alts {
+				if p.part(i, a).Len() > 0 {
+					s.comps, at = append(s.comps, ci), append(at, i)
+					break
+				}
+			}
+		}
+		contribution = func(j, a int) *colbatch.Batch { return p.part(at[j], a).batch() }
+	}
+	if repair {
+		s.cp = relation.PartitionBy(s.cert, s.cols, nil)
+		s.anchored = make(map[string]struct{}, s.cp.Len())
+		var buf []byte
+		for g := 0; g < s.cp.Len(); g++ {
+			buf = s.cert.AppendKeyOn(buf[:0], s.cols, int(s.cp.Group(g)[0]))
+			s.anchored[string(buf)] = struct{}{}
+		}
+		s.touch(d, contribution)
+	}
+	return s, nil
+}
+
+// touch lists the distinct keys each feeder's alternatives contribute, by
+// contribution(j, a) of alternative a of feeder j (nil: no rows).
+func (s *splitter) touch(d *WSD, contribution func(j, a int) *colbatch.Batch) {
+	s.touches = s.touches[:0]
+	var buf []byte
+	for j, ci := range s.comps {
+		seen := map[string]struct{}{}
+		var keys []string
+		for a := range d.comps[ci].Alts {
+			b := contribution(j, a)
+			for i := 0; b != nil && i < b.Len(); i++ {
+				buf = b.AppendKeyOn(buf[:0], s.cols, i)
+				if _, dup := seen[string(buf)]; !dup {
+					kv := string(buf)
+					seen[kv] = struct{}{}
+					keys = append(keys, kv)
+				}
+			}
+		}
+		s.touches = append(s.touches, plan.KeyTouch{Comp: ci, Keys: keys})
+	}
+}
+
+// condensing returns the *nested* feeders owning a certain-anchored key. Such
+// a feeder cannot nest that group's choice under its alternatives alone: in
+// worlds where the feeder is inactive the certain candidates still demand a
+// repair. Their trees condense to flat components first (exactness of the
+// interleaved order is already forfeited to a restructuring here, as on the
+// crossing-merge path).
+func (s *splitter) condensing(d *WSD) []int {
+	var bad []int
+	for _, tch := range s.touches {
+		if d.comps[tch.Comp].Parent < 0 || s.cp.Len() == 0 {
+			continue
+		}
+		for _, kv := range tch.Keys {
+			if _, ok := s.anchored[kv]; ok {
+				bad = append(bad, tch.Comp)
+				break
+			}
+		}
+	}
+	return bad
+}
+
+// coupling returns what the split couples, which must be restructured
+// before it can nest under its feeders — nil when nothing: a choice's
+// feeders when it has more than one or a nested one (merged), a repair's
+// feeders contributing candidates under a common key (merged) or, failing
+// those, its nested feeders owning a certain-anchored key (condensed).
+func (s *splitter) coupling(d *WSD) (comps []int, condense bool) {
+	switch {
+	case len(s.comps) == 0:
+		return nil, false
+	case !s.repair:
+		if len(s.comps) > 1 || d.comps[s.comps[0]].Parent >= 0 {
+			return s.comps, false
+		}
+		return nil, false
+	}
+	if an := plan.AnalyzeSplit(s.touches); !an.NoMerge {
+		return an.MergeGroups[0], false
+	}
+	bad := s.condensing(d)
+	return bad, len(bad) > 0
+}
+
+// decision decides the split on its first round: over no feeder it splits
+// certain data (single); else it nests under its feeders (conditional), but
+// first restructures what the split couples (merge).
+func (s *splitter) decision(d *WSD) decision {
+	comps, condense := s.coupling(d)
+	switch {
+	case len(s.comps) == 0:
+		return decision{kind: routeSingle}
+	case comps == nil:
+		return decision{kind: routeCondSplit, comps: s.comps}
+	case condense:
+		return d.condenseDecision(comps)
+	}
+	return d.mergeDecision(comps)
+}
+
+// routeSplit decides CREATE TABLE AS … REPAIR BY KEY / CHOICE OF. Over
+// `select * from t` it splits t, decided on the split's first key-touch
+// round. Any other source is stored transiently (decided like any store),
+// split and dropped. A source stored componentwise is evaluated while
+// deciding, the split decided on the parts about to be stored; one stored by
+// a merge has one feeder and a certain one none, so neither needs data to be
+// decided. The naive engine splits the FROM/WHERE rows and projects per
+// world afterwards, and a projection commutes with the split: key and weight
+// columns missing from the select list ride the transient source and are
+// stripped from dst after the split.
+func (d *WSD) routeSplit(name string, sh shape) (decision, func() (*core.Result, error), error) {
+	repair, what, cols, weight := true, "repair of", []string(nil), ""
+	if sh.repair != nil {
+		cols, weight = sh.repair.Key, sh.repair.Weight
+	} else {
+		repair, what, cols, weight = false, "choice over", sh.choice.Attrs, sh.choice.Weight
+	}
+	done := func(source string) (*core.Result, error) {
+		return d.ok("created table %s: %s %s (%s worlds)", name, what, source, d.WorldCount())
+	}
+	tmp := "__src__" + name
+	for _, n := range []string{name, tmp} {
+		if _, ok := d.schemas[key(n)]; ok {
+			return decision{}, nil, fmt.Errorf("%w: %s", ErrExists, n)
+		}
+	}
+	if sh.src != "" {
+		sch, err := d.Schema(sh.src)
+		var s *splitter
+		if err == nil {
+			s, err = d.newSplit(sh.src, sch, nil, repair, cols, weight)
+		}
+		if err != nil {
+			return decision{}, nil, err
+		}
+		return s.decision(d), func() (*core.Result, error) {
+			if err := d.split(s, name); err != nil {
+				return nil, err
+			}
+			return done(sh.src)
+		}, nil
+	}
+	q, extra := extendProjection(sh.core, append(append([]string{}, cols...), weight))
+	prep, ev, err := d.prepared(q)
+	var an *plan.ComponentAnalysis
+	if err == nil {
+		an, err = d.analyze(prep)
+	}
+	if err != nil {
+		return decision{}, nil, err
+	}
+	store := d.routeCore(q, an, closureNone, true)
+	dec := store
+	var s *splitter
+	var parts *componentParts
+	if store.kind == routeComponentwise {
+		if parts, err = d.evalParts(store, ev.part); err == nil {
+			s, err = d.newSplit(tmp, parts.base.Schema.Unqualify(), parts, repair, cols, weight)
+		}
+		if err == nil {
+			dec = costlier(store, s.decision(d))
+		}
+	} else {
+		_, _, err = d.splitColumns(prep.Schema().Unqualify(), cols, weight)
+	}
+	if err != nil {
+		return decision{}, nil, err
+	}
+	return dec, func() (*core.Result, error) {
+		var err error
+		if parts != nil {
+			err = d.materializeByComponent(tmp, parts)
+		} else if _, err = d.run(store, ev, closureNone, tmp); err == nil {
+			s, err = d.newSplit(tmp, d.schemas[key(tmp)], nil, repair, cols, weight)
+		}
+		if err == nil {
+			err = d.split(s, name)
+		}
+		if err == nil && extra > 0 {
+			d.projectOutTrailing(name, extra)
+		}
+		if err == nil {
+			err = d.drop(tmp)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return done("a query source")
+	}, nil
+}
+
+// split runs s into relation dst: a repair or a choice.
+func (d *WSD) split(s *splitter, dst string) error {
+	if s.repair {
+		return d.repair(s, dst)
+	}
+	return d.choose(s, dst)
 }
 
 // repairGroupComp builds the alternatives of one key-group component from
@@ -107,119 +347,58 @@ func (d *WSD) repairGroupComp(sch *schema.Schema, dk string, b *colbatch.Batch, 
 	return alts, nil
 }
 
-// repairByKey creates relation dst holding, in each world, one repair of
-// relation src under the key columns; weight names a positive numeric column
-// for the in-group probabilities (w(t)/Σ_group w, Example 2.4), "" meaning
-// uniform. The source may have a certain part, feeding components, or both;
-// see the comment at the top of this file for the construction. Components
-// are added as they are built; a failed split (a bad weight, an interrupt)
-// is undone by the runner's snapshot.
-func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) error {
-	sch, keyIdx, weightIdx, err := d.splitColumns(src, keyCols, weight)
-	if err != nil {
-		return err
-	}
-	k := key(src)
-	if _, ok := d.certain[k]; !ok && len(d.componentsFor(src)) == 0 {
+// repair creates relation dst holding, in each world, one repair of the
+// split's source under its key columns; a weight column gives the in-group
+// probabilities (w(t)/Σ_group w, Example 2.4), none meaning uniform. The
+// source may have a certain part, feeding components, or both; see the
+// comment at the top of this file for the construction. Components are added
+// as they are built; a failed split (a bad weight, an interrupt) is undone by
+// the runner's snapshot.
+func (d *WSD) repair(s *splitter, dst string) error {
+	k := key(s.src)
+	if _, ok := d.certain[k]; !ok && len(s.comps) == 0 {
 		// Registered with neither certain tuples nor contributions: the
-		// instance is empty in every world and so is its only repair
-		// (PutCertain reports a dst collision).
-		return d.PutCertain(dst, relation.New(sch))
-	}
-	if _, ok := d.schemas[key(dst)]; ok {
-		return fmt.Errorf("%w: %s", ErrExists, dst)
+		// instance is empty in every world and so is its only repair.
+		return d.PutCertain(dst, relation.New(s.sch))
 	}
 
-	// The key groups anchored in the certain part, in first-appearance
-	// order, and their keys.
-	cert := d.certain[k]
-	if cert == nil {
-		cert = relation.New(sch)
-	}
-	cb := cert.Batch()
-	cp := relation.PartitionBy(cb, keyIdx, nil)
-	anchored := make(map[string]struct{}, cp.Len())
-	var buf []byte
-	for g := 0; g < cp.Len(); g++ {
-		buf = cb.AppendKeyOn(buf[:0], keyIdx, int(cp.Group(g)[0]))
-		anchored[string(buf)] = struct{}{}
-	}
-
-	// Merge the components whose candidate keys cross — and only those.
-	// A merge changes component indexes, so re-derive the analysis until
-	// it certifies the no-crossing state; the final round's key
-	// projections are reused below.
-	var comps []int
-	var touches []plan.KeyTouch
+	// Restructure what the split couples (coupling): merge the components
+	// whose candidate keys cross — and only those — and condense the trees
+	// of nested feeders owning a certain-anchored key. A restructuring moves
+	// the feeders, so their keys are touched again until the round certifies
+	// the no-crossing state.
 	for {
-		comps = d.componentsFor(src)
-		touches = touches[:0]
-		for _, ci := range comps {
-			seen := map[string]struct{}{}
-			var keys []string
-			var buf []byte
-			for _, a := range d.comps[ci].Alts {
-				b := a.contribution(k, sch)
-				for i := 0; i < b.Len(); i++ {
-					buf = b.AppendKeyOn(buf[:0], keyIdx, i)
-					if _, dup := seen[string(buf)]; !dup {
-						kv := string(buf)
-						seen[kv] = struct{}{}
-						keys = append(keys, kv)
-					}
-				}
-			}
-			touches = append(touches, plan.KeyTouch{Comp: ci, Keys: keys})
+		comps, condense := s.coupling(d)
+		if comps == nil {
+			break
 		}
-		an := plan.AnalyzeSplit(touches)
-		if !an.NoMerge {
-			if _, err := d.mergeComponents(an.MergeGroups[0]); err != nil {
-				return err
-			}
-			continue
+		var err error
+		if condense {
+			_, err = d.condenseTrees(comps)
+		} else {
+			_, err = d.mergeComponents(comps)
 		}
-		// A *nested* feeder owning a certain-anchored key cannot nest that
-		// group's choice under its alternatives alone: in worlds where the
-		// feeder is inactive the certain candidates still demand a repair.
-		// Condense the offending trees to flat components first (exactness
-		// of the interleaved order is already forfeited to a restructuring
-		// here, as on the crossing-merge path).
-		if d.nested > 0 && cp.Len() > 0 {
-			var bad []int
-			for i, tch := range touches {
-				if d.comps[comps[i]].Parent < 0 {
-					continue
-				}
-				for _, kv := range tch.Keys {
-					if _, ok := anchored[kv]; ok {
-						bad = append(bad, comps[i])
-						break
-					}
-				}
-			}
-			if len(bad) > 0 {
-				if _, err := d.condenseTrees(bad); err != nil {
-					return err
-				}
-				continue
-			}
+		if err != nil {
+			return err
 		}
-		break
+		s.comps = d.componentsFor(s.src)
+		s.touch(d, func(j, a int) *colbatch.Batch { return d.comps[s.comps[j]].Alts[a].contribution(k, s.sch) })
 	}
 
 	// After the loop every key value is fed by at most one component:
 	// owner[kv] is the feeder's position in comps.
 	owner := map[string]int{}
-	for i, tch := range touches {
+	for i, tch := range s.touches {
 		for _, kv := range tch.Keys {
 			owner[kv] = i
 		}
 	}
-	dk, nested := key(dst), d.nested
+	sch, keyIdx, weightIdx, cb, cp := s.sch, s.cols, s.weightIdx, s.cert, s.cp
+	dk := key(dst)
 	if err := d.registerUncertain(dst, sch); err != nil {
 		return err
 	}
-
+	var buf []byte
 	// (a) Key groups anchored in the certain part, in certain-part
 	// first-appearance order. An unowned group is an independent top-level
 	// choice — every group of a certain source, which has no feeders; a
@@ -241,7 +420,7 @@ func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) erro
 			continue
 		}
 		gk := string(buf)
-		fc := d.comps[comps[fi]]
+		fc := d.comps[s.comps[fi]]
 		for ai := range fc.Alts {
 			if err := d.interrupted(); err != nil {
 				return err
@@ -274,7 +453,7 @@ func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) erro
 	// alternatives ascending, groups in the alternative's contribution
 	// first-appearance order. Each non-empty (feeder, alternative, group)
 	// triple becomes one child component.
-	for _, ci := range comps {
+	for _, ci := range s.comps {
 		fc := d.comps[ci]
 		for ai := range fc.Alts {
 			if err := d.interrupted(); err != nil {
@@ -285,7 +464,7 @@ func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) erro
 			for g := 0; g < p.Len(); g++ {
 				rows := p.Group(g)
 				buf = b.AppendKeyOn(buf[:0], keyIdx, int(rows[0]))
-				if _, ok := anchored[string(buf)]; ok {
+				if _, ok := s.anchored[string(buf)]; ok {
 					continue // handled in (a), certain-prefix position
 				}
 				alts, err := d.repairGroupComp(sch, dk, b, rows, weightIdx)
@@ -298,14 +477,11 @@ func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) erro
 			}
 		}
 	}
-	if d.nested > nested {
-		d.conditional.Add(1)
-	}
 	return nil
 }
 
-// choiceOf creates relation dst holding, in each world, one partition of
-// relation src by the attribute columns (Examples 2.6–2.7), weighted by the
+// choose creates relation dst holding, in each world, one partition of the
+// split's source by its attribute columns (Examples 2.6–2.7), weighted by the
 // partitions' weight shares or uniformly. The choice picks one partition of
 // the whole per-world instance, a single decision coupling every feeding
 // component, so those merge into one (no merge for a single feeder), and each
@@ -313,45 +489,29 @@ func (d *WSD) repairByKey(src, dst string, keyCols []string, weight string) erro
 // alternatives are the partitions of that alternative's instance (certain
 // part included). A certain source has no feeder: its one instance, the
 // certain part, becomes one top-level component.
-func (d *WSD) choiceOf(src, dst string, attrs []string, weight string) error {
-	sch, attrIdx, weightIdx, err := d.splitColumns(src, attrs, weight)
-	if err != nil {
-		return err
-	}
-	k := key(src)
-	if _, ok := d.schemas[key(dst)]; ok {
-		return fmt.Errorf("%w: %s", ErrExists, dst)
-	}
-	comps := d.componentsFor(src)
-	if len(comps) > 1 {
-		// Multiple feeders: the choice couples them, so they merge (trees
-		// condense first — see condenseTrees). A single top-level feeder —
+func (d *WSD) choose(s *splitter, dst string) error {
+	sch, attrIdx, weightIdx := s.sch, s.cols, s.weightIdx
+	k := key(s.src)
+	comps := s.comps
+	if coupled, _ := s.coupling(d); coupled != nil {
+		// Several feeders: the choice couples them, so they merge (trees
+		// condense first — see condenseTrees). A *nested* single feeder is
+		// inactive in some worlds, where the source instance shrinks to its
+		// certain part, which children of the feeder alone cannot express:
+		// its tree condenses to a flat component. A single top-level feeder —
 		// even one carrying children — is left untouched; the choice nests
 		// under it.
 		if _, err := d.mergeComponents(comps); err != nil {
 			return err
 		}
-		comps = d.componentsFor(src)
-	} else if len(comps) == 1 && d.comps[comps[0]].Parent >= 0 {
-		// A *nested* single feeder is inactive in some worlds; there the
-		// source instance shrinks to its certain part (possibly empty — a
-		// naive error), which children of the feeder alone cannot express.
-		// Condense its tree to a flat component first.
-		if _, err := d.condenseTrees(comps); err != nil {
-			return err
-		}
-		comps = d.componentsFor(src)
-	}
-	cert := d.certain[k]
-	if cert == nil {
-		cert = relation.New(sch)
+		comps = d.componentsFor(s.src)
 	}
 	dk := key(dst)
 	if err := d.registerUncertain(dst, sch); err != nil {
 		return err
 	}
 	if len(comps) == 0 {
-		alts, err := d.choiceComp(sch, dk, cert.Batch(), attrIdx, weightIdx)
+		alts, err := d.choiceComp(sch, dk, s.cert, attrIdx, weightIdx)
 		if err == nil {
 			_, err = d.addComponent(alts)
 		}
@@ -362,18 +522,15 @@ func (d *WSD) choiceOf(src, dst string, attrs []string, weight string) error {
 		if err := d.interrupted(); err != nil {
 			return err
 		}
-		inst := colbatch.New(sch)
-		inst.AppendBatch(cert.Batch())
-		inst.AppendBatch(a.contribution(k, sch))
+		inst := colbatch.Concat(sch, []*colbatch.Batch{s.cert, a.contribution(k, sch)})
 		alts, err := d.choiceComp(sch, dk, inst, attrIdx, weightIdx)
 		if err != nil {
-			return fmt.Errorf("choice over %s: %w", src, err)
+			return fmt.Errorf("choice over %s: %w", s.src, err)
 		}
 		if _, err := d.addChildComponent(alts, fc.ID, ai); err != nil {
 			return err
 		}
 	}
-	d.conditional.Add(1)
 	return nil
 }
 

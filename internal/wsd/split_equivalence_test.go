@@ -455,30 +455,22 @@ func TestConditionalShapesEquivalenceFuzz(t *testing.T) {
 			// semantics, carried through the transient materialization.
 			proj := []string{"K, V, W", "K, V, W", "K, V"}[r.Intn(3)]
 			srcSQL := fmt.Sprintf("select %s from %s where V <= %d", proj, src, r.Intn(2))
-			parsed, err := sqlparse.Parse(srcSQL)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srcStmt := parsed.(*sqlparse.SelectStmt)
 			var stmtSQL string
-			var apply func() error
 			if r.Intn(2) == 0 {
 				keys := [][]string{{"K"}, {"K", "V"}, {"V"}}[r.Intn(3)]
 				stmtSQL = fmt.Sprintf("create table %s as %s repair by key %s", dst, srcSQL, strings.Join(keys, ", "))
 				if weight != "" {
 					stmtSQL += " weight " + weight
 				}
-				apply = func() error { return d.splitQuery(srcStmt, dst, keys, weight, d.repairByKey) }
 			} else {
 				attrs := [][]string{{"K"}, {"V", "W"}}[r.Intn(2)]
 				stmtSQL = fmt.Sprintf("create table %s as %s choice of %s", dst, srcSQL, strings.Join(attrs, ", "))
 				if weight != "" {
 					stmtSQL += " weight " + weight
 				}
-				apply = func() error { return d.splitQuery(srcStmt, dst, attrs, weight, d.choiceOf) }
 			}
 			_, nerr := s.Exec(stmtSQL)
-			cerr := apply()
+			_, cerr := d.Exec(stmtSQL)
 			if (nerr == nil) != (cerr == nil) {
 				t.Fatalf("trial %d step %d %q: naive err %v, compact err %v", trial, step, stmtSQL, nerr, cerr)
 			}

@@ -56,7 +56,7 @@ func TestRepairOfChoiceSplitsComponent(t *testing.T) {
 	if err := d.choiceOf("C", "P", []string{"K"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.repairByKey("P", "Q", []string{"W"}, ""); err != nil {
+	if _, err := d.Exec("create table Q as select * from P repair by key W"); err != nil {
 		t.Fatal(err)
 	}
 	if d.MergeCount() != 0 {
@@ -67,8 +67,8 @@ func TestRepairOfChoiceSplitsComponent(t *testing.T) {
 	if d.ComponentCount() != 5 {
 		t.Errorf("components = %d, want 5 (choice + 4 conditional children)", d.ComponentCount())
 	}
-	if d.ConditionalCount() == 0 {
-		t.Error("nested repair did not count as conditional")
+	if d.RouteCounts()["conditional"] != 1 {
+		t.Error("nested repair did not route conditional")
 	}
 	// Worlds: k=0 world repairs 1 way, k=1 world 2 ways.
 	if got := d.WorldCount().String(); got != "3" {

@@ -34,52 +34,39 @@
 //	P(t ∈ R) = 1 − Π_c (1 − p_c(t))
 //
 // Query execution is decomposition-aware (select.go, componentwise.go,
-// fold.go):
-// every SELECT compiles once (through the process-wide shared plan cache)
-// and the planner annotates the compiled tree with the components it
-// touches. Queries whose plan distributes over the certain ∪
-// per-component structure — selections, projections, joins against
-// certain relations, unions, subqueries and aggregates over certain data
-// — answer their possible/certain/conf closures component-wise: the
-// certain-only answer plus one tagged delta of every alternative (work
-// linear in Σ component sizes, never the product), no merge, the
-// representation untouched, and the naive engine's answers as
-// the sets they are (fold.go defines the listing). The same distribution
-// law drives update queries and world grouping (dml.go, groupworlds.go): UPDATE/DELETE
-// statements whose SET/WHERE expressions read no uncertain data rewrite
-// the target's certain part and each alternative's contribution
-// separately, and GROUP WORLDS BY statements whose grouping plan
-// decomposes compute world groups from per-component answer fingerprints
-// folded through a frontier of distinct answers — both in Σ component
-// sizes work over world-sets far beyond any expansion limit. Only
-// operations that genuinely correlate several components (asserts,
-// cross-component joins, aggregates or predicate subqueries spanning
-// components, DML expressions over uncertain relations, grouped queries
-// sharing components with their grouping subquery) first merge exactly
-// the involved components — a partial expansion bounded by the product of
-// the involved component sizes, never the full world count. CREATE TABLE
-// AS over closed queries stores the closure as a certain relation; over
-// grouped queries it stores one answer per world group, shared by every
-// alternative of the grouping component (factorized storage, see
-// createTableAsClosure). MergeCount and ComponentwiseCount make the
-// routing observable.
+// fold.go): every query compiles once, through the process-wide shared plan
+// cache, and the planner annotates the compiled tree with the components it
+// touches. Queries whose plan distributes over the certain ∪ per-component
+// structure — selections, projections, joins against certain relations,
+// unions, subqueries and aggregates over certain data — answer their
+// possible/certain/conf closures componentwise: the certain-only answer plus
+// one tagged delta of every alternative (work linear in Σ component sizes,
+// never the product), no merge, the representation untouched. The same
+// distribution law drives updates and world grouping (dml.go,
+// groupworlds.go). Only operations that genuinely correlate several
+// components (asserts, cross-component joins, aggregates or predicate
+// subqueries spanning components, DML expressions over uncertain relations,
+// grouped queries sharing components with their grouping subquery) merge
+// exactly the involved components — a partial expansion bounded by the
+// product of their sizes, never the full world count.
 //
 // Statements arrive from core's runner through Run and Predict (exec.go),
-// the compact engine's core.Engine methods: decide takes a statement apart
+// the compact engine's core.Engine methods. decide takes a statement apart
 // once — the refusal table, the split source, the ASSERT, the closure, the
-// grouping — and execution and EXPLAIN both read what it found.
+// grouping — and route (route.go) takes the statement's one routing
+// decision: a function of its shape, its compiled plans' component analysis
+// and the shape of the decomposition, noted once by Run — the trace's route
+// attribute, maybms_route_total and RouteCounts — and rendered by EXPLAIN
+// from the same value. No field, option or switch overrides it; the naive
+// per-world engine over Expand is the reference the routes are validated
+// against. MergeCount counts a different fact: the merges that restructured
+// the decomposition.
 //
 // What a statement asks of the component list as a whole — a component's
 // position by ID, its children, the components feeding a relation, a
 // relation's contributions concatenated for the tagged delta — it reads from
 // the decomposition's one index (index.go), built once per change of the
 // list and valid while the list holds the pointers it was built from.
-//
-// Every statement takes one routing decision (route.go): a pure function of
-// the compiled plan's component analysis, the closure and the shape of the
-// decomposition, run by selectClosure and rendered by EXPLAIN from the same
-// value. No field, option or switch overrides it; the naive per-world engine
-// over Expand is the reference the routes are validated against.
 //
 // POSSIBLE, CERTAIN and CONF are asked through Exec and nowhere else: the
 // WSD has no stored-relation read beside the statement. Over
@@ -203,13 +190,8 @@ type WSD struct {
 	// decomposition (≥ 2 components multiplied into one): the observability
 	// hook for "this query ran with no partial expansion".
 	merges atomic.Uint64
-	// componentwise counts statements answered by the merge-free
-	// componentwise path.
-	componentwise atomic.Uint64
-	// conditional counts uses of the conditional (d-tree) machinery:
-	// statements answered through a conditional route plus splits that
-	// created nested components.
-	conditional atomic.Uint64
+	// routes counts the statements run per route kind (see RouteCounts).
+	routes [len(routeNames)]atomic.Uint64
 	// lookups attributes shared-plan-cache lookups to this decomposition
 	// (the cache itself is process-global; see SessionInfo).
 	lookups plan.Lookups
@@ -254,17 +236,17 @@ func (d *WSD) PutCertain(name string, rel *relation.Relation) error {
 // some component contributes to is ErrNotCertain.
 func (d *WSD) certainRelation(name string) (*relation.Relation, *schema.Schema, error) {
 	k := key(name)
-	rel, ok := d.certain[k]
-	if !ok {
-		if _, known := d.schemas[k]; known {
-			return nil, nil, fmt.Errorf("%w: %s varies across worlds", ErrNotCertain, name)
-		}
+	sch, known := d.schemas[k]
+	switch {
+	case !known:
 		return nil, nil, fmt.Errorf("%w: %s", ErrUnknown, name)
-	}
-	if !d.isCertain(name) {
+	case len(d.componentsFor(name)) > 0:
 		return nil, nil, fmt.Errorf("%w: %s has component contributions", ErrNotCertain, name)
 	}
-	return rel, d.schemas[k], nil
+	if rel, ok := d.certain[k]; ok {
+		return rel, sch, nil
+	}
+	return relation.New(sch), sch, nil // registered with no tuples at all: empty in every world
 }
 
 // insertCertain appends rows to a certain relation — the compact
@@ -369,15 +351,6 @@ func (d *WSD) ComponentCount() int { return len(d.comps) }
 // multiplying ≥ 2 components together) performed so far. Queries served by
 // the componentwise path leave it unchanged.
 func (d *WSD) MergeCount() uint64 { return d.merges.Load() }
-
-// ComponentwiseCount returns the number of statements answered by the
-// merge-free componentwise path.
-func (d *WSD) ComponentwiseCount() uint64 { return d.componentwise.Load() }
-
-// ConditionalCount returns the number of uses of the conditional (d-tree)
-// machinery: statements answered through a conditional route plus
-// repair/choice splits that created nested components.
-func (d *WSD) ConditionalCount() uint64 { return d.conditional.Load() }
 
 // PlanCacheCounts returns this decomposition's shared-plan-cache lookup
 // attribution: templates found valid in the process-wide cache vs. compiled

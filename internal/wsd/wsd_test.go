@@ -343,7 +343,7 @@ func TestAssertLocalFiltering(t *testing.T) {
 	// Drop worlds where I contains C-value c1 (Example 2.5). The assert
 	// touches I, whose a1 component gets filtered; a2/a3 components stay
 	// untouched only if independent — here merge involves all I components.
-	err := d.assert([]string{"I"}, func(cat plan.Catalog) (bool, error) {
+	err := d.assert(d.componentsFor("I"), func(cat plan.Catalog) (bool, error) {
 		rel, err := cat.Lookup("I")
 		if err != nil {
 			return false, err
@@ -378,11 +378,11 @@ func TestAssertCertainOnly(t *testing.T) {
 	if err := d.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	err := d.assert([]string{"R"}, func(cat plan.Catalog) (bool, error) { return true, nil })
+	err := d.assert(d.componentsFor("R"), func(cat plan.Catalog) (bool, error) { return true, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = d.assert([]string{"R"}, func(cat plan.Catalog) (bool, error) { return false, nil })
+	err = d.assert(d.componentsFor("R"), func(cat plan.Catalog) (bool, error) { return false, nil })
 	if !errors.Is(err, ErrEmpty) {
 		t.Errorf("failing certain assert = %v", err)
 	}
@@ -390,7 +390,7 @@ func TestAssertCertainOnly(t *testing.T) {
 
 func TestAssertDroppingAllWorldsFails(t *testing.T) {
 	d := newFigure2WSD(t)
-	err := d.assert([]string{"I"}, func(plan.Catalog) (bool, error) { return false, nil })
+	err := d.assert(d.componentsFor("I"), func(plan.Catalog) (bool, error) { return false, nil })
 	if !errors.Is(err, ErrEmpty) {
 		t.Errorf("assert dropping everything = %v", err)
 	}
@@ -437,7 +437,7 @@ func TestMergeLimitGuard(t *testing.T) {
 	if err := d.repairByKey("R", "I", []string{"K"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	err := d.assert([]string{"I"}, func(plan.Catalog) (bool, error) { return true, nil })
+	err := d.assert(d.componentsFor("I"), func(plan.Catalog) (bool, error) { return true, nil })
 	if !errors.Is(err, ErrMergeTooBig) {
 		t.Errorf("oversized merge = %v", err)
 	}

@@ -105,8 +105,8 @@
 // alternative's contribution separately. Only plans that genuinely
 // correlate several components fall back to a bounded partial expansion of
 // exactly the involved components. CompactDB.Exec runs closures like every
-// other statement; CompactDB.MergeCount and ComponentwiseCount expose the
-// routing. What the
+// other statement; each statement takes one route, which EXPLAIN prints and
+// CompactDB.RouteCounts counts (MergeCount counts the merges). What the
 // compact engine refuses is the refusal table beside its statement switch
 // (internal/wsd), and every refusal wraps ErrCompactUnsupported.
 //

@@ -43,11 +43,11 @@
 # decomposition representing 2^18 worlds (18 repair components, one
 # conditional child under every alternative): the conditional relation
 # (cond column) and the tree-fold CONF closure must stay linear in the
-# representation — steady state ~1.5k allocs/op each: both are one
-# certain-only evaluation and one delta per alternative, no world is
-# evaluated — so anything scaling with the world count (or even quadratic
-# in the components, as the deviation-world evaluations were: ~2.9k) trips
-# the ~2x ceilings immediately.
+# representation — steady state ~410 and ~355 allocs/op: both are one
+# certain-only evaluation and one tagged delta, no world is evaluated — so
+# anything scaling with the world count (or even quadratic in the
+# components, as the deviation-world evaluations were: ~2.9k) trips the ~2x
+# ceilings immediately.
 #
 # The imported-read gate holds "the certain part is evaluated once": a CONF
 # over 40 000 imported rows with 24 alternatives of dirt is one certain-only
@@ -175,8 +175,8 @@ check BenchmarkImportDirty 850
 check BenchmarkBatchClosurePossible 5000
 check BenchmarkBatchClosureConf 5000
 check BenchmarkBatchClosureGroupWorlds 6000
-check 'BenchmarkConditionalSelect/nested/groups=18/worlds=2\^18' 3000
-check 'BenchmarkConditionalConf/nested/groups=18/worlds=2\^18' 3100
+check 'BenchmarkConditionalSelect/nested/groups=18/worlds=2\^18' 850
+check 'BenchmarkConditionalConf/nested/groups=18/worlds=2\^18' 750
 check 'BenchmarkImportedRead/conf/rows=40000/alts=24' 2000
 check 'BenchmarkImportedRead/join/rows=40000/alts=24' 2200
 check 'BenchmarkMergeRoute/conf\.subquery' 11000
