@@ -66,7 +66,7 @@ func drain(op Operator, outer *expr.Context) (*colbatch.Batch, error) {
 	}
 	defer op.Close()
 	var first *colbatch.Batch
-	var parts []*colbatch.Batch
+	var parts []colbatch.Part
 	for {
 		b, err := op.NextBatch()
 		if err != nil {
@@ -80,9 +80,9 @@ func drain(op Operator, outer *expr.Context) (*colbatch.Batch, error) {
 		case first == nil:
 			first = b
 		case parts == nil:
-			parts = []*colbatch.Batch{first, b}
+			parts = []colbatch.Part{{B: first}, {B: b}}
 		default:
-			parts = append(parts, b)
+			parts = append(parts, colbatch.Part{B: b})
 		}
 	}
 	switch {

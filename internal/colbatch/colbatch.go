@@ -4,28 +4,34 @@
 // (int64 / float64 / string / bool payloads plus a null bitmap), with a
 // generic value fallback for mixed-kind columns. Row form: the tuples
 // themselves, fewer than Floor of them. Both support what batch operators
-// need — batch-at-a-time append, zero-copy row slicing, selection-vector
-// gather, canonical key encoding into a reusable byte arena — with identical
-// answers: a batch's Rows() are value-for-value the rows it was built from,
-// and AppendKey/AppendKeyOn produce exactly the bytes of tuple.Encode /
+// need — concatenation of selected rows, zero-copy row slicing, canonical
+// key encoding into a reusable byte arena — with identical answers: a
+// batch's Rows() are value-for-value the rows it was built from, and
+// AppendKey/AppendKeyOn produce exactly the bytes of tuple.Encode /
 // tuple.KeyOn whatever the form.
 //
 // The form is decided here and nowhere else, by size: a batch built from
 // rows stays in row form under Floor rows and is laid out as columns at
-// Floor rows or more, a row-form batch that an append brings to Floor rows
-// settles into columns, and a batch derived from a columnar one stays
-// columnar. Consumers read batches without asking which form they hold;
-// only the size-selected inner loops (internal/algebra's operators, the
-// tiny-DML rewrite, the wire encoder's row branch) test RowBacked.
+// Floor rows or more, a row-form batch that Append brings to Floor rows
+// settles into columns, a view (Slice, Project, WithSchema) keeps its
+// source's form, and a batch built from batches is in row form only when
+// they all are and it holds fewer than Floor rows. Consumers read
+// batches without asking which form they hold; only the size-selected inner
+// loops (internal/algebra's operators, the tiny-DML rewrite, the wire
+// encoder's row branch) test RowBacked.
 //
-// Batches are treated as immutable once handed to a consumer; builders
-// append, consumers only read, and no published column is written in place.
-// So vectors are shared freely: a stored batch sliced out of a larger one
-// (factorized CTAS contributions, the import conflict groups' one gathered
-// batch), an UPDATE's untouched columns, and a query answer that is a view
-// of a stored batch (WithSchema, Project) all alias their source. Zero-copy
-// slices are capacity-clamped, so an append through any of them reallocates
-// instead of reaching the batch it shares.
+// A batch is built once, by FromRows/FromCols/ColBuilder or Concat, or grown
+// tuple by tuple (Append) while it is being built; Concat — a list of
+// (batch, selection) parts — is the one code that copies cells from batches
+// into a new batch, and Gather, GatherConcat and every accumulator above
+// colbatch go through it. Batches are treated as immutable once handed to a
+// consumer, and no published column is written in place. So vectors are
+// shared freely: a stored batch sliced out of a larger one (factorized CTAS
+// contributions, the import conflict groups' one gathered batch), an
+// UPDATE's untouched columns, and a query answer that is a view of a stored
+// batch (WithSchema, Project) all alias their source. Zero-copy slices are
+// capacity-clamped, so an append through any of them reallocates instead of
+// reaching the batch it shares.
 package colbatch
 
 import (
@@ -140,21 +146,6 @@ func (c *Col) append(n int, v value.Value) {
 	c.appendTyped(v)
 }
 
-// reserve makes an empty column of kind k with room for n cells.
-func (c *Col) reserve(k value.Kind, n int) {
-	c.Kind = k
-	switch k {
-	case value.KindInt:
-		c.Ints = make([]int64, 0, n)
-	case value.KindFloat:
-		c.Floats = make([]float64, 0, n)
-	case value.KindString:
-		c.Strs = make([]string, 0, n)
-	case value.KindBool:
-		c.Bools = make([]bool, 0, n)
-	}
-}
-
 func (c *Col) grow(n int) {
 	switch c.Kind {
 	case value.KindInt:
@@ -207,51 +198,6 @@ func (c *Col) degrade(n int) {
 	*c = Col{Any: anyv}
 }
 
-// gather returns a new column holding c's cells at the selected rows.
-func (c *Col) gather(sel []int32) Col {
-	n := len(sel)
-	if c.Any != nil {
-		out := make([]value.Value, n)
-		for i, s := range sel {
-			out[i] = c.Any[s]
-		}
-		return Col{Any: out}
-	}
-	if c.Kind == value.KindNull {
-		return Col{}
-	}
-	out := Col{Kind: c.Kind}
-	if c.Nulls != nil {
-		out.Nulls = make([]bool, n)
-		for i, s := range sel {
-			out.Nulls[i] = c.Nulls[s]
-		}
-	}
-	switch c.Kind {
-	case value.KindInt:
-		out.Ints = make([]int64, n)
-		for i, s := range sel {
-			out.Ints[i] = c.Ints[s]
-		}
-	case value.KindFloat:
-		out.Floats = make([]float64, n)
-		for i, s := range sel {
-			out.Floats[i] = c.Floats[s]
-		}
-	case value.KindString:
-		out.Strs = make([]string, n)
-		for i, s := range sel {
-			out.Strs[i] = c.Strs[s]
-		}
-	case value.KindBool:
-		out.Bools = make([]bool, n)
-		for i, s := range sel {
-			out.Bools[i] = c.Bools[s]
-		}
-	}
-	return out
-}
-
 // Slice returns a zero-copy view of rows [lo, hi). The sub-slices are
 // capacity-clamped so a later append through the view reallocates instead
 // of clobbering the parent's cells past hi — sliced views are safe to hand
@@ -278,59 +224,6 @@ func (c *Col) Slice(lo, hi int) Col {
 		out.Bools = c.Bools[lo:hi:hi]
 	}
 	return out
-}
-
-// appendAll appends all n cells of src to c (whose current length is at).
-func (c *Col) appendAll(at int, src *Col, n int) {
-	if src.Any != nil || c.Any != nil || (c.Kind != value.KindNull && src.Kind != value.KindNull && c.Kind != src.Kind) {
-		// Mixed shapes: degrade to generic and copy cell-wise.
-		if c.Any == nil {
-			c.degrade(at)
-		}
-		for i := 0; i < n; i++ {
-			c.Any = append(c.Any, src.Value(i))
-		}
-		return
-	}
-	if src.Kind == value.KindNull {
-		if c.Kind == value.KindNull {
-			return
-		}
-		for i := 0; i < n; i++ {
-			c.appendNull(at + i)
-		}
-		return
-	}
-	if c.Kind == value.KindNull {
-		if at > 0 {
-			c.Nulls = make([]bool, at)
-			for i := range c.Nulls {
-				c.Nulls[i] = true
-			}
-		}
-		c.Kind = src.Kind
-		c.grow(at)
-	}
-	if c.Nulls != nil || src.Nulls != nil {
-		if c.Nulls == nil {
-			c.Nulls = make([]bool, at)
-		}
-		if src.Nulls != nil {
-			c.Nulls = append(c.Nulls, src.Nulls[:n]...)
-		} else {
-			c.Nulls = append(c.Nulls, make([]bool, n)...)
-		}
-	}
-	switch c.Kind {
-	case value.KindInt:
-		c.Ints = append(c.Ints, src.Ints[:n]...)
-	case value.KindFloat:
-		c.Floats = append(c.Floats, src.Floats[:n]...)
-	case value.KindString:
-		c.Strs = append(c.Strs, src.Strs[:n]...)
-	case value.KindBool:
-		c.Bools = append(c.Bools, src.Bools[:n]...)
-	}
 }
 
 // appendKey appends the canonical value.Encode bytes of cell i to dst.
@@ -367,22 +260,18 @@ func (c *Col) appendKey(dst []byte, i int) []byte {
 
 // Batch is a fixed-schema batch of rows in one of two forms. Columnar
 // (cols != nil): one typed column per schema column. Row form (cols == nil):
-// rows holds the tuples, fewer than Floor of them — the Append, AppendBatch
-// and AppendGather that would bring a row-form batch to Floor rows settle it
-// into columns first, and every constructor builds columns at Floor rows or
-// more. An empty batch is in row form until a columnar batch is appended to
-// it.
+// rows holds the tuples, fewer than Floor of them — the Append that brings a
+// row-form batch to Floor rows settles it into columns, and every
+// constructor builds columns at Floor rows or more.
 type Batch struct {
 	Schema *schema.Schema
 	cols   []Col
 	n      int
 	rows   []tuple.Tuple // the rows of a row-form batch
-	room   int           // rows the batch makes room for (Reserve)
 }
 
-// New returns an empty batch with the given schema. It takes the form of
-// the first thing appended to it: rows for a tuple or a row-form batch,
-// columns for a columnar batch.
+// New returns an empty row-form batch with the given schema, for Append to
+// grow.
 func New(sch *schema.Schema) *Batch {
 	return &Batch{Schema: sch}
 }
@@ -392,7 +281,7 @@ func New(sch *schema.Schema) *Batch {
 // out as columns at Floor rows or more. The caller must treat the rows as
 // immutable.
 func FromRows(sch *schema.Schema, rows []tuple.Tuple) *Batch {
-	b := &Batch{Schema: sch, n: len(rows), rows: rows, room: len(rows)}
+	b := &Batch{Schema: sch, n: len(rows), rows: rows}
 	if b.n >= Floor {
 		b.settle()
 	}
@@ -412,41 +301,10 @@ func (b *Batch) Len() int {
 // Floor of them.
 func (b *Batch) RowBacked() bool { return b.cols == nil }
 
-// Reserve makes room for about n more rows: in the row slice of an empty
-// batch, in the columns a row-form batch settles into, and in the typed
-// columns an empty batch takes from the first columnar batch appended.
-func (b *Batch) Reserve(n int) {
-	b.room = b.n + n
-	if b.n == 0 && b.cols == nil {
-		b.rows = make([]tuple.Tuple, 0, min(n, Floor-1))
-	}
-}
-
-// settle lays a row-form batch out as columns, each typed column allocated
-// once with room to grow well past Floor rows (or to the reserved size): a
-// batch settles because it is growing.
+// settle lays a row-form batch of Floor rows or more out as columns of its
+// length.
 func (b *Batch) settle() {
-	rows := b.rows
-	b.cols, b.rows, b.n = make([]Col, b.Schema.Len()), nil, 0
-	for j := range b.cols {
-		for _, t := range rows {
-			if !t[j].IsNull() {
-				b.cols[j].reserve(t[j].Kind(), max(4*Floor, b.room))
-				break
-			}
-		}
-	}
-	for _, t := range rows {
-		b.appendCols(t)
-	}
-}
-
-// appendCols adds one row to a columnar batch.
-func (b *Batch) appendCols(t tuple.Tuple) {
-	for j := range b.cols {
-		b.cols[j].append(b.n, t[j])
-	}
-	b.n++
+	*b = *Concat(b.Schema, []Part{{B: b}})
 }
 
 // WithSchema returns b under a different schema of the same width, sharing
@@ -491,163 +349,67 @@ func (b *Batch) At(i, j int) value.Value {
 // batch stays in row form.
 func (b *Batch) Append(t tuple.Tuple) {
 	if b.cols == nil {
-		if b.n+1 < Floor {
-			b.rows = append(b.rows, t)
-			b.n++
-			return
-		}
-		b.settle()
-	}
-	b.appendCols(t)
-}
-
-// toColumns prepares b to receive src's m rows: it reports whether they
-// stay in row form, and otherwise leaves b columnar — an empty batch takes
-// a columnar src's form, a row-form one settles when the rows would reach
-// Floor.
-func (b *Batch) toColumns(src *Batch, m int) bool {
-	switch {
-	case b.cols != nil:
-	case b.n == 0 && src.cols != nil:
-		b.cols, b.rows = make([]Col, len(src.cols)), nil
-		for j := range b.cols {
-			if c := &src.cols[j]; c.Any == nil && b.room > 0 {
-				b.cols[j].reserve(c.Kind, b.room)
-			}
-		}
-	case b.n+m < Floor:
-		return false
-	default:
-		b.settle()
-	}
-	return true
-}
-
-// AppendBatch appends all rows of src to b. The schemas must have the same
-// width.
-func (b *Batch) AppendBatch(src *Batch) {
-	if !b.toColumns(src, src.n) {
-		b.rows = append(b.rows, src.Rows()...)
-		b.n += src.n
-		return
-	}
-	if src.cols == nil {
-		for _, t := range src.rows {
-			b.appendCols(t)
+		b.rows = append(b.rows, t)
+		if b.n++; b.n == Floor {
+			b.settle()
 		}
 		return
 	}
 	for j := range b.cols {
-		b.cols[j].appendAll(b.n, &src.cols[j], src.n)
+		b.cols[j].append(b.n, t[j])
 	}
-	b.n += src.n
+	b.n++
 }
 
-// AppendGather appends src's rows at the selected indexes to b, in sel
-// order — the gather-append the closure builders use to keep only
-// first-appearance rows without materializing an intermediate batch. The
-// schemas must have the same width.
-func (b *Batch) AppendGather(src *Batch, sel []int32) {
-	if !b.toColumns(src, len(sel)) {
-		for _, s := range sel {
-			b.rows = append(b.rows, src.Row(int(s)))
-		}
-		b.n += len(sel)
-		return
-	}
-	if src.cols == nil {
-		for _, s := range sel {
-			b.appendCols(src.rows[s])
-		}
-		return
-	}
-	for j := range b.cols {
-		b.cols[j].appendGather(b.n, &src.cols[j], sel)
-	}
-	b.n += len(sel)
+// Part is the rows of batch B that Concat copies: B's rows at the indexes
+// Sel, in Sel's order and repeats allowed, or every row of B when Sel is
+// nil.
+type Part struct {
+	B   *Batch
+	Sel []int32
 }
 
-// appendGather appends src's cells at the selected rows to c (whose current
-// length is at).
-func (c *Col) appendGather(at int, src *Col, sel []int32) {
-	if src.Any != nil || c.Any != nil || (c.Kind != value.KindNull && src.Kind != value.KindNull && c.Kind != src.Kind) {
-		// Mixed shapes: degrade to generic and copy cell-wise.
-		if c.Any == nil {
-			c.degrade(at)
-		}
-		for _, s := range sel {
-			c.Any = append(c.Any, src.Value(int(s)))
-		}
-		return
+// size returns the number of rows in the part.
+func (p Part) size() int {
+	if p.Sel == nil {
+		return p.B.Len()
 	}
-	if src.Kind == value.KindNull {
-		if c.Kind == value.KindNull {
-			return
-		}
-		for i := range sel {
-			c.appendNull(at + i)
-		}
-		return
-	}
-	if c.Kind == value.KindNull {
-		if at > 0 {
-			c.Nulls = make([]bool, at)
-			for i := range c.Nulls {
-				c.Nulls[i] = true
-			}
-		}
-		c.Kind = src.Kind
-		c.grow(at)
-	}
-	if c.Nulls != nil || src.Nulls != nil {
-		if c.Nulls == nil {
-			c.Nulls = make([]bool, at)
-		}
-		if src.Nulls != nil {
-			for _, s := range sel {
-				c.Nulls = append(c.Nulls, src.Nulls[s])
-			}
-		} else {
-			c.Nulls = append(c.Nulls, make([]bool, len(sel))...)
-		}
-	}
-	switch c.Kind {
-	case value.KindInt:
-		for _, s := range sel {
-			c.Ints = append(c.Ints, src.Ints[s])
-		}
-	case value.KindFloat:
-		for _, s := range sel {
-			c.Floats = append(c.Floats, src.Floats[s])
-		}
-	case value.KindString:
-		for _, s := range sel {
-			c.Strs = append(c.Strs, src.Strs[s])
-		}
-	case value.KindBool:
-		for _, s := range sel {
-			c.Bools = append(c.Bools, src.Bools[s])
-		}
-	}
+	return len(p.Sel)
 }
 
-// Concat returns the rows of parts, in order, as one new batch under sch: in
-// row form when every part is and they hold fewer than Floor rows, else
-// columnar, each column in the representation appending the parts one by one
-// to an empty batch would leave (typed when its non-NULL cells share a kind
-// and no part's column is generic, with a null bitmap when some part has
-// NULL cells or one) — but allocated once at the total length, so no cell is
-// copied twice. The parts must have sch's width.
-func Concat(sch *schema.Schema, parts []*Batch) *Batch {
+// row returns the index in B of the part's k-th row.
+func (p Part) row(k int) int {
+	if p.Sel == nil {
+		return k
+	}
+	return int(p.Sel[k])
+}
+
+// Concat returns the rows of parts, in order, as one new batch under sch. It
+// is the one copy from batches into a new batch: Gather, GatherConcat, a
+// settling batch and every accumulator above colbatch go through it, and it
+// copies each cell once into storage allocated at the total length.
+//
+// The result is in row form when every part's batch is and they hold fewer
+// than Floor rows in all. Otherwise it is columnar, and each column's shape
+// is decided once, from what the parts hold in it: all-NULL when they hold
+// no non-NULL cell; typed when their non-NULL cells share a kind and no
+// part's column is generic, with a null bitmap when some part's column has
+// one or is all-NULL or a row-form part holds a NULL; generic otherwise. A
+// columnar part counts by its column's metadata, whatever its Sel picks; a
+// row-form part by the cells its Sel picks. The parts must have sch's width.
+func Concat(sch *schema.Schema, parts []Part) *Batch {
 	n, rows := 0, true
 	for _, p := range parts {
-		n += p.n
-		rows = rows && p.cols == nil
+		n += p.size()
+		rows = rows && p.B.cols == nil
 	}
 	if rows && n < Floor {
 		out := make([]tuple.Tuple, 0, n)
 		for _, p := range parts {
-			out = append(out, p.rows...)
+			for k := range p.size() {
+				out = append(out, p.B.rows[p.row(k)])
+			}
 		}
 		return &Batch{Schema: sch, n: n, rows: out}
 	}
@@ -658,8 +420,9 @@ func Concat(sch *schema.Schema, parts []*Batch) *Batch {
 	return out
 }
 
-// concatCol is column j of Concat's n rows.
-func concatCol(parts []*Batch, j, n int) Col {
+// concatCol is column j of parts as one column of their n rows, in the
+// shape Concat documents.
+func concatCol(parts []Part, j, n int) Col {
 	kind, nulls, generic := value.KindNull, false, false
 	see := func(k value.Kind) {
 		if kind == value.KindNull {
@@ -669,17 +432,17 @@ func concatCol(parts []*Batch, j, n int) Col {
 		}
 	}
 	for _, p := range parts {
-		if p.cols == nil {
-			for _, t := range p.rows {
-				if t[j].IsNull() {
+		if p.B.cols == nil {
+			for k := range p.size() {
+				if v := p.B.rows[p.row(k)][j]; v.IsNull() {
 					nulls = true
 				} else {
-					see(t[j].Kind())
+					see(v.Kind())
 				}
 			}
 			continue
 		}
-		switch c := &p.cols[j]; {
+		switch c := &p.B.cols[j]; {
 		case c.Any != nil:
 			generic = true
 		case c.Kind == value.KindNull:
@@ -694,31 +457,93 @@ func concatCol(parts []*Batch, j, n int) Col {
 	case generic:
 		out.Any = make([]value.Value, 0, n)
 		for _, p := range parts {
-			for i := 0; i < p.n; i++ {
-				out.Any = append(out.Any, p.At(i, j))
+			for k := range p.size() {
+				out.Any = append(out.Any, p.B.At(p.row(k), j))
 			}
 		}
 		return out
 	case kind == value.KindNull:
 		return out
 	}
-	out.reserve(kind, n)
+	out.Kind = kind
 	if nulls {
-		out.Nulls = make([]bool, 0, n)
+		out.Nulls = make([]bool, n)
+	}
+	switch kind {
+	case value.KindInt:
+		out.Ints = make([]int64, n)
+	case value.KindFloat:
+		out.Floats = make([]float64, n)
+	case value.KindString:
+		out.Strs = make([]string, n)
+	case value.KindBool:
+		out.Bools = make([]bool, n)
 	}
 	at := 0
 	for _, p := range parts {
-		if p.cols == nil {
-			for _, t := range p.rows {
-				out.append(at, t[j])
-				at++
+		m := p.size()
+		if p.B.cols == nil {
+			for k := range m {
+				out.set(at+k, p.B.rows[p.row(k)][j])
 			}
+			at += m
 			continue
 		}
-		out.appendAll(at, &p.cols[j], p.n)
-		at += p.n
+		c := &p.B.cols[j]
+		if c.Kind == value.KindNull {
+			for k := range m {
+				out.Nulls[at+k] = true
+			}
+			at += m
+			continue
+		}
+		if c.Nulls != nil {
+			put(out.Nulls[at:at+m], c.Nulls, p.Sel)
+		}
+		switch kind {
+		case value.KindInt:
+			put(out.Ints[at:at+m], c.Ints, p.Sel)
+		case value.KindFloat:
+			put(out.Floats[at:at+m], c.Floats, p.Sel)
+		case value.KindString:
+			put(out.Strs[at:at+m], c.Strs, p.Sel)
+		case value.KindBool:
+			put(out.Bools[at:at+m], c.Bools, p.Sel)
+		}
+		at += m
 	}
 	return out
+}
+
+// put copies src's cells at the rows sel (all of them when sel is nil) into
+// dst, one per cell of dst.
+func put[T any](dst, src []T, sel []int32) {
+	if sel == nil {
+		copy(dst, src)
+		return
+	}
+	for i, s := range sel {
+		dst[i] = src[s]
+	}
+}
+
+// set writes v as cell i of a typed column allocated at its length: the
+// payload, or the null bit of a NULL.
+func (c *Col) set(i int, v value.Value) {
+	if v.IsNull() {
+		c.Nulls[i] = true
+		return
+	}
+	switch c.Kind {
+	case value.KindInt:
+		c.Ints[i] = v.AsInt()
+	case value.KindFloat:
+		c.Floats[i] = v.AsFloat()
+	case value.KindString:
+		c.Strs[i] = v.AsStr()
+	case value.KindBool:
+		c.Bools[i] = v.AsBool()
+	}
 }
 
 // Extend returns the batch extended with a trailing column c (one cell per
@@ -802,22 +627,19 @@ func (b *Batch) Project(idx []int, out *schema.Schema) *Batch {
 	return res
 }
 
-// Gather returns a new batch holding the selected rows, in sel order: in
-// row form when b is and the output has fewer than Floor rows, else
-// columnar.
+// Gather returns a new batch holding the selected rows, in sel order: the
+// Concat of the one part (b, sel).
 func (b *Batch) Gather(sel []int32) *Batch {
-	if b.cols == nil && len(sel) < Floor {
-		rows := make([]tuple.Tuple, len(sel))
-		for i, s := range sel {
-			rows[i] = b.rows[s]
-		}
-		return &Batch{Schema: b.Schema, n: len(sel), rows: rows}
+	return Concat(b.Schema, []Part{{B: b, Sel: picked(sel)}})
+}
+
+// picked returns sel as a Part's selection of those rows: a nil sel, no
+// rows, is not the Part of every row.
+func picked(sel []int32) []int32 {
+	if sel == nil {
+		return []int32{}
 	}
-	out := &Batch{Schema: b.Schema, cols: make([]Col, b.Width()), n: len(sel)}
-	for j := range out.cols {
-		out.cols[j] = b.gatherCol(j, sel)
-	}
-	return out
+	return sel
 }
 
 // Pick returns a new batch holding the selected rows, in sel order, in the
@@ -922,25 +744,14 @@ func GatherConcat(out *schema.Schema, l *Batch, lsel []int32, r *Batch, rsel []i
 		return &Batch{Schema: out, n: len(rows), rows: rows}
 	}
 	res := &Batch{Schema: out, cols: make([]Col, lw+rw), n: len(lsel)}
-	for j := 0; j < lw; j++ {
-		res.cols[j] = l.gatherCol(j, lsel)
+	lp, rp := []Part{{B: l, Sel: picked(lsel)}}, []Part{{B: r, Sel: picked(rsel)}}
+	for j := range lw {
+		res.cols[j] = concatCol(lp, j, res.n)
 	}
-	for j := 0; j < rw; j++ {
-		res.cols[lw+j] = r.gatherCol(j, rsel)
+	for j := range rw {
+		res.cols[lw+j] = concatCol(rp, j, res.n)
 	}
 	return res
-}
-
-// gatherCol returns column j's cells at the selected rows as a new column.
-func (b *Batch) gatherCol(j int, sel []int32) Col {
-	if b.cols != nil {
-		return b.cols[j].gather(sel)
-	}
-	var c Col
-	for i, s := range sel {
-		c.append(i, b.rows[s][j])
-	}
-	return c
 }
 
 // Rows materializes the batch as row tuples. For columnar batches the

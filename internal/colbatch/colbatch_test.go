@@ -253,53 +253,122 @@ func TestColBuilderTyped(t *testing.T) {
 	}
 }
 
-// TestConcatKeepsAppendRepresentation: Concat lays parts out as appending
-// them one by one to an empty batch does, for row-form and columnar parts in
-// either order, with NULLs, all-NULL columns and kind conflicts.
+// TestConcatKeepsAppendRepresentation: Concat keeps the shape rule it
+// documents, for row-form and columnar parts in any order and with nil,
+// empty and repeating selections. A column is all-NULL when no part holds a
+// non-NULL cell in it; typed when the non-NULL cells share a kind and no
+// columnar part's column is generic, with a null bitmap when a columnar
+// part's column has one or is all-NULL or a row-form part's picked cells
+// hold a NULL; generic otherwise. A columnar part counts by its column
+// whatever it picks, a row-form part by the cells it picks. The result is in
+// row form exactly when every part is and they pick fewer than Floor rows.
 func TestConcatKeepsAppendRepresentation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sch := schema.New("A", "B", "C")
-	draw := func(kind int) value.Value {
-		switch kind {
-		case 0:
+	// A column class: 0 all NULL, 1 INTEGER, 2 INTEGER after a NULL first
+	// row, 3 TEXT, 4 TEXT and INTEGER alternating (generic in columns).
+	draw := func(class, i int) value.Value {
+		switch {
+		case class == 0, class == 2 && (i == 0 || i > 1 && rng.Intn(3) == 0):
 			return value.Null()
-		case 1:
-			return value.Int(int64(rng.Intn(9)))
-		case 2:
+		case class == 3, class == 4 && i%2 == 0:
 			return value.Str("x")
 		}
-		if rng.Intn(3) == 0 {
-			return value.Null()
-		}
-		return value.Float(0.5)
+		return value.Int(int64(rng.Intn(9)))
 	}
-	for trial := 0; trial < 300; trial++ {
-		var parts []*Batch
+	kindOf := []value.Kind{value.KindNull, value.KindInt, value.KindInt, value.KindString}
+	for trial := 0; trial < 400; trial++ {
+		var parts []Part
+		var classes [][]int
+		var ref []tuple.Tuple
+		rowForm := true
 		for p := 1 + rng.Intn(4); p > 0; p-- {
-			rows := make([]tuple.Tuple, 1+rng.Intn(40))
-			kinds := []int{rng.Intn(4), rng.Intn(4), rng.Intn(4)}
+			rows := make([]tuple.Tuple, rng.Intn(40))
+			cls := []int{rng.Intn(5), rng.Intn(5), rng.Intn(5)}
 			for i := range rows {
-				rows[i] = tuple.Tuple{draw(kinds[0]), draw(kinds[1]), draw(kinds[2])}
+				rows[i] = tuple.Tuple{draw(cls[0], i), draw(cls[1], i), draw(cls[2], i)}
 			}
-			parts = append(parts, FromRows(sch, rows))
-		}
-		want := New(sch)
-		for _, p := range parts {
-			want.AppendBatch(p)
+			b := FromRows(sch, rows)
+			if rng.Intn(3) == 0 {
+				b = columnar(sch, rows)
+			}
+			var sel []int32
+			switch rng.Intn(3) {
+			case 0: // every row
+			case 1:
+				sel = []int32{}
+			default:
+				for range 1 + rng.Intn(40) {
+					if len(rows) > 0 {
+						sel = append(sel, int32(rng.Intn(len(rows))))
+					}
+				}
+				if sel == nil {
+					sel = []int32{}
+				}
+			}
+			part := Part{B: b, Sel: sel}
+			for k := range part.size() {
+				ref = append(ref, rows[part.row(k)])
+			}
+			rowForm = rowForm && b.RowBacked()
+			parts = append(parts, part)
+			classes = append(classes, cls)
 		}
 		got := Concat(sch, parts)
-		if got.Len() != want.Len() || got.RowBacked() != want.RowBacked() {
-			t.Fatalf("trial %d: %d rows (row form %v), want %d (%v)", trial, got.Len(), got.RowBacked(), want.Len(), want.RowBacked())
+		checkForm(t, got, ref)
+		if want := rowForm && len(ref) < Floor; got.RowBacked() != want {
+			t.Fatalf("trial %d: %d rows in row form %v, want %v", trial, len(ref), got.RowBacked(), want)
+		}
+		if got.RowBacked() {
+			continue
 		}
 		for j := 0; j < sch.Len(); j++ {
-			g, w := got.Col(j), want.Col(j)
-			if !got.RowBacked() && ((g.Any == nil) != (w.Any == nil) || g.Kind != w.Kind || (g.Nulls == nil) != (w.Nulls == nil)) {
-				t.Fatalf("trial %d column %d: representation differs from appending", trial, j)
-			}
-			for i := 0; i < got.Len(); i++ {
-				if gv, wv := g.Value(i), w.Value(i); string(gv.Encode(nil)) != string(wv.Encode(nil)) {
-					t.Fatalf("trial %d cell (%d,%d) = %v, want %v", trial, i, j, gv, wv)
+			kind, nulls, generic := value.KindNull, false, false
+			see := func(k value.Kind) {
+				if kind == value.KindNull {
+					kind = k
+				} else if k != kind {
+					generic = true
 				}
+			}
+			for pi, p := range parts {
+				cls := classes[pi][j]
+				switch {
+				case p.B.Len() == 0:
+					cls = 0 // an empty column holds no kind
+				case p.B.Len() == 1 && cls == 2:
+					cls = 0 // its one cell is the NULL
+				case p.B.Len() == 1 && cls == 4:
+					cls = 3 // its one cell is the TEXT
+				}
+				switch {
+				case p.B.RowBacked():
+					for k := range p.size() {
+						if v := p.B.At(p.row(k), j); v.IsNull() {
+							nulls = true
+						} else {
+							see(v.Kind())
+						}
+					}
+				case cls == 4:
+					generic = true
+				default:
+					nulls = nulls || cls == 0 || cls == 2
+					if cls != 0 {
+						see(kindOf[cls])
+					}
+				}
+			}
+			c := got.Col(j)
+			switch {
+			case generic:
+				if c.Any == nil {
+					t.Fatalf("trial %d column %d: kind %s, want generic", trial, j, c.Kind)
+				}
+			case c.Any != nil || c.Kind != kind || (kind != value.KindNull && (c.Nulls != nil) != nulls):
+				t.Fatalf("trial %d column %d: kind %s (generic %v, null bitmap %v), want %s (null bitmap %v)",
+					trial, j, c.Kind, c.Any != nil, c.Nulls != nil, kind, nulls)
 			}
 		}
 	}

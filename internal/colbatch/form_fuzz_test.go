@@ -11,19 +11,24 @@ import (
 )
 
 // FuzzBatchForm runs random sequences of the batch constructors and
-// operations — FromRows at and around Floor, Append, AppendBatch and
-// AppendGather across forms, Gather and Pick with repeated indexes,
-// GatherConcat, Slice, WithSchema, Project, Extend and Update — beside a
-// plain []tuple.Tuple reference of every batch, and checks after each step
-// that a row-form batch holds fewer than Floor rows (and that Pick's form is
-// FromRows' for its row count) and that Rows, At, AppendKey and AppendKeyOn
-// equal the reference.
+// operations — FromRows at and around Floor, Append, Concat of parts of
+// mixed forms under nil, empty and repeating selections, Gather and Pick
+// with repeated indexes, GatherConcat, Slice, WithSchema, Project, Extend and
+// Update — beside a plain []tuple.Tuple reference of every batch, and checks
+// after each step that a row-form batch holds fewer than Floor rows (and
+// that Pick's form is FromRows' for its row count, Concat's row form only
+// for row-form parts of fewer than Floor rows in all) and that Rows, At,
+// AppendKey and AppendKeyOn equal the reference. The cells are drawn of
+// every kind and NULL, so parts disagree on a column's kind.
 func FuzzBatchForm(f *testing.F) {
 	f.Add([]byte{0, 2, 1, 0, 3, 7, 2, 0, 1, 9})
 	f.Add([]byte{0, 1, 0, 0, 4, 2, 1, 1, 0, 3, 1, 0, 40, 5, 6, 7})
 	f.Add([]byte{0, 3, 0, 4, 2, 0, 1, 5, 1, 0, 60, 1, 2, 3, 8, 0, 5, 1, 2})
 	f.Add([]byte{0, 5, 200, 6, 0, 3, 40, 10, 0, 2, 0, 5, 9, 0, 31})
 	f.Add([]byte{9, 0, 1, 0, 1, 0, 1, 0, 1, 0, 2, 1, 0, 3, 1, 0, 35})
+	// A columnar batch concatenated with a repeating selection of itself and
+	// then whole: typed columns, one with a null bitmap.
+	f.Add([]byte{0, 4, 4, 0, 10, 22, 16, 40, 22, 58, 28, 76, 34, 0, 40, 112, 46, 130, 52, 148, 58, 166, 64, 0, 70, 202, 76, 220, 82, 238, 88, 16, 94, 0, 100, 52, 106, 70, 112, 88, 118, 106, 124, 0, 130, 142, 136, 160, 142, 178, 148, 196, 154, 0, 160, 232, 166, 10, 172, 28, 178, 46, 184, 0, 190, 82, 196, 100, 2, 1, 0, 2, 5, 3, 1, 4, 1, 9, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &fuzzInput{data: data}
 		sch := schema.New("a", "b")
@@ -51,25 +56,33 @@ func FuzzBatchForm(f *testing.F) {
 				pool[i].Append(row)
 				refs[i] = append(refs[i], row)
 				checkForm(t, pool[i], refs[i])
-			case 2: // AppendBatch
-				i, j := pick(), pick()
-				if i == j || len(refs[i])+len(refs[j]) > maxRows {
-					continue
+			case 2, 3: // Concat of up to four parts, a batch repeatable
+				var parts []Part
+				var ref []tuple.Tuple
+				rows := true
+				for range 1 + in.int(4) {
+					i := pick()
+					p := Part{B: pool[i]}
+					switch in.int(3) {
+					case 1:
+						p.Sel = []int32{}
+					case 2:
+						p.Sel = picked(in.sel(len(refs[i])))
+					}
+					if len(ref)+p.size() > maxRows {
+						break
+					}
+					parts = append(parts, p)
+					for k := range p.size() {
+						ref = append(ref, refs[i][p.row(k)])
+					}
+					rows = rows && pool[i].RowBacked()
 				}
-				pool[i].AppendBatch(pool[j])
-				refs[i] = append(refs[i], refs[j]...)
-				checkForm(t, pool[i], refs[i])
-			case 3: // AppendGather
-				i, j := pick(), pick()
-				if i == j || len(refs[i]) > maxRows {
-					continue
+				out := Concat(sch, parts)
+				if want := rows && len(ref) < Floor; out.RowBacked() != want {
+					t.Fatalf("Concat of %d rows: row form %v, want %v", len(ref), out.RowBacked(), want)
 				}
-				sel := in.sel(len(refs[j]))
-				pool[i].AppendGather(pool[j], sel)
-				for _, s := range sel {
-					refs[i] = append(refs[i], refs[j][s])
-				}
-				checkForm(t, pool[i], refs[i])
+				add(out, ref)
 			case 4: // Gather, and Pick of the same rows
 				i := pick()
 				sel := in.sel(len(refs[i]))

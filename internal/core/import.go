@@ -56,14 +56,16 @@ func (s *Session) execImport(st *sqlparse.Import) (*Result, error) {
 	// Every parent has one child per pick of an alternative from each
 	// group, last group fastest. The groups' alternatives are assembled
 	// once, group gi's alternative a at row off[gi]+a, and each child is
-	// one batch sized for the certain rows plus one gather of its picks.
+	// one Concat of the certain rows and its picks.
 	sizes := make([]int, len(plan.Groups))
 	off := make([]int32, len(plan.Groups))
-	alts := colbatch.New(plan.Schema)
+	groups := make([]colbatch.Part, len(plan.Groups))
+	n := int32(0)
 	for gi, g := range plan.Groups {
-		sizes[gi], off[gi] = g.Rel.Len(), int32(alts.Len())
-		alts.AppendBatch(g.Rel.Batch())
+		sizes[gi], off[gi], groups[gi] = g.Rel.Len(), n, colbatch.Part{B: g.Rel.Batch()}
+		n += int32(g.Rel.Len())
 	}
+	alts := colbatch.Concat(plan.Schema, groups)
 	sel := make([]int32, len(plan.Groups))
 	worlds := make([]*world.World, 0, len(s.set.Worlds)*perParent)
 	for _, parent := range s.set.Worlds {
@@ -80,10 +82,7 @@ func (s *Session) execImport(st *sqlparse.Import) (*Result, error) {
 					child.Prob *= g.Probs[pick[gi]]
 				}
 			}
-			combined := colbatch.New(plan.Schema)
-			combined.Reserve(plan.Certain.Len() + len(sel))
-			combined.AppendBatch(plan.Certain.Batch())
-			combined.AppendGather(alts, sel)
+			combined := colbatch.Concat(plan.Schema, []colbatch.Part{{B: plan.Certain.Batch()}, {B: alts, Sel: sel}})
 			child.Put(st.Table, relation.FromBatch(combined))
 			worlds = append(worlds, child)
 			return nil

@@ -142,25 +142,28 @@ func (c splitCatalog) Certain(name string) (*relation.Relation, error) {
 }
 
 func (c splitCatalog) Delta(name string) (*relation.Relation, error) {
-	var out *colbatch.Batch
+	var parts []colbatch.Part
 	var tags []int64
 	for t, alt := range c.alts {
 		contrib := alt[name]
 		if contrib.Len() == 0 {
 			continue
 		}
-		if out == nil {
-			out = colbatch.New(contrib.Schema)
-		}
-		out.AppendBatch(contrib.Batch())
+		parts = append(parts, colbatch.Part{B: contrib.Batch()})
 		for range contrib.Len() {
 			tags = append(tags, int64(t))
 		}
 	}
-	if out == nil {
+	if parts == nil {
 		return nil, nil
 	}
+	out := colbatch.Concat(parts[0].B.Schema, parts)
 	return relation.FromBatch(out.Extend(Tagged(out.Schema), colbatch.Col{Kind: value.KindInt, Ints: tags})), nil
+}
+
+// concat is a's rows followed by b's, under a's schema.
+func concat(a, b *relation.Relation) *relation.Relation {
+	return relation.FromBatch(colbatch.Concat(a.Schema, []colbatch.Part{{B: a.Batch()}, {B: b.Batch()}}))
 }
 
 // Lookup is the table's instance under alternative 0: the certain part
@@ -170,11 +173,10 @@ func (c splitCatalog) Lookup(name string) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	full := cert.Clone()
 	if delta := c.alts[0][name]; delta != nil {
-		full.AppendBatch(delta.Batch())
+		return concat(cert, delta), nil
 	}
-	return full, nil
+	return cert.Clone(), nil
 }
 
 // only is the catalog listing alternative t alone, as alternative 0.
@@ -287,8 +289,7 @@ func TestBindDelta(t *testing.T) {
 		full := eval(prep.Bind(cat, nil))
 		base := eval(prep.Bind(CatalogFunc(cat.Certain), nil))
 		delta := untag(eval(prep.Deltas().Bind(cat, nil)), 0)
-		sum := base.Clone()
-		sum.AppendBatch(delta.Batch())
+		sum := concat(base, delta)
 		if !sum.EqualSet(full) {
 			t.Errorf("%q: base ∪ Δ differs from the full answer\nbase:\n%sΔ:\n%sfull:\n%s", sql, base, delta, full)
 		}

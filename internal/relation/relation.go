@@ -3,11 +3,14 @@
 // engine needs — deduplication, union, intersection, difference, sorting,
 // order-insensitive fingerprints — plus pretty printing and CSV I/O.
 //
-// A relation is its batch: a Relation is a schema over one colbatch.Batch,
-// which holds the rows in whatever form colbatch picked for their number,
-// and every operation here reads and builds batches without asking which
-// form that is. Rows materializes tuples on every call; outside tests only
-// the CSV writer asks for them.
+// A relation is its batch: a Relation is a schema and one colbatch.Batch,
+// nothing else — no index or second copy of the rows is cached beside it.
+// The batch holds the rows in whatever form colbatch picked for their
+// number, and every operation here reads and builds batches without asking
+// which form that is: a derived relation is one colbatch gather of the rows
+// it keeps. A relation grows tuple by tuple (Append) only while it is being
+// built. Rows materializes tuples on every call; outside tests only the CSV
+// writer asks for them.
 package relation
 
 import (
@@ -17,7 +20,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"maybms/internal/colbatch"
 	"maybms/internal/schema"
@@ -25,23 +27,13 @@ import (
 	"maybms/internal/value"
 )
 
-// Relation is a schema plus a bag of tuples, stored as one batch. Most
-// engine operations treat relations as immutable after construction;
-// Append is only used while building.
-//
-// An encoded-key set (Contains) is built lazily and validated by tuple
-// count, so appending after a cached read rebuilds it; it is safe for
-// concurrent readers.
+// Relation is a schema plus a bag of tuples, stored as one batch. Engine
+// operations treat relations as immutable after construction; Append is
+// only used while building.
 type Relation struct {
 	Schema *schema.Schema
 
 	store *colbatch.Batch // nil on a bare literal, read as empty
-	keys  atomic.Pointer[keyIndex]
-}
-
-type keyIndex struct {
-	n   int
-	set map[string]struct{}
 }
 
 // ensure returns the batch, installing an empty one on a relation built as
@@ -110,11 +102,6 @@ func (r *Relation) MustAppend(t tuple.Tuple) {
 	}
 }
 
-// AppendBatch bulk-appends the rows of b, whose width must be the schema's.
-func (r *Relation) AppendBatch(b *colbatch.Batch) {
-	r.ensure().AppendBatch(b)
-}
-
 // Len returns the number of tuples (bag cardinality).
 func (r *Relation) Len() int {
 	if r == nil || r.store == nil {
@@ -171,22 +158,6 @@ func (r *Relation) gather(sel []int32) *Relation {
 	out := r.Batch().Gather(sel)
 	out.Schema = r.Schema
 	return FromBatch(out)
-}
-
-// Contains reports whether r contains a tuple equal to t. The encoded-key
-// set is built lazily on first use and reused while the tuple count is
-// unchanged, so repeated membership tests are O(1) instead of a scan that
-// re-encodes every candidate.
-func (r *Relation) Contains(t tuple.Tuple) bool {
-	idx := r.keys.Load()
-	if idx == nil || idx.n != r.Len() {
-		set := keySet(r)
-		idx = &keyIndex{n: r.Len(), set: set}
-		r.keys.Store(idx)
-	}
-	buf := t.Encode(make([]byte, 0, 48))
-	_, ok := idx.set[string(buf)]
-	return ok
 }
 
 // Sort returns a copy of r with tuples in canonical order (tuple.Compare).

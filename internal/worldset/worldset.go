@@ -162,10 +162,7 @@ func Possible(results []*relation.Relation, interrupt func() error) (*relation.R
 	if err := requireSameArity(results); err != nil {
 		return nil, err
 	}
-	out := colbatch.New(results[0].Schema)
-	out.Reserve(rowsIn(results))
-	var scratch [32]int32 // a small answer's selections stay on the stack
-	sel := scratch[:0]
+	parts := newAnswerParts(results)
 	seen := map[string]struct{}{}
 	var buf []byte
 	for _, r := range results {
@@ -173,28 +170,51 @@ func Possible(results []*relation.Relation, interrupt func() error) (*relation.R
 			return nil, err
 		}
 		b := r.Batch()
-		sel = sel[:0]
 		for i := 0; i < b.Len(); i++ {
 			buf = b.AppendKey(buf[:0], i)
 			if _, dup := seen[string(buf)]; dup {
 				continue
 			}
 			seen[string(buf)] = struct{}{}
-			sel = append(sel, int32(i))
+			parts.sel = append(parts.sel, int32(i))
 		}
-		out.AppendGather(b, sel)
+		parts.end(b)
 	}
-	return relation.FromBatch(out), nil
+	return relation.FromBatch(colbatch.Concat(results[0].Schema, parts.list)), nil
 }
 
-// rowsIn returns the length of the largest of results: the room a closure
-// reserves for its answer, which holds every distinct row of each.
-func rowsIn(results []*relation.Relation) int {
+// answerParts accumulates a closure's answer as the parts of one Concat: of
+// each world's answer, the rows it lists first, cut from one flat selection
+// (sel, whose rows since lo are the current world's).
+type answerParts struct {
+	sel  []int32
+	lo   int
+	list []colbatch.Part
+}
+
+// newAnswerParts sizes the parts of the answer over results: a part per
+// world, and a selection of the largest answer's length, which holds every
+// distinct row of each.
+func newAnswerParts(results []*relation.Relation) answerParts {
 	n := 0
 	for _, r := range results {
 		n = max(n, r.Len())
 	}
-	return n
+	return answerParts{sel: make([]int32, 0, n), list: make([]colbatch.Part, 0, len(results))}
+}
+
+// end closes the rows selected since the last end as a part of b: none when
+// they are no row, every row of b (nil) when they are all of them, as they
+// then are in order.
+func (a *answerParts) end(b *colbatch.Batch) {
+	switch sel := a.sel[a.lo:]; len(sel) {
+	case 0:
+	case b.Len():
+		a.list = append(a.list, colbatch.Part{B: b})
+	default:
+		a.list = append(a.list, colbatch.Part{B: b, Sel: sel})
+	}
+	a.lo = len(a.sel)
 }
 
 // poll invokes a (possibly nil) interrupt hook.
@@ -240,11 +260,9 @@ func Conf(results []*relation.Relation, probs []float64, interrupt func() error)
 	// accumulates row i's confidence, and lastWorld[i] dedups within one
 	// world: a tuple appearing several times in one world's answer
 	// contributes that world's probability once.
-	out := colbatch.New(results[0].Schema)
-	out.Reserve(rowsIn(results))
-	var scratch [32]int32 // a small answer's selections and stamps stay on the stack
-	var stamps [32]int
-	sel, lastWorld := scratch[:0], stamps[:0]
+	parts := newAnswerParts(results)
+	var stamps [32]int // a small answer's stamps stay on the stack
+	lastWorld := stamps[:0]
 	index := map[string]int{}
 	var conf []float64
 	var buf []byte
@@ -253,7 +271,6 @@ func Conf(results []*relation.Relation, probs []float64, interrupt func() error)
 			return nil, err
 		}
 		b := r.Batch()
-		sel = sel[:0]
 		for i := 0; i < b.Len(); i++ {
 			buf = b.AppendKey(buf[:0], i)
 			e, ok := index[string(buf)]
@@ -262,7 +279,7 @@ func Conf(results []*relation.Relation, probs []float64, interrupt func() error)
 				index[string(buf)] = e
 				conf = append(conf, 0)
 				lastWorld = append(lastWorld, -1)
-				sel = append(sel, int32(i))
+				parts.sel = append(parts.sel, int32(i))
 			}
 			if lastWorld[e] == w {
 				continue
@@ -270,12 +287,13 @@ func Conf(results []*relation.Relation, probs []float64, interrupt func() error)
 			lastWorld[e] = w
 			conf[e] += probs[w]
 		}
-		out.AppendGather(b, sel)
+		parts.end(b)
 	}
 	for e := range conf {
 		conf[e] = min(conf[e], 1) // clamp float accumulation noise
 	}
 	sch := results[0].Schema.Concat(schema.New("conf"))
+	out := colbatch.Concat(results[0].Schema, parts.list)
 	return relation.FromBatch(out.Extend(sch, colbatch.Col{Kind: value.KindFloat, Floats: conf})), nil
 }
 

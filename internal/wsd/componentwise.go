@@ -90,8 +90,8 @@ func firstWorld(comps []int) map[int]int {
 // Lookup implements plan.Catalog: the certain part followed by the selected
 // contributions. Stored state is batch-backed, so a single-source instance
 // passes the stored relation through — the scan reads its batch directly,
-// with no per-evaluation re-encode — and a multi-source one concatenates
-// the parts' batches into one, in the form colbatch picks for it.
+// with no per-evaluation re-encode — and a multi-source one is one
+// colbatch.Concat of the sources' batches.
 func (pc partsCatalog) Lookup(name string) (*relation.Relation, error) {
 	k := key(name)
 	sch, ok := pc.d.schemas[k]
@@ -123,15 +123,15 @@ func (pc partsCatalog) Lookup(name string) (*relation.Relation, error) {
 	case cert.Len() == 0 && len(rest) == 0:
 		return under(first, sch), nil
 	}
-	combined := colbatch.New(sch)
+	parts := make([]colbatch.Part, 0, 2+len(rest))
 	if cert.Len() > 0 {
-		combined.AppendBatch(cert.Batch())
+		parts = append(parts, colbatch.Part{B: cert.Batch()})
 	}
-	combined.AppendBatch(first.Batch())
+	parts = append(parts, colbatch.Part{B: first.Batch()})
 	for _, c := range rest {
-		combined.AppendBatch(c.Batch())
+		parts = append(parts, colbatch.Part{B: c.Batch()})
 	}
-	return relation.FromBatch(combined), nil
+	return relation.FromBatch(colbatch.Concat(sch, parts)), nil
 }
 
 // under returns the stored relation rel under the registered schema sch:

@@ -61,7 +61,7 @@ func (d *WSD) conditionalRelation(p *componentParts) (*relation.Relation, error)
 	for _, part := range p.parts {
 		n += part.Len()
 	}
-	rows := []*colbatch.Batch{p.base}
+	rows := []colbatch.Part{{B: p.base}}
 	conds := make([]string, p.base.Len(), n)
 	for i, c := range p.comps {
 		for a := range c.Alts {
@@ -72,7 +72,7 @@ func (d *WSD) conditionalRelation(p *componentParts) (*relation.Relation, error)
 			if delta.Len() == 0 {
 				continue
 			}
-			rows = append(rows, delta)
+			rows = append(rows, colbatch.Part{B: delta})
 			cond := condFor(ix, p.idx[i], a)
 			for range delta.Len() {
 				conds = append(conds, cond)

@@ -40,11 +40,11 @@ func checkDeltaParts(t *testing.T, label string, d *WSD, sql string) {
 			if err != nil {
 				t.Fatalf("%s %q full part (%d,%d): %v", label, sql, ci, a, err)
 			}
-			sum := colbatch.New(p.base.Schema)
-			sum.AppendBatch(p.base)
+			parts := []colbatch.Part{{B: p.base}}
 			if delta := p.part(i, a).batch(); delta != nil {
-				sum.AppendBatch(delta)
+				parts = append(parts, colbatch.Part{B: delta})
 			}
+			sum := colbatch.Concat(p.base.Schema, parts)
 			got, want := relation.FromBatch(sum), relation.FromBatch(full)
 			if !got.EqualSet(want) {
 				t.Errorf("%s %q part (%d,%d): base ∪ Δ differs from the full evaluation\nbase ++ Δ:\n%sfull:\n%s", label, sql, ci, a, got, want)

@@ -92,7 +92,7 @@ func (d *WSD) routeDML(st sqlparse.Statement, table, format string) (decision, f
 			k, sch := key(table), d.schemas[key(table)]
 			if cert := d.certain[k]; cert != nil {
 				for _, a := range d.own(mi).Alts {
-					a.Contrib[k] = relation.FromBatch(colbatch.Concat(sch, []*colbatch.Batch{cert.Batch(), a.contribution(k, sch)}))
+					a.Contrib[k] = relation.FromBatch(colbatch.Concat(sch, []colbatch.Part{{B: cert.Batch()}, {B: a.contribution(k, sch)}}))
 				}
 				delete(d.certain, k)
 			}

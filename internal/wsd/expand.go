@@ -5,7 +5,9 @@ import (
 	"math/big"
 	"slices"
 
+	"maybms/internal/colbatch"
 	"maybms/internal/relation"
+	"maybms/internal/schema"
 	"maybms/internal/world"
 	"maybms/internal/worldset"
 )
@@ -41,30 +43,40 @@ func (d *WSD) Expand(limit int) (*worldset.Set, error) {
 		if d.Weighted {
 			w.Prob = prob
 		}
-		// Start from the certain part.
-		perRel := map[string]*relation.Relation{}
-		for k, sch := range d.schemas {
-			rel := relation.New(sch)
-			if cert, ok := d.certain[k]; ok {
-				rel.AppendBatch(cert.Batch())
-			}
-			perRel[k] = rel
+		// Each relation is its certain part followed by the active
+		// alternatives' contributions.
+		perRel := map[string][]*relation.Relation{}
+		for k, cert := range d.certain {
+			perRel[k] = []*relation.Relation{cert}
 		}
 		for ci, c := range d.comps {
 			if digits[ci] < 0 {
 				continue // inactive under this world's parent path
 			}
 			for name, rel := range c.Alts[digits[ci]].Contrib {
-				perRel[name].AppendBatch(rel.Batch())
+				perRel[name] = append(perRel[name], rel)
 			}
 		}
-		for k, rel := range perRel {
-			w.Put(d.names[k], rel)
+		for k, sch := range d.schemas {
+			w.Put(d.names[k], concatRels(sch, perRel[k]))
 		}
 		set.Worlds = append(set.Worlds, w)
 		return nil
 	})
 	return set, nil
+}
+
+// concatRels returns the rows of rels, in order, as one relation under sch:
+// a zero-copy view of a single relation, else one colbatch.Concat.
+func concatRels(sch *schema.Schema, rels []*relation.Relation) *relation.Relation {
+	if len(rels) == 1 {
+		return rels[0].WithSchema(sch)
+	}
+	parts := make([]colbatch.Part, len(rels))
+	for i, r := range rels {
+		parts[i] = colbatch.Part{B: r.Batch()}
+	}
+	return relation.FromBatch(colbatch.Concat(sch, parts))
 }
 
 // walkAssignments calls visit with every valid digit assignment of the

@@ -316,10 +316,12 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 			}
 		}
 	}
-	out := colbatch.New(sch)
-	out.Reserve(room)
+	// The answer is one Concat of the emitted rows of every part, cut from
+	// one flat selection; consecutive parts over one batch (row ranges of a
+	// tagged delta) share one part of it.
+	var parts []colbatch.Part
+	sel := make([]int32, 0, room)
 	emitted := make([]bool, len(f.ids), room)
-	var sel []int32
 	var confs []float64
 	emit := func(part rowRange) error {
 		if part.Len() == 0 {
@@ -328,7 +330,7 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 		if err := f.d.interrupted(); err != nil {
 			return err
 		}
-		sel = sel[:0]
+		lo := len(sel)
 		for r, id := range f.rowIDs(part, false) {
 			if int(id) == len(emitted) { // first seen by the emission: ids are dense
 				emitted = append(emitted, false)
@@ -345,10 +347,15 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 				confs = append(confs, f.conf(f.tuple(id)))
 			}
 		}
-		if len(sel) == part.b.Len() {
-			out.AppendBatch(part.b) // sel is ascending by construction
-		} else {
-			out.AppendGather(part.b, sel)
+		n := len(parts)
+		switch picked := sel[lo:]; {
+		case len(picked) == 0:
+		case len(picked) == part.b.Len(): // every row, ascending by construction
+			parts = append(parts, colbatch.Part{B: part.b})
+		case n > 0 && parts[n-1].B == part.b && parts[n-1].Sel != nil:
+			parts[n-1].Sel = sel[lo-len(parts[n-1].Sel):]
+		default:
+			parts = append(parts, colbatch.Part{B: part.b, Sel: picked})
 		}
 		return nil
 	}
@@ -362,6 +369,7 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 			}
 		}
 	}
+	out := colbatch.Concat(sch, parts)
 	if cl.isConf() {
 		out = out.Extend(sch.Concat(confSchema()), colbatch.Col{Kind: value.KindFloat, Floats: confs})
 	}

@@ -124,7 +124,7 @@ func (ix *index) delta(k string, sch *schema.Schema) *storedDelta {
 		return sd
 	}
 	sd := &storedDelta{}
-	var parts []*colbatch.Batch
+	var parts []colbatch.Part
 	n := 0
 	for _, ci := range ix.rels[k] {
 		for a, alt := range ix.comps[ci].Alts {
@@ -132,7 +132,7 @@ func (ix *index) delta(k string, sch *schema.Schema) *storedDelta {
 			if c.Len() == 0 {
 				continue
 			}
-			parts = append(parts, c.Batch())
+			parts = append(parts, colbatch.Part{B: c.Batch()})
 			n += c.Len()
 			sd.runs = append(sd.runs, deltaRun{comp: int32(ci), alt: int32(a), end: int32(n)})
 		}

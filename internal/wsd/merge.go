@@ -238,17 +238,17 @@ func (d *WSD) condense(idxs []int) (*Component, error) {
 		if d.Weighted {
 			na.Prob = prob
 		}
+		union := map[string][]*relation.Relation{}
 		for p, ci := range idxs {
 			if digits[p] < 0 {
 				continue
 			}
 			for name, rel := range d.comps[ci].Alts[digits[p]].Contrib {
-				if dst, ok := na.Contrib[name]; ok {
-					dst.AppendBatch(rel.Batch())
-				} else {
-					na.Contrib[name] = rel.Clone()
-				}
+				union[name] = append(union[name], rel)
 			}
+		}
+		for name, rels := range union {
+			na.Contrib[name] = concatRels(rels[0].Schema, rels)
 		}
 		alts = append(alts, na)
 		return nil

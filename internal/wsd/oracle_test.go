@@ -44,8 +44,7 @@ func (ac alternativeCatalog) Delta(name string) (*relation.Relation, error) {
 	if c.Len() == 0 {
 		return nil, nil
 	}
-	b := colbatch.New(sch)
-	b.AppendBatch(c.Batch())
+	b := c.Batch().WithSchema(sch)
 	return relation.FromBatch(b.Extend(plan.Tagged(sch), colbatch.Col{Kind: value.KindInt, Ints: make([]int64, c.Len())})), nil
 }
 

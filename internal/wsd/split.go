@@ -326,22 +326,32 @@ func (d *WSD) split(s *splitter, dst string) error {
 }
 
 // repairGroupComp builds the alternatives of one key-group component from
-// the candidate rows sel of b: one alternative per candidate,
-// weight-proportional (or uniform) probabilities.
-func (d *WSD) repairGroupComp(sch *schema.Schema, dk string, b *colbatch.Batch, sel []int32, weightIdx int) ([]Alternative, error) {
-	var probs []float64
-	if d.Weighted {
-		w, err := relation.Weights(b, sel, weightIdx)
-		if err != nil {
-			return nil, err
-		}
-		probs = relation.Normalize(w)
+// its candidates, each picked from the batch it lives in: the rows Sel of
+// every part of cands, in order. One alternative per candidate, with
+// weight-proportional (or uniform) probabilities: the weights read part by
+// part and normalised over the group.
+func (d *WSD) repairGroupComp(sch *schema.Schema, dk string, cands []colbatch.Part, weightIdx int) ([]Alternative, error) {
+	n := 0
+	for _, p := range cands {
+		n += len(p.Sel)
 	}
-	alts := make([]Alternative, len(sel))
-	for i := range sel {
-		alts[i] = Alternative{Contrib: contribRel(sch, dk, b.Pick(sel[i:i+1]))}
+	alts := make([]Alternative, 0, n)
+	var weights []float64
+	for _, p := range cands {
 		if d.Weighted {
-			alts[i].Prob = probs[i]
+			w, err := relation.Weights(p.B, p.Sel, weightIdx)
+			if err != nil {
+				return nil, err
+			}
+			weights = append(weights, w...)
+		}
+		for i := range p.Sel {
+			alts = append(alts, Alternative{Contrib: contribRel(sch, dk, p.B.Pick(p.Sel[i:i+1]))})
+		}
+	}
+	if d.Weighted {
+		for i, p := range relation.Normalize(weights) {
+			alts[i].Prob = p
 		}
 	}
 	return alts, nil
@@ -410,7 +420,7 @@ func (d *WSD) repair(s *splitter, dst string) error {
 		buf = cb.AppendKeyOn(buf[:0], keyIdx, int(certRows[0]))
 		fi, isOwned := owner[string(buf)]
 		if !isOwned {
-			alts, err := d.repairGroupComp(sch, dk, cb, certRows, weightIdx)
+			alts, err := d.repairGroupComp(sch, dk, []colbatch.Part{{B: cb, Sel: certRows}}, weightIdx)
 			if err == nil {
 				_, err = d.addComponent(alts)
 			}
@@ -432,14 +442,11 @@ func (d *WSD) repair(s *splitter, dst string) error {
 					match = append(match, int32(i))
 				}
 			}
-			inst := colbatch.New(sch)
-			inst.AppendGather(cb, certRows)
-			inst.AppendGather(b, match)
-			all := make([]int32, inst.Len())
-			for i := range all {
-				all[i] = int32(i)
+			cands := []colbatch.Part{{B: cb, Sel: certRows}}
+			if len(match) > 0 {
+				cands = append(cands, colbatch.Part{B: b, Sel: match})
 			}
-			alts, err := d.repairGroupComp(sch, dk, inst, all, weightIdx)
+			alts, err := d.repairGroupComp(sch, dk, cands, weightIdx)
 			if err == nil {
 				_, err = d.addChildComponent(alts, fc.ID, ai)
 			}
@@ -467,7 +474,7 @@ func (d *WSD) repair(s *splitter, dst string) error {
 				if _, ok := s.anchored[string(buf)]; ok {
 					continue // handled in (a), certain-prefix position
 				}
-				alts, err := d.repairGroupComp(sch, dk, b, rows, weightIdx)
+				alts, err := d.repairGroupComp(sch, dk, []colbatch.Part{{B: b, Sel: rows}}, weightIdx)
 				if err == nil {
 					_, err = d.addChildComponent(alts, fc.ID, ai)
 				}
@@ -522,7 +529,7 @@ func (d *WSD) choose(s *splitter, dst string) error {
 		if err := d.interrupted(); err != nil {
 			return err
 		}
-		inst := colbatch.Concat(sch, []*colbatch.Batch{s.cert, a.contribution(k, sch)})
+		inst := colbatch.Concat(sch, []colbatch.Part{{B: s.cert}, {B: a.contribution(k, sch)}})
 		alts, err := d.choiceComp(sch, dk, inst, attrIdx, weightIdx)
 		if err != nil {
 			return fmt.Errorf("choice over %s: %w", s.src, err)
