@@ -539,10 +539,13 @@ func BenchmarkClosureComponents(b *testing.B) {
 // decomposition it runs over: `select possible V from U where K = 0` over n
 // flat two-alternative repair components U beside one nested chain (a repair
 // N chained on a repair U2), closure.compact's shape. The answer is one
-// component's two rows; what grows with n is the tagged delta's tag column
-// and the fold over U's alternatives, while the decomposition's index (its
-// ID positions, children, relation feeders and U's concatenated
-// contributions) is built once, not per statement.
+// component's two rows. The decomposition's index (its ID positions,
+// children, alternative numbering, tree facts, relation feeders and U's
+// stored tagged delta) is built once, not per statement, and the split and
+// fold after the evaluations visit the one touched component's parts; what
+// still grows with n is the filter over U's stored delta, the statement's
+// snapshot of the component list, and the index build that the first
+// statement after a change pays.
 func BenchmarkStatementOverhead(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("comps=%d", n), func(b *testing.B) {

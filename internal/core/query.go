@@ -272,7 +272,9 @@ func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt, 
 	}
 
 	// Phase one: FROM/WHERE + split, per parent world, naming the children
-	// in world order.
+	// in world order. Both phases drain under the statement's one outer
+	// context (evaluations only read it).
+	outer := StatementCtx(s.interrupt, s.trace)
 	var worlds []*world.World
 	var pieces []piece
 	for _, w := range parents {
@@ -283,7 +285,7 @@ func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt, 
 		if err != nil {
 			return nil, nil, err
 		}
-		ir, err := algebra.Collect(irOp, StatementCtx(s.interrupt, s.trace))
+		ir, err := algebra.Collect(irOp, outer)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -323,7 +325,7 @@ func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt, 
 		if err != nil {
 			return nil, nil, err
 		}
-		if results[i], err = algebra.Collect(op, StatementCtx(s.interrupt, s.trace)); err != nil {
+		if results[i], err = algebra.Collect(op, outer); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -331,14 +333,15 @@ func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt, 
 }
 
 // collectEach compiles q once against worlds[0] and collects its answer in
-// every world, binding through the statement's memo and polling the
-// interrupt hook before each.
+// every world, binding through the statement's memo, draining under one outer
+// context and polling the interrupt hook before each.
 func (s *Session) collectEach(q *sqlparse.SelectStmt, worlds []*world.World, memo *plan.Memo) ([]*relation.Relation, error) {
 	prep, err := s.preparedFull(q, worlds[0])
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*relation.Relation, len(worlds))
+	outer := StatementCtx(s.interrupt, s.trace)
 	for i, w := range worlds {
 		if err := s.interrupted(); err != nil {
 			return nil, err
@@ -347,7 +350,7 @@ func (s *Session) collectEach(q *sqlparse.SelectStmt, worlds []*world.World, mem
 		if err != nil {
 			return nil, err
 		}
-		if out[i], err = algebra.Collect(op, StatementCtx(s.interrupt, s.trace)); err != nil {
+		if out[i], err = algebra.Collect(op, outer); err != nil {
 			return nil, err
 		}
 	}

@@ -109,7 +109,8 @@ func (f ComponentCatalogFunc) Components(table string) []int { return f(table) }
 // ComponentAnalysis is the result of analyzing a compiled template against
 // a component catalog.
 type ComponentAnalysis struct {
-	// Comps is the sorted set of component IDs the tree touches.
+	// Comps is the sorted set of component IDs the tree touches. It is
+	// read-only: it may be the catalog's own slice, clipped.
 	Comps []int
 	// Decomposable reports that the tree satisfies the monotone
 	// decomposition identity above: closures (possible/certain/conf) can be
@@ -155,7 +156,13 @@ func (s compSet) union(t compSet) compSet {
 	return out
 }
 
+// newCompSet returns the set of ids: ids itself, clipped, when it is
+// strictly ascending already — as a decomposition's listing of a table's
+// components is — else a sorted, deduplicated copy.
 func newCompSet(ids []int) compSet {
+	if ascending(ids) {
+		return ids[:len(ids):len(ids)]
+	}
 	out := append(compSet(nil), ids...)
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && out[j] < out[j-1]; j-- {
@@ -173,6 +180,16 @@ func newCompSet(ids []int) compSet {
 	return out[:w]
 }
 
+// ascending reports whether ids is strictly ascending.
+func ascending(ids []int) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
 // nodeInfo is the bottom-up annotation of one operator subtree.
 type nodeInfo struct {
 	comps  compSet
@@ -188,7 +205,7 @@ func (p *Prepared) Analyze(cc ComponentCatalog) (*ComponentAnalysis, error) {
 		return nil, err
 	}
 	return &ComponentAnalysis{
-		Comps:        append([]int(nil), info.comps...),
+		Comps:        info.comps,
 		Decomposable: info.decomp,
 		Concat:       info.decomp && info.concat,
 	}, nil

@@ -16,18 +16,28 @@ package wsd
 // statement, and so is every contribution (unconditioned tuples once,
 // conditioned ones beside them: the c-tables of "Conditional Tables in
 // practice", PAPERS.md). As there, the tagged relation is stored, not rebuilt
-// per query: a relation's contributions are concatenated once per change of
-// the decomposition (index.go), and a statement only writes the tag column
-// its listing of the components gives them.
+// per query: a relation's contributions and their tag column are
+// concatenated once per change of the decomposition (index.go), and a
+// statement reads them as they are.
 //
 // The tagged delta is the U-relation form of MayBMS's successor (Antova,
 // Jansen, Koch and Olteanu, ICDE 2008): every contribution row carries the
-// tag of its (component, alternative) — the alternative's index, flat over
-// the listed components — and Prepared.Deltas binds the template once over
-// the tagged union (the tag rules are in internal/plan's components.go).
+// tag of its (component, alternative) — the index's number of it, flat over
+// the whole component list — and Prepared.Deltas binds the template once
+// over the tagged union (the tag rules are in internal/plan's components.go).
 // Its rows tagged t are ΔQ of alternative t, in the order that
 // alternative's delta alone lists them, so a stable partition on the tag
-// splits the one answer into every part. This file holds the evaluation
+// splits the one answer into its non-empty parts.
+//
+// Cost model: the filter over the stored delta is the one step that reads
+// every contribution row; after the two evaluations the split, the fold, the
+// conditional relation and the componentwise store cost O(answer rows + the
+// d-trees holding them), however many components and alternatives the
+// statement lists: a component that adds nothing to the answer has no part,
+// and they do not visit it. (GROUP WORLDS BY's frontier fold, groupworlds.go,
+// still steps through every alternative of the grouping components.)
+//
+// This file holds the evaluation
 // half: the catalogs (a world's instance; the certain parts and the tagged
 // contributions), the two evaluations and that split, and the componentwise
 // materialization. The closing half is the one fold in fold.go: it takes
@@ -44,7 +54,9 @@ package wsd
 // the evaluations directly.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"maybms/internal/colbatch"
@@ -144,15 +156,11 @@ func under(rel *relation.Relation, sch *schema.Schema) *relation.Relation {
 	return rel.WithSchema(sch)
 }
 
-// deltaCatalog is the plan.PartsCatalog of a statement's two evaluations
-// over the listed components (ascending, every component feeding a table the
-// statement reads among them): the certain parts, and every listed
-// alternative's contribution tagged with the alternative's flat index
-// (first[i] + a for alternative a of comps[i]).
+// deltaCatalog is the plan.PartsCatalog of a statement's two evaluations:
+// the certain parts, and every relation's stored delta — its contributions
+// tagged with the index's number of their (component, alternative).
 type deltaCatalog struct {
 	d      *WSD
-	comps  []int
-	first  []int
 	tagged *int // rows handed out by Delta
 }
 
@@ -162,36 +170,18 @@ func (dc deltaCatalog) Certain(name string) (*relation.Relation, error) {
 	return partsCatalog{d: dc.d}.Lookup(name)
 }
 
-// Delta implements plan.PartsCatalog: the relation's contributions,
-// concatenated once per change of the decomposition (the index's stored
-// delta), beside a fresh tag column this statement's listing gives them.
+// Delta implements plan.PartsCatalog: the relation's stored delta, tag
+// column and all, concatenated and numbered once per change of the
+// decomposition (index.go). It allocates nothing.
 func (dc deltaCatalog) Delta(name string) (*relation.Relation, error) {
 	k := key(name)
 	sch, ok := dc.d.schemas[k]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknown, name)
 	}
-	sd := dc.d.index().delta(k, sch)
-	if sd.rows == nil {
-		return nil, nil
-	}
-	tags := make([]int64, sd.rows.Len())
-	lo, i := 0, 0
-	for _, run := range sd.runs {
-		for i < len(dc.comps) && dc.comps[i] < int(run.comp) {
-			i++
-		}
-		if i == len(dc.comps) || dc.comps[i] != int(run.comp) {
-			return nil, fmt.Errorf("component %d feeds %s but is not listed", run.comp, name)
-		}
-		tag := int64(dc.first[i] + int(run.alt))
-		for r := lo; r < int(run.end); r++ {
-			tags[r] = tag
-		}
-		lo = int(run.end)
-	}
-	*dc.tagged += len(tags)
-	return relation.FromBatch(sd.rows.Extend(plan.Tagged(sch), colbatch.Col{Kind: value.KindInt, Ints: tags})), nil
+	rel := dc.d.index().delta(k, sch)
+	*dc.tagged += rel.Len()
+	return rel, nil
 }
 
 var _ plan.PartsCatalog = deltaCatalog{}
@@ -226,55 +216,70 @@ func (r rowRange) batch() *colbatch.Batch {
 	return r.b.Slice(r.lo, r.hi)
 }
 
+// part is the non-empty part of alternative a of the component at position
+// ci of the component list.
+type part struct {
+	ci, a int
+	rows  rowRange
+}
+
 // componentParts is the componentwise evaluation of one query. Answers are
 // batches, in the form colbatch picked for each.
 type componentParts struct {
-	idx   []int           // the evaluated components' indexes, ascending
-	comps []*Component    // the evaluated components
-	base  *colbatch.Batch // the certain-only answer Q(cert)
-	first []int           // first[i]: the flat index of (comps[i], 0)
-	// parts[first[i]+a] is the part of (comps[i], a) — on the merge-free
-	// routes ΔQ(comps[i], a), what alternative a adds to base: a range of the
-	// tagged answer, empty when it adds nothing.
-	parts []rowRange
+	idx  []int           // the listed components' positions, ascending
+	base *colbatch.Batch // the certain-only answer Q(cert)
+	// parts are the non-empty parts of the listed components, components
+	// ascending, then alternatives — on the merge-free routes ΔQ(c, a), what
+	// alternative a of c adds to base, a range of the tagged answer. A
+	// (component, alternative) not among them adds nothing.
+	parts []part
 }
 
-// newComponentParts lays out the parts of the listed components, all empty.
-func (d *WSD) newComponentParts(compIdx []int, base *colbatch.Batch) *componentParts {
-	p := &componentParts{idx: compIdx, comps: make([]*Component, len(compIdx)), base: base, first: make([]int, len(compIdx))}
-	n := 0
-	for i, ci := range compIdx {
-		p.comps[i], p.first[i] = d.comps[ci], n
-		n += len(d.comps[ci].Alts)
+// partsOf returns the parts of the component at position ci.
+func partsOf(parts []part, ci int) []part {
+	lo, _ := slices.BinarySearchFunc(parts, ci, func(p part, ci int) int { return cmp.Compare(p.ci, ci) })
+	hi := lo
+	for hi < len(parts) && parts[hi].ci == ci {
+		hi++
 	}
-	p.parts = make([]rowRange, n)
-	return p
+	return parts[lo:hi]
 }
 
-// part returns the part of (comps[i], alternative a).
-func (p *componentParts) part(i, a int) rowRange { return p.parts[p.first[i]+a] }
+// part returns the part of alternative a of the component at position ci,
+// the empty range when it adds nothing.
+func (p *componentParts) part(ci, a int) rowRange {
+	for _, pt := range partsOf(p.parts, ci) {
+		if pt.a == a {
+			return pt.rows
+		}
+	}
+	return rowRange{}
+}
 
 // queryByComponent evaluates query twice over the listed components: over
 // the certain part, and as the tagged delta of all their alternatives, which
-// a stable partition on the tag splits into the parts — reading
-// O(|cert| + Σ|contributions|) rows, no merge, no mutation of the
-// decomposition. The interrupt hook is polled by the evaluations' drains.
-// sp, the route's span if any, is told what was evaluated.
+// the split cuts into the non-empty parts — reading O(|cert| +
+// Σ|contributions|) rows, no merge, no mutation of the decomposition; what
+// follows the evaluations costs O(answer rows). The interrupt hook is polled
+// by the evaluations' drains. sp, the route's span if any, is told what was
+// evaluated.
 func (d *WSD) queryByComponent(compIdx []int, query partQuery, sp *obs.Span) (*componentParts, error) {
-	p := d.newComponentParts(compIdx, nil)
 	tagged := 0
-	cat := deltaCatalog{d: d, comps: compIdx, first: p.first, tagged: &tagged}
-	var err error
-	if p.base, err = query(cat, false); err != nil {
+	cat := deltaCatalog{d: d, tagged: &tagged}
+	base, err := query(cat, false)
+	if err != nil {
 		return nil, err
 	}
 	delta, err := query(cat, true)
 	if err != nil {
 		return nil, err
 	}
-	p.split(delta, p.base.Schema)
+	p := &componentParts{idx: compIdx, base: base}
+	if err := p.split(d.index(), delta); err != nil {
+		return nil, err
+	}
 	if sp != nil {
-		sp.Set("base_rows", p.base.Len())
+		sp.Set("base_rows", base.Len())
 		sp.Set("delta_rows", delta.Len())
 		sp.Set("evaluations", 2)
 		sp.Set("tagged_rows", tagged)
@@ -282,44 +287,75 @@ func (d *WSD) queryByComponent(compIdx []int, query partQuery, sp *obs.Span) (*c
 	return p, nil
 }
 
-// split cuts the tagged delta into the parts: a stable counting sort on the
-// tag (no gather when the rows are in tag order already, as the rules keep
-// them under scans, filters and certain-side joins), the tag dropped, and
-// each alternative's part the range of its rows.
-func (p *componentParts) split(delta *colbatch.Batch, sch *schema.Schema) {
+// split cuts the tagged delta into the non-empty parts: a stable sort on the
+// tag (none when the rows are in tag order already, as the rules keep them
+// under scans, filters and certain-side joins), the tag dropped, and each
+// run of one tag the part of the (component, alternative) the index numbers
+// so, which must be a listed component. It reads the tag column once and
+// costs O(answer rows), whatever the listed components hold.
+func (p *componentParts) split(ix *index, delta *colbatch.Batch) error {
 	n := delta.Len()
 	if n == 0 {
-		return
+		return nil
 	}
+	sch := p.base.Schema
 	w := sch.Len()
-	col := delta.Col(w)
-	tags := make([]int, n)
-	start := make([]int, len(p.parts)+1)
-	sorted := true
-	for r := range tags {
-		t := int(col.Value(r).AsInt())
-		tags[r] = t
-		start[t+1]++
-		sorted = sorted && (r == 0 || tags[r-1] <= t)
+	tags := tagColumn(delta, w)
+	runs, sorted := 1, true
+	for r := 1; r < n; r++ {
+		if tags[r] != tags[r-1] {
+			runs++
+			sorted = sorted && tags[r-1] < tags[r]
+		}
 	}
-	for t := range p.parts {
-		start[t+1] += start[t]
-	}
-	answer := delta.Project(columnRange(w), sch)
 	if !sorted {
 		sel := make([]int32, n)
-		at := append([]int(nil), start[:len(p.parts)]...)
-		for r, t := range tags {
-			sel[at[t]] = int32(r)
-			at[t]++
+		for r := range sel {
+			sel[r] = int32(r)
 		}
-		answer = answer.Gather(sel)
+		slices.SortStableFunc(sel, func(x, y int32) int { return cmp.Compare(tags[x], tags[y]) })
+		delta = delta.Gather(sel)
+		tags = tagColumn(delta, w)
 	}
-	for t := range p.parts {
-		if start[t] < start[t+1] {
-			p.parts[t] = rowRange{b: answer, lo: start[t], hi: start[t+1]}
+	answer := delta.Project(columnRange(w), sch)
+	p.parts = make([]part, 0, runs)
+	listed := p.idx
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && tags[hi] == tags[lo] {
+			hi++
 		}
+		ci, a := ix.alternative(int(tags[lo]))
+		if len(listed) == 0 || listed[0] != ci {
+			// Gallop: touched components tend to be near each other.
+			step := 1
+			for step < len(listed) && listed[step] < ci {
+				step *= 2
+			}
+			at, ok := slices.BinarySearch(listed[:min(step+1, len(listed))], ci)
+			if !ok {
+				return fmt.Errorf("component %d contributes to the delta but is not listed", ix.comps[ci].ID)
+			}
+			listed = listed[at:]
+		}
+		p.parts = append(p.parts, part{ci: ci, a: a, rows: rowRange{b: answer, lo: lo, hi: hi}})
+		lo = hi
 	}
+	return nil
+}
+
+// tagColumn returns the tag of every row of a tagged batch of width w + 1:
+// its typed column itself when it is one.
+func tagColumn(b *colbatch.Batch, w int) []int64 {
+	col := b.Col(w)
+	if col.Kind == value.KindInt && col.Any == nil && col.Nulls == nil {
+		return col.Ints[:b.Len()]
+	}
+	tags := make([]int64, b.Len())
+	for r := range tags {
+		tags[r] = col.Value(r).AsInt()
+	}
+	return tags
 }
 
 // columnRange returns the column indexes 0..n-1.
@@ -335,11 +371,11 @@ func columnRange(n int) []int {
 // merged component mi, in alternative order, as that alternative's part
 // beside an empty certain slot: over one merged component a world's answer
 // is a part of its own, Q(world a) = ∅ ∪ Q(cert ∪ contrib_a), which no
-// delta of a non-decomposable plan gives. The interrupt hook is polled
-// before each evaluation.
+// delta of a non-decomposable plan gives. An empty answer is no part. The
+// interrupt hook is polled before each evaluation.
 func (d *WSD) mergedParts(mi int, ev evaluator) (*componentParts, error) {
-	p := d.newComponentParts([]int{mi}, colbatch.New(ev.prep.Schema()))
-	for a := range p.parts {
+	p := &componentParts{idx: []int{mi}, base: colbatch.New(ev.prep.Schema())}
+	for a := range d.comps[mi].Alts {
 		if err := d.interrupted(); err != nil {
 			return nil, err
 		}
@@ -347,7 +383,9 @@ func (d *WSD) mergedParts(mi int, ev evaluator) (*componentParts, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.parts[a] = whole(answer)
+		if answer.Len() > 0 {
+			p.parts = append(p.parts, part{ci: mi, a: a, rows: whole(answer)})
+		}
 	}
 	return p, nil
 }
@@ -360,9 +398,10 @@ func (d *WSD) mergedParts(mi int, ev evaluator) (*componentParts, error) {
 // tuple-for-tuple the naive engine's answer in that world: by the concat
 // structure the analysis certified, or, over one merged component, because
 // each part is the alternative's full answer. The certain part is stored as
-// the answer's batch, zero-copy; each non-empty part through Batch.Pick, in
-// the form its own row count gives it, so a one-row alternative is one
-// tuple whatever the answer it was cut from.
+// the answer's batch, zero-copy; each part through Batch.Pick, in the form
+// its own row count gives it, so a one-row alternative is one tuple whatever
+// the answer it was cut from. Only the components holding a part are
+// copied.
 func (d *WSD) materializeByComponent(dst string, p *componentParts) error {
 	if err := d.registerUncertain(dst, p.base.Schema); err != nil {
 		return err
@@ -374,24 +413,18 @@ func (d *WSD) materializeByComponent(dst string, p *componentParts) error {
 		view.Schema = sch
 		d.certain[k] = relation.FromBatch(view)
 	}
-	var sel []int32 // 0, 1, 2, …
-	for i, ci := range p.idx {
-		var c *Component // owned at its first non-empty part
-		for a := range p.comps[i].Alts {
-			part := p.part(i, a)
-			if part.Len() == 0 {
-				continue
-			}
-			if c == nil {
-				c = d.own(ci)
-			}
-			for len(sel) < part.hi {
-				sel = append(sel, int32(len(sel)))
-			}
-			stored := part.b.Pick(sel[part.lo:part.hi])
-			stored.Schema = sch
-			c.Alts[a].Contrib[k] = relation.FromBatch(stored)
+	var sel []int32  // 0, 1, 2, …
+	var c *Component // owned at its first part
+	for i, pt := range p.parts {
+		if i == 0 || pt.ci != p.parts[i-1].ci {
+			c = d.own(pt.ci)
 		}
+		for len(sel) < pt.rows.hi {
+			sel = append(sel, int32(len(sel)))
+		}
+		stored := pt.rows.b.Pick(sel[pt.rows.lo:pt.rows.hi])
+		stored.Schema = sch
+		c.Alts[pt.a].Contrib[k] = relation.FromBatch(stored)
 	}
 	return nil
 }

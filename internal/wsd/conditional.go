@@ -58,25 +58,20 @@ func condFor(ix *index, ci, a int) string {
 func (d *WSD) conditionalRelation(p *componentParts) (*relation.Relation, error) {
 	ix := d.index()
 	n := p.base.Len()
-	for _, part := range p.parts {
-		n += part.Len()
+	for _, pt := range p.parts {
+		n += pt.rows.Len()
 	}
-	rows := []colbatch.Part{{B: p.base}}
+	rows := make([]colbatch.Part, 1, 1+len(p.parts))
+	rows[0] = colbatch.Part{B: p.base}
 	conds := make([]string, p.base.Len(), n)
-	for i, c := range p.comps {
-		for a := range c.Alts {
-			if err := d.interrupted(); err != nil {
-				return nil, err
-			}
-			delta := p.part(i, a).batch()
-			if delta.Len() == 0 {
-				continue
-			}
-			rows = append(rows, colbatch.Part{B: delta})
-			cond := condFor(ix, p.idx[i], a)
-			for range delta.Len() {
-				conds = append(conds, cond)
-			}
+	for _, pt := range p.parts {
+		if err := d.interrupted(); err != nil {
+			return nil, err
+		}
+		rows = append(rows, colbatch.Part{B: pt.rows.batch()})
+		cond := condFor(ix, pt.ci, pt.a)
+		for range pt.rows.Len() {
+			conds = append(conds, cond)
 		}
 	}
 	all := colbatch.Concat(p.base.Schema, rows)

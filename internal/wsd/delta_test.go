@@ -34,14 +34,14 @@ func checkDeltaParts(t *testing.T, label string, d *WSD, sql string) {
 	if err != nil {
 		t.Fatalf("%s %q: %v", label, sql, err)
 	}
-	for i, ci := range comps {
-		for a := range p.comps[i].Alts {
+	for _, ci := range comps {
+		for a := range d.comps[ci].Alts {
 			full, err := ev.batch(newPartsCatalog(d, map[int]int{ci: a}))
 			if err != nil {
 				t.Fatalf("%s %q full part (%d,%d): %v", label, sql, ci, a, err)
 			}
 			parts := []colbatch.Part{{B: p.base}}
-			if delta := p.part(i, a).batch(); delta != nil {
+			if delta := p.part(ci, a).batch(); delta != nil {
 				parts = append(parts, colbatch.Part{B: delta})
 			}
 			sum := colbatch.Concat(p.base.Schema, parts)
@@ -303,12 +303,14 @@ func TestDeltasShareBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		const sql = "select I.K, S.Y from I, S where I.V = S.V"
+		// The statement is set before its evaluator is built: an evaluator
+		// drains under the context of the statement it was built in.
+		tr := obs.NewTrace(sql)
+		d.SetStatement(nil, tr)
 		an, ev := analyzed(t, d, mustCore(t, sql))
 		if len(an.Comps) != 3 {
 			t.Fatalf("fixture: %d components, want 3", len(an.Comps))
 		}
-		tr := obs.NewTrace(sql)
-		d.SetStatement(nil, tr)
 		var handed atomic.Int64
 		contributed := 0
 		errs := make([]error, len(an.Comps)+1)

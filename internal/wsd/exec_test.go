@@ -120,3 +120,56 @@ func TestRefusalTable(t *testing.T) {
 		})
 	}
 }
+
+// TestSchemaFingerprintFollowsSchemaChanges: the fingerprint keying the
+// shared plan cache is computed once per change of the schemas, and every
+// change retires it — so a plan compiled before DROP and a re-CREATE with
+// other columns is not reused for the new relation: the statement compiles
+// anew and reads the new column. A snapshot restore brings the old schemas,
+// the old fingerprint and the old answer back.
+func TestSchemaFingerprintFollowsSchemaChanges(t *testing.T) {
+	d := New(true)
+	for _, sql := range []string{
+		"create table FpT (K, V)",
+		"insert into FpT values (1, 10)",
+		"create table FpI as select * from FpT repair by key K",
+	} {
+		if _, err := d.Exec(sql); err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+	}
+	const q = "select possible V from FpT"
+	answer := func() string {
+		t.Helper()
+		return renderRel(closed(t, d, q))
+	}
+	before, fp := answer(), d.SchemaFingerprint()
+	if again := answer(); again != before || d.SchemaFingerprint() != fp {
+		t.Fatalf("a read changed the answer or the fingerprint: %s", again)
+	}
+	restore := d.Snapshot()
+	for _, sql := range []string{
+		"drop table FpT",
+		"create table FpT (K, W, V)",
+		"insert into FpT values (1, 5, 20)",
+	} {
+		if _, err := d.Exec(sql); err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+	}
+	if d.SchemaFingerprint() == fp {
+		t.Fatal("the fingerprint survived DROP and a CREATE with other columns")
+	}
+	_, misses := d.PlanCacheCounts()
+	got := closed(t, d, q)
+	if _, after := d.PlanCacheCounts(); after != misses+1 {
+		t.Errorf("%q over the re-created FpT: %d plan compilations, want 1", q, after-misses)
+	}
+	if got.Len() != 1 || got.Rows()[0][0].AsInt() != 20 {
+		t.Errorf("%q over the re-created FpT answered\n%s\nwant V = 20", q, renderRel(got))
+	}
+	restore()
+	if d.SchemaFingerprint() != fp || answer() != before {
+		t.Errorf("after the restore: fingerprint kept %t, answer\n%s\nwant\n%s", d.SchemaFingerprint() == fp, answer(), before)
+	}
+}

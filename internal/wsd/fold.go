@@ -10,10 +10,11 @@ package wsd
 // certain slot (Q(world a) = ∅ ∪ Q(cert ∪ contrib_a)), and a spanning GROUP
 // WORLDS BY one group of those alternatives at a time.
 //
-// A fold is given the components (whole d-trees; a flat component is a tree
-// of one node), one batch per (component, alternative) — what that
-// alternative adds — and the certain part beside them, whose tuples are
-// certain with confidence exactly 1. Per distinct tuple t it computes
+// A fold is given the non-empty parts — what an alternative of a listed
+// component adds, components ascending, then alternatives — and the certain
+// part beside them, whose tuples are certain with confidence exactly 1; a
+// (component, alternative) with no part adds nothing. Per distinct tuple t it
+// computes
 //
 //	p_c(t)      = Σ_a P(a) · (t ∈ part_c(a) ? 1 : 1 − Π_ch (1 − p_ch(t)))
 //	always_c(t) = ∀a: t ∈ part_c(a) ∨ ∃ch: always_ch(t)
@@ -21,11 +22,16 @@ package wsd
 // over the children ch conditioned on alternative a, bottom-up, and closes
 // over the independent roots: conf(t) = 1 − Π_root (1 − p_root(t)), and t is
 // certain iff some root always contributes it (an OR of independent events is
-// always true iff one of them is). A node only ever visits the tuples of its
-// own subtree, so the whole fold costs O(Σ part rows × tree depth): a
-// component that does not hold t would multiply by exactly 1 − 0 or add
-// exactly P(a)·0, and skipping it changes no bit. Sums run in alternative
-// order and products in component order, like the naive engine's.
+// always true iff one of them is). A component that does not hold t would
+// multiply by exactly 1 − 0 or add exactly P(a)·0, and skipping it changes no
+// bit: so the fold visits only the whole d-trees (a flat component is a tree
+// of one node) that hold a part, an untouched ancestor of a touched child
+// included, and a node only ever visits the tuples of its own subtree. It
+// costs O(Σ part rows × tree depth + the touched trees' size), whatever the
+// listed components hold beyond the answer. Sums run in alternative order and
+// products in component order, like the naive engine's; the
+// single-component rule for CONF (conf) is keyed to the components listed,
+// not to those touched, so every confidence keeps its bits.
 //
 // Which tuples are answered, and in which order, is decided here and nowhere
 // else. A closed answer is a set — a world-set closed into one relation has no
@@ -75,15 +81,15 @@ type span struct{ lo, hi, alts int }
 
 type closureFold struct {
 	d *WSD
-	// comps are the folded components: whole trees, parents before children
-	// (a group of a merged component's alternatives is a transient flat one).
-	comps []*Component
-	// idx holds comps' positions in the component list, ascending; nil for a
-	// transient component.
-	idx []int
-	// part returns the part of (comps[i], alternative a); the empty range
-	// holds nothing.
-	part func(i, a int) rowRange
+	// listed is the number of components the parts were evaluated over: the
+	// single-component confidence rule (conf) is keyed to it.
+	listed int
+	// parts are the non-empty parts, components ascending, then
+	// alternatives (componentParts.parts).
+	parts []part
+	// group, when set, is a transient flat component standing for the one
+	// the parts name (a group of a merged component's alternatives).
+	group *Component
 	// certain holds tuples present in every world beside the parts: the
 	// certain-only answer Q(cert) (whose parts are the deltas beyond it).
 	certain *colbatch.Batch
@@ -93,16 +99,26 @@ type closureFold struct {
 	// rows remembers the tuple ids of weighed batches, so the emission does
 	// not encode them again.
 	rows    map[*colbatch.Batch][]int32
-	kids    [][][]int // kids[i][a]: positions of the children of (comps[i], a); nil when flat
 	post    []posting
 	tick    int32
 	scratch []int32
 	buf     []byte
 }
 
-func (d *WSD) newClosureFold(comps []*Component, idx []int, part func(i, a int) rowRange, certain *colbatch.Batch) *closureFold {
-	return &closureFold{d: d, comps: comps, idx: idx, part: part, certain: certain,
+// newClosureFold folds the parts p evaluated, with group, when set, standing
+// for the one component they name.
+func (d *WSD) newClosureFold(p *componentParts, group *Component) *closureFold {
+	return &closureFold{d: d, listed: len(p.idx), parts: p.parts, group: group, certain: p.base,
 		ids: map[string]int32{}, rows: map[*colbatch.Batch][]int32{}}
+}
+
+// component returns the component at position ci, or the group standing for
+// it.
+func (f *closureFold) component(ci int) *Component {
+	if f.group != nil {
+		return f.group
+	}
+	return f.d.comps[ci]
 }
 
 // intern returns the dense id of the scratch-encoded key, materializing the
@@ -174,35 +190,39 @@ func (f *closureFold) hold(id, stamp, tok int32, pa float64) {
 	}
 }
 
-// weighNode appends the postings of the subtree rooted at position i — after
-// its children's — polling the interrupt hook once per part.
-func (f *closureFold) weighNode(i int) (span, error) {
-	alts := f.comps[i].Alts
+// weighNode appends the postings of the subtree rooted at position ci —
+// after its children's, which ix lists (nil: a flat fold) — polling the
+// interrupt hook once per part.
+func (f *closureFold) weighNode(ix *index, ci int) (span, error) {
+	alts := f.component(ci).Alts
 	var kids [][]span
-	if f.kids != nil && f.kids[i] != nil {
+	if ix != nil && len(ix.children[ci]) > 0 {
 		kids = make([][]span, len(alts))
-		for a, chs := range f.kids[i] {
-			for _, ch := range chs {
-				sp, err := f.weighNode(ch)
-				if err != nil {
-					return span{}, err
-				}
-				kids[a] = append(kids[a], sp)
+		for _, ch := range ix.children[ci] {
+			sp, err := f.weighNode(ix, ch)
+			if err != nil {
+				return span{}, err
 			}
+			a := ix.comps[ch].ParentAlt
+			kids[a] = append(kids[a], sp)
 		}
 	}
+	parts := partsOf(f.parts, ci)
 	lo := len(f.post)
 	f.tick++
 	stamp := f.tick
 	var via []int32
 	for a := range alts {
-		if err := f.d.interrupted(); err != nil {
-			return span{}, err
-		}
 		f.tick++
 		tok, pa := f.tick, alts[a].Prob
-		for _, id := range f.rowIDs(f.part(i, a), true) {
-			f.hold(id, stamp, tok, pa)
+		if len(parts) > 0 && parts[0].a == a {
+			if err := f.d.interrupted(); err != nil {
+				return span{}, err
+			}
+			for _, id := range f.rowIDs(parts[0].rows, true) {
+				f.hold(id, stamp, tok, pa)
+			}
+			parts = parts[1:]
 		}
 		if kids == nil {
 			continue
@@ -237,21 +257,36 @@ func (f *closureFold) weighNode(i int) (span, error) {
 	return span{lo: lo, hi: len(f.post), alts: len(alts)}, nil
 }
 
-// weigh folds every tree into the per-tuple verdicts, roots in component
-// order.
-func (f *closureFold) weigh() error {
-	if f.d.nested > 0 && f.idx != nil {
-		ix := f.d.index()
-		f.kids = make([][][]int, len(f.comps))
-		for i, c := range f.comps {
-			if p := ix.parent(c); p >= 0 {
-				pi, _ := slices.BinarySearch(f.idx, p)
-				if f.kids[pi] == nil {
-					f.kids[pi] = make([][]int, len(f.comps[pi].Alts))
-				}
-				f.kids[pi][c.ParentAlt] = append(f.kids[pi][c.ParentAlt], i)
-			}
+// roots returns the positions of the roots of the trees holding a part,
+// ascending: the components of the parts themselves when the fold is flat
+// (ix nil).
+func (f *closureFold) roots(ix *index) []int {
+	var roots []int
+	for i, pt := range f.parts {
+		if i > 0 && pt.ci == f.parts[i-1].ci {
+			continue
 		}
+		r := pt.ci
+		if ix != nil {
+			r = ix.root(r)
+		}
+		roots = append(roots, r)
+	}
+	if ix != nil {
+		slices.Sort(roots)
+		roots = slices.Compact(roots)
+	}
+	return roots
+}
+
+// weigh folds every tree holding a part into the per-tuple verdicts, roots in
+// component order. A tree holding none would change no verdict, so it is not
+// visited; a tree holding one is walked whole, its untouched nodes included,
+// since an untouched ancestor still weighs a touched child by its path.
+func (f *closureFold) weigh() error {
+	var ix *index
+	if f.d.nested > 0 && f.group == nil {
+		ix = f.d.index()
 	}
 	if f.certain != nil {
 		for _, id := range f.rowIDs(whole(f.certain), true) {
@@ -259,11 +294,8 @@ func (f *closureFold) weigh() error {
 			t.miss, t.last, t.always = 0, 1, true
 		}
 	}
-	for i, c := range f.comps {
-		if c.Parent >= 0 {
-			continue
-		}
-		sp, err := f.weighNode(i)
+	for _, r := range f.roots(ix) {
+		sp, err := f.weighNode(ix, r)
 		if err != nil {
 			return err
 		}
@@ -281,7 +313,7 @@ func (f *closureFold) weigh() error {
 // conf is the weighed tuple's confidence 1 − Π_root (1 − p_root(t)).
 func (f *closureFold) conf(t *foldTuple) float64 {
 	conf := 1 - t.miss
-	if len(f.comps) == 1 && t.miss > 0 {
+	if f.listed == 1 && t.miss > 0 {
 		// Over a single component the confidence of a tuple outside the
 		// certain part (those have miss 0) is the plain probability sum,
 		// accumulated in alternative order — bit-identical to the naive
@@ -310,10 +342,8 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 	room := len(f.ids)
 	if cl == closurePossible {
 		room = f.certain.Len()
-		for i, c := range f.comps {
-			for a := range c.Alts {
-				room += f.part(i, a).Len()
-			}
+		for _, pt := range f.parts {
+			room += pt.rows.Len()
 		}
 	}
 	// The answer is one Concat of the emitted rows of every part, cut from
@@ -362,11 +392,9 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 	if err := emit(whole(f.certain)); err != nil {
 		return nil, err
 	}
-	for i, c := range f.comps {
-		for a := range c.Alts {
-			if err := emit(f.part(i, a)); err != nil {
-				return nil, err
-			}
+	for _, pt := range f.parts {
+		if err := emit(pt.rows); err != nil {
+			return nil, err
 		}
 	}
 	out := colbatch.Concat(sch, parts)
@@ -379,5 +407,5 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 // closeParts closes a query's evaluated parts under cl: its certain-only
 // answer in the certain slot, its per-alternative parts as the parts.
 func (d *WSD) closeParts(p *componentParts, cl closure) (*relation.Relation, error) {
-	return d.newClosureFold(p.comps, p.idx, p.part, p.base).close(cl, p.base.Schema)
+	return d.newClosureFold(p, nil).close(cl, p.base.Schema)
 }

@@ -161,8 +161,7 @@ func (d *WSD) prepareGrouped(gw, core *sqlparse.SelectStmt) (*grouped, error) {
 	if err != nil {
 		return nil, err
 	}
-	spanning := intersects(gwAn.Comps, qAn.Comps) ||
-		d.treeInvolved(append(append([]int(nil), gwAn.Comps...), qAn.Comps...))
+	spanning := intersects(gwAn.Comps, qAn.Comps) || d.treeInvolved(gwAn.Comps) || d.treeInvolved(qAn.Comps)
 	return &grouped{gw: gwEv, q: qEv, gwAn: gwAn, qAn: qAn, spanning: spanning}, nil
 }
 
@@ -247,14 +246,15 @@ func (d *WSD) groupsByComponent(compIdx []int, eval partQuery) ([]groupInfo, err
 	if err != nil {
 		return nil, err
 	}
-	partKeys := make([][][]string, len(parts.comps))
-	for i, c := range parts.comps {
-		partKeys[i] = make([][]string, len(c.Alts))
-		for a := range c.Alts {
+	partKeys := make([][][]string, len(compIdx))
+	for i, ci := range compIdx {
+		alts := d.comps[ci].Alts
+		partKeys[i] = make([][]string, len(alts))
+		for a := range alts {
 			if err := d.interrupted(); err != nil {
 				return nil, err
 			}
-			partKeys[i][a] = sortedBatchKeys(parts.part(i, a).batch())
+			partKeys[i][a] = sortedBatchKeys(parts.part(ci, a).batch())
 		}
 	}
 
@@ -344,18 +344,23 @@ func (d *WSD) groupsFromAlternatives(mi int, gw evaluator) ([]groupInfo, error) 
 	if err != nil {
 		return nil, err
 	}
-	fps := make([]uint64, len(parts.parts))
-	for a, answer := range parts.parts {
+	alts := d.comps[mi].Alts
+	fps := make([]uint64, len(alts))
+	for a := range alts {
 		if err := d.interrupted(); err != nil {
 			return nil, err
 		}
-		fps[a] = relation.FromBatch(answer.b).Fingerprint()
+		answer := parts.base // empty: the alternative has no part
+		if r := parts.part(mi, a); r.Len() > 0 {
+			answer = r.b
+		}
+		fps[a] = relation.FromBatch(answer).Fingerprint()
 	}
 	var out []groupInfo
 	for _, idxs := range worldset.Group(fps) {
 		g := groupInfo{alts: idxs}
 		for _, a := range idxs {
-			g.prob += parts.comps[0].Alts[a].Prob
+			g.prob += alts[a].Prob
 		}
 		out = append(out, g)
 	}
@@ -422,15 +427,18 @@ func (d *WSD) closeEachGroup(mi int, groups []groupInfo, q evaluator, cl closure
 	if err != nil {
 		return nil, err
 	}
-	merged := parts.comps[0]
+	merged := d.comps[mi]
 	out := make([]core.GroupRows, len(groups))
 	for gi, g := range groups {
 		group := &Component{ID: merged.ID, Parent: -1, Alts: make([]Alternative, len(g.alts))}
+		within := &componentParts{idx: parts.idx, base: parts.base}
 		for j, a := range g.alts {
 			group.Alts[j] = merged.Alts[a]
+			if r := parts.part(mi, a); r.Len() > 0 {
+				within.parts = append(within.parts, part{ci: mi, a: j, rows: r})
+			}
 		}
-		part := func(_, j int) rowRange { return parts.part(0, g.alts[j]) }
-		rel, err := d.newClosureFold([]*Component{group}, nil, part, parts.base).close(cl, parts.base.Schema)
+		rel, err := d.newClosureFold(within, group).close(cl, parts.base.Schema)
 		if err != nil {
 			return nil, err
 		}

@@ -2,9 +2,13 @@ package wsd
 
 // The decomposition's one index: what a statement asks of the component list
 // as a whole — where a component ID sits, which components hang under which,
-// which components feed a relation, and a relation's contributions as one
-// tagged-delta source — derived from the list once per change of it, not once
-// per statement.
+// which components feed a relation, which sit in a non-trivial d-tree, the
+// flat number of every (component, alternative), and a relation's
+// contributions as one stored, tagged delta — derived from the list once per
+// change of it, not once per statement. What a statement then pays for the
+// size of the list is the check that the index is current (one pointer
+// compare per component); every lookup after it is O(1) or O(log) in the
+// components, and the per-statement work is in the rows an answer holds.
 //
 // The index is valid while d.comps is, pointer for pointer, the list it was
 // built from. That is the whole test: a published component, its
@@ -23,7 +27,10 @@ import (
 	"slices"
 
 	"maybms/internal/colbatch"
+	"maybms/internal/plan"
+	"maybms/internal/relation"
 	"maybms/internal/schema"
+	"maybms/internal/value"
 )
 
 // index is the derived lookup structure of one component list.
@@ -37,26 +44,25 @@ type index struct {
 	// children[i] lists the positions of the components conditioned on an
 	// alternative of comps[i], ascending; nil for a leaf.
 	children [][]int
+	// first[i] is the flat number of alternative 0 of comps[i]: alternative a
+	// of comps[i] is number first[i] + a, so the numbers run in component
+	// order, then alternative order. first[len(comps)] is the total.
+	first []int
+	// owner[t] is the position of the component alternative number t
+	// belongs to.
+	owner []int32
+	// inTree[i] reports that comps[i] has a parent or children; treeLo and
+	// treeHi are the first and last such positions (treeLo > treeHi when
+	// there are none).
+	inTree         []bool
+	treeLo, treeHi int
 	// rels maps a relation key to the positions of the components some
 	// alternative of which lists a contribution to it, ascending.
 	rels map[string][]int
-	// deltas holds, per relation key, its contributions concatenated once
-	// (storedDelta), built on the relation's first Delta.
-	deltas map[string]*storedDelta
+	// deltas holds, per relation key, its stored delta (delta), built on the
+	// relation's first Delta; nil when no alternative contributes a row.
+	deltas map[string]*relation.Relation
 }
-
-// storedDelta is one relation's contributions concatenated in component
-// order, then alternative order: the rows a tagged delta of them hands out,
-// whatever tags a statement gives them.
-type storedDelta struct {
-	rows *colbatch.Batch // nil when no alternative contributes a row
-	runs []deltaRun      // one per contributing (component, alternative), in row order
-}
-
-// deltaRun says that the rows of a storedDelta up to end, from the previous
-// run's end, are the contribution of alternative alt of the component at
-// position comp.
-type deltaRun struct{ comp, alt, end int32 }
 
 // index returns the index of the current component list, building it when
 // the list is no longer, pointer for pointer, the one it was built from.
@@ -73,14 +79,19 @@ func buildIndex(comps []*Component, nextID int) *index {
 		comps:    slices.Clone(comps),
 		pos:      make([]int32, nextID),
 		children: make([][]int, len(comps)),
+		first:    make([]int, len(comps)+1),
+		inTree:   make([]bool, len(comps)),
+		treeLo:   len(comps),
+		treeHi:   -1,
 		rels:     map[string][]int{},
-		deltas:   map[string]*storedDelta{},
+		deltas:   map[string]*relation.Relation{},
 	}
 	for i := range ix.pos {
 		ix.pos[i] = -1
 	}
 	for i, c := range comps {
 		ix.pos[c.ID] = int32(i)
+		ix.first[i+1] = ix.first[i] + len(c.Alts)
 		for _, a := range c.Alts {
 			for k := range a.Contrib {
 				if l := ix.rels[k]; len(l) == 0 || l[len(l)-1] != i {
@@ -89,9 +100,15 @@ func buildIndex(comps []*Component, nextID int) *index {
 			}
 		}
 	}
+	ix.owner = make([]int32, 0, ix.first[len(comps)])
 	for i, c := range comps {
+		for range c.Alts {
+			ix.owner = append(ix.owner, int32(i))
+		}
 		if p := ix.parent(c); p >= 0 {
 			ix.children[p] = append(ix.children[p], i)
+			ix.inTree[p], ix.inTree[i] = true, true
+			ix.treeLo, ix.treeHi = min(ix.treeLo, p, i), max(ix.treeHi, p, i)
 		}
 	}
 	return ix
@@ -117,15 +134,24 @@ func (ix *index) root(ci int) int {
 	return ci
 }
 
-// delta returns relation k's stored delta, concatenating its contributions on
-// first use; sch is the relation's schema.
-func (ix *index) delta(k string, sch *schema.Schema) *storedDelta {
-	if sd, ok := ix.deltas[k]; ok {
-		return sd
+// alternative returns the (position, alternative) numbered tag.
+func (ix *index) alternative(tag int) (ci, a int) {
+	ci = int(ix.owner[tag])
+	return ci, tag - ix.first[ci]
+}
+
+// delta returns relation k's stored delta, building it on first use: its
+// contributions concatenated in component order, then alternative order,
+// beside the tag column that numbers each row's (component, alternative)
+// (first) — the tagged relation every statement's delta reads as it is; nil
+// when no alternative contributes a row. sch is the relation's schema.
+func (ix *index) delta(k string, sch *schema.Schema) *relation.Relation {
+	if rel, ok := ix.deltas[k]; ok {
+		return rel
 	}
-	sd := &storedDelta{}
+	var rel *relation.Relation
 	var parts []colbatch.Part
-	n := 0
+	var tags []int64
 	for _, ci := range ix.rels[k] {
 		for a, alt := range ix.comps[ci].Alts {
 			c := alt.Contrib[k]
@@ -133,15 +159,17 @@ func (ix *index) delta(k string, sch *schema.Schema) *storedDelta {
 				continue
 			}
 			parts = append(parts, colbatch.Part{B: c.Batch()})
-			n += c.Len()
-			sd.runs = append(sd.runs, deltaRun{comp: int32(ci), alt: int32(a), end: int32(n)})
+			for range c.Len() {
+				tags = append(tags, int64(ix.first[ci]+a))
+			}
 		}
 	}
 	if len(parts) > 0 {
-		sd.rows = colbatch.Concat(sch, parts)
+		rows := colbatch.Concat(sch, parts)
+		rel = relation.FromBatch(rows.Extend(plan.Tagged(sch), colbatch.Col{Kind: value.KindInt, Ints: tags}))
 	}
-	ix.deltas[k] = sd
-	return sd
+	ix.deltas[k] = rel
+	return rel
 }
 
 // componentsFor returns the positions (into the component list) of the
@@ -154,25 +182,29 @@ func (d *WSD) componentsFor(name string) []int {
 }
 
 // sameAs reports how ix differs from fresh, an index built anew from the same
-// list: its positions, children, relation feeders and every delta it has
-// cached (rebuilt in fresh under schemas).
+// list: its positions, children, numbering, tree facts, relation feeders and
+// every delta it has cached (rebuilt in fresh under schemas).
 func (ix *index) sameAs(fresh *index, schemas map[string]*schema.Schema) error {
 	switch {
 	case !slices.Equal(ix.pos, fresh.pos):
 		return errors.New("component positions differ")
 	case !slices.EqualFunc(ix.children, fresh.children, slices.Equal[[]int]):
 		return errors.New("children differ")
+	case !slices.Equal(ix.first, fresh.first) || !slices.Equal(ix.owner, fresh.owner):
+		return errors.New("alternative numbering differs")
+	case !slices.Equal(ix.inTree, fresh.inTree) || ix.treeLo != fresh.treeLo || ix.treeHi != fresh.treeHi:
+		return errors.New("tree facts differ")
 	case !maps.EqualFunc(ix.rels, fresh.rels, slices.Equal[[]int]):
 		return errors.New("relation feeders differ")
 	}
-	for k, sd := range ix.deltas {
+	for k, rel := range ix.deltas {
 		want := fresh.delta(k, schemas[k])
-		if !slices.Equal(sd.runs, want.runs) || sd.rows.Len() != want.rows.Len() {
-			return fmt.Errorf("stored delta of %s differs in its runs", k)
+		if rel.Len() != want.Len() {
+			return fmt.Errorf("stored delta of %s holds %d rows, want %d", k, rel.Len(), want.Len())
 		}
-		var got, exp []byte
-		for r := range sd.rows.Len() {
-			if got, exp = sd.rows.AppendKey(got[:0], r), want.rows.AppendKey(exp[:0], r); string(got) != string(exp) {
+		var g, w []byte
+		for r := range rel.Len() {
+			if g, w = rel.Batch().AppendKey(g[:0], r), want.Batch().AppendKey(w[:0], r); string(g) != string(w) {
 				return fmt.Errorf("stored delta of %s differs at row %d", k, r)
 			}
 		}

@@ -12,7 +12,6 @@ package wsd
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"maybms/internal/core"
 	"maybms/internal/plan"
@@ -228,7 +227,7 @@ func (d *WSD) condenseFitting(idx []int) ([]int, error) {
 // alternatives are new, and the condensed components are only unlinked from
 // the component list, never written.
 func (d *WSD) condense(idxs []int) (*Component, error) {
-	sort.Ints(idxs)
+	idxs = slices.Sorted(slices.Values(idxs)) // a copy: the caller's may be an analysis's
 	var alts []Alternative
 	err := d.walkAssignments(idxs, func(digits []int, prob float64) error {
 		if err := d.interrupted(); err != nil {

@@ -140,7 +140,7 @@ func TestMaterializeErrors(t *testing.T) {
 		t.Errorf("evaluation error = %v", err)
 	}
 	// Name collision.
-	err = d.materializeByComponent("I", d.newComponentParts([]int{mi}, colbatch.New(schema.New("X"))))
+	err = d.materializeByComponent("I", &componentParts{idx: []int{mi}, base: colbatch.New(schema.New("X"))})
 	if !errors.Is(err, ErrExists) {
 		t.Errorf("materialize collision = %v", err)
 	}

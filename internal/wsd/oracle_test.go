@@ -56,9 +56,9 @@ func (d *WSD) queryByAlternative(compIdx []int, query partQuery) (*componentPart
 	if err != nil {
 		return nil, err
 	}
-	p := d.newComponentParts(compIdx, base)
+	p := &componentParts{idx: compIdx, base: base}
 	w := base.Schema.Len()
-	for i, ci := range compIdx {
+	for _, ci := range compIdx {
 		for a := range d.comps[ci].Alts {
 			if err := d.interrupted(); err != nil {
 				return nil, err
@@ -75,7 +75,7 @@ func (d *WSD) queryByAlternative(compIdx []int, query partQuery) (*componentPart
 					return nil, fmt.Errorf("delta of (%d,%d) row %d tagged %d", ci, a, r, tag)
 				}
 			}
-			p.parts[p.first[i]+a] = whole(delta.Project(columnRange(w), base.Schema))
+			p.parts = append(p.parts, part{ci: ci, a: a, rows: whole(delta.Project(columnRange(w), base.Schema))})
 		}
 	}
 	return p, nil
@@ -94,7 +94,8 @@ func batchKeys(b *colbatch.Batch) string {
 
 // checkTaggedParts runs a decomposable core both ways over the whole trees it
 // touches and asserts that the tagged evaluation's certain-only answer and
-// every part(i, a) equal the oracle's row for row, in order (the fold lists
+// the part of every listed (component, alternative) — a missing one counted
+// as empty — equal the oracle's row for row, in order (the fold lists
 // answers in first-appearance order), and, when the plan is Concat, that a
 // componentwise CREATE TABLE AS stores byte-identical contributions in the
 // same form. The decomposition is left as it was.
@@ -120,12 +121,12 @@ func checkTaggedParts(t *testing.T, label string, d *WSD, core *sqlparse.SelectS
 	if got, want := batchKeys(tagged.base), batchKeys(oracle.base); got != want {
 		t.Errorf("%s %q: certain-only answers differ:\n%s\nwant:\n%s", label, core, got, want)
 	}
-	for i, c := range tagged.comps {
-		for a := range c.Alts {
-			got, want := tagged.part(i, a).batch(), oracle.part(i, a).batch()
+	for _, ci := range comps {
+		for a := range d.comps[ci].Alts {
+			got, want := tagged.part(ci, a).batch(), oracle.part(ci, a).batch()
 			if (got == nil) != (want == nil) || batchKeys(got) != batchKeys(want) {
 				t.Errorf("%s %q part (%d,%d): tagged\n%s\nwant (one evaluation per alternative):\n%s",
-					label, core, comps[i], a, batchKeys(got), batchKeys(want))
+					label, core, ci, a, batchKeys(got), batchKeys(want))
 			}
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"maybms/internal/algebra"
 	"maybms/internal/colbatch"
 	"maybms/internal/core"
+	"maybms/internal/expr"
 	"maybms/internal/obs"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
@@ -110,14 +111,20 @@ func (d *WSD) schemaCatalog() plan.Catalog {
 // SchemaFingerprint hashes the decomposition's catalog shape, mirroring
 // world.SchemaFingerprint for the compact engine: it keys the process-wide
 // shared plan cache, so compact sessions over identical schemas share
-// compiled templates.
+// compiled templates. It is computed once per change of the schemas: every
+// write of d.schemas, and a Snapshot restore, drops the cached value.
 func (d *WSD) SchemaFingerprint() uint64 {
+	if d.fingerprint != nil {
+		return *d.fingerprint
+	}
 	h := fnv.New64a()
 	for _, n := range d.Names() { // sorted
 		sch, _ := d.Schema(n)
 		fmt.Fprintf(h, "%s=%s;", strings.ToLower(n), sch)
 	}
-	return h.Sum64()
+	fp := h.Sum64()
+	d.fingerprint = &fp
+	return fp
 }
 
 // evaluator binds a compiled template per catalog and drains it into a
@@ -134,12 +141,14 @@ func (d *WSD) SchemaFingerprint() uint64 {
 // alternative's full instance instead (mergedParts). Every bind takes the
 // statement's memo, so Q(cert) and the delta hash one table of a certain
 // build side, and the merged alternatives evaluate an uncorrelated
-// subquery once each, not once per row.
+// subquery once each, not once per row. Every drain runs under the
+// statement's one outer context, which evaluations only read.
 type evaluator struct {
 	d      *WSD
 	prep   *plan.Prepared
 	deltas *plan.Deltas
 	memo   *plan.Memo
+	ctx    *expr.Context
 	sel    *sqlparse.SelectStmt
 }
 
@@ -148,7 +157,7 @@ func (e evaluator) batch(cat plan.Catalog) (*colbatch.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return algebra.CollectBatch(op, core.StatementCtx(e.d.interrupt, e.d.trace))
+	return algebra.CollectBatch(op, e.ctx)
 }
 
 func (e evaluator) part(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error) {
@@ -159,7 +168,7 @@ func (e evaluator) part(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, err
 	if err != nil {
 		return nil, err
 	}
-	return algebra.CollectBatch(op, core.StatementCtx(e.d.interrupt, e.d.trace))
+	return algebra.CollectBatch(op, e.ctx)
 }
 
 // prepared compiles sel once — through the process-wide shared plan cache,
@@ -174,7 +183,8 @@ func (d *WSD) prepared(sel *sqlparse.SelectStmt) (*plan.Prepared, evaluator, err
 	if err != nil {
 		return nil, evaluator{}, err
 	}
-	return prep, evaluator{d: d, prep: prep, deltas: prep.Deltas(), memo: new(plan.Memo), sel: sel}, nil
+	return prep, evaluator{d: d, prep: prep, deltas: prep.Deltas(), memo: new(plan.Memo),
+		ctx: core.StatementCtx(d.interrupt, d.trace), sel: sel}, nil
 }
 
 // analyze runs the planner's component-touch analysis on a compiled
@@ -262,7 +272,7 @@ func (d *WSD) runSingle(comps []int, ev evaluator, cl closure, dst string) (*rel
 	case cl == closureNone:
 		return relation.FromBatch(res), nil
 	}
-	return d.newClosureFold(nil, nil, nil, res).close(cl, res.Schema)
+	return d.newClosureFold(&componentParts{base: res}, nil).close(cl, res.Schema)
 }
 
 // evalParts runs the evaluations of the Σ-alternatives routes — certain-only
@@ -295,8 +305,9 @@ func (d *WSD) mergeEval(comps []int, ev evaluator) (*componentParts, error) {
 	if err != nil {
 		return nil, err
 	}
-	mergeAlternatives.Observe(float64(len(parts.parts)))
-	msp.Set("alternatives", len(parts.parts))
+	alts := len(d.comps[mi].Alts)
+	mergeAlternatives.Observe(float64(alts))
+	msp.Set("alternatives", alts)
 	msp.Set("merge_limit", d.MergeLimit)
 	return parts, nil
 }
@@ -392,6 +403,7 @@ func (d *WSD) projectOutTrailing(name string, n int) {
 		keep[i] = i
 	}
 	d.schemas[k] = sch.Project(keep)
+	d.fingerprint = nil
 	if r, ok := d.certain[k]; ok {
 		d.certain[k] = relation.FromBatch(r.Batch().Project(keep, d.schemas[k]))
 	}

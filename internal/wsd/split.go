@@ -119,16 +119,12 @@ func (d *WSD) newSplit(src string, sch *schema.Schema, p *componentParts, repair
 	contribution := func(j, a int) *colbatch.Batch { return d.comps[s.comps[j]].Alts[a].contribution(k, sch) }
 	if p != nil {
 		s.cert, s.comps = p.base, nil
-		var at []int // at[j]: feeder j's position in p
-		for i, ci := range p.idx {
-			for a := range p.comps[i].Alts {
-				if p.part(i, a).Len() > 0 {
-					s.comps, at = append(s.comps, ci), append(at, i)
-					break
-				}
+		for i, pt := range p.parts {
+			if i == 0 || pt.ci != p.parts[i-1].ci {
+				s.comps = append(s.comps, pt.ci)
 			}
 		}
-		contribution = func(j, a int) *colbatch.Batch { return p.part(at[j], a).batch() }
+		contribution = func(j, a int) *colbatch.Batch { return p.part(s.comps[j], a).batch() }
 	}
 	if repair {
 		s.cp = relation.PartitionBy(s.cert, s.cols, nil)

@@ -365,7 +365,13 @@ func condSatisfied(t *testing.T, cond string, ix *index, digits []int) bool {
 // every row is then a base row.
 func checkConditionalRelation(t *testing.T, label string, s *core.Session, d *WSD, rel string) {
 	t.Helper()
-	q := "select K, V from " + rel
+	checkConditionalQuery(t, label, d, "select K, V from "+rel)
+}
+
+// checkConditionalQuery is checkConditionalRelation's decode for the plain
+// SELECT q.
+func checkConditionalQuery(t *testing.T, label string, d *WSD, q string) {
+	t.Helper()
 	stmt, err := sqlparse.Parse(q)
 	if err != nil {
 		t.Fatal(err)

@@ -178,6 +178,8 @@ type WSD struct {
 	names   map[string]string             // lower name → display name
 	comps   []*Component
 	nextID  int
+	// fingerprint caches SchemaFingerprint; nil after any write of schemas.
+	fingerprint *uint64
 
 	// nested counts the components with a parent edge (Parent >= 0): zero
 	// means the decomposition is a flat product and every flat fast path
@@ -229,6 +231,7 @@ func (d *WSD) PutCertain(name string, rel *relation.Relation) error {
 	d.certain[k] = rel
 	d.schemas[k] = rel.Schema.Unqualify()
 	d.names[k] = name
+	d.fingerprint = nil
 	return nil
 }
 
@@ -288,6 +291,7 @@ func (d *WSD) drop(name string) error {
 	}
 	delete(d.schemas, k)
 	delete(d.names, k)
+	d.fingerprint = nil
 	return nil
 }
 
@@ -302,6 +306,7 @@ func (d *WSD) Snapshot() (restore func()) {
 	return func() {
 		d.certain, d.schemas, d.names = certain, schemas, names
 		d.comps, d.nextID, d.nested = comps, nextID, nested
+		d.fingerprint = nil
 	}
 }
 
@@ -438,13 +443,13 @@ func productTree(sizes []int64) *big.Int {
 	return l.Mul(l, r)
 }
 
-// rootClosure expands a set of component indexes to the full d-trees
-// containing them: every ancestor up to the root and every descendant.
-// The result is sorted ascending. For components of no d-tree it returns the
-// input set (sorted, deduped).
+// rootClosure expands a set of component indexes, ascending, to the full
+// d-trees containing them: every ancestor up to the root and every
+// descendant. The result is sorted ascending. For components of no d-tree it
+// returns the input set itself.
 func (d *WSD) rootClosure(idxs []int) []int {
 	if !d.treeInvolved(idxs) {
-		return sortedUniqueInts(idxs)
+		return idxs
 	}
 	ix := d.index()
 	roots := make([]int, len(idxs))
@@ -466,16 +471,22 @@ func (d *WSD) rootClosure(idxs []int) []int {
 	return out
 }
 
-// treeInvolved reports whether any of the components is part of a
-// non-trivial d-tree (has a parent or children). O(1) false on flat
-// decompositions.
+// treeInvolved reports whether any of the components, ascending, is part of
+// a non-trivial d-tree (has a parent or children), by the index's tree facts:
+// only the listed positions between the first and the last tree position
+// are read, so the listing of a flat relation stored beside the trees is
+// answered in O(log) of its length, and a flat decomposition in O(1).
 func (d *WSD) treeInvolved(idxs []int) bool {
 	if d.nested == 0 {
 		return false
 	}
 	ix := d.index()
-	for _, ci := range idxs {
-		if d.comps[ci].Parent >= 0 || len(ix.children[ci]) > 0 {
+	lo, _ := slices.BinarySearch(idxs, ix.treeLo)
+	for _, ci := range idxs[lo:] {
+		if ci > ix.treeHi {
+			return false
+		}
+		if ix.inTree[ci] {
 			return true
 		}
 	}
@@ -551,6 +562,7 @@ func (d *WSD) registerUncertain(name string, sch *schema.Schema) error {
 	}
 	d.schemas[k] = sch.Unqualify()
 	d.names[k] = name
+	d.fingerprint = nil
 	return nil
 }
 

@@ -4,9 +4,9 @@
 # The batch executor's whole point is taking per-tuple allocations off the
 # per-alternative hot path (see internal/colbatch and internal/algebra's
 # operators). This script runs the bulk operator benchmarks with
-# -benchmem and fails when allocs/op regresses past a fixed ceiling, so an
-# accidental per-row allocation in an operator fails CI instead of
-# silently eating the win. Ceilings are ~2x the measured steady state
+# -benchmem and fails when allocs/op (and, where check_bytes gates it, B/op)
+# regresses past a fixed ceiling, so an accidental per-row allocation in an
+# operator fails CI instead of silently eating the win. Ceilings are ~2x the measured steady state
 # (scan 1, filter ~70, join ~150 allocs/op) — loose enough for noise,
 # tight enough that an O(rows) regression (8192 rows/op here) trips them.
 #
@@ -113,36 +113,50 @@
 # decomposition: BenchmarkStatementOverhead asks for one component's two rows
 # (`select possible V from U where K = 0`) over n flat repair components beside
 # one nested chain, closure.compact's shape. The decomposition's index —
-# component positions, children, relation feeders, U's concatenated
-# contributions — is built once per change (internal/wsd/index.go), so the
-# steady state is ~172 (comps=1000) and ~192 (comps=10000) allocs/op, nothing
-# per component; rebuilding the index on every read took 381 and 443. The
-# ~1.5x ceilings trip on that, and on anything per component (1000+).
+# component positions, children, alternative numbering, tree facts, relation
+# feeders, U's stored tagged delta — is built once per change
+# (internal/wsd/index.go), and after the filter over the stored delta a
+# statement pays for the parts its answer holds, not for every alternative:
+# the steady state is ~128 (comps=1000) and ~147 (comps=10000) allocs/op and
+# ~35 KB and ~325 KB/op, where a tag column, dense parts and a fold over every
+# alternative took ~175/195 allocs and 159 KB/1.57 MB, and rebuilding the
+# index on every read 381 and 443 allocs. What bytes remain grow with n
+# through the filter's selection vector over the delta, the statement's
+# Snapshot of the component list, and the index build the first of the 20
+# statements pays. The ~1.5x allocs and bytes ceilings (check_bytes reads
+# B/op) trip on anything per component (1000+ allocations, or 8+ bytes per
+# alternative).
+#
+# Each run's output is copied to standard error as it comes, through fd 2
+# itself: tee'ing to /dev/stderr would reopen a redirected log and truncate
+# it, keeping only the last package's output.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="$(go test ./internal/algebra/ -bench '^(BenchmarkBatchScan|BenchmarkStoredBatchScan|BenchmarkBatchFilter|BenchmarkHashJoinBatch|BenchmarkFigurePipeline|BenchmarkCollectStoredScan)$' \
-    -benchmem -benchtime 50x -run '^$' | tee /dev/stderr)
+    -benchmem -benchtime 50x -run '^$' | tee >(cat >&2))
 $(go test . -bench '^BenchmarkClosureComponents$/^(possible|conf)$/^groups=(1000|16000)$' \
-    -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
+    -benchmem -benchtime 20x -run '^$' | tee >(cat >&2))
 $(go test ./internal/relation/ -bench '^BenchmarkImport(Certain|RepairKey|Choice|Dirty)$' \
-    -benchmem -benchtime 1x -run '^$' | tee /dev/stderr)
+    -benchmem -benchtime 1x -run '^$' | tee >(cat >&2))
 $(go test . -bench '^BenchmarkStatementOverhead$' \
-    -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
+    -benchmem -benchtime 20x -run '^$' | tee >(cat >&2))
 $(go test . -bench '^(BenchmarkBatchClosurePossible|BenchmarkBatchClosureConf|BenchmarkBatchClosureGroupWorlds)$' \
-    -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
+    -benchmem -benchtime 20x -run '^$' | tee >(cat >&2))
 $(go test . -bench 'BenchmarkConditional(Select|Conf)/nested/groups=18' \
-    -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
+    -benchmem -benchtime 20x -run '^$' | tee >(cat >&2))
 $(go test . -bench '^BenchmarkImportedRead$/^(conf|join)$/^rows=40000$/^alts=24$' \
-    -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
+    -benchmem -benchtime 20x -run '^$' | tee >(cat >&2))
 $(go test . -bench '^BenchmarkMergeRoute$/^(conf\.subquery|update\.uncertain)$' \
-    -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
+    -benchmem -benchtime 20x -run '^$' | tee >(cat >&2))
 $(go test ./internal/server/ -bench '^BenchmarkEncodeAnswer$' \
-    -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)
+    -benchmem -benchtime 20x -run '^$' | tee >(cat >&2))
 $(go test ./internal/plan/ -bench '^BenchmarkDMLApply$' \
-    -benchmem -benchtime 20x -run '^$' | tee /dev/stderr)"
+    -benchmem -benchtime 20x -run '^$' | tee >(cat >&2))"
 
 fail=0
+# check NAME CEILING fails when benchmark NAME allocates more than CEILING
+# allocs/op; check_bytes does the same for B/op.
 check() {
     local name="$1" ceiling="$2" allocs
     allocs="$(awk -v n="$name" '$1 ~ "^"n"(-[0-9]+)?$" && $(NF) == "allocs/op" { print $(NF-1) }' <<<"$OUT")"
@@ -151,6 +165,18 @@ check() {
         fail=1
     elif [ "$allocs" -gt "$ceiling" ]; then
         echo "check_batch_allocs: $name allocates $allocs/op, ceiling $ceiling" >&2
+        fail=1
+    fi
+}
+
+check_bytes() {
+    local name="$1" ceiling="$2" bytes
+    bytes="$(awk -v n="$name" '$1 ~ "^"n"(-[0-9]+)?$" { for (i = 2; i <= NF; i++) if ($i == "B/op") print $(i-1) }' <<<"$OUT")"
+    if [ -z "$bytes" ]; then
+        echo "check_batch_allocs: $name did not run" >&2
+        fail=1
+    elif [ "${bytes%.*}" -gt "$ceiling" ]; then
+        echo "check_batch_allocs: $name allocates $bytes B/op, ceiling $ceiling" >&2
         fail=1
     fi
 }
@@ -166,8 +192,10 @@ check 'BenchmarkCollectStoredScan/project' 8
 check 'BenchmarkClosureComponents/possible/groups=1000' 2750
 check 'BenchmarkClosureComponents/conf/groups=1000' 2800
 check 'BenchmarkClosureComponents/conf/groups=16000' 40000
-check 'BenchmarkStatementOverhead/comps=1000' 260
-check 'BenchmarkStatementOverhead/comps=10000' 290
+check 'BenchmarkStatementOverhead/comps=1000' 192
+check 'BenchmarkStatementOverhead/comps=10000' 220
+check_bytes 'BenchmarkStatementOverhead/comps=1000' 53000
+check_bytes 'BenchmarkStatementOverhead/comps=10000' 490000
 check BenchmarkImportCertain 1600
 check BenchmarkImportRepairKey 240000
 check BenchmarkImportChoice 105000
