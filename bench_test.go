@@ -542,10 +542,10 @@ func BenchmarkClosureComponents(b *testing.B) {
 // component's two rows. The decomposition's index (its ID positions,
 // children, alternative numbering, tree facts, relation feeders and U's
 // stored tagged delta) is built once, not per statement, and the split and
-// fold after the evaluations visit the one touched component's parts; what
-// still grows with n is the filter over U's stored delta, the statement's
-// snapshot of the component list, and the index build that the first
-// statement after a change pays.
+// fold after the evaluations visit the one touched component's parts, and
+// the statement's Snapshot copies nothing; what still grows with n is the
+// filter over U's stored delta and the index build that the first statement
+// after a change pays.
 func BenchmarkStatementOverhead(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("comps=%d", n), func(b *testing.B) {

@@ -33,7 +33,8 @@ type Engine interface {
 	// Snapshot saves the engine's state before a statement; restore puts it
 	// back after a failed one. State published before a statement starts is
 	// never written in place during it — a statement writes into copies and
-	// swaps them in — so a snapshot copies headers only.
+	// swaps them in — so a snapshot copies headers only, and the compact
+	// engine none: its statement's first write copies them.
 	Snapshot() (restore func())
 	// Kind names the engine ("naive" or "compact") and the representation
 	// EXPLAIN prints beside the name.

@@ -531,8 +531,8 @@ func TestClosureEmissionIsRepresentationOrder(t *testing.T) {
 	if err := nested.repairByKey("U", "N", []string{"G"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if nested.nested != 2 || nested.MergeCount() != 0 {
-		t.Fatalf("fixture: %d nested components after %d merges, want 2 and 0", nested.nested, nested.MergeCount())
+	if nestedCount(nested) != 2 || nested.MergeCount() != 0 {
+		t.Fatalf("fixture: %d nested components after %d merges, want 2 and 0", nestedCount(nested), nested.MergeCount())
 	}
 	// tuples lists r's distinct tuples, less the trailing drop columns, in
 	// first-appearance order.

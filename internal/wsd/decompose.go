@@ -116,6 +116,7 @@ func Decompose(set *worldset.Set, name string) (*WSD, error) {
 		}
 		// Not jointly independent: merge everything into one component
 		// (exact by construction) unless already merged.
+		d.editList()
 		d.comps = nil
 		if len(groups) == 1 {
 			return nil, fmt.Errorf("%w: exact single-component encoding failed verification", ErrNotDecomposable)

@@ -157,6 +157,7 @@ func (d *WSD) rewritePieces(table string, tmpl *plan.PreparedDML) (int, error) {
 		if err != nil {
 			return 0, err
 		}
+		d.edit()
 		d.certain[k] = out
 	}
 	for _, ci := range d.componentsFor(table) {

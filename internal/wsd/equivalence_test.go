@@ -497,7 +497,7 @@ func TestDMLEquivalenceFuzz(t *testing.T) {
 			if err := d.CheckInvariant(); err != nil {
 				t.Fatalf("trial %d %q: %v", trial, sql, err)
 			}
-			if sql == "drop table N" && d.nested > 0 {
+			if sql == "drop table N" && nestedCount(d) > 0 {
 				nestedDrops++
 			}
 			expanded, err := d.Expand(1 << 14)

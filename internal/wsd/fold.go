@@ -285,7 +285,7 @@ func (f *closureFold) roots(ix *index) []int {
 // since an untouched ancestor still weighs a touched child by its path.
 func (f *closureFold) weigh() error {
 	var ix *index
-	if f.d.nested > 0 && f.group == nil {
+	if f.group == nil && !f.d.flat() {
 		ix = f.d.index()
 	}
 	if f.certain != nil {

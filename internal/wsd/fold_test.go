@@ -236,8 +236,8 @@ func TestClosureFoldScalesLinearly(t *testing.T) {
 		if err := d.repairByKey("Clean", "Cleaner", []string{"K", "V"}, ""); err != nil {
 			t.Fatal(err)
 		}
-		if d.nested != 2*n || d.MergeCount() != 0 {
-			t.Fatalf("fixture: %d nested components after %d merges, want %d and 0", d.nested, d.MergeCount(), 2*n)
+		if nestedCount(d) != 2*n || d.MergeCount() != 0 {
+			t.Fatalf("fixture: %d nested components after %d merges, want %d and 0", nestedCount(d), d.MergeCount(), 2*n)
 		}
 		return d
 	}

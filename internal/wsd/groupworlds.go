@@ -378,7 +378,7 @@ func (d *WSD) closePerGroup(groups []groupInfo, q evaluator, cl closure, dec dec
 	if err != nil {
 		return nil, err
 	}
-	dec.comps = qAn.Comps
+	dec.comps, dec.trees = qAn.Comps, d.rootClosure(qAn.Comps)
 	rcl := groupedClosure(cl)
 	closed, err := d.run(dec, q, rcl, "")
 	if err != nil {

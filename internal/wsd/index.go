@@ -5,20 +5,17 @@ package wsd
 // which components feed a relation, which sit in a non-trivial d-tree, the
 // flat number of every (component, alternative), and a relation's
 // contributions as one stored, tagged delta — derived from the list once per
-// change of it, not once per statement. What a statement then pays for the
-// size of the list is the check that the index is current (one pointer
-// compare per component); every lookup after it is O(1) or O(log) in the
+// change of it, not once per statement. Every lookup is O(1) or O(log) in the
 // components, and the per-statement work is in the rows an answer holds.
 //
-// The index is valid while d.comps is, pointer for pointer, the list it was
-// built from. That is the whole test: a published component, its
-// alternatives, their contribution maps and the relations in them are never
-// written in place (own copies the component before any write, and a new
-// component is new), so a list holding the same pointers holds the same
-// data. No mutation site invalidates anything, and a Snapshot restore, which
-// puts an older list back, needs nothing either: the next read finds the
-// pointers changed and rebuilds. A write into a component own returned must
-// therefore finish before anything reads the index again.
+// The index is part of the decomposition's state value (wsd.go): every write
+// of the component list goes through editList, which drops it, and the next
+// read builds it anew. Nothing else writes the list, and a published
+// component, its alternatives, their contribution maps and the relations in
+// them are never written in place (own copies the component before any
+// write), so an index the state holds is current. A Snapshot restore puts
+// back the index that was valid for the restored list. A write into a
+// component own returned must finish before anything reads the index again.
 
 import (
 	"errors"
@@ -35,8 +32,8 @@ import (
 
 // index is the derived lookup structure of one component list.
 type index struct {
-	// comps is the component list the index was built from: a copy of the
-	// slice, so that splicing d.comps in place cannot change it.
+	// comps is the component list the index was built from, not a copy: every
+	// write of the list drops the index first (editList).
 	comps []*Component
 	// pos maps a component ID to its position in comps, -1 for an ID not in
 	// the list.
@@ -64,10 +61,10 @@ type index struct {
 	deltas map[string]*relation.Relation
 }
 
-// index returns the index of the current component list, building it when
-// the list is no longer, pointer for pointer, the one it was built from.
+// index returns the index of the current component list, building it on the
+// first read after a change of the list.
 func (d *WSD) index() *index {
-	if d.ix == nil || !slices.Equal(d.ix.comps, d.comps) {
+	if d.ix == nil {
 		d.ix = buildIndex(d.comps, d.nextID)
 	}
 	return d.ix
@@ -76,7 +73,7 @@ func (d *WSD) index() *index {
 // buildIndex indexes comps, whose component IDs are below nextID.
 func buildIndex(comps []*Component, nextID int) *index {
 	ix := &index{
-		comps:    slices.Clone(comps),
+		comps:    comps,
 		pos:      make([]int32, nextID),
 		children: make([][]int, len(comps)),
 		first:    make([]int, len(comps)+1),

@@ -171,7 +171,7 @@ func (d *WSD) condenseDecision(idx []int) decision {
 // indexes are returned. Flat decompositions pass through untouched. The
 // callers have checked the condensed sizes against MergeLimit.
 func (d *WSD) condenseFitting(idx []int) ([]int, error) {
-	if d.nested == 0 {
+	if d.flat() {
 		return idx, nil
 	}
 	ix := d.index()
@@ -257,13 +257,13 @@ func (d *WSD) condense(idxs []int) (*Component, error) {
 	}
 
 	d.merges.Add(1)
+	d.editList()
 	for i := len(idxs) - 1; i >= 0; i-- {
 		d.comps = append(d.comps[:idxs[i]], d.comps[idxs[i]+1:]...)
 	}
 	out := &Component{ID: d.nextID, Alts: alts, Parent: -1}
 	d.nextID++
 	d.comps = append(d.comps, out)
-	d.recountNested()
 	return out, nil
 }
 

@@ -299,7 +299,7 @@ func TestRefusedMergeLeavesDecompositionUnchanged(t *testing.T) {
 	}
 	for name, attempt := range attempts {
 		d := build()
-		if d.nested == 0 {
+		if nestedCount(d) == 0 {
 			t.Fatal("fixture is not nested")
 		}
 		fingerprint, comps, alts := d.SchemaFingerprint(), d.ComponentCount(), d.AlternativeCount()
@@ -442,7 +442,7 @@ func TestMergeRouteMatchesWorldsetClosures(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if d.nested == 0 {
+		if nestedCount(d) == 0 {
 			t.Fatal("fixture: Q is not nested")
 		}
 		return d

@@ -111,11 +111,11 @@ type decision struct {
 	kind routeKind
 	// comps are the components the decisive phase involves.
 	comps []int
+	// trees lists the whole d-trees comps belong to, ascending (rootClosure):
+	// what evalParts evaluates on the Σ-alternatives routes.
+	trees []int
 	// alts is the alternative count of the merged component (routeMerge).
 	alts int
-	// nested counts the nested components among the involved trees (the
-	// conditional closures).
-	nested int
 	// refusal is the refusal-table row (routeRefused; nil for a merge past
 	// the limit), err the statement's error and why EXPLAIN's account of it.
 	refusal *refusal
@@ -208,7 +208,7 @@ func (d *WSD) routeCore(core *sqlparse.SelectStmt, an *plan.ComponentAnalysis, c
 	switch {
 	case store:
 		if an.Concat {
-			return decision{kind: routeComponentwise, comps: comps}
+			return decision{kind: routeComponentwise, comps: comps, trees: d.rootClosure(comps)}
 		}
 	case cl == closureNone:
 		// One world when every component has one alternative left (singleton
@@ -220,14 +220,14 @@ func (d *WSD) routeCore(core *sqlparse.SelectStmt, an *plan.ComponentAnalysis, c
 			return decision{kind: routeSingle, comps: comps}
 		}
 		if an.Concat {
-			return decision{kind: routeCondRelation, comps: comps, nested: d.nestedAmong(d.rootClosure(comps))}
+			return decision{kind: routeCondRelation, comps: comps, trees: d.rootClosure(comps)}
 		}
 		return d.perWorld(core)
 	case an.Decomposable:
 		if d.treeInvolved(comps) {
-			return decision{kind: routeCondFold, comps: comps, nested: d.nestedAmong(d.rootClosure(comps))}
+			return decision{kind: routeCondFold, comps: comps, trees: d.rootClosure(comps)}
 		}
-		return decision{kind: routeComponentwise, comps: comps}
+		return decision{kind: routeComponentwise, comps: comps, trees: comps}
 	}
 	dec := d.mergeDecision(comps)
 	if dec.kind == routeRefused && cl == closureApproxConf {
@@ -250,9 +250,9 @@ func (d *WSD) describeRoute(dec decision) string {
 	case routeComponentwise:
 		detail = fmt.Sprintf("merge-free, %d components, %s alternatives", n, d.altsBrief(dec.comps))
 	case routeCondFold:
-		detail = fmt.Sprintf("tree fold, %d components, %d nested", n, dec.nested)
+		detail = fmt.Sprintf("tree fold, %d components, %d nested", n, d.nestedAmong(dec.trees))
 	case routeCondRelation:
-		detail = fmt.Sprintf("relation with cond column, %d components, %d nested", n, dec.nested)
+		detail = fmt.Sprintf("relation with cond column, %d components, %d nested", n, d.nestedAmong(dec.trees))
 	case routeCondSplit:
 		detail = fmt.Sprintf("nested split, %d feeding components", n)
 	case routeMerge:

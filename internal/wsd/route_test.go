@@ -3,8 +3,10 @@ package wsd
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -192,13 +194,12 @@ func agreementWSD(t *testing.T, seed int64) *WSD {
 	return d
 }
 
-// TestRouteAgreement runs the equivalence corpora — the componentwise,
-// delta, GROUP WORLDS, factorized CTAS, split and conditional-shape suites
-// and the DML fuzz seeds — through agree: every statement's EXPLAIN names
-// the route its execution notes, once.
-func TestRouteAgreement(t *testing.T) {
-	words := map[string]int{}
-	run := func(d *WSD, sql string) { words[agree(t, d, sql)]++ }
+// routeCorpus hands run the equivalence corpora — the componentwise, delta,
+// GROUP WORLDS, factorized CTAS, split and conditional-shape suites and the
+// DML fuzz seeds — statement by statement, each with the decomposition it
+// runs over; run executes it.
+func routeCorpus(t *testing.T, run func(d *WSD, sql string)) {
+	t.Helper()
 	for seed := int64(0); seed < 3; seed++ {
 		d := agreementWSD(t, seed)
 		for _, q := range componentwiseQueries {
@@ -249,12 +250,39 @@ func TestRouteAgreement(t *testing.T) {
 		}
 		run(d, "create table XA as select K, V from I assert exists (select * from I where V = 0 and K = 0)")
 	}
+}
+
+// TestRouteAgreement runs routeCorpus through agree: every statement's
+// EXPLAIN names the route its execution notes, once.
+func TestRouteAgreement(t *testing.T) {
+	words := map[string]int{}
+	routeCorpus(t, func(d *WSD, sql string) { words[agree(t, d, sql)]++ })
 	t.Logf("routes taken: %v", words)
 	for _, w := range []string{"single", "componentwise", "conditional", "merge", "refused"} {
 		if words[w] == 0 {
 			t.Errorf("no corpus statement took route %s: %v", w, words)
 		}
 	}
+}
+
+// TestSnapshotKeepsSavedState: every statement of routeCorpus — a read, a
+// write or a failure — run after a Snapshot leaves the relation maps and the
+// component list the Snapshot saved holding exactly the entries they held
+// before it, pointer for pointer: the statement's first write copied them.
+func TestSnapshotKeepsSavedState(t *testing.T) {
+	routeCorpus(t, func(d *WSD, sql string) {
+		d.Snapshot()
+		saved := d.state
+		certain, schemas, names := maps.Clone(saved.certain), maps.Clone(saved.schemas), maps.Clone(saved.names)
+		comps := slices.Clone(saved.comps)
+		_, _ = d.Exec(sql) // the corpus holds statements that fail
+		if !maps.Equal(saved.certain, certain) || !maps.Equal(saved.schemas, schemas) || !maps.Equal(saved.names, names) {
+			t.Errorf("%q wrote a relation map a Snapshot saved", sql)
+		}
+		if !slices.Equal(saved.comps, comps) {
+			t.Errorf("%q wrote the component list a Snapshot saved", sql)
+		}
+	})
 }
 
 // TestRouteProbes pins the route of each statement shape whose EXPLAIN once

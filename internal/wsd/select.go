@@ -111,8 +111,9 @@ func (d *WSD) schemaCatalog() plan.Catalog {
 // SchemaFingerprint hashes the decomposition's catalog shape, mirroring
 // world.SchemaFingerprint for the compact engine: it keys the process-wide
 // shared plan cache, so compact sessions over identical schemas share
-// compiled templates. It is computed once per change of the schemas: every
-// write of d.schemas, and a Snapshot restore, drops the cached value.
+// compiled templates. It is computed once per change of the state: every
+// write drops the cached value (edit), and a Snapshot restore puts back the
+// one that was valid for the restored schemas.
 func (d *WSD) SchemaFingerprint() uint64 {
 	if d.fingerprint != nil {
 		return *d.fingerprint
@@ -285,9 +286,9 @@ func (d *WSD) evalParts(dec decision, query partQuery) (*componentParts, error) 
 	defer sp.End(d.trace)
 	sp.Set("components", len(dec.comps))
 	if dec.kind != routeComponentwise {
-		sp.Set("conditional_splits", dec.nested)
+		sp.Set("conditional_splits", d.nestedAmong(dec.trees))
 	}
-	return d.queryByComponent(d.rootClosure(dec.comps), query, sp)
+	return d.queryByComponent(dec.trees, query, sp)
 }
 
 // mergeEval is the classic path: merge exactly the involved components
@@ -402,8 +403,8 @@ func (d *WSD) projectOutTrailing(name string, n int) {
 	for i := range keep {
 		keep[i] = i
 	}
+	d.edit()
 	d.schemas[k] = sch.Project(keep)
-	d.fingerprint = nil
 	if r, ok := d.certain[k]; ok {
 		d.certain[k] = relation.FromBatch(r.Batch().Project(keep, d.schemas[k]))
 	}

@@ -65,8 +65,10 @@
 // What a statement asks of the component list as a whole — a component's
 // position by ID, its children, the components feeding a relation, a
 // relation's contributions concatenated for the tagged delta — it reads from
-// the decomposition's one index (index.go), built once per change of the
-// list and valid while the list holds the pointers it was built from.
+// the decomposition's one index (index.go), built on the first read after a
+// change of the list. The index is part of the decomposition's one state
+// value (state), which a Snapshot saves without copying: every write goes
+// through one barrier (edit) that copies on a statement's first write.
 //
 // POSSIBLE, CERTAIN and CONF are asked through Exec and nowhere else: the
 // WSD has no stored-relation read beside the statement. Over
@@ -173,20 +175,7 @@ type WSD struct {
 	interrupt func() error
 	trace     *obs.Trace
 
-	certain map[string]*relation.Relation // lower name → certain tuples
-	schemas map[string]*schema.Schema     // lower name → schema
-	names   map[string]string             // lower name → display name
-	comps   []*Component
-	nextID  int
-	// fingerprint caches SchemaFingerprint; nil after any write of schemas.
-	fingerprint *uint64
-
-	// nested counts the components with a parent edge (Parent >= 0): zero
-	// means the decomposition is a flat product and every flat fast path
-	// applies unchanged.
-	nested int
-	// ix is the index of comps as it was last read (see index.go).
-	ix *index
+	state
 
 	// merges counts component merges that actually restructured the
 	// decomposition (≥ 2 components multiplied into one): the observability
@@ -199,14 +188,51 @@ type WSD struct {
 	lookups plan.Lookups
 }
 
+// state is the decomposition's value — what a Snapshot saves and a restore
+// puts back — with the index and fingerprint derived from it. Every write
+// goes through edit (editList for the list), so no site keeps them in step.
+type state struct {
+	certain map[string]*relation.Relation // lower name → certain tuples
+	schemas map[string]*schema.Schema     // lower name → schema
+	names   map[string]string             // lower name → display name
+	comps   []*Component
+	nextID  int
+	// ix is the index of comps (index.go), nil until read after a change of
+	// the list; fingerprint caches SchemaFingerprint, nil after any write.
+	ix          *index
+	fingerprint *uint64
+	// shared reports that a Snapshot holds these maps and this list: the
+	// next edit copies them before anything writes them.
+	shared bool
+}
+
+// edit prepares the state for a write: on the first write after a Snapshot
+// it copies the maps and the list the snapshot holds, and it drops the
+// fingerprint.
+func (d *WSD) edit() {
+	if d.shared {
+		d.certain, d.schemas, d.names = maps.Clone(d.certain), maps.Clone(d.schemas), maps.Clone(d.names)
+		d.comps, d.shared = slices.Clone(d.comps), false
+	}
+	d.fingerprint = nil
+}
+
+// editList is edit for a write of the component list: it drops the index too.
+func (d *WSD) editList() {
+	d.edit()
+	d.ix = nil
+}
+
 // New creates an empty WSD (one world: the empty certain database).
 func New(weighted bool) *WSD {
 	return &WSD{
 		Weighted:   weighted,
 		MergeLimit: DefaultMergeLimit,
-		certain:    map[string]*relation.Relation{},
-		schemas:    map[string]*schema.Schema{},
-		names:      map[string]string{},
+		state: state{
+			certain: map[string]*relation.Relation{},
+			schemas: map[string]*schema.Schema{},
+			names:   map[string]string{},
+		},
 	}
 }
 
@@ -228,10 +254,10 @@ func (d *WSD) PutCertain(name string, rel *relation.Relation) error {
 	if _, ok := d.schemas[k]; ok {
 		return fmt.Errorf("%w: %s", ErrExists, name)
 	}
+	d.edit()
 	d.certain[k] = rel
 	d.schemas[k] = rel.Schema.Unqualify()
 	d.names[k] = name
-	d.fingerprint = nil
 	return nil
 }
 
@@ -270,6 +296,7 @@ func (d *WSD) insertCertain(name string, rows []tuple.Tuple) error {
 			return err
 		}
 	}
+	d.edit()
 	d.certain[key(name)] = next
 	return nil
 }
@@ -282,6 +309,7 @@ func (d *WSD) drop(name string) error {
 	if _, ok := d.schemas[k]; !ok {
 		return fmt.Errorf("%w: %s", ErrUnknown, name)
 	}
+	d.edit()
 	delete(d.certain, k)
 	for _, ci := range d.componentsFor(name) {
 		c := d.own(ci)
@@ -291,35 +319,30 @@ func (d *WSD) drop(name string) error {
 	}
 	delete(d.schemas, k)
 	delete(d.names, k)
-	d.fingerprint = nil
 	return nil
 }
 
-// Snapshot saves the decomposition's header — the relation maps, the
-// component list, the next component ID and the nested count; see
-// core.Engine.Snapshot. It costs one pointer copy per relation and per
-// component: components, their alternatives and contribution maps, and
-// relations are never written once published (see own).
+// Snapshot saves the decomposition's state; see core.Engine.Snapshot. It
+// copies nothing: it marks the maps and the list shared, and the statement's
+// first write copies them (edit). Components, their alternatives and
+// contribution maps, and relations are never written once published (see
+// own), so the saved value stays as it was, its index and fingerprint valid.
 func (d *WSD) Snapshot() (restore func()) {
-	certain, schemas, names := maps.Clone(d.certain), maps.Clone(d.schemas), maps.Clone(d.names)
-	comps, nextID, nested := slices.Clone(d.comps), d.nextID, d.nested
-	return func() {
-		d.certain, d.schemas, d.names = certain, schemas, names
-		d.comps, d.nextID, d.nested = comps, nextID, nested
-		d.fingerprint = nil
-	}
+	d.shared = true
+	saved := d.state
+	return func() { d.state = saved }
 }
 
 // own replaces component ci with a copy that has a fresh Alts slice and
 // fresh (non-nil) Contrib maps, and returns the copy for writing. Every
 // write into a component goes through own, so no engine pass mutates a
-// published component, alternative or contribution map in place: a header
-// snapshot restores the decomposition, derived alternatives may share a
-// parent's contribution relations, and the decomposition's index (index.go)
-// is valid exactly while the component list holds the pointers it was built
-// from — own's new pointer is what retires it. So the writes into the copy
-// must be done before anything reads the index again.
+// published component, alternative or contribution map in place: a
+// snapshot's saved state is never written, and derived alternatives may
+// share a parent's contribution relations. Like every write of the list it
+// drops the index (editList), so the writes into the copy must be done
+// before anything reads the index again.
 func (d *WSD) own(ci int) *Component {
+	d.editList()
 	c := *d.comps[ci]
 	c.Alts = slices.Clone(c.Alts)
 	for i, a := range c.Alts {
@@ -396,7 +419,7 @@ func (d *WSD) AlternativeCount() int {
 //
 // over each root, multiplied across roots.
 func (d *WSD) WorldCount() *big.Int {
-	if d.nested == 0 {
+	if d.flat() {
 		sizes := make([]int64, len(d.comps))
 		for i, c := range d.comps {
 			sizes[i] = int64(len(c.Alts))
@@ -474,12 +497,9 @@ func (d *WSD) rootClosure(idxs []int) []int {
 // treeInvolved reports whether any of the components, ascending, is part of
 // a non-trivial d-tree (has a parent or children), by the index's tree facts:
 // only the listed positions between the first and the last tree position
-// are read, so the listing of a flat relation stored beside the trees is
-// answered in O(log) of its length, and a flat decomposition in O(1).
+// are read, so the listing of a flat relation stored beside the trees, or in
+// a flat decomposition, is answered in O(log) of its length.
 func (d *WSD) treeInvolved(idxs []int) bool {
-	if d.nested == 0 {
-		return false
-	}
 	ix := d.index()
 	lo, _ := slices.BinarySearch(idxs, ix.treeLo)
 	for _, ci := range idxs[lo:] {
@@ -493,16 +513,11 @@ func (d *WSD) treeInvolved(idxs []int) bool {
 	return false
 }
 
-// recountNested recomputes the nested-component count after a structural
-// rewrite (merge splices).
-func (d *WSD) recountNested() {
-	n := 0
-	for _, c := range d.comps {
-		if c.Parent >= 0 {
-			n++
-		}
-	}
-	d.nested = n
+// flat reports that no component has a parent: the decomposition is a flat
+// product and every flat fast path applies unchanged.
+func (d *WSD) flat() bool {
+	ix := d.index()
+	return ix.treeLo > ix.treeHi
 }
 
 // isCertain reports whether name is a certain relation (no component
@@ -532,6 +547,7 @@ func (d *WSD) addComponent(alts []Alternative) (*Component, error) {
 			return nil, fmt.Errorf("alternative probabilities sum to %g, want 1", total)
 		}
 	}
+	d.editList()
 	c := &Component{ID: d.nextID, Alts: alts, Parent: -1}
 	d.nextID++
 	d.comps = append(d.comps, c)
@@ -547,7 +563,6 @@ func (d *WSD) addChildComponent(alts []Alternative, parentID, parentAlt int) (*C
 		return nil, err
 	}
 	c.Parent, c.ParentAlt = parentID, parentAlt
-	d.nested++
 	return c, nil
 }
 
@@ -560,9 +575,9 @@ func (d *WSD) registerUncertain(name string, sch *schema.Schema) error {
 	if _, ok := d.schemas[k]; ok {
 		return fmt.Errorf("%w: %s", ErrExists, name)
 	}
+	d.edit()
 	d.schemas[k] = sch.Unqualify()
 	d.names[k] = name
-	d.fingerprint = nil
 	return nil
 }
 
@@ -570,9 +585,8 @@ func (d *WSD) registerUncertain(name string, sch *schema.Schema) error {
 // to 1 (weighted), schemas exist for every contributed relation, tuple
 // widths match, the d-tree structure is well-formed (component IDs are
 // distinct and below the next ID, parents precede their children in the
-// component list, parent alternatives exist, and the nested count is in
-// sync), and an index the component list still validates (index.go) is the
-// one a fresh build gives, its cached deltas included.
+// component list, and parent alternatives exist), and the live index, if
+// any, is the one a fresh build gives, its cached deltas included.
 func (d *WSD) CheckInvariant() error {
 	for _, c := range d.comps {
 		if c.ID < 0 || c.ID >= d.nextID {
@@ -580,13 +594,11 @@ func (d *WSD) CheckInvariant() error {
 		}
 	}
 	fresh := buildIndex(d.comps, d.nextID)
-	nested := 0
 	for ci, c := range d.comps {
 		if fresh.position(c.ID) != ci {
 			return fmt.Errorf("component ID %d appears twice in the component list", c.ID)
 		}
 		if c.Parent >= 0 {
-			nested++
 			pi := fresh.parent(c)
 			if pi < 0 {
 				return fmt.Errorf("component %d has unknown parent %d", c.ID, c.Parent)
@@ -598,9 +610,6 @@ func (d *WSD) CheckInvariant() error {
 				return fmt.Errorf("component %d conditioned on missing alternative %d of component %d", c.ID, c.ParentAlt, c.Parent)
 			}
 		}
-	}
-	if nested != d.nested {
-		return fmt.Errorf("nested component count %d out of sync (counted %d)", d.nested, nested)
 	}
 	for _, c := range d.comps {
 		if len(c.Alts) == 0 {
@@ -623,7 +632,7 @@ func (d *WSD) CheckInvariant() error {
 			return fmt.Errorf("component %d probabilities sum to %g", c.ID, total)
 		}
 	}
-	if ix := d.ix; ix != nil && slices.Equal(ix.comps, d.comps) {
+	if ix := d.ix; ix != nil {
 		if err := ix.sameAs(fresh, d.schemas); err != nil {
 			return fmt.Errorf("stale decomposition index: %w", err)
 		}

@@ -43,8 +43,10 @@
 # decomposition representing 2^18 worlds (18 repair components, one
 # conditional child under every alternative): the conditional relation
 # (cond column) and the tree-fold CONF closure must stay linear in the
-# representation — steady state ~410 and ~355 allocs/op: both are one
-# certain-only evaluation and one tagged delta, no world is evaluated — so
+# representation — steady state ~360 and ~257 allocs/op (one whole-tree
+# listing per decision; ~376 and ~273 when routing and evaluation each
+# listed the trees): both are one certain-only evaluation and one tagged
+# delta, no world is evaluated — so
 # anything scaling with the world count (or even quadratic in the
 # components, as the deviation-world evaluations were: ~2.9k) trips the ~2x
 # ceilings immediately.
@@ -116,16 +118,17 @@
 # component positions, children, alternative numbering, tree facts, relation
 # feeders, U's stored tagged delta — is built once per change
 # (internal/wsd/index.go), and after the filter over the stored delta a
-# statement pays for the parts its answer holds, not for every alternative:
-# the steady state is ~128 (comps=1000) and ~147 (comps=10000) allocs/op and
-# ~35 KB and ~325 KB/op, where a tag column, dense parts and a fold over every
-# alternative took ~175/195 allocs and 159 KB/1.57 MB, and rebuilding the
-# index on every read 381 and 443 allocs. What bytes remain grow with n
-# through the filter's selection vector over the delta, the statement's
-# Snapshot of the component list, and the index build the first of the 20
-# statements pays. The ~1.5x allocs and bytes ceilings (check_bytes reads
-# B/op) trip on anything per component (1000+ allocations, or 8+ bytes per
-# alternative).
+# statement pays for the parts its answer holds, not for every alternative,
+# and a Snapshot copies nothing (a read never copies the component list or
+# the relation maps): the steady state is ~121 (comps=1000) and ~140
+# (comps=10000) allocs/op and ~25 KB and ~242 KB/op, where a Snapshot copying
+# them took ~128/147 allocs and 35 KB/325 KB, a tag column, dense parts and a
+# fold over every alternative ~175/195 allocs and 159 KB/1.57 MB, and
+# rebuilding the index on every read 381 and 443 allocs. What bytes remain
+# grow with n through the filter's selection vector over the delta and the
+# index build the first of the 20 statements pays. The ~1.5x allocs and
+# bytes ceilings (check_bytes reads B/op) trip on anything per component
+# (1000+ allocations, or 8+ bytes per alternative).
 #
 # Each run's output is copied to standard error as it comes, through fd 2
 # itself: tee'ing to /dev/stderr would reopen a redirected log and truncate
@@ -192,10 +195,10 @@ check 'BenchmarkCollectStoredScan/project' 8
 check 'BenchmarkClosureComponents/possible/groups=1000' 2750
 check 'BenchmarkClosureComponents/conf/groups=1000' 2800
 check 'BenchmarkClosureComponents/conf/groups=16000' 40000
-check 'BenchmarkStatementOverhead/comps=1000' 192
-check 'BenchmarkStatementOverhead/comps=10000' 220
-check_bytes 'BenchmarkStatementOverhead/comps=1000' 53000
-check_bytes 'BenchmarkStatementOverhead/comps=10000' 490000
+check 'BenchmarkStatementOverhead/comps=1000' 182
+check 'BenchmarkStatementOverhead/comps=10000' 210
+check_bytes 'BenchmarkStatementOverhead/comps=1000' 37000
+check_bytes 'BenchmarkStatementOverhead/comps=10000' 362000
 check BenchmarkImportCertain 1600
 check BenchmarkImportRepairKey 240000
 check BenchmarkImportChoice 105000
@@ -203,8 +206,8 @@ check BenchmarkImportDirty 850
 check BenchmarkBatchClosurePossible 5000
 check BenchmarkBatchClosureConf 5000
 check BenchmarkBatchClosureGroupWorlds 6000
-check 'BenchmarkConditionalSelect/nested/groups=18/worlds=2\^18' 850
-check 'BenchmarkConditionalConf/nested/groups=18/worlds=2\^18' 750
+check 'BenchmarkConditionalSelect/nested/groups=18/worlds=2\^18' 720
+check 'BenchmarkConditionalConf/nested/groups=18/worlds=2\^18' 520
 check 'BenchmarkImportedRead/conf/rows=40000/alts=24' 2000
 check 'BenchmarkImportedRead/join/rows=40000/alts=24' 2200
 check 'BenchmarkMergeRoute/conf\.subquery' 11000
