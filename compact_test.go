@@ -10,10 +10,11 @@ import (
 	"strings"
 	"testing"
 
+	"maybms/internal/core"
 	"maybms/internal/plan"
+	"maybms/internal/schema"
 	"maybms/internal/world"
 	"maybms/internal/worldset"
-	"maybms/internal/wsd"
 )
 
 // confOf runs a `select conf … where` statement and returns its one
@@ -37,7 +38,7 @@ func TestUnknownRelationKeepsCause(t *testing.T) {
 		msg    string
 	}{
 		{"naive", Open(), world.ErrUnknown, `plan error: relation "U" does not exist in world w1`},
-		{"compact", OpenCompact(), wsd.ErrUnknown, "plan error: relation unknown to the WSD: U"},
+		{"compact", OpenCompact(), world.ErrUnknown, "plan error: relation does not exist: U"},
 	} {
 		_, err := c.db.Exec("select possible * from U")
 		if !errors.Is(err, plan.ErrPlan) || !errors.Is(err, c.cause) {
@@ -49,27 +50,83 @@ func TestUnknownRelationKeepsCause(t *testing.T) {
 	}
 }
 
-// TestNotWeightedSameOnBothEngines: a WEIGHT in a non-probabilistic session
-// fails with the one sentinel and the one message on both engines.
+// TestNotWeightedSameOnBothEngines: a malformed statement gets the I-SQL
+// front end's error from both engines, in weighted and incomplete sessions
+// alike — byte for byte, with the one sentinel where there is one (a WEIGHT
+// or a CONF outside a probabilistic session wraps worldset.ErrNotWeighted).
+// A split column the FROM/WHERE rows lack fails with the same clause-named
+// error on both, and an unknown or taken name wraps the one sentinel on both.
 func TestNotWeightedSameOnBothEngines(t *testing.T) {
-	const sql = "create table C as select * from Dirty repair by key K weight W"
-	rows := [][]any{{0, 1, 1}, {0, 2, 3}}
-	db, cdb := OpenIncomplete(), OpenCompactIncomplete()
-	if err := db.Register("Dirty", []string{"K", "V", "W"}, rows); err != nil {
-		t.Fatal(err)
-	}
-	if err := cdb.Register("Dirty", []string{"K", "V", "W"}, rows); err != nil {
-		t.Fatal(err)
-	}
-	_, naive := db.Exec(sql)
-	_, compact := cdb.Exec(sql)
-	for _, err := range []error{naive, compact} {
-		if !errors.Is(err, worldset.ErrNotWeighted) {
-			t.Errorf("%s = %v, want worldset.ErrNotWeighted", sql, err)
+	const (
+		exact    = iota // the same error text
+		sentinel        // the same sentinel, the text aside
+	)
+	const (
+		weighted = 1 << iota
+		incomplete
+		both = weighted | incomplete
+	)
+	for _, c := range []struct {
+		sql string
+		on  int
+		cmp int
+		is  error
+	}{
+		{"select conf, A, conf from R", both, exact, nil},
+		{"select possible A, conf from R", both, exact, nil},
+		{"select A, conf from R", incomplete, exact, worldset.ErrNotWeighted},
+		{"create view V as select A, conf from R", incomplete, exact, worldset.ErrNotWeighted},
+		{"create table T as select A, conf from R repair by key A", incomplete, exact, worldset.ErrNotWeighted},
+		{"create table T as select * from R repair by key A weight W", incomplete, exact, worldset.ErrNotWeighted},
+		{"create table T as select * from R choice of A weight W", incomplete, exact, worldset.ErrNotWeighted},
+		{"create table T as select * from R repair by key A choice of B", both, exact, nil},
+		{"create table T as select A from R union select A from R repair by key A", both, exact, nil},
+		{"select possible A from R group worlds by (select possible B from R)", both, exact, nil},
+		{"select A from R group worlds by (select B from R)", both, exact, nil},
+		{"create table R (A, B)", both, exact, core.ErrExists},
+		{"create table R as select * from R", both, exact, core.ErrExists},
+		{"explain create table R as select * from R", both, exact, core.ErrExists},
+		{"create table T as select * from R repair by key Zz", both, exact, schema.ErrUnknownColumn},
+		{"create table T as select * from R repair by key A weight Zz", weighted, exact, schema.ErrUnknownColumn},
+		{"create table T as select * from R choice of Zz", both, exact, schema.ErrUnknownColumn},
+		{"create table T as select * from R choice of A weight Zz", weighted, exact, schema.ErrUnknownColumn},
+		{"create table T as select A from R repair by key Zz", both, exact, schema.ErrUnknownColumn},
+		{"create table T as select A from R choice of A weight Zz", weighted, exact, schema.ErrUnknownColumn},
+		{"create table T as select R.A from R, R S repair by key A", both, exact, schema.ErrAmbiguousColumn},
+		{"explain create table T as select A from R choice of Zz", both, exact, schema.ErrUnknownColumn},
+		{"drop table Nope", both, exact, world.ErrUnknown},
+		{"select possible A from Nope", both, sentinel, world.ErrUnknown},
+	} {
+		for _, mode := range []int{weighted, incomplete} {
+			if c.on&mode == 0 {
+				continue
+			}
+			rows := [][]any{{0, 1, 1}, {0, 2, 3}, {1, 5, 1}}
+			db, cdb := Open(), OpenCompact()
+			if mode == incomplete {
+				db, cdb = OpenIncomplete(), OpenCompactIncomplete()
+			}
+			if err := db.Register("R", []string{"A", "B", "W"}, rows); err != nil {
+				t.Fatal(err)
+			}
+			if err := cdb.Register("R", []string{"A", "B", "W"}, rows); err != nil {
+				t.Fatal(err)
+			}
+			_, naive := db.Exec(c.sql)
+			_, compact := cdb.Exec(c.sql)
+			if naive == nil || compact == nil {
+				t.Errorf("%s (weighted %t): naive says %v, compact says %v; want an error from both", c.sql, mode == weighted, naive, compact)
+				continue
+			}
+			for _, err := range []error{naive, compact} {
+				if c.is != nil && !errors.Is(err, c.is) {
+					t.Errorf("%s (weighted %t): %v, want errors.Is %v", c.sql, mode == weighted, err, c.is)
+				}
+			}
+			if c.cmp == exact && naive.Error() != compact.Error() {
+				t.Errorf("%s (weighted %t): naive says %q, compact says %q", c.sql, mode == weighted, naive, compact)
+			}
 		}
-	}
-	if naive == nil || compact == nil || naive.Error() != compact.Error() {
-		t.Errorf("naive says %v, compact says %v", naive, compact)
 	}
 }
 

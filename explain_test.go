@@ -530,7 +530,7 @@ func TestExplainNaiveGolden(t *testing.T) {
 	want := `engine: naive (per-world evaluation)
 worlds: 1
 split: repair key (K)
-closure: none (per-world answers)
+closure: none
 plan:
   Project [S.K, S.A, S.W]
     Scan S`

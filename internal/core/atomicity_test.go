@@ -64,3 +64,32 @@ func TestFailedAssertLeavesSessionUntouched(t *testing.T) {
 		t.Error("failed assert mutated the session")
 	}
 }
+
+// TestSnapshotKeepsKeysAndViews: Snapshot copies neither the key map nor the
+// view map, so every statement that writes one writes a copy. A restore
+// after CREATE TABLE with a key, CREATE VIEW and DROP of each therefore
+// gives back the declarations as they were before the statement.
+func TestSnapshotKeepsKeysAndViews(t *testing.T) {
+	s := NewSession(true)
+	mustExec(t, s, "create table P (A, primary key (A))")
+	mustExec(t, s, "create view V as select * from P")
+	for _, sql := range []string{
+		"create table Q (A, primary key (A))",
+		"create view W as select * from P",
+		"drop table P",
+		"drop table V",
+	} {
+		restore := s.Snapshot()
+		mustExec(t, s, sql)
+		restore()
+		if got := s.PrimaryKey("P"); len(got) != 1 || got[0] != "A" {
+			t.Errorf("%q then restore: key of P = %v, want [A]", sql, got)
+		}
+		if s.PrimaryKey("Q") != nil {
+			t.Errorf("%q then restore: Q keeps a key", sql)
+		}
+		if !s.IsView("V") || s.IsView("W") {
+			t.Errorf("%q then restore: V is a view %t, W is a view %t; want true, false", sql, s.IsView("V"), s.IsView("W"))
+		}
+	}
+}

@@ -15,19 +15,21 @@ import (
 
 // Predict writes the statement's stage list and, for SELECT-family
 // statements, the compiled plan tree of the plain-SQL core. It first runs
-// the checks Run runs: the I-SQL strip, the INSERT rows, the DML template
-// and the standalone-ASSERT refusal.
+// the checks Run runs: the I-SQL front end (TakeApart), a CREATE … AS's
+// name and a split's columns, the INSERT rows, the DML template and the
+// standalone-ASSERT refusal.
 func (s *Session) Predict(b *strings.Builder, stmt sqlparse.Statement) error {
 	var sel *sqlparse.SelectStmt
+	var name string // the relation a CREATE … AS stores
 	switch st := stmt.(type) {
 	case *sqlparse.SelectStmt:
 		sel = st
 	case *sqlparse.CreateTableAs:
 		fmt.Fprintf(b, "materialize: table %s\n", st.Name)
-		sel = st.Query
+		sel, name = st.Query, st.Name
 	case *sqlparse.CreateView:
 		fmt.Fprintf(b, "materialize: view %s\n", st.Name)
-		sel = st.Query
+		sel, name = st.Query, st.Name
 	case *sqlparse.Insert:
 		if _, err := s.insertRows(st); err != nil {
 			return err
@@ -53,54 +55,48 @@ func (s *Session) Predict(b *strings.Builder, stmt sqlparse.Statement) error {
 		return nil
 	}
 
-	// Execution's checks and strip, before anything prints; the leftover
-	// core is what compiles to the per-world plan.
-	core, _, err := isqlCore(sel, s.set.Weighted)
+	// Execution's front end, before anything prints; the plain-SQL core is
+	// what compiles to the per-world plan.
+	q, err := TakeApart(sel, s.set.Weighted)
 	if err != nil {
 		return err
+	}
+	if name != "" {
+		if err := s.checkFresh(name); err != nil {
+			return err
+		}
+	}
+	if q.Splits() {
+		// Run resolves the split's columns against the FROM/WHERE rows.
+		fw, err := s.preparedFromWhere(q.Core, s.set.Worlds[0])
+		if err == nil {
+			_, _, err = q.SplitColumns(fw.Schema())
+		}
+		if err != nil {
+			return err
+		}
 	}
 	switch {
-	case sel.Repair != nil:
-		fmt.Fprintf(b, "split: repair key (%s)\n", strings.Join(sel.Repair.Key, ", "))
-	case sel.Choice != nil:
-		fmt.Fprintf(b, "split: choice of (%s)\n", strings.Join(sel.Choice.Attrs, ", "))
+	case q.Repair != nil:
+		fmt.Fprintf(b, "split: repair key (%s)\n", strings.Join(q.Repair.Key, ", "))
+	case q.Choice != nil:
+		fmt.Fprintf(b, "split: choice of (%s)\n", strings.Join(q.Choice.Attrs, ", "))
 	}
-	if sel.Assert != nil {
-		fmt.Fprintf(b, "assert: %s\n", sel.Assert)
+	if q.Assert != nil {
+		fmt.Fprintf(b, "assert: %s\n", q.Assert)
 	}
-	if sel.GroupWorlds != nil {
+	if q.GroupWorlds != nil {
 		b.WriteString("group worlds by: yes\n")
 	}
-	fmt.Fprintf(b, "closure: %s\n", naiveClosure(sel))
-
-	prep, err := s.preparedFull(core, s.set.Worlds[0])
+	prep, err := s.preparedFull(q.Core, s.set.Worlds[0])
 	if err != nil {
 		return err
 	}
-	b.WriteString("plan:\n")
-	writeIndented(b, prep.ExplainTree(nil))
+	q.Explain(b, prep.ExplainTree(nil))
 	return nil
 }
 
-func naiveClosure(sel *sqlparse.SelectStmt) string {
-	for _, it := range sel.Items {
-		if ce, ok := it.Expr.(sqlparse.ConfExpr); ok {
-			if ce.Approx {
-				return "approx conf"
-			}
-			return "conf"
-		}
-	}
-	switch sel.Quantifier {
-	case sqlparse.QuantPossible:
-		return "possible"
-	case sqlparse.QuantCertain:
-		return "certain"
-	default:
-		return "none (per-world answers)"
-	}
-}
-
+// writeIndented writes text indented by two spaces, line by line.
 func writeIndented(b *strings.Builder, text string) {
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		b.WriteString("  " + line + "\n")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"maybms/internal/algebra"
@@ -40,7 +41,7 @@ func cacheKey(prefix, text string, rep *world.World) string {
 
 // preparedFull returns a compile-once template for the plain-SQL core stmt.
 func (s *Session) preparedFull(stmt *sqlparse.SelectStmt, rep *world.World) (*plan.Prepared, error) {
-	return plan.Cached(s.plans, s.trace, &s.lookups, cacheKey("q", stmt.String(), rep),
+	return plan.Cached(plan.SharedCache(), s.trace, &s.lookups, cacheKey("q", stmt.String(), rep),
 		func(p *plan.Prepared) error { _, err := p.Bind(rep, nil); return err },
 		func() (*plan.Prepared, error) { return plan.Prepare(stmt, rep) })
 }
@@ -48,7 +49,7 @@ func (s *Session) preparedFull(stmt *sqlparse.SelectStmt, rep *world.World) (*pl
 // preparedFromWhere is preparedFull for the FROM/WHERE part of a
 // world-splitting statement.
 func (s *Session) preparedFromWhere(stmt *sqlparse.SelectStmt, rep *world.World) (*plan.PreparedFromWhere, error) {
-	return plan.Cached(s.plans, s.trace, &s.lookups, cacheKey("fw", stmt.String(), rep),
+	return plan.Cached(plan.SharedCache(), s.trace, &s.lookups, cacheKey("fw", stmt.String(), rep),
 		func(p *plan.PreparedFromWhere) error { _, err := p.Bind(rep, nil); return err },
 		func() (*plan.PreparedFromWhere, error) { return plan.PrepareFromWhere(stmt, rep) })
 }
@@ -57,7 +58,7 @@ func (s *Session) preparedFromWhere(stmt *sqlparse.SelectStmt, rep *world.World)
 // world-splitting statement; the key includes the intermediate schema so a
 // changed FROM/WHERE shape recompiles.
 func (s *Session) preparedOnRelation(stmt *sqlparse.SelectStmt, in *plan.PreparedFromWhere, rep *world.World) (*plan.PreparedOnRelation, error) {
-	return plan.Cached(s.plans, s.trace, &s.lookups, cacheKey("or", stmt.String()+"\x00"+in.Schema().String(), rep),
+	return plan.Cached(plan.SharedCache(), s.trace, &s.lookups, cacheKey("or", stmt.String()+"\x00"+in.Schema().String(), rep),
 		func(p *plan.PreparedOnRelation) error {
 			_, err := p.Bind(relation.New(in.Schema()), rep, nil)
 			return err
@@ -67,54 +68,9 @@ func (s *Session) preparedOnRelation(stmt *sqlparse.SelectStmt, in *plan.Prepare
 
 // preparedPredicate is preparedFull for an ASSERT condition.
 func (s *Session) preparedPredicate(e sqlparse.Expr, rep *world.World) (*plan.PreparedPredicate, error) {
-	return plan.Cached(s.plans, s.trace, &s.lookups, cacheKey("a", e.String(), rep),
+	return plan.Cached(plan.SharedCache(), s.trace, &s.lookups, cacheKey("a", e.String(), rep),
 		func(p *plan.PreparedPredicate) error { _, err := p.Bind(rep, nil, nil); return err },
 		func() (*plan.PreparedPredicate, error) { return plan.PreparePredicate(e, rep) })
-}
-
-// isqlCore checks a SELECT's I-SQL clauses and strips them, leaving the
-// plain-SQL core every world evaluates; conf reports a CONF item. Execution
-// and EXPLAIN both call it before anything compiles, so a statement one
-// refuses the other refuses with the same error. I-SQL inside a UNION arm
-// or a subquery is the planner's to refuse.
-func isqlCore(st *sqlparse.SelectStmt, weighted bool) (core *sqlparse.SelectStmt, conf bool, err error) {
-	confCount := 0
-	for _, it := range st.Items {
-		if _, ok := it.Expr.(sqlparse.ConfExpr); ok {
-			confCount++
-		}
-	}
-	conf = confCount == 1
-	switch {
-	case confCount > 1:
-		return nil, false, fmt.Errorf("at most one conf item is allowed")
-	case conf && st.Quantifier != sqlparse.QuantNone:
-		return nil, false, fmt.Errorf("conf cannot be combined with %s", st.Quantifier)
-	case conf && !weighted:
-		return nil, false, fmt.Errorf("conf requires a probabilistic session: %w", worldset.ErrNotWeighted)
-	case st.Repair != nil && st.Choice != nil:
-		return nil, false, fmt.Errorf("repair by key and choice of cannot be combined in one statement")
-	case st.Union != nil && (st.Repair != nil || st.Choice != nil || st.Assert != nil || st.GroupWorlds != nil):
-		return nil, false, fmt.Errorf("repair/choice/assert/group-worlds-by cannot be combined with UNION")
-	case !weighted && (st.Repair != nil && st.Repair.Weight != "" || st.Choice != nil && st.Choice.Weight != ""):
-		return nil, false, fmt.Errorf("weight requires a probabilistic session: %w", worldset.ErrNotWeighted)
-	case st.GroupWorlds != nil && sqlparse.HasISQLDeep(st.GroupWorlds):
-		return nil, false, fmt.Errorf("group worlds by subquery must be plain SQL")
-	case st.GroupWorlds != nil && st.Quantifier == sqlparse.QuantNone && !conf:
-		return nil, false, fmt.Errorf("group worlds by requires possible, certain or conf")
-	}
-	c := *st
-	c.Quantifier = sqlparse.QuantNone
-	c.Repair, c.Choice, c.Assert, c.GroupWorlds = nil, nil, nil, nil
-	if conf {
-		c.Items = make([]sqlparse.SelectItem, 0, len(st.Items)-1)
-		for _, it := range st.Items {
-			if _, ok := it.Expr.(sqlparse.ConfExpr); !ok {
-				c.Items = append(c.Items, it)
-			}
-		}
-	}
-	return &c, conf, nil
 }
 
 // evalQuery runs the full I-SQL SELECT pipeline:
@@ -130,23 +86,20 @@ func isqlCore(st *sqlparse.SelectStmt, weighted bool) (core *sqlparse.SelectStmt
 // share, a build side over a certain table — is evaluated once. Every
 // per-world pass is a loop in world order that polls the interrupt hook
 // before each world.
-func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
+func (s *Session) evalQuery(q ISQL) (*queryEval, error) {
 	weighted := s.set.Weighted
-	core, hasConf, err := isqlCore(st, weighted)
-	if err != nil {
-		return nil, err
-	}
 	var memo plan.Memo
+	var err error
 
 	// ---- per-world evaluation, with world splitting ----
 	var worlds []*world.World
 	var results []*relation.Relation
 	esp := s.trace.Begin("eval")
-	if st.Repair != nil || st.Choice != nil {
-		worlds, results, err = s.evalSplit(st, core, &memo)
+	if q.Splits() {
+		worlds, results, err = s.evalSplit(q, &memo)
 	} else {
 		worlds = s.set.Worlds
-		results, err = s.collectEach(core, worlds, &memo)
+		results, err = s.collectEach(q.Core, worlds, &memo)
 	}
 	if err != nil {
 		esp.End(s.trace)
@@ -157,8 +110,8 @@ func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 	s.trace.Set("route", "per-world")
 
 	// ---- assert: filter worlds and renormalize ----
-	if st.Assert != nil {
-		aPrep, err := s.preparedPredicate(st.Assert, worlds[0])
+	if q.Assert != nil {
+		aPrep, err := s.preparedPredicate(q.Assert, worlds[0])
 		if err != nil {
 			return nil, err
 		}
@@ -205,12 +158,12 @@ func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 	ev := &queryEval{worlds: worlds, results: results, weighted: weighted}
 
 	// ---- world grouping + closure ----
-	if st.Quantifier == sqlparse.QuantNone && !hasConf {
+	if q.Closure == ClosureNone {
 		return ev, nil
 	}
 	var groups [][]int
-	if st.GroupWorlds != nil {
-		answers, err := s.collectEach(st.GroupWorlds, worlds, &memo)
+	if q.GroupWorlds != nil {
+		answers, err := s.collectEach(q.GroupWorlds, worlds, &memo)
 		if err != nil {
 			return nil, err
 		}
@@ -238,10 +191,10 @@ func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 		}
 		var rel *relation.Relation
 		var err error
-		switch {
-		case st.Quantifier == sqlparse.QuantPossible:
+		switch q.Closure {
+		case ClosurePossible:
 			rel, err = worldset.Possible(groupResults, s.interrupt)
-		case st.Quantifier == sqlparse.QuantCertain:
+		case ClosureCertain:
 			rel, err = worldset.Certain(groupResults, s.interrupt)
 		default: // conf
 			probs := make([]float64, len(idxs))
@@ -264,9 +217,9 @@ func (s *Session) evalQuery(st *sqlparse.SelectStmt) (*queryEval, error) {
 // then the rest of the query runs in every child world (phase two). Phase
 // one stops as soon as the pieces so far exceed MaxWorlds, so every split
 // error surfaces before any piece-evaluation error.
-func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt, memo *plan.Memo) ([]*world.World, []*relation.Relation, error) {
+func (s *Session) evalSplit(q ISQL, memo *plan.Memo) ([]*world.World, []*relation.Relation, error) {
 	parents := s.set.Worlds
-	fwPrep, err := s.preparedFromWhere(core, parents[0])
+	fwPrep, err := s.preparedFromWhere(q.Core, parents[0])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -289,7 +242,7 @@ func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt, 
 		if err != nil {
 			return nil, nil, err
 		}
-		ps, err := s.splitPieces(st, ir)
+		ps, err := s.splitPieces(&q, ir)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -310,7 +263,7 @@ func (s *Session) evalSplit(st *sqlparse.SelectStmt, core *sqlparse.SelectStmt, 
 		pieces = append(pieces, ps...)
 	}
 
-	orPrep, err := s.preparedOnRelation(core, fwPrep, parents[0])
+	orPrep, err := s.preparedOnRelation(q.Core, fwPrep, parents[0])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -359,34 +312,15 @@ func (s *Session) collectEach(q *sqlparse.SelectStmt, worlds []*world.World, mem
 
 // splitPieces dispatches to the repair or choice split on the FROM/WHERE
 // intermediate ir.
-func (s *Session) splitPieces(st *sqlparse.SelectStmt, ir *relation.Relation) ([]piece, error) {
-	weighted := s.set.Weighted
-	if st.Repair != nil {
-		keyIdx, err := ir.Schema.IndexesOf(st.Repair.Key)
-		if err != nil {
-			return nil, fmt.Errorf("repair by key: %w", err)
-		}
-		weightIdx := -1
-		if st.Repair.Weight != "" {
-			weightIdx, err = ir.Schema.Resolve("", st.Repair.Weight)
-			if err != nil {
-				return nil, fmt.Errorf("repair weight: %w", err)
-			}
-		}
-		return repairs(ir, keyIdx, weightIdx, weighted, s.MaxWorlds)
-	}
-	attrIdx, err := ir.Schema.IndexesOf(st.Choice.Attrs)
+func (s *Session) splitPieces(q *ISQL, ir *relation.Relation) ([]piece, error) {
+	cols, weightIdx, err := q.SplitColumns(ir.Schema)
 	if err != nil {
-		return nil, fmt.Errorf("choice of: %w", err)
+		return nil, err
 	}
-	weightIdx := -1
-	if st.Choice.Weight != "" {
-		weightIdx, err = ir.Schema.Resolve("", st.Choice.Weight)
-		if err != nil {
-			return nil, fmt.Errorf("choice weight: %w", err)
-		}
+	if q.Repair != nil {
+		return repairs(ir, cols, weightIdx, s.set.Weighted, s.MaxWorlds)
 	}
-	return choices(ir, attrIdx, weightIdx, weighted)
+	return choices(ir, cols, weightIdx, s.set.Weighted)
 }
 
 // result converts the evaluation into a displayable Result without
@@ -419,7 +353,11 @@ func (ev *queryEval) result(weighted bool) *Result {
 // answers over the session's worlds, which are cloned before the answer is
 // stored. A result that cannot be stored fails the statement, which the
 // runner then undoes.
-func (s *Session) execCreateAs(name string, q *sqlparse.SelectStmt, isView bool) (*Result, error) {
+func (s *Session) execCreateAs(name string, sel *sqlparse.SelectStmt, isView bool) (*Result, error) {
+	q, err := TakeApart(sel, s.set.Weighted)
+	if err != nil {
+		return nil, err
+	}
 	if err := s.checkFresh(name); err != nil {
 		return nil, err
 	}
@@ -428,7 +366,7 @@ func (s *Session) execCreateAs(name string, q *sqlparse.SelectStmt, isView bool)
 		return nil, err
 	}
 	worlds := ev.worlds
-	if q.Repair == nil && q.Choice == nil && q.Assert == nil {
+	if !q.Splits() && q.Assert == nil {
 		worlds = make([]*world.World, len(ev.worlds))
 		for i, w := range ev.worlds {
 			worlds[i] = w.Clone(w.Name)
@@ -458,6 +396,7 @@ func (s *Session) execCreateAs(name string, q *sqlparse.SelectStmt, isView bool)
 	}
 	kind := "table"
 	if isView {
+		s.views = maps.Clone(s.views)
 		s.views[strings.ToLower(name)] = true
 		kind = "view"
 	}

@@ -19,6 +19,11 @@
 // and CREATE VIEW materialize the query's hypothetical world-set, making
 // splits and asserts durable. INSERT/UPDATE/DELETE run in every world; a
 // constraint violation in any world aborts the statement in all worlds.
+//
+// The package also holds what both engines share: the statement runner
+// (Engine, Exec, runner.go), the I-SQL front end that takes a SELECT's
+// clauses apart and checks how they combine (TakeApart, isql.go), and the
+// errors a name gets, ErrExists here and world.ErrUnknown.
 package core
 
 import (

@@ -20,7 +20,8 @@ import (
 // DefaultMaxWorlds bounds the explicit world-set size of a session.
 const DefaultMaxWorlds = 1 << 16
 
-// Errors reported by the engine.
+// Errors reported by the engine. ErrExists is both engines' error for a
+// name already taken.
 var (
 	ErrExists        = errors.New("relation already exists")
 	ErrKeyViolation  = errors.New("primary key violation")
@@ -31,37 +32,21 @@ var (
 // (declared primary keys, view names).
 type Session struct {
 	set *worldset.Set
-	// keys maps lower-case table names to declared primary key columns.
+	// keys maps lower-case table names to declared primary key columns. It
+	// and views are copied before a write (Snapshot keeps the pointers).
 	keys map[string][]string
 	// views records which names were created as views (snapshot-materialized).
 	views map[string]bool
 	// MaxWorlds bounds the world-set; splits that would exceed it fail with
 	// ErrTooManyWorlds.
 	MaxWorlds int
-	// plans caches compiled statement templates (see internal/plan's
-	// Prepare/Bind). By default it is the process-wide shared cache
-	// (plan.SharedCache()) so concurrent sessions over identical schemas
-	// reuse each other's compilations; entries are keyed by statement text
-	// plus schema fingerprint and revalidate against current schemas on
-	// every use. SetPlanCache installs a private cache instead.
-	plans *plan.Cache
 	// interrupt and trace belong to the statement executing now (see
 	// SetStatement).
 	interrupt func() error
 	trace     *obs.Trace
-	// lookups attributes plan-cache lookups to this session (the default
-	// cache is process-global; see the server's SessionInfo).
+	// lookups attributes lookups in the process-wide plan cache to this
+	// session (see the server's SessionInfo).
 	lookups plan.Lookups
-}
-
-// SetPlanCache replaces the session's compiled-statement cache. Sessions
-// default to the process-wide plan.SharedCache(); passing a private cache
-// isolates the session (nil restores the shared one).
-func (s *Session) SetPlanCache(c *plan.Cache) {
-	if c == nil {
-		c = plan.SharedCache()
-	}
-	s.plans = c
 }
 
 // SetStatement installs (or clears, with nils) the interrupt hook — polled
@@ -72,10 +57,11 @@ func (s *Session) SetStatement(interrupt func() error, tr *obs.Trace) {
 }
 
 // Snapshot saves the world list's header and the key and view maps; see
-// Engine.Snapshot. It copies no world: a statement stores only into worlds
-// it created or cloned, then swaps the list.
+// Engine.Snapshot. It copies nothing: a statement stores only into worlds it
+// created or cloned, then swaps the list, and copies a key or view map
+// before it writes it.
 func (s *Session) Snapshot() (restore func()) {
-	worlds, keys, views := s.set.Worlds, maps.Clone(s.keys), maps.Clone(s.views)
+	worlds, keys, views := s.set.Worlds, s.keys, s.views
 	return func() { s.set.Worlds, s.keys, s.views = worlds, keys, views }
 }
 
@@ -115,7 +101,6 @@ func NewSessionFromSet(set *worldset.Set) *Session {
 		keys:      make(map[string][]string),
 		views:     make(map[string]bool),
 		MaxWorlds: DefaultMaxWorlds,
-		plans:     plan.SharedCache(),
 	}
 }
 
@@ -160,7 +145,11 @@ var errAssertStatement = errors.New("the standalone ASSERT statement runs on the
 func (s *Session) Run(stmt sqlparse.Statement) (*Result, error) {
 	switch st := stmt.(type) {
 	case *sqlparse.SelectStmt:
-		ev, err := s.evalQuery(st)
+		q, err := TakeApart(st, s.set.Weighted)
+		if err != nil {
+			return nil, err
+		}
+		ev, err := s.evalQuery(q)
 		if err != nil {
 			return nil, err
 		}
@@ -214,6 +203,7 @@ func (s *Session) execCreateTable(st *sqlparse.CreateTable) (*Result, error) {
 		if _, err := sch.IndexesOf(st.PrimaryKey); err != nil {
 			return nil, fmt.Errorf("PRIMARY KEY: %w", err)
 		}
+		s.keys = maps.Clone(s.keys)
 		s.keys[strings.ToLower(st.Name)] = st.PrimaryKey
 	}
 	if err := s.putEach(st.Name, func(*world.World) (*relation.Relation, error) { return relation.New(sch), nil }); err != nil {
@@ -250,11 +240,12 @@ func (s *Session) putEach(name string, rel func(w *world.World) (*relation.Relat
 
 func (s *Session) execDrop(st *sqlparse.Drop) (*Result, error) {
 	if err := s.checkFresh(st.Name); err == nil && !st.IfExists {
-		return nil, fmt.Errorf("relation %q does not exist", st.Name)
+		return nil, fmt.Errorf("%w: %s", world.ErrUnknown, st.Name)
 	}
 	if err := s.putEach(st.Name, func(*world.World) (*relation.Relation, error) { return nil, nil }); err != nil {
 		return nil, err
 	}
+	s.keys, s.views = maps.Clone(s.keys), maps.Clone(s.views)
 	delete(s.keys, strings.ToLower(st.Name))
 	delete(s.views, strings.ToLower(st.Name))
 	return s.ok("dropped %s", st.Name)
@@ -343,7 +334,7 @@ func (s *Session) dmlTemplate(st sqlparse.Statement, table string) (*plan.Prepar
 	if err != nil {
 		return nil, err
 	}
-	return plan.Cached(s.plans, s.trace, &s.lookups, cacheKey("dml", st.String(), w),
+	return plan.Cached(plan.SharedCache(), s.trace, &s.lookups, cacheKey("dml", st.String(), w),
 		func(p *plan.PreparedDML) error { _, err := p.Bind(w, nil, nil); return err },
 		func() (*plan.PreparedDML, error) {
 			if u, ok := st.(*sqlparse.Update); ok {

@@ -178,14 +178,14 @@ func TestDelete(t *testing.T) {
 }
 
 // TestDMLCompilesThroughPlanCache: UPDATE and DELETE compile once, through
-// the plan cache like every other template — the same text again is a hit
-// and compiles nothing.
+// the process-wide plan cache like every other template — the same text
+// again is a hit and compiles nothing. The texts and the table are this
+// test's own, so no other test has compiled them before.
 func TestDMLCompilesThroughPlanCache(t *testing.T) {
 	s := NewSession(true)
-	s.SetPlanCache(plan.NewCache(0))
-	mustExec(t, s, "create table P (A)")
-	mustExec(t, s, "insert into P values (1), (2), (3)")
-	for _, sql := range []string{"update P set A = A + 1 where A > 1", "delete from P where A > 3"} {
+	mustExec(t, s, "create table DmlCacheP (A)")
+	mustExec(t, s, "insert into DmlCacheP values (1), (2), (3)")
+	for _, sql := range []string{"update DmlCacheP set A = A + 7 where A > 1", "delete from DmlCacheP where A > 8"} {
 		for run, compiles := range []uint64{1, 0} {
 			prepares := plan.PrepareCount()
 			hits, _ := s.PlanCacheCounts()

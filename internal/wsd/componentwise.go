@@ -65,6 +65,7 @@ import (
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/value"
+	"maybms/internal/world"
 )
 
 // partsCatalog exposes one world's instance of the decomposition — the
@@ -108,7 +109,7 @@ func (pc partsCatalog) Lookup(name string) (*relation.Relation, error) {
 	k := key(name)
 	sch, ok := pc.d.schemas[k]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknown, name)
+		return nil, fmt.Errorf("%w: %s", world.ErrUnknown, name)
 	}
 	cert := pc.d.certain[k]
 	// The first contribution is tracked outside the slice: most instances
@@ -177,7 +178,7 @@ func (dc deltaCatalog) Delta(name string) (*relation.Relation, error) {
 	k := key(name)
 	sch, ok := dc.d.schemas[k]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknown, name)
+		return nil, fmt.Errorf("%w: %s", world.ErrUnknown, name)
 	}
 	rel := dc.d.index().delta(k, sch)
 	*dc.tagged += rel.Len()

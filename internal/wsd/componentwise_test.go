@@ -25,18 +25,25 @@ import (
 	"maybms/internal/tuple"
 )
 
+// takeApart is the front end's plain-SQL core and closure of a SELECT, as
+// a probabilistic session takes it apart.
+func takeApart(st *sqlparse.SelectStmt) (*sqlparse.SelectStmt, core.Closure, error) {
+	q, err := core.TakeApart(st, true)
+	return q.Core, q.Closure, err
+}
+
 // parseCore parses an I-SQL SELECT and strips its closure.
-func parseCore(t *testing.T, sql string) (*sqlparse.SelectStmt, closure) {
+func parseCore(t *testing.T, sql string) (*sqlparse.SelectStmt, core.Closure) {
 	t.Helper()
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
-	core, cl, err := stripClosure(stmt.(*sqlparse.SelectStmt))
+	q, cl, err := takeApart(stmt.(*sqlparse.SelectStmt))
 	if err != nil {
 		t.Fatalf("strip %q: %v", sql, err)
 	}
-	return core, cl
+	return q, cl
 }
 
 // renderRel renders a relation order-sensitively and bit-exactly.
@@ -117,7 +124,7 @@ func selectMerged(t *testing.T, d *WSD, sql string) *relation.Relation {
 // route that runs: the first word of EXPLAIN's route line must be the route
 // attribute the trace of the actual execution ends up with. A decomposable
 // core's parts are checked against the per-alternative oracle first.
-func selectExplained(t *testing.T, d *WSD, core *sqlparse.SelectStmt, cl closure) (*relation.Relation, error) {
+func selectExplained(t *testing.T, d *WSD, core *sqlparse.SelectStmt, cl core.Closure) (*relation.Relation, error) {
 	t.Helper()
 	checkTaggedParts(t, "select", d, core)
 	var b strings.Builder

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"maybms/internal/colbatch"
+	"maybms/internal/core"
 	"maybms/internal/obs"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
@@ -18,7 +19,7 @@ import (
 
 // checkDeltaParts asserts the identity queryByComponent's consumers rest on,
 // against the full per-part evaluation: for every (component, alternative)
-// of sql's root closure, base ∪ Δ equals Q(cert ∪ contribution) as sets, and
+// of sql's root core.Closure, base ∪ Δ equals Q(cert ∪ contribution) as sets, and
 // base ++ Δ equals it row for row when the analysis says Concat. It also
 // checks the parts against the per-alternative oracle (checkTaggedParts).
 func checkDeltaParts(t *testing.T, label string, d *WSD, sql string) {
@@ -377,8 +378,8 @@ func TestClosureEvaluatesNoWorld(t *testing.T) {
 		{newFigure2WSD(t), "I", routeComponentwise},
 		{chained, "N", routeCondFold},
 	} {
-		core := mustCore(t, "select A, B from "+c.rel)
-		an, ev := analyzed(t, c.d, core)
+		q := mustCore(t, "select A, B from "+c.rel)
+		an, ev := analyzed(t, c.d, q)
 		sizes := 0
 		for _, ci := range c.d.rootClosure(an.Comps) {
 			sizes += len(c.d.comps[ci].Alts)
@@ -386,10 +387,10 @@ func TestClosureEvaluatesNoWorld(t *testing.T) {
 		if sizes < 4 {
 			t.Fatalf("fixture %s: %d alternatives, want several", c.rel, sizes)
 		}
-		for _, cl := range []closure{closurePossible, closureCertain, closureConf} {
-			dec := c.d.routeCore(core, an, cl, false)
+		for _, cl := range []core.Closure{core.ClosurePossible, core.ClosureCertain, core.ClosureConf} {
+			dec := c.d.routeCore(q, an, cl, false)
 			if dec.kind != c.kind {
-				t.Fatalf("%s of %s routes %s, want %s", closureName(cl), c.rel, dec.kind, c.kind)
+				t.Fatalf("%s of %s routes %s, want %s", cl, c.rel, dec.kind, c.kind)
 			}
 			var evals, deltas, rows atomic.Int64
 			parts, err := c.d.evalParts(dec, func(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, error) {
@@ -406,12 +407,12 @@ func TestClosureEvaluatesNoWorld(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cl != closureCertain && rel.Len() != 5 {
-				t.Errorf("%s of %s: %d rows, want 5", closureName(cl), c.rel, rel.Len())
+			if cl != core.ClosureCertain && rel.Len() != 5 {
+				t.Errorf("%s of %s: %d rows, want 5", cl, c.rel, rel.Len())
 			}
 			if got := evals.Load(); got != 2 || deltas.Load() != 1 {
 				t.Errorf("%s of %s ran %d evaluations (%d deltas), want 2: certain-only and one tagged delta of %d alternatives",
-					closureName(cl), c.rel, got, deltas.Load(), sizes)
+					cl, c.rel, got, deltas.Load(), sizes)
 			}
 		}
 	}

@@ -321,7 +321,7 @@ func TestComponentwiseEquivalenceFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			qcore, cl, err := stripClosure(stmt.(*sqlparse.SelectStmt))
+			qcore, cl, err := takeApart(stmt.(*sqlparse.SelectStmt))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,7 +333,7 @@ func TestComponentwiseEquivalenceFuzz(t *testing.T) {
 			if q.componentwise && d.MergeCount() != mergesBefore {
 				t.Errorf("trial %d %q merged on the componentwise path", trial, q.sql)
 			}
-			if g, w := renderSet(t, got, cl.isConf()), renderSet(t, want.Groups[0].Rel, cl.isConf()); g != w {
+			if g, w := renderSet(t, got, cl.IsConf()), renderSet(t, want.Groups[0].Rel, cl.IsConf()); g != w {
 				t.Errorf("trial %d %q diverged from naive:\n%s\nwant:\n%s", trial, q.sql, g, w)
 			}
 		}
@@ -406,7 +406,7 @@ func crosscheckClosures(t *testing.T, trial int, label string, s *core.Session, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		qcore, cl, err := stripClosure(stmt.(*sqlparse.SelectStmt))
+		qcore, cl, err := takeApart(stmt.(*sqlparse.SelectStmt))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,7 +415,7 @@ func crosscheckClosures(t *testing.T, trial int, label string, s *core.Session, 
 		if err != nil {
 			t.Fatalf("trial %d %s compact %q: %v", trial, label, sql, err)
 		}
-		if g, w := renderSet(t, got, cl.isConf()), renderSet(t, want.Groups[0].Rel, cl.isConf()); g != w {
+		if g, w := renderSet(t, got, cl.IsConf()), renderSet(t, want.Groups[0].Rel, cl.IsConf()); g != w {
 			t.Errorf("trial %d %s %q diverged from naive:\n%s\nwant:\n%s", trial, label, sql, g, w)
 		}
 	}
@@ -615,11 +615,10 @@ func TestGroupWorldsEquivalenceFuzz(t *testing.T) {
 			}
 			sel := stmt.(*sqlparse.SelectStmt)
 			gw := sel.GroupWorlds
-			qcore, cl, err := stripClosure(sel)
+			qcore, cl, err := takeApart(sel)
 			if err != nil {
 				t.Fatal(err)
 			}
-			qcore.GroupWorlds = nil
 			label := fmt.Sprintf("trial %d %q", trial, q.sql)
 			checkTaggedParts(t, label+" grouping", d, gw)
 			checkTaggedParts(t, label+" main", d, qcore)
@@ -639,7 +638,7 @@ func TestGroupWorldsEquivalenceFuzz(t *testing.T) {
 				if math.Abs(got[gi].Prob-want.Groups[gi].Prob) > 1e-9 {
 					t.Errorf("trial %d %q group %d: prob %g, want %g", trial, q.sql, gi, got[gi].Prob, want.Groups[gi].Prob)
 				}
-				if g, w := renderSet(t, got[gi].Rel, cl.isConf()), renderSet(t, want.Groups[gi].Rel, cl.isConf()); g != w {
+				if g, w := renderSet(t, got[gi].Rel, cl.IsConf()), renderSet(t, want.Groups[gi].Rel, cl.IsConf()); g != w {
 					t.Errorf("trial %d %q group %d diverged:\n%s\nwant:\n%s", trial, q.sql, gi, g, w)
 				}
 			}
@@ -684,7 +683,7 @@ func TestGroupWorldsBeyondMergeLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qcore, cl, err := stripClosure(coreStmt.(*sqlparse.SelectStmt))
+	qcore, cl, err := takeApart(coreStmt.(*sqlparse.SelectStmt))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,10 @@ package wsd
 // against the decomposition and Predict explains it, as core.Session's do
 // over explicit worlds; core's runner parses, frames EXPLAIN and installs
 // the statement's interrupt hook and trace around both. decide takes a
-// statement apart, route (route.go) decides it — once, the decision Run
+// statement apart: a SELECT form through core.TakeApart, the I-SQL front end
+// both engines share, so a malformed statement fails here with the naive
+// engine's error; then the refusal table, which only a well-formed statement
+// reaches. route (route.go) decides the statement — once, the decision Run
 // notes and Predict prints — and the run it returns carries it out. Every
 // query compiles once, through the process-wide shared plan cache keyed by
 // statement text and the decomposition's schema fingerprint. The supported
@@ -67,7 +70,7 @@ import (
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
-	"maybms/internal/worldset"
+	"maybms/internal/world"
 )
 
 var _ core.Engine = (*WSD)(nil)
@@ -87,8 +90,10 @@ type refusal struct {
 	// found.
 	text string
 	// detect reports whether the row refuses a statement, before anything
-	// runs, and names the construct. nil for the rows route detects.
-	detect func(sqlparse.Statement) (construct string, refused bool)
+	// runs, and names the construct; q is the statement's SELECT taken apart
+	// by the front end (the zero value for other statements). nil for the
+	// rows route detects.
+	detect func(stmt sqlparse.Statement, q *core.ISQL) (construct string, refused bool)
 }
 
 // refusals is the table of what the compact backend refuses; the first two
@@ -101,48 +106,44 @@ var refusals = []refusal{
 	// contributes to has more than that in some world.
 	{name: "insert-uncertain", text: ErrNotCertain.Error()},
 	{name: "primary-key", text: "PRIMARY KEY declarations (use REPAIR BY KEY)",
-		detect: func(stmt sqlparse.Statement) (string, bool) {
+		detect: func(stmt sqlparse.Statement, _ *core.ISQL) (string, bool) {
 			st, ok := stmt.(*sqlparse.CreateTable)
 			return "", ok && len(st.PrimaryKey) > 0
 		}},
 	{name: "create-view", text: "CREATE VIEW (use CREATE TABLE AS)",
-		detect: func(stmt sqlparse.Statement) (string, bool) {
+		detect: func(stmt sqlparse.Statement, _ *core.ISQL) (string, bool) {
 			_, ok := stmt.(*sqlparse.CreateView)
 			return "", ok
 		}},
 	{name: "isql-in-select", text: "repair/choice/assert inside SELECT (use CREATE TABLE AS … or the ASSERT statement)",
-		detect: func(stmt sqlparse.Statement) (string, bool) {
-			st, ok := stmt.(*sqlparse.SelectStmt)
-			return "", ok && (st.Repair != nil || st.Choice != nil || st.Assert != nil)
+		detect: func(stmt sqlparse.Statement, q *core.ISQL) (string, bool) {
+			_, ok := stmt.(*sqlparse.SelectStmt)
+			return "", ok && (q.Splits() || q.Assert != nil)
 		}},
+	// From here on a split is a CREATE TABLE AS's.
 	{name: "split-combined", text: "combining repair/choice with other I-SQL constructs",
-		detect: func(stmt sqlparse.Statement) (string, bool) {
-			src := splitSource(stmt)
-			return "", src != nil && src.HasISQL()
+		detect: func(_ sqlparse.Statement, q *core.ISQL) (string, bool) {
+			return "", q.Splits() && (q.Closure != core.ClosureNone || q.Assert != nil || q.GroupWorlds != nil)
 		}},
 	// The split applies to the source rows (the naive engine splits the
 	// FROM/WHERE rows and evaluates the rest per world): a row-wise
 	// projection commutes with it, constructs that look across rows do not.
 	{name: "split-source", text: "repair/choice over a source using %s (the split applies to the source rows; materialize the source first with CREATE TABLE AS)",
-		detect: func(stmt sqlparse.Statement) (string, bool) {
-			src := splitSource(stmt)
-			if src == nil {
+		detect: func(_ sqlparse.Statement, q *core.ISQL) (string, bool) {
+			if !q.Splits() {
 				return "", false
 			}
-			if _, star := plainStarSource(src); star {
+			if _, star := plainStarSource(q.Core); star {
 				return "", false
 			}
-			c := splitSourceBlocker(src)
+			c := splitSourceBlocker(q.Core)
 			return c, c != ""
 		}},
 	{name: "isql-in-assert", text: "I-SQL constructs in assert conditions",
-		detect: func(stmt sqlparse.Statement) (string, bool) {
-			var cond sqlparse.Expr
-			switch st := stmt.(type) {
-			case *sqlparse.Assert:
+		detect: func(stmt sqlparse.Statement, q *core.ISQL) (string, bool) {
+			cond := q.Assert
+			if st, ok := stmt.(*sqlparse.Assert); ok {
 				cond = st.Cond
-			case *sqlparse.CreateTableAs:
-				cond = st.Query.Assert
 			}
 			return "", cond != nil && sqlparse.HasISQLDeep(&sqlparse.SelectStmt{Where: cond, Limit: -1})
 		}},
@@ -155,29 +156,40 @@ type shape struct {
 	// why its text with the construct named.
 	refusal *refusal
 	why     string
-	// A SELECT or the query of a CREATE TABLE AS: the plain-SQL core, its
-	// closure, the GROUP WORLDS BY subquery, and the ASSERT a CREATE TABLE AS
-	// applies before the rest. Under a split clause, core is the split's
-	// source query, and src names t when that is exactly `select * from t`.
-	core   *sqlparse.SelectStmt
-	cl     closure
-	gw     *sqlparse.SelectStmt
-	assert sqlparse.Expr
-	repair *sqlparse.RepairClause
-	choice *sqlparse.ChoiceClause
-	src    string
+	// ISQL is a SELECT or the query of a CREATE TABLE AS taken apart by the
+	// front end; the ASSERT of a CREATE TABLE AS filters the world-set before
+	// the rest runs. Under a split clause, Core is the split's source query,
+	// and src names t when that is exactly `select * from t`.
+	core.ISQL
+	src string
 }
 
-// decide takes a statement apart: the refusal table first, then for the
-// SELECT forms the split source, the ASSERT, the closure and the grouping
-// subquery, with the errors a malformed statement gets.
+// decide takes a statement apart: the I-SQL front end first, with the
+// errors a malformed statement gets on either engine, then the refusal
+// table, which only a well-formed statement reaches.
 func (d *WSD) decide(stmt sqlparse.Statement) (shape, error) {
+	var sh shape
+	var sel *sqlparse.SelectStmt
+	switch st := stmt.(type) {
+	case *sqlparse.SelectStmt:
+		sel = st
+	case *sqlparse.CreateTableAs:
+		sel = st.Query
+	case *sqlparse.CreateView:
+		sel = st.Query
+	}
+	if sel != nil {
+		var err error
+		if sh.ISQL, err = core.TakeApart(sel, d.Weighted); err != nil {
+			return shape{}, err
+		}
+	}
 	for i := range refusals {
 		r := &refusals[i]
 		if r.detect == nil {
 			continue
 		}
-		if c, refused := r.detect(stmt); refused {
+		if c, refused := r.detect(stmt, &sh.ISQL); refused {
 			why := r.text
 			if c != "" {
 				why = fmt.Sprintf(r.text, c)
@@ -185,60 +197,10 @@ func (d *WSD) decide(stmt sqlparse.Statement) (shape, error) {
 			return shape{refusal: r, why: why}, nil
 		}
 	}
-	var q *sqlparse.SelectStmt
-	switch st := stmt.(type) {
-	case *sqlparse.SelectStmt:
-		q = st
-	case *sqlparse.CreateTableAs:
-		if src := splitSource(st); src != nil {
-			sh := shape{core: src, repair: st.Query.Repair, choice: st.Query.Choice}
-			sh.src, _ = plainStarSource(src)
-			return sh, nil
-		}
-		q = st.Query
-	default:
-		return shape{}, nil
+	if sh.Splits() {
+		sh.src, _ = plainStarSource(sh.Core)
 	}
-	sh := shape{assert: q.Assert}
-	if q.Assert != nil {
-		qc := *q
-		qc.Assert = nil
-		q = &qc
-	}
-	qcore, cl, err := stripClosure(q)
-	if err != nil {
-		return shape{}, err
-	}
-	if cl.isConf() && !d.Weighted {
-		return shape{}, fmt.Errorf("conf requires a probabilistic session: %w", worldset.ErrNotWeighted)
-	}
-	if gw := q.GroupWorlds; gw != nil {
-		if sqlparse.HasISQLDeep(gw) {
-			return shape{}, errors.New("group worlds by subquery must be plain SQL")
-		}
-		if cl == closureNone {
-			return shape{}, errors.New("group worlds by requires possible, certain or conf")
-		}
-		// stripClosure copied the statement, grouping clause included; the
-		// core is the plain-SQL part alone.
-		qcore.GroupWorlds = nil
-		sh.gw = gw
-	}
-	sh.core, sh.cl = qcore, cl
 	return sh, nil
-}
-
-// splitSource returns the source query of a CREATE TABLE AS … REPAIR BY KEY
-// or CHOICE OF — its query without the split clause — and nil for every
-// other statement.
-func splitSource(stmt sqlparse.Statement) *sqlparse.SelectStmt {
-	st, ok := stmt.(*sqlparse.CreateTableAs)
-	if !ok || (st.Query.Repair == nil && st.Query.Choice == nil) {
-		return nil
-	}
-	src := *st.Query
-	src.Repair, src.Choice = nil, nil
-	return &src
 }
 
 // plainStarSource reports whether a split source is exactly `select * from
@@ -295,7 +257,7 @@ func (d *WSD) runOther(stmt sqlparse.Statement) (*core.Result, error) {
 		}
 		return d.ok("created table %s", st.Name)
 	case *sqlparse.Drop:
-		if err := d.drop(st.Name); err != nil && !(st.IfExists && errors.Is(err, ErrUnknown)) {
+		if err := d.drop(st.Name); err != nil && !(st.IfExists && errors.Is(err, world.ErrUnknown)) {
 			return nil, err
 		}
 		return d.ok("dropped %s", st.Name)
@@ -356,13 +318,13 @@ func (d *WSD) routeSelect(st *sqlparse.SelectStmt, sh shape) (decision, func() (
 			return nil, err
 		}
 		return &core.Result{Kind: core.ResultClosed, Groups: groups, Weighted: d.Weighted,
-			Ordered: sh.cl == closureNone && st.OrdersAnswer()}, nil
+			Ordered: sh.Closure == core.ClosureNone && st.OrdersAnswer()}, nil
 	}
-	if sh.gw != nil {
-		dec, grouped, err := d.routeGrouped(sh.gw, sh.core, sh.cl, "")
+	if sh.GroupWorlds != nil {
+		dec, grouped, err := d.routeGrouped(sh.GroupWorlds, sh.Core, sh.Closure, "")
 		return dec, func() (*core.Result, error) { return closed(grouped()) }, err
 	}
-	dec, answer, err := d.routeQuery(sh.core, sh.cl, "")
+	dec, answer, err := d.routeQuery(sh.Core, sh.Closure, "")
 	return dec, func() (*core.Result, error) {
 		rel, err := answer()
 		return closed([]core.GroupRows{{Prob: 1, Rel: rel}}, err)
@@ -377,11 +339,11 @@ func (d *WSD) routeSelect(st *sqlparse.SelectStmt, sh shape) (decision, func() (
 // assert leaves (decision.then), and forecast until then on the
 // decomposition as it stands, where a merge past MergeLimit may yet fit.
 func (d *WSD) routeCreateAs(name string, sh shape) (decision, func() (*core.Result, error), error) {
-	if sh.repair != nil || sh.choice != nil {
+	if sh.Splits() {
 		return d.routeSplit(name, sh)
 	}
 	if _, ok := d.schemas[key(name)]; ok {
-		return decision{}, nil, fmt.Errorf("%w: %s", ErrExists, name)
+		return decision{}, nil, fmt.Errorf("%w: %s", core.ErrExists, name)
 	}
 	created := func(_ any, err error) (*core.Result, error) {
 		if err != nil {
@@ -390,18 +352,18 @@ func (d *WSD) routeCreateAs(name string, sh shape) (decision, func() (*core.Resu
 		return d.ok("created table %s", name)
 	}
 	store := func() (decision, func() (*core.Result, error), error) {
-		if sh.gw != nil {
-			dec, grouped, err := d.routeGrouped(sh.gw, sh.core, sh.cl, name)
+		if sh.GroupWorlds != nil {
+			dec, grouped, err := d.routeGrouped(sh.GroupWorlds, sh.Core, sh.Closure, name)
 			return dec, func() (*core.Result, error) { return created(grouped()) }, err
 		}
-		dec, stored, err := d.routeQuery(sh.core, sh.cl, name)
+		dec, stored, err := d.routeQuery(sh.Core, sh.Closure, name)
 		return dec, func() (*core.Result, error) { return created(stored()) }, err
 	}
 	dec, run, err := store()
-	if err != nil || sh.assert == nil {
+	if err != nil || sh.Assert == nil {
 		return dec, run, err
 	}
-	adec, assert, err := d.routeAssert(sh.assert)
+	adec, assert, err := d.routeAssert(sh.Assert)
 	if err != nil {
 		return decision{}, nil, err
 	}
@@ -438,20 +400,20 @@ func (d *WSD) Predict(b *strings.Builder, stmt sqlparse.Statement) error {
 	if err != nil {
 		return err
 	}
-	split := sh.repair != nil || sh.choice != nil
-	if st, ok := stmt.(*sqlparse.CreateTableAs); ok && sh.core != nil && !split {
+	if sh.refusal != nil {
+		fmt.Fprintf(b, "route: %s\n", d.describeRoute(dec))
+		return nil
+	}
+	if st, ok := stmt.(*sqlparse.CreateTableAs); ok && !sh.Splits() {
 		fmt.Fprintf(b, "materialize: table %s\n", st.Name)
 	}
-	if sh.assert != nil {
-		fmt.Fprintf(b, "assert: %s\n", sh.assert)
+	if sh.Assert != nil {
+		fmt.Fprintf(b, "assert: %s\n", sh.Assert)
 	}
-	if sh.gw != nil {
+	if sh.GroupWorlds != nil {
 		b.WriteString("group worlds by: yes\n")
 	}
 	fmt.Fprintf(b, "route: %s\n", d.describeRoute(dec))
-	if sh.refusal != nil {
-		return nil
-	}
 	target := func(table string) string {
 		if comps := d.componentsFor(table); len(comps) > 0 {
 			return fmt.Sprintf("components %v", comps)
@@ -463,10 +425,10 @@ func (d *WSD) Predict(b *strings.Builder, stmt sqlparse.Statement) error {
 		return d.explainPlan(b, sh)
 	case *sqlparse.CreateTableAs:
 		switch {
-		case sh.repair != nil:
-			fmt.Fprintf(b, "plan:\n  RepairByKey (%s) -> %s\n", strings.Join(sh.repair.Key, ", "), st.Name)
-		case sh.choice != nil:
-			fmt.Fprintf(b, "plan:\n  ChoiceOf (%s) -> %s\n", strings.Join(sh.choice.Attrs, ", "), st.Name)
+		case sh.Repair != nil:
+			fmt.Fprintf(b, "plan:\n  RepairByKey (%s) -> %s\n", strings.Join(sh.Repair.Key, ", "), st.Name)
+		case sh.Choice != nil:
+			fmt.Fprintf(b, "plan:\n  ChoiceOf (%s) -> %s\n", strings.Join(sh.Choice.Attrs, ", "), st.Name)
 		default:
 			return d.explainPlan(b, sh)
 		}

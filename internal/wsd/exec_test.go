@@ -8,6 +8,8 @@ import (
 
 	"maybms/internal/core"
 	"maybms/internal/obs"
+	"maybms/internal/relation"
+	"maybms/internal/schema"
 )
 
 // refusalExamples holds one statement per row of the refusal table, over
@@ -171,5 +173,39 @@ func TestSchemaFingerprintFollowsSchemaChanges(t *testing.T) {
 	restore()
 	if d.SchemaFingerprint() != fp || answer() != before {
 		t.Errorf("after the restore: fingerprint kept %t, answer\n%s\nwant\n%s", d.SchemaFingerprint() == fp, answer(), before)
+	}
+
+	// Each writer of the schemas drops the cached fingerprint, so the next
+	// read hashes the new catalog; a write of tuples keeps it.
+	fresh := func() uint64 {
+		cached := d.fingerprint
+		d.fingerprint = nil
+		defer func() { d.fingerprint = cached }()
+		return d.SchemaFingerprint()
+	}
+	for _, w := range []struct {
+		name  string
+		write func() error
+	}{
+		{"PutCertain", func() error { return d.PutCertain("FpA", relation.New(schema.New("A", "B"))) }},
+		{"registerUncertain", func() error { return d.registerUncertain("FpB", schema.New("A")) }},
+		{"projectOutTrailing", func() error { d.projectOutTrailing("FpA", 1); return nil }},
+		{"drop", func() error { return d.drop("FpB") }},
+	} {
+		d.SchemaFingerprint()
+		if err := w.write(); err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		if d.SchemaFingerprint() != fresh() {
+			t.Errorf("%s changed the schemas and kept the old fingerprint", w.name)
+		}
+	}
+	kept := d.SchemaFingerprint()
+	cached := d.fingerprint
+	if _, err := d.Exec("insert into FpA values (1)"); err != nil {
+		t.Fatal(err)
+	}
+	if d.fingerprint != cached || d.SchemaFingerprint() != kept {
+		t.Error("an INSERT, which changes no schema, dropped the fingerprint")
 	}
 }

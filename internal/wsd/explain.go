@@ -13,30 +13,20 @@ import (
 	"strings"
 )
 
-// closureName renders a closure for EXPLAIN output.
-func closureName(cl closure) string {
-	return [...]string{"none", "possible", "certain", "conf", "approx conf"}[cl]
-}
-
 // explainPlan writes the closure of a SELECT form taken apart by decide and
 // its compiled operator tree, with component annotations on every table scan.
 func (d *WSD) explainPlan(b *strings.Builder, sh shape) error {
-	prep, _, err := d.prepared(sh.core)
+	prep, _, err := d.prepared(sh.Core)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(b, "closure: %s\n", closureName(sh.cl))
-	b.WriteString("plan:\n")
-	tree := prep.ExplainTree(func(table string) string {
+	sh.Explain(b, prep.ExplainTree(func(table string) string {
 		comps := d.componentsFor(table)
 		if len(comps) == 0 {
 			return "[certain]"
 		}
 		return fmt.Sprintf("[components: %s]", intsBrief(comps))
-	})
-	for _, line := range strings.Split(strings.TrimRight(tree, "\n"), "\n") {
-		b.WriteString("  " + line + "\n")
-	}
+	}))
 	return nil
 }
 

@@ -50,6 +50,7 @@ import (
 	"slices"
 
 	"maybms/internal/colbatch"
+	"maybms/internal/core"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/value"
@@ -331,8 +332,8 @@ func (f *closureFold) conf(t *foldTuple) float64 {
 // alternatives ascending, in first-appearance order — all of them for
 // POSSIBLE and CONF, the always-contributed ones for CERTAIN. The interrupt
 // hook is polled once per emitted part.
-func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation, error) {
-	if cl != closurePossible {
+func (f *closureFold) close(cl core.Closure, sch *schema.Schema) (*relation.Relation, error) {
+	if cl != core.ClosurePossible {
 		if err := f.weigh(); err != nil {
 			return nil, err
 		}
@@ -340,7 +341,7 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 	// Every tuple is interned by the time it is emitted; POSSIBLE, which
 	// weighs nothing, interns during the emission, up to one tuple per row.
 	room := len(f.ids)
-	if cl == closurePossible {
+	if cl == core.ClosurePossible {
 		room = f.certain.Len()
 		for _, pt := range f.parts {
 			room += pt.rows.Len()
@@ -369,11 +370,11 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 				continue
 			}
 			emitted[id] = true
-			if cl == closureCertain && !f.tuple(id).always {
+			if cl == core.ClosureCertain && !f.tuple(id).always {
 				continue
 			}
 			sel = append(sel, int32(part.lo+r))
-			if cl.isConf() {
+			if cl.IsConf() {
 				confs = append(confs, f.conf(f.tuple(id)))
 			}
 		}
@@ -398,7 +399,7 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 		}
 	}
 	out := colbatch.Concat(sch, parts)
-	if cl.isConf() {
+	if cl.IsConf() {
 		out = out.Extend(sch.Concat(confSchema()), colbatch.Col{Kind: value.KindFloat, Floats: confs})
 	}
 	return relation.FromBatch(out), nil
@@ -406,6 +407,6 @@ func (f *closureFold) close(cl closure, sch *schema.Schema) (*relation.Relation,
 
 // closeParts closes a query's evaluated parts under cl: its certain-only
 // answer in the certain slot, its per-alternative parts as the parts.
-func (d *WSD) closeParts(p *componentParts, cl closure) (*relation.Relation, error) {
+func (d *WSD) closeParts(p *componentParts, cl core.Closure) (*relation.Relation, error) {
 	return d.newClosureFold(p, nil).close(cl, p.base.Schema)
 }

@@ -256,7 +256,7 @@ func TestClosureFoldScalesLinearly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qcore, cl, err := stripClosure(stmt.(*sqlparse.SelectStmt))
+		qcore, cl, err := takeApart(stmt.(*sqlparse.SelectStmt))
 		if err != nil {
 			t.Fatal(err)
 		}

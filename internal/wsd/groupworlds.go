@@ -68,7 +68,7 @@ type groupInfo struct {
 // and the costlier phase is recorded. The run lists the groups in the naive
 // engine's first-appearance order with their probabilities (0 unweighted)
 // and answers as sets; conf values are equal up to float accumulation order.
-func (d *WSD) routeGrouped(gw, q *sqlparse.SelectStmt, cl closure, dst string) (decision, func() ([]core.GroupRows, error), error) {
+func (d *WSD) routeGrouped(gw, q *sqlparse.SelectStmt, cl core.Closure, dst string) (decision, func() ([]core.GroupRows, error), error) {
 	g, err := d.prepareGrouped(gw, q)
 	if err != nil {
 		return decision{}, nil, err
@@ -114,9 +114,9 @@ func (d *WSD) routeGrouped(gw, q *sqlparse.SelectStmt, cl closure, dst string) (
 // under when it closes once for every group: APPROX CONF's sampling escape
 // does not extend to grouped closures, so it routes as CONF, and a merge past
 // MergeLimit is refused.
-func groupedClosure(cl closure) closure {
-	if cl == closureApproxConf {
-		return closureConf
+func groupedClosure(cl core.Closure) core.Closure {
+	if cl == core.ClosureApproxConf {
+		return core.ClosureConf
 	}
 	return cl
 }
@@ -317,7 +317,7 @@ func (d *WSD) groupsByComponent(compIdx []int, eval partQuery) ([]groupInfo, err
 // merged component beside the groups and their answers: a pointer, since
 // closePerGroup's own route may merge other components and so move the
 // merged one's index.
-func (d *WSD) groupMerged(g *grouped, cl closure, qdec decision) (*Component, []groupInfo, []core.GroupRows, error) {
+func (d *WSD) groupMerged(g *grouped, cl core.Closure, qdec decision) (*Component, []groupInfo, []core.GroupRows, error) {
 	mi, err := d.mergeComponents(g.comps())
 	if err != nil {
 		return nil, nil, nil, err
@@ -371,7 +371,7 @@ func (d *WSD) groupsFromAlternatives(mi int, gw evaluator) ([]groupInfo, error) 
 // routeGrouped decided for it (its components are disjoint from the grouping
 // components, so the per-group answer is the global one), and attaches it to
 // every group — scaling confidences by each group's probability.
-func (d *WSD) closePerGroup(groups []groupInfo, q evaluator, cl closure, dec decision) ([]core.GroupRows, error) {
+func (d *WSD) closePerGroup(groups []groupInfo, q evaluator, cl core.Closure, dec decision) ([]core.GroupRows, error) {
 	// A merge forming the groups may have moved the main query's components
 	// (flat, and untouched by it) to other indexes: read them again.
 	qAn, err := d.analyze(q.prep)
@@ -387,7 +387,7 @@ func (d *WSD) closePerGroup(groups []groupInfo, q evaluator, cl closure, dec dec
 	out := make([]core.GroupRows, len(groups))
 	for gi, g := range groups {
 		var rel *relation.Relation
-		if cl.isConf() {
+		if cl.IsConf() {
 			rel = scaleConf(closed, g.prob)
 		} else if gi == 0 {
 			rel = closed
@@ -422,7 +422,7 @@ func scaleConf(rel *relation.Relation, f float64) *relation.Relation {
 // the merged component mi and closes it within each group by the one fold,
 // over the group's alternatives as a flat component of their own: CERTAIN
 // within a group means in every alternative of the group.
-func (d *WSD) closeEachGroup(mi int, groups []groupInfo, q evaluator, cl closure) ([]core.GroupRows, error) {
+func (d *WSD) closeEachGroup(mi int, groups []groupInfo, q evaluator, cl core.Closure) ([]core.GroupRows, error) {
 	parts, err := d.mergedParts(mi, q)
 	if err != nil {
 		return nil, err

@@ -201,7 +201,7 @@ func exactResult(res *core.Result, err error) string {
 // again with every subquery correlated by an always-true condition on an
 // outer column, so that it runs per outer row. On both engines, over
 // identical fixtures, the two forms answer alike world by world and
-// closure by closure, and leave the same world-set behind. The correlated
+// closure by core.Closure, and leave the same world-set behind. The correlated
 // form reports no memoised evaluation in its trace (the planner marked its
 // subqueries correlated) unless an ASSERT's subquery, which has no outer
 // row, remains; the written forms do report some.

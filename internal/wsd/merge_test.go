@@ -8,10 +8,12 @@ import (
 	"testing"
 
 	"maybms/internal/colbatch"
+	"maybms/internal/core"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/tuple"
+	"maybms/internal/world"
 	"maybms/internal/worldset"
 )
 
@@ -104,7 +106,7 @@ func TestPartsCatalogLookup(t *testing.T) {
 	if err != nil || renderRel(i) != renderRel(rowsRel(i.Schema, []tuple.Tuple{row("a0", 1, "c0", 1), row("a1", 15, "c2", 6)})) {
 		t.Errorf("certain-and-contribution lookup = %v, %v", i, err)
 	}
-	if _, err := cat.Lookup("nope"); !errors.Is(err, ErrUnknown) {
+	if _, err := cat.Lookup("nope"); !errors.Is(err, world.ErrUnknown) {
 		t.Errorf("unknown lookup = %v", err)
 	}
 }
@@ -141,7 +143,7 @@ func TestMaterializeErrors(t *testing.T) {
 	}
 	// Name collision.
 	err = d.materializeByComponent("I", &componentParts{idx: []int{mi}, base: colbatch.New(schema.New("X"))})
-	if !errors.Is(err, ErrExists) {
+	if !errors.Is(err, core.ErrExists) {
 		t.Errorf("materialize collision = %v", err)
 	}
 	// Certain-path collision.
@@ -149,7 +151,7 @@ func TestMaterializeErrors(t *testing.T) {
 	if err := d2.PutCertain("R", figure1R()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d2.createTableAs("R", mustCore(t, "select * from R")); !errors.Is(err, ErrExists) {
+	if err := d2.createTableAs("R", mustCore(t, "select * from R")); !errors.Is(err, core.ErrExists) {
 		t.Errorf("certain materialize collision = %v", err)
 	}
 }
@@ -479,18 +481,18 @@ func TestMergeRouteMatchesWorldsetClosures(t *testing.T) {
 		}
 		for _, sql := range qs {
 			label := fmt.Sprintf("weighted=%v %q", weighted, sql)
-			core, cl := parseCore(t, sql)
+			q, cl := parseCore(t, sql)
 			d, ref := build(weighted), build(weighted)
-			an, ev := analyzed(t, d, core)
-			if dec := d.routeCore(core, an, cl, false); dec.kind != routeMerge {
+			an, ev := analyzed(t, d, q)
+			if dec := d.routeCore(q, an, cl, false); dec.kind != routeMerge {
 				t.Fatalf("%s: routed %s, want merge", label, dec.kind)
 			}
-			got, err := d.selectClosure(core, cl)
+			got, err := d.selectClosure(q, cl)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 
-			an, ev = analyzed(t, ref, core)
+			an, ev = analyzed(t, ref, q)
 			mi, err := ref.mergeComponents(an.Comps)
 			if err != nil {
 				t.Fatal(err)
@@ -506,9 +508,9 @@ func TestMergeRouteMatchesWorldsetClosures(t *testing.T) {
 			}
 			var want *relation.Relation
 			switch cl {
-			case closurePossible:
+			case core.ClosurePossible:
 				want, err = worldset.Possible(answers, nil)
-			case closureCertain:
+			case core.ClosureCertain:
 				want, err = worldset.Certain(answers, nil)
 			default:
 				want, err = worldset.Conf(answers, probs, nil)

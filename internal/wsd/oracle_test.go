@@ -18,6 +18,7 @@ import (
 	"maybms/internal/relation"
 	"maybms/internal/sqlparse"
 	"maybms/internal/value"
+	"maybms/internal/world"
 )
 
 // alternativeCatalog is a plan.PartsCatalog listing the one alternative a
@@ -35,7 +36,7 @@ func (ac alternativeCatalog) Delta(name string) (*relation.Relation, error) {
 	k := key(name)
 	sch, ok := ac.d.schemas[k]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknown, name)
+		return nil, fmt.Errorf("%w: %s", world.ErrUnknown, name)
 	}
 	if ac.ci < 0 {
 		return nil, nil

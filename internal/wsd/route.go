@@ -200,7 +200,7 @@ func (d *WSD) route(stmt sqlparse.Statement, sh shape) (decision, func() (*core.
 // (conditional over d-trees); everything else merges exactly the involved
 // components if the merge fits MergeLimit — past it APPROX CONF samples and
 // every other statement is refused, before anything is restructured.
-func (d *WSD) routeCore(core *sqlparse.SelectStmt, an *plan.ComponentAnalysis, cl closure, store bool) decision {
+func (d *WSD) routeCore(q *sqlparse.SelectStmt, an *plan.ComponentAnalysis, cl core.Closure, store bool) decision {
 	comps := an.Comps
 	if len(comps) == 0 {
 		return decision{kind: routeSingle}
@@ -210,7 +210,7 @@ func (d *WSD) routeCore(core *sqlparse.SelectStmt, an *plan.ComponentAnalysis, c
 		if an.Concat {
 			return decision{kind: routeComponentwise, comps: comps, trees: d.rootClosure(comps)}
 		}
-	case cl == closureNone:
+	case cl == core.ClosureNone:
 		// One world when every component has one alternative left (singleton
 		// key groups, or asserts narrowed the choices away). With tree
 		// structure a singleton component's *activity* still varies, so the
@@ -222,7 +222,7 @@ func (d *WSD) routeCore(core *sqlparse.SelectStmt, an *plan.ComponentAnalysis, c
 		if an.Concat {
 			return decision{kind: routeCondRelation, comps: comps, trees: d.rootClosure(comps)}
 		}
-		return d.perWorld(core)
+		return d.perWorld(q)
 	case an.Decomposable:
 		if d.treeInvolved(comps) {
 			return decision{kind: routeCondFold, comps: comps, trees: d.rootClosure(comps)}
@@ -230,7 +230,7 @@ func (d *WSD) routeCore(core *sqlparse.SelectStmt, an *plan.ComponentAnalysis, c
 		return decision{kind: routeComponentwise, comps: comps, trees: comps}
 	}
 	dec := d.mergeDecision(comps)
-	if dec.kind == routeRefused && cl == closureApproxConf {
+	if dec.kind == routeRefused && cl == core.ClosureApproxConf {
 		return decision{kind: routeApproxMC, comps: comps}
 	}
 	return dec

@@ -38,22 +38,22 @@ func (d *WSD) splitStar(src, dst string, q *sqlparse.SelectStmt) error {
 }
 
 // withClosure is the SELECT requesting closure cl of a plain-SQL core (the
-// inverse of stripClosure).
-func withClosure(core *sqlparse.SelectStmt, cl closure) *sqlparse.SelectStmt {
-	q := *core
+// inverse of core.TakeApart).
+func withClosure(base *sqlparse.SelectStmt, cl core.Closure) *sqlparse.SelectStmt {
+	q := *base
 	switch cl {
-	case closurePossible:
+	case core.ClosurePossible:
 		q.Quantifier = sqlparse.QuantPossible
-	case closureCertain:
+	case core.ClosureCertain:
 		q.Quantifier = sqlparse.QuantCertain
-	case closureConf, closureApproxConf:
-		q.Items = append(q.Items[:len(q.Items):len(q.Items)], sqlparse.SelectItem{Expr: sqlparse.ConfExpr{Approx: cl == closureApproxConf}})
+	case core.ClosureConf, core.ClosureApproxConf:
+		q.Items = append(q.Items[:len(q.Items):len(q.Items)], sqlparse.SelectItem{Expr: sqlparse.ConfExpr{Approx: cl == core.ClosureApproxConf}})
 	}
 	return &q
 }
 
 // selectClosure answers a SELECT core under closure cl.
-func (d *WSD) selectClosure(core *sqlparse.SelectStmt, cl closure) (*relation.Relation, error) {
+func (d *WSD) selectClosure(core *sqlparse.SelectStmt, cl core.Closure) (*relation.Relation, error) {
 	res, err := d.Run(withClosure(core, cl))
 	if err != nil {
 		return nil, err
@@ -68,7 +68,7 @@ func (d *WSD) createTableAs(dst string, core *sqlparse.SelectStmt) error {
 }
 
 // createTableAsClosure stores a closed, possibly grouped, core as dst.
-func (d *WSD) createTableAsClosure(dst string, core *sqlparse.SelectStmt, cl closure, gw *sqlparse.SelectStmt) error {
+func (d *WSD) createTableAsClosure(dst string, core *sqlparse.SelectStmt, cl core.Closure, gw *sqlparse.SelectStmt) error {
 	q := withClosure(core, cl)
 	q.GroupWorlds = gw
 	_, err := d.Run(&sqlparse.CreateTableAs{Name: dst, Query: q})
@@ -76,7 +76,7 @@ func (d *WSD) createTableAsClosure(dst string, core *sqlparse.SelectStmt, cl clo
 }
 
 // groupWorldsClosure answers `SELECT <cl> q GROUP WORLDS BY (gw)`.
-func (d *WSD) groupWorldsClosure(gw, q *sqlparse.SelectStmt, cl closure) ([]core.GroupRows, error) {
+func (d *WSD) groupWorldsClosure(gw, q *sqlparse.SelectStmt, cl core.Closure) ([]core.GroupRows, error) {
 	st := withClosure(q, cl)
 	st.GroupWorlds = gw
 	res, err := d.Run(st)

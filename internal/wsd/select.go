@@ -21,27 +21,6 @@ import (
 	"maybms/internal/sqlparse"
 )
 
-// closure selects the world-closing operation applied to a SELECT's
-// per-world answers.
-type closure int
-
-// The closures.
-const (
-	closureNone closure = iota
-	closurePossible
-	closureCertain
-	closureConf
-	// closureApproxConf is APPROX CONF: exact confidences whenever the
-	// exact routing succeeds, with a seeded Monte-Carlo estimate as the
-	// escape hatch when the classic path's component merge would exceed
-	// MergeLimit (where plain CONF fails with ErrMergeTooBig).
-	closureApproxConf
-)
-
-// isConf reports whether the closure computes confidences (exactly or
-// approximately); such closures require a weighted decomposition.
-func (c closure) isConf() bool { return c == closureConf || c == closureApproxConf }
-
 // Errors reported by statement execution.
 var (
 	// ErrPerWorld reports a plain SELECT (no closure) whose answer varies
@@ -49,42 +28,6 @@ var (
 	// answers without expanding.
 	ErrPerWorld = errors.New("per-world answers over uncertain relations (close with possible, certain or conf)")
 )
-
-// stripClosure splits an I-SQL SELECT into its plain-SQL core and the
-// closure it requests. It rejects multiple conf items and conf combined
-// with a quantifier; repair/choice/assert/group-worlds-by are not this
-// function's business and must be handled (or rejected) by the caller.
-func stripClosure(st *sqlparse.SelectStmt) (*sqlparse.SelectStmt, closure, error) {
-	cl := closureNone
-	switch st.Quantifier {
-	case sqlparse.QuantPossible:
-		cl = closurePossible
-	case sqlparse.QuantCertain:
-		cl = closureCertain
-	}
-	items := make([]sqlparse.SelectItem, 0, len(st.Items))
-	for _, it := range st.Items {
-		if ce, ok := it.Expr.(sqlparse.ConfExpr); ok {
-			if cl.isConf() {
-				return nil, 0, fmt.Errorf("at most one conf item is allowed")
-			}
-			if cl != closureNone {
-				return nil, 0, fmt.Errorf("conf cannot be combined with %s", st.Quantifier)
-			}
-			if ce.Approx {
-				cl = closureApproxConf
-			} else {
-				cl = closureConf
-			}
-			continue
-		}
-		items = append(items, it)
-	}
-	core := *st
-	core.Quantifier = sqlparse.QuantNone
-	core.Items = items
-	return &core, cl, nil
-}
 
 // Merge and approx cardinality telemetry, exposed on /metrics beside the
 // per-route counters (route.go).
@@ -111,9 +54,10 @@ func (d *WSD) schemaCatalog() plan.Catalog {
 // SchemaFingerprint hashes the decomposition's catalog shape, mirroring
 // world.SchemaFingerprint for the compact engine: it keys the process-wide
 // shared plan cache, so compact sessions over identical schemas share
-// compiled templates. It is computed once per change of the state: every
-// write drops the cached value (edit), and a Snapshot restore puts back the
-// one that was valid for the restored schemas.
+// compiled templates. It is computed once per change of the schemas: every
+// write of them drops the cached value (editSchemas), a write of tuples
+// keeps it, and a Snapshot restore puts back the one that was valid for the
+// restored schemas.
 func (d *WSD) SchemaFingerprint() uint64 {
 	if d.fingerprint != nil {
 		return *d.fingerprint
@@ -200,8 +144,8 @@ func (d *WSD) analyze(prep *plan.Prepared) (*plan.ComponentAnalysis, error) {
 // set, stored as relation dst; the run answers it on that route. A closed
 // answer is a set: every route returns the naive engine's tuples (and
 // confidences), listed in representation order (fold.go).
-func (d *WSD) routeQuery(core *sqlparse.SelectStmt, cl closure, dst string) (decision, func() (*relation.Relation, error), error) {
-	prep, ev, err := d.prepared(core)
+func (d *WSD) routeQuery(q *sqlparse.SelectStmt, cl core.Closure, dst string) (decision, func() (*relation.Relation, error), error) {
+	prep, ev, err := d.prepared(q)
 	if err != nil {
 		return decision{}, nil, err
 	}
@@ -214,7 +158,7 @@ func (d *WSD) routeQuery(core *sqlparse.SelectStmt, cl closure, dst string) (dec
 	asp.Set("components", len(an.Comps))
 	asp.Set("decomposable", an.Decomposable)
 	asp.End(d.trace)
-	dec := d.routeCore(core, an, cl, dst != "" && cl == closureNone)
+	dec := d.routeCore(q, an, cl, dst != "" && cl == core.ClosureNone)
 	return dec, func() (*relation.Relation, error) { return d.run(dec, ev, cl, dst) }, nil
 }
 
@@ -222,8 +166,8 @@ func (d *WSD) routeQuery(core *sqlparse.SelectStmt, cl closure, dst string) (dec
 // or, with dst set, stores as relation dst its per-world answers, or its
 // closed answer as a certain relation: one run function per kind, the
 // refusal's error for routeRefused.
-func (d *WSD) run(dec decision, ev evaluator, cl closure, dst string) (*relation.Relation, error) {
-	if dst != "" && cl != closureNone {
+func (d *WSD) run(dec decision, ev evaluator, cl core.Closure, dst string) (*relation.Relation, error) {
+	if dst != "" && cl != core.ClosureNone {
 		rel, err := d.run(dec, ev, cl, "")
 		if err == nil {
 			err = d.PutCertain(dst, rel.WithSchema(rel.Schema.Unqualify()))
@@ -261,7 +205,7 @@ func (d *WSD) run(dec decision, ev evaluator, cl closure, dst string) (*relation
 // for a world-independent core) at its only alternative — and closes over
 // that single answer as the fold's certain slot: every closure is (at most) a
 // dedup of it. A stored answer is a certain relation.
-func (d *WSD) runSingle(comps []int, ev evaluator, cl closure, dst string) (*relation.Relation, error) {
+func (d *WSD) runSingle(comps []int, ev evaluator, cl core.Closure, dst string) (*relation.Relation, error) {
 	sp := d.trace.Begin("eval")
 	defer sp.End(d.trace)
 	res, err := ev.batch(newPartsCatalog(d, firstWorld(comps)))
@@ -270,7 +214,7 @@ func (d *WSD) runSingle(comps []int, ev evaluator, cl closure, dst string) (*rel
 		return nil, err
 	case dst != "":
 		return nil, d.PutCertain(dst, relation.FromBatch(res.WithSchema(res.Schema.Unqualify())))
-	case cl == closureNone:
+	case cl == core.ClosureNone:
 		return relation.FromBatch(res), nil
 	}
 	return d.newClosureFold(&componentParts{base: res}, nil).close(cl, res.Schema)
@@ -403,7 +347,7 @@ func (d *WSD) projectOutTrailing(name string, n int) {
 	for i := range keep {
 		keep[i] = i
 	}
-	d.edit()
+	d.editSchemas()
 	d.schemas[k] = sch.Project(keep)
 	if r, ok := d.certain[k]; ok {
 		d.certain[k] = relation.FromBatch(r.Batch().Project(keep, d.schemas[k]))

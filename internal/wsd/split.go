@@ -56,32 +56,14 @@ package wsd
 
 import (
 	"fmt"
+	"slices"
 
 	"maybms/internal/colbatch"
 	"maybms/internal/core"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
-	"maybms/internal/worldset"
 )
-
-// splitColumns resolves a split's column list and optional weight column
-// (-1 when absent) against the source schema; a weight needs a weighted WSD.
-func (d *WSD) splitColumns(sch *schema.Schema, cols []string, weight string) (idx []int, weightIdx int, err error) {
-	if idx, err = sch.IndexesOf(cols); err != nil {
-		return nil, 0, err
-	}
-	weightIdx = -1
-	if weight != "" {
-		if !d.Weighted {
-			return nil, 0, fmt.Errorf("weight requires a probabilistic session: %w", worldset.ErrNotWeighted)
-		}
-		if weightIdx, err = sch.Resolve("", weight); err != nil {
-			return nil, 0, err
-		}
-	}
-	return idx, weightIdx, nil
-}
 
 // splitter is a split resolved against its source relation, with its first
 // key-touch round: route decides the split on it, and the split then runs on
@@ -105,10 +87,10 @@ type splitter struct {
 // with p set — as it will be once the evaluated parts p are stored as src
 // (materializeByComponent), their feeding alternatives' parts its
 // contributions.
-func (d *WSD) newSplit(src string, sch *schema.Schema, p *componentParts, repair bool, cols []string, weight string) (*splitter, error) {
-	s := &splitter{src: src, sch: sch, repair: repair, comps: d.componentsFor(src)}
+func (d *WSD) newSplit(src string, sch *schema.Schema, p *componentParts, q *core.ISQL) (*splitter, error) {
+	s := &splitter{src: src, sch: sch, repair: q.Repair != nil, comps: d.componentsFor(src)}
 	var err error
-	if s.cols, s.weightIdx, err = d.splitColumns(sch, cols, weight); err != nil {
+	if s.cols, s.weightIdx, err = q.SplitColumns(sch); err != nil {
 		return nil, err
 	}
 	k := key(src)
@@ -126,7 +108,7 @@ func (d *WSD) newSplit(src string, sch *schema.Schema, p *componentParts, repair
 		}
 		contribution = func(j, a int) *colbatch.Batch { return p.part(s.comps[j], a).batch() }
 	}
-	if repair {
+	if s.repair {
 		s.cp = relation.PartitionBy(s.cert, s.cols, nil)
 		s.anchored = make(map[string]struct{}, s.cp.Len())
 		var buf []byte
@@ -233,11 +215,11 @@ func (s *splitter) decision(d *WSD) decision {
 // columns missing from the select list ride the transient source and are
 // stripped from dst after the split.
 func (d *WSD) routeSplit(name string, sh shape) (decision, func() (*core.Result, error), error) {
-	repair, what, cols, weight := true, "repair of", []string(nil), ""
-	if sh.repair != nil {
-		cols, weight = sh.repair.Key, sh.repair.Weight
+	what, need := "repair of", []string(nil)
+	if sh.Repair != nil {
+		need = append(slices.Clone(sh.Repair.Key), sh.Repair.Weight)
 	} else {
-		repair, what, cols, weight = false, "choice over", sh.choice.Attrs, sh.choice.Weight
+		what, need = "choice over", append(slices.Clone(sh.Choice.Attrs), sh.Choice.Weight)
 	}
 	done := func(source string) (*core.Result, error) {
 		return d.ok("created table %s: %s %s (%s worlds)", name, what, source, d.WorldCount())
@@ -245,15 +227,24 @@ func (d *WSD) routeSplit(name string, sh shape) (decision, func() (*core.Result,
 	tmp := "__src__" + name
 	for _, n := range []string{name, tmp} {
 		if _, ok := d.schemas[key(n)]; ok {
-			return decision{}, nil, fmt.Errorf("%w: %s", ErrExists, n)
+			return decision{}, nil, fmt.Errorf("%w: %s", core.ErrExists, n)
 		}
 	}
+	// The split's columns resolve against the source's FROM/WHERE rows, as
+	// on the naive engine, so a bad one fails with the naive engine's error.
+	cat := d.schemaCatalog()
+	fw, err := plan.Cached(plan.SharedCache(), d.trace, &d.lookups,
+		fmt.Sprintf("cfw\x00%s\x00%x", sh.Core.String(), d.SchemaFingerprint()),
+		func(p *plan.PreparedFromWhere) error { _, err := p.Bind(cat, nil); return err },
+		func() (*plan.PreparedFromWhere, error) { return plan.PrepareFromWhere(sh.Core, cat) })
+	if err == nil {
+		_, _, err = sh.SplitColumns(fw.Schema())
+	}
+	if err != nil {
+		return decision{}, nil, err
+	}
 	if sh.src != "" {
-		sch, err := d.Schema(sh.src)
-		var s *splitter
-		if err == nil {
-			s, err = d.newSplit(sh.src, sch, nil, repair, cols, weight)
-		}
+		s, err := d.newSplit(sh.src, d.schemas[key(sh.src)], nil, &sh.ISQL)
 		if err != nil {
 			return decision{}, nil, err
 		}
@@ -264,7 +255,7 @@ func (d *WSD) routeSplit(name string, sh shape) (decision, func() (*core.Result,
 			return done(sh.src)
 		}, nil
 	}
-	q, extra := extendProjection(sh.core, append(append([]string{}, cols...), weight))
+	q, extra := extendProjection(sh.Core, need)
 	prep, ev, err := d.prepared(q)
 	var an *plan.ComponentAnalysis
 	if err == nil {
@@ -273,19 +264,17 @@ func (d *WSD) routeSplit(name string, sh shape) (decision, func() (*core.Result,
 	if err != nil {
 		return decision{}, nil, err
 	}
-	store := d.routeCore(q, an, closureNone, true)
+	store := d.routeCore(q, an, core.ClosureNone, true)
 	dec := store
 	var s *splitter
 	var parts *componentParts
 	if store.kind == routeComponentwise {
 		if parts, err = d.evalParts(store, ev.part); err == nil {
-			s, err = d.newSplit(tmp, parts.base.Schema.Unqualify(), parts, repair, cols, weight)
+			s, err = d.newSplit(tmp, parts.base.Schema.Unqualify(), parts, &sh.ISQL)
 		}
 		if err == nil {
 			dec = costlier(store, s.decision(d))
 		}
-	} else {
-		_, _, err = d.splitColumns(prep.Schema().Unqualify(), cols, weight)
 	}
 	if err != nil {
 		return decision{}, nil, err
@@ -294,8 +283,8 @@ func (d *WSD) routeSplit(name string, sh shape) (decision, func() (*core.Result,
 		var err error
 		if parts != nil {
 			err = d.materializeByComponent(tmp, parts)
-		} else if _, err = d.run(store, ev, closureNone, tmp); err == nil {
-			s, err = d.newSplit(tmp, d.schemas[key(tmp)], nil, repair, cols, weight)
+		} else if _, err = d.run(store, ev, core.ClosureNone, tmp); err == nil {
+			s, err = d.newSplit(tmp, d.schemas[key(tmp)], nil, &sh.ISQL)
 		}
 		if err == nil {
 			err = d.split(s, name)

@@ -57,7 +57,7 @@ func crosscheckSplitClosures(t *testing.T, label string, s *core.Session, d *WSD
 		if err != nil {
 			t.Fatal(err)
 		}
-		qcore, cl, err := stripClosure(stmt.(*sqlparse.SelectStmt))
+		qcore, cl, err := takeApart(stmt.(*sqlparse.SelectStmt))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,15 +69,15 @@ func crosscheckSplitClosures(t *testing.T, label string, s *core.Session, d *WSD
 		if err != nil {
 			t.Fatalf("%s own-expansion %q: %v", label, q, err)
 		}
-		g := renderSet(t, got, cl.isConf())
-		if w := renderSet(t, own.Groups[0].Rel, cl.isConf()); g != w {
+		g := renderSet(t, got, cl.IsConf())
+		if w := renderSet(t, own.Groups[0].Rel, cl.IsConf()); g != w {
 			t.Errorf("%s %q diverged from own expansion:\n%s\nwant:\n%s", label, q, g, w)
 		}
 		want, err := s.Exec(q)
 		if err != nil {
 			t.Fatalf("%s naive %q: %v", label, q, err)
 		}
-		if w := renderSet(t, want.Groups[0].Rel, cl.isConf()); g != w {
+		if w := renderSet(t, want.Groups[0].Rel, cl.IsConf()); g != w {
 			t.Errorf("%s %q diverged from naive chain:\n%s\nwant:\n%s", label, q, g, w)
 		}
 	}
@@ -227,12 +227,11 @@ func TestFactorizedCTASEquivalenceFuzz(t *testing.T) {
 				t.Fatal(err)
 			}
 			cta := parsed.(*sqlparse.CreateTableAs)
-			qcore, cl, err := stripClosure(cta.Query)
+			qcore, cl, err := takeApart(cta.Query)
 			if err != nil {
 				t.Fatal(err)
 			}
 			gw := cta.Query.GroupWorlds
-			qcore.GroupWorlds = nil
 			mergesBefore := d.MergeCount()
 			if err := d.createTableAsClosure(cta.Name, qcore, cl, gw); err != nil {
 				t.Fatalf("trial %d compact %q: %v", trial, st.sql, err)
@@ -257,7 +256,7 @@ func TestFactorizedCTASEquivalenceFuzz(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					c2, cl2, err := stripClosure(stmt2.(*sqlparse.SelectStmt))
+					c2, cl2, err := takeApart(stmt2.(*sqlparse.SelectStmt))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -376,7 +375,7 @@ func checkConditionalQuery(t *testing.T, label string, d *WSD, q string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qcore, cl, err := stripClosure(stmt.(*sqlparse.SelectStmt))
+	qcore, cl, err := takeApart(stmt.(*sqlparse.SelectStmt))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
+	"maybms/internal/world"
 )
 
 // mustSelect parses a plain SQL SELECT.
@@ -331,7 +332,7 @@ func TestRepairUncertainBeyondExpansion(t *testing.T) {
 	if want, got := "262144", d.WorldCount().String(); got != want {
 		t.Errorf("world count = %s, want %s", got, want)
 	}
-	rel, err := d.selectClosure(mustSelect(t, "select K, V from J"), closureConf)
+	rel, err := d.selectClosure(mustSelect(t, "select K, V from J"), core.ClosureConf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +379,7 @@ func TestRepairUncertainMergeLimit(t *testing.T) {
 	if got := d.WorldCount().String(); got != "17" {
 		t.Errorf("world count = %s, want 17 (16 + 1)", got)
 	}
-	rel, err := d.selectClosure(mustSelect(t, "select K, V, W from Q"), closureConf)
+	rel, err := d.selectClosure(mustSelect(t, "select K, V, W from Q"), core.ClosureConf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +421,7 @@ func TestRepairBadWeightLeavesNoOrphans(t *testing.T) {
 	if d.ComponentCount() != 0 {
 		t.Fatalf("failed repair left %d orphan component(s)", d.ComponentCount())
 	}
-	if _, err := d.Schema("I"); !errors.Is(err, ErrUnknown) {
+	if _, err := d.Schema("I"); !errors.Is(err, world.ErrUnknown) {
 		t.Fatalf("failed repair left I registered: %v", err)
 	}
 	// Retry without weights: exactly 2x2 worlds.

@@ -72,7 +72,7 @@ func TestClosuresBothSidesOfTheFloor(t *testing.T) {
 		// Aggregates correlate the alternatives: the merge route.
 		"select conf, G, count(*) from P group by G",
 		"select possible count(*) from I, S where I.V = S.V",
-		// Grouped: frontier fold with a shared closure, and the spanning merge.
+		// Grouped: frontier fold with a shared core.Closure, and the spanning merge.
 		"select possible K, V from I group worlds by (select G from P)",
 		"select conf, V from P group worlds by (select K from I where V = 0)",
 		"select possible V from P group worlds by (select V from P where V < 2)",
@@ -102,11 +102,10 @@ func TestClosuresBothSidesOfTheFloor(t *testing.T) {
 				}
 				sel := stmt.(*sqlparse.SelectStmt)
 				gw := sel.GroupWorlds
-				qcore, cl, err := stripClosure(sel)
+				qcore, cl, err := takeApart(sel)
 				if err != nil {
 					t.Fatal(err)
 				}
-				qcore.GroupWorlds = nil
 				d.trace = obs.NewTrace(q)
 				var got []core.GroupRows
 				if gw != nil {
@@ -136,8 +135,8 @@ func TestClosuresBothSidesOfTheFloor(t *testing.T) {
 					if math.Abs(got[gi].Prob-want.Groups[gi].Prob) > 1e-9 {
 						t.Errorf("group %d: prob %g, want %g", gi, got[gi].Prob, want.Groups[gi].Prob)
 					}
-					g := renderSet(t, got[gi].Rel, cl.isConf())
-					w := renderSet(t, want.Groups[gi].Rel, cl.isConf())
+					g := renderSet(t, got[gi].Rel, cl.IsConf())
+					w := renderSet(t, want.Groups[gi].Rel, cl.IsConf())
 					if g != w {
 						t.Errorf("group %d diverged from per-world evaluation:\n%s\nwant:\n%s", gi, g, w)
 					}

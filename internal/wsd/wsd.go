@@ -99,17 +99,17 @@ import (
 	"sync/atomic"
 
 	"maybms/internal/colbatch"
+	"maybms/internal/core"
 	"maybms/internal/obs"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/tuple"
+	"maybms/internal/world"
 )
 
 // Errors reported by WSD operations.
 var (
-	ErrExists      = errors.New("relation already exists in the WSD")
-	ErrUnknown     = errors.New("relation unknown to the WSD")
 	ErrNotCertain  = errors.New("operation requires a certain (complete) relation")
 	ErrEmpty       = errors.New("operation would leave an empty world-set")
 	ErrMergeTooBig = errors.New("component merge exceeds the expansion limit")
@@ -190,7 +190,8 @@ type WSD struct {
 
 // state is the decomposition's value — what a Snapshot saves and a restore
 // puts back — with the index and fingerprint derived from it. Every write
-// goes through edit (editList for the list), so no site keeps them in step.
+// goes through edit (editList for the list, editSchemas for the schemas), so
+// no site keeps them in step.
 type state struct {
 	certain map[string]*relation.Relation // lower name → certain tuples
 	schemas map[string]*schema.Schema     // lower name → schema
@@ -198,7 +199,8 @@ type state struct {
 	comps   []*Component
 	nextID  int
 	// ix is the index of comps (index.go), nil until read after a change of
-	// the list; fingerprint caches SchemaFingerprint, nil after any write.
+	// the list; fingerprint caches SchemaFingerprint, nil until read after a
+	// change of the schemas.
 	ix          *index
 	fingerprint *uint64
 	// shared reports that a Snapshot holds these maps and this list: the
@@ -207,13 +209,18 @@ type state struct {
 }
 
 // edit prepares the state for a write: on the first write after a Snapshot
-// it copies the maps and the list the snapshot holds, and it drops the
-// fingerprint.
+// it copies the maps and the list the snapshot holds.
 func (d *WSD) edit() {
 	if d.shared {
 		d.certain, d.schemas, d.names = maps.Clone(d.certain), maps.Clone(d.schemas), maps.Clone(d.names)
 		d.comps, d.shared = slices.Clone(d.comps), false
 	}
+}
+
+// editSchemas is edit for a write of the schemas (and names): it drops the
+// fingerprint too. A write of tuples alone keeps it.
+func (d *WSD) editSchemas() {
+	d.edit()
 	d.fingerprint = nil
 }
 
@@ -252,9 +259,9 @@ func (d *WSD) interrupted() error {
 func (d *WSD) PutCertain(name string, rel *relation.Relation) error {
 	k := key(name)
 	if _, ok := d.schemas[k]; ok {
-		return fmt.Errorf("%w: %s", ErrExists, name)
+		return fmt.Errorf("%w: %s", core.ErrExists, name)
 	}
-	d.edit()
+	d.editSchemas()
 	d.certain[k] = rel
 	d.schemas[k] = rel.Schema.Unqualify()
 	d.names[k] = name
@@ -268,7 +275,7 @@ func (d *WSD) certainRelation(name string) (*relation.Relation, *schema.Schema, 
 	sch, known := d.schemas[k]
 	switch {
 	case !known:
-		return nil, nil, fmt.Errorf("%w: %s", ErrUnknown, name)
+		return nil, nil, fmt.Errorf("%w: %s", world.ErrUnknown, name)
 	case len(d.componentsFor(name)) > 0:
 		return nil, nil, fmt.Errorf("%w: %s has component contributions", ErrNotCertain, name)
 	}
@@ -307,9 +314,9 @@ func (d *WSD) insertCertain(name string, rows []tuple.Tuple) error {
 func (d *WSD) drop(name string) error {
 	k := key(name)
 	if _, ok := d.schemas[k]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknown, name)
+		return fmt.Errorf("%w: %s", world.ErrUnknown, name)
 	}
-	d.edit()
+	d.editSchemas()
 	delete(d.certain, k)
 	for _, ci := range d.componentsFor(name) {
 		c := d.own(ci)
@@ -357,7 +364,7 @@ func (d *WSD) own(ci int) *Component {
 func (d *WSD) Schema(name string) (*schema.Schema, error) {
 	s, ok := d.schemas[key(name)]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknown, name)
+		return nil, fmt.Errorf("%w: %s", world.ErrUnknown, name)
 	}
 	return s, nil
 }
@@ -573,9 +580,9 @@ func confSchema() *schema.Schema { return schema.New("conf") }
 func (d *WSD) registerUncertain(name string, sch *schema.Schema) error {
 	k := key(name)
 	if _, ok := d.schemas[k]; ok {
-		return fmt.Errorf("%w: %s", ErrExists, name)
+		return fmt.Errorf("%w: %s", core.ErrExists, name)
 	}
-	d.edit()
+	d.editSchemas()
 	d.schemas[k] = sch.Unqualify()
 	d.names[k] = name
 	return nil

@@ -8,11 +8,13 @@ import (
 	"testing"
 
 	"maybms/internal/colbatch"
+	"maybms/internal/core"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/tuple"
 	"maybms/internal/value"
+	"maybms/internal/world"
 	"maybms/internal/worldset"
 )
 
@@ -306,7 +308,7 @@ func TestWeightOnUnweightedRejected(t *testing.T) {
 
 func TestRepairErrors(t *testing.T) {
 	d := New(true)
-	if err := d.repairByKey("Nope", "I", []string{"A"}, ""); !errors.Is(err, ErrUnknown) {
+	if err := d.repairByKey("Nope", "I", []string{"A"}, ""); !errors.Is(err, world.ErrUnknown) {
 		t.Errorf("unknown source = %v", err)
 	}
 	if err := d.PutCertain("R", figure1R()); err != nil {
@@ -318,7 +320,7 @@ func TestRepairErrors(t *testing.T) {
 	if err := d.repairByKey("R", "I", []string{"A"}, "Zz"); err == nil {
 		t.Error("unknown weight column must fail")
 	}
-	if err := d.repairByKey("R", "R", []string{"A"}, ""); !errors.Is(err, ErrExists) {
+	if err := d.repairByKey("R", "R", []string{"A"}, ""); !errors.Is(err, core.ErrExists) {
 		t.Errorf("dst collision = %v", err)
 	}
 	if err := d.repairByKey("R", "I", []string{"A"}, ""); err != nil {
@@ -333,7 +335,7 @@ func TestRepairErrors(t *testing.T) {
 	} else if got := d.WorldCount().String(); got != before {
 		t.Errorf("identity chained repair changed world count: %s -> %s", before, got)
 	}
-	if err := d.PutCertain("I", figure1R()); !errors.Is(err, ErrExists) {
+	if err := d.PutCertain("I", figure1R()); !errors.Is(err, core.ErrExists) {
 		t.Errorf("PutCertain collision = %v", err)
 	}
 }
@@ -482,7 +484,7 @@ func TestStringSummary(t *testing.T) {
 	if _, err := d.Schema("I"); err != nil {
 		t.Error(err)
 	}
-	if _, err := d.Schema("Zz"); !errors.Is(err, ErrUnknown) {
+	if _, err := d.Schema("Zz"); !errors.Is(err, world.ErrUnknown) {
 		t.Errorf("unknown schema = %v", err)
 	}
 }
@@ -519,7 +521,7 @@ func TestInsertCertainAndDrop(t *testing.T) {
 	if err := d.drop("U"); err != nil {
 		t.Fatalf("drop uncertain relation: %v", err)
 	}
-	if _, err := d.Exec("select possible * from U"); !errors.Is(err, ErrUnknown) {
+	if _, err := d.Exec("select possible * from U"); !errors.Is(err, world.ErrUnknown) {
 		t.Fatalf("U should be gone: %v", err)
 	}
 	if d.WorldCount().String() != worlds || d.ComponentCount() != comps {
@@ -534,7 +536,7 @@ func TestInsertCertainAndDrop(t *testing.T) {
 	if _, err := d.Exec("select possible * from T"); err == nil {
 		t.Fatal("T should be gone")
 	}
-	if err := d.drop("T"); !errors.Is(err, ErrUnknown) {
-		t.Fatalf("second drop: %v, want ErrUnknown", err)
+	if err := d.drop("T"); !errors.Is(err, world.ErrUnknown) {
+		t.Fatalf("second drop: %v, want world.ErrUnknown", err)
 	}
 }

@@ -41,8 +41,8 @@
 // parses back to the same statement (it quotes every identifier that is
 // not a plain non-keyword name), so two different statements never share
 // a key. SharedPlanCacheStats and
-// SetSharedPlanCacheCapacity expose the cache; UsePrivatePlanCache
-// detaches one database from it. A world-set is a set of databases over
+// SetSharedPlanCacheCapacity expose the cache, which every database uses.
+// A world-set is a set of databases over
 // one schema — every statement that adds or replaces a relation does so in
 // every world — so a template compiled against one world binds in all of
 // them. The binds of one statement share its invariant subplans: an

@@ -59,11 +59,3 @@ func SharedPlanCacheStats() PlanCacheStats { return plan.SharedCache().Stats() }
 // SetSharedPlanCacheCapacity re-bounds the process-wide plan cache (LRU
 // entries; values < 1 restore the default).
 func SetSharedPlanCacheCapacity(n int) { plan.SharedCache().SetCapacity(n) }
-
-// UsePrivatePlanCache detaches this database from the process-wide plan
-// cache, giving it an isolated cache of the given capacity (< 1 selects
-// the default). Useful to keep a latency-critical embedded database
-// unaffected by server traffic.
-func (db *DB) UsePrivatePlanCache(capacity int) {
-	db.session.SetPlanCache(plan.NewCache(capacity))
-}

@@ -10,7 +10,7 @@ import (
 )
 
 // TestServeEndToEnd drives the exported server API over TCP and checks
-// the shared-plan-cache knobs.
+// that served statements reach the shared plan cache.
 func TestServeEndToEnd(t *testing.T) {
 	srv, err := Serve(ServerConfig{TCPAddr: "127.0.0.1:0"})
 	if err != nil {
@@ -64,17 +64,5 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 	if st := SharedPlanCacheStats(); st.Hits == 0 && st.Misses == 0 {
 		t.Error("shared plan cache saw no traffic")
-	}
-
-	// A private cache detaches an embedded DB from server traffic.
-	iso := Open()
-	iso.UsePrivatePlanCache(16)
-	iso.MustExec("create table T (A)")
-	before := SharedPlanCacheStats()
-	if _, err := iso.Exec("select * from T"); err != nil {
-		t.Fatal(err)
-	}
-	if after := SharedPlanCacheStats(); after.Misses != before.Misses {
-		t.Error("private-cache session leaked into the shared cache")
 	}
 }
