@@ -37,13 +37,13 @@ func (s *Session) Predict(b *strings.Builder, stmt sqlparse.Statement) error {
 		fmt.Fprintf(b, "plan:\n  Insert %s (%d rows, every world)\n", st.Table, len(st.Rows))
 		return nil
 	case *sqlparse.Update:
-		if _, err := s.dmlTemplate(st, st.Table); err != nil {
+		if _, err := s.dmlTemplate(st); err != nil {
 			return err
 		}
 		fmt.Fprintf(b, "plan:\n  Update %s (every world)\n", st.Table)
 		return nil
 	case *sqlparse.Delete:
-		if _, err := s.dmlTemplate(st, st.Table); err != nil {
+		if _, err := s.dmlTemplate(st); err != nil {
 			return err
 		}
 		fmt.Fprintf(b, "plan:\n  Delete %s (every world)\n", st.Table)

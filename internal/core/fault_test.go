@@ -126,9 +126,9 @@ var faultCases = []struct{ fixture, sql string }{
 
 // engineState renders everything a statement may change, byte for byte: on
 // the naive engine every world (name, probability bits, relations in
-// stored order, keys and views); on the compact one the schema fingerprint,
-// the relation names, the representation summary and, up to 2^10 worlds,
-// the expansion in world order.
+// stored order, keys and views); on the compact one every relation's name
+// and schema, the representation summary and, up to 2^10 worlds, the
+// expansion in world order.
 func engineState(t *testing.T, e core.Engine) string {
 	t.Helper()
 	var b strings.Builder
@@ -140,7 +140,14 @@ func engineState(t *testing.T, e core.Engine) string {
 			fmt.Fprintf(&b, "%s key=%v view=%v\n", name, e.PrimaryKey(name), e.IsView(name))
 		}
 	case *wsd.WSD:
-		fmt.Fprintf(&b, "%x\n%v\n%s\n", e.SchemaFingerprint(), e.Names(), e)
+		for _, n := range e.Names() {
+			sch, err := e.Schema(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s %s\n", n, sch)
+		}
+		fmt.Fprintf(&b, "%s\n", e)
 		if e.WorldCount().Cmp(big.NewInt(1<<10)) <= 0 {
 			var err error
 			if set, err = e.Expand(1 << 10); err != nil {

@@ -29,47 +29,31 @@ type queryEval struct {
 	weighted bool
 }
 
-// cacheKey builds a shared-cache key: a kind prefix, the normalized
-// statement text, and the schema fingerprint of the representative world
-// the template is compiled against. The fingerprint makes the process-wide
-// cache safe and effective across sessions — sessions with identical
-// catalogs share entries, sessions with divergent catalogs occupy separate
-// slots instead of invalidating each other.
-func cacheKey(prefix, text string, rep *world.World) string {
-	return fmt.Sprintf("%s\x00%s\x00%x", prefix, text, rep.SchemaFingerprint())
-}
-
-// preparedFull returns a compile-once template for the plain-SQL core stmt.
+// preparedFull returns a compile-once template for the plain-SQL core
+// stmt, compiled against rep and valid for it (plan.Cached).
 func (s *Session) preparedFull(stmt *sqlparse.SelectStmt, rep *world.World) (*plan.Prepared, error) {
-	return plan.Cached(plan.SharedCache(), s.trace, &s.lookups, cacheKey("q", stmt.String(), rep),
-		func(p *plan.Prepared) error { _, err := p.Bind(rep, nil); return err },
+	return plan.Cached(plan.SharedCache(), s.trace, &s.lookups, "q\x00"+stmt.String(), rep,
 		func() (*plan.Prepared, error) { return plan.Prepare(stmt, rep) })
 }
 
 // preparedFromWhere is preparedFull for the FROM/WHERE part of a
 // world-splitting statement.
-func (s *Session) preparedFromWhere(stmt *sqlparse.SelectStmt, rep *world.World) (*plan.PreparedFromWhere, error) {
-	return plan.Cached(plan.SharedCache(), s.trace, &s.lookups, cacheKey("fw", stmt.String(), rep),
-		func(p *plan.PreparedFromWhere) error { _, err := p.Bind(rep, nil); return err },
-		func() (*plan.PreparedFromWhere, error) { return plan.PrepareFromWhere(stmt, rep) })
+func (s *Session) preparedFromWhere(stmt *sqlparse.SelectStmt, rep *world.World) (*plan.Prepared, error) {
+	return plan.Cached(plan.SharedCache(), s.trace, &s.lookups, "fw\x00"+stmt.String(), rep,
+		func() (*plan.Prepared, error) { return plan.PrepareFromWhere(stmt, rep) })
 }
 
 // preparedOnRelation is preparedFull for the post-split part of a
 // world-splitting statement; the key includes the intermediate schema so a
 // changed FROM/WHERE shape recompiles.
-func (s *Session) preparedOnRelation(stmt *sqlparse.SelectStmt, in *plan.PreparedFromWhere, rep *world.World) (*plan.PreparedOnRelation, error) {
-	return plan.Cached(plan.SharedCache(), s.trace, &s.lookups, cacheKey("or", stmt.String()+"\x00"+in.Schema().String(), rep),
-		func(p *plan.PreparedOnRelation) error {
-			_, err := p.Bind(relation.New(in.Schema()), rep, nil)
-			return err
-		},
+func (s *Session) preparedOnRelation(stmt *sqlparse.SelectStmt, in *plan.Prepared, rep *world.World) (*plan.PreparedOnRelation, error) {
+	return plan.Cached(plan.SharedCache(), s.trace, &s.lookups, "or\x00"+stmt.String()+"\x00"+in.Schema().String(), rep,
 		func() (*plan.PreparedOnRelation, error) { return plan.PrepareOnRelation(stmt, in.Schema(), rep) })
 }
 
 // preparedPredicate is preparedFull for an ASSERT condition.
 func (s *Session) preparedPredicate(e sqlparse.Expr, rep *world.World) (*plan.PreparedPredicate, error) {
-	return plan.Cached(plan.SharedCache(), s.trace, &s.lookups, cacheKey("a", e.String(), rep),
-		func(p *plan.PreparedPredicate) error { _, err := p.Bind(rep, nil, nil); return err },
+	return plan.Cached(plan.SharedCache(), s.trace, &s.lookups, "a\x00"+e.String(), rep,
 		func() (*plan.PreparedPredicate, error) { return plan.PreparePredicate(e, rep) })
 }
 
@@ -407,13 +391,22 @@ func (s *Session) execCreateAs(name string, sel *sqlparse.SelectStmt, isView boo
 // qualifiers are dropped and duplicate column names rejected.
 func materializable(rel *relation.Relation) (*relation.Relation, error) {
 	sch := rel.Schema.Unqualify()
+	if err := CheckStoredNames(sch.Names()); err != nil {
+		return nil, err
+	}
+	return rel.WithSchema(sch), nil
+}
+
+// CheckStoredNames refuses to store a query answer under the column names
+// names when two of them are one name.
+func CheckStoredNames(names []string) error {
 	seen := map[string]bool{}
-	for _, n := range sch.Names() {
+	for _, n := range names {
 		key := strings.ToLower(n)
 		if seen[key] {
-			return nil, fmt.Errorf("cannot materialize result with duplicate column name %q", n)
+			return fmt.Errorf("cannot materialize result with duplicate column name %q", n)
 		}
 		seen[key] = true
 	}
-	return rel.WithSchema(sch), nil
+	return nil
 }

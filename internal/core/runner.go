@@ -34,7 +34,10 @@ type Engine interface {
 	// back after a failed one. State published before a statement starts is
 	// never written in place during it — a statement writes into copies and
 	// swaps them in — so a snapshot copies headers only, and the compact
-	// engine none: its statement's first write copies them.
+	// engine none: its statement's first write copies them. Cached plans
+	// are not part of the state: after a restore, a template compiled
+	// against schemas the restore undid no longer checks valid and compiles
+	// once more.
 	Snapshot() (restore func())
 	// Kind names the engine ("naive" or "compact") and the representation
 	// EXPLAIN prints beside the name.

@@ -325,22 +325,17 @@ func checkKey(rel *relation.Relation, key []string) error {
 	return nil
 }
 
-// dmlTemplate compiles an UPDATE or DELETE of table once, through the plan
-// cache, against the first world. EXPLAIN runs it too, so an explained
-// statement's execution hits the cache.
-func (s *Session) dmlTemplate(st sqlparse.Statement, table string) (*plan.PreparedDML, error) {
+// dmlTemplate compiles an UPDATE or DELETE once, through the plan cache,
+// against the first world. EXPLAIN runs it too, so an explained statement's
+// execution hits the cache.
+func (s *Session) dmlTemplate(st sqlparse.Statement) (*plan.PreparedDML, error) {
 	w := s.set.Worlds[0]
-	rep, err := w.Lookup(table)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Cached(plan.SharedCache(), s.trace, &s.lookups, cacheKey("dml", st.String(), w),
-		func(p *plan.PreparedDML) error { _, err := p.Bind(w, nil, nil); return err },
+	return plan.Cached(plan.SharedCache(), s.trace, &s.lookups, "dml\x00"+st.String(), w,
 		func() (*plan.PreparedDML, error) {
 			if u, ok := st.(*sqlparse.Update); ok {
-				return plan.PrepareUpdateStmt(u, rep.Schema, w)
+				return plan.PrepareUpdateStmt(u, w)
 			}
-			return plan.PrepareDeleteStmt(st.(*sqlparse.Delete), rep.Schema, w)
+			return plan.PrepareDeleteStmt(st.(*sqlparse.Delete), w)
 		})
 }
 
@@ -353,7 +348,7 @@ func (s *Session) dmlTemplate(st sqlparse.Statement, table string) (*plan.Prepar
 // runner then undoes in every world. msg reports the changed rows and the
 // world count.
 func (s *Session) execDML(st sqlparse.Statement, table, msg string, key []string) (*Result, error) {
-	tmpl, err := s.dmlTemplate(st, table)
+	tmpl, err := s.dmlTemplate(st)
 	if err != nil {
 		return nil, err
 	}

@@ -1,30 +1,39 @@
 package plan
 
-// A process-wide compiled-statement cache. Templates produced by the
-// Prepare* functions are immutable after stripTemplate — Bind only reads
-// them while constructing fresh per-world operator state — so one compiled
+// A process-wide compiled-statement cache. A template produced by the
+// Prepare* functions is immutable — Bind only reads it while constructing
+// fresh per-world operator state — and holds no tuples, so one compiled
 // template can be shared by every session in the process. The cache is an
-// LRU keyed by the caller's composite key (statement text plus a schema
-// fingerprint of the catalog the template was compiled against), so
-// sessions with identical schemas hit each other's entries while sessions
-// with divergent schemas occupy separate slots instead of thrashing a
-// shared one.
+// LRU keyed by the caller's key: the template's kind and the statement text
+// (for a post-split template, also its input schema).
 //
-// Both engines look templates up through Cached, which revalidates every
-// hit by binding the template against the session's own catalog, so a stale
-// or colliding entry degrades to a recompile, never to a wrong answer.
+// A template's validity is a fact about the tables it read. Each Prepare*
+// compiles through a recorder that notes every table it resolves with that
+// table's schema, and Cached treats a hit as valid when every one of them
+// resolves in the caller's catalog with the same column names — exactly
+// what Bind checks, so a valid hit always binds. Anything else recompiles:
+// a stale entry costs a compile, never a wrong answer, and DDL on tables a
+// template did not read leaves it valid.
+//
+// A key holds one template. Sessions whose tables a text reads have the
+// same column names share it; two live sessions running one text over
+// same-named tables with different columns take turns recompiling that one
+// slot, each always bound to a template of its own schemas.
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"maybms/internal/obs"
+	"maybms/internal/relation"
+	"maybms/internal/schema"
 )
 
 // DefaultCacheCapacity bounds the shared cache. Each entry is a compiled
-// template stripped of tuple data (schemas and expression trees only), so
-// the memory cost per entry is small.
+// template without tuple data (schemas and expression trees only), so the
+// memory cost per entry is small.
 const DefaultCacheCapacity = 4096
 
 // CacheStats counts cache traffic since creation (or the last Reset).
@@ -148,8 +157,7 @@ func (c *Cache) Reset() {
 	c.stats = CacheStats{}
 }
 
-// sharedCache is the process-wide default used by every session unless it
-// opts into a private cache.
+// sharedCache is the process-wide cache every session uses.
 var sharedCache = NewCache(DefaultCacheCapacity)
 
 // SharedCache returns the process-wide template cache.
@@ -165,17 +173,62 @@ type Lookups struct {
 // Counts returns the hits and misses so far.
 func (l *Lookups) Counts() (hits, misses uint64) { return l.hits.Load(), l.misses.Load() }
 
-// Cached returns the template under key when it is present and still binds
-// against the caller's catalog, else compiles it, stores it under key and
-// returns it. bind is the validation bind: its error (ErrRebind — the
-// catalog lacks a table or a column the template reads) marks the entry
-// stale. Every lookup opens a "plan" span on tr with cache=hit|miss and
-// counts on l.
-func Cached[T any](c *Cache, tr *obs.Trace, l *Lookups, key string, bind func(T) error, compile func() (T, error)) (T, error) {
+// template is a compiled statement template: it knows the tables it read.
+type template interface {
+	validIn(cat Catalog) bool
+}
+
+// tableRead is a table a template read, with its schema at compile time.
+type tableRead struct {
+	name string
+	sch  *schema.Schema
+}
+
+// reads lists the tables a template read.
+type reads []tableRead
+
+// validIn reports whether every table read resolves in cat with the column
+// names it had at compile time.
+func (r reads) validIn(cat Catalog) bool {
+	for _, t := range r {
+		rel, err := cat.Lookup(t.name)
+		if err != nil || !sameColumnNames(rel.Schema, t.sch) {
+			return false
+		}
+	}
+	return true
+}
+
+// recorder is the catalog every Prepare* compiles through: it notes each
+// table it resolves, with that table's schema, and hands the planner an
+// empty relation of that schema (a bare one, which reads as empty). Errors
+// pass through unchanged.
+type recorder struct {
+	cat   Catalog
+	reads reads
+}
+
+// Lookup implements Catalog.
+func (r *recorder) Lookup(name string) (*relation.Relation, error) {
+	rel, err := r.cat.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	if !slices.ContainsFunc(r.reads, func(t tableRead) bool { return t.name == name }) {
+		r.reads = append(r.reads, tableRead{name: name, sch: rel.Schema})
+	}
+	return &relation.Relation{Schema: rel.Schema}, nil
+}
+
+// Cached returns the template under key when it is present and valid in
+// cat, the catalog the caller compiles against, else compiles it, stores it
+// under key and returns it. Every lookup opens a "plan" span on tr with
+// cache=hit|miss and counts on l.
+func Cached[T template](c *Cache, tr *obs.Trace, l *Lookups, key string, cat Catalog, compile func() (T, error)) (T, error) {
 	sp := tr.Begin("plan")
 	defer sp.End(tr)
 	if v, ok := c.Get(key); ok {
-		if p, ok := v.(T); ok && bind(p) == nil {
+		if p, ok := v.(T); ok && p.validIn(cat) {
 			l.hits.Add(1)
 			sp.Set("cache", "hit")
 			return p, nil

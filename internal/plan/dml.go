@@ -33,58 +33,74 @@ import (
 
 // PreparedDML is a compiled UPDATE or DELETE template: the target
 // relation's compile-time schema, resolved SET column indexes, and the
-// SET/WHERE row expressions, lowered against that schema and stripped of
-// tuples.
+// SET/WHERE row expressions, lowered against that schema.
 type PreparedDML struct {
 	sch      *schema.Schema
 	del      bool
 	setIdx   []int
 	setExprs []expr.Expr
 	pred     expr.Expr
+	reads
 }
 
-// PrepareUpdateStmt compiles an UPDATE against the target schema sch and
-// catalog cat once; Bind instantiates it per catalog. The row expressions
-// see the target row under the table's name, as a FROM binding, so a
-// subquery can correlate to it past its own columns (B.X).
-func PrepareUpdateStmt(st *sqlparse.Update, sch *schema.Schema, cat Catalog) (*PreparedDML, error) {
-	prepares.Add(1)
-	p := &PreparedDML{
-		sch:      sch,
-		setIdx:   make([]int, len(st.Set)),
-		setExprs: make([]expr.Expr, len(st.Set)),
+// PrepareUpdateStmt compiles an UPDATE of st.Table against catalog cat
+// once; Bind instantiates it per catalog. The row expressions see the
+// target row under the table's name, as a FROM binding, so a subquery can
+// correlate to it past its own columns (B.X).
+func PrepareUpdateStmt(st *sqlparse.Update, cat Catalog) (*PreparedDML, error) {
+	p, rec, err := prepareDML(st.Table, cat)
+	if err != nil {
+		return nil, err
 	}
+	p.setIdx, p.setExprs = make([]int, len(st.Set)), make([]expr.Expr, len(st.Set))
 	for j, sc := range st.Set {
-		idx, err := sch.Resolve("", sc.Column)
+		idx, err := p.sch.Resolve("", sc.Column)
 		if err != nil {
 			return nil, err
 		}
-		low, err := lowerIn(sc.Value, sch.Qualify(st.Table), cat)
+		low, err := lowerIn(sc.Value, p.sch.Qualify(st.Table), rec)
 		if err != nil {
 			return nil, err
 		}
-		p.setIdx[j], p.setExprs[j] = idx, stripExprTemplate(low)
+		p.setIdx[j], p.setExprs[j] = idx, low
 	}
-	return p.where(st.Table, st.Where, cat)
+	return p.where(st.Table, st.Where, rec)
 }
 
-// PrepareDeleteStmt compiles a DELETE against the target schema sch and
-// catalog cat once; Bind instantiates it per catalog.
-func PrepareDeleteStmt(st *sqlparse.Delete, sch *schema.Schema, cat Catalog) (*PreparedDML, error) {
+// PrepareDeleteStmt compiles a DELETE of st.Table against catalog cat
+// once; Bind instantiates it per catalog.
+func PrepareDeleteStmt(st *sqlparse.Delete, cat Catalog) (*PreparedDML, error) {
+	p, rec, err := prepareDML(st.Table, cat)
+	if err != nil {
+		return nil, err
+	}
+	p.del = true
+	return p.where(st.Table, st.Where, rec)
+}
+
+// prepareDML starts the template of a statement writing table: the
+// target's schema, read through the recorder that compiles the rest.
+func prepareDML(table string, cat Catalog) (*PreparedDML, *recorder, error) {
 	prepares.Add(1)
-	p := &PreparedDML{sch: sch, del: true}
-	return p.where(st.Table, st.Where, cat)
+	rec := &recorder{cat: cat}
+	target, err := rec.Lookup(table)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &PreparedDML{sch: target.Schema}, rec, nil
 }
 
-// where lowers the WHERE predicate into p (none: every row matches).
-func (p *PreparedDML) where(table string, e sqlparse.Expr, cat Catalog) (*PreparedDML, error) {
+// where lowers the WHERE predicate into p (none: every row matches) and
+// hands p the tables rec read.
+func (p *PreparedDML) where(table string, e sqlparse.Expr, rec *recorder) (*PreparedDML, error) {
 	if e != nil {
-		low, err := lowerIn(e, p.sch.Qualify(table), cat)
+		low, err := lowerIn(e, p.sch.Qualify(table), rec)
 		if err != nil {
 			return nil, err
 		}
-		p.pred = stripExprTemplate(low)
+		p.pred = low
 	}
+	p.reads = rec.reads
 	return p, nil
 }
 

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"strings"
 	"testing"
@@ -117,18 +118,23 @@ func randDMLStatement(rng *rand.Rand) string {
 	return "update T set " + strings.Join(sets, ", ") + where
 }
 
-func bindDML(t testing.TB, sql string, sch *schema.Schema, cat Catalog) *BoundDML {
+// bindDML compiles and binds a DML statement of a table of schema sch over
+// cat's other tables.
+func bindDML(t testing.TB, sql string, sch *schema.Schema, cat mapCatalog) *BoundDML {
 	t.Helper()
 	st, err := sqlparse.Parse(sql)
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
+	cat = maps.Clone(cat)
 	var p *PreparedDML
 	switch x := st.(type) {
 	case *sqlparse.Update:
-		p, err = PrepareUpdateStmt(x, sch, cat)
+		cat[x.Table] = relation.New(sch)
+		p, err = PrepareUpdateStmt(x, cat)
 	case *sqlparse.Delete:
-		p, err = PrepareDeleteStmt(x, sch, cat)
+		cat[x.Table] = relation.New(sch)
+		p, err = PrepareDeleteStmt(x, cat)
 	}
 	if err != nil {
 		t.Fatalf("prepare %q: %v", sql, err)

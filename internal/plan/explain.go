@@ -26,11 +26,6 @@ func (p *Prepared) ExplainTree(annotate func(table string) string) string {
 	return explainOp(p.op, annotate)
 }
 
-// ExplainTree renders the FROM/WHERE template's operator tree.
-func (p *PreparedFromWhere) ExplainTree(annotate func(table string) string) string {
-	return explainOp(p.op, annotate)
-}
-
 func explainNode(b *strings.Builder, op algebra.Operator, depth int, annotate func(string) string) {
 	indent := strings.Repeat("  ", depth)
 	switch n := op.(type) {

@@ -143,9 +143,9 @@ func TestUncorrelatedMark(t *testing.T) {
 		default:
 			var p *PreparedDML
 			if u, ok := st.(*sqlparse.Update); ok {
-				p, err = PrepareUpdateStmt(u, cat["R"].Schema, cat)
+				p, err = PrepareUpdateStmt(u, cat)
 			} else {
-				p, err = PrepareDeleteStmt(st.(*sqlparse.Delete), cat["R"].Schema, cat)
+				p, err = PrepareDeleteStmt(st.(*sqlparse.Delete), cat)
 			}
 			if err != nil {
 				t.Fatalf("%q: %v", c.sql, err)

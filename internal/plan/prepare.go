@@ -12,15 +12,18 @@ package plan
 // relations swapped into the table scans. Prepare → Cached → Bind is the one
 // way either engine compiles a statement.
 //
-// Bind checks that every table it rebinds still has the column names the
-// template was compiled against and fails with ErrRebind otherwise — a
-// cached entry compiled against other schemas, which Cached treats as stale.
-// Operator iteration state is always per-instance, and expression trees are
-// shared only when they contain no subqueries (subquery-free expressions are
-// immutable and safe to evaluate concurrently). What bound instances do
-// share is the statement's Memo (memo.go): every Bind takes it, and an
-// uncorrelated subquery's answer and a hash join's build side are computed
-// once per statement for each distinct set of relations they read.
+// Every Prepare* compiles through a recorder (cache.go): the planner sees
+// each table as an empty relation of its schema, so no template holds
+// tuples, and the template keeps the tables it read with their schemas,
+// which is what Cached checks a hit against. Bind checks that every table
+// it rebinds still has the column names the template was compiled against
+// and fails with ErrRebind otherwise. Operator iteration state is always
+// per-instance, and expression trees are shared only when they contain no
+// subqueries (subquery-free expressions are immutable and safe to evaluate
+// concurrently). What bound instances do share is the statement's Memo
+// (memo.go): every Bind takes it, and an uncorrelated subquery's answer and
+// a hash join's build side are computed once per statement for each
+// distinct set of relations they read.
 
 import (
 	"errors"
@@ -44,30 +47,27 @@ var prepares atomic.Uint64
 func PrepareCount() uint64 { return prepares.Load() }
 
 // ErrRebind reports that a template could not be instantiated against a
-// catalog that lacks a table or a column it was compiled against. Under the
-// one-schema invariant only a stale cache entry meets it (Cached recompiles
-// then); a statement that meets it otherwise fails with it.
+// catalog that lacks a table or a column it was compiled against. Cached
+// never hands out such a template (it checks the tables a template read), so
+// only a caller binding against a catalog of other schemas meets it.
 var ErrRebind = errors.New("plan rebind failed")
 
 // tableScan is a Scan that remembers which catalog name it was compiled
 // from, so the rebinder can look the table up again in another world. The
-// embedded Scan holds the compile-time relation and, as its output schema,
-// the qualified one (base schema unqualified, then qualified by the FROM
-// binding).
+// embedded Scan holds the compile-time relation, an empty one of the
+// table's schema (the recorder's), and, as its output schema, the qualified
+// one (the table's schema unqualified, then qualified by the FROM binding).
+// A rebind target must have the compile-time column names for the
+// template's resolved column indexes and output spellings to remain valid.
 type tableScan struct {
 	algebra.Scan
 	table string
-	// base is the compile-time schema of the stored relation; a rebind
-	// target must have the same column names for the template's resolved
-	// column indexes and output spellings to remain valid.
-	base *schema.Schema
 }
 
 func newTableScan(table string, rel *relation.Relation, binding string) *tableScan {
 	return &tableScan{
 		Scan:  algebra.Scan{Rel: rel, Out: rel.Schema.Unqualify().Qualify(binding)},
 		table: table,
-		base:  rel.Schema,
 	}
 }
 
@@ -106,11 +106,6 @@ type binding struct {
 	cat Catalog
 	// input replaces inputScan relations; nil outside split evaluation.
 	input *relation.Relation
-	// strip empties table and input scans instead of binding them,
-	// producing a template that retains only schemas. Prepare* use it so
-	// cached templates do not pin compile-time tuple snapshots for the
-	// session's lifetime; the rebinder never reads template tuples.
-	strip bool
 	// memo shares the statement's invariant subplans (nil: none shared).
 	memo *Memo
 	// correlated is set inside a correlated subquery, whose build sides
@@ -153,9 +148,9 @@ func sameColumnNames(a, b *schema.Schema) bool {
 // table, under the template's qualified schema. The scan reads rel itself,
 // so every bind shares its batch and its lazy key set.
 func (n *tableScan) bind(rel *relation.Relation) (algebra.Operator, error) {
-	if !sameColumnNames(rel.Schema, n.base) {
+	if !sameColumnNames(rel.Schema, n.Rel.Schema) {
 		return nil, fmt.Errorf("%w: schema of %s diverged from compile time (%s vs %s)",
-			ErrRebind, n.table, rel.Schema, n.base)
+			ErrRebind, n.table, rel.Schema, n.Rel.Schema)
 	}
 	// Same column names: the template's qualified schema (and every
 	// column index resolved against it) stays valid over the new tuples.
@@ -165,9 +160,9 @@ func (n *tableScan) bind(rel *relation.Relation) (algebra.Operator, error) {
 // bindTagged is bind for a tagged relation (PartsCatalog.Delta): rel's
 // columns are the table's followed by the tag, and so are the scan's.
 func (n *tableScan) bindTagged(rel *relation.Relation) (algebra.Operator, error) {
-	if !sameColumnNames(Tagged(n.base), rel.Schema) {
+	if !sameColumnNames(Tagged(n.Rel.Schema), rel.Schema) {
 		return nil, fmt.Errorf("%w: tagged schema of %s diverged from compile time (%s vs %s)",
-			ErrRebind, n.table, rel.Schema, n.base)
+			ErrRebind, n.table, rel.Schema, n.Rel.Schema)
 	}
 	return &algebra.Scan{Rel: rel, Out: Tagged(n.Out)}, nil
 }
@@ -177,13 +172,6 @@ func (n *tableScan) bindTagged(rel *relation.Relation) (algebra.Operator, error)
 func rebindOp(op algebra.Operator, b *binding) (algebra.Operator, error) {
 	switch n := op.(type) {
 	case *tableScan:
-		if b.strip {
-			return &tableScan{
-				Scan:  algebra.Scan{Rel: &relation.Relation{Schema: n.base}, Out: n.Out},
-				table: n.table,
-				base:  n.base,
-			}, nil
-		}
 		rel, err := b.cat.Lookup(n.table)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrRebind, err)
@@ -191,9 +179,6 @@ func rebindOp(op algebra.Operator, b *binding) (algebra.Operator, error) {
 		b.read(rel)
 		return n.bind(rel)
 	case *inputScan:
-		if b.strip {
-			return &inputScan{Scan: algebra.Scan{Rel: &relation.Relation{Schema: n.Rel.Schema}}}, nil
-		}
 		if b.input == nil {
 			return nil, fmt.Errorf("%w: no input relation bound for split intermediate", ErrRebind)
 		}
@@ -204,9 +189,8 @@ func rebindOp(op algebra.Operator, b *binding) (algebra.Operator, error) {
 		b.read(b.input)
 		return algebra.NewScan(b.input), nil
 	case *algebra.Scan:
-		// Literal relation (e.g. the dual for an empty FROM) or a bound
-		// table: contents are world-independent and read-only; share them
-		// under fresh state.
+		// Literal relation (the dual for an empty FROM): its contents are
+		// world-independent and read-only; share them under fresh state.
 		b.read(n.Rel)
 		return &algebra.Scan{Rel: n.Rel, Out: n.Out}, nil
 	case *algebra.HashJoin:
@@ -520,30 +504,11 @@ func rebindSubquery(sub expr.Subquery, b *binding) (expr.Subquery, error) {
 	return out, nil
 }
 
-// stripTemplate drops compile-time tuple data from a compiled tree so a
-// cached template retains only schemas. If the tree holds a node the
-// rebinder does not know (impossible today), the executable tree is kept
-// as-is — Bind then fails with ErrRebind.
-func stripTemplate(op algebra.Operator) algebra.Operator {
-	stripped, err := rebindOp(op, &binding{strip: true})
-	if err != nil {
-		return op
-	}
-	return stripped
-}
-
-// stripExprTemplate is stripTemplate for standalone expression templates.
-func stripExprTemplate(e expr.Expr) expr.Expr {
-	stripped, _, err := rebindExpr(e, &binding{strip: true})
-	if err != nil {
-		return e
-	}
-	return stripped
-}
-
-// Prepared is a full-statement template compiled by Prepare.
+// Prepared is a statement template compiled by Prepare or
+// PrepareFromWhere.
 type Prepared struct {
 	op algebra.Operator
+	reads
 }
 
 // Prepare compiles the plain-SQL core of stmt once against a representative
@@ -551,11 +516,31 @@ type Prepared struct {
 // executed; Bind instantiates it per world.
 func Prepare(stmt *sqlparse.SelectStmt, cat Catalog) (*Prepared, error) {
 	prepares.Add(1)
-	op, err := build(stmt, cat, nil)
+	rec := &recorder{cat: cat}
+	op, err := build(stmt, rec, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{op: stripTemplate(op)}, nil
+	return &Prepared{op: op, reads: rec.reads}, nil
+}
+
+// PrepareFromWhere compiles only the FROM and WHERE clauses of stmt once:
+// Bind yields the pre-projection intermediate, whose schema keeps the FROM
+// qualifiers. REPAIR BY KEY and CHOICE OF split this intermediate before
+// the rest of the query runs (the paper's "select A, B, C from R repair by
+// key A" repairs R, then projects in each repaired world), so the statement
+// must not carry UNION.
+func PrepareFromWhere(stmt *sqlparse.SelectStmt, cat Catalog) (*Prepared, error) {
+	prepares.Add(1)
+	if stmt.Union != nil {
+		return nil, fmt.Errorf("%w: FROM/WHERE part of a UNION cannot be isolated", ErrPlan)
+	}
+	rec := &recorder{cat: cat}
+	op, _, err := buildFromWhere(stmt, rec, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Prepared{op: op, reads: rec.reads}, nil
 }
 
 // Bind instantiates the template against cat, sharing invariant subplans
@@ -565,58 +550,29 @@ func (p *Prepared) Bind(cat Catalog, memo *Memo) (algebra.Operator, error) {
 	return rebindOp(p.op, &binding{cat: cat, memo: memo})
 }
 
-// Schema returns the schema of the statement's answer.
+// Schema returns the schema of the statement's answer (of the FROM/WHERE
+// intermediate, for PrepareFromWhere's).
 func (p *Prepared) Schema() *schema.Schema { return p.op.Schema() }
-
-// PreparedFromWhere is a FROM/WHERE-only template (the pre-split
-// intermediate of repair/choice statements).
-type PreparedFromWhere struct {
-	op algebra.Operator
-}
-
-// PrepareFromWhere compiles only the FROM and WHERE clauses of stmt once:
-// Bind yields the pre-projection intermediate, whose schema keeps the FROM
-// qualifiers. REPAIR BY KEY and CHOICE OF split this intermediate before
-// the rest of the query runs (the paper's "select A, B, C from R repair by
-// key A" repairs R, then projects in each repaired world), so the statement
-// must not carry UNION.
-func PrepareFromWhere(stmt *sqlparse.SelectStmt, cat Catalog) (*PreparedFromWhere, error) {
-	prepares.Add(1)
-	if stmt.Union != nil {
-		return nil, fmt.Errorf("%w: FROM/WHERE part of a UNION cannot be isolated", ErrPlan)
-	}
-	op, _, err := buildFromWhere(stmt, cat, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &PreparedFromWhere{op: stripTemplate(op)}, nil
-}
-
-// Bind instantiates the template against cat, sharing through memo.
-func (p *PreparedFromWhere) Bind(cat Catalog, memo *Memo) (algebra.Operator, error) {
-	return rebindOp(p.op, &binding{cat: cat, memo: memo})
-}
-
-// Schema returns the schema of the FROM/WHERE intermediate.
-func (p *PreparedFromWhere) Schema() *schema.Schema { return p.op.Schema() }
 
 // PreparedOnRelation is a template for the post-split part of a
 // repair/choice statement (aggregates, projection, DISTINCT, ORDER BY,
 // LIMIT over the materialized FROM/WHERE intermediate).
 type PreparedOnRelation struct {
 	op algebra.Operator
+	reads
 }
 
 // PrepareOnRelation compiles the post-FROM/WHERE part of stmt once against
-// an intermediate of schema in (PreparedFromWhere's); Bind supplies each
+// an intermediate of schema in (PrepareFromWhere's); Bind supplies each
 // piece's actual relation.
 func PrepareOnRelation(stmt *sqlparse.SelectStmt, in *schema.Schema, cat Catalog) (*PreparedOnRelation, error) {
 	prepares.Add(1)
-	op, err := buildOnRelation(stmt, in, cat)
+	rec := &recorder{cat: cat}
+	op, err := buildOnRelation(stmt, in, rec)
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedOnRelation{op: stripTemplate(op)}, nil
+	return &PreparedOnRelation{op: op, reads: rec.reads}, nil
 }
 
 // buildOnRelation compiles the post-FROM/WHERE part of stmt (aggregates,
@@ -650,6 +606,7 @@ func (p *PreparedOnRelation) Bind(input *relation.Relation, cat Catalog, memo *M
 // PreparedPredicate is a compiled standalone condition (ASSERT) template.
 type PreparedPredicate struct {
 	e expr.Expr
+	reads
 }
 
 // Predicate is a compiled standalone condition (no row context), evaluated
@@ -660,11 +617,12 @@ type Predicate func() (bool, error)
 // per-world Predicate.
 func PreparePredicate(e sqlparse.Expr, cat Catalog) (*PreparedPredicate, error) {
 	prepares.Add(1)
-	low, err := lowerIn(e, schema.New(), cat)
+	rec := &recorder{cat: cat}
+	low, err := lowerIn(e, schema.New(), rec)
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedPredicate{e: stripExprTemplate(low)}, nil
+	return &PreparedPredicate{e: low, reads: rec.reads}, nil
 }
 
 // Bind instantiates the predicate against cat, sharing through memo. The

@@ -354,7 +354,7 @@ func TestRewriteKeepsAnalysis(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%q: %v", sql, err)
 			}
-			want, err := (&Prepared{op: stripTemplate(unrewritten(t, stmt, c.cat, nil))}).Analyze(c.cc)
+			want, err := (&Prepared{op: unrewritten(t, stmt, c.cat, nil)}).Analyze(c.cc)
 			if err != nil {
 				t.Fatalf("%q: %v", sql, err)
 			}

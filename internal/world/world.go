@@ -128,26 +128,6 @@ func (w *World) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// SchemaFingerprint is an order-insensitive hash of the world's catalog
-// shape: the set of (lower-case relation name, schema) pairs, ignoring
-// tuples, probabilities and the world name. Two worlds with equal schema
-// fingerprints accept the same compiled statement templates, so the
-// fingerprint keys the process-wide plan cache: sessions over identical
-// schemas share templates, sessions over divergent schemas get separate
-// entries.
-func (w *World) SchemaFingerprint() uint64 {
-	keys := make([]string, 0, len(w.rels))
-	for k := range w.rels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	h := fnv.New64a()
-	for _, k := range keys {
-		fmt.Fprintf(h, "%s=%s;", k, w.rels[k].Schema)
-	}
-	return h.Sum64()
-}
-
 // String renders the world header and all relations, for the REPL and the
 // reproduction harness.
 func (w *World) String() string {

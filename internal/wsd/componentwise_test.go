@@ -659,9 +659,9 @@ func TestAssertInterruptInsideIterators(t *testing.T) {
 // rows, the tagged delta's included) and from the fold (once per part), and
 // the per-piece rewrite of an UPDATE before each piece, so a hook failing
 // from its k-th poll stops either after at most k+1 polls, with the
-// decomposition as it was: its SchemaFingerprint and stored representation
-// and, over 10 components, its Expand multiset. Over 1000 components the
-// decomposition is far past any expansion.
+// decomposition as it was: the schema of every relation, the stored
+// representation and, over 10 components, its Expand multiset. Over 1000
+// components the decomposition is far past any expansion.
 func TestInterruptPolledPerBatchAndPiece(t *testing.T) {
 	open := func(n int) *WSD {
 		d := New(true)
@@ -697,7 +697,7 @@ func TestInterruptPolledPerBatchAndPiece(t *testing.T) {
 			}
 			total := *polls
 			d := open(n)
-			fingerprint, stored := d.SchemaFingerprint(), d.String()
+			schemas, stored := schemaDigest(d), d.String()
 			conf := closed(t, d, "select *, conf from I")
 			var worlds []worldView
 			if n <= 10 {
@@ -712,7 +712,7 @@ func TestInterruptPolledPerBatchAndPiece(t *testing.T) {
 					t.Errorf("%s over %d components: a hook failing from poll %d was polled %d times", sql, n, k, *polls)
 				}
 				after := closed(t, d, "select *, conf from I")
-				if d.SchemaFingerprint() != fingerprint || d.String() != stored || renderRel(after) != renderRel(conf) {
+				if schemaDigest(d) != schemas || d.String() != stored || renderRel(after) != renderRel(conf) {
 					t.Fatalf("%s over %d components, failing from poll %d: the decomposition changed", sql, n, k)
 				}
 				if worlds != nil {

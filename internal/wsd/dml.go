@@ -30,7 +30,6 @@ package wsd
 // world.
 
 import (
-	"fmt"
 	"slices"
 
 	"maybms/internal/colbatch"
@@ -40,23 +39,17 @@ import (
 	"maybms/internal/sqlparse"
 )
 
-// dmlTemplate compiles an UPDATE or DELETE of table once, through the
-// process-wide plan cache, against the decomposition's schemas. EXPLAIN runs
-// it too, so an explained statement's execution hits the cache.
-func (d *WSD) dmlTemplate(st sqlparse.Statement, table string) (*plan.PreparedDML, error) {
-	sch, err := d.Schema(table)
-	if err != nil {
-		return nil, err
-	}
+// dmlTemplate compiles an UPDATE or DELETE once, through the process-wide
+// plan cache, against the decomposition's schemas. EXPLAIN runs it too, so
+// an explained statement's execution hits the cache.
+func (d *WSD) dmlTemplate(st sqlparse.Statement) (*plan.PreparedDML, error) {
 	compileCat := d.schemaCatalog()
-	return plan.Cached(plan.SharedCache(), d.trace, &d.lookups,
-		fmt.Sprintf("cdml\x00%s\x00%x", st.String(), d.SchemaFingerprint()),
-		func(p *plan.PreparedDML) error { _, err := p.Bind(compileCat, nil, nil); return err },
+	return plan.Cached(plan.SharedCache(), d.trace, &d.lookups, "cdml\x00"+st.String(), compileCat,
 		func() (*plan.PreparedDML, error) {
 			if u, ok := st.(*sqlparse.Update); ok {
-				return plan.PrepareUpdateStmt(u, sch, compileCat)
+				return plan.PrepareUpdateStmt(u, compileCat)
 			}
-			return plan.PrepareDeleteStmt(st.(*sqlparse.Delete), sch, compileCat)
+			return plan.PrepareDeleteStmt(st.(*sqlparse.Delete), compileCat)
 		})
 }
 
@@ -68,7 +61,7 @@ func (d *WSD) dmlTemplate(st sqlparse.Statement, table string) (*plan.PreparedDM
 // alternative holding it, so on the merge path a certain row once per merged
 // alternative. A failed rewrite is undone by the runner's snapshot.
 func (d *WSD) routeDML(st sqlparse.Statement, table, format string) (decision, func() (*core.Result, error), error) {
-	tmpl, err := d.dmlTemplate(st, table)
+	tmpl, err := d.dmlTemplate(st)
 	if err != nil {
 		return decision{}, nil, err
 	}

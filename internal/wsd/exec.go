@@ -10,8 +10,8 @@ package wsd
 // reaches. route (route.go) decides the statement — once, the decision Run
 // notes and Predict prints — and the run it returns carries it out. Every
 // query compiles once, through the process-wide shared plan cache keyed by
-// statement text and the decomposition's schema fingerprint. The supported
-// subset, and the routes each form takes:
+// statement text, where a template stays valid while the tables it read keep
+// their columns. The supported subset, and the routes each form takes:
 //
 //   - CREATE TABLE t (cols), DROP TABLE [IF EXISTS] t, IMPORT INTO t FROM
 //     'file.csv' [NULLS AS CHOICE] [REPAIR KEY (cols) [WEIGHT w]] — single.

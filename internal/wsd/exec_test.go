@@ -9,7 +9,6 @@ import (
 	"maybms/internal/core"
 	"maybms/internal/obs"
 	"maybms/internal/relation"
-	"maybms/internal/schema"
 )
 
 // refusalExamples holds one statement per row of the refusal table, over
@@ -123,89 +122,104 @@ func TestRefusalTable(t *testing.T) {
 	}
 }
 
-// TestSchemaFingerprintFollowsSchemaChanges: the fingerprint keying the
-// shared plan cache is computed once per change of the schemas, and every
-// change retires it — so a plan compiled before DROP and a re-CREATE with
-// other columns is not reused for the new relation: the statement compiles
-// anew and reads the new column. A snapshot restore brings the old schemas,
-// the old fingerprint and the old answer back.
-func TestSchemaFingerprintFollowsSchemaChanges(t *testing.T) {
-	d := New(true)
-	for _, sql := range []string{
-		"create table FpT (K, V)",
-		"insert into FpT values (1, 10)",
-		"create table FpI as select * from FpT repair by key K",
-	} {
-		if _, err := d.Exec(sql); err != nil {
-			t.Fatalf("%q: %v", sql, err)
-		}
-	}
-	const q = "select possible V from FpT"
-	answer := func() string {
-		t.Helper()
-		return renderRel(closed(t, d, q))
-	}
-	before, fp := answer(), d.SchemaFingerprint()
-	if again := answer(); again != before || d.SchemaFingerprint() != fp {
-		t.Fatalf("a read changed the answer or the fingerprint: %s", again)
-	}
-	restore := d.Snapshot()
-	for _, sql := range []string{
-		"drop table FpT",
-		"create table FpT (K, W, V)",
-		"insert into FpT values (1, 5, 20)",
-	} {
-		if _, err := d.Exec(sql); err != nil {
-			t.Fatalf("%q: %v", sql, err)
-		}
-	}
-	if d.SchemaFingerprint() == fp {
-		t.Fatal("the fingerprint survived DROP and a CREATE with other columns")
-	}
-	_, misses := d.PlanCacheCounts()
-	got := closed(t, d, q)
-	if _, after := d.PlanCacheCounts(); after != misses+1 {
-		t.Errorf("%q over the re-created FpT: %d plan compilations, want 1", q, after-misses)
-	}
-	if got.Len() != 1 || got.Rows()[0][0].AsInt() != 20 {
-		t.Errorf("%q over the re-created FpT answered\n%s\nwant V = 20", q, renderRel(got))
-	}
-	restore()
-	if d.SchemaFingerprint() != fp || answer() != before {
-		t.Errorf("after the restore: fingerprint kept %t, answer\n%s\nwant\n%s", d.SchemaFingerprint() == fp, answer(), before)
-	}
+// cachingEngine is an engine that reports its plan-cache lookups.
+type cachingEngine interface {
+	core.Engine
+	PlanCacheCounts() (hits, misses uint64)
+}
 
-	// Each writer of the schemas drops the cached fingerprint, so the next
-	// read hashes the new catalog; a write of tuples keeps it.
-	fresh := func() uint64 {
-		cached := d.fingerprint
-		d.fingerprint = nil
-		defer func() { d.fingerprint = cached }()
-		return d.SchemaFingerprint()
-	}
-	for _, w := range []struct {
-		name  string
-		write func() error
+// TestCachedPlanChecksTablesRead: a cached plan is valid while every table
+// it read has the column names it was compiled against, on both engines. A
+// plan compiled before DROP and a re-CREATE with other columns is not reused
+// for the new relation: the statement compiles once more and reads the new
+// column. A snapshot restore brings the old answer back, and costs one more
+// compile, since the entry now holds the plan of the re-created table. DDL
+// on a table the plan did not read leaves it a hit, and two sessions taking
+// turns at one text over same-named tables with different columns each get
+// their own answer.
+func TestCachedPlanChecksTablesRead(t *testing.T) {
+	engines := []struct {
+		name string
+		open func() cachingEngine
 	}{
-		{"PutCertain", func() error { return d.PutCertain("FpA", relation.New(schema.New("A", "B"))) }},
-		{"registerUncertain", func() error { return d.registerUncertain("FpB", schema.New("A")) }},
-		{"projectOutTrailing", func() error { d.projectOutTrailing("FpA", 1); return nil }},
-		{"drop", func() error { return d.drop("FpB") }},
-	} {
-		d.SchemaFingerprint()
-		if err := w.write(); err != nil {
-			t.Fatalf("%s: %v", w.name, err)
-		}
-		if d.SchemaFingerprint() != fresh() {
-			t.Errorf("%s changed the schemas and kept the old fingerprint", w.name)
-		}
+		{"naive", func() cachingEngine { return core.NewSession(true) }},
+		{"compact", func() cachingEngine { return New(true) }},
 	}
-	kept := d.SchemaFingerprint()
-	cached := d.fingerprint
-	if _, err := d.Exec("insert into FpA values (1)"); err != nil {
-		t.Fatal(err)
-	}
-	if d.fingerprint != cached || d.SchemaFingerprint() != kept {
-		t.Error("an INSERT, which changes no schema, dropped the fingerprint")
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			e := eng.open()
+			exec := func(e core.Engine, sql string) *relation.Relation {
+				t.Helper()
+				res, err := core.Exec(e, sql)
+				if err != nil {
+					t.Fatalf("%q: %v", sql, err)
+				}
+				return res.First()
+			}
+			// compiles runs sql on e and returns its answer and the plans
+			// it compiled.
+			compiles := func(e cachingEngine, sql string) (*relation.Relation, uint64) {
+				t.Helper()
+				_, before := e.PlanCacheCounts()
+				got := exec(e, sql)
+				_, after := e.PlanCacheCounts()
+				return got, after - before
+			}
+			for _, sql := range []string{
+				"create table VcT (K, V)",
+				"insert into VcT values (1, 10)",
+				"insert into VcT values (1, 11)",
+				"create table VcI as select * from VcT repair by key K",
+			} {
+				exec(e, sql)
+			}
+			const q = "select possible V from VcI"
+			first, _ := compiles(e, q)
+			before := renderRel(first)
+			if again, n := compiles(e, q); renderRel(again) != before || n != 0 {
+				t.Fatalf("a repeat compiled %d plans and answered\n%s\nwant\n%s", n, renderRel(again), before)
+			}
+			exec(e, "create table VcU (X)")
+			if again, n := compiles(e, q); renderRel(again) != before || n != 0 {
+				t.Errorf("after an unrelated CREATE TABLE: %d plan compilations, want 0 (answer\n%s)", n, renderRel(again))
+			}
+
+			restore := e.Snapshot()
+			for _, sql := range []string{
+				"drop table VcI",
+				"create table VcI (K, W, V)",
+				"insert into VcI values (1, 5, 20)",
+			} {
+				exec(e, sql)
+			}
+			got, n := compiles(e, q)
+			if n != 1 || got.Len() != 1 || got.Rows()[0][0].AsInt() != 20 {
+				t.Errorf("%q over the re-created VcI: %d plan compilations, want 1; answer\n%s\nwant V = 20", q, n, renderRel(got))
+			}
+			restore()
+			if got, n := compiles(e, q); renderRel(got) != before || n != 1 {
+				t.Errorf("after the restore: %d plan compilations, want 1; answer\n%s\nwant\n%s", n, renderRel(got), before)
+			}
+
+			// A second session whose VcS has other columns takes turns with
+			// the first at one text.
+			other := eng.open()
+			exec(e, "create table VcS (K, V)")
+			exec(e, "insert into VcS values (1, 10)")
+			exec(other, "create table VcS (V, K)")
+			exec(other, "insert into VcS values (30, 40)")
+			const q2 = "select V from VcS"
+			for turn := 0; turn < 3; turn++ {
+				for _, c := range []struct {
+					e    cachingEngine
+					want int64
+				}{{e, 10}, {other, 30}} {
+					got := exec(c.e, q2)
+					if got.Len() != 1 || got.Rows()[0][0].AsInt() != c.want {
+						t.Fatalf("turn %d: %q answered\n%s\nwant V = %d", turn, q2, renderRel(got), c.want)
+					}
+				}
+			}
+		})
 	}
 }

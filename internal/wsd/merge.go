@@ -280,9 +280,7 @@ func oneIfWeighted(weighted bool) float64 {
 // plan cache, and the run binds it per merged alternative through one memo.
 func (d *WSD) routeAssert(e sqlparse.Expr) (decision, func() error, error) {
 	compileCat := d.schemaCatalog()
-	pp, err := plan.Cached(plan.SharedCache(), d.trace, &d.lookups,
-		fmt.Sprintf("ca\x00%s\x00%x", e.String(), d.SchemaFingerprint()),
-		func(p *plan.PreparedPredicate) error { _, err := p.Bind(compileCat, nil, nil); return err },
+	pp, err := plan.Cached(plan.SharedCache(), d.trace, &d.lookups, "ca\x00"+e.String(), compileCat,
 		func() (*plan.PreparedPredicate, error) { return plan.PreparePredicate(e, compileCat) })
 	if err != nil {
 		return decision{}, nil, err

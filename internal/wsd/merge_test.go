@@ -304,13 +304,13 @@ func TestRefusedMergeLeavesDecompositionUnchanged(t *testing.T) {
 		if nestedCount(d) == 0 {
 			t.Fatal("fixture is not nested")
 		}
-		fingerprint, comps, alts := d.SchemaFingerprint(), d.ComponentCount(), d.AlternativeCount()
+		schemas, comps, alts := schemaDigest(d), d.ComponentCount(), d.AlternativeCount()
 		worlds := wsdViews(t, d, "J")
 		for try := 1; try <= 2; try++ {
 			if err := attempt(d); !errors.Is(err, ErrMergeTooBig) {
 				t.Fatalf("%s, attempt %d: err = %v, want ErrMergeTooBig", name, try, err)
 			}
-			if d.SchemaFingerprint() != fingerprint || d.ComponentCount() != comps || d.AlternativeCount() != alts {
+			if schemaDigest(d) != schemas || d.ComponentCount() != comps || d.AlternativeCount() != alts {
 				t.Fatalf("%s, attempt %d: refused statement restructured the decomposition: %d components / %d alternatives, was %d / %d",
 					name, try, d.ComponentCount(), d.AlternativeCount(), comps, alts)
 			}

@@ -7,8 +7,7 @@ package wsd
 
 import (
 	"errors"
-	"fmt"
-	"hash/fnv"
+	"slices"
 	"strings"
 
 	"maybms/internal/algebra"
@@ -18,6 +17,7 @@ import (
 	"maybms/internal/obs"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
+	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
 )
 
@@ -38,38 +38,17 @@ var (
 		"Monte-Carlo world samples drawn by APPROX CONF.")
 )
 
-// schemaCatalog exposes the decomposition's relation schemas (over empty
-// relations) as a compile target: planning needs names and columns only,
-// and the compiled template is stripped of tuples anyway.
+// schemaCatalog exposes the decomposition's relation schemas (over bare,
+// empty relations) as the catalog templates compile and are checked
+// against: both need names and columns only.
 func (d *WSD) schemaCatalog() plan.Catalog {
 	return plan.CatalogFunc(func(name string) (*relation.Relation, error) {
 		sch, err := d.Schema(name)
 		if err != nil {
 			return nil, err
 		}
-		return relation.New(sch), nil
+		return &relation.Relation{Schema: sch}, nil
 	})
-}
-
-// SchemaFingerprint hashes the decomposition's catalog shape, mirroring
-// world.SchemaFingerprint for the compact engine: it keys the process-wide
-// shared plan cache, so compact sessions over identical schemas share
-// compiled templates. It is computed once per change of the schemas: every
-// write of them drops the cached value (editSchemas), a write of tuples
-// keeps it, and a Snapshot restore puts back the one that was valid for the
-// restored schemas.
-func (d *WSD) SchemaFingerprint() uint64 {
-	if d.fingerprint != nil {
-		return *d.fingerprint
-	}
-	h := fnv.New64a()
-	for _, n := range d.Names() { // sorted
-		sch, _ := d.Schema(n)
-		fmt.Fprintf(h, "%s=%s;", strings.ToLower(n), sch)
-	}
-	fp := h.Sum64()
-	d.fingerprint = &fp
-	return fp
 }
 
 // evaluator binds a compiled template per catalog and drains it into a
@@ -121,9 +100,7 @@ func (e evaluator) part(cat plan.PartsCatalog, delta bool) (*colbatch.Batch, err
 // the evaluator that binds it per catalog, for this one statement.
 func (d *WSD) prepared(sel *sqlparse.SelectStmt) (*plan.Prepared, evaluator, error) {
 	compileCat := d.schemaCatalog()
-	prep, err := plan.Cached(plan.SharedCache(), d.trace, &d.lookups,
-		fmt.Sprintf("cq\x00%s\x00%x", sel.String(), d.SchemaFingerprint()),
-		func(p *plan.Prepared) error { _, err := p.Bind(compileCat, nil); return err },
+	prep, err := plan.Cached(plan.SharedCache(), d.trace, &d.lookups, "cq\x00"+sel.String(), compileCat,
 		func() (*plan.Prepared, error) { return plan.Prepare(sel, compileCat) })
 	if err != nil {
 		return nil, evaluator{}, err
@@ -304,36 +281,51 @@ func exprAggregates(e sqlparse.Expr) bool {
 	return false
 }
 
-// extendProjection returns core with every column of need missing from its
-// select list appended as a trailing item, plus the number appended. A
-// star item exposes the source columns already, so nothing is appended.
-func extendProjection(core *sqlparse.SelectStmt, need []string) (*sqlparse.SelectStmt, int) {
-	outs := map[string]bool{}
+// extendProjection maps the FROM/WHERE positions need, of schema fw, to
+// columns of core's answer (-1 stays -1): the first column a select item
+// reads plainly from that position — a column reference resolving to it, or
+// a star's column. A position no item reads gets an item appended to a copy
+// of core; extra counts the appended items, which come last.
+func extendProjection(core *sqlparse.SelectStmt, fw *schema.Schema, need []int) (q *sqlparse.SelectStmt, pos []int, extra int) {
+	var reads []int // per answer column, the FROM/WHERE position it reads (-1: none)
 	for _, it := range core.Items {
-		if _, ok := it.Expr.(sqlparse.Star); ok {
-			return core, 0
-		}
-		switch {
-		case it.Alias != "":
-			outs[strings.ToLower(it.Alias)] = true
-		default:
-			if cr, ok := it.Expr.(sqlparse.ColumnRef); ok {
-				outs[strings.ToLower(cr.Name)] = true
+		switch n := it.Expr.(type) {
+		case sqlparse.Star:
+			for i := 0; i < fw.Len(); i++ {
+				if n.Qualifier == "" || strings.EqualFold(fw.At(i).Qualifier, n.Qualifier) {
+					reads = append(reads, i)
+				}
 			}
+		case sqlparse.ColumnRef:
+			i, err := fw.Resolve(n.Qualifier, n.Name)
+			if err != nil {
+				i = -1
+			}
+			reads = append(reads, i)
+		default:
+			reads = append(reads, -1)
 		}
 	}
-	q := *core
-	q.Items = append([]sqlparse.SelectItem{}, core.Items...)
-	extra := 0
-	for _, col := range need {
-		if col == "" || outs[strings.ToLower(col)] {
+	q = core
+	pos = make([]int, len(need))
+	for j, p := range need {
+		if pos[j] = p; p < 0 {
 			continue
 		}
-		outs[strings.ToLower(col)] = true
-		q.Items = append(q.Items, sqlparse.SelectItem{Expr: sqlparse.ColumnRef{Name: col}})
+		if pos[j] = slices.Index(reads, p); pos[j] >= 0 {
+			continue
+		}
+		if q == core {
+			cp := *core
+			cp.Items = slices.Clone(core.Items)
+			q = &cp
+		}
+		a := fw.At(p)
+		q.Items = append(q.Items, sqlparse.SelectItem{Expr: sqlparse.ColumnRef{Qualifier: a.Qualifier, Name: a.Name}})
+		pos[j], reads = len(reads), append(reads, p)
 		extra++
 	}
-	return &q, extra
+	return q, pos, extra
 }
 
 // projectOutTrailing drops relation name's last n columns everywhere it is
@@ -347,7 +339,7 @@ func (d *WSD) projectOutTrailing(name string, n int) {
 	for i := range keep {
 		keep[i] = i
 	}
-	d.editSchemas()
+	d.edit()
 	d.schemas[k] = sch.Project(keep)
 	if r, ok := d.certain[k]; ok {
 		d.certain[k] = relation.FromBatch(r.Batch().Project(keep, d.schemas[k]))

@@ -83,16 +83,13 @@ type splitter struct {
 	touches  []plan.KeyTouch
 }
 
-// newSplit resolves a split of relation src, of schema sch: as stored, or —
+// newSplit sets up a split of relation src, of schema sch, on its columns
+// cols and weightIdx (-1: none): a repair or a choice of src as stored, or —
 // with p set — as it will be once the evaluated parts p are stored as src
 // (materializeByComponent), their feeding alternatives' parts its
 // contributions.
-func (d *WSD) newSplit(src string, sch *schema.Schema, p *componentParts, q *core.ISQL) (*splitter, error) {
-	s := &splitter{src: src, sch: sch, repair: q.Repair != nil, comps: d.componentsFor(src)}
-	var err error
-	if s.cols, s.weightIdx, err = q.SplitColumns(sch); err != nil {
-		return nil, err
-	}
+func (d *WSD) newSplit(src string, sch *schema.Schema, p *componentParts, repair bool, cols []int, weightIdx int) *splitter {
+	s := &splitter{src: src, sch: sch, cols: cols, weightIdx: weightIdx, repair: repair, comps: d.componentsFor(src)}
 	k := key(src)
 	s.cert = colbatch.New(sch)
 	if cert := d.certain[k]; cert != nil {
@@ -118,7 +115,7 @@ func (d *WSD) newSplit(src string, sch *schema.Schema, p *componentParts, q *cor
 		}
 		s.touch(d, contribution)
 	}
-	return s, nil
+	return s
 }
 
 // touch lists the distinct keys each feeder's alternatives contribute, by
@@ -211,15 +208,15 @@ func (s *splitter) decision(d *WSD) decision {
 // deciding, the split decided on the parts about to be stored; one stored by
 // a merge has one feeder and a certain one none, so neither needs data to be
 // decided. The naive engine splits the FROM/WHERE rows and projects per
-// world afterwards, and a projection commutes with the split: key and weight
-// columns missing from the select list ride the transient source and are
+// world afterwards, and a projection commutes with the split: the split's
+// columns resolve once, against the FROM/WHERE rows, and the transient
+// source carries each at the select item reading it (extendProjection);
+// key and weight columns no item reads ride the transient source and are
 // stripped from dst after the split.
 func (d *WSD) routeSplit(name string, sh shape) (decision, func() (*core.Result, error), error) {
-	what, need := "repair of", []string(nil)
-	if sh.Repair != nil {
-		need = append(slices.Clone(sh.Repair.Key), sh.Repair.Weight)
-	} else {
-		what, need = "choice over", append(slices.Clone(sh.Choice.Attrs), sh.Choice.Weight)
+	what, repair := "repair of", sh.Repair != nil
+	if !repair {
+		what = "choice over"
 	}
 	done := func(source string) (*core.Result, error) {
 		return d.ok("created table %s: %s %s (%s worlds)", name, what, source, d.WorldCount())
@@ -233,21 +230,19 @@ func (d *WSD) routeSplit(name string, sh shape) (decision, func() (*core.Result,
 	// The split's columns resolve against the source's FROM/WHERE rows, as
 	// on the naive engine, so a bad one fails with the naive engine's error.
 	cat := d.schemaCatalog()
-	fw, err := plan.Cached(plan.SharedCache(), d.trace, &d.lookups,
-		fmt.Sprintf("cfw\x00%s\x00%x", sh.Core.String(), d.SchemaFingerprint()),
-		func(p *plan.PreparedFromWhere) error { _, err := p.Bind(cat, nil); return err },
-		func() (*plan.PreparedFromWhere, error) { return plan.PrepareFromWhere(sh.Core, cat) })
+	fw, err := plan.Cached(plan.SharedCache(), d.trace, &d.lookups, "cfw\x00"+sh.Core.String(), cat,
+		func() (*plan.Prepared, error) { return plan.PrepareFromWhere(sh.Core, cat) })
+	var cols []int
+	weight := -1
 	if err == nil {
-		_, _, err = sh.SplitColumns(fw.Schema())
+		cols, weight, err = sh.SplitColumns(fw.Schema())
 	}
 	if err != nil {
 		return decision{}, nil, err
 	}
 	if sh.src != "" {
-		s, err := d.newSplit(sh.src, d.schemas[key(sh.src)], nil, &sh.ISQL)
-		if err != nil {
-			return decision{}, nil, err
-		}
+		// `select * from t`: t's columns are its FROM/WHERE columns.
+		s := d.newSplit(sh.src, d.schemas[key(sh.src)], nil, repair, cols, weight)
 		return s.decision(d), func() (*core.Result, error) {
 			if err := d.split(s, name); err != nil {
 				return nil, err
@@ -255,9 +250,15 @@ func (d *WSD) routeSplit(name string, sh shape) (decision, func() (*core.Result,
 			return done(sh.src)
 		}, nil
 	}
-	q, extra := extendProjection(sh.Core, need)
+	q, pos, extra := extendProjection(sh.Core, fw.Schema(), append(slices.Clone(cols), weight))
+	cols, weight = pos[:len(cols)], pos[len(cols)]
 	prep, ev, err := d.prepared(q)
 	var an *plan.ComponentAnalysis
+	if err == nil {
+		// dst keeps the select list's columns, which the naive engine
+		// refuses to store under one name twice.
+		err = core.CheckStoredNames(prep.Schema().Names()[:prep.Schema().Len()-extra])
+	}
 	if err == nil {
 		an, err = d.analyze(prep)
 	}
@@ -269,22 +270,18 @@ func (d *WSD) routeSplit(name string, sh shape) (decision, func() (*core.Result,
 	var s *splitter
 	var parts *componentParts
 	if store.kind == routeComponentwise {
-		if parts, err = d.evalParts(store, ev.part); err == nil {
-			s, err = d.newSplit(tmp, parts.base.Schema.Unqualify(), parts, &sh.ISQL)
+		if parts, err = d.evalParts(store, ev.part); err != nil {
+			return decision{}, nil, err
 		}
-		if err == nil {
-			dec = costlier(store, s.decision(d))
-		}
-	}
-	if err != nil {
-		return decision{}, nil, err
+		s = d.newSplit(tmp, parts.base.Schema.Unqualify(), parts, repair, cols, weight)
+		dec = costlier(store, s.decision(d))
 	}
 	return dec, func() (*core.Result, error) {
 		var err error
 		if parts != nil {
 			err = d.materializeByComponent(tmp, parts)
 		} else if _, err = d.run(store, ev, core.ClosureNone, tmp); err == nil {
-			s, err = d.newSplit(tmp, d.schemas[key(tmp)], nil, &sh.ISQL)
+			s = d.newSplit(tmp, d.schemas[key(tmp)], nil, repair, cols, weight)
 		}
 		if err == nil {
 			err = d.split(s, name)

@@ -189,9 +189,8 @@ type WSD struct {
 }
 
 // state is the decomposition's value — what a Snapshot saves and a restore
-// puts back — with the index and fingerprint derived from it. Every write
-// goes through edit (editList for the list, editSchemas for the schemas), so
-// no site keeps them in step.
+// puts back — with the index derived from it. Every write goes through edit
+// (editList for the list), so no site keeps them in step.
 type state struct {
 	certain map[string]*relation.Relation // lower name → certain tuples
 	schemas map[string]*schema.Schema     // lower name → schema
@@ -199,10 +198,8 @@ type state struct {
 	comps   []*Component
 	nextID  int
 	// ix is the index of comps (index.go), nil until read after a change of
-	// the list; fingerprint caches SchemaFingerprint, nil until read after a
-	// change of the schemas.
-	ix          *index
-	fingerprint *uint64
+	// the list.
+	ix *index
 	// shared reports that a Snapshot holds these maps and this list: the
 	// next edit copies them before anything writes them.
 	shared bool
@@ -215,13 +212,6 @@ func (d *WSD) edit() {
 		d.certain, d.schemas, d.names = maps.Clone(d.certain), maps.Clone(d.schemas), maps.Clone(d.names)
 		d.comps, d.shared = slices.Clone(d.comps), false
 	}
-}
-
-// editSchemas is edit for a write of the schemas (and names): it drops the
-// fingerprint too. A write of tuples alone keeps it.
-func (d *WSD) editSchemas() {
-	d.edit()
-	d.fingerprint = nil
 }
 
 // editList is edit for a write of the component list: it drops the index too.
@@ -261,7 +251,7 @@ func (d *WSD) PutCertain(name string, rel *relation.Relation) error {
 	if _, ok := d.schemas[k]; ok {
 		return fmt.Errorf("%w: %s", core.ErrExists, name)
 	}
-	d.editSchemas()
+	d.edit()
 	d.certain[k] = rel
 	d.schemas[k] = rel.Schema.Unqualify()
 	d.names[k] = name
@@ -316,7 +306,7 @@ func (d *WSD) drop(name string) error {
 	if _, ok := d.schemas[k]; !ok {
 		return fmt.Errorf("%w: %s", world.ErrUnknown, name)
 	}
-	d.editSchemas()
+	d.edit()
 	delete(d.certain, k)
 	for _, ci := range d.componentsFor(name) {
 		c := d.own(ci)
@@ -333,7 +323,7 @@ func (d *WSD) drop(name string) error {
 // copies nothing: it marks the maps and the list shared, and the statement's
 // first write copies them (edit). Components, their alternatives and
 // contribution maps, and relations are never written once published (see
-// own), so the saved value stays as it was, its index and fingerprint valid.
+// own), so the saved value stays as it was, its index valid.
 func (d *WSD) Snapshot() (restore func()) {
 	d.shared = true
 	saved := d.state
@@ -582,7 +572,7 @@ func (d *WSD) registerUncertain(name string, sch *schema.Schema) error {
 	if _, ok := d.schemas[k]; ok {
 		return fmt.Errorf("%w: %s", core.ErrExists, name)
 	}
-	d.editSchemas()
+	d.edit()
 	d.schemas[k] = sch.Unqualify()
 	d.names[k] = name
 	return nil

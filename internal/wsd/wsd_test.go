@@ -2,6 +2,7 @@ package wsd
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
 	"strings"
@@ -52,6 +53,16 @@ func closed(t *testing.T, d *WSD, sql string) *relation.Relation {
 		t.Fatalf("%s: %v", sql, err)
 	}
 	return res.First()
+}
+
+// schemaDigest renders every relation of d with its schema, in name order.
+func schemaDigest(d *WSD) string {
+	var b strings.Builder
+	for _, n := range d.Names() {
+		sch, _ := d.Schema(n)
+		fmt.Fprintf(&b, "%s=%s;", n, sch)
+	}
+	return b.String()
 }
 
 // tupleConf is the confidence of tuple tp in relation name, asked as `select

@@ -34,10 +34,11 @@
 // the plain-SQL core is planned against the first world and the compiled
 // template is bound to each world's relations (internal/plan Prepare/Bind).
 // Compiled templates live in a process-wide shared cache keyed by the
-// statement's faithful rendering plus a schema fingerprint, size-bounded
-// with LRU eviction and revalidated against the session's current schemas
-// on every use — so concurrent sessions over identical schemas (a
-// many-session server) reuse each other's compilations. The rendering
+// statement's faithful rendering, size-bounded with LRU eviction; a
+// template records the tables it read, and a hit counts only while each of
+// them has the column names it was compiled against in the session's
+// catalog — so concurrent sessions over the same tables (a many-session
+// server) reuse each other's compilations. The rendering
 // parses back to the same statement (it quotes every identifier that is
 // not a plain non-keyword name), so two different statements never share
 // a key. SharedPlanCacheStats and

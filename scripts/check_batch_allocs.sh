@@ -120,11 +120,13 @@
 # (internal/wsd/index.go), and after the filter over the stored delta a
 # statement pays for the parts its answer holds, not for every alternative,
 # and a Snapshot copies nothing (a read never copies the component list or
-# the relation maps): the steady state is ~121 (comps=1000) and ~140
-# (comps=10000) allocs/op and ~25 KB and ~242 KB/op, where a Snapshot copying
-# them took ~128/147 allocs and 35 KB/325 KB, a tag column, dense parts and a
-# fold over every alternative ~175/195 allocs and 159 KB/1.57 MB, and
-# rebuilding the index on every read 381 and 443 allocs. What bytes remain
+# the relation maps), and a cached plan is checked against the tables it
+# read, not rebound: the steady state is ~114 (comps=1000) and ~133
+# (comps=10000) allocs/op and ~24.3 KB and ~241 KB/op, where rebinding the
+# plan to validate a cache hit took ~121/140 allocs and 24.8 KB/242 KB, a
+# Snapshot copying them ~128/147 allocs and 35 KB/325 KB, a tag column,
+# dense parts and a fold over every alternative ~175/195 allocs and
+# 159 KB/1.57 MB, and rebuilding the index on every read 381 and 443 allocs. What bytes remain
 # grow with n through the filter's selection vector over the delta and the
 # index build the first of the 20 statements pays. The ~1.5x allocs and
 # bytes ceilings (check_bytes reads B/op) trip on anything per component
@@ -195,10 +197,10 @@ check 'BenchmarkCollectStoredScan/project' 8
 check 'BenchmarkClosureComponents/possible/groups=1000' 2750
 check 'BenchmarkClosureComponents/conf/groups=1000' 2800
 check 'BenchmarkClosureComponents/conf/groups=16000' 40000
-check 'BenchmarkStatementOverhead/comps=1000' 182
-check 'BenchmarkStatementOverhead/comps=10000' 210
-check_bytes 'BenchmarkStatementOverhead/comps=1000' 37000
-check_bytes 'BenchmarkStatementOverhead/comps=10000' 362000
+check 'BenchmarkStatementOverhead/comps=1000' 171
+check 'BenchmarkStatementOverhead/comps=10000' 199
+check_bytes 'BenchmarkStatementOverhead/comps=1000' 36500
+check_bytes 'BenchmarkStatementOverhead/comps=10000' 361700
 check BenchmarkImportCertain 1600
 check BenchmarkImportRepairKey 240000
 check BenchmarkImportChoice 105000
