@@ -130,6 +130,50 @@ func TestNotWeightedSameOnBothEngines(t *testing.T) {
 	}
 }
 
+// TestStoredDuplicateNamesSameOnBothEngines: a CREATE TABLE AS whose answer
+// has two columns of one name is refused by both engines with one error,
+// whichever way the compact engine would store it — a single world, a
+// closure, a componentwise store, a CONF column, a grouped store, an
+// asserted store — and stores nothing.
+func TestStoredDuplicateNamesSameOnBothEngines(t *testing.T) {
+	for _, sql := range []string{
+		"create table T2 as select B as A, A from R",
+		"create table T3 as select possible B as A, A from R",
+		"create table T4 as select B as A, A from U",
+		"create table T5 as select conf, A as conf from U",
+		"create table T6 as select possible B as A, A from U group worlds by (select A from U where B = 1)",
+		"create table T7 as select B as A, A from U assert exists (select * from U where B = 1)",
+	} {
+		db, cdb := Open(), OpenCompact()
+		for _, setup := range []string{
+			"create table R (A, B)",
+			"insert into R values (0, 1), (0, 2), (1, 5)",
+			"create table U as select * from R repair by key A",
+		} {
+			db.MustExec(setup)
+			cdb.MustExec(setup)
+		}
+		_, naive := db.Exec(sql)
+		_, compact := cdb.Exec(sql)
+		if naive == nil || compact == nil {
+			t.Errorf("%s: naive says %v, compact says %v; want an error from both", sql, naive, compact)
+			continue
+		}
+		if naive.Error() != compact.Error() || !strings.Contains(naive.Error(), "duplicate column name") {
+			t.Errorf("%s: naive says %q, compact says %q", sql, naive, compact)
+		}
+		name := strings.Fields(sql)[2]
+		for _, e := range []interface{ Exec(string) (*Result, error) }{db, cdb} {
+			if _, err := e.Exec("drop table " + name); !errors.Is(err, world.ErrUnknown) {
+				t.Errorf("%s: dropping %s after the refusal: %v, want %v", sql, name, err, world.ErrUnknown)
+			}
+		}
+		if db.WorldCount() != 2 || cdb.WorldCount().Cmp(big.NewInt(2)) != 0 {
+			t.Errorf("%s: %d and %s worlds after the refusal, want 2", sql, db.WorldCount(), cdb.WorldCount())
+		}
+	}
+}
+
 func TestCompactChoiceOf(t *testing.T) {
 	cdb := OpenCompact()
 	if err := cdb.Register("R", []string{"A", "D"}, [][]any{

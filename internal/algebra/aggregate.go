@@ -19,9 +19,9 @@ import (
 // SQL. With group-by columns, empty input yields no rows.
 //
 // Groups are keyed through one reused byte arena. Over a columnar batch the
-// vectorizable aggregate arguments are evaluated batch-at-a-time and fed per
-// row in spec order, so results and error order are the row-at-a-time
-// evaluation's.
+// vectorizable aggregate arguments are evaluated batch-at-a-time and the
+// others row by row through a RowEval, fed per row in spec order, so
+// results and error order are the row-at-a-time evaluation's.
 type Aggregate struct {
 	Child   Operator
 	GroupBy []int
@@ -32,7 +32,7 @@ type Aggregate struct {
 	key     []byte
 	vec     []bool
 	args    []expr.Vec
-	ctx     expr.Context // row-at-a-time evaluation context
+	ev      RowEval
 }
 
 // aggGroup is one group: its key cells and one accumulator per spec.
@@ -58,7 +58,7 @@ func (a *Aggregate) Open(outer *expr.Context) error {
 	for _, spec := range a.Specs {
 		a.vec = append(a.vec, spec.Arg != nil && expr.Vectorizable(spec.Arg))
 	}
-	a.ctx = expr.Context{Schema: a.Child.Schema(), Outer: outer}
+	a.ev.Reset(a.Child.Schema(), outer)
 	index := map[string]int{}
 	var groups []aggGroup
 	for {
@@ -94,22 +94,13 @@ func (a *Aggregate) newGroup(key tuple.Tuple) aggGroup {
 // appearance order.
 func (a *Aggregate) add(b *colbatch.Batch, index map[string]int, groups []aggGroup) ([]aggGroup, error) {
 	rowBacked := b.RowBacked()
-	needRows := rowBacked
 	a.args = a.args[:0]
 	for s, spec := range a.Specs {
 		var v expr.Vec
-		switch {
-		case rowBacked || spec.Arg == nil:
-		case a.vec[s]:
+		if !rowBacked && a.vec[s] {
 			v = expr.EvalVec(spec.Arg, b)
-		default:
-			needRows = true
 		}
 		a.args = append(a.args, v)
-	}
-	var rows []tuple.Tuple
-	if needRows {
-		rows = b.Rows()
 	}
 	for i := 0; i < b.Len(); i++ {
 		a.key = b.AppendKeyOn(a.key[:0], a.GroupBy, i)
@@ -133,8 +124,7 @@ func (a *Aggregate) add(b *colbatch.Batch, index map[string]int, groups []aggGro
 					err = acc.AddValue(a.args[s].At(i))
 				}
 			default:
-				a.ctx.Tuple = rows[i]
-				err = acc.Add(&a.ctx)
+				err = acc.Add(a.ev.Row(b, i))
 			}
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrExec, err)

@@ -3,6 +3,15 @@
 // Limit — as one set of batch-at-a-time operators over colbatch batches (the
 // execution model is in batch.go).
 //
+// Expressions are evaluated by two kernels (kernel.go): Select turns a
+// predicate into a selection of a batch's rows, Filter's step, and Values
+// turns expressions into a batch of values, Project's step. Each runs
+// column-at-a-time over a columnar batch when its expressions are
+// vectorizable and otherwise row by row through RowEval, the one row
+// evaluator, which Aggregate's non-vectorizable arguments use too. UPDATE
+// and DELETE (internal/plan's BoundDML.Apply) are the same two kernels
+// composed.
+//
 // Operators are opened with the expression context of the *enclosing* query
 // (nil at the top level), so correlated subqueries can reach outer columns
 // through expr.Context.Outer chains.
@@ -24,8 +33,6 @@ import (
 	"maybms/internal/obs"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
-	"maybms/internal/tuple"
-	"maybms/internal/value"
 )
 
 // ErrExec is wrapped by operator execution errors.
@@ -156,15 +163,13 @@ func (s *Scan) NextBatch() (*colbatch.Batch, error) {
 func (s *Scan) Close() error { return nil }
 
 // Filter passes through rows on which Pred is true (SQL semantics: NULL and
-// false both drop the row). A columnar batch is evaluated column-at-a-time
-// into a selection vector when the predicate is vectorizable; anything else
-// row-at-a-time. A per-row predicate error is deferred until the rows
-// preceding it have been emitted.
+// false both drop the row), selecting each batch's rows with the Select
+// kernel. A per-row predicate error is deferred until the rows preceding it
+// have been emitted.
 type Filter struct {
 	Child Operator
 	Pred  expr.Expr
-	vec   bool
-	ctx   expr.Context // row-at-a-time evaluation context
+	ev    RowEval
 	sel   []int32
 	err   error
 }
@@ -174,8 +179,7 @@ func (f *Filter) Schema() *schema.Schema { return f.Child.Schema() }
 
 // Open implements Operator.
 func (f *Filter) Open(outer *expr.Context) error {
-	f.vec = expr.Vectorizable(f.Pred)
-	f.ctx = expr.Context{Schema: f.Child.Schema(), Outer: outer}
+	f.ev.Reset(f.Child.Schema(), outer)
 	f.err = nil
 	return f.Child.Open(outer)
 }
@@ -190,10 +194,8 @@ func (f *Filter) NextBatch() (*colbatch.Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		if f.vec && !b.RowBacked() {
-			f.selectVec(b)
-		} else {
-			f.selectRows(b)
+		if f.sel, err = Select(f.Pred, b, &f.ev, f.sel); err != nil {
+			f.err = fmt.Errorf("%w: filter %s: %w", ErrExec, f.Pred, err)
 		}
 		switch len(f.sel) {
 		case 0:
@@ -205,74 +207,17 @@ func (f *Filter) NextBatch() (*colbatch.Batch, error) {
 	}
 }
 
-// selectVec selects the passing rows of b before its first error row.
-func (f *Filter) selectVec(b *colbatch.Batch) {
-	v := expr.EvalVec(f.Pred, b)
-	stop := b.Len()
-	for i, e := range v.Errs {
-		if e != nil {
-			stop = i
-			f.err = fmt.Errorf("%w: filter %s: %w", ErrExec, f.Pred, e)
-			break
-		}
-	}
-	sel := f.sel[:0]
-	switch {
-	case v.Const:
-		if v.CV.Truth() {
-			for i := 0; i < stop; i++ {
-				sel = append(sel, int32(i))
-			}
-		}
-	case v.Col.Kind == value.KindBool && v.Col.Any == nil:
-		bools, nulls := v.Col.Bools, v.Col.Nulls
-		for i := 0; i < stop; i++ {
-			if bools[i] && (nulls == nil || !nulls[i]) {
-				sel = append(sel, int32(i))
-			}
-		}
-	default:
-		for i := 0; i < stop; i++ {
-			if v.At(i).Truth() {
-				sel = append(sel, int32(i))
-			}
-		}
-	}
-	f.sel = sel
-}
-
-// selectRows is selectVec evaluated row-at-a-time.
-func (f *Filter) selectRows(b *colbatch.Batch) {
-	sel := f.sel[:0]
-	ctx := &f.ctx
-	for i, t := range b.Rows() {
-		ctx.Tuple = t
-		v, err := f.Pred.Eval(ctx)
-		if err != nil {
-			f.err = fmt.Errorf("%w: filter %s: %w", ErrExec, f.Pred, err)
-			break
-		}
-		if v.Truth() {
-			sel = append(sel, int32(i))
-		}
-	}
-	f.sel = sel
-}
-
 // Close implements Operator.
 func (f *Filter) Close() error { return f.Child.Close() }
 
-// Project computes an output row per input row from expressions: column-at-
-// a-time over a columnar batch when every expression is vectorizable, else
-// row-at-a-time into tuples, which colbatch keeps or lays out as columns by
-// their number. A per-row error is deferred until the rows preceding it have
-// been emitted.
+// Project computes an output row per input row from expressions with the
+// Values kernel. A per-row error is deferred until the rows preceding it
+// have been emitted.
 type Project struct {
 	Child Operator
 	Exprs []expr.Expr
 	Out   *schema.Schema
-	vec   bool
-	ctx   expr.Context // row-at-a-time evaluation context
+	ev    RowEval
 	err   error
 }
 
@@ -284,11 +229,7 @@ func (p *Project) Open(outer *expr.Context) error {
 	if len(p.Exprs) != p.Out.Len() {
 		return fmt.Errorf("%w: project arity %d vs schema %s", ErrExec, len(p.Exprs), p.Out)
 	}
-	p.vec = true
-	for _, e := range p.Exprs {
-		p.vec = p.vec && expr.Vectorizable(e)
-	}
-	p.ctx = expr.Context{Schema: p.Child.Schema(), Outer: outer}
+	p.ev.Reset(p.Child.Schema(), outer)
 	p.err = nil
 	return p.Child.Open(outer)
 }
@@ -302,80 +243,14 @@ func (p *Project) NextBatch() (*colbatch.Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	var out *colbatch.Batch
-	if p.vec && !b.RowBacked() {
-		out = p.columns(b)
-	} else {
-		out = p.rows(b)
-	}
-	if out == nil {
-		return nil, p.err
+	out, bad, err := Values(p.Exprs, b, &p.ev, p.Out)
+	if err != nil {
+		p.err = fmt.Errorf("%w: projecting %s: %w", ErrExec, p.Exprs[bad], err)
+		if out == nil {
+			return nil, p.err
+		}
 	}
 	return out, nil
-}
-
-func (p *Project) wrap(e expr.Expr, err error) {
-	p.err = fmt.Errorf("%w: projecting %s: %w", ErrExec, e, err)
-}
-
-// rows projects a batch row-at-a-time into tuples sharing one value slab;
-// nil when the first row errs.
-func (p *Project) rows(b *colbatch.Batch) *colbatch.Batch {
-	in := b.Rows()
-	ctx := &p.ctx
-	w := len(p.Exprs)
-	slab := make([]value.Value, len(in)*w)
-	out := make([]tuple.Tuple, 0, len(in))
-scan:
-	for i, t := range in {
-		ctx.Tuple = t
-		row := slab[i*w : (i+1)*w : (i+1)*w]
-		for j, e := range p.Exprs {
-			v, err := e.Eval(ctx)
-			if err != nil {
-				p.wrap(e, err)
-				break scan
-			}
-			row[j] = v
-		}
-		out = append(out, tuple.Tuple(row))
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return colbatch.FromRows(p.Out, out)
-}
-
-// columns evaluates every expression over a columnar batch; the first error
-// in row order (row-major, expression-minor) cuts the batch. The rows are
-// walked for it only when some expression erred.
-func (p *Project) columns(b *colbatch.Batch) *colbatch.Batch {
-	n := b.Len()
-	vecs := make([]expr.Vec, len(p.Exprs))
-	errs := false
-	for j, e := range p.Exprs {
-		vecs[j] = expr.EvalVec(e, b)
-		errs = errs || vecs[j].Errs != nil
-	}
-	stop := n
-scan:
-	for i := 0; errs && i < n; i++ {
-		for j := range vecs {
-			if err := vecs[j].ErrAt(i); err != nil {
-				stop = i
-				p.wrap(p.Exprs[j], err)
-				break scan
-			}
-		}
-	}
-	if stop == 0 {
-		return nil
-	}
-	cols := make([]colbatch.Col, len(vecs))
-	for j := range vecs {
-		cols[j] = colFromVec(&vecs[j], n, stop)
-	}
-	return colbatch.FromCols(p.Out, cols, stop)
 }
 
 // Close implements Operator.

@@ -10,7 +10,9 @@
 // joins, Distinct and Aggregate build their hash keys column-wise into
 // reusable byte arenas instead of allocating a Tuple.Key() string per row.
 // Expressions outside the vectorizable subset run row-at-a-time inside the
-// same operators. An operator keeps its state across the drains of a bound
+// same operators, through a tuple refilled from the columns per row
+// (RowEval), so no operator lays a columnar batch out as rows to evaluate
+// it. An operator keeps its state across the drains of a bound
 // tree (a subquery is drained once per outer row) and resets it on Open.
 //
 // Answers are row for row and error for error the row-at-a-time reference
@@ -172,20 +174,4 @@ func sortRows(perm []int32, b *colbatch.Batch, keys []SortKey) {
 		}
 		return false
 	})
-}
-
-// colFromVec materializes the first stop cells of a Vec as a column
-// (broadcasting constants; the column is shared zero-copy when whole).
-func colFromVec(v *expr.Vec, n, stop int) colbatch.Col {
-	if v.Const {
-		var cb colbatch.ColBuilder
-		for i := 0; i < stop; i++ {
-			cb.Append(v.CV)
-		}
-		return cb.Col()
-	}
-	if stop == n {
-		return v.Col
-	}
-	return v.Col.Slice(0, stop)
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -65,6 +66,15 @@ func TestMultiBatchDrainMatchesOracle(t *testing.T) {
 		return &Filter{Child: NewScan(r), Pred: expr.Cmp{Op: expr.CmpEq,
 			L: expr.Arith{Op: value.OpMod, L: col(0), R: expr.Const{Value: value.Int(m)}}, R: expr.Const{Value: value.Int(7)}}}
 	}
+	// lit is a subquery over a one-cell literal relation: no expression
+	// holding it is vectorizable, so the operators evaluate those row by row
+	// over the columnar batches, mixed-kind column M included.
+	lit := func(v value.Value) expr.Subquery {
+		rel := relation.FromBatch(colbatch.FromRows(schema.New("X"), []tuple.Tuple{{v}}))
+		return expr.SubqueryFunc(func(*expr.Context) (*relation.Relation, error) { return rel, nil })
+	}
+	scalar := func(v value.Value) expr.Expr { return expr.Scalar{Sub: lit(v)} }
+	mIs := expr.Cmp{Op: expr.CmpEq, L: col(4), R: scalar(value.Str("m1"))}
 	trees := map[string]func() Operator{
 		"scan": func() Operator { return NewScan(a) },
 		"filter": func() Operator {
@@ -91,6 +101,18 @@ func TestMultiBatchDrainMatchesOracle(t *testing.T) {
 			return &Aggregate{Child: NewScan(b), GroupBy: []int{1}, Out: schema.New("K", "sum", "count"), Specs: []expr.AggSpec{
 				{Kind: expr.AggSum, Arg: col(2)}, {Kind: expr.AggCount, Arg: col(4)}}}
 		},
+		"filter.subquery": func() Operator {
+			return &Filter{Child: NewScan(b), Pred: expr.And{L: expr.Exists{Sub: lit(value.Int(1))}, R: expr.Or{
+				L: expr.Cmp{Op: expr.CmpLt, L: col(1), R: scalar(value.Int(60))}, R: mIs}}}
+		},
+		"project.subquery": func() Operator {
+			return &Project{Child: NewScan(b), Out: schema.New("M", "I2", "F", "MIs"), Exprs: []expr.Expr{
+				col(4), expr.Arith{Op: value.OpAdd, L: col(0), R: scalar(value.Int(2))}, col(2), mIs}}
+		},
+		"aggregate.subquery": func() Operator {
+			return &Aggregate{Child: NewScan(a), GroupBy: []int{1}, Out: schema.New("K", "sum", "count"), Specs: []expr.AggSpec{
+				{Kind: expr.AggSum, Arg: expr.Arith{Op: value.OpMul, L: col(2), R: scalar(value.Int(2))}}, {Kind: expr.AggCount, Arg: mIs}}}
+		},
 	}
 	for name, tree := range trees {
 		t.Run(name, func(t *testing.T) {
@@ -107,7 +129,7 @@ func TestMultiBatchDrainMatchesOracle(t *testing.T) {
 			if got := renderResult(again, err); got != want {
 				t.Fatalf("second drain differs from the reference:\n%.400s\nwant\n%.400s", got, want)
 			}
-			if name != "aggregate" && first.Len() <= batchSize {
+			if !strings.HasPrefix(name, "aggregate") && first.Len() <= batchSize {
 				t.Fatalf("answer of %d rows fits one batch", first.Len())
 			}
 		})

@@ -659,15 +659,28 @@ func (b *Batch) Pick(sel []int32) *Batch {
 }
 
 // Update returns b with, for each t in order, the cells of column idx[t] at
-// the rows sel (ascending) replaced by the cells of cols[t] — one per
-// selected row — so a later t overwrites an earlier one on the same column.
-// The updated columns are fresh copies; every other column is shared
-// zero-copy with b behind a capacity-clamped slice, as Slice shares it, so
-// an append to either batch never reaches the other. b must be columnar.
-func (b *Batch) Update(sel []int32, idx []int, cols []Col) *Batch {
+// the rows sel (ascending) replaced by column t of vals — one row of vals
+// per selected row — so a later t overwrites an earlier one on the same
+// column. b's form is kept. Over columns the updated columns are fresh
+// copies and every other column is shared zero-copy with b behind a
+// capacity-clamped slice, as Slice shares it; over rows each selected tuple
+// is a fresh clone and every other tuple is shared. Either way an append to
+// either batch never reaches the other.
+func (b *Batch) Update(sel []int32, idx []int, vals *Batch) *Batch {
+	if b.cols == nil {
+		rows := slices.Clone(b.rows)
+		for k, s := range sel {
+			t := rows[s].Clone()
+			for c, j := range idx {
+				t[j] = vals.At(k, c)
+			}
+			rows[s] = t
+		}
+		return &Batch{Schema: b.Schema, n: b.n, rows: rows}
+	}
 	out := b.Slice(0, b.n)
 	for t, j := range idx {
-		out.cols[j] = out.cols[j].scatter(b.n, sel, &cols[t])
+		out.cols[j] = out.cols[j].scatter(b.n, sel, vals.Col(t))
 	}
 	return out
 }

@@ -123,11 +123,8 @@ func FuzzBatchForm(f *testing.F) {
 					ref[k] = append(t.Clone(), v)
 				}
 				checkForm(t, pool[i].Extend(schema.New("a", "b", "conf"), cb.Col()), ref)
-			case 9: // Update, of a columnar batch
+			case 9: // Update
 				i := pick()
-				if pool[i].RowBacked() {
-					continue
-				}
 				var sel []int32
 				for k := range refs[i] {
 					if in.int(3) == 0 {
@@ -143,7 +140,7 @@ func FuzzBatchForm(f *testing.F) {
 					ref[s] = ref[s].Clone()
 					ref[s][j] = v
 				}
-				add(pool[i].Update(sel, []int{j}, []Col{cb.Col()}), ref)
+				add(pool[i].Update(sel, []int{j}, FromCols(schema.New("v"), []Col{cb.Col()}, len(sel))), ref)
 			case 10: // New
 				add(New(sch), nil)
 			case 11: // Project, columns swapped

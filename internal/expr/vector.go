@@ -49,16 +49,6 @@ func (v *Vec) ErrAt(i int) error {
 	return v.Errs[i]
 }
 
-// FirstErr returns the first error in row order, or nil.
-func (v *Vec) FirstErr() error {
-	for _, e := range v.Errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
 func (v *Vec) setErr(i int, err error) {
 	if v.Errs == nil {
 		v.Errs = make([]error, v.N)

@@ -7,21 +7,24 @@ package plan
 // compile once against a representative catalog and bind per world (in the
 // naive engine) or per piece of the target relation (in the compact engine),
 // and both engines run the same row rewrite (Apply) over the relation's
-// batch. Apply returns a batch: a columnar input's untouched columns are
-// shared with the result, only the SET columns (UPDATE) or the kept rows
-// (DELETE) are copied, and an input no row of which matches comes back as
-// is. Components returns the decomposition components those expressions
-// read through their subqueries, which is what decides whether a compact
-// UPDATE/DELETE can rewrite the target relation piece-by-piece (certain
-// part and per-alternative contributions independently) or must first
-// merge the involved components: a statement whose expressions touch no
-// component applies the same row rewrite in every world, so it distributes
-// over the certain ∪ per-component structure exactly like a
-// monotone-decomposable query.
+// batch. Apply has no evaluator of its own: it is the operators' kernels
+// composed — the WHERE predicate selects the matching rows as a Filter does
+// (algebra.Select), the SET values are evaluated over those rows as a
+// Project does (algebra.Values), and colbatch writes the result, so a
+// rewrite and a query evaluate an expression alike, column-at-a-time or
+// row by row, with one error order. Components returns the decomposition
+// components those expressions read through their subqueries, which is what
+// decides whether a compact UPDATE/DELETE can rewrite the target relation
+// piece-by-piece (certain part and per-alternative contributions
+// independently) or must first merge the involved components: a statement
+// whose expressions touch no component applies the same row rewrite in
+// every world, so it distributes over the certain ∪ per-component structure
+// exactly like a monotone-decomposable query.
 
 import (
 	"fmt"
 
+	"maybms/internal/algebra"
 	"maybms/internal/colbatch"
 	"maybms/internal/expr"
 	"maybms/internal/relation"
@@ -39,6 +42,7 @@ type PreparedDML struct {
 	del      bool
 	setIdx   []int
 	setExprs []expr.Expr
+	setSch   *schema.Schema // of the SET values' batch: a column per SET
 	pred     expr.Expr
 	reads
 }
@@ -53,6 +57,7 @@ func PrepareUpdateStmt(st *sqlparse.Update, cat Catalog) (*PreparedDML, error) {
 		return nil, err
 	}
 	p.setIdx, p.setExprs = make([]int, len(st.Set)), make([]expr.Expr, len(st.Set))
+	names := make([]string, len(st.Set))
 	for j, sc := range st.Set {
 		idx, err := p.sch.Resolve("", sc.Column)
 		if err != nil {
@@ -62,8 +67,9 @@ func PrepareUpdateStmt(st *sqlparse.Update, cat Catalog) (*PreparedDML, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.setIdx[j], p.setExprs[j] = idx, low
+		p.setIdx[j], p.setExprs[j], names[j] = idx, low, sc.Column
 	}
+	p.setSch = schema.New(names...)
 	return p.where(st.Table, st.Where, rec)
 }
 
@@ -90,9 +96,10 @@ func prepareDML(table string, cat Catalog) (*PreparedDML, *recorder, error) {
 	return &PreparedDML{sch: target.Schema}, rec, nil
 }
 
-// where lowers the WHERE predicate into p (none: every row matches) and
-// hands p the tables rec read.
+// where lowers the WHERE predicate into p (none: TRUE, every row matches)
+// and hands p the tables rec read.
 func (p *PreparedDML) where(table string, e sqlparse.Expr, rec *recorder) (*PreparedDML, error) {
+	p.pred = expr.Const{Value: value.Bool(true)}
 	if e != nil {
 		low, err := lowerIn(e, p.sch.Qualify(table), rec)
 		if err != nil {
@@ -104,19 +111,12 @@ func (p *PreparedDML) where(table string, e sqlparse.Expr, rec *recorder) (*Prep
 	return p, nil
 }
 
-// Schema returns the compile-time schema of the target relation.
-func (p *PreparedDML) Schema() *schema.Schema { return p.sch }
-
 // Components returns the sorted set of decomposition components the
 // statement's SET/WHERE expressions touch through their subqueries (the
 // target relation itself is not included — callers know it). An empty
 // result means the row rewrite is identical in every world.
 func (p *PreparedDML) Components(cc ComponentCatalog) ([]int, error) {
-	exprs := p.setExprs
-	if p.pred != nil {
-		exprs = append(exprs[:len(exprs):len(exprs)], p.pred)
-	}
-	out, err := exprComps(cc, exprs...)
+	out, err := exprComps(cc, append(p.setExprs[:len(p.setExprs):len(p.setExprs)], p.pred)...)
 	return append([]int(nil), out...), err
 }
 
@@ -128,12 +128,10 @@ type BoundDML struct {
 	del      bool
 	setIdx   []int
 	setExprs []expr.Expr
+	setSch   *schema.Schema
 	pred     expr.Expr
 	outer    *expr.Context
-	// predVec and setVec record, once per instance, which expressions
-	// EvalVec handles; the others (subqueries) run row by row.
-	predVec bool
-	setVec  []bool
+	ev       algebra.RowEval
 }
 
 // Bind instantiates the template against cat, sharing through memo; it
@@ -147,214 +145,52 @@ func (p *PreparedDML) Bind(cat Catalog, outer *expr.Context, memo *Memo) (*Bound
 	if err != nil {
 		return nil, err
 	}
-	b := &BoundDML{sch: p.sch, del: p.del, setIdx: p.setIdx, setExprs: setExprs, outer: outer,
-		setVec: make([]bool, len(setExprs))}
-	for j, e := range setExprs {
-		b.setVec[j] = expr.Vectorizable(e)
+	pred, _, err := rebindExpr(p.pred, bd)
+	if err != nil {
+		return nil, err
 	}
-	if p.pred != nil {
-		if b.pred, _, err = rebindExpr(p.pred, bd); err != nil {
-			return nil, err
-		}
-		b.predVec = expr.Vectorizable(b.pred)
-	}
+	b := &BoundDML{sch: p.sch, del: p.del, setIdx: p.setIdx, setExprs: setExprs, setSch: p.setSch,
+		pred: pred, outer: outer}
+	b.ev.Reset(b.sch, outer)
 	return b, nil
 }
 
 // Apply runs the row rewrite over a batch: UPDATE rewrites the matching
 // rows, DELETE drops them, and changed counts them. The result keeps the
-// input's row order, and an error is the one the row-at-a-time rewrite
-// meets first: rows in order, the predicate before the SET values, the SET
-// values in order.
+// input's row order and form, and an error is the one the row-at-a-time
+// rewrite meets first: rows in order, the predicate before the SET values,
+// the SET values in order.
 //
-// A columnar input stays columnar. The predicate becomes a selection
-// vector; DELETE gathers the complement, and UPDATE evaluates the SET
-// values over the gathered matching rows and scatters them into fresh
-// copies of the SET columns, sharing every other column with the input
-// (colbatch.Batch.Update). A row-form input — the tiny relations INSERT
-// builds and a split contributes — is rewritten tuple by tuple. Either way the input is never modified, and when no
-// row matches the input itself is returned, so a caller can keep the
-// relation it came from.
+// The predicate selects the matching rows (algebra.Select); DELETE gathers
+// the complement, and UPDATE evaluates the SET values over the gathered
+// matching rows (algebra.Values) and writes them into fresh copies of the
+// SET columns, or of the matching tuples of a row-form input, sharing the
+// rest with the input (colbatch.Batch.Update). The input is never
+// modified, and when no row matches the input itself is returned, so a
+// caller can keep the relation it came from.
 func (b *BoundDML) Apply(in *colbatch.Batch) (out *colbatch.Batch, changed int, err error) {
-	if in.RowBacked() {
-		return b.applyRows(in)
-	}
-	sel, predErr := b.match(in)
+	sel, predErr := algebra.Select(b.pred, in, &b.ev, make([]int32, 0, in.Len()))
 	// A SET error at a matching row precedes any predicate error: the
 	// selection stops at the first row whose predicate failed.
-	var cols []colbatch.Col
-	if !b.del {
-		if cols, err = b.setValues(in, sel); err != nil {
+	var vals *colbatch.Batch
+	if !b.del && len(sel) > 0 {
+		matched := in
+		if len(sel) < in.Len() {
+			matched = in.Gather(sel)
+		}
+		if vals, _, err = algebra.Values(b.setExprs, matched, &b.ev, b.setSch); err != nil {
 			return nil, 0, err
 		}
 	}
-	if predErr != nil {
+	switch {
+	case predErr != nil:
 		return nil, 0, predErr
-	}
-	if len(sel) == 0 {
+	case len(sel) == 0:
 		return in, 0, nil
-	}
-	if b.del {
+	case b.del:
 		return in.Gather(complement(sel, in.Len())), len(sel), nil
 	}
-	return in.Update(sel, b.setIdx, cols), len(sel), nil
-}
-
-// applyRows is Apply over a row-form batch: the row loop, one context per
-// row, each updated row a fresh clone.
-func (b *BoundDML) applyRows(in *colbatch.Batch) (*colbatch.Batch, int, error) {
-	tuples := in.Rows()
-	out := make([]tuple.Tuple, 0, len(tuples))
-	changed := 0
-	for _, t := range tuples {
-		ctx := &expr.Context{Schema: b.sch, Tuple: t, Outer: b.outer}
-		match := true
-		if b.pred != nil {
-			v, err := b.pred.Eval(ctx)
-			if err != nil {
-				return nil, 0, err
-			}
-			match = v.Truth()
-		}
-		if !match {
-			out = append(out, t)
-			continue
-		}
-		changed++
-		if b.del {
-			continue
-		}
-		nt := t.Clone()
-		for j := range b.setExprs {
-			v, err := b.setExprs[j].Eval(ctx)
-			if err != nil {
-				return nil, 0, err
-			}
-			nt[b.setIdx[j]] = v
-		}
-		out = append(out, nt)
-	}
-	if changed == 0 {
-		return in, 0, nil
-	}
-	return colbatch.FromRows(in.Schema, out), changed, nil
-}
-
-// match returns the ascending rows of in the predicate holds on, up to the
-// first row it fails on, and that failure.
-func (b *BoundDML) match(in *colbatch.Batch) ([]int32, error) {
-	n := in.Len()
-	sel := make([]int32, 0, n)
-	switch {
-	case b.pred == nil:
-		for i := 0; i < n; i++ {
-			sel = append(sel, int32(i))
-		}
-	case b.predVec:
-		v := expr.EvalVec(b.pred, in)
-		bools, nulls := v.Col.Bools, v.Col.Nulls
-		typed := !v.Const && v.Col.Kind == value.KindBool && v.Col.Any == nil
-		for i := 0; i < n; i++ {
-			if err := v.ErrAt(i); err != nil {
-				return sel, err
-			}
-			if typed {
-				if bools[i] && (nulls == nil || !nulls[i]) {
-					sel = append(sel, int32(i))
-				}
-			} else if v.At(i).Truth() {
-				sel = append(sel, int32(i))
-			}
-		}
-	default:
-		rc := b.rowContext(in)
-		for i := 0; i < n; i++ {
-			v, err := rc.eval(b.pred, i)
-			if err != nil {
-				return sel, err
-			}
-			if v.Truth() {
-				sel = append(sel, int32(i))
-			}
-		}
-	}
-	return sel, nil
-}
-
-// setValues evaluates the SET expressions at the rows sel of in, one column
-// per expression with a cell per selected row. It returns the error the row
-// loop meets first: the lowest row, then the lowest expression; later
-// expressions stop short of the row an earlier one failed on.
-func (b *BoundDML) setValues(in *colbatch.Batch, sel []int32) ([]colbatch.Col, error) {
-	cols := make([]colbatch.Col, len(b.setExprs))
-	limit := len(sel)
-	var first error
-	var matched *colbatch.Batch
-	var rc *rowContext
-	for j, e := range b.setExprs {
-		if b.setVec[j] {
-			if matched == nil {
-				matched = in
-				if len(sel) < in.Len() {
-					matched = in.Gather(sel)
-				}
-			}
-			v := expr.EvalVec(e, matched)
-			for k := 0; k < limit; k++ {
-				if err := v.ErrAt(k); err != nil {
-					limit, first = k, err
-					break
-				}
-			}
-			cols[j] = vecCol(&v)
-			continue
-		}
-		if rc == nil {
-			rc = b.rowContext(in)
-		}
-		var cb colbatch.ColBuilder
-		for k := 0; k < limit; k++ {
-			v, err := rc.eval(e, int(sel[k]))
-			if err != nil {
-				limit, first = k, err
-				break
-			}
-			cb.Append(v)
-		}
-		cols[j] = cb.Col()
-	}
-	return cols, first
-}
-
-// vecCol returns an evaluated vector as a column, broadcasting a constant.
-func vecCol(v *expr.Vec) colbatch.Col {
-	if !v.Const {
-		return v.Col
-	}
-	var cb colbatch.ColBuilder
-	for k := 0; k < v.N; k++ {
-		cb.Append(v.CV)
-	}
-	return cb.Col()
-}
-
-// rowContext evaluates row expressions against single rows of a columnar
-// batch: one context and one tuple buffer, refilled from the columns per
-// row.
-type rowContext struct {
-	in  *colbatch.Batch
-	ctx *expr.Context
-}
-
-func (b *BoundDML) rowContext(in *colbatch.Batch) *rowContext {
-	return &rowContext{in: in, ctx: &expr.Context{Schema: b.sch, Tuple: make(tuple.Tuple, in.Width()), Outer: b.outer}}
-}
-
-func (rc *rowContext) eval(e expr.Expr, i int) (value.Value, error) {
-	for j := range rc.ctx.Tuple {
-		rc.ctx.Tuple[j] = rc.in.At(i, j)
-	}
-	return e.Eval(rc.ctx)
+	return in.Update(sel, b.setIdx, vals), len(sel), nil
 }
 
 // complement returns the rows of [0, n) not in the ascending sel.

@@ -170,17 +170,23 @@ func renderApply(rows []tuple.Tuple, changed int, err error) string {
 // TestApplyBatchMatchesRows holds the batch rewrite to the tuple loop it
 // replaced: random UPDATE and DELETE templates over random targets, each
 // stored once columnar and once row-backed, must yield the oracle's rows
-// value for value and in order, its changed count and its error text.
+// value for value and in order, its changed count and its error text. A
+// columnar target whose WHERE or SET holds a subquery runs the kernels' row
+// evaluator over its columns, and enough runs must do so.
 func TestApplyBatchMatchesRows(t *testing.T) {
 	t.Parallel()
 	sch := schema.New(dmlColumns...)
 	cat := mapCatalog{"S": mkrel([]string{"K"}, []any{1}, []any{4}, []any{6})}
-	errs, changedRuns, columnarOut := 0, 0, 0
+	errs, changedRuns, columnarOut, columnarRowPath := 0, 0, 0, 0
 	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		rows := randDMLRows(rng, rng.Intn(60))
 		sql := randDMLStatement(rng)
 		b := bindDML(t, sql, sch, cat)
+		rowPath := !expr.Vectorizable(b.pred)
+		for _, e := range b.setExprs {
+			rowPath = rowPath || !expr.Vectorizable(e)
+		}
 		want := renderApply(applyRowsOracle(b, rows))
 		if strings.HasPrefix(want, "error: ") {
 			errs++
@@ -192,6 +198,9 @@ func TestApplyBatchMatchesRows(t *testing.T) {
 			columnar.Append(t)
 		}
 		for _, in := range []*colbatch.Batch{columnar, colbatch.FromRows(sch, rows)} {
+			if rowPath && !in.RowBacked() && in.Len() > 0 {
+				columnarRowPath++
+			}
 			out, changed, err := b.Apply(in)
 			var got string
 			if err != nil {
@@ -216,8 +225,9 @@ func TestApplyBatchMatchesRows(t *testing.T) {
 			}
 		}
 	}
-	if errs < 20 || changedRuns < 200 || columnarOut < 100 {
-		t.Fatalf("weak coverage: %d errors, %d changing runs, %d columnar outputs", errs, changedRuns, columnarOut)
+	if errs < 20 || changedRuns < 200 || columnarOut < 100 || columnarRowPath < 120 {
+		t.Fatalf("weak coverage: %d errors, %d changing runs, %d columnar outputs, %d columnar inputs evaluated row by row",
+			errs, changedRuns, columnarOut, columnarRowPath)
 	}
 }
 
@@ -260,7 +270,10 @@ func TestApplyCopyOnWrite(t *testing.T) {
 
 // BenchmarkDMLApply rewrites a 40 000-row columnar batch of which one row
 // in ten matches — the shape of an UPDATE or DELETE of an imported
-// relation. Allocations must stay O(columns), not O(rows).
+// relation. Allocations must stay O(columns), not O(rows). update-subquery's
+// WHERE holds a scalar subquery (unshared: the bind has no memo), so its
+// predicate runs row by row over the columns, and what it allocates is the
+// subquery's per-row work, not the batch's rows.
 func BenchmarkDMLApply(b *testing.B) {
 	const n = 40000
 	sch := schema.New("K", "A", "Cat", "Label", "W")
@@ -269,12 +282,14 @@ func BenchmarkDMLApply(b *testing.B) {
 		in.Append(tuple.Tuple{value.Int(int64(i)), value.Int(int64(i % 1000)), value.Int(int64(i % 4)),
 			value.Str(fmt.Sprintf("w%d", i%50)), value.Int(int64(1 + i%5))})
 	}
+	cat := mapCatalog{"S": mkrel([]string{"K"}, []any{12000})}
 	for _, c := range []struct{ name, sql string }{
 		{"update", "update B set A = A + 5 where K >= 8000 and K < 12000"},
 		{"delete", "delete from B where K >= 8000 and K < 12000"},
+		{"update-subquery", "update B set A = A + 5 where K < (select max(K) from S) and K >= 8000"},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			bound := bindDML(b, c.sql, sch, mapCatalog{})
+			bound := bindDML(b, c.sql, sch, cat)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				out, changed, err := bound.Apply(in)

@@ -457,7 +457,11 @@ func (d *WSD) closeEachGroup(mi int, groups []groupInfo, q evaluator, cl core.Cl
 // alternative references its group's answer: per-group contributions, not
 // per-alternative copies.
 func (d *WSD) storeGrouped(dst string, merged *Component, groups []groupInfo, answers []core.GroupRows) error {
-	if err := d.registerUncertain(dst, answers[0].Rel.Schema.Unqualify()); err != nil {
+	err := core.CheckStoredNames(answers[0].Rel.Schema.Names())
+	if err == nil {
+		err = d.registerUncertain(dst, answers[0].Rel.Schema.Unqualify())
+	}
+	if err != nil {
 		return err
 	}
 	merged = d.own(slices.Index(d.comps, merged))

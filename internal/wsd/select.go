@@ -136,7 +136,17 @@ func (d *WSD) routeQuery(q *sqlparse.SelectStmt, cl core.Closure, dst string) (d
 	asp.Set("decomposable", an.Decomposable)
 	asp.End(d.trace)
 	dec := d.routeCore(q, an, cl, dst != "" && cl == core.ClosureNone)
-	return dec, func() (*relation.Relation, error) { return d.run(dec, ev, cl, dst) }, nil
+	return dec, func() (*relation.Relation, error) {
+		if dst != "" && cl == core.ClosureNone {
+			// dst stores the select list, which the naive engine refuses
+			// to store under one name twice (a closed answer is checked
+			// once evaluated, with its conf column).
+			if err := core.CheckStoredNames(prep.Schema().Names()); err != nil {
+				return nil, err
+			}
+		}
+		return d.run(dec, ev, cl, dst)
+	}, nil
 }
 
 // run answers a statement on the route dec, routeCore's decision for it —
@@ -146,6 +156,9 @@ func (d *WSD) routeQuery(q *sqlparse.SelectStmt, cl core.Closure, dst string) (d
 func (d *WSD) run(dec decision, ev evaluator, cl core.Closure, dst string) (*relation.Relation, error) {
 	if dst != "" && cl != core.ClosureNone {
 		rel, err := d.run(dec, ev, cl, "")
+		if err == nil {
+			err = core.CheckStoredNames(rel.Schema.Names())
+		}
 		if err == nil {
 			err = d.PutCertain(dst, rel.WithSchema(rel.Schema.Unqualify()))
 		}

@@ -81,11 +81,17 @@
 #
 # The DML gate holds UPDATE and DELETE to per-column allocation:
 # BenchmarkDMLApply rewrites a 40 000-row columnar batch of which one row
-# in ten matches (internal/plan's BoundDML.Apply) — steady state 16 allocs/op
-# for the update (the selection, the gathered matching rows, the SET
-# column's copy) and 12 for the delete (the gathered complement). Going
-# back through tuples, or one allocation per matching row (4 000 here),
-# trips the 2x ceilings at once.
+# in ten matches (internal/plan's BoundDML.Apply, which is internal/algebra's
+# Select and Values kernels composed) — steady state 17 allocs/op for the
+# update (the selection, the gathered matching rows, the SET values' batch,
+# the SET column's copy) and 12 for the delete (the gathered complement).
+# Going back through tuples, or one allocation per matching row (4 000
+# here), trips the 2x ceilings at once. update-subquery's WHERE holds a
+# scalar subquery, so the predicate runs through the kernels' row evaluator,
+# which refills one tuple per row from the columns: steady state ~24.1 MB/op,
+# nearly all of it the unshared subquery's per-row work. Its ~1.15x bytes
+# ceiling trips on a row path that materializes the batch's rows (40 000
+# tuples, ~5 MB more).
 #
 # The per-drain gates hold drain (internal/algebra/batch.go) to its two
 # rules. A tree that only reads a stored batch — a Scan, or a Project of
@@ -218,6 +224,7 @@ check 'BenchmarkEncodeAnswer/columnar' 4
 check 'BenchmarkEncodeAnswer/rows' 2
 check 'BenchmarkDMLApply/update' 32
 check 'BenchmarkDMLApply/delete' 24
+check_bytes 'BenchmarkDMLApply/update-subquery' 27700000
 
 if [ "$fail" -ne 0 ]; then
     echo "check_batch_allocs: vectorized path regressed (or benchmarks renamed)" >&2
