@@ -143,6 +143,10 @@ func TestStoredDuplicateNamesSameOnBothEngines(t *testing.T) {
 		"create table T5 as select conf, A as conf from U",
 		"create table T6 as select possible B as A, A from U group worlds by (select A from U where B = 1)",
 		"create table T7 as select B as A, A from U assert exists (select * from U where B = 1)",
+		// The names are checked before evaluating, so a WHERE that fails
+		// does not decide the error.
+		"create table T8 as select B as A, A from R where 1/0 = 1",
+		"create table T9 as select B as A, A from R where 1/0 = 1 repair by key A",
 	} {
 		db, cdb := Open(), OpenCompact()
 		for _, setup := range []string{

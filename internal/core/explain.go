@@ -66,15 +66,9 @@ func (s *Session) Predict(b *strings.Builder, stmt sqlparse.Statement) error {
 			return err
 		}
 	}
-	if q.Splits() {
-		// Run resolves the split's columns against the FROM/WHERE rows.
-		fw, err := s.preparedFromWhere(q.Core, s.set.Worlds[0])
-		if err == nil {
-			_, _, err = q.SplitColumns(fw.Schema())
-		}
-		if err != nil {
-			return err
-		}
+	prep, err := s.compileCore(q)
+	if err != nil {
+		return err
 	}
 	switch {
 	case q.Repair != nil:
@@ -87,10 +81,6 @@ func (s *Session) Predict(b *strings.Builder, stmt sqlparse.Statement) error {
 	}
 	if q.GroupWorlds != nil {
 		b.WriteString("group worlds by: yes\n")
-	}
-	prep, err := s.preparedFull(q.Core, s.set.Worlds[0])
-	if err != nil {
-		return err
 	}
 	q.Explain(b, prep.ExplainTree(nil))
 	return nil

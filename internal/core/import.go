@@ -42,7 +42,7 @@ func (s *Session) execImport(st *sqlparse.Import) (*Result, error) {
 	}
 
 	if len(plan.Groups) == 0 {
-		if err := s.putEach(st.Table, func(*world.World) (*relation.Relation, error) { return plan.Certain, nil }); err != nil {
+		if _, err := s.putEach(st.Table, nil, func(*world.World) (*relation.Relation, int, error) { return plan.Certain, 0, nil }); err != nil {
 			return nil, err
 		}
 		return s.ok("imported %d row(s) into %s in %d world(s)", plan.Certain.Len(), st.Table, len(s.set.Worlds))

@@ -57,6 +57,24 @@ func (s *Session) preparedPredicate(e sqlparse.Expr, rep *world.World) (*plan.Pr
 		func() (*plan.PreparedPredicate, error) { return plan.PreparePredicate(e, rep) })
 }
 
+// compileCore compiles a statement's plain-SQL core against the first
+// world, after resolving a split's columns against its FROM/WHERE rows (the
+// order of the compact engine's checks). EXPLAIN prints the template;
+// CREATE … AS checks the names it stores.
+func (s *Session) compileCore(q ISQL) (*plan.Prepared, error) {
+	rep := s.set.Worlds[0]
+	if q.Splits() {
+		fw, err := s.preparedFromWhere(q.Core, rep)
+		if err == nil {
+			_, _, err = q.SplitColumns(fw.Schema())
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return s.preparedFull(q.Core, rep)
+}
+
 // evalQuery runs the full I-SQL SELECT pipeline:
 //
 //	per-world FROM/WHERE → repair/choice world split → rest of the query in
@@ -344,6 +362,18 @@ func (s *Session) execCreateAs(name string, sel *sqlparse.SelectStmt, isView boo
 	}
 	if err := s.checkFresh(name); err != nil {
 		return nil, err
+	}
+	if q.Closure == ClosureNone {
+		// A plain or split store keeps the select list's names, checked
+		// before evaluating, as on the compact engine; a closed store's are
+		// checked once evaluated, with its conf column.
+		prep, err := s.compileCore(q)
+		if err == nil {
+			err = CheckStoredNames(prep.Schema().Names())
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	ev, err := s.evalQuery(q)
 	if err != nil {

@@ -206,7 +206,7 @@ func (s *Session) execCreateTable(st *sqlparse.CreateTable) (*Result, error) {
 		s.keys = maps.Clone(s.keys)
 		s.keys[strings.ToLower(st.Name)] = st.PrimaryKey
 	}
-	if err := s.putEach(st.Name, func(*world.World) (*relation.Relation, error) { return relation.New(sch), nil }); err != nil {
+	if _, err := s.putEach(st.Name, nil, func(*world.World) (*relation.Relation, int, error) { return relation.New(sch), 0, nil }); err != nil {
 		return nil, err
 	}
 	return s.ok("created table %s", st.Name)
@@ -214,35 +214,55 @@ func (s *Session) execCreateTable(st *sqlparse.CreateTable) (*Result, error) {
 
 // putEach swaps in a new world list: a clone of every world with the
 // relation rel returns for it stored under name, or name dropped when rel
-// returns nil. It polls the interrupt hook before each world. Published
-// worlds are never written, so Snapshot's copy of the list header is the
-// session as it was.
-func (s *Session) putEach(name string, rel func(w *world.World) (*relation.Relation, error)) error {
+// returns nil. rel runs once for each distinct set of instances a world
+// holds under reads, the tables the statement reads; a world holding the
+// same instances as an earlier one reuses that world's relation, so worlds
+// that shared what the statement read share what it wrote. n counts what
+// rel changed in its world, and putEach returns the sum over all worlds. It
+// polls the interrupt hook before each world. Published worlds are never
+// written, so Snapshot's copy of the list header is the session as it was.
+func (s *Session) putEach(name string, reads []string, rel func(w *world.World) (r *relation.Relation, n int, err error)) (int, error) {
+	type made struct {
+		r *relation.Relation
+		n int
+	}
+	done := map[string]made{} // by the addresses of the instances read
+	total := 0
 	next := make([]*world.World, len(s.set.Worlds))
 	for i, w := range s.set.Worlds {
 		if err := s.interrupted(); err != nil {
-			return err
+			return 0, err
 		}
-		r, err := rel(w)
-		if err != nil {
-			return err
+		key := ""
+		for _, t := range reads {
+			cur, _ := w.Lookup(t)
+			key += fmt.Sprintf("%p ", cur)
 		}
+		m, ok := done[key]
+		if !ok {
+			var err error
+			if m.r, m.n, err = rel(w); err != nil {
+				return 0, err
+			}
+			done[key] = m
+		}
+		total += m.n
 		next[i] = w.Clone(w.Name)
-		if r == nil {
+		if m.r == nil {
 			next[i].Drop(name)
 		} else {
-			next[i].Put(name, r)
+			next[i].Put(name, m.r)
 		}
 	}
 	s.set.Worlds = next
-	return nil
+	return total, nil
 }
 
 func (s *Session) execDrop(st *sqlparse.Drop) (*Result, error) {
 	if err := s.checkFresh(st.Name); err == nil && !st.IfExists {
 		return nil, fmt.Errorf("%w: %s", world.ErrUnknown, st.Name)
 	}
-	if err := s.putEach(st.Name, func(*world.World) (*relation.Relation, error) { return nil, nil }); err != nil {
+	if _, err := s.putEach(st.Name, nil, func(*world.World) (*relation.Relation, int, error) { return nil, 0, nil }); err != nil {
 		return nil, err
 	}
 	s.keys, s.views = maps.Clone(s.keys), maps.Clone(s.views)
@@ -256,36 +276,31 @@ func (s *Session) execDrop(st *sqlparse.Drop) (*Result, error) {
 // worlds, then the update is discarded in all worlds." — a violation of the
 // table's primary key in any world fails the statement, and the runner
 // restores the session as it was. Worlds that share the table's instance
-// share its extension too, so later statements still see one relation
-// there (and their memo shares what reads it).
+// share its extension too (putEach), so later statements still see one
+// relation there (and their memo shares what reads it).
 func (s *Session) execInsert(st *sqlparse.Insert) (*Result, error) {
 	rows, err := s.insertRows(st)
 	if err != nil {
 		return nil, err
 	}
 	key := s.keys[strings.ToLower(st.Table)]
-	extended := map[*relation.Relation]*relation.Relation{}
-	err = s.putEach(st.Table, func(w *world.World) (*relation.Relation, error) {
-		cur, err := w.Lookup(st.Table)
+	_, err = s.putEach(st.Table, []string{st.Table}, func(w *world.World) (*relation.Relation, int, error) {
+		next, err := w.Lookup(st.Table)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		if next, ok := extended[cur]; ok {
-			return next, nil
-		}
-		next := cur.Clone()
+		next = next.Clone()
 		for _, t := range rows {
 			if err := next.Append(t); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
 		if len(key) > 0 {
 			if err := checkKey(next, key); err != nil {
-				return nil, fmt.Errorf("%w in world %s (statement discarded in all worlds)", err, w.Name)
+				return nil, 0, fmt.Errorf("%w in world %s (statement discarded in all worlds)", err, w.Name)
 			}
 		}
-		extended[cur] = next
-		return next, nil
+		return next, 0, nil
 	})
 	if err != nil {
 		return nil, err
@@ -352,32 +367,30 @@ func (s *Session) execDML(st sqlparse.Statement, table, msg string, key []string
 	if err != nil {
 		return nil, err
 	}
-	total := 0
 	var memo plan.Memo
 	outer := StatementCtx(s.interrupt, s.trace)
-	err = s.putEach(table, func(w *world.World) (*relation.Relation, error) {
+	total, err := s.putEach(table, tmpl.Reads(), func(w *world.World) (*relation.Relation, int, error) {
 		cur, err := w.Lookup(table)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		bound, err := tmpl.Bind(w, outer, &memo)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		out, changed, err := bound.Apply(cur.Batch())
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if changed > 0 {
 			cur = relation.FromBatch(out)
 		}
 		if len(key) > 0 {
 			if err := checkKey(cur, key); err != nil {
-				return nil, fmt.Errorf("%w in world %s (statement discarded in all worlds)", err, w.Name)
+				return nil, 0, fmt.Errorf("%w in world %s (statement discarded in all worlds)", err, w.Name)
 			}
 		}
-		total += changed
-		return cur, nil
+		return cur, changed, nil
 	})
 	if err != nil {
 		return nil, err

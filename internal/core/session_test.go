@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"maybms/internal/obs"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
@@ -145,6 +147,88 @@ func TestUpdatePerWorldSemantics(t *testing.T) {
 	}
 	if !vals[10] || !vals[11] {
 		t.Errorf("per-world update values = %v, want {10, 11}", vals)
+	}
+}
+
+// TestWritesKeepSharedInstances: a write computes a world's new relation
+// once for each set of instances the statement reads, so worlds that shared
+// what it read share what it wrote. On Figure 1's four worlds, a DELETE
+// from the certain S and a table created after the split each leave one
+// instance, and a join over it hashes that instance once for every world
+// (shared_builds=1). An UPDATE whose WHERE reads the per-world I still
+// rewrites world by world, and its message counts rows in every world.
+func TestWritesKeepSharedInstances(t *testing.T) {
+	instances := func(s *Session, name string) int {
+		seen := map[*relation.Relation]bool{}
+		for _, w := range s.Set().Worlds {
+			r, err := w.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen[r] = true
+		}
+		return len(seen)
+	}
+	for _, tc := range []struct {
+		table  string
+		writes []string
+	}{
+		{"S", []string{"delete from S where C = 'c4' and E = 'e2'"}},
+		{"T", []string{"create table T (C, E)", "insert into T values ('c2', 'e1'), ('c4', 'e1')"}},
+	} {
+		s := NewSession(true)
+		loadFigure1(t, s)
+		repairFigure2(t, s)
+		for _, sql := range tc.writes {
+			mustExec(t, s, sql)
+		}
+		if n := instances(s, tc.table); s.WorldCount() != 4 || n != 1 {
+			t.Errorf("%v: %d instances of %s over %d worlds, want 1 over 4", tc.writes, n, tc.table, s.WorldCount())
+		}
+		sql := "select possible A, E from I, " + tc.table + " where I.C = " + tc.table + ".C"
+		tr := obs.NewTrace(sql)
+		res, err := ExecTraced(s, sql, nil, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		attrs := map[string]string{}
+		for _, a := range tr.JSON().Attrs {
+			attrs[a.Key] = a.Value
+		}
+		if attrs["shared_builds"] != "1" {
+			t.Errorf("%v: %q traces shared_builds=%q, want 1", tc.writes, sql, attrs["shared_builds"])
+		}
+		if got := res.Groups[0].Rel.Len(); got != 2 {
+			t.Errorf("%v: %q answers %d rows, want 2:\n%s", tc.writes, sql, got, res.Groups[0].Rel)
+		}
+	}
+
+	s := NewSession(true)
+	loadFigure1(t, s)
+	repairFigure2(t, s)
+	res := mustExec(t, s, "update S set E = 'x' where C in (select C from I where A = 'a1')")
+	if res.Msg != "updated 2 row(s) across 4 world(s)" {
+		t.Errorf("update message %q", res.Msg)
+	}
+	for _, w := range s.Set().Worlds {
+		i, _ := w.Lookup("I")
+		sRel, _ := w.Lookup("S")
+		a1 := ""
+		for _, row := range i.Rows() {
+			if row[0].AsStr() == "a1" {
+				a1 = row[2].AsStr()
+			}
+		}
+		want := "[(c2, e1) (c4, e1) (c4, e2)]"
+		if a1 == "c2" {
+			want = "[(c2, x) (c4, e1) (c4, e2)]"
+		}
+		if fmt.Sprint(sRel.Rows()) != want {
+			t.Errorf("world %s (a1 at %s): S = %v, want %s", w.Name, a1, sRel.Rows(), want)
+		}
+	}
+	if n := instances(s, "S"); n != 3 {
+		t.Errorf("%d instances of S after the per-world update, want 3 (the original and one per rewriting world)", n)
 	}
 }
 

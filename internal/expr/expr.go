@@ -7,6 +7,12 @@
 // positional indexes, so evaluation performs no name lookups. Subqueries are
 // injected behind the one-method Subquery interface, which keeps this
 // package independent of the planner and algebra layers.
+//
+// Which fields of a node are its operands is written once, in the walkers
+// (walk.go): Walk visits a tree, Map rebuilds one, and every traversal
+// here and in the planner is a visitor of the two. A new node kind is added
+// to them once; evaluation (Eval, EvalVec) and rendering keep their
+// per-kind code.
 package expr
 
 import (

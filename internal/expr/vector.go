@@ -60,38 +60,27 @@ func (v *Vec) setErr(i int, err error) {
 // uncorrelated column references, comparisons, boolean connectives,
 // arithmetic, unary minus, IS [NOT] NULL, and IN over constant lists.
 func Vectorizable(e Expr) bool {
-	switch x := e.(type) {
-	case Const:
-		return true
-	case Column:
-		return x.Depth == 0
-	case Cmp:
-		return Vectorizable(x.L) && Vectorizable(x.R)
-	case And:
-		return Vectorizable(x.L) && Vectorizable(x.R)
-	case Or:
-		return Vectorizable(x.L) && Vectorizable(x.R)
-	case Not:
-		return Vectorizable(x.E)
-	case Arith:
-		return Vectorizable(x.L) && Vectorizable(x.R)
-	case Neg:
-		return Vectorizable(x.E)
-	case IsNull:
-		return Vectorizable(x.E)
-	case In:
-		if x.Sub != nil || !Vectorizable(x.Left) {
+	ok := true
+	Walk(e, func(n Expr) bool {
+		if !ok {
 			return false
 		}
-		for _, item := range x.List {
-			if _, ok := item.(Const); !ok {
-				return false
+		switch x := n.(type) {
+		case Column:
+			ok = x.Depth == 0
+		case In:
+			ok = x.Sub == nil
+			for _, item := range x.List {
+				if _, c := item.(Const); !c {
+					ok = false
+				}
 			}
+		case Exists, Scalar:
+			ok = false
 		}
-		return true
-	default:
-		return false
-	}
+		return ok
+	})
+	return ok
 }
 
 // EvalVec evaluates e over every row of b. e must be Vectorizable; other

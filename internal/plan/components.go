@@ -350,76 +350,35 @@ func analyzeJoin(left, right algebra.Operator, cc ComponentCatalog) (nodeInfo, e
 	}, nil
 }
 
-// exprComps collects the components touched by expressions through their
-// compiled subqueries.
+// exprComps collects the components touched by expressions: an expr.Walk
+// that analyses the plan of each compiled subquery it meets.
 func exprComps(cc ComponentCatalog, exprs ...expr.Expr) (compSet, error) {
 	var out compSet
-	var walk func(e expr.Expr) error
-	walkSub := func(sub expr.Subquery) error {
+	var err error
+	visit := func(n expr.Expr) bool {
+		var sub expr.Subquery
+		switch x := n.(type) {
+		case expr.Exists:
+			sub = x.Sub
+		case expr.In:
+			sub = x.Sub
+		case expr.Scalar:
+			sub = x.Sub
+		}
+		if err != nil || sub == nil {
+			return err == nil // an error skips the rest of the tree
+		}
 		cs, ok := sub.(*compiledSubquery)
 		if !ok {
-			return fmt.Errorf("%w: unsupported subquery %T in component analysis", ErrPlan, sub)
+			err = fmt.Errorf("%w: unsupported subquery %T in component analysis", ErrPlan, sub)
+			return false
 		}
-		info, err := analyzeOp(cs.op, cc)
-		if err != nil {
-			return err
-		}
-		out = out.union(info.comps)
-		return nil
-	}
-	walk = func(e expr.Expr) error {
-		switch n := e.(type) {
-		case expr.Const, expr.Column:
-			return nil
-		case expr.Cmp:
-			if err := walk(n.L); err != nil {
-				return err
-			}
-			return walk(n.R)
-		case expr.And:
-			if err := walk(n.L); err != nil {
-				return err
-			}
-			return walk(n.R)
-		case expr.Or:
-			if err := walk(n.L); err != nil {
-				return err
-			}
-			return walk(n.R)
-		case expr.Arith:
-			if err := walk(n.L); err != nil {
-				return err
-			}
-			return walk(n.R)
-		case expr.Not:
-			return walk(n.E)
-		case expr.Neg:
-			return walk(n.E)
-		case expr.IsNull:
-			return walk(n.E)
-		case expr.Exists:
-			return walkSub(n.Sub)
-		case expr.In:
-			if err := walk(n.Left); err != nil {
-				return err
-			}
-			for _, item := range n.List {
-				if err := walk(item); err != nil {
-					return err
-				}
-			}
-			if n.Sub != nil {
-				return walkSub(n.Sub)
-			}
-			return nil
-		case expr.Scalar:
-			return walkSub(n.Sub)
-		default:
-			return fmt.Errorf("%w: unsupported expression %T in component analysis", ErrPlan, e)
-		}
+		info, aerr := analyzeOp(cs.op, cc)
+		out, err = out.union(info.comps), aerr
+		return err == nil
 	}
 	for _, e := range exprs {
-		if err := walk(e); err != nil {
+		if expr.Walk(e, visit); err != nil {
 			return nil, err
 		}
 	}

@@ -120,6 +120,17 @@ func (p *PreparedDML) Components(cc ComponentCatalog) ([]int, error) {
 	return append([]int(nil), out...), err
 }
 
+// Reads names the tables the template read: the target and every table
+// its SET and WHERE subqueries scan. A world's rewrite depends on their
+// instances only.
+func (p *PreparedDML) Reads() []string {
+	names := make([]string, len(p.reads))
+	for i, t := range p.reads {
+		names[i] = t.name
+	}
+	return names
+}
+
 // BoundDML is a template instantiated against one catalog. Instances do
 // not share subquery iteration state, but a single instance must be used
 // sequentially.

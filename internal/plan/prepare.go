@@ -328,151 +328,40 @@ func rewrap(op, child algebra.Operator, b *binding) (algebra.Operator, error) {
 	}
 }
 
-// rebindExpr instantiates an expression for b. Expressions without
-// subqueries are stateless and world-independent, so they are returned
-// unchanged (changed = false) and shared across instances; any node with a
-// subquery beneath it is reconstructed around the rebound subplan.
+// rebindExpr instantiates an expression for b: an expr.Map that rebinds
+// the subquery of every Exists, In and Scalar (b.rebindNode). An
+// expression without one is stateless and world-independent, so Map
+// returns it unchanged (changed = false) and instances share it; a node
+// with a subquery beneath it is rebuilt around the rebound subplan.
 func rebindExpr(e expr.Expr, b *binding) (expr.Expr, bool, error) {
-	switch n := e.(type) {
-	case expr.Const, expr.Column:
-		return e, false, nil
-	case expr.Cmp:
-		l, cl, err := rebindExpr(n.L, b)
-		if err != nil {
-			return nil, false, err
-		}
-		r, cr, err := rebindExpr(n.R, b)
-		if err != nil {
-			return nil, false, err
-		}
-		if !cl && !cr {
-			return e, false, nil
-		}
-		return expr.Cmp{Op: n.Op, L: l, R: r}, true, nil
-	case expr.And:
-		l, cl, err := rebindExpr(n.L, b)
-		if err != nil {
-			return nil, false, err
-		}
-		r, cr, err := rebindExpr(n.R, b)
-		if err != nil {
-			return nil, false, err
-		}
-		if !cl && !cr {
-			return e, false, nil
-		}
-		return expr.And{L: l, R: r}, true, nil
-	case expr.Or:
-		l, cl, err := rebindExpr(n.L, b)
-		if err != nil {
-			return nil, false, err
-		}
-		r, cr, err := rebindExpr(n.R, b)
-		if err != nil {
-			return nil, false, err
-		}
-		if !cl && !cr {
-			return e, false, nil
-		}
-		return expr.Or{L: l, R: r}, true, nil
-	case expr.Not:
-		inner, changed, err := rebindExpr(n.E, b)
-		if err != nil || !changed {
-			return e, false, err
-		}
-		return expr.Not{E: inner}, true, nil
-	case expr.Arith:
-		l, cl, err := rebindExpr(n.L, b)
-		if err != nil {
-			return nil, false, err
-		}
-		r, cr, err := rebindExpr(n.R, b)
-		if err != nil {
-			return nil, false, err
-		}
-		if !cl && !cr {
-			return e, false, nil
-		}
-		return expr.Arith{Op: n.Op, L: l, R: r}, true, nil
-	case expr.Neg:
-		inner, changed, err := rebindExpr(n.E, b)
-		if err != nil || !changed {
-			return e, false, err
-		}
-		return expr.Neg{E: inner}, true, nil
-	case expr.IsNull:
-		inner, changed, err := rebindExpr(n.E, b)
-		if err != nil || !changed {
-			return e, false, err
-		}
-		return expr.IsNull{E: inner, Negated: n.Negated}, true, nil
-	case expr.Exists:
-		sub, err := rebindSubquery(n.Sub, b)
-		if err != nil {
-			return nil, false, err
-		}
-		return expr.Exists{Sub: sub, Negated: n.Negated}, true, nil
-	case expr.In:
-		left, cl, err := rebindExpr(n.Left, b)
-		if err != nil {
-			return nil, false, err
-		}
-		list := n.List
-		changed := cl
-		for i, item := range n.List {
-			ni, ci, err := rebindExpr(item, b)
-			if err != nil {
-				return nil, false, err
-			}
-			if ci {
-				if changedListShared(list, n.List) {
-					list = append([]expr.Expr(nil), n.List...)
-				}
-				list[i] = ni
-				changed = true
-			}
-		}
-		if n.Sub != nil {
-			sub, err := rebindSubquery(n.Sub, b)
-			if err != nil {
-				return nil, false, err
-			}
-			return expr.In{Left: left, List: list, Sub: sub, Negated: n.Negated}, true, nil
-		}
-		if !changed {
-			return e, false, nil
-		}
-		return expr.In{Left: left, List: list, Negated: n.Negated}, true, nil
-	case expr.Scalar:
-		sub, err := rebindSubquery(n.Sub, b)
-		if err != nil {
-			return nil, false, err
-		}
-		return expr.Scalar{Sub: sub}, true, nil
-	default:
-		return nil, false, fmt.Errorf("%w: unsupported expression %T", ErrRebind, e)
-	}
+	return expr.Map(e, b.rebindNode)
 }
 
-func changedListShared(list, orig []expr.Expr) bool {
-	return len(list) > 0 && len(orig) > 0 && &list[0] == &orig[0]
-}
-
+// rebindExprs rebinds a list copy-on-write: the list itself when no
+// expression changed.
 func rebindExprs(exprs []expr.Expr, b *binding) ([]expr.Expr, error) {
-	out := exprs
-	for i, e := range exprs {
-		ne, changed, err := rebindExpr(e, b)
-		if err != nil {
-			return nil, err
+	out, _, err := expr.MapList(exprs, b.rebindNode)
+	return out, err
+}
+
+// rebindNode is rebindExpr's Map callback: it rebinds a node's subquery.
+func (b *binding) rebindNode(n expr.Expr) (expr.Expr, bool, error) {
+	var err error
+	switch x := n.(type) {
+	case expr.Exists:
+		x.Sub, err = rebindSubquery(x.Sub, b)
+		return x, true, err
+	case expr.In:
+		if x.Sub == nil {
+			break
 		}
-		if changed {
-			if changedListShared(out, exprs) {
-				out = append([]expr.Expr(nil), exprs...)
-			}
-			out[i] = ne
-		}
+		x.Sub, err = rebindSubquery(x.Sub, b)
+		return x, true, err
+	case expr.Scalar:
+		x.Sub, err = rebindSubquery(x.Sub, b)
+		return x, true, err
 	}
-	return out, nil
+	return n, false, nil
 }
 
 // rebindSubquery instantiates a subquery for b; an uncorrelated one binds

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"maybms/internal/algebra"
+	"maybms/internal/expr"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
@@ -171,5 +172,62 @@ func TestPreparedPredicateBind(t *testing.T) {
 		if got != tc.want {
 			t.Fatalf("predicate = %v, want %v", got, tc.want)
 		}
+	}
+}
+
+// TestRebindSharesSubqueryFreeExpressions: rebinding an expression without
+// a subquery returns it unchanged and allocates nothing; one holding
+// subqueries is rebuilt around freshly bound subplans, and the template's
+// stay as they were.
+func TestRebindSharesSubqueryFreeExpressions(t *testing.T) {
+	cat := mapCatalog{"R": rel(t, []string{"a"}, []int64{1}, []int64{2})}
+	var plain expr.Expr = expr.And{
+		L: expr.Cmp{Op: expr.CmpLt, L: expr.Column{Index: 0}, R: expr.Const{Value: value.Int(3)}},
+		R: expr.In{Left: expr.Arith{Op: value.OpAdd, L: expr.Column{Index: 0}, R: expr.Const{Value: value.Int(1)}},
+			List: []expr.Expr{expr.Const{Value: value.Int(2)}, expr.Const{Value: value.Int(4)}}},
+	}
+	b := &binding{cat: cat}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, changed, err := rebindExpr(plain, b); changed || err != nil {
+			t.Fatalf("rebinding a subquery-free expression: changed=%v err=%v", changed, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("rebinding a subquery-free expression allocates %v times, want 0", allocs)
+	}
+
+	stmt := mustParseSelect(t, `select * from R assert not exists (select * from R where a = 9) and 2 in (1, (select count(*) from R))`)
+	p, err := PreparePredicate(stmt.Assert, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := func(e expr.Expr) []expr.Subquery {
+		var out []expr.Subquery
+		expr.Walk(e, func(n expr.Expr) bool {
+			switch x := n.(type) {
+			case expr.Exists:
+				out = append(out, x.Sub)
+			case expr.Scalar:
+				out = append(out, x.Sub)
+			}
+			return true
+		})
+		return out
+	}
+	bound, changed, err := rebindExpr(p.e, b)
+	if err != nil || !changed {
+		t.Fatalf("rebinding an expression with subqueries: changed=%v err=%v", changed, err)
+	}
+	tmpl, inst := subs(p.e), subs(bound)
+	if len(tmpl) != 2 || len(inst) != 2 || bound.String() != p.e.String() {
+		t.Fatalf("rebound %s into %s", p.e, bound)
+	}
+	for i := range tmpl {
+		if tmpl[i] == inst[i] {
+			t.Errorf("subquery %d of %s is shared with the template", i, bound)
+		}
+	}
+	if v, err := bound.Eval(&expr.Context{Schema: schema.New(), Tuple: tuple.Tuple{}}); err != nil || !v.Truth() {
+		t.Errorf("the rebound predicate evaluates to %v, %v; want true", v, err)
 	}
 }

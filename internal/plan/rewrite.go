@@ -158,31 +158,15 @@ func equiJoinKey(e expr.Expr) (l, r int, ok bool) {
 }
 
 // shiftColumns re-resolves a movable expression against a binding's own
-// schema, which starts at column off of the chain's.
+// schema, which starts at column off of the chain's: an expr.Map over its
+// columns.
 func shiftColumns(e expr.Expr, off int) expr.Expr {
-	if off == 0 {
-		return e
-	}
-	switch n := e.(type) {
-	case expr.Column:
-		n.Index -= off
-		return n
-	case expr.Cmp:
-		return expr.Cmp{Op: n.Op, L: shiftColumns(n.L, off), R: shiftColumns(n.R, off)}
-	case expr.IsNull:
-		return expr.IsNull{E: shiftColumns(n.E, off), Negated: n.Negated}
-	case expr.In:
-		list := make([]expr.Expr, len(n.List))
-		for i, item := range n.List {
-			list[i] = shiftColumns(item, off)
+	out, _, _ := expr.Map(e, func(n expr.Expr) (expr.Expr, bool, error) {
+		if c, ok := n.(expr.Column); ok && off != 0 {
+			c.Index -= off
+			return c, true, nil
 		}
-		return expr.In{Left: shiftColumns(n.Left, off), List: list, Negated: n.Negated}
-	case expr.And:
-		return expr.And{L: shiftColumns(n.L, off), R: shiftColumns(n.R, off)}
-	case expr.Or:
-		return expr.Or{L: shiftColumns(n.L, off), R: shiftColumns(n.R, off)}
-	case expr.Not:
-		return expr.Not{E: shiftColumns(n.E, off)}
-	}
-	return e
+		return n, false, nil
+	})
+	return out
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // collectAggregates finds the aggregate calls appearing in the select list
-// and HAVING clause (not descending into subqueries, whose aggregates are
-// their own). It returns the distinct calls in first-appearance order and a
-// map from call rendering to position.
+// and HAVING clause: a sqlparse.Walk that enters neither an aggregate's
+// arguments nor a subquery, whose aggregates are its own. It returns the
+// distinct calls in first-appearance order and a map from call rendering
+// to position.
 func collectAggregates(stmt *sqlparse.SelectStmt) ([]sqlparse.FuncCall, map[string]int) {
 	var calls []sqlparse.FuncCall
 	keys := map[string]int{}
@@ -25,38 +26,22 @@ func collectAggregates(stmt *sqlparse.SelectStmt) ([]sqlparse.FuncCall, map[stri
 		keys[k] = len(calls)
 		calls = append(calls, fc)
 	}
-	var walk func(x sqlparse.Expr)
-	walk = func(x sqlparse.Expr) {
-		switch n := x.(type) {
+	visit := func(n sqlparse.Node) bool {
+		switch n := n.(type) {
+		case *sqlparse.SelectStmt:
+			return false // its aggregates are its own
 		case sqlparse.FuncCall:
 			if _, isAgg := expr.AggKindByName(n.Name); isAgg {
 				add(n)
-				return
+				return false
 			}
-			for _, a := range n.Args {
-				walk(a)
-			}
-		case sqlparse.BinaryExpr:
-			walk(n.L)
-			walk(n.R)
-		case sqlparse.UnaryExpr:
-			walk(n.E)
-		case sqlparse.IsNullExpr:
-			walk(n.E)
-		case sqlparse.InExpr:
-			walk(n.Left)
-			for _, item := range n.List {
-				walk(item)
-			}
-			// n.Sub belongs to the subquery.
 		}
+		return true
 	}
 	for _, it := range stmt.Items {
-		walk(it.Expr)
+		sqlparse.Walk(it.Expr, visit)
 	}
-	if stmt.Having != nil {
-		walk(stmt.Having)
-	}
+	sqlparse.Walk(stmt.Having, visit)
 	return calls, keys
 }
 

@@ -9,6 +9,11 @@
 // the CONF pseudo-aggregate in the select list, and the trailing
 // REPAIR BY KEY … WEIGHT, CHOICE OF … WEIGHT, ASSERT and GROUP WORLDS BY
 // clauses.
+//
+// Walk (walk.go) is the one walk over statements and their expressions:
+// which clauses of a statement and which fields of an expression are its
+// children is written there once, and every traversal of the tree is a
+// visitor of it. A new expression kind is added to Walk once.
 package sqlparse
 
 import (

@@ -1,73 +1,78 @@
 package sqlparse
 
-import "strings"
+import (
+	"fmt"
+	"strings"
+)
 
-// ReferencedTables walks a statement and collects every table name it
-// references — FROM clauses, subqueries anywhere in expressions, assert
-// and group-worlds-by clauses, union arms — in first-appearance order,
-// deduplicated case-insensitively. Engines use it to find which stored
-// relations a statement can read.
+// Node is what Walk visits: a *SelectStmt or an Expr.
+type Node interface{ fmt.Stringer }
+
+// Walk calls visit on n and then, when visit returns true, walks n's
+// children in written order. A statement's children are its select items,
+// WHERE, HAVING, ASSERT, GROUP WORLDS BY and UNION arm; an expression's are
+// its operands, and the subquery of an EXISTS, an IN (subquery) or a scalar
+// subquery, which Walk visits as a statement (a visitor skips it by
+// returning false there). Absent clauses are not visited.
+func Walk(n Node, visit func(Node) bool) {
+	if s, ok := n.(*SelectStmt); n == nil || ok && s == nil || !visit(n) {
+		return
+	}
+	switch n := n.(type) {
+	case *SelectStmt:
+		for _, it := range n.Items {
+			Walk(it.Expr, visit)
+		}
+		Walk(n.Where, visit)
+		Walk(n.Having, visit)
+		Walk(n.Assert, visit)
+		Walk(n.GroupWorlds, visit)
+		Walk(n.Union, visit)
+	case ColumnRef, Literal, Star, ConfExpr:
+	case BinaryExpr:
+		Walk(n.L, visit)
+		Walk(n.R, visit)
+	case UnaryExpr:
+		Walk(n.E, visit)
+	case IsNullExpr:
+		Walk(n.E, visit)
+	case ExistsExpr:
+		Walk(n.Sub, visit)
+	case InExpr:
+		Walk(n.Left, visit)
+		for _, item := range n.List {
+			Walk(item, visit)
+		}
+		Walk(n.Sub, visit)
+	case SubqueryExpr:
+		Walk(n.Sub, visit)
+	case FuncCall:
+		for _, a := range n.Args {
+			Walk(a, visit)
+		}
+	default:
+		panic(fmt.Sprintf("sqlparse: Walk over unknown kind %T", n))
+	}
+}
+
+// ReferencedTables collects every table name a statement references — FROM
+// clauses of the statement and of every statement Walk reaches from it — in
+// first-appearance order, deduplicated case-insensitively. Engines use it
+// to find which stored relations a statement can read.
 func ReferencedTables(q *SelectStmt) []string {
 	seen := map[string]bool{}
 	var names []string
-	var walkStmt func(*SelectStmt)
-	var walkExpr func(Expr)
-	walkExpr = func(e Expr) {
-		switch n := e.(type) {
-		case BinaryExpr:
-			walkExpr(n.L)
-			walkExpr(n.R)
-		case UnaryExpr:
-			walkExpr(n.E)
-		case IsNullExpr:
-			walkExpr(n.E)
-		case ExistsExpr:
-			walkStmt(n.Sub)
-		case InExpr:
-			walkExpr(n.Left)
-			for _, item := range n.List {
-				walkExpr(item)
-			}
-			if n.Sub != nil {
-				walkStmt(n.Sub)
-			}
-		case SubqueryExpr:
-			walkStmt(n.Sub)
-		case FuncCall:
-			for _, a := range n.Args {
-				walkExpr(a)
+	Walk(q, func(n Node) bool {
+		if s, ok := n.(*SelectStmt); ok {
+			for _, tr := range s.From {
+				if k := strings.ToLower(tr.Name); !seen[k] {
+					seen[k] = true
+					names = append(names, tr.Name)
+				}
 			}
 		}
-	}
-	walkStmt = func(s *SelectStmt) {
-		if s == nil {
-			return
-		}
-		for _, tr := range s.From {
-			k := strings.ToLower(tr.Name)
-			if !seen[k] {
-				seen[k] = true
-				names = append(names, tr.Name)
-			}
-		}
-		for _, it := range s.Items {
-			if it.Expr != nil {
-				walkExpr(it.Expr)
-			}
-		}
-		if s.Where != nil {
-			walkExpr(s.Where)
-		}
-		if s.Having != nil {
-			walkExpr(s.Having)
-		}
-		if s.Assert != nil {
-			walkExpr(s.Assert)
-		}
-		walkStmt(s.GroupWorlds)
-		walkStmt(s.Union)
-	}
-	walkStmt(q)
+		return true
+	})
 	return names
 }
 
@@ -76,61 +81,18 @@ func ReferencedTables(q *SelectStmt) []string {
 // the constructs are legal); engines refusing I-SQL in positions that
 // must be plain SQL all the way down — assert conditions, grouping
 // subqueries — use the deep variant so the refusal fires before the
-// planner trips over the construct.
+// planner trips over the construct. The walk stops at the first statement
+// for which HasISQL holds.
 func HasISQLDeep(q *SelectStmt) bool {
 	found := false
-	var walkStmt func(*SelectStmt)
-	var walkExpr func(Expr)
-	walkExpr = func(e Expr) {
-		switch n := e.(type) {
-		case BinaryExpr:
-			walkExpr(n.L)
-			walkExpr(n.R)
-		case UnaryExpr:
-			walkExpr(n.E)
-		case IsNullExpr:
-			walkExpr(n.E)
+	Walk(q, func(n Node) bool {
+		switch n := n.(type) {
+		case *SelectStmt:
+			found = found || n.HasISQL()
 		case ConfExpr:
 			found = true
-		case ExistsExpr:
-			walkStmt(n.Sub)
-		case InExpr:
-			walkExpr(n.Left)
-			for _, item := range n.List {
-				walkExpr(item)
-			}
-			if n.Sub != nil {
-				walkStmt(n.Sub)
-			}
-		case SubqueryExpr:
-			walkStmt(n.Sub)
-		case FuncCall:
-			for _, a := range n.Args {
-				walkExpr(a)
-			}
 		}
-	}
-	walkStmt = func(s *SelectStmt) {
-		if s == nil || found {
-			return
-		}
-		if s.HasISQL() {
-			found = true
-			return
-		}
-		for _, it := range s.Items {
-			if it.Expr != nil {
-				walkExpr(it.Expr)
-			}
-		}
-		if s.Where != nil {
-			walkExpr(s.Where)
-		}
-		if s.Having != nil {
-			walkExpr(s.Having)
-		}
-		walkStmt(s.Union)
-	}
-	walkStmt(q)
+		return !found
+	})
 	return found
 }

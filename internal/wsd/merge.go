@@ -11,6 +11,7 @@ package wsd
 
 import (
 	"fmt"
+	"math/big"
 	"slices"
 
 	"maybms/internal/core"
@@ -19,54 +20,13 @@ import (
 	"maybms/internal/sqlparse"
 )
 
-// treeWorlds returns the function counting the worlds of the d-tree rooted at
-// a component index — the alternatives condensing that tree would produce,
-// the component's own alternative count when it has no children. ok is false
-// when the count overflows 2^31.
-func (d *WSD) treeWorlds() func(ci int) (n int, ok bool) {
-	children := d.index().children
-	var worldsOf func(ci int) (int, bool)
-	worldsOf = func(ci int) (int, bool) {
-		c := d.comps[ci]
-		kids := children[ci]
-		if len(kids) == 0 {
-			return len(c.Alts), true
-		}
-		total := 0
-		for a := range c.Alts {
-			alt := 1
-			for _, ch := range kids {
-				if d.comps[ch].ParentAlt != a {
-					continue
-				}
-				w, ok := worldsOf(ch)
-				if !ok {
-					return 0, false
-				}
-				if alt, ok = mulBounded(alt, w); !ok {
-					return 0, false
-				}
-			}
-			total += alt
-			if total > 1<<31 {
-				return 0, false
-			}
-		}
-		return total, true
-	}
-	return worldsOf
-}
-
-// mulBounded multiplies two alternative counts, reporting false past 2^31. A
-// zero count multiplies nothing.
-func mulBounded(product, n int) (int, bool) {
-	if n == 0 {
-		return product, true
-	}
-	if product > (1<<31)/n {
+// mergeCount is a merge's alternative count n as an int, and false past
+// 2^31, where every merge is refused.
+func mergeCount(n *big.Int) (int, bool) {
+	if !n.IsInt64() || n.Int64() > 1<<31 {
 		return 0, false
 	}
-	return product * n, true
+	return int(n.Int64()), true
 }
 
 // mergedAlternatives computes the alternative count a merge of comps would
@@ -80,21 +40,18 @@ func mulBounded(product, n int) (int, bool) {
 // before anything is restructured.
 func (d *WSD) mergedAlternatives(comps []int) (alts int, fits bool) {
 	closure := d.rootClosure(comps)
-	worlds := d.treeWorlds()
-	product := 1
+	children := d.index().children
+	product := big.NewInt(1)
 	for _, ci := range closure {
 		if d.comps[ci].Parent >= 0 {
 			continue
 		}
-		w, ok := worlds(ci)
-		if !ok {
-			return 0, false
-		}
-		if product, ok = mulBounded(product, w); !ok {
+		if product.Mul(product, d.treeWorlds(children, ci)); product.BitLen() > 32 {
 			return 0, false
 		}
 	}
-	return product, len(closure) <= 1 || product <= d.MergeLimit
+	alts, ok := mergeCount(product)
+	return alts, ok && (len(closure) <= 1 || alts <= d.MergeLimit)
 }
 
 // mergeComponents replaces the components at the given indexes with their
@@ -150,13 +107,12 @@ func (d *WSD) condenseTrees(idx []int) ([]int, error) {
 func (d *WSD) condenseDecision(idx []int) decision {
 	closure := d.rootClosure(idx)
 	children := d.index().children
-	worlds := d.treeWorlds()
 	dec := decision{kind: routeMerge, comps: closure}
 	for _, ci := range closure {
 		if d.comps[ci].Parent >= 0 || len(children[ci]) == 0 {
 			continue // not a root, or a lone component: nothing condenses
 		}
-		n, ok := worlds(ci)
+		n, ok := mergeCount(d.treeWorlds(children, ci))
 		if !ok || n > d.MergeLimit {
 			return d.tooBig(closure)
 		}

@@ -281,17 +281,17 @@ func splitSourceBlocker(core *sqlparse.SelectStmt) string {
 // own rows. Subqueries don't count: their aggregates close over their own
 // FROM, so the enclosing item stays row-wise.
 func exprAggregates(e sqlparse.Expr) bool {
-	switch n := e.(type) {
-	case sqlparse.FuncCall:
-		return true // the dialect's only functions are the aggregates
-	case sqlparse.BinaryExpr:
-		return exprAggregates(n.L) || exprAggregates(n.R)
-	case sqlparse.UnaryExpr:
-		return exprAggregates(n.E)
-	case sqlparse.IsNullExpr:
-		return exprAggregates(n.E)
-	}
-	return false
+	found := false
+	sqlparse.Walk(e, func(n sqlparse.Node) bool {
+		switch n.(type) {
+		case *sqlparse.SelectStmt:
+			return false
+		case sqlparse.FuncCall:
+			found = true // the dialect's only functions are the aggregates
+		}
+		return !found
+	})
+	return found
 }
 
 // extendProjection maps the FROM/WHERE positions need, of schema fw, to

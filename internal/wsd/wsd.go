@@ -407,14 +407,10 @@ func (d *WSD) AlternativeCount() int {
 }
 
 // WorldCount returns the exact number of represented worlds (1 for a
-// purely certain database). For a flat product this is the product of the
-// component sizes, computed with a product tree that keeps the big.Int
-// arithmetic near-linear even for millions of components. With nested
-// components the count is the tree fold
-//
-//	worlds(c) = Σ_a Π_{ch ∈ children(c,a)} worlds(ch)
-//
-// over each root, multiplied across roots.
+// purely certain database): the product of the d-trees' world counts
+// (treeWorlds). For a flat product these are the component sizes,
+// multiplied with a product tree that keeps the big.Int arithmetic
+// near-linear even for millions of components.
 func (d *WSD) WorldCount() *big.Int {
 	if d.flat() {
 		sizes := make([]int64, len(d.comps))
@@ -424,28 +420,39 @@ func (d *WSD) WorldCount() *big.Int {
 		return productTree(sizes)
 	}
 	children := d.index().children
-	var worldsOf func(ci int) *big.Int
-	worldsOf = func(ci int) *big.Int {
-		c := d.comps[ci]
-		total := big.NewInt(0)
-		for a := range c.Alts {
-			alt := big.NewInt(1)
-			for _, ch := range children[ci] {
-				if d.comps[ch].ParentAlt == a {
-					alt.Mul(alt, worldsOf(ch))
-				}
-			}
-			total.Add(total, alt)
-		}
-		return total
-	}
 	out := big.NewInt(1)
 	for ci, c := range d.comps {
 		if c.Parent < 0 {
-			out.Mul(out, worldsOf(ci))
+			out.Mul(out, d.treeWorlds(children, ci))
 		}
 	}
 	return out
+}
+
+// treeWorlds counts the worlds of the d-tree rooted at component ci, given
+// the index's children:
+//
+//	worlds(c) = Σ_a Π_{ch ∈ children(c,a)} worlds(ch)
+//
+// the alternatives condensing the tree would produce, the component's own
+// alternative count when it has no children. WorldCount, mergedAlternatives
+// and condenseDecision all count with it.
+func (d *WSD) treeWorlds(children [][]int, ci int) *big.Int {
+	c := d.comps[ci]
+	if len(children[ci]) == 0 {
+		return big.NewInt(int64(len(c.Alts)))
+	}
+	total := new(big.Int)
+	for a := range c.Alts {
+		alt := big.NewInt(1)
+		for _, ch := range children[ci] {
+			if d.comps[ch].ParentAlt == a {
+				alt.Mul(alt, d.treeWorlds(children, ch))
+			}
+		}
+		total.Add(total, alt)
+	}
+	return total
 }
 
 func productTree(sizes []int64) *big.Int {
