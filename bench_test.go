@@ -1115,9 +1115,10 @@ func BenchmarkImportedRead(b *testing.B) {
 }
 
 // mergedDB is bench/'s closure.compact M: 8 keys with two weighted values
-// each, already merged — by one statement on the merge route — into one
-// component of 256 alternatives, so a benchmark times the merged component
-// being answered, not the merge.
+// each, already merged — by one statement on the merge route, a max (a sum
+// is folded by convolution and merges nothing) — into one component of 256
+// alternatives, so a benchmark times the merged component being answered,
+// not the merge.
 func mergedDB(b *testing.B) *CompactDB {
 	b.Helper()
 	cdb := OpenCompact()
@@ -1131,7 +1132,7 @@ func mergedDB(b *testing.B) *CompactDB {
 	if _, err := cdb.Exec("create table M as select * from MSrc repair by key K weight W"); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := cdb.Exec("select possible sum(V) from M"); err != nil {
+	if _, err := cdb.Exec("select possible max(V) from M"); err != nil {
 		b.Fatal(err)
 	}
 	if cdb.ComponentCount() != 1 || cdb.AlternativeCount() != 256 {
@@ -1143,7 +1144,9 @@ func mergedDB(b *testing.B) *CompactDB {
 // BenchmarkMergeRoute: statements whose plans correlate components, over a
 // merged component — closures, CREATE TABLE AS, a grouping that spans the
 // main query's components, and an UPDATE whose WHERE reads the uncertain
-// relation. Each evaluates once per merged alternative.
+// relation. Each evaluates once per merged alternative, but possible.sum:
+// a scalar sum takes the convolution route, whose one component here has
+// 256 alternatives.
 func BenchmarkMergeRoute(b *testing.B) {
 	const cond = "400 > (select sum(V) from M)"
 	cases := []struct {
@@ -1184,5 +1187,52 @@ func BenchmarkMergeRoute(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkScalarAggregate answers the paper's Examples 2.8 (possible) and
+// 2.10 (conf) over P4's n independent keys, key k repaired between V = k%10
+// (weight 1) and V = 10 + k%10 (weight 3): the convolution route evaluates
+// the sum's input twice, over the certain part and as one tagged delta, and
+// folds n components reaching n + 1 sums, with no merge. The merge route
+// took 2^n evaluations and refused n > 16.
+func BenchmarkScalarAggregate(b *testing.B) {
+	for _, q := range []struct {
+		name string
+		sql  func(n int) string
+		rows func(n int) int
+	}{
+		{"possible", func(int) string { return "select possible sum(V) from M" }, func(n int) int { return n + 1 }},
+		// The mean sum is 4.5n + 7.5n.
+		{"conf", func(n int) string { return fmt.Sprintf("select conf from M where %d > (select sum(V) from M)", 12*n) },
+			func(int) int { return 1 }},
+	} {
+		for _, n := range []int{8, 1000} {
+			b.Run(fmt.Sprintf("%s/comps=%d", q.name, n), func(b *testing.B) {
+				cdb := OpenCompact()
+				rows := make([][]any, 0, 2*n)
+				for k := 0; k < n; k++ {
+					rows = append(rows, []any{k, k % 10, 1}, []any{k, 10 + k%10, 3})
+				}
+				if err := cdb.Register("MSrc", []string{"K", "V", "W"}, rows); err != nil {
+					b.Fatal(err)
+				}
+				cdb.MustExec("create table M as select K, V from MSrc repair by key K weight W")
+				sql := q.sql(n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := cdb.Exec(sql)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if got := res.First().Len(); got != q.rows(n) {
+						b.Fatalf("%d rows, want %d", got, q.rows(n))
+					}
+				}
+				if cdb.ComponentCount() != n || cdb.MergeCount() != 0 {
+					b.Fatalf("%d components, %d merges; want %d and none", cdb.ComponentCount(), cdb.MergeCount(), n)
+				}
+			})
+		}
 	}
 }

@@ -382,4 +382,62 @@ func compact() {
 		"representable and countable (ref [1] title claim)",
 		fmt.Sprintf("~10^%.0f worlds from %d alternatives", digits, big6.AlternativeCount()),
 		hugeCount.Cmp(big.NewInt(0)) > 0 && digits > 300000)
+
+	// The paper's aggregates on the compact engine: folded by convolution
+	// over the independent components, which stay as they are.
+	cfig, err := figure2DB().Compact("I")
+	if err != nil {
+		panic(err)
+	}
+	sums := []int{}
+	for _, tp := range cfig.MustExec("select possible sum(B) from I").First().Rows() {
+		sums = append(sums, int(tp[0].AsInt()))
+	}
+	sort.Ints(sums)
+	record("Ex.2.8 WSD", "select possible sum(B), compact engine", "{44, 49, 50, 55}",
+		fmt.Sprintf("%v, %d components, route %s", sums, cfig.ComponentCount(), routeOf(cfig)),
+		fmt.Sprintf("%v", sums) == "[44 49 50 55]" && cfig.ComponentCount() == 2 && cfig.MergeCount() == 0)
+	cconf := cfig.MustExec("select conf from I where 50 > (select sum(B) from I)").First().Rows()[0][0].AsFloat()
+	record("Ex.2.10a WSD", "conf(sum(B)<50), compact engine", "0.44 (as Ex.2.10a)",
+		fmt.Sprintf("%.4f, %d components, route %s", cconf, cfig.ComponentCount(), routeOf(cfig)),
+		approx(cconf, 4.0/9) && cfig.ComponentCount() == 2 && cfig.MergeCount() == 0)
+
+	// The same two statements over 2^1000 worlds: 1 000 independent keys,
+	// key k repaired between V = k%10 (weight 1) and 10 + k%10 (weight 3).
+	// The sum is 4 500 + 10j where j keys take their second value, so 1 001
+	// sums, and below 12 000 iff j < 750.
+	p4 := maybms.OpenCompact()
+	p4rows := make([][]any, 0, 2*n)
+	for k := 0; k < n; k++ {
+		p4rows = append(p4rows, []any{k, k % 10, 1}, []any{k, 10 + k%10, 3})
+	}
+	if err := p4.Register("MSrc", []string{"K", "V", "W"}, p4rows); err != nil {
+		panic(err)
+	}
+	p4.MustExec("create table M as select K, V from MSrc repair by key K weight W")
+	nsums := p4.MustExec("select possible sum(V) from M").First().Len()
+	p4conf := p4.MustExec("select conf from M where 12000 > (select sum(V) from M)").First().Rows()[0][0].AsFloat()
+	want := 0.0
+	for j := 0; j < 750; j++ {
+		ln, _ := math.Lgamma(float64(n + 1))
+		lj, _ := math.Lgamma(float64(j + 1))
+		lr, _ := math.Lgamma(float64(n - j + 1))
+		want += math.Exp(ln - lj - lr + float64(j)*math.Log(0.75) + float64(n-j)*math.Log(0.25))
+	}
+	record("P4 scale", "Ex.2.8 and Ex.2.10 over 1000 independent keys", "1001 sums; conf = P(Binomial(1000, 3/4) < 750); no merge",
+		fmt.Sprintf("%d sums, conf=%.4f, %d components, %d merges", nsums, p4conf, p4.ComponentCount(), p4.MergeCount()),
+		nsums == n+1 && math.Abs(p4conf-want) < 1e-9 && p4.ComponentCount() == n && p4.MergeCount() == 0)
+}
+
+// routeOf names the one route a compact database's statements took so far,
+// or lists them all.
+func routeOf(db *maybms.CompactDB) string {
+	var taken []string
+	for route, n := range db.RouteCounts() {
+		if n > 0 {
+			taken = append(taken, route)
+		}
+	}
+	sort.Strings(taken)
+	return strings.Join(taken, "+")
 }

@@ -610,13 +610,40 @@ func TestExecTraced(t *testing.T) {
 	}
 }
 
+// TestNaiveCreateAsPlansOnce: a plain CREATE TABLE AS on the naive engine
+// looks its template up once — the compile that checks the stored names
+// hands the template to the per-world evaluation — so its trace holds one
+// plan span.
+func TestNaiveCreateAsPlansOnce(t *testing.T) {
+	db := Open()
+	db.MustExec("create table R (A, B)")
+	db.MustExec("insert into R values (1, 2), (3, 4)")
+	_, tr, err := db.ExecTraced("create table T as select A from R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := 0
+	for _, sp := range tr.JSON().Spans {
+		if sp.Name == "plan" {
+			plans++
+		}
+	}
+	if plans != 1 {
+		t.Errorf("%d plan spans, want 1: %v", plans, tr.JSON().Spans)
+	}
+	if got := db.MustExec("select A from T").String(); !strings.Contains(got, "3") {
+		t.Errorf("T holds\n%s", got)
+	}
+}
+
 // TestTraceCountsSharedSubplans: a traced statement reports what its binds
 // shared. Over the 2^9 worlds of a repair, the naive engine runs the
 // uncorrelated sum once per world (subquery_evals=512), not once per row of
 // I, and hashes the certain D — extended by an INSERT after the split —
 // once for every world's join (shared_builds=1);
-// the compact engine's merge route runs the sum once per merged alternative,
-// and its certain-only evaluation and tagged delta probe one table of D.
+// the compact engine's merge route runs the max once per merged alternative,
+// its convolution route evaluates no subquery for the sum, and its
+// certain-only evaluation and tagged delta probe one table of D.
 // EXPLAIN ANALYZE prints the attributes; a statement with nothing to share
 // reports neither.
 func TestTraceCountsSharedSubplans(t *testing.T) {
@@ -642,22 +669,27 @@ func TestTraceCountsSharedSubplans(t *testing.T) {
 		db.MustExec("insert into D values (200, 'l0', 1)")
 		return db
 	}
+	// The compact engine answers the sum form by convolution, evaluating no
+	// subquery per world; the max form keeps the merge route, one memoised
+	// evaluation per merged alternative.
 	const (
 		sum  = "select conf from I where 300 > (select sum(V) from I)"
+		max  = "select conf from I where 300 > (select max(V) from I)"
 		join = "select possible I.K, Label from I, D where I.K = D.K and V > 50 and X < 55"
 		none = "select possible K from I where V > 50"
 	)
 	for _, c := range []struct {
-		db                  engine
-		sql                 string
-		evals, builds, name string
+		db                         engine
+		sql                        string
+		evals, builds, name, route string
 	}{
-		{load(Open()), sum, "512", "", "naive"},
-		{load(Open()), join, "", "1", "naive"},
-		{load(Open()), none, "", "", "naive"},
-		{load(OpenCompact()), sum, "512", "", "compact"},
-		{load(OpenCompact()), join, "", "1", "compact"},
-		{load(OpenCompact()), none, "", "", "compact"},
+		{load(Open()), sum, "512", "", "naive", "per-world"},
+		{load(Open()), join, "", "1", "naive", "per-world"},
+		{load(Open()), none, "", "", "naive", "per-world"},
+		{load(OpenCompact()), sum, "", "", "compact", "convolution"},
+		{load(OpenCompact()), max, "512", "", "compact", "merge"},
+		{load(OpenCompact()), join, "", "1", "compact", "componentwise"},
+		{load(OpenCompact()), none, "", "", "compact", "componentwise"},
 	} {
 		_, tr, err := c.db.ExecTraced(c.sql)
 		if err != nil {
@@ -667,9 +699,22 @@ func TestTraceCountsSharedSubplans(t *testing.T) {
 		for _, a := range tr.JSON().Attrs {
 			got[a.Key] = a.Value
 		}
-		if got["subquery_evals"] != c.evals || got["shared_builds"] != c.builds {
-			t.Errorf("%s %q: subquery_evals=%q shared_builds=%q, want %q and %q",
-				c.name, c.sql, got["subquery_evals"], got["shared_builds"], c.evals, c.builds)
+		if got["subquery_evals"] != c.evals || got["shared_builds"] != c.builds || got["route"] != c.route {
+			t.Errorf("%s %q: subquery_evals=%q shared_builds=%q route=%q, want %q, %q and %q",
+				c.name, c.sql, got["subquery_evals"], got["shared_builds"], got["route"], c.evals, c.builds, c.route)
+		}
+		if c.route == "convolution" {
+			spans := map[string]map[string]string{}
+			for _, sp := range tr.JSON().Spans {
+				spans[sp.Name] = map[string]string{}
+				for _, a := range sp.Attrs {
+					spans[sp.Name][a.Key] = a.Value
+				}
+			}
+			// 9 two-way keys with values k and 60+k: sums 36 + 60j, j = 0…9.
+			if conv := spans["convolution"]; conv["components"] != "9" || conv["fold_states"] != "10" || spans["merge_eval"] != nil {
+				t.Errorf("%s %q: spans %v, want convolution over 9 components reaching 10 values and no merge", c.name, c.sql, spans)
+			}
 		}
 		analyzed := c.db.MustExec("EXPLAIN ANALYZE " + c.sql).Msg
 		for key, want := range map[string]string{"subquery_evals": c.evals, "shared_builds": c.builds} {

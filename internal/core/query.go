@@ -87,8 +87,9 @@ func (s *Session) compileCore(q ISQL) (*plan.Prepared, error) {
 // world to world — an uncorrelated subquery over relations the worlds
 // share, a build side over a certain table — is evaluated once. Every
 // per-world pass is a loop in world order that polls the interrupt hook
-// before each world.
-func (s *Session) evalQuery(q ISQL) (*queryEval, error) {
+// before each world. prep, when set, is the template of an unsplit q.Core
+// the caller compiled already; it is bound instead of looked up again.
+func (s *Session) evalQuery(q ISQL, prep *plan.Prepared) (*queryEval, error) {
 	weighted := s.set.Weighted
 	var memo plan.Memo
 	var err error
@@ -101,7 +102,12 @@ func (s *Session) evalQuery(q ISQL) (*queryEval, error) {
 		worlds, results, err = s.evalSplit(q, &memo)
 	} else {
 		worlds = s.set.Worlds
-		results, err = s.collectEach(q.Core, worlds, &memo)
+		if prep == nil {
+			prep, err = s.preparedFull(q.Core, worlds[0])
+		}
+		if err == nil {
+			results, err = s.collectEach(prep, worlds, &memo)
+		}
 	}
 	if err != nil {
 		esp.End(s.trace)
@@ -165,7 +171,11 @@ func (s *Session) evalQuery(q ISQL) (*queryEval, error) {
 	}
 	var groups [][]int
 	if q.GroupWorlds != nil {
-		answers, err := s.collectEach(q.GroupWorlds, worlds, &memo)
+		gw, err := s.preparedFull(q.GroupWorlds, worlds[0])
+		var answers []*relation.Relation
+		if err == nil {
+			answers, err = s.collectEach(gw, worlds, &memo)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -287,14 +297,10 @@ func (s *Session) evalSplit(q ISQL, memo *plan.Memo) ([]*world.World, []*relatio
 	return worlds, results, nil
 }
 
-// collectEach compiles q once against worlds[0] and collects its answer in
-// every world, binding through the statement's memo, draining under one outer
-// context and polling the interrupt hook before each.
-func (s *Session) collectEach(q *sqlparse.SelectStmt, worlds []*world.World, memo *plan.Memo) ([]*relation.Relation, error) {
-	prep, err := s.preparedFull(q, worlds[0])
-	if err != nil {
-		return nil, err
-	}
+// collectEach collects the answer of a template compiled against worlds[0]
+// in every world, binding through the statement's memo, draining under one
+// outer context and polling the interrupt hook before each.
+func (s *Session) collectEach(prep *plan.Prepared, worlds []*world.World, memo *plan.Memo) ([]*relation.Relation, error) {
 	out := make([]*relation.Relation, len(worlds))
 	outer := StatementCtx(s.interrupt, s.trace)
 	for i, w := range worlds {
@@ -363,19 +369,23 @@ func (s *Session) execCreateAs(name string, sel *sqlparse.SelectStmt, isView boo
 	if err := s.checkFresh(name); err != nil {
 		return nil, err
 	}
+	var prep *plan.Prepared // an unsplit store's template, evaluated as checked
 	if q.Closure == ClosureNone {
 		// A plain or split store keeps the select list's names, checked
 		// before evaluating, as on the compact engine; a closed store's are
 		// checked once evaluated, with its conf column.
-		prep, err := s.compileCore(q)
+		compiled, err := s.compileCore(q)
 		if err == nil {
-			err = CheckStoredNames(prep.Schema().Names())
+			err = CheckStoredNames(compiled.Schema().Names())
 		}
 		if err != nil {
 			return nil, err
 		}
+		if !q.Splits() {
+			prep = compiled
+		}
 	}
-	ev, err := s.evalQuery(q)
+	ev, err := s.evalQuery(q, prep)
 	if err != nil {
 		return nil, err
 	}

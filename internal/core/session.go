@@ -149,7 +149,7 @@ func (s *Session) Run(stmt sqlparse.Statement) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ev, err := s.evalQuery(q)
+		ev, err := s.evalQuery(q, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -80,7 +80,12 @@ package plan
 // partial expansion (component merge) of the classic path; the analysis
 // reports the full component set so the caller merges exactly the involved
 // components — condensing any conditional trees among them first — and
-// never more.
+// never more. The one exception is a scalar SUM or COUNT over an input that
+// keeps the bag identity (Concat), alone in the select list or compared with
+// a constant in a WHERE that is otherwise empty (ScalarAggregate): a world's
+// aggregate is then the certain part's plus one partial per component, and
+// internal/wsd folds those partials over independent components by
+// convolution, with no merge.
 
 import (
 	"fmt"
@@ -124,6 +129,9 @@ type ComponentAnalysis struct {
 	// storing the certain part once plus one contribution per alternative —
 	// with per-world tuple order identical to the merge path.
 	Concat bool
+	// Scalar is set when the tree is a scalar SUM or COUNT the convolution
+	// route answers (ScalarAggregate); nil otherwise.
+	Scalar *ScalarAggregate
 }
 
 // compSet is a small sorted set of component IDs.
@@ -204,11 +212,139 @@ func (p *Prepared) Analyze(cc ComponentCatalog) (*ComponentAnalysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ComponentAnalysis{
+	an := &ComponentAnalysis{
 		Comps:        info.comps,
 		Decomposable: info.decomp,
 		Concat:       info.decomp && info.concat,
-	}, nil
+	}
+	if len(info.comps) > 0 && !info.decomp {
+		an.Scalar = scalarAggregate(p.op, cc)
+	}
+	return an, nil
+}
+
+// ScalarAggregate is a statement whose answer in a world is a function of one
+// scalar SUM or COUNT — sum(x), count(x) or count(*), no DISTINCT, GROUP BY,
+// HAVING, ORDER BY or LIMIT — over an input that keeps the bag identity:
+//
+//	agg(Q(world(a1,…,ak))) = agg(Q(cert)) + agg(ΔQ(c1, a1)) + … + agg(ΔQ(ck, ak))
+//
+// with SUM over no non-NULL value NULL and NULL the identity of +. Two
+// shapes are recognised: the aggregate alone in the select list (`select
+// agg from R [where p]`), and Example 2.10's boolean form `select … from T
+// where <const> <cmp> (select agg from R [where p])`, whose select list
+// is empty once CONF is taken off: a world answers the empty tuple iff T has
+// a row there and the comparison holds.
+type ScalarAggregate struct {
+	// Kind is expr.AggSum, expr.AggCount or expr.AggCountStar.
+	Kind expr.AggKind
+	// Input is the aggregate's input: for SUM and COUNT(x) their argument as
+	// its one column, for COUNT(*) the input rows themselves. Its analysis is
+	// Concat, so Input binds over the certain parts and Deltas over the
+	// tagged contributions.
+	Input  *Prepared
+	Deltas *Deltas
+	// Outer is the table of the boolean form's outer FROM, "" for the first
+	// shape; Holds decides the comparison.
+	Outer     string
+	cmp       expr.CmpOp
+	c         value.Value
+	constLeft bool
+}
+
+// Holds reports whether the boolean form's comparison holds for the
+// aggregate value v, with WHERE's semantics: a NULL comparison is false.
+func (s *ScalarAggregate) Holds(v value.Value) bool {
+	if s.constLeft {
+		return expr.Compare(s.cmp, s.c, v).Truth()
+	}
+	return expr.Compare(s.cmp, v, s.c).Truth()
+}
+
+// scalarAggregate recognises the two shapes of ScalarAggregate in a compiled
+// tree (nil: neither, or an input that breaks the bag identity).
+func scalarAggregate(op algebra.Operator, cc ComponentCatalog) *ScalarAggregate {
+	proj, ok := op.(*algebra.Project)
+	if !ok {
+		return nil
+	}
+	if len(proj.Exprs) == 1 {
+		return aggregateOf(proj, cc)
+	}
+	f, ok := proj.Child.(*algebra.Filter)
+	if !ok || len(proj.Exprs) != 0 {
+		return nil
+	}
+	scan, ok := f.Child.(*tableScan)
+	cmp, isCmp := f.Pred.(expr.Cmp)
+	if !ok || !isCmp {
+		return nil
+	}
+	sub, isScalar := cmp.R.(expr.Scalar)
+	c, isConst := constant(cmp.L)
+	constLeft := true
+	if !isScalar {
+		sub, isScalar = cmp.L.(expr.Scalar)
+		c, isConst = constant(cmp.R)
+		constLeft = false
+	}
+	cs, ok := sub.Sub.(*compiledSubquery)
+	if !isScalar || !isConst || !ok || !cs.uncorrelated {
+		return nil
+	}
+	inner, ok := cs.op.(*algebra.Project)
+	if !ok || len(inner.Exprs) != 1 {
+		return nil
+	}
+	s := aggregateOf(inner, cc)
+	if s != nil {
+		s.Outer, s.cmp, s.c, s.constLeft = scan.table, cmp.Op, c, constLeft
+	}
+	return s
+}
+
+// constant evaluates e when it reads no column and no subquery — a literal,
+// or arithmetic over literals such as -4; ok is false otherwise, or when it
+// fails to evaluate.
+func constant(e expr.Expr) (v value.Value, ok bool) {
+	ok = true
+	expr.Walk(e, func(n expr.Expr) bool {
+		switch n.(type) {
+		case expr.Column, expr.Exists, expr.In, expr.Scalar:
+			ok = false
+		}
+		return ok
+	})
+	if !ok {
+		return value.Null(), false
+	}
+	v, err := e.Eval(&expr.Context{})
+	return v, err == nil
+}
+
+// aggregateOf recognises the first shape: proj selects the one SUM or COUNT
+// of a scalar Aggregate whose input keeps the bag identity.
+func aggregateOf(proj *algebra.Project, cc ComponentCatalog) *ScalarAggregate {
+	col, ok := proj.Exprs[0].(expr.Column)
+	agg, isAgg := proj.Child.(*algebra.Aggregate)
+	if !ok || col.Depth != 0 || col.Index != 0 || !isAgg || len(agg.GroupBy) != 0 || len(agg.Specs) != 1 {
+		return nil
+	}
+	spec := agg.Specs[0]
+	input := agg.Child
+	switch {
+	case spec.Distinct:
+		return nil
+	case spec.Kind == expr.AggSum || spec.Kind == expr.AggCount:
+		input = &algebra.Project{Child: input, Exprs: []expr.Expr{spec.Arg}, Out: schema.New(spec.String())}
+	case spec.Kind != expr.AggCountStar:
+		return nil
+	}
+	if info, err := analyzeOp(input, cc); err != nil || !info.decomp || !info.concat {
+		return nil
+	}
+	in := &Prepared{op: input}
+	return &ScalarAggregate{Kind: spec.Kind, Input: in, Deltas: in.Deltas()}
 }
 
 func analyzeOp(op algebra.Operator, cc ComponentCatalog) (nodeInfo, error) {

@@ -20,6 +20,7 @@ import (
 
 // analysisFixture compiles stmt against a catalog of three tables — I fed
 // by components 0 and 1, J fed by component 2, S certain — and analyzes it.
+// A conf item is taken off first, as the engines' front end does.
 func analysisFixture(t *testing.T, sql string) *ComponentAnalysis {
 	t.Helper()
 	cat := CatalogFunc(func(name string) (*relation.Relation, error) {
@@ -39,7 +40,13 @@ func analysisFixture(t *testing.T, sql string) *ComponentAnalysis {
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
-	prep, err := Prepare(stmt.(*sqlparse.SelectStmt), cat)
+	sel := stmt.(*sqlparse.SelectStmt)
+	if n := len(sel.Items); n > 0 {
+		if _, conf := sel.Items[n-1].Expr.(sqlparse.ConfExpr); conf {
+			sel.Items = sel.Items[:n-1]
+		}
+	}
+	prep, err := Prepare(sel, cat)
 	if err != nil {
 		t.Fatalf("prepare %q: %v", sql, err)
 	}
@@ -492,5 +499,54 @@ func TestBindSharesStore(t *testing.T) {
 	}
 	if b1.Len() != 64 {
 		t.Errorf("the earlier bind's batch grew to %d rows", b1.Len())
+	}
+}
+
+// TestScalarAggregateShapes: the analysis recognises a scalar SUM or COUNT
+// whose input keeps the bag identity, alone in the select list or compared
+// with a constant in Example 2.10's boolean form, and nothing else.
+func TestScalarAggregateShapes(t *testing.T) {
+	for _, c := range []struct {
+		sql   string
+		kind  string // "" when not recognised
+		outer string
+	}{
+		{"select sum(B) from I", "sum", ""},
+		{"select count(B) from I where A > 1", "count", ""},
+		{"select count(*) from I", "count", ""},
+		{"select sum(I.B) as S from I, S where I.A = S.A", "sum", ""},
+		{"select sum(B + 1) from I", "sum", ""},
+		{"select 50 > (select sum(B) from I) from I", "", ""},
+		{"select conf from I where 50 > (select sum(B) from I)", "sum", "I"},
+		{"select conf from I where (select count(*) from I where B = 2) <= -4", "count", "I"},
+		{"select conf from S where 1 + 1 = (select sum(B) from I)", "sum", "S"},
+		// Any other shape keeps the merge.
+		{"select sum(B) + 1 from I", "", ""},
+		{"select sum(B), count(B) from I", "", ""},
+		{"select sum(distinct B) from I", "", ""},
+		{"select max(B) from I", "", ""},
+		{"select avg(B) from I", "", ""},
+		{"select sum(B) from I group by A", "", ""},
+		{"select sum(B) from I having sum(B) > 1", "", ""},
+		{"select sum(B) from I limit 1", "", ""},
+		{"select sum(a.B) from I a, I b", "", ""},
+		{"select sum(I.B) from S, I where S.A = I.A", "", ""},
+		{"select sum(B) from I where B > (select min(B) from J)", "", ""},
+		{"select conf from I where A > (select sum(B) from I)", "", ""},
+		{"select conf from I where 50 > (select sum(B) from I) and A = 1", "", ""},
+		{"select conf from I where 50 > (select sum(x.B) from I x where x.A = I.A)", "", ""},
+		{"select conf from I, S where 50 > (select sum(B) from I)", "", ""},
+		{"select conf from I where 50 > (select max(B) from I)", "", ""},
+		{"select conf from I where (select sum(B) from I) > (select count(*) from I)", "", ""},
+		{"select sum(B) from S", "", ""},
+	} {
+		an := analysisFixture(t, c.sql)
+		got, outer := "", ""
+		if an.Scalar != nil {
+			got, outer = an.Scalar.Kind.String(), an.Scalar.Outer
+		}
+		if got != c.kind || outer != c.outer {
+			t.Errorf("%q: scalar %q over outer %q, want %q and %q", c.sql, got, outer, c.kind, c.outer)
+		}
 	}
 }

@@ -447,14 +447,23 @@ func mustCore(t *testing.T, sql string) *sqlparse.SelectStmt {
 
 // TestComponentwiseFallbacks: plans that genuinely correlate components
 // still merge (bounded), and world-dependent plain SELECTs fail without
-// merging anything.
+// merging anything. A scalar SUM over them, alone or compared in Example
+// 2.10's form, is folded by convolution instead, and merges nothing.
 func TestComponentwiseFallbacks(t *testing.T) {
 	// Aggregate over a multi-component relation: whole-input function,
-	// must merge.
+	// must merge — unless it is a SUM or COUNT.
 	d := newFigure2WSD(t)
-	rel := selectOn(t, d, "select possible sum(B) from I")
+	rel := selectOn(t, d, "select possible min(B) from I")
 	if d.MergeCount() == 0 {
 		t.Error("aggregate over 3 components must merge")
+	}
+	if rel.Len() != 3 {
+		t.Errorf("possible minima = %d rows, want 3", rel.Len())
+	}
+	d = newFigure2WSD(t)
+	rel = selectOn(t, d, "select possible sum(B) from I")
+	if d.MergeCount() != 0 || d.ComponentCount() != 3 {
+		t.Errorf("a scalar sum over 3 components merged: %d merges, %d components", d.MergeCount(), d.ComponentCount())
 	}
 	if rel.Len() != 4 {
 		t.Errorf("possible sums = %d rows, want 4", rel.Len())
@@ -462,9 +471,17 @@ func TestComponentwiseFallbacks(t *testing.T) {
 
 	// Predicate subquery over uncertain data: couples rows to components.
 	d2 := newFigure2WSD(t)
-	_ = selectOn(t, d2, "select conf from I where 50 > (select sum(B) from I)")
+	_ = selectOn(t, d2, "select conf from I where 20 > (select min(B) from I)")
 	if d2.MergeCount() == 0 {
 		t.Error("uncertain predicate subquery must merge")
+	}
+	d2 = newFigure2WSD(t)
+	rel = selectOn(t, d2, "select conf from I where 50 > (select sum(B) from I)")
+	if d2.MergeCount() != 0 {
+		t.Error("Example 2.10's sum must not merge")
+	}
+	if got := rel.Rows()[0][0].AsFloat(); math.Abs(got-4.0/9) > 1e-12 {
+		t.Errorf("conf(sum(B) < 50) = %v, want 4/9", got)
 	}
 
 	// Plain SELECT over uncertain data: answered as a conditional relation

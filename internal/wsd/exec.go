@@ -24,7 +24,11 @@ package wsd
 //   - SELECT [POSSIBLE|CERTAIN] …, SELECT …, [APPROX] CONF … — single when
 //     world-independent; componentwise (certain-only answer plus one tagged
 //     delta, the decomposition untouched) when the compiled plan decomposes,
-//     conditional over d-trees; merge (a bounded partial expansion of
+//     conditional over d-trees; convolution (the same two evaluations of a
+//     scalar SUM or COUNT's input, folded component by component, the
+//     decomposition untouched) for POSSIBLE, CERTAIN or CONF of such an
+//     aggregate, or CONF of a constant compared with one, over flat
+//     components; merge (a bounded partial expansion of
 //     exactly the involved components) when it genuinely correlates
 //     components; approx_mc (1000 worlds sampled from seed 0) for APPROX
 //     CONF past the expansion limit. A plain SELECT over uncertain
@@ -53,8 +57,9 @@ package wsd
 //   - ASSERT <condition> — merge: filter and renormalize the merged
 //     component of the relations it reads (Example 2.5)
 //   - EXPLAIN [ANALYZE] <stmt> — framed by core's runner: Predict prints the
-//     route line (single / componentwise / conditional / merge / approx_mc /
-//     refused, with the counts behind it) for every statement, then the
+//     route line (single / componentwise / conditional / convolution / merge
+//     / approx_mc / refused, with the counts behind it) for every statement,
+//     then the
 //     compiled plan tree, component-annotated per table scan, changing
 //     nothing (a split's route reads the keys of its source)
 //

@@ -412,7 +412,11 @@ func TestRefusedCondenseLeavesDecompositionUnchanged(t *testing.T) {
 // probabilities) are the reference, row for row — order, schema and conf
 // bits included. Over one merged component the fold lists alternatives
 // ascending, each tuple at its first appearance, and sums CONF in
-// alternative order, which is exactly what those closures did.
+// alternative order, which is exactly what those closures did. A scalar SUM
+// or COUNT over flat M takes the convolution route instead: it is checked
+// against the same reference as a set, its confidences within
+// closuresAgree's bound, and its max counterpart keeps the merge route's
+// bit-exact check.
 func TestMergeRouteMatchesWorldsetClosures(t *testing.T) {
 	// M: three keys with two values each (sums 3…33 across worlds), weighted
 	// 1:2 so that sums of alternative probabilities are not exact binary
@@ -450,8 +454,8 @@ func TestMergeRouteMatchesWorldsetClosures(t *testing.T) {
 		return d
 	}
 	statements := []string{
-		"select possible sum(V) from M",
-		"select certain sum(V) from M",
+		"select possible max(V) from M",
+		"select certain max(V) from M",
 		"select possible K, V from M where 30 > (select sum(V) from M)",
 		"select certain K from M where 40 > (select sum(V) from M)",
 		"select possible K, V from M group by K, V",
@@ -466,7 +470,7 @@ func TestMergeRouteMatchesWorldsetClosures(t *testing.T) {
 		"select possible A, V from Q where 2 < (select sum(V) from Q)",
 	}
 	weightedOnly := []string{
-		"select conf, sum(V) from M",
+		"select conf, max(V) from M",
 		"select K, conf from M where 30 > (select sum(V) from M)",
 		"select conf, K, V from M group by K, V",
 		"select conf, K, V from M order by V desc limit 2",
@@ -474,10 +478,15 @@ func TestMergeRouteMatchesWorldsetClosures(t *testing.T) {
 		"select conf, sum(V) from Q",
 		"select A, V, conf from Q where 2 < (select sum(V) from Q)",
 	}
+	convolved := map[string]bool{
+		"select possible sum(V) from M": true,
+		"select certain sum(V) from M":  true,
+		"select conf, sum(V) from M":    true,
+	}
 	for _, weighted := range []bool{true, false} {
-		qs := statements
+		qs := append(append([]string(nil), statements...), "select possible sum(V) from M", "select certain sum(V) from M")
 		if weighted {
-			qs = append(append([]string(nil), statements...), weightedOnly...)
+			qs = append(append(qs, weightedOnly...), "select conf, sum(V) from M")
 		}
 		for _, sql := range qs {
 			label := fmt.Sprintf("weighted=%v %q", weighted, sql)
@@ -487,6 +496,7 @@ func TestMergeRouteMatchesWorldsetClosures(t *testing.T) {
 			if dec := d.routeCore(q, an, cl, false); dec.kind != routeMerge {
 				t.Fatalf("%s: routed %s, want merge", label, dec.kind)
 			}
+			before := d.RouteCounts()
 			got, err := d.selectClosure(q, cl)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -518,8 +528,17 @@ func TestMergeRouteMatchesWorldsetClosures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if renderRel(got) != renderRel(want) {
+			route := "merge"
+			if convolved[sql] {
+				route = "convolution"
+				if err := closuresAgree(got, want, cl.IsConf()); err != nil {
+					t.Errorf("%s: convolution route %v\n%s\nwant (worldset closures)\n%s", label, err, renderRel(got), renderRel(want))
+				}
+			} else if renderRel(got) != renderRel(want) {
 				t.Errorf("%s: merge route\n%s\nwant (worldset closures)\n%s", label, renderRel(got), renderRel(want))
+			}
+			if n := d.RouteCounts()[route] - before[route]; n != 1 {
+				t.Errorf("%s: %d statements took route %s, want 1", label, n, route)
 			}
 		}
 	}

@@ -3,16 +3,20 @@ package wsd
 // Routing: the one decision every statement over the decomposition takes.
 // route returns a statement's decision beside the run that carries it out,
 // which reuses what deciding computed (compiled plans and their analysis,
-// the DML expressions' components, a split's first key-touch round).
-// Deciding writes nothing, but a split reads data to decide: the keys its
-// source's feeders contribute, and for a query source stored componentwise
-// the evaluated parts about to be stored. Run notes the decision once and
-// then runs it, and Predict renders the very same value. A statement of two
-// phases (a grouping and its closure; an ASSERT or a transient source before
-// a store) records the costlier one, in routeKind's order. The one decision
-// taken after a phase has run is a CREATE TABLE AS … ASSERT's store, which
-// reads the world-set the assert leaves (decision.then): EXPLAIN forecasts
-// it on the decomposition as it stands.
+// the DML expressions' components, a split's first key-touch round, a
+// scalar aggregate's partials). Deciding writes nothing, but two decisions
+// read data: a split reads the keys its source's feeders contribute, and for
+// a query source stored componentwise the evaluated parts about to be
+// stored; a closed scalar SUM or COUNT over flat components reads its
+// input's partial per (component, alternative), and takes the convolution
+// route unless a SUM meets a value that is not an integer, which keeps the
+// merge. Run notes the decision once and then runs it, and Predict renders
+// the very same value. A statement of two phases (a grouping and its
+// closure; an ASSERT or a transient source before a store) records the
+// costlier one, in routeKind's order. The one decision taken after a phase
+// has run is a CREATE TABLE AS … ASSERT's store, which reads the world-set
+// the assert leaves (decision.then): EXPLAIN forecasts it on the
+// decomposition as it stands.
 
 import (
 	"errors"
@@ -46,6 +50,11 @@ const (
 	// routeCondSplit: a split nesting its components under the alternatives
 	// of the components feeding its source (split.go).
 	routeCondSplit
+	// routeConvolution: a scalar SUM or COUNT closure over flat components —
+	// the same two evaluations of the aggregate's input, one partial per
+	// (component, alternative), folded component by component; no merge
+	// (convolution.go).
+	routeConvolution
 	// routeMerge: bounded partial expansion — merge exactly the involved
 	// components (merge.go) and answer each merged alternative whole.
 	routeMerge
@@ -65,6 +74,7 @@ var routeNames = [...]string{
 	routeCondFold:      "conditional",
 	routeCondRelation:  "conditional",
 	routeCondSplit:     "conditional",
+	routeConvolution:   "convolution",
 	routeMerge:         "merge",
 	routeApproxMC:      "approx_mc",
 	routeRefused:       "refused",
@@ -78,7 +88,7 @@ func (k routeKind) String() string { return routeNames[k] }
 var routeTotals = func() (out [len(routeNames)]*obs.Counter) {
 	for k, name := range routeNames {
 		out[k] = obs.Default().Counter(`maybms_route_total{route="`+name+`"}`,
-			"Statements by routing decision (single = world-independent, componentwise = merge-free, conditional = d-tree fold, conditional relation or nesting split, merge = bounded partial expansion, approx_mc = Monte-Carlo CONF, refused = a statement form the compact backend does not run or a merge past the limit).")
+			"Statements by routing decision (single = world-independent, componentwise = merge-free, conditional = d-tree fold, conditional relation or nesting split, convolution = scalar SUM or COUNT folded over independent components, merge = bounded partial expansion, approx_mc = Monte-Carlo CONF, refused = a statement form the compact backend does not run or a merge past the limit).")
 	}
 	return out
 }()
@@ -116,6 +126,8 @@ type decision struct {
 	trees []int
 	// alts is the alternative count of the merged component (routeMerge).
 	alts int
+	// conv holds the partials the convolution route read to decide.
+	conv *convolution
 	// refusal is the refusal-table row (routeRefused; nil for a merge past
 	// the limit), err the statement's error and why EXPLAIN's account of it.
 	refusal *refusal
@@ -190,16 +202,21 @@ func (d *WSD) route(stmt sqlparse.Statement, sh shape) (decision, func() (*core.
 	return decision{kind: routeSingle}, func() (*core.Result, error) { return d.runOther(stmt) }, nil
 }
 
-// routeCore decides how a compiled core with analysis an is answered under
-// closure cl — or, with store set, how its per-world answers are stored: a
-// core touching no component is evaluated once; only a concat-structured
-// plan is stored without merging; a plain SELECT answers as one world when
-// every involved component has one alternative left, as a conditional
-// relation when its plan is concat-structured, and is refused otherwise; a
-// closure over a monotone-decomposable plan folds per-alternative deltas
-// (conditional over d-trees); everything else merges exactly the involved
-// components if the merge fits MergeLimit — past it APPROX CONF samples and
-// every other statement is refused, before anything is restructured.
+// routeCore decides, from the plan alone, how a compiled core with analysis
+// an is answered under closure cl — or, with store set, how its per-world
+// answers are stored: a core touching no component is evaluated once; only
+// a concat-structured plan is stored without merging; a plain SELECT
+// answers as one world when every involved component has one alternative
+// left, as a conditional relation when its plan is concat-structured, and
+// is refused otherwise; a closure over a monotone-decomposable plan folds
+// per-alternative deltas (conditional over d-trees); everything else merges
+// exactly the involved components if the merge fits MergeLimit — past it
+// APPROX CONF samples and every other statement is refused, before anything
+// is restructured. A SELECT closing a scalar SUM or COUNT (an.Scalar) over
+// flat components is the one exception routeQuery makes to that merge or
+// refusal, once it has read the partials: the convolution route
+// (routeConvolution). The GROUP WORLDS BY and split callers keep this
+// decision as it is.
 func (d *WSD) routeCore(q *sqlparse.SelectStmt, an *plan.ComponentAnalysis, cl core.Closure, store bool) decision {
 	comps := an.Comps
 	if len(comps) == 0 {
@@ -255,6 +272,12 @@ func (d *WSD) describeRoute(dec decision) string {
 		detail = fmt.Sprintf("relation with cond column, %d components, %d nested", n, d.nestedAmong(dec.trees))
 	case routeCondSplit:
 		detail = fmt.Sprintf("nested split, %d feeding components", n)
+	case routeConvolution:
+		alts := 0
+		for _, ci := range dec.comps {
+			alts += len(d.comps[ci].Alts)
+		}
+		detail = fmt.Sprintf("scalar %s, %d components, %d alternatives, limit %d values", dec.conv.sc.Kind, n, alts, d.MergeLimit)
 	case routeMerge:
 		detail = fmt.Sprintf("partial expansion, %d components, %d alternatives, limit %d", n, dec.alts, d.MergeLimit)
 	case routeApproxMC:

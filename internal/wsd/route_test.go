@@ -205,6 +205,10 @@ func routeCorpus(t *testing.T, run func(d *WSD, sql string)) {
 		for _, q := range componentwiseQueries {
 			run(d, q.sql)
 		}
+		// The convolution route's two shapes: a closed scalar aggregate, and
+		// Example 2.10's boolean CONF.
+		run(d, "select sum(V), conf from I where V > 0")
+		run(d, "select conf from I where 3 > (select count(*) from I where V > 0)")
 		d = agreementWSD(t, seed)
 		for _, q := range deltaQueries {
 			run(d, q)
@@ -258,7 +262,7 @@ func TestRouteAgreement(t *testing.T) {
 	words := map[string]int{}
 	routeCorpus(t, func(d *WSD, sql string) { words[agree(t, d, sql)]++ })
 	t.Logf("routes taken: %v", words)
-	for _, w := range []string{"single", "componentwise", "conditional", "merge", "refused"} {
+	for _, w := range []string{"single", "componentwise", "conditional", "convolution", "merge", "refused"} {
 		if words[w] == 0 {
 			t.Errorf("no corpus statement took route %s: %v", w, words)
 		}

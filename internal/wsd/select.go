@@ -136,6 +136,9 @@ func (d *WSD) routeQuery(q *sqlparse.SelectStmt, cl core.Closure, dst string) (d
 	asp.Set("decomposable", an.Decomposable)
 	asp.End(d.trace)
 	dec := d.routeCore(q, an, cl, dst != "" && cl == core.ClosureNone)
+	if conv, ok := d.routeConvolution(an, cl, ev); ok {
+		dec = conv
+	}
 	return dec, func() (*relation.Relation, error) {
 		if dst != "" && cl == core.ClosureNone {
 			// dst stores the select list, which the naive engine refuses
@@ -171,6 +174,8 @@ func (d *WSD) run(dec decision, ev evaluator, cl core.Closure, dst string) (*rel
 		return d.runSingle(dec.comps, ev, cl, dst)
 	case routeComponentwise, routeCondFold, routeCondRelation:
 		parts, err = d.evalParts(dec, ev.part)
+	case routeConvolution:
+		return d.runConvolution(dec.conv, cl)
 	case routeMerge:
 		parts, err = d.mergeEval(dec.comps, ev)
 	case routeApproxMC:
